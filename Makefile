@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint bench bench-smoke bench-compare chaos-soak sanitize-soak serve-soak serve-chaos slo-smoke profile examples
+.PHONY: test lint bench bench-smoke bench-e2e chaos-soak sanitize-soak serve-soak serve-chaos slo-smoke profile examples
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -17,19 +17,18 @@ lint:
 bench:
 	$(PYTHON) -m repro bench all
 
-# Wall-clock (not simulated) fused-vs-interpreted check; writes
-# BENCH_fused.json (and appends a run record to BENCH_history.jsonl) and
-# fails if fused is slower on the micro pipeline or if the
-# disabled-profiler overhead exceeds its 5% budget.
+# Wall-clock (not simulated) smoke probes; writes out/bench_smoke.json and
+# fails if fused is slower than interpreted on the micro pipeline, if an
+# installed-but-idle subsystem (profiler, fault injector, sanitizer, query
+# lifecycle, tracing) costs more than 5%, or if radix is not 2x faster
+# than sorted-hash on the skewed join workload.
 bench-smoke:
-	$(PYTHON) -m repro.bench.smoke --out BENCH_fused.json
+	$(PYTHON) -m repro.bench.smoke --out out/bench_smoke.json
 
-# Benchmark-regression gate: record the paper-figure suite into
-# BENCH_history.jsonl and diff it against the seed baseline with
-# noise-aware per-benchmark thresholds; exit 1 on regression.
-bench-compare:
-	$(PYTHON) -m repro bench record
-	$(PYTHON) -m repro bench compare --baseline seed
+# Contract test of the end-to-end benchmark that gates regressions
+# (BENCHMARK.json; see benchmarks/e2e/README.md for running a workload).
+bench-e2e:
+	$(PYTHON) -m pytest -q benchmarks/e2e
 
 # Seeded fault-injection soak: every builtin plan and TPC-H query must
 # stay bit-identical to its fault-free run under transient comm faults,
@@ -65,10 +64,12 @@ serve-soak:
 # breaker scenario must trip the circuit while bystander queries on the
 # same server keep matching their serial reference.  Exports the merged
 # multi-query Chrome trace and the per-profile journal JSON as run
-# artifacts (open serve_trace.json in chrome://tracing or Perfetto).
+# artifacts (open out/serve_trace.json in chrome://tracing or Perfetto).
 serve-chaos:
+	mkdir -p out
 	$(PYTHON) -m repro serve --matrix --queries 8 --sf 0.005 \
-		--chrome-out serve_trace.json --journal-out serve_journals.json
+		--chrome-out out/serve_trace.json \
+		--journal-out out/serve_journals.json
 
 # SLO latency gate: serve a mixed batch and fail if any tenant or
 # prepared-plan handle burns past its error budget on the simulated axis.
@@ -76,10 +77,11 @@ slo-smoke:
 	$(PYTHON) -m repro slo --queries 16 --target 0.01 --objective 0.99
 
 # EXPLAIN ANALYZE a TPC-H query and export the merged operator+substrate
-# Chrome trace (open profile_trace.json in chrome://tracing or Perfetto).
+# Chrome trace (open out/profile_trace.json in chrome://tracing or Perfetto).
 profile:
+	mkdir -p out
 	$(PYTHON) -m repro profile tpch --query 12 --machines 4 \
-		--chrome-out profile_trace.json
+		--chrome-out out/profile_trace.json
 
 examples:
 	for f in examples/*.py; do $(PYTHON) $$f || exit 1; done

@@ -200,7 +200,7 @@ MOD040 = _rule(
 
 # -- runtime sanitizer (MOD050–MOD059) -----------------------------------------
 # The second verification layer: these rules fire from the simulated
-# substrate itself when a plan runs under ``execute(..., sanitize=True)``
+# substrate itself when a plan runs under ``RunOptions(sanitize=True)``
 # (repro.analysis.sanitizer).  They carry operator provenance recovered
 # from the data-path instrumentation, turning what would otherwise be a
 # bare SimulationError (or a silent wrong answer) into a Diagnostic.

@@ -10,7 +10,7 @@ them uniformly.
 
 Typical use (also behind ``repro metrics``)::
 
-    report = execute(plan, params=..., metrics=True)
+    report = execute(plan, params=..., options=RunOptions(metrics=True))
     findings = analyze_runtime(report.metrics)
 """
 
@@ -40,7 +40,7 @@ def analyze_runtime(
 
     Args:
         snapshot: ``ExecutionReport.metrics`` of a run under
-            ``execute(..., metrics=True)``; ``None`` yields no findings.
+            ``RunOptions(metrics=True)``; ``None`` yields no findings.
         shuffle_amplification_factor: MOD040 threshold — the multiple of
             ``plan_input_bytes`` the recorded ``shuffle_bytes`` may reach
             before the advisory fires.

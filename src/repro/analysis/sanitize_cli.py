@@ -11,10 +11,10 @@ under one policy of the chaos matrix twice — once plain, once with
   perturb);
 * the determinism replay actually ran (``replayed`` in the report).
 
-Targets are the four builtin plans (``join``, ``groupby``,
-``broadcast_join``, ``join_sequence``) and TPC-H ``q4``/``q12``/``q14``/
-``q19``; ``all`` expands to every one of them.  The chaos matrix is the
-same vocabulary as ``repro chaos``: fault-free, transient comm faults, a
+Targets come from the catalogue in :mod:`repro.workloads.targets`; the
+matrix loop, reporting and exit code are the shared runner of
+:mod:`repro.workloads.matrix`.  The policies are named points of the
+``repro chaos`` flag space: fault-free, transient comm faults, a
 permanent mid-stage crash (degraded n-1 rerun), and planner-level
 memory pressure.
 """
@@ -22,280 +22,105 @@ memory pressure.
 from __future__ import annotations
 
 from repro.core.options import RunOptions
-from repro.faults.chaos import (
-    _columns_match,
-    _frame_columns,
-    _vector_columns,
-    build_policy,
-)
+from repro.faults.chaos import build_policy
 
-__all__ = ["soak", "matrix_policies", "run_cli", "ALL_TARGETS", "ALL_POLICIES"]
+__all__ = ["check", "matrix_policies", "run_cli", "ALL_POLICIES"]
 
-BUILTIN_TARGETS = ("join", "groupby", "broadcast_join", "join_sequence")
-TPCH_TARGETS = ("q4", "q12", "q14", "q19")
-ALL_TARGETS = BUILTIN_TARGETS + TPCH_TARGETS
-ALL_POLICIES = ("clean", "transient", "degrade", "pressure")
+#: Policy name → the ``build_policy`` flags it stands for (``None``: no faults).
+_POLICY_FLAGS = {
+    "clean": None,
+    "transient": {},
+    "degrade": {"crash_rank": 1, "crash_after": 4, "permanent": True},
+    "pressure": {"memory_pressure": True},
+}
+ALL_POLICIES = tuple(_POLICY_FLAGS)
 
 
 def matrix_policies(names, seed: int):
     """Resolve chaos-matrix policy names to ``(name, FaultPolicy | None)``."""
-    resolved = []
+    policies = []
     for name in names:
-        if name == "clean":
-            resolved.append((name, None))
-        elif name == "transient":
-            resolved.append((name, build_policy(seed)))
-        elif name == "degrade":
-            resolved.append(
-                (name, build_policy(seed, crash_rank=1, crash_after=4,
-                                    permanent=True))
-            )
-        elif name == "pressure":
-            resolved.append((name, build_policy(seed, memory_pressure=True)))
-        else:
-            raise ValueError(
-                f"unknown sanitize policy {name!r}; pick from {ALL_POLICIES}"
-            )
-    return resolved
+        flags = _POLICY_FLAGS[name]
+        policies.append(
+            (name, None if flags is None else build_policy(seed, **flags))
+        )
+    return policies
 
 
-def _run_builtin(name, machines, log2_tuples, mode, policy) -> dict:
-    from repro.core.plans import (
-        build_broadcast_join,
-        build_distributed_groupby,
-        build_distributed_join,
-        build_join_sequence,
-    )
-    from repro.mpi.cluster import SimCluster
-    from repro.workloads import (
-        make_cascade_relations,
-        make_groupby_table,
-        make_join_relations,
-    )
+def check(target, cell) -> dict:
+    """Run ``target`` plain and sanitized under ``cell``; return a verdict.
 
-    cluster = SimCluster(machines)
-    n_tuples = 1 << log2_tuples
-    if name == "join":
-        workload = make_join_relations(n_tuples)
-        plan = build_distributed_join(
-            cluster,
-            workload.left.element_type,
-            workload.right.element_type,
-            key_bits=workload.key_bits,
-        )
-        run = lambda sanitize: plan.run(
-            workload.left, workload.right, mode=mode, faults=policy,
-            sanitize=sanitize,
-        )
-        extract = plan.matches
-    elif name == "broadcast_join":
-        workload = make_join_relations(n_tuples)
-        plan = build_broadcast_join(
-            cluster,
-            workload.left.element_type,
-            workload.right.element_type,
-        )
-        run = lambda sanitize: plan.run(
-            workload.left, workload.right, mode=mode, faults=policy,
-            sanitize=sanitize,
-        )
-        extract = plan.matches
-    elif name == "groupby":
-        workload = make_groupby_table(n_tuples)
-        plan = build_distributed_groupby(
-            cluster, workload.table.element_type, key_bits=workload.key_bits
-        )
-        run = lambda sanitize: plan.run(
-            workload.table, mode=mode, faults=policy, sanitize=sanitize
-        )
-        extract = plan.groups
-    elif name == "join_sequence":
-        relations, _ = make_cascade_relations(3, n_tuples)
-        plan = build_join_sequence(cluster, [r.element_type for r in relations])
-        run = lambda sanitize: plan.run(
-            relations, mode=mode, faults=policy, sanitize=sanitize
-        )
-        extract = plan.matches
-    else:  # pragma: no cover - guarded by the CLI choices
-        raise ValueError(f"unknown builtin target {name!r}")
+    ``cell`` is ``(mode, policy name, FaultPolicy | None)``.  A finding
+    raised mid-run (MOD050–MOD052 :class:`SanitizerError`) is a failed
+    verdict carrying the ``error`` text — shipped plans must never
+    trigger one.
+    """
+    from repro.analysis.sanitizer import SanitizerError
+    from repro.workloads.targets import columns_match
 
-    plain = run(False)
-    sanitized = run(True)
-    identical = _columns_match(
-        *_vector_columns(extract(plain)),
-        *_vector_columns(extract(sanitized)),
-        ordered=True,
-    )
-    return _verdict(name, mode, policy, sanitized, identical)
-
-
-def _run_tpch(name, machines, sf, mode, strategy, policy) -> dict:
-    from repro.mpi.cluster import SimCluster
-    from repro.relational import lower_to_modularis
-    from repro.tpch import ALL_QUERIES, load_catalog
-
-    qnum = int(name[1:])
-    catalog = load_catalog(scale_factor=sf)
-    query = ALL_QUERIES[qnum]()
+    mode, policy_name, policy = cell
     options = RunOptions(mode=mode, faults=policy)
-    plan = lower_to_modularis(
-        query.plan, catalog, SimCluster(machines), join_strategy=strategy,
-        options=options,
-    )
-    plain = plan.run(catalog, options)
-    sanitized = plan.run(catalog, options.replace(sanitize=True))
-    identical = _columns_match(
-        *_frame_columns(plan.result_frame(plain)),
-        *_frame_columns(plan.result_frame(sanitized)),
-        ordered=True,
-    )
-    verdict = _verdict(name, mode, policy, sanitized, identical)
-    verdict["strategy"] = plan.strategy
-    if plan.degraded_from is not None:
-        verdict["degraded_from"] = plan.degraded_from
+    verdict = {
+        "target": target.name,
+        "mode": mode,
+        "seed": policy.seed if policy is not None else None,
+    }
+    try:
+        plain = target.columns(target.run(options))
+        sanitized = target.run(options.replace(sanitize=True))
+    except SanitizerError as exc:
+        verdict.update(
+            ok=False, identical=False, error=str(exc), sanitizer=None,
+            simulated_time=None,
+        )
+    else:
+        report = sanitized.sanitizer
+        identical = columns_match(plain, target.columns(sanitized))
+        verdict.update(
+            ok=report.clean and identical,
+            identical=identical,
+            sanitizer=report.to_dict(),
+            simulated_time=sanitized.simulated_time,
+            **target.planner_choice(),
+        )
+    verdict["policy"] = policy_name
     return verdict
 
 
-def _verdict(name, mode, policy, sanitized, identical) -> dict:
-    report = sanitized.sanitizer
-    return {
-        "target": name,
-        "mode": mode,
-        "seed": policy.seed if policy is not None else None,
-        "ok": bool(report is not None and report.clean and identical),
-        "identical": bool(identical),
-        "sanitizer": report.to_dict() if report is not None else None,
-        "simulated_time": sanitized.simulated_time,
-    }
-
-
-def soak(
-    target: str,
-    policy,
-    machines: int = 4,
-    sf: float = 0.005,
-    log2_tuples: int = 10,
-    mode: str = "fused",
-    strategy: str = "exchange",
-) -> dict:
-    """Run one target sanitized under ``policy``; return a verdict dict.
-
-    A sanitizer finding raised mid-run (MOD050–MOD052) propagates as a
-    :class:`SanitizerError` — shipped plans must never trigger one, so
-    the caller treats the exception as a failed soak.
-    """
-    if target in BUILTIN_TARGETS:
-        return _run_builtin(target, machines, log2_tuples, mode, policy)
-    if target in TPCH_TARGETS:
-        return _run_tpch(target, machines, sf, mode, strategy, policy)
-    raise ValueError(
-        f"unknown sanitize target {target!r}; pick one of {ALL_TARGETS} or 'all'"
-    )
-
-
-# -- the ``repro sanitize`` command body ----------------------------------------
+def _line(verdict: dict) -> str:
+    report = verdict["sanitizer"]
+    if report is not None:
+        detail = (
+            f"{report['puts_checked']} puts "
+            f"{report['collectives_checked']} collectives "
+            f"{report['windows_tracked']} windows"
+        )
+        if report["diagnostics"]:
+            detail += f"  findings={len(report['diagnostics'])}"
+    else:
+        detail = verdict.get("error", "no report")
+    return f"policy={verdict['policy']:<9} {detail}"
 
 
 def run_cli(args) -> int:
     """Body of ``repro sanitize`` (argparse namespace in, exit code out)."""
-    import json
     import sys
 
-    from repro.analysis.sanitizer import SanitizerError
+    from repro.workloads.matrix import SoakMatrix
 
-    targets: list[str] = []
-    for target in args.targets:
-        if target == "all":
-            targets.extend(t for t in ALL_TARGETS if t not in targets)
-        elif target in ALL_TARGETS:
-            if target not in targets:
-                targets.append(target)
-        else:
-            print(
-                f"error: unknown sanitize target {target!r}; pick from "
-                f"{', '.join(ALL_TARGETS)} or 'all'",
-                file=sys.stderr,
-            )
-            return 2
+    try:
+        matrix = SoakMatrix("sanitize", args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
-    policies = matrix_policies(args.policies or list(ALL_POLICIES), args.seed)
-    verdicts: list[dict] = []
-    failures = 0
-    for target in targets:
-        for policy_name, policy in policies:
-            try:
-                verdict = soak(
-                    target,
-                    policy,
-                    machines=args.machines,
-                    sf=args.sf,
-                    log2_tuples=args.log2_tuples,
-                    mode=args.mode,
-                    strategy=args.strategy,
-                )
-            except SanitizerError as exc:
-                verdict = {
-                    "target": target,
-                    "mode": args.mode,
-                    "seed": policy.seed if policy is not None else None,
-                    "ok": False,
-                    "identical": False,
-                    "error": str(exc),
-                    "sanitizer": None,
-                    "simulated_time": None,
-                }
-            verdict["policy"] = policy_name
-            verdicts.append(verdict)
-            if not verdict["ok"]:
-                failures += 1
-            if args.format == "text":
-                status = "OK " if verdict["ok"] else "FAIL"
-                report = verdict.get("sanitizer")
-                if report is not None:
-                    detail = (
-                        f"{report['puts_checked']} puts "
-                        f"{report['collectives_checked']} collectives "
-                        f"{report['windows_tracked']} windows"
-                    )
-                    if report["diagnostics"]:
-                        detail += f"  findings={len(report['diagnostics'])}"
-                else:
-                    detail = verdict.get("error", "no report")
-                print(f"{status} {target:<14} policy={policy_name:<9} {detail}")
-
-    if args.format == "json":
-        def scalar(value):
-            item = getattr(value, "item", None)
-            if callable(item):
-                return item()
-            raise TypeError(f"not JSON serializable: {value!r}")
-
-        print(
-            json.dumps(
-                {
-                    "summary": {
-                        "targets": targets,
-                        "policies": [name for name, _ in policies],
-                        "soaks": len(verdicts),
-                        "ok": len(verdicts) - failures,
-                        "failures": failures,
-                    },
-                    "soaks": verdicts,
-                },
-                indent=2,
-                default=scalar,
-            )
-        )
-    else:
-        total = len(verdicts)
-        print(
-            f"\nsanitize soak: {total - failures}/{total} clean and "
-            f"bit-identical under the chaos matrix"
-        )
-        if failures:
-            print(
-                f"ERROR: {failures} soak(s) had sanitizer findings or "
-                "diverging results",
-                file=sys.stderr,
-            )
-    return 1 if failures else 0
+    policies = matrix_policies(args.policies or ALL_POLICIES, args.seed)
+    matrix.run(
+        [(args.mode, name, policy) for name, policy in policies], check, _line
+    )
+    summary = matrix.summary(policies=[name for name, _ in policies])
+    return matrix.finish(
+        {"summary": summary, "soaks": matrix.verdicts},
+        claim="clean and bit-identical under the chaos matrix",
+        problem="had sanitizer findings or diverging results",
+    )

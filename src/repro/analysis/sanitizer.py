@@ -2,7 +2,7 @@
 
 The static analyzer proves what it can from the plan DAG; this module is
 the second verification layer, watching the *execution* itself.  Under
-``execute(..., sanitize=True)`` a :class:`Sanitizer` rides on the
+``RunOptions(sanitize=True)`` a :class:`Sanitizer` rides on the
 execution context and hooks the simulated MPI substrate:
 
 * **MOD050 — RMA write-set tracker.**  Every one-sided put is recorded as

@@ -1,129 +1,175 @@
-"""Wall-clock smoke benchmark of the fused execution path.
+"""Wall-clock smoke benchmark: the fused path and the armed-but-idle taxes.
 
 Everything else in ``repro.bench`` measures *simulated* seconds — the
-calibrated cost model the paper's figures are drawn from.  This module is
-the one place that measures *real* wall-clock time, answering a question
-the simulation cannot: does the fused path actually run faster than the
-interpreted one in this Python implementation?
+calibrated cost model the paper's figures are drawn from.  This module
+measures *real* wall-clock time, answering what the simulation cannot:
+does the fused path actually run faster than the interpreted one in this
+Python implementation, and do the subsystems that promise to cost
+nothing when off keep that promise?  (Regressions of the engine itself
+are gated by ``BENCHMARK.json``; see ``benchmarks/e2e/README.md``.)
 
-Two probes, both fused vs interpreted:
-
-* ``micro`` — the §5.1.2 scan-and-sum pipeline (the Table/M1 micro).
-  Fused runs one numpy reduction per morsel; interpreted folds row
-  tuples in Python.  This is the gate: fused slower than interpreted
-  here means batch streaming is broken, and the run fails.
-* ``fig7_groupby`` — the distributed GROUP BY of Figure 7 on a simulated
-  cluster, end-to-end through partitioning, exchange, and aggregation.
-
-A third probe measures the observability tax: the micro pipeline with the
-profiler wrappers stripped vs installed-but-off vs recording.  The run
-fails if the disabled-profiler overhead exceeds 5% — the subsystem's
-"costs nothing when off" contract, enforced in CI.
-
-A fourth probe measures the fault-injection tax the same way: the Figure 7
-GROUP BY with ``faults=None`` vs a zero-rate armed policy.  The run fails
-if the armed-but-idle overhead exceeds 5%, and the two runs must stay
-bit-identical.
-
-A fifth probe covers the MOD05x runtime sanitizer: the sanitizer-off path
-must stay within the same 5% disabled budget, and TPC-H Q4/Q12/Q14/Q19
-must run bit-identical with ``sanitize=True`` and a clean report.
-
-A sixth probe measures the query-lifecycle tax on the serving layer: a
-TPC-H batch served with deadlines, a retry policy, a circuit breaker,
-and shed accounting all armed but never firing must stay within 5% of
-the plain serving path.
-
-A seventh probe races the two join kernels (sorted-hash vs radix
-direct-address) at the kernel level on a uniform and a Zipf-skewed
-duplicate-heavy workload.  Outputs must stay bit-identical, and the run
-fails if radix is not at least :data:`MIN_RADIX_SPEEDUP` times faster on
-the skewed workload — the case the kernel exists for.
-
-Results land in ``BENCH_fused.json`` (see ``make bench-smoke``) so a
-checkout records the speedups its tree actually achieves.
+Every probe races a handful of *configurations* of one workload with
+:func:`_best_of` — rounds are interleaved (a, b, c, a, b, c, ...) so a
+machine-load burst hits every configuration equally, and best-of wins.
+The probe functions say what their configurations are; :data:`GATES` is
+the table of numbers ``make bench-smoke`` enforces on the report.
+Besides the gates, every ``identical`` / ``clean`` flag a probe reports
+must be true: configurations may differ in wall-clock, never in results.
+The report lands in ``out/bench_smoke.json`` (see ``make bench-smoke``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from functools import partial
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.core.options import RunOptions
-from repro.core.plans.groupby import build_distributed_groupby
 from repro.mpi.cluster import SimCluster
 from repro.types.atoms import INT64
 from repro.types.collections import RowVector
 from repro.types.tuples import TupleType
+from repro.workloads.targets import TPCH_TARGETS, columns_match, resolve
 
-__all__ = ["run_smoke", "main"]
+__all__ = ["GATES", "gate_failures", "run_smoke", "main"]
+
+#: Budget of every installed-but-idle subsystem (profiler, fault injector,
+#: sanitizer, query lifecycle, tracing) relative to running without it.
+MAX_OVERHEAD = 0.05
+
+#: Radix must beat the sorted-hash kernel by this factor on the skewed
+#: duplicate-heavy workload — the case the kernel exists for.
+MIN_RADIX_SPEEDUP = 2.0
+
+#: ``(report path, relation, bound, what a breach means)`` — the numbers
+#: ``make bench-smoke`` fails on.
+GATES = (
+    ("benchmarks.micro.speedup", ">=", 1.0,
+     "fused is slower than interpreted on the micro pipeline"),
+    ("profiler.disabled_overhead", "<=", MAX_OVERHEAD,
+     "instrumentation is no longer free when off"),
+    ("faults.armed_overhead", "<=", MAX_OVERHEAD,
+     "the injector is no longer cheap when it injects nothing"),
+    ("sanitizer.disabled_overhead", "<=", MAX_OVERHEAD,
+     "the sanitizer's off path must stay one attribute read"),
+    ("serving.armed_overhead", "<=", MAX_OVERHEAD,
+     "deadlines, retries, and the breaker must stay free when nothing fires"),
+    ("tracing.traced_overhead", "<=", MAX_OVERHEAD,
+     "journals and SLO accounting must stay off the quantum hot path"),
+    ("join_kernels.skewed.speedup", ">=", MIN_RADIX_SPEEDUP,
+     "radix no longer pays for itself on the skewed workload"),
+)
 
 
-def _time_modes(run, repeats: int) -> dict[str, float]:
-    """Best-of-``repeats`` wall-clock seconds for each execution mode."""
-    seconds = {}
-    for mode in ("fused", "interpreted"):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            run(mode)
-            best = min(best, time.perf_counter() - start)
-        seconds[mode] = best
-    return seconds
+def gate_failures(report: dict) -> list[str]:
+    """Every breached gate and every false ``identical``/``clean`` flag."""
+    failures = []
+    for path, relation, bound, meaning in GATES:
+        value: Any = report
+        for key in path.split("."):
+            value = value[key]
+        holds = value >= bound if relation == ">=" else value <= bound
+        if not holds:
+            failures.append(
+                f"{path} = {value:.3f} is not {relation} {bound:g}: {meaning}"
+            )
+
+    def flags(section: dict, path: str) -> None:
+        for key, value in section.items():
+            if isinstance(value, dict):
+                flags(value, f"{path}{key}.")
+            elif key in ("identical", "clean") and not value:
+                failures.append(
+                    f"{path}{key} is false: configurations of one probe "
+                    "disagreed on results"
+                )
+
+    flags(report, "")
+    return failures
 
 
-def _micro(n_integers: int, repeats: int) -> dict[str, float]:
-    from repro.bench.experiments.micro import _scan_sum_plan
-    from repro.core.executor import execute
-
-    plan, slot, table, expected = _scan_sum_plan(n_integers, seed=2021)
-
-    def run(mode: str) -> None:
-        result = execute(plan, params={slot: (table,)}, mode=mode)
-        assert result.rows == [(expected,)]
-
-    return _time_modes(run, repeats)
+# -- the one timing helper ------------------------------------------------------
 
 
-def _fig7_groupby(n_tuples: int, machines: int, repeats: int) -> dict[str, float]:
-    kv = TupleType.of(key=INT64, value=INT64)
-    rng = np.random.default_rng(7)
-    table = RowVector(
-        kv,
-        [
-            rng.integers(0, 1 << 10, size=n_tuples, dtype=np.int64),
-            rng.integers(0, 1 << 10, size=n_tuples, dtype=np.int64),
-        ],
+def _timed(fn: Callable, *args) -> tuple[float, Any]:
+    start = time.perf_counter()
+    output = fn(*args)
+    return time.perf_counter() - start, output
+
+
+def _best_of(
+    rounds: int,
+    configs: dict[str, Callable[[], tuple[float, Any]]],
+    agree: Callable[[dict], bool] | None = None,
+) -> tuple[dict, dict]:
+    """Interleaved best-of-``rounds`` wall-clock race of ``configs``.
+
+    Each configuration returns ``(seconds, output)`` — it owns its clock,
+    so set-up it must not be charged for stays outside.  Returns the
+    probe's report section — best ``<config>_seconds`` per configuration
+    plus, when ``agree`` is given, ``identical``: whether it accepted
+    every round's outputs (a dict by configuration name) — and the last
+    round's outputs.
+    """
+    best = dict.fromkeys(configs, float("inf"))
+    identical = True
+    outputs: dict = {}
+    for _ in range(rounds):
+        for name, run in configs.items():
+            seconds, outputs[name] = run()
+            best[name] = min(best[name], seconds)
+        if agree is not None:
+            identical = bool(agree(outputs)) and identical
+    section: dict = {f"{name}_seconds": best[name] for name in configs}
+    if agree is not None:
+        section["identical"] = identical
+    return section, outputs
+
+
+def _configs(section: dict) -> list[str]:
+    return [key[:-8] for key in section if key.endswith("_seconds")]
+
+
+def _overheads(section: dict) -> dict:
+    """Add ``<config>_overhead`` of every configuration over the first."""
+    reference, *others = _configs(section)
+    for name in others:
+        section[f"{name}_overhead"] = (
+            section[f"{name}_seconds"] / section[f"{reference}_seconds"] - 1.0
+        )
+    return section
+
+
+def _speedup(section: dict, fast: str, slow: str) -> dict:
+    """Add ``speedup``: how many times ``fast`` beats ``slow``."""
+    section["speedup"] = section[f"{slow}_seconds"] / section[f"{fast}_seconds"]
+    return section
+
+
+def _modes(run: Callable, repeats: int, agree=None) -> dict:
+    """Race ``run(mode=...)`` fused against interpreted."""
+    modes = ("fused", "interpreted")
+    section, _ = _best_of(
+        repeats, {mode: partial(run, mode=mode) for mode in modes}, agree
     )
-    plan = build_distributed_groupby(SimCluster(machines), kv, key_bits=10)
-
-    def run(mode: str) -> None:
-        plan.groups(plan.run(table, RunOptions(mode=mode)))
-
-    return _time_modes(run, repeats)
+    return _speedup(section, *modes)
 
 
-def _profiler_overhead(n_integers: int, repeats: int) -> dict[str, float]:
-    """Wall-clock tax of the observability layer on the micro pipeline.
+# -- probes ---------------------------------------------------------------------
 
-    Times the same fused plan under three configurations:
 
-    * ``baseline`` — instrumentation wrappers stripped entirely
-      (:func:`~repro.observability.profile.uninstrumented`),
-    * ``disabled`` — wrappers installed but neither profiler nor metrics
-      registry attached: the shipping default, whose cost must stay
-      within noise of baseline,
-    * ``profiled`` — the profiler recording spans,
-    * ``metered`` — the metrics registry recording work counts (no
-      profiler).
+def _micro_probes(n_integers: int, repeats: int) -> tuple[dict, dict]:
+    """The §5.1.2 scan-and-sum micro: fused vs interpreted, and the profiler tax.
 
-    Rounds are interleaved (baseline, disabled, profiled, metered,
-    repeat) so a machine-load burst hits every configuration equally;
-    best-of wins.
+    The tax races the fused plan with the observability wrappers stripped
+    (:func:`~repro.observability.profile.uninstrumented`), installed but
+    off (the shipping default), recording spans, and recording metrics.
     """
     from repro.bench.experiments.micro import _scan_sum_plan
     from repro.core.executor import execute
@@ -131,330 +177,158 @@ def _profiler_overhead(n_integers: int, repeats: int) -> dict[str, float]:
 
     plan, slot, table, expected = _scan_sum_plan(n_integers, seed=2021)
 
-    def run(profile: bool = False, metrics: bool = False) -> float:
-        start = time.perf_counter()
-        result = execute(
-            plan, params={slot: (table,)}, mode="fused", profile=profile,
-            metrics=metrics,
+    def run(**options):
+        seconds, report = _timed(
+            execute, plan, {slot: (table,)}, RunOptions(**options)
         )
-        elapsed = time.perf_counter() - start
-        assert result.rows == [(expected,)]
-        return elapsed
+        return seconds, report.rows
 
-    best = {"baseline": float("inf"), "disabled": float("inf"),
-            "profiled": float("inf"), "metered": float("inf")}
-    for _ in range(max(repeats, 3)):
+    def stripped():
         with uninstrumented():
-            best["baseline"] = min(best["baseline"], run())
-        best["disabled"] = min(best["disabled"], run())
-        best["profiled"] = min(best["profiled"], run(profile=True))
-        best["metered"] = min(best["metered"], run(metrics=True))
-    return {
-        "baseline_seconds": best["baseline"],
-        "disabled_seconds": best["disabled"],
-        "profiled_seconds": best["profiled"],
-        "metered_seconds": best["metered"],
-        "disabled_overhead": best["disabled"] / best["baseline"] - 1.0,
-        "profiled_overhead": best["profiled"] / best["baseline"] - 1.0,
-        "metered_overhead": best["metered"] / best["baseline"] - 1.0,
-    }
+            return run()
+
+    def agree(outputs):
+        return all(rows == [(expected,)] for rows in outputs.values())
+
+    micro = _modes(run, repeats, agree)
+    profiler, _ = _best_of(
+        max(repeats, 3),
+        {
+            "baseline": stripped,
+            "disabled": run,
+            "profiled": partial(run, profile=True),
+            "metered": partial(run, metrics=True),
+        },
+        agree,
+    )
+    sizes = {"n_integers": n_integers}
+    return {**micro, **sizes}, {**_overheads(profiler), **sizes}
 
 
-#: make bench-smoke fails when the disabled-profiler tax exceeds this.
-MAX_DISABLED_OVERHEAD = 0.05
+def _groupby_probes(
+    log2_tuples: int, machines: int, repeats: int
+) -> tuple[dict, dict, dict]:
+    """The Figure 7 distributed GROUP BY: modes, fault tax, sanitizer tax.
 
-#: make bench-smoke fails when radix is not at least this much faster than
-#: the sorted-hash kernel on the skewed duplicate-heavy workload.
-MIN_RADIX_SPEEDUP = 2.0
+    The fault tax arms a zero-rate :class:`~repro.faults.FaultPolicy`: the
+    injector is constructed and consulted, but every draw passes.  The
+    sanitizer tax spells ``sanitize=False`` out (the off path must stay
+    one attribute read) and also reports ``sanitize=True``, whose cost is
+    not budgeted — the determinism replay re-executes the plan.
+    """
+    from repro.faults import FaultPolicy
 
-#: make bench-smoke fails when the fault-free fault-injection tax exceeds this.
-MAX_FAULT_OVERHEAD = 0.05
+    target = resolve("groupby", machines, log2_tuples=log2_tuples)
+    sizes = {"n_tuples": 1 << log2_tuples, "machines": machines}
 
-#: make bench-smoke fails when the armed-but-idle query-lifecycle tax
-#: (deadlines + retry policy + breaker + shed accounting, none firing)
-#: exceeds this.
-MAX_SERVING_ROBUSTNESS_OVERHEAD = 0.05
+    def run(**options):
+        seconds, report = _timed(target.run, RunOptions(**options))
+        return seconds, target.columns(report)
 
-#: make bench-smoke fails when the armed-but-idle tracing tax (trace
-#: contexts + per-query journals + SLO latency accounting, with the
-#: cluster substrate trace left off) exceeds this.
-MAX_TRACING_OVERHEAD = 0.05
+    def same(first: str, second: str):
+        return lambda outputs: columns_match(outputs[first], outputs[second])
+
+    groupby = _modes(run, repeats)
+    idle = FaultPolicy(seed=2021, put_drop_rate=0.0, collective_drop_rate=0.0)
+    faults, _ = _best_of(
+        max(repeats, 3),
+        {"disabled": run, "armed": partial(run, faults=idle)},
+        same("disabled", "armed"),
+    )
+    sanitizer, _ = _best_of(
+        max(repeats, 3),
+        {
+            "baseline": run,
+            "disabled": partial(run, sanitize=False),
+            "sanitized": partial(run, sanitize=True),
+        },
+        same("baseline", "sanitized"),
+    )
+    return (
+        {**groupby, **sizes},
+        {**_overheads(faults), **sizes},
+        {**_overheads(sanitizer), **sizes},
+    )
 
 
-def _serving_robustness_overhead(
-    scale_factor: float, machines: int, n_queries: int, repeats: int
-) -> dict[str, float]:
-    """Wall-clock tax of the query-lifecycle machinery when nothing fires.
+def _sanitized_tpch(machines: int, sf: float) -> dict:
+    """TPC-H under the sanitizer: bit-identical results, clean reports."""
+    from repro.analysis.sanitize_cli import check
 
-    Serves the same TPC-H batch through two servers:
+    verdicts = {}
+    for name in TPCH_TARGETS:
+        verdict = check(resolve(name, machines, sf=sf), ("fused", "clean", None))
+        report = verdict["sanitizer"]
+        verdicts[name] = {
+            "identical": verdict["identical"],
+            "clean": report is not None and report["clean"],
+        }
+    return verdicts
 
-    * ``baseline`` — no deadline, no retry policy, shedding off: the
-      pre-lifecycle serving configuration,
-    * ``armed`` — a generous deadline on every submission, a configured
-      retry policy, and a shed threshold just below the cap: every
-      lifecycle check runs on every quantum and submission, but no
-      deadline ever misses, no retry ever fires, and nothing is shed.
 
-    Rounds are interleaved so load bursts hit both configurations
-    equally; best-of wins.  Only the submit-to-result window is timed
-    (deploys happen once, outside the clock).
+def _serving_probes(
+    scale_factor: float, machines: int, repeats: int
+) -> tuple[dict, dict]:
+    """A served TPC-H batch: the query-lifecycle tax and the tracing tax.
+
+    ``serving`` arms a generous deadline on every submission, a retry
+    policy, and a shed threshold just below the cap: every lifecycle
+    check runs on every quantum and submission, but nothing ever fires.
+    ``tracing`` arms trace contexts, per-query journals and SLO latency
+    accounting with the cluster substrate trace left off — stamping is a
+    post-hoc settlement pass the hot path must not notice; its batch is
+    doubled and more rounds run because the per-query tax under test is
+    tiny relative to scheduler jitter.  Only the submit-to-result window
+    is timed (deploys happen outside the clock).
     """
     from repro.faults.policy import RetryPolicy
-    from repro.serving.server import Server
-    from repro.tpch import ALL_QUERIES, load_catalog
-
-    catalog = load_catalog(scale_factor)
-    cluster = SimCluster(machines)
-    qids = (4, 12, 14, 19)
-
-    def run(armed: bool) -> float:
-        kwargs = (
-            {"retry": RetryPolicy(max_attempts=3), "shed_threshold": 0.99}
-            if armed
-            else {}
-        )
-        with Server(
-            cluster,
-            catalog,
-            n_workers=4,
-            max_pending=max(n_queries, 1) * 2,
-            **kwargs,
-        ) as server:
-            handles = [
-                server.deploy(f"q{qid}", ALL_QUERIES[qid]()).handle
-                for qid in qids
-            ]
-            start = time.perf_counter()
-            futures = [
-                server.submit(
-                    handles[i % len(handles)],
-                    deadline=1e6 if armed else None,
-                )
-                for i in range(n_queries)
-            ]
-            for future in futures:
-                future.result(timeout=600)
-            return time.perf_counter() - start
-
-    best = {"baseline": float("inf"), "armed": float("inf")}
-    for _ in range(max(repeats, 3)):
-        best["baseline"] = min(best["baseline"], run(armed=False))
-        best["armed"] = min(best["armed"], run(armed=True))
-    return {
-        "baseline_seconds": best["baseline"],
-        "armed_seconds": best["armed"],
-        "armed_overhead": best["armed"] / best["baseline"] - 1.0,
-    }
-
-
-def _tracing_overhead(
-    scale_factor: float, machines: int, n_queries: int, repeats: int
-) -> dict[str, float]:
-    """Wall-clock tax of query tracing when nobody reads the journals.
-
-    Serves the same TPC-H batch through two servers:
-
-    * ``baseline`` — ``tracing=False``: no trace contexts are minted, no
-      journals are kept, no SLO accounting runs,
-    * ``traced`` — the shipping default plus an armed
-      :class:`~repro.observability.slo.SLOConfig`: every submission mints
-      a trace context, keeps an append-only journal, stamps its events at
-      settlement, and feeds the per-tenant/per-handle latency histograms
-      and burn counters.
-
-    The cluster substrate trace stays off in both runs — stamping is a
-    post-hoc settlement pass, so the hot path must not notice the
-    difference.  Rounds are interleaved; best-of wins.  The batch is
-    doubled and more rounds run than the other serving probes because
-    the per-query tax under test is tiny relative to scheduler jitter.
-    """
     from repro.observability.slo import SLOConfig
     from repro.serving.server import Server
     from repro.tpch import ALL_QUERIES, load_catalog
 
     catalog = load_catalog(scale_factor)
     cluster = SimCluster(machines)
-    qids = (4, 12, 14, 19)
+    sizes = {"scale_factor": scale_factor, "machines": machines}
 
-    def run(traced: bool) -> float:
-        kwargs = (
-            {"slo": SLOConfig(target_seconds=1e6), "tracing": True}
-            if traced
-            else {"tracing": False}
-        )
+    def serve(n_queries: int, deadline: float | None = None, **server_kwargs):
         with Server(
-            cluster,
-            catalog,
-            n_workers=4,
-            max_pending=max(n_queries, 1) * 2,
-            **kwargs,
+            cluster, catalog, n_workers=4, max_pending=n_queries * 2,
+            **server_kwargs,
         ) as server:
             handles = [
-                server.deploy(f"q{qid}", ALL_QUERIES[qid]()).handle
-                for qid in qids
+                server.deploy(name, ALL_QUERIES[int(name[1:])]()).handle
+                for name in TPCH_TARGETS
             ]
             start = time.perf_counter()
             futures = [
-                server.submit(handles[i % len(handles)])
+                server.submit(handles[i % len(handles)], deadline=deadline)
                 for i in range(n_queries)
             ]
             for future in futures:
                 future.result(timeout=600)
-            return time.perf_counter() - start
+            return time.perf_counter() - start, None
 
-    run(traced=False)  # warm caches before either configuration is timed
-    best = {"baseline": float("inf"), "traced": float("inf")}
-    for _ in range(max(repeats, 5)):
-        best["baseline"] = min(best["baseline"], run(traced=False))
-        best["traced"] = min(best["traced"], run(traced=True))
-    return {
-        "baseline_seconds": best["baseline"],
-        "traced_seconds": best["traced"],
-        "traced_overhead": best["traced"] / best["baseline"] - 1.0,
-    }
-
-
-def _fault_overhead(n_tuples: int, machines: int, repeats: int) -> dict[str, float]:
-    """Wall-clock tax of the fault-injection substrate when it injects nothing.
-
-    Times the Figure 7 GROUP BY fused under two configurations:
-
-    * ``disabled`` — ``faults=None``: the shipping default, no injector
-      anywhere near the hot path,
-    * ``armed`` — a zero-rate :class:`~repro.faults.FaultPolicy`: the
-      injector is constructed and consulted, but every draw passes.
-
-    Rounds are interleaved so load bursts hit both configurations
-    equally; best-of wins.  Both runs must stay bit-identical — the
-    armed run may only differ in wall-clock, never in results.
-    """
-    from repro.faults import FaultPolicy
-
-    kv = TupleType.of(key=INT64, value=INT64)
-    rng = np.random.default_rng(7)
-    table = RowVector(
-        kv,
-        [
-            rng.integers(0, 1 << 10, size=n_tuples, dtype=np.int64),
-            rng.integers(0, 1 << 10, size=n_tuples, dtype=np.int64),
-        ],
+    lifecycle, _ = _best_of(
+        max(repeats, 3),
+        {
+            "baseline": partial(serve, 8),
+            "armed": partial(
+                serve, 8, deadline=1e6, retry=RetryPolicy(max_attempts=3),
+                shed_threshold=0.99,
+            ),
+        },
     )
-    plan = build_distributed_groupby(SimCluster(machines), kv, key_bits=10)
-    armed_policy = FaultPolicy(
-        seed=2021, put_drop_rate=0.0, collective_drop_rate=0.0
+    serve(16, tracing=False)  # warm caches before either configuration is timed
+    tracing, _ = _best_of(
+        max(repeats, 5),
+        {
+            "baseline": partial(serve, 16, tracing=False),
+            "traced": partial(
+                serve, 16, slo=SLOConfig(target_seconds=1e6), tracing=True
+            ),
+        },
     )
-
-    def run(faults) -> tuple[float, RowVector]:
-        start = time.perf_counter()
-        result = plan.run(table, RunOptions(mode="fused", faults=faults))
-        elapsed = time.perf_counter() - start
-        return elapsed, plan.groups(result)
-
-    best = {"disabled": float("inf"), "armed": float("inf")}
-    for _ in range(max(repeats, 3)):
-        disabled_s, disabled_out = run(None)
-        armed_s, armed_out = run(armed_policy)
-        best["disabled"] = min(best["disabled"], disabled_s)
-        best["armed"] = min(best["armed"], armed_s)
-        for name in disabled_out.element_type.field_names:
-            assert np.array_equal(
-                np.asarray(disabled_out.column(name)),
-                np.asarray(armed_out.column(name)),
-            ), "zero-rate fault policy changed the GROUP BY result"
-    return {
-        "disabled_seconds": best["disabled"],
-        "armed_seconds": best["armed"],
-        "armed_overhead": best["armed"] / best["disabled"] - 1.0,
-    }
-
-
-def _sanitizer_overhead(
-    n_tuples: int, machines: int, repeats: int, tpch_sf: float
-) -> dict:
-    """Wall-clock tax of the MOD05x runtime sanitizer, and its no-perturb proof.
-
-    Times the Figure 7 GROUP BY fused under three configurations:
-
-    * ``baseline`` — ``plan.run(...)`` with no ``sanitize`` argument: the
-      shipping default,
-    * ``disabled`` — ``sanitize=False`` spelled out: the hooks in the comm
-      layer cost one attribute read each, so this must stay within the
-      existing disabled-instrumentation budget,
-    * ``sanitized`` — ``sanitize=True``: write-set tracking, schedule
-      checking, and the determinism replay; its cost is reported but not
-      budgeted (the replay legitimately re-executes the plan).
-
-    Rounds are interleaved so load bursts hit every configuration equally;
-    best-of wins.  The sanitized GROUP BY must be bit-identical to the
-    baseline, and TPC-H Q4/Q12/Q14/Q19 are each run once with the
-    sanitizer off and on — results must match byte for byte and every
-    report must be clean.
-    """
-    kv = TupleType.of(key=INT64, value=INT64)
-    rng = np.random.default_rng(7)
-    table = RowVector(
-        kv,
-        [
-            rng.integers(0, 1 << 10, size=n_tuples, dtype=np.int64),
-            rng.integers(0, 1 << 10, size=n_tuples, dtype=np.int64),
-        ],
-    )
-    plan = build_distributed_groupby(SimCluster(machines), kv, key_bits=10)
-
-    def run(**kwargs) -> tuple[float, RowVector]:
-        start = time.perf_counter()
-        result = plan.run(table, RunOptions(mode="fused", **kwargs))
-        elapsed = time.perf_counter() - start
-        return elapsed, plan.groups(result)
-
-    best = {"baseline": float("inf"), "disabled": float("inf"),
-            "sanitized": float("inf")}
-    for _ in range(max(repeats, 3)):
-        baseline_s, baseline_out = run()
-        disabled_s, _ = run(sanitize=False)
-        sanitized_s, sanitized_out = run(sanitize=True)
-        best["baseline"] = min(best["baseline"], baseline_s)
-        best["disabled"] = min(best["disabled"], disabled_s)
-        best["sanitized"] = min(best["sanitized"], sanitized_s)
-        for name in baseline_out.element_type.field_names:
-            assert np.array_equal(
-                np.asarray(baseline_out.column(name)),
-                np.asarray(sanitized_out.column(name)),
-            ), "sanitizer perturbed the GROUP BY result"
-
-    tpch = {}
-    from repro.mpi.cluster import SimCluster as _Cluster
-    from repro.relational import lower_to_modularis
-    from repro.tpch import ALL_QUERIES, load_catalog
-
-    catalog = load_catalog(scale_factor=tpch_sf)
-    for qnum in (4, 12, 14, 19):
-        query_plan = lower_to_modularis(
-            ALL_QUERIES[qnum]().plan, catalog, _Cluster(machines)
-        )
-        fused = RunOptions(mode="fused")
-        plain = query_plan.result_frame(query_plan.run(catalog, fused))
-        sanitized_report = query_plan.run(catalog, fused.replace(sanitize=True))
-        sanitized = query_plan.result_frame(sanitized_report)
-        identical = list(plain.columns) == list(sanitized.columns) and all(
-            np.array_equal(np.asarray(plain.columns[n]),
-                           np.asarray(sanitized.columns[n]))
-            for n in plain.columns
-        )
-        tpch[f"q{qnum}"] = {
-            "identical": identical,
-            "clean": sanitized_report.sanitizer.clean,
-        }
-
-    return {
-        "baseline_seconds": best["baseline"],
-        "disabled_seconds": best["disabled"],
-        "sanitized_seconds": best["sanitized"],
-        "disabled_overhead": best["disabled"] / best["baseline"] - 1.0,
-        "sanitized_overhead": best["sanitized"] / best["baseline"] - 1.0,
-        "tpch": tpch,
-        "tpch_sf": tpch_sf,
-    }
+    return {**_overheads(lifecycle), **sizes}, {**_overheads(tracing), **sizes}
 
 
 def _join_kernels(build_rows: int, probe_rows: int, repeats: int) -> dict:
@@ -470,18 +344,10 @@ def _join_kernels(build_rows: int, probe_rows: int, repeats: int) -> dict:
       with a Zipf-skewed key stream: hot keys hammer the same candidate
       runs, the case the radix kernel exists for.
 
-    Rounds are interleaved (sorted, radix, repeat) so load bursts hit
-    both kernels equally; best-of wins.  The emitted morsels must be
-    bit-identical between kernels — the probe reports ``identical`` and
-    ``main`` fails the run on divergence or on radix missing its
-    :data:`MIN_RADIX_SPEEDUP` gate on the skewed workload.
+    The emitted morsels must be bit-identical between kernels.
     """
-    from repro.core.kernels.hash_join import (
-        HashJoinBuild,
-        HashJoinSpec,
-        probe_morsel,
-    )
-    from repro.core.kernels.radix_join import RadixJoinBuild, radix_probe_morsel
+    from repro.core.kernels.hash_join import HashJoinSpec
+    from repro.core.kernels.radix_join import select_join_kernel
 
     left_type = TupleType.of(key=INT64, lpay=INT64)
     right_type = TupleType.of(key=INT64, rpay=INT64)
@@ -508,12 +374,8 @@ def _join_kernels(build_rows: int, probe_rows: int, repeats: int) -> dict:
             ),
         ),
     }
-    kernels = (
-        ("sorted", HashJoinBuild.from_rows, probe_morsel),
-        ("radix", RadixJoinBuild.from_rows, radix_probe_morsel),
-    )
 
-    report = {}
+    report: dict = {}
     morsel = 1 << 16
     for name, (build_keys, probe_keys) in workloads.items():
         left = RowVector(
@@ -529,245 +391,97 @@ def _join_kernels(build_rows: int, probe_rows: int, repeats: int) -> dict:
             )
             for i in range(0, probe_rows, morsel)
         ]
-        best = {"sorted": float("inf"), "radix": float("inf")}
-        outputs = {}
-        for _ in range(max(repeats, 2)):
-            for kernel, from_rows, probe in kernels:
-                start = time.perf_counter()
-                build = from_rows(left, "key")
-                out = [probe(build, batch, spec) for batch in morsels]
-                best[kernel] = min(best[kernel], time.perf_counter() - start)
-                outputs[kernel] = out
-        identical = all(
-            a == b for a, b in zip(outputs["sorted"], outputs["radix"])
+
+        def join(kernel: str):
+            # The production dispatch point, with the kernel pinned.
+            _, build, probe = select_join_kernel(kernel, left, "key")
+            return [probe(build, batch, spec) for batch in morsels]
+
+        section, outputs = _best_of(
+            max(repeats, 2),
+            {kernel: partial(_timed, join, kernel) for kernel in ("sorted", "radix")},
+            lambda outputs: outputs["sorted"] == outputs["radix"],
         )
         report[name] = {
-            "sorted_seconds": best["sorted"],
-            "radix_seconds": best["radix"],
-            "speedup": best["sorted"] / best["radix"],
+            **_speedup(section, "radix", "sorted"),
             "output_rows": sum(len(out) for out in outputs["radix"]),
-            "identical": identical,
         }
+    report["build_rows"] = build_rows
+    report["probe_rows"] = probe_rows
     return report
 
 
 def run_smoke(
     micro_integers: int = 1 << 20,
-    groupby_tuples: int = 1 << 17,
+    groupby_log2_tuples: int = 17,
     machines: int = 2,
     repeats: int = 2,
     tpch_sf: float = 0.005,
     join_build_rows: int = 1 << 16,
     join_probe_rows: int = 1 << 19,
 ) -> dict:
-    """Run both probes and return the report dictionary."""
-    report: dict = {"benchmarks": {}}
-    for name, seconds in (
-        ("micro", _micro(micro_integers, repeats)),
-        ("fig7_groupby", _fig7_groupby(groupby_tuples, machines, repeats)),
-    ):
-        report["benchmarks"][name] = {
-            "fused_seconds": seconds["fused"],
-            "interpreted_seconds": seconds["interpreted"],
-            "speedup": seconds["interpreted"] / seconds["fused"],
-        }
-    report["benchmarks"]["micro"]["n_integers"] = micro_integers
-    report["benchmarks"]["fig7_groupby"]["n_tuples"] = groupby_tuples
-    report["benchmarks"]["fig7_groupby"]["machines"] = machines
-    profiler = _profiler_overhead(micro_integers, repeats)
-    profiler["n_integers"] = micro_integers
-    report["profiler"] = profiler
-    faults = _fault_overhead(groupby_tuples, machines, repeats)
-    faults["n_tuples"] = groupby_tuples
-    faults["machines"] = machines
-    report["faults"] = faults
-    sanitizer = _sanitizer_overhead(groupby_tuples, machines, repeats, tpch_sf)
-    sanitizer["n_tuples"] = groupby_tuples
-    sanitizer["machines"] = machines
-    report["sanitizer"] = sanitizer
+    """Run every probe and return the report dictionary."""
+    micro, profiler = _micro_probes(micro_integers, repeats)
+    groupby, faults, sanitizer = _groupby_probes(
+        groupby_log2_tuples, machines, repeats
+    )
+    sanitizer["tpch"] = _sanitized_tpch(machines, tpch_sf)
+    sanitizer["tpch_sf"] = tpch_sf
     join_kernels = _join_kernels(join_build_rows, join_probe_rows, repeats)
-    join_kernels["build_rows"] = join_build_rows
-    join_kernels["probe_rows"] = join_probe_rows
-    report["join_kernels"] = join_kernels
-    serving = _serving_robustness_overhead(tpch_sf, machines, 8, repeats)
-    serving["scale_factor"] = tpch_sf
-    serving["machines"] = machines
-    report["serving"] = serving
-    tracing = _tracing_overhead(tpch_sf, machines, 16, repeats)
-    tracing["scale_factor"] = tpch_sf
-    tracing["machines"] = machines
-    report["tracing"] = tracing
-    return report
+    serving, tracing = _serving_probes(tpch_sf, machines, repeats)
+    return {
+        "benchmarks": {"micro": micro, "fig7_groupby": groupby},
+        "profiler": profiler,
+        "faults": faults,
+        "sanitizer": sanitizer,
+        "join_kernels": join_kernels,
+        "serving": serving,
+        "tracing": tracing,
+    }
+
+
+def _line(name: str, section: dict) -> str:
+    """``name: a 0.1s, b 0.2s (+3.0%)`` [``-> 2.0x`` [``(N rows)``]]."""
+    parts = []
+    for config in _configs(section):
+        part = f"{config} {section[f'{config}_seconds']:.3f}s"
+        if f"{config}_overhead" in section:
+            part += f" ({section[f'{config}_overhead']:+.1%})"
+        parts.append(part)
+    line = f"{name}: " + ", ".join(parts)
+    if "speedup" in section:
+        line += f" -> {section['speedup']:.1f}x"
+    if "output_rows" in section:
+        line += f" ({section['output_rows']} rows)"
+    return line
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default="BENCH_fused.json",
+    parser.add_argument("--out", default="out/bench_smoke.json",
                         help="where to write the JSON report")
-    parser.add_argument(
-        "--history", default="BENCH_history.jsonl",
-        help="run-record JSONL file the report is also appended to "
-        "('' to skip)",
-    )
-    parser.add_argument("--micro-integers", type=int, default=1 << 20)
-    parser.add_argument("--groupby-tuples", type=int, default=1 << 17)
-    parser.add_argument("--machines", type=int, default=2)
-    parser.add_argument("--repeats", type=int, default=2)
-    parser.add_argument("--tpch-sf", type=float, default=0.005,
-                        help="scale factor for the sanitizer no-perturb probe")
-    parser.add_argument("--join-build-rows", type=int, default=1 << 16)
-    parser.add_argument("--join-probe-rows", type=int, default=1 << 19)
     args = parser.parse_args(argv)
 
-    report = run_smoke(
-        micro_integers=args.micro_integers,
-        groupby_tuples=args.groupby_tuples,
-        machines=args.machines,
-        repeats=args.repeats,
-        tpch_sf=args.tpch_sf,
-        join_build_rows=args.join_build_rows,
-        join_probe_rows=args.join_probe_rows,
-    )
+    report = run_smoke()
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")
-    if args.history:
-        # The smoke probes double as history points for the regression
-        # harness (`repro bench compare`); the checked-in BENCH_fused.json
-        # stays the seed baseline.
-        from repro.bench.history import append_record, record_from_smoke_report
 
-        append_record(args.history, record_from_smoke_report(report))
-
-    for name, entry in report["benchmarks"].items():
-        print(
-            f"{name}: fused {entry['fused_seconds']:.3f}s, "
-            f"interpreted {entry['interpreted_seconds']:.3f}s "
-            f"-> {entry['speedup']:.1f}x"
-        )
-    profiler = report["profiler"]
-    print(
-        f"profiler: baseline {profiler['baseline_seconds']:.3f}s, "
-        f"disabled {profiler['disabled_seconds']:.3f}s "
-        f"({profiler['disabled_overhead']:+.1%}), "
-        f"profiled {profiler['profiled_seconds']:.3f}s "
-        f"({profiler['profiled_overhead']:+.1%}), "
-        f"metered {profiler['metered_seconds']:.3f}s "
-        f"({profiler['metered_overhead']:+.1%})"
-    )
-    micro_speedup = report["benchmarks"]["micro"]["speedup"]
-    if micro_speedup < 1.0:
-        print(
-            f"FAIL: fused is {1 / micro_speedup:.1f}x SLOWER than "
-            "interpreted on the micro pipeline",
-            file=sys.stderr,
-        )
-        return 1
-    if profiler["disabled_overhead"] > MAX_DISABLED_OVERHEAD:
-        print(
-            f"FAIL: disabled-profiler overhead "
-            f"{profiler['disabled_overhead']:.1%} exceeds the "
-            f"{MAX_DISABLED_OVERHEAD:.0%} budget — instrumentation is "
-            "no longer free when off",
-            file=sys.stderr,
-        )
-        return 1
-    faults = report["faults"]
-    print(
-        f"faults: disabled {faults['disabled_seconds']:.3f}s, "
-        f"armed {faults['armed_seconds']:.3f}s "
-        f"({faults['armed_overhead']:+.1%})"
-    )
-    if faults["armed_overhead"] > MAX_FAULT_OVERHEAD:
-        print(
-            f"FAIL: fault-free fault-injection overhead "
-            f"{faults['armed_overhead']:.1%} exceeds the "
-            f"{MAX_FAULT_OVERHEAD:.0%} budget — the injector is no longer "
-            "cheap when it injects nothing",
-            file=sys.stderr,
-        )
-        return 1
-    sanitizer = report["sanitizer"]
-    print(
-        f"sanitizer: baseline {sanitizer['baseline_seconds']:.3f}s, "
-        f"disabled {sanitizer['disabled_seconds']:.3f}s "
-        f"({sanitizer['disabled_overhead']:+.1%}), "
-        f"sanitized {sanitizer['sanitized_seconds']:.3f}s "
-        f"({sanitizer['sanitized_overhead']:+.1%})"
-    )
-    if sanitizer["disabled_overhead"] > MAX_DISABLED_OVERHEAD:
-        print(
-            f"FAIL: disabled-sanitizer overhead "
-            f"{sanitizer['disabled_overhead']:.1%} exceeds the "
-            f"{MAX_DISABLED_OVERHEAD:.0%} budget — the off path must stay "
-            "one attribute read",
-            file=sys.stderr,
-        )
-        return 1
-    for qname, entry in sanitizer["tpch"].items():
-        if not (entry["identical"] and entry["clean"]):
-            print(
-                f"FAIL: sanitized {qname} "
-                + ("diverged from the unsanitized run"
-                   if not entry["identical"] else "reported findings"),
-                file=sys.stderr,
-            )
-            return 1
-    join_kernels = report["join_kernels"]
-    for workload in ("uniform", "skewed"):
-        entry = join_kernels[workload]
-        print(
-            f"join_kernels/{workload}: sorted {entry['sorted_seconds']:.3f}s, "
-            f"radix {entry['radix_seconds']:.3f}s "
-            f"-> {entry['speedup']:.1f}x ({entry['output_rows']} rows)"
-        )
-        if not entry["identical"]:
-            print(
-                f"FAIL: the radix kernel diverged from the sorted-hash "
-                f"kernel on the {workload} workload",
-                file=sys.stderr,
-            )
-            return 1
-    serving = report["serving"]
-    print(
-        f"serving: baseline {serving['baseline_seconds']:.3f}s, "
-        f"armed {serving['armed_seconds']:.3f}s "
-        f"({serving['armed_overhead']:+.1%})"
-    )
-    if serving["armed_overhead"] > MAX_SERVING_ROBUSTNESS_OVERHEAD:
-        print(
-            f"FAIL: armed-but-idle query-lifecycle overhead "
-            f"{serving['armed_overhead']:.1%} exceeds the "
-            f"{MAX_SERVING_ROBUSTNESS_OVERHEAD:.0%} budget — deadlines, "
-            "retries, and the breaker must stay free when nothing fires",
-            file=sys.stderr,
-        )
-        return 1
-    tracing = report["tracing"]
-    print(
-        f"tracing: baseline {tracing['baseline_seconds']:.3f}s, "
-        f"traced {tracing['traced_seconds']:.3f}s "
-        f"({tracing['traced_overhead']:+.1%})"
-    )
-    if tracing["traced_overhead"] > MAX_TRACING_OVERHEAD:
-        print(
-            f"FAIL: armed-but-idle tracing overhead "
-            f"{tracing['traced_overhead']:.1%} exceeds the "
-            f"{MAX_TRACING_OVERHEAD:.0%} budget — journals and SLO "
-            "accounting must stay off the quantum hot path",
-            file=sys.stderr,
-        )
-        return 1
-    if join_kernels["skewed"]["speedup"] < MIN_RADIX_SPEEDUP:
-        print(
-            f"FAIL: radix is only {join_kernels['skewed']['speedup']:.1f}x "
-            f"faster than sorted-hash on the skewed workload "
-            f"(gate: {MIN_RADIX_SPEEDUP:.0f}x)",
-            file=sys.stderr,
-        )
-        return 1
+    kernels = report["join_kernels"]
+    sections = {
+        **report["benchmarks"],
+        **{name: report[name] for name in ("profiler", "faults", "sanitizer")},
+        **{f"join_kernels/{w}": kernels[w] for w in ("uniform", "skewed")},
+        **{name: report[name] for name in ("serving", "tracing")},
+    }
+    for name, section in sections.items():
+        print(_line(name, section))
     print(f"report written to {args.out}")
-    return 0
+    failures = gate_failures(report)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -11,8 +11,6 @@ Usage (also available as ``python -m repro``)::
     python -m repro explain --query 12 --analyze
     python -m repro profile tpch --query 12 --chrome-out trace.json
     python -m repro metrics tpch --query 12 --format json
-    python -m repro bench record --label nightly
-    python -m repro bench compare --baseline seed
     python -m repro lint all examples/ --format json
     python -m repro serve --queries 16 --chaos
 
@@ -24,6 +22,7 @@ scripting.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from typing import Sequence
@@ -31,6 +30,10 @@ from typing import Sequence
 __all__ = ["main", "build_parser"]
 
 _QUERIES = (1, 3, 4, 6, 12, 14, 19)
+_EXPERIMENTS = (
+    "table1", "micro", "fig6", "fig7", "fig8", "fig9", "broadcast",
+    "scaleout", "skew",
+)
 
 
 def _format_parent() -> argparse.ArgumentParser:
@@ -45,12 +48,47 @@ def _format_parent() -> argparse.ArgumentParser:
     return parent
 
 
+def _workload_parent() -> argparse.ArgumentParser:
+    """The workload selection ``profile`` and ``metrics`` share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("workload", choices=("tpch", "join", "groupby"))
+    parent.add_argument("--query", type=int, default=12, choices=_QUERIES,
+                        help="TPC-H query (tpch workload only)")
+    parent.add_argument("--sf", type=float, default=0.005)
+    parent.add_argument("--machines", type=int, default=4)
+    parent.add_argument("--log2-tuples", type=int, default=14,
+                        help="input size for join/groupby workloads")
+    parent.add_argument("--mode", choices=("fused", "interpreted"),
+                        default="fused")
+    parent.add_argument(
+        "--strategy", choices=("exchange", "broadcast", "auto"),
+        default="exchange",
+    )
+    return parent
+
+
+def _serving_parent() -> argparse.ArgumentParser:
+    """The soak population ``serve`` and ``slo`` share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument("--queries", type=int, default=16,
+                        help="concurrent submissions (default: 16)")
+    parent.add_argument("--workers", type=int, default=4,
+                        help="scheduler worker threads (default: 4)")
+    parent.add_argument("--sf", type=float, default=0.01,
+                        help="TPC-H scale factor (default: 0.01)")
+    parent.add_argument("--machines", type=int, default=2)
+    parent.add_argument("--seed", type=int, default=2021)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Modularis reproduction: experiments, TPC-H, and joins.",
     )
     fmt = _format_parent()
+    workload = _workload_parent()
+    serving = _serving_parent()
     commands = parser.add_subparsers(dest="command", required=True)
 
     bench = commands.add_parser(
@@ -58,39 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[fmt],
         help="regenerate one (or all) of the paper's tables/figures",
     )
-    bench.add_argument(
-        "experiment",
-        choices=(
-            "table1", "micro", "fig6", "fig7", "fig8", "fig9", "broadcast",
-            "scaleout", "skew", "all", "record", "compare",
-        ),
-    )
+    bench.add_argument("experiment", choices=(*_EXPERIMENTS, "all"))
     bench.add_argument("--n-tuples", type=int, default=None,
                        help="workload tuples for fig6/fig7/fig8/broadcast")
     bench.add_argument("--sf", type=float, default=0.05, help="TPC-H scale factor")
-    bench.add_argument(
-        "--history", default="BENCH_history.jsonl", metavar="PATH",
-        help="run-record JSONL file for record/compare "
-        "(default: BENCH_history.jsonl)",
-    )
-    bench.add_argument(
-        "--baseline", default="seed", metavar="NAME",
-        help="compare baseline: 'seed', 'latest', a record label, or a git "
-        "SHA (default: seed)",
-    )
-    bench.add_argument("--label", default="",
-                       help="label to stamp on the recorded run")
-    bench.add_argument("--repeats", type=int, default=5,
-                       help="median-of-N repeats for record (default: 5)")
-    bench.add_argument(
-        "--advisory-below", type=int, default=0, metavar="N",
-        help="compare exits 0 despite regressions while the history holds "
-        "fewer than N records (CI warm-up)",
-    )
-    bench.add_argument("--log2-tuples", type=int, default=13,
-                       help="workload size for the record suite")
-    bench.add_argument("--machines", type=int, default=4,
-                       help="cluster size for the record suite")
 
     tpch = commands.add_parser(
         "tpch", parents=[fmt], help="run one TPC-H query distributed"
@@ -129,19 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     profile = commands.add_parser(
-        "profile", parents=[fmt],
+        "profile", parents=[fmt, workload],
         help="run a workload with the per-operator profiler and report spans",
-    )
-    profile.add_argument("workload", choices=("tpch", "join", "groupby"))
-    profile.add_argument("--query", type=int, default=12, choices=_QUERIES,
-                         help="TPC-H query (tpch workload only)")
-    profile.add_argument("--sf", type=float, default=0.005)
-    profile.add_argument("--machines", type=int, default=4)
-    profile.add_argument("--log2-tuples", type=int, default=14,
-                         help="input size for join/groupby workloads")
-    profile.add_argument("--mode", choices=("fused", "interpreted"), default="fused")
-    profile.add_argument(
-        "--strategy", choices=("exchange", "broadcast", "auto"), default="exchange"
     )
     profile.add_argument(
         "--chrome-out", metavar="PATH", default=None,
@@ -150,22 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     metrics = commands.add_parser(
-        "metrics", parents=[fmt],
+        "metrics", parents=[fmt, workload],
         help="run a workload with the metrics registry on and print the "
         "Prometheus-style exposition (plus runtime advisories)",
-    )
-    metrics.add_argument("workload", choices=("tpch", "join", "groupby"))
-    metrics.add_argument("--query", type=int, default=12, choices=_QUERIES,
-                         help="TPC-H query (tpch workload only)")
-    metrics.add_argument("--sf", type=float, default=0.005)
-    metrics.add_argument("--machines", type=int, default=4)
-    metrics.add_argument("--log2-tuples", type=int, default=14,
-                         help="input size for join/groupby workloads")
-    metrics.add_argument("--mode", choices=("fused", "interpreted"),
-                         default="fused")
-    metrics.add_argument(
-        "--strategy", choices=("exchange", "broadcast", "auto"),
-        default="exchange",
     )
     metrics.add_argument(
         "--shuffle-amplification-factor", type=float, default=None,
@@ -273,20 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     serve = commands.add_parser(
-        "serve", parents=[fmt],
+        "serve", parents=[fmt, serving],
         help="soak the concurrent serving layer: N interleaved TPC-H "
         "queries on one shared cluster, checked bit-identical to serial",
     )
-    serve.add_argument("--queries", type=int, default=16,
-                       help="concurrent submissions (default: 16)")
-    serve.add_argument("--workers", type=int, default=4,
-                       help="scheduler worker threads (default: 4)")
     serve.add_argument("--quantum", type=int, default=1,
                        help="morsel steps per scheduling quantum (default: 1)")
-    serve.add_argument("--sf", type=float, default=0.01,
-                       help="TPC-H scale factor (default: 0.01)")
-    serve.add_argument("--machines", type=int, default=2)
-    serve.add_argument("--seed", type=int, default=2021)
     serve.add_argument(
         "--chaos", nargs="?", const="transient", default="none",
         choices=("none", "transient", "crash", "straggler", "flaky"),
@@ -332,18 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     slo = commands.add_parser(
-        "slo", parents=[fmt],
+        "slo", parents=[fmt, serving],
         help="run a serving soak with latency SLO accounting armed and "
         "report per-tenant/per-handle quantiles and burn rates",
     )
-    slo.add_argument("--queries", type=int, default=16,
-                     help="concurrent submissions (default: 16)")
-    slo.add_argument("--workers", type=int, default=4,
-                     help="scheduler worker threads (default: 4)")
-    slo.add_argument("--sf", type=float, default=0.01,
-                     help="TPC-H scale factor (default: 0.01)")
-    slo.add_argument("--machines", type=int, default=2)
-    slo.add_argument("--seed", type=int, default=2021)
     slo.add_argument(
         "--target", type=float, default=0.01, metavar="SECONDS",
         help="per-query simulated-seconds latency target (default: 0.01)",
@@ -373,125 +342,28 @@ def _print_json(payload: object) -> None:
     print(json.dumps(payload, indent=2, ensure_ascii=False))
 
 
-def _cmd_bench_record(args: argparse.Namespace) -> int:
-    from repro.bench import history
-
-    record = history.collect_record(
-        repeats=args.repeats,
-        label=args.label,
-        log2_tuples=args.log2_tuples,
-        machines=args.machines,
-    )
-    history.append_record(args.history, record)
-    if args.format == "json":
-        _print_json(record)
-        return 0
-    print(f"recorded {len(record['benchmarks'])} benchmarks "
-          f"(sha {record['git_sha']}, label {record['label'] or '-'}) "
-          f"-> {args.history}")
-    for name, entry in sorted(record["benchmarks"].items()):
-        print(f"  {name:<28}{entry['value']:.6f} {entry['unit']} "
-              f"({entry['clock']})")
-    return 0
-
-
-def _cmd_bench_compare(args: argparse.Namespace) -> int:
-    from repro.bench import history
-
-    records = history.load_history(args.history)
-    if not records:
-        print(f"ERROR: no run records in {args.history}; run "
-              "'repro bench record' first", file=sys.stderr)
-        return 1
-    candidate = records[-1]
-    if args.baseline == "latest":
-        # The newest record *before* the candidate (self-compare when the
-        # history holds only one).
-        baseline = records[-2] if len(records) > 1 else candidate
-    else:
-        baseline = history.find_baseline(records, args.baseline)
-    if baseline is None:
-        print(f"ERROR: baseline {args.baseline!r} not found", file=sys.stderr)
-        return 1
-    rows = history.compare_records(candidate, baseline)
-    failures = history.gating_failures(rows, candidate, baseline)
-    advisory = 0 < len(records) < args.advisory_below
-    if args.format == "json":
-        _print_json({
-            "baseline": args.baseline,
-            "baseline_sha": baseline.get("git_sha"),
-            "candidate_sha": candidate.get("git_sha"),
-            "history_records": len(records),
-            "advisory": advisory,
-            "comparison": rows,
-            "failures": [row["benchmark"] for row in failures],
-        })
-    else:
-        print(history.render_comparison(rows, args.baseline))
-        for row in failures:
-            print(f"FAIL: {row['benchmark']} {row['status']}", file=sys.stderr)
-    if failures and advisory:
-        print(
-            f"advisory: {len(failures)} regression(s) ignored — history has "
-            f"{len(records)} record(s), gate arms at {args.advisory_below}",
-            file=sys.stderr,
-        )
-        return 0
-    return 1 if failures else 0
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.experiment == "record":
-        return _cmd_bench_record(args)
-    if args.experiment == "compare":
-        return _cmd_bench_compare(args)
-
     from repro.bench import experiments as exp
 
+    sized = {"n_tuples": args.n_tuples} if args.n_tuples else {}
+    big = {"big_rows": args.n_tuples} if args.n_tuples else {}
+    runs = {
+        "table1": exp.run_table1,
+        "micro": exp.run_micro,
+        "fig6": lambda: exp.run_fig6(exp.Fig6Config(**sized)),
+        "fig7": lambda: exp.run_fig7(exp.Fig7Config(**sized)),
+        "fig8": lambda: exp.run_fig8(exp.Fig8Config(**sized)),
+        "fig9": lambda: exp.run_fig9(exp.Fig9Config(scale_factor=args.sf)),
+        "broadcast": lambda: exp.run_broadcast_crossover(
+            exp.BroadcastConfig(**big)
+        ),
+        "scaleout": lambda: exp.run_scaleout(exp.ScalingConfig(**sized)),
+        "skew": lambda: exp.run_skew(exp.SkewConfig(**sized)),
+    }
     tables = []
-
-    def show(*new_tables):
-        tables.extend(new_tables)
-
-    wanted = (
-        (
-            "table1", "micro", "fig6", "fig7", "fig8", "fig9", "broadcast",
-            "scaleout", "skew",
-        )
-        if args.experiment == "all"
-        else (args.experiment,)
-    )
-    for name in wanted:
-        if name == "table1":
-            show(*exp.run_table1())
-        elif name == "micro":
-            show(exp.run_micro())
-        elif name == "fig6":
-            config = exp.Fig6Config(**({"n_tuples": args.n_tuples} if args.n_tuples else {}))
-            show(*exp.run_fig6(config))
-        elif name == "fig7":
-            config = exp.Fig7Config(**({"n_tuples": args.n_tuples} if args.n_tuples else {}))
-            show(*exp.run_fig7(config))
-        elif name == "fig8":
-            config = exp.Fig8Config(**({"n_tuples": args.n_tuples} if args.n_tuples else {}))
-            show(*exp.run_fig8(config))
-        elif name == "fig9":
-            show(exp.run_fig9(exp.Fig9Config(scale_factor=args.sf)))
-        elif name == "broadcast":
-            config = exp.BroadcastConfig(
-                **({"big_rows": args.n_tuples} if args.n_tuples else {})
-            )
-            show(exp.run_broadcast_crossover(config))
-        elif name == "scaleout":
-            config = exp.ScalingConfig(
-                **({"n_tuples": args.n_tuples} if args.n_tuples else {})
-            )
-            show(exp.run_scaleout(config))
-        elif name == "skew":
-            config = exp.SkewConfig(
-                **({"n_tuples": args.n_tuples} if args.n_tuples else {})
-            )
-            show(exp.run_skew(config))
+    for name in _EXPERIMENTS if args.experiment == "all" else (args.experiment,):
+        result = runs[name]()
+        tables.extend(result if isinstance(result, tuple) else (result,))
 
     if args.format == "json":
         _print_json([table.to_dict() for table in tables])
@@ -580,7 +452,14 @@ def _cmd_join(args: argparse.Namespace) -> int:
         key_bits=workload.key_bits,
         compression=not args.no_compression,
     )
-    assert len(matches) == len(mono.matches) == workload.expected_matches
+    if not (len(matches) == len(mono.matches) == workload.expected_matches):
+        print(
+            f"ERROR: join produced {len(matches)} matches, the monolithic "
+            f"baseline {len(mono.matches)}, the workload expects "
+            f"{workload.expected_matches}",
+            file=sys.stderr,
+        )
+        return 1
     modularis_seconds = result.cluster_results[0].makespan
     if args.format == "json":
         _print_json(
@@ -654,47 +533,38 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_workload(args: argparse.Namespace, options, trace: bool = False):
+    """Run the ``profile``/``metrics`` workload.
+
+    Returns the report and the JSON header both commands lead with.
+    """
+    from repro.workloads.targets import resolve
+
+    target = resolve(
+        f"q{args.query}" if args.workload == "tpch" else args.workload,
+        args.machines,
+        log2_tuples=args.log2_tuples,
+        sf=args.sf,
+        strategy=args.strategy,
+        trace=trace,
+    )
+    report = target.run(options)
+    return report, {
+        "workload": target.label,
+        "machines": args.machines,
+        "mode": args.mode,
+        "simulated_time": report.simulated_time,
+        "output_rows": len(report.rows),
+    }
+
+
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.core.options import RunOptions
-    from repro.mpi.cluster import SimCluster
     from repro.observability import write_chrome_trace
 
-    cluster = SimCluster(args.machines, trace=True)
-    options = RunOptions(mode=args.mode, profile=True)
-    if args.workload == "tpch":
-        from repro.relational import lower_to_modularis
-        from repro.tpch import load_catalog
-
-        catalog = load_catalog(scale_factor=args.sf)
-        query = _all_queries()[args.query]()
-        lowered = lower_to_modularis(
-            query.plan, catalog, cluster, join_strategy=args.strategy
-        )
-        report = lowered.run(catalog, options)
-        label = f"tpch q{args.query} sf={args.sf}"
-    elif args.workload == "join":
-        from repro.core.plans import build_distributed_join
-        from repro.workloads import make_join_relations
-
-        workload = make_join_relations(1 << args.log2_tuples)
-        plan = build_distributed_join(
-            cluster,
-            workload.left.element_type,
-            workload.right.element_type,
-            key_bits=workload.key_bits,
-        )
-        report = plan.run(workload.left, workload.right, options)
-        label = f"join 2^{args.log2_tuples}"
-    else:
-        from repro.core.plans import build_distributed_groupby
-        from repro.workloads import make_groupby_table
-
-        workload = make_groupby_table(1 << args.log2_tuples)
-        plan = build_distributed_groupby(
-            cluster, workload.table.element_type, key_bits=workload.key_bits
-        )
-        report = plan.run(workload.table, options)
-        label = f"groupby 2^{args.log2_tuples}"
+    report, header = _run_workload(
+        args, RunOptions(mode=args.mode, profile=True), trace=True
+    )
 
     chrome_events = None
     if args.chrome_out:
@@ -704,14 +574,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
 
     if args.format == "json":
-        payload = {
-            "workload": label,
-            "machines": args.machines,
-            "mode": args.mode,
-            "simulated_time": report.simulated_time,
-            "output_rows": len(report.rows),
-            "profile": report.profile.to_dict(),
-        }
+        payload = {**header, "profile": report.profile.to_dict()}
         if args.chrome_out:
             payload["chrome_trace"] = {
                 "path": args.chrome_out,
@@ -719,7 +582,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             }
         _print_json(payload)
         return 0
-    print(f"profile: {label} (machines={args.machines}, mode={args.mode})")
+    print(
+        f"profile: {header['workload']} "
+        f"(machines={args.machines}, mode={args.mode})"
+    )
     print()
     print(report.profile.render())
     for trace in report.traces:
@@ -737,44 +603,10 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         analyze_runtime,
     )
     from repro.core.options import RunOptions
-    from repro.mpi.cluster import SimCluster
 
-    cluster = SimCluster(args.machines)
-    options = RunOptions(mode=args.mode, metrics=True)
-    if args.workload == "tpch":
-        from repro.relational import lower_to_modularis
-        from repro.tpch import load_catalog
-
-        catalog = load_catalog(scale_factor=args.sf)
-        query = _all_queries()[args.query]()
-        lowered = lower_to_modularis(
-            query.plan, catalog, cluster, join_strategy=args.strategy
-        )
-        report = lowered.run(catalog, options)
-        label = f"tpch q{args.query} sf={args.sf}"
-    elif args.workload == "join":
-        from repro.core.plans import build_distributed_join
-        from repro.workloads import make_join_relations
-
-        workload = make_join_relations(1 << args.log2_tuples)
-        plan = build_distributed_join(
-            cluster,
-            workload.left.element_type,
-            workload.right.element_type,
-            key_bits=workload.key_bits,
-        )
-        report = plan.run(workload.left, workload.right, options)
-        label = f"join 2^{args.log2_tuples}"
-    else:
-        from repro.core.plans import build_distributed_groupby
-        from repro.workloads import make_groupby_table
-
-        workload = make_groupby_table(1 << args.log2_tuples)
-        plan = build_distributed_groupby(
-            cluster, workload.table.element_type, key_bits=workload.key_bits
-        )
-        report = plan.run(workload.table, options)
-        label = f"groupby 2^{args.log2_tuples}"
+    report, header = _run_workload(
+        args, RunOptions(mode=args.mode, metrics=True)
+    )
 
     factor = args.shuffle_amplification_factor
     advisories = analyze_runtime(
@@ -785,16 +617,15 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     )
     if args.format == "json":
         _print_json({
-            "workload": label,
-            "machines": args.machines,
-            "mode": args.mode,
-            "simulated_time": report.simulated_time,
-            "output_rows": len(report.rows),
+            **header,
             "metrics": report.metrics.as_dict(),
             "advisories": [d.to_dict() for d in advisories],
         })
         return 0
-    print(f"metrics: {label} (machines={args.machines}, mode={args.mode})")
+    print(
+        f"metrics: {header['workload']} "
+        f"(machines={args.machines}, mode={args.mode})"
+    )
     print()
     print(report.metrics.render_prometheus())
     if advisories:
@@ -805,22 +636,31 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.lint import run_cli
+def _run_cli_of(module: str):
+    """A handler delegating to ``module.run_cli`` (imported on use)."""
 
-    return run_cli(args)
+    def handler(args: argparse.Namespace) -> int:
+        return importlib.import_module(module).run_cli(args)
 
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults.chaos import run_cli
-
-    return run_cli(args)
+    return handler
 
 
-def _cmd_sanitize(args: argparse.Namespace) -> int:
-    from repro.analysis.sanitize_cli import run_cli
+def _soak_passed(report) -> bool:
+    return (
+        report.bit_identical
+        and not report.starved_tenants
+        and not report.reconciliation_errors()
+        and not report.journal_errors()
+    )
 
-    return run_cli(args)
+
+def _print_artifacts(artifacts: dict, args: argparse.Namespace) -> None:
+    print(
+        f"artifacts: {artifacts['chrome_events']} chrome events"
+        + (f" -> {args.chrome_out}" if args.chrome_out else "")
+        + f", {artifacts['journals']} journals"
+        + (f" -> {args.journal_out}" if args.journal_out else "")
+    )
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -851,15 +691,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 chrome_out=args.chrome_out,
                 journal_out=args.journal_out,
             )
-        ok = breaker.tripped and breaker.bystander_matched
-        for profile, report in reports.items():
-            ok = (
-                ok
-                and report.bit_identical
-                and not report.starved_tenants
-                and not report.reconciliation_errors()
-                and not report.journal_errors()
-            )
+        ok = (
+            breaker.tripped
+            and breaker.bystander_matched
+            and all(_soak_passed(report) for report in reports.values())
+        )
         if args.format == "json":
             payload = {
                 "profiles": {
@@ -899,12 +735,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print("--- poison-plan breaker scenario ---")
             print(breaker.render())
             if artifacts is not None:
-                print(
-                    f"artifacts: {artifacts['chrome_events']} chrome events"
-                    + (f" -> {args.chrome_out}" if args.chrome_out else "")
-                    + f", {artifacts['journals']} journals"
-                    + (f" -> {args.journal_out}" if args.journal_out else "")
-                )
+                _print_artifacts(artifacts, args)
         if not ok:
             print(
                 "ERROR: chaos matrix failed (divergence, starvation, broken "
@@ -982,18 +813,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     f"({event.trace_id or 'untraced'}){stolen}"
                 )
         if artifacts is not None:
-            print(
-                f"artifacts: {artifacts['chrome_events']} chrome events"
-                + (f" -> {args.chrome_out}" if args.chrome_out else "")
-                + f", {artifacts['journals']} journals"
-                + (f" -> {args.journal_out}" if args.journal_out else "")
-            )
-    ok = (
-        report.bit_identical
-        and not report.starved_tenants
-        and not report.reconciliation_errors()
-        and not report.journal_errors()
-    )
+            _print_artifacts(artifacts, args)
+    ok = _soak_passed(report)
     if not ok:
         print("ERROR: soak failed (results diverged, a tenant starved, or "
               "the ledgers/journals failed to reconcile)",
@@ -1045,9 +866,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         "explain": _cmd_explain,
         "profile": _cmd_profile,
         "metrics": _cmd_metrics,
-        "lint": _cmd_lint,
-        "chaos": _cmd_chaos,
-        "sanitize": _cmd_sanitize,
+        "lint": _run_cli_of("repro.analysis.lint"),
+        "chaos": _run_cli_of("repro.faults.chaos"),
+        "sanitize": _run_cli_of("repro.analysis.sanitize_cli"),
         "serve": _cmd_serve,
         "slo": _cmd_slo,
     }

@@ -14,22 +14,19 @@ profiling on — the per-operator
 :class:`~repro.observability.profile.PlanProfile`.
 
 Per-run behavior is configured by a single immutable
-:class:`~repro.core.options.RunOptions`; the old per-call keywords
-(``mode``, ``profile``, ``metrics``, ...) still work but emit
-``DeprecationWarning`` via :func:`repro.core.options.coerce_options`.
+:class:`~repro.core.options.RunOptions` — the only knob surface.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from repro.core.context import ExecutionContext
 from repro.core.operator import Operator
 from repro.core.operators.mpi_executor import MpiExecutor
 from repro.core.operators.parameter_lookup import ParameterSlot
-from repro.core.options import UNSET, RunOptions, coerce_options
+from repro.core.options import RunOptions
 from repro.core.plan import prepare, walk
 from repro.mpi.cluster import ClusterResult
 from repro.types.tuples import TupleType
@@ -92,16 +89,6 @@ class ExecutionReport:
         """The first MPI job's substrate trace (the common single-job case)."""
         traces = self.traces
         return traces[0] if traces else None
-
-    @property
-    def seconds(self) -> float:
-        """Deprecated pre-observability name for :attr:`simulated_time`."""
-        warnings.warn(
-            "ExecutionReport.seconds is deprecated; use .simulated_time",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.simulated_time
 
     def phase_breakdown(self) -> dict[str, float]:
         """Max-over-ranks seconds per phase, summed over all MPI jobs."""
@@ -282,13 +269,6 @@ def execute(
     options: RunOptions | None = None,
     *,
     ctx: ExecutionContext | None = None,
-    mode: Any = UNSET,
-    cost_model: Any = UNSET,
-    verify_plans: Any = UNSET,
-    profile: Any = UNSET,
-    metrics: Any = UNSET,
-    faults: Any = UNSET,
-    sanitize: Any = UNSET,
 ) -> ExecutionReport:
     """Run a plan on the driver and return its report.
 
@@ -300,22 +280,7 @@ def execute(
             :class:`~repro.core.options.RunOptions` for every knob.
         ctx: Pre-built driver context to run under; when given, its knob
             fields win over ``options`` (see :func:`execution_steps`).
-        mode, cost_model, verify_plans, profile, metrics, faults, sanitize:
-            Deprecated — the pre-``RunOptions`` keyword surface.  Passing
-            any of them emits a ``DeprecationWarning`` and layers the
-            value over ``options``.
     """
-    options = coerce_options(
-        options,
-        "execute()",
-        mode=mode,
-        cost_model=cost_model,
-        verify_plans=verify_plans,
-        profile=profile,
-        metrics=metrics,
-        faults=faults,
-        sanitize=sanitize,
-    )
     steps = execution_steps(root, params, options, ctx=ctx)
     while True:
         try:

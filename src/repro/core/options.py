@@ -12,9 +12,8 @@ the ones you missed.
 :class:`RunOptions` consolidates them: a frozen dataclass accepted by
 every public entry point and carried on the driver's ``ExecutionContext``,
 from which worker and replay contexts *derive* their knobs (see
-:meth:`RunOptions.worker_knobs`).  The legacy keywords still work but emit
-a :class:`DeprecationWarning`; :func:`coerce_options` is the single place
-that translation happens.
+:meth:`RunOptions.worker_knobs`).  It is the only way to configure a run:
+the per-call keywords are gone.
 
 Immutability matters for the serving layer: a deployed
 :class:`~repro.serving.registry.PreparedPlan` captures a ``RunOptions`` as
@@ -24,7 +23,6 @@ to mutate each other's knobs mid-flight.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any
 
@@ -34,7 +32,7 @@ from repro.mpi.costmodel import DEFAULT_COST_MODEL, CostModel
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.policy import FaultPolicy
 
-__all__ = ["RunOptions", "UNSET", "coerce_options"]
+__all__ = ["RunOptions"]
 
 #: Execution modes. ``fused`` models JiT-compiled pipelines (vectorized
 #: kernels, low abstraction overhead); ``interpreted`` models a pure
@@ -44,19 +42,6 @@ MODES = ("fused", "interpreted")
 #: Valid join-kernel policies for ``BuildProbe.batches``.
 JOIN_KERNELS = ("auto", "sorted", "radix")
 
-
-class _Unset:
-    """Sentinel distinguishing "keyword not passed" from an explicit value."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<unset>"
-
-
-#: Default of every deprecated legacy keyword; an explicit value — even the
-#: old default — marks the keyword as used and triggers the deprecation path.
-UNSET: Any = _Unset()
 
 #: Marks a RunOptions field that worker-side ExecutionContexts must mirror
 #: (stage-recovery ranks, the sanitizer replay).  Fields without it are
@@ -132,27 +117,3 @@ class RunOptions:
             if f.metadata.get("worker_knob")
         }
 
-
-def coerce_options(
-    options: RunOptions | None, api: str, **legacy: Any
-) -> RunOptions:
-    """Translate legacy per-call keywords into a :class:`RunOptions`.
-
-    The single deprecation seam: every entry point funnels its old
-    keyword surface through here.  Keywords left at :data:`UNSET` were
-    not passed; explicitly passed ones emit one ``DeprecationWarning``
-    (naming the entry point and the offending keywords) and are layered
-    over ``options`` — so mixed calls keep working during migration.
-    """
-    explicit = {name: value for name, value in legacy.items() if value is not UNSET}
-    base = options if options is not None else RunOptions()
-    if not explicit:
-        return base
-    names = ", ".join(sorted(explicit))
-    warnings.warn(
-        f"{api}: the {names} keyword(s) are deprecated; pass "
-        f"options=RunOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return base.replace(**explicit)

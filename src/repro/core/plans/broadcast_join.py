@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from repro.core.executor import ExecutionReport, execute
 from repro.core.functions import RadixPartition
 from repro.core.operator import Operator
-from repro.core.options import UNSET, RunOptions, coerce_options
+from repro.core.options import RunOptions
 from repro.core.operators import (
     BuildProbe,
     LocalHistogram,
@@ -58,18 +58,8 @@ class BroadcastJoinPlan:
         small: RowVector,
         big: RowVector,
         options: RunOptions | None = None,
-        *,
-        mode=UNSET,
-        profile=UNSET,
-        metrics=UNSET,
-        faults=UNSET,
-        sanitize=UNSET,
     ) -> ExecutionReport:
         """Join ``small ⋈ big``; the small relation is replicated."""
-        options = coerce_options(
-            options, "BroadcastJoinPlan.run()", mode=mode, profile=profile,
-            metrics=metrics, faults=faults, sanitize=sanitize,
-        )
         return execute(self.root, params={self.slot: (small, big)}, options=options)
 
     @staticmethod

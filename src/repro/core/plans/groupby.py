@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.compression import RadixCompression
 from repro.core.executor import ExecutionReport, execute
-from repro.core.options import UNSET, RunOptions, coerce_options
+from repro.core.options import RunOptions
 from repro.core.functions import (
     ParamTupleFunction,
     RadixPartition,
@@ -65,17 +65,7 @@ class DistributedGroupByPlan:
         self,
         table: RowVector,
         options: RunOptions | None = None,
-        *,
-        mode=UNSET,
-        profile=UNSET,
-        metrics=UNSET,
-        faults=UNSET,
-        sanitize=UNSET,
     ) -> ExecutionReport:
-        options = coerce_options(
-            options, "DistributedGroupByPlan.run()", mode=mode, profile=profile,
-            metrics=metrics, faults=faults, sanitize=sanitize,
-        )
         return execute(self.root, params={self.slot: (table,)}, options=options)
 
     @staticmethod

@@ -23,7 +23,7 @@ import numpy as np
 from repro.core.compression import RadixCompression
 from repro.core.executor import ExecutionReport, execute
 from repro.core.functions import ParamTupleFunction, RadixPartition, TupleFunction
-from repro.core.options import UNSET, RunOptions, coerce_options
+from repro.core.options import RunOptions
 from repro.core.operator import Operator
 from repro.core.operators import (
     BuildProbe,
@@ -82,18 +82,8 @@ class DistributedJoinPlan:
         left: RowVector,
         right: RowVector,
         options: RunOptions | None = None,
-        *,
-        mode=UNSET,
-        profile=UNSET,
-        metrics=UNSET,
-        faults=UNSET,
-        sanitize=UNSET,
     ) -> ExecutionReport:
         """Execute the join on two driver-resident relations."""
-        options = coerce_options(
-            options, "DistributedJoinPlan.run()", mode=mode, profile=profile,
-            metrics=metrics, faults=faults, sanitize=sanitize,
-        )
         return execute(self.root, params={self.slot: (left, right)}, options=options)
 
     @staticmethod

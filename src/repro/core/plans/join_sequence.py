@@ -26,7 +26,7 @@ from typing import Sequence
 from repro.core.executor import ExecutionReport, execute
 from repro.core.functions import RadixPartition
 from repro.core.operator import Operator
-from repro.core.options import UNSET, RunOptions, coerce_options
+from repro.core.options import RunOptions
 from repro.core.operators import (
     BuildProbe,
     LocalHistogram,
@@ -69,22 +69,12 @@ class JoinSequencePlan:
         self,
         relations: Sequence[RowVector],
         options: RunOptions | None = None,
-        *,
-        mode=UNSET,
-        profile=UNSET,
-        metrics=UNSET,
-        faults=UNSET,
-        sanitize=UNSET,
     ) -> ExecutionReport:
         if len(relations) != self.n_joins + 1:
             raise TypeCheckError(
                 f"{self.n_joins}-join cascade needs {self.n_joins + 1} relations, "
                 f"got {len(relations)}"
             )
-        options = coerce_options(
-            options, "JoinSequencePlan.run()", mode=mode, profile=profile,
-            metrics=metrics, faults=faults, sanitize=sanitize,
-        )
         return execute(
             self.root, params={self.slot: tuple(relations)}, options=options
         )

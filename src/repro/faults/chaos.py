@@ -19,28 +19,17 @@ Two comparison regimes:
   aggregates may differ by rounding).  Rows are compared as sorted sets,
   floats within 1e-9 relative tolerance.
 
-Targets are the four builtin plans (``join``, ``groupby``,
-``broadcast_join``, ``join_sequence``) and TPC-H ``q4``/``q12``/``q14``/
-``q19``; ``all`` expands to every one of them.
+Targets come from the catalogue in :mod:`repro.workloads.targets`; the
+seeds × modes matrix, reporting and exit code are the shared runner of
+:mod:`repro.workloads.matrix`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.options import RunOptions
-from repro.faults.policy import (
-    CrashFault,
-    FaultPolicy,
-    RetryPolicy,
-    StragglerFault,
-)
+from repro.faults.policy import CrashFault, FaultPolicy, StragglerFault
 
-__all__ = ["soak", "build_policy", "run_cli", "ALL_TARGETS"]
-
-BUILTIN_TARGETS = ("join", "groupby", "broadcast_join", "join_sequence")
-TPCH_TARGETS = ("q4", "q12", "q14", "q19")
-ALL_TARGETS = BUILTIN_TARGETS + TPCH_TARGETS
+__all__ = ["check", "build_policy", "run_cli"]
 
 
 def build_policy(
@@ -52,8 +41,6 @@ def build_policy(
     permanent: bool = False,
     stragglers: tuple[StragglerFault, ...] = (),
     memory_pressure: bool = False,
-    max_attempts: int = 6,
-    max_stage_retries: int = 2,
 ) -> FaultPolicy:
     """The soak's fault policy for one seed."""
     crash = None
@@ -65,11 +52,9 @@ def build_policy(
         seed=seed,
         put_drop_rate=put_drop_rate,
         collective_drop_rate=collective_drop_rate,
-        retry=RetryPolicy(max_attempts=max_attempts),
         stragglers=stragglers,
         crash=crash,
         memory_pressure=memory_pressure,
-        max_stage_retries=max_stage_retries,
     )
 
 
@@ -86,49 +71,6 @@ def parse_straggler(spec: str) -> StragglerFault:
     return StragglerFault(rank=rank, slowdown=factor)
 
 
-# -- result comparison ----------------------------------------------------------
-
-
-def _sorted_columns(columns: list[np.ndarray]) -> list[np.ndarray]:
-    if not columns or len(columns[0]) == 0:
-        return columns
-    order = np.lexsort(tuple(reversed(columns)))
-    return [c[order] for c in columns]
-
-
-def _columns_match(
-    names_a: list[str],
-    columns_a: list[np.ndarray],
-    names_b: list[str],
-    columns_b: list[np.ndarray],
-    ordered: bool,
-) -> bool:
-    if names_a != names_b:
-        return False
-    if any(len(a) != len(b) for a, b in zip(columns_a, columns_b)):
-        return False
-    if not ordered:
-        columns_a = _sorted_columns(columns_a)
-        columns_b = _sorted_columns(columns_b)
-    for a, b in zip(columns_a, columns_b):
-        if not ordered and np.issubdtype(a.dtype, np.floating):
-            if not np.allclose(a, b, rtol=1e-9, atol=1e-12):
-                return False
-        elif not np.array_equal(a, b):
-            return False
-    return True
-
-
-def _vector_columns(vector) -> tuple[list[str], list[np.ndarray]]:
-    names = list(vector.element_type.field_names)
-    return names, [np.asarray(vector.column(n)) for n in names]
-
-
-def _frame_columns(frame) -> tuple[list[str], list[np.ndarray]]:
-    names = list(frame.columns)
-    return names, [np.asarray(frame.columns[n]) for n in names]
-
-
 def _ordered_comparison(policy: FaultPolicy) -> bool:
     """False when the policy changes the execution *shape* (see module doc)."""
     if policy.memory_pressure:
@@ -136,273 +78,100 @@ def _ordered_comparison(policy: FaultPolicy) -> bool:
     return policy.crash is None or not policy.crash.permanent
 
 
-# -- target runners -------------------------------------------------------------
+def check(target, cell: tuple[str, FaultPolicy]) -> dict:
+    """Run ``target`` fault-free and under ``cell = (mode, policy)``; compare.
 
+    Returns a verdict dict (``ok``, timings, the chaos run's fault
+    summary); never raises on mismatch — the caller decides.  Resolve the
+    target with ``trace=True`` or the fault summary stays empty.
+    """
+    from repro.workloads.targets import columns_match
 
-def _run_builtin(
-    name: str, machines: int, log2_tuples: int, mode: str, policy: FaultPolicy
-) -> dict:
-    from repro.core.plans import (
-        build_broadcast_join,
-        build_distributed_groupby,
-        build_distributed_join,
-        build_join_sequence,
-    )
-    from repro.mpi.cluster import SimCluster
-    from repro.workloads import (
-        make_cascade_relations,
-        make_groupby_table,
-        make_join_relations,
-    )
-
-    # Tracing is what surfaces fault/retry/recovery events in the report's
-    # fault_summary(); it never changes results or simulated time.
-    cluster = SimCluster(machines, trace=True)
-    n_tuples = 1 << log2_tuples
-    if name == "join":
-        workload = make_join_relations(n_tuples)
-        plan = build_distributed_join(
-            cluster,
-            workload.left.element_type,
-            workload.right.element_type,
-            key_bits=workload.key_bits,
-        )
-        run = lambda faults: plan.run(
-            workload.left, workload.right, RunOptions(mode=mode, faults=faults)
-        )
-        extract = plan.matches
-    elif name == "broadcast_join":
-        workload = make_join_relations(n_tuples)
-        plan = build_broadcast_join(
-            cluster,
-            workload.left.element_type,
-            workload.right.element_type,
-        )
-        run = lambda faults: plan.run(
-            workload.left, workload.right, RunOptions(mode=mode, faults=faults)
-        )
-        extract = plan.matches
-    elif name == "groupby":
-        workload = make_groupby_table(n_tuples)
-        plan = build_distributed_groupby(
-            cluster, workload.table.element_type, key_bits=workload.key_bits
-        )
-        run = lambda faults: plan.run(
-            workload.table, RunOptions(mode=mode, faults=faults)
-        )
-        extract = plan.groups
-    elif name == "join_sequence":
-        relations, _ = make_cascade_relations(3, n_tuples)
-        plan = build_join_sequence(
-            cluster, [r.element_type for r in relations]
-        )
-        run = lambda faults: plan.run(relations, RunOptions(mode=mode, faults=faults))
-        extract = plan.matches
-    else:  # pragma: no cover - guarded by the CLI choices
-        raise ValueError(f"unknown builtin target {name!r}")
-
-    baseline = run(None)
-    chaos = run(policy)
-    ok = _columns_match(
-        *_vector_columns(extract(baseline)),
-        *_vector_columns(extract(chaos)),
-        ordered=_ordered_comparison(policy),
-    )
-    return _verdict(name, mode, policy, baseline, chaos, ok)
-
-
-def _run_tpch(
-    name: str, machines: int, sf: float, mode: str, strategy: str,
-    policy: FaultPolicy,
-) -> dict:
-    from repro.mpi.cluster import SimCluster
-    from repro.relational import lower_to_modularis
-    from repro.tpch import ALL_QUERIES, load_catalog
-
-    qnum = int(name[1:])
-    catalog = load_catalog(scale_factor=sf)
-    query = ALL_QUERIES[qnum]()
-    base_plan = lower_to_modularis(
-        query.plan, catalog, SimCluster(machines, trace=True),
-        join_strategy=strategy,
-    )
-    baseline = base_plan.run(catalog, RunOptions(mode=mode))
-    chaos_plan = lower_to_modularis(
-        query.plan, catalog, SimCluster(machines, trace=True),
-        join_strategy=strategy, options=RunOptions(faults=policy),
-    )
-    chaos = chaos_plan.run(catalog, RunOptions(mode=mode, faults=policy))
-    ok = _columns_match(
-        *_frame_columns(base_plan.result_frame(baseline)),
-        *_frame_columns(chaos_plan.result_frame(chaos)),
-        ordered=_ordered_comparison(policy),
-    )
-    verdict = _verdict(name, mode, policy, baseline, chaos, ok)
-    verdict["strategy"] = chaos_plan.strategy
-    if chaos_plan.degraded_from is not None:
-        verdict["degraded_from"] = chaos_plan.degraded_from
-    return verdict
-
-
-def _verdict(name, mode, policy, baseline, chaos, ok) -> dict:
-    return {
-        "target": name,
+    mode, policy = cell
+    baseline = target.run(RunOptions(mode=mode))
+    expected = target.columns(baseline)
+    chaos = target.run(RunOptions(mode=mode, faults=policy))
+    verdict = {
+        "target": target.name,
         "mode": mode,
         "seed": policy.seed,
-        "ok": bool(ok),
+        "ok": columns_match(
+            expected, target.columns(chaos), ordered=_ordered_comparison(policy)
+        ),
         "baseline_time": baseline.simulated_time,
         "chaos_time": chaos.simulated_time,
         "faults": chaos.fault_summary(),
     }
+    verdict.update(target.planner_choice())
+    return verdict
 
 
-def soak(
-    target: str,
-    policy: FaultPolicy,
-    machines: int = 4,
-    sf: float = 0.01,
-    log2_tuples: int = 12,
-    mode: str = "fused",
-    strategy: str = "exchange",
-) -> dict:
-    """Run one target under ``policy`` and compare against fault-free.
-
-    Returns a verdict dict (``ok``, timings, the chaos run's fault
-    summary); never raises on mismatch — the caller decides.
-    """
-    if target in BUILTIN_TARGETS:
-        return _run_builtin(target, machines, log2_tuples, mode, policy)
-    if target in TPCH_TARGETS:
-        return _run_tpch(target, machines, sf, mode, strategy, policy)
-    raise ValueError(
-        f"unknown chaos target {target!r}; pick one of {ALL_TARGETS} or 'all'"
+def _line(verdict: dict) -> str:
+    injected = sum(
+        n for kind, n in verdict["faults"].items() if kind.startswith("fault:")
     )
-
-
-# -- the ``repro chaos`` command body -------------------------------------------
+    overhead = (
+        verdict["chaos_time"] / verdict["baseline_time"] - 1
+        if verdict["baseline_time"]
+        else 0.0
+    )
+    return (
+        f"seed={verdict['seed']} mode={verdict['mode']:<11} "
+        f"faults={injected:<3d} "
+        f"sim {verdict['chaos_time'] * 1e3:8.3f} ms "
+        f"({overhead:+.1%} vs fault-free)"
+    )
 
 
 def run_cli(args) -> int:
     """Body of ``repro chaos`` (argparse namespace in, exit code out)."""
-    import json
     import sys
 
-    targets: list[str] = []
-    for target in args.targets:
-        if target == "all":
-            targets.extend(t for t in ALL_TARGETS if t not in targets)
-        elif target in ALL_TARGETS:
-            if target not in targets:
-                targets.append(target)
-        else:
-            print(
-                f"error: unknown chaos target {target!r}; pick from "
-                f"{', '.join(ALL_TARGETS)} or 'all'",
-                file=sys.stderr,
-            )
-            return 2
+    from repro.workloads.matrix import SoakMatrix
 
     try:
+        matrix = SoakMatrix("chaos", args, trace=True)
         stragglers = tuple(parse_straggler(s) for s in args.straggler or ())
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     modes = ("fused", "interpreted") if args.mode == "both" else (args.mode,)
-    seeds = range(args.seed, args.seed + args.seeds)
-    verdicts: list[dict] = []
-    failures = 0
-    for target in targets:
-        for seed in seeds:
-            policy = build_policy(
-                seed,
-                put_drop_rate=args.drop_rate,
-                collective_drop_rate=args.collective_drop_rate,
-                crash_rank=args.crash_rank,
-                crash_after=args.crash_after,
-                permanent=args.permanent,
-                stragglers=stragglers,
-                memory_pressure=args.memory_pressure,
-            )
-            for mode in modes:
-                verdict = soak(
-                    target,
-                    policy,
-                    machines=args.machines,
-                    sf=args.sf,
-                    log2_tuples=args.log2_tuples,
-                    mode=mode,
-                    strategy=args.strategy,
-                )
-                verdicts.append(verdict)
-                if not verdict["ok"]:
-                    failures += 1
-                if args.format == "text":
-                    injected = sum(
-                        n for kind, n in verdict["faults"].items()
-                        if kind.startswith("fault:")
-                    )
-                    overhead = (
-                        verdict["chaos_time"] / verdict["baseline_time"] - 1
-                        if verdict["baseline_time"]
-                        else 0.0
-                    )
-                    status = "OK " if verdict["ok"] else "FAIL"
-                    print(
-                        f"{status} {target:<14} seed={seed} mode={mode:<11} "
-                        f"faults={injected:<3d} "
-                        f"sim {verdict['chaos_time'] * 1e3:8.3f} ms "
-                        f"({overhead:+.1%} vs fault-free)"
-                    )
-
-    if args.format == "json":
-        summary = {
-            "targets": targets,
-            "modes": list(modes),
-            "seed_first": args.seed,
-            "seed_last": args.seed + args.seeds - 1,
-            "machines": args.machines,
-            "policy": {
-                "put_drop_rate": args.drop_rate,
-                "collective_drop_rate": args.collective_drop_rate,
-                "crash_rank": args.crash_rank,
-                "crash_after": args.crash_after,
-                "permanent": args.permanent,
-                "stragglers": [list(s) for s in stragglers],
-                "memory_pressure": args.memory_pressure,
-            },
-            "soaks": len(verdicts),
-            "ok": len(verdicts) - failures,
-            "failures": failures,
-        }
-
-        def scalar(value):
-            # numpy ints/floats leak out of verdict counters; JSON output
-            # must stay clean for scripting.
-            item = getattr(value, "item", None)
-            if callable(item):
-                return item()
-            raise TypeError(f"not JSON serializable: {value!r}")
-
-        print(
-            json.dumps(
-                {"summary": summary, "soaks": verdicts, "failures": failures},
-                indent=2,
-                default=scalar,
-            )
-        )
-    else:
-        total = len(verdicts)
-        print(
-            f"\nchaos soak: {total - failures}/{total} bit-identical "
-            f"under policy(seed={args.seed}..{args.seed + args.seeds - 1}, "
+    seed_last = args.seed + args.seeds - 1
+    flags = {
+        "put_drop_rate": args.drop_rate,
+        "collective_drop_rate": args.collective_drop_rate,
+        "crash_rank": args.crash_rank,
+        "crash_after": args.crash_after,
+        "permanent": args.permanent,
+        "stragglers": stragglers,
+        "memory_pressure": args.memory_pressure,
+    }
+    cells = [
+        (mode, build_policy(seed, **flags))
+        for seed in range(args.seed, seed_last + 1)
+        for mode in modes
+    ]
+    matrix.run(cells, check, _line)
+    summary = matrix.summary(
+        modes=list(modes),
+        seed_first=args.seed,
+        seed_last=seed_last,
+        machines=args.machines,
+        policy={
+            **flags, "stragglers": [[s.rank, s.slowdown] for s in stragglers]
+        },
+    )
+    return matrix.finish(
+        {
+            "summary": summary,
+            "soaks": matrix.verdicts,
+            "failures": matrix.failures,
+        },
+        claim=(
+            f"bit-identical under policy(seed={args.seed}..{seed_last}, "
             f"put_drop={args.drop_rate}, collective_drop="
             f"{args.collective_drop_rate})"
-        )
-        if failures:
-            print(
-                f"ERROR: {failures} soak(s) diverged from the fault-free "
-                "baseline",
-                file=sys.stderr,
-            )
-    return 1 if failures else 0
+        ),
+        problem="diverged from the fault-free baseline",
+    )

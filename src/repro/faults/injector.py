@@ -1,7 +1,7 @@
 """The deterministic fault injector: *when* the policy's chaos fires.
 
-One :class:`FaultInjector` is created per plan execution (by
-``execute(..., faults=...)``) and carries all mutable fault state across
+One :class:`FaultInjector` is created per plan execution (under
+``RunOptions(faults=...)``) and carries all mutable fault state across
 every MPI job — and every recovery re-execution — that execution runs:
 
 * a job/attempt counter, so each dispatch draws from a fresh but

@@ -10,7 +10,7 @@ giving every :class:`~repro.core.operator.Operator` a measured identity:
   typed per-kind detail payloads;
 * :mod:`repro.observability.profile` — the :class:`Profiler` runtime
   recorder (off by default, free when disabled), the
-  :class:`PlanProfile` tree returned by ``execute(..., profile=True)``,
+  :class:`PlanProfile` tree attached under ``RunOptions(profile=True)``,
   and its EXPLAIN-ANALYZE-style rendering;
 * :mod:`repro.observability.chrome_trace` — a ``chrome://tracing`` /
   Perfetto JSON exporter that merges operator spans with
@@ -18,7 +18,7 @@ giving every :class:`~repro.core.operator.Operator` a measured identity:
   simulated-time axis;
 * :mod:`repro.observability.metrics` — the typed work-accounting
   registry (Counter / Gauge / Histogram) behind
-  ``execute(..., metrics=True)`` / ``ExecutionReport.metrics`` and the
+  ``RunOptions(metrics=True)`` / ``ExecutionReport.metrics`` and the
   ``repro metrics`` Prometheus-style exposition;
 * :mod:`repro.observability.tracing` — causal trace contexts
   (:class:`TraceContext`) minted per serving submission and the
@@ -27,7 +27,7 @@ giving every :class:`~repro.core.operator.Operator` a measured identity:
   objectives (:class:`SLOConfig`) and the burn-rate report behind
   ``repro slo``.
 
-Profiling is enabled per execution (``execute(plan, profile=True)``,
+Profiling is enabled per execution (``RunOptions(profile=True)``,
 ``Query.explain(analyze=True)``, ``repro profile``/``repro explain
 --analyze`` on the command line); when disabled the data path pays one
 attribute check per operator activation and allocates nothing.

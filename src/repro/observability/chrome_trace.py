@@ -9,7 +9,7 @@ operator, all on the shared simulated-time axis (microseconds).
 Both inputs share the :class:`~repro.observability.events.SimEvent` base,
 so the exporter is a single loop over heterogeneous events::
 
-    report = execute(plan, profile=True)
+    report = execute(plan, options=RunOptions(profile=True))
     write_chrome_trace("trace.json", profile=report.profile,
                        traces=report.traces)
 """

@@ -344,7 +344,7 @@ class PlanProfile:
     #: rendered as an appendix of the EXPLAIN ANALYZE tree.
     metrics: "object | None" = None
     #: Runtime-sanitizer report when the run was sanitized
-    #: (``execute(..., sanitize=True)``); rendered as a second appendix.
+    #: (``RunOptions(sanitize=True)``); rendered as a second appendix.
     sanitizer: "object | None" = None
 
     @classmethod

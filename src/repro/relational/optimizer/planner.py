@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.executor import ExecutionReport, execution_steps
-from repro.core.options import UNSET, RunOptions, coerce_options
+from repro.core.options import RunOptions
 from repro.core.functions import (
     HashPartition,
     Predicate,
@@ -432,13 +432,6 @@ class ModularisQuery:
         self,
         catalog: Catalog,
         options: RunOptions | None = None,
-        *,
-        mode=UNSET,
-        profile=UNSET,
-        metrics=UNSET,
-        faults=UNSET,
-        sanitize=UNSET,
-        join_kernel=UNSET,
     ) -> ExecutionReport:
         """Execute against the catalog's current table contents.
 
@@ -452,14 +445,8 @@ class ModularisQuery:
         memory-pressure *planning* degradation happens earlier, in
         :func:`lower_to_modularis`); ``join_kernel`` pins the fused
         ``BuildProbe`` kernel for kernel-equivalence sweeps and
-        benchmarks.  The individual keywords are the deprecated
-        pre-``RunOptions`` surface.
+        benchmarks.
         """
-        options = coerce_options(
-            options, "ModularisQuery.run()", mode=mode, profile=profile,
-            metrics=metrics, faults=faults, sanitize=sanitize,
-            join_kernel=join_kernel,
-        )
         steps = self.execution(catalog, options)
         while True:
             try:
@@ -539,7 +526,6 @@ def lower_to_modularis(
     network_fanout: int | None = None,
     join_strategy: str = "exchange",
     options: RunOptions | None = None,
-    faults=UNSET,
 ) -> ModularisQuery:
     """Optimize and lower a logical plan onto a simulated cluster.
 
@@ -555,14 +541,12 @@ def lower_to_modularis(
             cannot afford — and degrades to the shuffle (exchange) join
             plan, recording the original choice on
             ``ModularisQuery.degraded_from``.
-        faults: Deprecated — pass ``options=RunOptions(faults=...)``.
     """
     if join_strategy not in JOIN_STRATEGIES:
         raise PlanError(
             f"unknown join strategy {join_strategy!r}; have {JOIN_STRATEGIES}"
         )
-    options = coerce_options(options, "lower_to_modularis()", faults=faults)
-    faults = options.faults
+    faults = options.faults if options is not None else None
     optimized = optimize(plan, catalog)
     shape = _extract_shape(optimized, catalog)
     n_net = network_fanout or cluster.n_ranks

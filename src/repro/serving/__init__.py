@@ -32,7 +32,6 @@ from repro.serving.soak import (
     SoakReport,
     export_soak_artifacts,
     run_soak,
-    throughput_probe,
 )
 
 __all__ = [
@@ -55,5 +54,4 @@ __all__ = [
     "WorkStealingScheduler",
     "export_soak_artifacts",
     "run_soak",
-    "throughput_probe",
 ]

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -72,7 +71,6 @@ __all__ = [
     "run_soak",
     "chaos_matrix",
     "breaker_scenario",
-    "throughput_probe",
     "export_soak_artifacts",
 ]
 
@@ -106,10 +104,8 @@ class SoakConfig:
     n_workers: int = 4
     #: Morsel steps per scheduling quantum.
     quantum: int = 1
-    #: Chaos profile name (:data:`CHAOS_PROFILES`).  ``bool`` is the
-    #: deprecated pre-profile spelling: ``True`` → ``"transient"``,
-    #: ``False`` → ``"none"``.
-    chaos: bool | str = "none"
+    #: Chaos profile name (:data:`CHAOS_PROFILES`).
+    chaos: str = "none"
     seed: int = 2021
     tenants: tuple[tuple[str, float], ...] = DEFAULT_TENANTS
     #: A tenant is "starved" if its steps-per-weight share drops below
@@ -145,19 +141,10 @@ class SoakConfig:
     slo_objective: float = 0.99
 
     def __post_init__(self) -> None:
-        chaos = self.chaos
-        if isinstance(chaos, bool):
-            if chaos:
-                warnings.warn(
-                    "SoakConfig(chaos=True) is deprecated; name a profile "
-                    "instead, e.g. chaos='transient'",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-            object.__setattr__(self, "chaos", "transient" if chaos else "none")
-        elif chaos not in CHAOS_PROFILES:
+        if self.chaos not in CHAOS_PROFILES:
             raise ValueError(
-                f"unknown chaos profile {chaos!r}; pick one of {CHAOS_PROFILES}"
+                f"unknown chaos profile {self.chaos!r}; pick one of "
+                f"{CHAOS_PROFILES}"
             )
 
     @property
@@ -871,36 +858,3 @@ def breaker_scenario(
         bystander_matched=bystander_matched,
     )
 
-
-def throughput_probe(
-    scale_factor: float = 0.01,
-    machines: int = 2,
-    concurrencies: tuple[int, ...] = (1, 4, 16),
-    n_workers: int = 4,
-    seed: int = 2021,
-) -> dict[int, float]:
-    """Wall-clock seconds to serve N concurrent queries, per N.
-
-    The ``repro bench record`` serving benchmark: one shared catalog and
-    cluster, a fresh server per concurrency level, submissions cycled
-    over the soak query mix.  Lower is better; queries/sec is derived.
-    """
-    catalog = load_catalog(scale_factor, seed=seed)
-    cluster = SimCluster(machines, seed=seed)
-    walls: dict[int, float] = {}
-    for n in concurrencies:
-        with Server(
-            cluster, catalog, n_workers=n_workers, max_pending=max(n, 1)
-        ) as server:
-            handles = [
-                server.deploy(f"q{qid}", ALL_QUERIES[qid]()).handle
-                for qid in SOAK_QUERY_IDS
-            ]
-            start = time.perf_counter()
-            futures = [
-                server.submit(handles[i % len(handles)]) for i in range(n)
-            ]
-            for future in futures:
-                future.result(timeout=600)
-            walls[n] = time.perf_counter() - start
-    return walls

@@ -1,4 +1,8 @@
-"""Tests for the benchmark harness: tables, SLOC counting, experiments."""
+"""Tests for the benchmark harness: tables, SLOC counting, experiments, smoke gates."""
+
+import copy
+
+import pytest
 
 from repro.bench.harness import ResultTable, Row
 from repro.bench.sloc import (
@@ -135,3 +139,88 @@ class TestExperimentsSmoke:
         )
         imbalance = table.column("imbalance")
         assert imbalance[1] > imbalance[0]
+
+
+class TestSmokeGates:
+    """``make bench-smoke``: the gate table and one tiny end-to-end run."""
+
+    #: A report every gate passes, shaped like ``run_smoke``'s.
+    PASSING = {
+        "benchmarks": {"micro": {"speedup": 9.0, "identical": True}},
+        "profiler": {"disabled_overhead": 0.01, "identical": True},
+        "faults": {"armed_overhead": -0.02, "identical": True},
+        "sanitizer": {
+            "disabled_overhead": 0.0,
+            "identical": True,
+            "tpch": {"q4": {"identical": True, "clean": True}},
+        },
+        "serving": {"armed_overhead": 0.049},
+        "tracing": {"traced_overhead": 0.03},
+        "join_kernels": {
+            "uniform": {"speedup": 0.9, "identical": True},
+            "skewed": {"speedup": 2.0, "identical": True},
+        },
+    }
+
+    def test_passing_report_has_no_failures(self):
+        from repro.bench.smoke import gate_failures
+
+        assert gate_failures(self.PASSING) == []
+
+    def test_each_gate_trips_past_its_bound(self):
+        from repro.bench.smoke import GATES, gate_failures
+
+        assert len(GATES) == 7
+        for path, relation, bound, _ in GATES:
+            report = copy.deepcopy(self.PASSING)
+            *parents, leaf = path.split(".")
+            section = report
+            for key in parents:
+                section = section[key]
+            section[leaf] = bound - 0.01 if relation == ">=" else bound + 0.01
+            (failure,) = gate_failures(report)
+            assert failure.startswith(path), failure
+
+    @pytest.mark.parametrize(
+        "path",
+        (
+            "benchmarks.micro.identical",
+            "faults.identical",
+            "sanitizer.tpch.q4.clean",
+            "join_kernels.uniform.identical",
+        ),
+    )
+    def test_a_false_result_flag_fails_the_run(self, path):
+        from repro.bench.smoke import gate_failures
+
+        report = copy.deepcopy(self.PASSING)
+        *parents, leaf = path.split(".")
+        section = report
+        for key in parents:
+            section = section[key]
+        section[leaf] = False
+        (failure,) = gate_failures(report)
+        assert failure.startswith(path), failure
+
+    def test_run_smoke_reports_every_gated_number(self):
+        from repro.bench.smoke import GATES, gate_failures, run_smoke
+
+        report = run_smoke(
+            micro_integers=1 << 10,
+            groupby_log2_tuples=8,
+            machines=2,
+            repeats=1,
+            tpch_sf=0.002,
+            join_build_rows=1 << 8,
+            join_probe_rows=1 << 10,
+        )
+        assert set(report) == {
+            "benchmarks", "profiler", "faults", "sanitizer", "join_kernels",
+            "serving", "tracing",
+        }
+        # Wall-clock ratios at these sizes are noise; what must hold is
+        # that every gated path resolves and every result flag is true.
+        noise = tuple(path for path, *_ in GATES)
+        assert [f for f in gate_failures(report) if not f.startswith(noise)] == []
+        assert set(report["sanitizer"]["tpch"]) == {"q4", "q12", "q14", "q19"}
+        assert report["benchmarks"]["fig7_groupby"]["n_tuples"] == 256

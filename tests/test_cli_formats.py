@@ -18,6 +18,7 @@ class TestSharedFormatOption:
             ["profile", "tpch", "--format", "json"],
             ["lint", "all", "--format", "json"],
             ["slo", "--format", "json"],
+            ["metrics", "tpch", "--format", "json"],
         ),
     )
     def test_every_subcommand_accepts_format(self, argv):
@@ -255,20 +256,12 @@ class TestServeArtifacts:
             assert entries, profile
 
 
-class TestBenchHistoryParser:
-    @pytest.mark.parametrize(
-        "argv",
-        (
-            ["bench", "record", "--format", "json"],
-            ["bench", "compare", "--baseline", "seed", "--format", "json"],
-            ["metrics", "tpch", "--format", "json"],
-        ),
-    )
-    def test_new_subcommands_accept_format(self, argv):
-        assert build_parser().parse_args(argv).format == "json"
-
-    def test_compare_defaults(self):
-        args = build_parser().parse_args(["bench", "compare"])
-        assert args.baseline == "seed"
-        assert args.history == "BENCH_history.jsonl"
-        assert args.advisory_below == 0
+class TestRetiredBenchStack:
+    @pytest.mark.parametrize("experiment", ("record", "compare"))
+    def test_bench_record_and_compare_are_usage_errors(self, experiment, capsys):
+        # Regressions are gated by BENCHMARK.json (benchmarks/e2e), not by
+        # a recorded history.
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", experiment])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

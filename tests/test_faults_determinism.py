@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from repro.core.options import RunOptions
 from repro.core.plans import build_distributed_join
 from repro.faults import CrashFault, FaultPolicy
-from repro.faults.chaos import build_policy, soak
+from repro.faults.chaos import build_policy, check
 from repro.mpi.cluster import SimCluster
 from repro.observability import write_chrome_trace
 from repro.workloads import make_join_relations
+from repro.workloads.targets import resolve
 
 _WORKLOAD = make_join_relations(512)
 _PLAN = build_distributed_join(
@@ -90,12 +91,9 @@ class TestHypothesisSweep:
 @pytest.mark.parametrize("target", ["q4", "q12", "q14", "q19"])
 def test_tpch_bit_identical_under_transient_faults(target):
     # The acceptance bar: ≥ 10% put-drop chaos, results bit-identical.
-    verdict = soak(
-        target,
-        build_policy(2021, put_drop_rate=0.12, collective_drop_rate=0.06),
-        machines=4,
-        sf=0.005,
-        mode="fused",
+    verdict = check(
+        resolve(target, 4, sf=0.005, trace=True),
+        ("fused", build_policy(2021, put_drop_rate=0.12, collective_drop_rate=0.06)),
     )
     assert verdict["ok"], verdict
     assert any(k.startswith("fault:") for k in verdict["faults"]), verdict
@@ -103,12 +101,12 @@ def test_tpch_bit_identical_under_transient_faults(target):
 
 
 def test_tpch_q12_interpreted_matches_too():
-    verdict = soak(
-        "q12",
-        build_policy(2022, put_drop_rate=0.12, collective_drop_rate=0.06),
-        machines=4,
-        sf=0.005,
-        mode="interpreted",
+    verdict = check(
+        resolve("q12", 4, sf=0.005, trace=True),
+        (
+            "interpreted",
+            build_policy(2022, put_drop_rate=0.12, collective_drop_rate=0.06),
+        ),
     )
     assert verdict["ok"], verdict
 

@@ -204,11 +204,6 @@ class TestTpchRowCounts:
 
 
 class TestExecutionReportCompat:
-    def test_seconds_property_warns(self):
-        report = ExecutionReport(rows=[], output_type=KV, simulated_time=1.5)
-        with pytest.warns(DeprecationWarning, match="simulated_time"):
-            assert report.seconds == 1.5
-
     def test_execution_result_shim_is_gone(self):
         # The PR-3 compatibility shim completed its deprecation cycle.
         import repro.core

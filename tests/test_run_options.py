@@ -1,10 +1,10 @@
-"""The unified RunOptions API: validation, deprecation shims, knob plumbing.
+"""The unified RunOptions API: validation and knob plumbing.
 
 The contract under test: every public entry point accepts one immutable
-:class:`~repro.core.options.RunOptions`; the old boolean keywords still
-work but warn; and the *whole* knob set survives every context
-re-derivation (stage recovery, sanitize replay, per-rank contexts) — a
-knob added to ``RunOptions`` cannot silently drop on a retry path.
+:class:`~repro.core.options.RunOptions`, and the *whole* knob set
+survives every context re-derivation (stage recovery, sanitize replay,
+per-rank contexts) — a knob added to ``RunOptions`` cannot silently drop
+on a retry path.
 """
 
 import warnings
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.context import ExecutionContext
 from repro.core.executor import execute
-from repro.core.options import UNSET, RunOptions, coerce_options
+from repro.core.options import RunOptions
 from repro.core.plans import build_distributed_join
 from repro.errors import ExecutionError
 from repro.faults import CrashFault, FaultPolicy
@@ -57,39 +57,8 @@ class TestValidation:
         assert options.worker_knobs() == NON_DEFAULTS
 
 
-class TestCoercion:
-    def test_no_legacy_keywords_no_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            options = coerce_options(None, "api()")
-        assert options == RunOptions()
-
-    def test_legacy_keyword_warns_and_applies(self):
-        with pytest.warns(DeprecationWarning, match=r"api\(\): the mode"):
-            options = coerce_options(None, "api()", mode="interpreted")
-        assert options.mode == "interpreted"
-
-    def test_explicit_default_still_warns(self):
-        # Passing the old keyword at its default value is still legacy use.
-        with pytest.warns(DeprecationWarning):
-            coerce_options(None, "api()", profile=False)
-
-    def test_unset_sentinel_is_not_passed(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            options = coerce_options(None, "api()", mode=UNSET, profile=UNSET)
-        assert options == RunOptions()
-
-    def test_legacy_overrides_options(self):
-        base = RunOptions(mode="fused")
-        with pytest.warns(DeprecationWarning):
-            merged = coerce_options(base, "api()", mode="interpreted")
-        assert merged.mode == "interpreted"
-        assert base.mode == "fused"  # the input stays frozen
-
-
 class TestPublicEntryPoints:
-    """Legacy keywords warn (but work) on every public surface."""
+    """The options path runs warning-free on the public surface."""
 
     def _simple(self):
         from repro.core.functions import field_sum
@@ -112,12 +81,6 @@ class TestPublicEntryPoints:
         )
         return root, slot, make_kv_table(64)
 
-    def test_execute_legacy_mode_warns(self):
-        root, slot, table = self._simple()
-        with pytest.warns(DeprecationWarning, match="execute"):
-            report = execute(root, params={slot: (table,)}, mode="interpreted")
-        assert len(report.rows) == 1
-
     def test_execute_options_does_not_warn(self):
         root, slot, table = self._simple()
         with warnings.catch_warnings():
@@ -127,60 +90,6 @@ class TestPublicEntryPoints:
                 options=RunOptions(mode="interpreted", profile=True),
             )
         assert report.profile is not None
-
-    def test_plan_run_legacy_warns_options_does_not(self):
-        workload = make_join_relations(512)
-        plan = build_distributed_join(
-            SimCluster(2),
-            workload.left.element_type,
-            workload.right.element_type,
-            key_bits=workload.key_bits,
-        )
-        with pytest.warns(DeprecationWarning, match="DistributedJoinPlan"):
-            legacy = plan.run(workload.left, workload.right, profile=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            modern = plan.run(
-                workload.left, workload.right, RunOptions(profile=True)
-            )
-        assert legacy.simulated_time == modern.simulated_time
-
-    def test_modularis_query_run_legacy_warns(self):
-        from repro.relational import lower_to_modularis
-        from repro.tpch import load_catalog, q12
-
-        catalog = load_catalog(scale_factor=0.002)
-        lowered = lower_to_modularis(q12().plan, catalog, SimCluster(2))
-        with pytest.warns(DeprecationWarning, match="ModularisQuery"):
-            legacy = lowered.run(catalog, mode="fused")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            modern = lowered.run(catalog, RunOptions(mode="fused"))
-        legacy_vec, modern_vec = legacy.rows[0][0], modern.rows[0][0]
-        for name in legacy_vec.element_type.field_names:
-            assert np.array_equal(
-                np.asarray(legacy_vec.column(name)),
-                np.asarray(modern_vec.column(name)),
-            )
-
-    def test_lower_to_modularis_legacy_faults_warns(self):
-        from repro.relational import lower_to_modularis
-        from repro.tpch import load_catalog, q14
-
-        catalog = load_catalog(scale_factor=0.002)
-        policy = FaultPolicy(memory_pressure=True)
-        with pytest.warns(DeprecationWarning, match="lower_to_modularis"):
-            legacy = lower_to_modularis(
-                q14().plan, catalog, SimCluster(2),
-                join_strategy="broadcast", faults=policy,
-            )
-        modern = lower_to_modularis(
-            q14().plan, catalog, SimCluster(2),
-            join_strategy="broadcast", options=RunOptions(faults=policy),
-        )
-        # Both observed the memory pressure at planning time.
-        assert legacy.strategy == modern.strategy == "exchange"
-        assert legacy.degraded_from == modern.degraded_from == "broadcast"
 
 
 class TestContextDerivation:

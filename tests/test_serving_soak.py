@@ -11,7 +11,7 @@ more than one query's work actually overlapped.
 import pytest
 
 from repro.serving import SoakConfig, run_soak
-from repro.serving.soak import CHAOS_PROFILES, breaker_scenario, throughput_probe
+from repro.serving.soak import CHAOS_PROFILES, breaker_scenario
 
 SF = 0.005
 
@@ -87,13 +87,6 @@ class TestConcurrency:
             assert observed > 0, tenant
             assert entitled > 0, tenant
 
-    def test_throughput_probe_covers_requested_concurrencies(self):
-        walls = throughput_probe(
-            scale_factor=SF, concurrencies=(1, 4), n_workers=4
-        )
-        assert set(walls) == {1, 4}
-        assert all(w > 0 for w in walls.values())
-
     def test_render_mentions_the_verdicts(self, clean_report):
         text = clean_report.render()
         assert "bit-identical to serial: True" in text
@@ -103,12 +96,6 @@ class TestConcurrency:
 
 
 class TestChaosProfiles:
-    def test_bool_chaos_is_a_deprecated_alias(self):
-        with pytest.warns(DeprecationWarning, match="chaos"):
-            config = SoakConfig(chaos=True)
-        assert config.chaos == "transient"
-        assert SoakConfig(chaos=False).chaos == "none"
-
     def test_unknown_profile_rejected(self):
         with pytest.raises(ValueError, match="chaos"):
             SoakConfig(chaos="meteor-strike")

@@ -1,13 +1,20 @@
-"""Unit tests for the synthetic workload generators."""
+"""Unit tests for the synthetic workload generators and the target catalogue."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ModularisError
+from repro.core.options import RunOptions
 from repro.workloads import (
     make_cascade_relations,
     make_groupby_table,
     make_join_relations,
+)
+from repro.workloads.targets import (
+    ALL_TARGETS,
+    BUILTIN_TARGETS,
+    columns_match,
+    resolve,
 )
 
 
@@ -102,3 +109,47 @@ class TestGroupByWorkload:
             make_groupby_table(0)
         with pytest.raises(ModularisError):
             make_groupby_table(10, duplicates_per_key=0)
+
+
+class TestTargetCatalogue:
+    @pytest.mark.parametrize("name", ALL_TARGETS)
+    def test_every_target_runs_to_its_known_answer(self, name):
+        target = resolve(name, 2, log2_tuples=8, sf=0.002)
+        names, columns = target.columns(target.run(RunOptions()))
+        assert len(names) == len(columns) > 0
+        if name in BUILTIN_TARGETS:
+            # Dense keys, 1-on-1 correspondence: every key exactly once.
+            assert sorted(columns[names.index("key")]) == list(range(256))
+            assert {len(c) for c in columns} == {256}
+            return
+        from repro.bench.experiments.fig9 import frames_match
+        from repro.relational import run_logical_plan
+        from repro.relational.interpreter import Frame
+        from repro.tpch import ALL_QUERIES, load_catalog
+
+        reference = run_logical_plan(
+            ALL_QUERIES[int(name[1:])]().plan, load_catalog(scale_factor=0.002)
+        )
+        assert frames_match(
+            reference, Frame(dict(zip(names, columns))), tolerance=1e-6
+        )
+
+    def test_query_is_lowered_per_run_with_the_run_options(self):
+        from repro.faults import FaultPolicy
+
+        target = resolve("q14", 2, sf=0.002, strategy="broadcast")
+        plain = target.columns(target.run(RunOptions()))
+        assert target.planner_choice() == {"strategy": "broadcast"}
+        pressured = target.columns(
+            target.run(RunOptions(faults=FaultPolicy(memory_pressure=True)))
+        )
+        assert target.planner_choice() == {
+            "strategy": "exchange", "degraded_from": "broadcast",
+        }
+        assert not columns_match(plain, ([], []))
+        assert columns_match(plain, pressured, ordered=False)
+
+    def test_unknown_names_are_rejected(self):
+        for name in ("nonsense", "q2"):
+            with pytest.raises(ValueError, match=name):
+                resolve(name, 2)
