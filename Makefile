@@ -18,9 +18,9 @@ bench:
 	$(PYTHON) -m repro bench all
 
 # Wall-clock (not simulated) smoke probes; writes out/bench_smoke.json and
-# fails if fused is slower than interpreted on the micro pipeline, if an
-# installed-but-idle subsystem (profiler, fault injector, sanitizer, query
-# lifecycle, tracing) costs more than 5%, or if radix is not 2x faster
+# fails on any of six gates: fused slower than interpreted on the micro
+# pipeline, an installed-but-idle subsystem (profiler, fault injector,
+# sanitizer, query lifecycle) costing more than 5%, or radix not 2x faster
 # than sorted-hash on the skewed join workload.
 bench-smoke:
 	$(PYTHON) -m repro.bench.smoke --out out/bench_smoke.json
@@ -60,11 +60,13 @@ serve-soak:
 
 # Query-lifecycle robustness gate: the full chaos matrix (transient,
 # crash, straggler, flaky-with-retries) must stay bit-identical to
-# serial with an exactly reconciled tenant ledger, and the poison-plan
-# breaker scenario must trip the circuit while bystander queries on the
-# same server keep matching their serial reference.  Exports the merged
-# multi-query Chrome trace and the per-profile journal JSON as run
-# artifacts (open out/serve_trace.json in chrome://tracing or Perfetto).
+# serial with journal conservation intact (every submission settled
+# once, as its client saw it, steps matching the scheduler's count), and
+# the poison-plan breaker scenario must trip the circuit while bystander
+# queries on the same server keep matching their serial reference.
+# Exports the merged multi-query Chrome trace and the per-profile journal
+# JSON as run artifacts (open out/serve_trace.json in chrome://tracing or
+# Perfetto).
 serve-chaos:
 	mkdir -p out
 	$(PYTHON) -m repro serve --matrix --queries 8 --sf 0.005 \

@@ -40,7 +40,7 @@ from repro.workloads.targets import TPCH_TARGETS, columns_match, resolve
 __all__ = ["GATES", "gate_failures", "run_smoke", "main"]
 
 #: Budget of every installed-but-idle subsystem (profiler, fault injector,
-#: sanitizer, query lifecycle, tracing) relative to running without it.
+#: sanitizer, query lifecycle) relative to running without it.
 MAX_OVERHEAD = 0.05
 
 #: Radix must beat the sorted-hash kernel by this factor on the skewed
@@ -60,8 +60,6 @@ GATES = (
      "the sanitizer's off path must stay one attribute read"),
     ("serving.armed_overhead", "<=", MAX_OVERHEAD,
      "deadlines, retries, and the breaker must stay free when nothing fires"),
-    ("tracing.traced_overhead", "<=", MAX_OVERHEAD,
-     "journals and SLO accounting must stay off the quantum hot path"),
     ("join_kernels.skewed.speedup", ">=", MIN_RADIX_SPEEDUP,
      "radix no longer pays for itself on the skewed workload"),
 )
@@ -266,23 +264,16 @@ def _sanitized_tpch(machines: int, sf: float) -> dict:
     return verdicts
 
 
-def _serving_probes(
-    scale_factor: float, machines: int, repeats: int
-) -> tuple[dict, dict]:
-    """A served TPC-H batch: the query-lifecycle tax and the tracing tax.
+def _serving_probe(scale_factor: float, machines: int, repeats: int) -> dict:
+    """A served TPC-H batch: the query-lifecycle tax.
 
-    ``serving`` arms a generous deadline on every submission, a retry
+    ``armed`` sets a generous deadline on every submission, a retry
     policy, and a shed threshold just below the cap: every lifecycle
     check runs on every quantum and submission, but nothing ever fires.
-    ``tracing`` arms trace contexts, per-query journals and SLO latency
-    accounting with the cluster substrate trace left off — stamping is a
-    post-hoc settlement pass the hot path must not notice; its batch is
-    doubled and more rounds run because the per-query tax under test is
-    tiny relative to scheduler jitter.  Only the submit-to-result window
-    is timed (deploys happen outside the clock).
+    Only the submit-to-result window is timed (deploys happen outside
+    the clock).
     """
     from repro.faults.policy import RetryPolicy
-    from repro.observability.slo import SLOConfig
     from repro.serving.server import Server
     from repro.tpch import ALL_QUERIES, load_catalog
 
@@ -318,17 +309,7 @@ def _serving_probes(
             ),
         },
     )
-    serve(16, tracing=False)  # warm caches before either configuration is timed
-    tracing, _ = _best_of(
-        max(repeats, 5),
-        {
-            "baseline": partial(serve, 16, tracing=False),
-            "traced": partial(
-                serve, 16, slo=SLOConfig(target_seconds=1e6), tracing=True
-            ),
-        },
-    )
-    return {**_overheads(lifecycle), **sizes}, {**_overheads(tracing), **sizes}
+    return {**_overheads(lifecycle), **sizes}
 
 
 def _join_kernels(build_rows: int, probe_rows: int, repeats: int) -> dict:
@@ -428,7 +409,7 @@ def run_smoke(
     sanitizer["tpch"] = _sanitized_tpch(machines, tpch_sf)
     sanitizer["tpch_sf"] = tpch_sf
     join_kernels = _join_kernels(join_build_rows, join_probe_rows, repeats)
-    serving, tracing = _serving_probes(tpch_sf, machines, repeats)
+    serving = _serving_probe(tpch_sf, machines, repeats)
     return {
         "benchmarks": {"micro": micro, "fig7_groupby": groupby},
         "profiler": profiler,
@@ -436,7 +417,6 @@ def run_smoke(
         "sanitizer": sanitizer,
         "join_kernels": join_kernels,
         "serving": serving,
-        "tracing": tracing,
     }
 
 
@@ -473,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
         **report["benchmarks"],
         **{name: report[name] for name in ("profiler", "faults", "sanitizer")},
         **{f"join_kernels/{w}": kernels[w] for w in ("uniform", "skewed")},
-        **{name: report[name] for name in ("serving", "tracing")},
+        "serving": report["serving"],
     }
     for name, section in sections.items():
         print(_line(name, section))

@@ -21,16 +21,10 @@ else (simulated time is unaffected).
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from repro.observability.events import (
-    CollectiveDetail,
-    EventDetail,
-    GenericDetail,
-    SimEvent,
-    detail_for,
-)
+from repro.observability.events import CollectiveDetail, EventDetail, SimEvent
 
 __all__ = ["TraceEvent", "ClusterTrace", "RankCommStats"]
 
@@ -48,15 +42,10 @@ class TraceEvent(SimEvent):
         detail: Typed kind-specific payload —
             :class:`~repro.observability.events.PutDetail`,
             :class:`~repro.observability.events.CollectiveDetail`, or
-            :class:`~repro.observability.events.WindowDetail`.  A plain
-            mapping passed here is converted to the typed form.
+            :class:`~repro.observability.events.WindowDetail`.
     """
 
-    detail: EventDetail = field(default_factory=GenericDetail)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.detail, EventDetail):
-            object.__setattr__(self, "detail", detail_for(self.kind, self.detail))
+    detail: EventDetail = EventDetail()
 
     def chrome_args(self) -> dict[str, Any]:
         return self.detail.as_dict()

@@ -21,8 +21,8 @@ giving every :class:`~repro.core.operator.Operator` a measured identity:
   ``RunOptions(metrics=True)`` / ``ExecutionReport.metrics`` and the
   ``repro metrics`` Prometheus-style exposition;
 * :mod:`repro.observability.tracing` — causal trace contexts
-  (:class:`TraceContext`) minted per serving submission and the
-  append-only per-query :class:`QueryJournal` audit record;
+  (:class:`TraceContext`) minted per serving submission and the per-query
+  :class:`QueryJournal`, the one record every serving view is folded from;
 * :mod:`repro.observability.slo` — per-tenant / per-handle latency
   objectives (:class:`SLOConfig`) and the burn-rate report behind
   ``repro slo``.
@@ -68,12 +68,10 @@ from repro.observability.tracing import (
 from repro.observability.events import (
     CollectiveDetail,
     EventDetail,
-    GenericDetail,
     OperatorSpan,
     PutDetail,
     SimEvent,
     WindowDetail,
-    detail_for,
 )
 from repro.observability.profile import (
     OperatorStats,
@@ -86,12 +84,10 @@ from repro.observability.profile import (
 __all__ = [
     "SimEvent",
     "EventDetail",
-    "GenericDetail",
     "PutDetail",
     "CollectiveDetail",
     "WindowDetail",
     "OperatorSpan",
-    "detail_for",
     "Counter",
     "Gauge",
     "Histogram",

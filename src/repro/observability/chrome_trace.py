@@ -20,6 +20,7 @@ import json
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.observability.events import DRIVER_RANK, SimEvent
+from repro.observability.tracing import report_events
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import ExecutionReport
@@ -33,6 +34,7 @@ __all__ = [
     "write_chrome_trace",
     "serving_trace_events",
     "write_serving_chrome_trace",
+    "write_trace_events",
 ]
 
 #: Track id of the substrate (communication) events within each process.
@@ -46,6 +48,57 @@ def _pid(rank: int) -> int:
 
 def _process_name(rank: int) -> str:
     return "driver" if rank == DRIVER_RANK else f"rank {rank}"
+
+
+def _chrome_event(
+    event: SimEvent,
+    pid: int,
+    tid: int,
+    time_scale: float,
+    metadata: list[dict],
+    named: set[tuple[int, int]],
+    track: str | None = None,
+    instant: bool = False,
+) -> dict:
+    """One event as a Chrome dict on track ``(pid, tid)``.
+
+    Names the track ``track`` in ``metadata`` the first time it is used
+    and merges the event's causal ids into its kind-specific ``args``.
+    Operator spans and substrate events are ``X`` boxes; ``instant``
+    makes a process-scoped lifecycle instant instead.
+    """
+    if track is not None and (pid, tid) not in named:
+        named.add((pid, tid))
+        metadata.append({"ph": "M", "name": "thread_name", "pid": pid,
+                         "tid": tid, "args": {"name": track}})
+    args = event.chrome_args()
+    if event.trace_id:
+        args = {**args, "trace_id": event.trace_id, "span_id": event.span_id,
+                "parent_span_id": event.parent_span_id}
+    operator = event.kind == "operator"
+    ts = event.start * time_scale
+    shape = (
+        {"ph": "i", "s": "p", "ts": ts}
+        if instant
+        else {"ph": "X", "ts": ts, "dur": max(0.0, event.duration) * time_scale}
+    )
+    return {
+        "name": event.label if operator else f"{event.kind}:{event.label}",
+        "cat": "lifecycle" if instant else "operator" if operator else "substrate",
+        **shape,
+        "pid": pid,
+        "tid": tid,
+        "args": args,
+    }
+
+
+def write_trace_events(path: str, events: list[dict]) -> int:
+    """Write a ``traceEvents`` list as a Chrome trace JSON file; returns
+    the event count."""
+    with open(path, "w") as handle:
+        json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, handle)
+        handle.write("\n")
+    return len(events)
 
 
 def chrome_trace_events(
@@ -106,33 +159,12 @@ def chrome_trace_events(
         pid = describe_process(event.rank)
         if event.kind == "operator":
             tid = op_tids.setdefault(getattr(event, "node_id", 0), len(op_tids) + 1)
-            if (pid, tid) not in named_tracks:
-                named_tracks.add((pid, tid))
-                metadata.append(
-                    {"ph": "M", "name": "thread_name", "pid": pid, "tid": tid,
-                     "args": {"name": getattr(event, "op_type", event.label)}}
-                )
-            name = event.label
-            cat = "operator"
+            track = getattr(event, "op_type", event.label)
         else:
-            tid = _SUBSTRATE_TID
-            name = f"{event.kind}:{event.label}"
-            cat = "substrate"
-        args = event.chrome_args()
-        if event.trace_id:
-            args = {**args, "trace_id": event.trace_id, "span_id": event.span_id,
-                    "parent_span_id": event.parent_span_id}
+            # Named with its process in describe_process.
+            tid, track = _SUBSTRATE_TID, None
         spans.append(
-            {
-                "name": name,
-                "cat": cat,
-                "ph": "X",
-                "ts": event.start * time_scale,
-                "dur": max(0.0, event.duration) * time_scale,
-                "pid": pid,
-                "tid": tid,
-                "args": args,
-            }
+            _chrome_event(event, pid, tid, time_scale, metadata, named_tracks, track)
         )
     return metadata + spans
 
@@ -147,10 +179,7 @@ def write_chrome_trace(
     events = chrome_trace_events(
         profile=profile, traces=list(traces), extra_events=extra_events
     )
-    with open(path, "w") as handle:
-        json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, handle)
-        handle.write("\n")
-    return len(events)
+    return write_trace_events(path, events)
 
 
 # -- multi-query serving export ----------------------------------------------
@@ -203,6 +232,8 @@ def serving_trace_events(
     prefix = f"{label_prefix}: " if label_prefix else ""
     metadata: list[dict] = []
     spans: list[dict] = []
+    #: (pid, tid) tracks of the per-query processes already named.
+    named: set[tuple[int, int]] = set()
     worker_pid = pid_base + 1
     tenant_pid = pid_base + 2
     server_pid = pid_base + 3
@@ -320,62 +351,24 @@ def serving_trace_events(
             )
         if report is None:
             continue
-        report_events: list[SimEvent] = []
-        profile = getattr(report, "profile", None)
-        if profile is not None:
-            report_events.extend(profile.spans)
-            if getattr(profile, "dropped_spans", 0):
-                metadata.append(
-                    {"ph": "M", "name": "dropped_spans", "pid": pid,
-                     "args": {"dropped_spans": profile.dropped_spans}}
-                )
-        for trace in getattr(report, "traces", ()):
-            report_events.extend(trace.events())
-        report_events.extend(getattr(report, "recovery_events", ()))
+        dropped = getattr(getattr(report, "profile", None), "dropped_spans", 0)
+        if dropped:
+            metadata.append(
+                {"ph": "M", "name": "dropped_spans", "pid": pid,
+                 "args": {"dropped_spans": dropped}}
+            )
         op_tids: dict[int, int] = {}
-        named: set[int] = set()
-        for event in report_events:
+        for event in report_events(report):
             if event.kind == "operator":
                 tid = _QUERY_OPERATOR_TID_BASE + op_tids.setdefault(
                     getattr(event, "node_id", 0), len(op_tids)
                 )
-                if tid not in named:
-                    named.add(tid)
-                    metadata.append(
-                        {"ph": "M", "name": "thread_name", "pid": pid,
-                         "tid": tid,
-                         "args": {"name": getattr(event, "op_type", event.label)}}
-                    )
-                name = event.label
-                cat = "operator"
+                track = getattr(event, "op_type", event.label)
             else:
                 tid = _QUERY_SUBSTRATE_TID_BASE + event.rank + 1
-                if tid not in named:
-                    named.add(tid)
-                    lane = ("driver" if event.rank == DRIVER_RANK
-                            else f"rank {event.rank}")
-                    metadata.append(
-                        {"ph": "M", "name": "thread_name", "pid": pid,
-                         "tid": tid, "args": {"name": lane}}
-                    )
-                name = f"{event.kind}:{event.label}"
-                cat = "substrate"
-            args = event.chrome_args()
-            if event.trace_id:
-                args = {**args, "trace_id": event.trace_id,
-                        "span_id": event.span_id,
-                        "parent_span_id": event.parent_span_id}
+                track = _process_name(event.rank)
             spans.append(
-                {
-                    "name": name,
-                    "cat": cat,
-                    "ph": "X",
-                    "ts": event.start * time_scale,
-                    "dur": max(0.0, event.duration) * time_scale,
-                    "pid": pid,
-                    "tid": tid,
-                    "args": args,
-                }
+                _chrome_event(event, pid, tid, time_scale, metadata, named, track)
             )
 
     # Lifecycle transitions: traced ones join their query's process,
@@ -383,7 +376,6 @@ def serving_trace_events(
     server_described = False
     for event in lifecycle_events:
         pid = journal_pids.get(event.trace_id)
-        tid = _LIFECYCLE_TID
         if pid is None:
             if not server_described:
                 server_described = True
@@ -393,22 +385,11 @@ def serving_trace_events(
                      "tid": _LIFECYCLE_TID, "args": {"name": "transitions"}}
                 )
             pid = server_pid
-        args = event.chrome_args()
-        if event.trace_id:
-            args = {**args, "trace_id": event.trace_id,
-                    "span_id": event.span_id,
-                    "parent_span_id": event.parent_span_id}
         spans.append(
-            {
-                "name": f"{event.kind}:{event.label}",
-                "cat": "lifecycle",
-                "ph": "i",
-                "s": "p",
-                "ts": event.start * time_scale,
-                "pid": pid,
-                "tid": tid,
-                "args": args,
-            }
+            _chrome_event(
+                event, pid, _LIFECYCLE_TID, time_scale, metadata, named,
+                instant=True,
+            )
         )
     return metadata + spans
 
@@ -429,7 +410,4 @@ def write_serving_chrome_trace(
         pid_base=pid_base,
         label_prefix=label_prefix,
     )
-    with open(path, "w") as handle:
-        json.dump({"traceEvents": events, "displayTimeUnit": "ms"}, handle)
-        handle.write("\n")
-    return len(events)
+    return write_trace_events(path, events)

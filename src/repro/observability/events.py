@@ -8,10 +8,7 @@ consumes any mix of them uniformly.
 
 Event payloads are *typed*: each event kind carries a small frozen
 dataclass (:class:`PutDetail`, :class:`CollectiveDetail`,
-:class:`WindowDetail`) instead of an ad-hoc dict.  For compatibility with
-older call sites the :class:`EventDetail` base still supports dict-style
-``detail["bytes"]`` / ``detail.get("stall", 0.0)`` access, and
-:func:`detail_for` converts a plain mapping into the typed form.
+:class:`WindowDetail`, ...) instead of an ad-hoc dict.
 
 This module has no dependencies inside the package, so both the MPI
 substrate (:mod:`repro.mpi.trace`) and the execution layer can build on it
@@ -21,7 +18,7 @@ without import cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Mapping
+from typing import Any
 
 __all__ = [
     "SimEvent",
@@ -33,9 +30,7 @@ __all__ = [
     "RetryDetail",
     "RecoveryDetail",
     "LifecycleDetail",
-    "GenericDetail",
     "OperatorSpan",
-    "detail_for",
     "DRIVER_RANK",
 ]
 
@@ -82,21 +77,9 @@ class SimEvent:
         return {}
 
 
+@dataclass(frozen=True)
 class EventDetail:
-    """Base of the typed per-kind payloads.
-
-    Subclasses are frozen dataclasses; dict-style access is kept so code
-    written against the old ``detail`` dicts keeps working.
-    """
-
-    def __getitem__(self, key: str) -> Any:
-        try:
-            return getattr(self, key)
-        except AttributeError:
-            raise KeyError(key) from None
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return getattr(self, key, default)
+    """Base of the typed per-kind payloads (itself the empty payload)."""
 
     def as_dict(self) -> dict[str, Any]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -180,49 +163,6 @@ class LifecycleDetail(EventDetail):
     handle: str = ""
     attempt: int = 0
     reason: str = ""
-
-
-@dataclass(frozen=True)
-class GenericDetail(EventDetail):
-    """Fallback payload for event kinds without a dedicated detail type."""
-
-    values: tuple[tuple[str, Any], ...] = ()
-
-    def __getitem__(self, key: str) -> Any:
-        for name, value in self.values:
-            if name == key:
-                return value
-        raise KeyError(key)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        for name, value in self.values:
-            if name == key:
-                return value
-        return default
-
-    def as_dict(self) -> dict[str, Any]:
-        return dict(self.values)
-
-
-_DETAIL_TYPES: dict[str, type] = {
-    "put": PutDetail,
-    "collective": CollectiveDetail,
-    "win_create": WindowDetail,
-    "fault": FaultDetail,
-    "retry": RetryDetail,
-    "recovery": RecoveryDetail,
-    "lifecycle": LifecycleDetail,
-}
-
-
-def detail_for(kind: str, payload: Mapping[str, Any] | EventDetail) -> EventDetail:
-    """The typed detail for ``kind``, converting a plain mapping if needed."""
-    if isinstance(payload, EventDetail):
-        return payload
-    detail_type = _DETAIL_TYPES.get(kind)
-    if detail_type is None:
-        return GenericDetail(tuple(payload.items()))
-    return detail_type(**payload)
 
 
 @dataclass(frozen=True)

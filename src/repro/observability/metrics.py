@@ -4,8 +4,7 @@ PR 3's profiler answers *where time goes* inside one run; this module
 answers *how much work* the run did — rows per operator, bytes shuffled
 per exchange, memory high-water, retries — the per-operator cardinality
 and volume observations cost-based cross-platform optimizers are built
-on (RHEEMix et al.), and the raw material of the benchmark-regression
-harness (:mod:`repro.bench.history`).
+on (RHEEMix et al.).
 
 Three instrument kinds, Prometheus-flavoured:
 
@@ -478,6 +477,18 @@ class MetricsSnapshot:
             if key is not None:
                 out[key] = out.get(key, 0) + sample.value
         return out
+
+    def merged(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
+        """One snapshot of two registries' (disjoint) instruments, in the
+        order a single registry would have frozen them."""
+        kinds = ("counter", "gauge", "histogram")
+        return MetricsSnapshot(
+            samples=sorted(
+                self.samples + other.samples,
+                key=lambda s: (kinds.index(s.kind), s.name, _label_key(s.labels)),
+            ),
+            per_rank={**self.per_rank, **other.per_rank},
+        )
 
     def names(self) -> list[str]:
         seen: dict[str, None] = {}

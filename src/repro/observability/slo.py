@@ -1,32 +1,33 @@
-"""Tenant and handle SLO latency accounting over the serving metrics.
+"""Tenant and handle SLO latency accounting over the query journals.
 
-The server records every completed query's end-to-end *simulated*
-latency (the retry chain included: backoff + all attempts) into
-``serving_latency_seconds{tenant=...}`` and
-``serving_handle_latency_seconds{handle=...}`` histograms.  With an
-:class:`SLOConfig` armed, every settled query also feeds a
-``serving_slo_miss`` burn counter — completions over the latency target
-plus terminal failures and deadline misses burn error budget;
-cancellations are client actions and burn nothing.
+A completed query's latency is its journal's end-to-end *simulated*
+seconds (the retry chain included: backoff + all attempts).  Against an
+:class:`SLOConfig`, every *considered* settlement — completed, failed or
+deadline-missed — either meets the objective or burns error budget:
+completions over the latency target, terminal failures and deadline
+misses burn; cancellations are client actions and shed/rejected
+submissions never ran, so the SLO does not speak about them.
 
-:func:`build_slo_report` turns a
-:class:`~repro.observability.metrics.MetricsSnapshot` into the
-``repro slo`` report: per-tenant and per-handle p50/p95/p99 estimates
-(:func:`~repro.observability.metrics.bucket_quantile`), burn counts,
-and the burn-rate verdict against the configured objective.
+:func:`build_slo_report` folds a server's journals into the ``repro
+slo`` report: per-tenant and per-handle p50/p95/p99 estimates
+(:func:`~repro.observability.metrics.bucket_quantile` over
+:data:`SERVING_LATENCY_BOUNDS`), burn counts, and the burn-rate verdict
+against the configured objective.  A tenant or handle appears as soon as
+it has one considered settlement, whether or not anything completed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.observability.metrics import exponential_bounds
+from repro.observability.metrics import Histogram, exponential_bounds
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.observability.metrics import MetricsSnapshot
+    from repro.observability.tracing import QueryJournal
 
 __all__ = [
+    "CONSIDERED",
     "SERVING_LATENCY_BOUNDS",
     "SLOConfig",
     "SLOEntry",
@@ -38,6 +39,9 @@ __all__ = [
 #: 10µs to ~84s.  Finer than the default metric bounds so quantile
 #: estimates stay non-degenerate across a mixed query workload.
 SERVING_LATENCY_BOUNDS = exponential_bounds(start=1e-5, factor=2.0, count=24)
+
+#: Terminal states the SLO speaks about — the burn-rate denominator.
+CONSIDERED = ("completed", "failed", "deadline_missed")
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,12 @@ class SLOConfig:
             if name == tenant:
                 return target
         return self.target_seconds
+
+    def burns(self, journal: "QueryJournal") -> bool:
+        """Whether one settled journal burned error budget."""
+        if journal.terminal == "completed":
+            return journal.total_seconds > self.target_for(journal.tenant)
+        return journal.terminal in CONSIDERED
 
     @property
     def error_budget(self) -> float:
@@ -173,22 +183,18 @@ class SLOReport:
 
 
 def _entries(
-    snapshot: "MetricsSnapshot",
-    config: SLOConfig,
-    scope: str,
-    latency_metric: str,
-    considered_by_name: dict[str, int],
+    journals: list["QueryJournal"], config: SLOConfig, scope: str
 ) -> tuple[SLOEntry, ...]:
+    groups: dict[str, list["QueryJournal"]] = {}
+    for journal in journals:
+        if journal.terminal in CONSIDERED:
+            groups.setdefault(getattr(journal, scope), []).append(journal)
     entries = []
-    for sample in snapshot.find(latency_metric):
-        name = sample.labels.get(scope)
-        if name is None:
-            continue
-        completed = sample.count
-        burned = int(
-            snapshot.value("serving_slo_miss", **{scope: name})
-        )
-        considered = considered_by_name.get(name, completed)
+    for name, group in sorted(groups.items()):
+        latency = Histogram(SERVING_LATENCY_BOUNDS)
+        for journal in group:
+            if journal.terminal == "completed":
+                latency.observe(journal.total_seconds)
         entries.append(
             SLOEntry(
                 scope=scope,
@@ -198,51 +204,31 @@ def _entries(
                     else config.target_seconds
                 ),
                 objective=config.objective,
-                completed=completed,
-                burned=burned,
-                considered=max(considered, completed),
-                p50=sample.quantile(0.50),
-                p95=sample.quantile(0.95),
-                p99=sample.quantile(0.99),
+                completed=latency.count,
+                burned=sum(1 for journal in group if config.burns(journal)),
+                considered=len(group),
+                p50=latency.quantile(0.50),
+                p95=latency.quantile(0.95),
+                p99=latency.quantile(0.99),
             )
         )
-    return tuple(sorted(entries, key=lambda e: e.name))
+    return tuple(entries)
 
 
 def build_slo_report(
-    snapshot: "MetricsSnapshot", config: SLOConfig | None = None
+    journals: Iterable["QueryJournal"], config: SLOConfig | None = None
 ) -> SLOReport:
-    """Assemble the SLO report from one serving metrics snapshot.
+    """Fold query journals into the SLO report.
 
-    The burn denominator per tenant is every settled query the SLO
-    speaks about: completed + failed + deadline-missed (shed/rejected
-    never ran; cancelled is a client action).
+    An entry's burn denominator is every settlement the SLO speaks
+    about (:data:`CONSIDERED`), so a tenant or handle whose queries all
+    failed or missed their deadline reports ``burned == considered``
+    with NaN quantiles rather than vanishing from the report.
     """
     config = config if config is not None else SLOConfig()
-    considered: dict[str, int] = {}
-    for metric in (
-        "serving_completed",
-        "serving_failed",
-        "serving_deadline_missed",
-    ):
-        for name, value in snapshot.by_label(metric, "tenant").items():
-            considered[name] = considered.get(name, 0) + int(value)
-    handle_considered = {
-        name: int(value)
-        for name, value in snapshot.by_label(
-            "serving_handle_settled", "handle"
-        ).items()
-    }
+    journals = list(journals)
     return SLOReport(
         config=config,
-        tenants=_entries(
-            snapshot, config, "tenant", "serving_latency_seconds", considered
-        ),
-        handles=_entries(
-            snapshot,
-            config,
-            "handle",
-            "serving_handle_latency_seconds",
-            handle_considered,
-        ),
+        tenants=_entries(journals, config, "tenant"),
+        handles=_entries(journals, config, "handle"),
     )

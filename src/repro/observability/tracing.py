@@ -25,19 +25,21 @@ The :class:`QueryJournal` is the append-only audit record of one
 submission's lifecycle (submit → admit → attempt(s) → recovery →
 settle) with causal span links and a timing decomposition (backoff,
 execution, total on the simulated axis; queue wait on the informational
-wall axis).  Journals attach to
-:class:`~repro.serving.server.QueryOutcome` and aggregate per prepared
-plan in the registry (:meth:`~repro.serving.registry.PlanRegistry.stats_for`)
-— the observed-behaviour feed ROADMAP item 2's re-optimizer needs.
+wall axis).  It is the serving layer's *only* per-submission record:
+the tenant ledger, the ``serving_*`` metrics, the lifecycle instants,
+the per-handle statistics and the SLO report are all folds over the
+server's journals, computed when somebody reads them.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from repro.observability.events import SimEvent
+from repro.observability.metrics import MetricsRegistry
+from repro.observability.slo import CONSIDERED, SERVING_LATENCY_BOUNDS, SLOConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import ExecutionReport
@@ -46,6 +48,8 @@ __all__ = [
     "TraceContext",
     "JournalEvent",
     "QueryJournal",
+    "journal_metrics",
+    "report_events",
     "stamp_event",
     "stamp_events",
     "stamp_report",
@@ -115,15 +119,6 @@ class TraceContext:
             stage=stage,
         )
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_span_id": self.parent_span_id,
-            "attempt": self.attempt,
-            "stage": self.stage,
-        }
-
 
 # -- event stamping ----------------------------------------------------------
 
@@ -133,7 +128,7 @@ def stamp_event(event: SimEvent, ctx: TraceContext) -> bool:
 
     Events carry empty trace fields until their query settles; stamping
     then is a handful of ``object.__setattr__`` calls per event, so the
-    execution hot path pays nothing for tracing (the bench-smoke gate).
+    execution hot path pays nothing for tracing.
     Rank-attributed events (``rank >= 0``) land under the context's rank
     child span; driver events attach to the context itself.  Already
     stamped events are left alone (returns ``False``).
@@ -157,21 +152,22 @@ def stamp_events(events: Iterable[SimEvent], ctx: TraceContext) -> int:
     return sum(1 for event in events if stamp_event(event, ctx))
 
 
-def stamp_report(report: "ExecutionReport", ctx: TraceContext) -> int:
-    """Stamp everything one attempt's report recorded with its context.
-
-    Covers operator spans (the profiler), substrate trace events per
-    rank (puts, collectives, windows, faults, retries), and driver-side
-    recovery events.  Returns the number of events stamped.
-    """
-    stamped = 0
+def report_events(report: "ExecutionReport") -> Iterator[SimEvent]:
+    """Everything one attempt's report recorded: operator spans (the
+    profiler), substrate trace events per rank (puts, collectives,
+    windows, faults, retries), and driver-side recovery events."""
     profile = getattr(report, "profile", None)
-    if profile is not None and getattr(profile, "spans", None):
-        stamped += stamp_events(profile.spans, ctx)
+    if profile is not None:
+        yield from getattr(profile, "spans", None) or ()
     for trace in getattr(report, "traces", ()):
-        stamped += stamp_events(trace.events(), ctx)
-    stamped += stamp_events(getattr(report, "recovery_events", ()), ctx)
-    return stamped
+        yield from trace.events()
+    yield from getattr(report, "recovery_events", ())
+
+
+def stamp_report(report: "ExecutionReport", ctx: TraceContext) -> int:
+    """Stamp everything one attempt's report recorded with its context;
+    returns the number of events stamped."""
+    return stamp_events(report_events(report), ctx)
 
 
 # -- per-query journals ------------------------------------------------------
@@ -209,12 +205,12 @@ class QueryJournal:
     Every ``submit()`` call creates exactly one journal — including
     submissions that never reach the scheduler (shed, rejected,
     breaker-rejected) — and every journal settles into exactly one
-    terminal state, mirroring the tenant ledger's conservation
-    invariant.  All canonical content (:meth:`as_dict` default) is
-    derived from counts and simulated clocks only, so two runs of the
-    same config produce byte-identical journals.  Wall-clock queue wait
-    and scheduler sequence numbers are kept as *informational* fields,
-    excluded from the canonical form.
+    terminal state, the conservation invariant every view folded from
+    the journals inherits.  All canonical content (:meth:`as_dict`
+    default) is derived from counts and simulated clocks only, so two
+    runs of the same config produce byte-identical journals.  Wall-clock
+    queue wait and scheduler sequence numbers are kept as *informational*
+    fields, excluded from the canonical form.
     """
 
     TERMINAL_STATES = (
@@ -252,6 +248,9 @@ class QueryJournal:
         self.queue_wall_seconds = 0.0
         self.first_seq = -1
         self.last_seq = -1
+        #: Why admission shed this submission (the load numbers behind
+        #: the ``overload_shed`` reason); in no export.
+        self.admission_note = ""
         #: Wall clock at submit (set by the server; informational).
         self._wall_start = 0.0
         self._lock = threading.Lock()
@@ -308,17 +307,25 @@ class QueryJournal:
             **detail,
         )
         with self._lock:
-            self.terminal = terminal
             self.reason = reason
             self.attempts = max(self.attempts, attempt)
             self.steps = steps
             self.result_rows = result_rows
             self.total_seconds = sim_time
             self.execution_seconds = max(0.0, sim_time - self.backoff_seconds)
+            # Published last: a fold that sees the terminal state sees
+            # the whole settlement.
+            self.terminal = terminal
 
     @property
     def settled(self) -> bool:
         return bool(self.terminal)
+
+    @property
+    def retries(self) -> int:
+        """Server-level re-submissions this query needed so far."""
+        with self._lock:
+            return sum(1 for e in self.events if e.kind == "retry_scheduled")
 
     def span_links(self) -> list[str]:
         """Every span the journal's entries reference, in filing order."""
@@ -380,3 +387,46 @@ class QueryJournal:
             f"QueryJournal({self.trace_id}, {self.handle!r}, "
             f"terminal={self.terminal!r}, events={len(self.events)})"
         )
+
+
+def journal_metrics(
+    journals: Iterable[QueryJournal], slo: SLOConfig | None = None
+) -> MetricsRegistry:
+    """Fold journals into the server-side ``serving_*`` instruments.
+
+    Per tenant: the non-completed terminal counters (``serving_cancelled``
+    … ``serving_rejected``), ``serving_retries``, ``serving_in_flight``,
+    ``serving_simulated_millis`` and the completed-latency histogram; per
+    handle: latency, ``serving_breaker_rejected`` and the SLO denominator
+    ``serving_handle_settled``; and, with ``slo`` armed, the
+    ``serving_slo_miss`` burn counters under both labels.
+    """
+    fold = MetricsRegistry()
+    for journal in journals:
+        tenant, handle = journal.tenant, journal.handle
+        terminal, retries = journal.terminal, journal.retries
+        if retries:
+            fold.counter("serving_retries", tenant=tenant).add(retries)
+        if journal.query_id >= 0:
+            fold.gauge("serving_in_flight", tenant=tenant).add(0 if terminal else 1)
+        if terminal == "completed":
+            latency = journal.total_seconds
+            fold.counter("serving_simulated_millis", tenant=tenant).add(
+                int(latency * 1000)
+            )
+            fold.histogram(
+                "serving_latency_seconds", SERVING_LATENCY_BOUNDS, tenant=tenant
+            ).observe(latency)
+            fold.histogram(
+                "serving_handle_latency_seconds", SERVING_LATENCY_BOUNDS, handle=handle
+            ).observe(latency)
+        elif terminal:
+            fold.counter(f"serving_{terminal}", tenant=tenant).inc()
+            if terminal == "rejected" and journal.reason.startswith("breaker_"):
+                fold.counter("serving_breaker_rejected", handle=handle).inc()
+        if terminal in CONSIDERED:
+            fold.counter("serving_handle_settled", handle=handle).inc()
+            if slo is not None and slo.burns(journal):
+                fold.counter("serving_slo_miss", tenant=tenant).inc()
+                fold.counter("serving_slo_miss", handle=handle).inc()
+    return fold

@@ -13,6 +13,7 @@ from repro.serving.registry import (
     PlanRegistry,
     PreparedPlan,
     SchemaContract,
+    handle_stats,
 )
 from repro.serving.scheduler import (
     FairShare,
@@ -53,5 +54,6 @@ __all__ = [
     "TenantAccount",
     "WorkStealingScheduler",
     "export_soak_artifacts",
+    "handle_stats",
     "run_soak",
 ]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.options import RunOptions
 from repro.errors import AdmissionError, SchemaContractError
@@ -36,7 +36,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observability.tracing import QueryJournal
     from repro.serving.lifecycle import CircuitBreaker
 
-__all__ = ["HandleStats", "SchemaContract", "PreparedPlan", "PlanRegistry"]
+__all__ = [
+    "HandleStats",
+    "handle_stats",
+    "SchemaContract",
+    "PreparedPlan",
+    "PlanRegistry",
+]
 
 
 def _scan_nodes(plan: LogicalPlan):
@@ -137,11 +143,11 @@ class PreparedPlan:
 
 
 class HandleStats:
-    """Accumulated observed behaviour of one prepared-plan handle.
+    """Observed behaviour of one prepared-plan handle.
 
-    Fed one settled :class:`~repro.observability.tracing.QueryJournal`
-    at a time by the server; this is the per-handle record a future
-    feedback-driven re-optimizer (ROADMAP item 2) reads — how often the
+    Built by :func:`handle_stats` from settled query journals
+    (:class:`~repro.observability.tracing.QueryJournal`); this is the
+    per-handle view a feedback-driven re-optimizer reads — how often the
     plan runs, how long it takes end to end, how many attempts and
     morsel steps it burns, and how it fails.
     """
@@ -199,6 +205,22 @@ class HandleStats:
         )
 
 
+def handle_stats(journals: Iterable["QueryJournal"]) -> dict[str, HandleStats]:
+    """Per-handle statistics folded from the settled journals given.
+
+    Every terminal state counts (shed/rejected submissions that never
+    ran included), so the view reflects demand as well as execution;
+    journals still in flight are skipped.
+    """
+    stats: dict[str, HandleStats] = {}
+    for journal in journals:
+        if journal.terminal:
+            if journal.handle not in stats:
+                stats[journal.handle] = HandleStats(journal.handle)
+            stats[journal.handle].observe(journal)
+    return stats
+
+
 class PlanRegistry:
     """Thread-safe store of deployed plans, versioned by name.
 
@@ -213,7 +235,6 @@ class PlanRegistry:
         self._versions = itertools.count(1)
         self._latest: dict[str, str] = {}
         self._breakers: dict[str, "CircuitBreaker"] = {}
-        self._stats: dict[str, HandleStats] = {}
 
     def deploy(
         self,
@@ -308,34 +329,3 @@ class PlanRegistry:
     def handles(self) -> list[str]:
         with self._lock:
             return sorted(self._plans)
-
-    # -- observed-behaviour aggregation -------------------------------------
-
-    def observe_journal(self, journal: "QueryJournal") -> None:
-        """Fold one settled query journal into its handle's statistics.
-
-        The server calls this at every settlement (all terminal states,
-        including shed/rejected submissions that never ran), so the
-        per-handle record reflects demand as well as execution.
-        """
-        if not journal.terminal:
-            raise ValueError(
-                f"journal {journal.trace_id} is not settled; refusing to "
-                f"aggregate an in-flight record"
-            )
-        with self._lock:
-            stats = self._stats.get(journal.handle)
-            if stats is None:
-                stats = self._stats[journal.handle] = HandleStats(journal.handle)
-            stats.observe(journal)
-
-    def stats_for(self, handle: str) -> HandleStats | None:
-        """Accumulated serving statistics of one handle (``None`` if the
-        handle never settled a submission)."""
-        resolved = self.get(handle).handle
-        with self._lock:
-            return self._stats.get(resolved)
-
-    def stats(self) -> dict[str, HandleStats]:
-        with self._lock:
-            return dict(self._stats)

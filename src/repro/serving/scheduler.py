@@ -82,6 +82,11 @@ class FairShare:
         with self._lock:
             return self._weights.get(tenant, 1.0)
 
+    def weights(self) -> dict[str, float]:
+        """Every registered tenant's weight (a copy)."""
+        with self._lock:
+            return dict(self._weights)
+
 
 @dataclass
 class QueryTask:
@@ -113,8 +118,8 @@ class QueryTask:
     #: same query so a cancel lands no matter which attempt is running.
     cancel: threading.Event = field(default_factory=threading.Event)
     #: The attempt's :class:`~repro.observability.tracing.TraceContext`
-    #: (``None`` when the server runs untraced); every scheduler event
-    #: of this task carries its trace id.
+    #: (``None`` for tasks submitted without a server); every scheduler
+    #: event of this task carries its trace id.
     trace: Any = None
     #: Wall-clock instant the first morsel of this attempt was scheduled
     #: (0.0 until then); the server derives journal queue-wait from it.
@@ -154,7 +159,7 @@ class SchedulerEvent:
     steps: int
     stolen: bool
     #: Causal link to the query (and attempt) this quantum advanced;
-    #: empty when the server runs untraced.
+    #: empty for tasks submitted without a server.
     trace_id: str = ""
     span_id: str = ""
 
@@ -168,7 +173,6 @@ class WorkStealingScheduler:
         quantum: int = 1,
         metrics: "MetricsRegistry | None" = None,
         fairshare: FairShare | None = None,
-        trace: bool = True,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"need at least one worker, got {n_workers}")
@@ -183,12 +187,12 @@ class WorkStealingScheduler:
         self._work_available = threading.Condition(self._lock)
         self._idle = threading.Condition(self._lock)
         self._in_flight = 0
-        self._running = 0
         self._shutdown = False
         self._threads: list[threading.Thread] = []
         self._step_seq = itertools.count()
         self._quantum_seq = itertools.count()
-        self.trace: list[SchedulerEvent] | None = [] if trace else None
+        #: One event per quantum, in completion order.
+        self.trace: list[SchedulerEvent] = []
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -302,12 +306,10 @@ class WorkStealingScheduler:
                         return
                     self._work_available.wait(timeout=0.5)
                     continue
-                self._running += 1
             try:
                 self._run_quantum(worker_id, task, stolen)
             finally:
                 with self._lock:
-                    self._running -= 1
                     if task.done:
                         self._in_flight -= 1
                         if self._in_flight == 0:
@@ -376,23 +378,24 @@ class WorkStealingScheduler:
             task.steps.close()
             task.finish(error=exc)
         self.fairshare.charge(task.tenant, steps)
-        if self.trace is not None:
-            self.trace.append(
-                SchedulerEvent(
-                    seq=next(self._quantum_seq),
-                    worker=worker_id,
-                    query_id=task.query_id,
-                    tenant=task.tenant,
-                    label=task.label,
-                    steps=steps,
-                    stolen=stolen,
-                    trace_id=task.trace.trace_id if task.trace is not None else "",
-                    span_id=task.trace.span_id if task.trace is not None else "",
-                )
+        self.trace.append(
+            SchedulerEvent(
+                seq=next(self._quantum_seq),
+                worker=worker_id,
+                query_id=task.query_id,
+                tenant=task.tenant,
+                label=task.label,
+                steps=steps,
+                stolen=stolen,
+                trace_id=task.trace.trace_id if task.trace is not None else "",
+                span_id=task.trace.span_id if task.trace is not None else "",
             )
+        )
         if self.metrics is not None:
             # Counter bumps are plain ``+=``; serialize them under the
-            # scheduler lock so soak-level ledger reconciliation is exact.
+            # scheduler lock.  These counters are the scheduler's own
+            # observations — the independent witness the soak checks the
+            # query journals against.
             with self._lock:
                 self.metrics.counter("serving_steps", tenant=task.tenant).add(steps)
                 self.metrics.counter("serving_quanta", worker=str(worker_id)).inc()

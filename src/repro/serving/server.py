@@ -4,9 +4,14 @@ The :class:`Server` is the driver half of the driver/executor split.  It
 owns one shared :class:`~repro.mpi.cluster.SimCluster` (the executor
 substrate), one :class:`~repro.serving.registry.PlanRegistry` of deployed
 plans, one :class:`~repro.serving.scheduler.WorkStealingScheduler`, and
-one :class:`~repro.observability.metrics.MetricsRegistry` the scheduler
-and the per-tenant accountants both feed — so a single
-``server.snapshot()`` answers "who ran what, how much, and how fairly".
+one :class:`~repro.observability.tracing.QueryJournal` per submission.
+
+The journal is the only record of a submission's fate: it is written
+once, by :meth:`Server._settle`, and everything else — the tenant
+ledger (:meth:`Server.tenants`), the ``serving_*`` metrics
+(:meth:`Server.snapshot`), the lifecycle instants
+(:attr:`Server.lifecycle_events`), the SLO report — is folded from the
+journals when somebody reads it, so the views cannot disagree.
 
 A query is a *lifecycle*, not a call::
 
@@ -47,8 +52,8 @@ import itertools
 import math
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator
 
 from repro.core.context import ExecutionContext
 from repro.core.options import RunOptions
@@ -64,10 +69,15 @@ from repro.errors import (
 from repro.faults.policy import RetryPolicy, is_retryable
 from repro.mpi.trace import TraceEvent
 from repro.observability.events import DRIVER_RANK, LifecycleDetail
-from repro.observability.metrics import MetricsRegistry
-from repro.observability.slo import SERVING_LATENCY_BOUNDS, SLOConfig
-from repro.observability.tracing import QueryJournal, TraceContext, stamp_report
-from repro.serving.lifecycle import BREAKER_STATE_CODES, BreakerConfig
+from repro.observability.metrics import MetricsRegistry, MetricsSnapshot
+from repro.observability.slo import SLOConfig, SLOReport, build_slo_report
+from repro.observability.tracing import (
+    QueryJournal,
+    TraceContext,
+    journal_metrics,
+    stamp_report,
+)
+from repro.serving.lifecycle import BREAKER_STATE_CODES, BreakerConfig, CircuitBreaker
 from repro.serving.registry import PlanRegistry, PreparedPlan
 from repro.serving.scheduler import QueryTask, WorkStealingScheduler
 
@@ -75,7 +85,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import ExecutionReport
     from repro.mpi.cluster import SimCluster
     from repro.relational.frame import Frame
-    from repro.serving.lifecycle import CircuitBreaker
     from repro.storage.catalog import Catalog
 
 __all__ = ["QueryOutcome", "QueryFuture", "TenantAccount", "QuerySession", "Server"]
@@ -97,11 +106,11 @@ class QueryOutcome:
     #: with overlapping spans provably interleaved on the scheduler.
     first_seq: int
     last_seq: int
+    #: The query's audit journal (submit → admit → attempt(s) → settle)
+    #: with causal span links.
+    journal: QueryJournal
     #: Server-level attempts this query took (1 = no retries needed).
     attempts: int = 1
-    #: The query's audit journal (submit → admit → attempt(s) → settle)
-    #: with causal span links; ``None`` when the server runs untraced.
-    journal: QueryJournal | None = None
 
 
 class QueryFuture:
@@ -179,22 +188,19 @@ class QueryFuture:
         self._event.set()
 
 
-@dataclass
+@dataclass(frozen=True)
 class TenantAccount:
-    """Lock-guarded per-tenant resource ledger.
+    """One tenant's resource ledger, as of the moment it was read.
 
-    The scheduler's counters are per-event; this is the tenant's running
-    ledger, updated once per submission and once per settled outcome.
-    ``Counter.inc`` is a plain ``+=`` (fine inside the executor where one
-    rank owns one child registry, not fine across server worker threads),
-    hence the lock.
-
-    Conservation invariant (asserted by the soak reconciliation test)::
+    A frozen view folded from the tenant's query journals by
+    :meth:`Server.tenants` — nothing updates it; read again for newer
+    numbers.  Every journal settles into exactly one terminal state, so
+    the conservation invariant holds by construction::
 
         submitted == queries + cancelled + deadline_missed + failed
                      + shed + rejected            (once in_flight == 0)
 
-    ``steps`` counts every morsel the tenant's queries consumed,
+    ``steps`` counts every morsel the tenant's settled queries consumed,
     *including* attempts that were later cancelled, deadline-missed,
     failed, or retried; ``simulated_seconds`` counts completed queries
     only (it is the currency compared against serial baselines).
@@ -206,7 +212,8 @@ class TenantAccount:
     queries: int = 0
     steps: int = 0
     simulated_seconds: float = 0.0
-    #: Hard admission failures: max_pending cap + open-breaker fast-fails.
+    #: Hard admission failures: max_pending cap, open-breaker fast-fails,
+    #: and submissions whose plan could not be instantiated.
     rejected: int = 0
     #: Every submit() attempt, whatever its fate.
     submitted: int = 0
@@ -219,61 +226,81 @@ class TenantAccount:
     retries: int = 0
     #: Queries admitted to the scheduler and not yet settled.
     in_flight: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def note_submit(self) -> None:
-        with self._lock:
-            self.submitted += 1
 
-    def admit(self) -> None:
-        with self._lock:
-            self.in_flight += 1
+@dataclass(frozen=True)
+class _Admitted:
+    """What every scheduler attempt of one admitted query shares."""
 
-    def settle(self, steps: int, simulated_seconds: float) -> None:
-        """A query completed successfully."""
-        with self._lock:
-            self.queries += 1
-            self.steps += steps
-            self.simulated_seconds += simulated_seconds
-            self.in_flight -= 1
+    prepared: PreparedPlan
+    breaker: CircuitBreaker
+    future: QueryFuture
+    options: RunOptions
+    deadline: float | None
+    trace: TraceContext
+    journal: QueryJournal
 
-    def settle_failure(self, kind: str, steps: int) -> None:
-        """A query settled without a result: ``cancelled`` /
-        ``deadline_missed`` / ``failed``."""
-        if kind not in ("cancelled", "deadline_missed", "failed"):
-            raise ValueError(f"unknown failure kind {kind!r}")
-        with self._lock:
-            setattr(self, kind, getattr(self, kind) + 1)
-            self.steps += steps
-            self.in_flight -= 1
 
-    def record_retry(self) -> None:
-        with self._lock:
-            self.retries += 1
+def _instant(
+    transition: str, at: float = 0.0, trace_id: str = "", span_id: str = "", **who
+) -> TraceEvent:
+    """One lifecycle transition as a typed zero-length driver event."""
+    return TraceEvent(
+        rank=DRIVER_RANK,
+        kind="lifecycle",
+        label=transition,
+        start=at,
+        end=at,
+        trace_id=trace_id,
+        span_id=span_id,
+        # Attempt spans hang off the root span, whose id is the trace id.
+        parent_span_id=trace_id if span_id != trace_id else "",
+        detail=LifecycleDetail(transition=transition, **who),
+    )
 
-    def reject(self) -> None:
-        with self._lock:
-            self.rejected += 1
 
-    def shed_one(self) -> None:
-        with self._lock:
-            self.shed += 1
+def _lifecycle_instants(journal: QueryJournal) -> Iterator[TraceEvent]:
+    """The lifecycle transitions one journal records, as typed instants.
 
-    def settled_total(self) -> int:
-        """Outcomes filed so far (every submission's final fate)."""
-        with self._lock:
-            return (
-                self.queries
-                + self.cancelled
-                + self.deadline_missed
-                + self.failed
-                + self.shed
-                + self.rejected
-            )
+    Retries and every terminal state but ``completed`` are transitions;
+    hard rejections (``max_pending``, failed instantiation) are not.
+    """
+    for entry in tuple(journal.events):
+        detail = dict(entry.detail)
+        if entry.kind == "retry_scheduled":
+            transition, reason = "retry", detail["reason"]
+        elif entry.kind != "settled":
+            continue
+        elif detail["terminal"] in ("cancelled", "deadline_missed", "failed"):
+            transition, reason = detail["terminal"], detail["reason"]
+        elif detail["terminal"] == "shed":
+            transition, reason = "shed", journal.admission_note
+        elif detail["reason"].startswith("breaker_"):
+            transition = "breaker_rejected"
+            reason = detail["reason"].removeprefix("breaker_")
+        else:
+            continue
+        yield _instant(
+            transition,
+            at=entry.sim_time,
+            trace_id=journal.trace_id,
+            span_id=entry.span_id,
+            query_id=journal.query_id,
+            tenant=journal.tenant,
+            handle=journal.handle,
+            attempt=entry.attempt,
+            reason=reason,
+        )
 
 
 class Server:
-    """Concurrent multi-query serving over one shared cluster."""
+    """Concurrent multi-query serving over one shared cluster.
+
+    Keeps one :class:`QueryJournal` per submission and nothing else per
+    submission: :meth:`tenants`, :meth:`snapshot`,
+    :attr:`lifecycle_events` and :meth:`slo_report` are folds over
+    :attr:`journals`, computed on read.
+    """
 
     def __init__(
         self,
@@ -288,11 +315,13 @@ class Server:
         shed_threshold: float = 1.0,
         start: bool = True,
         slo: SLOConfig | None = None,
-        tracing: bool = True,
     ) -> None:
         """Args beyond the obvious:
 
         Args:
+            metrics: Registry the *scheduler* counts into
+                (``serving_submitted/steps/quanta/steals/completed``);
+                the server itself never writes to it.
             retry: Server-level retry budget for queries failing with
                 *retryable* faults (:func:`repro.faults.policy.is_retryable`);
                 attempt ``k`` re-runs the immutable prepared plan with the
@@ -315,14 +344,9 @@ class Server:
             slo: Latency objectives to account against.  When set,
                 completed queries slower than their tenant's target — and
                 every failed or deadline-missed query — burn the error
-                budget (``serving_slo_miss``); :func:`repro.observability
-                .slo.build_slo_report` turns the snapshot into a report.
-                Latency histograms are recorded whether or not an SLO is
+                budget (``serving_slo_miss``, :meth:`slo_report`).
+                Latency histograms are reported whether or not an SLO is
                 armed.
-            tracing: Mint a :class:`TraceContext` and keep a
-                :class:`QueryJournal` per submission (the default).  Pass
-                ``False`` for an untraced server — the bench overhead
-                probe's baseline.
         """
         if max_pending < 1:
             raise ValueError(f"max_pending must be positive, got {max_pending}")
@@ -338,34 +362,27 @@ class Server:
         self.breaker_config = breaker if breaker is not None else BreakerConfig()
         self.registry = PlanRegistry()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: Owns the tenant weights (``scheduler.fairshare``).
         self.scheduler = WorkStealingScheduler(
             n_workers=n_workers, quantum=quantum, metrics=self.metrics
         )
-        self._tenants: dict[str, TenantAccount] = {}
-        self._tenants_lock = threading.Lock()
         self._query_ids = itertools.count(1)
         self.slo = slo
-        self.tracing = tracing
         #: Trace-id allocation counter; separate from ``_query_ids`` so
         #: shed/rejected submissions (which never get a query id) still
         #: get a resolvable trace.
         self._submissions = itertools.count(1)
         #: Every journal ever minted, in submission order.
         self.journals: list[QueryJournal] = []
-        self._journals_by_trace: dict[str, QueryJournal] = {}
         self._journal_lock = threading.Lock()
         self._closed = False
-        #: Unsettled futures by query id (for :meth:`cancel`).
+        #: Unsettled futures by query id (for :meth:`cancel` and the
+        #: per-tenant in-flight count admission reads).
         self._inflight: dict[int, QueryFuture] = {}
         self._inflight_lock = threading.Lock()
-        #: Serializes server-side metric bumps (scheduler-side bumps are
-        #: serialized under the scheduler's own lock; the two sides touch
-        #: disjoint instruments, so the split is race-free).
-        self._metrics_lock = threading.Lock()
-        #: Lifecycle transitions (typed :class:`TraceEvent`\ s with
-        #: :class:`LifecycleDetail`), in arrival order.
-        self.lifecycle_events: list[TraceEvent] = []
-        self._events_lock = threading.Lock()
+        #: Circuit-breaker edges ``(handle, old, new)`` in arrival order —
+        #: per handle, not per submission, so no journal holds them.
+        self.breaker_transitions: list[tuple[str, str, str]] = []
         self.register_tenant("default", 1.0)
         if start:
             self.start()
@@ -396,28 +413,41 @@ class Server:
 
     def register_tenant(self, name: str, weight: float = 1.0) -> TenantAccount:
         """Create (or re-weight) a tenant's fair-share account."""
-        with self._tenants_lock:
-            account = self._tenants.get(name)
-            if account is None:
-                account = TenantAccount(name=name, weight=weight)
-                self._tenants[name] = account
-            else:
-                account.weight = weight
         self.scheduler.fairshare.register(name, weight)
-        return account
+        return self.tenant(name)
+
+    def _weights(self, tenant: str) -> dict[str, float]:
+        """Every registered tenant's weight; ``tenant`` must be one."""
+        weights = self.scheduler.fairshare.weights()
+        if tenant not in weights:
+            raise AdmissionError(
+                f"unknown tenant {tenant!r}; register it (or open a session) first"
+            )
+        return weights
 
     def tenant(self, name: str) -> TenantAccount:
-        with self._tenants_lock:
-            account = self._tenants.get(name)
-        if account is None:
-            raise AdmissionError(
-                f"unknown tenant {name!r}; register it (or open a session) first"
-            )
-        return account
+        self._weights(name)
+        return next(a for a in self.tenants() if a.name == name)
 
     def tenants(self) -> list[TenantAccount]:
-        with self._tenants_lock:
-            return sorted(self._tenants.values(), key=lambda a: a.name)
+        """Every registered tenant's ledger, folded from the journals."""
+        tallies = {
+            name: dataclasses.asdict(TenantAccount(name, weight))
+            for name, weight in self.scheduler.fairshare.weights().items()
+        }
+        for journal in self._journals():
+            tally, terminal = tallies[journal.tenant], journal.terminal
+            tally["submitted"] += 1
+            tally["retries"] += journal.retries
+            if terminal == "completed":
+                tally["queries"] += 1
+                tally["simulated_seconds"] += journal.total_seconds
+            elif terminal:
+                tally[terminal] += 1
+            elif journal.query_id >= 0:
+                tally["in_flight"] += 1
+            tally["steps"] += journal.steps  # zero until the journal settles
+        return [TenantAccount(**tallies[name]) for name in sorted(tallies)]
 
     def session(self, tenant: str = "default", weight: float = 1.0) -> "QuerySession":
         """Open a tenant-bound session (registers the tenant)."""
@@ -472,32 +502,26 @@ class Server:
             raise AdmissionError("server is closed")
         if deadline is not None and deadline <= 0:
             raise ValueError(f"deadline must be positive, got {deadline}")
-        account = self.tenant(tenant)
+        weights = self._weights(tenant)
         prepared = self.registry.get(handle)
-        account.note_submit()
-        trace: TraceContext | None = None
-        journal: QueryJournal | None = None
-        if self.tracing:
-            # Minted for *every* submission — shed and rejected queries
-            # get a trace and an audited fate too.  The trace id is keyed
-            # by a dedicated submission counter, not the query id, so
-            # query-id allocation is unchanged by tracing.
-            submission = next(self._submissions)
-            trace = TraceContext.for_query(submission)
-            journal = QueryJournal(
-                trace_id=trace.trace_id,
-                submission=submission,
-                tenant=tenant,
-                handle=prepared.handle,
-            )
-            journal._wall_start = time.perf_counter()
-            if deadline is not None:
-                journal.note("submitted", deadline=deadline)
-            else:
-                journal.note("submitted")
-            with self._journal_lock:
-                self.journals.append(journal)
-                self._journals_by_trace[trace.trace_id] = journal
+        # A trace and a journal for *every* submission — shed and
+        # rejected ones get an audited fate too.  The trace id is keyed
+        # by a dedicated submission counter, not the query id.
+        submission = next(self._submissions)
+        trace = TraceContext.for_query(submission)
+        journal = QueryJournal(
+            trace_id=trace.trace_id,
+            submission=submission,
+            tenant=tenant,
+            handle=prepared.handle,
+        )
+        journal._wall_start = time.perf_counter()
+        if deadline is not None:
+            journal.note("submitted", deadline=deadline)
+        else:
+            journal.note("submitted")
+        with self._journal_lock:
+            self.journals.append(journal)
         breaker = self.registry.breaker_for(
             prepared.handle,
             config=self.breaker_config,
@@ -506,96 +530,61 @@ class Server:
         try:
             breaker.admit()
         except CircuitOpenError as exc:
-            account.reject()
-            with self._metrics_lock:
-                self.metrics.counter(
-                    "serving_rejected", tenant=tenant
-                ).inc()
-                self.metrics.counter(
-                    "serving_breaker_rejected", handle=prepared.handle
-                ).inc()
-            self._record_lifecycle(
-                "breaker_rejected",
-                tenant=tenant,
-                handle=prepared.handle,
-                reason=exc.state,
-                trace=trace,
-            )
-            self._settle_admission(journal, "rejected", f"breaker_{exc.state}")
+            self._settle(journal, "rejected", f"breaker_{exc.state}")
             raise
         admitted = False
         try:
             pending = self.scheduler.pending()
             if pending >= self.max_pending:
-                account.reject()
-                with self._metrics_lock:
-                    self.metrics.counter("serving_rejected", tenant=tenant).inc()
-                self._settle_admission(journal, "rejected", "max_pending")
+                self._settle(journal, "rejected", "max_pending")
                 raise AdmissionError(
                     f"admission control: {self.max_pending} queries already "
                     f"in flight; retry after a completion"
                 )
-            if pending >= self._shed_floor():
-                entitlement = self._entitlement(account)
-                if account.in_flight >= entitlement:
-                    account.shed_one()
-                    with self._metrics_lock:
-                        self.metrics.counter("serving_shed", tenant=tenant).inc()
-                    self._record_lifecycle(
-                        "shed",
-                        tenant=tenant,
-                        handle=prepared.handle,
-                        reason=(
-                            f"in_flight={account.in_flight} >= "
-                            f"entitlement={entitlement}"
-                        ),
-                        trace=trace,
+            # Load-aware shedding starts at this many queries in flight.
+            if pending >= max(1, math.ceil(self.shed_threshold * self.max_pending)):
+                # Weight-proportional in-flight slot share for the tenant.
+                entitlement = max(
+                    1,
+                    int(self.max_pending * weights[tenant] / sum(weights.values())),
+                )
+                with self._inflight_lock:
+                    in_flight = sum(
+                        1 for f in self._inflight.values() if f.tenant == tenant
                     )
-                    self._settle_admission(journal, "shed", "overload_shed")
+                if in_flight >= entitlement:
+                    journal.admission_note = (
+                        f"in_flight={in_flight} >= entitlement={entitlement}"
+                    )
+                    self._settle(journal, "shed", "overload_shed")
                     raise OverloadShedError(
                         f"overload shedding: {pending}/{self.max_pending} "
                         f"queries in flight and tenant {tenant!r} already "
-                        f"holds {account.in_flight} of its {entitlement} "
-                        f"slot(s)",
+                        f"holds {in_flight} of its {entitlement} slot(s)",
                         tenant=tenant,
-                        in_flight=account.in_flight,
+                        in_flight=in_flight,
                         entitlement=entitlement,
                     )
             run_options = options if options is not None else prepared.defaults
             query_id = next(self._query_ids)
             future = QueryFuture(query_id, tenant, prepared.handle, server=self)
-            if journal is not None:
-                journal.query_id = query_id
-                journal.note("admitted", query_id=query_id)
-            # Build the first attempt before any bookkeeping: contract
-            # check + lowering happen now, so submit() fails fast and the
-            # scheduler only ever sees runnable work.
+            journal.query_id = query_id
+            journal.note("admitted", query_id=query_id)
+            # Build the first attempt before handing anything to the
+            # scheduler: contract check + lowering happen now, so submit()
+            # fails fast and the scheduler only ever sees runnable work.
             try:
                 task = self._make_attempt(
-                    prepared,
-                    account,
-                    breaker,
-                    future,
-                    run_options,
-                    deadline,
-                    attempt=1,
-                    carry_steps=0,
-                    carry_first_seq=-1,
-                    carry_elapsed=0.0,
-                    trace=trace,
-                    journal=journal,
+                    _Admitted(
+                        prepared, breaker, future, run_options, deadline,
+                        trace, journal,
+                    )
                 )
             except BaseException as exc:
-                # Keeps the ledger conservation invariant: every
-                # submission files into exactly one outcome bucket.
-                account.reject()
-                self._settle_admission(journal, "rejected", type(exc).__name__)
+                self._settle(journal, "rejected", type(exc).__name__)
                 raise
-            account.admit()
             with self._inflight_lock:
                 self._inflight[query_id] = future
-            with self._metrics_lock:
-                self.metrics.gauge("serving_in_flight", tenant=tenant).add(1)
             self.scheduler.submit(task)
             admitted = True
         finally:
@@ -632,16 +621,6 @@ class Server:
 
     # -- lifecycle internals ------------------------------------------------
 
-    def _shed_floor(self) -> int:
-        """In-flight count at which load-aware shedding starts."""
-        return max(1, math.ceil(self.shed_threshold * self.max_pending))
-
-    def _entitlement(self, account: TenantAccount) -> int:
-        """Weight-proportional in-flight slot share for one tenant."""
-        with self._tenants_lock:
-            total = sum(a.weight for a in self._tenants.values())
-        return max(1, int(self.max_pending * account.weight / total))
-
     def _attempt_options(self, base: RunOptions, attempt: int) -> RunOptions:
         """Per-attempt options: bump the fault seed so a retry does not
         deterministically replay the exact fault sequence that killed the
@@ -654,55 +633,48 @@ class Server:
 
     def _make_attempt(
         self,
-        prepared: PreparedPlan,
-        account: TenantAccount,
-        breaker: "CircuitBreaker",
-        future: QueryFuture,
-        base_options: RunOptions,
-        deadline: float | None,
-        attempt: int,
-        carry_steps: int,
-        carry_first_seq: int,
-        carry_elapsed: float,
-        trace: TraceContext | None = None,
-        journal: QueryJournal | None = None,
+        query: _Admitted,
+        previous: QueryTask | None = None,
+        backoff: float = 0.0,
     ) -> QueryTask:
-        """One scheduler attempt of one query (retries re-enter here).
+        """One scheduler attempt of one query (retries re-enter here with
+        the failed attempt as ``previous``).
 
         The attempt runs under a private driver context whose simulated
-        clock is pre-advanced by ``carry_elapsed`` — the previous
-        attempts' elapsed time plus the retry backoff — so deadlines and
-        ``simulated_seconds`` ledger entries span the whole retry chain.
+        clock is pre-advanced by the previous attempts' elapsed time plus
+        the retry ``backoff``, so deadlines and the journal's
+        ``total_seconds`` span the whole retry chain; morsel steps and the
+        step-sequence span carry over the same way.
 
         Each attempt executes under its own child span of the query's
         trace (``<trace>/aN``); the attempt span rides the execution
         context into the substrate, where rank spans (``<trace>/aN/rM``)
         are stamped onto the attempt's events at settlement.
         """
-        opts = self._attempt_options(base_options, attempt)
+        prepared, journal, breaker, future = (
+            query.prepared, query.journal, query.breaker, query.future
+        )
+        tenant, query_id = future.tenant, future.query_id
+        attempt = previous.attempt + 1 if previous else 1
+        carry_steps = previous.steps_done if previous else 0
+        carry_elapsed = previous.elapsed() + backoff if previous else 0.0
+        opts = self._attempt_options(query.options, attempt)
         lowered = prepared.instantiate(self.catalog, self.cluster, opts)
         ctx = ExecutionContext.from_options(opts)
-        attempt_trace = trace.for_attempt(attempt) if trace is not None else None
+        attempt_trace = query.trace.for_attempt(attempt)
         ctx.trace = attempt_trace
         if carry_elapsed:
             ctx.clock.advance(carry_elapsed)
-        if journal is not None:
-            journal.note(
-                "attempt_started",
-                span_id=attempt_trace.span_id,
-                attempt=attempt,
-                sim_time=carry_elapsed,
-                carry_steps=carry_steps,
-            )
-        tenant = account.name
-        query_id = future.query_id
+        journal.note(
+            "attempt_started",
+            span_id=attempt_trace.span_id,
+            attempt=attempt,
+            sim_time=carry_elapsed,
+            carry_steps=carry_steps,
+        )
 
         def on_done(task: QueryTask, result, error: BaseException | None) -> None:
-            if (
-                journal is not None
-                and journal.queue_wall_seconds == 0.0
-                and task.started_wall
-            ):
+            if journal.queue_wall_seconds == 0.0 and task.started_wall:
                 # Wall-clock admission-to-first-morsel wait, captured at
                 # the first settlement that saw the task scheduled.
                 journal.queue_wall_seconds = max(
@@ -719,74 +691,32 @@ class Server:
                         steps=task.steps_done,
                         first_seq=task.first_seq,
                         last_seq=task.last_seq,
-                        attempts=task.attempt,
                         journal=journal,
+                        attempts=task.attempt,
                     )
                 except BaseException as exc:  # noqa: BLE001 - via future
-                    self._finalize_failure(task, exc, account, breaker, future)
+                    self._finalize_failure(task, exc, query)
                     return
                 breaker.record_success()
-                account.settle(task.steps_done, result.simulated_time)
-                latency = result.simulated_time
-                with self._metrics_lock:
-                    self.metrics.counter(
-                        "serving_simulated_millis", tenant=tenant
-                    ).add(int(result.simulated_time * 1000))
-                    self.metrics.histogram(
-                        "serving_latency_seconds",
-                        SERVING_LATENCY_BOUNDS,
-                        tenant=tenant,
-                    ).observe(latency)
-                    self.metrics.histogram(
-                        "serving_handle_latency_seconds",
-                        SERVING_LATENCY_BOUNDS,
-                        handle=prepared.handle,
-                    ).observe(latency)
-                    self.metrics.counter(
-                        "serving_handle_settled", handle=prepared.handle
-                    ).inc()
-                    if self.slo is not None and latency > self.slo.target_for(
-                        tenant
-                    ):
-                        self.metrics.counter(
-                            "serving_slo_miss", tenant=tenant
-                        ).inc()
-                        self.metrics.counter(
-                            "serving_slo_miss", handle=prepared.handle
-                        ).inc()
-                    self.metrics.gauge(
-                        "serving_in_flight", tenant=tenant
-                    ).add(-1)
-                if attempt_trace is not None:
-                    # Post-hoc causal stamping: the execution hot path ran
-                    # cold; the surviving attempt's spans, substrate
-                    # events, and recovery log are linked to the query
-                    # here, once, at settlement.
-                    stamp_report(result, attempt_trace)
-                if journal is not None:
-                    journal.note(
-                        "attempt_finished",
-                        span_id=attempt_trace.span_id,
-                        attempt=task.attempt,
-                        sim_time=result.simulated_time,
-                        steps=task.steps_done,
-                        rows=len(result.rows),
-                    )
-                    journal.first_seq = task.first_seq
-                    journal.last_seq = task.last_seq
-                    journal.settle(
-                        "completed",
-                        span_id=attempt_trace.span_id,
-                        attempt=task.attempt,
-                        sim_time=result.simulated_time,
-                        steps=task.steps_done,
-                        result_rows=len(result.rows),
-                    )
-                    journal.wall_seconds = (
-                        time.perf_counter() - journal._wall_start
-                    )
-                    self.registry.observe_journal(journal)
-                self._forget(query_id)
+                # Post-hoc causal stamping: the execution hot path ran
+                # cold; the surviving attempt's spans, substrate events,
+                # and recovery log are linked to the query here, once.
+                stamp_report(result, attempt_trace)
+                journal.note(
+                    "attempt_finished",
+                    span_id=attempt_trace.span_id,
+                    attempt=task.attempt,
+                    sim_time=result.simulated_time,
+                    steps=task.steps_done,
+                    rows=len(result.rows),
+                )
+                self._settle(
+                    journal,
+                    "completed",
+                    task=task,
+                    sim_time=result.simulated_time,
+                    result_rows=len(result.rows),
+                )
                 future._resolve(outcome, None)
                 return
             retry = self.retry
@@ -798,47 +728,21 @@ class Server:
                 and not task.cancel.is_set()
             ):
                 backoff = retry.backoff(task.attempt)
-                account.record_retry()
-                with self._metrics_lock:
-                    self.metrics.counter("serving_retries", tenant=tenant).inc()
-                self._record_lifecycle(
-                    "retry",
-                    query_id=query_id,
-                    tenant=tenant,
-                    handle=prepared.handle,
+                journal.record_backoff(backoff)
+                journal.note(
+                    "retry_scheduled",
+                    span_id=attempt_trace.span_id,
                     attempt=task.attempt,
+                    sim_time=task.elapsed(),
+                    backoff=backoff,
                     reason=type(error).__name__,
-                    at=task.elapsed(),
-                    trace=attempt_trace,
                 )
-                if journal is not None:
-                    journal.record_backoff(backoff)
-                    journal.note(
-                        "retry_scheduled",
-                        span_id=attempt_trace.span_id if attempt_trace else "",
-                        attempt=task.attempt,
-                        sim_time=task.elapsed(),
-                        backoff=backoff,
-                        reason=type(error).__name__,
-                    )
                 try:
-                    next_task = self._make_attempt(
-                        prepared,
-                        account,
-                        breaker,
-                        future,
-                        base_options,
-                        deadline,
-                        attempt=task.attempt + 1,
-                        carry_steps=task.steps_done,
-                        carry_first_seq=task.first_seq,
-                        carry_elapsed=task.elapsed() + backoff,
-                        trace=trace,
-                        journal=journal,
+                    self.scheduler.submit(
+                        self._make_attempt(query, previous=task, backoff=backoff)
                     )
-                    self.scheduler.submit(next_task)
                 except BaseException as exc:  # noqa: BLE001 - via future
-                    self._finalize_failure(task, exc, account, breaker, future)
+                    self._finalize_failure(task, exc, query)
                 return
             if retry is not None and retryable:
                 error = RetriesExhausted(
@@ -850,7 +754,7 @@ class Server:
                     attempts=task.attempt,
                     last_error=error,
                 )
-            self._finalize_failure(task, error, account, breaker, future)
+            self._finalize_failure(task, error, query)
 
         return QueryTask(
             query_id=query_id,
@@ -858,9 +762,9 @@ class Server:
             label=prepared.handle,
             steps=lowered.execution(self.catalog, opts, ctx=ctx),
             steps_done=carry_steps,
-            first_seq=carry_first_seq,
+            first_seq=previous.first_seq if previous else -1,
             on_done=on_done,
-            deadline=deadline,
+            deadline=query.deadline,
             sim_now=lambda: ctx.clock.now,
             attempt=attempt,
             cancel=future._cancel,
@@ -868,147 +772,110 @@ class Server:
         )
 
     def _finalize_failure(
-        self,
-        task: QueryTask,
-        error: BaseException,
-        account: TenantAccount,
-        breaker: "CircuitBreaker",
-        future: QueryFuture,
+        self, task: QueryTask, error: BaseException, query: _Admitted
     ) -> None:
-        """Settle a query's terminal non-success outcome everywhere:
-        ledger, metrics, breaker, lifecycle trace, future."""
+        """Settle a query's terminal non-success outcome: classify it,
+        feed the breaker, journal it, fail the future."""
+        breaker = query.breaker
         if isinstance(error, QueryCancelled):
-            kind, metric = "cancelled", "serving_cancelled"
+            kind = "cancelled"
             # Cancellation is a client action, not evidence about the
             # plan: the breaker only releases its probe slot.
             breaker.abandon()
         elif isinstance(error, DeadlineExceeded):
-            kind, metric = "deadline_missed", "serving_deadline_missed"
+            kind = "deadline_missed"
             # Deadlines are client budgets; a miss does not feed the
             # breaker either (a poisoned plan fails, it does not dawdle).
             breaker.abandon()
         else:
-            kind, metric = "failed", "serving_failed"
+            kind = "failed"
             breaker.record_failure(terminal=True)
-        account.settle_failure(kind, task.steps_done)
-        with self._metrics_lock:
-            self.metrics.counter(metric, tenant=account.name).inc()
-            if kind in ("failed", "deadline_missed"):
-                # Failures and deadline misses burn the error budget and
-                # count toward the handle's settled denominator even
-                # though they contribute no latency sample.
-                self.metrics.counter(
-                    "serving_handle_settled", handle=task.label
-                ).inc()
-                if self.slo is not None:
-                    self.metrics.counter(
-                        "serving_slo_miss", tenant=account.name
-                    ).inc()
-                    self.metrics.counter(
-                        "serving_slo_miss", handle=task.label
-                    ).inc()
-            self.metrics.gauge("serving_in_flight", tenant=account.name).add(-1)
-        self._record_lifecycle(
+        self._settle(
+            query.journal,
             kind,
-            query_id=task.query_id,
-            tenant=account.name,
-            handle=task.label,
-            attempt=task.attempt,
-            reason=type(error).__name__,
-            at=task.elapsed(),
-            trace=task.trace,
+            type(error).__name__,
+            task=task,
+            sim_time=task.elapsed(),
         )
-        journal = None
-        if task.trace is not None:
-            with self._journal_lock:
-                journal = self._journals_by_trace.get(task.trace.trace_id)
-        if journal is not None and not journal.settled:
-            journal.first_seq = task.first_seq
-            journal.last_seq = task.last_seq
-            journal.settle(
-                kind,
-                span_id=task.trace.span_id,
-                attempt=task.attempt,
-                sim_time=task.elapsed(),
-                steps=task.steps_done,
-                reason=type(error).__name__,
-            )
-            journal.wall_seconds = time.perf_counter() - journal._wall_start
-            self.registry.observe_journal(journal)
-        self._forget(task.query_id)
-        future._resolve(None, error)
-
-    def _forget(self, query_id: int) -> None:
-        with self._inflight_lock:
-            self._inflight.pop(query_id, None)
+        query.future._resolve(None, error)
 
     def _on_breaker_transition(self, handle: str, old: str, new: str) -> None:
-        transition = f"breaker_{new.replace('-', '_')}"
-        with self._metrics_lock:
-            self.metrics.gauge("serving_breaker_state", handle=handle).set(
+        self.breaker_transitions.append((handle, old, new))
+
+    def _settle(
+        self,
+        journal: QueryJournal,
+        terminal: str,
+        reason: str = "",
+        task: QueryTask | None = None,
+        sim_time: float = 0.0,
+        result_rows: int = -1,
+    ) -> None:
+        """Record one submission's fate — the only place it is written.
+
+        ``task`` is the last scheduler attempt of a submission that was
+        admitted; refusals (shed, rejected) settle without one.
+        """
+        span_id, attempt, steps = "", 0, 0
+        if task is not None:
+            span_id, attempt, steps = task.trace.span_id, task.attempt, task.steps_done
+            journal.first_seq = task.first_seq
+            journal.last_seq = task.last_seq
+        journal.settle(
+            terminal,
+            span_id=span_id,
+            attempt=attempt,
+            sim_time=sim_time,
+            steps=steps,
+            reason=reason,
+            result_rows=result_rows,
+        )
+        journal.wall_seconds = time.perf_counter() - journal._wall_start
+        if task is not None:
+            with self._inflight_lock:
+                self._inflight.pop(task.query_id, None)
+
+    # -- observability: folds over the journals -----------------------------
+
+    def _journals(self) -> list[QueryJournal]:
+        with self._journal_lock:
+            return list(self.journals)
+
+    @property
+    def lifecycle_events(self) -> list[TraceEvent]:
+        """Lifecycle transitions as typed :class:`TraceEvent` instants
+        (:class:`LifecycleDetail`): per journal in submission order, then
+        the untraced circuit-breaker edges."""
+        events = [
+            event
+            for journal in self._journals()
+            for event in _lifecycle_instants(journal)
+        ]
+        events.extend(
+            _instant(
+                f"breaker_{new.replace('-', '_')}",
+                handle=handle,
+                reason=f"{old}->{new}",
+            )
+            for handle, old, new in tuple(self.breaker_transitions)
+        )
+        return events
+
+    def snapshot(self) -> MetricsSnapshot:
+        """The serving metrics as of now: the scheduler's own counters
+        plus the server-side ``serving_*`` samples folded from the
+        journals (and ``serving_breaker_state`` from the breaker edges)."""
+        fold = journal_metrics(self._journals(), self.slo)
+        for handle, _old, new in tuple(self.breaker_transitions):
+            fold.gauge("serving_breaker_state", handle=handle).set(
                 BREAKER_STATE_CODES[new]
             )
-        self._record_lifecycle(transition, handle=handle, reason=f"{old}->{new}")
+        return self.metrics.snapshot().merged(fold.snapshot())
 
-    def _settle_admission(
-        self, journal: QueryJournal | None, terminal: str, reason: str
-    ) -> None:
-        """Settle a journal for a submission that never reached the
-        scheduler (shed / rejected / failed instantiation)."""
-        if journal is None or journal.settled:
-            return
-        journal.settle(terminal, reason=reason)
-        journal.wall_seconds = time.perf_counter() - journal._wall_start
-        self.registry.observe_journal(journal)
-
-    def _record_lifecycle(
-        self,
-        transition: str,
-        query_id: int = -1,
-        tenant: str = "",
-        handle: str = "",
-        attempt: int = 0,
-        reason: str = "",
-        at: float = 0.0,
-        trace: TraceContext | None = None,
-    ) -> None:
-        event = TraceEvent(
-            rank=DRIVER_RANK,
-            kind="lifecycle",
-            label=transition,
-            start=at,
-            end=at,
-            trace_id=trace.trace_id if trace is not None else "",
-            span_id=trace.span_id if trace is not None else "",
-            parent_span_id=trace.parent_span_id if trace is not None else "",
-            detail=LifecycleDetail(
-                transition=transition,
-                query_id=query_id,
-                tenant=tenant,
-                handle=handle,
-                attempt=attempt,
-                reason=reason,
-            ),
-        )
-        with self._events_lock:
-            self.lifecycle_events.append(event)
-
-    # -- observability ------------------------------------------------------
-
-    def snapshot(self):
-        """Point-in-time snapshot of the serving metrics registry."""
-        return self.metrics.snapshot()
-
-    def journal_for(self, trace_id: str) -> QueryJournal | None:
-        """The journal minted for one trace id (``None`` if unknown)."""
-        with self._journal_lock:
-            return self._journals_by_trace.get(trace_id)
-
-    def slo_report(self):
-        """SLO accounting over the current snapshot (armed or not)."""
-        from repro.observability.slo import build_slo_report
-
-        return build_slo_report(self.snapshot(), self.slo)
+    def slo_report(self) -> SLOReport:
+        """SLO accounting over the journals (against the default
+        :class:`SLOConfig` when none is armed)."""
+        return build_slo_report(self._journals(), self.slo)
 
 
 class QuerySession:

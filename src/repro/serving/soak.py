@@ -9,10 +9,13 @@ probe, runnable as ``repro serve`` and asserted by the tier-1 tests:
   plans, including under every chaos profile.  Every query owns a
   private context/clock and every ``SimCluster.run`` call builds a fresh
   ``CommWorld``, so scheduling must not be observable.
-* **Accounting** — each tenant's ledger must *reconcile exactly*: every
-  submission files into exactly one outcome bucket, ledger counts equal
-  the ``serving_*`` metric totals, and settled simulated seconds match
-  the serial baseline (for profiles without server-level retries).
+* **Accounting** — the query journals are the one record the tenant
+  ledger and the ``serving_*`` metrics are folded from, so those cannot
+  disagree; what the soak checks is the journals against *independent*
+  observers: every submission settles exactly once, the fate each client
+  saw is its journal's terminal state, the scheduler's own step counter
+  equals the journals' steps, and settled simulated seconds match the
+  serial baseline (for profiles without server-level retries).
 * **Overlap** — the scheduler's global step sequence must show queries
   actually interleaving (overlapping ``[first_seq, last_seq]`` spans),
   i.e. the server runs concurrent queries, not a disguised serial loop.
@@ -46,12 +49,15 @@ from repro.bench.experiments.fig9 import frames_match
 from repro.core.options import RunOptions
 from repro.errors import (
     AdmissionError,
+    CircuitOpenError,
     DeadlineExceeded,
+    OverloadShedError,
     QueryCancelled,
 )
 from repro.faults.policy import FaultPolicy, RetryPolicy
 from repro.mpi.cluster import SimCluster
 from repro.observability.slo import SLOConfig, SLOReport
+from repro.observability.tracing import QueryJournal
 from repro.serving.lifecycle import BreakerConfig
 from repro.serving.server import QueryOutcome, Server
 from repro.tpch import ALL_QUERIES, load_catalog
@@ -59,7 +65,6 @@ from repro.tpch import ALL_QUERIES, load_catalog
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import ExecutionReport
     from repro.mpi.trace import TraceEvent
-    from repro.observability.tracing import QueryJournal
     from repro.serving.scheduler import SchedulerEvent
 
 __all__ = [
@@ -83,16 +88,9 @@ DEFAULT_TENANTS = (("analytics", 2.0), ("reporting", 1.0), ("adhoc", 1.0))
 #: Named fault mixes a soak can run under (see module docstring).
 CHAOS_PROFILES = ("none", "transient", "crash", "straggler", "flaky")
 
-#: Ledger outcome buckets tracked per submission (submission-index sets).
-LIFECYCLE_KINDS = (
-    "completed",
-    "cancelled",
-    "deadline_missed",
-    "failed",
-    "shed",
-    "rejected",
-    "retried",
-)
+#: Outcome buckets tracked per submission (submission-index sets): the
+#: journal's terminal states plus ``retried``, which overlaps them.
+LIFECYCLE_KINDS = (*QueryJournal.TERMINAL_STATES, "retried")
 
 
 @dataclass(frozen=True)
@@ -184,12 +182,12 @@ class SoakReport:
     ledgers: dict[str, tuple[float, float]] = field(default_factory=dict)
     steals: int = 0
     #: Outcome kind → sorted submission indices (0-based submission
-    #: order).  Deterministic per config+seed — the replay contract.
+    #: order), as the submitting *client* saw them (the exception
+    #: ``submit()``/``result()`` raised).  Deterministic per config+seed
+    #: — the replay contract.
     lifecycle: dict[str, tuple[int, ...]] = field(default_factory=dict)
-    #: tenant → ledger counters (submitted/queries/cancelled/…).
-    ledger_counts: dict[str, dict[str, int]] = field(default_factory=dict)
-    #: ``serving_*`` metric name → tenant → value, for reconciliation.
-    metric_counts: dict[str, dict[str, float]] = field(default_factory=dict)
+    #: tenant → the scheduler's own ``serving_steps`` count.
+    scheduler_steps: dict[str, float] = field(default_factory=dict)
     #: One journal per submission, in submission order.
     journals: tuple["QueryJournal", ...] = ()
     #: The scheduler's quantum trace (with per-quantum trace ids).
@@ -227,105 +225,61 @@ class SoakReport:
         ]
 
     def reconciliation_errors(self) -> list[str]:
-        """Exact ledger ↔ metrics ↔ outcome cross-checks; empty = sound.
+        """Journals against their independent observers; empty = sound.
 
-        Per tenant: (1) every submission filed into exactly one outcome
-        bucket, (2) nothing left in flight, (3) each ledger counter
-        equals its ``serving_*`` metric total.
+        (1) The fate the client saw for each submission is its journal's
+        terminal state; per tenant, (2) every submission settled —
+        nothing is left in flight — and (3) the scheduler's own
+        ``serving_steps`` count equals the steps the journals settled.
         """
         errors: list[str] = []
-        pairs = (
-            ("queries", "serving_completed"),
-            ("cancelled", "serving_cancelled"),
-            ("deadline_missed", "serving_deadline_missed"),
-            ("failed", "serving_failed"),
-            ("shed", "serving_shed"),
-            ("rejected", "serving_rejected"),
-            ("retries", "serving_retries"),
-            ("steps", "serving_steps"),
-        )
-        for tenant, counts in sorted(self.ledger_counts.items()):
-            settled = (
-                counts["queries"]
-                + counts["cancelled"]
-                + counts["deadline_missed"]
-                + counts["failed"]
-                + counts["shed"]
-                + counts["rejected"]
-            )
-            if counts["submitted"] != settled:
+        seen = {
+            index: kind
+            for kind, indices in self.lifecycle.items()
+            if kind != "retried"  # retried overlaps its terminal bucket
+            for index in indices
+        }
+        for index, journal in enumerate(self.journals):
+            if journal.terminal and journal.terminal != seen.get(index):
                 errors.append(
-                    f"{tenant}: submitted {counts['submitted']} != settled "
-                    f"{settled} ({counts})"
+                    f"submission {index}: client saw {seen.get(index)!r}, "
+                    f"journal {journal.trace_id} settled {journal.terminal!r}"
                 )
-            if counts["in_flight"] != 0:
+        tenants = {j.tenant for j in self.journals} | set(self.scheduler_steps)
+        for tenant in sorted(tenants):
+            mine = [j for j in self.journals if j.tenant == tenant]
+            in_flight = sum(1 for j in mine if not j.settled)
+            if in_flight:
                 errors.append(
-                    f"{tenant}: {counts['in_flight']} queries still in flight"
+                    f"{tenant}: submitted {len(mine)} != settled "
+                    f"{len(mine) - in_flight} ({in_flight} still in flight)"
                 )
-            for ledger_key, metric in pairs:
-                observed = self.metric_counts.get(metric, {}).get(tenant, 0)
-                if counts[ledger_key] != observed:
-                    errors.append(
-                        f"{tenant}: ledger {ledger_key}={counts[ledger_key]} "
-                        f"!= metric {metric}={observed}"
-                    )
-            gauge = self.metric_counts.get("serving_in_flight", {}).get(tenant, 0)
-            if gauge != 0:
+            steps = sum(j.steps for j in mine)
+            observed = self.scheduler_steps.get(tenant, 0)
+            if steps != observed:
                 errors.append(
-                    f"{tenant}: serving_in_flight gauge ended at {gauge}"
+                    f"{tenant}: journal steps={steps} != scheduler "
+                    f"serving_steps={observed}"
                 )
         return errors
 
     def journal_errors(self) -> list[str]:
-        """Journal ↔ ledger cross-checks; empty = every submission has
-        exactly one settled, terminal-consistent journal.
-
-        Per tenant, the count of journals settled into each terminal
-        state must equal the corresponding ledger bucket — the journal
-        set and the ledger are two independent records of the same
-        lifecycle decisions.
-        """
+        """Journal-set soundness; empty = every submission has exactly
+        one journal with a unique trace id, and every journal settled."""
         errors: list[str] = []
-        if not self.journals:
-            return errors
         trace_ids = [j.trace_id for j in self.journals]
         if len(set(trace_ids)) != len(trace_ids):
             errors.append("duplicate trace ids across journals")
-        submitted_total = sum(
-            counts["submitted"] for counts in self.ledger_counts.values()
-        )
-        if len(self.journals) != submitted_total:
+        if len(self.journals) != self.config.n_queries:
             errors.append(
-                f"{len(self.journals)} journals != {submitted_total} ledger "
+                f"{len(self.journals)} journals != {self.config.n_queries} "
                 f"submissions"
             )
-        bucket_of = {
-            "completed": "queries",
-            "cancelled": "cancelled",
-            "deadline_missed": "deadline_missed",
-            "failed": "failed",
-            "shed": "shed",
-            "rejected": "rejected",
-        }
-        observed: dict[str, dict[str, int]] = {}
-        for journal in self.journals:
-            if not journal.terminal:
-                errors.append(f"journal {journal.trace_id} never settled")
-                continue
-            tenant_counts = observed.setdefault(journal.tenant, {})
-            tenant_counts[journal.terminal] = (
-                tenant_counts.get(journal.terminal, 0) + 1
-            )
-        for tenant, counts in sorted(self.ledger_counts.items()):
-            journal_counts = observed.get(tenant, {})
-            for terminal, bucket in bucket_of.items():
-                expected = counts[bucket]
-                got = journal_counts.get(terminal, 0)
-                if expected != got:
-                    errors.append(
-                        f"{tenant}: {got} journals settled {terminal!r} != "
-                        f"ledger {bucket}={expected}"
-                    )
+        errors.extend(
+            f"journal {journal.trace_id} never settled"
+            for journal in self.journals
+            if not journal.settled
+        )
         return errors
 
     def render(self) -> str:
@@ -354,13 +308,11 @@ class SoakReport:
             "  ledger reconciliation: "
             + ("exact" if not reconciliation else f"BROKEN {reconciliation}")
         )
-        if self.journals:
-            journal_issues = self.journal_errors()
-            lines.append(
-                f"  journals: {len(self.journals)} "
-                + ("reconciled" if not journal_issues
-                   else f"BROKEN {journal_issues}")
-            )
+        journal_issues = self.journal_errors()
+        lines.append(
+            f"  journals: {len(self.journals)} "
+            + ("reconciled" if not journal_issues else f"BROKEN {journal_issues}")
+        )
         for tenant in sorted(self.shares):
             observed, entitled = self.shares[tenant]
             settled, serial = self.ledgers[tenant]
@@ -498,10 +450,7 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
             except AdmissionError as exc:
                 # OverloadShedError subclasses AdmissionError; an open
                 # breaker cannot happen here (soak plans are healthy).
-                kind = (
-                    "shed" if type(exc).__name__ == "OverloadShedError"
-                    else "rejected"
-                )
+                kind = "shed" if isinstance(exc, OverloadShedError) else "rejected"
                 lifecycle[kind].append(index)
                 submissions.append((index, name, tenant, None))
                 continue
@@ -567,9 +516,10 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
             )
             for tenant, weight in config.tenants
         }
+        settled = {a.name: a.simulated_seconds for a in server.tenants()}
         ledgers = {
             tenant: (
-                server.tenant(tenant).simulated_seconds,
+                settled[tenant],
                 (
                     sum(
                         serial_seconds[name]
@@ -577,52 +527,22 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
                         if assigned == tenant
                     )
                     if config.verify_frames
-                    else server.tenant(tenant).simulated_seconds
+                    else settled[tenant]
                 ),
             )
             for tenant, _ in config.tenants
         }
-        ledger_counts = {
-            account.name: {
-                "submitted": account.submitted,
-                "queries": account.queries,
-                "cancelled": account.cancelled,
-                "deadline_missed": account.deadline_missed,
-                "failed": account.failed,
-                "shed": account.shed,
-                "rejected": account.rejected,
-                "retries": account.retries,
-                "in_flight": account.in_flight,
-                "steps": account.steps,
-            }
-            for account in server.tenants()
-            if account.submitted or account.name != "default"
-        }
+        # The worker that resolved the last future may still be posting
+        # its quantum to the scheduler's counters.
+        server.drain()
         snapshot = server.snapshot()
         steals = int(snapshot.total("serving_steals"))
-        metric_counts = {
-            name: snapshot.by_label(name, "tenant")
-            for name in (
-                "serving_completed",
-                "serving_cancelled",
-                "serving_deadline_missed",
-                "serving_failed",
-                "serving_shed",
-                "serving_retries",
-                "serving_rejected",
-                "serving_steps",
-                "serving_in_flight",
-            )
-        }
+        scheduler_steps = snapshot.by_label("serving_steps", "tenant")
         journals = tuple(server.journals)
-        scheduler_events = tuple(server.scheduler.trace or ())
+        scheduler_events = tuple(server.scheduler.trace)
         lifecycle_events = tuple(server.lifecycle_events)
         reports_by_trace = (
-            {
-                outcome.journal.trace_id: outcome.report
-                for _, outcome in outcomes
-                if outcome.journal is not None
-            }
+            {outcome.journal.trace_id: outcome.report for _, outcome in outcomes}
             if config.trace
             else {}
         )
@@ -638,8 +558,7 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
         ledgers=ledgers,
         steals=steals,
         lifecycle={k: tuple(sorted(v)) for k, v in lifecycle.items()},
-        ledger_counts=ledger_counts,
-        metric_counts=metric_counts,
+        scheduler_steps=scheduler_steps,
         journals=journals,
         scheduler_events=scheduler_events,
         lifecycle_events=lifecycle_events,
@@ -701,7 +620,7 @@ def export_soak_artifacts(
     including the informational wall-clock fields), keyed by profile
     for a matrix.  Returns ``{"chrome_events": N, "journals": M}``.
     """
-    from repro.observability.chrome_trace import serving_trace_events
+    from repro.observability import chrome_trace
 
     named = reports if isinstance(reports, dict) else {"": reports}
     chrome_events: list[dict] = []
@@ -713,7 +632,7 @@ def export_soak_artifacts(
             for journal in report.journals
         ]
         chrome_events.extend(
-            serving_trace_events(
+            chrome_trace.serving_trace_events(
                 queries,
                 scheduler_events=report.scheduler_events,
                 lifecycle_events=report.lifecycle_events,
@@ -726,11 +645,7 @@ def export_soak_artifacts(
         ]
         journal_count += len(report.journals)
     if chrome_out is not None:
-        with open(chrome_out, "w") as handle:
-            json.dump(
-                {"traceEvents": chrome_events, "displayTimeUnit": "ms"}, handle
-            )
-            handle.write("\n")
+        chrome_trace.write_trace_events(chrome_out, chrome_events)
     if journal_out is not None:
         payload = (
             journal_payload[""] if tuple(journal_payload) == ("",)
@@ -829,9 +744,7 @@ def breaker_scenario(
             before = breaker.state
             try:
                 future = server.submit(poison)
-            except Exception as exc:
-                if type(exc).__name__ != "CircuitOpenError":
-                    raise
+            except CircuitOpenError:
                 breaker_rejected += 1
             else:
                 try:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.plans import build_distributed_join
 from repro.mpi import ClusterTrace, SimCluster, TraceEvent
+from repro.observability import CollectiveDetail, PutDetail
 from repro.types import INT64, RowVector, TupleType
 from repro.workloads import make_join_relations
 
@@ -15,9 +16,10 @@ class TestClusterTrace:
     def test_record_and_query(self):
         trace = ClusterTrace(2)
         trace.record(TraceEvent(0, "put", "put->1", 0.0, 1.0,
-                                detail={"target": 1, "rows": 4, "bytes": 64}))
+                                detail=PutDetail(target=1, rows=4, bytes=64)))
         trace.record(
-            TraceEvent(1, "collective", "barrier", 0.0, 2.0, detail={"stall": 1.5})
+            TraceEvent(1, "collective", "barrier", 0.0, 2.0,
+                       detail=CollectiveDetail(stall=1.5))
         )
         assert len(trace.events()) == 2
         assert len(trace.events(rank=0)) == 1
@@ -28,7 +30,7 @@ class TestClusterTrace:
     def test_self_put_excluded_from_network_bytes(self):
         trace = ClusterTrace(2)
         trace.record(TraceEvent(0, "put", "put->0", 0.0, 1.0,
-                                detail={"target": 0, "rows": 4, "bytes": 64}))
+                                detail=PutDetail(target=0, rows=4, bytes=64)))
         assert trace.network_bytes() == 0
         assert trace.bytes_matrix()[0][0] == 64
 

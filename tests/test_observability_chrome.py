@@ -10,11 +10,9 @@ from repro.mpi.cluster import SimCluster
 from repro.mpi.trace import ClusterTrace, RankCommStats, TraceEvent
 from repro.observability import (
     CollectiveDetail,
-    GenericDetail,
     PutDetail,
     WindowDetail,
     chrome_trace_events,
-    detail_for,
     write_chrome_trace,
 )
 from repro.workloads import make_join_relations
@@ -32,34 +30,15 @@ def run_traced_join(machines: int = 2, log2_tuples: int = 10):
 
 
 class TestTypedDetails:
-    def test_detail_for_converts_mappings(self):
-        detail = detail_for("put", {"target": 3, "rows": 10, "bytes": 160})
-        assert isinstance(detail, PutDetail)
-        assert detail.target == 3
-
-    def test_detail_for_unknown_kind_is_generic(self):
-        detail = detail_for("custom", {"x": 1})
-        assert isinstance(detail, GenericDetail)
-        assert detail["x"] == 1
-        assert detail.get("missing", 7) == 7
-
-    def test_dict_style_compat(self):
-        detail = CollectiveDetail(stall=0.25)
-        assert detail["stall"] == 0.25
-        assert detail.get("stall") == 0.25
-        assert detail.get("absent") is None
-        with pytest.raises(KeyError):
-            detail["absent"]
-        assert detail.as_dict() == {"stall": 0.25}
-
-    def test_trace_event_converts_legacy_dict_payloads(self):
+    def test_details_render_as_chrome_args(self):
+        assert CollectiveDetail(stall=0.25).as_dict() == {"stall": 0.25}
         event = TraceEvent(
             rank=0, kind="win_create", label="w", start=0.0, end=1.0,
-            detail={"bytes": 64, "rows": 4},
+            detail=WindowDetail(bytes=64, rows=4),
         )
-        assert isinstance(event.detail, WindowDetail)
-        assert event.detail.bytes == 64
         assert event.chrome_args() == {"bytes": 64, "rows": 4}
+        bare = TraceEvent(rank=0, kind="custom", label="c", start=0.0, end=0.0)
+        assert bare.chrome_args() == {}
 
 
 class TestClusterTraceQueries:

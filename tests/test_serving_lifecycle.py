@@ -10,6 +10,9 @@ exhaustion, shed, breaker quarantine) end to end, including the tenant
 ledger's conservation invariant.
 """
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from repro.core.options import RunOptions
@@ -20,11 +23,14 @@ from repro.errors import (
     QueryCancelled,
     ResultTimeout,
     RetriesExhausted,
+    SchemaContractError,
 )
 from repro.faults.policy import FaultPolicy, RetryPolicy
 from repro.mpi.cluster import SimCluster
+from repro.observability.slo import SLOConfig
 from repro.serving import BreakerConfig, CircuitBreaker, Server
 from repro.serving.lifecycle import BREAKER_STATE_CODES
+from repro.storage.catalog import Catalog
 from repro.tpch import load_catalog, q4, q12
 
 SF = 0.002
@@ -179,6 +185,24 @@ class TestDeadlines:
             outcome = server.submit(handle, deadline=1e6).result(timeout=60)
             assert outcome.frame.n_rows > 0
             assert server.tenant("default").deadline_missed == 0
+
+    def test_slo_report_shows_a_tenant_that_never_completed(
+        self, catalog, cluster
+    ):
+        slo = SLOConfig(target_seconds=1.0)
+        with Server(cluster, catalog, n_workers=2, slo=slo) as server:
+            handle = server.deploy("q12", q12()).handle
+            for _ in range(4):
+                with pytest.raises(DeadlineExceeded):
+                    server.submit(handle, deadline=1e-9).result(timeout=60)
+            snap = server.snapshot()
+            assert snap.value("serving_slo_miss", tenant="default") == 4
+            report = server.slo_report()
+            for entry in (report.tenant("default"), *report.handles):
+                assert (entry.completed, entry.burned, entry.considered) == (0, 4, 4)
+                assert entry.p50 != entry.p50  # NaN: nothing completed
+            assert report.ok is False
+            assert "no settled queries" not in report.render()
 
     def test_non_positive_deadline_rejected_up_front(self, catalog, cluster):
         with Server(cluster, catalog, n_workers=2) as server:
@@ -406,8 +430,56 @@ class TestLedgerConservation:
                 + account.rejected
             )
             assert account.in_flight == 0
+            server.drain()  # the scheduler posts its counters after on_done
             snap = server.snapshot()
             assert snap.value("serving_in_flight", tenant="default") == 0
             assert snap.value("serving_steps", tenant="default") == (
                 account.steps
             )
+            # The metrics are the journals, counted: no second copy to drift.
+            terminals = Counter(j.terminal for j in server.journals)
+            assert terminals == {"completed": 3, "cancelled": 1, "shed": 1}
+            for kind in ("cancelled", "deadline_missed", "failed", "shed", "rejected"):
+                metric = snap.value(f"serving_{kind}", tenant="default")
+                assert metric == terminals[kind], kind
+            assert snap.value("serving_retries", tenant="default") == sum(
+                e.kind == "retry_scheduled" for j in server.journals for e in j.events
+            )
+            # Every traced lifecycle instant is some journal's retry or
+            # terminal entry, seen through another lens.
+            instants = server.lifecycle_events
+            assert sorted(e.label for e in instants) == ["cancelled", "shed"]
+            by_trace = {j.trace_id: j for j in server.journals}
+            for event in instants:
+                journal = by_trace[event.trace_id]
+                entry = journal.events[-1]
+                assert dict(entry.detail)["terminal"] == event.label
+                assert (entry.span_id, entry.sim_time) == (event.span_id, event.start)
+                assert event.detail.query_id == journal.query_id
+
+    def test_refused_instantiation_is_counted_everywhere(self, cluster):
+        with Server(cluster, load_catalog(scale_factor=SF), n_workers=1) as server:
+            handle = server.deploy("q12", q12()).handle
+            server.catalog = Catalog()  # drift: every required table is gone
+            with pytest.raises(SchemaContractError):
+                server.submit(handle)
+            account = server.tenant("default")
+            snap = server.snapshot()
+            assert account.rejected == 1
+            assert snap.value("serving_rejected", tenant="default") == 1
+            assert (account.submitted, account.in_flight) == (1, 0)
+            assert snap.value("serving_in_flight", tenant="default") == 0
+            (journal,) = server.journals
+            assert journal.terminal == "rejected"
+            assert journal.reason == "SchemaContractError"
+            assert server.lifecycle_events == []  # hard rejections emit none
+
+    def test_the_ledger_is_a_frozen_view(self, catalog, cluster):
+        with Server(cluster, catalog, n_workers=1) as server:
+            account = server.tenant("default")
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                account.queries = 7
+            handle = server.deploy("q12", q12()).handle
+            server.run(handle, timeout=60)
+            # A view is as of its read; read again for newer numbers.
+            assert (account.queries, server.tenant("default").queries) == (0, 1)

@@ -44,6 +44,22 @@ def _lifecycle_of(kwargs: dict):
         )
     )
     assert report.reconciliation_errors() == []
+    # The fate each client saw is its journal's terminal state, and a
+    # client sees a retry exactly when its completed journal holds one.
+    seen = {
+        index: kind
+        for kind, indices in report.lifecycle.items()
+        if kind != "retried"
+        for index in indices
+    }
+    assert [seen[i] for i in range(len(report.journals))] == [
+        journal.terminal for journal in report.journals
+    ]
+    assert report.lifecycle["retried"] == tuple(
+        index
+        for index, journal in enumerate(report.journals)
+        if journal.retries and journal.terminal == "completed"
+    )
     return report.lifecycle
 
 

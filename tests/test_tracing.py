@@ -228,14 +228,10 @@ class TestSoakTracing:
 
 class TestHandleStats:
     def test_registry_aggregates_settled_journals(self):
-        report = _traced_soak(n_queries=8)
-        # Rebuild the aggregation the server's registry performed.
-        from repro.serving.registry import PlanRegistry
+        from repro.serving import handle_stats
 
-        registry = PlanRegistry()
-        for journal in report.journals:
-            registry.observe_journal(journal)
-        stats = registry.stats()
+        report = _traced_soak(n_queries=8)
+        stats = handle_stats(report.journals)
         assert stats
         observed = sum(
             sum(s.terminals.values()) for s in stats.values()
