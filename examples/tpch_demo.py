@@ -21,6 +21,18 @@ from repro.relational.optimizer import optimize
 from repro.tpch import ALL_QUERIES, load_catalog, q12
 
 
+def lint_plans():
+    """Expose the TPC-H lowerings to ``repro lint`` in both shapes the
+    serving layer can deploy: sized from the catalog (no local level at
+    this scale) and with a forced local partitioning level."""
+    catalog = load_catalog(0.001)
+    for qnum, build in ALL_QUERIES.items():
+        for shape, fanout in (("sized", None), ("partitioned", 4)):
+            yield f"q{qnum}-{shape}", lower_to_modularis(
+                build().plan, catalog, SimCluster(4), local_fanout=fanout
+            )
+
+
 def main(scale_factor: float = 0.02) -> None:
     catalog = load_catalog(scale_factor)
     sizes = {t.name: len(t) for t in catalog}

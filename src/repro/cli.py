@@ -513,6 +513,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         payload = {
             "query": args.query,
             "strategy": lowered.strategy,
+            "local_fanout": lowered.local_fanout,
             "logical": logical,
             "optimized": optimized,
             "physical": physical,
@@ -525,7 +526,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     print(logical)
     print("\n=== optimized logical plan ===")
     print(optimized)
-    print(f"\n=== physical driver plan (strategy={lowered.strategy}) ===")
+    print(
+        f"\n=== physical driver plan (strategy={lowered.strategy}, "
+        f"local_fanout={lowered.local_fanout}) ==="
+    )
     print(physical)
     if analyzed is not None:
         print("\n=== EXPLAIN ANALYZE ===")

@@ -161,7 +161,7 @@ class ExecutionContext:
         if self.morsel_rows is not None:
             return self.morsel_rows
         row_bytes = max(1, element_type.row_size_bytes())
-        budget = self.cost.machine.l3_cache_bytes // 2
+        budget = self.cost.cache_budget_bytes
         return max(_MORSEL_MIN_ROWS, min(_MORSEL_MAX_ROWS, budget // row_bytes))
 
     # -- RunOptions integration ----------------------------------------------

@@ -224,8 +224,15 @@ class HashPartition(PartitionFunction):
         )
 
     def _hash(self, keys: np.ndarray) -> np.ndarray:
+        n = self.n_partitions
+        if n == 1:
+            return np.zeros(len(keys), dtype=np.int64)
         mixed = (keys.astype(np.uint64) * np.uint64(self._multiplier)) >> np.uint64(33)
-        return (mixed % np.uint64(self.n_partitions)).astype(np.int64)
+        if n & (n - 1) == 0:
+            # Power of two: a mask gives the same residue as the modulo
+            # without a 64-bit division per key.
+            return (mixed & np.uint64(n - 1)).astype(np.int64)
+        return (mixed % np.uint64(n)).astype(np.int64)
 
     def __call__(self, row: tuple) -> int:
         if self._key_pos is None:

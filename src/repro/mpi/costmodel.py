@@ -121,6 +121,13 @@ class CostModel:
 
     # -- derived helpers ---------------------------------------------------
 
+    @property
+    def cache_budget_bytes(self) -> int:
+        """Bytes one cache-resident working set may occupy: half the L3,
+        leaving the other half for the consumer's state.  Morsel sizing
+        and the planner's local partitioning depth both size against it."""
+        return self.machine.l3_cache_bytes // 2
+
     def cpu_cost(self, kind: str, tuples: int, overhead: float = 1.0) -> float:
         """Seconds of CPU work for ``tuples`` records of operator ``kind``.
 

@@ -17,7 +17,9 @@ Lowering steps:
 3. emit the physical plan: per rank, each side runs
    ``RowScan → Filter → Map → LocalHistogram → MpiHistogram → MpiExchange``
    (hash partitioning — TPC-H keys are not dense, so no radix compression),
-   the sides are zipped and joined through the two nested-map levels, and
+   the sides are zipped and joined through the nested-map levels — the
+   local partitioning level only when the build side's catalog bound
+   exceeds the cache budget (:func:`_choose_fanouts`) — and
    ``ReduceByKey``/``Reduce`` post-aggregations run at every level plus a
    final one on the driver.
 """
@@ -348,6 +350,10 @@ class ModularisQuery:
     output_columns: tuple[str, ...]
     #: Join strategy the lowering chose: "exchange" or "broadcast".
     strategy: str = "exchange"
+    #: Local (second-level) partitioning fan-out the lowering used — the
+    #: largest over the stages of a multi-join; 1 means no local
+    #: partitioning level was planned.
+    local_fanout: int = 1
     #: Strategy the optimizer *wanted* before a fault policy degraded it
     #: (e.g. ``"broadcast"`` refused under injected memory pressure).
     degraded_from: str | None = None
@@ -518,11 +524,59 @@ def _choose_strategy(
     return "exchange"
 
 
+def _choose_fanouts(
+    local_fanout: int | None,
+    strategy: str,
+    shape: _Shape,
+    catalog: Catalog,
+    n_net: int,
+    budget: int,
+) -> tuple[int, ...]:
+    """Local partitioning fan-out per join stage (the cache-fit rule).
+
+    The Barthels join partitions locally until the build side of each
+    sub-partition is cache-resident, so the fan-out is the smallest power
+    of two ``f`` with ``build_bytes / f <= budget``.  ``build_bytes`` is
+    the build table's catalog row count times its pruned row width, over
+    the network fan-out — an upper bound, since (as in
+    :func:`_choose_strategy`) filter selectivities are not estimated, so
+    the rule errs toward more partitions.  An intermediate build side
+    (``multistage``) is bounded by the largest base relation joined so
+    far; ``cascade`` builds on every relation but the first.  The choice
+    affects cache fit only, never results.
+    """
+    sides = (shape.left, shape.right, *(st.side for st in shape.extra_stages))
+    if strategy in ("exchange", "multistage"):
+        # Stage i builds on everything joined before it (just the left
+        # table for a single exchange join).
+        builds = [sides[: i + 1] for i in range(len(sides) - 1)]
+    elif strategy == "cascade":
+        builds = [sides[1:]]
+    else:
+        return (1,)  # scan / broadcast plan no local partitioning level
+    if local_fanout is not None:
+        return (local_fanout,) * len(builds)
+
+    def sized(sides: tuple[_Side, ...]) -> int:
+        bound = max(
+            catalog.get(side.table).stats.row_count
+            * _pruned_schema(catalog, side).row_size_bytes()
+            // n_net
+            for side in sides
+        )
+        fanout = 1
+        while bound > fanout * budget:
+            fanout *= 2
+        return fanout
+
+    return tuple(sized(sides) for sides in builds)
+
+
 def lower_to_modularis(
     plan: LogicalPlan,
     catalog: Catalog,
     cluster: SimCluster,
-    local_fanout: int = 16,
+    local_fanout: int | None = None,
     network_fanout: int | None = None,
     join_strategy: str = "exchange",
     options: RunOptions | None = None,
@@ -530,6 +584,11 @@ def lower_to_modularis(
     """Optimize and lower a logical plan onto a simulated cluster.
 
     Args:
+        local_fanout: ``None`` (the default) sizes the local partitioning
+            level from catalog statistics and the cluster's cache budget
+            (:func:`_choose_fanouts`), planning no such level when the
+            build side already fits; an integer pins the fan-out (tests
+            and ablations).
         join_strategy: ``exchange`` (the Figure 3 repartition join — the
             paper's plan and the default), ``broadcast`` (replicate the
             build side via MpiBroadcast — an extension this library adds),
@@ -546,6 +605,8 @@ def lower_to_modularis(
         raise PlanError(
             f"unknown join strategy {join_strategy!r}; have {JOIN_STRATEGIES}"
         )
+    if local_fanout is not None and local_fanout < 1:
+        raise PlanError(f"local_fanout must be at least 1, got {local_fanout}")
     faults = options.faults if options is not None else None
     optimized = optimize(plan, catalog)
     shape = _extract_shape(optimized, catalog)
@@ -558,6 +619,10 @@ def lower_to_modularis(
         and strategy == "broadcast"
     ):
         degraded_from, strategy = "broadcast", "exchange"
+    fanouts = _choose_fanouts(
+        local_fanout, strategy, shape, catalog, n_net,
+        cluster.cost_model.cache_budget_bytes,
+    )
 
     left_schema = _pruned_schema(catalog, shape.left)
     if shape.right is None:
@@ -587,29 +652,22 @@ def lower_to_modularis(
             stream = Filter(stream, _expr_predicate(side.predicate, schema))
         return Map(stream, _expr_tuple_fn(side.outputs, schema))
 
+    def merge(stream: Operator) -> Operator:
+        return _merge_partials(stream, shape)
+
     def build_worker_exchange(worker_slot: ParameterSlot) -> Operator:
-        exchanged = []
-        for side, schema, param, pid_field, data_field in (
-            (shape.left, left_schema, "left", "net_l", "data_l"),
-            (shape.right, right_schema, "right", "net_r", "data_r"),
-        ):
-            stream = side_stream(worker_slot, side, schema, param)
-            net_fn = HashPartition(shape.key, n_net, salt=0)
-            local_hist = LocalHistogram(stream, net_fn)
-            global_hist = MpiHistogram(local_hist, n_net)
-            exchanged.append(
-                MpiExchange(
-                    stream, local_hist, global_hist, net_fn,
-                    id_field=pid_field, data_field=data_field,
-                )
-            )
-        zipped = Zip(exchanged)
-        joined = NestedMap(
-            zipped, lambda s: _level1(s, shape, local_fanout)
+        flat = _exchange_join(
+            [
+                side_stream(worker_slot, shape.left, left_schema, "left"),
+                side_stream(worker_slot, shape.right, right_schema, "right"),
+            ],
+            ("_l", "_r"), shape.key, n_net, fanouts[0],
+            lambda scans: _post_join(
+                BuildProbe(*scans, keys=shape.key, join_type=shape.join_kind), shape
+            ),
+            merge, "agg",
         )
-        flat = RowScan(joined, field="agg")
-        merged = _merge_partials(flat, shape)
-        return MaterializeRowVector(merged, field="result")
+        return MaterializeRowVector(merge(flat), field="result")
 
     def build_worker_broadcast(worker_slot: ParameterSlot) -> Operator:
         from repro.core.functions import RadixPartition
@@ -636,9 +694,8 @@ def lower_to_modularis(
         """Same-key join chain: the Figure 4 'optimized' plan shape.
 
         All N+1 relations are network-partitioned up front on the shared
-        key; per partition, the sides are locally partitioned and joined
-        by a chain of BuildProbes whose intermediates never materialize or
-        re-shuffle.
+        key; per partition, the sides are joined by a chain of BuildProbes
+        whose intermediates never materialize or re-shuffle.
         """
         sides = [
             ("left", shape.left, left_schema),
@@ -647,76 +704,42 @@ def lower_to_modularis(
             (f"stage{i}", stage.side, stage_schemas[i])
             for i, stage in enumerate(shape.extra_stages)
         ]
-        exchanged = []
-        for i, (param, side, schema) in enumerate(sides):
-            stream = side_stream(worker_slot, side, schema, param)
-            net_fn = HashPartition(shape.key, n_net, salt=0)
-            local_hist = LocalHistogram(stream, net_fn)
-            global_hist = MpiHistogram(local_hist, n_net)
-            exchanged.append(
-                MpiExchange(
-                    stream, local_hist, global_hist, net_fn,
-                    id_field=f"net{i}", data_field=f"data{i}",
-                )
-            )
-        zipped = Zip(exchanged)
-        k = len(sides)
 
-        def level1(slot: ParameterSlot) -> Operator:
-            partitioned = []
-            for i in range(k):
-                stream = RowScan(Projection(ParameterLookup(slot), [f"data{i}"]))
-                local_fn = HashPartition(shape.key, local_fanout, salt=1)
-                hist = LocalHistogram(stream, local_fn)
-                hist.phase_name = "local_partition"
-                partitioned.append(
-                    LocalPartitioning(
-                        stream, hist, local_fn,
-                        id_field=f"sub{i}", data_field=f"sd{i}",
-                    )
-                )
-            pairs = Zip(partitioned)
+        def chain(scans: list[Operator]) -> Operator:
+            acc = scans[0]
+            for side_scan in scans[1:]:
+                acc = BuildProbe(side_scan, acc, keys=shape.key)
+            return _post_join(acc, shape)
 
-            def level2(slot2: ParameterSlot) -> Operator:
-                acc = RowScan(Projection(ParameterLookup(slot2), ["sd0"]))
-                for i in range(1, k):
-                    side_scan = RowScan(
-                        Projection(ParameterLookup(slot2), [f"sd{i}"])
-                    )
-                    acc = BuildProbe(side_scan, acc, keys=shape.key)
-                merged = _merge_partials(_post_join(acc, shape), shape)
-                return MaterializeRowVector(merged, field="agg")
-
-            joined = NestedMap(pairs, level2)
-            flat = RowScan(joined, field="agg")
-            merged = _merge_partials(flat, shape)
-            return MaterializeRowVector(merged, field="agg")
-
-        joined = NestedMap(zipped, level1)
-        flat = RowScan(joined, field="agg")
-        merged = _merge_partials(flat, shape)
-        return MaterializeRowVector(merged, field="result")
+        flat = _exchange_join(
+            [side_stream(worker_slot, side, schema, p) for p, side, schema in sides],
+            range(len(sides)), shape.key, n_net, fanouts[0], chain, merge, "agg",
+        )
+        return MaterializeRowVector(merge(flat), field="result")
 
     def build_worker_multistage(worker_slot: ParameterSlot) -> Operator:
-        stream = _exchange_join_stage(
-            side_stream(worker_slot, shape.left, left_schema, "left"),
-            side_stream(worker_slot, shape.right, right_schema, "right"),
-            shape.key,
-            shape.join_kind,
-            n_net,
-            local_fanout,
-        )
-        for i, stage in enumerate(shape.extra_stages):
-            stream = _exchange_join_stage(
-                stream,
-                side_stream(worker_slot, stage.side, stage_schemas[i], f"stage{i}"),
-                stage.key,
-                stage.kind,
-                n_net,
-                local_fanout,
+        """One full exchange join per stage, each on its own key.
+
+        From the second stage on the build input is the previous stage's
+        output; it has two consumers (histogram and exchange), so the plan
+        compiler materializes it: the intermediate-result materialization
+        every re-shuffling join chain pays (§5.2.1).
+        """
+        stream = side_stream(worker_slot, shape.left, left_schema, "left")
+        stages = [(shape.right, right_schema, "right", shape.key, shape.join_kind)] + [
+            (stage.side, stage_schemas[i], f"stage{i}", stage.key, stage.kind)
+            for i, stage in enumerate(shape.extra_stages)
+        ]
+        for fanout, (side, schema, param, key, kind) in zip(fanouts, stages):
+            stream = _exchange_join(
+                [stream, side_stream(worker_slot, side, schema, param)],
+                ("_l", "_r"), key, n_net, fanout,
+                lambda scans, key=key, kind=kind: BuildProbe(
+                    *scans, keys=key, join_type=kind
+                ),
+                lambda matches: matches, "matches",
             )
-        merged = _merge_partials(_post_join(stream, shape), shape)
-        return MaterializeRowVector(merged, field="result")
+        return MaterializeRowVector(merge(_post_join(stream, shape)), field="result")
 
     if strategy == "scan":
         build_worker = build_worker_single
@@ -755,6 +778,7 @@ def lower_to_modularis(
         shape=shape,
         output_columns=root.output_type["result"].element_type.field_names,
         strategy=strategy,
+        local_fanout=max(fanouts),
         degraded_from=degraded_from,
     )
 
@@ -771,92 +795,69 @@ def _merge_partials(stream: Operator, shape: _Shape) -> Operator:
     return Reduce(stream, _agg_reduce_fn(shape.aggregates))
 
 
-def _exchange_join_stage(
-    left: Operator,
-    right: Operator,
+def _exchange_join(
+    streams: list[Operator],
+    suffixes,
     key: str,
-    kind: str,
     n_net: int,
     local_fanout: int,
+    join,
+    merge,
+    out_field: str,
 ) -> Operator:
-    """One full exchange-join stage returning a flat match stream.
+    """Network-partition ``streams`` on ``key`` and join them per partition.
 
-    Used by the multi-join lowering: both inputs run the LocalHistogram →
-    MpiHistogram → MpiExchange ladder on ``key``, corresponding partitions
-    are zipped, locally partitioned, and joined — the Figure 3 pattern with
-    the stage's own key.  When ``left`` is the previous stage's output it
-    has two consumers (histogram and exchange), so the plan compiler
-    materializes it: the intermediate-result materialization every
-    re-shuffling join chain pays (§5.2.1).
+    The Figure 3 pattern for any number of inputs: each stream runs the
+    LocalHistogram → MpiHistogram → MpiExchange ladder, corresponding
+    partitions are zipped, and a nested plan joins each partition tuple.
+    ``join`` turns one scan per input into the joined stream, ``merge``
+    post-aggregates at every nesting boundary, and the flat ``out_field``
+    stream is returned.  With ``local_fanout`` > 1 a network partition is
+    first hash-partitioned that many ways (LocalHistogram →
+    LocalPartitioning) and joined per sub-partition in a second nested
+    level; at 1 it already fits the cache (:func:`_choose_fanouts`), so no
+    local level is planned and ``join`` reads the exchanged data directly.
     """
     exchanged = []
-    for stream, pid_field, data_field in (
-        (left, "net_l", "data_l"),
-        (right, "net_r", "data_r"),
-    ):
+    for stream, suffix in zip(streams, suffixes):
         net_fn = HashPartition(key, n_net, salt=0)
         local_hist = LocalHistogram(stream, net_fn)
         global_hist = MpiHistogram(local_hist, n_net)
         exchanged.append(
             MpiExchange(
                 stream, local_hist, global_hist, net_fn,
-                id_field=pid_field, data_field=data_field,
+                id_field=f"net{suffix}", data_field=f"data{suffix}",
             )
         )
-    zipped = Zip(exchanged)
+
+    def scans(slot: ParameterSlot, prefix: str) -> list[Operator]:
+        return [
+            RowScan(Projection(ParameterLookup(slot), [f"{prefix}{suffix}"]))
+            for suffix in suffixes
+        ]
+
+    def joined_from(slot: ParameterSlot, prefix: str) -> Operator:
+        return MaterializeRowVector(merge(join(scans(slot, prefix))), field=out_field)
 
     def level1(slot: ParameterSlot) -> Operator:
+        if local_fanout == 1:
+            return joined_from(slot, "data")
         partitioned = []
-        for data_field, sub_id, sub_data in (
-            ("data_l", "sub_l", "sd_l"),
-            ("data_r", "sub_r", "sd_r"),
-        ):
-            stream = RowScan(Projection(ParameterLookup(slot), [data_field]))
+        for suffix, stream in zip(suffixes, scans(slot, "data")):
             local_fn = HashPartition(key, local_fanout, salt=1)
             hist = LocalHistogram(stream, local_fn)
             hist.phase_name = "local_partition"
             partitioned.append(
                 LocalPartitioning(
-                    stream, hist, local_fn, id_field=sub_id, data_field=sub_data
+                    stream, hist, local_fn,
+                    id_field=f"sub{suffix}", data_field=f"sd{suffix}",
                 )
             )
-        pairs = Zip(partitioned)
+        nested = NestedMap(Zip(partitioned), lambda s: joined_from(s, "sd"))
+        flat = RowScan(nested, field=out_field)
+        return MaterializeRowVector(merge(flat), field=out_field)
 
-        def level2(slot2: ParameterSlot) -> Operator:
-            build = RowScan(Projection(ParameterLookup(slot2), ["sd_l"]))
-            probe = RowScan(Projection(ParameterLookup(slot2), ["sd_r"]))
-            joined = BuildProbe(build, probe, keys=key, join_type=kind)
-            return MaterializeRowVector(joined, field="matches")
-
-        joined = NestedMap(pairs, level2)
-        flat = RowScan(joined, field="matches")
-        return MaterializeRowVector(flat, field="matches")
-
-    joined = NestedMap(zipped, level1)
-    return RowScan(joined, field="matches")
-
-
-def _level1(slot: ParameterSlot, shape: _Shape, local_fanout: int) -> Operator:
-    """First nesting level: local partitioning of one network partition."""
-    partitioned = []
-    for data_field, sub_id, sub_data in (
-        ("data_l", "sub_l", "sd_l"),
-        ("data_r", "sub_r", "sd_r"),
-    ):
-        stream = RowScan(Projection(ParameterLookup(slot), [data_field]))
-        local_fn = HashPartition(shape.key, local_fanout, salt=1)
-        hist = LocalHistogram(stream, local_fn)
-        hist.phase_name = "local_partition"
-        partitioned.append(
-            LocalPartitioning(
-                stream, hist, local_fn, id_field=sub_id, data_field=sub_data
-            )
-        )
-    pairs = Zip(partitioned)
-    joined = NestedMap(pairs, lambda s: _level2(s, shape))
-    flat = RowScan(joined, field="agg")
-    merged = _merge_partials(flat, shape)
-    return MaterializeRowVector(merged, field="agg")
+    return RowScan(NestedMap(Zip(exchanged), level1), field=out_field)
 
 
 def _post_join(stream: Operator, shape: _Shape) -> Operator:
@@ -865,11 +866,3 @@ def _post_join(stream: Operator, shape: _Shape) -> Operator:
         stream = Filter(stream, _expr_predicate(shape.post_filter, stream.output_type))
     return Map(stream, _expr_tuple_fn(_agg_input_outputs(shape), stream.output_type))
 
-
-def _level2(slot: ParameterSlot, shape: _Shape) -> Operator:
-    """Innermost level: join one sub-partition pair and pre-aggregate."""
-    build = RowScan(Projection(ParameterLookup(slot), ["sd_l"]))
-    probe = RowScan(Projection(ParameterLookup(slot), ["sd_r"]))
-    joined = BuildProbe(build, probe, keys=shape.key, join_type=shape.join_kind)
-    merged = _merge_partials(_post_join(joined, shape), shape)
-    return MaterializeRowVector(merged, field="agg")

@@ -252,7 +252,10 @@ class PlanRegistry:
         against the deploy catalog (structural/pattern errors surface
         here) and the lowered plan passes the static analyzer — the same
         lint gate ``repro lint`` applies, run once here instead of on
-        every request.
+        every request.  The lowering sizes its local partitioning level
+        from the live catalog, so :meth:`PreparedPlan.instantiate` may
+        later emit the other shape (collapsed or partitioned); both are
+        verified here.
         """
         plan = getattr(query, "plan", query)
         if not isinstance(plan, LogicalPlan):
@@ -263,12 +266,18 @@ class PlanRegistry:
         contract = SchemaContract.capture(plan, catalog)
         # Deploy-time verification run: lower and lint, then discard the
         # lowered artifact (it is per-run state; see module docstring).
-        lowered = lower_to_modularis(
-            plan, catalog, cluster, join_strategy=join_strategy, options=defaults
-        )
         from repro.analysis import verify
 
+        def lower(local_fanout: int | None) -> ModularisQuery:
+            return lower_to_modularis(
+                plan, catalog, cluster, local_fanout=local_fanout,
+                join_strategy=join_strategy, options=defaults,
+            )
+
+        lowered = lower(None)
         verify(lowered.root, name=f"deploy({name})")
+        other = lower(2 if lowered.local_fanout == 1 else 1)
+        verify(other.root, name=f"deploy({name}, local_fanout={other.local_fanout})")
         with self._lock:
             version = next(self._versions)
             handle = f"{name}@v{version}"

@@ -71,6 +71,8 @@ class TestJsonOutputs:
         payload = json.loads(capsys.readouterr().out)
         assert "Join" in payload["logical"]
         assert "MpiExecutor" in payload["physical"]
+        assert payload["strategy"] == "exchange"
+        assert payload["local_fanout"] == 1
         assert payload["analyze"]["plan"]["rows_out"] == 1
 
 
@@ -86,7 +88,9 @@ class TestExplainAnalyze:
     def test_without_analyze_does_not_execute(self, capsys):
         code = main(["explain", "--query", "12", "--sf", "0.005"])
         assert code == 0
-        assert "EXPLAIN ANALYZE" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "EXPLAIN ANALYZE" not in out
+        assert "(strategy=exchange, local_fanout=1)" in out
 
 
 class TestProfileCommand:

@@ -92,6 +92,16 @@ class TestHashPartition:
         fn = HashPartition("key", 5).bind(KV)
         data = batch(*[(k * 13 + 1, 0) for k in range(64)])
         assert fn.map_batch(data).tolist() == [fn(r) for r in data.iter_rows()]
+        # The mask (power-of-two) and constant (n = 1) fast paths must keep
+        # agreeing with the scalar modulo bit for bit, on hostile keys too.
+        keys = [k * 13 + 1 for k in range(64)] + [0, -1, -7, 2**62, -(2**62), 2**62 - 1]
+        data = batch(*[(k, 0) for k in keys])
+        for n in (1, 2, 3, 8, 16):
+            for salt in (0, 1, 2):
+                fn = HashPartition("key", n, salt=salt).bind(KV)
+                ids = fn.map_batch(data)
+                assert ids.dtype == np.int64
+                assert ids.tolist() == [fn(r) for r in data.iter_rows()], (n, salt)
 
     def test_salts_give_independent_hashes(self):
         a = HashPartition("key", 16, salt=0).bind(KV)

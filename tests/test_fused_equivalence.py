@@ -100,13 +100,20 @@ class TestTpchQueries:
         from repro.tpch import ALL_QUERIES
 
         query = ALL_QUERIES[qnum]()
-        frames = []
-        for mode in ("fused", "interpreted"):
-            lowered = lower_to_modularis(query.plan, catalog, SimCluster(2))
-            frames.append(lowered.result_frame(lowered.run(catalog, RunOptions(mode=mode))))
-        # Float aggregates may differ in the last ulp between the scalar
-        # fold and the vectorized segment sum; integers must be exact.
-        assert frames_match(frames[0], frames[1], tolerance=1e-9)
+        # Both plan shapes: sized (no local level at this scale) and with a
+        # forced local partitioning level.
+        for local_fanout in (None, 4):
+            frames = []
+            for mode in ("fused", "interpreted"):
+                lowered = lower_to_modularis(
+                    query.plan, catalog, SimCluster(2), local_fanout=local_fanout
+                )
+                frames.append(
+                    lowered.result_frame(lowered.run(catalog, RunOptions(mode=mode)))
+                )
+            # Float aggregates may differ in the last ulp between the scalar
+            # fold and the vectorized segment sum; integers must be exact.
+            assert frames_match(frames[0], frames[1], tolerance=1e-9)
 
     @pytest.mark.parametrize("qnum", [4, 12, 14, 19])
     def test_query_join_kernels_agree(self, qnum, catalog):
@@ -115,15 +122,20 @@ class TestTpchQueries:
         from repro.tpch import ALL_QUERIES
 
         query = ALL_QUERIES[qnum]()
-        frames = []
-        for join_kernel in ("sorted", "radix", "auto"):
-            lowered = lower_to_modularis(query.plan, catalog, SimCluster(2))
-            frames.append(
-                lowered.result_frame(
-                    lowered.run(catalog, RunOptions(mode="fused", join_kernel=join_kernel))
+        for local_fanout in (None, 4):
+            frames = []
+            for join_kernel in ("sorted", "radix", "auto"):
+                lowered = lower_to_modularis(
+                    query.plan, catalog, SimCluster(2), local_fanout=local_fanout
                 )
-            )
-        # Both kernels share the emission-order contract, so whole query
-        # results are bit-identical — no float tolerance needed.
-        assert frames_match(frames[0], frames[1], tolerance=0.0)
-        assert frames_match(frames[0], frames[2], tolerance=0.0)
+                frames.append(
+                    lowered.result_frame(
+                        lowered.run(
+                            catalog, RunOptions(mode="fused", join_kernel=join_kernel)
+                        )
+                    )
+                )
+            # Both kernels share the emission-order contract, so whole query
+            # results are bit-identical — no float tolerance needed.
+            assert frames_match(frames[0], frames[1], tolerance=0.0)
+            assert frames_match(frames[0], frames[2], tolerance=0.0)
