@@ -19,6 +19,7 @@ from repro.mpi.clock import SimClock
 from repro.mpi.cluster import RankContext
 from repro.mpi.comm import SimComm
 from repro.mpi.costmodel import DEFAULT_COST_MODEL, CostModel
+from repro.observability.record import ExecutionRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.sanitizer import Sanitizer
@@ -72,9 +73,11 @@ class ExecutionContext:
     #: sorted-hash kernel), or ``"radix"`` (force the radix direct-address
     #: kernel whenever its hard memory cap allows).
     join_kernel: str = "auto"
-    #: Per-operator profiler (:mod:`repro.observability`).  ``None`` — the
-    #: default — disables all span recording; the data path then pays one
-    #: attribute read per operator activation and allocates nothing.
+    #: Per-operator profiler (:mod:`repro.observability`), the data
+    #: path's one observer: timed under ``profile=True``, counts-only when
+    #: only metrics are recorded.  ``None`` — the default — disables it;
+    #: the data path then pays one attribute read per operator activation
+    #: and allocates nothing.
     profiler: "Profiler | None" = None
     #: Work-accounting metrics registry (:mod:`repro.observability.metrics`).
     #: ``None`` — the default — disables all metric recording; the data
@@ -108,12 +111,12 @@ class ExecutionContext:
     #: :meth:`run_options` rather than copying knob fields by hand, so a
     #: knob added to ``RunOptions`` can never silently drop on a retry.
     options: RunOptions | None = None
-    #: Causal trace context of the serving attempt this execution belongs
-    #: to (:mod:`repro.observability.tracing`); ``None`` outside serving.
-    #: Stage recovery derives per-rank child contexts from it and stamps
-    #: fault/recovery events as they surface — the data path never reads
-    #: it, so tracing costs nothing per tuple.
-    trace: "TraceContext | None" = None
+    #: The execution's one append-only record
+    #: (:mod:`repro.observability.record`), holding the serving attempt's
+    #: trace context when there is one.  Created with the driver context;
+    #: ``None`` on rank contexts, whose evidence the driver appends when
+    #: their wave completes.  The data path never reads it.
+    record: ExecutionRecord | None = field(default_factory=ExecutionRecord)
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -167,9 +170,13 @@ class ExecutionContext:
     # -- RunOptions integration ----------------------------------------------
 
     @classmethod
-    def from_options(cls, options: RunOptions) -> "ExecutionContext":
-        """A fresh driver context configured entirely from ``options``."""
+    def from_options(
+        cls, options: RunOptions, trace: "TraceContext | None" = None
+    ) -> "ExecutionContext":
+        """A fresh driver context configured entirely from ``options``,
+        recording under ``trace`` (the serving attempt's span, if any)."""
         return cls(
+            record=ExecutionRecord(trace),
             cost=options.cost_model,
             mode=options.mode,
             verify_plans=bool(options.verify_plans),
@@ -193,7 +200,7 @@ class ExecutionContext:
             mode=self.mode,
             cost_model=self.cost,
             verify_plans=self.verify_plans or None,
-            profile=self.profiler is not None,
+            profile=self.profiler is not None and self.profiler.timed,
             metrics=self.metrics is not None,
             faults=self.faults,
             sanitize=self.sanitizer is not None,
@@ -213,15 +220,13 @@ class ExecutionContext:
         sanitizer: "Sanitizer | None" = None,
         join_kernel: str = "auto",
         options: RunOptions | None = None,
-        trace: "TraceContext | None" = None,
     ) -> "ExecutionContext":
         """The context a worker uses to execute a nested plan on its rank.
 
         When ``options`` is given, its :meth:`RunOptions.worker_knobs`
         override the individual knob arguments — the whole set at once, so
         callers rebuilding worker contexts (stage recovery, replays) cannot
-        forward some knobs and forget others.  ``trace`` is the rank's
-        child span of the enclosing attempt's trace context.
+        forward some knobs and forget others.
         """
         knobs = {"mode": mode, "morsel_rows": morsel_rows, "join_kernel": join_kernel}
         if options is not None:
@@ -235,7 +240,7 @@ class ExecutionContext:
             checkpoints=checkpoints,
             sanitizer=sanitizer,
             options=options,
-            trace=trace,
+            record=None,
             **knobs,
         )
 

@@ -24,16 +24,17 @@ from typing import TYPE_CHECKING, Iterator
 
 from repro.core.context import ExecutionContext
 from repro.core.operator import Operator
-from repro.core.operators.mpi_executor import MpiExecutor
 from repro.core.operators.parameter_lookup import ParameterSlot
 from repro.core.options import RunOptions
-from repro.core.plan import prepare, walk
+from repro.core.plan import prepare
 from repro.mpi.cluster import ClusterResult
+from repro.observability.record import record_metrics
 from repro.types.tuples import TupleType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.sanitizer import Sanitizer, SanitizerReport
     from repro.mpi.trace import ClusterTrace, TraceEvent
+    from repro.observability.events import SimEvent
     from repro.observability.metrics import MetricsSnapshot
     from repro.observability.profile import PlanProfile
 
@@ -54,7 +55,9 @@ class ExecutionReport:
     the timing evidence (``simulated_time`` plus ``phase_breakdown()``
     over the MPI jobs' per-rank clocks), and the observability artifacts
     (``profile`` when profiling was on, ``trace``/``traces`` when the
-    cluster recorded substrate events).
+    jobs recorded substrate events).  The evidence fields are the lists of
+    the execution's :class:`~repro.observability.record.ExecutionRecord`;
+    everything else here is a fold over them, computed on read.
     """
 
     rows: list[tuple]
@@ -62,7 +65,8 @@ class ExecutionReport:
     #: Total simulated seconds on the driver, including waiting for every
     #: data-parallel job it dispatched.
     simulated_time: float
-    #: One entry per MpiExecutor execution, in completion order.
+    #: One entry per MpiExecutor execution (every completed wave of every
+    #: invocation), in completion order.
     cluster_results: list[ClusterResult] = field(default_factory=list)
     #: Per-operator measurements; ``None`` unless the run was profiled.
     profile: "PlanProfile | None" = None
@@ -89,6 +93,17 @@ class ExecutionReport:
         """The first MPI job's substrate trace (the common single-job case)."""
         traces = self.traces
         return traces[0] if traces else None
+
+    def events(self) -> Iterator["SimEvent"]:
+        """Every event the execution recorded: operator spans (when
+        profiled), the substrate events of each completed job rank by
+        rank (puts, collectives, windows, faults, retries), then the
+        driver-side recovery events."""
+        if self.profile is not None:
+            yield from self.profile.spans
+        for trace in self.traces:
+            yield from trace.events()
+        yield from self.recovery_events
 
     def phase_breakdown(self) -> dict[str, float]:
         """Max-over-ranks seconds per phase, summed over all MPI jobs."""
@@ -159,14 +174,17 @@ def execution_steps(
         options = RunOptions()
     if ctx is None:
         ctx = ExecutionContext.from_options(options)
-    if options.profile and ctx.profiler is None:
-        from repro.observability.profile import Profiler
-
-        ctx.profiler = Profiler(ctx.clock)
     if options.metrics and ctx.metrics is None:
         from repro.observability.metrics import MetricsRegistry
 
         ctx.metrics = MetricsRegistry()
+    if ctx.profiler is None and (options.profile or ctx.metrics is not None):
+        from repro.observability.profile import Profiler
+
+        # One observer per observed run; counts-only unless profiling.
+        ctx.profiler = Profiler(
+            ctx.clock, timed=options.profile, trace=ctx.record.trace
+        )
     if options.faults is not None:
         ctx.faults = options.faults
         ctx.fault_injector = None
@@ -224,26 +242,22 @@ def execution_steps(
         for slot_id in bound:
             ctx.pop_parameter(slot_id)
 
-    cluster_results = []
-    recovery_events = []
-    for op in walk(root, into_nested=True):
-        if isinstance(op, MpiExecutor):
-            if op.last_result is not None:
-                cluster_results.append(op.last_result)
-            recovery_events.extend(op.recovery_log)
     sanitizer_report = None
     if installed_sanitizer is not None:
-        # Harvesting must precede the replay: the replay resets each
-        # MpiExecutor's last_result/recovery_log as any execution does.
+        # The replay runs under its own context, hence its own record:
+        # nothing it does can reach this execution's evidence.
         try:
             sanitizer_report = _sanitize_replay(root, ctx, params, installed_sanitizer)
         finally:
             ctx.sanitizer = None
+    record = ctx.record
     metrics_snapshot = None
     if ctx.metrics is not None:
-        metrics_snapshot = ctx.metrics.snapshot()
+        metrics_snapshot = ctx.metrics.snapshot().merged(
+            record_metrics(record, ctx.profiler).snapshot()
+        )
     plan_profile = None
-    if ctx.profiler is not None:
+    if ctx.profiler is not None and ctx.profiler.timed:
         from repro.observability.profile import PlanProfile
 
         plan_profile = PlanProfile.from_plan(
@@ -255,10 +269,10 @@ def execution_steps(
         rows=rows,
         output_type=root.output_type,
         simulated_time=ctx.clock.now,
-        cluster_results=cluster_results,
+        cluster_results=list(record.cluster_results),
         profile=plan_profile,
         metrics=metrics_snapshot,
-        recovery_events=recovery_events,
+        recovery_events=list(record.recovery_events),
         sanitizer=sanitizer_report,
     )
 
@@ -297,44 +311,29 @@ def _sanitize_replay(
 ) -> "SanitizerReport":
     """MOD053: re-execute the plan and diff the one-sided write sets.
 
-    The replay context matches the first execution in everything that can
-    influence results — every ``RunOptions`` worker knob, the cost model,
-    the fault policy (with a fresh, identically seeded injector) — and
-    carries its own fresh :class:`Sanitizer`.  The knobs are derived from
-    ``ctx.run_options()`` wholesale rather than copied field-by-field, so
-    a knob added to :class:`RunOptions` is replayed automatically.
-    Identical write logs prove the exchanged bytes were reproducible; a
-    diff convicts a mislabeled ``deterministic=True`` operator.  Replay
-    output rows are discarded.
+    The replay is a second execution under a context that matches the
+    first in everything that can influence results — every ``RunOptions``
+    worker knob, the cost model, the fault policy (with a fresh,
+    identically seeded injector) — and carries its own fresh
+    :class:`Sanitizer`.  The knobs are derived from ``ctx.run_options()``
+    wholesale rather than copied field-by-field, so a knob added to
+    :class:`RunOptions` is replayed automatically.  Identical write logs
+    prove the exchanged bytes were reproducible; a diff convicts a
+    mislabeled ``deterministic=True`` operator.  The replay's report is
+    discarded.
     """
     from repro.analysis.diagnostics import RULES, Diagnostic
     from repro.analysis.sanitizer import Sanitizer
 
-    run_options = ctx.run_options()
-    replay_ctx = ExecutionContext(
-        cost=ctx.cost, options=run_options, **run_options.worker_knobs()
+    replay_options = ctx.run_options().replace(
+        faults=ctx.faults, profile=False, metrics=False, sanitize=False
     )
-    replay_ctx.faults = ctx.faults
-    if ctx.faults is not None:
-        from repro.faults.injector import FaultInjector
-
-        replay_ctx.fault_injector = FaultInjector(ctx.faults)
+    replay_ctx = ExecutionContext(
+        cost=ctx.cost, options=replay_options, **replay_options.worker_knobs()
+    )
     replay_ctx.sanitizer = Sanitizer()
-    bound: list[int] = []
     try:
-        for slot, value in (params or {}).items():
-            replay_ctx.push_parameter(slot.id, value)
-            bound.append(slot.id)
-        try:
-            if replay_ctx.mode == "fused":
-                for _batch in root.stream_batches(replay_ctx):
-                    pass
-            else:
-                for _row in root.rows(replay_ctx):
-                    pass
-        finally:
-            for slot_id in bound:
-                replay_ctx.pop_parameter(slot_id)
+        execute(root, params, replay_options, ctx=replay_ctx)
     except Exception as exc:  # noqa: BLE001 - replay divergence is the finding
         rule = RULES["MOD053"]
         report = baseline.report()

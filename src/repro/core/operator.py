@@ -33,41 +33,31 @@ __all__ = ["Operator", "require_fields", "require_collection_field"]
 
 
 def _observe_data_path(fn, batched: bool):
-    """Wrap a concrete ``rows``/``batches`` override with observability hooks.
+    """Wrap a concrete ``rows``/``batches`` override with the observability hook.
 
-    With neither a profiler nor a metrics registry on the context (the
-    default) this is an attribute check per generator *creation* and the
-    original method runs untouched — no per-row work, no allocations.
-    With a profiler attached, the activation is routed through
+    On an unobserved run (the default) this is two attribute checks per
+    generator *creation* and the original method runs untouched — no
+    per-row work, no allocations.  On an observed run the activation is
+    routed through the context's one observer,
     :meth:`repro.observability.profile.Profiler.observe`, which counts
-    rows/batches, attributes simulated + wall self time to this node, and
-    feeds ``ctx.metrics`` from the same loop so the two reports agree
-    exactly.  With only metrics attached, the lighter
-    :meth:`repro.observability.metrics.MetricsRegistry.observe` counts
-    rows/batches without any timing machinery.
+    rows/batches into the node's activation record and, when profiling,
+    attributes simulated + wall self time to it; the ``operator_*``
+    metrics are folded from that same record.
     """
 
     @functools.wraps(fn)
     def wrapper(self, ctx: ExecutionContext):
+        observer = ctx.profiler
+        if observer is None:
+            inner = fn(self, ctx)
+        else:
+            inner = observer.observe(self, fn, ctx, batched)
         sanitizer = ctx.sanitizer
         if sanitizer is None:
-            profiler = ctx.profiler
-            if profiler is not None:
-                return profiler.observe(self, fn, ctx, batched)
-            metrics = ctx.metrics
-            if metrics is not None:
-                return metrics.observe(self, fn, ctx, batched)
-            return fn(self, ctx)
+            return inner
         # Sanitized run: the sanitizer's provenance tracker wraps whatever
-        # the observability layer produced, so substrate hooks can name the
-        # innermost operator currently executing on this thread (MOD05x).
-        profiler = ctx.profiler
-        if profiler is not None:
-            inner = profiler.observe(self, fn, ctx, batched)
-        elif ctx.metrics is not None:
-            inner = ctx.metrics.observe(self, fn, ctx, batched)
-        else:
-            inner = fn(self, ctx)
+        # the observer produced, so substrate hooks can name the innermost
+        # operator currently executing on this thread (MOD05x).
         return sanitizer.track(self, inner)
 
     wrapper._observes_data_path = True

@@ -20,6 +20,7 @@ from typing import Iterator
 
 from repro.core.context import ExecutionContext
 from repro.core.operator import Operator
+from repro.observability.events import RecoveryDetail
 from repro.types.collections import RowVector, RowVectorBuilder, row_vector_type
 from repro.types.tuples import TupleType
 
@@ -64,24 +65,13 @@ class MaterializeRowVector(Operator):
         start = ctx.clock.now
         ctx.charge_materialize(self, vector.size_bytes())
         ctx.account_memory(vector.owned_bytes())
-        metrics = ctx.metrics
-        if metrics is not None:
-            metrics.counter("checkpoint_hits").inc()
-        rank_ctx = ctx.rank_ctx
-        trace = rank_ctx.comm.world.trace if rank_ctx is not None else None
+        # A store exists only inside an MPI stage, so there is a comm; the
+        # ``checkpoint_hits`` metric is folded from this one event.
+        trace = ctx.comm.world.trace
         if trace is not None:
-            from repro.mpi.trace import TraceEvent
-            from repro.observability.events import RecoveryDetail
-
-            trace.record(
-                TraceEvent(
-                    rank=ctx.rank,
-                    kind="recovery",
-                    label="checkpoint_hit",
-                    start=start,
-                    end=ctx.clock.now,
-                    detail=RecoveryDetail(action="checkpoint_hit", stage=self.label()),
-                )
+            trace.emit(
+                ctx.rank, "recovery", "checkpoint_hit", start, ctx.clock.now,
+                RecoveryDetail(action="checkpoint_hit", stage=self.label()),
             )
         return vector
 

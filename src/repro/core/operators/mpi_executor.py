@@ -9,14 +9,16 @@ that invocations are guaranteed to run concurrently on different ranks.
 The reproduction dispatches onto a :class:`~repro.mpi.cluster.SimCluster`:
 one thread per rank, each executing the same nested plan on its input
 tuple; results are collected in rank order.  The driver's clock advances by
-the job's makespan (the slowest rank), and the per-rank phase breakdowns
-are kept for the benchmark harness.
+the job's makespan (the slowest rank); each completed wave's
+:class:`~repro.mpi.cluster.ClusterResult` (per-rank phase breakdowns,
+substrate trace) is appended to the *execution's* record, never kept on
+this plan node, so one plan object can serve interleaved executions.
 
 This operator is also the seat of *pipeline-level recovery* under fault
 injection: a dispatch wave is the recovery unit, re-executed from its
 checkpoints when a crash or an exhausted retry budget aborts it.  The
 escalation ladder itself lives in :mod:`repro.faults.stage_recovery`;
-this operator only provides the seam (``recovery_log``, the wave loop).
+this operator only provides the seam (the wave loop).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from repro.core.operator import Operator
 from repro.core.operators.parameter_lookup import ParameterSlot
 from repro.errors import ExecutionError, TypeCheckError
 from repro.mpi.cluster import ClusterResult, SimCluster
-from repro.mpi.trace import TraceEvent
 
 __all__ = ["MpiExecutor"]
 
@@ -67,12 +68,6 @@ class MpiExecutor(Operator):
             )
         self.inner = inner
         self._output_type = inner.output_type
-        #: ClusterResult of the most recent execution (for benchmarking).
-        self.last_result: ClusterResult | None = None
-        #: Fault/retry evidence of aborted attempts plus driver ``recovery``
-        #: events, from the most recent execution; harvested into
-        #: ``ExecutionReport.recovery_events``.
-        self.recovery_log: list[TraceEvent] = []
 
     def nested_roots(self) -> tuple[Operator, ...]:
         return (self.inner,)
@@ -90,7 +85,6 @@ class MpiExecutor(Operator):
             )
         if ctx.rank_ctx is not None:
             raise ExecutionError("MpiExecutor cannot run inside another MPI job")
-        self.recovery_log = []
 
         # More inputs than ranks run as successive waves of one job each —
         # the guarantee the paper states is only that instances *within* a
@@ -98,7 +92,6 @@ class MpiExecutor(Operator):
         for wave_start in range(0, len(inputs), n_ranks):
             wave = inputs[wave_start : wave_start + n_ranks]
             result = self._run_wave(ctx, wave, replicated)
-            self.last_result = result
             # The driver waits for each data-parallel wave.
             ctx.set_phase(self.assigned_phase)
             ctx.clock.advance(result.makespan)

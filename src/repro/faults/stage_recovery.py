@@ -19,9 +19,10 @@ escalation ladder lives with the rest of :mod:`repro.faults`:
 3. a *permanent* crash degrades to the survivors via
    ``SimCluster.with_ranks`` when the input is replicated.
 
-Every recovery action is logged as a driver-side ``recovery`` event on
-the executor's ``recovery_log``, harvested into
-``ExecutionReport.recovery_events``.
+A completed wave appends its ``ClusterResult`` to the execution's record
+(:mod:`repro.observability.record`); an aborted attempt leaves only its
+injected fault/retry events and the driver-side ``recovery`` action
+taken, surfaced as ``ExecutionReport.recovery_events``.
 """
 
 from __future__ import annotations
@@ -31,9 +32,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.core.context import ExecutionContext
 from repro.errors import RankCrashError, RetryBudgetExceeded
 from repro.faults.checkpoint import CheckpointStore
-from repro.mpi.trace import TraceEvent
-from repro.observability.events import DRIVER_RANK, RecoveryDetail
-from repro.observability.tracing import stamp_events
+from repro.mpi.trace import ClusterTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.operators.mpi_executor import MpiExecutor
@@ -61,6 +60,7 @@ def run_wave(
     if recoverable:
         checkpoints = CheckpointStore(cluster.n_ranks, executor.slot.id)
 
+    record, profiler, metrics = ctx.record, ctx.profiler, ctx.metrics
     attempt = 0
     while True:
         attempt += 1
@@ -68,10 +68,18 @@ def run_wave(
             checkpoints.seal()
         # One child profiler and metrics registry per rank (each bound to
         # the rank's own clock and thread); only the successful attempt's
-        # children are merged into the driver's, so spans and work counts
-        # tell the true story of what the surviving execution actually ran.
+        # children reach the driver's, so spans and work counts tell the
+        # true story of what the surviving execution actually ran.
         rank_profilers: list = [None] * cluster.n_ranks
         rank_metrics: list = [None] * cluster.n_ranks
+        # The job's one substrate recorder, born with the execution's trace
+        # context: armed by a tracing cluster or an observed run, whose
+        # comm/fault metrics are folded from its events.
+        trace = (
+            ClusterTrace(cluster.n_ranks, record.trace)
+            if cluster.trace or profiler is not None
+            else None
+        )
         # One sanitizer job per dispatch attempt: the MOD05x recorders are
         # scoped to a single MPI job, and jobs are created sequentially on
         # the driver so window keys stay deterministic across replays.
@@ -82,22 +90,27 @@ def run_wave(
             executor, ctx, wave, rank_profilers, rank_metrics, checkpoints, san_job
         )
         try:
-            result = cluster.run(worker, faults=injector)
+            result = cluster.run(worker, faults=injector, trace=trace)
         except (RankCrashError, RetryBudgetExceeded) as exc:
             if policy is None or attempt > policy.max_stage_retries:
                 raise
+            if trace is not None:
+                # Keep the aborted attempt's injected-fault evidence: its
+                # trace dies with the attempt, but the faults explain the
+                # recovery.
+                record.recovery_events.extend(
+                    trace.events(kind="fault") + trace.events(kind="retry")
+                )
             injector, cluster, wave = _recover(
                 executor, ctx, exc, attempt, injector, cluster, wave,
                 replicated, checkpoints,
             )
             continue
-        profiler = ctx.profiler
-        if profiler is not None:
-            for rank_profiler in rank_profilers:
+        record.cluster_results.append(result)
+        for rank_profiler, rank_registry in zip(rank_profilers, rank_metrics):
+            if profiler is not None:
                 profiler.absorb(rank_profiler)
-        metrics = ctx.metrics
-        if metrics is not None:
-            for rank_registry in rank_metrics:
+            if metrics is not None:
                 metrics.absorb(rank_registry)
         return result
 
@@ -119,7 +132,6 @@ def _make_worker(
     profiler = ctx.profiler
     metrics = ctx.metrics
     sanitizer = ctx.sanitizer
-    trace = ctx.trace
     slot_id = executor.slot.id
 
     def worker(rank_ctx: "RankContext") -> list[tuple]:
@@ -131,19 +143,16 @@ def _make_worker(
         if metrics is not None:
             rank_registry = metrics.child(rank_ctx.rank)
             rank_metrics[rank_ctx.rank] = rank_registry
-            # The comm substrate reads its own handle so put/collective
-            # hooks stay free of ExecutionContext plumbing.
-            rank_ctx.comm.metrics = rank_registry
         if san_job is not None:
-            # Same discipline for the sanitizer: the substrate reads its
-            # own per-job handle, while the rank's ExecutionContext carries
-            # the driver Sanitizer for operator-provenance tracking.
+            # The substrate reads its own per-job sanitizer handle, so its
+            # hooks stay free of ExecutionContext plumbing; the rank's
+            # ExecutionContext carries the driver Sanitizer for
+            # operator-provenance tracking.
             rank_ctx.comm.sanitizer = san_job
         worker_ctx = ExecutionContext.for_rank(
             rank_ctx, options=run_options,
             profiler=rank_profiler, metrics=rank_registry,
             checkpoints=checkpoints, sanitizer=sanitizer,
-            trace=trace.for_rank(rank_ctx.rank) if trace is not None else None,
         )
         worker_ctx.push_parameter(slot_id, wave[rank_ctx.rank])
         try:
@@ -166,14 +175,6 @@ def _recover(
     checkpoints: CheckpointStore | None,
 ):
     """Account for one aborted attempt and prepare the next one."""
-    # Keep the aborted attempt's injected-fault evidence: its trace dies
-    # with the attempt, but the faults explain the recovery.
-    trace = getattr(exc, "cluster_trace", None)
-    if trace is not None:
-        harvested = trace.events(kind="fault") + trace.events(kind="retry")
-        if ctx.trace is not None:
-            stamp_events(harvested, ctx.trace)
-        executor.recovery_log.extend(harvested)
     # The failed attempt's work is wasted but not free: charge the
     # simulated time the failing rank had accumulated to the driver.
     start = ctx.clock.now
@@ -205,27 +206,9 @@ def _recover(
                                f"{cluster.n_ranks} ranks)")
     else:
         action = "stage_retry"
-    if ctx.metrics is not None:
-        ctx.metrics.counter("recovery_actions", action=action).inc()
-    recovery_trace = (
-        ctx.trace.for_stage(f"recover{attempt}") if ctx.trace is not None else None
-    )
-    executor.recovery_log.append(
-        TraceEvent(
-            rank=DRIVER_RANK,
-            kind="recovery",
-            label=action,
-            start=start,
-            end=ctx.clock.now,
-            trace_id=recovery_trace.trace_id if recovery_trace else "",
-            span_id=recovery_trace.span_id if recovery_trace else "",
-            parent_span_id=recovery_trace.parent_span_id if recovery_trace else "",
-            detail=RecoveryDetail(
-                action=action,
-                stage=executor.label(),
-                attempt=attempt,
-                lost_rank=lost_rank,
-            ),
-        )
+    # The one write of this action; ``recovery_actions`` is folded from it.
+    ctx.record.recovery(
+        action, start, ctx.clock.now, span=f"recover{attempt}",
+        stage=executor.label(), attempt=attempt, lost_rank=lost_rank,
     )
     return injector, cluster, wave

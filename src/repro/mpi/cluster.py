@@ -23,7 +23,7 @@ from repro.errors import SimulationError
 from repro.mpi.clock import PhaseTimings, SimClock
 from repro.mpi.comm import _WAIT_SLICE, CommWorld, SimComm
 from repro.mpi.costmodel import DEFAULT_COST_MODEL, CostModel
-from repro.mpi.trace import ClusterTrace, TraceEvent
+from repro.mpi.trace import ClusterTrace
 from repro.observability.events import FaultDetail
 
 if TYPE_CHECKING:
@@ -65,7 +65,8 @@ class ClusterResult:
     per_rank: list
     clocks: list[float]
     timings: list[PhaseTimings]
-    #: Event trace of the run, present when the cluster traces.
+    #: Event trace of the run, present when the cluster traces or the
+    #: caller passed one (observed executions do).
     trace: ClusterTrace | None = None
 
     @property
@@ -138,6 +139,7 @@ class SimCluster:
         spmd_fn: Callable[[RankContext], T],
         faults: "FaultInjector | None" = None,
         options=None,
+        trace: ClusterTrace | None = None,
     ) -> ClusterResult:
         """Execute ``spmd_fn`` on every rank concurrently and harvest results.
 
@@ -146,8 +148,12 @@ class SimCluster:
         aborted (peers blocked in collectives are woken) and the original
         exception is re-raised on the caller — with every *other* genuine
         rank failure attached as ``.secondary_errors`` (and as exception
-        notes), and the partial event trace as ``.cluster_trace`` when the
-        cluster traces.
+        notes).
+
+        ``trace`` is the event store the job records into; stage recovery
+        passes one created under the execution's trace context and keeps
+        it if the job aborts.  Left ``None``, a tracing cluster creates a
+        bare one and a non-tracing cluster records nothing.
 
         ``faults`` arms deterministic fault injection for this job: each
         call draws a fresh per-job fault state from the injector, so
@@ -167,7 +173,9 @@ class SimCluster:
             from repro.faults.injector import FaultInjector
 
             faults = FaultInjector(options.faults)
-        cluster_trace = ClusterTrace(self.n_ranks) if self.trace else None
+        cluster_trace = trace
+        if cluster_trace is None and self.trace:
+            cluster_trace = ClusterTrace(self.n_ranks)
         world = CommWorld(
             self.n_ranks, self.cost_model, trace=cluster_trace, wait_slice=self.wait_slice
         )
@@ -187,15 +195,9 @@ class SimCluster:
                 if slowdown != 1.0:
                     jitter *= slowdown
                     if cluster_trace is not None:
-                        cluster_trace.record(
-                            TraceEvent(
-                                rank=rank,
-                                kind="fault",
-                                label="straggler",
-                                start=0.0,
-                                end=0.0,
-                                detail=FaultDetail(fault="straggler", target=rank),
-                            )
+                        cluster_trace.emit(
+                            rank, "fault", "straggler", 0.0, 0.0,
+                            FaultDetail(fault="straggler", target=rank),
                         )
             clock = SimClock(jitter_factor=jitter)
             comm = SimComm(world, rank, clock)
@@ -256,10 +258,6 @@ class SimCluster:
                 primary.add_note(
                     f"secondary rank failure: {type(other).__name__}: {other}"
                 )
-            if cluster_trace is not None:
-                # The partial trace of the crashed attempt, so recovery can
-                # harvest the injected-fault events that led here.
-                primary.cluster_trace = cluster_trace
             raise primary
 
         return ClusterResult(

@@ -28,7 +28,7 @@ import numpy as np
 from repro.errors import RankCrashError, RetryBudgetExceeded, SimulationError
 from repro.mpi.clock import SimClock
 from repro.mpi.costmodel import CostModel
-from repro.mpi.trace import ClusterTrace, TraceEvent
+from repro.mpi.trace import ClusterTrace
 from repro.observability.events import (
     CollectiveDetail,
     FaultDetail,
@@ -43,7 +43,6 @@ from repro.types.tuples import TupleType
 if TYPE_CHECKING:
     from repro.analysis.sanitizer import SanitizerJob
     from repro.faults.injector import RankFaults
-    from repro.observability.metrics import MetricsRegistry
 
 __all__ = ["CommWorld", "SimComm", "WindowSet"]
 
@@ -202,48 +201,24 @@ class WindowSet:
             cost *= 1.0 - comm.cost.network_overlap
             faults = comm.faults
             if faults is not None:
-                comm._check_crash()
-                attempt = 1
-                while faults.put_drops():
-                    comm._transient_fault(
-                        op=f"put->{target_rank}",
-                        fault="put_drop",
-                        attempt=attempt,
-                        lost_cost=cost,
-                        backoff=faults.backoff(attempt),
-                        target=target_rank,
-                    )
-                    if attempt >= faults.max_attempts:
-                        raise RetryBudgetExceeded(
-                            f"put to rank {target_rank} from rank {comm.rank} "
-                            f"dropped {attempt} times; retry budget exhausted",
-                            sim_time=comm.clock.now,
-                        )
-                    attempt += 1
+                comm._inject_faults(
+                    faults.put_drops, f"put->{target_rank}", "put_drop", cost,
+                    f"put to rank {target_rank} from rank {comm.rank}",
+                    target_rank,
+                )
         sanitizer = comm.sanitizer
         if sanitizer is not None:
             sanitizer.on_put(self._windows[target_rank], offset, data, comm.rank)
         self._windows[target_rank].write(offset, data, source_rank=comm.rank)
         start = comm.clock.now
         comm.clock.advance(cost)
-        metrics = comm.metrics
-        if metrics is not None:
-            scope = "local" if target_rank == comm.rank else "network"
-            metrics.counter("comm_puts", scope=scope).inc()
-            metrics.counter("comm_put_bytes", scope=scope).add(payload)
-            metrics.counter("comm_put_rows", scope=scope).add(len(data))
-            metrics.histogram("comm_put_seconds").observe(cost)
         trace = comm.world.trace
         if trace is not None:
-            trace.record(
-                TraceEvent(
-                    rank=comm.rank,
-                    kind="put",
-                    label=f"put->{target_rank}",
-                    start=start,
-                    end=comm.clock.now,
-                    detail=PutDetail(target=target_rank, rows=len(data), bytes=payload),
-                )
+            trace.emit(
+                comm.rank, "put", f"put->{target_rank}", start, comm.clock.now,
+                PutDetail(
+                    target=target_rank, rows=len(data), bytes=payload, seconds=cost
+                ),
             )
 
     def get(self, target_rank: int, start: int, stop: int) -> RowVector:
@@ -286,9 +261,6 @@ class SimComm:
         #: Per-rank fault-decision handle, or None when no faults can fire
         #: (the hot comm paths then pay a single ``is None`` check).
         self.faults: "RankFaults | None" = None
-        #: Per-rank metrics registry, or None when the execution does not
-        #: record metrics (same single ``is None`` check discipline).
-        self.metrics: "MetricsRegistry | None" = None
         #: Runtime-sanitizer job (MOD05x) shared by every rank of this MPI
         #: job, or None on unsanitized runs (same ``is None`` discipline).
         self.sanitizer: "SanitizerJob | None" = None
@@ -304,63 +276,54 @@ class SimComm:
 
     # -- fault injection hooks -------------------------------------------------
 
-    def _check_crash(self) -> None:
-        """Fire an injected rank crash if its trigger is met, tracing it."""
-        try:
-            self.faults.check_crash(self.clock.now)
-        except RankCrashError:
-            if self.world.trace is not None:
-                self.world.trace.record(
-                    TraceEvent(
-                        rank=self.rank,
-                        kind="fault",
-                        label="crash",
-                        start=self.clock.now,
-                        end=self.clock.now,
-                        detail=FaultDetail(fault="crash", target=self.rank),
-                    )
-                )
-            raise
-
-    def _transient_fault(
+    def _inject_faults(
         self,
+        drops: Callable[[], bool],
         op: str,
         fault: str,
-        attempt: int,
         lost_cost: float,
-        backoff: float,
+        what: str,
         target: int = -1,
     ) -> None:
-        """Charge one dropped comm attempt + its backoff wait; trace both."""
-        fault_start = self.clock.now
-        self.clock.advance(lost_cost)
-        retry_start = self.clock.now
-        self.clock.advance(backoff)
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.counter("fault_retries", fault=fault).inc()
-        trace = self.world.trace
-        if trace is not None:
-            trace.record(
-                TraceEvent(
-                    rank=self.rank,
-                    kind="fault",
-                    label=fault,
-                    start=fault_start,
-                    end=retry_start,
-                    detail=FaultDetail(fault=fault, attempt=attempt, target=target),
+        """The fault-injection hook of one comm operation ``op``.
+
+        Fires a due rank crash, then charges every injected drop — the
+        lost attempt plus its backoff wait, traced as one ``fault`` and
+        one ``retry`` event — until the operation gets through or the
+        retry budget is spent.
+        """
+        faults, clock, trace = self.faults, self.clock, self.world.trace
+        try:
+            faults.check_crash(clock.now)
+        except RankCrashError:
+            if trace is not None:
+                trace.emit(
+                    self.rank, "fault", "crash", clock.now, clock.now,
+                    FaultDetail(fault="crash", target=self.rank),
                 )
-            )
-            trace.record(
-                TraceEvent(
-                    rank=self.rank,
-                    kind="retry",
-                    label=op,
-                    start=retry_start,
-                    end=self.clock.now,
-                    detail=RetryDetail(op=op, attempt=attempt, backoff=backoff),
+            raise
+        attempt = 1
+        while drops():
+            fault_start = clock.now
+            clock.advance(lost_cost)
+            retry_start = clock.now
+            backoff = faults.backoff(attempt)
+            clock.advance(backoff)
+            if trace is not None:
+                trace.emit(
+                    self.rank, "fault", fault, fault_start, retry_start,
+                    FaultDetail(fault=fault, attempt=attempt, target=target),
                 )
-            )
+                trace.emit(
+                    self.rank, "retry", op, retry_start, clock.now,
+                    RetryDetail(op=op, attempt=attempt, backoff=backoff),
+                )
+            if attempt >= faults.max_attempts:
+                raise RetryBudgetExceeded(
+                    f"{what} dropped {attempt} times; retry budget exhausted",
+                    sim_time=clock.now,
+                )
+            attempt += 1
 
     def _collect(
         self,
@@ -371,27 +334,14 @@ class SimComm:
     ) -> object:
         faults = self.faults
         if faults is not None:
-            self._check_crash()
             # Retry a lost *contribution* before the single rendezvous call,
             # keeping the collective call-index protocol identical across
             # ranks; the delayed arrival time stalls peers naturally.
-            attempt = 1
-            while faults.collective_drops():
-                self._transient_fault(
-                    op=tag,
-                    fault="collective_drop",
-                    attempt=attempt,
-                    lost_cost=self.cost.net_latency,
-                    backoff=faults.backoff(attempt),
-                )
-                if attempt >= faults.max_attempts:
-                    raise RetryBudgetExceeded(
-                        f"contribution of rank {self.rank} to collective "
-                        f"{tag!r} dropped {attempt} times; retry budget "
-                        "exhausted",
-                        sim_time=self.clock.now,
-                    )
-                attempt += 1
+            self._inject_faults(
+                faults.collective_drops, tag, "collective_drop",
+                self.cost.net_latency,
+                f"contribution of rank {self.rank} to collective {tag!r}",
+            )
         index = self._call_index
         self._call_index += 1
         sanitizer = self.sanitizer
@@ -402,21 +352,10 @@ class SimComm:
             index, tag, self.rank, value, arrival, combine, op_cost
         )
         self.clock.advance_to(result_time)
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.counter("comm_collectives", tag=tag).inc()
         if self.world.trace is not None:
-            self.world.trace.record(
-                TraceEvent(
-                    rank=self.rank,
-                    kind="collective",
-                    label=tag,
-                    start=arrival,
-                    end=result_time,
-                    detail=CollectiveDetail(
-                        stall=max(0.0, result_time - op_cost - arrival)
-                    ),
-                )
+            self.world.trace.emit(
+                self.rank, "collective", tag, arrival, result_time,
+                CollectiveDetail(stall=max(0.0, result_time - op_cost - arrival)),
             )
         return result
 
@@ -472,20 +411,10 @@ class SimComm:
             sanitizer.on_win_create(window, self.rank)
         start = self.clock.now
         self.clock.advance(self.cost.window_registration_cost(window.size_bytes()))
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.counter("comm_windows").inc()
-            metrics.gauge("comm_window_bytes_hwm").set_max(window.size_bytes())
         if self.world.trace is not None:
-            self.world.trace.record(
-                TraceEvent(
-                    rank=self.rank,
-                    kind="win_create",
-                    label=repr(element_type),
-                    start=start,
-                    end=self.clock.now,
-                    detail=WindowDetail(bytes=window.size_bytes(), rows=capacity),
-                )
+            self.world.trace.emit(
+                self.rank, "win_create", repr(element_type), start, self.clock.now,
+                WindowDetail(bytes=window.size_bytes(), rows=capacity),
             )
 
         def combine(values: dict[int, object]) -> tuple[Window, ...]:

@@ -8,47 +8,31 @@ bytes), and every window registration.  The resulting
 with: who stalls where, who sends how much to whom, how many collective
 epochs a plan really has.
 
-Events are :class:`~repro.observability.events.SimEvent` subclasses with
+Events are :class:`~repro.observability.events.TraceEvent` records with
 *typed* per-kind payloads (:class:`~repro.observability.events.PutDetail`
 and friends), so they merge with operator spans in the Chrome-trace
 exporter (:mod:`repro.observability.chrome_trace`) and query code gets
 attributes instead of ad-hoc dict keys.
 
 Tracing is off by default; it costs a little memory per event and nothing
-else (simulated time is unaffected).
+else (simulated time is unaffected).  An observed execution arms it on a
+non-tracing cluster too: the trace is the job's one substrate recorder,
+and the ``comm_*`` metrics are folded from its events.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any
 
-from repro.observability.events import CollectiveDetail, EventDetail, SimEvent
+from repro.observability.events import (
+    CollectiveDetail,
+    EventDetail,
+    TraceEvent,
+    span_ids,
+)
 
 __all__ = ["TraceEvent", "ClusterTrace", "RankCommStats"]
-
-
-@dataclass(frozen=True)
-class TraceEvent(SimEvent):
-    """One recorded substrate event on one rank.
-
-    Attributes:
-        rank: The rank the event happened on (for puts: the sender).
-        kind: ``collective`` | ``put`` | ``win_create``.
-        label: Collective tag, or ``put->k`` / window element type.
-        start: Simulated time the rank entered the event.
-        end: Simulated time the event completed for this rank.
-        detail: Typed kind-specific payload —
-            :class:`~repro.observability.events.PutDetail`,
-            :class:`~repro.observability.events.CollectiveDetail`, or
-            :class:`~repro.observability.events.WindowDetail`.
-    """
-
-    detail: EventDetail = EventDetail()
-
-    def chrome_args(self) -> dict[str, Any]:
-        return self.detail.as_dict()
 
 
 @dataclass(frozen=True)
@@ -64,16 +48,35 @@ class RankCommStats:
 
 
 class ClusterTrace:
-    """Thread-safe event store for one SPMD run."""
+    """Thread-safe event store for one SPMD run, under the trace context
+    ``context`` of the execution it belongs to (``None`` for direct runs)."""
 
-    def __init__(self, n_ranks: int) -> None:
+    def __init__(self, n_ranks: int, context=None) -> None:
         self.n_ranks = n_ranks
         self._events: list[list[TraceEvent]] = [[] for _ in range(n_ranks)]
+        self._ids = [
+            span_ids(context.for_rank(rank) if context is not None else None)
+            for rank in range(n_ranks)
+        ]
         self._lock = threading.Lock()
 
     def record(self, event: TraceEvent) -> None:
         with self._lock:
             self._events[event.rank].append(event)
+
+    def emit(
+        self,
+        rank: int,
+        kind: str,
+        label: str,
+        start: float,
+        end: float,
+        detail: EventDetail,
+    ) -> None:
+        """Record one event of ``rank``, born under the rank's span."""
+        self.record(
+            TraceEvent(rank, kind, label, start, end, *self._ids[rank], detail)
+        )
 
     # -- queries -----------------------------------------------------------
 

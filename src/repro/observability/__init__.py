@@ -20,6 +20,9 @@ giving every :class:`~repro.core.operator.Operator` a measured identity:
   registry (Counter / Gauge / Histogram) behind
   ``RunOptions(metrics=True)`` / ``ExecutionReport.metrics`` and the
   ``repro metrics`` Prometheus-style exposition;
+* :mod:`repro.observability.record` — the one append-only
+  :class:`ExecutionRecord` per execution and :func:`record_metrics`, the
+  fold deriving ``comm_*``/``operator_*``/recovery metrics from it;
 * :mod:`repro.observability.tracing` — causal trace contexts
   (:class:`TraceContext`) minted per serving submission and the per-query
   :class:`QueryJournal`, the one record every serving view is folded from;
@@ -61,9 +64,6 @@ from repro.observability.tracing import (
     JournalEvent,
     QueryJournal,
     TraceContext,
-    stamp_event,
-    stamp_events,
-    stamp_report,
 )
 from repro.observability.events import (
     CollectiveDetail,
@@ -114,7 +114,4 @@ __all__ = [
     "JournalEvent",
     "QueryJournal",
     "TraceContext",
-    "stamp_event",
-    "stamp_events",
-    "stamp_report",
 ]

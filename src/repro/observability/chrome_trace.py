@@ -20,7 +20,6 @@ import json
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.observability.events import DRIVER_RANK, SimEvent
-from repro.observability.tracing import report_events
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import ExecutionReport
@@ -351,14 +350,14 @@ def serving_trace_events(
             )
         if report is None:
             continue
-        dropped = getattr(getattr(report, "profile", None), "dropped_spans", 0)
+        dropped = report.profile.dropped_spans if report.profile is not None else 0
         if dropped:
             metadata.append(
                 {"ph": "M", "name": "dropped_spans", "pid": pid,
                  "args": {"dropped_spans": dropped}}
             )
         op_tids: dict[int, int] = {}
-        for event in report_events(report):
+        for event in report.events():
             if event.kind == "operator":
                 tid = _QUERY_OPERATOR_TID_BASE + op_tids.setdefault(
                     getattr(event, "node_id", 0), len(op_tids)

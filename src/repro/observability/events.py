@@ -10,6 +10,9 @@ Event payloads are *typed*: each event kind carries a small frozen
 dataclass (:class:`PutDetail`, :class:`CollectiveDetail`,
 :class:`WindowDetail`, ...) instead of an ad-hoc dict.
 
+Events are born with their causal ids: every recorder is created with the
+execution's trace context and builds its events with :func:`span_ids`.
+
 This module has no dependencies inside the package, so both the MPI
 substrate (:mod:`repro.mpi.trace`) and the execution layer can build on it
 without import cycles.
@@ -22,6 +25,8 @@ from typing import Any
 
 __all__ = [
     "SimEvent",
+    "TraceEvent",
+    "span_ids",
     "EventDetail",
     "PutDetail",
     "CollectiveDetail",
@@ -51,10 +56,9 @@ class SimEvent:
             ``put->k``, operator label).
         start: Simulated time the rank entered the event.
         end: Simulated time the event completed for this rank.
-        trace_id: Causal trace the event belongs to (empty until stamped).
-            Serving stamps every event of a query attempt with the
-            query's :class:`~repro.observability.tracing.TraceContext`
-            at settlement, so the hot path never pays for tracing.
+        trace_id: Causal trace the event belongs to: the serving query's
+            :class:`~repro.observability.tracing.TraceContext`, set at
+            construction (empty for direct runs, which have no context).
         span_id: The event's own span within the trace.
         parent_span_id: The causal parent span (attempt or rank span).
     """
@@ -77,6 +81,14 @@ class SimEvent:
         return {}
 
 
+def span_ids(context) -> tuple[str, str, str]:
+    """``(trace_id, span_id, parent_span_id)`` for an event recorded under
+    ``context`` (a ``TraceContext``, or ``None`` outside any trace)."""
+    if context is None:
+        return ("", "", "")
+    return (context.trace_id, context.span_id, context.parent_span_id)
+
+
 @dataclass(frozen=True)
 class EventDetail:
     """Base of the typed per-kind payloads (itself the empty payload)."""
@@ -86,12 +98,38 @@ class EventDetail:
 
 
 @dataclass(frozen=True)
+class TraceEvent(SimEvent):
+    """One recorded substrate event on one rank.
+
+    Attributes:
+        rank: The rank the event happened on (for puts: the sender).
+        kind: ``collective`` | ``put`` | ``win_create``.
+        label: Collective tag, or ``put->k`` / window element type.
+        start: Simulated time the rank entered the event.
+        end: Simulated time the event completed for this rank.
+        detail: Typed kind-specific payload — :class:`PutDetail`,
+            :class:`CollectiveDetail`, or :class:`WindowDetail`.
+    """
+
+    detail: EventDetail = EventDetail()
+
+    def chrome_args(self) -> dict[str, Any]:
+        return self.detail.as_dict()
+
+
+@dataclass(frozen=True)
 class PutDetail(EventDetail):
     """One-sided RMA write: who received how much."""
 
     target: int
     rows: int
     bytes: int
+    #: The transfer cost charged, exactly (``end - start`` rounds); what
+    #: ``comm_put_seconds`` is folded from.  Not a Chrome ``args`` key.
+    seconds: float = 0.0
+
+    def as_dict(self) -> dict[str, Any]:
+        return {"target": self.target, "rows": self.rows, "bytes": self.bytes}
 
 
 @dataclass(frozen=True)
@@ -171,7 +209,7 @@ class OperatorSpan(SimEvent):
 
     Recorded by the :class:`~repro.observability.profile.Profiler` on the
     rank's simulated clock, so spans land on the same time axis as the
-    substrate's :class:`~repro.mpi.trace.TraceEvent` records.
+    substrate's :class:`TraceEvent` records.
     """
 
     op_type: str = ""

@@ -20,7 +20,15 @@ a sample is one dict lookup plus one float add.  Like the profiler,
 metrics are **off by default**: operators read ``ctx.metrics`` once per
 activation and do nothing when it is ``None``.
 
-Distribution mirrors the profiler exactly: each simulated rank gets a
+Operators write only the facts nothing else records (``scan_*``,
+``shuffle_*``, ``join_*``, ``materialized_bytes``, ``morsels_drained``).
+What the execution's record already holds — substrate events, operator
+activations, recovery actions — is folded into ``comm_*``,
+``fault_retries``, ``checkpoint_hits``, ``recovery_actions`` and
+``operator_*`` when the report is built
+(:func:`repro.observability.record.record_metrics`).
+
+Distribution mirrors the profiler: each simulated rank gets a
 :meth:`~MetricsRegistry.child` registry bound to its rank, and only the
 *successful* attempt of a recovered stage is
 :meth:`~MetricsRegistry.absorb`\\ ed into the driver's registry (counters
@@ -37,10 +45,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.operator import Operator
 
 __all__ = [
     "Counter",
@@ -246,7 +250,7 @@ class MetricsRegistry:
     single registry ends up holding the whole plan's work accounting.
     """
 
-    __slots__ = ("rank", "_counters", "_gauges", "_histograms", "_op_depth", "rank_totals")
+    __slots__ = ("rank", "_counters", "_gauges", "_histograms", "rank_totals")
 
     #: Rank id of the driver registry (mirrors events.DRIVER_RANK).
     DRIVER = -1
@@ -256,9 +260,6 @@ class MetricsRegistry:
         self._counters: dict[tuple, Counter] = {}
         self._gauges: dict[tuple, Gauge] = {}
         self._histograms: dict[tuple, Histogram] = {}
-        #: Live activation nesting per plan node (reentrancy guard for the
-        #: metrics-only observe path; mirrors OperatorStats.depth).
-        self._op_depth: dict[int, int] = {}
         #: Per-rank totals retained by :meth:`absorb`:
         #: ``rank -> metric name -> summed value``.
         self.rank_totals: dict[int, dict[str, float]] = {}
@@ -290,52 +291,6 @@ class MetricsRegistry:
             )
         return instrument
 
-    # -- operator-layer recording ------------------------------------------
-
-    def record_operator(
-        self, op: "Operator", mode: str, rows: int, batches: int
-    ) -> None:
-        """Fold one data-path activation's counts in.
-
-        Called from the profiler's observation loop when both subsystems
-        are on (so rows are counted once and the two reports agree ±0),
-        or from :meth:`observe` when only metrics are enabled.
-        """
-        name = type(op).__name__
-        self.counter("operator_rows_out", op=name, mode=mode).add(rows)
-        if batches:
-            self.counter("operator_batches_out", op=name, mode=mode).add(batches)
-        self.counter("operator_calls", op=name).inc()
-
-    def observe(self, op: "Operator", fn, ctx, batched: bool) -> Iterator:
-        """Metrics-only wrapper of one ``rows``/``batches`` activation.
-
-        Mirrors ``Profiler.observe``'s reentrancy rule: when the same
-        node is already being observed on this registry — the default
-        ``rows`` deriving from the node's own ``batches`` — the inner
-        activation passes through uncounted.
-        """
-        inner = fn(op, ctx)
-        depth = self._op_depth
-        key = id(op)
-        if depth.get(key):
-            yield from inner
-            return
-        depth[key] = 1
-        rows = 0
-        batches = 0
-        try:
-            for item in inner:
-                if batched:
-                    batches += 1
-                    rows += len(item)
-                else:
-                    rows += 1
-                yield item
-        finally:
-            depth[key] = 0
-            self.record_operator(op, ctx.mode, rows, batches)
-
     # -- storage-layer accounting ------------------------------------------
 
     def account_memory(self, payload_bytes: int) -> None:
@@ -355,10 +310,8 @@ class MetricsRegistry:
         """A fresh registry for one rank of an MPI job (own thread)."""
         return MetricsRegistry(rank=rank)
 
-    def absorb(self, other: "MetricsRegistry | None") -> None:
+    def absorb(self, other: "MetricsRegistry") -> None:
         """Merge a rank registry in; counters/buckets add, gauges max."""
-        if other is None:
-            return
         for key, counter in other._counters.items():
             self.counter(key[0], **dict(key[1])).add(counter.value)
         for key, gauge in other._gauges.items():
@@ -487,7 +440,10 @@ class MetricsSnapshot:
                 self.samples + other.samples,
                 key=lambda s: (kinds.index(s.kind), s.name, _label_key(s.labels)),
             ),
-            per_rank={**self.per_rank, **other.per_rank},
+            per_rank={
+                rank: {**self.per_rank.get(rank, {}), **other.per_rank.get(rank, {})}
+                for rank in sorted({*self.per_rank, *other.per_rank})
+            },
         )
 
     def names(self) -> list[str]:
@@ -499,10 +455,12 @@ class MetricsSnapshot:
     # -- export ------------------------------------------------------------
 
     def as_dict(self) -> dict:
+        """JSON-clean export; per-rank totals in name order, so the bytes
+        do not depend on which facts were written and which folded."""
         return {
             "samples": [s.as_dict() for s in self.samples],
             "per_rank": {
-                str(rank): dict(totals)
+                str(rank): dict(sorted(totals.items()))
                 for rank, totals in self.per_rank.items()
             },
         }

@@ -3,11 +3,13 @@
 Every concrete :class:`~repro.core.operator.Operator` subclass has its
 ``rows``/``batches`` data paths wrapped by a base-class hook (see
 ``Operator.__init_subclass__``).  The wrapper costs one attribute check per
-generator *creation* when profiling is off; when a :class:`Profiler` is
-attached to the :class:`~repro.core.context.ExecutionContext`, each
-activation is observed:
+generator *creation* when the run is not observed; when a :class:`Profiler`
+is attached to the :class:`~repro.core.context.ExecutionContext`, each
+activation is written once into its node's :class:`OperatorStats`:
 
-* **counts** — rows and batches yielded, activations (``calls``);
+* **counts** — rows and batches yielded per mode, activations (``calls``);
+  the ``operator_*`` metrics are folded from these, and a run that only
+  records metrics attaches an untimed profiler that stops here;
 * **self time** — simulated and wall-clock seconds attributed to *this*
   operator's frames only, via a frame stack: while an operator pulls from
   its upstream, the elapsed time is charged to the upstream, exactly like
@@ -18,9 +20,10 @@ activation is observed:
   activation (first pull to close) on the rank's simulated clock, feeding
   the Chrome-trace exporter.
 
-``MpiExecutor`` gives each simulated rank a child profiler and merges the
-per-rank measurements back into the driver's profiler (sums, plus the
-max-over-ranks self time — a phase lasts as long as its slowest rank).
+``MpiExecutor`` gives each simulated rank a child profiler; those of a
+completed wave join the driver's and are merged per node on read (sums,
+plus the max-over-ranks self time — a phase lasts as long as its slowest
+rank).
 
 :class:`PlanProfile` snapshots the measurements into a tree mirroring the
 plan (nested plans included) and renders the EXPLAIN-ANALYZE-style report
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterator
 
-from repro.observability.events import DRIVER_RANK, OperatorSpan
+from repro.observability.events import DRIVER_RANK, OperatorSpan, span_ids
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.operator import Operator
@@ -53,13 +56,12 @@ class OperatorStats:
 
     __slots__ = (
         "calls",
-        "rows_out",
-        "batches_out",
         "sim_seconds",
         "wall_seconds",
         "max_rank_sim_seconds",
         "sim_by_mode",
         "rows_by_mode",
+        "batches_by_mode",
         "depth",
     )
 
@@ -67,8 +69,6 @@ class OperatorStats:
         #: Generator activations (a nested plan activates once per
         #: invocation; on a cluster, once per rank per invocation).
         self.calls = 0
-        self.rows_out = 0
-        self.batches_out = 0
         #: Simulated self seconds: time the simulated clock advanced while
         #: this node's frame was on top of the profiler stack.
         self.sim_seconds = 0.0
@@ -78,7 +78,10 @@ class OperatorStats:
         #: the node's contribution to the makespan.
         self.max_rank_sim_seconds = 0.0
         self.sim_by_mode: dict[str, float] = {}
+        #: Rows and batches yielded, per execution mode: the one count
+        #: ``rows_out``/``batches_out`` and ``operator_*`` are read from.
         self.rows_by_mode: dict[str, int] = {}
+        self.batches_by_mode: dict[str, int] = {}
         #: Live activation nesting (reentrancy guard); not part of results.
         self.depth = 0
 
@@ -86,11 +89,17 @@ class OperatorStats:
     def executed(self) -> bool:
         return self.calls > 0
 
+    @property
+    def rows_out(self) -> int:
+        return sum(self.rows_by_mode.values())
+
+    @property
+    def batches_out(self) -> int:
+        return sum(self.batches_by_mode.values())
+
     def merge(self, other: "OperatorStats") -> None:
         """Fold another profiler's measurements of the same node in."""
         self.calls += other.calls
-        self.rows_out += other.rows_out
-        self.batches_out += other.batches_out
         self.sim_seconds += other.sim_seconds
         self.wall_seconds += other.wall_seconds
         self.max_rank_sim_seconds = max(
@@ -101,6 +110,8 @@ class OperatorStats:
             self.sim_by_mode[mode] = self.sim_by_mode.get(mode, 0.0) + seconds
         for mode, rows in other.rows_by_mode.items():
             self.rows_by_mode[mode] = self.rows_by_mode.get(mode, 0) + rows
+        for mode, batches in other.batches_by_mode.items():
+            self.batches_by_mode[mode] = self.batches_by_mode.get(mode, 0) + batches
 
     def as_dict(self) -> dict:
         return {
@@ -126,8 +137,10 @@ class Profiler:
 
     The driver's profiler observes driver-side operators; ``MpiExecutor``
     creates one :meth:`child` per rank (bound to the rank's clock) and
-    :meth:`absorb`\\ s them after each job, so a single profiler ends up
-    holding the whole plan's measurements.
+    :meth:`absorb`\\ s those of each completed wave, so a single profiler
+    ends up holding the whole plan's measurements.  With ``timed=False``
+    it only counts: no frame stack, no spans.  Spans are born under the
+    trace context ``trace`` (``None`` for direct runs).
     """
 
     #: Span-recording backstop: a plan with pathologically many nested-plan
@@ -135,27 +148,28 @@ class Profiler:
     #: (``dropped_spans`` says how many were cut).
     MAX_SPANS = 200_000
 
-    __slots__ = ("clock", "rank", "stats", "ops", "spans", "dropped_spans", "_stack")
+    __slots__ = (
+        "clock", "rank", "timed", "stats", "ops", "spans", "dropped_spans",
+        "ranks", "_trace", "_stack",
+    )
 
-    def __init__(self, clock, rank: int = DRIVER_RANK) -> None:
+    def __init__(
+        self, clock, rank: int = DRIVER_RANK, timed: bool = True, trace=None
+    ) -> None:
         self.clock = clock
         self.rank = rank
+        self.timed = timed
         self.stats: dict[int, OperatorStats] = {}
         self.ops: dict[int, "Operator"] = {}
         self.spans: list[OperatorSpan] = []
         self.dropped_spans = 0
+        #: The rank profilers of every completed wave, in completion order.
+        self.ranks: list[Profiler] = []
+        self._trace = trace
         #: Active frames: ``[stats, sim_mark, wall_mark]`` lists.
         self._stack: list[list] = []
 
     # -- recording ---------------------------------------------------------
-
-    def record_for(self, op: "Operator") -> OperatorStats:
-        rec = self.stats.get(id(op))
-        if rec is None:
-            rec = OperatorStats()
-            self.stats[id(op)] = rec
-            self.ops[id(op)] = op
-        return rec
 
     def observe(self, op: "Operator", fn, ctx, batched: bool) -> Iterator:
         """Wrap one ``rows``/``batches`` activation of ``op``.
@@ -166,7 +180,10 @@ class Profiler:
         the node's own ``batches`` — the inner activation passes through
         uncounted, keeping row counts and self time single-counted.
         """
-        rec = self.record_for(op)
+        rec = self.stats.get(id(op))
+        if rec is None:
+            rec = self.stats[id(op)] = OperatorStats()
+            self.ops[id(op)] = op
         inner = fn(op, ctx)
         if rec.depth:
             yield from inner
@@ -174,7 +191,7 @@ class Profiler:
         rec.depth += 1
         rec.calls += 1
         mode = ctx.mode
-        metrics = ctx.metrics
+        timed = self.timed
         clock = self.clock
         rows = 0
         batches = 0
@@ -182,13 +199,17 @@ class Profiler:
         sim_before = rec.sim_seconds
         try:
             while True:
-                self._push(rec)
+                # An untimed profiler keeps no frame stack: no wall-clock
+                # reads per pull (interpreted mode pulls once per row).
+                if timed:
+                    self._push(rec)
                 try:
                     item = next(inner)
                 except StopIteration:
                     break
                 finally:
-                    self._pop()
+                    if timed:
+                        self._pop()
                 if batched:
                     batches += 1
                     rows += len(item)
@@ -197,18 +218,13 @@ class Profiler:
                 yield item
         finally:
             rec.depth -= 1
-            rec.rows_out += rows
-            rec.batches_out += batches
             rec.rows_by_mode[mode] = rec.rows_by_mode.get(mode, 0) + rows
-            rec.sim_by_mode[mode] = (
-                rec.sim_by_mode.get(mode, 0.0) + rec.sim_seconds - sim_before
-            )
-            # Single-source the work counts: when metrics are also on, the
-            # registry is fed from this same loop so profile and metrics
-            # reconcile exactly (±0 rows).
-            if metrics is not None:
-                metrics.record_operator(op, mode, rows, batches)
-            self._record_span(op, start_sim, clock.now, rows, batches, mode)
+            rec.batches_by_mode[mode] = rec.batches_by_mode.get(mode, 0) + batches
+            if timed:
+                rec.sim_by_mode[mode] = (
+                    rec.sim_by_mode.get(mode, 0.0) + rec.sim_seconds - sim_before
+                )
+                self._record_span(op, start_sim, clock.now, rows, batches, mode)
 
     def _push(self, rec: OperatorStats) -> None:
         sim_now = self.clock.now
@@ -240,11 +256,8 @@ class Profiler:
             return
         self.spans.append(
             OperatorSpan(
-                rank=self.rank,
-                kind="operator",
-                label=op.label(),
-                start=start,
-                end=end,
+                self.rank, "operator", op.label(), start, end,
+                *span_ids(self._trace),
                 op_type=type(op).__name__,
                 node_id=id(op),
                 rows=rows,
@@ -257,17 +270,30 @@ class Profiler:
 
     def child(self, clock, rank: int) -> "Profiler":
         """A fresh profiler for one rank of an MPI job (own clock/thread)."""
-        return Profiler(clock, rank=rank)
+        trace = self._trace.for_rank(rank) if self._trace is not None else None
+        return Profiler(clock, rank=rank, timed=self.timed, trace=trace)
 
-    def absorb(self, other: "Profiler | None") -> None:
-        """Merge a rank profiler's measurements into this one."""
-        if other is None:
-            return
-        for node_id, rec in other.stats.items():
-            self.record_for(other.ops[node_id]).merge(rec)
+    def absorb(self, other: "Profiler") -> None:
+        """Append a completed wave's rank profiler: its stats stay its own
+        (merged by :meth:`node_stats`, folded per rank into the metrics),
+        its spans join this profiler's under the shared cap."""
+        self.ranks.append(other)
         room = self.MAX_SPANS - len(self.spans)
         self.spans.extend(other.spans[:room])
         self.dropped_spans += other.dropped_spans + max(0, len(other.spans) - room)
+
+    def node_stats(self) -> dict[int, OperatorStats]:
+        """Per-node totals over this profiler and every absorbed rank."""
+        merged: dict[int, OperatorStats] = {}
+        for rank_profiler in self.ranks:
+            for node_id, rec in rank_profiler.stats.items():
+                merged.setdefault(node_id, OperatorStats()).merge(rec)
+        for node_id, rec in self.stats.items():
+            if node_id in merged:
+                merged[node_id].merge(rec)
+            else:
+                merged[node_id] = rec
+        return merged
 
 
 # -- the profile tree ----------------------------------------------------------
@@ -358,6 +384,7 @@ class PlanProfile:
     ) -> "PlanProfile":
         """Snapshot ``profiler``'s measurements onto the plan tree."""
         nodes: dict[int, ProfileNode] = {}
+        stats = profiler.node_stats()
 
         def build(op: "Operator") -> ProfileNode:
             node = nodes.get(id(op))
@@ -368,7 +395,7 @@ class PlanProfile:
                 abbreviation=op.abbreviation,
                 label=op.label(),
                 phase=op.assigned_phase,
-                stats=profiler.stats.get(id(op)) or OperatorStats(),
+                stats=stats.get(id(op)) or OperatorStats(),
             )
             nodes[id(op)] = node
             node.children = [build(up) for up in op.upstreams]

@@ -3,13 +3,13 @@
 Every query admitted by :class:`~repro.serving.server.Server` gets a
 :class:`TraceContext` minted at ``submit()`` and propagated through the
 scheduler (:class:`~repro.serving.scheduler.SchedulerEvent.trace_id`),
-each server-level retry attempt (one child span per attempt), the
-execution context (:attr:`~repro.core.context.ExecutionContext.trace`)
-and stage recovery (one child span per rank).  At settlement the server
-stamps the attempt's report — operator spans, substrate trace events,
-fault/retry/recovery events — with the attempt's context, so every
-:class:`~repro.observability.events.SimEvent` a soak run produces
-resolves to exactly one submitted query::
+each server-level retry attempt (one child span per attempt) and the
+attempt's :class:`~repro.observability.record.ExecutionRecord`.  Whatever
+records under it — the profiler, each job's
+:class:`~repro.mpi.trace.ClusterTrace` (one child span per rank), stage
+recovery — builds its events with the ids of their span, so every
+:class:`~repro.observability.events.SimEvent` a soak run produces is born
+resolving to exactly one submitted query::
 
     serve-000007                       query root (one per submission)
     └── serve-000007/a1                attempt span (one per retry attempt)
@@ -35,24 +35,16 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import Any, Iterable
 
-from repro.observability.events import SimEvent
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.slo import CONSIDERED, SERVING_LATENCY_BOUNDS, SLOConfig
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.executor import ExecutionReport
 
 __all__ = [
     "TraceContext",
     "JournalEvent",
     "QueryJournal",
     "journal_metrics",
-    "report_events",
-    "stamp_event",
-    "stamp_events",
-    "stamp_report",
 ]
 
 
@@ -118,56 +110,6 @@ class TraceContext:
             attempt=self.attempt,
             stage=stage,
         )
-
-
-# -- event stamping ----------------------------------------------------------
-
-
-def stamp_event(event: SimEvent, ctx: TraceContext) -> bool:
-    """Link one (frozen) event to a trace context, in place.
-
-    Events carry empty trace fields until their query settles; stamping
-    then is a handful of ``object.__setattr__`` calls per event, so the
-    execution hot path pays nothing for tracing.
-    Rank-attributed events (``rank >= 0``) land under the context's rank
-    child span; driver events attach to the context itself.  Already
-    stamped events are left alone (returns ``False``).
-    """
-    if event.trace_id:
-        return False
-    if event.rank >= 0:
-        span_id = f"{ctx.span_id}/r{event.rank}"
-        parent = ctx.span_id
-    else:
-        span_id = ctx.span_id
-        parent = ctx.parent_span_id
-    object.__setattr__(event, "trace_id", ctx.trace_id)
-    object.__setattr__(event, "span_id", span_id)
-    object.__setattr__(event, "parent_span_id", parent)
-    return True
-
-
-def stamp_events(events: Iterable[SimEvent], ctx: TraceContext) -> int:
-    """Stamp a batch of events; returns how many were newly linked."""
-    return sum(1 for event in events if stamp_event(event, ctx))
-
-
-def report_events(report: "ExecutionReport") -> Iterator[SimEvent]:
-    """Everything one attempt's report recorded: operator spans (the
-    profiler), substrate trace events per rank (puts, collectives,
-    windows, faults, retries), and driver-side recovery events."""
-    profile = getattr(report, "profile", None)
-    if profile is not None:
-        yield from getattr(profile, "spans", None) or ()
-    for trace in getattr(report, "traces", ()):
-        yield from trace.events()
-    yield from getattr(report, "recovery_events", ())
-
-
-def stamp_report(report: "ExecutionReport", ctx: TraceContext) -> int:
-    """Stamp everything one attempt's report recorded with its context;
-    returns the number of events stamped."""
-    return stamp_events(report_events(report), ctx)
 
 
 # -- per-query journals ------------------------------------------------------

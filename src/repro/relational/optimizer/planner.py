@@ -388,8 +388,9 @@ class ModularisQuery:
         :func:`repro.core.executor.execution_steps` — same contract (each
         ``next()`` advances one morsel; ``StopIteration.value`` is the
         :class:`ExecutionReport`), plus this query's planning-time
-        bookkeeping (the broadcast-fallback recovery evidence).  The
-        serving scheduler interleaves many of these on one cluster.
+        evidence (the broadcast-fallback recovery action, appended to the
+        run's record before the first morsel).  The serving scheduler
+        interleaves many of these on one cluster.
 
         Args:
             ctx: Pre-built driver context to run under (the serving layer
@@ -403,36 +404,15 @@ class ModularisQuery:
 
         if ctx is None:
             ctx = ExecutionContext.from_options(options)
-        if options.metrics and self.degraded_from is not None:
-            # The broadcast-fallback decision happened at planning time;
-            # pre-count it on the run's registry so the snapshot taken
-            # inside the executor includes it.
-            from repro.observability.metrics import MetricsRegistry
-
-            ctx.metrics = MetricsRegistry()
-            ctx.metrics.counter(
-                "recovery_actions", action="broadcast_fallback"
-            ).inc()
-        report = yield from execution_steps(
-            self.root, {self.slot: self.bind(catalog)}, options, ctx=ctx
-        )
         if self.degraded_from is not None:
-            from repro.mpi.trace import TraceEvent
-            from repro.observability.events import DRIVER_RANK, RecoveryDetail
-
-            report.recovery_events.append(
-                TraceEvent(
-                    rank=DRIVER_RANK,
-                    kind="recovery",
-                    label="broadcast_fallback",
-                    start=0.0,
-                    end=0.0,
-                    detail=RecoveryDetail(
-                        action="broadcast_fallback", stage=self.strategy
-                    ),
-                )
+            # The broadcast-fallback decision happened at planning time:
+            # it opens the run's record, at simulated time zero.
+            ctx.record.recovery("broadcast_fallback", 0.0, 0.0, stage=self.strategy)
+        return (
+            yield from execution_steps(
+                self.root, {self.slot: self.bind(catalog)}, options, ctx=ctx
             )
-        return report
+        )
 
     def run(
         self,

@@ -7,14 +7,18 @@ were verified against — and then *run* many times against fresh catalog
 contents.  ``deploy`` is the expensive, checked step; ``run`` is the hot
 path and does only the contract check before data flows.
 
-Concurrency note: a :class:`PreparedPlan` deliberately does **not** cache
-a lowered :class:`~repro.relational.optimizer.planner.ModularisQuery`.
-``MpiExecutor`` keeps per-run mutable state (``last_result``,
-``recovery_log``), so sharing one lowered plan across concurrent runs
-would race; :meth:`PreparedPlan.instantiate` lowers a fresh physical plan
-per run instead, which is what makes the serving layer's interleaving
-safe.  The deploy-time lowering is still performed — and discarded — so
-structural errors and lint findings surface at deploy time, not at 3 a.m.
+A :class:`PreparedPlan` deliberately does **not** cache a lowered
+:class:`~repro.relational.optimizer.planner.ModularisQuery`:
+:meth:`PreparedPlan.instantiate` lowers a fresh physical plan per run
+because lowering is a function of the run, not only of the query — it
+sizes the local fan-out from the *live* catalog's statistics, and under a
+memory-pressure fault policy it degrades a broadcast join to an exchange
+at planning time.  It is not a concurrency workaround: plan nodes hold no
+run state (every execution's evidence lives in its own
+:class:`~repro.observability.record.ExecutionRecord`), so interleaved
+runs of one lowered plan would not race.  The deploy-time lowering is
+still performed — and discarded — so structural errors and lint findings
+surface at deploy time, not at 3 a.m.
 """
 
 from __future__ import annotations

@@ -75,7 +75,6 @@ from repro.observability.tracing import (
     QueryJournal,
     TraceContext,
     journal_metrics,
-    stamp_report,
 )
 from repro.serving.lifecycle import BREAKER_STATE_CODES, BreakerConfig, CircuitBreaker
 from repro.serving.registry import PlanRegistry, PreparedPlan
@@ -647,9 +646,10 @@ class Server:
         step-sequence span carry over the same way.
 
         Each attempt executes under its own child span of the query's
-        trace (``<trace>/aN``); the attempt span rides the execution
-        context into the substrate, where rank spans (``<trace>/aN/rM``)
-        are stamped onto the attempt's events at settlement.
+        trace (``<trace>/aN``); the attempt's execution record is created
+        with that span, so everything the attempt records — operator
+        spans, substrate events under rank spans (``<trace>/aN/rM``),
+        recovery actions — is born linked to the query.
         """
         prepared, journal, breaker, future = (
             query.prepared, query.journal, query.breaker, query.future
@@ -660,9 +660,8 @@ class Server:
         carry_elapsed = previous.elapsed() + backoff if previous else 0.0
         opts = self._attempt_options(query.options, attempt)
         lowered = prepared.instantiate(self.catalog, self.cluster, opts)
-        ctx = ExecutionContext.from_options(opts)
         attempt_trace = query.trace.for_attempt(attempt)
-        ctx.trace = attempt_trace
+        ctx = ExecutionContext.from_options(opts, trace=attempt_trace)
         if carry_elapsed:
             ctx.clock.advance(carry_elapsed)
         journal.note(
@@ -698,10 +697,6 @@ class Server:
                     self._finalize_failure(task, exc, query)
                     return
                 breaker.record_success()
-                # Post-hoc causal stamping: the execution hot path ran
-                # cold; the surviving attempt's spans, substrate events,
-                # and recovery log are linked to the query here, once.
-                stamp_report(result, attempt_trace)
                 journal.note(
                     "attempt_finished",
                     span_id=attempt_trace.span_id,

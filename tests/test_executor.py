@@ -74,3 +74,81 @@ class TestExecute:
         root, slot = simple_plan()
         result = execute(root, params={slot: (make_kv_table(4),)})
         assert result.phase_breakdown() == {}
+
+
+class TestEvidenceBelongsToTheExecution:
+    """Run evidence lives in the execution's record, never on plan nodes."""
+
+    def _join(self):
+        from repro.core.plans import build_distributed_join
+        from repro.mpi.cluster import SimCluster
+        from repro.workloads import make_join_relations
+
+        workload = make_join_relations(1 << 10)
+        plan = build_distributed_join(
+            SimCluster(2, trace=True),
+            workload.left.element_type,
+            workload.right.element_type,
+            key_bits=workload.key_bits,
+        )
+        return plan, {plan.slot: (workload.left, workload.right)}
+
+    @staticmethod
+    def _finish(steps):
+        while True:
+            try:
+                next(steps)
+            except StopIteration as done:
+                return done.value
+
+    def test_interleaved_executions_of_one_plan_keep_their_own_evidence(self):
+        from repro.core.executor import execution_steps
+        from repro.faults import FaultPolicy
+
+        plan, params = self._join()
+        crashing = RunOptions(faults=FaultPolicy.with_crash(seed=3))
+        solo = self._finish(execution_steps(plan.root, params, crashing))
+        assert solo.fault_summary()["recovery:stage_retry"] == 1
+
+        first = execution_steps(plan.root, params, crashing)
+        next(first)
+        clean = self._finish(execution_steps(plan.root, params))
+        crashed = self._finish(first)
+
+        assert crashed.fault_summary() == solo.fault_summary()
+        assert clean.fault_summary() == {}
+        assert len(crashed.cluster_results) == len(clean.cluster_results) == 1
+        assert crashed.cluster_results[0] is not clean.cluster_results[0]
+        assert crashed.simulated_time == solo.simulated_time
+        assert list(plan.matches(crashed).iter_rows()) == list(
+            plan.matches(clean).iter_rows()
+        )
+
+    @pytest.mark.parametrize(
+        "name", ["join", "groupby", "broadcast_join", "join_sequence", "q12"]
+    )
+    def test_plan_nodes_are_immutable_across_executions(self, name):
+        from repro.core.plan import walk
+        from repro.faults import FaultPolicy
+        from repro.workloads.targets import resolve
+
+        def snapshot(root):
+            return {
+                id(op): {
+                    attr: list(value) if isinstance(value, list) else value
+                    for attr, value in vars(op).items()
+                }
+                for op in walk(root, into_nested=True)
+            }
+
+        target = resolve(name, 2, log2_tuples=10, sf=0.002, trace=True)
+        target.run(RunOptions())  # prepare() has annotated the plan by now
+        plan = target.plan
+        before = snapshot(plan.root)
+        report = plan.run(
+            *target.inputs,
+            RunOptions(profile=True, metrics=True, faults=FaultPolicy.with_crash()),
+        )
+        assert report.fault_summary().get("recovery:stage_retry") == 1
+        assert report.cluster_results and report.profile.spans
+        assert snapshot(plan.root) == before

@@ -211,7 +211,10 @@ class TestCheckpointReuse:
         # The crash fires at rank 2's first comm op — after every rank has
         # deposited the staged materialization, before the exchange.
         policy = FaultPolicy(crash=CrashFault(rank=2, after_comm_ops=1))
-        chaos = execute(root, params={slot: (table,)}, options=RunOptions(faults=policy))
+        chaos = execute(
+            root, params={slot: (table,)},
+            options=RunOptions(faults=policy, metrics=True),
+        )
 
         (base_row,) = baseline.rows
         (chaos_row,) = chaos.rows
@@ -221,6 +224,11 @@ class TestCheckpointReuse:
         assert summary.get("recovery:stage_retry") == 1
         # All four ranks serve the staged vector from the checkpoint.
         assert summary.get("recovery:checkpoint_hit") == 4
+        # The metric is a fold over those same four events, one per rank.
+        assert chaos.metrics.total("checkpoint_hits") == 4
+        assert [
+            totals["checkpoint_hits"] for totals in chaos.metrics.per_rank.values()
+        ] == [1, 1, 1, 1]
 
     def test_checkpoint_hits_do_not_leak_across_executions(self):
         table = make_kv_table(512, seed=9)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.core.options import RunOptions
 from repro.analysis.runtime import analyze_runtime
+from repro.faults import FaultPolicy
 from repro.mpi.cluster import SimCluster
 from repro.observability.metrics import (
     Counter,
@@ -337,6 +338,48 @@ class TestReconciliation:
             totals.get("shuffle_bytes", 0) for totals in snap.per_rank.values()
         ) == snap.total("shuffle_bytes")
 
+    @pytest.mark.parametrize(
+        "faults",
+        [None, FaultPolicy.transient(seed=7), FaultPolicy.with_crash()],
+        ids=["clean", "transient", "crash"],
+    )
+    def test_folded_metrics_equal_the_record(self, catalog, faults):
+        """comm_*, fault_retries, recovery_actions and checkpoint_hits have
+        no write site of their own: they are folds over the surviving
+        attempts' events, so they equal what the report's traces hold."""
+        _, report = _run_q(catalog, 12, metrics=True, faults=faults)
+        snap = report.metrics
+        events = [e for trace in report.traces for e in trace.events()]
+
+        def count(kind):
+            return sum(1 for e in events if e.kind == kind)
+
+        assert snap.total("comm_put_bytes", scope="network") == sum(
+            trace.network_bytes() for trace in report.traces
+        )
+        assert snap.total("comm_puts") == count("put")
+        assert snap.total("comm_collectives") == count("collective") > 0
+        assert snap.total("comm_windows") == count("win_create")
+        assert snap.total("fault_retries") == count("retry")
+        recoveries: dict[str, int] = {}
+        for event in report.fault_events():
+            if event.kind == "recovery":
+                recoveries[event.label] = recoveries.get(event.label, 0) + 1
+        hits = recoveries.pop("checkpoint_hit", 0)
+        assert snap.total("checkpoint_hits") == hits
+        assert snap.by_label("recovery_actions", "action") == recoveries
+        if faults is not None and faults.crash is not None:
+            assert recoveries == {"stage_retry": 1}
+        if faults is not None and faults.put_drop_rate:
+            assert count("retry") > 0
+        # Only ranks communicate, so each folded total is the sum of its
+        # per-rank breakdown.
+        for name in ("comm_puts", "comm_put_bytes", "comm_collectives",
+                     "comm_windows", "fault_retries", "checkpoint_hits"):
+            assert sum(
+                totals.get(name, 0) for totals in snap.per_rank.values()
+            ) == snap.total(name)
+
     def test_join_dispatch_paths(self, catalog):
         _, fused = _run_q(catalog, 12, mode="fused", metrics=True)
         _, interp = _run_q(catalog, 12, mode="interpreted", metrics=True)
@@ -368,6 +411,27 @@ class TestDisabledMode:
     def test_report_metrics_none_when_disabled(self, catalog):
         _, report = _run_q(catalog, 12)
         assert report.metrics is None
+
+    @pytest.mark.parametrize("mode", ["fused", "interpreted"])
+    def test_counts_only_run_never_reads_the_wall_clock(self, monkeypatch, mode):
+        """metrics without profile keeps the one observer counts-only:
+        no frame stack, so no perf_counter() per pull (interpreted mode
+        pulls once per row), and no profile on the report."""
+        from repro.observability import profile
+        from repro.workloads.targets import resolve
+
+        def boom():  # pragma: no cover - must not run
+            raise AssertionError("counts-only observer read the wall clock")
+
+        target = resolve("join", 2, log2_tuples=10)
+        profiled = target.run(RunOptions(mode=mode, metrics=True, profile=True))
+        monkeypatch.setattr(profile, "perf_counter", boom)
+        counted = target.run(RunOptions(mode=mode, metrics=True))
+        assert counted.profile is None
+        # Same counts, sample for sample, as the timed observer's.
+        assert counted.metrics.find("operator_calls")
+        for name in ("operator_rows_out", "operator_batches_out", "operator_calls"):
+            assert counted.metrics.find(name) == profiled.metrics.find(name)
 
 
 class TestRuntimeAdvisories:

@@ -214,13 +214,14 @@ class TestMpiExecutor:
         executor, slot = self._executor_plan(cluster2, table)
         root = MaterializeRowVector(RowScan(executor, field="hist"), field="all")
         result = execute(root, params={slot: (table,)})
-        assert executor.last_result is not None
         assert len(result.cluster_results) == 1
         assert result.cluster_results[0].makespan > 0
 
 
-    def test_multi_wave_dispatch(self, cluster2):
+    def test_multi_wave_dispatch(self):
         from repro.core.executor import execute
+        from repro.core.options import RunOptions
+        from repro.mpi.cluster import SimCluster
 
         # Four inputs on two ranks run as two waves; outputs keep order.
         tables = [make_kv_table(8, seed=s) for s in range(4)]
@@ -232,10 +233,38 @@ class TestMpiExecutor:
         def build_worker(worker_slot):
             scan = RowScan(Projection(ParameterLookup(worker_slot), ["t"]), field="t")
             local = LocalHistogram(scan, RadixPartition("key", 2))
-            return MaterializeRowVector(local, field="hist")
+            return MaterializeRowVector(MpiHistogram(local, 2), field="hist")
 
-        executor = MpiExecutor(inputs, build_worker, cluster2)
+        executor = MpiExecutor(inputs, build_worker, SimCluster(2, trace=True))
         root = MaterializeRowVector(RowScan(executor, field="hist"), field="all")
-        result = execute(root, params={slot: (inputs_vec,)})
+        result = execute(
+            root,
+            params={slot: (inputs_vec,)},
+            options=RunOptions(profile=True, metrics=True),
+        )
         (row,) = result.rows
         assert len(row[0]) == 4 * 2  # four invocations x two buckets
+
+        # Every completed wave is in the record, so the per-job evidence
+        # accounts for the whole run: the driver waited exactly the two
+        # makespans, the phase breakdown sums both waves, and the folded
+        # collective count is the traced one.
+        first, second = result.cluster_results
+        assert first is not second and first.trace is not second.trace
+        (node,) = result.profile.find("MpiExecutor")
+        assert first.makespan + second.makespan == pytest.approx(
+            node.stats.sim_seconds, rel=1e-12
+        )
+        breakdown = result.phase_breakdown()
+        for phase in set(first.phase_breakdown()) | set(second.phase_breakdown()):
+            assert breakdown[phase] == pytest.approx(
+                first.phase_breakdown().get(phase, 0.0)
+                + second.phase_breakdown().get(phase, 0.0)
+            )
+        traced = sum(len(t.events(kind="collective")) for t in result.traces)
+        assert traced == 2 * 2  # one allreduce per rank per wave
+        assert result.metrics.total("comm_collectives") == traced
+        # Rank spans join the span log wave by wave, rank by rank.
+        ranks = [s.rank for s in result.profile.spans if s.rank >= 0]
+        runs = [r for i, r in enumerate(ranks) if i == 0 or ranks[i - 1] != r]
+        assert runs == [0, 1, 0, 1]
