@@ -186,16 +186,15 @@ class _WindowState:
 class Sanitizer:
     """One sanitized execution's recorder, shared by driver and all jobs.
 
-    Thread-compatible by construction: the provenance stack is
-    thread-local, cross-rank state lives in per-job objects behind their
-    own lock, and jobs are created sequentially on the driver (which is
-    what makes window keys — and therefore the MOD053 replay diff —
-    deterministic).
+    Unlocked: one rank of a job runs at a time (the substrate's baton) and
+    jobs are created sequentially on the driver (which is what makes window
+    keys — and therefore the MOD053 replay diff — deterministic).  Only
+    the provenance stack is thread-local: a rank's thread carries its
+    stack of active operator generators across hand-offs.
     """
 
     def __init__(self) -> None:
         self._tls = threading.local()
-        self._lock = threading.Lock()
         self._job_seq = 0
         self.puts_checked = 0
         self.collectives_checked = 0
@@ -241,9 +240,8 @@ class Sanitizer:
 
     def job(self, n_ranks: int) -> "SanitizerJob":
         """Per-MPI-job recorder; one per cluster dispatch attempt."""
-        with self._lock:
-            seq = self._job_seq
-            self._job_seq += 1
+        seq = self._job_seq
+        self._job_seq += 1
         return SanitizerJob(self, seq, n_ranks)
 
     # -- determinism log (MOD053) --------------------------------------------
@@ -323,15 +321,14 @@ def diff_write_logs(baseline: Sanitizer, replay: Sanitizer) -> list[Diagnostic]:
 class SanitizerJob:
     """Cross-rank sanitizer state of one MPI job (one ``cluster.run``).
 
-    Installed as ``comm.sanitizer`` on every rank of the job; rank threads
-    call in concurrently, so all mutable state sits behind one lock.
+    Installed as ``comm.sanitizer`` on every rank of the job; only the
+    rank holding the job's baton calls in.
     """
 
     def __init__(self, parent: Sanitizer, seq: int, n_ranks: int) -> None:
         self.parent = parent
         self.seq = seq
         self.n_ranks = n_ranks
-        self._lock = threading.Lock()
         #: Per-rank collective schedule: list of (tag, operator label).
         self._schedule: list[list[tuple[str, str]]] = [[] for _ in range(n_ranks)]
         self._finished: set[int] = set()
@@ -350,27 +347,26 @@ class SanitizerJob:
 
     def on_win_create(self, window: "Window", rank: int) -> None:
         op = self.parent.current_op()
-        with self._lock:
-            nth = self._win_counter[rank]
-            self._win_counter[rank] = nth + 1
-            key = (self.seq, rank, nth)
-            state = _WindowState(
-                key=key,
-                owner_rank=rank,
-                capacity=window.capacity,
-                creator=op,
-                nondet_feed=_feeds_nondeterminism(op),
-            )
-            self._windows[id(window)] = state
-            self.parent.windows_tracked += 1
-            self.parent.window_meta.setdefault(
-                key,
-                (
-                    _provenance(op),
-                    type(op).__name__ if op is not None else "<substrate>",
-                    state.nondet_feed,
-                ),
-            )
+        nth = self._win_counter[rank]
+        self._win_counter[rank] = nth + 1
+        key = (self.seq, rank, nth)
+        state = _WindowState(
+            key=key,
+            owner_rank=rank,
+            capacity=window.capacity,
+            creator=op,
+            nondet_feed=_feeds_nondeterminism(op),
+        )
+        self._windows[id(window)] = state
+        self.parent.windows_tracked += 1
+        self.parent.window_meta.setdefault(
+            key,
+            (
+                _provenance(op),
+                type(op).__name__ if op is not None else "<substrate>",
+                state.nondet_feed,
+            ),
+        )
         window.sanitizer = self
 
     def on_put(
@@ -381,144 +377,139 @@ class SanitizerJob:
             return
         op = self.parent.current_op()
         stop = offset + len(data)
-        with self._lock:
-            self.parent.puts_checked += 1
-            if state.closed:
-                self._raise(
-                    "MOD052", op,
-                    f"{_provenance(op)} issued a one-sided put of rows "
-                    f"[{offset}, {stop}) into the window on rank "
-                    f"{state.owner_rank} after its job closed the window "
-                    f"(use-after-close)",
-                )
-            if data.element_type != window.element_type:
-                self._raise(
-                    "MOD050", op,
-                    f"{_provenance(op)} on rank {source_rank} put "
-                    f"{data.element_type!r} tuples into the window on rank "
-                    f"{state.owner_rank} registered for "
-                    f"{window.element_type!r} (epoch {state.epoch})",
-                )
-            if offset < 0 or stop > state.capacity:
-                self._raise(
-                    "MOD050", op,
-                    f"{_provenance(op)} on rank {source_rank} put rows "
-                    f"[{offset}, {stop}) outside the window of capacity "
-                    f"{state.capacity} on rank {state.owner_rank} "
-                    f"(epoch {state.epoch}); the histogram ladder promised "
-                    f"a region it does not have",
-                )
-            for start0, stop0, src0, label0 in state.epoch_writes:
-                if src0 != source_rank and offset < stop0 and start0 < stop:
-                    self._raise(
-                        "MOD050", op,
-                        f"RMA write-set race in epoch {state.epoch}: "
-                        f"{label0} on rank {src0} and {_provenance(op)} on "
-                        f"rank {source_rank} both wrote rows "
-                        f"[{max(offset, start0)}, {min(stop, stop0)}) of the "
-                        f"window on rank {state.owner_rank}; the exclusive "
-                        f"write regions the exchange derived from its "
-                        f"histograms overlap",
-                    )
-            state.epoch_writes.append((offset, stop, source_rank, _provenance(op)))
-            state.unfenced_puts += 1
-            self.parent._record_put(
-                state.key, state.epoch, offset, stop, source_rank, _digest(data)
+        self.parent.puts_checked += 1
+        if state.closed:
+            self._raise(
+                "MOD052", op,
+                f"{_provenance(op)} issued a one-sided put of rows "
+                f"[{offset}, {stop}) into the window on rank "
+                f"{state.owner_rank} after its job closed the window "
+                f"(use-after-close)",
             )
+        if data.element_type != window.element_type:
+            self._raise(
+                "MOD050", op,
+                f"{_provenance(op)} on rank {source_rank} put "
+                f"{data.element_type!r} tuples into the window on rank "
+                f"{state.owner_rank} registered for "
+                f"{window.element_type!r} (epoch {state.epoch})",
+            )
+        if offset < 0 or stop > state.capacity:
+            self._raise(
+                "MOD050", op,
+                f"{_provenance(op)} on rank {source_rank} put rows "
+                f"[{offset}, {stop}) outside the window of capacity "
+                f"{state.capacity} on rank {state.owner_rank} "
+                f"(epoch {state.epoch}); the histogram ladder promised "
+                f"a region it does not have",
+            )
+        for start0, stop0, src0, label0 in state.epoch_writes:
+            if src0 != source_rank and offset < stop0 and start0 < stop:
+                self._raise(
+                    "MOD050", op,
+                    f"RMA write-set race in epoch {state.epoch}: "
+                    f"{label0} on rank {src0} and {_provenance(op)} on "
+                    f"rank {source_rank} both wrote rows "
+                    f"[{max(offset, start0)}, {min(stop, stop0)}) of the "
+                    f"window on rank {state.owner_rank}; the exclusive "
+                    f"write regions the exchange derived from its "
+                    f"histograms overlap",
+                )
+        state.epoch_writes.append((offset, stop, source_rank, _provenance(op)))
+        state.unfenced_puts += 1
+        self.parent._record_put(
+            state.key, state.epoch, offset, stop, source_rank, _digest(data)
+        )
 
     def on_read(self, window: "Window", start: int, stop: int) -> None:
         state = self._windows.get(id(window))
         if state is None:
             return
         op = self.parent.current_op()
-        with self._lock:
-            if state.closed:
+        if state.closed:
+            self._raise(
+                "MOD052", op,
+                f"{_provenance(op)} read rows [{start}, {stop}) of the "
+                f"window on rank {state.owner_rank} after its job closed "
+                f"the window (use-after-close)",
+            )
+        for start0, stop0, src0, label0 in state.epoch_writes:
+            if (
+                src0 != state.owner_rank
+                and start < stop0
+                and start0 < stop
+            ):
                 self._raise(
                     "MOD052", op,
-                    f"{_provenance(op)} read rows [{start}, {stop}) of the "
-                    f"window on rank {state.owner_rank} after its job closed "
-                    f"the window (use-after-close)",
+                    f"{_provenance(op)} read rows [{start}, {stop}) of "
+                    f"the window on rank {state.owner_rank} before the "
+                    f"epoch's closing fence, but {label0} on rank {src0} "
+                    f"wrote rows [{start0}, {stop0}) one-sidedly in this "
+                    f"epoch; the read is not guaranteed to observe the "
+                    f"transfer",
                 )
-            for start0, stop0, src0, label0 in state.epoch_writes:
-                if (
-                    src0 != state.owner_rank
-                    and start < stop0
-                    and start0 < stop
-                ):
-                    self._raise(
-                        "MOD052", op,
-                        f"{_provenance(op)} read rows [{start}, {stop}) of "
-                        f"the window on rank {state.owner_rank} before the "
-                        f"epoch's closing fence, but {label0} on rank {src0} "
-                        f"wrote rows [{start0}, {stop0}) one-sidedly in this "
-                        f"epoch; the read is not guaranteed to observe the "
-                        f"transfer",
-                    )
 
     def on_fence(self, window: "Window") -> None:
         state = self._windows.get(id(window))
         if state is None:
             return
-        with self._lock:
-            state.epoch += 1
-            state.epoch_writes = []
-            state.unfenced_puts = 0
-            self.parent.epochs_closed += 1
+        state.epoch += 1
+        state.epoch_writes = []
+        state.unfenced_puts = 0
+        self.parent.epochs_closed += 1
 
     # -- collective schedule (MOD051) ----------------------------------------
 
     def on_collective(self, rank: int, index: int, tag: str) -> None:
         op = self.parent.current_op()
         label = _provenance(op)
-        with self._lock:
-            self.parent.collectives_checked += 1
-            self._schedule[rank].append((tag, label))
-            for other in range(self.n_ranks):
-                if other == rank:
-                    continue
-                other_schedule = self._schedule[other]
-                if len(other_schedule) > index:
-                    other_tag, other_label = other_schedule[index]
-                    if other_tag != tag:
-                        self._raise(
-                            "MOD051", op,
-                            f"collective schedules diverge at call {index}: "
-                            f"rank {rank} issued {tag!r} from {label} but "
-                            f"rank {other} issued {other_tag!r} from "
-                            f"{other_label}; on real MPI this deadlocks",
-                        )
-                elif other in self._finished:
+        self.parent.collectives_checked += 1
+        self._schedule[rank].append((tag, label))
+        for other in range(self.n_ranks):
+            if other == rank:
+                continue
+            other_schedule = self._schedule[other]
+            if len(other_schedule) > index:
+                other_tag, other_label = other_schedule[index]
+                if other_tag != tag:
                     self._raise(
                         "MOD051", op,
-                        f"rank {other} finished after {len(other_schedule)} "
-                        f"collective calls, but rank {rank} issued call "
-                        f"{index} ({tag!r} from {label}); rank {other} will "
-                        f"never match it and the job would deadlock",
+                        f"collective schedules diverge at call {index}: "
+                        f"rank {rank} issued {tag!r} from {label} but "
+                        f"rank {other} issued {other_tag!r} from "
+                        f"{other_label}; on real MPI this deadlocks",
                     )
+            elif other in self._finished:
+                self._raise(
+                    "MOD051", op,
+                    f"rank {other} finished after {len(other_schedule)} "
+                    f"collective calls, but rank {rank} issued call "
+                    f"{index} ({tag!r} from {label}); rank {other} will "
+                    f"never match it and the job would deadlock",
+                )
 
     def on_rank_finished(self, rank: int) -> None:
         """Called when a rank's SPMD function returns normally."""
-        with self._lock:
-            self._finished.add(rank)
-            n_calls = len(self._schedule[rank])
-            for other in range(self.n_ranks):
-                if other == rank or other in self._finished:
-                    continue
-                other_schedule = self._schedule[other]
-                if len(other_schedule) > n_calls:
-                    tag, label = other_schedule[n_calls]
-                    self._raise(
-                        "MOD051", None,
-                        f"rank {rank} finished after {n_calls} collective "
-                        f"calls but rank {other} already issued call "
-                        f"{n_calls} ({tag!r} from {label}); the collective "
-                        f"schedules diverge and the job would deadlock "
-                        f"waiting for rank {rank}",
-                    )
-            if len(self._finished) == self.n_ranks:
-                self._finish_job_locked()
+        self._finished.add(rank)
+        n_calls = len(self._schedule[rank])
+        for other in range(self.n_ranks):
+            if other == rank or other in self._finished:
+                continue
+            other_schedule = self._schedule[other]
+            if len(other_schedule) > n_calls:
+                tag, label = other_schedule[n_calls]
+                self._raise(
+                    "MOD051", None,
+                    f"rank {rank} finished after {n_calls} collective "
+                    f"calls but rank {other} already issued call "
+                    f"{n_calls} ({tag!r} from {label}); the collective "
+                    f"schedules diverge and the job would deadlock "
+                    f"waiting for rank {rank}",
+                )
+        if len(self._finished) == self.n_ranks:
+            self._finish_job()
 
-    def _finish_job_locked(self) -> None:
+    def _finish_job(self) -> None:
         for state in self._windows.values():
             if state.unfenced_puts:
                 self._raise(

@@ -30,15 +30,13 @@ the plan-node object itself, which is shared across attempts.
 
 from __future__ import annotations
 
-import threading
-
 from repro.types.collections import RowVector
 
 __all__ = ["CheckpointStore"]
 
 
 class CheckpointStore:
-    """Thread-safe materialization-point checkpoints for one pipeline stage.
+    """Materialization-point checkpoints for one pipeline stage.
 
     Created by ``MpiExecutor`` once per wave (shared by all recovery
     attempts of that wave) and handed to every worker context.
@@ -49,7 +47,6 @@ class CheckpointStore:
         #: The executor's parameter slot; deposits/lookups happen only
         #: while exactly this binding is active (worker top scope).
         self.slot_id = slot_id
-        self._lock = threading.Lock()
         self._live: dict[int, dict[int, RowVector]] = {}
         self._sealed: dict[int, dict[int, RowVector]] = {}
 
@@ -59,27 +56,24 @@ class CheckpointStore:
         Re-sharding onto survivors changes every rank's share, so
         full-width checkpoints no longer describe any rank's stage output.
         """
-        with self._lock:
-            self.n_ranks = n_ranks
-            self._live.clear()
-            self._sealed = {}
+        self.n_ranks = n_ranks
+        self._live.clear()
+        self._sealed = {}
 
     def seal(self) -> int:
         """Snapshot the usable (all-ranks-complete) set for the next attempt.
 
         Returns the number of usable materialization points.
         """
-        with self._lock:
-            self._sealed = {
-                node: dict(ranks)
-                for node, ranks in self._live.items()
-                if len(ranks) == self.n_ranks
-            }
-            return len(self._sealed)
+        self._sealed = {
+            node: dict(ranks)
+            for node, ranks in self._live.items()
+            if len(ranks) == self.n_ranks
+        }
+        return len(self._sealed)
 
     def deposit(self, node_id: int, rank: int, vector: RowVector) -> None:
-        with self._lock:
-            self._live.setdefault(node_id, {})[rank] = vector
+        self._live.setdefault(node_id, {})[rank] = vector
 
     def lookup(self, node_id: int, rank: int) -> RowVector | None:
         """The sealed checkpoint for ``(node, rank)``, or None to recompute."""

@@ -24,8 +24,6 @@ module only decides.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from repro.errors import RankCrashError
@@ -44,7 +42,6 @@ class FaultInjector:
 
     def __init__(self, policy: FaultPolicy) -> None:
         self.policy = policy
-        self._lock = threading.Lock()
         self._jobs = 0
         self._crash_fired = False
 
@@ -71,7 +68,6 @@ class FaultInjector:
             memory_pressure=self.policy.memory_pressure,
             max_stage_retries=self.policy.max_stage_retries,
         )
-        child._lock = self._lock
         child._jobs = 0  # unused; job() below delegates to the parent counter
         child._crash_fired = True
         child._parent = self
@@ -81,18 +77,16 @@ class FaultInjector:
         parent = getattr(self, "_parent", None)
         if parent is not None:
             return parent._next_job_index()
-        with self._lock:
-            index = self._jobs
-            self._jobs += 1
-            return index
+        index = self._jobs
+        self._jobs += 1
+        return index
 
     def take_crash(self, crash: CrashFault) -> bool:
-        """Atomically claim the (single) crash; True if this caller fires it."""
-        with self._lock:
-            if self._crash_fired and not crash.permanent:
-                return False
-            self._crash_fired = True
-            return True
+        """Claim the (single) crash; True if this caller fires it."""
+        if self._crash_fired and not crash.permanent:
+            return False
+        self._crash_fired = True
+        return True
 
 
 class JobFaults:
@@ -133,8 +127,8 @@ class JobFaults:
 class RankFaults:
     """Deterministic per-rank fault decisions for one job attempt.
 
-    Owned by exactly one rank thread; no locking needed beyond the crash
-    ledger (which the injector serializes).
+    Owned by exactly one rank; the crash ledger it shares with its peers
+    needs no lock either, since one rank of a job runs at a time.
     """
 
     __slots__ = ("job", "rank", "_rng_put", "_rng_coll", "_comm_ops")

@@ -1,9 +1,9 @@
 """Simulated MPI/RDMA substrate.
 
 The paper runs on an 8-machine InfiniBand cluster driven through MPI
-one-sided operations.  This package is the drop-in substitute: threads play
-ranks, numpy buffers play pinned RMA windows, rendezvous points play
-collectives, and a calibrated cost model drives per-rank simulated clocks.
+one-sided operations.  This package is the drop-in substitute: ranks take
+turns between collectives, numpy buffers play pinned RMA windows, rendezvous
+points play collectives, and a calibrated cost model drives per-rank simulated clocks.
 See DESIGN.md Section 2 for the substitution argument.
 """
 

@@ -1,10 +1,10 @@
 """The simulated MPI cluster: rank processes, dispatch, result harvesting.
 
 :class:`SimCluster` plays the role of ``mpirun`` plus the physical machines:
-it spawns one thread per rank, hands each a :class:`RankContext` (rank id,
-communicator, simulated clock, seeded RNG), runs the same SPMD function on
-all of them, and harvests per-rank results, per-rank clocks, and per-phase
-timing breakdowns.
+it hands every rank a :class:`RankContext` (rank id, communicator, simulated
+clock, seeded RNG) and a thread to carry its stack, runs the same SPMD
+function on all of them — one rank at a time, switching only at collectives
+— and harvests per-rank results, clocks, and per-phase timing breakdowns.
 
 All computation happens for real; the simulated clocks never influence
 results, only the reported timings, so runs are bit-deterministic for a
@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.mpi.clock import PhaseTimings, SimClock
-from repro.mpi.comm import _WAIT_SLICE, CommWorld, SimComm
+from repro.mpi.comm import CommWorld, SimComm, _JobAborted
 from repro.mpi.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.mpi.trace import ClusterTrace
 from repro.observability.events import FaultDetail
@@ -32,8 +32,6 @@ if TYPE_CHECKING:
 __all__ = ["RankContext", "ClusterResult", "SimCluster"]
 
 T = TypeVar("T")
-
-_JOIN_TIMEOUT = 600.0  # real seconds; a safety net against deadlocks
 
 
 @dataclass
@@ -102,22 +100,13 @@ class SimCluster:
         cost_model: CostModel = DEFAULT_COST_MODEL,
         seed: int = 2021,
         trace: bool = False,
-        join_timeout: float = _JOIN_TIMEOUT,
-        wait_slice: float = _WAIT_SLICE,
     ) -> None:
         if n_ranks < 1:
             raise SimulationError(f"cluster needs >= 1 rank, got {n_ranks}")
-        if join_timeout <= 0:
-            raise SimulationError(f"join_timeout must be > 0, got {join_timeout}")
         self.n_ranks = n_ranks
         self.cost_model = cost_model
         self.seed = seed
         self.trace = trace
-        #: Real-seconds deadlock safety net per rank thread; chaos soaks
-        #: with heavy stragglers may need a longer deadline.
-        self.join_timeout = join_timeout
-        #: Real seconds between abort checks while blocked in a collective.
-        self.wait_slice = wait_slice
 
     def with_ranks(self, n_ranks: int) -> "SimCluster":
         """A cluster of different width with identical configuration.
@@ -125,14 +114,7 @@ class SimCluster:
         Used by pipeline-level recovery to degrade onto the survivors
         after a permanent rank crash.
         """
-        return SimCluster(
-            n_ranks,
-            cost_model=self.cost_model,
-            seed=self.seed,
-            trace=self.trace,
-            join_timeout=self.join_timeout,
-            wait_slice=self.wait_slice,
-        )
+        return SimCluster(n_ranks, self.cost_model, self.seed, self.trace)
 
     def run(
         self,
@@ -141,14 +123,16 @@ class SimCluster:
         options=None,
         trace: ClusterTrace | None = None,
     ) -> ClusterResult:
-        """Execute ``spmd_fn`` on every rank concurrently and harvest results.
+        """Execute ``spmd_fn`` on every rank and harvest results.
 
-        The function runs once per rank on its own thread; ranks interact
-        only through ``ctx.comm``.  If any rank raises, the whole job is
-        aborted (peers blocked in collectives are woken) and the original
-        exception is re-raised on the caller — with every *other* genuine
-        rank failure attached as ``.secondary_errors`` (and as exception
-        notes).
+        The function runs once per rank on its own stack, one rank at a
+        time from collective to collective; ranks interact only through
+        ``ctx.comm``.  If any rank raises, the job is aborted (parked peers
+        are resumed to unwind) and the first exception is re-raised on the
+        caller — with every *other* genuine rank failure attached as
+        ``.secondary_errors`` (and as notes).  A rank finishing while a
+        peer waits in a collective is a deadlock, raised at once.  No rank
+        thread outlives the call.
 
         ``trace`` is the event store the job records into; stage recovery
         passes one created under the execution's trace context and keeps
@@ -176,9 +160,7 @@ class SimCluster:
         cluster_trace = trace
         if cluster_trace is None and self.trace:
             cluster_trace = ClusterTrace(self.n_ranks)
-        world = CommWorld(
-            self.n_ranks, self.cost_model, trace=cluster_trace, wait_slice=self.wait_slice
-        )
+        world = CommWorld(self.n_ranks, self.cost_model, trace=cluster_trace)
         jitter_rng = np.random.default_rng(self.seed)
         jitters = 1.0 + jitter_rng.uniform(
             0.0, self.cost_model.jitter_fraction, size=self.n_ranks
@@ -186,7 +168,7 @@ class SimCluster:
         job = faults.job(self.n_ranks) if faults is not None else None
 
         results: list = [None] * self.n_ranks
-        errors: list[BaseException | None] = [None] * self.n_ranks
+        errors: list[BaseException] = []  # genuine rank failures, oldest first
         contexts: list[RankContext] = []
         for rank in range(self.n_ranks):
             jitter = float(jitters[rank])
@@ -209,6 +191,7 @@ class SimCluster:
             )
 
         def worker(rank: int) -> None:
+            world.wait_turn(rank)
             try:
                 results[rank] = spmd_fn(contexts[rank])
                 sanitizer = contexts[rank].comm.sanitizer
@@ -216,9 +199,14 @@ class SimCluster:
                     # MOD051: a rank finishing while a peer already issued a
                     # collective it will never match is a would-be deadlock.
                     sanitizer.on_rank_finished(rank)
+            except _JobAborted:
+                pass  # stopped by the abort; `world.failure` is why
             except BaseException as exc:  # noqa: BLE001 - must not hang peers
-                errors[rank] = exc
+                exc.add_note(f"raised on rank {rank}")
+                errors.append(exc)
                 world.abort(exc)
+            finally:
+                world.hand_off()
 
         threads = [
             threading.Thread(target=worker, args=(rank,), name=f"sim-rank-{rank}")
@@ -226,35 +214,27 @@ class SimCluster:
         ]
         for thread in threads:
             thread.start()
-        for thread in threads:
-            thread.join(timeout=self.join_timeout)
-            if thread.is_alive():
-                world.abort(SimulationError("rank did not finish within the timeout"))
-                raise SimulationError(
-                    f"{thread.name} did not finish within {self.join_timeout} s"
-                )
+        world.hand_off()
+        try:
+            for thread in threads:
+                thread.join()
+        except BaseException as exc:
+            # The *caller* was interrupted (e.g. KeyboardInterrupt): abort,
+            # so the running rank's next hand-off drains every parked peer,
+            # and leave no thread behind.
+            world.abort(exc)
+            for thread in threads:
+                thread.join()
+            raise
 
-        failures = [e for e in errors if e is not None]
-        if failures:
-            # Ranks released from a collective by an abort raise a secondary
-            # "peer rank failed" error chained to the root cause; surface
-            # the root cause itself when any rank still holds it.
-            def is_secondary(exc: BaseException) -> bool:
-                return (
-                    isinstance(exc, SimulationError)
-                    and exc.__cause__ is not None
-                    and "peer rank failed" in str(exc)
-                )
-
-            primary = next((e for e in failures if not is_secondary(e)), failures[0])
-            # Several ranks can fail for independent reasons (e.g. two
-            # genuine window violations in one epoch); keep every root
-            # cause on the raised error instead of dropping them.
-            others = tuple(
-                e for e in failures if e is not primary and not is_secondary(e)
-            )
-            primary.secondary_errors = others
-            for other in others:
+        if world.failure is not None:
+            # The root cause: the first error a rank raised, or the
+            # world's own deadlock report.  Several ranks can fail for
+            # independent reasons (e.g. two genuine window violations in
+            # one epoch); keep every one on the raised error.
+            primary = world.failure
+            primary.secondary_errors = tuple(e for e in errors if e is not primary)
+            for other in primary.secondary_errors:
                 primary.add_note(
                     f"secondary rank failure: {type(other).__name__}: {other}"
                 )

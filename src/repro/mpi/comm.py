@@ -1,19 +1,24 @@
 """Simulated MPI communicator with one-sided RMA operations.
 
-Each rank runs on its own thread and owns a :class:`SimComm` handle.  The
-handles share a :class:`CommWorld`, which implements collectives as
-rendezvous points: every rank deposits its contribution and its *simulated*
-arrival time; when the last rank arrives the result is computed and every
-participant's clock jumps to ``max(arrival times) + collective cost``.  The
-stall each rank experiences is exactly the paper's tail-latency effect —
-a rank that was slow in a preceding phase delays everybody at the next
-``MPI_Allreduce`` or ``MPI_Win_create``.
+Each rank owns a :class:`SimComm` handle.  The handles share a
+:class:`CommWorld`, which implements collectives as rendezvous points:
+every rank deposits its contribution and its *simulated* arrival time; when
+the last rank arrives the result is computed and every participant's clock
+jumps to ``max(arrival times) + collective cost``.  The stall each rank
+experiences is exactly the paper's tail-latency effect — a rank that was
+slow in a preceding phase delays everybody at the next ``MPI_Allreduce`` or
+``MPI_Win_create``.
+
+Ranks meet only at collectives, so a rank's thread is just its stack: one
+rank of a job holds the *baton* and runs until it parks in
+:meth:`CommWorld.rendezvous` or finishes, then hands it on.  Only the
+holder touches world state (no lock), in a deterministic interleaving.
 
 MPI semantics enforced (violations raise
 :class:`~repro.errors.SimulationError` on every rank rather than
 deadlocking):
 
-* all ranks must issue the same sequence of collective calls,
+* all ranks must issue the same sequence of collective calls, to its end,
 * one-sided puts target registered windows and must stay in bounds,
 * puts from different ranks within one epoch must not overlap.
 """
@@ -46,19 +51,21 @@ if TYPE_CHECKING:
 
 __all__ = ["CommWorld", "SimComm", "WindowSet"]
 
-_WAIT_SLICE = 0.05  # real seconds between abort checks while waiting
+
+class _JobAborted(SimulationError):
+    """A rank met its job's abort at a collective; chained to the root cause."""
 
 
 class _Slot:
     """Rendezvous state for one collective call index."""
 
-    __slots__ = ("tag", "values", "arrivals", "result", "result_time", "done", "retrieved")
+    __slots__ = ("tag", "values", "result", "result_time", "done", "retrieved")
 
     def __init__(self, tag: str) -> None:
         self.tag = tag
         self.values: dict[int, object] = {}
-        self.arrivals: dict[int, float] = {}
         self.result: object = None
+        #: The latest arrival so far; plus the collective's cost once done.
         self.result_time = 0.0
         self.done = False
         self.retrieved = 0
@@ -72,32 +79,66 @@ class CommWorld:
         n_ranks: int,
         cost_model: CostModel,
         trace: ClusterTrace | None = None,
-        wait_slice: float = _WAIT_SLICE,
     ) -> None:
-        if n_ranks < 1:
-            raise SimulationError(f"need at least one rank, got {n_ranks}")
-        if wait_slice <= 0:
-            raise SimulationError(f"wait_slice must be > 0, got {wait_slice}")
         self.n_ranks = n_ranks
         self.cost = cost_model
         self.trace = trace
-        self.wait_slice = wait_slice
-        self._cond = threading.Condition()
+        #: The root cause the job was aborted with, if it was.
+        self.failure: BaseException | None = None
         self._slots: dict[int, _Slot] = {}
-        self._abort: BaseException | None = None
+        #: One closed gate per rank; opening it grants that rank the baton.
+        self._gates = [threading.Lock() for _ in range(n_ranks)]
+        for gate in self._gates:
+            gate.acquire()
+        self._runnable = set(range(n_ranks))
+        #: Ranks waiting in an incomplete collective: rank -> (tag, call index).
+        self._parked: dict[int, tuple[str, int]] = {}
+        self._holder = -1  # the rank granted last; the caller holds the baton first
+
+    # -- the baton -------------------------------------------------------------
+
+    def next_rank(self, runnable: list[int]) -> int:
+        """The grant policy: which of ``runnable`` (ascending) runs next —
+        round-robin from the holder.  Nothing observable may depend on the
+        choice; tests substitute it to check that."""
+        return next((r for r in runnable if r > self._holder), runnable[0])
+
+    def hand_off(self) -> None:
+        """Pass the baton on; called by its holder when it parks or finishes."""
+        if self.failure is None and self._parked and not self._runnable:
+            waiting = ", ".join(
+                f"rank {rank} in {tag!r} (call {index})"
+                for rank, (tag, index) in sorted(self._parked.items())
+            )
+            self.failure = SimulationError(
+                f"deadlock: a finished peer never matched the collective of {waiting}"
+            )
+        if self.failure is not None:
+            # An aborted job completes no collective, so its parked ranks
+            # become runnable: each is resumed in turn, sees the abort and
+            # unwinds its own stack.
+            self._runnable.update(self._parked)
+            self._parked.clear()
+        if self._runnable:
+            self._holder = self.next_rank(sorted(self._runnable))
+            self._runnable.remove(self._holder)
+            self._gates[self._holder].release()
+
+    def wait_turn(self, rank: int) -> None:
+        """Block ``rank``'s thread until it is granted the baton."""
+        self._gates[rank].acquire()
 
     # -- failure propagation -------------------------------------------------
 
     def abort(self, exc: BaseException) -> None:
-        """Mark the job failed; wakes every rank blocked in a collective."""
-        with self._cond:
-            if self._abort is None:
-                self._abort = exc
-            self._cond.notify_all()
+        """Mark the job failed; the next hand-off releases every parked rank."""
+        # Only sets a flag, so a thread that does not hold the baton may call it.
+        if self.failure is None:
+            self.failure = exc
 
     def _check_abort(self) -> None:
-        if self._abort is not None:
-            raise SimulationError("peer rank failed; aborting collective") from self._abort
+        if self.failure is not None:
+            raise _JobAborted("peer rank failed; aborting collective") from self.failure
 
     # -- the generic rendezvous -----------------------------------------------
 
@@ -114,47 +155,40 @@ class CommWorld:
         """Deposit ``value`` for collective ``call_index`` and await the result.
 
         Returns ``(result, result_time)`` where ``result_time`` is the
-        simulated completion instant shared by all participants.
+        simulated completion instant shared by all participants.  The last
+        arrival computes the result, marks its parked peers runnable and
+        keeps the baton; every other arrival parks and hands it off.
         """
-        with self._cond:
-            self._check_abort()
-            slot = self._slots.get(call_index)
-            if slot is None:
-                slot = _Slot(tag)
-                self._slots[call_index] = slot
-            if slot.tag != tag:
-                exc = SimulationError(
-                    f"collective mismatch at call {call_index}: rank {rank} issued "
-                    f"{tag!r} but another rank issued {slot.tag!r}"
-                )
-                self.abort(exc)
-                raise exc
-            if rank in slot.values:
-                exc = SimulationError(
-                    f"rank {rank} issued collective call {call_index} twice"
-                )
-                self.abort(exc)
-                raise exc
-            slot.values[rank] = value
-            slot.arrivals[rank] = arrival_time
-            if len(slot.values) == self.n_ranks:
-                try:
-                    slot.result = combine(slot.values)
-                except BaseException as exc:
-                    self.abort(exc)
-                    raise
-                slot.result_time = max(slot.arrivals.values()) + op_cost
-                slot.done = True
-                self._cond.notify_all()
-            else:
-                while not slot.done:
-                    self._check_abort()
-                    self._cond.wait(timeout=self.wait_slice)
-            result, result_time = slot.result, slot.result_time
-            slot.retrieved += 1
-            if slot.retrieved == self.n_ranks:
-                del self._slots[call_index]
-            return result, result_time
+        self._check_abort()
+        slot = self._slots.setdefault(call_index, _Slot(tag))
+        if slot.tag != tag:
+            raise SimulationError(
+                f"collective mismatch at call {call_index}: rank {rank} issued "
+                f"{tag!r} but another rank issued {slot.tag!r}"
+            )
+        if rank in slot.values:
+            raise SimulationError(
+                f"rank {rank} issued collective call {call_index} twice"
+            )
+        slot.values[rank] = value
+        slot.result_time = max(slot.result_time, arrival_time)
+        if len(slot.values) == self.n_ranks:
+            slot.result = combine(slot.values)
+            slot.result_time += op_cost
+            slot.done = True
+            for peer in slot.values.keys() - {rank}:
+                del self._parked[peer]
+                self._runnable.add(peer)
+        else:
+            self._parked[rank] = (tag, call_index)
+            self.hand_off()
+            self.wait_turn(rank)
+            if not slot.done:  # released by an abort, not by the last arrival
+                self._check_abort()
+        slot.retrieved += 1
+        if slot.retrieved == self.n_ranks:
+            del self._slots[call_index]
+        return slot.result, slot.result_time
 
 
 class WindowSet:

@@ -22,7 +22,6 @@ and the ``comm_*`` metrics are folded from its events.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.observability.events import (
@@ -48,8 +47,8 @@ class RankCommStats:
 
 
 class ClusterTrace:
-    """Thread-safe event store for one SPMD run, under the trace context
-    ``context`` of the execution it belongs to (``None`` for direct runs)."""
+    """Event store for one SPMD run (written only by the rank that holds the
+    job's baton), under its execution's trace ``context`` (``None`` if direct)."""
 
     def __init__(self, n_ranks: int, context=None) -> None:
         self.n_ranks = n_ranks
@@ -58,11 +57,9 @@ class ClusterTrace:
             span_ids(context.for_rank(rank) if context is not None else None)
             for rank in range(n_ranks)
         ]
-        self._lock = threading.Lock()
 
     def record(self, event: TraceEvent) -> None:
-        with self._lock:
-            self._events[event.rank].append(event)
+        self._events[event.rank].append(event)
 
     def emit(
         self,

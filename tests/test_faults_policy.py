@@ -1,16 +1,14 @@
 """Unit tests for the fault-injection substrate's policy/injector layer.
 
 Covers the pure decision machinery (policies, per-rank RNG streams, the
-crash ledger, checkpoints) plus the two cluster-level satellites: the
-configurable join timeout and non-primary failure preservation.
+crash ledger, checkpoints) plus one cluster-level satellite: non-primary
+failure preservation.
 """
-
-import time
 
 import numpy as np
 import pytest
 
-from repro.errors import RankCrashError, SimulationError, TypeCheckError
+from repro.errors import RankCrashError, TypeCheckError
 from repro.faults import (
     CheckpointStore,
     CrashFault,
@@ -175,34 +173,6 @@ class TestCheckpointStore:
         store.resize(1)
         assert store.lookup(1, 0) is None
         assert store.seal() == 0
-
-
-class TestClusterTimeouts:
-    def test_join_timeout_configurable_and_validated(self):
-        cluster = SimCluster(2, join_timeout=12.5, wait_slice=0.001)
-        assert cluster.join_timeout == 12.5
-        assert cluster.wait_slice == 0.001
-        with pytest.raises(SimulationError, match="join_timeout"):
-            SimCluster(2, join_timeout=0.0)
-
-    def test_with_ranks_preserves_timeouts(self):
-        cluster = SimCluster(4, join_timeout=9.0, wait_slice=0.002, trace=True)
-        smaller = cluster.with_ranks(3)
-        assert smaller.n_ranks == 3
-        assert smaller.join_timeout == 9.0
-        assert smaller.wait_slice == 0.002
-        assert smaller.trace is True
-
-    def test_slow_rank_trips_the_deadline_cleanly(self):
-        cluster = SimCluster(2, join_timeout=0.1)
-
-        def prog(ctx):
-            if ctx.rank == 1:
-                time.sleep(1.0)
-            return ctx.rank
-
-        with pytest.raises(SimulationError, match="did not finish within"):
-            cluster.run(prog)
 
 
 class TestSecondaryErrors:
