@@ -7,12 +7,14 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 # Static-analysis gate: the shipped plans and examples must lint clean,
-# and the analyzer's own tests must pass.
+# the analyzer's own tests must pass, and the analyzer and plan compiler
+# must import no operator class beyond the ones they name for a reason
+# (the import-closure walk in tests/test_operator_declarations.py).
 lint:
 	$(PYTHON) -m repro lint all examples/
 	$(PYTHON) -m pytest -q tests/test_analysis_typeflow.py \
 		tests/test_analysis_commsafety.py tests/test_analysis_lint_cli.py \
-		tests/test_symbolic.py
+		tests/test_symbolic.py tests/test_operator_declarations.py
 
 bench:
 	$(PYTHON) -m repro bench all

@@ -1,8 +1,10 @@
-"""Communication-safety pass (rules MOD010–MOD013).
+"""Communication-safety pass (rules MOD006, MOD010–MOD013).
 
 Statically proves the MPI epoch discipline that the simulated RDMA
 substrate otherwise enforces at runtime:
 
+* workers only read parameter slots bound inside their ``MpiExecutor``
+  scope (MOD006);
 * collectives only run where a communicator exists (MOD010) and where the
   invocation count is rank-uniform (MOD011, MOD013);
 * every ``MpiExchange``/``MpiBroadcast`` derives its window layout from a
@@ -31,6 +33,7 @@ from repro.core.operators.mpi_broadcast import MpiBroadcast
 from repro.core.operators.mpi_exchange import MpiExchange
 from repro.core.operators.mpi_executor import MpiExecutor
 from repro.core.operators.mpi_histogram import MpiHistogram
+from repro.core.operators.parameter_lookup import ParameterLookup
 from repro.core.plan import SharedScan, walk
 
 __all__ = ["run"]
@@ -133,6 +136,17 @@ def run(scope: ScopeInfo, reporter: Reporter) -> None:
         if isinstance(op, SharedScan):
             continue
         path = paths[id(op)]
+        if (
+            isinstance(op, ParameterLookup)
+            and scope.in_cluster
+            and op.slot.id not in scope.cluster_slots
+        ):
+            reporter.emit(
+                "MOD006", op, path,
+                f"ParameterLookup reads slot #{op.slot.id}, which is bound "
+                "outside this MpiExecutor scope; MPI workers start from a "
+                "fresh context and never see driver-side bindings",
+            )
         if isinstance(op, MpiExecutor) and scope.in_cluster:
             reporter.emit(
                 "MOD011", op, path,

@@ -91,7 +91,7 @@ MOD002 = _rule(
 MOD003 = _rule(
     "MOD003", "collection-mismatch", Severity.ERROR,
     "a field is used as a collection but is an atom (or the wrong physical "
-    "collection format), or a wire-format constraint is violated",
+    "collection format), or a wire-format or key-domain constraint is violated",
 )
 MOD004 = _rule(
     "MOD004", "histogram-contract", Severity.ERROR,

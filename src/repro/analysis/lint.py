@@ -12,7 +12,10 @@ canonical plans, built with small representative schemas), Python files,
 or directories of Python files.  A file participates by exposing a
 module-level ``lint_plans()`` function returning ``(name, plan)`` pairs —
 importing a file never executes it (``repro lint`` relies on the usual
-``if __name__ == "__main__"`` guard).
+``if __name__ == "__main__"`` guard).  A hook that fails while building a
+plan (an operator's type rule refusing it) is reported as one error
+diagnostic under the exception's rule id, and the other targets are still
+linted.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro.analysis import commsafety, pipelines, recovery, typeflow
-from repro.analysis.diagnostics import Diagnostic, Reporter, Severity
+from repro.analysis.diagnostics import RULES, Diagnostic, Reporter, Severity
 from repro.analysis.structure import iter_scopes
 from repro.core.operator import Operator
-from repro.errors import PlanError, PlanVerificationError
+from repro.errors import PlanError, PlanVerificationError, TypeCheckError
 
 __all__ = ["analyze", "verify", "run_cli"]
 
@@ -137,8 +140,15 @@ def _file_plans(path: Path) -> Iterator[tuple[str, object]]:
     hook = getattr(module, "lint_plans", None)
     if hook is None:
         return
-    for name, plan in hook():
-        yield f"{path.name}:{name}", plan
+    built = 0
+    try:
+        for name, plan in hook():
+            yield f"{path.name}:{name}", plan
+            built += 1
+    except (TypeCheckError, PlanError) as exc:
+        # The hook failed while *building* its next plan; what it yielded
+        # so far is still linted, and the failure is reported in its place.
+        yield f"{path.name}:lint_plans()[{built}]", exc
 
 
 def _resolve_targets(
@@ -175,6 +185,14 @@ def run_cli(args) -> int:
     findings: list[Diagnostic] = []
     checked = 0
     for name, plan in plans:
+        if isinstance(plan, (TypeCheckError, PlanError)):
+            findings.append(
+                Diagnostic(
+                    rule=RULES[plan.rule_id], severity=Severity.ERROR,
+                    message=str(plan), path=name, operator="",
+                )
+            )
+            continue
         checked += 1
         findings.extend(analyze(plan, suppress=suppress, name=name))
 

@@ -22,24 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro.core.functions import PartitionFunction
 from repro.core.operator import Operator
-from repro.core.operators.build_probe import BuildProbe
-from repro.core.operators.chunk_ops import ChunkScan, MaterializeChunks
-from repro.core.operators.filter_op import Filter
-from repro.core.operators.limit_op import Limit
-from repro.core.operators.local_histogram import LocalHistogram
-from repro.core.operators.local_partitioning import LocalPartitioning
-from repro.core.operators.map_ops import Map, ParametrizedMap
-from repro.core.operators.materialize import MaterializeRowVector
-from repro.core.operators.mpi_exchange import MpiExchange
 from repro.core.operators.mpi_executor import MpiExecutor
-from repro.core.operators.mpi_histogram import MpiHistogram
 from repro.core.operators.nested_map import NestedMap
-from repro.core.operators.parameter_lookup import ParameterLookup
-from repro.core.operators.projection import Projection
-from repro.core.operators.reduce_ops import Reduce, ReduceByKey
-from repro.core.operators.row_scan import RowScan
-from repro.core.operators.sort_ops import LocalSort, MergeJoin
 from repro.core.plan import SharedScan, walk
 from repro.analysis.diagnostics import unwrap
 
@@ -48,7 +34,6 @@ __all__ = [
     "iter_scopes",
     "scope_paths",
     "plan_signature",
-    "partition_fn_signature",
     "same_partition_fn",
     "equivalent_streams",
 ]
@@ -81,39 +66,23 @@ def iter_scopes(root: Operator, path: str = "plan") -> Iterator[ScopeInfo]:
         yield scope
         paths = scope_paths(scope)
         for op in walk(scope.root):
+            # A nested scope inherits its facts unless its owner is one of
+            # the two operators that change them.
+            in_cluster, in_nested_map = scope.in_cluster, scope.in_nested_map
+            slots = scope.cluster_slots
+            if isinstance(op, MpiExecutor):
+                in_cluster, in_nested_map = True, False
+                slots = frozenset({op.slot.id})
+            elif isinstance(op, NestedMap):
+                in_nested_map = True
+                slots = slots | {op.slot.id} if in_cluster else frozenset()
             for inner in op.nested_roots():
-                inner_path = f"{paths[id(op)]}@inner"
-                if isinstance(op, MpiExecutor):
-                    pending.append(
-                        ScopeInfo(
-                            inner, op, inner_path,
-                            in_cluster=True,
-                            in_nested_map=False,
-                            cluster_slots=frozenset({op.slot.id}),
-                        )
+                pending.append(
+                    ScopeInfo(
+                        inner, op, f"{paths[id(op)]}@inner",
+                        in_cluster, in_nested_map, slots,
                     )
-                elif isinstance(op, NestedMap):
-                    slots = (
-                        scope.cluster_slots | {op.slot.id}
-                        if scope.in_cluster
-                        else frozenset()
-                    )
-                    pending.append(
-                        ScopeInfo(
-                            inner, op, inner_path,
-                            in_cluster=scope.in_cluster,
-                            in_nested_map=True,
-                            cluster_slots=slots,
-                        )
-                    )
-                else:  # pragma: no cover - no other operator nests plans
-                    pending.append(
-                        ScopeInfo(
-                            inner, op, inner_path,
-                            scope.in_cluster, scope.in_nested_map,
-                            scope.cluster_slots,
-                        )
-                    )
+                )
 
 
 def scope_paths(scope: ScopeInfo) -> dict[int, str]:
@@ -143,103 +112,26 @@ def scope_paths(scope: ScopeInfo) -> dict[int, str]:
 
 # -- structural signatures ------------------------------------------------------
 
-#: Per-class attributes that define an operator beyond its upstream shape.
-#: Function objects are compared by identity: two separately constructed
-#: UDFs are never assumed equal (conservative).
-def _own_attrs(op: Operator) -> tuple:
-    if isinstance(op, RowScan):
-        return (op.field, op.shard_by_rank)
-    if isinstance(op, ChunkScan):
-        return (op.field,)
-    if isinstance(op, Projection):
-        return (op.fields,)
-    if isinstance(op, ParameterLookup):
-        return (op.slot.id,)
-    if isinstance(op, LocalHistogram):
-        return (partition_fn_signature(op.bucket_fn),)
-    if isinstance(op, LocalPartitioning):
-        return (
-            partition_fn_signature(op.partition_fn), op.id_field, op.data_field
-        )
-    if isinstance(op, MpiExchange):
-        return (
-            partition_fn_signature(op.partition_fn),
-            op.id_field,
-            op.data_field,
-            op.compression,
-        )
-    if isinstance(op, MpiHistogram):
-        return (op.n_buckets,)
-    if isinstance(op, (Map, ParametrizedMap)):
-        return (id(op.fn),)
-    if isinstance(op, Filter):
-        return (id(op.predicate),)
-    if isinstance(op, Reduce):
-        return (id(op.fn),)
-    if isinstance(op, ReduceByKey):
-        return (op.key_fields, id(op.fn))
-    if isinstance(op, BuildProbe):
-        return (op.keys, op.join_type)
-    if isinstance(op, MergeJoin):
-        return (op.key, op.join_type)
-    if isinstance(op, LocalSort):
-        return (op.keys, op.descending)
-    if isinstance(op, Limit):
-        return (op.n,)
-    if isinstance(op, MaterializeRowVector):
-        return (op.field,)
-    if isinstance(op, MaterializeChunks):
-        return (op.field, op.chunk_rows)
-    if isinstance(op, (NestedMap, MpiExecutor)):
-        # Nested slots get globally unique ids, so two separately built
-        # nested plans never compare equal — conservative by construction.
-        return (op.slot.id,)
-    if type(op).__name__ in ("Zip", "CartesianProduct", "MpiBroadcast"):
-        return ()
-    # Unknown operator class: only identical objects are equivalent.
-    return (id(op),)
-
 
 def plan_signature(op: Operator) -> tuple:
     """A hashable structural fingerprint of the subtree rooted at ``op``.
 
     Equal signatures mean the subtrees provably compute the same stream
-    (same operator classes, same static parameters, same slot references);
-    ``SharedScan`` wrappers are transparent.
+    (same operator classes, same static parameters as each class declares
+    them in :meth:`~repro.core.operator.Operator.signature`, same slot
+    references); ``SharedScan`` wrappers are transparent.
     """
     op = unwrap(op)
     return (
         type(op).__name__,
-        _own_attrs(op),
+        op.signature(),
         tuple(plan_signature(up) for up in op.upstreams),
     )
 
 
-def partition_fn_signature(fn: object) -> tuple:
-    """Equivalence key of a partition function.
-
-    Two functions are interchangeable iff they provably map every tuple to
-    the same bucket: same class and same static parameters.  Arbitrary
-    callables are compared by identity.
-    """
-    from repro.core.functions import (
-        CallablePartition,
-        HashPartition,
-        RadixPartition,
-    )
-
-    if isinstance(fn, RadixPartition):
-        return ("radix", fn.key_field, fn.n_partitions, fn.shift)
-    if isinstance(fn, HashPartition):
-        return ("hash", fn.key_field, fn.n_partitions, fn.salt)
-    if isinstance(fn, CallablePartition):
-        return ("callable", id(fn.fn), fn.n_partitions)
-    n = getattr(fn, "n_partitions", None)
-    return ("opaque", id(fn), n)
-
-
-def same_partition_fn(a: object, b: object) -> bool:
-    return a is b or partition_fn_signature(a) == partition_fn_signature(b)
+def same_partition_fn(a: PartitionFunction, b: PartitionFunction) -> bool:
+    """True if the two functions declare the same class and static parameters."""
+    return a is b or a.signature() == b.signature()
 
 
 def equivalent_streams(a: Operator, b: Operator) -> bool:

@@ -1,12 +1,16 @@
-"""Type-flow verification pass (rules MOD001–MOD006).
+"""Type-flow verification pass (rules MOD001–MOD005).
 
-Re-infers every operator's output :class:`~repro.types.tuples.TupleType`
-from the *declared* types of its upstream edges — the same computation the
-operator constructors perform, but run over the finished plan.  Operator
-constructors only see the plan as it is being built; plan *rewrites*
-(``prepare``'s SharedScan insertion, optimizer splices, hand-patched
-``upstreams``) happen afterwards and can silently break the invariants the
-constructors checked.  This pass restores the guarantee statically.
+Every operator class declares one type rule,
+:meth:`~repro.core.operator.Operator.infer_type`, and its constructor types
+the node by running it.  Constructors only see the plan as it is being
+built; plan *rewrites* (``prepare``'s SharedScan insertion, optimizer
+splices, hand-patched ``upstreams``) happen afterwards and can silently
+break the invariants the rule checked.  This pass restores the guarantee
+statically by running the *same* rule again over the finished plan: a
+violation is reported under the rule id its
+:class:`~repro.errors.TypeCheckError` carries (MOD002–MOD004, and MOD001
+for a stale nested plan), a changed result as MOD001.  The pass knows no
+operator class; a class that declares no rule is not re-checked.
 
 Using declared (not propagated) upstream types keeps diagnostics local:
 one broken edge produces one finding at the broken operator, not a cascade
@@ -15,278 +19,36 @@ of downstream mismatches.
 
 from __future__ import annotations
 
-from functools import reduce
-
 from repro.analysis.diagnostics import Reporter, unwrap
 from repro.analysis.structure import ScopeInfo, scope_paths
 from repro.core.operator import Operator
-from repro.core.operators.build_probe import BuildProbe
-from repro.core.operators.cartesian_product import CartesianProduct
-from repro.core.operators.chunk_ops import ChunkScan, MaterializeChunks
-from repro.core.operators.filter_op import Filter
-from repro.core.operators.limit_op import Limit
-from repro.core.operators.local_histogram import HISTOGRAM_TYPE, LocalHistogram
-from repro.core.operators.local_partitioning import LocalPartitioning
-from repro.core.operators.map_ops import Map, ParametrizedMap
-from repro.core.operators.materialize import MaterializeRowVector
-from repro.core.operators.mpi_broadcast import MpiBroadcast
-from repro.core.operators.mpi_exchange import MpiExchange
-from repro.core.operators.mpi_executor import MpiExecutor
-from repro.core.operators.mpi_histogram import MpiHistogram
-from repro.core.operators.nested_map import NestedMap
-from repro.core.operators.nic_aggregate import NicPartialAggregate
-from repro.core.operators.parameter_lookup import ParameterLookup
-from repro.core.operators.projection import Projection
-from repro.core.operators.reduce_ops import Reduce, ReduceByKey
-from repro.core.operators.row_scan import RowScan
-from repro.core.operators.sort_ops import LocalSort, MergeJoin
-from repro.core.operators.zip_op import Zip
-from repro.core.plan import SharedScan, walk
+from repro.core.plan import walk
 from repro.errors import PlanError, TypeCheckError
-from repro.types.atoms import INT64
-from repro.types.collections import CollectionType, chunked_type, row_vector_type
-from repro.types.tuples import TupleType, concat_tuple_types
 
 __all__ = ["run"]
 
 
-class _Issue(Exception):
-    """Internal: an inference step found a violation of a specific rule."""
-
-    def __init__(self, rule_id: str, message: str) -> None:
-        super().__init__(message)
-        self.rule_id = rule_id
-        self.message = message
-
-
-def _collection_field(op: Operator, kind: str) -> CollectionType:
-    """The collection a scan operator reads, checked against its format."""
-    up_type = op.upstreams[0].output_type
-    name = type(op).__name__
-    if op.field not in up_type:
-        raise _Issue(
-            "MOD002",
-            f"{name} scans field {op.field!r} but the upstream type "
-            f"{up_type!r} has no such field",
-        )
-    item = up_type[op.field]
-    if not isinstance(item, CollectionType):
-        raise _Issue(
-            "MOD003",
-            f"{name} scans field {op.field!r} of {up_type!r}, which is an "
-            "atom, not a collection",
-        )
-    if item.kind != kind:
-        raise _Issue(
-            "MOD003",
-            f"{name} reads the {kind} format but field {op.field!r} holds a "
-            f"{item.kind}; use the scan operator dedicated to that format",
-        )
-    return item
-
-
-def _require(op: Operator, tuple_type: TupleType, names, role: str) -> None:
-    missing = [n for n in names if n not in tuple_type]
-    if missing:
-        raise _Issue(
-            "MOD002",
-            f"{type(op).__name__} references {role} fields {missing} absent "
-            f"from {tuple_type!r} (fields: {list(tuple_type.field_names)})",
-        )
-
-
-def _check_partition_fn(op: Operator, fn, data_type: TupleType) -> None:
-    key = getattr(fn, "key_field", None)
-    if key is not None and key not in data_type:
-        raise _Issue(
-            "MOD002",
-            f"{type(op).__name__}'s partition function keys on {key!r}, "
-            f"absent from the data type {data_type!r}",
-        )
-
-
-def _check_histograms(op: Operator, positions: dict[int, str]) -> None:
-    for pos, role in positions.items():
-        got = op.upstreams[pos].output_type
-        if got != HISTOGRAM_TYPE:
-            raise _Issue(
-                "MOD004",
-                f"{type(op).__name__}'s {role} histogram upstream must "
-                f"produce {HISTOGRAM_TYPE!r}, got {got!r}",
-            )
-
-
-def _join_output(op, left: TupleType, right: TupleType, keys) -> TupleType:
-    name = type(op).__name__
-    _require(op, left, keys, "build-side join")
-    _require(op, right, keys, "probe-side join")
-    for key in keys:
-        if left[key] != right[key]:
-            raise _Issue(
-                "MOD002",
-                f"{name} join attribute {key!r} has type {left[key]!r} on "
-                f"the left but {right[key]!r} on the right",
-            )
-    key_type = left.project(keys)
-    if op.join_type in ("semi", "anti"):
-        return concat_tuple_types(key_type, right.drop(keys))
-    return concat_tuple_types(
-        concat_tuple_types(key_type, left.drop(keys)), right.drop(keys)
-    )
-
-
 def _yields_exactly_one(op: Operator) -> bool:
     """Statically prove the subtree emits exactly one tuple per run."""
-    op = unwrap(op)
-    if isinstance(op, (MaterializeRowVector, MaterializeChunks, ParameterLookup)):
+    if op.cardinality == "one":
         return True
-    if isinstance(op, (Map, ParametrizedMap, Projection, NestedMap)):
-        # One output per input tuple.
+    if op.cardinality == "per_input":
         return _yields_exactly_one(op.upstreams[0])
-    if isinstance(op, (Zip, CartesianProduct)):
+    if op.cardinality == "all_upstreams":
         return all(_yields_exactly_one(up) for up in op.upstreams)
     return False
-
-
-def _infer(op: Operator) -> TupleType | None:
-    """Re-derive ``op``'s output type; ``None`` when the class is unknown."""
-    ups = tuple(up.output_type for up in op.upstreams)
-
-    if isinstance(op, RowScan):
-        return _collection_field(op, "RowVector").element_type
-    if isinstance(op, ChunkScan):
-        return _collection_field(op, "ChunkedRowVector").element_type
-    if isinstance(op, Projection):
-        _require(op, ups[0], op.fields, "projected")
-        return ups[0].project(op.fields)
-    if isinstance(op, ParameterLookup):
-        return op.slot.param_type
-    if isinstance(op, (Map, ParametrizedMap)):
-        try:
-            return op.fn.output_type_for(ups[0])
-        except TypeCheckError as exc:
-            raise _Issue(
-                "MOD002",
-                f"{type(op).__name__}'s function rejects the upstream type "
-                f"{ups[0]!r}: {exc}",
-            ) from None
-    if isinstance(op, (Filter, Limit, Reduce)):
-        return ups[0]
-    if isinstance(op, LocalSort):
-        _require(op, ups[0], op.keys, "sort-key")
-        return ups[0]
-    if isinstance(op, ReduceByKey):
-        _require(op, ups[0], op.key_fields, "grouping-key")
-        if len(op.key_fields) == len(ups[0]):
-            raise _Issue(
-                "MOD002",
-                "ReduceByKey has no non-key field left to aggregate in "
-                f"{ups[0]!r}",
-            )
-        return ups[0]
-    if isinstance(op, NicPartialAggregate):
-        _require(op, ups[0], op._combiner.key_fields, "grouping-key")
-        return ups[0]
-    if isinstance(op, (Zip, CartesianProduct)):
-        try:
-            return reduce(concat_tuple_types, ups)
-        except TypeCheckError as exc:
-            raise _Issue(
-                "MOD002",
-                f"{type(op).__name__} upstream field names clash: {exc}",
-            ) from None
-    if isinstance(op, BuildProbe):
-        return _join_output(op, ups[0], ups[1], op.keys)
-    if isinstance(op, MergeJoin):
-        return _join_output(op, ups[0], ups[1], (op.key,))
-    if isinstance(op, MaterializeRowVector):
-        return TupleType.of(**{op.field: row_vector_type(ups[0])})
-    if isinstance(op, MaterializeChunks):
-        return TupleType.of(**{op.field: chunked_type(ups[0])})
-    if isinstance(op, LocalHistogram):
-        _check_partition_fn(op, op.bucket_fn, ups[0])
-        return HISTOGRAM_TYPE
-    if isinstance(op, MpiHistogram):
-        _check_histograms(op, {0: "input"})
-        return HISTOGRAM_TYPE
-    if isinstance(op, LocalPartitioning):
-        _check_histograms(op, {1: "local"})
-        _check_partition_fn(op, op.partition_fn, ups[0])
-        return TupleType.of(
-            **{op.id_field: INT64, op.data_field: row_vector_type(ups[0])}
-        )
-    if isinstance(op, MpiExchange):
-        _check_histograms(op, {1: "local", 2: "global"})
-        _check_partition_fn(op, op.partition_fn, ups[0])
-        wire = ups[0]
-        if op.compression is not None:
-            if len(ups[0]) != 2 or any(
-                ups[0][f] != INT64 for f in ups[0].field_names
-            ):
-                raise _Issue(
-                    "MOD003",
-                    "radix compression needs ⟨key, payload⟩ INT64 tuples on "
-                    f"the wire, got {ups[0]!r}",
-                )
-            from repro.core.compression import COMPRESSED_TYPE
-
-            wire = COMPRESSED_TYPE
-        return TupleType.of(
-            **{op.id_field: INT64, op.data_field: row_vector_type(wire)}
-        )
-    if isinstance(op, MpiBroadcast):
-        _check_histograms(op, {1: "local", 2: "global"})
-        return ups[0]
-    if isinstance(op, (NestedMap, MpiExecutor)):
-        if op.slot.param_type != ups[0]:
-            raise _Issue(
-                "MOD001",
-                f"{type(op).__name__}'s nested plan was built against the "
-                f"parameter type {op.slot.param_type!r} but the upstream now "
-                f"produces {ups[0]!r}; rebuild the nested plan",
-            )
-        if isinstance(op, NestedMap) and not _yields_exactly_one(op.inner):
-            raise _Issue(
-                "MOD005",
-                "NestedMap's nested plan (root "
-                f"{type(unwrap(op.inner)).__name__}) is not proven to yield "
-                "exactly one tuple per invocation; end it with "
-                "MaterializeRowVector/MaterializeChunks",
-            )
-        return op.inner.output_type
-    return None
 
 
 def run(scope: ScopeInfo, reporter: Reporter) -> None:
     """Type-check one scope, reporting through ``reporter``."""
     paths = scope_paths(scope)
     for op in walk(scope.root):
-        if isinstance(op, SharedScan):
-            continue  # transparent; the wrapped operator is checked itself
         path = paths[id(op)]
-        if (
-            isinstance(op, ParameterLookup)
-            and scope.in_cluster
-            and op.slot.id not in scope.cluster_slots
-        ):
-            reporter.emit(
-                "MOD006", op, path,
-                f"ParameterLookup reads slot #{op.slot.id}, which is bound "
-                "outside this MpiExecutor scope; MPI workers start from a "
-                "fresh context and never see driver-side bindings",
-            )
         try:
             declared = op.output_type
-        except PlanError as exc:
-            reporter.emit("MOD001", op, path, str(exc))
-            continue
-        try:
-            inferred = _infer(op)
-        except _Issue as issue:
-            reporter.emit(issue.rule_id, op, path, issue.message)
-            continue
-        except TypeCheckError as exc:
-            reporter.emit("MOD002", op, path, str(exc))
+            inferred = op.infer_type(tuple(up.output_type for up in op.upstreams))
+        except (TypeCheckError, PlanError) as exc:
+            reporter.emit(exc.rule_id, op, path, str(exc))
             continue
         if inferred is not None and inferred != declared:
             reporter.emit(
@@ -294,3 +56,16 @@ def run(scope: ScopeInfo, reporter: Reporter) -> None:
                 f"declared output type {declared!r} disagrees with "
                 f"{inferred!r} re-inferred from the upstream edges",
             )
+        if op.cardinality != "per_input":
+            continue
+        # An operator emitting one tuple per input *because* it runs a
+        # nested plan per input needs that plan to yield exactly one.
+        for inner in op.nested_roots():
+            if not _yields_exactly_one(inner):
+                reporter.emit(
+                    "MOD005", op, path,
+                    f"{type(op).__name__}'s nested plan (root "
+                    f"{type(unwrap(inner)).__name__}) is not proven to yield "
+                    "exactly one tuple per invocation; end it with "
+                    "MaterializeRowVector/MaterializeChunks",
+                )

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.errors import TypeCheckError
+from repro.types.atoms import AtomType
 from repro.types.collections import RowVector
 from repro.types.tuples import TupleType
 
@@ -139,6 +140,25 @@ class PartitionFunction:
             raise TypeCheckError(f"need >= 1 partition, got {n_partitions}")
         self.n_partitions = n_partitions
 
+    def check(self, input_type: TupleType) -> None:
+        """Raise ``TypeCheckError`` unless tuples of ``input_type`` can be bucketed.
+
+        The function's type rule, run by the consuming operator's
+        ``infer_type``; the default accepts every type.
+        """
+
+    def bind(self, input_type: TupleType) -> "PartitionFunction":
+        """Resolve field positions against the operator's input type."""
+        return self
+
+    def signature(self) -> tuple:
+        """Equivalence key: class and static parameters.
+
+        Two functions are interchangeable iff they provably map every tuple
+        to the same bucket; the default is the function's own identity.
+        """
+        return ("opaque", id(self), self.n_partitions)
+
     def __call__(self, row: tuple) -> int:
         raise NotImplementedError
 
@@ -152,7 +172,36 @@ class PartitionFunction:
         )
 
 
-class RadixPartition(PartitionFunction):
+class _KeyedPartition(PartitionFunction):
+    """A partition function reading the bits of one integer-stored key field."""
+
+    def __init__(self, key_field: str, n_partitions: int) -> None:
+        super().__init__(n_partitions)
+        self.key_field = key_field
+        self._key_pos: int | None = None
+
+    def check(self, input_type: TupleType) -> None:
+        if self.key_field not in input_type:
+            raise TypeCheckError(
+                f"partition key {self.key_field!r} is absent from the data "
+                f"type {input_type!r}"
+            )
+        atom = input_type[self.key_field]
+        if not (
+            isinstance(atom, AtomType) and np.dtype(atom.numpy_dtype).kind in "iub"
+        ):
+            raise TypeCheckError(
+                f"partition key {self.key_field!r} is a {atom!r}, which is not "
+                "stored as an integer; partition functions read the key's bits",
+                "MOD003",
+            )
+
+    def bind(self, input_type: TupleType) -> "_KeyedPartition":
+        self._key_pos = input_type.position(self.key_field)
+        return self
+
+
+class RadixPartition(_KeyedPartition):
     """Radix partitioning on the bits of an integer key field.
 
     ``partition = (key >> shift) & (n_partitions - 1)`` with an identity
@@ -161,20 +210,16 @@ class RadixPartition(PartitionFunction):
     """
 
     def __init__(self, key_field: str, n_partitions: int, shift: int = 0) -> None:
-        super().__init__(n_partitions)
+        super().__init__(key_field, n_partitions)
         if n_partitions & (n_partitions - 1):
             raise TypeCheckError(
                 f"radix partitioning needs a power-of-two fan-out, got {n_partitions}"
             )
-        self.key_field = key_field
         self.shift = shift
         self.mask = n_partitions - 1
-        self._key_pos: int | None = None
 
-    def bind(self, input_type: TupleType) -> "RadixPartition":
-        """Resolve the key field position against the operator's input type."""
-        self._key_pos = input_type.position(self.key_field)
-        return self
+    def signature(self) -> tuple:
+        return ("radix", self.key_field, self.n_partitions, self.shift)
 
     @property
     def fanout_bits(self) -> int:
@@ -196,7 +241,7 @@ class RadixPartition(PartitionFunction):
         return (keys >> self.shift) & self.mask
 
 
-class HashPartition(PartitionFunction):
+class HashPartition(_KeyedPartition):
     """Multiplicative (Fibonacci) hashing of an integer key field.
 
     ``salt`` selects an independent hash function, so that e.g. the local
@@ -207,15 +252,12 @@ class HashPartition(PartitionFunction):
     _MULTIPLIERS = (0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9)
 
     def __init__(self, key_field: str, n_partitions: int, salt: int = 0) -> None:
-        super().__init__(n_partitions)
-        self.key_field = key_field
+        super().__init__(key_field, n_partitions)
         self.salt = salt
         self._multiplier = self._MULTIPLIERS[salt % len(self._MULTIPLIERS)]
-        self._key_pos: int | None = None
 
-    def bind(self, input_type: TupleType) -> "HashPartition":
-        self._key_pos = input_type.position(self.key_field)
-        return self
+    def signature(self) -> tuple:
+        return ("hash", self.key_field, self.n_partitions, self.salt)
 
     def __repr__(self) -> str:
         return (
@@ -254,6 +296,9 @@ class CallablePartition(PartitionFunction):
     def __init__(self, fn: Callable[[tuple], int], n_partitions: int) -> None:
         super().__init__(n_partitions)
         self.fn = fn
+
+    def signature(self) -> tuple:
+        return ("callable", id(self.fn), self.n_partitions)
 
     def __call__(self, row: tuple) -> int:
         bucket = self.fn(row)

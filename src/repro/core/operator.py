@@ -17,6 +17,15 @@ Design-principle mapping (paper Section 3.1):
    operators) know what a ``RowVector`` looks like inside.
 3. *Control flow as nested operators* — ``NestedMap``/``MpiExecutor`` run
    whole nested plans through this same interface.
+
+A sub-operator is described in one place, its class.  Beside the data path
+it declares its *type rule* (:meth:`Operator.infer_type`, the paper's one
+rule per sub-operator: §3.2), its static parameters
+(:meth:`Operator.signature`) and its pipeline shape and emitted cardinality
+(class attributes).  The constructor, the plan compiler and the static
+analyzer all read these declarations; none of them keeps a table of
+operator classes, so an operator defined outside this package is typed,
+cut into pipelines and compared exactly like the built-in ones.
 """
 
 from __future__ import annotations
@@ -26,10 +35,10 @@ from typing import Iterator, Sequence
 
 from repro.core.context import ExecutionContext
 from repro.errors import PlanError, TypeCheckError
-from repro.types.collections import RowVector, RowVectorBuilder
-from repro.types.tuples import TupleType
+from repro.types.collections import CollectionType, RowVector, RowVectorBuilder
+from repro.types.tuples import TupleType, concat_tuple_types
 
-__all__ = ["Operator", "require_fields", "require_collection_field"]
+__all__ = ["Operator", "require_fields", "scanned_collection", "join_output_type"]
 
 
 def _observe_data_path(fn, batched: bool):
@@ -67,10 +76,10 @@ def _observe_data_path(fn, batched: bool):
 class Operator:
     """Base class of all sub-operators.
 
-    Subclasses set ``self._output_type`` during ``__init__`` (after
-    type-checking their upstreams) and implement :meth:`rows`.  Operators
-    with a profitable vectorized implementation also override
-    :meth:`batches`.
+    Subclasses assign their static parameters, call ``super().__init__``
+    (which types the node by running :meth:`infer_type` over the upstreams'
+    declared types) and implement :meth:`rows`.  Operators with a
+    profitable vectorized implementation also override :meth:`batches`.
 
     Instances are *plan nodes*: immutable descriptions plus the per-node
     pipeline-size annotation that the plan compiler fills in.  All mutable
@@ -93,6 +102,23 @@ class Operator:
     #: recovery lints (MOD03x) use it to flag plans whose fault recovery —
     #: which re-executes pipeline stages — would not be reproducible.
     deterministic: bool = True
+
+    #: Pipeline shape, read by the plan compiler (:mod:`repro.core.plan`).
+    #: ``breaks_pipeline``: the output is a materialization point, so
+    #: downstream work starts a new pipeline.  ``side_inputs``: input
+    #: positions fully drained before the main loop (hash-build sides,
+    #: histograms, parameters); those edges cut pipelines too.
+    #: ``heavy_loop``: a compound scatter/probe loop that stays large after
+    #: fusion, whatever its pipeline's operator count.
+    breaks_pipeline: bool = False
+    side_inputs: frozenset[int] = frozenset()
+    heavy_loop: bool = False
+
+    #: Tuples emitted per run, as far as statically known: ``"one"``,
+    #: ``"per_input"`` (one per tuple of upstream 0), ``"all_upstreams"``
+    #: (exactly one iff every upstream emits exactly one) or ``"unproven"``.
+    #: MOD005 folds it over nested plans.
+    cardinality: str = "unproven"
 
     #: Analyzer rule ids silenced at this plan node (see
     #: :mod:`repro.analysis`); class-level default so that reading it never
@@ -123,7 +149,9 @@ class Operator:
             if not isinstance(up, Operator):
                 raise PlanError(f"upstream {up!r} is not an Operator")
         self.upstreams: tuple[Operator, ...] = tuple(upstreams)
-        self._output_type: TupleType | None = None
+        self._output_type: TupleType | None = self.infer_type(
+            tuple(up.output_type for up in self.upstreams)
+        )
         #: Number of operators in this node's pipeline; set by the plan
         #: compiler, consumed by the cost model's overhead rule.
         self.pipeline_size: int = 1
@@ -139,6 +167,30 @@ class Operator:
         if self._output_type is None:
             raise PlanError(f"{type(self).__name__} did not set its output type")
         return self._output_type
+
+    def infer_type(self, upstream_types: tuple[TupleType, ...]) -> TupleType | None:
+        """The operator's one type rule: its output type for ``upstream_types``.
+
+        Pure: reads only static parameters assigned before
+        ``super().__init__``.  The constructor runs it to type the node and
+        the analyzer (:mod:`repro.analysis.typeflow`) runs it again over the
+        finished plan, so the two cannot disagree.  Violations raise
+        :class:`~repro.errors.TypeCheckError` carrying the analyzer rule
+        they are reported under.  The default declares no rule: the subclass
+        sets ``_output_type`` itself and the analyzer does not re-check it.
+        """
+        return None
+
+    def signature(self) -> tuple:
+        """Static parameters defining this operator beyond its upstream shape.
+
+        Two nodes of one class with equal signatures over equivalent
+        upstreams provably compute the same stream
+        (:func:`repro.analysis.structure.plan_signature`).  Function objects
+        go in by identity — two separately constructed UDFs are never
+        assumed equal.  The default is the node's own identity.
+        """
+        return (id(self),)
 
     # -- data path ---------------------------------------------------------------
 
@@ -254,27 +306,61 @@ def require_fields(op_name: str, tuple_type: TupleType, names: Sequence[str]) ->
         )
 
 
-def require_collection_field(
-    op_name: str, tuple_type: TupleType, field: str | None
-) -> str:
-    """Resolve which field of ``tuple_type`` holds the collection to scan.
+def scanned_collection(
+    op_name: str, tuple_type: TupleType, field: str | None, kind: str
+) -> tuple[str, CollectionType]:
+    """Resolve the collection field a scan reads, checked against its format.
 
-    If ``field`` is None the tuple type must have exactly one field and it
-    must be a collection; otherwise the named field must be a collection.
-    Returns the resolved field name.
+    If ``field`` is None the tuple type must hold exactly one collection of
+    the scan's physical format ``kind``; otherwise the named field must be
+    one.  Returns the resolved field name and its collection type.
     """
-    from repro.types.collections import CollectionType  # local to avoid cycle
-
     if field is None:
-        if len(tuple_type) != 1:
+        candidates = [
+            f.name
+            for f in tuple_type
+            if isinstance(f.item_type, CollectionType) and f.item_type.kind == kind
+        ]
+        if len(candidates) != 1:
             raise TypeCheckError(
-                f"{op_name}: cannot infer the collection field of {tuple_type!r}; "
-                "project to a single field or name it explicitly"
+                f"{op_name}: cannot infer the {kind} field of {tuple_type!r}; "
+                "project to a single field or name it explicitly",
+                "MOD003",
             )
-        field = tuple_type.field_names[0]
+        field = candidates[0]
     require_fields(op_name, tuple_type, [field])
-    if not isinstance(tuple_type[field], CollectionType):
+    item = tuple_type[field]
+    if not isinstance(item, CollectionType):
         raise TypeCheckError(
-            f"{op_name}: field {field!r} of {tuple_type!r} is not a collection"
+            f"{op_name}: field {field!r} of {tuple_type!r} is not a collection",
+            "MOD003",
         )
-    return field
+    if item.kind != kind:
+        raise TypeCheckError(
+            f"{op_name}: field {field!r} is not a {kind} collection but a "
+            f"{item.kind}; use the scan operator dedicated to that format",
+            "MOD003",
+        )
+    return field, item
+
+
+def join_output_type(
+    left: TupleType, right: TupleType, keys: Sequence[str], join_type: str
+) -> TupleType:
+    """The type rule shared by the equi-joins (``BuildProbe``, ``MergeJoin``).
+
+    The join attributes, then the remaining left fields (dropped by
+    ``semi``/``anti``), then the remaining right fields.
+    """
+    require_fields("join build side", left, keys)
+    require_fields("join probe side", right, keys)
+    for key in keys:
+        if left[key] != right[key]:
+            raise TypeCheckError(
+                f"join attribute {key!r} has type {left[key]!r} on the left "
+                f"but {right[key]!r} on the right"
+            )
+    head = left.project(keys)
+    if join_type not in ("semi", "anti"):
+        head = concat_tuple_types(head, left.drop(keys))
+    return concat_tuple_types(head, right.drop(keys))

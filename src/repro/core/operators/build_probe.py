@@ -22,11 +22,10 @@ from typing import Iterator
 from repro.core.context import ExecutionContext
 from repro.core.kernels.hash_join import HashJoinSpec, outer_tail
 from repro.core.kernels.radix_join import select_join_kernel
-from repro.core.operator import Operator, require_fields
+from repro.core.operator import Operator, join_output_type
 from repro.errors import TypeCheckError
 from repro.types.atoms import INT64
 from repro.types.collections import RowVector
-from repro.types.tuples import concat_tuple_types
 
 __all__ = ["BuildProbe", "JOIN_TYPES"]
 
@@ -47,6 +46,8 @@ class BuildProbe(Operator):
 
     abbreviation = "BP"
     phase_name = "build_probe"
+    side_inputs = frozenset({0})
+    heavy_loop = True
 
     def __init__(
         self,
@@ -56,7 +57,6 @@ class BuildProbe(Operator):
         join_type: str = "inner",
         outer_fill: object = 0,
     ) -> None:
-        super().__init__(upstreams=(left, right))
         if isinstance(keys, str):
             keys = (keys,)
         if not keys:
@@ -65,20 +65,12 @@ class BuildProbe(Operator):
             raise TypeCheckError(
                 f"unknown join type {join_type!r}; supported: {JOIN_TYPES}"
             )
-        left_type, right_type = left.output_type, right.output_type
-        require_fields("BuildProbe", left_type, keys)
-        require_fields("BuildProbe", right_type, keys)
-        for key in keys:
-            if left_type[key] != right_type[key]:
-                raise TypeCheckError(
-                    f"join attribute {key!r} has type {left_type[key]!r} on the left "
-                    f"but {right_type[key]!r} on the right"
-                )
         self.keys = tuple(keys)
         self.join_type = join_type
         self.outer_fill = outer_fill
+        super().__init__(upstreams=(left, right))
 
-        key_type = left_type.project(self.keys)
+        left_type, right_type = left.output_type, right.output_type
         left_rest = left_type.drop(self.keys)
         right_rest = right_type.drop(self.keys)
         self._left_key_pos = tuple(left_type.position(k) for k in self.keys)
@@ -89,12 +81,12 @@ class BuildProbe(Operator):
         self._right_rest_pos = tuple(
             right_type.position(f) for f in right_rest.field_names
         )
-        if join_type in ("semi", "anti"):
-            self._output_type = concat_tuple_types(key_type, right_rest)
-        else:
-            self._output_type = concat_tuple_types(
-                concat_tuple_types(key_type, left_rest), right_rest
-            )
+
+    def infer_type(self, upstream_types):
+        return join_output_type(*upstream_types, self.keys, self.join_type)
+
+    def signature(self) -> tuple:
+        return (self.keys, self.join_type)
 
     # -- scalar implementation ----------------------------------------------------
 

@@ -24,10 +24,17 @@ class CartesianProduct(Operator):
     """
 
     abbreviation = "CP"
+    side_inputs = frozenset({0})
+    cardinality = "all_upstreams"
 
     def __init__(self, left: Operator, right: Operator) -> None:
         super().__init__(upstreams=(left, right))
-        self._output_type = concat_tuple_types(left.output_type, right.output_type)
+
+    def infer_type(self, upstream_types):
+        return concat_tuple_types(*upstream_types)
+
+    def signature(self) -> tuple:
+        return ()
 
     def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
         left_rows = list(self.upstreams[0].stream(ctx))

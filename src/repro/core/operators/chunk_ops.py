@@ -19,35 +19,12 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.core.context import ExecutionContext
-from repro.core.operator import Operator
+from repro.core.operator import Operator, scanned_collection
 from repro.errors import TypeCheckError
-from repro.types.collections import ChunkedRowVector, CollectionType, RowVector, chunked_type
+from repro.types.collections import ChunkedRowVector, RowVector, chunked_type
 from repro.types.tuples import TupleType
 
 __all__ = ["ChunkScan", "MaterializeChunks"]
-
-
-def _resolve_chunked_field(op_name: str, tuple_type: TupleType, field: str | None) -> str:
-    if field is None:
-        candidates = [
-            f.name
-            for f in tuple_type
-            if isinstance(f.item_type, CollectionType)
-            and f.item_type.kind == "ChunkedRowVector"
-        ]
-        if len(candidates) != 1:
-            raise TypeCheckError(
-                f"{op_name}: cannot infer the chunked field of {tuple_type!r}"
-            )
-        return candidates[0]
-    if field not in tuple_type:
-        raise TypeCheckError(f"{op_name}: no field {field!r} in {tuple_type!r}")
-    item = tuple_type[field]
-    if not isinstance(item, CollectionType) or item.kind != "ChunkedRowVector":
-        raise TypeCheckError(
-            f"{op_name}: field {field!r} is not a ChunkedRowVector collection"
-        )
-    return field
 
 
 class ChunkScan(Operator):
@@ -60,11 +37,23 @@ class ChunkScan(Operator):
     abbreviation = "CS"
 
     def __init__(self, upstream: Operator, field: str | None = None) -> None:
+        self.field = field
         super().__init__(upstreams=(upstream,))
-        self.field = _resolve_chunked_field("ChunkScan", upstream.output_type, field)
+        if field is None:
+            self.field = self._scanned(upstream.output_type)[0]
         self._position = upstream.output_type.position(self.field)
-        self._output_type = upstream.output_type[self.field].element_type
         self._scan_weight = max(1, round(self._output_type.row_size_bytes() / 16))
+
+    def _scanned(self, upstream_type: TupleType):
+        return scanned_collection(
+            "ChunkScan", upstream_type, self.field, "ChunkedRowVector"
+        )
+
+    def infer_type(self, upstream_types):
+        return self._scanned(upstream_types[0])[1].element_type
+
+    def signature(self) -> tuple:
+        return (self.field,)
 
     def _collections(self, ctx: ExecutionContext) -> Iterator[ChunkedRowVector]:
         for row in self.upstreams[0].stream(ctx):
@@ -99,16 +88,21 @@ class MaterializeChunks(Operator):
 
     abbreviation = "MC"
     phase_name = "materialize"
+    breaks_pipeline = True
+    cardinality = "one"
 
     def __init__(self, upstream: Operator, chunk_rows: int, field: str = "data") -> None:
-        super().__init__(upstreams=(upstream,))
         if chunk_rows < 1:
             raise TypeCheckError(f"chunk size must be positive, got {chunk_rows}")
         self.chunk_rows = chunk_rows
         self.field = field
-        self._output_type = TupleType.of(
-            **{field: chunked_type(upstream.output_type)}
-        )
+        super().__init__(upstreams=(upstream,))
+
+    def infer_type(self, upstream_types):
+        return TupleType.of(**{self.field: chunked_type(upstream_types[0])})
+
+    def signature(self) -> tuple:
+        return (self.field, self.chunk_rows)
 
     def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
         for batch in self.batches(ctx):

@@ -20,9 +20,14 @@ class Filter(Operator):
     abbreviation = "FI"
 
     def __init__(self, upstream: Operator, predicate: Predicate) -> None:
-        super().__init__(upstreams=(upstream,))
         self.predicate = predicate
-        self._output_type = upstream.output_type
+        super().__init__(upstreams=(upstream,))
+
+    def infer_type(self, upstream_types):
+        return upstream_types[0]
+
+    def signature(self) -> tuple:
+        return (id(self.predicate),)
 
     def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
         predicate = self.predicate

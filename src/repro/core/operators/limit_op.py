@@ -24,11 +24,16 @@ class Limit(Operator):
     abbreviation = "LT"
 
     def __init__(self, upstream: Operator, n: int) -> None:
-        super().__init__(upstreams=(upstream,))
         if n < 0:
             raise TypeCheckError(f"limit must be non-negative, got {n}")
         self.n = n
-        self._output_type = upstream.output_type
+        super().__init__(upstreams=(upstream,))
+
+    def infer_type(self, upstream_types):
+        return upstream_types[0]
+
+    def signature(self) -> tuple:
+        return (self.n,)
 
     def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
         if self.n == 0:

@@ -14,15 +14,25 @@ import numpy as np
 from repro.core.context import ExecutionContext
 from repro.core.functions import PartitionFunction
 from repro.core.operator import Operator
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, TypeCheckError
 from repro.types.atoms import INT64
 from repro.types.collections import RowVector
 from repro.types.tuples import TupleType
 
-__all__ = ["HISTOGRAM_TYPE", "LocalHistogram", "read_histogram"]
+__all__ = ["HISTOGRAM_TYPE", "LocalHistogram", "read_histogram", "require_histogram"]
 
 #: ⟨bucketID, count⟩ — the type both histogram operators produce.
 HISTOGRAM_TYPE = TupleType.of(bucket=INT64, count=INT64)
+
+
+def require_histogram(op_name: str, role: str, got: TupleType) -> None:
+    """Fail unless a histogram-consuming operator's side input is a histogram."""
+    if got != HISTOGRAM_TYPE:
+        raise TypeCheckError(
+            f"{op_name}'s {role} histogram upstream must produce "
+            f"{HISTOGRAM_TYPE!r}, got {got!r}",
+            "MOD004",
+        )
 
 
 def read_histogram(
@@ -56,13 +66,19 @@ class LocalHistogram(Operator):
 
     abbreviation = "LH"
     phase_name = "local_histogram"
+    breaks_pipeline = True
 
     def __init__(self, upstream: Operator, bucket_fn: PartitionFunction) -> None:
-        super().__init__(upstreams=(upstream,))
         self.bucket_fn = bucket_fn
-        if hasattr(bucket_fn, "bind"):
-            bucket_fn.bind(upstream.output_type)
-        self._output_type = HISTOGRAM_TYPE
+        super().__init__(upstreams=(upstream,))
+        bucket_fn.bind(upstream.output_type)
+
+    def infer_type(self, upstream_types):
+        self.bucket_fn.check(upstream_types[0])
+        return HISTOGRAM_TYPE
+
+    def signature(self) -> tuple:
+        return (self.bucket_fn.signature(),)
 
     @property
     def n_buckets(self) -> int:

@@ -18,9 +18,9 @@ import numpy as np
 
 from repro.core.context import ExecutionContext
 from repro.core.functions import PartitionFunction
-from repro.core.operator import Operator, require_fields
-from repro.core.operators.local_histogram import HISTOGRAM_TYPE, read_histogram
-from repro.errors import ExecutionError, TypeCheckError
+from repro.core.operator import Operator
+from repro.core.operators.local_histogram import read_histogram, require_histogram
+from repro.errors import ExecutionError
 from repro.types.atoms import INT64
 from repro.types.collections import RowVector, RowVectorBuilder, row_vector_type
 from repro.types.tuples import TupleType
@@ -43,6 +43,9 @@ class LocalPartitioning(Operator):
 
     abbreviation = "LP"
     phase_name = "local_partition"
+    breaks_pipeline = True
+    side_inputs = frozenset({1})
+    heavy_loop = True
 
     def __init__(
         self,
@@ -52,21 +55,22 @@ class LocalPartitioning(Operator):
         id_field: str = "partition",
         data_field: str = "data",
     ) -> None:
-        super().__init__(upstreams=(data, histogram))
-        require_fields("LocalPartitioning", histogram.output_type, ("bucket", "count"))
-        if histogram.output_type != HISTOGRAM_TYPE:
-            raise TypeCheckError(
-                f"LocalPartitioning histogram upstream must produce {HISTOGRAM_TYPE!r}, "
-                f"got {histogram.output_type!r}"
-            )
         self.partition_fn = partition_fn
-        if hasattr(partition_fn, "bind"):
-            partition_fn.bind(data.output_type)
         self.id_field = id_field
         self.data_field = data_field
-        self._output_type = TupleType.of(
-            **{id_field: INT64, data_field: row_vector_type(data.output_type)}
+        super().__init__(upstreams=(data, histogram))
+        partition_fn.bind(data.output_type)
+
+    def infer_type(self, upstream_types):
+        data_type, histogram_type = upstream_types
+        require_histogram("LocalPartitioning", "local", histogram_type)
+        self.partition_fn.check(data_type)
+        return TupleType.of(
+            **{self.id_field: INT64, self.data_field: row_vector_type(data_type)}
         )
+
+    def signature(self) -> tuple:
+        return (self.partition_fn.signature(), self.id_field, self.data_field)
 
     @property
     def n_partitions(self) -> int:

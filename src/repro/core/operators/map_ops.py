@@ -22,11 +22,17 @@ class Map(Operator):
     """
 
     abbreviation = "MP"
+    cardinality = "per_input"
 
     def __init__(self, upstream: Operator, fn: TupleFunction) -> None:
-        super().__init__(upstreams=(upstream,))
         self.fn = fn
-        self._output_type = fn.output_type_for(upstream.output_type)
+        super().__init__(upstreams=(upstream,))
+
+    def infer_type(self, upstream_types):
+        return self.fn.output_type_for(upstream_types[0])
+
+    def signature(self) -> tuple:
+        return (id(self.fn),)
 
     def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
         fn = self.fn
@@ -54,11 +60,15 @@ class ParametrizedMap(Operator):
     """
 
     abbreviation = "PM"
+    side_inputs = frozenset({1})
+    cardinality = "per_input"
 
     def __init__(self, upstream: Operator, param_upstream: Operator, fn: ParamTupleFunction) -> None:
-        super().__init__(upstreams=(upstream, param_upstream))
         self.fn = fn
-        self._output_type = fn.output_type_for(upstream.output_type)
+        super().__init__(upstreams=(upstream, param_upstream))
+
+    infer_type = Map.infer_type
+    signature = Map.signature
 
     def _read_param(self, ctx: ExecutionContext) -> tuple:
         params = self.upstreams[1].drain(ctx)

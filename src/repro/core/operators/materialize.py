@@ -37,12 +37,18 @@ class MaterializeRowVector(Operator):
 
     abbreviation = "MR"
     phase_name = "materialize"
+    breaks_pipeline = True
+    cardinality = "one"
 
     def __init__(self, upstream: Operator, field: str = "data") -> None:
-        super().__init__(upstreams=(upstream,))
         self.field = field
-        collection = row_vector_type(upstream.output_type)
-        self._output_type = TupleType.of(**{field: collection})
+        super().__init__(upstreams=(upstream,))
+
+    def infer_type(self, upstream_types):
+        return TupleType.of(**{self.field: row_vector_type(upstream_types[0])})
+
+    def signature(self) -> tuple:
+        return (self.field,)
 
     # -- checkpointing (pipeline-level recovery) ------------------------------
 

@@ -19,9 +19,9 @@ import numpy as np
 
 from repro.core.context import ExecutionContext
 from repro.core.operator import Operator
-from repro.core.operators.local_histogram import HISTOGRAM_TYPE
+from repro.core.operators.local_histogram import require_histogram
 from repro.core.operators.mpi_exchange import BUFFER_ROWS
-from repro.errors import ExecutionError, TypeCheckError
+from repro.errors import ExecutionError
 from repro.types.collections import RowVector
 
 __all__ = ["MpiBroadcast"]
@@ -32,6 +32,9 @@ class MpiBroadcast(Operator):
 
     abbreviation = "MB"
     phase_name = "network_partition"
+    breaks_pipeline = True
+    side_inputs = frozenset({1, 2})
+    heavy_loop = True
 
     def __init__(
         self,
@@ -40,13 +43,15 @@ class MpiBroadcast(Operator):
         global_histogram: Operator,
     ) -> None:
         super().__init__(upstreams=(data, local_histogram, global_histogram))
-        for side, name in ((local_histogram, "local"), (global_histogram, "global")):
-            if side.output_type != HISTOGRAM_TYPE:
-                raise TypeCheckError(
-                    f"MpiBroadcast {name} histogram upstream must produce "
-                    f"{HISTOGRAM_TYPE!r}, got {side.output_type!r}"
-                )
-        self._output_type = data.output_type
+
+    def infer_type(self, upstream_types):
+        data_type, local_type, global_type = upstream_types
+        require_histogram("MpiBroadcast", "local", local_type)
+        require_histogram("MpiBroadcast", "global", global_type)
+        return data_type
+
+    def signature(self) -> tuple:
+        return ()
 
     def _read_total(self, ctx: ExecutionContext, upstream: Operator) -> int:
         total = 0

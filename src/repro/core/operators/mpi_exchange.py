@@ -31,7 +31,7 @@ from repro.core.compression import COMPRESSED_TYPE, RadixCompression
 from repro.core.context import ExecutionContext
 from repro.core.functions import PartitionFunction
 from repro.core.operator import Operator
-from repro.core.operators.local_histogram import HISTOGRAM_TYPE, read_histogram
+from repro.core.operators.local_histogram import read_histogram, require_histogram
 from repro.errors import ExecutionError, TypeCheckError
 from repro.types.atoms import INT64
 from repro.types.collections import RowVector, row_vector_type
@@ -66,6 +66,9 @@ class MpiExchange(Operator):
 
     abbreviation = "EX"
     phase_name = "network_partition"
+    breaks_pipeline = True
+    side_inputs = frozenset({1, 2})
+    heavy_loop = True
 
     def __init__(
         self,
@@ -77,31 +80,39 @@ class MpiExchange(Operator):
         id_field: str = "partition",
         data_field: str = "data",
     ) -> None:
-        super().__init__(upstreams=(data, local_histogram, global_histogram))
-        for side, name in ((local_histogram, "local"), (global_histogram, "global")):
-            if side.output_type != HISTOGRAM_TYPE:
-                raise TypeCheckError(
-                    f"MpiExchange {name} histogram upstream must produce "
-                    f"{HISTOGRAM_TYPE!r}, got {side.output_type!r}"
-                )
         self.partition_fn = partition_fn
-        if hasattr(partition_fn, "bind"):
-            partition_fn.bind(data.output_type)
         self.compression = compression
-        if compression is not None:
-            element = data.output_type
-            if len(element) != 2 or any(
-                element[f] != INT64 for f in element.field_names
-            ):
-                raise TypeCheckError(
-                    "radix compression needs ⟨key, payload⟩ INT64 tuples, "
-                    f"got {element!r}"
-                )
         self.id_field = id_field
         self.data_field = data_field
+        super().__init__(upstreams=(data, local_histogram, global_histogram))
+        partition_fn.bind(data.output_type)
         self._wire_type = COMPRESSED_TYPE if compression else data.output_type
-        self._output_type = TupleType.of(
-            **{id_field: INT64, data_field: row_vector_type(self._wire_type)}
+
+    def infer_type(self, upstream_types):
+        wire_type, local_type, global_type = upstream_types
+        require_histogram("MpiExchange", "local", local_type)
+        require_histogram("MpiExchange", "global", global_type)
+        self.partition_fn.check(wire_type)
+        if self.compression is not None:
+            if len(wire_type) != 2 or any(
+                wire_type[f] != INT64 for f in wire_type.field_names
+            ):
+                raise TypeCheckError(
+                    "radix compression needs ⟨key, payload⟩ INT64 tuples on "
+                    f"the wire, got {wire_type!r}",
+                    "MOD003",
+                )
+            wire_type = COMPRESSED_TYPE
+        return TupleType.of(
+            **{self.id_field: INT64, self.data_field: row_vector_type(wire_type)}
+        )
+
+    def signature(self) -> tuple:
+        return (
+            self.partition_fn.signature(),
+            self.id_field,
+            self.data_field,
+            self.compression,
         )
 
     @property

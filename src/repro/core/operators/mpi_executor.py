@@ -27,8 +27,9 @@ from typing import Callable, Iterator
 
 from repro.core.context import ExecutionContext
 from repro.core.operator import Operator
+from repro.core.operators.nested_map import build_nested_plan, nested_plan_type
 from repro.core.operators.parameter_lookup import ParameterSlot
-from repro.errors import ExecutionError, TypeCheckError
+from repro.errors import ExecutionError
 from repro.mpi.cluster import ClusterResult, SimCluster
 
 __all__ = ["MpiExecutor"]
@@ -49,6 +50,7 @@ class MpiExecutor(Operator):
 
     abbreviation = "ME"
     phase_name = "mpi_executor"
+    breaks_pipeline = True
 
     def __init__(
         self,
@@ -56,18 +58,15 @@ class MpiExecutor(Operator):
         build_inner: Callable[[ParameterSlot], Operator],
         cluster: SimCluster,
     ) -> None:
-        super().__init__(upstreams=(upstream,))
         self.cluster = cluster
-        self.slot = ParameterSlot(upstream.output_type)
-        inner = build_inner(self.slot)
-        if not isinstance(inner, Operator):
-            raise TypeCheckError(
-                f"MpiExecutor: build_inner must return an Operator for the "
-                f"parameter type {self.slot.param_type!r}, got "
-                f"{type(inner).__name__}"
-            )
-        self.inner = inner
-        self._output_type = inner.output_type
+        self.slot, self.inner = build_nested_plan("MpiExecutor", upstream, build_inner)
+        super().__init__(upstreams=(upstream,))
+
+    def infer_type(self, upstream_types):
+        return nested_plan_type("MpiExecutor", self.slot, self.inner, upstream_types[0])
+
+    def signature(self) -> tuple:
+        return (self.slot.id,)
 
     def nested_roots(self) -> tuple[Operator, ...]:
         return (self.inner,)

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.context import ExecutionContext
 from repro.core.operator import Operator
-from repro.core.operators.local_histogram import HISTOGRAM_TYPE
+from repro.core.operators.local_histogram import HISTOGRAM_TYPE, require_histogram
 from repro.errors import ExecutionError, TypeCheckError
 from repro.types.collections import RowVector
 
@@ -27,17 +27,20 @@ class MpiHistogram(Operator):
 
     abbreviation = "MH"
     phase_name = "global_histogram"
+    breaks_pipeline = True
 
     def __init__(self, upstream: Operator, n_buckets: int) -> None:
-        super().__init__(upstreams=(upstream,))
-        if upstream.output_type != HISTOGRAM_TYPE:
-            raise TypeCheckError(
-                f"MpiHistogram needs {HISTOGRAM_TYPE!r} input, got {upstream.output_type!r}"
-            )
         if n_buckets < 1:
             raise TypeCheckError(f"need >= 1 bucket, got {n_buckets}")
         self.n_buckets = n_buckets
-        self._output_type = HISTOGRAM_TYPE
+        super().__init__(upstreams=(upstream,))
+
+    def infer_type(self, upstream_types):
+        require_histogram("MpiHistogram", "input", upstream_types[0])
+        return HISTOGRAM_TYPE
+
+    def signature(self) -> tuple:
+        return (self.n_buckets,)
 
     def _global_counts(self, ctx: ExecutionContext) -> np.ndarray:
         local = np.zeros(self.n_buckets, dtype=np.int64)

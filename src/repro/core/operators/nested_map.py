@@ -15,8 +15,41 @@ from repro.core.operator import Operator
 from repro.core.operators.parameter_lookup import ParameterSlot
 from repro.errors import ExecutionError, TypeCheckError
 from repro.types.collections import RowVector, RowVectorBuilder
+from repro.types.tuples import TupleType
 
-__all__ = ["NestedMap"]
+__all__ = ["NestedMap", "build_nested_plan", "nested_plan_type"]
+
+
+def build_nested_plan(
+    op_name: str, upstream: Operator, build_inner: Callable[[ParameterSlot], Operator]
+) -> tuple[ParameterSlot, Operator]:
+    """Create a nesting operator's slot and build its nested plan against it."""
+    slot = ParameterSlot(upstream.output_type)
+    inner = build_inner(slot)
+    if not isinstance(inner, Operator):
+        raise TypeCheckError(
+            f"{op_name}: build_inner must return an Operator for the "
+            f"parameter type {slot.param_type!r}, got {type(inner).__name__}"
+        )
+    return slot, inner
+
+
+def nested_plan_type(
+    op_name: str, slot: ParameterSlot, inner: Operator, upstream_type: TupleType
+) -> TupleType:
+    """The type rule of the nesting operators: the nested root's type.
+
+    The nested plan was typed against ``slot`` when it was built; an
+    upstream that now produces another type leaves it stale.
+    """
+    if slot.param_type != upstream_type:
+        raise TypeCheckError(
+            f"{op_name}'s nested plan was built against the parameter type "
+            f"{slot.param_type!r} but the upstream now produces "
+            f"{upstream_type!r}; rebuild the nested plan",
+            "MOD001",
+        )
+    return inner.output_type
 
 
 class NestedMap(Operator):
@@ -36,23 +69,24 @@ class NestedMap(Operator):
     """
 
     abbreviation = "NM"
+    breaks_pipeline = True
+    cardinality = "per_input"
 
     def __init__(
         self,
         upstream: Operator,
         build_inner: Callable[[ParameterSlot], Operator],
     ) -> None:
+        self.slot, self.inner = build_nested_plan("NestedMap", upstream, build_inner)
         super().__init__(upstreams=(upstream,))
-        self.slot = ParameterSlot(upstream.output_type)
-        inner = build_inner(self.slot)
-        if not isinstance(inner, Operator):
-            raise TypeCheckError(
-                f"NestedMap: build_inner must return an Operator for the "
-                f"parameter type {self.slot.param_type!r}, got "
-                f"{type(inner).__name__}"
-            )
-        self.inner = inner
-        self._output_type = inner.output_type
+
+    def infer_type(self, upstream_types):
+        return nested_plan_type("NestedMap", self.slot, self.inner, upstream_types[0])
+
+    def signature(self) -> tuple:
+        # Slots get globally unique ids, so two separately built nested
+        # plans never compare equal — conservative by construction.
+        return (self.slot.id,)
 
     def nested_roots(self) -> tuple[Operator, ...]:
         return (self.inner,)

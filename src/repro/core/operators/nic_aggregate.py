@@ -42,6 +42,7 @@ class NicPartialAggregate(Operator):
 
     abbreviation = "NA"
     phase_name = "network_partition"
+    breaks_pipeline = True
 
     def __init__(
         self,
@@ -49,11 +50,17 @@ class NicPartialAggregate(Operator):
         key_fields: Sequence[str] | str,
         fn: ReduceFunction,
     ) -> None:
-        super().__init__(upstreams=(upstream,))
-        # Delegate the data path to a private ReduceByKey over the same
-        # upstream; this operator only re-owns the cost accounting.
+        # Delegate the data path and the type rule to a private ReduceByKey
+        # over the same upstream; this operator only re-owns the cost
+        # accounting.
         self._combiner = ReduceByKey(upstream, key_fields, fn)
-        self._output_type = self._combiner.output_type
+        super().__init__(upstreams=(upstream,))
+
+    def infer_type(self, upstream_types):
+        return self._combiner.infer_type(upstream_types)
+
+    def signature(self) -> tuple:
+        return self._combiner.signature()
 
     def _charge_nic(self, ctx: ExecutionContext, tuples: int) -> None:
         if tuples <= 0:

@@ -45,11 +45,18 @@ class ParameterLookup(Operator):
     """
 
     abbreviation = "PL"
+    breaks_pipeline = True
+    cardinality = "one"
 
     def __init__(self, slot: ParameterSlot) -> None:
-        super().__init__(upstreams=())
         self.slot = slot
-        self._output_type = slot.param_type
+        super().__init__(upstreams=())
+
+    def infer_type(self, upstream_types):
+        return self.slot.param_type
+
+    def signature(self) -> tuple:
+        return (self.slot.id,)
 
     def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
         yield ctx.lookup_parameter(self.slot.id)

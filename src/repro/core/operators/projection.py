@@ -19,13 +19,19 @@ class Projection(Operator):
     """Return new tuples keeping only ``fields`` of the upstream tuples."""
 
     abbreviation = "PR"
+    cardinality = "per_input"
 
     def __init__(self, upstream: Operator, fields: Sequence[str]) -> None:
-        super().__init__(upstreams=(upstream,))
-        require_fields("Projection", upstream.output_type, fields)
         self.fields = tuple(fields)
+        super().__init__(upstreams=(upstream,))
         self._positions = tuple(upstream.output_type.position(f) for f in fields)
-        self._output_type = upstream.output_type.project(fields)
+
+    def infer_type(self, upstream_types):
+        require_fields("Projection", upstream_types[0], self.fields)
+        return upstream_types[0].project(self.fields)
+
+    def signature(self) -> tuple:
+        return (self.fields,)
 
     def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
         positions = self._positions

@@ -25,11 +25,17 @@ class Reduce(Operator):
 
     abbreviation = "RD"
     phase_name = "aggregation"
+    breaks_pipeline = True
 
     def __init__(self, upstream: Operator, fn: ReduceFunction) -> None:
-        super().__init__(upstreams=(upstream,))
         self.fn = fn
-        self._output_type = upstream.output_type
+        super().__init__(upstreams=(upstream,))
+
+    def infer_type(self, upstream_types):
+        return upstream_types[0]
+
+    def signature(self) -> tuple:
+        return (id(self.fn),)
 
     def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
         acc: tuple | None = None
@@ -70,28 +76,35 @@ class ReduceByKey(Operator):
 
     abbreviation = "RK"
     phase_name = "aggregation"
+    breaks_pipeline = True
 
     def __init__(
         self, upstream: Operator, key_fields: Sequence[str] | str, fn: ReduceFunction
     ) -> None:
-        super().__init__(upstreams=(upstream,))
         if isinstance(key_fields, str):
             key_fields = (key_fields,)
         if not key_fields:
             raise TypeCheckError("ReduceByKey needs at least one key field")
-        require_fields("ReduceByKey", upstream.output_type, key_fields)
         self.key_fields = tuple(key_fields)
         self.fn = fn
+        super().__init__(upstreams=(upstream,))
         in_type = upstream.output_type
         self._key_positions = tuple(in_type.position(f) for f in self.key_fields)
         self._value_positions = tuple(
             i for i in range(len(in_type)) if i not in self._key_positions
         )
-        if not self._value_positions:
+
+    def infer_type(self, upstream_types):
+        (in_type,) = upstream_types
+        require_fields("ReduceByKey", in_type, self.key_fields)
+        if len(set(self.key_fields)) == len(in_type):
             raise TypeCheckError(
-                "ReduceByKey needs at least one non-key field to aggregate"
+                f"ReduceByKey needs at least one non-key field to aggregate in {in_type!r}"
             )
-        self._output_type = in_type
+        return in_type
+
+    def signature(self) -> tuple:
+        return (self.key_fields, id(self.fn))
 
     def _emit(self, groups: dict) -> Iterator[tuple]:
         out_len = len(self.output_type)

@@ -13,8 +13,9 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.core.context import ExecutionContext
-from repro.core.operator import Operator, require_collection_field
+from repro.core.operator import Operator, scanned_collection
 from repro.types.collections import RowVector
+from repro.types.tuples import TupleType
 
 __all__ = ["RowScan"]
 
@@ -40,15 +41,25 @@ class RowScan(Operator):
         field: str | None = None,
         shard_by_rank: bool = False,
     ) -> None:
-        super().__init__(upstreams=(upstream,))
-        self.field = require_collection_field("RowScan", upstream.output_type, field)
+        self.field = field
         self.shard_by_rank = shard_by_rank
+        super().__init__(upstreams=(upstream,))
+        if field is None:
+            self.field = self._scanned(upstream.output_type)[0]
         self._position = upstream.output_type.position(self.field)
-        self._output_type = upstream.output_type[self.field].element_type
         # Wide rows cost proportionally more to stream through memory; the
         # cost model's per-tuple scan rate is calibrated for the paper's
         # 16-byte workload tuples.
         self._scan_weight = max(1, round(self._output_type.row_size_bytes() / 16))
+
+    def _scanned(self, upstream_type: TupleType):
+        return scanned_collection("RowScan", upstream_type, self.field, "RowVector")
+
+    def infer_type(self, upstream_types):
+        return self._scanned(upstream_types[0])[1].element_type
+
+    def signature(self) -> tuple:
+        return (self.field, self.shard_by_rank)
 
     def _shard(self, ctx: ExecutionContext, collection: RowVector) -> RowVector:
         if not self.shard_by_rank or ctx.n_ranks == 1:

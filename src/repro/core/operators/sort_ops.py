@@ -16,10 +16,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core.context import ExecutionContext
-from repro.core.operator import Operator, require_fields
+from repro.core.operator import Operator, join_output_type, require_fields
 from repro.errors import ExecutionError, TypeCheckError
 from repro.types.collections import RowVector
-from repro.types.tuples import concat_tuple_types
 
 __all__ = ["LocalSort", "MergeJoin"]
 
@@ -34,6 +33,7 @@ class LocalSort(Operator):
 
     abbreviation = "LS"
     phase_name = "sort"
+    breaks_pipeline = True
 
     def __init__(
         self,
@@ -41,12 +41,10 @@ class LocalSort(Operator):
         keys: Sequence[str] | str,
         descending: bool | Sequence[bool] = False,
     ) -> None:
-        super().__init__(upstreams=(upstream,))
         if isinstance(keys, str):
             keys = (keys,)
         if not keys:
             raise TypeCheckError("LocalSort needs at least one sort key")
-        require_fields("LocalSort", upstream.output_type, keys)
         self.keys = tuple(keys)
         if isinstance(descending, bool):
             self.descending = (descending,) * len(self.keys)
@@ -56,8 +54,15 @@ class LocalSort(Operator):
                 raise TypeCheckError(
                     "per-key sort directions must match the number of keys"
                 )
+        super().__init__(upstreams=(upstream,))
         self._positions = tuple(upstream.output_type.position(k) for k in self.keys)
-        self._output_type = upstream.output_type
+
+    def infer_type(self, upstream_types):
+        require_fields("LocalSort", upstream_types[0], self.keys)
+        return upstream_types[0]
+
+    def signature(self) -> tuple:
+        return (self.keys, self.descending)
 
     def _charge(self, ctx: ExecutionContext, n: int) -> None:
         if n > 1:
@@ -105,6 +110,8 @@ class MergeJoin(Operator):
 
     abbreviation = "MJ"
     phase_name = "build_probe"
+    side_inputs = frozenset({0, 1})
+    heavy_loop = True
 
     def __init__(
         self,
@@ -113,20 +120,12 @@ class MergeJoin(Operator):
         key: str,
         join_type: str = "inner",
     ) -> None:
-        super().__init__(upstreams=(left, right))
         if join_type not in ("inner", "semi", "anti"):
             raise TypeCheckError(f"MergeJoin does not support join type {join_type!r}")
-        left_type, right_type = left.output_type, right.output_type
-        require_fields("MergeJoin", left_type, (key,))
-        require_fields("MergeJoin", right_type, (key,))
-        if left_type[key] != right_type[key]:
-            raise TypeCheckError(
-                f"join key {key!r} has type {left_type[key]!r} on the left but "
-                f"{right_type[key]!r} on the right"
-            )
         self.key = key
         self.join_type = join_type
-        key_type = left_type.project((key,))
+        super().__init__(upstreams=(left, right))
+        left_type, right_type = left.output_type, right.output_type
         left_rest = left_type.drop((key,))
         right_rest = right_type.drop((key,))
         self._left_key = left_type.position(key)
@@ -135,12 +134,12 @@ class MergeJoin(Operator):
         self._right_rest = tuple(
             right_type.position(f) for f in right_rest.field_names
         )
-        if join_type in ("semi", "anti"):
-            self._output_type = concat_tuple_types(key_type, right_rest)
-        else:
-            self._output_type = concat_tuple_types(
-                concat_tuple_types(key_type, left_rest), right_rest
-            )
+
+    def infer_type(self, upstream_types):
+        return join_output_type(*upstream_types, (self.key,), self.join_type)
+
+    def signature(self) -> tuple:
+        return (self.key, self.join_type)
 
     @staticmethod
     def _check_sorted(keys: np.ndarray, side: str) -> None:

@@ -8,7 +8,7 @@ relying on partitions being "produced in dense, ordered sequence".
 from __future__ import annotations
 
 from functools import reduce
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from repro.core.context import ExecutionContext
 from repro.core.operator import Operator
@@ -29,14 +29,15 @@ class Zip(Operator):
     """
 
     abbreviation = "ZP"
+    cardinality = "all_upstreams"
 
-    def __init__(self, upstreams: Sequence[Operator]) -> None:
-        super().__init__(upstreams=tuple(upstreams))
-        if len(self.upstreams) < 2:
-            raise TypeCheckError(f"Zip needs >= 2 upstreams, got {len(self.upstreams)}")
-        self._output_type = reduce(
-            concat_tuple_types, (u.output_type for u in self.upstreams)
-        )
+    def infer_type(self, upstream_types):
+        if len(upstream_types) < 2:
+            raise TypeCheckError(f"Zip needs >= 2 upstreams, got {len(upstream_types)}")
+        return reduce(concat_tuple_types, upstream_types)
+
+    def signature(self) -> tuple:
+        return ()
 
     def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
         iterators = [u.stream(ctx) for u in self.upstreams]

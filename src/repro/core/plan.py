@@ -28,62 +28,15 @@ from typing import Iterator
 
 from repro.core.context import ExecutionContext
 from repro.core.operator import Operator
-from repro.core.operators.build_probe import BuildProbe
-from repro.core.operators.cartesian_product import CartesianProduct
-from repro.core.operators.chunk_ops import MaterializeChunks
-from repro.core.operators.local_histogram import LocalHistogram
-from repro.core.operators.local_partitioning import LocalPartitioning
-from repro.core.operators.map_ops import ParametrizedMap
-from repro.core.operators.materialize import MaterializeRowVector
-from repro.core.operators.mpi_broadcast import MpiBroadcast
-from repro.core.operators.mpi_exchange import MpiExchange
-from repro.core.operators.mpi_executor import MpiExecutor
-from repro.core.operators.mpi_histogram import MpiHistogram
-from repro.core.operators.nested_map import NestedMap
-from repro.core.operators.nic_aggregate import NicPartialAggregate
 from repro.core.operators.parameter_lookup import ParameterLookup
-from repro.core.operators.reduce_ops import Reduce, ReduceByKey
-from repro.core.operators.sort_ops import LocalSort, MergeJoin
+from repro.core.operators.projection import Projection
+from repro.core.operators.row_scan import RowScan
+from repro.errors import PlanError
 from repro.types.collections import RowVector
 
 __all__ = ["SharedScan", "prepare", "walk", "explain"]
 
-#: Operators whose *output* is a materialization point: downstream work
-#: starts a new pipeline.
-_OUTPUT_BREAKERS = (
-    MaterializeRowVector,
-    MaterializeChunks,
-    LocalPartitioning,
-    LocalSort,
-    MpiExchange,
-    MpiBroadcast,
-    NestedMap,
-    MpiExecutor,
-    ParameterLookup,
-    LocalHistogram,
-    MpiHistogram,
-    Reduce,
-    ReduceByKey,
-    NicPartialAggregate,
-)
-
-#: Input positions an operator fully materializes before its main loop
-#: (hash-build sides, histograms, parameters); those edges cut pipelines.
-_SIDE_INPUTS: dict[type, frozenset[int]] = {
-    BuildProbe: frozenset({0}),
-    MergeJoin: frozenset({0, 1}),
-    LocalPartitioning: frozenset({1}),
-    MpiExchange: frozenset({1, 2}),
-    MpiBroadcast: frozenset({1, 2}),
-    ParametrizedMap: frozenset({1}),
-    CartesianProduct: frozenset({0}),
-}
-
-#: Pipelines containing these compound operators keep scatter/probe loops
-#: that stay large after fusion, whatever the plan's operator count.
-_HEAVY_OPS = (MpiExchange, LocalPartitioning, BuildProbe, MpiBroadcast, MergeJoin)
-
-#: Effective size assigned to pipelines containing a heavy operator.
+#: Effective size assigned to pipelines containing a ``heavy_loop`` operator.
 _HEAVY_PIPELINE_SIZE = 6
 
 
@@ -98,10 +51,14 @@ class SharedScan(Operator):
     """
 
     abbreviation = "MS"
+    breaks_pipeline = True
+    cardinality = "per_input"
 
     def __init__(self, wrapped: Operator) -> None:
         super().__init__(upstreams=(wrapped,))
-        self._output_type = wrapped.output_type
+
+    def infer_type(self, upstream_types):
+        return upstream_types[0]
 
     def _materialized(self, ctx: ExecutionContext) -> RowVector:
         wrapped = self.upstreams[0]
@@ -150,9 +107,6 @@ def _is_base_scan_chain(op: Operator) -> bool:
     than to materialize — exactly what the monolithic algorithms do ("each
     rank reads the input again" for the partitioning pass).
     """
-    from repro.core.operators.projection import Projection
-    from repro.core.operators.row_scan import RowScan
-
     if not isinstance(op, RowScan):
         return False
     current: Operator = op.upstreams[0]
@@ -170,9 +124,6 @@ def _clone_scan_chain(op: Operator) -> Operator:
     re-verification in stage recovery) must see the same verdicts as
     before compilation.
     """
-    from repro.core.operators.projection import Projection
-    from repro.core.operators.row_scan import RowScan
-
     if isinstance(op, RowScan):
         clone: Operator = RowScan(
             _clone_scan_chain(op.upstreams[0]), op.field, shard_by_rank=op.shard_by_rank
@@ -182,7 +133,7 @@ def _clone_scan_chain(op: Operator) -> Operator:
     elif isinstance(op, ParameterLookup):
         clone = ParameterLookup(op.slot)
     else:
-        raise AssertionError(f"not a base-scan chain node: {op!r}")
+        raise PlanError(f"not a base-scan chain node: {op!r}")
     if op.lint_suppressions:
         clone.lint_suppressions = op.lint_suppressions
     return clone
@@ -220,12 +171,7 @@ def _insert_shared_scans(root: Operator) -> None:
 
 
 def _edge_is_fused(consumer: Operator, position: int, upstream: Operator) -> bool:
-    if isinstance(upstream, _OUTPUT_BREAKERS) or isinstance(upstream, SharedScan):
-        return False
-    side = _SIDE_INPUTS.get(type(consumer))
-    if side and position in side:
-        return False
-    return True
+    return not upstream.breaks_pipeline and position not in consumer.side_inputs
 
 
 def _assign_pipelines_and_phases(root: Operator) -> list[list[Operator]]:
@@ -254,7 +200,7 @@ def _assign_pipelines_and_phases(root: Operator) -> list[list[Operator]]:
 
     for pipeline in pipelines:
         size = len(pipeline)
-        if any(isinstance(op, _HEAVY_OPS) for op in pipeline):
+        if any(op.heavy_loop for op in pipeline):
             size = max(size, _HEAVY_PIPELINE_SIZE)
         for op in pipeline:
             op.pipeline_size = size

@@ -16,15 +16,26 @@ class ModularisError(Exception):
 class TypeCheckError(ModularisError):
     """A plan failed static type checking.
 
-    Raised while *building* a plan, e.g. when an operator receives upstream
-    tuples whose structure does not match what the operator requires (a
-    ``BuildProbe`` whose sides share non-key field names, a ``Projection`` of
-    a field that does not exist, ...).
+    Raised by an operator's type rule
+    (:meth:`repro.core.operator.Operator.infer_type`), e.g. when an operator
+    receives upstream tuples whose structure does not match what the
+    operator requires (a ``BuildProbe`` whose sides share non-key field
+    names, a ``Projection`` of a field that does not exist, ...).  The same
+    rule runs while *building* the plan, where the error is raised, and over
+    the finished plan, where the static analyzer reports it under
+    :attr:`rule_id` (``docs/static_analysis.md``).
     """
+
+    def __init__(self, message: str, rule_id: str = "MOD002") -> None:
+        super().__init__(message)
+        self.rule_id = rule_id
 
 
 class PlanError(ModularisError):
     """A plan is structurally malformed (cycles, missing upstreams, ...)."""
+
+    #: The analyzer rule a malformed plan is reported under.
+    rule_id = "MOD001"
 
 
 class PlanVerificationError(PlanError):

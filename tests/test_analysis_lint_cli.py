@@ -12,6 +12,7 @@ BAD_PLAN_FILE = textwrap.dedent(
     """\
     from repro.core.operators import (
         MaterializeChunks,
+        MaterializeRowVector,
         ParameterLookup,
         ParameterSlot,
         RowScan,
@@ -22,10 +23,13 @@ BAD_PLAN_FILE = textwrap.dedent(
 
 
     def lint_plans():
-        # RowScan over the chunked collection format: valid to construct,
-        # broken at runtime -- the analyzer flags it as MOD003.
+        # A RowScan built over a RowVector, then rewired onto the chunked
+        # collection format (as a plan rewrite could): broken at runtime --
+        # the analyzer flags it as MOD003.
         source = ParameterLookup(ParameterSlot(KV))
-        yield "bad", RowScan(MaterializeChunks(source, chunk_rows=4), field="data")
+        scan = RowScan(MaterializeRowVector(source), field="data")
+        scan.upstreams = (MaterializeChunks(source, chunk_rows=4),)
+        yield "bad", scan
     """
 )
 
@@ -38,6 +42,28 @@ GOOD_PLAN_FILE = textwrap.dedent(
     def lint_plans():
         source = ParameterLookup(ParameterSlot(TupleType.of(key=INT64)))
         yield "good", MaterializeRowVector(source)
+    """
+)
+
+
+#: Its second plan cannot be *built*: RowScan's type rule refuses the
+#: chunked format, so ``lint_plans()`` raises after yielding the first.
+UNBUILDABLE_PLAN_FILE = textwrap.dedent(
+    """\
+    from repro.core.operators import (
+        MaterializeChunks,
+        MaterializeRowVector,
+        ParameterLookup,
+        ParameterSlot,
+        RowScan,
+    )
+    from repro.types import INT64, TupleType
+
+
+    def lint_plans():
+        source = ParameterLookup(ParameterSlot(TupleType.of(key=INT64)))
+        yield "fine", MaterializeRowVector(source)
+        yield "never", RowScan(MaterializeChunks(source, chunk_rows=4), field="data")
     """
 )
 
@@ -85,6 +111,20 @@ class TestFileTargets:
         target.write_text(BAD_PLAN_FILE)
         assert main(["lint", str(target), "--suppress", "MOD003"]) == 0
         assert "0 error(s)" in capsys.readouterr().out
+
+    def test_plan_that_cannot_be_built_is_one_diagnostic(self, tmp_path, capsys):
+        (tmp_path / "a_unbuildable.py").write_text(UNBUILDABLE_PLAN_FILE)
+        (tmp_path / "b_good.py").write_text(GOOD_PLAN_FILE)
+        assert main(["lint", str(tmp_path), "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        payload = json.loads(captured.out)
+        # The plan yielded before the failure and the next file still lint.
+        assert payload["plans"] == 2
+        (finding,) = payload["diagnostics"]
+        assert finding["rule"] == "MOD003" and finding["severity"] == "error"
+        assert finding["path"] == "a_unbuildable.py:lint_plans()[1]"
+        assert "ChunkedRowVector" in finding["message"]
 
     def test_empty_directory_warns(self, tmp_path, capsys):
         assert main(["lint", str(tmp_path)]) == 0

@@ -50,6 +50,13 @@ def table(tuple_type, field="t"):
     return source(TupleType.of(**{field: row_vector_type(tuple_type)}))
 
 
+def row_scan_rewired_onto_chunks():
+    """A RowScan built over a RowVector, then rewired onto the chunked format."""
+    scan = RowScan(MaterializeRowVector(source(KV)), field="data")
+    scan.upstreams = (MaterializeChunks(source(KV), chunk_rows=4),)
+    return scan
+
+
 def rules_of(diagnostics):
     return {d.rule.id for d in diagnostics}
 
@@ -82,11 +89,11 @@ class TestTypeFlow:
         assert "'key'" in findings[0].message
 
     def test_mod003_row_scan_over_chunked_collection(self):
-        # RowScan's constructor only demands *a* collection; feeding it the
-        # chunked format breaks at runtime.  The analyzer catches it first.
-        chunked = MaterializeChunks(source(KV), chunk_rows=4)
-        scan = RowScan(chunked, field="data")
-        findings = errors_of(scan)
+        # RowScan reads the RowVector format only.  Its constructor refuses
+        # the chunked format (tests/test_operator_declarations.py); a plan
+        # rewired into that shape is caught by the analyzer running the
+        # same rule.
+        findings = errors_of(row_scan_rewired_onto_chunks())
         assert rules_of(findings) == {"MOD003"}
         assert "ChunkedRowVector" in findings[0].message
 
@@ -174,8 +181,7 @@ class TestVerify:
         assert len(result.rows) == 1
 
     def test_suppressions(self):
-        chunked = MaterializeChunks(source(KV), chunk_rows=4)
-        scan = RowScan(chunked, field="data")
+        scan = row_scan_rewired_onto_chunks()
         assert rules_of(analyze(scan, suppress={"MOD003"})) == set()
         scan.suppress("MOD003")
         assert rules_of(analyze(scan)) == set()

@@ -94,7 +94,7 @@ class TestLocalPartitioning:
 
     def test_histogram_type_enforced(self, ctx):
         table = make_kv_table(4)
-        with pytest.raises(TypeCheckError, match="lacks fields"):
+        with pytest.raises(TypeCheckError, match="histogram upstream must produce"):
             LocalPartitioning(
                 scan_of(table, ctx), scan_of(table, ctx), RadixPartition("key", 2)
             )

@@ -55,7 +55,7 @@ class TestMpiHistogram:
 
     def test_type_checked(self, ctx):
         scan = RowScan(table_source(make_kv_table(2), ctx), field="t")
-        with pytest.raises(TypeCheckError, match="needs"):
+        with pytest.raises(TypeCheckError, match="histogram upstream must produce"):
             MpiHistogram(scan, 4)
 
     def test_bad_bucket_count(self, ctx):
