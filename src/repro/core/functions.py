@@ -25,6 +25,7 @@ __all__ = [
     "Predicate",
     "PartitionFunction",
     "RadixPartition",
+    "next_power_of_two",
     "HashPartition",
     "CallablePartition",
     "ReduceFunction",
@@ -239,6 +240,11 @@ class RadixPartition(_KeyedPartition):
     def map_batch(self, batch: RowVector) -> np.ndarray:
         keys = batch.column(self.key_field)
         return (keys >> self.shift) & self.mask
+
+
+def next_power_of_two(n: int) -> int:
+    """Smallest power of two ``>= n`` (``n >= 1``): the radix fan-out for ``n`` ranks."""
+    return 1 << (n - 1).bit_length()
 
 
 class HashPartition(_KeyedPartition):

@@ -7,11 +7,11 @@ once.  Kernels are pure numpy functions — they never touch the
 execution context, charge costs, or pull from upstreams — so the same
 kernel is reusable from any operator (and testable in isolation).
 
-Two join kernels share one emission contract (``emit_probe_hits``): the
-sorted-hash kernel (``hash_join``, range-oblivious) and the radix
-direct-address kernel (``radix_join``, cache-sized counting passes for
-dense/duplicate-heavy key ranges).  ``BuildProbe`` dispatches between
-them with :func:`radix_eligible`.
+Two join kernels share one emission contract (``emit_probe_hits``):
+sorted-hash (``hash_join``, range-oblivious) and radix direct-address
+(``radix_join``, dense/duplicate-heavy key ranges), dispatched by
+``BuildProbe`` with :func:`radix_eligible`.  ``scatter`` is the linear-time
+stable order under every partition, exchange, radix build and reduce-by-key.
 """
 
 from repro.core.kernels.hash_join import (

@@ -10,10 +10,11 @@ and scattered into per-key runs with counting passes:
    every distinct key, and its ``cumsum`` the run start offsets — the
    direct-address table replacing both the hash table and the binary
    ``searchsorted`` probe;
-2. the scatter itself is one stable counting sort.  When the key range
-   exceeds a cache-sized pass, a first radix pass partitions on the high
-   bits (fan-out chosen from the key range so each sub-range fits the
-   pass budget), then each partition is scattered locally — the classic
+2. the scatter itself is one stable linear-time order
+   (:mod:`repro.core.kernels.scatter`).  When the key range exceeds a
+   cache-sized pass, a first radix pass partitions on the high bits
+   (fan-out chosen from the key range so each sub-range fits the pass
+   budget), then each partition is scattered locally — the classic
    two-pass radix scheme that keeps every pass's working set cache-sized;
 3. each probe morsel rebases its keys and reads the candidate run
    ``[starts[k], starts[k+1])`` with two direct loads — no hashing, no
@@ -43,6 +44,7 @@ from repro.core.kernels.hash_join import (
     emit_probe_hits,
     probe_morsel,
 )
+from repro.core.kernels.scatter import partition_layout, stable_order
 from repro.types.collections import RowVector
 
 __all__ = [
@@ -179,11 +181,9 @@ class RadixJoinBuild:
         rebased = build_keys - np.int64(kmin)
         if span <= PASS_RANGE:
             # Single cache-sized pass: bincount the runs, stable-scatter.
-            counts = np.bincount(rebased, minlength=span)
-            order = np.argsort(rebased, kind="stable")
+            order, _, starts = partition_layout(rebased, span)
         else:
-            counts, order = cls._two_pass_scatter(rebased, span)
-        starts = np.concatenate(([0], np.cumsum(counts)))
+            starts, order = cls._two_pass_scatter(rebased, span)
         return cls(
             left=left,
             build_keys=build_keys,
@@ -199,25 +199,24 @@ class RadixJoinBuild:
         """Two radix passes: high-bit partition, then per-partition scatter.
 
         Each pass touches a cache-sized working set; the composition is a
-        stable sort by the full rebased key, so the emission contract is
-        identical to the single-pass scatter.
+        stable sort by the full rebased key, so the ⟨starts, order⟩ it
+        returns are identical to the single-pass scatter's.
         """
         shift, fanout = radix_fanout(span)
         high = rebased >> np.int64(shift)
-        part_order = np.argsort(high, kind="stable")
-        part_counts = np.bincount(high, minlength=fanout)
-        bounds = np.concatenate(([0], np.cumsum(part_counts)))
+        part_order, part_counts, bounds = partition_layout(high, fanout)
         scattered = rebased[part_order]
-        counts = np.zeros(span, dtype=np.int64)
+        starts = np.zeros(span + 1, dtype=np.int64)
         order = np.empty(len(rebased), dtype=part_order.dtype)
         for p in np.flatnonzero(part_counts):
             lo, hi = int(bounds[p]), int(bounds[p + 1])
             base = int(p) << shift
             width = min(1 << shift, span - base)
             segment = scattered[lo:hi] - np.int64(base)
-            counts[base : base + width] = np.bincount(segment, minlength=width)
-            order[lo:hi] = part_order[lo:hi][np.argsort(segment, kind="stable")]
-        return counts, order
+            starts[base + 1 : base + width + 1] = np.bincount(segment, minlength=width)
+            order[lo:hi] = part_order[lo:hi][stable_order(segment, width)]
+        np.cumsum(starts, out=starts)
+        return starts, order
 
 
 def radix_probe_morsel(

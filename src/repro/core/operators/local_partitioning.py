@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.context import ExecutionContext
 from repro.core.functions import PartitionFunction
+from repro.core.kernels.scatter import partition_layout
 from repro.core.operator import Operator
 from repro.core.operators.local_histogram import read_histogram, require_histogram
 from repro.errors import ExecutionError
@@ -109,18 +110,16 @@ class LocalPartitioning(Operator):
             if len(data)
             else np.empty(0, dtype=np.int64)
         )
-        observed = np.bincount(buckets, minlength=self.n_partitions)
+        order, observed, offsets = partition_layout(buckets, self.n_partitions)
         if not np.array_equal(observed, counts):
             raise ExecutionError(
                 "partition sizes diverge from the histogram; data and histogram "
                 "upstreams were not computed over the same input"
             )
-        # One stable counting-sort scatter: a single gather lays every
+        # One stable linear-time scatter: a single gather lays every
         # partition out as one contiguous region, and each emitted
         # partition is a zero-copy slice view of that region.
-        order = np.argsort(buckets, kind="stable")
         scattered = data.take(order)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
 
         partitions = np.empty(self.n_partitions, dtype=object)
         for pid in range(self.n_partitions):

@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.compression import COMPRESSED_TYPE, RadixCompression
 from repro.core.context import ExecutionContext
 from repro.core.functions import PartitionFunction
+from repro.core.kernels.scatter import partition_layout
 from repro.core.operator import Operator
 from repro.core.operators.local_histogram import read_histogram, require_histogram
 from repro.errors import ExecutionError, TypeCheckError
@@ -172,13 +173,13 @@ class MpiExchange(Operator):
             total += len(batch)
             ctx.charge_cpu(self, "partition", len(batch))
             buckets = self.partition_fn.map_batch(batch)
-            # One stable counting-sort scatter per batch: a single gather
+            # One stable linear-time scatter per batch: a single gather
             # makes every partition's share one contiguous region, and the
-            # sends consume zero-copy slice views of it.
-            order = np.argsort(buckets, kind="stable")
-            scattered = batch.take(order)
-            counts = np.bincount(buckets, minlength=self.n_partitions)
-            offsets = np.concatenate(([0], np.cumsum(counts)))
+            # sends consume zero-copy slice views of it.  With a single
+            # partition the permutation is the identity and the morsel
+            # goes out as it is.
+            order, counts, offsets = partition_layout(buckets, self.n_partitions)
+            scattered = batch if self.n_partitions == 1 else batch.take(order)
             for pid in np.flatnonzero(counts):
                 pid = int(pid)
                 rows = scattered.slice(int(offsets[pid]), int(offsets[pid + 1]))

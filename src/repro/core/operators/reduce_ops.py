@@ -8,6 +8,7 @@ import numpy as np
 
 from repro.core.context import ExecutionContext
 from repro.core.functions import ReduceFunction
+from repro.core.kernels.scatter import key_order
 from repro.core.operator import Operator, require_fields
 from repro.errors import TypeCheckError
 from repro.types.collections import RowVector, RowVectorBuilder
@@ -161,7 +162,7 @@ class ReduceByKey(Operator):
             yield RowVector.empty(self.output_type)
             return
         keys = np.concatenate(key_chunks)
-        order = np.argsort(keys, kind="stable")
+        order = key_order(keys)
         sorted_keys = keys[order]
         boundaries = np.flatnonzero(
             np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))

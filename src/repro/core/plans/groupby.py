@@ -23,6 +23,7 @@ from repro.core.functions import (
     RadixPartition,
     ReduceFunction,
     field_sum,
+    next_power_of_two,
 )
 from repro.core.operator import Operator
 from repro.core.operators import (
@@ -118,7 +119,7 @@ def build_distributed_groupby(
     value = values[0]
     fn = reduce_fn or field_sum(value)
 
-    n_net = network_fanout or _next_power_of_two(cluster.n_ranks)
+    n_net = network_fanout or next_power_of_two(cluster.n_ranks)
     if n_net & (n_net - 1):
         raise TypeCheckError(f"network fan-out must be a power of two, got {n_net}")
     fanout_bits = n_net.bit_length() - 1
@@ -244,10 +245,3 @@ def _decompress_fn(
         return (((packed >> key_bits) << fanout_bits) | param[0], packed & mask)
 
     return ParamTupleFunction(scalar, output_type, vectorized)
-
-
-def _next_power_of_two(n: int) -> int:
-    power = 1
-    while power < n:
-        power *= 2
-    return power

@@ -22,7 +22,12 @@ import numpy as np
 
 from repro.core.compression import RadixCompression
 from repro.core.executor import ExecutionReport, execute
-from repro.core.functions import ParamTupleFunction, RadixPartition, TupleFunction
+from repro.core.functions import (
+    ParamTupleFunction,
+    RadixPartition,
+    TupleFunction,
+    next_power_of_two,
+)
 from repro.core.options import RunOptions
 from repro.core.operator import Operator
 from repro.core.operators import (
@@ -128,7 +133,7 @@ def build_distributed_join(
     """
     if algorithm not in ("hash", "sortmerge"):
         raise TypeCheckError(f"unknown join algorithm {algorithm!r}")
-    n_net = network_fanout or _next_power_of_two(cluster.n_ranks)
+    n_net = network_fanout or next_power_of_two(cluster.n_ranks)
     if n_net & (n_net - 1):
         raise TypeCheckError(f"network fan-out must be a power of two, got {n_net}")
     fanout_bits = n_net.bit_length() - 1
@@ -312,10 +317,3 @@ def _recover_fn(
         return (restored,) + tuple(columns[1:])
 
     return ParamTupleFunction(scalar, output_type, vectorized)
-
-
-def _next_power_of_two(n: int) -> int:
-    power = 1
-    while power < n:
-        power *= 2
-    return power

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.executor import ExecutionReport, execute
-from repro.core.functions import RadixPartition
+from repro.core.functions import RadixPartition, next_power_of_two
 from repro.core.operator import Operator
 from repro.core.options import RunOptions
 from repro.core.operators import (
@@ -126,7 +126,7 @@ def build_join_sequence(
         if any(rel[f] != INT64 for f in rel.field_names):
             raise TypeCheckError(f"relation {i} must be all-INT64, got {rel!r}")
 
-    n_net = network_fanout or _next_power_of_two(cluster.n_ranks)
+    n_net = network_fanout or next_power_of_two(cluster.n_ranks)
     if n_net & (n_net - 1):
         raise TypeCheckError(f"network fan-out must be a power of two, got {n_net}")
     fanout_bits = n_net.bit_length() - 1
@@ -276,10 +276,3 @@ def _network_join(
 
     joined = NestedMap(zipped, level1)
     return RowScan(joined, field="matches")
-
-
-def _next_power_of_two(n: int) -> int:
-    power = 1
-    while power < n:
-        power *= 2
-    return power

@@ -1,0 +1,199 @@
+"""The radix-order kernel under every scatter of the data plane.
+
+``stable_order`` must be *the* stable sort permutation — bit-identical to
+``np.argsort(kind="stable")`` — on every branch of its dispatch (≤ 2^8,
+≤ 2^16, presorted, ≤ 2^32, fallback), because the operators' row order
+rests on it.  Row-order identity of the four call sites is pinned by
+``test_fused_equivalence.py`` and ``test_radix_join.py``; checked here are
+the kernel itself, the two shortcuts that must not be dropped unseen
+(counted, not timed), and ``ReduceByKey`` on the key domains an
+integer-only path gets wrong.
+"""
+
+import collections
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.context import ExecutionContext
+from repro.core.functions import field_sum
+from repro.core.kernels import scatter
+from repro.core.kernels.scatter import key_order, partition_layout, stable_order
+from repro.core.operators import MpiExchange, ReduceByKey, RowScan
+from repro.core.plans.join import build_distributed_join
+from repro.mpi.cluster import SimCluster
+from repro.types import INT64, STRING, RowVector, TupleType
+
+from tests.conftest import table_source
+
+#: Spans straddling every dispatch boundary of the kernel.
+SPANS = [1, 2, 255, 256, 257, 65535, 65536, 65537, 1 << 20, 1 << 32, (1 << 32) + 1, 1 << 40]
+
+SHAPES = ["random", "sorted", "reversed", "all_equal", "duplicated"]
+
+
+def shaped(shape: str, span: int, n: int, seed: int, dtype) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if shape == "all_equal":
+        values = np.full(n, span - 1)
+    elif shape == "duplicated":  # a handful of distinct values, span-wide apart
+        values = rng.choice(np.unique([0, span // 2, span - 1]), size=n)
+    else:
+        values = rng.integers(0, span, size=n)
+    if shape == "sorted":
+        values = np.sort(values)
+    elif shape == "reversed":
+        values = np.sort(values)[::-1]
+    return values.astype(dtype)
+
+
+def reference(values: np.ndarray) -> np.ndarray:
+    return np.argsort(values, kind="stable")
+
+
+class TestStableOrder:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        span=st.sampled_from(SPANS),
+        shape=st.sampled_from(SHAPES),
+        n=st.sampled_from([0, 1, 2, 3, 17, 300, 5000]),
+        seed=st.integers(0, 2**16),
+        dtype=st.sampled_from([np.int64, np.uint64]),
+    )
+    def test_is_the_stable_sort_permutation(self, span, shape, n, seed, dtype):
+        values = shaped(shape, span, n, seed, dtype)
+        order = stable_order(values, span)
+        assert order.dtype == np.intp
+        assert np.array_equal(order, reference(values))
+
+    @pytest.mark.parametrize("span", [2, 1 << 20, 1 << 40])
+    def test_bool_values(self, span):
+        values = np.random.default_rng(3).integers(0, 2, size=999).astype(bool)
+        assert np.array_equal(stable_order(values, span), reference(values))
+
+    def test_strided_and_read_only_views(self):
+        values = np.random.default_rng(5).integers(0, 1 << 20, size=4000)[::2]
+        values.flags.writeable = False
+        assert np.array_equal(stable_order(values, 1 << 20), reference(values))
+
+    def test_layout_offsets_delimit_the_runs(self):
+        buckets = np.random.default_rng(7).integers(0, 16, size=1000)
+        order, counts, offsets = partition_layout(buckets, 16)
+        assert np.array_equal(order, reference(buckets))
+        assert offsets.tolist() == [0, *np.cumsum(counts)]
+        scattered = buckets[order]
+        for b in range(16):
+            assert (scattered[offsets[b] : offsets[b + 1]] == b).all()
+
+    def test_layout_counts_out_of_range_buckets(self):
+        # Callers compare the counts with a histogram; an id past the fan-out
+        # must stay visible there rather than wrap into a valid bucket.
+        _, counts, offsets = partition_layout(np.array([0, 300, 1]), 4)
+        assert len(counts) == 301 and counts[300] == 1 and offsets[-1] == 3
+
+
+class TestKeyOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lo=st.sampled_from([-(2**63), -(2**31), -5, 0, 2**40, 2**63 - 70000]),
+        width=st.sampled_from([1, 200, 65536, 65537, 2**32, 2**32 + 1]),
+        shape=st.sampled_from(SHAPES),
+        seed=st.integers(0, 2**16),
+    )
+    def test_signed_keys_anywhere_in_int64(self, lo, width, shape, seed):
+        width = min(width, 2**63 - lo)
+        offsets = shaped(shape, width, 500, seed, np.uint64)
+        keys = np.array([lo + int(o) for o in offsets], dtype=np.int64)
+        assert np.array_equal(key_order(keys), reference(keys))
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.array([2**63 + 5, 2**63 + 1, 2**63 + 5, 2**63], dtype=np.uint64),
+            np.array([2**64 - 1, 0, 2**63], dtype=np.uint64),
+            np.array([2**63 - 1, -(2**63), 0, 2**63 - 1], dtype=np.int64),
+            np.array([2**31 - 1, -(2**31), 5, -(2**31)], dtype=np.int32),
+            np.array([127, -128, 0, 127], dtype=np.int8),
+            np.array(["b", "a", "b", ""]),
+            np.array([1.5, -0.0, 0.0, 1.5]),
+            np.array([True, False, True]),
+            np.array([], dtype=np.int64),
+        ],
+        ids=lambda keys: f"{keys.dtype}-{len(keys)}",
+    )
+    def test_every_key_domain(self, keys):
+        assert np.array_equal(key_order(keys), reference(keys))
+
+
+class TestShortcutsAreCounted:
+    """Trap (a): both shortcuts are guarded by a count, not a timing."""
+
+    def test_presorted_wide_input_does_not_sort(self, monkeypatch):
+        values = np.sort(np.random.default_rng(11).integers(0, 1 << 20, size=1 << 18))
+        expected = reference(values)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("a presorted input must not reach argsort")
+
+        monkeypatch.setattr(scatter.np, "argsort", no_sort)
+        assert np.array_equal(stable_order(values, 1 << 20), expected)
+        assert np.array_equal(key_order(values + 7), expected)
+
+    def test_one_partition_exchange_sends_the_morsel_itself(self, monkeypatch):
+        L = TupleType.of(key=INT64, lpay=INT64)
+        R = TupleType.of(key=INT64, rpay=INT64)
+        left = RowVector(L, [np.arange(64) % 8, np.arange(64)])
+        right = RowVector(R, [np.arange(96) % 8, np.arange(96) % 32])
+        plan = build_distributed_join(SimCluster(1), L, R, key_bits=6, compression=False)
+        sent = []
+        original = MpiExchange._send_partition
+
+        def spy(self, ctx, windows, base, prefix, pending, pid, rows):
+            sent.append(rows)
+            return original(self, ctx, windows, base, prefix, pending, pid, rows)
+
+        monkeypatch.setattr(MpiExchange, "_send_partition", spy)
+        result = plan.run(left, right)
+        assert len(plan.matches(result)) == 64 * 12
+        inputs = {"lpay": left, "rpay": right}
+        assert len(sent) == 2
+        for rows in sent:
+            source = inputs[rows.element_type.field_names[1]]
+            assert len(rows) == len(source)
+            for sent_col, source_col in zip(rows.columns, source.columns):
+                assert np.shares_memory(sent_col, source_col)
+
+
+KS = TupleType.of(key=STRING, value=INT64)
+KV = TupleType.of(key=INT64, value=INT64)
+
+
+def reduce_by_key(table: RowVector, mode: str) -> collections.Counter:
+    ctx = ExecutionContext(mode=mode)
+    scan = RowScan(table_source(table, ctx), field="t")
+    return collections.Counter(ReduceByKey(scan, "key", field_sum("value")).stream(ctx))
+
+
+class TestReduceByKeyDomains:
+    """Trap (b) and the Python-int span: fused must equal interpreted."""
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.array(["1-URGENT", "5-LOW", "1-URGENT", "3-MEDIUM", "5-LOW", "1-URGENT"]),
+            np.array([2**63 - 1, -(2**63), 2**63 - 1, 0, -(2**63)], dtype=np.int64),
+            np.array([2**63 + 9, 2**63 + 1, 2**64 - 1, 2**63 + 9], dtype=np.uint64),
+            np.array([70000, 3, 70000, 3, 65536, 0], dtype=np.int64),
+        ],
+        ids=["string", "int64-min-max", "uint64-above-2^63", "span-over-2^16"],
+    )
+    def test_fused_equals_interpreted(self, keys):
+        schema = KS if keys.dtype.kind == "U" else KV
+        table = RowVector(schema, [keys, np.arange(1, len(keys) + 1)])
+        fused = reduce_by_key(table, "fused")
+        assert fused == reduce_by_key(table, "interpreted")
+        expected = collections.Counter()
+        for key, value in zip(keys.tolist(), range(1, len(keys) + 1)):
+            expected[key] += value
+        assert fused == collections.Counter(expected.items())

@@ -13,7 +13,10 @@ classes.  Checked here:
   declares nothing keeps the unknown-class behaviour;
 * *import closure* — the analyzer and the plan compiler import only the
   operator classes they name for a reason, so a class table cannot grow back
-  unseen (also run by ``make lint``).
+  unseen (also run by ``make lint``);
+* *one scatter kernel* — no ``argsort`` call under ``repro.core.operators``,
+  and under ``repro.core.kernels`` only in ``scatter.py`` and
+  ``hash_join.py``, so a merge sort cannot come back into a scatter unseen.
 """
 
 import ast
@@ -346,3 +349,29 @@ def operator_imports(path: Path) -> set[str]:
 @pytest.mark.parametrize("relative", sorted(ALLOWED_OPERATOR_IMPORTS))
 def test_no_class_table_can_grow_back(relative):
     assert operator_imports(SRC / relative) <= ALLOWED_OPERATOR_IMPORTS[relative]
+
+
+# -- one scatter kernel -------------------------------------------------------------
+
+#: The only data-plane modules that may sort: the radix-order kernel itself
+#: (its narrow passes and fallback) and the sorted-hash build (64-bit hashes).
+ARGSORT_ALLOWED = {"core/kernels/scatter.py", "core/kernels/hash_join.py"}
+
+
+def argsort_calls(path: Path) -> list[int]:
+    """Line numbers of every ``argsort`` call (function or method) in ``path``."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "argsort"
+    ]
+
+
+def test_no_merge_sort_can_come_back_into_a_scatter():
+    """Operators and kernels order rows through ``kernels.scatter`` only."""
+    paths = [*(SRC / "core/operators").glob("*.py"), *(SRC / "core/kernels").glob("*.py")]
+    calls = {str(path.relative_to(SRC)): argsort_calls(path) for path in paths}
+    found = {name: lines for name, lines in calls.items() if lines}
+    assert set(found) <= ARGSORT_ALLOWED, found
+    assert "core/kernels/scatter.py" in found  # the walk sees the calls it polices

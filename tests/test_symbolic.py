@@ -31,8 +31,9 @@ from tests.test_analysis_commsafety import cluster_plan, errors_of, rules_of
 class EvilRadix(RadixPartition):
     """Same constructor signature as RadixPartition, different semantics.
 
-    Structurally indistinguishable from its base (``partition_fn_signature``
-    keys on isinstance + constructor args) yet routes by two higher bits.
+    Structurally indistinguishable from its base (it inherits
+    ``RadixPartition.signature``, which keys on the constructor
+    arguments) yet routes by two higher bits.
     """
 
     def __call__(self, row):
