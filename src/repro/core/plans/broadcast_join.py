@@ -19,21 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.executor import ExecutionReport, execute
-from repro.core.functions import RadixPartition
+from repro.core.executor import ExecutionReport
 from repro.core.operator import Operator
 from repro.core.options import RunOptions
-from repro.core.operators import (
-    BuildProbe,
-    LocalHistogram,
-    MaterializeRowVector,
-    MpiBroadcast,
-    MpiExecutor,
-    MpiHistogram,
-    ParameterLookup,
-    ParameterSlot,
-    Projection,
-    RowScan,
+from repro.core.operators import BuildProbe, MaterializeRowVector, ParameterSlot
+from repro.core.plans.fragments import (
+    DistributedPlan,
+    collect,
+    replicate,
+    sharded_scan,
 )
 from repro.errors import TypeCheckError
 from repro.mpi.cluster import SimCluster
@@ -44,14 +38,8 @@ __all__ = ["BroadcastJoinPlan", "build_broadcast_join"]
 
 
 @dataclass
-class BroadcastJoinPlan:
+class BroadcastJoinPlan(DistributedPlan):
     """A ready-to-run broadcast join plus its binding points."""
-
-    root: Operator
-    slot: ParameterSlot
-    executor: MpiExecutor
-    output_type: TupleType
-    cluster: SimCluster
 
     def run(
         self,
@@ -60,12 +48,9 @@ class BroadcastJoinPlan:
         options: RunOptions | None = None,
     ) -> ExecutionReport:
         """Join ``small ⋈ big``; the small relation is replicated."""
-        return execute(self.root, params={self.slot: (small, big)}, options=options)
+        return self.execute((small, big), options)
 
-    @staticmethod
-    def matches(result: ExecutionReport) -> RowVector:
-        (row,) = result.rows
-        return row[0]
+    matches = staticmethod(DistributedPlan.result)
 
 
 def build_broadcast_join(
@@ -97,32 +82,11 @@ def build_broadcast_join(
     )
 
     def build_worker(worker_slot: ParameterSlot) -> Operator:
-        small_scan = RowScan(
-            Projection(ParameterLookup(worker_slot), ["small"]),
-            field="small",
-            shard_by_rank=True,
-        )
-        # The broadcast consumes a single-bucket histogram pair: how many
-        # tuples each rank contributes, and the global total.
-        local_count = LocalHistogram(small_scan, RadixPartition(key, 1))
-        global_count = MpiHistogram(local_count, 1)
-        replicated = MpiBroadcast(small_scan, local_count, global_count)
-
-        big_scan = RowScan(
-            Projection(ParameterLookup(worker_slot), ["big"]),
-            field="big",
-            shard_by_rank=True,
-        )
+        replicated = replicate(sharded_scan(worker_slot, "small"), key)
+        big_scan = sharded_scan(worker_slot, "big")
         probe = BuildProbe(replicated, big_scan, keys=key, join_type=join_type)
         return MaterializeRowVector(probe, field="result")
 
-    executor = MpiExecutor(ParameterLookup(slot), build_worker, cluster)
-    flat = RowScan(executor, field="result")
+    executor, flat = collect(slot, build_worker, cluster)
     root = MaterializeRowVector(flat, field="result")
-    return BroadcastJoinPlan(
-        root=root,
-        slot=slot,
-        executor=executor,
-        output_type=root.output_type,
-        cluster=cluster,
-    )
+    return BroadcastJoinPlan(root, slot, executor, root.output_type, cluster)

@@ -21,13 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.compression import RadixCompression
-from repro.core.executor import ExecutionReport, execute
-from repro.core.functions import (
-    ParamTupleFunction,
-    RadixPartition,
-    TupleFunction,
-    next_power_of_two,
-)
+from repro.core.executor import ExecutionReport
+from repro.core.functions import ParamTupleFunction, RadixPartition, TupleFunction
 from repro.core.options import RunOptions
 from repro.core.operator import Operator
 from repro.core.operators import (
@@ -35,13 +30,8 @@ from repro.core.operators import (
     LocalSort,
     MergeJoin,
     CartesianProduct,
-    LocalHistogram,
-    LocalPartitioning,
     Map,
     MaterializeRowVector,
-    MpiExchange,
-    MpiExecutor,
-    MpiHistogram,
     NestedMap,
     ParameterLookup,
     ParameterSlot,
@@ -49,6 +39,15 @@ from repro.core.operators import (
     Projection,
     RowScan,
     Zip,
+)
+from repro.core.plans.fragments import (
+    DistributedPlan,
+    collect,
+    exchange,
+    field_scan,
+    local_level,
+    radix_fanout,
+    sharded_scan,
 )
 from repro.errors import TypeCheckError
 from repro.mpi.cluster import SimCluster
@@ -73,14 +72,8 @@ def _two_column_check(side: str, tuple_type: TupleType, key: str) -> str:
 
 
 @dataclass
-class DistributedJoinPlan:
+class DistributedJoinPlan(DistributedPlan):
     """A ready-to-run distributed join plan plus its binding points."""
-
-    root: Operator
-    slot: ParameterSlot
-    executor: MpiExecutor
-    output_type: TupleType
-    cluster: SimCluster
 
     def run(
         self,
@@ -89,13 +82,10 @@ class DistributedJoinPlan:
         options: RunOptions | None = None,
     ) -> ExecutionReport:
         """Execute the join on two driver-resident relations."""
-        return execute(self.root, params={self.slot: (left, right)}, options=options)
+        return self.execute((left, right), options)
 
-    @staticmethod
-    def matches(result: ExecutionReport) -> RowVector:
-        """Extract the materialized join output from an execution result."""
-        (row,) = result.rows
-        return row[0]
+    #: Extract the materialized join output from an execution result.
+    matches = staticmethod(DistributedPlan.result)
 
 
 def build_distributed_join(
@@ -133,9 +123,7 @@ def build_distributed_join(
     """
     if algorithm not in ("hash", "sortmerge"):
         raise TypeCheckError(f"unknown join algorithm {algorithm!r}")
-    n_net = network_fanout or next_power_of_two(cluster.n_ranks)
-    if n_net & (n_net - 1):
-        raise TypeCheckError(f"network fan-out must be a power of two, got {n_net}")
+    n_net = radix_fanout(network_fanout, cluster.n_ranks)
     fanout_bits = n_net.bit_length() - 1
     left_payload = _two_column_check("left", left_type, key)
     right_payload = _two_column_check("right", right_type, key)
@@ -153,114 +141,38 @@ def build_distributed_join(
     )
 
     def build_worker(worker_slot: ParameterSlot) -> Operator:
-        exchanged = []
-        for side, pid_field, data_field in (
-            ("left", "net_l", "data_l"),
-            ("right", "net_r", "data_r"),
-        ):
-            scan = RowScan(
-                Projection(ParameterLookup(worker_slot), [side]),
-                field=side,
-                shard_by_rank=True,
+        exchanged = [
+            exchange(
+                sharded_scan(worker_slot, side), RadixPartition(key, n_net),
+                f"net_{s}", f"data_{s}", comp,
             )
-            net_fn = RadixPartition(key, n_net)
-            local_hist = LocalHistogram(scan, net_fn)
-            global_hist = MpiHistogram(local_hist, n_net)
-            exchanged.append(
-                MpiExchange(
-                    scan,
-                    local_hist,
-                    global_hist,
-                    net_fn,
-                    compression=comp,
-                    id_field=pid_field,
-                    data_field=data_field,
-                )
-            )
-        zipped = Zip(exchanged)
-        joined = NestedMap(
-            zipped,
-            lambda s: _build_network_partition_plan(
-                s, key, left_payload, right_payload, local_fanout, key_bits,
-                fanout_bits, comp, join_type, algorithm,
-            ),
-        )
+            for side, s in (("left", "l"), ("right", "r"))
+        ]
+        joined = NestedMap(Zip(exchanged), network_partition_plan)
         flat = RowScan(joined, field="matches")
         return MaterializeRowVector(flat, field="result")
 
-    executor = MpiExecutor(ParameterLookup(slot), build_worker, cluster)
-    flat = RowScan(executor, field="result")
-    root = MaterializeRowVector(flat, field="result")
-    return DistributedJoinPlan(
-        root=root,
-        slot=slot,
-        executor=executor,
-        output_type=root.output_type,
-        cluster=cluster,
-    )
+    def network_partition_plan(slot: ParameterSlot) -> Operator:
+        """First-level nested plan: sub-partition one network partition pair."""
+        pid = Projection(ParameterLookup(slot), ["net_l"])
 
+        def local_side(s: str) -> Operator:
+            if comp is not None:
+                # The wire carries packed words whose low ``key_bits`` are the
+                # payload; the compressed key (network bits already dropped)
+                # starts right above them.
+                local_fn = RadixPartition("packed", local_fanout, shift=key_bits)
+            else:
+                # Sub-partition on the key bits right above the network bits.
+                local_fn = RadixPartition(key, local_fanout, shift=fanout_bits)
+            return local_level(
+                field_scan(slot, f"data_{s}"), local_fn, f"sub_{s}", f"sdata_{s}"
+            )
 
-def _build_network_partition_plan(
-    slot: ParameterSlot,
-    key: str,
-    left_payload: str,
-    right_payload: str,
-    local_fanout: int,
-    key_bits: int,
-    fanout_bits: int,
-    comp: RadixCompression | None,
-    join_type: str,
-    algorithm: str,
-) -> Operator:
-    """First-level nested plan: sub-partition one network partition pair."""
-    lookup = ParameterLookup(slot)
-    pid = Projection(lookup, ["net_l"])
-    def local_side(data_field: str, sub_id: str, sub_data: str) -> LocalPartitioning:
-        stream = RowScan(Projection(ParameterLookup(slot), [data_field]))
-        if comp is not None:
-            # The wire carries packed words whose low ``key_bits`` are the
-            # payload; the compressed key (network bits already dropped)
-            # starts right above them.
-            local_fn = RadixPartition("packed", local_fanout, shift=key_bits)
-        else:
-            # Sub-partition on the key bits right above the network bits.
-            local_fn = RadixPartition(key, local_fanout, shift=fanout_bits)
-        hist = LocalHistogram(stream, local_fn)
-        # The second-pass histogram is part of the local-partitioning phase
-        # in the paper's accounting (it feeds the in-memory scatter).
-        hist.phase_name = "local_partition"
-        return LocalPartitioning(
-            stream, hist, local_fn, id_field=sub_id, data_field=sub_data
-        )
-
-    left = local_side("data_l", "sub_l", "sdata_l")
-    right = local_side("data_r", "sub_r", "sdata_r")
-    pairs = CartesianProduct(pid, Zip([left, right]))
-    joined = NestedMap(
-        pairs,
-        lambda s: _build_sub_partition_plan(
-            s, key, left_payload, right_payload, key_bits, comp, join_type,
-            algorithm,
-        ),
-    )
-    flat = RowScan(joined, field="matches")
-    return MaterializeRowVector(flat, field="matches")
-
-
-def _build_sub_partition_plan(
-    slot: ParameterSlot,
-    key: str,
-    left_payload: str,
-    right_payload: str,
-    key_bits: int,
-    comp: RadixCompression | None,
-    join_type: str,
-    algorithm: str = "hash",
-) -> Operator:
-    """Second-level nested plan: join one sub-partition pair in memory."""
-    pid = Projection(ParameterLookup(slot), ["net_l"])
-    left_stream = RowScan(Projection(ParameterLookup(slot), ["sdata_l"]))
-    right_stream = RowScan(Projection(ParameterLookup(slot), ["sdata_r"]))
+        pairs = CartesianProduct(pid, Zip([local_side("l"), local_side("r")]))
+        joined = NestedMap(pairs, sub_partition_plan)
+        flat = RowScan(joined, field="matches")
+        return MaterializeRowVector(flat, field="matches")
 
     def join_pair(left_side: Operator, right_side: Operator, join_key: str) -> Operator:
         if algorithm == "sortmerge":
@@ -272,16 +184,24 @@ def _build_sub_partition_plan(
             )
         return BuildProbe(left_side, right_side, keys=join_key, join_type=join_type)
 
-    if comp is None:
-        return MaterializeRowVector(
-            join_pair(left_stream, right_stream, key), field="matches"
-        )
+    def sub_partition_plan(slot: ParameterSlot) -> Operator:
+        """Second-level nested plan: join one sub-partition pair in memory."""
+        pid = Projection(ParameterLookup(slot), ["net_l"])
+        left_stream = field_scan(slot, "sdata_l")
+        right_stream = field_scan(slot, "sdata_r")
+        if comp is None:
+            return MaterializeRowVector(
+                join_pair(left_stream, right_stream, key), field="matches"
+            )
+        left_kv = Map(left_stream, _unpack_fn(comp, "ckey", left_payload))
+        right_kv = Map(right_stream, _unpack_fn(comp, "ckey", right_payload))
+        probe = join_pair(left_kv, right_kv, "ckey")
+        recover = ParametrizedMap(probe, pid, _recover_fn(comp, key, probe.output_type))
+        return MaterializeRowVector(recover, field="matches")
 
-    left_kv = Map(left_stream, _unpack_fn(comp, "ckey", left_payload))
-    right_kv = Map(right_stream, _unpack_fn(comp, "ckey", right_payload))
-    probe = join_pair(left_kv, right_kv, "ckey")
-    recover = ParametrizedMap(probe, pid, _recover_fn(comp, key, probe.output_type))
-    return MaterializeRowVector(recover, field="matches")
+    executor, flat = collect(slot, build_worker, cluster)
+    root = MaterializeRowVector(flat, field="result")
+    return DistributedJoinPlan(root, slot, executor, root.output_type, cluster)
 
 
 def _unpack_fn(comp: RadixCompression, key_field: str, payload: str) -> TupleFunction:

@@ -23,24 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.executor import ExecutionReport, execute
-from repro.core.functions import RadixPartition, next_power_of_two
+from repro.core.executor import ExecutionReport
+from repro.core.functions import RadixPartition
 from repro.core.operator import Operator
 from repro.core.options import RunOptions
-from repro.core.operators import (
-    BuildProbe,
-    LocalHistogram,
-    LocalPartitioning,
-    MaterializeRowVector,
-    MpiExchange,
-    MpiExecutor,
-    MpiHistogram,
-    NestedMap,
-    ParameterLookup,
-    ParameterSlot,
-    Projection,
-    RowScan,
-    Zip,
+from repro.core.operators import BuildProbe, MaterializeRowVector, ParameterSlot
+from repro.core.plans.fragments import (
+    DistributedPlan,
+    collect,
+    exchange,
+    partitioned_join,
+    radix_fanout,
+    sharded_scan,
 )
 from repro.errors import TypeCheckError
 from repro.mpi.cluster import SimCluster
@@ -54,14 +48,9 @@ VARIANTS = ("naive", "optimized")
 
 
 @dataclass
-class JoinSequencePlan:
+class JoinSequencePlan(DistributedPlan):
     """A ready-to-run N-join cascade plus its binding points."""
 
-    root: Operator
-    slot: ParameterSlot
-    executor: MpiExecutor
-    output_type: TupleType
-    cluster: SimCluster
     variant: str
     n_joins: int
 
@@ -75,14 +64,9 @@ class JoinSequencePlan:
                 f"{self.n_joins}-join cascade needs {self.n_joins + 1} relations, "
                 f"got {len(relations)}"
             )
-        return execute(
-            self.root, params={self.slot: tuple(relations)}, options=options
-        )
+        return self.execute(tuple(relations), options)
 
-    @staticmethod
-    def matches(result: ExecutionReport) -> RowVector:
-        (row,) = result.rows
-        return row[0]
+    matches = staticmethod(DistributedPlan.result)
 
 
 def build_join_sequence(
@@ -126,10 +110,9 @@ def build_join_sequence(
         if any(rel[f] != INT64 for f in rel.field_names):
             raise TypeCheckError(f"relation {i} must be all-INT64, got {rel!r}")
 
-    n_net = network_fanout or next_power_of_two(cluster.n_ranks)
-    if n_net & (n_net - 1):
-        raise TypeCheckError(f"network fan-out must be a power of two, got {n_net}")
+    n_net = radix_fanout(network_fanout, cluster.n_ranks)
     fanout_bits = n_net.bit_length() - 1
+    n_relations = len(relation_types)
 
     slot = ParameterSlot(
         TupleType.of(
@@ -137,142 +120,51 @@ def build_join_sequence(
         )
     )
 
+    def exchange_of(stream: Operator, id_field: str, data_field: str) -> Operator:
+        # Deliberately uncompressed (MOD023): both Figure 4 variants must use
+        # the same wire format — see the docstring above.
+        ladder = exchange(stream, RadixPartition(key, n_net), id_field, data_field)
+        return ladder.suppress("MOD023")
+
+    def join_stage(streams: list[Operator], suffixes: Sequence, join) -> Operator:
+        """Network- and locally partition ``streams`` on the shared key, then
+        join each sub-partition tuple; returns the flat match stream."""
+        return partitioned_join(
+            streams, suffixes, exchange_of,
+            lambda: RadixPartition(key, local_fanout, shift=fanout_bits),
+            join, lambda matches: matches, "matches",
+        )
+
+    def chain(scans: list[Operator]) -> Operator:
+        acc = scans[0]
+        for side in scans[1:]:
+            # Build on the incoming relation, probe with the streaming
+            # cascade output: intermediate results never materialize.
+            acc = BuildProbe(side, acc, keys=key)
+        return acc
+
     def build_worker(worker_slot: ParameterSlot) -> Operator:
-        scans = [
-            RowScan(
-                Projection(ParameterLookup(worker_slot), [f"r{i}"]),
-                field=f"r{i}",
-                shard_by_rank=True,
-            )
-            for i in range(len(relation_types))
-        ]
+        scans = [sharded_scan(worker_slot, f"r{i}") for i in range(n_relations)]
         if variant == "optimized":
-            stream = _optimized_cascade(scans, key, n_net, local_fanout, fanout_bits)
+            # Pre-partition all relations once, chain BuildProbes per partition.
+            stream = join_stage(scans, range(n_relations), chain)
         else:
-            stream = _naive_cascade(scans, key, n_net, local_fanout, fanout_bits)
+            # A full distributed join per stage.  From the second stage on
+            # ``stream`` is consumed by both the histogram and the exchange,
+            # so the plan compiler inserts a materialization point — exactly
+            # the extra intermediate-result materialization the naive
+            # variant pays for (§5.2.1).
+            def pair(sides: list[Operator]) -> Operator:
+                return BuildProbe(*sides, keys=key)
+
+            stream = join_stage(scans[:2], ("_l", "_r"), pair)
+            for scan in scans[2:]:
+                stream = join_stage([scan, stream], ("_l", "_r"), pair)
         return MaterializeRowVector(stream, field="result")
 
-    executor = MpiExecutor(ParameterLookup(slot), build_worker, cluster)
-    flat = RowScan(executor, field="result")
+    executor, flat = collect(slot, build_worker, cluster)
     root = MaterializeRowVector(flat, field="result")
     return JoinSequencePlan(
-        root=root,
-        slot=slot,
-        executor=executor,
-        output_type=root.output_type,
-        cluster=cluster,
-        variant=variant,
-        n_joins=len(relation_types) - 1,
+        root, slot, executor, root.output_type, cluster,
+        variant=variant, n_joins=n_relations - 1,
     )
-
-
-def _exchange(
-    stream: Operator, key: str, n_net: int, pid_field: str, data_field: str
-) -> MpiExchange:
-    """The standard LocalHistogram → MpiHistogram → MpiExchange ladder."""
-    net_fn = RadixPartition(key, n_net)
-    local_hist = LocalHistogram(stream, net_fn)
-    global_hist = MpiHistogram(local_hist, n_net)
-    # Deliberately uncompressed (MOD023): both Figure 4 variants must use
-    # the same wire format — see the build_join_sequence docstring.
-    return MpiExchange(
-        stream, local_hist, global_hist, net_fn,
-        id_field=pid_field, data_field=data_field,
-    ).suppress("MOD023")
-
-
-def _optimized_cascade(
-    scans: list[Operator], key: str, n_net: int, local_fanout: int, fanout_bits: int
-) -> Operator:
-    """Pre-partition all relations, then chain BuildProbes per partition."""
-    k = len(scans)
-    exchanges = [
-        _exchange(scan, key, n_net, f"net{i}", f"data{i}")
-        for i, scan in enumerate(scans)
-    ]
-    zipped = Zip(exchanges)
-
-    def level1(slot: ParameterSlot) -> Operator:
-        partitioned = []
-        for i in range(k):
-            stream = RowScan(Projection(ParameterLookup(slot), [f"data{i}"]))
-            local_fn = RadixPartition(key, local_fanout, shift=fanout_bits)
-            hist = LocalHistogram(stream, local_fn)
-            hist.phase_name = "local_partition"
-            partitioned.append(
-                LocalPartitioning(
-                    stream, hist, local_fn, id_field=f"sub{i}", data_field=f"sd{i}"
-                )
-            )
-        pairs = Zip(partitioned)
-
-        def level2(slot2: ParameterSlot) -> Operator:
-            acc = RowScan(Projection(ParameterLookup(slot2), ["sd0"]))
-            for i in range(1, k):
-                side = RowScan(Projection(ParameterLookup(slot2), [f"sd{i}"]))
-                # Build on the incoming relation, probe with the streaming
-                # cascade output: intermediate results never materialize.
-                acc = BuildProbe(side, acc, keys=key)
-            return MaterializeRowVector(acc, field="matches")
-
-        joined = NestedMap(pairs, level2)
-        flat = RowScan(joined, field="matches")
-        return MaterializeRowVector(flat, field="matches")
-
-    joined = NestedMap(zipped, level1)
-    return RowScan(joined, field="matches")
-
-
-def _naive_cascade(
-    scans: list[Operator], key: str, n_net: int, local_fanout: int, fanout_bits: int
-) -> Operator:
-    """Full distributed join per stage; re-shuffle each intermediate result."""
-    acc = _network_join(scans[0], scans[1], key, n_net, local_fanout, fanout_bits)
-    for scan in scans[2:]:
-        # ``acc`` is consumed by both the histogram and the exchange of the
-        # next stage, so the plan compiler inserts a materialization point —
-        # exactly the extra intermediate-result materialization the naive
-        # variant pays for (§5.2.1).
-        acc = _network_join(scan, acc, key, n_net, local_fanout, fanout_bits)
-    return acc
-
-
-def _network_join(
-    left: Operator, right: Operator, key: str, n_net: int, local_fanout: int,
-    fanout_bits: int,
-) -> Operator:
-    """One full distributed join stage returning a flat match stream."""
-    ex_left = _exchange(left, key, n_net, "net_l", "data_l")
-    ex_right = _exchange(right, key, n_net, "net_r", "data_r")
-    zipped = Zip([ex_left, ex_right])
-
-    def level1(slot: ParameterSlot) -> Operator:
-        partitioned = []
-        for data_field, sub_id, sub_data in (
-            ("data_l", "sub_l", "sd_l"),
-            ("data_r", "sub_r", "sd_r"),
-        ):
-            stream = RowScan(Projection(ParameterLookup(slot), [data_field]))
-            local_fn = RadixPartition(key, local_fanout, shift=fanout_bits)
-            hist = LocalHistogram(stream, local_fn)
-            hist.phase_name = "local_partition"
-            partitioned.append(
-                LocalPartitioning(
-                    stream, hist, local_fn, id_field=sub_id, data_field=sub_data
-                )
-            )
-        pairs = Zip(partitioned)
-
-        def level2(slot2: ParameterSlot) -> Operator:
-            build = RowScan(Projection(ParameterLookup(slot2), ["sd_l"]))
-            probe = RowScan(Projection(ParameterLookup(slot2), ["sd_r"]))
-            return MaterializeRowVector(
-                BuildProbe(build, probe, keys=key), field="matches"
-            )
-
-        joined = NestedMap(pairs, level2)
-        flat = RowScan(joined, field="matches")
-        return MaterializeRowVector(flat, field="matches")
-
-    joined = NestedMap(zipped, level1)
-    return RowScan(joined, field="matches")

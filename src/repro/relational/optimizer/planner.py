@@ -21,7 +21,9 @@ Lowering steps:
    local partitioning level only when the build side's catalog bound
    exceeds the cache budget (:func:`_choose_fanouts`) — and
    ``ReduceByKey``/``Reduce`` post-aggregations run at every level plus a
-   final one on the driver.
+   final one on the driver.  The ladders and levels themselves are
+   :mod:`repro.core.plans.fragments` (``partitioned_join``, ``replicate``);
+   this module decides what to pass them.
 """
 
 from __future__ import annotations
@@ -43,22 +45,20 @@ from repro.core.operators import (
     BuildProbe,
     Filter,
     Limit,
-    LocalHistogram,
     LocalSort,
-    LocalPartitioning,
     Map,
     MaterializeRowVector,
-    MpiExchange,
     MpiExecutor,
-    MpiHistogram,
-    NestedMap,
-    ParameterLookup,
     ParameterSlot,
-    Projection,
     Reduce,
     ReduceByKey,
-    RowScan,
-    Zip,
+)
+from repro.core.plans.fragments import (
+    collect,
+    exchange,
+    partitioned_join,
+    replicate,
+    sharded_scan,
 )
 from repro.errors import PlanError
 from repro.mpi.cluster import SimCluster
@@ -587,10 +587,12 @@ def lower_to_modularis(
         )
     if local_fanout is not None and local_fanout < 1:
         raise PlanError(f"local_fanout must be at least 1, got {local_fanout}")
+    if network_fanout is not None and network_fanout < 1:
+        raise PlanError(f"network_fanout must be at least 1, got {network_fanout}")
     faults = options.faults if options is not None else None
     optimized = optimize(plan, catalog)
     shape = _extract_shape(optimized, catalog)
-    n_net = network_fanout or cluster.n_ranks
+    n_net = cluster.n_ranks if network_fanout is None else network_fanout
     strategy = _choose_strategy(join_strategy, shape, catalog, cluster.n_ranks)
     degraded_from = None
     if (
@@ -623,11 +625,7 @@ def lower_to_modularis(
         slot = ParameterSlot(TupleType.of(**slot_fields))
 
     def side_stream(worker_slot: ParameterSlot, side: _Side, schema, param: str) -> Operator:
-        stream: Operator = RowScan(
-            Projection(ParameterLookup(worker_slot), [param]),
-            field=param,
-            shard_by_rank=True,
-        )
+        stream: Operator = sharded_scan(worker_slot, param)
         if side.predicate is not None:
             stream = Filter(stream, _expr_predicate(side.predicate, schema))
         return Map(stream, _expr_tuple_fn(side.outputs, schema))
@@ -635,13 +633,26 @@ def lower_to_modularis(
     def merge(stream: Operator) -> Operator:
         return _merge_partials(stream, shape)
 
+    def exchange_join(streams, suffixes, key, local_fanout, join, merge, out_field):
+        """:func:`partitioned_join` with the lowering's choices: uncorrelated
+        hash functions at the two levels, a local level only above fan-out 1."""
+        return partitioned_join(
+            streams, suffixes,
+            lambda stream, id_field, data_field: exchange(
+                stream, HashPartition(key, n_net, salt=0), id_field, data_field
+            ),
+            None if local_fanout == 1
+            else lambda: HashPartition(key, local_fanout, salt=1),
+            join, merge, out_field,
+        )
+
     def build_worker_exchange(worker_slot: ParameterSlot) -> Operator:
-        flat = _exchange_join(
+        flat = exchange_join(
             [
                 side_stream(worker_slot, shape.left, left_schema, "left"),
                 side_stream(worker_slot, shape.right, right_schema, "right"),
             ],
-            ("_l", "_r"), shape.key, n_net, fanouts[0],
+            ("_l", "_r"), shape.key, fanouts[0],
             lambda scans: _post_join(
                 BuildProbe(*scans, keys=shape.key, join_type=shape.join_kind), shape
             ),
@@ -650,13 +661,8 @@ def lower_to_modularis(
         return MaterializeRowVector(merge(flat), field="result")
 
     def build_worker_broadcast(worker_slot: ParameterSlot) -> Operator:
-        from repro.core.functions import RadixPartition
-        from repro.core.operators import MpiBroadcast
-
         build = side_stream(worker_slot, shape.left, left_schema, "left")
-        local_count = LocalHistogram(build, RadixPartition(shape.key, 1))
-        global_count = MpiHistogram(local_count, 1)
-        replicated = MpiBroadcast(build, local_count, global_count)
+        replicated = replicate(build, shape.key)
         probe = side_stream(worker_slot, shape.right, right_schema, "right")
         stream = _post_join(
             BuildProbe(replicated, probe, keys=shape.key, join_type=shape.join_kind),
@@ -691,9 +697,9 @@ def lower_to_modularis(
                 acc = BuildProbe(side_scan, acc, keys=shape.key)
             return _post_join(acc, shape)
 
-        flat = _exchange_join(
+        flat = exchange_join(
             [side_stream(worker_slot, side, schema, p) for p, side, schema in sides],
-            range(len(sides)), shape.key, n_net, fanouts[0], chain, merge, "agg",
+            range(len(sides)), shape.key, fanouts[0], chain, merge, "agg",
         )
         return MaterializeRowVector(merge(flat), field="result")
 
@@ -711,9 +717,9 @@ def lower_to_modularis(
             for i, stage in enumerate(shape.extra_stages)
         ]
         for fanout, (side, schema, param, key, kind) in zip(fanouts, stages):
-            stream = _exchange_join(
+            stream = exchange_join(
                 [stream, side_stream(worker_slot, side, schema, param)],
-                ("_l", "_r"), key, n_net, fanout,
+                ("_l", "_r"), key, fanout,
                 lambda scans, key=key, kind=kind: BuildProbe(
                     *scans, keys=key, join_type=kind
                 ),
@@ -731,8 +737,7 @@ def lower_to_modularis(
         build_worker = build_worker_cascade
     else:
         build_worker = build_worker_exchange
-    executor = MpiExecutor(ParameterLookup(slot), build_worker, cluster)
-    flat = RowScan(executor, field="result")
+    executor, flat = collect(slot, build_worker, cluster)
     final = _merge_partials(flat, shape)
     if shape.final_outputs is not None:
         final = Map(
@@ -773,71 +778,6 @@ def _merge_partials(stream: Operator, shape: _Shape) -> Operator:
     if shape.group_by:
         return ReduceByKey(stream, shape.group_by, _agg_reduce_fn(shape.aggregates))
     return Reduce(stream, _agg_reduce_fn(shape.aggregates))
-
-
-def _exchange_join(
-    streams: list[Operator],
-    suffixes,
-    key: str,
-    n_net: int,
-    local_fanout: int,
-    join,
-    merge,
-    out_field: str,
-) -> Operator:
-    """Network-partition ``streams`` on ``key`` and join them per partition.
-
-    The Figure 3 pattern for any number of inputs: each stream runs the
-    LocalHistogram → MpiHistogram → MpiExchange ladder, corresponding
-    partitions are zipped, and a nested plan joins each partition tuple.
-    ``join`` turns one scan per input into the joined stream, ``merge``
-    post-aggregates at every nesting boundary, and the flat ``out_field``
-    stream is returned.  With ``local_fanout`` > 1 a network partition is
-    first hash-partitioned that many ways (LocalHistogram →
-    LocalPartitioning) and joined per sub-partition in a second nested
-    level; at 1 it already fits the cache (:func:`_choose_fanouts`), so no
-    local level is planned and ``join`` reads the exchanged data directly.
-    """
-    exchanged = []
-    for stream, suffix in zip(streams, suffixes):
-        net_fn = HashPartition(key, n_net, salt=0)
-        local_hist = LocalHistogram(stream, net_fn)
-        global_hist = MpiHistogram(local_hist, n_net)
-        exchanged.append(
-            MpiExchange(
-                stream, local_hist, global_hist, net_fn,
-                id_field=f"net{suffix}", data_field=f"data{suffix}",
-            )
-        )
-
-    def scans(slot: ParameterSlot, prefix: str) -> list[Operator]:
-        return [
-            RowScan(Projection(ParameterLookup(slot), [f"{prefix}{suffix}"]))
-            for suffix in suffixes
-        ]
-
-    def joined_from(slot: ParameterSlot, prefix: str) -> Operator:
-        return MaterializeRowVector(merge(join(scans(slot, prefix))), field=out_field)
-
-    def level1(slot: ParameterSlot) -> Operator:
-        if local_fanout == 1:
-            return joined_from(slot, "data")
-        partitioned = []
-        for suffix, stream in zip(suffixes, scans(slot, "data")):
-            local_fn = HashPartition(key, local_fanout, salt=1)
-            hist = LocalHistogram(stream, local_fn)
-            hist.phase_name = "local_partition"
-            partitioned.append(
-                LocalPartitioning(
-                    stream, hist, local_fn,
-                    id_field=f"sub{suffix}", data_field=f"sd{suffix}",
-                )
-            )
-        nested = NestedMap(Zip(partitioned), lambda s: joined_from(s, "sd"))
-        flat = RowScan(nested, field=out_field)
-        return MaterializeRowVector(merge(flat), field=out_field)
-
-    return RowScan(NestedMap(Zip(exchanged), level1), field=out_field)
 
 
 def _post_join(stream: Operator, shape: _Shape) -> Operator:

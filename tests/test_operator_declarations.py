@@ -16,7 +16,10 @@ classes.  Checked here:
   unseen (also run by ``make lint``);
 * *one scatter kernel* — no ``argsort`` call under ``repro.core.operators``,
   and under ``repro.core.kernels`` only in ``scatter.py`` and
-  ``hash_join.py``, so a merge sort cannot come back into a scatter unseen.
+  ``hash_join.py``, so a merge sort cannot come back into a scatter unseen;
+* *one composition per fragment* — outside ``repro.core.operators`` only
+  ``core/plans/fragments.py`` constructs the exchange/broadcast/local-level
+  operators or re-attributes a phase, so a second ladder cannot appear unseen.
 """
 
 import ast
@@ -375,3 +378,37 @@ def test_no_merge_sort_can_come_back_into_a_scatter():
     found = {name: lines for name, lines in calls.items() if lines}
     assert set(found) <= ARGSORT_ALLOWED, found
     assert "core/kernels/scatter.py" in found  # the walk sees the calls it polices
+
+
+# -- one composition per plan fragment ------------------------------------------------
+
+#: The sub-operators whose compositions (the exchange ladder, its broadcast
+#: twin, the local partitioning level) are written once, in ``fragments``.
+LADDER_OPERATORS = {
+    "LocalHistogram", "MpiHistogram", "MpiExchange", "MpiBroadcast", "LocalPartitioning",
+}
+LADDER_SITE = "core/plans/fragments.py"
+
+
+def ladder_sites(path: Path) -> list[int]:
+    """Lines of ``path`` that construct a ladder operator or re-attribute a
+    node's phase (an assignment to ``.phase_name``)."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in LADDER_OPERATORS:
+                lines.append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(getattr(t, "attr", None) == "phase_name" for t in targets):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_second_copy_of_the_ladder_can_appear():
+    """Outside the operator package only ``fragments`` builds the ladders."""
+    paths = [p for p in SRC.rglob("*.py") if SRC / "core/operators" not in p.parents]
+    sites = {str(p.relative_to(SRC)): ladder_sites(p) for p in paths}
+    found = {name: lines for name, lines in sites.items() if lines}
+    assert set(found) == {LADDER_SITE}, found  # and the walk sees what it polices

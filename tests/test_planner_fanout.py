@@ -184,6 +184,14 @@ class TestTheRule:
                 single_join().plan, chain_catalog(), SimCluster(2), local_fanout=bad
             )
 
+    @pytest.mark.parametrize("bad", [0, -4])
+    def test_nonpositive_network_fanout_is_a_plan_error(self, bad):
+        # 0 used to be read as "not given" and silently lowered the default.
+        with pytest.raises(PlanError, match="network_fanout"):
+            lower_to_modularis(
+                single_join().plan, chain_catalog(), SimCluster(2), network_fanout=bad
+            )
+
 
 class TestResultsDoNotDependOnTheDepth:
     """Collapsed and partitioned shapes agree with the reference interpreter

@@ -89,6 +89,11 @@ class TestValidation:
         with pytest.raises(TypeCheckError, match="16-byte workload"):
             build_distributed_groupby(SimCluster(2), floaty)
 
+    def test_zero_network_fanout_refused(self):
+        kv = TupleType.of(key=INT64, value=INT64)
+        with pytest.raises(TypeCheckError, match="power of two"):
+            build_distributed_groupby(SimCluster(4), kv, network_fanout=0)
+
 
 class TestTiming:
     def test_flat_in_cardinality(self):

@@ -139,6 +139,12 @@ class TestValidation:
         with pytest.raises(TypeCheckError, match="power of two"):
             build_distributed_join(SimCluster(2), L, R, network_fanout=6)
 
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_nonpositive_network_fanout_refused(self, bad):
+        # 0 used to be read as "not given" and silently built the default.
+        with pytest.raises(TypeCheckError, match="power of two"):
+            build_distributed_join(SimCluster(4), L, R, network_fanout=bad)
+
 
 class TestTiming:
     def test_workload_generator_end_to_end(self):

@@ -72,6 +72,11 @@ class TestValidation:
         with pytest.raises(TypeCheckError, match="needs 3 relations"):
             plan.run(relations[:2])
 
+    def test_zero_network_fanout_refused(self):
+        types = [TupleType.of(key=INT64, **{f"p{i}": INT64}) for i in range(3)]
+        with pytest.raises(TypeCheckError, match="power of two"):
+            build_join_sequence(SimCluster(4), types, network_fanout=0)
+
 
 class TestPaperShape:
     def test_optimized_beats_naive(self):

@@ -88,8 +88,8 @@ class TestDegradedLoweringVerification:
 
     def test_defective_fallback_is_rejected_at_lowering(self, catalog, monkeypatch):
         from repro.core.operators import MpiHistogram
+        from repro.core.plans import fragments
         from repro.relational import lower_to_modularis
-        from repro.relational.optimizer import planner
         from repro.tpch import ALL_QUERIES
 
         class ShrunkenGlobalHistogram(MpiHistogram):
@@ -98,7 +98,7 @@ class TestDegradedLoweringVerification:
             def __init__(self, upstream, n_buckets):
                 super().__init__(upstream, 1)
 
-        monkeypatch.setattr(planner, "MpiHistogram", ShrunkenGlobalHistogram)
+        monkeypatch.setattr(fragments, "MpiHistogram", ShrunkenGlobalHistogram)
         with pytest.raises(PlanVerificationError) as exc:
             lower_to_modularis(
                 ALL_QUERIES[14]().plan, catalog, SimCluster(4),
