@@ -14,9 +14,8 @@ from __future__ import annotations
 import sys
 
 from repro.baselines import MemSqlModel, PrestoModel
-from repro.bench.experiments.fig9 import frames_match
 from repro.mpi import SimCluster
-from repro.relational import lower_to_modularis, run_logical_plan
+from repro.relational import frames_match, lower_to_modularis, run_logical_plan
 from repro.relational.optimizer import optimize
 from repro.tpch import ALL_QUERIES, load_catalog, q12
 

@@ -56,7 +56,7 @@ def check(target, cell) -> dict:
     trigger one.
     """
     from repro.analysis.sanitizer import SanitizerError
-    from repro.workloads.targets import columns_match
+    from repro.relational.interpreter import frames_match
 
     mode, policy_name, policy = cell
     options = RunOptions(mode=mode, faults=policy)
@@ -75,7 +75,7 @@ def check(target, cell) -> dict:
         )
     else:
         report = sanitized.sanitizer
-        identical = columns_match(plain, target.columns(sanitized))
+        identical = frames_match(plain, target.columns(sanitized), 0.0, ordered=True)
         verdict.update(
             ok=report.clean and identical,
             identical=identical,

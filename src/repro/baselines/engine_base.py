@@ -30,6 +30,7 @@ from repro.relational.interpreter import (
     aggregate_frame,
     join_frames,
     run_logical_plan,
+    sort_frame,
 )
 from repro.relational.logical import (
     AggregateNode,
@@ -197,15 +198,7 @@ class EngineModel:
             # Final ordering of an aggregate result is coordinator work
             # over a small frame; charge it at the aggregation rate.
             self._charge(breakdown, "finalize", child.n_rows * profile.cpu_agg_row)
-            if child.n_rows == 0:
-                return child
-            key_columns = []
-            for key, desc in zip(reversed(plan.keys), reversed(plan.directions())):
-                column = child.columns[key]
-                if desc:
-                    column = -column
-                key_columns.append(column)
-            return child.take(np.lexsort(key_columns))
+            return sort_frame(child, plan)
 
         if isinstance(plan, LimitNode):
             child = self._execute(plan.child, catalog, breakdown)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.baselines.monolithic_join import run_monolithic_join
-from repro.bench.harness import ResultTable
+from repro.bench.harness import ResultTable, expect
 from repro.core.plans.join import build_distributed_join
 from repro.mpi.cluster import SimCluster
 from repro.mpi.costmodel import DEFAULT_COST_MODEL
@@ -55,7 +55,7 @@ def _modularis_run(workload, n_ranks: int, jitter: bool) -> dict[str, float]:
     )
     result = plan.run(workload.left, workload.right)
     matches = plan.matches(result)
-    assert len(matches) == workload.expected_matches
+    expect("join matches", len(matches), workload.expected_matches)
     cluster_result = result.cluster_results[0]
     breakdown = {p: cluster_result.phase_breakdown().get(p, 0.0) for p in PHASES}
     breakdown["total"] = cluster_result.makespan
@@ -67,7 +67,7 @@ def _monolithic_run(workload, n_ranks: int) -> dict[str, float]:
     result = run_monolithic_join(
         cluster, workload.left, workload.right, key_bits=workload.key_bits
     )
-    assert len(result.matches) == workload.expected_matches
+    expect("monolithic matches", len(result.matches), workload.expected_matches)
     breakdown = {p: result.phase_breakdown().get(p, 0.0) for p in PHASES}
     breakdown["total"] = result.seconds
     return breakdown

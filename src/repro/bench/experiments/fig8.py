@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.harness import ResultTable
+from repro.bench.harness import ResultTable, expect
 from repro.core.plans.join_sequence import build_join_sequence
 from repro.mpi.cluster import SimCluster
 from repro.workloads.join_data import make_cascade_relations
@@ -54,7 +54,7 @@ def _run_cascade(
     )
     result = plan.run(relations)
     matches = plan.matches(result)
-    assert len(matches) == expected
+    expect("join sequence matches", len(matches), expected)
     cluster_result = result.cluster_results[0]
     return {
         "seconds": cluster_result.makespan,

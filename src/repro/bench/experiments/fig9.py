@@ -13,19 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.baselines.memsql_sim import MemSqlModel
 from repro.baselines.presto_sim import PrestoModel
 from repro.bench.harness import ResultTable
 from repro.errors import ExecutionError
 from repro.mpi.cluster import SimCluster
-from repro.relational.interpreter import Frame, run_logical_plan
+from repro.relational.interpreter import frames_match, run_logical_plan
 from repro.relational.optimizer import lower_to_modularis, optimize
 from repro.storage.catalog import Catalog
 from repro.tpch.dbgen import load_catalog
 from repro.tpch.queries import ALL_QUERIES
 
+# ``frames_match`` is re-exported: the end-to-end benchmark imports it here.
 __all__ = ["Fig9Config", "run_fig9", "frames_match"]
 
 
@@ -36,28 +35,6 @@ class Fig9Config:
     scale_factor: float = 0.05
     machines: int = 8
     seed: int = 2021
-
-
-def frames_match(expected: Frame, actual: Frame, tolerance: float = 1e-9) -> bool:
-    """Order-insensitive comparison of two result frames."""
-    if set(expected.columns) != set(actual.columns):
-        return False
-    if expected.n_rows != actual.n_rows:
-        return False
-    names = sorted(expected.columns)
-
-    def normalized(frame: Frame) -> list[tuple]:
-        columns = [np.asarray(frame.columns[n]) for n in names]
-        return sorted(zip(*(c.tolist() for c in columns)))
-
-    for exp_row, act_row in zip(normalized(expected), normalized(actual)):
-        for exp_val, act_val in zip(exp_row, act_row):
-            if isinstance(exp_val, float):
-                if abs(exp_val - act_val) > tolerance * max(1.0, abs(exp_val)):
-                    return False
-            elif exp_val != act_val:
-                return False
-    return True
 
 
 def run_fig9(config: Fig9Config = Fig9Config(), catalog: Catalog | None = None) -> ResultTable:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bench.harness import ResultTable
+from repro.bench.harness import ResultTable, expect
 from repro.core.options import RunOptions
 from repro.core.executor import execute
 from repro.core.functions import field_sum
@@ -65,7 +65,7 @@ def run_micro(config: MicroConfig = MicroConfig()) -> ResultTable:
     results: dict[str, float] = {}
     for mode in ("fused", "interpreted"):
         result = execute(plan, params={slot: (table,)}, options=RunOptions(mode=mode))
-        assert result.rows == [(expected,)]
+        expect(f"{mode} row-scan sum", result.rows, [(expected,)])
         results[mode] = result.simulated_time
 
     # The raw loop: the same work charged at the hand-written rate, the way

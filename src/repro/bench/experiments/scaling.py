@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.bench.harness import ResultTable
+from repro.bench.harness import ResultTable, expect
 from repro.core.plans.join import build_distributed_join
 from repro.mpi.cluster import SimCluster
 from repro.types.atoms import INT64
@@ -60,7 +60,7 @@ def run_scaleout(config: ScalingConfig = ScalingConfig()) -> ResultTable:
             key_bits=workload.key_bits,
         )
         result = plan.run(workload.left, workload.right)
-        assert len(plan.matches(result)) == workload.expected_matches
+        expect("join matches", len(plan.matches(result)), workload.expected_matches)
         seconds = result.cluster_results[0].makespan
         if baseline is None:
             baseline = seconds

@@ -12,7 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-__all__ = ["Row", "ResultTable"]
+from repro.errors import ExecutionError
+
+__all__ = ["Row", "ResultTable", "expect"]
+
+
+def expect(what: str, got: object, wanted: object) -> None:
+    """Refuse to report a measurement of a run that got the answer wrong."""
+    if got != wanted:
+        raise ExecutionError(f"{what}: got {got!r}, expected {wanted!r}")
 
 
 @dataclass

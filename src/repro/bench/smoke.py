@@ -32,10 +32,11 @@ import numpy as np
 
 from repro.core.options import RunOptions
 from repro.mpi.cluster import SimCluster
+from repro.relational.interpreter import frames_match
 from repro.types.atoms import INT64
 from repro.types.collections import RowVector
 from repro.types.tuples import TupleType
-from repro.workloads.targets import TPCH_TARGETS, columns_match, resolve
+from repro.workloads.targets import TPCH_TARGETS, resolve
 
 __all__ = ["GATES", "gate_failures", "run_smoke", "main"]
 
@@ -224,7 +225,7 @@ def _groupby_probes(
         return seconds, target.columns(report)
 
     def same(first: str, second: str):
-        return lambda outputs: columns_match(outputs[first], outputs[second])
+        return lambda outputs: frames_match(outputs[first], outputs[second], 0.0, True)
 
     groupby = _modes(run, repeats)
     idle = FaultPolicy(seed=2021, put_drop_rate=0.0, collective_drop_rate=0.0)

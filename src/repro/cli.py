@@ -375,10 +375,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_tpch(args: argparse.Namespace) -> int:
-    from repro.bench.experiments.fig9 import frames_match
     from repro.core.options import RunOptions
     from repro.mpi.cluster import SimCluster
-    from repro.relational import lower_to_modularis, run_logical_plan
+    from repro.relational import frames_match, lower_to_modularis, run_logical_plan
     from repro.tpch import load_catalog
 
     catalog = load_catalog(scale_factor=args.sf)
@@ -827,6 +826,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
+    from repro.errors import ServingError
     from repro.serving.soak import SoakConfig, run_soak
 
     report = run_soak(
@@ -843,7 +843,8 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         )
     )
     slo = report.slo
-    assert slo is not None  # slo_target was set
+    if slo is None:
+        raise ServingError("the soak ran without its SLO target")
     if args.format == "json":
         _print_json(
             {

@@ -58,8 +58,17 @@ class LocalSort(Operator):
         self._positions = tuple(upstream.output_type.position(k) for k in self.keys)
 
     def infer_type(self, upstream_types):
-        require_fields("LocalSort", upstream_types[0], self.keys)
-        return upstream_types[0]
+        (upstream,) = upstream_types
+        require_fields("LocalSort", upstream, self.keys)
+        for key, desc in zip(self.keys, self.descending):
+            kind = np.dtype(getattr(upstream[key], "numpy_dtype", object)).kind
+            if desc and kind not in "iuf":
+                raise TypeCheckError(
+                    f"descending sort key {key!r} is a {upstream[key]!r}; a key "
+                    "sorts descending by negation, so it must be numeric",
+                    "MOD003",
+                )
+        return upstream
 
     def signature(self) -> tuple:
         return (self.keys, self.descending)
@@ -86,14 +95,7 @@ class LocalSort(Operator):
         key_columns = []
         for position, desc in zip(reversed(self._positions), reversed(self.descending)):
             column = data.columns[position]
-            if desc:
-                if column.dtype.kind not in "iuf":
-                    raise TypeCheckError(
-                        "descending sort keys must be numeric in fused mode; "
-                        f"column {data.element_type.field_names[position]!r} is not"
-                    )
-                column = -column
-            key_columns.append(column)
+            key_columns.append(-column if desc else column)
         order = np.lexsort(key_columns)
         yield data.take(order)
 

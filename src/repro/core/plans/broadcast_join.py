@@ -64,7 +64,11 @@ def build_broadcast_join(
 
     Both relations may have arbitrary fields (non-key names must be
     distinct across sides); the *small* side is the hash-build side.
+    ``left_outer`` is refused: every rank probes only its shard of the big
+    side, so none can tell that a replicated build row matched nowhere.
     """
+    if join_type == "left_outer":
+        raise TypeCheckError("a broadcast join cannot pad unmatched build rows")
     if key not in small_type or key not in big_type:
         raise TypeCheckError(
             f"both relations need the join key {key!r}; got {small_type!r} "

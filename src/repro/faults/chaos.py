@@ -85,18 +85,19 @@ def check(target, cell: tuple[str, FaultPolicy]) -> dict:
     summary); never raises on mismatch — the caller decides.  Resolve the
     target with ``trace=True`` or the fault summary stays empty.
     """
-    from repro.workloads.targets import columns_match
+    from repro.relational.interpreter import frames_match
 
     mode, policy = cell
     baseline = target.run(RunOptions(mode=mode))
     expected = target.columns(baseline)
     chaos = target.run(RunOptions(mode=mode, faults=policy))
+    ordered = _ordered_comparison(policy)
     verdict = {
         "target": target.name,
         "mode": mode,
         "seed": policy.seed,
-        "ok": columns_match(
-            expected, target.columns(chaos), ordered=_ordered_comparison(policy)
+        "ok": frames_match(
+            expected, target.columns(chaos), 0.0 if ordered else 1e-9, ordered
         ),
         "baseline_time": baseline.simulated_time,
         "chaos_time": chaos.simulated_time,

@@ -8,7 +8,7 @@ from repro.relational.expressions import (
     infer_atom_type,
     lit,
 )
-from repro.relational.interpreter import Frame, run_logical_plan
+from repro.relational.interpreter import Frame, frames_match, run_logical_plan
 from repro.relational.logical import (
     AggregateNode,
     AggregateSpec,
@@ -29,6 +29,7 @@ __all__ = [
     "infer_atom_type",
     "lit",
     "Frame",
+    "frames_match",
     "run_logical_plan",
     "AggregateNode",
     "AggregateSpec",

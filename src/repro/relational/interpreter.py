@@ -3,8 +3,8 @@
 Executes a logical plan directly over numpy columns, with no distribution
 and no cost accounting.  It serves two purposes:
 
-* the *ground truth* that every Modularis plan (and both engine models) is
-  checked against in the test suite;
+* the *ground truth* every Modularis plan (and both engine models) is
+  checked against, through the one result comparator :func:`frames_match`;
 * the shared execution core of the Presto/MemSQL engine models, which
   compute real results through :func:`join_frames` and
   :func:`aggregate_frame` while charging their own cost models.
@@ -34,7 +34,10 @@ from repro.relational.logical import (
 )
 from repro.storage.catalog import Catalog
 
-__all__ = ["Frame", "run_logical_plan", "join_frames", "aggregate_frame"]
+__all__ = [
+    "Frame", "run_logical_plan", "frames_match", "join_frames", "aggregate_frame",
+    "sort_frame",
+]
 
 
 @dataclass
@@ -85,24 +88,71 @@ def run_logical_plan(plan: LogicalPlan, catalog: Catalog) -> Frame:
         frame = run_logical_plan(plan.child, catalog)
         return aggregate_frame(frame, plan.group_by, plan.aggregates)
     if isinstance(plan, SortNode):
-        frame = run_logical_plan(plan.child, catalog)
-        if frame.n_rows == 0:
-            return frame
-        key_columns = []
-        for key, desc in zip(reversed(plan.keys), reversed(plan.directions())):
-            column = frame.columns[key]
-            if desc:
-                if column.dtype.kind not in "iuf":
-                    raise PlanError(
-                        f"descending sort key {key!r} must be numeric"
-                    )
-                column = -column
-            key_columns.append(column)
-        return frame.take(np.lexsort(key_columns))
+        return sort_frame(run_logical_plan(plan.child, catalog), plan)
     if isinstance(plan, LimitNode):
         frame = run_logical_plan(plan.child, catalog)
         return Frame({k: v[: plan.n] for k, v in frame.columns.items()})
     raise PlanError(f"unknown logical node {type(plan).__name__}")
+
+
+def frames_match(
+    expected, actual, tolerance: float = 1e-9, ordered: bool = False
+) -> bool:
+    """Whether two results hold the same rows — the one result comparator.
+
+    A result is a :class:`Frame` or a ``(column names, column arrays)``
+    pair; columns are matched by name.  Integers, strings and booleans
+    compare exactly, floats within ``tolerance`` relative to
+    ``max(1, |expected|)``.  ``ordered`` compares rows position by position
+    (a result an ORDER BY fixes, or bit-identity of two runs of one plan);
+    otherwise rows compare as sorted multisets.
+    """
+    expected, actual = _columns(expected), _columns(actual)
+    names = sorted(expected)
+    if names != sorted(actual):
+        return False
+    left = [np.asarray(expected[name]) for name in names]
+    right = [np.asarray(actual[name]) for name in names]
+    if any(len(a) != len(b) for a, b in zip(left, right)):
+        return False
+    if not ordered:
+        left, right = _sorted_rows(left), _sorted_rows(right)
+    return all(_same(a, b, tolerance) for a, b in zip(left, right))
+
+
+def _columns(result) -> dict[str, np.ndarray]:
+    """A :class:`Frame`'s columns, or a ``(names, arrays)`` pair's."""
+    return result.columns if isinstance(result, Frame) else dict(zip(*result))
+
+
+def _sorted_rows(columns: list[np.ndarray]) -> list[np.ndarray]:
+    rows = sorted(zip(*(column.tolist() for column in columns)))
+    return [np.asarray(column) for column in zip(*rows)] if rows else columns
+
+
+def _same(a: np.ndarray, b: np.ndarray, tolerance: float) -> bool:
+    if "f" not in (a.dtype.kind, b.dtype.kind):
+        return np.array_equal(a, b)
+    close = np.abs(a - b) <= tolerance * np.maximum(1.0, np.abs(a))
+    return bool((close | (a == b)).all())
+
+
+def sort_frame(frame: Frame, plan: SortNode) -> Frame:
+    """Order ``frame`` as ``plan`` says, ties broken by the other columns.
+
+    Descending keys sort by negation, so they must be numeric — a rule on
+    the column's type, checked whether or not there are rows.
+    """
+    keys, directions = plan.total_order(tuple(frame.columns))
+    key_columns = []
+    for key, desc in zip(reversed(keys), reversed(directions)):
+        column = frame.columns[key]
+        if desc:
+            if column.dtype.kind not in "iuf":
+                raise PlanError(f"descending sort key {key!r} must be numeric")
+            column = -column
+        key_columns.append(column)
+    return frame.take(np.lexsort(key_columns))
 
 
 def join_frames(left: Frame, right: Frame, key: str, kind: str = "inner") -> Frame:

@@ -185,6 +185,14 @@ class SortNode(LogicalPlan):
             return (self.descending,) * len(self.keys)
         return self.descending
 
+    def total_order(self, columns: tuple[str, ...]) -> tuple[tuple, tuple]:
+        """The sort keys with their directions, then every other column of
+        ``columns`` ascending: rows that tie on the keys come out in one
+        order however they arrived, so ORDER BY … LIMIT keeps the same rows
+        on every execution configuration."""
+        rest = tuple(c for c in columns if c not in self.keys)
+        return tuple(self.keys) + rest, tuple(self.directions()) + (False,) * len(rest)
+
     @property
     def children(self) -> tuple[LogicalPlan, ...]:
         return (self.child,)

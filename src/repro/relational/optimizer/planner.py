@@ -121,15 +121,18 @@ class _Shape:
     aggregates: tuple[AggregateSpec, ...]
     final_outputs: tuple[tuple[str, Expression], ...] | None
     #: Driver-side ORDER BY / LIMIT post-processing (§3.4).
-    order_by: tuple[str, ...] | None = None
-    order_descending: bool | tuple[bool, ...] = False
+    order_by: SortNode | None = None
     limit: int | None = None
     #: Left-deep joins beyond the first (extension; the paper's optimizer
     #: handles only the single-join TPC-H pattern).
     extra_stages: tuple[_Stage, ...] = ()
 
 
-def _extract_side(plan: LogicalPlan, catalog: Catalog, key: str) -> _Side:
+def _extract_side(
+    plan: LogicalPlan, catalog: Catalog, key: str | None = None
+) -> _Side:
+    """A scan → filter* → project? chain: a join input producing ``key``, or
+    (``key=None``) the one table of a single-table aggregation."""
     outputs: tuple[tuple[str, Expression], ...] | None = None
     if isinstance(plan, ProjectNode):
         outputs = plan.outputs
@@ -141,52 +144,27 @@ def _extract_side(plan: LogicalPlan, catalog: Catalog, key: str) -> _Side:
         )
         plan = plan.child
     if not isinstance(plan, ScanNode):
+        what = "each join side" if key else "a single-table aggregation's input"
         raise PlanError(
-            "the simplistic optimizer needs each join side to be "
+            f"the simplistic optimizer needs {what} to be "
             f"scan → filter* → project?, found {type(plan).__name__}"
         )
     columns = plan.columns or catalog.get(plan.table).schema.field_names
     if outputs is None:
         outputs = tuple((c, col(c)) for c in columns)
-    names = [alias for alias, _ in outputs]
-    if key not in names:
+    if key and key not in [alias for alias, _ in outputs]:
         raise PlanError(f"join side over {plan.table!r} does not produce key {key!r}")
-    return _Side(plan.table, tuple(columns), predicate, outputs)
-
-
-def _extract_side_any_key(plan: LogicalPlan, catalog: Catalog) -> _Side:
-    """Like :func:`_extract_side` but without a join-key requirement."""
-    outputs: tuple[tuple[str, Expression], ...] | None = None
-    if isinstance(plan, ProjectNode):
-        outputs = plan.outputs
-        plan = plan.child
-    predicate = None
-    while isinstance(plan, FilterNode):
-        predicate = (
-            plan.predicate if predicate is None else plan.predicate & predicate
-        )
-        plan = plan.child
-    if not isinstance(plan, ScanNode):
-        raise PlanError(
-            "the simplistic optimizer supports single-table aggregations of "
-            f"the form scan → filter* → project?; found {type(plan).__name__}"
-        )
-    columns = plan.columns or catalog.get(plan.table).schema.field_names
-    if outputs is None:
-        outputs = tuple((c, col(c)) for c in columns)
     return _Side(plan.table, tuple(columns), predicate, outputs)
 
 
 def _extract_shape(plan: LogicalPlan, catalog: Catalog) -> _Shape:
     limit = None
     order_by = None
-    order_descending = False
     if isinstance(plan, LimitNode):
         limit = plan.n
         plan = plan.child
     if isinstance(plan, SortNode):
-        order_by = plan.keys
-        order_descending = plan.descending
+        order_by = plan
         plan = plan.child
     final_outputs = None
     if isinstance(plan, ProjectNode):
@@ -222,7 +200,7 @@ def _extract_shape(plan: LogicalPlan, catalog: Catalog) -> _Shape:
     if not isinstance(plan, JoinNode):
         # No join: accept a plain side (scan → filter* → project?) — the
         # single-table aggregation pattern (e.g. TPC-H Q1).
-        side = _extract_side_any_key(plan, catalog)
+        side = _extract_side(plan, catalog)
         return _Shape(
             left=side,
             right=None,
@@ -233,7 +211,6 @@ def _extract_shape(plan: LogicalPlan, catalog: Catalog) -> _Shape:
             aggregates=aggregate.aggregates,
             final_outputs=final_outputs,
             order_by=order_by,
-            order_descending=order_descending,
             limit=limit,
         )
     return _Shape(
@@ -246,7 +223,6 @@ def _extract_shape(plan: LogicalPlan, catalog: Catalog) -> _Shape:
         aggregates=aggregate.aggregates,
         final_outputs=final_outputs,
         order_by=order_by,
-        order_descending=order_descending,
         limit=limit,
         extra_stages=tuple(extra_stages),
     )
@@ -444,11 +420,12 @@ class ModularisQuery:
         """The final output as a columnar frame.
 
         A scalar aggregation over zero qualifying rows yields one all-zero
-        row, matching the reference interpreter (and SUM-as-0 SQL engines).
+        row, matching the reference interpreter (and SUM-as-0 SQL engines),
+        unless a LIMIT 0 drops it.
         """
         (row,) = result.rows
         vector: RowVector = row[0]
-        if not self.shape.group_by and len(vector) == 0:
+        if not self.shape.group_by and len(vector) == 0 and self.shape.limit != 0:
             return Frame(
                 {
                     field.name: np.zeros(1, dtype=field.item_type.numpy_dtype)
@@ -744,7 +721,8 @@ def lower_to_modularis(
             final, _expr_tuple_fn(shape.final_outputs, final.output_type)
         )
     if shape.order_by is not None:
-        final = LocalSort(final, shape.order_by, descending=shape.order_descending)
+        keys, descending = shape.order_by.total_order(final.output_type.field_names)
+        final = LocalSort(final, keys, descending=descending)
     if shape.limit is not None:
         final = Limit(final, shape.limit)
     root = MaterializeRowVector(final, field="result")

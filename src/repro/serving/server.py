@@ -65,6 +65,7 @@ from repro.errors import (
     QueryCancelled,
     ResultTimeout,
     RetriesExhausted,
+    ServingError,
 )
 from repro.faults.policy import RetryPolicy, is_retryable
 from repro.mpi.trace import TraceEvent
@@ -176,7 +177,8 @@ class QueryFuture:
             )
         if self._error is not None:
             raise self._error
-        assert self._outcome is not None
+        if self._outcome is None:
+            raise ServingError(f"query {self.query_id} settled without an outcome")
         return self._outcome
 
     def _resolve(

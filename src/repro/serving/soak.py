@@ -45,7 +45,6 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.bench.experiments.fig9 import frames_match
 from repro.core.options import RunOptions
 from repro.errors import (
     AdmissionError,
@@ -58,6 +57,7 @@ from repro.faults.policy import FaultPolicy, RetryPolicy
 from repro.mpi.cluster import SimCluster
 from repro.observability.slo import SLOConfig, SLOReport
 from repro.observability.tracing import QueryJournal
+from repro.relational.interpreter import frames_match
 from repro.serving.lifecycle import BreakerConfig
 from repro.serving.server import QueryOutcome, Server
 from repro.tpch import ALL_QUERIES, load_catalog

@@ -31,7 +31,6 @@ __all__ = [
     "TPCH_TARGETS",
     "QueryTarget",
     "Target",
-    "columns_match",
     "resolve",
 ]
 
@@ -173,36 +172,3 @@ def _resolve_tpch(name: str, cluster, sf: float, strategy: str) -> Target:
         )
 
     return QueryTarget(name, f"tpch {name} sf={sf}", (catalog,), None, lower=lower)
-
-
-def _sorted_columns(columns: list[np.ndarray]) -> list[np.ndarray]:
-    if not columns or len(columns[0]) == 0:
-        return columns
-    order = np.lexsort(tuple(reversed(columns)))
-    return [c[order] for c in columns]
-
-
-def columns_match(a: Columns, b: Columns, ordered: bool = True) -> bool:
-    """Whether two :meth:`Target.columns` results hold the same rows.
-
-    ``ordered`` demands byte-for-byte equality, row order included.
-    Otherwise rows are compared as sorted sets and floats within 1e-9
-    relative tolerance — for runs whose execution *shape* legitimately
-    differs (a degraded cluster re-shards its inputs; a strategy swap
-    reorders and re-associates floating aggregates).
-    """
-    (names_a, columns_a), (names_b, columns_b) = a, b
-    if names_a != names_b:
-        return False
-    if any(len(x) != len(y) for x, y in zip(columns_a, columns_b)):
-        return False
-    if not ordered:
-        columns_a = _sorted_columns(columns_a)
-        columns_b = _sorted_columns(columns_b)
-    for x, y in zip(columns_a, columns_b):
-        if not ordered and np.issubdtype(x.dtype, np.floating):
-            if not np.allclose(x, y, rtol=1e-9, atol=1e-12):
-                return False
-        elif not np.array_equal(x, y):
-            return False
-    return True

@@ -1,17 +1,14 @@
 """Degenerate-size robustness: empty inputs, single rows, more ranks than
-rows, and fan-outs exceeding data — the full plans must handle them all."""
+rows, and fan-outs exceeding data — pinned cells of the differential oracle
+(``tests/test_oracle.py``), plus the monolithic baseline's parity."""
 
 import numpy as np
 import pytest
 
-from repro.core.plans import (
-    build_broadcast_join,
-    build_distributed_groupby,
-    build_distributed_join,
-    build_join_sequence,
-)
+from repro.core.plans import build_distributed_join
 from repro.mpi.cluster import SimCluster
 from repro.types import INT64, RowVector, TupleType
+from tests.test_oracle import Cell, bulk_case, check
 
 L = TupleType.of(key=INT64, lpay=INT64)
 R = TupleType.of(key=INT64, rpay=INT64)
@@ -24,62 +21,45 @@ def rel(schema, rows):
 
 class TestEmptyInputs:
     def test_join_of_empty_relations(self):
-        plan = build_distributed_join(SimCluster(4), L, R, key_bits=8)
-        out = plan.matches(plan.run(rel(L, []), rel(R, [])))
-        assert len(out) == 0
+        check(bulk_case("join", rel(L, []), rel(R, []), key_bits=8), Cell(ranks=4))
 
     def test_join_one_side_empty(self):
-        plan = build_distributed_join(SimCluster(2), L, R, key_bits=8)
-        out = plan.matches(plan.run(rel(L, [(1, 2)]), rel(R, [])))
-        assert len(out) == 0
-        out = plan.matches(plan.run(rel(L, []), rel(R, [(1, 2)])))
-        assert len(out) == 0
+        for left, right in (([(1, 2)], []), ([], [(1, 2)])):
+            case = bulk_case("join", rel(L, left), rel(R, right), key_bits=8)
+            check(case, Cell(ranks=2))
 
     def test_groupby_of_empty_table(self):
-        plan = build_distributed_groupby(SimCluster(4), KV, key_bits=8)
-        groups = plan.groups(plan.run(rel(KV, [])))
-        assert len(groups) == 0
+        check(bulk_case("groupby", rel(KV, []), key_bits=8), Cell(ranks=4))
 
     def test_broadcast_join_empty_small_side(self):
-        plan = build_broadcast_join(SimCluster(2), L, R)
-        out = plan.matches(plan.run(rel(L, []), rel(R, [(1, 3)])))
-        assert len(out) == 0
+        check(bulk_case("broadcast_join", rel(L, []), rel(R, [(1, 3)])), Cell(ranks=2))
 
     def test_cascade_with_empty_middle_relation(self):
         types = [TupleType.of(key=INT64, **{f"p{i}": INT64}) for i in range(3)]
-        plan = build_join_sequence(SimCluster(2), types, variant="optimized")
-        relations = [rel(types[0], [(1, 1)]), rel(types[1], []), rel(types[2], [(1, 1)])]
-        out = plan.matches(plan.run(relations))
-        assert len(out) == 0
+        relations = [rel(t, rows) for t, rows in zip(types, ([(1, 1)], [], [(1, 1)]))]
+        case = bulk_case("join_sequence", *relations, variant="optimized")
+        check(case, Cell(ranks=2))
 
 
 class TestTinyInputs:
     def test_single_row_join(self):
-        plan = build_distributed_join(SimCluster(4), L, R, key_bits=6)
-        out = plan.matches(plan.run(rel(L, [(3, 30)]), rel(R, [(3, 33)])))
-        assert list(out.iter_rows()) == [(3, 30, 33)]
+        case = bulk_case("join", rel(L, [(3, 30)]), rel(R, [(3, 33)]), key_bits=6)
+        check(case, Cell(ranks=4))
 
     def test_more_ranks_than_rows(self):
-        plan = build_distributed_join(SimCluster(8), L, R, key_bits=4)
-        left = rel(L, [(0, 1), (1, 2)])
-        right = rel(R, [(1, 9), (0, 8), (5, 7)])
-        out = plan.matches(plan.run(left, right))
-        assert sorted(out.iter_rows()) == [(0, 1, 8), (1, 2, 9)]
+        left, right = rel(L, [(0, 1), (1, 2)]), rel(R, [(1, 9), (0, 8), (5, 7)])
+        check(bulk_case("join", left, right, key_bits=4), Cell(ranks=8))
 
     def test_groupby_single_row(self):
-        plan = build_distributed_groupby(SimCluster(4), KV, key_bits=4)
-        groups = plan.groups(plan.run(rel(KV, [(2, 5)])))
-        assert list(groups.iter_rows()) == [(2, 5)]
+        check(bulk_case("groupby", rel(KV, [(2, 5)]), key_bits=4), Cell(ranks=4))
 
     def test_fanout_exceeding_rows(self):
         # 64 network partitions, 3 rows: most partitions are empty.
-        plan = build_distributed_join(
-            SimCluster(2), L, R, key_bits=8, network_fanout=64, local_fanout=64
+        left, right = rel(L, [(10, 1), (20, 2), (30, 3)]), rel(R, [(20, 9)])
+        case = bulk_case(
+            "join", left, right, key_bits=8, network_fanout=64, local_fanout=64
         )
-        left = rel(L, [(10, 1), (20, 2), (30, 3)])
-        right = rel(R, [(20, 9)])
-        out = plan.matches(plan.run(left, right))
-        assert list(out.iter_rows()) == [(20, 2, 9)]
+        check(case, Cell(ranks=2, mode="interpreted"))
 
 
 class TestMonolithicParity:
@@ -99,12 +79,8 @@ class TestMonolithicParity:
 
 class TestSingleRankCluster:
     def test_everything_runs_on_one_rank(self):
-        join_plan = build_distributed_join(SimCluster(1), L, R, key_bits=6)
         left = rel(L, [(i, i) for i in range(32)])
         right = rel(R, [(i, i * 2) for i in range(32)])
-        assert len(join_plan.matches(join_plan.run(left, right))) == 32
-
-        groupby_plan = build_distributed_groupby(SimCluster(1), KV, key_bits=6)
+        check(bulk_case("join", left, right, key_bits=6), Cell())
         table = rel(KV, [(i % 4, 1) for i in range(32)])
-        groups = groupby_plan.groups(groupby_plan.run(table))
-        assert sorted(groups.iter_rows()) == [(0, 8), (1, 8), (2, 8), (3, 8)]
+        check(bulk_case("groupby", table, key_bits=6), Cell())

@@ -9,19 +9,17 @@ against its fault-free twin — the property the paper-level claim
 
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.options import RunOptions
+from repro.core.options import MODES, RunOptions
 from repro.core.plans import build_distributed_join
 from repro.faults import CrashFault, FaultPolicy
-from repro.faults.chaos import build_policy, check
 from repro.mpi.cluster import SimCluster
 from repro.observability import write_chrome_trace
 from repro.workloads import make_join_relations
-from repro.workloads.targets import resolve
+from tests.test_oracle import Cell, bulk_case, check, tpch_case
 
 _WORKLOAD = make_join_relations(512)
 _PLAN = build_distributed_join(
@@ -30,48 +28,17 @@ _PLAN = build_distributed_join(
     _WORKLOAD.right.element_type,
     key_bits=_WORKLOAD.key_bits,
 )
-_BASELINE_COLUMNS = None
-
-
-def _columns(report):
-    vector = _PLAN.matches(report)
-    return [
-        np.asarray(vector.column(n)) for n in vector.element_type.field_names
-    ]
-
-
-def _baseline_columns():
-    global _BASELINE_COLUMNS
-    if _BASELINE_COLUMNS is None:
-        _BASELINE_COLUMNS = _columns(
-            _PLAN.run(_WORKLOAD.left, _WORKLOAD.right)
-        )
-    return _BASELINE_COLUMNS
 
 
 class TestHypothesisSweep:
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        drop=st.sampled_from([0.05, 0.15, 0.3]),
-    )
-    @settings(max_examples=8, deadline=None)
-    def test_fused_and_interpreted_bit_identical_per_seed(self, seed, drop):
-        policy = FaultPolicy(
-            seed=seed, put_drop_rate=drop, collective_drop_rate=drop / 2
+    def test_fused_and_interpreted_bit_identical_per_seed(self):
+        # The oracle's pinned cell: both modes under transient faults give
+        # the reference's rows (and the kernels agree bit for bit).
+        case = bulk_case(
+            "join", _WORKLOAD.left, _WORKLOAD.right, key_bits=_WORKLOAD.key_bits
         )
-        fused = _PLAN.run(
-            _WORKLOAD.left, _WORKLOAD.right,
-            RunOptions(mode="fused", faults=policy),
-        )
-        interpreted = _PLAN.run(
-            _WORKLOAD.left, _WORKLOAD.right,
-            RunOptions(mode="interpreted", faults=policy),
-        )
-        for f, i, clean in zip(
-            _columns(fused), _columns(interpreted), _baseline_columns()
-        ):
-            assert np.array_equal(f, i)
-            assert np.array_equal(f, clean)
+        for mode in MODES:
+            check(case, Cell(ranks=2, mode=mode, faults="transient"))
 
     @given(seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=5, deadline=None)
@@ -90,25 +57,11 @@ class TestHypothesisSweep:
 
 @pytest.mark.parametrize("target", ["q4", "q12", "q14", "q19"])
 def test_tpch_bit_identical_under_transient_faults(target):
-    # The acceptance bar: ≥ 10% put-drop chaos, results bit-identical.
-    verdict = check(
-        resolve(target, 4, sf=0.005, trace=True),
-        ("fused", build_policy(2021, put_drop_rate=0.12, collective_drop_rate=0.06)),
-    )
-    assert verdict["ok"], verdict
-    assert any(k.startswith("fault:") for k in verdict["faults"]), verdict
-    assert verdict["chaos_time"] > verdict["baseline_time"]
+    check(tpch_case(int(target[1:])), Cell(ranks=4, faults="transient"))
 
 
 def test_tpch_q12_interpreted_matches_too():
-    verdict = check(
-        resolve("q12", 4, sf=0.005, trace=True),
-        (
-            "interpreted",
-            build_policy(2022, put_drop_rate=0.12, collective_drop_rate=0.06),
-        ),
-    )
-    assert verdict["ok"], verdict
+    check(tpch_case(12), Cell(ranks=4, mode="interpreted", faults="crash"))
 
 
 class TestObservabilityOfFaults:

@@ -248,7 +248,7 @@ class TestBroadcastFallback:
         return load_catalog(scale_factor=0.005)
 
     def test_memory_pressure_degrades_broadcast_to_exchange(self, catalog):
-        from repro.bench.experiments.fig9 import frames_match
+        from repro.relational import frames_match
         from repro.relational import lower_to_modularis, run_logical_plan
         from repro.tpch import ALL_QUERIES
 

@@ -1,9 +1,10 @@
 """Key domains across the configuration lattice.
 
 A join or group-by key of any declared atom either gives the reference
-interpreter's answer on *every* cell (rank count × mode × strategy) or is
-refused with the same typed error when the plan is built — never a bare
-numpy error from inside a rank thread on some cells and an answer on others.
+interpreter's answer on every cell or is refused with the same typed error
+when the plan is built.  The differential oracle (``tests/test_oracle.py``)
+draws keys of every atom on every cell; these are its pinned cells for the
+join kinds × atoms and the group-by rank counts.
 
 Partition functions read the key's bits, so a join key must be stored as an
 integer (``RadixPartition``/``HashPartition``'s type rule); grouping never
@@ -13,17 +14,12 @@ partitions on the key and takes every atom.
 import numpy as np
 import pytest
 
-from repro import RunOptions
-from repro.bench.experiments.fig9 import frames_match
 from repro.errors import TypeCheckError
-from repro.mpi.cluster import SimCluster
-from repro.relational import lower_to_modularis, run_logical_plan
 from repro.relational.builder import scan
 from repro.relational.expressions import col
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
-
-MODES = ("fused", "interpreted")
+from tests.test_oracle import Cell, check, logical_case
 
 #: Seven distinct key values per atom (BOOL has two), repeated with
 #: different multiplicities on the two sides so every join kind has
@@ -49,55 +45,25 @@ def catalog_for(atom: str) -> Catalog:
     return catalog
 
 
-def join_plan(kind: str):
-    joined = scan("l").join(scan("r"), on="k", kind=kind)
-    return joined.aggregate(
-        group_by=[], aggs=[("sum", col("rv"), "total"), ("count", col("rv"), "n")]
-    ).plan
-
-
-def outcome(plan, catalog, ranks, mode, strategy):
-    """The cell's result frame, or the error lowering refused it with."""
-    try:
-        lowered = lower_to_modularis(
-            plan, catalog, SimCluster(ranks), join_strategy=strategy
-        )
-    except TypeCheckError as exc:
-        return exc
-    return lowered.result_frame(lowered.run(catalog, RunOptions(mode=mode)))
-
-
 @pytest.mark.parametrize("kind", ["inner", "semi", "anti"])
 @pytest.mark.parametrize("atom", list(KEYS))
 def test_join_key_matches_the_reference_or_is_refused_on_every_cell(atom, kind):
-    catalog, plan = catalog_for(atom), join_plan(kind)
-    reference = run_logical_plan(plan, catalog)
-    cells = [
-        outcome(plan, catalog, ranks, mode, strategy)
-        for ranks in (1, 8)
-        for mode in MODES
-        for strategy in ("exchange", "broadcast")
-    ]
-    if atom in INTEGER_STORED:
-        assert all(frames_match(reference, frame) for frame in cells)
-    else:
-        assert all(isinstance(cell, TypeCheckError) for cell in cells)
-        assert {(cell.rule_id, str(cell)) for cell in cells} == {
-            (cells[0].rule_id, str(cells[0]))
-        }
-        assert cells[0].rule_id == "MOD003" and atom in str(cells[0])
+    catalog = catalog_for(atom)
+    query = scan("l").join(scan("r"), on="k", kind=kind).aggregate(
+        group_by=[], aggs=[("sum", col("rv"), "total"), ("count", col("rv"), "n")]
+    )
+    case = logical_case(query, lambda: catalog, atom)
+    check(case, Cell(ranks=8, mode="interpreted", strategy="broadcast"))
+    if atom not in INTEGER_STORED:
+        with pytest.raises(TypeCheckError, match=atom) as refused:
+            case.prepare(Cell())
+        assert refused.value.rule_id == "MOD003"
 
 
 @pytest.mark.parametrize("ranks", [1, 3, 8])
 @pytest.mark.parametrize("atom", list(KEYS))
 def test_group_by_takes_every_key_atom(atom, ranks):
     catalog = catalog_for(atom)
-    plan = (
-        scan("r")
-        .aggregate(group_by=["k"], aggs=[("sum", col("rv"), "total")])
-        .plan
-    )
-    reference = run_logical_plan(plan, catalog)
-    for mode in MODES:
-        frame = outcome(plan, catalog, ranks, mode, "exchange")
-        assert frames_match(reference, frame)
+    query = scan("r").aggregate(group_by=["k"], aggs=[("sum", col("rv"), "total")])
+    case = logical_case(query, lambda: catalog, atom)
+    check(case, Cell(ranks=ranks, mode="interpreted"))

@@ -23,6 +23,7 @@ classes.  Checked here:
 """
 
 import ast
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -330,11 +331,17 @@ ALLOWED_OPERATOR_IMPORTS = {
 }
 
 
+@functools.cache
+def nodes(path: Path) -> list[ast.AST]:
+    """Every node of ``path``'s syntax tree (parsed once for all the walks)."""
+    return list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
 def operator_imports(path: Path) -> set[str]:
     """Modules under ``repro.core.operators`` imported anywhere in ``path``."""
     prefix = "repro.core.operators"
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in nodes(path):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -365,7 +372,7 @@ def argsort_calls(path: Path) -> list[int]:
     """Line numbers of every ``argsort`` call (function or method) in ``path``."""
     return [
         node.lineno
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for node in nodes(path)
         if isinstance(node, ast.Call)
         and getattr(node.func, "attr", getattr(node.func, "id", None)) == "argsort"
     ]
@@ -394,7 +401,7 @@ def ladder_sites(path: Path) -> list[int]:
     """Lines of ``path`` that construct a ladder operator or re-attribute a
     node's phase (an assignment to ``.phase_name``)."""
     lines = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in nodes(path):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "attr", getattr(node.func, "id", None))
             if name in LADDER_OPERATORS:
@@ -412,3 +419,18 @@ def test_no_second_copy_of_the_ladder_can_appear():
     sites = {str(p.relative_to(SRC)): ladder_sites(p) for p in paths}
     found = {name: lines for name, lines in sites.items() if lines}
     assert set(found) == {LADDER_SITE}, found  # and the walk sees what it polices
+
+
+# -- no assert in the library -------------------------------------------------------
+
+
+def test_no_assert_statement_under_src():
+    """``python -O`` strips ``assert``; a check the library relies on raises a
+    ``repro.errors`` type instead."""
+    sites = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in nodes(path)
+        if isinstance(node, ast.Assert)
+    ]
+    assert sites == [], sites

@@ -11,20 +11,20 @@ import pytest
 
 from repro import RunOptions
 from repro.analysis import verify
-from repro.bench.experiments.fig9 import frames_match
 from repro.core.context import ExecutionContext
 from repro.core.plan import explain
 from repro.errors import PlanError
 from repro.faults import FaultPolicy
 from repro.mpi.cluster import SimCluster
 from repro.mpi.costmodel import DEFAULT_COST_MODEL, MachineSpec
-from repro.relational import lower_to_modularis, run_logical_plan
+from repro.relational import frames_match, lower_to_modularis, run_logical_plan
 from repro.relational.builder import scan
 from repro.relational.expressions import col
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table, TableStats
 from repro.tpch import ALL_QUERIES, load_catalog, q12
 from repro.types import INT64, TupleType
+from tests.test_oracle import Cell, check, logical_case, tpch_case
 
 #: Pruned row width of every relation in ``chain_catalog`` (two INT64s).
 ROW_BYTES = 16
@@ -195,50 +195,20 @@ class TestTheRule:
 
 class TestResultsDoNotDependOnTheDepth:
     """Collapsed and partitioned shapes agree with the reference interpreter
-    and with each other, on every rank count and in both modes."""
-
-    FANOUTS = (None, 1, 2, 16)
-
-    def _frames(self, plan, catalog, ranks, mode):
-        frames = {}
-        for local_fanout in self.FANOUTS:
-            lowered = lower_to_modularis(
-                plan, catalog, SimCluster(ranks), local_fanout=local_fanout
-            )
-            assert lowered.local_fanout == (local_fanout or 1)
-            frames[local_fanout] = lowered.result_frame(
-                lowered.run(catalog, RunOptions(mode=mode))
-            )
-        return frames
-
-    @pytest.fixture(scope="class")
-    def tpch(self):
-        return load_catalog(scale_factor=0.002, seed=42)
+    on every rank count: pinned cells of the differential oracle
+    (``tests/test_oracle.py``), whose generated cells draw the fan-out."""
 
     @pytest.mark.parametrize("ranks", [1, 2, 3, 8])
     @pytest.mark.parametrize("qnum", [4, 12, 14, 19])
-    def test_tpch(self, tpch, qnum, ranks):
-        plan = ALL_QUERIES[qnum]().plan
-        reference = run_logical_plan(plan, tpch)
-        # Q14/Q19 sum floats: regrouping the partial sums moves the last
-        # ulp, as between the fused and interpreted folds.  Counts are exact.
-        across_shapes = 0.0 if qnum in (4, 12) else 1e-12
-        for mode in ("fused", "interpreted"):
-            frames = self._frames(plan, tpch, ranks, mode)
-            for frame in frames.values():
-                assert frames_match(reference, frame, tolerance=1e-6)
-                assert frames_match(frames[None], frame, tolerance=across_shapes)
-            assert frames_match(frames[None], frames[1], tolerance=0.0)
+    def test_tpch(self, qnum, ranks):
+        check(tpch_case(qnum), Cell(ranks=ranks, local_fanout=4))
 
     @pytest.mark.parametrize("ranks", [1, 2, 3, 8])
     @pytest.mark.parametrize("query", [cascade_chain, multistage_chain])
     def test_join_chains(self, query, ranks):
         catalog = chain_catalog()
-        plan = query().plan
-        reference = run_logical_plan(plan, catalog)
-        for mode in ("fused", "interpreted"):
-            for frame in self._frames(plan, catalog, ranks, mode).values():
-                assert frames_match(reference, frame, tolerance=0.0)
+        case = logical_case(query(), lambda: catalog, query.__name__)
+        check(case, Cell(ranks=ranks, mode="interpreted", local_fanout=2))
 
     def test_a_sized_fanout_above_one_runs(self):
         catalog = chain_catalog()

@@ -2,17 +2,17 @@
 
 Each property pins one of the guarantees the paper's design depends on:
 compression is lossless within its dense domain, partitioning preserves
-multisets and never mixes partitions, the distributed join equals the
-nested-loop reference for arbitrary inputs, exchange offsets are disjoint
-by construction, and the two execution modes are observationally
-equivalent.
+multisets and never mixes partitions, and the probe and the fold equal
+their nested-loop and dict references.  Whole plans against the reference,
+in both execution modes, are the differential oracle's
+(``tests/test_oracle.py``); the last classes are its pinned cells.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,6 @@ from repro.core.context import ExecutionContext
 from repro.core.functions import (
     HashPartition,
     RadixPartition,
-    ReduceFunction,
     field_sum,
 )
 from repro.core.operators import (
@@ -32,12 +31,11 @@ from repro.core.operators import (
     RowScan,
 )
 from repro.core.operators.build_probe import JOIN_TYPES
-from repro.core.plans.join import build_distributed_join
-from repro.core.plans.groupby import build_distributed_groupby
-from repro.mpi.cluster import SimCluster
+from repro.core.options import MODES
 from repro.types import INT64, RowVector, TupleType
 
 from tests.conftest import table_source
+from tests.test_oracle import Cell, bulk_case, check
 
 KV = TupleType.of(key=INT64, value=INT64)
 L = TupleType.of(key=INT64, lpay=INT64)
@@ -148,135 +146,53 @@ class TestOperatorAlgebra:
         )
         assert got == expected
 
-    @given(rows=kv_rows)
-    @settings(max_examples=20, deadline=None)
-    def test_modes_observationally_equal(self, rows):
-        results = []
-        for mode in ("fused", "interpreted"):
-            ctx = ExecutionContext(mode=mode)
-            agg = ReduceByKey(
-                scan_of(vector_of(rows), ctx), "key", field_sum("value")
-            )
-            results.append(sorted(agg.stream(ctx)))
-        assert results[0] == results[1]
+    def test_modes_observationally_equal(self):
+        table = vector_of([(k % 13, k) for k in range(200)])
+        case = bulk_case("groupby", table, key_bits=10)
+        for mode in MODES:
+            check(case, Cell(ranks=2, mode=mode, morsel_rows=7))
 
 
 class TestDistributedProperties:
-    @given(
-        keys=st.lists(st.integers(0, 255), min_size=1, max_size=120),
-        machines=st.sampled_from([1, 2, 4]),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_distributed_join_equals_reference(self, keys, machines):
+    """The distributed plans against the reference: pinned cells of the
+    differential oracle (``tests/test_oracle.py``), which generates them."""
+
+    def test_distributed_join_equals_reference(self):
+        keys = [k * 7 % 256 for k in range(120)]
         left = vector_of([(k, k * 2) for k in sorted(set(keys))], L)
         right = vector_of([(k, k * 3) for k in keys], R)
-        plan = build_distributed_join(
-            SimCluster(machines), L, R, key_bits=10
-        )
-        out = plan.matches(plan.run(left, right))
-        expected = sorted((k, k * 2, k * 3) for k in keys)
-        assert sorted(out.iter_rows()) == expected
+        check(bulk_case("join", left, right, key_bits=10), Cell(ranks=4))
 
-    @given(
-        pairs=st.lists(
-            st.tuples(st.integers(0, 63), st.integers(0, 63)),
-            min_size=1,
-            max_size=150,
-        ),
-        machines=st.sampled_from([1, 2, 4]),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_distributed_groupby_equals_reference(self, pairs, machines):
-        table = vector_of(pairs)
-        plan = build_distributed_groupby(
-            SimCluster(machines), KV, key_bits=10
-        )
-        groups = plan.groups(plan.run(table))
-        expected = collections.Counter()
-        for k, v in pairs:
-            expected[k] += v
-        got = dict(zip(groups.column("key").tolist(), groups.column("value").tolist()))
-        assert got == dict(expected)
+    def test_distributed_groupby_equals_reference(self):
+        table = vector_of([(k % 64, k * 5 % 64) for k in range(150)])
+        check(bulk_case("groupby", table, key_bits=10), Cell(ranks=2))
 
 
 class TestFusedScalarEquivalence:
-    """The vectorized kernels are *replicas* of the scalar paths.
+    """The vectorized kernels against the scalar paths, on the degenerate
+    morsels they share: both modes are held to the reference rows."""
 
-    BuildProbe's sorted-by-hash probe is engineered to reproduce the
-    scalar hash table's emission order exactly (stable sort, build-order
-    key runs), so fused and interpreted runs are compared as ordered
-    lists — not just multisets.
-    """
+    def test_probe_policies_bit_identical(self):
+        rows = [(k % 17 - 8, k * 37 % 2001 - 1000) for k in range(60)]
+        for join_type, mode in itertools.product(JOIN_TYPES, MODES):
+            case = bulk_case("join", vector_of(rows, L), vector_of(rows[::2], R),
+                             join_type=join_type, compression=False)
+            check(case, Cell(ranks=2, mode=mode, morsel_rows=7))
 
-    join_rows = st.lists(
-        st.tuples(st.integers(-8, 8), st.integers(-1000, 1000)), max_size=60
-    )
-
-    def _join_outputs(self, left_rows, right_rows, join_type, morsel_rows):
-        outs = []
-        for mode in ("fused", "interpreted"):
-            ctx = ExecutionContext(mode=mode, morsel_rows=morsel_rows)
-            bp = BuildProbe(
-                scan_of(vector_of(left_rows, L), ctx),
-                scan_of(vector_of(right_rows, R), ctx),
-                keys="key",
-                join_type=join_type,
-            )
-            outs.append(list(bp.stream(ctx)))
-        return outs
-
-    @given(
-        left_rows=join_rows,
-        right_rows=join_rows,
-        join_type=st.sampled_from(JOIN_TYPES),
-        morsel_rows=st.sampled_from([1, 7, 1 << 16]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_probe_policies_bit_identical(
-        self, left_rows, right_rows, join_type, morsel_rows
-    ):
-        fused, interpreted = self._join_outputs(
-            left_rows, right_rows, join_type, morsel_rows
-        )
-        assert fused == interpreted
-
-    @given(
-        join_type=st.sampled_from(JOIN_TYPES),
-        key=st.integers(-(2**62), 2**62),
-        n_left=st.integers(0, 5),
-        n_right=st.integers(0, 5),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_degenerate_morsels(self, join_type, key, n_left, n_right):
+    def test_degenerate_morsels(self):
         # Empty, single-row, and all-duplicate-key inputs in one sweep:
         # every build row shares one key, morsels of one row each.
-        left_rows = [(key, i) for i in range(n_left)]
-        right_rows = [(key, -i) for i in range(n_right)]
-        fused, interpreted = self._join_outputs(
-            left_rows, right_rows, join_type, morsel_rows=1
-        )
-        assert fused == interpreted
+        shapes = itertools.product((0, 1, 5), (0, 5), JOIN_TYPES)
+        for n_left, n_right, join_type in shapes:
+            left = vector_of([(2**62, i) for i in range(n_left)], L)
+            right = vector_of([(2**62, -i) for i in range(n_right)], R)
+            case = bulk_case(
+                "join", left, right, join_type=join_type, compression=False
+            )
+            check(case, Cell(mode="interpreted", morsel_rows=1))
 
-    @given(
-        rows=kv_rows,
-        morsel_rows=st.sampled_from([1, 3, 1 << 16]),
-        vectorized=st.booleans(),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_reduce_by_key_modes_agree(self, rows, morsel_rows, vectorized):
-        # With vectorized_sum_fields the fused kernel groups by sorting
-        # (ascending key order) while the scalar fold emits first-seen
-        # order — values must agree as multisets.  Without it the fused
-        # path falls back to morselized rows: identical order too.
-        if vectorized:
-            fn = field_sum("value")
-        else:
-            fn = ReduceFunction(lambda acc, row: (acc[0] + row[0],))
-        outs = []
-        for mode in ("fused", "interpreted"):
-            ctx = ExecutionContext(mode=mode, morsel_rows=morsel_rows)
-            agg = ReduceByKey(scan_of(vector_of(rows), ctx), "key", fn)
-            outs.append(list(agg.stream(ctx)))
-        assert sorted(outs[0]) == sorted(outs[1])
-        if not vectorized:
-            assert outs[0] == outs[1]
+    def test_reduce_by_key_modes_agree(self):
+        table = vector_of([(k % 7, k) for k in range(100)])
+        case = bulk_case("groupby", table, key_bits=10)
+        for mode, morsel_rows in itertools.product(MODES, (1, 3, None)):
+            check(case, Cell(mode=mode, morsel_rows=morsel_rows))

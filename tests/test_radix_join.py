@@ -4,9 +4,10 @@ Three layers of coverage for PR 7:
 
 * kernel mechanics — eligibility heuristic, fan-out selection, the
   two-pass scatter matching the single-pass table, and the hard range cap;
-* hypothesis sweeps — radix vs sorted-hash vs scalar hash-table outputs
-  are *ordered* bit-identical for all four probe policies under negative
-  keys, heavy duplicates, and Zipf-skewed distributions;
+* bit-identity — pinned cells of the differential oracle: radix and
+  sorted-hash give the same rows in the same order (and the scalar probe
+  the reference's rows) for all four probe policies under negative keys,
+  heavy duplicates, Zipf skew and keys past the hard cap;
 * the zero-copy columnar plane — ``RowVector.concat`` re-merges adjacent
   slice views without copying, ``RowVectorBuilder.extend_vector`` bulk
   appends, and ``LocalPartitioning``/``MpiExchange`` emit partitions as
@@ -15,10 +16,10 @@ Three layers of coverage for PR 7:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.options import RunOptions
 from repro.core.context import ExecutionContext
@@ -47,6 +48,7 @@ from repro.types import INT64, RowVector, TupleType
 from repro.types.collections import RowVectorBuilder
 
 from tests.conftest import table_source
+from tests.test_oracle import Cell, bulk_case, check
 
 L = TupleType.of(key=INT64, lpay=INT64)
 R = TupleType.of(key=INT64, rpay=INT64)
@@ -59,20 +61,6 @@ def vector_of(rows, schema=KV):
 
 def scan_of(table, ctx):
     return RowScan(table_source(table, ctx), field="t")
-
-
-def join_outputs(left_rows, right_rows, join_type, join_kernel, mode="fused",
-                 morsel_rows=None):
-    ctx = ExecutionContext(mode=mode, join_kernel=join_kernel,
-                           morsel_rows=morsel_rows)
-    bp = BuildProbe(
-        scan_of(vector_of(left_rows, L), ctx),
-        scan_of(vector_of(right_rows, R), ctx),
-        keys="key",
-        join_type=join_type,
-        outer_fill=-1,
-    )
-    return list(bp.stream(ctx))
 
 
 class TestKernelMechanics:
@@ -156,83 +144,43 @@ class TestKernelMechanics:
 
 
 class TestBitIdentity:
-    """Radix vs sorted-hash vs scalar hash table: ordered equality."""
+    """Radix vs sorted-hash vs the scalar probe: pinned cells of the
+    differential oracle (``tests/test_oracle.py``), whose kernel relation
+    demands bit-identical rows and simulated time across kernels and whose
+    reference holds the scalar probe to the same rows."""
 
-    signed_rows = st.lists(
-        st.tuples(st.integers(-8, 8), st.integers(-1000, 1000)), max_size=60
-    )
+    @staticmethod
+    def check_all_policies(left_rows, right_rows, cell):
+        left, right = vector_of(left_rows, L), vector_of(right_rows, R)
+        for join_type in JOIN_TYPES:
+            case = bulk_case(
+                "join", left, right, join_type=join_type, compression=False
+            )
+            check(case, cell)
+            check(case, replace(cell, mode="interpreted"))
 
-    @given(
-        left_rows=signed_rows,
-        right_rows=signed_rows,
-        join_type=st.sampled_from(JOIN_TYPES),
-        morsel_rows=st.sampled_from([1, 7, 1 << 16]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_negative_keys_all_policies(
-        self, left_rows, right_rows, join_type, morsel_rows
-    ):
-        radix = join_outputs(
-            left_rows, right_rows, join_type, "radix", morsel_rows=morsel_rows
-        )
-        sorted_hash = join_outputs(
-            left_rows, right_rows, join_type, "sorted", morsel_rows=morsel_rows
-        )
-        scalar = join_outputs(
-            left_rows, right_rows, join_type, "auto",
-            mode="interpreted", morsel_rows=morsel_rows,
-        )
-        assert radix == sorted_hash == scalar
+    def test_negative_keys_all_policies(self):
+        rows = [(k % 17 - 8, k * 37 % 2001 - 1000) for k in range(60)]
+        cell = Cell(ranks=2, join_kernel="radix", morsel_rows=7)
+        self.check_all_policies(rows, rows[::-3], cell)
 
-    @given(
-        join_type=st.sampled_from(JOIN_TYPES),
-        n_keys=st.integers(1, 4),
-        n_left=st.integers(0, 40),
-        n_right=st.integers(0, 40),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_heavy_duplicates(self, join_type, n_keys, n_left, n_right):
-        left_rows = [(i % n_keys, i) for i in range(n_left)]
-        right_rows = [(i % (n_keys + 1), -i) for i in range(n_right)]
-        radix = join_outputs(left_rows, right_rows, join_type, "radix")
-        sorted_hash = join_outputs(left_rows, right_rows, join_type, "sorted")
-        scalar = join_outputs(
-            left_rows, right_rows, join_type, "auto", mode="interpreted"
-        )
-        assert radix == sorted_hash == scalar
+    def test_heavy_duplicates(self):
+        left, right = [(i % 3, i) for i in range(40)], [(i % 4, -i) for i in range(40)]
+        self.check_all_policies(left, right, Cell(ranks=3, join_kernel="radix"))
 
-    @given(join_type=st.sampled_from(JOIN_TYPES), seed=st.integers(0, 2**16))
-    @settings(max_examples=24, deadline=None)
-    def test_zipf_skew(self, join_type, seed):
-        rng = np.random.default_rng(seed)
-        lk = rng.zipf(1.3, 400) % 512
-        rk = rng.zipf(1.3, 300) % 512
-        left_rows = [(int(k), i) for i, k in enumerate(lk)]
-        right_rows = [(int(k), -i) for i, k in enumerate(rk)]
-        radix = join_outputs(left_rows, right_rows, join_type, "radix")
-        sorted_hash = join_outputs(left_rows, right_rows, join_type, "sorted")
-        scalar = join_outputs(
-            left_rows, right_rows, join_type, "auto", mode="interpreted"
-        )
-        assert radix == sorted_hash == scalar
+    def test_zipf_skew(self):
+        rng = np.random.default_rng(7)
+        left = [(int(k), i) for i, k in enumerate(rng.zipf(1.3, 120) % 512)]
+        right = [(int(k), -i) for i, k in enumerate(rng.zipf(1.3, 90) % 512)]
+        self.check_all_policies(left, right, Cell(ranks=2, join_kernel="sorted"))
 
-    @given(
-        join_type=st.sampled_from(JOIN_TYPES),
-        key=st.integers(-(2**62), 2**62),
-        n_left=st.integers(0, 5),
-        n_right=st.integers(0, 5),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_degenerate_extreme_keys(self, join_type, key, n_left, n_right):
+    def test_degenerate_extreme_keys(self):
         # Forced radix on astronomically sparse keys must fall back to the
         # sorted-hash kernel (hard cap), never overflow or allocate.
-        left_rows = [(key, i) for i in range(n_left)]
-        right_rows = [(key, -i) for i in range(n_right)]
-        radix = join_outputs(left_rows, right_rows, join_type, "radix",
-                             morsel_rows=1)
-        scalar = join_outputs(left_rows, right_rows, join_type, "auto",
-                              mode="interpreted", morsel_rows=1)
-        assert radix == scalar
+        for key in (-(2**62), 2**62):
+            rows = [(key, i) for i in range(5)]
+            cell = Cell(join_kernel="radix", morsel_rows=1)
+            self.check_all_policies(rows, rows[:2], cell)
 
 
 class TestDispatchMetric:

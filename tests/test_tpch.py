@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.mpi.cluster import SimCluster
-from repro.relational import lower_to_modularis, run_logical_plan
-from repro.tpch import ALL_QUERIES, generate, load_catalog, q4, q12, q14, q19
+from repro.relational import run_logical_plan
+from repro.tpch import generate, load_catalog, q4, q12, q14, q19
 from repro.tpch.schema import (
     ORDER_PRIORITIES,
     SHIP_INSTRUCTIONS,
     SHIP_MODES,
 )
+from tests.test_oracle import Cell, check, tpch_case
 
 
 @pytest.fixture(scope="module")
@@ -110,24 +110,12 @@ class TestQueriesAgainstReference:
 
 
 class TestDistributedExecution:
+    """Pinned cells of the differential oracle (``tests/test_oracle.py``)."""
+
     @pytest.mark.parametrize("qnum", [4, 12, 14, 19])
-    def test_modularis_matches_reference(self, catalog, qnum):
-        from repro.bench.experiments.fig9 import frames_match
+    def test_modularis_matches_reference(self, qnum):
+        check(tpch_case(qnum), Cell(ranks=4, strategy="auto"))
 
-        query = ALL_QUERIES[qnum]()
-        reference = run_logical_plan(query.plan, catalog)
-        lowered = lower_to_modularis(query.plan, catalog, SimCluster(4))
-        frame = lowered.result_frame(lowered.run(catalog))
-        assert frames_match(reference, frame, tolerance=1e-6)
-
-    def test_two_cluster_sizes_agree(self, catalog):
-        from repro.bench.experiments.fig9 import frames_match
-
-        query = q12()
-        small = lower_to_modularis(query.plan, catalog, SimCluster(2))
-        large = lower_to_modularis(query.plan, catalog, SimCluster(8))
-        assert frames_match(
-            small.result_frame(small.run(catalog)),
-            large.result_frame(large.run(catalog)),
-            tolerance=1e-9,
-        )
+    def test_two_cluster_sizes_agree(self):
+        for ranks in (2, 8):
+            check(tpch_case(12), Cell(ranks=ranks))

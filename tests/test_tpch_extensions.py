@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.options import RunOptions
-from repro.bench.experiments.fig9 import frames_match
 from repro.mpi.cluster import SimCluster
 from repro.relational import lower_to_modularis, run_logical_plan
 from repro.tpch import EXTENSION_QUERIES, load_catalog, q1
 from repro.tpch.schema import LINE_STATUSES, RETURN_FLAGS
+from tests.test_oracle import Cell, check, logical_case, tpch_case
 
 
 @pytest.fixture(scope="module")
@@ -50,12 +49,9 @@ class TestQ1Reference:
 class TestQ1Distributed:
     @pytest.mark.parametrize("machines", [1, 2, 8])
     def test_matches_reference(self, catalog, machines):
-        query = q1()
-        reference = run_logical_plan(query.plan, catalog)
-        lowered = lower_to_modularis(query.plan, catalog, SimCluster(machines))
+        lowered = lower_to_modularis(q1().plan, catalog, SimCluster(machines))
         assert lowered.strategy == "scan"
-        frame = lowered.result_frame(lowered.run(catalog))
-        assert frames_match(reference, frame, tolerance=1e-9)
+        check(tpch_case(1), Cell(ranks=machines))
 
     def test_no_exchange_in_single_table_plan(self, catalog):
         # A scan-aggregate query must not pay any network partitioning: the
@@ -65,12 +61,8 @@ class TestQ1Distributed:
         breakdown = result.phase_breakdown()
         assert breakdown.get("network_partition", 0.0) == 0.0
 
-    def test_interpreted_mode(self, catalog):
-        query = q1()
-        reference = run_logical_plan(query.plan, catalog)
-        lowered = lower_to_modularis(query.plan, catalog, SimCluster(2))
-        frame = lowered.result_frame(lowered.run(catalog, RunOptions(mode="interpreted")))
-        assert frames_match(reference, frame, tolerance=1e-9)
+    def test_interpreted_mode(self):
+        check(tpch_case(1), Cell(ranks=2, mode="interpreted"))
 
 
 class TestRegistry:
@@ -83,20 +75,9 @@ class TestQ3:
     def test_matches_reference(self, catalog):
         from repro.tpch import q3
 
-        query = q3()
-        reference = run_logical_plan(query.plan, catalog)
-        lowered = lower_to_modularis(query.plan, catalog, SimCluster(4))
+        lowered = lower_to_modularis(q3().plan, catalog, SimCluster(4))
         assert lowered.strategy == "multistage"
-        frame = lowered.result_frame(lowered.run(catalog))
-        # Ordered + limited output: compare columns positionally.
-        assert set(frame.columns) == set(reference.columns)
-        for name in reference.columns:
-            expected = reference.columns[name]
-            got = frame.columns[name]
-            if expected.dtype.kind == "f":
-                assert np.allclose(expected, got)
-            else:
-                assert expected.tolist() == got.tolist()
+        check(tpch_case(3), Cell(ranks=4))  # ordered and limited: compared in order
 
     def test_limit_and_ordering(self, catalog):
         from repro.tpch import q3
@@ -132,12 +113,8 @@ class TestQ6:
     def test_matches_reference_distributed(self, catalog):
         from repro.tpch import q6
 
-        query = q6()
-        reference = run_logical_plan(query.plan, catalog)
-        lowered = lower_to_modularis(query.plan, catalog, SimCluster(4))
-        assert lowered.strategy == "scan"
-        frame = lowered.result_frame(lowered.run(catalog))
-        assert frames_match(reference, frame, tolerance=1e-9)
+        assert lower_to_modularis(q6().plan, catalog, SimCluster(4)).strategy == "scan"
+        check(tpch_case(6), Cell(ranks=4))
 
     def test_manual_computation(self, catalog):
         from repro.relational.expressions import days_from_date
@@ -188,7 +165,4 @@ class TestMinMaxDistributed:
                 ],
             )
         )
-        reference = run_logical_plan(query.plan, catalog)
-        lowered = lower_to_modularis(query.plan, catalog, SimCluster(4))
-        frame = lowered.result_frame(lowered.run(catalog))
-        assert frames_match(reference, frame, tolerance=0)
+        check(logical_case(query, lambda: catalog, "min/max"), Cell(ranks=4))

@@ -10,12 +10,8 @@ from repro.workloads import (
     make_groupby_table,
     make_join_relations,
 )
-from repro.workloads.targets import (
-    ALL_TARGETS,
-    BUILTIN_TARGETS,
-    columns_match,
-    resolve,
-)
+from repro.relational import frames_match
+from repro.workloads.targets import ALL_TARGETS, BUILTIN_TARGETS, resolve
 
 
 class TestJoinWorkload:
@@ -122,17 +118,13 @@ class TestTargetCatalogue:
             assert sorted(columns[names.index("key")]) == list(range(256))
             assert {len(c) for c in columns} == {256}
             return
-        from repro.bench.experiments.fig9 import frames_match
         from repro.relational import run_logical_plan
-        from repro.relational.interpreter import Frame
         from repro.tpch import ALL_QUERIES, load_catalog
 
         reference = run_logical_plan(
             ALL_QUERIES[int(name[1:])]().plan, load_catalog(scale_factor=0.002)
         )
-        assert frames_match(
-            reference, Frame(dict(zip(names, columns))), tolerance=1e-6
-        )
+        assert frames_match(reference, (names, columns), tolerance=1e-6)
 
     def test_query_is_lowered_per_run_with_the_run_options(self):
         from repro.faults import FaultPolicy
@@ -146,8 +138,8 @@ class TestTargetCatalogue:
         assert target.planner_choice() == {
             "strategy": "exchange", "degraded_from": "broadcast",
         }
-        assert not columns_match(plain, ([], []))
-        assert columns_match(plain, pressured, ordered=False)
+        assert not frames_match(plain, ([], []))
+        assert frames_match(plain, pressured)
 
     def test_unknown_names_are_rejected(self):
         for name in ("nonsense", "q2"):
