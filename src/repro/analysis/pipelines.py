@@ -42,10 +42,12 @@ def _declared_batches(cls: type):
     """The ``batches`` implementation ``cls`` declares below ``Operator``.
 
     Returns ``None`` when the class just inherits the default (it never
-    chose a fused strategy); an explicit ``batches = Operator.batches``
-    alias counts as a declaration — the class has *opted out* of
-    vectorization on purpose, which silences MOD024.
+    chose a fused strategy); ``row_native = True`` counts as a declaration
+    of the default — the class has *opted out* of vectorization on
+    purpose, which silences MOD024.
     """
+    if cls.row_native:
+        return Operator.batches
     for klass in cls.__mro__:
         if klass is Operator:
             return None
@@ -187,6 +189,6 @@ def run(scope: ScopeInfo, reporter: Reporter) -> None:
                 "MOD024", op, paths[id(op)],
                 f"{type(target).__name__} has a vectorized batches() kernel "
                 f"but {type(op).__name__} consumes it row-by-row on this "
-                "fused edge; implement batches() on the consumer (or alias "
-                "`batches = Operator.batches` to record the scalar choice)",
+                "fused edge; implement batches() on the consumer (or declare "
+                "`row_native = True` to record the scalar choice)",
             )

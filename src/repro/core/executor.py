@@ -27,8 +27,10 @@ from repro.core.operator import Operator
 from repro.core.operators.parameter_lookup import ParameterSlot
 from repro.core.options import RunOptions
 from repro.core.plan import prepare
+from repro.errors import TypeCheckError
 from repro.mpi.cluster import ClusterResult
 from repro.observability.record import record_metrics
+from repro.types.collections import RowVector
 from repro.types.tuples import TupleType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -212,8 +214,10 @@ def execution_steps(
         # analyzer.  Failures always re-raise: we never get here for them.
         root._lint_verified = True
     prepare(root)
+    params = params or {}
+    _check_bindings(params)
     bound: list[int] = []
-    for slot, value in (params or {}).items():
+    for slot, value in params.items():
         ctx.push_parameter(slot.id, value)
         bound.append(slot.id)
         if ctx.metrics is not None:
@@ -275,6 +279,19 @@ def execution_steps(
         recovery_events=list(record.recovery_events),
         sanitizer=sanitizer_report,
     )
+
+
+def _check_bindings(params: dict[ParameterSlot, tuple]) -> None:
+    """Refuse an input relation of another schema than its slot's, on the
+    driver: inside the plan it would fail only at a scan on a rank thread."""
+    for slot, value in params.items():
+        for field, element in zip(slot.param_type, value):
+            expected = getattr(field.item_type, "element_type", None)
+            if isinstance(element, RowVector) and element.element_type != expected:
+                raise TypeCheckError(
+                    f"input {field.name!r} holds {element.element_type!r} "
+                    f"tuples but the plan was built for {expected!r}"
+                )
 
 
 def execute(

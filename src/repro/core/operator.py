@@ -114,6 +114,13 @@ class Operator:
     side_inputs: frozenset[int] = frozenset()
     heavy_loop: bool = False
 
+    #: The fused path *is* the row path: control operators (``Zip``,
+    #: ``CartesianProduct``, ``MpiExecutor``) move a handful of tuples that
+    #: hold whole collections, so packing them into morsels buys nothing.
+    #: :meth:`stream` then yields their rows directly in both modes, and the
+    #: static analyzer reads the flag as a deliberate scalar choice (MOD024).
+    row_native: bool = False
+
     #: Tuples emitted per run, as far as statically known: ``"one"``,
     #: ``"per_input"`` (one per tuple of upstream 0), ``"all_upstreams"``
     #: (exactly one iff every upstream emits exactly one) or ``"unproven"``.
@@ -229,7 +236,7 @@ class Operator:
 
     def stream(self, ctx: ExecutionContext) -> Iterator[tuple]:
         """The mode-dispatching row iterator consumers should use."""
-        if ctx.mode == "fused":
+        if ctx.mode == "fused" and not self.row_native:
             for batch in self.batches(ctx):
                 yield from batch.iter_rows()
         else:

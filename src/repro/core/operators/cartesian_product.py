@@ -26,6 +26,7 @@ class CartesianProduct(Operator):
     abbreviation = "CP"
     side_inputs = frozenset({0})
     cardinality = "all_upstreams"
+    row_native = True
 
     def __init__(self, left: Operator, right: Operator) -> None:
         super().__init__(upstreams=(left, right))
@@ -46,5 +47,3 @@ class CartesianProduct(Operator):
                     yield left_row + right_row
         finally:
             ctx.charge_cpu(self, "map", count)
-
-    batches = Operator.batches

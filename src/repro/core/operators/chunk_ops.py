@@ -20,7 +20,7 @@ from typing import Iterator
 
 from repro.core.context import ExecutionContext
 from repro.core.operator import Operator, scanned_collection
-from repro.errors import TypeCheckError
+from repro.errors import ExecutionError, TypeCheckError
 from repro.types.collections import ChunkedRowVector, RowVector, chunked_type
 from repro.types.tuples import TupleType
 
@@ -59,7 +59,7 @@ class ChunkScan(Operator):
         for row in self.upstreams[0].stream(ctx):
             collection = row[self._position]
             if collection.element_type != self.output_type:
-                raise TypeError(
+                raise ExecutionError(
                     f"ChunkScan expected {self.output_type!r} elements, found "
                     f"{collection.element_type!r}"
                 )
@@ -109,8 +109,6 @@ class MaterializeChunks(Operator):
             yield from batch.iter_rows()
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        from repro.types.collections import RowVectorBuilder
-
         element_type = self.upstreams[0].output_type
         data = RowVector.concat(
             element_type, list(self.upstreams[0].stream_batches(ctx))
@@ -120,6 +118,4 @@ class MaterializeChunks(Operator):
         ctx.clock.advance(
             ctx.cost.copy_cost(collection.size_bytes()), jitter=True
         )
-        out = RowVectorBuilder(self.output_type)
-        out.append((collection,))
-        yield out.finish()
+        yield RowVector.of_row(self.output_type, (collection,))

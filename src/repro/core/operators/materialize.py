@@ -120,6 +120,4 @@ class MaterializeRowVector(Operator):
             ctx.account_memory(vector.owned_bytes())
             if store is not None:
                 store.deposit(id(self), ctx.rank, vector)
-        out = RowVectorBuilder(self.output_type)
-        out.append((vector,))
-        yield out.finish()
+        yield RowVector.of_row(self.output_type, (vector,))

@@ -51,6 +51,7 @@ class MpiExecutor(Operator):
     abbreviation = "ME"
     phase_name = "mpi_executor"
     breaks_pipeline = True
+    row_native = True
 
     def __init__(
         self,
@@ -104,5 +105,3 @@ class MpiExecutor(Operator):
         from repro.faults.stage_recovery import run_wave
 
         return run_wave(self, ctx, wave, replicated)
-
-    batches = Operator.batches

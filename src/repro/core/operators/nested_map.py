@@ -96,19 +96,21 @@ class NestedMap(Operator):
             yield self._run_inner(ctx, row)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        # The per-invocation control flow is inherently tuple-at-a-time, but
-        # pulling whole morsels keeps the *upstream* pipeline fused and
-        # repackages the nested results into morsels for the consumer.
+        # The per-invocation control flow is tuple-at-a-time and its input
+        # is a few control tuples (one per partition), so they are read as
+        # rows.  The upstream is drained before the first nested run: its
+        # generators finish, charging their clocks and releasing their
+        # frames, before any nested plan allocates.
+        inputs = list(self.upstreams[0].stream(ctx))
         morsel_rows = ctx.morsel_rows_for(self.output_type)
         builder = RowVectorBuilder(self.output_type)
         emitted = False
-        for batch in self.upstreams[0].stream_batches(ctx):
-            for row in batch.iter_rows():
-                builder.append(self._run_inner(ctx, row))
-                if len(builder) >= morsel_rows:
-                    yield builder.finish()
-                    builder = RowVectorBuilder(self.output_type)
-                    emitted = True
+        for row in inputs:
+            builder.append(self._run_inner(ctx, row))
+            if len(builder) >= morsel_rows:
+                yield builder.finish()
+                builder = RowVectorBuilder(self.output_type)
+                emitted = True
         if len(builder) or not emitted:
             yield builder.finish()
 

@@ -8,6 +8,7 @@ from typing import Iterator
 from repro.core.context import ExecutionContext
 from repro.core.operator import Operator
 from repro.errors import TypeCheckError
+from repro.types.collections import RowVector
 from repro.types.tuples import TupleType
 
 __all__ = ["ParameterSlot", "ParameterLookup"]
@@ -60,3 +61,6 @@ class ParameterLookup(Operator):
 
     def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
         yield ctx.lookup_parameter(self.slot.id)
+
+    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
+        yield RowVector.of_row(self.output_type, ctx.lookup_parameter(self.slot.id))

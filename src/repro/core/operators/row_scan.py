@@ -14,6 +14,7 @@ from typing import Iterator
 
 from repro.core.context import ExecutionContext
 from repro.core.operator import Operator, scanned_collection
+from repro.errors import ExecutionError
 from repro.types.collections import RowVector
 from repro.types.tuples import TupleType
 
@@ -74,9 +75,10 @@ class RowScan(Operator):
         for row in self.upstreams[0].stream(ctx):
             collection = row[self._position]
             if collection.element_type != self.output_type:
-                # Cannot happen for plans that passed type checking, but a
-                # corrupted collection must not silently mis-scan.
-                raise TypeError(
+                # Cannot happen for plans that passed type checking over
+                # checked inputs, but a corrupted collection must not
+                # silently mis-scan.
+                raise ExecutionError(
                     f"RowScan expected {self.output_type!r} elements, "
                     f"found {collection.element_type!r}"
                 )

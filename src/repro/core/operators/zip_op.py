@@ -30,6 +30,8 @@ class Zip(Operator):
 
     abbreviation = "ZP"
     cardinality = "all_upstreams"
+    # Plumbing between materialization points in every plan of the paper.
+    row_native = True
 
     def infer_type(self, upstream_types):
         if len(upstream_types) < 2:
@@ -57,7 +59,3 @@ class Zip(Operator):
                 yield tuple(v for part in parts for v in part)
         finally:
             ctx.charge_cpu(self, "map", count)
-
-    # Zip is plumbing between materialization points in every plan of the
-    # paper; the row path is also the fused path.
-    batches = Operator.batches

@@ -213,8 +213,9 @@ class WindowSet:
     def window_of(self, rank: int) -> Window:
         return self._windows[rank]
 
-    def put(self, target_rank: int, offset: int, data: RowVector) -> None:
-        """One-sided write of ``data`` rows at ``offset`` on ``target_rank``.
+    def put(self, target_rank: int, offset: int, data: RowVector, rows=None) -> None:
+        """One-sided write of ``data`` — or only its rows at positions
+        ``rows``, a gathering put — at ``offset`` on ``target_rank``.
 
         The sender's clock is charged ``transfer_cost × (1 − overlap)``;
         the overlap discount models asynchronous RDMA writes hidden behind
@@ -227,7 +228,8 @@ class WindowSet:
         local memcpys and never fail.
         """
         comm = self._comm
-        payload = data.size_bytes()
+        n_rows = len(data) if rows is None else len(rows)
+        payload = n_rows * data.element_type.row_size_bytes()
         cost = comm.cost.transfer_cost(payload)
         if target_rank == comm.rank:
             cost = comm.cost.copy_cost(payload)
@@ -241,9 +243,10 @@ class WindowSet:
                     target_rank,
                 )
         sanitizer = comm.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_put(self._windows[target_rank], offset, data, comm.rank)
-        self._windows[target_rank].write(offset, data, source_rank=comm.rank)
+        if sanitizer is not None:  # it digests the rows as they travel
+            sent = data if rows is None else data.take(rows)
+            sanitizer.on_put(self._windows[target_rank], offset, sent, comm.rank)
+        self._windows[target_rank].write(offset, data, comm.rank, rows)
         start = comm.clock.now
         comm.clock.advance(cost)
         trace = comm.world.trace
@@ -251,7 +254,7 @@ class WindowSet:
             trace.emit(
                 comm.rank, "put", f"put->{target_rank}", start, comm.clock.now,
                 PutDetail(
-                    target=target_rank, rows=len(data), bytes=payload, seconds=cost
+                    target=target_rank, rows=n_rows, bytes=payload, seconds=cost
                 ),
             )
 

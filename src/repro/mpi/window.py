@@ -64,8 +64,9 @@ class Window:
 
     # -- one-sided access --------------------------------------------------
 
-    def write(self, offset: int, data: RowVector, source_rank: int) -> None:
-        """Deposit ``data`` at row ``offset`` on behalf of ``source_rank``.
+    def write(self, offset: int, data: RowVector, source_rank: int, rows=None) -> None:
+        """Deposit ``data`` — or its rows at positions ``rows``, gathered
+        straight into the window — at row ``offset`` for ``source_rank``.
 
         Raises:
             SimulationError: On out-of-bounds writes, element-type
@@ -76,7 +77,7 @@ class Window:
             raise SimulationError(
                 f"put of {data.element_type!r} into window of {self.element_type!r}"
             )
-        stop = offset + len(data)
+        stop = offset + (len(data) if rows is None else len(rows))
         if offset < 0 or stop > self.capacity:
             raise SimulationError(
                 f"put [{offset}, {stop}) outside window of capacity {self.capacity}"
@@ -90,7 +91,14 @@ class Window:
                 )
         self._epoch_writes.append((offset, stop, source_rank))
         for dst, src in zip(self._columns, data.columns):
-            dst[offset:stop] = src
+            if rows is None:
+                dst[offset:stop] = src
+            elif src.dtype == dst.dtype:
+                # "clip" skips the buffered, bounds-checked path of
+                # mode="raise"; a scatter order holds only valid positions.
+                src.take(rows, out=dst[offset:stop], mode="clip")
+            else:
+                dst[offset:stop] = src[rows]
 
     def read(self, start: int = 0, stop: int | None = None) -> RowVector:
         """Read rows ``[start, stop)`` as a RowVector (one-sided get)."""
@@ -102,7 +110,7 @@ class Window:
         sanitizer = self.sanitizer
         if sanitizer is not None:
             sanitizer.on_read(self, start, stop)
-        return RowVector(self.element_type, [col[start:stop] for col in self._columns])
+        return RowVector._view(self.element_type, [c[start:stop] for c in self._columns])
 
     # -- epochs --------------------------------------------------------------
 

@@ -88,8 +88,8 @@ class RowVector:
     """An immutable, columnar materialization of tuples of one type.
 
     The canonical way to build one is :class:`RowVectorBuilder` (used by the
-    ``MaterializeRowVector`` sub-operator) or :meth:`from_columns` (used by
-    bulk paths such as table scans and the network exchange).
+    ``MaterializeRowVector`` sub-operator) or the constructor over columns
+    (used by bulk paths such as table scans and the network exchange).
     """
 
     __slots__ = ("element_type", "_columns", "_length")
@@ -125,8 +125,22 @@ class RowVector:
         return builder.finish()
 
     @classmethod
-    def from_columns(cls, element_type: TupleType, columns: Sequence[np.ndarray]) -> "RowVector":
-        return cls(element_type, columns)
+    def of_row(cls, element_type: TupleType, row: tuple) -> "RowVector":
+        """A one-row vector holding ``row``, such as a control tuple."""
+        _check_arity(element_type, row)
+        return cls._view(
+            element_type, [_column_of([v], f.item_type) for f, v in zip(element_type, row)]
+        )
+
+    @classmethod
+    def _view(cls, element_type: TupleType, columns: Iterable[np.ndarray]) -> "RowVector":
+        """Wrap ``columns`` unchecked: the caller cut them alike from arrays
+        already known to fit ``element_type``."""
+        vector = object.__new__(cls)
+        vector.element_type = element_type
+        vector._columns = tuple(columns)
+        vector._length = len(vector._columns[0]) if vector._columns else 0
+        return vector
 
     @classmethod
     def concat(cls, element_type: TupleType, parts: Sequence["RowVector"]) -> "RowVector":
@@ -181,11 +195,11 @@ class RowVector:
 
     def take(self, indices: np.ndarray) -> "RowVector":
         """Gather rows by position into a new RowVector."""
-        return RowVector(self.element_type, [col[indices] for col in self._columns])
+        return self._view(self.element_type, [col[indices] for col in self._columns])
 
     def slice(self, start: int, stop: int) -> "RowVector":
         """Zero-copy contiguous slice (a morsel)."""
-        return RowVector(self.element_type, [col[start:stop] for col in self._columns])
+        return self._view(self.element_type, [col[start:stop] for col in self._columns])
 
     def size_bytes(self) -> int:
         """Flat payload size, the quantity the network cost model charges."""
@@ -266,6 +280,26 @@ def _pythonize_column(col: np.ndarray) -> list:
     return col.tolist()
 
 
+def _check_arity(element_type: TupleType, row: tuple) -> None:
+    if len(row) != len(element_type):
+        raise TypeCheckError(
+            f"row arity {len(row)} does not match type {element_type!r}"
+        )
+
+
+def _column_of(values: list, item_type: object) -> np.ndarray:
+    """One column holding ``values`` (Python scalars or nested collections)."""
+    dtype = _column_dtype(item_type)
+    if dtype != "object":
+        return np.array(values, dtype=dtype)
+    # Assign element-wise so numpy never tries to interpret a nested
+    # RowVector as a sequence to flatten.
+    col = np.empty(len(values), dtype=object)
+    for i, value in enumerate(values):
+        col[i] = value
+    return col
+
+
 class RowVectorBuilder:
     """Accumulates rows and freezes them into a :class:`RowVector`.
 
@@ -290,10 +324,7 @@ class RowVectorBuilder:
         return self._total
 
     def append(self, row: tuple) -> None:
-        if len(row) != len(self._buffers):
-            raise TypeCheckError(
-                f"row arity {len(row)} does not match type {self.element_type!r}"
-            )
+        _check_arity(self.element_type, row)
         for buf, value in zip(self._buffers, row):
             buf.append(value)
         self._count += 1
@@ -319,18 +350,10 @@ class RowVectorBuilder:
 
     def _seal_buffers(self) -> None:
         """Freeze the scalar buffers into a segment, preserving row order."""
-        columns = []
-        for buf, field in zip(self._buffers, self.element_type):
-            dtype = _column_dtype(field.item_type)
-            if dtype == "object":
-                # Assign element-wise so numpy never tries to interpret a
-                # nested RowVector as a sequence to flatten.
-                col = np.empty(len(buf), dtype=object)
-                for i, value in enumerate(buf):
-                    col[i] = value
-            else:
-                col = np.array(buf, dtype=dtype)
-            columns.append(col)
+        columns = [
+            _column_of(buf, field.item_type)
+            for buf, field in zip(self._buffers, self.element_type)
+        ]
         self._segments.append(RowVector(self.element_type, columns))
         self._buffers = [[] for _ in self.element_type]
         self._count = 0

@@ -62,7 +62,7 @@ class TupleType:
     as cache keys.
     """
 
-    __slots__ = ("_fields", "_index")
+    __slots__ = ("_fields", "_index", "_names", "_row_size")
 
     def __init__(self, fields: Iterable[Field]) -> None:
         fields = tuple(fields)
@@ -73,6 +73,12 @@ class TupleType:
             index[field.name] = pos
         self._fields = fields
         self._index = index
+        # Immutable, so the per-morsel queries are answered once here.
+        self._names = tuple(index)
+        self._row_size = sum(
+            f.item_type.size_bytes if isinstance(f.item_type, AtomType) else 8
+            for f in fields
+        )
 
     @classmethod
     def of(cls, **fields: ItemType) -> "TupleType":
@@ -90,7 +96,7 @@ class TupleType:
 
     @property
     def field_names(self) -> tuple[str, ...]:
-        return tuple(f.name for f in self._fields)
+        return self._names
 
     def __len__(self) -> int:
         return len(self._fields)
@@ -138,11 +144,7 @@ class TupleType:
 
     def row_size_bytes(self) -> int:
         """Flat byte width of one tuple; nested collections count as pointers."""
-        total = 0
-        for field in self._fields:
-            item = field.item_type
-            total += item.size_bytes if isinstance(item, AtomType) else 8
-        return total
+        return self._row_size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TupleType):

@@ -223,7 +223,7 @@ class _RowOnly(Operator):
 class _RowOnlyDeclared(_RowOnly):
     """Same consumer, but the scalar choice is recorded on purpose."""
 
-    batches = Operator.batches
+    row_native = True
 
 
 class TestDegradedFusedEdge:

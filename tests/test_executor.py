@@ -1,9 +1,11 @@
 """Unit tests for the driver-side executor."""
 
+import numpy as np
 import pytest
 
 from repro.core.options import RunOptions
 from repro.core.executor import execute
+from repro.core.plans import build_distributed_join
 from repro.core.functions import field_sum
 from repro.core.operators import (
     MaterializeRowVector,
@@ -12,8 +14,9 @@ from repro.core.operators import (
     Reduce,
     RowScan,
 )
-from repro.errors import ExecutionError
-from repro.types import INT64, TupleType, row_vector_type
+from repro.errors import ExecutionError, TypeCheckError
+from repro.mpi.cluster import SimCluster
+from repro.types import INT64, RowVector, TupleType, row_vector_type
 
 from tests.conftest import make_kv_table
 
@@ -74,6 +77,21 @@ class TestExecute:
         root, slot = simple_plan()
         result = execute(root, params={slot: (make_kv_table(4),)})
         assert result.phase_breakdown() == {}
+
+    def test_input_of_another_schema_refused_before_any_rank_starts(self, monkeypatch):
+        L = TupleType.of(key=INT64, lpay=INT64)
+        R = TupleType.of(key=INT64, rpay=INT64)
+        other = TupleType.of(key=INT64, other=INT64)
+        plan = build_distributed_join(SimCluster(2), L, R, key_bits=8)
+
+        def no_job(*args, **kwargs):
+            raise AssertionError("a rank started")
+
+        monkeypatch.setattr(SimCluster, "run", no_job)
+        left = RowVector(other, [np.arange(8), np.arange(8)])
+        right = RowVector(R, [np.arange(8), np.arange(8)])
+        with pytest.raises(TypeCheckError, match="'left' holds <key: INT64, other: INT64>"):
+            plan.run(left, right)
 
 
 class TestEvidenceBelongsToTheExecution:

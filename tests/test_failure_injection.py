@@ -12,6 +12,7 @@ import pytest
 from repro.core.context import ExecutionContext
 from repro.core.functions import RadixPartition
 from repro.core.operators import (
+    ChunkScan,
     LocalHistogram,
     MaterializeRowVector,
     MpiExchange,
@@ -25,6 +26,7 @@ from repro.core.operators import (
 from repro.core.plan import prepare
 from repro.errors import ExecutionError, SimulationError
 from repro.types import INT64, RowVector, TupleType, row_vector_type
+from repro.types.collections import ChunkedRowVector, chunked_type
 
 from tests.conftest import make_kv_table, table_source
 
@@ -165,5 +167,16 @@ class TestDataCorruption:
         )
         scan = RowScan(table_source(outer, ctx), field="t")
         flat = RowScan(scan, field="data")
-        with pytest.raises(TypeError, match="RowScan expected"):
+        with pytest.raises(ExecutionError, match="RowScan expected"):
+            list(flat.stream(ctx))
+
+    def test_corrupted_chunked_collection_type(self, ctx):
+        wrong = ChunkedRowVector.from_row_vector(
+            RowVector.from_rows(TupleType.of(z=INT64), [(1,)]), chunk_rows=1
+        )
+        outer = RowVector(
+            TupleType.of(data=chunked_type(KV)), [np.array([wrong], dtype=object)]
+        )
+        flat = ChunkScan(RowScan(table_source(outer, ctx), field="t"), field="data")
+        with pytest.raises(ExecutionError, match="ChunkScan expected"):
             list(flat.stream(ctx))

@@ -16,14 +16,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.compression import RadixCompression
 from repro.core.context import ExecutionContext
-from repro.core.functions import field_sum
+from repro.core.executor import execute
+from repro.core.functions import RadixPartition, field_sum
 from repro.core.kernels import scatter
 from repro.core.kernels.scatter import key_order, partition_layout, stable_order
-from repro.core.operators import MpiExchange, ReduceByKey, RowScan
+from repro.core.operators import MaterializeRowVector, ParameterSlot, ReduceByKey, RowScan
+from repro.core.plans.fragments import collect, exchange, sharded_scan
 from repro.core.plans.join import build_distributed_join
 from repro.mpi.cluster import SimCluster
-from repro.types import INT64, STRING, RowVector, TupleType
+from repro.mpi.comm import WindowSet
+from repro.types import INT64, STRING, RowVector, TupleType, row_vector_type
 
 from tests.conftest import table_source
 
@@ -147,22 +151,47 @@ class TestShortcutsAreCounted:
         right = RowVector(R, [np.arange(96) % 8, np.arange(96) % 32])
         plan = build_distributed_join(SimCluster(1), L, R, key_bits=6, compression=False)
         sent = []
-        original = MpiExchange._send_partition
+        original = WindowSet.put
 
-        def spy(self, ctx, windows, base, prefix, pending, pid, rows):
-            sent.append(rows)
-            return original(self, ctx, windows, base, prefix, pending, pid, rows)
+        def spy(self, target, offset, data, rows=None):
+            sent.append((data, rows))
+            return original(self, target, offset, data, rows)
 
-        monkeypatch.setattr(MpiExchange, "_send_partition", spy)
+        monkeypatch.setattr(WindowSet, "put", spy)
         result = plan.run(left, right)
         assert len(plan.matches(result)) == 64 * 12
         inputs = {"lpay": left, "rpay": right}
         assert len(sent) == 2
-        for rows in sent:
-            source = inputs[rows.element_type.field_names[1]]
-            assert len(rows) == len(source)
-            for sent_col, source_col in zip(rows.columns, source.columns):
+        for data, rows in sent:
+            source = inputs[data.element_type.field_names[1]]
+            assert rows is None and len(data) == len(source)
+            for sent_col, source_col in zip(data.columns, source.columns):
                 assert np.shares_memory(sent_col, source_col)
+
+    @pytest.mark.parametrize("compression", [False, True])
+    def test_exchange_gathers_into_the_windows_without_take(self, monkeypatch, compression):
+        # Each put gathers its partition straight from the morsel into the
+        # window; a `take` into scatter order first would copy every byte
+        # twice.  The plan is the bare exchange ladder: a local level's
+        # in-memory scatter does take.
+        table = RowVector(KV, [np.arange(1000) % 256, np.arange(1000) % 200])
+        slot = ParameterSlot(TupleType.of(t=row_vector_type(KV)))
+
+        def worker(s):
+            shuffled = exchange(
+                sharded_scan(s, "t"), RadixPartition("key", 4), "pid", "data",
+                RadixCompression(8, 2) if compression else None,
+            ).suppress("MOD023")
+            return MaterializeRowVector(RowScan(shuffled, field="data"), field="result")
+
+        _, flat = collect(slot, worker, SimCluster(4))
+
+        def no_take(self, indices):
+            raise AssertionError("the exchange must not take() a morsel")
+
+        monkeypatch.setattr(RowVector, "take", no_take)
+        report = execute(flat, params={slot: (table,)})
+        assert len(report.rows) == len(table)
 
 
 KS = TupleType.of(key=STRING, value=INT64)

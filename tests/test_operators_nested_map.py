@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.context import ExecutionContext
 from repro.core.functions import field_sum
+from repro.core.operator import Operator
 from repro.core.operators import (
     MaterializeRowVector,
     NestedMap,
@@ -113,3 +115,38 @@ class TestNestedMap:
     def test_nested_roots_exposed(self, ctx):
         nested = NestedMap(partitions_source(ctx, [1]), sum_inner)
         assert nested.nested_roots() == (nested.inner,)
+
+    def test_upstream_finishes_before_the_first_nested_run(self):
+        # One morsel per partition tuple, so a lazy reader would interleave
+        # nested runs with the upstream; the upstream's generators must
+        # finish (charging their clocks, releasing their frames) first.
+        ctx = ExecutionContext(morsel_rows=1)
+        log = []
+
+        def logged_inner(slot):
+            data = RowScan(Projection(ParameterLookup(slot), ["data"]))
+            return MaterializeRowVector(_Logged(data, log, "nested"))
+
+        upstream = _Logged(partitions_source(ctx, sizes=[2, 3, 1]), log, "upstream")
+        assert len(list(NestedMap(upstream, logged_inner).stream(ctx))) == 3
+        assert log == ["upstream start", "upstream end"] + ["nested start", "nested end"] * 3
+
+
+class _Logged(Operator):
+    """Passes its upstream's morsels through, logging start and end."""
+
+    abbreviation = "LG"
+
+    def __init__(self, upstream, log, name):
+        self.log, self.name = log, name
+        super().__init__(upstreams=(upstream,))
+
+    def infer_type(self, upstream_types):
+        return upstream_types[0]
+
+    def batches(self, ctx):
+        self.log.append(f"{self.name} start")
+        try:
+            yield from self.upstreams[0].stream_batches(ctx)
+        finally:
+            self.log.append(f"{self.name} end")

@@ -144,6 +144,17 @@ class TestMpiExchange:
         )
         assert [len(rows) for rows in result.per_rank] == [1, 1, 0, 0]
 
+    @pytest.mark.parametrize("n_parts, n_ranks", [(1, 1), (8, 4), (16, 3), (2, 4), (4, 8)])
+    def test_layout_table_matches_the_per_owner_loop(self, ctx, n_parts, n_ranks):
+        scan = RowScan(table_source(make_kv_table(4), ctx), field="t")
+        exchange = _ExchangeHarness.plan(scan, n_parts)
+        counts = np.random.default_rng(n_parts).integers(0, 50, n_parts)
+        expected = np.zeros(n_parts, dtype=np.int64)
+        for rank in range(n_ranks):
+            owned = np.arange(rank, n_parts, n_ranks)
+            expected[owned] = np.cumsum(counts[owned]) - counts[owned]
+        assert exchange._layout_table(counts, n_ranks).tolist() == expected.tolist()
+
 
 class TestMpiBroadcast:
     def test_every_rank_sees_all_tuples(self, cluster4):

@@ -283,11 +283,16 @@ class TestFixedCostGuard:
             lowered = lower_to_modularis(
                 q12().plan, catalog, SimCluster(8), local_fanout=local_fanout
             )
-            metrics = lowered.run(catalog, RunOptions(metrics=True)).metrics
+            report = lowered.run(catalog, RunOptions(metrics=True))
+            metrics = report.metrics
             return (
                 metrics.value("operator_calls", op="BuildProbe"),
                 metrics.total("morsels_drained"),
+                metrics.total("comm_puts"),
+                metrics.total("shuffle_bytes"),
+                report.simulated_time,
             )
 
-        assert counts(None) == (8, 210)
-        assert counts(16) == (128, 1274)
+        # Control tuples reach NestedMap as rows, so no morsel carries them.
+        assert counts(None) == (8, 202, 127, 613_480, 0.0007572127960726466)
+        assert counts(16)[:2] == (128, 1258)
