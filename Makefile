@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint bench bench-smoke bench-e2e chaos-soak sanitize-soak serve-soak serve-chaos slo-smoke profile examples
+.PHONY: test lint bench bench-smoke bench-e2e oracle-soak chaos-soak sanitize-soak serve-soak serve-chaos slo-smoke profile examples
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -31,6 +31,28 @@ bench-smoke:
 # (BENCHMARK.json; see benchmarks/e2e/README.md for running a workload).
 bench-e2e:
 	$(PYTHON) -m pytest -q benchmarks/e2e
+
+# Differential-oracle soak: 1,500 random (not derandomized) examples of
+# tests/test_oracle.py, with every executed plan statically verified.  Run
+# it after any change to how plans execute (~2 min); a failure prints the
+# shrunk example to pin as an @example.
+define ORACLE_SOAK
+import repro.core.executor
+repro.core.executor.VERIFY_PLANS = True
+from hypothesis import HealthCheck, given, settings, strategies as st
+from tests.test_oracle import bulk_cases, cells, check, logical_cases
+@settings(max_examples=1500, deadline=None, database=None,
+          suppress_health_check=list(HealthCheck))
+@given(case=st.one_of(logical_cases(), bulk_cases()), cell=cells)
+def explore(case, cell):
+    check(case, cell)
+explore()
+print("oracle soak: 1500 examples OK")
+endef
+export ORACLE_SOAK
+
+oracle-soak:
+	PYTHONPATH=src:. $(PYTHON) -W ignore -c "$$ORACLE_SOAK"
 
 # Seeded fault-injection soak: every builtin plan and TPC-H query must
 # stay bit-identical to its fault-free run under transient comm faults,

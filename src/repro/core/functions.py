@@ -188,9 +188,7 @@ class _KeyedPartition(PartitionFunction):
                 f"type {input_type!r}"
             )
         atom = input_type[self.key_field]
-        if not (
-            isinstance(atom, AtomType) and np.dtype(atom.numpy_dtype).kind in "iub"
-        ):
+        if not (isinstance(atom, AtomType) and atom.domain_kind in "iub"):
             raise TypeCheckError(
                 f"partition key {self.key_field!r} is a {atom!r}, which is not "
                 "stored as an integer; partition functions read the key's bits",

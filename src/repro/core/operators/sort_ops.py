@@ -61,7 +61,7 @@ class LocalSort(Operator):
         (upstream,) = upstream_types
         require_fields("LocalSort", upstream, self.keys)
         for key, desc in zip(self.keys, self.descending):
-            kind = np.dtype(getattr(upstream[key], "numpy_dtype", object)).kind
+            kind = getattr(upstream[key], "domain_kind", "O")
             if desc and kind not in "iuf":
                 raise TypeCheckError(
                     f"descending sort key {key!r} is a {upstream[key]!r}; a key "

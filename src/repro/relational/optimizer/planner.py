@@ -24,10 +24,16 @@ Lowering steps:
    final one on the driver.  The ladders and levels themselves are
    :mod:`repro.core.plans.fragments` (``partitioned_join``, ``replicate``);
    this module decides what to pass them.
+
+Strings are codes until the result frame: a lowered query binds each
+string column as int32 codes into one sorted dictionary
+(:class:`_Dictionary`) and decodes only in
+:meth:`ModularisQuery.result_frame`.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +68,7 @@ from repro.core.plans.fragments import (
 )
 from repro.errors import PlanError
 from repro.mpi.cluster import SimCluster
-from repro.relational.expressions import Expression, col, infer_atom_type, lit
+from repro.relational.expressions import Column, Expression, Literal, col, infer_atom_type, lit
 from repro.relational.interpreter import Frame
 from repro.relational.logical import (
     AggregateNode,
@@ -77,6 +83,8 @@ from repro.relational.logical import (
 )
 from repro.relational.optimizer.rules import optimize
 from repro.storage.catalog import Catalog
+from repro.storage.table import Table
+from repro.types.atoms import AtomType, string_codes
 from repro.types.collections import RowVector, row_vector_type
 from repro.types.tuples import Field, TupleType
 
@@ -228,17 +236,117 @@ def _extract_shape(plan: LogicalPlan, catalog: Catalog) -> _Shape:
     )
 
 
+def _sides(shape: _Shape) -> list[_Side]:
+    """The base-table inputs in slot order: left, right, then each stage."""
+    if shape.right is None:
+        return [shape.left]
+    return [shape.left, shape.right, *(stage.side for stage in shape.extra_stages)]
+
+
+def _expressions(shape: _Shape):
+    """Every expression the shape evaluates, and each of their sub-expressions."""
+    roots = [shape.post_filter, *(agg.expr for agg in shape.aggregates)]
+    roots += [expr for _alias, expr in shape.final_outputs or ()]
+    for side in _sides(shape):
+        roots += [side.predicate, *(expr for _alias, expr in side.outputs)]
+    stack = [root for root in roots if root is not None]
+    while stack:
+        expr = stack.pop()
+        yield expr
+        stack += [c for c in vars(expr).values() if isinstance(c, Expression)]
+
+
+# -- strings ----------------------------------------------------------------------
+
+
+def _is_string(atom: object) -> bool:
+    return isinstance(atom, AtomType) and atom.name == "STRING"
+
+
+class _Dictionary:
+    """The lowered query's one sorted string dictionary.
+
+    Inside the engine a STRING value is an int32 code into ``values``, the
+    sorted union of the dictionaries of the string columns the query binds
+    and the string literals it names.  Codes order as their strings do and
+    every input shares them, so joins, group keys, ORDER BY, MIN/MAX and
+    column-to-column comparisons are exact on codes; a sub-expression over
+    a single string column is evaluated once, over ``values``, and then
+    looked up by code (:meth:`lower`).
+    """
+
+    def __init__(self, shape: _Shape, catalog: Catalog) -> None:
+        tables = [(catalog.get(side.table), side) for side in _sides(shape)]
+        parts = [t.dictionaries[c][0] for t, side in tables for c in side.columns
+                 if c in t.dictionaries]
+        parts += [np.array([e.value]) for e in _expressions(shape)
+                  if isinstance(e, Literal) and isinstance(e.value, str)]
+        self.values = np.unique(np.concatenate(parts)) if parts else np.empty(0, "U1")
+
+    def encode(self, table: Table, column: str) -> np.ndarray:
+        """``column``'s codes into this dictionary (a remap of the table's)."""
+        values, codes = table.dictionaries[column]
+        if not np.isin(values, self.values).all():
+            raise PlanError(f"{table.name}.{column} changed since this query was lowered")
+        if len(values) == len(self.values):
+            return codes
+        return np.searchsorted(self.values, values).astype(np.int32)[codes]
+
+    def lower(self, expr: Expression, schema: TupleType) -> Expression:
+        """``expr`` over codes: each largest sub-expression that reads one
+        string column and nothing else becomes a table indexed by code,
+        computed by the expression itself over the dictionary (cut to the
+        column's width, so it sees the values the column holds)."""
+        names = expr.references()
+        if len(names) == 1 and not isinstance(expr, Column):
+            (name,) = names
+            atom = schema[name] if name in schema else None
+            if _is_string(atom):
+                over = self.values.astype(f"U{atom.width}")
+                table = np.asarray(expr.evaluate({name: over}))
+                return _ByCode(name, np.broadcast_to(table, over.shape))
+        lowered = copy.copy(expr)
+        for attr, child in vars(expr).items():
+            if isinstance(child, Expression):
+                setattr(lowered, attr, self.lower(child, schema))
+        return lowered
+
+    def output(self, expr: Expression, schema: TupleType) -> tuple[Expression, object]:
+        """A Map output over codes and its atom: a string literal is its code."""
+        if isinstance(expr, Literal) and isinstance(expr.value, str):
+            code = int(np.searchsorted(self.values, expr.value))
+            return Literal(code), string_codes(max(1, len(expr.value)))
+        return self.lower(expr, schema), infer_atom_type(expr, schema)
+
+
+class _ByCode(Expression):
+    """A sub-expression over one string column, tabulated by code."""
+
+    def __init__(self, name: str, table: np.ndarray) -> None:
+        self.name = name
+        self.table = table
+
+    def evaluate(self, columns):
+        return self.table[columns[self.name]]
+
+    def references(self) -> set[str]:
+        return {self.name}
+
+
 # -- expression lowering ----------------------------------------------------------
 
 
 def _expr_tuple_fn(
-    outputs: tuple[tuple[str, Expression], ...], input_type: TupleType
+    outputs: tuple[tuple[str, Expression], ...],
+    input_type: TupleType,
+    strings: _Dictionary,
 ) -> TupleFunction:
     """Compile named expressions into a vectorizable Map UDF."""
     names = input_type.field_names
-    exprs = [expr for _alias, expr in outputs]
+    lowered = [strings.output(expr, input_type) for _alias, expr in outputs]
+    exprs = [expr for expr, _atom in lowered]
     out_type = TupleType(
-        Field(alias, infer_atom_type(expr, input_type)) for alias, expr in outputs
+        Field(alias, atom) for (alias, _expr), (_, atom) in zip(outputs, lowered)
     )
     dtypes = [f.item_type.numpy_dtype for f in out_type]
 
@@ -269,8 +377,11 @@ def _broadcast(values: np.ndarray, n: int, dtype: str) -> np.ndarray:
     return values.astype(dtype, copy=False)
 
 
-def _expr_predicate(expr: Expression, input_type: TupleType) -> Predicate:
+def _expr_predicate(
+    expr: Expression, input_type: TupleType, strings: _Dictionary
+) -> Predicate:
     names = input_type.field_names
+    expr = strings.lower(expr, input_type)
 
     def scalar(row: tuple) -> bool:
         return bool(expr.evaluate(dict(zip(names, row))))
@@ -289,7 +400,7 @@ def _agg_reduce_fn(aggregates: tuple[AggregateSpec, ...]) -> ReduceFunction:
         out = []
         for func, a, b in zip(funcs, acc, row):
             if func in ("sum", "count"):
-                out.append(a + b)
+                out.append(_wrap_int64(a + b))
             elif func == "min":
                 out.append(min(a, b))
             else:
@@ -300,6 +411,13 @@ def _agg_reduce_fn(aggregates: tuple[AggregateSpec, ...]) -> ReduceFunction:
     if all(f in ("sum", "count") for f in funcs):
         sum_fields = tuple(a.alias for a in aggregates)
     return ReduceFunction(combine, vectorized_sum_fields=sum_fields)
+
+
+def _wrap_int64(total: object) -> object:
+    """An integer sum wrapped as numpy's int64 sum wraps it (the fused kernel)."""
+    if isinstance(total, int):
+        return (total + (1 << 63)) % (1 << 64) - (1 << 63)
+    return total
 
 
 def _agg_input_outputs(shape: _Shape) -> tuple[tuple[str, Expression], ...]:
@@ -324,6 +442,9 @@ class ModularisQuery:
     cluster: SimCluster
     shape: _Shape
     output_columns: tuple[str, ...]
+    #: The dictionary every STRING value is a code into, from ``bind``
+    #: until :meth:`result_frame`.
+    strings: _Dictionary
     #: Join strategy the lowering chose: "exchange" or "broadcast".
     strategy: str = "exchange"
     #: Local (second-level) partitioning fan-out the lowering used — the
@@ -341,18 +462,13 @@ class ModularisQuery:
         ``execution`` both go through here.
         """
         tables = []
-        sides = [self.shape.left]
-        if self.shape.right is not None:
-            sides.append(self.shape.right)
-            sides.extend(stage.side for stage in self.shape.extra_stages)
-        for side in sides:
-            data = catalog.get(side.table).data
-            pruned = TupleType(
-                Field(c, data.element_type[c]) for c in side.columns
-            )
-            tables.append(
-                RowVector(pruned, [data.column(c) for c in side.columns])
-            )
+        for side in _sides(self.shape):
+            table = catalog.get(side.table)
+            tables.append(RowVector(_pruned_schema(catalog, side), [
+                self.strings.encode(table, c) if c in table.dictionaries
+                else table.data.column(c)
+                for c in side.columns
+            ]))
         return tuple(tables)
 
     def execution(
@@ -428,14 +544,16 @@ class ModularisQuery:
         if not self.shape.group_by and len(vector) == 0 and self.shape.limit != 0:
             return Frame(
                 {
-                    field.name: np.zeros(1, dtype=field.item_type.numpy_dtype)
+                    field.name: np.zeros(1, dtype="U1" if _is_string(field.item_type)
+                                         else field.item_type.numpy_dtype)
                     for field in vector.element_type
                 }
             )
         return Frame(
             {
-                name: vector.column(name)
-                for name in vector.element_type.field_names
+                field.name: self.strings.values[vector.column(field.name)]
+                if _is_string(field.item_type) else vector.column(field.name)
+                for field in vector.element_type
             }
         )
 
@@ -582,6 +700,7 @@ def lower_to_modularis(
         local_fanout, strategy, shape, catalog, n_net,
         cluster.cost_model.cache_budget_bytes,
     )
+    strings = _Dictionary(shape, catalog)
 
     left_schema = _pruned_schema(catalog, shape.left)
     if shape.right is None:
@@ -604,8 +723,11 @@ def lower_to_modularis(
     def side_stream(worker_slot: ParameterSlot, side: _Side, schema, param: str) -> Operator:
         stream: Operator = sharded_scan(worker_slot, param)
         if side.predicate is not None:
-            stream = Filter(stream, _expr_predicate(side.predicate, schema))
-        return Map(stream, _expr_tuple_fn(side.outputs, schema))
+            stream = Filter(stream, _expr_predicate(side.predicate, schema, strings))
+        return Map(stream, _expr_tuple_fn(side.outputs, schema, strings))
+
+    def post_join(stream: Operator) -> Operator:
+        return _post_join(stream, shape, strings)
 
     def merge(stream: Operator) -> Operator:
         return _merge_partials(stream, shape)
@@ -630,8 +752,8 @@ def lower_to_modularis(
                 side_stream(worker_slot, shape.right, right_schema, "right"),
             ],
             ("_l", "_r"), shape.key, fanouts[0],
-            lambda scans: _post_join(
-                BuildProbe(*scans, keys=shape.key, join_type=shape.join_kind), shape
+            lambda scans: post_join(
+                BuildProbe(*scans, keys=shape.key, join_type=shape.join_kind)
             ),
             merge, "agg",
         )
@@ -641,16 +763,15 @@ def lower_to_modularis(
         build = side_stream(worker_slot, shape.left, left_schema, "left")
         replicated = replicate(build, shape.key)
         probe = side_stream(worker_slot, shape.right, right_schema, "right")
-        stream = _post_join(
-            BuildProbe(replicated, probe, keys=shape.key, join_type=shape.join_kind),
-            shape,
+        stream = post_join(
+            BuildProbe(replicated, probe, keys=shape.key, join_type=shape.join_kind)
         )
         merged = _merge_partials(stream, shape)
         return MaterializeRowVector(merged, field="result")
 
     def build_worker_single(worker_slot: ParameterSlot) -> Operator:
         stream = side_stream(worker_slot, shape.left, left_schema, "left")
-        merged = _merge_partials(_post_join(stream, shape), shape)
+        merged = _merge_partials(post_join(stream), shape)
         return MaterializeRowVector(merged, field="result")
 
     def build_worker_cascade(worker_slot: ParameterSlot) -> Operator:
@@ -672,7 +793,7 @@ def lower_to_modularis(
             acc = scans[0]
             for side_scan in scans[1:]:
                 acc = BuildProbe(side_scan, acc, keys=shape.key)
-            return _post_join(acc, shape)
+            return post_join(acc)
 
         flat = exchange_join(
             [side_stream(worker_slot, side, schema, p) for p, side, schema in sides],
@@ -702,7 +823,7 @@ def lower_to_modularis(
                 ),
                 lambda matches: matches, "matches",
             )
-        return MaterializeRowVector(merge(_post_join(stream, shape)), field="result")
+        return MaterializeRowVector(merge(post_join(stream)), field="result")
 
     if strategy == "scan":
         build_worker = build_worker_single
@@ -718,7 +839,7 @@ def lower_to_modularis(
     final = _merge_partials(flat, shape)
     if shape.final_outputs is not None:
         final = Map(
-            final, _expr_tuple_fn(shape.final_outputs, final.output_type)
+            final, _expr_tuple_fn(shape.final_outputs, final.output_type, strings)
         )
     if shape.order_by is not None:
         keys, descending = shape.order_by.total_order(final.output_type.field_names)
@@ -740,6 +861,7 @@ def lower_to_modularis(
         cluster=cluster,
         shape=shape,
         output_columns=root.output_type["result"].element_type.field_names,
+        strings=strings,
         strategy=strategy,
         local_fanout=max(fanouts),
         degraded_from=degraded_from,
@@ -747,8 +869,13 @@ def lower_to_modularis(
 
 
 def _pruned_schema(catalog: Catalog, side: _Side) -> TupleType:
-    schema = catalog.get(side.table).schema
-    return TupleType(Field(c, schema[c]) for c in side.columns)
+    """The side's columns as the engine binds them: a string column as codes."""
+    table = catalog.get(side.table)
+    return TupleType(
+        Field(c, string_codes(table.data.column(c).dtype.itemsize // 4))
+        if c in table.dictionaries else Field(c, table.schema[c])
+        for c in side.columns
+    )
 
 
 def _merge_partials(stream: Operator, shape: _Shape) -> Operator:
@@ -758,9 +885,13 @@ def _merge_partials(stream: Operator, shape: _Shape) -> Operator:
     return Reduce(stream, _agg_reduce_fn(shape.aggregates))
 
 
-def _post_join(stream: Operator, shape: _Shape) -> Operator:
+def _post_join(stream: Operator, shape: _Shape, strings: _Dictionary) -> Operator:
     """Residual filter plus the projection feeding the partial aggregation."""
     if shape.post_filter is not None:
-        stream = Filter(stream, _expr_predicate(shape.post_filter, stream.output_type))
-    return Map(stream, _expr_tuple_fn(_agg_input_outputs(shape), stream.output_type))
+        stream = Filter(
+            stream, _expr_predicate(shape.post_filter, stream.output_type, strings)
+        )
+    return Map(
+        stream, _expr_tuple_fn(_agg_input_outputs(shape), stream.output_type, strings)
+    )
 

@@ -11,6 +11,7 @@ runs scale factor 500; benchmarks here default to laptop scale (SF 0.01–
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from repro.errors import ModularisError
 from repro.relational.expressions import days_from_date
 from repro.storage.catalog import Catalog
-from repro.storage.table import Table
+from repro.storage.table import Table, dictionary_encode
 from repro.tpch.schema import (
     CONTAINER_SYLLABLES,
     MARKET_SEGMENTS,
@@ -51,8 +52,28 @@ class TpchData:
         return catalog
 
 
-def _pick(rng: np.random.Generator, pool: tuple[str, ...], n: int) -> np.ndarray:
-    return np.asarray(pool, dtype="U32")[rng.integers(0, len(pool), size=n)]
+def _pick(rng: np.random.Generator, pool: tuple[str, ...], n: int) -> tuple:
+    return pool, rng.integers(0, len(pool), size=n)
+
+
+def _combine(rng: np.random.Generator, pools: tuple, fmt: str, n: int) -> tuple:
+    """One value drawn per pool, in order, joined by ``fmt``."""
+    index = np.ravel_multi_index(
+        [rng.integers(0, len(pool), size=n) for pool in pools], [len(p) for p in pools]
+    )
+    return [fmt.format(*combo) for combo in itertools.product(*pools)], index
+
+
+def _table(name: str, **columns) -> Table:
+    """``Table.from_arrays``, where a ``(pool, index)`` pair is the string
+    column ``pool[index]`` handed over with its dictionary: no row is sorted."""
+    dictionaries = {}
+    for column, value in columns.items():
+        if isinstance(value, tuple):
+            pool = np.asarray(value[0], dtype="U32")
+            dictionaries[column] = dictionary_encode(pool, value[1])
+            columns[column] = pool[value[1]]
+    return Table.from_arrays(name, dictionaries, **columns)
 
 
 def _retail_price(partkeys: np.ndarray) -> np.ndarray:
@@ -71,40 +92,13 @@ def generate(scale_factor: float = 0.01, seed: int = 2021) -> TpchData:
     n_parts = max(int(ROWS_PER_SF["part"] * scale_factor), 16)
 
     # -- part ---------------------------------------------------------------
-    partkeys = np.arange(n_parts, dtype=np.int64)
-    brands = np.array(
-        [
-            f"Brand#{m}{n}"
-            for m, n in zip(
-                rng.integers(1, 6, size=n_parts), rng.integers(1, 6, size=n_parts)
-            )
-        ],
-        dtype="U32",
-    )
-    types = np.array(
-        [
-            f"{a} {b} {c}"
-            for a, b, c in zip(
-                _pick(rng, TYPE_SYLLABLES[0], n_parts),
-                _pick(rng, TYPE_SYLLABLES[1], n_parts),
-                _pick(rng, TYPE_SYLLABLES[2], n_parts),
-            )
-        ],
-        dtype="U32",
-    )
-    containers = np.array(
-        [
-            f"{a} {b}"
-            for a, b in zip(
-                _pick(rng, CONTAINER_SYLLABLES[0], n_parts),
-                _pick(rng, CONTAINER_SYLLABLES[1], n_parts),
-            )
-        ],
-        dtype="U32",
-    )
-    part = Table.from_arrays(
+    digits = tuple("12345")
+    brands = _combine(rng, (digits, digits), "Brand#{}{}", n_parts)
+    types = _combine(rng, TYPE_SYLLABLES, "{} {} {}", n_parts)
+    containers = _combine(rng, CONTAINER_SYLLABLES, "{} {}", n_parts)
+    part = _table(
         "part",
-        p_partkey=partkeys,
+        p_partkey=np.arange(n_parts, dtype=np.int64),
         p_brand=brands,
         p_type=types,
         p_size=rng.integers(1, 51, size=n_parts).astype(np.int64),
@@ -113,7 +107,7 @@ def generate(scale_factor: float = 0.01, seed: int = 2021) -> TpchData:
 
     # -- customer ------------------------------------------------------------
     n_customers = max(int(ROWS_PER_SF["customer"] * scale_factor), 8)
-    customer = Table.from_arrays(
+    customer = _table(
         "customer",
         c_custkey=np.arange(n_customers, dtype=np.int64),
         c_mktsegment=_pick(rng, MARKET_SEGMENTS, n_customers),
@@ -124,7 +118,7 @@ def generate(scale_factor: float = 0.01, seed: int = 2021) -> TpchData:
     orderdates = rng.integers(
         _START_DATE, _END_DATE - 151, size=n_orders
     ).astype(np.int64)
-    orders = Table.from_arrays(
+    orders = _table(
         "orders",
         o_orderkey=orderkeys,
         o_custkey=rng.integers(0, n_customers, size=n_orders).astype(np.int64),
@@ -150,10 +144,8 @@ def generate(scale_factor: float = 0.01, seed: int = 2021) -> TpchData:
     # days are still open ("O"); closed lines return "R" or "A" evenly.
     current_date = days_from_date("1995-06-17")
     open_line = l_receiptdate > current_date
-    l_linestatus = np.where(open_line, "O", "F").astype("U32")
-    returns = np.where(rng.integers(0, 2, size=n_lines) == 0, "R", "A")
-    l_returnflag = np.where(open_line, "N", returns).astype("U32")
-    lineitem = Table.from_arrays(
+    returned = rng.integers(0, 2, size=n_lines) == 0
+    lineitem = _table(
         "lineitem",
         l_orderkey=l_orderkey,
         l_partkey=l_partkey,
@@ -161,8 +153,8 @@ def generate(scale_factor: float = 0.01, seed: int = 2021) -> TpchData:
         l_extendedprice=l_extendedprice,
         l_discount=l_discount,
         l_tax=l_tax,
-        l_returnflag=l_returnflag,
-        l_linestatus=l_linestatus,
+        l_returnflag=(("A", "R", "N"), np.where(open_line, 2, returned.astype(np.intp))),
+        l_linestatus=(("F", "O"), open_line.astype(np.intp)),
         l_shipdate=l_shipdate.astype(np.int64),
         l_commitdate=l_commitdate.astype(np.int64),
         l_receiptdate=l_receiptdate.astype(np.int64),

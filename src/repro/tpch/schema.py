@@ -2,7 +2,10 @@
 
 Only the columns those queries touch are generated; dates are stored as
 INT64 days since 1970-01-01, prices as FLOAT64 dollars, and categorical
-strings as fixed-width unicode (the library's STRING atom).
+strings as the library's STRING atom: fixed-width ``<U32`` unicode in the
+table, which also keeps each string column's sorted dictionary and int32
+codes (see :class:`repro.storage.table.Table`); a lowered query runs on the
+codes and decodes them only in its result frame.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ materialization format stores.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "STRING",
     "DATE",
     "atom_from_numpy_dtype",
+    "string_codes",
 ]
 
 
@@ -40,14 +41,25 @@ class AtomType:
             enough for the TPC-H columns we generate.
         size_bytes: Width used by the network cost model when tuples
             containing this atom travel through a simulated RDMA window.
+        width: For a STRING stored as codes (:func:`string_codes`), the
+            character width of the column the codes were drawn from; not
+            part of the type's identity.
     """
 
     name: str
     numpy_dtype: str
     size_bytes: int
+    width: int = field(default=0, compare=False)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return self.name
+
+    @property
+    def domain_kind(self) -> str:
+        """The numpy kind of the declared domain: ``"U"`` for a STRING
+        however it is stored, so type rules do not mistake codes for
+        integers."""
+        return "U" if self.name == "STRING" else np.dtype(self.numpy_dtype).kind
 
     def validate(self, value: object) -> bool:
         """Return ``True`` if ``value`` belongs to this atom's domain."""
@@ -81,6 +93,14 @@ STRING = AtomType("STRING", "U32", 32)
 
 #: Date stored as days since 1970-01-01 (TPC-H date columns).
 DATE = AtomType("DATE", "int64", 8)
+
+
+def string_codes(width: int) -> AtomType:
+    """STRING as a lowered query carries it: int32 codes into the query's
+    sorted dictionary, modelled at STRING's width so every simulated byte
+    count is the one the strings would cost."""
+    return AtomType("STRING", "int32", STRING.size_bytes, width)
+
 
 _BY_KIND = {
     "i": {8: INT64, 4: INT32},

@@ -33,6 +33,7 @@ to search further, wrap :func:`check` in a ``@given`` with a larger
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -272,8 +273,9 @@ def typed(atom, values: np.ndarray) -> np.ndarray:
         return values / 4
     if atom is BOOL:
         return values % 2 == 1
-    if atom is STRING:
-        return np.array([f"s{v}" for v in values], dtype=STRING.numpy_dtype)
+    if atom is STRING:  # every fourth value is wider than STRING's 32 characters
+        values = values.astype(np.int64).tolist()
+        return np.array([f"s{v}" + "." * 33 * (v % 4 == 0) for v in values], str)
     return values.astype(np.int64)
 
 
@@ -322,8 +324,16 @@ def predicate(rng, name: str, atom, column: np.ndarray):
         pivot = typed(atom, np.zeros(1))[0]
     if atom is BOOL:
         return col(name) == bool(pivot)
-    if atom is STRING:
-        return col(name) != str(pivot)
+    if atom is STRING:  # present, or absent and sorting before/between/after
+        pivot = str(pivot)
+        literal, other = rng.choice([pivot, "", pivot[:-1], pivot + "~", "t"], 2)
+        form = rng.integers(8)
+        if form == 6:
+            return col(name).isin([str(literal), str(other)])
+        if form == 7:
+            return col(name).startswith(str(literal))
+        compare = (operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge)
+        return compare[form](col(name), str(literal))
     return col(name) <= pivot.item()
 
 
@@ -463,6 +473,15 @@ _LIMIT_0 = logical_case(
     scan("a").aggregate([], [("count", col("k"), "n")]).order_by("n").limit(0),
     catalog_of(a={"k": np.zeros(0, int)}), "a scalar aggregate under LIMIT 0",
 )
+_LONG = logical_case(
+    scan("t").filter(col("s") != "a").aggregate(["s"], [("count", col("k"), "n")]),
+    catalog_of(t={"k": np.arange(4), "s": ["x" * 40, "x" * 40 + "y", "a", "b"]}),
+    "strings longer than 32 characters",
+)
+_WRAP = logical_case(
+    scan("a").aggregate(["a0"], [("sum", col("k"), "sum_k")]),
+    catalog_of(a={"k": [-(1 << 62)] * 3, "a0": [0] * 3}), "an INT64 sum that wraps",
+)
 _OUTER = bulk_case(
     "broadcast_join", RowVector.from_rows(_JOIN.left.element_type, [(0, 850)]),
     RowVector.empty(_JOIN.right.element_type), join_type="left_outer",
@@ -499,5 +518,7 @@ _BULK = {
 @example(case=_DESC_BOOL, cell=Cell())
 @example(case=_LIMIT_0, cell=Cell())
 @example(case=_OUTER, cell=Cell(ranks=2))
+@example(case=_LONG, cell=Cell(ranks=2))
+@example(case=_WRAP, cell=Cell(mode="interpreted"))
 def test_every_cell_returns_the_reference_rows_or_the_same_refusal(case, cell):
     check(case, cell)
