@@ -1,12 +1,13 @@
-"""Wall-clock smoke benchmark: the fused path and the armed-but-idle taxes.
+"""Wall-clock smoke benchmark: the armed-but-idle taxes and the join kernels.
 
 Everything else in ``repro.bench`` measures *simulated* seconds — the
 calibrated cost model the paper's figures are drawn from.  This module
-measures *real* wall-clock time, answering what the simulation cannot:
-does the fused path actually run faster than the interpreted one in this
-Python implementation, and do the subsystems that promise to cost
-nothing when off keep that promise?  (Regressions of the engine itself
-are gated by ``BENCHMARK.json``; see ``benchmarks/e2e/README.md``.)
+measures *real* wall-clock time, answering what the simulation cannot: do
+the subsystems that promise to cost nothing when off keep that promise,
+and does the radix join kernel pay for itself where it is meant to?  (The
+two execution modes run the same kernels, so there is no mode race to
+time; regressions of the engine itself are gated by ``BENCHMARK.json``;
+see ``benchmarks/e2e/README.md``.)
 
 Every probe races a handful of *configurations* of one workload with
 :func:`_best_of` — rounds are interleaved (a, b, c, a, b, c, ...) so a
@@ -51,8 +52,6 @@ MIN_RADIX_SPEEDUP = 2.0
 #: ``(report path, relation, bound, what a breach means)`` — the numbers
 #: ``make bench-smoke`` fails on.
 GATES = (
-    ("benchmarks.micro.speedup", ">=", 1.0,
-     "fused is slower than interpreted on the micro pipeline"),
     ("profiler.disabled_overhead", "<=", MAX_OVERHEAD,
      "instrumentation is no longer free when off"),
     ("faults.armed_overhead", "<=", MAX_OVERHEAD,
@@ -151,22 +150,13 @@ def _speedup(section: dict, fast: str, slow: str) -> dict:
     return section
 
 
-def _modes(run: Callable, repeats: int, agree=None) -> dict:
-    """Race ``run(mode=...)`` fused against interpreted."""
-    modes = ("fused", "interpreted")
-    section, _ = _best_of(
-        repeats, {mode: partial(run, mode=mode) for mode in modes}, agree
-    )
-    return _speedup(section, *modes)
-
-
 # -- probes ---------------------------------------------------------------------
 
 
-def _micro_probes(n_integers: int, repeats: int) -> tuple[dict, dict]:
-    """The §5.1.2 scan-and-sum micro: fused vs interpreted, and the profiler tax.
+def _profiler_probe(n_integers: int, repeats: int) -> dict:
+    """The §5.1.2 scan-and-sum micro: the profiler tax.
 
-    The tax races the fused plan with the observability wrappers stripped
+    The tax races the plan with the observability wrappers stripped
     (:func:`~repro.observability.profile.uninstrumented`), installed but
     off (the shipping default), recording spans, and recording metrics.
     """
@@ -189,7 +179,6 @@ def _micro_probes(n_integers: int, repeats: int) -> tuple[dict, dict]:
     def agree(outputs):
         return all(rows == [(expected,)] for rows in outputs.values())
 
-    micro = _modes(run, repeats, agree)
     profiler, _ = _best_of(
         max(repeats, 3),
         {
@@ -200,14 +189,13 @@ def _micro_probes(n_integers: int, repeats: int) -> tuple[dict, dict]:
         },
         agree,
     )
-    sizes = {"n_integers": n_integers}
-    return {**micro, **sizes}, {**_overheads(profiler), **sizes}
+    return {**_overheads(profiler), "n_integers": n_integers}
 
 
 def _groupby_probes(
     log2_tuples: int, machines: int, repeats: int
-) -> tuple[dict, dict, dict]:
-    """The Figure 7 distributed GROUP BY: modes, fault tax, sanitizer tax.
+) -> tuple[dict, dict]:
+    """The Figure 7 distributed GROUP BY: fault tax, sanitizer tax.
 
     The fault tax arms a zero-rate :class:`~repro.faults.FaultPolicy`: the
     injector is constructed and consulted, but every draw passes.  The
@@ -227,7 +215,6 @@ def _groupby_probes(
     def same(first: str, second: str):
         return lambda outputs: frames_match(outputs[first], outputs[second], 0.0, True)
 
-    groupby = _modes(run, repeats)
     idle = FaultPolicy(seed=2021, put_drop_rate=0.0, collective_drop_rate=0.0)
     faults, _ = _best_of(
         max(repeats, 3),
@@ -243,11 +230,7 @@ def _groupby_probes(
         },
         same("baseline", "sanitized"),
     )
-    return (
-        {**groupby, **sizes},
-        {**_overheads(faults), **sizes},
-        {**_overheads(sanitizer), **sizes},
-    )
+    return {**_overheads(faults), **sizes}, {**_overheads(sanitizer), **sizes}
 
 
 def _sanitized_tpch(machines: int, sf: float) -> dict:
@@ -403,16 +386,13 @@ def run_smoke(
     join_probe_rows: int = 1 << 19,
 ) -> dict:
     """Run every probe and return the report dictionary."""
-    micro, profiler = _micro_probes(micro_integers, repeats)
-    groupby, faults, sanitizer = _groupby_probes(
-        groupby_log2_tuples, machines, repeats
-    )
+    profiler = _profiler_probe(micro_integers, repeats)
+    faults, sanitizer = _groupby_probes(groupby_log2_tuples, machines, repeats)
     sanitizer["tpch"] = _sanitized_tpch(machines, tpch_sf)
     sanitizer["tpch_sf"] = tpch_sf
     join_kernels = _join_kernels(join_build_rows, join_probe_rows, repeats)
     serving = _serving_probe(tpch_sf, machines, repeats)
     return {
-        "benchmarks": {"micro": micro, "fig7_groupby": groupby},
         "profiler": profiler,
         "faults": faults,
         "sanitizer": sanitizer,
@@ -451,7 +431,6 @@ def main(argv: list[str] | None = None) -> int:
 
     kernels = report["join_kernels"]
     sections = {
-        **report["benchmarks"],
         **{name: report[name] for name in ("profiler", "faults", "sanitizer")},
         **{f"join_kernels/{w}": kernels[w] for w in ("uniform", "skewed")},
         "serving": report["serving"],

@@ -34,6 +34,10 @@ _EXPERIMENTS = (
     "table1", "micro", "fig6", "fig7", "fig8", "fig9", "broadcast",
     "scaleout", "skew",
 )
+_MODE_HELP = (
+    "execution mode (default: fused); both modes run the same kernels, "
+    "interpreted charges them at the cost model's interpreted_overhead rate"
+)
 
 
 def _format_parent() -> argparse.ArgumentParser:
@@ -59,7 +63,7 @@ def _workload_parent() -> argparse.ArgumentParser:
     parent.add_argument("--log2-tuples", type=int, default=14,
                         help="input size for join/groupby workloads")
     parent.add_argument("--mode", choices=("fused", "interpreted"),
-                        default="fused")
+                        default="fused", help=_MODE_HELP)
     parent.add_argument(
         "--strategy", choices=("exchange", "broadcast", "auto"),
         default="exchange",
@@ -110,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     tpch.add_argument(
         "--strategy", choices=("exchange", "broadcast", "auto"), default="exchange"
     )
-    tpch.add_argument("--mode", choices=("fused", "interpreted"), default="fused")
+    tpch.add_argument("--mode", choices=("fused", "interpreted"), default="fused",
+                      help=_MODE_HELP)
 
     join = commands.add_parser(
         "join", parents=[fmt],
@@ -132,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
         "EXPLAIN ANALYZE tree (measured rows/time per sub-operator)",
     )
     explain.add_argument("--machines", type=int, default=2)
-    explain.add_argument("--mode", choices=("fused", "interpreted"), default="fused")
+    explain.add_argument("--mode", choices=("fused", "interpreted"), default="fused",
+                         help=_MODE_HELP)
     explain.add_argument(
         "--strategy", choices=("exchange", "broadcast", "auto"), default="exchange"
     )
@@ -199,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--log2-tuples", type=int, default=12,
                        help="input size for builtin plan targets")
     chaos.add_argument(
-        "--mode", choices=("fused", "interpreted", "both"), default="fused"
+        "--mode", choices=("fused", "interpreted", "both"), default="fused",
+        help=f"{_MODE_HELP}; 'both' soaks each",
     )
     chaos.add_argument(
         "--strategy", choices=("exchange", "broadcast", "auto"),
@@ -250,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sanitize.add_argument("--log2-tuples", type=int, default=10,
                           help="input size for builtin plan targets")
     sanitize.add_argument(
-        "--mode", choices=("fused", "interpreted"), default="fused"
+        "--mode", choices=("fused", "interpreted"), default="fused", help=_MODE_HELP
     )
     sanitize.add_argument(
         "--strategy", choices=("exchange", "broadcast", "auto"),

@@ -2,10 +2,10 @@
 
 An :class:`ExecutionContext` carries everything a sub-operator needs beyond
 its upstream iterators: the simulated clock and cost model to charge, the
-communicator when running inside an MPI rank, the execution mode
-(fused vs interpreted — the JIT-compilation analogue), and the parameter
-stack that connects ``NestedMap`` invocations to the ``ParameterLookup``
-operators of their nested plans.
+communicator when running inside an MPI rank, the execution mode (fused
+vs interpreted — the JIT-compilation analogue, a cost rate), and the
+parameter stack that connects ``NestedMap`` invocations to the
+``ParameterLookup`` operators of their nested plans.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ExecutionContext", "ExecutionMode"]
 
-#: Execution modes. ``fused`` models JiT-compiled pipelines (vectorized
-#: kernels, low abstraction overhead); ``interpreted`` models a pure
-#: tuple-at-a-time Volcano interpreter without compilation.
+#: Execution modes.  Both run the same vectorized kernels; ``fused`` charges
+#: them at the JiT-compiled rates (low abstraction overhead), ``interpreted``
+#: at the cost model's rate for a tuple-at-a-time Volcano interpreter
+#: (:meth:`ExecutionContext.overhead_for`, the modes' one difference).
 ExecutionMode = str
 
 _MODES = MODES
@@ -61,9 +62,9 @@ class ExecutionContext:
     #: error-severity diagnostics before any data flows.
     verify_plans: bool = False
     #: Target rows per :class:`~repro.types.collections.RowVector` morsel on
-    #: the batch data path.  Bounds the memory footprint of operators whose
-    #: ``batches()`` falls back to buffering ``rows()``; scans and kernels
-    #: use it as their output granularity.  ``None`` — the default — lets
+    #: the batch data path.  Bounds the memory footprint of the
+    #: ``row_native`` operators, whose rows the base ``batches()`` buffers;
+    #: scans and kernels use it as their output granularity.  ``None`` — the default — lets
     #: :meth:`morsel_rows_for` auto-tune the granularity per operator from
     #: its row width and the cost model's cache budget; an explicit value
     #: pins every operator to that size.

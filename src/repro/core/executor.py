@@ -151,9 +151,9 @@ def execution_steps(
     """Run a plan incrementally: yield per driver morsel, return the report.
 
     This is the executor half of the driver/executor split.  Each
-    ``next()`` advances the plan by one driver-level morsel (one streamed
-    batch in fused mode, one morsel's worth of rows in interpreted mode)
-    and yields the row count produced so far; the final ``next()`` raises
+    ``next()`` advances the plan by one driver-level morsel (one batch
+    streamed from the root) and yields the row count produced so far; the
+    final ``next()`` raises
     ``StopIteration`` whose ``value`` is the :class:`ExecutionReport`.
     The serving scheduler (:mod:`repro.serving.scheduler`) holds one such
     generator per admitted query and round-robins ``next()`` calls across
@@ -230,18 +230,11 @@ def execution_steps(
                     ctx.metrics.counter("plan_input_bytes").add(size_bytes())
     rows: list[tuple] = []
     try:
-        if ctx.mode == "fused":
-            # Pull whole morsels from the root so the top pipeline stays
-            # fused instead of degrading to rows at the driver boundary.
-            for batch in root.stream_batches(ctx):
-                rows.extend(batch.iter_rows())
-                yield len(rows)
-        else:
-            morsel = ctx.morsel_rows_for(root.output_type)
-            for row in root.rows(ctx):
-                rows.append(row)
-                if len(rows) % morsel == 0:
-                    yield len(rows)
+        # Pull whole morsels from the root so the top pipeline stays on its
+        # kernels instead of degrading to rows at the driver boundary.
+        for batch in root.stream_batches(ctx):
+            rows.extend(batch.iter_rows())
+            yield len(rows)
     finally:
         for slot_id in bound:
             ctx.pop_parameter(slot_id)

@@ -2,10 +2,11 @@
 
 The paper's sub-operators are parametrized by UDFs that the query compiler
 lowers to LLVM IR and inlines into pipelines.  Here, a function object
-bundles the scalar (row-at-a-time) implementation with an optional
-vectorized (numpy, column-at-a-time) implementation; the fused execution
-mode uses the vectorized form when present, which plays the role of the
-inlined, compiled UDF.
+carries a vectorized (numpy, column-at-a-time) implementation, which plays
+the role of the inlined, compiled UDF, or a scalar (row-at-a-time) one, or
+both; the operators' batch data path uses the vectorized form when present
+and loops the scalar one over a morsel's rows otherwise.  The planner's
+UDFs are vectorized-only (``fn=None``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ class TupleFunction:
     """A UDF for ``Map``: one input tuple in, one output tuple out.
 
     Args:
-        fn: Scalar implementation, ``fn(row) -> row``.
+        fn: Scalar implementation, ``fn(row) -> row``; may be ``None`` when
+            ``vectorized`` is given.
         output_type: Either a fixed :class:`TupleType` or a callable
             ``input_type -> output_type`` (most operators' types depend on
             their upstream types; paper Section 3.2).
@@ -47,7 +49,7 @@ class TupleFunction:
 
     def __init__(
         self,
-        fn: Callable[[tuple], tuple],
+        fn: Callable[[tuple], tuple] | None,
         output_type: TupleType | Callable[[TupleType], TupleType],
         vectorized: Callable[[tuple[np.ndarray, ...]], tuple[np.ndarray, ...]] | None = None,
     ) -> None:
@@ -70,33 +72,21 @@ class TupleFunction:
         return RowVector.from_rows(output_type, (self.fn(r) for r in batch.iter_rows()))
 
 
-class ParamTupleFunction:
+class ParamTupleFunction(TupleFunction):
     """A UDF for ``ParametrizedMap``: ``fn(param_tuple, row) -> row``.
 
     The parameter tuple comes from a dedicated upstream and is fixed for the
     whole stream — e.g. the network partition ID used to recover compressed
-    key bits (paper Section 4.1.2).
+    key bits (paper Section 4.1.2).  Built like a :class:`TupleFunction`
+    whose ``fn`` and ``vectorized`` take the parameter tuple first.
     """
 
-    def __init__(
-        self,
-        fn: Callable[[tuple, tuple], tuple],
-        output_type: TupleType | Callable[[TupleType], TupleType],
-        vectorized: Callable[[tuple, tuple[np.ndarray, ...]], tuple[np.ndarray, ...]] | None = None,
-    ) -> None:
-        self.fn = fn
-        self._output_type = output_type
-        self.vectorized = vectorized
-
-    def output_type_for(self, input_type: TupleType) -> TupleType:
-        if callable(self._output_type):
-            return self._output_type(input_type)
-        return self._output_type
-
-    def __call__(self, param: tuple, row: tuple) -> tuple:
+    def __call__(self, param: tuple, row: tuple) -> tuple:  # type: ignore[override]
         return self.fn(param, row)
 
-    def apply_batch(self, param: tuple, batch: RowVector, output_type: TupleType) -> RowVector:
+    def apply_batch(  # type: ignore[override]
+        self, param: tuple, batch: RowVector, output_type: TupleType
+    ) -> RowVector:
         if self.vectorized is not None:
             return RowVector(output_type, list(self.vectorized(param, batch.columns)))
         return RowVector.from_rows(
@@ -105,11 +95,12 @@ class ParamTupleFunction:
 
 
 class Predicate:
-    """A boolean UDF for ``Filter``."""
+    """A boolean UDF for ``Filter``: a scalar ``fn(row)``, a vectorized
+    ``vectorized(columns) -> mask``, or both (``fn`` may be ``None``)."""
 
     def __init__(
         self,
-        fn: Callable[[tuple], bool],
+        fn: Callable[[tuple], bool] | None,
         vectorized: Callable[[tuple[np.ndarray, ...]], np.ndarray] | None = None,
     ) -> None:
         self.fn = fn
@@ -284,8 +275,8 @@ class HashPartition(_KeyedPartition):
         if self._key_pos is None:
             raise TypeCheckError("HashPartition used before bind()")
         # Pure-int replica of _hash (wrapping uint64 multiply): the scalar
-        # path must agree bit-for-bit with the vectorized one without
-        # paying a one-element-array allocation per row.
+        # call the symbolic prover probes must agree bit-for-bit with the
+        # vectorized one without paying a one-element-array allocation.
         key = row[self._key_pos] & 0xFFFFFFFFFFFFFFFF
         mixed = (key * self._multiplier) & 0xFFFFFFFFFFFFFFFF
         return (mixed >> 33) % self.n_partitions

@@ -1,22 +1,24 @@
-"""Vectorized batch kernels backing the fused execution path.
+"""Vectorized batch kernels: the sub-operators' one data path.
 
 Sub-operators (`repro.core.operators`) define *what* each step computes
-and what it costs; the kernels here define *how* the fused path computes
-it over whole :class:`~repro.types.collections.RowVector` morsels at
+and what it costs; the kernels here define *how* it is computed, in both
+execution modes, over whole :class:`~repro.types.collections.RowVector` morsels at
 once.  Kernels are pure numpy functions — they never touch the
 execution context, charge costs, or pull from upstreams — so the same
 kernel is reusable from any operator (and testable in isolation).
 
-Two join kernels share one emission contract (``emit_probe_hits``):
-sorted-hash (``hash_join``, range-oblivious) and radix direct-address
-(``radix_join``, dense/duplicate-heavy key ranges), dispatched by
-``BuildProbe`` with :func:`radix_eligible`.  ``scatter`` is the linear-time
+Two join kernels share one emission contract (``emit_probe_hits``) and
+run on one int64 column of key codes (``JoinKeyCodes``, whatever the key
+types and count): sorted-hash (``hash_join``, range-oblivious) and radix
+direct-address (``radix_join``, dense/duplicate-heavy key ranges),
+dispatched by ``BuildProbe`` with :func:`radix_eligible`.  ``scatter`` is the linear-time
 stable order under every partition, exchange, radix build and reduce-by-key.
 """
 
 from repro.core.kernels.hash_join import (
     HashJoinBuild,
     HashJoinSpec,
+    JoinKeyCodes,
     emit_probe_hits,
     mix_hash,
     outer_tail,
@@ -36,6 +38,7 @@ __all__ = [
     "HARD_RANGE_CAP",
     "HashJoinBuild",
     "HashJoinSpec",
+    "JoinKeyCodes",
     "RADIX_MIN_ROWS",
     "RadixJoinBuild",
     "emit_probe_hits",

@@ -1,15 +1,18 @@
-"""Vectorized single-key int64 hash-join kernel (fused BuildProbe path).
+"""Vectorized hash-join kernel over int64 key codes (BuildProbe's data path).
 
-The build side is hashed with a multiplicative (Fibonacci) mix and sorted
-by hash value once — a single stable ``np.argsort`` replaces the hash
-table.  Each probe morsel hashes its keys, locates the candidate hash run
-with two ``np.searchsorted`` calls, and resolves collision chains by
-comparing the actual keys of the candidates.  All four probe policies
-(inner / semi / anti / left_outer) share the same candidate machinery.
+Every join runs on one int64 column of key codes (:class:`JoinKeyCodes`),
+equal exactly when the join keys are equal.  The build side's codes are
+hashed with a multiplicative (Fibonacci) mix and sorted by hash value once
+— a single stable ``np.argsort`` replaces the hash table.  Each probe
+morsel hashes its codes, locates the candidate hash run with two
+``np.searchsorted`` calls, and resolves collision chains by comparing the
+actual codes of the candidates.  All four probe policies (inner / semi /
+anti / left_outer) share the same candidate machinery, and every policy
+emits the original key columns, not their codes.
 
 The stable sort keeps equal-hash candidates (and therefore equal-key
-matches) in build-insertion order, so the emitted rows are bit-identical
-to the scalar hash-table path's per-probe emission order.
+matches) in build-insertion order, so the emitted rows are probe-major
+with build-insertion order inside a key.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.types.tuples import TupleType
 __all__ = [
     "HashJoinBuild",
     "HashJoinSpec",
+    "JoinKeyCodes",
     "emit_probe_hits",
     "mix_hash",
     "outer_tail",
@@ -41,17 +45,80 @@ def mix_hash(keys: np.ndarray) -> np.ndarray:
     return (keys.astype(np.uint64) * _HASH_MULTIPLIER) >> _HASH_SHIFT
 
 
+def _lookup(values: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """Position of each ``probe`` value in the sorted distinct ``values``,
+    or -1 where it is absent."""
+    if len(values) == 0:
+        return np.full(len(probe), -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(values, probe), len(values) - 1)
+    return np.where(values[pos] == probe, pos, -1)
+
+
+class JoinKeyCodes:
+    """Int64 codes of the join keys, equal exactly when the keys are equal.
+
+    A single integer-stored key (INT64, DATE, BOOL, string codes) is its
+    own code, widened.  Any other key set — a FLOAT64 key, several keys —
+    is factorized over the build side column by column: a column's sorted
+    distinct build values number it densely, and each further column is
+    folded in by numbering the distinct (codes so far, column code) pairs.
+    A probe morsel looks its keys up in the same tables; a key the build
+    side does not hold gets code -1, which no build row has.
+    """
+
+    def __init__(self, left: RowVector, key: str | tuple[str, ...]) -> None:
+        self.keys = (key,) if isinstance(key, str) else tuple(key)
+        first = left.column(self.keys[0])
+        #: Per key column: its sorted distinct build values and, from the
+        #: second column on, the sorted distinct folded pairs.
+        self._levels: list[tuple[np.ndarray, np.ndarray | None]] | None = None
+        if len(self.keys) == 1 and first.dtype.kind in "iub":
+            self.build = first.astype(np.int64, copy=False)
+            return
+        self._levels = []
+        codes = None
+        for key in self.keys:
+            values, column_codes = np.unique(left.column(key), return_inverse=True)
+            pairs = None
+            if codes is not None:
+                pairs, column_codes = np.unique(
+                    codes * len(values) + column_codes, return_inverse=True
+                )
+            self._levels.append((values, pairs))
+            codes = column_codes
+        self.build = codes.astype(np.int64, copy=False)
+
+    def probe(self, right: RowVector) -> np.ndarray:
+        """The codes of one probe morsel's keys (-1 where the build lacks them)."""
+        if self._levels is None:
+            return right.column(self.keys[0]).astype(np.int64, copy=False)
+        codes = None
+        for key, (values, pairs) in zip(self.keys, self._levels):
+            column_codes = _lookup(values, right.column(key))
+            if codes is not None:
+                known = (codes >= 0) & (column_codes >= 0)
+                folded = np.where(known, codes * len(values) + column_codes, -1)
+                column_codes = _lookup(pairs, folded)
+            codes = column_codes
+        return codes
+
+
 @dataclass(frozen=True)
 class HashJoinSpec:
-    """Shape of one join: policy, key, and column layout of both sides."""
+    """Shape of one join: policy, join attributes, and column layout of both sides."""
 
     join_type: str
     output_type: TupleType
-    key: str
+    #: The join attribute, or a tuple of them for a multi-key join.
+    key: str | tuple[str, ...]
     left_rest_pos: tuple[int, ...]
     right_rest_pos: tuple[int, ...]
     right_type: TupleType
     outer_fill: object
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        return (self.key,) if isinstance(self.key, str) else tuple(self.key)
 
 
 @dataclass
@@ -59,7 +126,7 @@ class HashJoinBuild:
     """Build-side state: the sorted-by-hash view of the left input."""
 
     left: RowVector
-    build_keys: np.ndarray
+    codes: JoinKeyCodes
     order: np.ndarray
     sorted_hash: np.ndarray
     sorted_keys: np.ndarray
@@ -67,16 +134,19 @@ class HashJoinBuild:
     matched: np.ndarray
 
     @classmethod
-    def from_rows(cls, left: RowVector, key: str) -> "HashJoinBuild":
-        build_keys = left.column(key)
-        build_hash = mix_hash(build_keys)
+    def from_rows(cls, left: RowVector, key: str | tuple[str, ...]) -> "HashJoinBuild":
+        return cls.from_codes(left, JoinKeyCodes(left, key))
+
+    @classmethod
+    def from_codes(cls, left: RowVector, codes: JoinKeyCodes) -> "HashJoinBuild":
+        build_hash = mix_hash(codes.build)
         order = np.argsort(build_hash, kind="stable")
         return cls(
             left=left,
-            build_keys=build_keys,
+            codes=codes,
             order=order,
             sorted_hash=build_hash[order],
-            sorted_keys=build_keys[order],
+            sorted_keys=codes.build[order],
             matched=np.zeros(len(left), dtype=bool),
         )
 
@@ -85,7 +155,7 @@ def probe_morsel(
     build: HashJoinBuild, right: RowVector, spec: HashJoinSpec
 ) -> RowVector:
     """Probe one right-side morsel against the sorted build side."""
-    right_keys = right.column(spec.key)
+    right_keys = build.codes.probe(right)
     n_right = len(right)
     probe_hash = mix_hash(right_keys)
     lo = np.searchsorted(build.sorted_hash, probe_hash, side="left")
@@ -99,13 +169,12 @@ def probe_morsel(
     cand_pos = np.arange(total) + offsets
     # Collision chains: candidates share the hash, not necessarily the key.
     good = build.sorted_keys[cand_pos] == right_keys[right_cand]
-    return emit_probe_hits(build, right, right_keys, spec, cand_pos[good], right_cand[good])
+    return emit_probe_hits(build, right, spec, cand_pos[good], right_cand[good])
 
 
 def emit_probe_hits(
     build,
     right: RowVector,
-    right_keys: np.ndarray,
     spec: HashJoinSpec,
     hit_pos: np.ndarray,
     hit_right: np.ndarray,
@@ -116,13 +185,15 @@ def emit_probe_hits(
     build side in *sorted position* (``build.order[hit_pos]`` recovers the
     original row), ``hit_right`` indexes the probe morsel, and both are
     ordered probe-row-major with matches in build-insertion order — the
-    emission contract all join paths are bit-identical under.
+    emission contract both kernels are bit-identical under.  The key
+    columns are the probe side's own.
     """
+    keys = [right.column(key) for key in spec.keys]
     if spec.join_type in ("inner", "left_outer"):
         if spec.join_type == "left_outer":
             build.matched[hit_pos] = True
         left_idx = build.order[hit_pos]
-        columns: list[np.ndarray] = [right_keys[hit_right]]
+        columns: list[np.ndarray] = [column[hit_right] for column in keys]
         columns += [build.left.columns[p][left_idx] for p in spec.left_rest_pos]
         columns += [right.columns[p][hit_right] for p in spec.right_rest_pos]
         return RowVector(spec.output_type, columns)
@@ -130,16 +201,17 @@ def emit_probe_hits(
     has_hit = np.zeros(len(right), dtype=bool)
     has_hit[hit_right] = True
     sel = np.flatnonzero(has_hit if spec.join_type == "semi" else ~has_hit)
-    columns = [right_keys[sel]]
+    columns = [column[sel] for column in keys]
     columns += [right.columns[p][sel] for p in spec.right_rest_pos]
     return RowVector(spec.output_type, columns)
 
 
 def outer_tail(build: HashJoinBuild, spec: HashJoinSpec) -> RowVector:
-    """Unmatched build rows padded with ``outer_fill`` on the right."""
+    """Unmatched build rows, in insertion order, padded with ``outer_fill``
+    on the right."""
     left_idx = np.sort(build.order[np.flatnonzero(~build.matched)])
     n = len(left_idx)
-    columns: list[np.ndarray] = [build.build_keys[left_idx]]
+    columns: list[np.ndarray] = [build.left.column(key)[left_idx] for key in spec.keys]
     columns += [build.left.columns[p][left_idx] for p in spec.left_rest_pos]
     for p in spec.right_rest_pos:
         name = spec.right_type.field_names[p]

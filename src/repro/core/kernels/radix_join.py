@@ -1,4 +1,4 @@
-"""Radix-partitioned direct-address join kernel (fused BuildProbe path).
+"""Radix-partitioned direct-address join kernel (BuildProbe's data path).
 
 The cache-conscious alternative to the sorted-hash kernel
 (:mod:`repro.core.kernels.hash_join`), modeled on the radix hash join of
@@ -20,11 +20,12 @@ and scattered into per-key runs with counting passes:
    ``[starts[k], starts[k+1])`` with two direct loads — no hashing, no
    collision chains, no search.
 
-The scatter is stable, so candidate runs hold build rows in insertion
-order and the emitted rows are bit-identical to both the scalar
-hash-table path and the sorted-hash kernel.  All four probe policies
-(inner / semi / anti / left_outer) share the candidate machinery through
-:func:`~repro.core.kernels.hash_join.emit_probe_hits`.
+It runs on the same int64 key codes as the sorted-hash kernel
+(:class:`~repro.core.kernels.hash_join.JoinKeyCodes`).  The scatter is
+stable, so candidate runs hold build rows in insertion order and the
+emitted rows are bit-identical to the sorted-hash kernel's.  All four
+probe policies (inner / semi / anti / left_outer) share the candidate
+machinery through :func:`~repro.core.kernels.hash_join.emit_probe_hits`.
 
 Direct addressing trades memory for the key range: the kernel is only
 eligible when the range is dense relative to the build cardinality
@@ -41,6 +42,7 @@ import numpy as np
 from repro.core.kernels.hash_join import (
     HashJoinBuild,
     HashJoinSpec,
+    JoinKeyCodes,
     emit_probe_hits,
     probe_morsel,
 )
@@ -103,26 +105,28 @@ def radix_eligible(n_build: int, kmin: int, kmax: int, forced: bool = False) -> 
     return span <= max(PASS_RANGE, DENSITY_MULTIPLE * n_build)
 
 
-def select_join_kernel(join_kernel: str, left: RowVector, key: str):
+def select_join_kernel(join_kernel: str, left: RowVector, key: str | tuple[str, ...]):
     """⟨dispatch label, constructed build, probe function⟩ for one join.
 
     The dispatch point ``BuildProbe.batches`` calls with the context's
-    ``join_kernel`` setting and the materialized build side: ``"sorted"``
-    pins the sorted-hash kernel, ``"radix"`` forces radix up to the hard
-    memory cap, and ``"auto"`` applies :func:`radix_eligible`.  The label
-    is the ``join_dispatch{path}`` metric value (``"kernel"`` keeps the
+    ``join_kernel`` setting, the materialized build side and the join
+    attribute(s): ``"sorted"`` pins the sorted-hash kernel, ``"radix"``
+    forces radix up to the hard memory cap, and ``"auto"`` applies
+    :func:`radix_eligible` to the build's key codes.  The label is the
+    ``join_dispatch{path}`` metric value (``"kernel"`` keeps the
     sorted-hash path's historical label).
     """
     eligible = False
-    keys = left.column(key)
+    codes = JoinKeyCodes(left, key)
+    keys = codes.build
     if join_kernel != "sorted" and len(keys):
         kmin, kmax = int(keys.min()), int(keys.max())
         eligible = radix_eligible(
             len(keys), kmin, kmax, forced=join_kernel == "radix"
         )
     if eligible:
-        return "radix", RadixJoinBuild.from_rows(left, key), radix_probe_morsel
-    return "kernel", HashJoinBuild.from_rows(left, key), probe_morsel
+        return "radix", RadixJoinBuild.from_codes(left, codes), radix_probe_morsel
+    return "kernel", HashJoinBuild.from_codes(left, codes), probe_morsel
 
 
 def radix_fanout(span: int) -> tuple[int, int]:
@@ -147,7 +151,7 @@ class RadixJoinBuild:
     """
 
     left: RowVector
-    build_keys: np.ndarray
+    codes: JoinKeyCodes
     key_min: int
     key_max: int
     order: np.ndarray
@@ -158,13 +162,17 @@ class RadixJoinBuild:
     matched: np.ndarray
 
     @classmethod
-    def from_rows(cls, left: RowVector, key: str) -> "RadixJoinBuild":
-        build_keys = left.column(key)
+    def from_rows(cls, left: RowVector, key: str | tuple[str, ...]) -> "RadixJoinBuild":
+        return cls.from_codes(left, JoinKeyCodes(left, key))
+
+    @classmethod
+    def from_codes(cls, left: RowVector, codes: JoinKeyCodes) -> "RadixJoinBuild":
+        build_keys = codes.build
         n = len(left)
         if n == 0:
             return cls(
                 left=left,
-                build_keys=build_keys,
+                codes=codes,
                 key_min=0,
                 key_max=-1,
                 order=np.empty(0, dtype=np.int64),
@@ -186,7 +194,7 @@ class RadixJoinBuild:
             starts, order = cls._two_pass_scatter(rebased, span)
         return cls(
             left=left,
-            build_keys=build_keys,
+            codes=codes,
             key_min=kmin,
             key_max=kmax,
             order=order,
@@ -223,7 +231,7 @@ def radix_probe_morsel(
     build: RadixJoinBuild, right: RowVector, spec: HashJoinSpec
 ) -> RowVector:
     """Probe one right-side morsel against the direct-address table."""
-    right_keys = right.column(spec.key)
+    right_keys = build.codes.probe(right)
     n_right = len(right)
     kmin = np.int64(build.key_min)
     in_range = (right_keys >= build.key_min) & (right_keys <= build.key_max)
@@ -241,4 +249,4 @@ def radix_probe_morsel(
     right_cand = np.repeat(np.arange(n_right), counts)
     offsets = np.repeat(hi - np.cumsum(counts), counts)
     hit_pos = np.arange(total) + offsets
-    return emit_probe_hits(build, right, right_keys, spec, hit_pos, right_cand)
+    return emit_probe_hits(build, right, spec, hit_pos, right_cand)

@@ -1,17 +1,22 @@
 """The sub-operator interface.
 
 Sub-operators are Volcano-style iterators over tuples of a statically known
-type (paper Section 3.2).  In this reproduction the ``Next()`` data path is
-expressed as Python generators — :meth:`Operator.rows` — which is the
-idiomatic iterator form; a second, optional data path, :meth:`Operator.batches`,
-yields :class:`~repro.types.collections.RowVector` morsels and is the fused
-(vectorized) execution path, our analogue of the paper's JiT-compiled
-pipelines.
+type (paper Section 3.2).  In this reproduction every sub-operator has one
+data path, :meth:`Operator.batches`: a Python generator yielding
+:class:`~repro.types.collections.RowVector` morsels through a vectorized
+kernel, our analogue of the paper's JiT-compiled pipelines.  The execution
+mode does not pick another implementation: ``interpreted`` runs the same
+kernels and charges them at the cost model's ``interpreted_overhead`` rate
+(:meth:`~repro.core.context.ExecutionContext.overhead_for`) — the
+tuple-at-a-time Volcano interpreter the paper compares against, modelled as
+a rate.  The few control operators that move a handful of tuples holding
+whole collections (``Zip``, ``CartesianProduct``, ``MpiExecutor``) declare
+``row_native`` and implement :meth:`Operator.rows` instead.
 
 Design-principle mapping (paper Section 3.1):
 
 1. *One inner loop per operator* — each concrete operator implements one
-   ``rows``/``batches`` loop.
+   ``batches`` loop (or, if ``row_native``, one ``rows`` loop).
 2. *Dedicated scan/materialize operators per physical format* — only
    ``RowScan`` and ``MaterializeRowVector`` (and the window-reading network
    operators) know what a ``RowVector`` looks like inside.
@@ -31,7 +36,7 @@ cut into pipelines and compared exactly like the built-in ones.
 from __future__ import annotations
 
 import functools
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.context import ExecutionContext
 from repro.errors import PlanError, TypeCheckError
@@ -39,6 +44,24 @@ from repro.types.collections import CollectionType, RowVector, RowVectorBuilder
 from repro.types.tuples import TupleType, concat_tuple_types
 
 __all__ = ["Operator", "require_fields", "scanned_collection", "join_output_type"]
+
+
+def pack_morsels(
+    ctx: ExecutionContext, element_type: TupleType, rows: Iterable[tuple]
+) -> Iterator[RowVector]:
+    """Pack ``rows`` into morsels of ``ctx.morsel_rows_for(element_type)``
+    tuples; at least one morsel, possibly empty, is always yielded."""
+    morsel_rows = ctx.morsel_rows_for(element_type)
+    builder = RowVectorBuilder(element_type)
+    emitted = False
+    for row in rows:
+        builder.append(row)
+        if len(builder) >= morsel_rows:
+            yield builder.finish()
+            builder = RowVectorBuilder(element_type)
+            emitted = True
+    if len(builder) or not emitted:
+        yield builder.finish()
 
 
 def _observe_data_path(fn, batched: bool):
@@ -78,8 +101,9 @@ class Operator:
 
     Subclasses assign their static parameters, call ``super().__init__``
     (which types the node by running :meth:`infer_type` over the upstreams'
-    declared types) and implement :meth:`rows`.  Operators with a
-    profitable vectorized implementation also override :meth:`batches`.
+    declared types) and implement :meth:`batches`, their one data path in
+    both execution modes.  A ``row_native`` control operator implements
+    :meth:`rows` instead.
 
     Instances are *plan nodes*: immutable descriptions plus the per-node
     pipeline-size annotation that the plan compiler fills in.  All mutable
@@ -114,11 +138,11 @@ class Operator:
     side_inputs: frozenset[int] = frozenset()
     heavy_loop: bool = False
 
-    #: The fused path *is* the row path: control operators (``Zip``,
+    #: The data path is :meth:`rows`: control operators (``Zip``,
     #: ``CartesianProduct``, ``MpiExecutor``) move a handful of tuples that
     #: hold whole collections, so packing them into morsels buys nothing.
-    #: :meth:`stream` then yields their rows directly in both modes, and the
-    #: static analyzer reads the flag as a deliberate scalar choice (MOD024).
+    #: :meth:`stream` then yields their rows directly, and the static
+    #: analyzer reads the flag as a deliberate scalar choice (MOD024).
     row_native: bool = False
 
     #: Tuples emitted per run, as far as statically known: ``"one"``,
@@ -138,9 +162,9 @@ class Operator:
         This is the one hook that gives all operators — including ones
         defined outside this package — per-operator observability without
         touching their code: any ``rows``/``batches`` defined by a subclass
-        is wrapped by :func:`_observe_data_path`.  The base-class defaults
-        stay unwrapped (they delegate to the sibling method, which is
-        wrapped, so the work is still counted exactly once).
+        is wrapped by :func:`_observe_data_path`.  The base-class default
+        ``batches`` stays unwrapped (it repackages the subclass's ``rows``,
+        which is wrapped, so the work is still counted exactly once).
         """
         super().__init_subclass__(**kwargs)
         for name, batched in (("rows", False), ("batches", True)):
@@ -202,61 +226,41 @@ class Operator:
     # -- data path ---------------------------------------------------------------
 
     def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        """Yield output tuples one at a time (the interpreted data path).
+        """Yield output tuples one at a time: the data path of a
+        ``row_native`` operator, which overrides this and inherits
+        :meth:`batches`.  Every other operator overrides :meth:`batches`."""
+        raise NotImplementedError(
+            f"{type(self).__name__} implements neither batches() nor rows()"
+        )
 
-        The default derives rows from :meth:`batches` for batch-first
-        operators; at least one of the two methods must be overridden.
+    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
+        """Yield output tuples as RowVector morsels: the one data path.
+
+        The default, for ``row_native`` operators, buffers :meth:`rows`
+        into morsels sized by ``ctx.morsel_rows_for`` (at least one batch,
+        possibly empty, is always yielded); every other operator overrides
+        this with its kernel.
         """
+        yield from pack_morsels(ctx, self.output_type, self.rows(ctx))
+
+    def stream(self, ctx: ExecutionContext) -> Iterator[tuple]:
+        """The row iterator consumers should use: a ``row_native``
+        operator's own rows, any other operator's morsels unpacked."""
+        if self.row_native:
+            yield from self.rows(ctx)
+            return
         for batch in self.batches(ctx):
             yield from batch.iter_rows()
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        """Yield output tuples as RowVector morsels (the fused data path).
-
-        The default buffers :meth:`rows` into morsels sized by
-        ``ctx.morsel_rows_for`` (at least one batch, possibly empty, is
-        always yielded), which is correct but gains nothing; operators on
-        hot paths override this with a vectorized kernel.
-        """
-        yield from self._rows_as_morsels(ctx)
-
-    def _rows_as_morsels(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        """Repackage the row iterator into bounded RowVector morsels."""
-        morsel_rows = ctx.morsel_rows_for(self.output_type)
-        builder = RowVectorBuilder(self.output_type)
-        emitted = False
-        for row in self.rows(ctx):
-            builder.append(row)
-            if len(builder) >= morsel_rows:
-                yield builder.finish()
-                builder = RowVectorBuilder(self.output_type)
-                emitted = True
-        if len(builder) or not emitted:
-            yield builder.finish()
-
-    def stream(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        """The mode-dispatching row iterator consumers should use."""
-        if ctx.mode == "fused" and not self.row_native:
-            for batch in self.batches(ctx):
-                yield from batch.iter_rows()
-        else:
-            yield from self.rows(ctx)
-
     def stream_batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        """The mode-dispatching *batch* iterator consumers should use.
+        """The *batch* iterator consumers should use.
 
         Batch-shaped consumers (joins, aggregations, partitioners, the
-        network exchange) pull morsels through this method instead of
-        degrading their upstream to ``stream()``/``rows()``: in fused mode
-        the upstream's vectorized ``batches()`` kernel runs end-to-end; in
-        interpreted mode the upstream's ``rows()`` path runs (so the cost
-        model charges interpreted rates) and is repackaged into morsels
-        purely as a container, keeping the consumer's code batch-shaped in
-        both modes.
+        network exchange) pull morsels through this method, so the
+        upstream's ``batches()`` kernel runs end to end in both modes;
+        with metrics on it counts the morsels drained.
         """
-        source = (
-            self.batches(ctx) if ctx.mode == "fused" else self._rows_as_morsels(ctx)
-        )
+        source = self.batches(ctx)
         metrics = ctx.metrics
         if metrics is None:
             yield from source
@@ -272,9 +276,7 @@ class Operator:
         Convenience for operators (and tests) that need a whole upstream at
         once; cost-bearing materialization is ``MaterializeRowVector``'s job.
         """
-        if ctx.mode == "fused":
-            return RowVector.concat(self.output_type, list(self.batches(ctx)))
-        return RowVector.from_rows(self.output_type, self.rows(ctx))
+        return RowVector.concat(self.output_type, list(self.batches(ctx)))
 
     # -- plan structure ------------------------------------------------------------
 

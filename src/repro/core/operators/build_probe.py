@@ -7,11 +7,12 @@ changing only the small probe policy below — the extensibility argument of
 paper Section 5.1.1 ("to support other join types we only need to modify
 the HashProbe operator that consists of 103 lines").
 
-The fused data path delegates to the vectorized hash-join kernel
-(:mod:`repro.core.kernels.hash_join`): a single stable sort of the build
-side by hash value, then per-morsel ``searchsorted`` probes — the
+The data path delegates to the vectorized join kernels
+(:mod:`repro.core.kernels`) over int64 key codes, whatever the key types
+and count: a sorted-hash build (one stable sort by hash value, then
+per-morsel ``searchsorted`` probes) or a radix direct-address build — the
 operator never materializes the probe side.  The operator owns the join's
-plan-level contract (types, policies, cost charging); the kernel owns the
+plan-level contract (types, policies, cost charging); the kernels own the
 numpy machinery.
 """
 
@@ -24,7 +25,6 @@ from repro.core.kernels.hash_join import HashJoinSpec, outer_tail
 from repro.core.kernels.radix_join import select_join_kernel
 from repro.core.operator import Operator, join_output_type
 from repro.errors import TypeCheckError
-from repro.types.atoms import INT64
 from repro.types.collections import RowVector
 
 __all__ = ["BuildProbe", "JOIN_TYPES"]
@@ -73,11 +73,9 @@ class BuildProbe(Operator):
         left_type, right_type = left.output_type, right.output_type
         left_rest = left_type.drop(self.keys)
         right_rest = right_type.drop(self.keys)
-        self._left_key_pos = tuple(left_type.position(k) for k in self.keys)
         self._left_rest_pos = tuple(
             left_type.position(f) for f in left_rest.field_names
         )
-        self._right_key_pos = tuple(right_type.position(k) for k in self.keys)
         self._right_rest_pos = tuple(
             right_type.position(f) for f in right_rest.field_names
         )
@@ -88,73 +86,11 @@ class BuildProbe(Operator):
     def signature(self) -> tuple:
         return (self.keys, self.join_type)
 
-    # -- scalar implementation ----------------------------------------------------
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        table: dict[tuple, list[tuple]] = {}
-        build_order: list[tuple[tuple, tuple]] = []
-        built = 0
-        for row in self.upstreams[0].rows(ctx):
-            built += 1
-            key = tuple(row[p] for p in self._left_key_pos)
-            rest = tuple(row[p] for p in self._left_rest_pos)
-            table.setdefault(key, []).append(rest)
-            build_order.append((key, rest))
-        ctx.charge_cpu(self, "build", built)
-        metrics = ctx.metrics
-        if metrics is not None:
-            metrics.counter("join_dispatch", path="scalar").inc()
-            metrics.counter("join_build_rows", op=type(self).__name__).add(built)
-
-        matched_keys: set[tuple] = set()
-        probed = 0
-        emitted = 0
-        try:
-            for row in self.upstreams[1].rows(ctx):
-                probed += 1
-                key = tuple(row[p] for p in self._right_key_pos)
-                right_rest = tuple(row[p] for p in self._right_rest_pos)
-                hits = table.get(key)
-                if self.join_type == "semi":
-                    if hits:
-                        emitted += 1
-                        yield key + right_rest
-                elif self.join_type == "anti":
-                    if not hits:
-                        emitted += 1
-                        yield key + right_rest
-                else:
-                    if hits:
-                        matched_keys.add(key)
-                        for left_rest in hits:
-                            emitted += 1
-                            yield key + left_rest + right_rest
-        finally:
-            ctx.charge_cpu(self, "probe", probed + emitted)
-
-        if self.join_type == "left_outer":
-            fill = (self.outer_fill,) * len(self._right_rest_pos)
-            # Unmatched build rows are emitted in build-insertion order,
-            # matching the sorted-by-hash kernel (stable sort, key runs).
-            for key, left_rest in build_order:
-                if key not in matched_keys:
-                    yield key + left_rest + fill
-
-    # -- fused implementation -------------------------------------------------------
-
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        vectorizable = (
-            len(self.keys) == 1
-            and self.upstreams[0].output_type[self.keys[0]] == INT64
-        )
-        if not vectorizable:
-            yield from self._rows_as_morsels(ctx)
-            return
-
         spec = HashJoinSpec(
             join_type=self.join_type,
             output_type=self.output_type,
-            key=self.keys[0],
+            key=self.keys,
             left_rest_pos=self._left_rest_pos,
             right_rest_pos=self._right_rest_pos,
             right_type=self.upstreams[1].output_type,
@@ -167,7 +103,7 @@ class BuildProbe(Operator):
         ctx.charge_cpu(self, "build", len(left))
         # The kernels module owns the radix-vs-sorted-hash dispatch; the
         # returned label is the join_dispatch{path} metric value.
-        path, build, probe = select_join_kernel(ctx.join_kernel, left, spec.key)
+        path, build, probe = select_join_kernel(ctx.join_kernel, left, self.keys)
         metrics = ctx.metrics
         if metrics is not None:
             metrics.counter("join_dispatch", path=path).inc()
@@ -177,7 +113,7 @@ class BuildProbe(Operator):
         for batch in self.upstreams[1].stream_batches(ctx):
             out = probe(build, batch, spec)
             # Every policy charges one unit per probe tuple plus one per
-            # emitted tuple — identical to the scalar path's accounting.
+            # emitted tuple.
             ctx.charge_cpu(self, "probe", len(batch) + len(out))
             if len(out):
                 yielded = True

@@ -30,8 +30,8 @@ __all__ = ["ChunkScan", "MaterializeChunks"]
 class ChunkScan(Operator):
     """Yield the element tuples of chunked collections arriving upstream.
 
-    The fused path emits each stored chunk directly as a batch — the
-    chunked format is its own natural morsel source.
+    It emits each stored chunk directly as a batch — the chunked format is
+    its own natural morsel source.
     """
 
     abbreviation = "CS"
@@ -64,11 +64,6 @@ class ChunkScan(Operator):
                     f"{collection.element_type!r}"
                 )
             yield collection
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        for collection in self._collections(ctx):
-            ctx.charge_cpu(self, "scan", len(collection) * self._scan_weight)
-            yield from collection.iter_rows()
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
         for collection in self._collections(ctx):
@@ -103,10 +98,6 @@ class MaterializeChunks(Operator):
 
     def signature(self) -> tuple:
         return (self.field, self.chunk_rows)
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        for batch in self.batches(ctx):
-            yield from batch.iter_rows()
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
         element_type = self.upstreams[0].output_type

@@ -29,19 +29,6 @@ class Filter(Operator):
     def signature(self) -> tuple:
         return (id(self.predicate),)
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        predicate = self.predicate
-        count = 0
-        # Charge in a finally so early generator close (e.g. a downstream
-        # Limit) still bills the tuples that were actually inspected.
-        try:
-            for row in self.upstreams[0].rows(ctx):
-                count += 1
-                if predicate(row):
-                    yield row
-        finally:
-            ctx.charge_cpu(self, "map", count)
-
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
         for batch in self.upstreams[0].stream_batches(ctx):
             ctx.charge_cpu(self, "map", len(batch))

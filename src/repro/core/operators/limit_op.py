@@ -35,16 +35,6 @@ class Limit(Operator):
     def signature(self) -> tuple:
         return (self.n,)
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        if self.n == 0:
-            return
-        emitted = 0
-        for row in self.upstreams[0].rows(ctx):
-            yield row
-            emitted += 1
-            if emitted >= self.n:
-                return
-
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
         if self.n == 0:
             return

@@ -40,8 +40,8 @@ def read_histogram(
 ) -> np.ndarray:
     """Drain a ⟨bucket, count⟩ upstream into a dense per-partition array.
 
-    The one consumer-side histogram reader, shared by ``LocalPartitioning``
-    and ``MpiExchange``: empty batches are skipped *before* the bucket
+    The one consumer-side histogram reader, shared by ``LocalPartitioning``,
+    ``MpiExchange`` and ``MpiHistogram``: empty batches are skipped *before* the bucket
     range is validated, so a histogram delivered as (or padded with) empty
     morsels never trips ``min()`` on an empty column.
     """
@@ -83,17 +83,6 @@ class LocalHistogram(Operator):
     @property
     def n_buckets(self) -> int:
         return self.bucket_fn.n_partitions
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        counts = [0] * self.n_buckets
-        bucket_fn = self.bucket_fn
-        total = 0
-        for row in self.upstreams[0].rows(ctx):
-            total += 1
-            counts[bucket_fn(row)] += 1
-        ctx.charge_cpu(self, "histogram", total)
-        for bucket, count in enumerate(counts):
-            yield (bucket, count)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
         counts = np.zeros(self.n_buckets, dtype=np.int64)

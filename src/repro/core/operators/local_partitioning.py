@@ -23,7 +23,7 @@ from repro.core.operator import Operator
 from repro.core.operators.local_histogram import read_histogram, require_histogram
 from repro.errors import ExecutionError
 from repro.types.atoms import INT64
-from repro.types.collections import RowVector, RowVectorBuilder, row_vector_type
+from repro.types.collections import RowVector, row_vector_type
 from repro.types.tuples import TupleType
 
 __all__ = ["LocalPartitioning"]
@@ -76,26 +76,6 @@ class LocalPartitioning(Operator):
     @property
     def n_partitions(self) -> int:
         return self.partition_fn.n_partitions
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        counts = read_histogram(ctx, self.upstreams[1], self.n_partitions)
-        element_type = self.upstreams[0].output_type
-        builders = [RowVectorBuilder(element_type) for _ in range(self.n_partitions)]
-        fn = self.partition_fn
-        total = 0
-        for row in self.upstreams[0].rows(ctx):
-            total += 1
-            builders[fn(row)].append(row)
-        ctx.charge_cpu(self, "partition", total)
-        for pid, builder in enumerate(builders):
-            if len(builder) != counts[pid]:
-                raise ExecutionError(
-                    f"partition {pid} holds {len(builder)} tuples but the histogram "
-                    f"promised {counts[pid]}; data and histogram upstreams diverged"
-                )
-            vector = builder.finish()
-            ctx.charge_materialize(self, vector.size_bytes())
-            yield (pid, vector)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
         counts = read_histogram(ctx, self.upstreams[1], self.n_partitions)

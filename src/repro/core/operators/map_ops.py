@@ -34,16 +34,6 @@ class Map(Operator):
     def signature(self) -> tuple:
         return (id(self.fn),)
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        fn = self.fn
-        count = 0
-        try:
-            for row in self.upstreams[0].rows(ctx):
-                count += 1
-                yield fn(row)
-        finally:
-            ctx.charge_cpu(self, "map", count)
-
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
         for batch in self.upstreams[0].stream_batches(ctx):
             ctx.charge_cpu(self, "map", len(batch))
@@ -78,17 +68,6 @@ class ParametrizedMap(Operator):
                 "expected exactly 1"
             )
         return params.row(0)
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        param = self._read_param(ctx)
-        fn = self.fn
-        count = 0
-        try:
-            for row in self.upstreams[0].rows(ctx):
-                count += 1
-                yield fn(param, row)
-        finally:
-            ctx.charge_cpu(self, "map", count)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
         param = self._read_param(ctx)

@@ -83,23 +83,6 @@ class MaterializeRowVector(Operator):
 
     # -- data path -------------------------------------------------------------
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        store = self._checkpoint_store(ctx)
-        if store is not None:
-            cached = store.lookup(id(self), ctx.rank)
-            if cached is not None:
-                yield (self._serve_checkpoint(ctx, cached),)
-                return
-        builder = RowVectorBuilder(self.upstreams[0].output_type)
-        for row in self.upstreams[0].rows(ctx):
-            builder.append(row)
-        vector = builder.finish()
-        ctx.charge_materialize(self, vector.size_bytes())
-        ctx.account_memory(vector.owned_bytes())
-        if store is not None:
-            store.deposit(id(self), ctx.rank, vector)
-        yield (vector,)
-
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
         store = self._checkpoint_store(ctx)
         vector = store.lookup(id(self), ctx.rank) if store is not None else None

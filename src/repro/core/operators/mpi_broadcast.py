@@ -106,7 +106,3 @@ class MpiBroadcast(Operator):
         ctx.set_phase(self.assigned_phase)
         windows.fence()
         yield windows.local.read(0, global_total)
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        for batch in self.batches(ctx):
-            yield from batch.iter_rows()

@@ -227,7 +227,3 @@ class MpiExchange(Operator):
                 windows.put(target, base + start, wire.slice(start, stop))
             else:
                 windows.put(target, base + start, wire, order[start:stop])
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        for batch in self.batches(ctx):
-            yield from batch.iter_rows()

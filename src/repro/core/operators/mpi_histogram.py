@@ -15,8 +15,12 @@ import numpy as np
 
 from repro.core.context import ExecutionContext
 from repro.core.operator import Operator
-from repro.core.operators.local_histogram import HISTOGRAM_TYPE, require_histogram
-from repro.errors import ExecutionError, TypeCheckError
+from repro.core.operators.local_histogram import (
+    HISTOGRAM_TYPE,
+    read_histogram,
+    require_histogram,
+)
+from repro.errors import TypeCheckError
 from repro.types.collections import RowVector
 
 __all__ = ["MpiHistogram"]
@@ -42,27 +46,10 @@ class MpiHistogram(Operator):
     def signature(self) -> tuple:
         return (self.n_buckets,)
 
-    def _global_counts(self, ctx: ExecutionContext) -> np.ndarray:
-        local = np.zeros(self.n_buckets, dtype=np.int64)
-        for batch in self.upstreams[0].stream_batches(ctx):
-            if len(batch) == 0:
-                continue
-            buckets = batch.column("bucket")
-            if not (0 <= int(buckets.min()) and int(buckets.max()) < self.n_buckets):
-                raise ExecutionError(
-                    f"histogram bucket outside [0, {self.n_buckets})"
-                )
-            np.add.at(local, buckets, batch.column("count"))
-        ctx.set_phase(self.assigned_phase)
-        return ctx.comm.allreduce(local, op="sum")
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        counts = self._global_counts(ctx)
-        for bucket in range(self.n_buckets):
-            yield (bucket, int(counts[bucket]))
-
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        counts = self._global_counts(ctx)
+        local = read_histogram(ctx, self.upstreams[0], self.n_buckets)
+        ctx.set_phase(self.assigned_phase)
+        counts = ctx.comm.allreduce(local, op="sum")
         yield RowVector(
             HISTOGRAM_TYPE, [np.arange(self.n_buckets, dtype=np.int64), counts]
         )

@@ -11,10 +11,10 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from repro.core.context import ExecutionContext
-from repro.core.operator import Operator
+from repro.core.operator import Operator, pack_morsels
 from repro.core.operators.parameter_lookup import ParameterSlot
 from repro.errors import ExecutionError, TypeCheckError
-from repro.types.collections import RowVector, RowVectorBuilder
+from repro.types.collections import RowVector
 from repro.types.tuples import TupleType
 
 __all__ = ["NestedMap", "build_nested_plan", "nested_plan_type"]
@@ -91,10 +91,6 @@ class NestedMap(Operator):
     def nested_roots(self) -> tuple[Operator, ...]:
         return (self.inner,)
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        for row in self.upstreams[0].stream(ctx):
-            yield self._run_inner(ctx, row)
-
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
         # The per-invocation control flow is tuple-at-a-time and its input
         # is a few control tuples (one per partition), so they are read as
@@ -102,17 +98,8 @@ class NestedMap(Operator):
         # generators finish, charging their clocks and releasing their
         # frames, before any nested plan allocates.
         inputs = list(self.upstreams[0].stream(ctx))
-        morsel_rows = ctx.morsel_rows_for(self.output_type)
-        builder = RowVectorBuilder(self.output_type)
-        emitted = False
-        for row in inputs:
-            builder.append(self._run_inner(ctx, row))
-            if len(builder) >= morsel_rows:
-                yield builder.finish()
-                builder = RowVectorBuilder(self.output_type)
-                emitted = True
-        if len(builder) or not emitted:
-            yield builder.finish()
+        results = (self._run_inner(ctx, row) for row in inputs)
+        yield from pack_morsels(ctx, self.output_type, results)
 
     def _run_inner(self, ctx: ExecutionContext, row: tuple) -> tuple:
         ctx.push_parameter(self.slot.id, row)

@@ -50,9 +50,9 @@ class NicPartialAggregate(Operator):
         key_fields: Sequence[str] | str,
         fn: ReduceFunction,
     ) -> None:
-        # Delegate the data path and the type rule to a private ReduceByKey
-        # over the same upstream; this operator only re-owns the cost
-        # accounting.
+        # Delegate the aggregation and the type rule to a private
+        # ReduceByKey over the same upstream; this operator only re-owns the
+        # cost accounting.
         self._combiner = ReduceByKey(upstream, key_fields, fn)
         super().__init__(upstreams=(upstream,))
 
@@ -69,74 +69,13 @@ class NicPartialAggregate(Operator):
         seconds = tuples * ctx.cost.nic_agg_tuple * (1.0 - ctx.cost.nic_overlap)
         ctx.clock.advance(seconds)  # NIC-paced: no host CPU jitter
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        yield from self._with_nic_billing(ctx, batched=False)
-
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        yield from self._with_nic_billing(ctx, batched=True)
-
-    def _with_nic_billing(self, ctx: ExecutionContext, batched: bool):
-        """Run the combiner with its CPU charge replaced by the NIC charge.
+        """The combiner's aggregation, billed to the NIC instead of the host.
 
         The upstream is drained normally (the host still reads its data and
-        pays its scan costs); the aggregation itself is then billed to the
-        NIC and the combiner runs under a context whose CPU charges are
-        muted, so the host never pays hash-aggregation rates for it.
+        pays its scan costs); the aggregation itself is charged at NIC
+        rates, so the host never pays hash-aggregation rates for it.
         """
-        upstream = self.upstreams[0]
-        if batched:
-            parts = [b for b in upstream.stream_batches(ctx) if len(b)]
-            input_count = sum(len(b) for b in parts)
-            source = _Replay(upstream.output_type, parts)
-        else:
-            rows = list(upstream.rows(ctx))
-            input_count = len(rows)
-            source = _Replay(upstream.output_type, [
-                RowVector.from_rows(upstream.output_type, rows)
-            ])
-        combiner = ReduceByKey(source, self._combiner.key_fields, self._combiner.fn)
-        combiner.assigned_phase = self.assigned_phase
-        combiner.pipeline_size = self.pipeline_size
-        self._charge_nic(ctx, input_count)
-        quiet = _QuietContext(ctx)
-        if batched:
-            yield from combiner.batches(quiet)
-        else:
-            yield from combiner.rows(quiet)
-
-
-class _Replay(Operator):
-    """Serve already-drained batches (internal to the NIC operator)."""
-
-    abbreviation = "__"
-
-    def __init__(self, element_type, parts: list[RowVector]) -> None:
-        super().__init__(upstreams=())
-        self._output_type = element_type
-        self._parts = parts
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        if not self._parts:
-            yield RowVector.empty(self.output_type)
-            return
-        yield from self._parts
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        for part in self._parts:
-            yield from part.iter_rows()
-
-
-class _QuietContext:
-    """Context proxy whose CPU charges are no-ops (the NIC already paid)."""
-
-    def __init__(self, inner: ExecutionContext) -> None:
-        self._inner = inner
-
-    def charge_cpu(self, op, kind: str, tuples: int) -> None:
-        return None
-
-    def charge_materialize(self, op, payload_bytes: int) -> None:
-        return None
-
-    def __getattr__(self, name: str):
-        return getattr(self._inner, name)
+        parts = [b for b in self.upstreams[0].stream_batches(ctx) if len(b)]
+        self._charge_nic(ctx, sum(len(b) for b in parts))
+        yield self._combiner.aggregate(parts)

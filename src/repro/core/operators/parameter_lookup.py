@@ -59,8 +59,5 @@ class ParameterLookup(Operator):
     def signature(self) -> tuple:
         return (self.slot.id,)
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        yield ctx.lookup_parameter(self.slot.id)
-
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
         yield RowVector.of_row(self.output_type, ctx.lookup_parameter(self.slot.id))

@@ -33,16 +33,6 @@ class Projection(Operator):
     def signature(self) -> tuple:
         return (self.fields,)
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        positions = self._positions
-        count = 0
-        try:
-            for row in self.upstreams[0].rows(ctx):
-                count += 1
-                yield tuple(row[p] for p in positions)
-        finally:
-            ctx.charge_cpu(self, "map", count)
-
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
         for batch in self.upstreams[0].stream_batches(ctx):
             ctx.charge_cpu(self, "map", len(batch))

@@ -38,31 +38,25 @@ class Reduce(Operator):
     def signature(self) -> tuple:
         return (id(self.fn),)
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        acc: tuple | None = None
-        count = 0
-        for row in self.upstreams[0].rows(ctx):
-            count += 1
-            acc = row if acc is None else self.fn(acc, row)
-        ctx.charge_cpu(self, "reduce", count)
-        if acc is not None:
-            yield acc
-
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
         sum_fields = self.fn.vectorized_sum_fields
-        if sum_fields is None or set(sum_fields) != set(self.output_type.field_names):
-            yield from self._rows_as_morsels(ctx)
-            return
-        totals: list | None = None
+        sums = sum_fields is not None and set(sum_fields) == set(
+            self.output_type.field_names
+        )
+        acc: list | tuple | None = None
         for batch in self.upstreams[0].stream_batches(ctx):
             ctx.charge_cpu(self, "reduce", len(batch))
             if len(batch) == 0:
                 continue
-            partial = [col.sum() for col in batch.columns]
-            totals = partial if totals is None else [a + b for a, b in zip(totals, partial)]
+            if sums:
+                partial = [col.sum() for col in batch.columns]
+                acc = partial if acc is None else [a + b for a, b in zip(acc, partial)]
+            else:  # any other combiner folds the morsel's rows
+                for row in batch.iter_rows():
+                    acc = row if acc is None else self.fn(acc, row)
         builder = RowVectorBuilder(self.output_type)
-        if totals is not None:
-            builder.append(tuple(np.asarray(t).item() for t in totals))
+        if acc is not None:
+            builder.append(tuple(np.asarray(v).item() for v in acc) if sums else acc)
         yield builder.finish()
 
 
@@ -71,8 +65,9 @@ class ReduceByKey(Operator):
 
     The key field is stripped from the tuples handed to ``fn`` and re-added
     to the aggregated result, so the output tuple type equals the input's.
-    Both data paths are deterministic: the scalar fold emits groups in
-    first-seen key order, the vectorized sum kernel in ascending key order.
+    Deterministic either way: the single-key sum kernel emits groups in
+    ascending key order, the fold of any other combiner or key set in
+    first-seen key order.
     """
 
     abbreviation = "RK"
@@ -117,51 +112,47 @@ class ReduceByKey(Operator):
                 row[pos] = val
             yield tuple(row)
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        key_pos, val_pos, fn = self._key_positions, self._value_positions, self.fn
-        groups: dict[tuple, tuple] = {}
-        count = 0
-        for row in self.upstreams[0].rows(ctx):
-            count += 1
-            key = tuple(row[p] for p in key_pos)
-            values = tuple(row[p] for p in val_pos)
-            acc = groups.get(key)
-            groups[key] = values if acc is None else fn(acc, values)
-        ctx.charge_cpu(self, "reduce", count)
-        yield from self._emit(groups)
-
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
+        parts = [b for b in self.upstreams[0].stream_batches(ctx) if len(b)]
+        ctx.charge_cpu(self, "reduce", sum(len(b) for b in parts))
+        yield self.aggregate(parts)
+
+    def aggregate(self, parts: list[RowVector]) -> RowVector:
+        """One tuple per key of the non-empty morsels ``parts``.
+
+        The sum kernel when ``fn`` only sums and there is one key; for any
+        other combiner or key set, a fold of the morsels' rows.  Charges
+        nothing: ``NicPartialAggregate`` bills the same work to the NIC.
+        """
+        if not parts:
+            return RowVector.empty(self.output_type)
         value_names = {
             self.output_type.field_names[p] for p in self._value_positions
         }
-        vectorizable = (
+        if (
             self.fn.vectorized_sum_fields is not None
             and set(self.fn.vectorized_sum_fields) == value_names
             and len(self._key_positions) == 1
-        )
-        if not vectorizable:
-            yield from self._rows_as_morsels(ctx)
-            return
-        yield from self._sum_by_single_key(ctx)
+        ):
+            return self._sum_by_single_key(parts)
+        return self._fold(parts)
 
-    def _sum_by_single_key(self, ctx: ExecutionContext) -> Iterator[RowVector]:
+    def _fold(self, parts: list[RowVector]) -> RowVector:
+        """Per-key accumulators over the morsels' rows, in first-seen key order."""
+        key_pos, val_pos, fn = self._key_positions, self._value_positions, self.fn
+        groups: dict[tuple, tuple] = {}
+        for batch in parts:
+            for row in batch.iter_rows():
+                key = tuple(row[p] for p in key_pos)
+                values = tuple(row[p] for p in val_pos)
+                acc = groups.get(key)
+                groups[key] = values if acc is None else fn(acc, values)
+        return RowVector.from_rows(self.output_type, self._emit(groups))
+
+    def _sum_by_single_key(self, parts: list[RowVector]) -> RowVector:
         """Vectorized single-key sum aggregation via sort + reduceat."""
         key_pos = self._key_positions[0]
-        key_chunks: list[np.ndarray] = []
-        value_chunks: list[list[np.ndarray]] = [[] for _ in self._value_positions]
-        total = 0
-        for batch in self.upstreams[0].stream_batches(ctx):
-            if len(batch) == 0:
-                continue
-            total += len(batch)
-            key_chunks.append(batch.columns[key_pos])
-            for store, pos in zip(value_chunks, self._value_positions):
-                store.append(batch.columns[pos])
-        ctx.charge_cpu(self, "reduce", total)
-        if not key_chunks:
-            yield RowVector.empty(self.output_type)
-            return
-        keys = np.concatenate(key_chunks)
+        keys = np.concatenate([batch.columns[key_pos] for batch in parts])
         order = key_order(keys)
         sorted_keys = keys[order]
         boundaries = np.flatnonzero(
@@ -169,7 +160,7 @@ class ReduceByKey(Operator):
         )
         out_columns: list[np.ndarray | None] = [None] * len(self.output_type)
         out_columns[key_pos] = sorted_keys[boundaries]
-        for store, pos in zip(value_chunks, self._value_positions):
-            values = np.concatenate(store)[order]
+        for pos in self._value_positions:
+            values = np.concatenate([batch.columns[pos] for batch in parts])[order]
             out_columns[pos] = np.add.reduceat(values, boundaries)
-        yield RowVector(self.output_type, out_columns)
+        return RowVector(self.output_type, out_columns)

@@ -2,10 +2,10 @@
 
 The basic input-reading operator of Modularis.  Its upstream produces
 tuples that contain a ``RowVector`` collection; RowScan yields the rows of
-each such collection, one at a time (or as zero-copy morsels on the fused
-path).  Together with ``MaterializeRowVector`` it is the *only* data
-processing operator that knows the physical layout of a RowVector —
-design principle 2 of Section 3.1.
+each such collection as zero-copy morsels.  Together with
+``MaterializeRowVector`` it is the *only* data processing operator that
+knows the physical layout of a RowVector — design principle 2 of
+Section 3.1.
 """
 
 from __future__ import annotations
@@ -91,11 +91,6 @@ class RowScan(Operator):
                     sharded.size_bytes()
                 )
             yield sharded
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        for collection in self._collections(ctx):
-            ctx.charge_cpu(self, "scan", len(collection) * self._scan_weight)
-            yield from collection.iter_rows()
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
         morsel_rows = ctx.morsel_rows_for(self.output_type)

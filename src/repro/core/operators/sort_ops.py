@@ -77,15 +77,6 @@ class LocalSort(Operator):
         if n > 1:
             ctx.charge_cpu(self, "sort", n * max(1, math.ceil(math.log2(n))))
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        data = list(self.upstreams[0].rows(ctx))
-        self._charge(ctx, len(data))
-        # Stable multi-pass sort: apply keys from least to most significant
-        # so mixed per-key directions compose correctly.
-        for position, desc in reversed(list(zip(self._positions, self.descending))):
-            data.sort(key=lambda row, p=position: row[p], reverse=desc)
-        yield from data
-
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
         data = self.upstreams[0].drain(ctx)
         self._charge(ctx, len(data))
@@ -181,7 +172,3 @@ class MergeJoin(Operator):
         columns += [left.columns[p][left_idx] for p in self._left_rest]
         columns += [right.columns[p][right_idx] for p in self._right_rest]
         yield RowVector(self.output_type, columns)
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        for batch in self.batches(ctx):
-            yield from batch.iter_rows()

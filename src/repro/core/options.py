@@ -34,9 +34,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["RunOptions"]
 
-#: Execution modes. ``fused`` models JiT-compiled pipelines (vectorized
-#: kernels, low abstraction overhead); ``interpreted`` models a pure
-#: tuple-at-a-time Volcano interpreter without compilation.
+#: Execution modes.  Both run the same vectorized kernels; ``fused`` charges
+#: them at the JiT-compiled rates (low abstraction overhead), ``interpreted``
+#: at the cost model's rate for a tuple-at-a-time Volcano interpreter.
 MODES = ("fused", "interpreted")
 
 #: Valid join-kernel policies for ``BuildProbe.batches``.

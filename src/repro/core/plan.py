@@ -72,9 +72,6 @@ class SharedScan(Operator):
         ctx.shared_cache[key] = (binding, vector)
         return vector
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        yield from self._materialized(ctx).iter_rows()
-
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
         yield self._materialized(ctx)
 

@@ -175,12 +175,8 @@ def _decompress_fn(
     mask = comp.payload_mask
     output_type = TupleType.of(**{key: INT64, value: INT64})
 
-    def scalar(param: tuple, row: tuple) -> tuple:
-        packed = row[0]
-        return (((packed >> key_bits) << fanout_bits) | param[0], packed & mask)
-
     def vectorized(param: tuple, columns: tuple[np.ndarray, ...]) -> tuple:
         packed = columns[0]
         return (((packed >> key_bits) << fanout_bits) | param[0], packed & mask)
 
-    return ParamTupleFunction(scalar, output_type, vectorized)
+    return ParamTupleFunction(None, output_type, vectorized)

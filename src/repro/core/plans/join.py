@@ -209,16 +209,12 @@ def _unpack_fn(comp: RadixCompression, key_field: str, payload: str) -> TupleFun
     key_bits = comp.key_bits
     mask = comp.payload_mask
 
-    def scalar(row: tuple) -> tuple:
-        packed = row[0]
-        return (packed >> key_bits, packed & mask)
-
     def vectorized(columns: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
         packed = columns[0]
         return (packed >> key_bits, packed & mask)
 
     return TupleFunction(
-        scalar, TupleType.of(**{key_field: INT64, payload: INT64}), vectorized
+        None, TupleType.of(**{key_field: INT64, payload: INT64}), vectorized
     )
 
 
@@ -229,11 +225,8 @@ def _recover_fn(
     fanout_bits = comp.fanout_bits
     output_type = probe_type.rename({"ckey": key})
 
-    def scalar(param: tuple, row: tuple) -> tuple:
-        return ((row[0] << fanout_bits) | param[0],) + row[1:]
-
     def vectorized(param: tuple, columns: tuple[np.ndarray, ...]) -> tuple:
         restored = (columns[0] << fanout_bits) | param[0]
         return (restored,) + tuple(columns[1:])
 
-    return ParamTupleFunction(scalar, output_type, vectorized)
+    return ParamTupleFunction(None, output_type, vectorized)

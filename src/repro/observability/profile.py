@@ -176,8 +176,8 @@ class Profiler:
 
         Called lazily (this is a generator function), so the reentrancy
         check runs at first pull: when the same node is already being
-        observed on this context — e.g. the default ``rows`` deriving from
-        the node's own ``batches`` — the inner activation passes through
+        observed on this context — e.g. a subclass's ``batches`` calling
+        the ``batches`` it overrides — the inner activation passes through
         uncounted, keeping row counts and self time single-counted.
         """
         rec = self.stats.get(id(op))
@@ -200,7 +200,7 @@ class Profiler:
         try:
             while True:
                 # An untimed profiler keeps no frame stack: no wall-clock
-                # reads per pull (interpreted mode pulls once per row).
+                # reads per pull (a row-native operator pulls once per row).
                 if timed:
                     self._push(rec)
                 try:

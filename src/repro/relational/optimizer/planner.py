@@ -350,10 +350,6 @@ def _expr_tuple_fn(
     )
     dtypes = [f.item_type.numpy_dtype for f in out_type]
 
-    def scalar(row: tuple) -> tuple:
-        env = dict(zip(names, row))
-        return tuple(_as_scalar(e.evaluate(env)) for e in exprs)
-
     def vectorized(columns: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
         env = dict(zip(names, columns))
         n = len(columns[0]) if columns else 0
@@ -362,13 +358,7 @@ def _expr_tuple_fn(
             for e, dt in zip(exprs, dtypes)
         )
 
-    return TupleFunction(scalar, out_type, vectorized)
-
-
-def _as_scalar(value: object) -> object:
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
+    return TupleFunction(None, out_type, vectorized)
 
 
 def _broadcast(values: np.ndarray, n: int, dtype: str) -> np.ndarray:
@@ -383,13 +373,10 @@ def _expr_predicate(
     names = input_type.field_names
     expr = strings.lower(expr, input_type)
 
-    def scalar(row: tuple) -> bool:
-        return bool(expr.evaluate(dict(zip(names, row))))
-
     def vectorized(columns: tuple[np.ndarray, ...]) -> np.ndarray:
         return np.asarray(expr.evaluate(dict(zip(names, columns))), dtype=bool)
 
-    return Predicate(scalar, vectorized)
+    return Predicate(None, vectorized)
 
 
 def _agg_reduce_fn(aggregates: tuple[AggregateSpec, ...]) -> ReduceFunction:

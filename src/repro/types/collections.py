@@ -9,8 +9,8 @@ sub-operators read and write.
 In this reproduction a :class:`RowVector` is stored *columnar* over numpy
 arrays.  This preserves the two properties the cost model cares about
 (contiguity and fixed row width, so transfer cost is ``rows × row_size``)
-while giving the fused execution mode (the JIT-compilation analogue) direct
-access to vectorizable columns.  Nested collection fields are stored as
+while giving the vectorized kernels (the JIT-compilation analogue) direct
+access to the columns.  Nested collection fields are stored as
 object columns holding the nested :class:`RowVector` instances.
 """
 
@@ -187,7 +187,7 @@ class RowVector:
         return tuple(_as_python(col[index]) for col in self._columns)
 
     def iter_rows(self) -> Iterator[tuple]:
-        """Yield runtime tuples; the row-at-a-time path of ``RowScan``."""
+        """Yield runtime tuples, for row consumers of a morsel."""
         if self._length == 0:
             return
         pythonized = [_pythonize_column(col) for col in self._columns]

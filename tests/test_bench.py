@@ -146,7 +146,6 @@ class TestSmokeGates:
 
     #: A report every gate passes, shaped like ``run_smoke``'s.
     PASSING = {
-        "benchmarks": {"micro": {"speedup": 9.0, "identical": True}},
         "profiler": {"disabled_overhead": 0.01, "identical": True},
         "faults": {"armed_overhead": -0.02, "identical": True},
         "sanitizer": {
@@ -169,7 +168,7 @@ class TestSmokeGates:
     def test_each_gate_trips_past_its_bound(self):
         from repro.bench.smoke import GATES, gate_failures
 
-        assert len(GATES) == 6
+        assert len(GATES) == 5
         for path, relation, bound, _ in GATES:
             report = copy.deepcopy(self.PASSING)
             *parents, leaf = path.split(".")
@@ -183,7 +182,7 @@ class TestSmokeGates:
     @pytest.mark.parametrize(
         "path",
         (
-            "benchmarks.micro.identical",
+            "profiler.identical",
             "faults.identical",
             "sanitizer.tpch.q4.clean",
             "join_kernels.uniform.identical",
@@ -214,12 +213,11 @@ class TestSmokeGates:
             join_probe_rows=1 << 10,
         )
         assert set(report) == {
-            "benchmarks", "profiler", "faults", "sanitizer", "join_kernels",
-            "serving",
+            "profiler", "faults", "sanitizer", "join_kernels", "serving",
         }
         # Wall-clock ratios at these sizes are noise; what must hold is
         # that every gated path resolves and every result flag is true.
         noise = tuple(path for path, *_ in GATES)
         assert [f for f in gate_failures(report) if not f.startswith(noise)] == []
         assert set(report["sanitizer"]["tpch"]) == {"q4", "q12", "q14", "q19"}
-        assert report["benchmarks"]["fig7_groupby"]["n_tuples"] == 256
+        assert report["faults"]["n_tuples"] == 256

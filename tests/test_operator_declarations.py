@@ -19,7 +19,10 @@ classes.  Checked here:
   ``hash_join.py``, so a merge sort cannot come back into a scatter unseen;
 * *one composition per fragment* — outside ``repro.core.operators`` only
   ``core/plans/fragments.py`` constructs the exchange/broadcast/local-level
-  operators or re-attributes a phase, so a second ladder cannot appear unseen.
+  operators or re-attributes a phase, so a second ladder cannot appear unseen;
+* *one data path* — under ``repro.core`` no class defines both ``rows`` and
+  ``batches``, and only a ``row_native`` class defines ``rows``, so a scalar
+  twin of a kernel cannot come back unseen.
 """
 
 import ast
@@ -434,3 +437,39 @@ def test_no_assert_statement_under_src():
         if isinstance(node, ast.Assert)
     ]
     assert sites == [], sites
+
+
+# -- one data path --------------------------------------------------------------
+
+
+def data_path_defects(path: Path) -> list[str]:
+    """Classes of ``path`` (other than ``Operator``) with a second data path:
+    ``rows`` beside ``batches``, or ``rows`` without ``row_native = True``."""
+    defects = []
+    for node in nodes(path):
+        if not isinstance(node, ast.ClassDef) or node.name == "Operator":
+            continue
+        methods = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+        row_native = any(
+            isinstance(n, ast.Assign)
+            and any(getattr(t, "id", None) == "row_native" for t in n.targets)
+            and getattr(n.value, "value", None) is True
+            for n in node.body
+        )
+        if "rows" in methods and ("batches" in methods or not row_native):
+            defects.append(f"{path.relative_to(SRC)}:{node.lineno} {node.name}")
+    return defects
+
+
+def test_every_sub_operator_has_one_data_path():
+    """Interpreted mode is a cost rate, not a second implementation: under
+    ``repro.core`` only a ``row_native`` class defines ``rows``, and no
+    class defines both ``rows`` and ``batches``."""
+    defects = [d for path in sorted((SRC / "core").rglob("*.py")) for d in data_path_defects(path)]
+    assert defects == [], defects
+    defining_rows = {
+        node.name for path in (SRC / "core").rglob("*.py") for node in nodes(path)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(n, ast.FunctionDef) and n.name == "rows" for n in node.body)
+    }
+    assert defining_rows == {"Operator", "Zip", "CartesianProduct", "MpiExecutor"}

@@ -5,8 +5,9 @@ import pytest
 
 from repro.core.context import ExecutionContext
 from repro.core.operators import BuildProbe, RowScan
+from repro.core.operators.build_probe import JOIN_TYPES
 from repro.errors import TypeCheckError
-from repro.types import FLOAT64, INT64, RowVector, TupleType
+from repro.types import BOOL, FLOAT64, INT64, RowVector, TupleType
 
 from tests.conftest import table_source
 
@@ -25,6 +26,23 @@ def reference_inner(left_rows, right_rows):
             if lk == rk:
                 out.append((rk, lv, rv))
     return sorted(out)
+
+
+def nested_loop(left_rows, right_rows, n_keys, join_type):
+    """``BuildProbe``'s emission order, by nested loops over rows whose
+    first ``n_keys`` fields are the keys (outer fill 0)."""
+    out, matched = [], set()
+    for r in right_rows:
+        hits = [i for i, l in enumerate(left_rows) if l[:n_keys] == r[:n_keys]]
+        if join_type in ("semi", "anti"):
+            out += [r] if bool(hits) == (join_type == "semi") else []
+            continue
+        matched.update(hits)
+        out += [r[:n_keys] + left_rows[i][n_keys:] + r[n_keys:] for i in hits]
+    if join_type == "left_outer":
+        pad = (0,) * (len(right_rows[0]) - n_keys)
+        out += [l + pad for i, l in enumerate(left_rows) if i not in matched]
+    return out
 
 
 class TestInnerJoin:
@@ -68,6 +86,31 @@ class TestInnerJoin:
         right = [(1, 1, 100), (1, 3, 300)]
         bp = BuildProbe(side(left, l2, ctx), side(right, r2, ctx), keys=("a", "b"))
         assert list(bp.stream(ctx)) == [(1, 1, 10, 100)]
+
+    @pytest.mark.parametrize("join_type", JOIN_TYPES)
+    @pytest.mark.parametrize("join_kernel", ["sorted", "radix"])
+    def test_keys_other_than_one_integer_run_on_codes(self, join_type, join_kernel):
+        """A FLOAT64 key and a (BOOL, INT64) key pair are factorized into
+        the kernels' int64 codes: the rows are the nested-loop join's,
+        probe-major with build-insertion order inside a key and the outer
+        tail in insertion order (-0.0 equals 0.0; the probe's key is kept)."""
+        ctx = ExecutionContext(join_kernel=join_kernel, morsel_rows=2)
+        float_side = TupleType.of(key=FLOAT64, v=INT64)
+        pair_side = TupleType.of(flag=BOOL, key=INT64, v=INT64)
+        cases = [
+            (float_side, [(0.5, 1), (-0.0, 2), (0.5, 3), (2.25, 4)],
+             [(0.0, 10), (0.5, 20), (7.0, 30), (0.5, 40)], ("key",)),
+            (pair_side, [(True, 1, 1), (False, 1, 2), (True, 1, 3), (True, 9, 4)],
+             [(False, 1, 10), (True, 1, 20), (True, 2, 30), (False, 9, 40)],
+             ("flag", "key")),
+        ]
+        for schema, left, right, keys in cases:
+            rschema = schema.rename({"v": "w"})
+            bp = BuildProbe(
+                side(left, schema, ctx), side(right, rschema, ctx), keys=keys,
+                join_type=join_type,
+            )
+            assert list(bp.stream(ctx)) == nested_loop(left, right, len(keys), join_type)
 
 
 class TestVariants:

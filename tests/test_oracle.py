@@ -38,6 +38,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +49,7 @@ from repro.core.operators.build_probe import JOIN_TYPES
 from repro.errors import ModularisError
 from repro.faults import FaultPolicy
 from repro.mpi.cluster import SimCluster
+from repro.mpi.costmodel import DEFAULT_COST_MODEL
 from repro.relational import lower_to_modularis, run_logical_plan
 from repro.relational.builder import scan
 from repro.relational.expressions import col
@@ -432,11 +434,10 @@ def check(case: Case, cell: Cell) -> None:
     assert wanted is None, f"{cell} runs, but {canonical} is refused: {wanted!r}"
     assert not isinstance(expected, Exception), f"the reference refuses ({expected!r})"
     assert frames_match(expected, frame, 1e-9, case.ordered), (expected, frame)
-    if cell.mode == "fused":  # the interpreted probe has one kernel
-        other = replace(cell, join_kernel=OTHER_KERNEL[cell.join_kernel])
-        other_frame, other_simulated = case.prepare(other)()
-        assert other_simulated == simulated, f"simulated time moves with {other}"
-        assert frames_match(frame, other_frame, 0.0, True), f"rows move with {other}"
+    other = replace(cell, join_kernel=OTHER_KERNEL[cell.join_kernel])
+    other_frame, other_simulated = case.prepare(other)()
+    assert other_simulated == simulated, f"simulated time moves with {other}"
+    assert frames_match(frame, other_frame, 0.0, True), f"rows move with {other}"
     if case.swapped is not None:
         swapped, _ = case.swapped.prepare(cell)()
         assert frames_match(expected, swapped, 1e-9, case.ordered), (expected, swapped)
@@ -482,6 +483,10 @@ _WRAP = logical_case(
     scan("a").aggregate(["a0"], [("sum", col("k"), "sum_k")]),
     catalog_of(a={"k": [-(1 << 62)] * 3, "a0": [0] * 3}), "an INT64 sum that wraps",
 )
+_SUM_BOOL = logical_case(
+    scan("a").aggregate(["a0"], [("sum", col("b"), "s")]),
+    catalog_of(a={"a0": [0, 0, 1], "b": [True, True, False]}), "a SUM over BOOL",
+)
 _OUTER = bulk_case(
     "broadcast_join", RowVector.from_rows(_JOIN.left.element_type, [(0, 850)]),
     RowVector.empty(_JOIN.right.element_type), join_type="left_outer",
@@ -520,5 +525,45 @@ _BULK = {
 @example(case=_OUTER, cell=Cell(ranks=2))
 @example(case=_LONG, cell=Cell(ranks=2))
 @example(case=_WRAP, cell=Cell(mode="interpreted"))
+@example(case=_SUM_BOOL, cell=Cell(mode="interpreted"))
 def test_every_cell_returns_the_reference_rows_or_the_same_refusal(case, cell):
     check(case, cell)
+
+
+
+# -- model relations ------------------------------------------------------------
+
+#: A cost model under which the modes' one difference, the overhead rate
+#: ``ExecutionContext.overhead_for`` charges, is gone.
+FLAT = DEFAULT_COST_MODEL.with_overrides(
+    interpreted_overhead=1.0, fused_overhead=1.0, small_pipeline_overhead=1.0
+)
+
+
+def flat_run(name: str, mode: str):
+    """``q12`` or the bulk join on four ranks under :data:`FLAT`."""
+    cluster = SimCluster(4, cost_model=FLAT)
+    options = RunOptions(mode=mode, metrics=True, cost_model=FLAT)
+    if name == "join":
+        types = _JOIN.left.element_type, _JOIN.right.element_type
+        plan = plans.build_distributed_join(cluster, *types, key_bits=_JOIN.key_bits)
+        report = plan.run(_JOIN.left, _JOIN.right, options)
+        return as_frame(plan.result(report)), report
+    catalog = tpch_catalog(0.002)
+    lowered = lower_to_modularis(ALL_QUERIES[12]().plan, catalog, cluster)
+    report = lowered.run(catalog, options)
+    return lowered.result_frame(report), report
+
+
+@pytest.mark.parametrize("name", ["q12", "join"])
+def test_the_modes_differ_only_through_overhead_for(name):
+    """Both modes run the same kernels, so with one overhead rate for both
+    they are one execution: the same rows, clocks, messages and morsels."""
+    (fused_frame, fused), (interp_frame, interp) = (
+        flat_run(name, mode) for mode in ("fused", "interpreted")
+    )
+    assert frames_match(fused_frame, interp_frame, 0.0, True)
+    assert fused.simulated_time == interp.simulated_time
+    assert fused.phase_breakdown() == interp.phase_breakdown()
+    for metric in ("comm_puts", "shuffle_bytes", "morsels_drained"):
+        assert fused.metrics.total(metric) == interp.metrics.total(metric) > 0, metric

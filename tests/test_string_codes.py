@@ -30,8 +30,10 @@ def test_simulated_figures_are_the_ones_strings_cost():
                 cells.append((q, ranks, mode, report.simulated_time,
                               sorted(report.phase_breakdown().items()),
                               m.total("comm_puts"), m.total("shuffle_bytes")))
-    # Pinned before strings became codes.
-    assert hashlib.sha256(repr(cells).encode()).hexdigest()[:16] == "08d03dcc3c6f0d75", cells
+    # Pinned before strings became codes; re-pinned when interpreted mode
+    # began running the same kernels as fused (seven interpreted cells
+    # moved in float rounding only, at most 1.6e-16 relative).
+    assert hashlib.sha256(repr(cells).encode()).hexdigest()[:16] == "167d424e74bc9f92", cells
 
 
 @pytest.mark.parametrize("ranks", [1, 4])
