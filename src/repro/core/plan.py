@@ -24,6 +24,7 @@ each of which forms its own scope.
 
 from __future__ import annotations
 
+import threading
 from typing import Iterator
 
 from repro.core.context import ExecutionContext
@@ -38,6 +39,9 @@ __all__ = ["SharedScan", "prepare", "walk", "explain"]
 
 #: Effective size assigned to pipelines containing a ``heavy_loop`` operator.
 _HEAVY_PIPELINE_SIZE = 6
+
+#: Serializes the first ``prepare`` of a plan shared between threads.
+_PREPARE_LOCK = threading.Lock()
 
 
 class SharedScan(Operator):
@@ -208,18 +212,23 @@ def prepare(root: Operator) -> Operator:
     """Compile a plan: cut the DAG into pipelines and annotate operators.
 
     Idempotent; returns ``root`` for chaining.  Must run before execution —
-    :func:`repro.core.executor.execute` calls it automatically.
+    :func:`repro.core.executor.execute` calls it automatically.  Safe to
+    call from several threads at once: the first call rewrites
+    ``upstreams``, so a racing second pass could cut the plan differently.
     """
     if getattr(root, "_prepared", False):
         return root
-    scopes = [root]
-    while scopes:
-        scope_root = scopes.pop()
-        _insert_shared_scans(scope_root)
-        _assign_pipelines_and_phases(scope_root)
-        for op in walk(scope_root):
-            scopes.extend(op.nested_roots())
-    root._prepared = True
+    with _PREPARE_LOCK:
+        if getattr(root, "_prepared", False):
+            return root
+        scopes = [root]
+        while scopes:
+            scope_root = scopes.pop()
+            _insert_shared_scans(scope_root)
+            _assign_pipelines_and_phases(scope_root)
+            for op in walk(scope_root):
+                scopes.extend(op.nested_roots())
+        root._prepared = True
     return root
 
 

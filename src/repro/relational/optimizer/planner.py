@@ -34,7 +34,8 @@ string column as int32 codes into one sorted dictionary
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -441,22 +442,31 @@ class ModularisQuery:
     #: Strategy the optimizer *wanted* before a fault policy degraded it
     #: (e.g. ``"broadcast"`` refused under injected memory pressure).
     degraded_from: str | None = None
+    #: The last ``bind``: the scanned ``Table`` objects and their relations.
+    _bound: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def bind(self, catalog: Catalog) -> tuple[RowVector, ...]:
         """Extract and prune this query's input relations from ``catalog``.
 
-        The serving layer binds fresh inputs per run; ``run`` and
-        ``execution`` both go through here.
+        ``run`` and ``execution`` both go through here.  Tables are
+        immutable, so when the catalog holds the same ``Table`` objects as
+        at the last call, the relations bound then are returned again.
         """
-        tables = []
-        for side in _sides(self.shape):
-            table = catalog.get(side.table)
-            tables.append(RowVector(_pruned_schema(catalog, side), [
+        tables = tuple(catalog.get(side.table) for side in _sides(self.shape))
+        if self._bound is not None:
+            scanned, bound = self._bound
+            if all(map(operator.is_, scanned, tables)):
+                return bound
+        bound = tuple(
+            RowVector(_pruned_schema(catalog, side), [
                 self.strings.encode(table, c) if c in table.dictionaries
                 else table.data.column(c)
                 for c in side.columns
-            ]))
-        return tuple(tables)
+            ])
+            for table, side in zip(tables, _sides(self.shape))
+        )
+        self._bound = (tables, bound)
+        return bound
 
     def execution(
         self, catalog: Catalog, options: RunOptions | None = None, ctx=None

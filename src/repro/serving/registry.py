@@ -7,23 +7,27 @@ were verified against — and then *run* many times against fresh catalog
 contents.  ``deploy`` is the expensive, checked step; ``run`` is the hot
 path and does only the contract check before data flows.
 
-A :class:`PreparedPlan` deliberately does **not** cache a lowered
-:class:`~repro.relational.optimizer.planner.ModularisQuery`:
-:meth:`PreparedPlan.instantiate` lowers a fresh physical plan per run
-because lowering is a function of the run, not only of the query — it
-sizes the local fan-out from the *live* catalog's statistics, and under a
-memory-pressure fault policy it degrades a broadcast join to an exchange
-at planning time.  It is not a concurrency workaround: plan nodes hold no
-run state (every execution's evidence lives in its own
-:class:`~repro.observability.record.ExecutionRecord`), so interleaved
-runs of one lowered plan would not race.  The deploy-time lowering is
-still performed — and discarded — so structural errors and lint findings
-surface at deploy time, not at 3 a.m.
+A :class:`PreparedPlan` keeps the last
+:class:`~repro.relational.optimizer.planner.ModularisQuery` it lowered,
+keyed on exactly what lowering reads besides the query: the cluster, the
+memory-pressure flag of the run's fault policy (which degrades a
+broadcast join to an exchange at planning time) and the ``Table`` object
+of every table in the schema contract (whose statistics size the local
+fan-out and whose dictionaries make the string codes).  Tables are
+immutable once constructed, so the same objects mean the same contents;
+replacing a table in the catalog is a miss.  Sharing one lowered plan
+between runs, concurrent ones included, is safe because plan nodes hold
+no run state: every execution's evidence lives in its own
+:class:`~repro.observability.record.ExecutionRecord`.  ``deploy`` seeds
+the memo with the lowering it verified, so structural errors and lint
+findings surface at deploy time, not at 3 a.m., and the plan that was
+verified is the plan that runs.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
@@ -124,6 +128,8 @@ class PreparedPlan:
     join_strategy: str = "exchange"
     #: Execution defaults for runs of this plan; per-run options override.
     defaults: RunOptions = field(default_factory=RunOptions)
+    #: The last lowering, as ``(key, lowered)`` (see :meth:`instantiate`).
+    _lowered: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def instantiate(
         self,
@@ -131,19 +137,38 @@ class PreparedPlan:
         cluster: "SimCluster",
         options: RunOptions | None = None,
     ) -> ModularisQuery:
-        """A fresh physical plan for one run (see the module docstring).
+        """The physical plan for one run (see the module docstring).
 
         Validates the schema contract first, so a drifted catalog is
-        rejected before any lowering or data movement.
+        rejected before any lowering or data movement.  Then returns the
+        stored lowering if the cluster, the fault policy's
+        ``memory_pressure`` flag and every contract table are the same
+        objects it was lowered for; otherwise lowers and stores that.
         """
         self.contract.validate(catalog)
-        return lower_to_modularis(
+        options = options if options is not None else self.defaults
+        key = self._key(catalog, cluster, options)
+        if self._lowered is not None:
+            stored, lowered = self._lowered
+            if all(map(operator.is_, stored, key)):
+                return lowered
+        lowered = lower_to_modularis(
             self.plan,
             catalog,
             cluster,
             join_strategy=self.join_strategy,
-            options=options if options is not None else self.defaults,
+            options=options,
         )
+        self._remember(key, lowered)
+        return lowered
+
+    def _key(self, catalog: Catalog, cluster: "SimCluster", options: RunOptions) -> tuple:
+        """Every input of a lowering of this plan, compared by identity."""
+        pressure = bool(getattr(options.faults, "memory_pressure", False))
+        return (cluster, pressure, *(catalog.get(name) for name, _ in self.contract.tables))
+
+    def _remember(self, key: tuple, lowered: ModularisQuery) -> None:
+        object.__setattr__(self, "_lowered", (key, lowered))
 
 
 class HandleStats:
@@ -259,7 +284,9 @@ class PlanRegistry:
         every request.  The lowering sizes its local partitioning level
         from the live catalog, so :meth:`PreparedPlan.instantiate` may
         later emit the other shape (collapsed or partitioned); both are
-        verified here.
+        verified here.  The default-shape lowering seeds the prepared
+        plan's memo, keyed on ``cluster``, the ``memory_pressure`` flag of
+        ``defaults`` and the deploy catalog's contract tables.
         """
         plan = getattr(query, "plan", query)
         if not isinstance(plan, LogicalPlan):
@@ -268,8 +295,6 @@ class PlanRegistry:
             )
         defaults = defaults if defaults is not None else RunOptions()
         contract = SchemaContract.capture(plan, catalog)
-        # Deploy-time verification run: lower and lint, then discard the
-        # lowered artifact (it is per-run state; see module docstring).
         from repro.analysis import verify
 
         def lower(local_fanout: int | None) -> ModularisQuery:
@@ -294,6 +319,7 @@ class PlanRegistry:
                 join_strategy=join_strategy,
                 defaults=defaults,
             )
+            prepared._remember(prepared._key(catalog, cluster, defaults), lowered)
             self._plans[handle] = prepared
             self._latest[name] = handle
         return prepared

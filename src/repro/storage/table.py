@@ -63,9 +63,22 @@ class TableStats:
 
 
 class Table:
-    """A named base relation."""
+    """A named base relation, immutable once constructed.
+
+    A lowered query and its bound inputs are memoized on the identity of
+    the tables they read, so the same ``Table`` object must mean the same
+    contents: new contents are a new ``Table``, registered with
+    ``Catalog.register(table, replace=True)``.
+    """
 
     __slots__ = ("name", "data", "stats", "dictionaries")
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in ("data", "stats", "dictionaries") and hasattr(self, name):
+            raise AttributeError(
+                f"Table.{name} cannot be rebound; register a new Table instead"
+            )
+        object.__setattr__(self, name, value)
 
     def __init__(self, name: str, data: RowVector, stats: TableStats | None = None,
                  dictionaries: dict[str, Dictionary] | None = None) -> None:

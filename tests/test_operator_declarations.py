@@ -22,11 +22,15 @@ classes.  Checked here:
   operators or re-attributes a phase, so a second ladder cannot appear unseen;
 * *one data path* — under ``repro.core`` no class defines both ``rows`` and
   ``batches``, and only a ``row_native`` class defines ``rows``, so a scalar
-  twin of a kernel cannot come back unseen.
+  twin of a kernel cannot come back unseen;
+* *no run state on plan nodes* — no method of an operator or partition
+  function but ``__init__`` (and two build-time methods) assigns to
+  ``self``, so one lowered plan can serve concurrent runs.
 """
 
 import ast
 import functools
+import importlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -473,3 +477,63 @@ def test_every_sub_operator_has_one_data_path():
         and any(isinstance(n, ast.FunctionDef) and n.name == "rows" for n in node.body)
     }
     assert defining_rows == {"Operator", "Zip", "CartesianProduct", "MpiExecutor"}
+
+
+# -- plan nodes hold no run state -------------------------------------------------
+
+#: Methods that may assign an attribute of ``self`` outside ``__init__``: both
+#: run while a plan is built (a lint suppression, a key position resolved
+#: against the upstream type), never while it executes.
+STATE_WRITES_ALLOWED = {"Operator.suppress", "_KeyedPartition.bind"}
+
+
+def self_attribute_writes(path: Path, module: str) -> list[str]:
+    """``Class.method:line`` of every assignment to ``self.<attr>`` (or into
+    one) made by a method other than ``__init__`` of an ``Operator`` or
+    ``PartitionFunction`` subclass defined in ``path``."""
+    from repro.core.functions import PartitionFunction
+
+    found = []
+    for cls_node in nodes(path):
+        if not isinstance(cls_node, ast.ClassDef):
+            continue
+        cls = getattr(importlib.import_module(module), cls_node.name)
+        if not issubclass(cls, (Operator, PartitionFunction)):
+            continue
+        for method in cls_node.body:
+            if not isinstance(method, ast.FunctionDef) or method.name == "__init__":
+                continue
+            for node in ast.walk(method):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                stores = (t for top in targets for t in ast.walk(top)
+                          if isinstance(getattr(t, "ctx", None), ast.Store))
+                for target in stores:
+                    while isinstance(target, ast.Subscript) or (
+                        isinstance(target, ast.Attribute)
+                        and getattr(target.value, "id", None) != "self"
+                    ):
+                        target = target.value
+                    if isinstance(target, ast.Attribute):
+                        found.append(f"{cls_node.name}.{method.name}:{node.lineno}")
+    return found
+
+
+def test_plan_nodes_hold_no_run_state():
+    """One lowered plan serves every run of a deployed query, concurrent ones
+    included, so no operator or partition function method writes to ``self``
+    at run time: run state lives in generator locals and the context."""
+    paths = {
+        SRC / "core/operator.py": "repro.core.operator",
+        SRC / "core/functions.py": "repro.core.functions",
+        SRC / "core/plan.py": "repro.core.plan",
+        **{path: f"repro.core.operators.{path.stem}"
+           for path in (SRC / "core/operators").glob("*.py")},
+    }
+    writes = [w for path, module in sorted(paths.items())
+              for w in self_attribute_writes(path, module)]
+    assert {w.split(":")[0] for w in writes} == STATE_WRITES_ALLOWED, writes

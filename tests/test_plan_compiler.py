@@ -1,5 +1,8 @@
 """Unit tests for the plan compiler: pipeline cutting and annotations."""
 
+import sys
+import threading
+
 from repro.core.functions import RadixPartition, field_sum
 from repro.core.operators import (
     LocalHistogram,
@@ -13,6 +16,9 @@ from repro.core.operators import (
     Zip,
 )
 from repro.core.plan import SharedScan, explain, prepare, walk
+from repro.mpi import SimCluster
+from repro.relational import lower_to_modularis
+from repro.tpch import load_catalog, q19
 from repro.types import INT64, TupleType
 
 from tests.conftest import make_kv_table, table_source
@@ -105,6 +111,39 @@ class TestSharedScanInsertion:
         count = sum(isinstance(op, SharedScan) for op in walk(root))
         prepare(root)
         assert sum(isinstance(op, SharedScan) for op in walk(root)) == count
+
+    def test_first_prepare_is_safe_under_concurrency(self):
+        # A deployed plan is shared by every run, so two server workers can
+        # run its first prepare at once; a racing second pass would wrap or
+        # clone again and change pipeline sizes, hence simulated time.
+        catalog = load_catalog(scale_factor=0.002)
+
+        def fresh_q19():
+            return lower_to_modularis(q19().plan, catalog, SimCluster(4)).root
+
+        def cut(root):
+            return explain(root), [op.pipeline_size for op in walk(root, into_nested=True)]
+
+        expected = cut(prepare(fresh_q19()))
+        root = fresh_q19()
+        start = threading.Barrier(8)
+
+        def racer():
+            start.wait(timeout=60)
+            prepare(root)
+
+        threads = [threading.Thread(target=racer) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert cut(root) == expected
 
 
 class TestAnnotations:

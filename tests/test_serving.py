@@ -12,8 +12,10 @@ import pytest
 
 from repro.core.options import RunOptions
 from repro.errors import AdmissionError, SchemaContractError
+from repro.faults import FaultPolicy
 from repro.mpi.cluster import SimCluster
 from repro.observability.metrics import MetricsRegistry
+from repro.relational import frames_match, run_logical_plan
 from repro.serving import (
     FairShare,
     PlanRegistry,
@@ -24,7 +26,7 @@ from repro.serving import (
 )
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
-from repro.tpch import load_catalog, q4, q12
+from repro.tpch import load_catalog, q4, q12, q19
 
 
 @pytest.fixture(scope="module")
@@ -111,13 +113,51 @@ class TestPlanRegistry:
             registry.deploy("bad", object(), catalog, cluster)
 
     def test_instantiate_returns_fresh_lowered_plan(self, catalog, cluster):
+        # Fresh per catalog version, not per run: the same tables, cluster
+        # and memory-pressure flag give the same lowering (deploy's own).
         registry = PlanRegistry()
         prepared = registry.deploy("q12", q12(), catalog, cluster)
         a = prepared.instantiate(catalog, cluster)
-        b = prepared.instantiate(catalog, cluster)
-        # Fresh per run: MpiExecutor state must never be shared.
-        assert a is not b
-        assert a.root is not b.root
+        assert prepared.instantiate(catalog, cluster, RunOptions(metrics=True)) is a
+        assert prepared.instantiate(catalog, SimCluster(2)) is not a
+        replaced = Catalog()
+        for table in catalog:
+            replaced.register(table)
+        orders = catalog.get("orders")
+        replaced.register(
+            Table("orders", orders.data, orders.stats, orders.dictionaries), replace=True
+        )
+        b = prepared.instantiate(replaced, cluster)
+        assert b is not a and prepared.instantiate(replaced, cluster) is b
+        # Memory pressure degrades a broadcast join at planning time, and
+        # the next normal run gets the broadcast lowering back.
+        broadcast = registry.deploy("q12b", q12(), catalog, cluster, join_strategy="broadcast")
+        normal = broadcast.instantiate(catalog, cluster)
+        pressured = broadcast.instantiate(
+            catalog, cluster, RunOptions(faults=FaultPolicy(memory_pressure=True))
+        )
+        assert pressured is not normal
+        assert (pressured.strategy, pressured.degraded_from) == ("exchange", "broadcast")
+        again = broadcast.instantiate(catalog, cluster)
+        assert (again.strategy, again.degraded_from) == ("broadcast", None)
+
+    def test_tables_are_immutable_and_replacing_one_relowers(self, cluster):
+        catalog = load_catalog(scale_factor=0.002)
+        orders = catalog.get("orders")
+        for name in ("data", "stats", "dictionaries"):
+            with pytest.raises(AttributeError, match="cannot be rebound"):
+                setattr(orders, name, getattr(orders, name))
+        prepared = PlanRegistry().deploy("q12", q12(), catalog, cluster)
+        before = prepared.instantiate(catalog, cluster)
+        full = before.result_frame(before.run(catalog))
+        # Keep the first half of the orders: q12's counts follow them.
+        kept = orders.data.slice(0, len(orders) // 2)
+        catalog.register(Table("orders", kept), replace=True)
+        after = prepared.instantiate(catalog, cluster)
+        assert after is not before
+        frame = after.result_frame(after.run(catalog))
+        assert frames_match(run_logical_plan(q12().plan, catalog), frame, tolerance=0.0)
+        assert not frames_match(full, frame, tolerance=0.0)
 
     def test_prepared_plan_is_immutable(self, catalog, cluster):
         registry = PlanRegistry()
@@ -323,3 +363,57 @@ class TestServerSurface:
             server.catalog = Catalog()
             with pytest.raises(SchemaContractError):
                 server.submit(handle)
+
+
+class TestOneLoweringServesEveryRun:
+    """Every run of a deployed query shares one lowered plan, so its runs —
+    serial, interleaved on one thread, or on two threads — must not see
+    each other: rows, clocks, phases and counts bit-identical."""
+
+    OPTIONS = RunOptions(profile=True, metrics=True)
+
+    @staticmethod
+    def evidence(report):
+        (row,) = report.rows
+        vector = row[0]
+        return (
+            [vector.column(f).tobytes() for f in vector.element_type.field_names],
+            report.simulated_time,
+            report.phase_breakdown(),
+            report.metrics.total("comm_puts"),
+            report.metrics.total("shuffle_bytes"),
+        )
+
+    @pytest.mark.parametrize("query", [q12, q19], ids=["q12", "q19"])
+    def test_serial_interleaved_and_threaded_runs_agree(self, catalog, query):
+        cluster = SimCluster(4)
+        lowered = PlanRegistry().deploy("q", query(), catalog, cluster).instantiate(
+            catalog, cluster
+        )
+        first = self.evidence(lowered.run(catalog, self.OPTIONS))
+        assert lowered.bind(catalog) is lowered.bind(catalog)
+        assert self.evidence(lowered.run(catalog, self.OPTIONS)) == first
+
+        steps = [lowered.execution(catalog, self.OPTIONS) for _ in range(2)]
+        interleaved = [None, None]
+        while None in interleaved:
+            for i, generator in enumerate(steps):
+                if interleaved[i] is None:
+                    try:
+                        next(generator)
+                    except StopIteration as done:
+                        interleaved[i] = done.value
+        assert [self.evidence(r) for r in interleaved] == [first, first]
+
+        threaded = []
+
+        def run():
+            threaded.append(self.evidence(lowered.run(catalog, self.OPTIONS)))
+
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert threaded == [first, first]
