@@ -253,7 +253,7 @@ def _serving_probe(scale_factor: float, machines: int, repeats: int) -> dict:
 
     ``armed`` sets a generous deadline on every submission, a retry
     policy, and a shed threshold just below the cap: every lifecycle
-    check runs on every quantum and submission, but nothing ever fires.
+    check runs on every driver step and submission, but nothing ever fires.
     Only the submit-to-result window is timed (deploys happen outside
     the clock).
     """

@@ -27,6 +27,8 @@ import json
 import sys
 from typing import Sequence
 
+from repro.faults.policy import CHAOS_PROFILES
+
 __all__ = ["main", "build_parser"]
 
 _QUERIES = (1, 3, 4, 6, 12, 14, 19)
@@ -269,11 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="soak the concurrent serving layer: N interleaved TPC-H "
         "queries on one shared cluster, checked bit-identical to serial",
     )
-    serve.add_argument("--quantum", type=int, default=1,
-                       help="morsel steps per scheduling quantum (default: 1)")
     serve.add_argument(
         "--chaos", nargs="?", const="transient", default="none",
-        choices=("none", "transient", "crash", "straggler", "flaky"),
+        choices=CHAOS_PROFILES,
         help="arm a chaos profile during the soak (bare --chaos means "
         "'transient'; surviving results must stay bit-identical)",
     )
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", action="store_true",
         help="arm full query tracing (operator profiles + substrate "
         "events, causally linked per query) and print the scheduler "
-        "quantum trace after the summary",
+        "trace after the summary",
     )
     serve.add_argument(
         "--slo-target", type=float, default=None, metavar="SECONDS",
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     slo.add_argument(
         "--chaos", nargs="?", const="transient", default="none",
-        choices=("none", "transient", "crash", "straggler", "flaky"),
+        choices=CHAOS_PROFILES,
         help="arm a chaos profile during the SLO soak",
     )
     slo.add_argument("--retries", type=int, default=0,
@@ -760,7 +760,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             machines=args.machines,
             n_queries=args.queries,
             n_workers=args.workers,
-            quantum=args.quantum,
             chaos=args.chaos,
             seed=args.seed,
             deadline=args.deadline,
@@ -785,7 +784,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             "concurrent_wall_seconds": report.concurrent_wall,
             "queries_per_second": report.queries_per_second,
             "overlapped": report.overlapped,
-            "steals": report.steals,
             "starved_tenants": report.starved_tenants,
             "shares": {
                 t: {"observed": obs, "entitled": ent}
@@ -814,13 +812,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         print(report.render())
         if args.trace:
-            print("\nscheduler quantum trace (seq worker tenant query):")
+            print("\nscheduler trace (seq worker tenant query):")
             for event in report.scheduler_events:
-                stolen = " stolen" if event.stolen else ""
                 print(
                     f"  [{event.seq:>5}] w{event.worker} {event.tenant:<12} "
                     f"q{event.query_id} {event.label} "
-                    f"({event.trace_id or 'untraced'}){stolen}"
+                    f"({event.trace_id or 'untraced'})"
                 )
         if artifacts is not None:
             _print_artifacts(artifacts, args)

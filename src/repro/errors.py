@@ -163,11 +163,11 @@ class QueryLifecycleError(ServingError):
 
 
 class QueryCancelled(QueryLifecycleError):
-    """A query was cooperatively cancelled between morsel steps.
+    """A query was cooperatively cancelled between driver steps.
 
     Raised out of :meth:`QueryFuture.result` after
     :meth:`QueryFuture.cancel` / :meth:`Server.cancel` took effect.  The
-    cancelled query's consumed morsel steps are settled into its tenant's
+    cancelled query's consumed driver steps are settled into its tenant's
     ledger as a ``cancelled`` outcome; no result frame exists.
     """
 
@@ -176,8 +176,8 @@ class DeadlineExceeded(QueryLifecycleError):
     """A query overran its simulated-time deadline.
 
     Deadlines are budgets on the *simulated* clock (the same axis as
-    ``ExecutionReport.simulated_time``), enforced cooperatively at
-    scheduler quantum boundaries — never against wall time, so the set of
+    ``ExecutionReport.simulated_time``), enforced cooperatively before
+    every driver step — never against wall time, so the set of
     deadline misses is deterministic for a given seed and configuration.
     The budget spans server-level retries: backoff and prior attempts'
     elapsed simulated time count against it.

@@ -25,10 +25,12 @@ from dataclasses import dataclass, field
 from repro.errors import TypeCheckError
 
 __all__ = [
+    "CHAOS_PROFILES",
     "RetryPolicy",
     "StragglerFault",
     "CrashFault",
     "FaultPolicy",
+    "chaos_policy",
     "is_retryable",
 ]
 
@@ -223,6 +225,44 @@ class FaultPolicy:
             seed=seed, stragglers=(StragglerFault(rank=rank, slowdown=slowdown),),
             **kwargs,
         )
+
+
+#: The fault mixes a serving soak (``repro serve``/``repro slo``) can run
+#: under, resolved by :func:`chaos_policy`:
+#:
+#: * ``none`` — no injection.
+#: * ``transient`` — dropped puts/collectives, healed by substrate retry.
+#: * ``crash`` — one rank hard-crash per execution, healed by driver
+#:   stage re-execution.
+#: * ``straggler`` — one delayed rank (tail-latency pressure; no failures).
+#: * ``flaky`` — transient drops with the substrate budgets zeroed out, so
+#:   failures escape to the *server's* retry loop (configure server
+#:   retries or queries fail terminally).
+CHAOS_PROFILES = ("none", "transient", "crash", "straggler", "flaky")
+
+
+def chaos_policy(profile: str, seed: int) -> FaultPolicy | None:
+    """Resolve a chaos profile name to its fault policy."""
+    if profile == "none":
+        return None
+    if profile == "transient":
+        return FaultPolicy.transient(seed=seed, rate=0.05)
+    if profile == "crash":
+        return FaultPolicy.with_crash(seed=seed)
+    if profile == "straggler":
+        return FaultPolicy.with_stragglers(seed=seed)
+    if profile == "flaky":
+        # Substrate retry budgets zeroed: the first dropped operation
+        # escapes to the server, whose retry loop (fresh fault seed per
+        # attempt) is the only thing standing between it and a terminal
+        # failure.
+        return FaultPolicy.transient(
+            seed=seed,
+            rate=0.05,
+            retry=RetryPolicy(max_attempts=1),
+            max_stage_retries=0,
+        )
+    raise ValueError(f"unknown chaos profile {profile!r}")
 
 
 def is_retryable(error: BaseException) -> bool:

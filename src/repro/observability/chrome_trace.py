@@ -203,7 +203,7 @@ def serving_trace_events(
     (e.g. the profiles of a chaos matrix) can merge into one file:
 
     * ``pid_base + 1`` — scheduler workers: one thread per worker, one
-      box per quantum on the *global step-sequence* axis.  Overlapping
+      box per pick on the *global step-sequence* axis.  Overlapping
       boxes of different queries are the interleaving proof, visually.
     * ``pid_base + 2`` — tenants: one thread per tenant, one box per
       admitted query spanning ``[first_seq, last_seq]`` (instants for
@@ -221,7 +221,7 @@ def serving_trace_events(
     Args:
         queries: ``(journal, report-or-None)`` per submission, in
             submission order; failed/shed submissions pass ``None``.
-        scheduler_events: The scheduler's quantum trace.
+        scheduler_events: The scheduler's trace, one event per pick.
         lifecycle_events: The server's lifecycle transitions; entries
             without a trace id land in the server lane.
         time_scale: Simulated seconds → µs for the per-query processes.
@@ -267,7 +267,6 @@ def serving_trace_events(
                     "query_id": event.query_id,
                     "tenant": event.tenant,
                     "steps": event.steps,
-                    "stolen": event.stolen,
                     "trace_id": event.trace_id,
                     "span_id": event.span_id,
                 },

@@ -94,13 +94,12 @@ METRIC_HELP: dict[str, str] = {
     "serving_handle_settled": "Settled queries considered for SLO burn per handle",
     "serving_in_flight": "Queries admitted and not yet settled",
     "serving_latency_seconds": "End-to-end simulated latency of completed queries per tenant",
-    "serving_quanta": "Scheduler quanta executed per worker",
+    "serving_quanta": "Scheduler picks (one driver step each) per worker",
     "serving_rejected": "Submissions refused by hard admission control",
     "serving_retries": "Server-level retry attempts after retryable faults",
     "serving_shed": "Submissions refused by load-aware shedding",
     "serving_simulated_millis": "Simulated milliseconds consumed by completed queries",
     "serving_slo_miss": "Settled queries that burned SLO error budget",
-    "serving_steals": "Tasks stolen from other workers' queues",
     "serving_steps": "Morsel steps executed per tenant",
     "serving_submitted": "Query submissions admitted to the scheduler",
     "shuffle_bytes": "Bytes exchanged by hash-partitioned shuffles",

@@ -2,9 +2,9 @@
 
 The driver/executor split of the Modularis reproduction: a
 :class:`Server` admits many concurrent queries — deployed once via the
-``session → deploy → run`` lifecycle, then executed morsel-by-morsel by a
-work-stealing scheduler with stride fair-share across tenants and a hard
-admission bound.  See ``docs/serving.md``.
+``session → deploy → run`` lifecycle, then advanced one driver step at a
+time by a worker pool sharing one run queue, with stride fair-share
+across tenants and a hard admission bound.  See ``docs/serving.md``.
 """
 
 from repro.serving.lifecycle import BreakerConfig, CircuitBreaker
@@ -18,8 +18,8 @@ from repro.serving.registry import (
 from repro.serving.scheduler import (
     FairShare,
     QueryTask,
+    Scheduler,
     SchedulerEvent,
-    WorkStealingScheduler,
 )
 from repro.serving.server import (
     QueryFuture,
@@ -46,13 +46,13 @@ __all__ = [
     "QueryOutcome",
     "QuerySession",
     "QueryTask",
+    "Scheduler",
     "SchedulerEvent",
     "SchemaContract",
     "Server",
     "SoakConfig",
     "SoakReport",
     "TenantAccount",
-    "WorkStealingScheduler",
     "export_soak_artifacts",
     "handle_stats",
     "run_soak",

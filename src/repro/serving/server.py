@@ -3,7 +3,7 @@
 The :class:`Server` is the driver half of the driver/executor split.  It
 owns one shared :class:`~repro.mpi.cluster.SimCluster` (the executor
 substrate), one :class:`~repro.serving.registry.PlanRegistry` of deployed
-plans, one :class:`~repro.serving.scheduler.WorkStealingScheduler`, and
+plans, one :class:`~repro.serving.scheduler.Scheduler`, and
 one :class:`~repro.observability.tracing.QueryJournal` per submission.
 
 The journal is the only record of a submission's fate: it is written
@@ -79,7 +79,7 @@ from repro.observability.tracing import (
 )
 from repro.serving.lifecycle import BREAKER_STATE_CODES, BreakerConfig, CircuitBreaker
 from repro.serving.registry import PlanRegistry, PreparedPlan
-from repro.serving.scheduler import QueryTask, WorkStealingScheduler
+from repro.serving.scheduler import QueryTask, Scheduler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import ExecutionReport
@@ -116,13 +116,10 @@ class QueryOutcome:
 class QueryFuture:
     """Handle to an in-flight query; ``result()`` blocks for the outcome."""
 
-    def __init__(
-        self, query_id: int, tenant: str, handle: str, server: "Server | None" = None
-    ) -> None:
+    def __init__(self, query_id: int, tenant: str, handle: str) -> None:
         self.query_id = query_id
         self.tenant = tenant
         self.handle = handle
-        self._server = server
         #: Shared with every scheduler attempt of this query, so a cancel
         #: lands no matter which retry attempt is currently running.
         self._cancel = threading.Event()
@@ -136,7 +133,7 @@ class QueryFuture:
     def cancel(self) -> bool:
         """Request cooperative cancellation of this query.
 
-        The flag is observed by the scheduler between morsel steps — never
+        The flag is observed by the scheduler between driver steps — never
         mid-step — and the query settles into its tenant's ledger as a
         ``cancelled`` outcome; ``result()`` then raises
         :class:`~repro.errors.QueryCancelled`.  Returns ``False`` if the
@@ -146,8 +143,6 @@ class QueryFuture:
         if self.done():
             return False
         self._cancel.set()
-        if self._server is not None:
-            self._server.scheduler.kick()
         return True
 
     def cancelled(self) -> bool:
@@ -308,9 +303,7 @@ class Server:
         cluster: "SimCluster",
         catalog: "Catalog",
         n_workers: int = 4,
-        quantum: int = 1,
         max_pending: int = 64,
-        metrics: MetricsRegistry | None = None,
         retry: RetryPolicy | None = None,
         breaker: BreakerConfig | None = None,
         shed_threshold: float = 1.0,
@@ -320,9 +313,6 @@ class Server:
         """Args beyond the obvious:
 
         Args:
-            metrics: Registry the *scheduler* counts into
-                (``serving_submitted/steps/quanta/steals/completed``);
-                the server itself never writes to it.
             retry: Server-level retry budget for queries failing with
                 *retryable* faults (:func:`repro.faults.policy.is_retryable`);
                 attempt ``k`` re-runs the immutable prepared plan with the
@@ -362,11 +352,12 @@ class Server:
         self.retry = retry
         self.breaker_config = breaker if breaker is not None else BreakerConfig()
         self.registry = PlanRegistry()
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: What the *scheduler* counts
+        #: (``serving_submitted/steps/quanta/completed``); the server
+        #: itself never writes to it.
+        self.metrics = MetricsRegistry()
         #: Owns the tenant weights (``scheduler.fairshare``).
-        self.scheduler = WorkStealingScheduler(
-            n_workers=n_workers, quantum=quantum, metrics=self.metrics
-        )
+        self.scheduler = Scheduler(n_workers=n_workers, metrics=self.metrics)
         self._query_ids = itertools.count(1)
         self.slo = slo
         #: Trace-id allocation counter; separate from ``_query_ids`` so
@@ -487,8 +478,8 @@ class Server:
 
         Args:
             deadline: Simulated-seconds budget for the query (the axis of
-                ``ExecutionReport.simulated_time``), enforced at scheduler
-                quantum boundaries; the budget spans server-level retries
+                ``ExecutionReport.simulated_time``), checked before every
+                driver step; the budget spans server-level retries
                 (backoff included).  ``None`` means no deadline.
 
         Raises:
@@ -568,7 +559,7 @@ class Server:
                     )
             run_options = options if options is not None else prepared.defaults
             query_id = next(self._query_ids)
-            future = QueryFuture(query_id, tenant, prepared.handle, server=self)
+            future = QueryFuture(query_id, tenant, prepared.handle)
             journal.query_id = query_id
             journal.note("admitted", query_id=query_id)
             # Build the first attempt before handing anything to the

@@ -26,16 +26,8 @@ probe, runnable as ``repro serve`` and asserted by the tier-1 tests:
   same :attr:`SoakReport.lifecycle` id sets (the hypothesis sweep in
   ``tests/test_serving_replay.py``).
 
-Chaos profiles (:data:`CHAOS_PROFILES`):
-
-* ``none`` — no injection.
-* ``transient`` — dropped puts/collectives, healed by substrate retry.
-* ``crash`` — one rank hard-crash per execution, healed by driver
-  stage re-execution.
-* ``straggler`` — one delayed rank (tail-latency pressure; no failures).
-* ``flaky`` — transient drops with the substrate budgets zeroed out, so
-  failures escape to the *server's* retry loop (configure
-  ``retries > 0`` or queries fail terminally).
+A soak runs under one of the chaos profiles
+:data:`repro.faults.policy.CHAOS_PROFILES` names.
 """
 
 from __future__ import annotations
@@ -53,7 +45,7 @@ from repro.errors import (
     OverloadShedError,
     QueryCancelled,
 )
-from repro.faults.policy import FaultPolicy, RetryPolicy
+from repro.faults.policy import CHAOS_PROFILES, FaultPolicy, RetryPolicy, chaos_policy
 from repro.mpi.cluster import SimCluster
 from repro.observability.slo import SLOConfig, SLOReport
 from repro.observability.tracing import QueryJournal
@@ -68,7 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.scheduler import SchedulerEvent
 
 __all__ = [
-    "CHAOS_PROFILES",
     "SoakConfig",
     "SoakQueryResult",
     "SoakReport",
@@ -85,9 +76,6 @@ SOAK_QUERY_IDS = (4, 12, 14, 19)
 #: Tenant name → fair-share weight for the default soak population.
 DEFAULT_TENANTS = (("analytics", 2.0), ("reporting", 1.0), ("adhoc", 1.0))
 
-#: Named fault mixes a soak can run under (see module docstring).
-CHAOS_PROFILES = ("none", "transient", "crash", "straggler", "flaky")
-
 #: Outcome buckets tracked per submission (submission-index sets): the
 #: journal's terminal states plus ``retried``, which overlaps them.
 LIFECYCLE_KINDS = (*QueryJournal.TERMINAL_STATES, "retried")
@@ -100,8 +88,6 @@ class SoakConfig:
     #: Total concurrent submissions (cycled over the query mix).
     n_queries: int = 16
     n_workers: int = 4
-    #: Morsel steps per scheduling quantum.
-    quantum: int = 1
     #: Chaos profile name (:data:`CHAOS_PROFILES`).
     chaos: str = "none"
     seed: int = 2021
@@ -180,7 +166,6 @@ class SoakReport:
     #: tenant → (settled simulated seconds, serial sum) — must agree for
     #: profiles without server-level retries or lifecycle outcomes.
     ledgers: dict[str, tuple[float, float]] = field(default_factory=dict)
-    steals: int = 0
     #: Outcome kind → sorted submission indices (0-based submission
     #: order), as the submitting *client* saw them (the exception
     #: ``submit()``/``result()`` raised).  Deterministic per config+seed
@@ -190,7 +175,7 @@ class SoakReport:
     scheduler_steps: dict[str, float] = field(default_factory=dict)
     #: One journal per submission, in submission order.
     journals: tuple["QueryJournal", ...] = ()
-    #: The scheduler's quantum trace (with per-quantum trace ids).
+    #: The scheduler's trace, one event per pick (with its trace ids).
     scheduler_events: tuple["SchedulerEvent", ...] = ()
     #: The server's lifecycle transitions.
     lifecycle_events: tuple["TraceEvent", ...] = ()
@@ -286,14 +271,13 @@ class SoakReport:
         lines = [
             f"serving soak: {self.config.n_queries} queries "
             f"(chaos={self.config.chaos}), "
-            f"{self.config.n_workers} workers, quantum={self.config.quantum}",
+            f"{self.config.n_workers} workers",
             f"  bit-identical to serial: {self.bit_identical} "
             f"({len(self.results)} completed)",
             f"  wall: serial {self.serial_wall:.3f}s, "
             f"concurrent {self.concurrent_wall:.3f}s "
             f"({self.queries_per_second:.1f} q/s)",
-            f"  overlapped queries: {self.overlapped}/{len(self.results)}; "
-            f"steals: {self.steals}",
+            f"  overlapped queries: {self.overlapped}/{len(self.results)}",
         ]
         lifecycle = {
             kind: len(ids) for kind, ids in self.lifecycle.items() if ids
@@ -327,30 +311,6 @@ class SoakReport:
         return "\n".join(lines)
 
 
-def _chaos_policy(profile: str, seed: int) -> FaultPolicy | None:
-    """Resolve a chaos profile name to its fault policy."""
-    if profile == "none":
-        return None
-    if profile == "transient":
-        return FaultPolicy.transient(seed=seed, rate=0.05)
-    if profile == "crash":
-        return FaultPolicy.with_crash(seed=seed)
-    if profile == "straggler":
-        return FaultPolicy.with_stragglers(seed=seed)
-    if profile == "flaky":
-        # Substrate retry budgets zeroed: the first dropped operation
-        # escapes to the server, whose retry loop (fresh fault seed per
-        # attempt) is the only thing standing between it and a terminal
-        # failure.
-        return FaultPolicy.transient(
-            seed=seed,
-            rate=0.05,
-            retry=RetryPolicy(max_attempts=1),
-            max_stage_retries=0,
-        )
-    raise ValueError(f"unknown chaos profile {profile!r}")
-
-
 def _assignments(config: SoakConfig) -> list[tuple[str, str]]:
     """The submission list: (query name, tenant), cycled over both mixes."""
     names = [f"q{qid}" for qid in SOAK_QUERY_IDS]
@@ -373,7 +333,7 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
     profile = str(config.chaos)
     catalog = load_catalog(config.scale_factor, seed=config.seed)
     cluster = SimCluster(config.machines, seed=config.seed, trace=config.trace)
-    faults = _chaos_policy(profile, config.seed)
+    faults = chaos_policy(profile, config.seed)
     options = RunOptions(metrics=True, faults=faults, profile=config.trace)
     # The serial reference must complete on its own: the flaky profile
     # has no substrate budget left, so its reference runs fault-free
@@ -398,7 +358,6 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
         cluster,
         catalog,
         n_workers=config.n_workers,
-        quantum=config.quantum,
         max_pending=(
             config.max_pending
             if config.max_pending is not None
@@ -533,11 +492,9 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
             for tenant, _ in config.tenants
         }
         # The worker that resolved the last future may still be posting
-        # its quantum to the scheduler's counters.
+        # its pick to the scheduler's counters.
         server.drain()
-        snapshot = server.snapshot()
-        steals = int(snapshot.total("serving_steals"))
-        scheduler_steps = snapshot.by_label("serving_steps", "tenant")
+        scheduler_steps = server.snapshot().by_label("serving_steps", "tenant")
         journals = tuple(server.journals)
         scheduler_events = tuple(server.scheduler.trace)
         lifecycle_events = tuple(server.lifecycle_events)
@@ -556,7 +513,6 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
         overlapped=overlapped,
         shares=shares,
         ledgers=ledgers,
-        steals=steals,
         lifecycle={k: tuple(sorted(v)) for k, v in lifecycle.items()},
         scheduler_steps=scheduler_steps,
         journals=journals,

@@ -3,9 +3,10 @@
 The end-to-end concurrency/bit-identity soak lives in
 ``tests/test_serving_soak.py``; this file covers the pieces in
 isolation: the deploy-time schema contract, prepared-plan versioning,
-admission control, stride fair-share, and work stealing.
+admission control, stride fair-share, and the run queue's pick rule.
 """
 
+import sys
 import threading
 
 import pytest
@@ -20,9 +21,9 @@ from repro.serving import (
     FairShare,
     PlanRegistry,
     QueryTask,
+    Scheduler,
     SchemaContract,
     Server,
-    WorkStealingScheduler,
 )
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
@@ -210,26 +211,36 @@ class TestFairShare:
 
 class TestScheduler:
     def test_runs_tasks_to_completion(self):
+        # More workers than cores and a tiny switch interval: a lost
+        # update to the shared queue or counters breaks the totals below.
         metrics = MetricsRegistry()
-        scheduler = WorkStealingScheduler(n_workers=2, metrics=metrics)
-        scheduler.start()
+        scheduler = Scheduler(n_workers=8, metrics=metrics)
         log = []
-        for i in range(6):
-            scheduler.submit(_counting_task(i, "default", n_steps=5, log=log))
-        scheduler.close()
-        assert sorted(r for _, r, _ in log) == [f"done-{i}" for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            scheduler.start()
+            for i in range(24):
+                scheduler.submit(_counting_task(i, f"t{i % 3}", n_steps=5, log=log))
+            scheduler.close()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(r for _, r, _ in log) == sorted(f"done-{i}" for i in range(24))
         assert all(e is None for _, _, e in log)
+        assert scheduler.pending() == 0
         snap = metrics.snapshot()
-        assert snap.total("serving_completed") == 6
+        assert snap.total("serving_completed") == 24
         # Each task: 5 yields + the completing next() count as steps.
-        assert snap.total("serving_steps") == 6 * 6
+        assert snap.total("serving_steps") == 24 * 6
+        assert snap.total("serving_quanta") == 24 * 6
+        assert sorted(e.seq for e in scheduler.trace) == list(range(24 * 6))
 
     def test_errors_delivered_not_raised_in_worker(self):
         def exploding():
             yield 0
             raise RuntimeError("boom")
 
-        scheduler = WorkStealingScheduler(n_workers=1)
+        scheduler = Scheduler(n_workers=1)
         log = []
         task = QueryTask(query_id=1, tenant="default", label="x", steps=exploding())
         task.on_done = lambda t, r, e: log.append(e)
@@ -239,8 +250,8 @@ class TestScheduler:
         assert len(log) == 1 and isinstance(log[0], RuntimeError)
 
     def test_quantum_interleaves_two_tasks(self):
-        # One worker, quantum=1: two tasks must alternate, which is the
-        # morsel-level preemption the serving layer is built on.
+        # One worker, one driver step per pick: two tasks must alternate,
+        # which is the step-level preemption the serving layer is built on.
         order = []
 
         def tracked(tag, n):
@@ -249,7 +260,7 @@ class TestScheduler:
                 yield i
             return tag
 
-        scheduler = WorkStealingScheduler(n_workers=1, quantum=1)
+        scheduler = Scheduler(n_workers=1)
         scheduler.submit(QueryTask(1, "default", "a", tracked("a", 4)))
         scheduler.submit(QueryTask(2, "default", "b", tracked("b", 4)))
         scheduler.start()
@@ -261,31 +272,46 @@ class TestScheduler:
         assert first_b < last_a, order
 
     def test_steals_counted(self):
-        metrics = MetricsRegistry()
-        scheduler = WorkStealingScheduler(n_workers=4, metrics=metrics)
-        # Pile every task onto worker 0's deque before the pool starts:
-        # workers 1-3 wake with empty deques and must steal to make
-        # progress (white-box placement keeps the assertion deterministic).
-        # The per-step sleep releases the GIL so workers 1-3 actually wake
-        # while worker 0's deque is still full.
-        with scheduler._lock:
-            for i in range(8):
-                scheduler._queues[0].append(
-                    _counting_task(i, "default", n_steps=10, delay=0.002)
-                )
-                scheduler._in_flight += 1
+        # Every task is queued before the pool starts; the per-step sleep
+        # releases the GIL, so the other workers pick from the one run
+        # queue while the first is mid-step.
+        scheduler = Scheduler(n_workers=4)
+        for i in range(8):
+            scheduler.submit(_counting_task(i, "default", n_steps=10, delay=0.002))
         scheduler.start()
         scheduler.close()
-        assert metrics.snapshot().total("serving_steals") > 0
+        assert len({event.worker for event in scheduler.trace}) > 1
+
+    def test_lowest_pass_tenant_is_picked_first(self):
+        def picks(head_start):
+            # One worker: tenant a queues a 200-step task, then tenant b
+            # a 1-step task.
+            log = []
+            scheduler = Scheduler(n_workers=1)
+            scheduler.fairshare.register("a")
+            scheduler.fairshare.register("b")
+            scheduler.fairshare.charge("a", head_start)
+            scheduler.submit(_counting_task(1, "a", n_steps=200, log=log))
+            scheduler.submit(_counting_task(2, "b", n_steps=1, log=log))
+            scheduler.start()
+            scheduler.close()
+            assert [query_id for query_id, _, _ in log] == [2, 1]
+            return [event.query_id for event in scheduler.trace[:4]]
+
+        # Equal passes go to the first task in queue order ...
+        assert picks(head_start=0) == [1, 2, 1, 2]
+        # ... and a lower pass beats admission order.
+        assert picks(head_start=10) == [2, 2, 1, 1]
 
     def test_trace_records_every_quantum(self):
-        scheduler = WorkStealingScheduler(n_workers=2, quantum=2)
+        scheduler = Scheduler(n_workers=2)
         scheduler.start()
         for i in range(3):
             scheduler.submit(_counting_task(i, "default", n_steps=4))
         scheduler.close()
-        assert scheduler.trace
-        assert sum(e.steps for e in scheduler.trace) == 3 * 5
+        # One event per driver step: 4 yields + the completing next().
+        assert len(scheduler.trace) == 3 * 5
+        assert all(e.steps == 1 for e in scheduler.trace)
         seqs = [e.seq for e in scheduler.trace]
         assert sorted(seqs) == list(range(len(seqs)))
 

@@ -17,8 +17,8 @@ which keeps each example to two small soak runs.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.faults.policy import CHAOS_PROFILES
 from repro.serving import SoakConfig, run_soak
-from repro.serving.soak import CHAOS_PROFILES
 
 SF = 0.002
 

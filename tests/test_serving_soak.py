@@ -10,8 +10,9 @@ more than one query's work actually overlapped.
 
 import pytest
 
+from repro.faults.policy import CHAOS_PROFILES
 from repro.serving import SoakConfig, run_soak
-from repro.serving.soak import CHAOS_PROFILES, breaker_scenario
+from repro.serving.soak import breaker_scenario
 
 SF = 0.005
 

@@ -1,7 +1,7 @@
 """End-to-end query tracing: contexts, journals, and SLO accounting.
 
 Every submission a soak makes must resolve to exactly one journal via
-its trace id, every event the run records (scheduler quanta, lifecycle
+its trace id, every event the run records (scheduler picks, lifecycle
 transitions, operator spans, substrate puts/collectives) must carry a
 trace id that resolves back to that journal, and journals must replay
 bit-identically across same-seed reruns — the span ids are derived from
@@ -14,9 +14,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.faults.policy import CHAOS_PROFILES
 from repro.observability.tracing import QueryJournal, TraceContext
 from repro.serving import SoakConfig, run_soak
-from repro.serving.soak import CHAOS_PROFILES, chaos_matrix
+from repro.serving.soak import chaos_matrix
 
 SF = 0.002
 
@@ -125,14 +126,17 @@ def _traced_soak(**kwargs) -> object:
 
 class TestSoakTracing:
     def test_every_event_resolves_to_exactly_one_journal(self):
-        report = _traced_soak()
+        report = _traced_soak(n_queries=8, n_workers=2)
         by_trace = {j.trace_id: j for j in report.journals}
         assert len(by_trace) == len(report.journals)
-        # Scheduler quanta carry the attempt span of the query they ran.
+        # Scheduler picks carry the attempt span of the query they ran,
+        # and their seq lies on the axis of that query's journal span.
         assert report.scheduler_events
         for event in report.scheduler_events:
             assert event.trace_id in by_trace
             assert event.span_id.startswith(event.trace_id)
+            journal = by_trace[event.trace_id]
+            assert journal.first_seq <= event.seq <= journal.last_seq, event
         # Lifecycle transitions resolve too (breaker transitions are the
         # only untraced lifecycle events, and none fire here).
         for event in report.lifecycle_events:
