@@ -58,8 +58,10 @@ oracle-soak:
 # stay bit-identical to its fault-free run under transient comm faults,
 # a transient mid-stage rank crash, a permanent crash (degraded n-1
 # rerun), and planner-level memory pressure.  Exit 1 on any divergence.
+# Fused only: interpreted runs the same data path at another cost rate,
+# and the differential oracle keeps that cell.
 chaos-soak:
-	$(PYTHON) -m repro chaos all --seeds 3 --mode both
+	$(PYTHON) -m repro chaos all --seeds 3
 	$(PYTHON) -m repro chaos all --seeds 1 --crash-rank 2 --crash-after 6
 	$(PYTHON) -m repro chaos all --seeds 1 --crash-rank 1 --crash-after 4 \
 		--permanent

@@ -12,9 +12,9 @@ substrate otherwise enforces at runtime:
   partition function it actually uses* (MOD012).  When that holds, each
   ⟨source rank, partition⟩ region of the RMA window is exclusive by
   construction, the window capacity is exactly the global histogram total,
-  and the one-sided writes cannot overlap — the property
-  ``Window._epoch_writes`` can only check mid-execution, proven before a
-  single tuple flows.
+  and the one-sided writes cannot overlap — the property ``Window.write``
+  can only check mid-execution against its ``epoch_puts`` record, proven
+  before a single tuple flows.
 """
 
 from __future__ import annotations

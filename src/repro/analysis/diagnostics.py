@@ -200,10 +200,10 @@ MOD040 = _rule(
 
 # -- runtime sanitizer (MOD050–MOD059) -----------------------------------------
 # The second verification layer: these rules fire from the simulated
-# substrate itself when a plan runs under ``RunOptions(sanitize=True)``
-# (repro.analysis.sanitizer).  They carry operator provenance recovered
-# from the data-path instrumentation, turning what would otherwise be a
-# bare SimulationError (or a silent wrong answer) into a Diagnostic.
+# substrate itself.  MOD050/051 are refused by the substrate on every run
+# (MpiSemanticsError); under ``RunOptions(sanitize=True)``
+# (repro.analysis.sanitizer) all four carry operator provenance recovered
+# from the data-path instrumentation, as a Diagnostic.
 
 MOD050 = _rule(
     "MOD050", "rma-write-set-race", Severity.ERROR,

@@ -1,27 +1,24 @@
-"""The runtime sanitizer: MOD050–MOD053 checks on the simulated substrate.
+"""The runtime sanitizer: MOD050–MOD053 on the simulated substrate.
 
 The static analyzer proves what it can from the plan DAG; this module is
 the second verification layer, watching the *execution* itself.  Under
 ``RunOptions(sanitize=True)`` a :class:`Sanitizer` rides on the
 execution context and hooks the simulated MPI substrate:
 
-* **MOD050 — RMA write-set tracker.**  Every one-sided put is recorded as
-  ``(epoch, target rank, offset range)`` with the operator that issued it.
-  Overlapping writes from different ranks within one epoch, and puts
-  outside a window's capacity or element type, raise a
-  :class:`SanitizerError` carrying a rich
-  :class:`~repro.analysis.diagnostics.Diagnostic` — naming both offending
-  operators — instead of the substrate's bare ``SimulationError``.
-
-* **MOD051 — collective-schedule recorder.**  Each rank's sequence of
-  collective calls is recorded; a tag mismatch at one call index, or a
-  rank finishing while a peer has already issued a call it will never
-  match, is reported as the would-be deadlock it is, naming the first
-  diverging rank and operator.
+* **MOD050 / MOD051 — substrate finding + provenance.**  The substrate is
+  the one enforcer of MPI semantics: ``Window.write`` refuses puts of the
+  wrong element type, outside the window or racing another rank's put in
+  the same epoch, and ``CommWorld`` refuses collective tag mismatches and
+  a rank finishing while a peer waits, each as a typed
+  :class:`~repro.errors.MpiSemanticsError`.  It records every put and
+  collective contribution with an ``origin``, which this sanitizer sets
+  to the operator issuing it; :meth:`SanitizerJob.translate` turns the
+  error into a :class:`SanitizerError` naming both operators.
 
 * **MOD052 — window-lifetime checker.**  Puts never completed by a
-  closing fence, reads of remotely-written rows before the epoch's fence,
-  and any access to a window after its job closed it.
+  closing fence (the window's epoch record is non-empty at job end),
+  reads of remotely-written rows before the epoch's fence, and any access
+  to a window after its job closed it.
 
 * **MOD053 — determinism sanitizer.**  Put payloads are digested per
   window; ``execute`` replays the plan under an identical fresh context
@@ -51,7 +48,7 @@ import numpy as np
 
 from repro.analysis.diagnostics import RULES, Diagnostic
 from repro.core.plan import walk
-from repro.errors import SimulationError
+from repro.errors import MpiSemanticsError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.operator import Operator
@@ -149,38 +146,38 @@ def _feeds_nondeterminism(op: "Operator | None") -> bool:
 
 
 class _WindowState:
-    """Sanitizer-side lifetime and write-set state of one RMA window."""
+    """Sanitizer-side lifetime state of one RMA window (``window.sanitizer``)."""
 
-    __slots__ = (
-        "key",
-        "owner_rank",
-        "capacity",
-        "creator",
-        "nondet_feed",
-        "epoch",
-        "epoch_writes",
-        "unfenced_puts",
-        "closed",
-    )
+    __slots__ = ("job", "key", "creator", "epoch", "closed")
 
-    def __init__(
-        self,
-        key: tuple,
-        owner_rank: int,
-        capacity: int,
-        creator: "Operator | None",
-        nondet_feed: bool,
-    ) -> None:
+    def __init__(self, job: "SanitizerJob", key: tuple, creator: "Operator | None"):
+        self.job = job
         self.key = key
-        self.owner_rank = owner_rank
-        self.capacity = capacity
         self.creator = creator
-        self.nondet_feed = nondet_feed
         self.epoch = 0
-        #: ``(start, stop, source_rank, op_label)`` intervals this epoch.
-        self.epoch_writes: list[tuple[int, int, int, str]] = []
-        self.unfenced_puts = 0
         self.closed = False
+
+    def on_read(self, window: "Window", start: int, stop: int) -> None:
+        job = self.job
+        op = job.parent.current_op()
+        if self.closed:
+            job._raise(
+                "MOD052", op,
+                f"{_provenance(op)} read rows [{start}, {stop}) of the "
+                f"window on rank {window.owner_rank} after its job closed "
+                f"the window (use-after-close)",
+            )
+        for start0, stop0, src0, origin0 in window.epoch_puts:
+            if src0 != window.owner_rank and start < stop0 and start0 < stop:
+                job._raise(
+                    "MOD052", op,
+                    f"{_provenance(op)} read rows [{start}, {stop}) of "
+                    f"the window on rank {window.owner_rank} before the "
+                    f"epoch's closing fence, but {_provenance(origin0)} on "
+                    f"rank {src0} wrote rows [{start0}, {stop0}) one-sidedly "
+                    f"in this epoch; the read is not guaranteed to observe "
+                    f"the transfer",
+                )
 
 
 class Sanitizer:
@@ -319,21 +316,20 @@ def diff_write_logs(baseline: Sanitizer, replay: Sanitizer) -> list[Diagnostic]:
 
 
 class SanitizerJob:
-    """Cross-rank sanitizer state of one MPI job (one ``cluster.run``).
+    """Sanitizer state of one MPI job (one ``cluster.run``).
 
     Installed as ``comm.sanitizer`` on every rank of the job; only the
-    rank holding the job's baton calls in.
+    rank holding the job's baton calls in.  The hooks return the origin
+    the substrate records with a put or collective contribution: the
+    operator issuing it.
     """
 
     def __init__(self, parent: Sanitizer, seq: int, n_ranks: int) -> None:
         self.parent = parent
         self.seq = seq
         self.n_ranks = n_ranks
-        #: Per-rank collective schedule: list of (tag, operator label).
-        self._schedule: list[list[tuple[str, str]]] = [[] for _ in range(n_ranks)]
-        self._finished: set[int] = set()
-        #: id(window) -> _WindowState for windows this job registered.
-        self._windows: dict[int, _WindowState] = {}
+        #: The windows this job registered, in creation order.
+        self._windows: list["Window"] = []
         #: Per owner rank, how many windows it registered (deterministic
         #: window keys across replays).
         self._win_counter = [0] * n_ranks
@@ -343,38 +339,29 @@ class SanitizerJob:
             return
         raise SanitizerError(_diagnostic(rule_id, op, message))
 
-    # -- window registration & lifetime (MOD050/052/053) ---------------------
+    # -- window registration & lifetime (MOD052/053) -------------------------
 
     def on_win_create(self, window: "Window", rank: int) -> None:
         op = self.parent.current_op()
         nth = self._win_counter[rank]
         self._win_counter[rank] = nth + 1
         key = (self.seq, rank, nth)
-        state = _WindowState(
-            key=key,
-            owner_rank=rank,
-            capacity=window.capacity,
-            creator=op,
-            nondet_feed=_feeds_nondeterminism(op),
-        )
-        self._windows[id(window)] = state
+        window.sanitizer = _WindowState(self, key, op)
+        self._windows.append(window)
         self.parent.windows_tracked += 1
         self.parent.window_meta.setdefault(
             key,
             (
                 _provenance(op),
                 type(op).__name__ if op is not None else "<substrate>",
-                state.nondet_feed,
+                _feeds_nondeterminism(op),
             ),
         )
-        window.sanitizer = self
 
     def on_put(
         self, window: "Window", offset: int, data: "RowVector", source_rank: int
-    ) -> None:
-        state = self._windows.get(id(window))
-        if state is None:
-            return
+    ) -> "Operator | None":
+        state = window.sanitizer
         op = self.parent.current_op()
         stop = offset + len(data)
         self.parent.puts_checked += 1
@@ -383,142 +370,79 @@ class SanitizerJob:
                 "MOD052", op,
                 f"{_provenance(op)} issued a one-sided put of rows "
                 f"[{offset}, {stop}) into the window on rank "
-                f"{state.owner_rank} after its job closed the window "
+                f"{window.owner_rank} after its job closed the window "
                 f"(use-after-close)",
             )
-        if data.element_type != window.element_type:
-            self._raise(
-                "MOD050", op,
-                f"{_provenance(op)} on rank {source_rank} put "
-                f"{data.element_type!r} tuples into the window on rank "
-                f"{state.owner_rank} registered for "
-                f"{window.element_type!r} (epoch {state.epoch})",
-            )
-        if offset < 0 or stop > state.capacity:
-            self._raise(
-                "MOD050", op,
-                f"{_provenance(op)} on rank {source_rank} put rows "
-                f"[{offset}, {stop}) outside the window of capacity "
-                f"{state.capacity} on rank {state.owner_rank} "
-                f"(epoch {state.epoch}); the histogram ladder promised "
-                f"a region it does not have",
-            )
-        for start0, stop0, src0, label0 in state.epoch_writes:
-            if src0 != source_rank and offset < stop0 and start0 < stop:
-                self._raise(
-                    "MOD050", op,
-                    f"RMA write-set race in epoch {state.epoch}: "
-                    f"{label0} on rank {src0} and {_provenance(op)} on "
-                    f"rank {source_rank} both wrote rows "
-                    f"[{max(offset, start0)}, {min(stop, stop0)}) of the "
-                    f"window on rank {state.owner_rank}; the exclusive "
-                    f"write regions the exchange derived from its "
-                    f"histograms overlap",
-                )
-        state.epoch_writes.append((offset, stop, source_rank, _provenance(op)))
-        state.unfenced_puts += 1
         self.parent._record_put(
             state.key, state.epoch, offset, stop, source_rank, _digest(data)
         )
-
-    def on_read(self, window: "Window", start: int, stop: int) -> None:
-        state = self._windows.get(id(window))
-        if state is None:
-            return
-        op = self.parent.current_op()
-        if state.closed:
-            self._raise(
-                "MOD052", op,
-                f"{_provenance(op)} read rows [{start}, {stop}) of the "
-                f"window on rank {state.owner_rank} after its job closed "
-                f"the window (use-after-close)",
-            )
-        for start0, stop0, src0, label0 in state.epoch_writes:
-            if (
-                src0 != state.owner_rank
-                and start < stop0
-                and start0 < stop
-            ):
-                self._raise(
-                    "MOD052", op,
-                    f"{_provenance(op)} read rows [{start}, {stop}) of "
-                    f"the window on rank {state.owner_rank} before the "
-                    f"epoch's closing fence, but {label0} on rank {src0} "
-                    f"wrote rows [{start0}, {stop0}) one-sidedly in this "
-                    f"epoch; the read is not guaranteed to observe the "
-                    f"transfer",
-                )
+        return op
 
     def on_fence(self, window: "Window") -> None:
-        state = self._windows.get(id(window))
-        if state is None:
-            return
-        state.epoch += 1
-        state.epoch_writes = []
-        state.unfenced_puts = 0
+        window.sanitizer.epoch += 1
         self.parent.epochs_closed += 1
 
-    # -- collective schedule (MOD051) ----------------------------------------
-
-    def on_collective(self, rank: int, index: int, tag: str) -> None:
-        op = self.parent.current_op()
-        label = _provenance(op)
+    def on_collective(self) -> "Operator | None":
         self.parent.collectives_checked += 1
-        self._schedule[rank].append((tag, label))
-        for other in range(self.n_ranks):
-            if other == rank:
-                continue
-            other_schedule = self._schedule[other]
-            if len(other_schedule) > index:
-                other_tag, other_label = other_schedule[index]
-                if other_tag != tag:
-                    self._raise(
-                        "MOD051", op,
-                        f"collective schedules diverge at call {index}: "
-                        f"rank {rank} issued {tag!r} from {label} but "
-                        f"rank {other} issued {other_tag!r} from "
-                        f"{other_label}; on real MPI this deadlocks",
-                    )
-            elif other in self._finished:
-                self._raise(
-                    "MOD051", op,
-                    f"rank {other} finished after {len(other_schedule)} "
-                    f"collective calls, but rank {rank} issued call "
-                    f"{index} ({tag!r} from {label}); rank {other} will "
-                    f"never match it and the job would deadlock",
-                )
+        return self.parent.current_op()
 
-    def on_rank_finished(self, rank: int) -> None:
-        """Called when a rank's SPMD function returns normally."""
-        self._finished.add(rank)
-        n_calls = len(self._schedule[rank])
-        for other in range(self.n_ranks):
-            if other == rank or other in self._finished:
-                continue
-            other_schedule = self._schedule[other]
-            if len(other_schedule) > n_calls:
-                tag, label = other_schedule[n_calls]
+    def close(self) -> None:
+        """At job end: MOD052 put-after-fence, then close every window."""
+        for window in self._windows:
+            if window.epoch_puts:
+                creator = window.sanitizer.creator
                 self._raise(
-                    "MOD051", None,
-                    f"rank {rank} finished after {n_calls} collective "
-                    f"calls but rank {other} already issued call "
-                    f"{n_calls} ({tag!r} from {label}); the collective "
-                    f"schedules diverge and the job would deadlock "
-                    f"waiting for rank {rank}",
-                )
-        if len(self._finished) == self.n_ranks:
-            self._finish_job()
-
-    def _finish_job(self) -> None:
-        for state in self._windows.values():
-            if state.unfenced_puts:
-                self._raise(
-                    "MOD052", state.creator,
-                    f"{state.unfenced_puts} one-sided put(s) into the window "
-                    f"on rank {state.owner_rank} (created by "
-                    f"{_provenance(state.creator)}) were never completed by "
-                    f"a closing fence before the job ended; peers are not "
+                    "MOD052", creator,
+                    f"{len(window.epoch_puts)} one-sided put(s) into the "
+                    f"window on rank {window.owner_rank} (created by "
+                    f"{_provenance(creator)}) were never completed by a "
+                    f"closing fence before the job ended; peers are not "
                     f"guaranteed to observe the data (put-after-fence)",
                 )
-        for state in self._windows.values():
-            state.closed = True
+        for window in self._windows:
+            window.sanitizer.closed = True
+
+    # -- provenance of substrate findings (MOD050/051) -----------------------
+
+    def translate(self, exc: MpiSemanticsError) -> None:
+        """Raise the substrate's ``exc`` as a :class:`SanitizerError`
+        naming the operators behind its origins.
+
+        Returns when the refused operation's operator suppresses the rule;
+        the caller then re-raises ``exc`` unnamed.
+        """
+        who = [
+            f"{_provenance(origin)} on rank {rank}"
+            for rank, origin in zip(exc.ranks, exc.origins)
+        ]
+        if exc.kind == "race":
+            message = (
+                f"RMA write-set race: {who[1]} and {who[0]} both wrote rows "
+                f"[{exc.rows[0]}, {exc.rows[1]}) of the window on rank "
+                f"{exc.owner_rank}; the exclusive write regions the exchange "
+                f"derived from its histograms overlap"
+            )
+        elif exc.kind == "mismatch":
+            message = (
+                f"collective schedules diverge at call {exc.call_index}: "
+                f"{who[0]} issued {exc.tags[0]!r} but {who[1]} issued "
+                f"{exc.tags[1]!r}; on real MPI this deadlocks"
+            )
+        elif exc.kind == "deadlock":
+            done = " and ".join(
+                f"rank {r}" for r in range(self.n_ranks) if r not in exc.ranks
+            )
+            message = (
+                f"{done} finished after {exc.call_index} collective calls "
+                f"but {' and '.join(who)} already issued call "
+                f"{exc.call_index} ({exc.tags[0]!r}); the collective "
+                f"schedules diverge and the job would deadlock waiting for "
+                f"{done}"
+            )
+        else:  # type, bounds, twice: one party, the substrate's own words
+            message = f"{who[0]}: {exc.detail}"
+            if exc.rule_id == "MOD050":
+                message += f" on rank {exc.owner_rank}"
+            if exc.kind == "bounds":
+                message += "; the histogram ladder promised a region it does not have"
+        self._raise(exc.rule_id, exc.origins[0], message)

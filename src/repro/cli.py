@@ -36,10 +36,6 @@ _EXPERIMENTS = (
     "table1", "micro", "fig6", "fig7", "fig8", "fig9", "broadcast",
     "scaleout", "skew",
 )
-_MODE_HELP = (
-    "execution mode (default: fused); both modes run the same kernels, "
-    "interpreted charges them at the cost model's interpreted_overhead rate"
-)
 
 
 def _format_parent() -> argparse.ArgumentParser:
@@ -54,6 +50,18 @@ def _format_parent() -> argparse.ArgumentParser:
     return parent
 
 
+def _mode_parent() -> argparse.ArgumentParser:
+    """The ``--mode`` option of every subcommand that runs plans."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--mode", choices=("fused", "interpreted"), default="fused",
+        help="execution mode (default: fused); both modes run the same "
+        "kernels, interpreted charges them at the cost model's "
+        "interpreted_overhead rate",
+    )
+    return parent
+
+
 def _workload_parent() -> argparse.ArgumentParser:
     """The workload selection ``profile`` and ``metrics`` share."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -64,8 +72,6 @@ def _workload_parent() -> argparse.ArgumentParser:
     parent.add_argument("--machines", type=int, default=4)
     parent.add_argument("--log2-tuples", type=int, default=14,
                         help="input size for join/groupby workloads")
-    parent.add_argument("--mode", choices=("fused", "interpreted"),
-                        default="fused", help=_MODE_HELP)
     parent.add_argument(
         "--strategy", choices=("exchange", "broadcast", "auto"),
         default="exchange",
@@ -93,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Modularis reproduction: experiments, TPC-H, and joins.",
     )
     fmt = _format_parent()
+    mode = _mode_parent()
     workload = _workload_parent()
     serving = _serving_parent()
     commands = parser.add_subparsers(dest="command", required=True)
@@ -108,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sf", type=float, default=0.05, help="TPC-H scale factor")
 
     tpch = commands.add_parser(
-        "tpch", parents=[fmt], help="run one TPC-H query distributed"
+        "tpch", parents=[fmt, mode], help="run one TPC-H query distributed"
     )
     tpch.add_argument("--query", type=int, required=True, choices=_QUERIES)
     tpch.add_argument("--sf", type=float, default=0.02)
@@ -116,8 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     tpch.add_argument(
         "--strategy", choices=("exchange", "broadcast", "auto"), default="exchange"
     )
-    tpch.add_argument("--mode", choices=("fused", "interpreted"), default="fused",
-                      help=_MODE_HELP)
 
     join = commands.add_parser(
         "join", parents=[fmt],
@@ -129,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--algorithm", choices=("hash", "sortmerge"), default="hash")
 
     explain = commands.add_parser(
-        "explain", parents=[fmt], help="show a query's plans"
+        "explain", parents=[fmt, mode], help="show a query's plans"
     )
     explain.add_argument("--query", type=int, required=True, choices=_QUERIES)
     explain.add_argument("--sf", type=float, default=0.005)
@@ -139,14 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
         "EXPLAIN ANALYZE tree (measured rows/time per sub-operator)",
     )
     explain.add_argument("--machines", type=int, default=2)
-    explain.add_argument("--mode", choices=("fused", "interpreted"), default="fused",
-                         help=_MODE_HELP)
     explain.add_argument(
         "--strategy", choices=("exchange", "broadcast", "auto"), default="exchange"
     )
 
     profile = commands.add_parser(
-        "profile", parents=[fmt, workload],
+        "profile", parents=[fmt, mode, workload],
         help="run a workload with the per-operator profiler and report spans",
     )
     profile.add_argument(
@@ -156,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     metrics = commands.add_parser(
-        "metrics", parents=[fmt, workload],
+        "metrics", parents=[fmt, mode, workload],
         help="run a workload with the metrics registry on and print the "
         "Prometheus-style exposition (plus runtime advisories)",
     )
@@ -188,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     chaos = commands.add_parser(
-        "chaos", parents=[fmt],
+        "chaos", parents=[fmt, mode],
         help="run seeded fault-injection soaks and verify bit-identical "
         "results against fault-free runs",
     )
@@ -206,10 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TPC-H scale factor for q* targets")
     chaos.add_argument("--log2-tuples", type=int, default=12,
                        help="input size for builtin plan targets")
-    chaos.add_argument(
-        "--mode", choices=("fused", "interpreted", "both"), default="fused",
-        help=f"{_MODE_HELP}; 'both' soaks each",
-    )
     chaos.add_argument(
         "--strategy", choices=("exchange", "broadcast", "auto"),
         default="exchange", help="join strategy for q* targets",
@@ -237,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     sanitize = commands.add_parser(
-        "sanitize", parents=[fmt],
+        "sanitize", parents=[fmt, mode],
         help="soak plans with the MOD05x runtime sanitizer armed and verify "
         "clean reports plus bit-identical results",
     )
@@ -258,9 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="TPC-H scale factor for q* targets")
     sanitize.add_argument("--log2-tuples", type=int, default=10,
                           help="input size for builtin plan targets")
-    sanitize.add_argument(
-        "--mode", choices=("fused", "interpreted"), default="fused", help=_MODE_HELP
-    )
     sanitize.add_argument(
         "--strategy", choices=("exchange", "broadcast", "auto"),
         default="exchange", help="join strategy for q* targets",

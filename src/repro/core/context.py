@@ -84,8 +84,8 @@ class ExecutionContext:
     #: ``None`` — the default — disables all metric recording; the data
     #: path then pays one attribute read per operator activation.
     metrics: "MetricsRegistry | None" = None
-    #: Runtime sanitizer (:mod:`repro.analysis.sanitizer`) driving the
-    #: MOD05x substrate checks; ``None`` — the default — keeps every
+    #: Runtime sanitizer (:mod:`repro.analysis.sanitizer`) naming the
+    #: operators of MOD05x findings; ``None`` — the default — keeps every
     #: sanitizer hook cold (one attribute read per operator activation).
     sanitizer: "Sanitizer | None" = None
     #: Fault-injection policy for this execution (:mod:`repro.faults`).

@@ -69,6 +69,45 @@ class SimulationError(ModularisError):
     """
 
 
+class MpiSemanticsError(SimulationError):
+    """The substrate refused a put (MOD050) or a collective (MOD051).
+
+    ``kind`` names the check: ``type``, ``bounds`` or ``race`` of a put;
+    ``mismatch``, ``twice`` or ``deadlock`` of a collective.  ``ranks``
+    lists the refused operation's rank first (a race adds the earlier
+    writer, a mismatch the first issuer; a deadlock lists the parked
+    ranks), and ``origins`` what the substrate recorded with each: the
+    issuing operator on sanitized runs, which the sanitizer then names in
+    a ``SanitizerError``, else ``None``.  ``owner_rank`` and ``rows`` (of
+    the put, or of the overlap) describe a put; ``call_index`` and
+    ``tags`` (one per rank) a collective.  ``detail`` is the message
+    without the rule id.
+    """
+
+    def __init__(
+        self,
+        rule_id: str,
+        kind: str,
+        detail: str,
+        ranks: tuple,
+        origins: tuple,
+        owner_rank: int = -1,
+        rows: tuple[int, int] | None = None,
+        call_index: int = -1,
+        tags: tuple[str, ...] = (),
+    ) -> None:
+        super().__init__(f"{rule_id}: {detail}")
+        self.rule_id = rule_id
+        self.kind = kind
+        self.detail = detail
+        self.ranks = ranks
+        self.origins = origins
+        self.owner_rank = owner_rank
+        self.rows = rows
+        self.call_index = call_index
+        self.tags = tags
+
+
 class FaultInjectionError(SimulationError):
     """Base class of failures *injected* by :mod:`repro.faults`.
 

@@ -20,7 +20,7 @@ Two comparison regimes:
   floats within 1e-9 relative tolerance.
 
 Targets come from the catalogue in :mod:`repro.workloads.targets`; the
-seeds × modes matrix, reporting and exit code are the shared runner of
+seeds matrix, reporting and exit code are the shared runner of
 :mod:`repro.workloads.matrix`.
 """
 
@@ -137,7 +137,6 @@ def run_cli(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    modes = ("fused", "interpreted") if args.mode == "both" else (args.mode,)
     seed_last = args.seed + args.seeds - 1
     flags = {
         "put_drop_rate": args.drop_rate,
@@ -149,13 +148,12 @@ def run_cli(args) -> int:
         "memory_pressure": args.memory_pressure,
     }
     cells = [
-        (mode, build_policy(seed, **flags))
+        (args.mode, build_policy(seed, **flags))
         for seed in range(args.seed, seed_last + 1)
-        for mode in modes
     ]
     matrix.run(cells, check, _line)
     summary = matrix.summary(
-        modes=list(modes),
+        modes=[args.mode],
         seed_first=args.seed,
         seed_last=seed_last,
         machines=args.machines,

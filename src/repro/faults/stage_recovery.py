@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.core.context import ExecutionContext
-from repro.errors import RankCrashError, RetryBudgetExceeded
+from repro.errors import MpiSemanticsError, RankCrashError, RetryBudgetExceeded
 from repro.faults.checkpoint import CheckpointStore
 from repro.mpi.trace import ClusterTrace
 
@@ -106,6 +106,14 @@ def run_wave(
                 replicated, checkpoints,
             )
             continue
+        except MpiSemanticsError as exc:
+            # The substrate enforced MOD050/MOD051; the sanitizer only
+            # names the operators it recorded (unless one suppresses it).
+            if san_job is not None:
+                san_job.translate(exc)
+            raise
+        if san_job is not None:
+            san_job.close()
         record.cluster_results.append(result)
         for rank_profiler, rank_registry in zip(rank_profilers, rank_metrics):
             if profiler is not None:

@@ -194,11 +194,6 @@ class SimCluster:
             world.wait_turn(rank)
             try:
                 results[rank] = spmd_fn(contexts[rank])
-                sanitizer = contexts[rank].comm.sanitizer
-                if sanitizer is not None:
-                    # MOD051: a rank finishing while a peer already issued a
-                    # collective it will never match is a would-be deadlock.
-                    sanitizer.on_rank_finished(rank)
             except _JobAborted:
                 pass  # stopped by the abort; `world.failure` is why
             except BaseException as exc:  # noqa: BLE001 - must not hang peers

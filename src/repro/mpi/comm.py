@@ -14,13 +14,14 @@ rank of a job holds the *baton* and runs until it parks in
 :meth:`CommWorld.rendezvous` or finishes, then hands it on.  Only the
 holder touches world state (no lock), in a deterministic interleaving.
 
-MPI semantics enforced (violations raise
-:class:`~repro.errors.SimulationError` on every rank rather than
-deadlocking):
+MPI semantics enforced, here and in :mod:`repro.mpi.window` only
+(violations raise :class:`~repro.errors.MpiSemanticsError` rather than
+deadlocking; each put and collective contribution is recorded with an
+opaque ``origin``, the issuing operator when the sanitizer is armed):
 
-* all ranks must issue the same sequence of collective calls, to its end,
-* one-sided puts target registered windows and must stay in bounds,
-* puts from different ranks within one epoch must not overlap.
+* MOD051: all ranks issue the same sequence of collective calls, to its end,
+* MOD050: one-sided puts match their window's element type and bounds, and
+  puts from different ranks within one epoch do not overlap.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from repro.errors import RankCrashError, RetryBudgetExceeded, SimulationError
+from repro.errors import (
+    MpiSemanticsError, RankCrashError, RetryBudgetExceeded, SimulationError,
+)
 from repro.mpi.clock import SimClock
 from repro.mpi.costmodel import CostModel
 from repro.mpi.trace import ClusterTrace
@@ -59,11 +62,15 @@ class _JobAborted(SimulationError):
 class _Slot:
     """Rendezvous state for one collective call index."""
 
-    __slots__ = ("tag", "values", "result", "result_time", "done", "retrieved")
+    __slots__ = (
+        "tag", "values", "origins", "result", "result_time", "done", "retrieved"
+    )
 
     def __init__(self, tag: str) -> None:
         self.tag = tag
         self.values: dict[int, object] = {}
+        #: rank -> origin of its contribution, in arrival order.
+        self.origins: dict[int, object] = {}
         self.result: object = None
         #: The latest arrival so far; plus the collective's cost once done.
         self.result_time = 0.0
@@ -91,8 +98,8 @@ class CommWorld:
         for gate in self._gates:
             gate.acquire()
         self._runnable = set(range(n_ranks))
-        #: Ranks waiting in an incomplete collective: rank -> (tag, call index).
-        self._parked: dict[int, tuple[str, int]] = {}
+        #: Ranks waiting in an incomplete collective: rank -> call index.
+        self._parked: dict[int, int] = {}
         self._holder = -1  # the rank granted last; the caller holds the baton first
 
     # -- the baton -------------------------------------------------------------
@@ -106,13 +113,7 @@ class CommWorld:
     def hand_off(self) -> None:
         """Pass the baton on; called by its holder when it parks or finishes."""
         if self.failure is None and self._parked and not self._runnable:
-            waiting = ", ".join(
-                f"rank {rank} in {tag!r} (call {index})"
-                for rank, (tag, index) in sorted(self._parked.items())
-            )
-            self.failure = SimulationError(
-                f"deadlock: a finished peer never matched the collective of {waiting}"
-            )
+            self.failure = self._deadlock()
         if self.failure is not None:
             # An aborted job completes no collective, so its parked ranks
             # become runnable: each is resumed in turn, sees the abort and
@@ -123,6 +124,22 @@ class CommWorld:
             self._holder = self.next_rank(sorted(self._runnable))
             self._runnable.remove(self._holder)
             self._gates[self._holder].release()
+
+    def _deadlock(self) -> MpiSemanticsError:
+        """Every unfinished rank is parked: a finished peer never matched
+        their collective (one call index: the finished ranks' call count)."""
+        ranks = sorted(self._parked)
+        slots = [self._slots[self._parked[rank]] for rank in ranks]
+        waiting = ", ".join(
+            f"rank {rank} in {slot.tag!r} (call {self._parked[rank]})"
+            for rank, slot in zip(ranks, slots)
+        )
+        return MpiSemanticsError(
+            "MOD051", "deadlock",
+            f"deadlock: a finished peer never matched the collective of {waiting}",
+            tuple(ranks), tuple(s.origins[r] for r, s in zip(ranks, slots)),
+            call_index=self._parked[ranks[0]], tags=tuple(s.tag for s in slots),
+        )
 
     def wait_turn(self, rank: int) -> None:
         """Block ``rank``'s thread until it is granted the baton."""
@@ -151,8 +168,10 @@ class CommWorld:
         arrival_time: float,
         combine: Callable[[dict[int, object]], object],
         op_cost: float,
+        origin: object = None,
     ) -> tuple[object, float]:
-        """Deposit ``value`` for collective ``call_index`` and await the result.
+        """Deposit ``value`` (recorded with ``origin``) for collective
+        ``call_index`` and await the result.
 
         Returns ``(result, result_time)`` where ``result_time`` is the
         simulated completion instant shared by all participants.  The last
@@ -162,15 +181,22 @@ class CommWorld:
         self._check_abort()
         slot = self._slots.setdefault(call_index, _Slot(tag))
         if slot.tag != tag:
-            raise SimulationError(
+            first, first_origin = next(iter(slot.origins.items()))
+            raise MpiSemanticsError(
+                "MOD051", "mismatch",
                 f"collective mismatch at call {call_index}: rank {rank} issued "
-                f"{tag!r} but another rank issued {slot.tag!r}"
+                f"{tag!r} but another rank issued {slot.tag!r}",
+                (rank, first), (origin, first_origin),
+                call_index=call_index, tags=(tag, slot.tag),
             )
         if rank in slot.values:
-            raise SimulationError(
-                f"rank {rank} issued collective call {call_index} twice"
+            raise MpiSemanticsError(
+                "MOD051", "twice",
+                f"rank {rank} issued collective call {call_index} twice",
+                (rank,), (origin,), call_index=call_index, tags=(tag,),
             )
         slot.values[rank] = value
+        slot.origins[rank] = origin
         slot.result_time = max(slot.result_time, arrival_time)
         if len(slot.values) == self.n_ranks:
             slot.result = combine(slot.values)
@@ -180,7 +206,7 @@ class CommWorld:
                 del self._parked[peer]
                 self._runnable.add(peer)
         else:
-            self._parked[rank] = (tag, call_index)
+            self._parked[rank] = call_index
             self.hand_off()
             self.wait_turn(rank)
             if not slot.done:  # released by an abort, not by the last arrival
@@ -242,11 +268,13 @@ class WindowSet:
                     f"put to rank {target_rank} from rank {comm.rank}",
                     target_rank,
                 )
+        window = self._windows[target_rank]
+        origin = None
         sanitizer = comm.sanitizer
         if sanitizer is not None:  # it digests the rows as they travel
             sent = data if rows is None else data.take(rows)
-            sanitizer.on_put(self._windows[target_rank], offset, sent, comm.rank)
-        self._windows[target_rank].write(offset, data, comm.rank, rows)
+            origin = sanitizer.on_put(window, offset, sent, comm.rank)
+        window.write(offset, data, comm.rank, rows, origin)
         start = comm.clock.now
         comm.clock.advance(cost)
         trace = comm.world.trace
@@ -382,11 +410,10 @@ class SimComm:
         index = self._call_index
         self._call_index += 1
         sanitizer = self.sanitizer
-        if sanitizer is not None:
-            sanitizer.on_collective(self.rank, index, tag)
+        origin = None if sanitizer is None else sanitizer.on_collective()
         arrival = self.clock.now
         result, result_time = self.world.rendezvous(
-            index, tag, self.rank, value, arrival, combine, op_cost
+            index, tag, self.rank, value, arrival, combine, op_cost, origin
         )
         self.clock.advance_to(result_time)
         if self.world.trace is not None:

@@ -7,14 +7,15 @@ no synchronization happens during the transfer.  The simulation preserves —
 and asserts — the property that makes this safe on real RDMA hardware:
 within one RMA epoch (between two fences), the regions written by different
 ranks must be disjoint.  Overlap would be a silent data race on InfiniBand;
-here it raises :class:`~repro.errors.SimulationError`.
+here it raises :class:`~repro.errors.MpiSemanticsError` (MOD050), the one
+check of that rule; the runtime sanitizer only names the operators.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.errors import MpiSemanticsError, SimulationError
 from repro.types.atoms import AtomType
 from repro.types.collections import RowVector
 from repro.types.tuples import TupleType
@@ -41,7 +42,7 @@ class Window:
         "capacity",
         "sanitizer",
         "_columns",
-        "_epoch_writes",
+        "epoch_puts",
     )
 
     def __init__(self, owner_rank: int, element_type: TupleType, capacity: int) -> None:
@@ -50,13 +51,14 @@ class Window:
         self.owner_rank = owner_rank
         self.element_type = element_type
         self.capacity = capacity
-        #: Sanitizer job watching this window's lifetime (MOD05x), or None.
+        #: The sanitizer's state of this window (MOD052/053), or None.
         self.sanitizer = None
         self._columns = [
             np.zeros(capacity, dtype=_column_dtype(f.item_type)) for f in element_type
         ]
-        #: (start, stop, source_rank) intervals written in the current epoch.
-        self._epoch_writes: list[tuple[int, int, int]] = []
+        #: ``(start, stop, source_rank, origin)`` of each put in the current
+        #: epoch; ``origin`` is opaque here (the sanitizer's operator).
+        self.epoch_puts: list[tuple[int, int, int, object]] = []
 
     def size_bytes(self) -> int:
         """Registered size in bytes, charged at registration time."""
@@ -64,32 +66,39 @@ class Window:
 
     # -- one-sided access --------------------------------------------------
 
-    def write(self, offset: int, data: RowVector, source_rank: int, rows=None) -> None:
+    def write(
+        self, offset: int, data: RowVector, source_rank: int, rows=None, origin=None
+    ) -> None:
         """Deposit ``data`` — or its rows at positions ``rows``, gathered
-        straight into the window — at row ``offset`` for ``source_rank``.
+        straight into the window — at row ``offset`` for ``source_rank``,
+        recording the put with ``origin``.
 
         Raises:
-            SimulationError: On out-of-bounds writes, element-type
-                mismatches, or overlap with a region another rank wrote in
-                the same epoch (a would-be RDMA data race).
+            MpiSemanticsError: (MOD050) On element-type mismatches,
+                out-of-bounds writes, or overlap with a region another rank
+                wrote in the same epoch (a would-be RDMA data race).
         """
-        if data.element_type != self.element_type:
-            raise SimulationError(
-                f"put of {data.element_type!r} into window of {self.element_type!r}"
-            )
         stop = offset + (len(data) if rows is None else len(rows))
-        if offset < 0 or stop > self.capacity:
-            raise SimulationError(
-                f"put [{offset}, {stop}) outside window of capacity {self.capacity}"
+        if data.element_type != self.element_type:
+            raise self._refused(
+                "type", f"put of {data.element_type!r} into window of "
+                f"{self.element_type!r}", (source_rank,), (origin,), (offset, stop),
             )
-        for start0, stop0, src0 in self._epoch_writes:
+        if offset < 0 or stop > self.capacity:
+            raise self._refused(
+                "bounds", f"put [{offset}, {stop}) outside window of capacity "
+                f"{self.capacity}", (source_rank,), (origin,), (offset, stop),
+            )
+        for start0, stop0, src0, origin0 in self.epoch_puts:
             if src0 != source_rank and offset < stop0 and start0 < stop:
-                raise SimulationError(
-                    f"RDMA race: ranks {src0} and {source_rank} both wrote rows "
-                    f"[{max(offset, start0)}, {min(stop, stop0)}) of the window "
-                    f"on rank {self.owner_rank} within one epoch"
+                overlap = (max(offset, start0), min(stop, stop0))
+                raise self._refused(
+                    "race", f"RDMA race: ranks {src0} and {source_rank} both "
+                    f"wrote rows [{overlap[0]}, {overlap[1]}) of the window on "
+                    f"rank {self.owner_rank} within one epoch",
+                    (source_rank, src0), (origin, origin0), overlap,
                 )
-        self._epoch_writes.append((offset, stop, source_rank))
+        self.epoch_puts.append((offset, stop, source_rank, origin))
         for dst, src in zip(self._columns, data.columns):
             if rows is None:
                 dst[offset:stop] = src
@@ -112,10 +121,15 @@ class Window:
             sanitizer.on_read(self, start, stop)
         return RowVector._view(self.element_type, [c[start:stop] for c in self._columns])
 
+    def _refused(self, kind, detail, ranks, origins, rows) -> MpiSemanticsError:
+        return MpiSemanticsError(
+            "MOD050", kind, detail, ranks, origins, self.owner_rank, rows
+        )
+
     # -- epochs --------------------------------------------------------------
 
     def end_epoch(self) -> int:
         """Close the current RMA epoch (at a fence); returns rows written."""
-        written = sum(stop - start for start, stop, _ in self._epoch_writes)
-        self._epoch_writes.clear()
+        written = sum(stop - start for start, stop, _, _ in self.epoch_puts)
+        self.epoch_puts.clear()
         return written

@@ -3,7 +3,7 @@
 A soak command is a *check function* — ``check(target, cell) -> verdict``
 with a boolean ``verdict["ok"]`` — run over every named target of the
 catalogue (:mod:`repro.workloads.targets`) crossed with every cell of the
-command's own vocabulary (seeds × modes for chaos, matrix policies for
+command's own vocabulary (seeds for chaos, matrix policies for
 sanitize).  Everything else is shared and lives here: the ``all``
 expansion, the verdict loop (each target resolved once, so a TPC-H
 catalog is generated once per target rather than once per cell), the

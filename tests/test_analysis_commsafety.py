@@ -2,7 +2,7 @@
 
 The headline case: an ``MpiExchange`` whose histogram ladder disagrees
 with its partition function writes overlapping RMA window regions — today
-a mid-execution ``SimulationError`` from ``Window._epoch_writes``; here
+a mid-execution ``MpiSemanticsError`` from ``Window.write``; here
 the analyzer proves it *before* execution (MOD012), without running a
 single tuple.
 """

@@ -70,6 +70,11 @@ class TestBaton:
         assert "rank 1 in 'allgather' (call 1)" in message
         assert "rank 2 in 'allgather' (call 1)" in message
         assert "rank 0 in" not in message
+        assert exc_info.value.rule_id == "MOD051"
+        assert exc_info.value.kind == "deadlock"
+        assert exc_info.value.call_index == 1
+        assert exc_info.value.ranks == (1, 2)
+        assert exc_info.value.tags == ("allgather", "allgather")
         assert threading.active_count() == before
 
     def test_abort_unwinds_peers_parked_inside_nested_generators(self):

@@ -114,8 +114,12 @@ class TestProtocolViolations:
             else:
                 ctx.comm.allreduce(np.array([1]))
 
-        with pytest.raises(SimulationError, match="collective mismatch"):
+        with pytest.raises(SimulationError, match="collective mismatch") as exc:
             cluster2.run(prog)
+        assert exc.value.rule_id == "MOD051" and exc.value.kind == "mismatch"
+        assert exc.value.call_index == 0
+        assert exc.value.ranks == (1, 0)
+        assert exc.value.tags == ("allreduce:sum", "barrier")
 
     def test_rank_failure_releases_peers(self, cluster4):
         def prog(ctx):

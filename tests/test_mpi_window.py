@@ -39,8 +39,11 @@ class TestBasics:
 class TestSafety:
     def test_out_of_bounds_write(self):
         window = Window(0, KV, capacity=2)
-        with pytest.raises(SimulationError, match="outside window"):
+        with pytest.raises(SimulationError, match="outside window") as exc:
             window.write(1, rows((1, 1), (2, 2)), source_rank=0)
+        assert exc.value.rule_id == "MOD050" and exc.value.kind == "bounds"
+        assert (exc.value.owner_rank, exc.value.ranks) == (0, (0,))
+        assert exc.value.rows == (1, 3)
 
     def test_out_of_bounds_read(self):
         window = Window(0, KV, capacity=2)
@@ -50,14 +53,20 @@ class TestSafety:
     def test_type_mismatch(self):
         other = TupleType.of(x=INT64)
         window = Window(0, KV, capacity=2)
-        with pytest.raises(SimulationError, match="into window of"):
+        with pytest.raises(SimulationError, match="into window of") as exc:
             window.write(0, RowVector.from_rows(other, [(1,)]), source_rank=0)
+        assert exc.value.rule_id == "MOD050" and exc.value.kind == "type"
+        assert (exc.value.owner_rank, exc.value.ranks) == (0, (0,))
 
     def test_overlapping_writes_from_different_ranks_race(self):
         window = Window(0, KV, capacity=4)
-        window.write(0, rows((1, 1), (2, 2)), source_rank=1)
-        with pytest.raises(SimulationError, match="RDMA race"):
-            window.write(1, rows((3, 3)), source_rank=2)
+        window.write(0, rows((1, 1), (2, 2)), source_rank=1, origin="first")
+        with pytest.raises(SimulationError, match="RDMA race") as exc:
+            window.write(1, rows((3, 3)), source_rank=2, origin="second")
+        assert exc.value.rule_id == "MOD050" and exc.value.kind == "race"
+        assert (exc.value.owner_rank, exc.value.ranks) == (0, (2, 1))
+        assert exc.value.rows == (1, 2)
+        assert exc.value.origins == ("second", "first")
 
     def test_same_rank_may_rewrite_its_region(self):
         window = Window(0, KV, capacity=4)

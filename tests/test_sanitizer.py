@@ -30,7 +30,7 @@ from repro.core.operators import (
     RowScan,
 )
 from repro.core.plans import build_distributed_groupby, build_distributed_join
-from repro.errors import SimulationError
+from repro.errors import MpiSemanticsError, SimulationError
 from repro.mpi.cluster import SimCluster
 from repro.types import INT64, TupleType, row_vector_type
 from repro.types.collections import RowVector
@@ -173,6 +173,20 @@ class TestMod050WriteSetRace:
         with pytest.raises(SimulationError) as exc:
             run_plan(lambda slot: MaterializeRowVector(RacyPut(scan_of(slot))),
                      make_kv_table(8), sanitize=False)
+        assert "RacyPut" not in str(exc.value)
+
+    def test_suppression_only_removes_the_operator_naming(self):
+        # The substrate refuses the racy put either way; suppressing MOD050
+        # on the writer leaves its bare typed error, not silence.
+        with pytest.raises(MpiSemanticsError) as exc:
+            run_plan(
+                lambda slot: MaterializeRowVector(
+                    RacyPut(scan_of(slot)).suppress("MOD050")
+                ),
+                make_kv_table(8),
+            )
+        assert not isinstance(exc.value, SanitizerError)
+        assert exc.value.rule_id == "MOD050" and exc.value.kind == "race"
         assert "RacyPut" not in str(exc.value)
 
     def test_capacity_violation_names_the_ladder_contract(self):
