@@ -51,6 +51,7 @@ def main(log2_tuples: int = 17) -> None:
         workload.left.element_type,
         workload.right.element_type,
         key_bits=workload.key_bits,
+        local_fanout=16,
     )
     result = plan.run(workload.left, workload.right)
     matches = plan.matches(result)

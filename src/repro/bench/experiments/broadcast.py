@@ -67,7 +67,7 @@ def run_broadcast_crossover(config: BroadcastConfig = BroadcastConfig()) -> Resu
 
         exchange_plan = build_distributed_join(
             SimCluster(config.machines), SMALL, BIG,
-            key_bits=key_bits, compression=False,
+            key_bits=key_bits, compression=False, local_fanout=16,
         )
         exchange_result = exchange_plan.run(small, big)
         exchange_matches = len(exchange_plan.matches(exchange_result))

@@ -52,6 +52,7 @@ def _modularis_run(workload, n_ranks: int, jitter: bool) -> dict[str, float]:
         workload.left.element_type,
         workload.right.element_type,
         key_bits=workload.key_bits,
+        local_fanout=16,
     )
     result = plan.run(workload.left, workload.right)
     matches = plan.matches(result)

@@ -34,7 +34,8 @@ def _run_once(n_tuples: int, duplicates: int, machines: int, seed: int) -> float
     workload = make_groupby_table(n_tuples, duplicates_per_key=duplicates, seed=seed)
     cluster = SimCluster(machines)
     plan = build_distributed_groupby(
-        cluster, workload.table.element_type, key_bits=workload.key_bits
+        cluster, workload.table.element_type, key_bits=workload.key_bits,
+        local_fanout=16,
     )
     result = plan.run(workload.table)
     groups = plan.groups(result)

@@ -58,6 +58,7 @@ def run_scaleout(config: ScalingConfig = ScalingConfig()) -> ResultTable:
             workload.left.element_type,
             workload.right.element_type,
             key_bits=workload.key_bits,
+            local_fanout=16,
         )
         result = plan.run(workload.left, workload.right)
         expect("join matches", len(plan.matches(result)), workload.expected_matches)
@@ -123,6 +124,7 @@ def run_skew(config: SkewConfig = SkewConfig()) -> ResultTable:
             L,
             R,
             key_bits=key_bits,
+            local_fanout=16,
         )
         result = plan.run(left, right)
         clocks = result.cluster_results[0].clocks

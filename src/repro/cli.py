@@ -444,6 +444,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
         key_bits=workload.key_bits,
         compression=not args.no_compression,
         algorithm=args.algorithm,
+        local_fanout=16,
     )
     result = plan.run(workload.left, workload.right)
     matches = plan.matches(result)

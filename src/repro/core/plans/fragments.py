@@ -45,6 +45,7 @@ from repro.types.tuples import TupleType
 
 __all__ = [
     "DistributedPlan",
+    "cache_fanout",
     "collect",
     "exchange",
     "field_scan",
@@ -53,6 +54,7 @@ __all__ = [
     "radix_fanout",
     "replicate",
     "sharded_scan",
+    "sized_local_fanout",
 ]
 
 
@@ -84,6 +86,25 @@ def radix_fanout(requested: int | None, n_ranks: int) -> int:
     if n_net < 1 or n_net & (n_net - 1):
         raise TypeCheckError(f"network fan-out must be a power of two, got {n_net}")
     return n_net
+
+
+def cache_fanout(bound_bytes: int, budget: int) -> int:
+    """The cache-fit rule: the smallest power of two ``f`` with
+    ``bound_bytes <= f * budget`` (1: plan no local level)."""
+    fanout = 1
+    while bound_bytes > fanout * budget:
+        fanout *= 2
+    return fanout
+
+
+def sized_local_fanout(
+    requested: int | None, key_bits: int, n_net: int, row_type: TupleType, cluster: SimCluster
+) -> int:
+    """``requested``, or the cache fit of ``2**key_bits // n_net`` rows, at most 16."""
+    if requested is not None:
+        return requested
+    bound = (1 << key_bits) // n_net * row_type.row_size_bytes()
+    return min(16, cache_fanout(bound, cluster.cost_model.cache_budget_bytes))
 
 
 def sharded_scan(slot: ParameterSlot, name: str) -> RowScan:

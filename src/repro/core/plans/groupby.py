@@ -45,6 +45,7 @@ from repro.core.plans.fragments import (
     local_level,
     radix_fanout,
     sharded_scan,
+    sized_local_fanout,
 )
 from repro.errors import TypeCheckError
 from repro.mpi.cluster import SimCluster
@@ -75,7 +76,7 @@ def build_distributed_groupby(
     input_type: TupleType,
     key: str = "key",
     network_fanout: int | None = None,
-    local_fanout: int = 16,
+    local_fanout: int | None = None,
     key_bits: int = 27,
     compression: bool = True,
     reduce_fn: ReduceFunction | None = None,
@@ -88,7 +89,8 @@ def build_distributed_groupby(
         input_type: Two INT64 fields, the group key and the value.
         key: Name of the group-by attribute.
         network_fanout / local_fanout: Radix fan-outs (powers of two);
-            network fan-out defaults to the cluster size.
+            network fan-out defaults to the cluster size, local fan-out
+            (``None``) to the cache fit of ``2**key_bits`` groups.
         key_bits: Dense-domain width for the compression scheme.
         compression: Halve network volume by packing ⟨key, value⟩ (the
             paper notes this is not required for correctness but crucial
@@ -116,6 +118,7 @@ def build_distributed_groupby(
     n_net = radix_fanout(network_fanout, cluster.n_ranks)
     fanout_bits = n_net.bit_length() - 1
     comp = RadixCompression(key_bits, fanout_bits) if compression else None
+    local_fanout = sized_local_fanout(local_fanout, key_bits, n_net, input_type, cluster)
 
     slot = ParameterSlot(TupleType.of(table=row_vector_type(input_type)))
 
@@ -138,6 +141,8 @@ def build_distributed_groupby(
     def network_partition_plan(slot: ParameterSlot) -> Operator:
         """First-level nested plan: locally partition and aggregate one network
         partition, then post-aggregate across its local partitions."""
+        if local_fanout == 1:  # the partition fits the cache: reduce it directly
+            return local_partition_plan(slot, "data")
         pid = Projection(ParameterLookup(slot), ["net"])
         if comp is not None:
             local_fn = RadixPartition("packed", local_fanout, shift=key_bits)
@@ -145,14 +150,14 @@ def build_distributed_groupby(
             local_fn = RadixPartition(key, local_fanout, shift=fanout_bits)
         partitioned = local_level(field_scan(slot, "data"), local_fn, "sub", "sdata")
         pairs = CartesianProduct(pid, partitioned)  # ⟨net, sub, sdata⟩ triples
-        aggregated = NestedMap(pairs, local_partition_plan)
+        aggregated = NestedMap(pairs, lambda s: local_partition_plan(s, "sdata"))
         flat = RowScan(aggregated, field="agg")
         merged = ReduceByKey(flat, key, fn)
         return MaterializeRowVector(merged, field="agg")
 
-    def local_partition_plan(slot: ParameterSlot) -> Operator:
-        """Second-level nested plan: decompress and aggregate one local partition."""
-        stream: Operator = field_scan(slot, "sdata")
+    def local_partition_plan(slot: ParameterSlot, field: str) -> Operator:
+        """Innermost nested plan: decompress and aggregate one partition."""
+        stream: Operator = field_scan(slot, field)
         if comp is not None:
             pid = Projection(ParameterLookup(slot), ["net"])
             stream = ParametrizedMap(stream, pid, _decompress_fn(comp, key, value))

@@ -48,6 +48,7 @@ from repro.core.plans.fragments import (
     local_level,
     radix_fanout,
     sharded_scan,
+    sized_local_fanout,
 )
 from repro.errors import TypeCheckError
 from repro.mpi.cluster import SimCluster
@@ -94,7 +95,7 @@ def build_distributed_join(
     right_type: TupleType,
     key: str = "key",
     network_fanout: int | None = None,
-    local_fanout: int = 16,
+    local_fanout: int | None = None,
     key_bits: int = 27,
     compression: bool = True,
     join_type: str = "inner",
@@ -111,7 +112,9 @@ def build_distributed_join(
         network_fanout: First-level radix fan-out (power of two); defaults
             to the cluster size, i.e. one network partition per rank.
         local_fanout: Second-level fan-out producing cache-sized
-            sub-partitions (power of two).
+            sub-partitions (power of two).  ``None`` sizes it from the
+            ``2**key_bits`` build rows against the cache budget (at most
+            16; at 1 no local level is planned); an integer pins it.
         key_bits: ``P``: keys and payloads come from a dense ``2**P``
             domain; used by the compression scheme.
         compression: Pack ⟨key, payload⟩ into 8-byte words on the wire,
@@ -133,6 +136,7 @@ def build_distributed_join(
             f"{left_payload!r}"
         )
     comp = RadixCompression(key_bits, fanout_bits) if compression else None
+    local_fanout = sized_local_fanout(local_fanout, key_bits, n_net, left_type, cluster)
 
     slot = ParameterSlot(
         TupleType.of(
@@ -154,6 +158,8 @@ def build_distributed_join(
 
     def network_partition_plan(slot: ParameterSlot) -> Operator:
         """First-level nested plan: sub-partition one network partition pair."""
+        if local_fanout == 1:  # the pair fits the cache: join it directly
+            return sub_partition_plan(slot, "data_")
         pid = Projection(ParameterLookup(slot), ["net_l"])
 
         def local_side(s: str) -> Operator:
@@ -170,7 +176,7 @@ def build_distributed_join(
             )
 
         pairs = CartesianProduct(pid, Zip([local_side("l"), local_side("r")]))
-        joined = NestedMap(pairs, sub_partition_plan)
+        joined = NestedMap(pairs, lambda s: sub_partition_plan(s, "sdata_"))
         flat = RowScan(joined, field="matches")
         return MaterializeRowVector(flat, field="matches")
 
@@ -184,11 +190,11 @@ def build_distributed_join(
             )
         return BuildProbe(left_side, right_side, keys=join_key, join_type=join_type)
 
-    def sub_partition_plan(slot: ParameterSlot) -> Operator:
-        """Second-level nested plan: join one sub-partition pair in memory."""
+    def sub_partition_plan(slot: ParameterSlot, prefix: str) -> Operator:
+        """Innermost nested plan: join one (sub-)partition pair in memory."""
         pid = Projection(ParameterLookup(slot), ["net_l"])
-        left_stream = field_scan(slot, "sdata_l")
-        right_stream = field_scan(slot, "sdata_r")
+        left_stream = field_scan(slot, f"{prefix}l")
+        right_stream = field_scan(slot, f"{prefix}r")
         if comp is None:
             return MaterializeRowVector(
                 join_pair(left_stream, right_stream, key), field="matches"

@@ -13,6 +13,7 @@ given seed.
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, TypeVar
@@ -32,6 +33,18 @@ if TYPE_CHECKING:
 __all__ = ["RankContext", "ClusterResult", "SimCluster"]
 
 T = TypeVar("T")
+
+
+def share_one_malloc_arena() -> None:
+    """Cap glibc at one malloc arena (M_ARENA_MAX is -8): the baton serializes
+    the rank threads, so more arenas only keep each rank's peak resident.  Runs
+    at import, before any rank thread; glibc reuses exited threads' arenas."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-8, 1)
+
+
+share_one_malloc_arena()
 
 
 @dataclass

@@ -61,6 +61,7 @@ from repro.core.operators import (
     ReduceByKey,
 )
 from repro.core.plans.fragments import (
+    cache_fanout,
     collect,
     exchange,
     partitioned_join,
@@ -608,7 +609,8 @@ def _choose_fanouts(
 
     The Barthels join partitions locally until the build side of each
     sub-partition is cache-resident, so the fan-out is the smallest power
-    of two ``f`` with ``build_bytes / f <= budget``.  ``build_bytes`` is
+    of two ``f`` with ``build_bytes / f <= budget`` (:func:`cache_fanout`,
+    which the bulk builders share).  ``build_bytes`` is
     the build table's catalog row count times its pruned row width, over
     the network fan-out — an upper bound, since (as in
     :func:`_choose_strategy`) filter selectivities are not estimated, so
@@ -633,13 +635,9 @@ def _choose_fanouts(
         bound = max(
             catalog.get(side.table).stats.row_count
             * _pruned_schema(catalog, side).row_size_bytes()
-            // n_net
             for side in sides
-        )
-        fanout = 1
-        while bound > fanout * budget:
-            fanout *= 2
-        return fanout
+        ) // n_net
+        return cache_fanout(bound, budget)
 
     return tuple(sized(sides) for sides in builds)
 

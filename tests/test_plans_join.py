@@ -154,6 +154,7 @@ class TestTiming:
             workload.left.element_type,
             workload.right.element_type,
             key_bits=workload.key_bits,
+            local_fanout=16,  # the Fig. 3 phases, local partitioning included
         )
         result = plan.run(workload.left, workload.right)
         assert len(plan.matches(result)) == workload.expected_matches
