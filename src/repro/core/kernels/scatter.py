@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["key_order", "partition_layout", "stable_order"]
+__all__ = ["bucket_counts", "key_order", "partition_layout", "stable_order"]
 
 
 def stable_order(values: np.ndarray, span: int) -> np.ndarray:
@@ -34,12 +34,27 @@ def stable_order(values: np.ndarray, span: int) -> np.ndarray:
     return order[np.argsort(high, kind="stable")]
 
 
+def bucket_counts(buckets: np.ndarray, n_buckets: int) -> np.ndarray:
+    """``np.bincount(buckets, minlength=n_buckets)``: rows per bucket.
+
+    One bucket (every one-rank exchange) is counted by ``any()``, because
+    ``bincount`` is at its slowest when every id is equal; any other input,
+    an out-of-range id included, is ``bincount``'s, so that id stays visible
+    in the counts and fails the histogram cross-check.
+    """
+    if n_buckets == 1 and not buckets.any():
+        return np.array([len(buckets)], dtype=np.intp)
+    return np.bincount(buckets, minlength=n_buckets)
+
+
 def partition_layout(buckets: np.ndarray, n_buckets: int) -> tuple[np.ndarray, ...]:
     """⟨order, counts, offsets⟩ of a stable scatter into ``n_buckets`` runs:
     after ``take(order)`` bucket ``b`` occupies ``[offsets[b], offsets[b+1])``."""
-    counts = np.bincount(buckets, minlength=n_buckets)
+    counts = bucket_counts(buckets, n_buckets)
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
+    if len(counts) == 1:  # one bucket, every id in it: the identity, unsorted
+        return np.arange(len(buckets), dtype=np.intp), counts, offsets
     return stable_order(buckets, n_buckets), counts, offsets
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.core.context import ExecutionContext
 from repro.core.functions import PartitionFunction
+from repro.core.kernels.scatter import bucket_counts
 from repro.core.operator import Operator
 from repro.errors import ExecutionError, TypeCheckError
 from repro.types.atoms import INT64
@@ -92,7 +93,7 @@ class LocalHistogram(Operator):
                 continue
             total += len(batch)
             buckets = self.bucket_fn.map_batch(batch)
-            counts += np.bincount(buckets, minlength=self.n_buckets)
+            counts += bucket_counts(buckets, self.n_buckets)
         ctx.charge_cpu(self, "histogram", total)
         yield RowVector(
             HISTOGRAM_TYPE, [np.arange(self.n_buckets, dtype=np.int64), counts]

@@ -169,7 +169,8 @@ class MpiExchange(Operator):
             total += len(batch)
             ctx.charge_cpu(self, "partition", len(batch))
             buckets = self.partition_fn.map_batch(batch)
-            # One stable linear-time scatter order per batch; each put
+            # One stable linear-time scatter order per batch (the identity,
+            # neither counted by bincount nor sorted, at one partition); each put
             # gathers its partition's slice of it straight from the morsel
             # into the target window, so every byte moves once.
             order, counts, offsets = partition_layout(buckets, self.n_partitions)

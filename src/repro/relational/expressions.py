@@ -237,7 +237,11 @@ class IsIn(Expression):
 
     def evaluate(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
         data = np.asarray(self.operand.evaluate(columns))
-        return np.isin(data, np.asarray(self.values, dtype=data.dtype))
+        # A literal the column's dtype cannot hold ('MAILBOX' in <U4, 1.5 in
+        # int64) matches nothing, as under ``==``; cast, it would match its
+        # truncation.
+        values = [v for v in self.values if np.asarray(v, dtype=data.dtype).item() == v]
+        return np.isin(data, np.asarray(values, dtype=data.dtype))
 
     def references(self) -> set[str]:
         return self.operand.references()

@@ -11,22 +11,29 @@ integer-only path gets wrong.
 """
 
 import collections
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import RunOptions
 from repro.core.compression import RadixCompression
 from repro.core.context import ExecutionContext
 from repro.core.executor import execute
-from repro.core.functions import RadixPartition, field_sum
+from repro.core.functions import PartitionFunction, RadixPartition, field_sum
 from repro.core.kernels import scatter
-from repro.core.kernels.scatter import key_order, partition_layout, stable_order
-from repro.core.operators import MaterializeRowVector, ParameterSlot, ReduceByKey, RowScan
+from repro.core.kernels.scatter import bucket_counts, key_order, partition_layout, stable_order
+from repro.core.operators import (
+    LocalHistogram, LocalPartitioning, MaterializeRowVector, ParameterSlot, ReduceByKey, RowScan,
+)
 from repro.core.plans.fragments import collect, exchange, sharded_scan
 from repro.core.plans.join import build_distributed_join
+from repro.errors import ExecutionError
 from repro.mpi.cluster import SimCluster
 from repro.mpi.comm import WindowSet
+from repro.relational import lower_to_modularis
+from repro.tpch import ALL_QUERIES, load_catalog
 from repro.types import INT64, STRING, RowVector, TupleType, row_vector_type
 
 from tests.conftest import table_source
@@ -95,6 +102,57 @@ class TestStableOrder:
         # must stay visible there rather than wrap into a valid bucket.
         _, counts, offsets = partition_layout(np.array([0, 300, 1]), 4)
         assert len(counts) == 301 and counts[300] == 1 and offsets[-1] == 3
+
+
+class TestOneBucket:
+    """One bucket (every exchange of a one-rank run) skips ``bincount`` and
+    the sort; what it returns must be what they return."""
+
+    @pytest.mark.parametrize("buckets", [np.zeros(999, np.int64), np.zeros(0, np.int64),
+                                         np.array([0, 0, 3, 0])], ids=["zeros", "empty", "stray"])
+    def test_is_the_general_layout(self, buckets):
+        counts = np.bincount(buckets, minlength=1)
+        assert np.array_equal(bucket_counts(buckets, 1), counts)
+        assert bucket_counts(buckets, 1).dtype == counts.dtype
+        order, got_counts, offsets = partition_layout(buckets, 1)
+        assert np.array_equal(order, reference(buckets)) and order.dtype == np.intp
+        assert np.array_equal(got_counts, counts)
+        assert offsets.tolist() == [0, *np.cumsum(counts)]
+
+    def test_a_stray_id_still_fails_the_histogram_cross_check(self, ctx):
+        class Stray(PartitionFunction):
+            """A defective one-way bucket function: key 3 goes to bucket 5."""
+
+            def map_batch(self, batch):
+                return np.where(batch.column("key") == 3, 5, 0)
+
+        table = RowVector.from_rows(TupleType.of(key=INT64), [(k,) for k in range(8)])
+
+        def scan():
+            return RowScan(table_source(table, ctx), field="t")
+
+        histogram = LocalHistogram(scan(), RadixPartition("key", 1))
+        with pytest.raises(ExecutionError, match="diverge"):
+            list(LocalPartitioning(scan(), histogram, Stray(1)).stream(ctx))
+
+    def test_one_rank_tpch_charges_are_pinned(self):
+        # Recorded before one-bucket layouts skipped bincount and the sort:
+        # per-rank clocks, phase breakdown, puts and shuffled bytes (SF 0.01).
+        pinned = {
+            4: ([0.0011805970912381145], "06d47047fdfdc637", 3, 330760),
+            12: ([0.0011987180233054148], "bc1f3860a2d88f57", 2, 613480),
+            14: ([0.0008062447500784962], "5151340c8049b18e", 2, 99848),
+            19: ([0.0011019990254133093], "fa647ce6fea0a5d8", 2, 40592),
+        }
+        catalog = load_catalog(0.01, seed=4)
+        for q, build in ALL_QUERIES.items():
+            report = lower_to_modularis(build().plan, catalog, SimCluster(1)).run(
+                catalog, RunOptions(metrics=True))
+            (result,) = report.cluster_results
+            phases = repr(sorted(report.phase_breakdown().items())).encode()
+            assert (result.clocks, hashlib.sha256(phases).hexdigest()[:16],
+                    report.metrics.total("comm_puts"),
+                    report.metrics.total("shuffle_bytes")) == pinned[q], q
 
 
 class TestKeyOrder:

@@ -375,23 +375,29 @@ def test_no_class_table_can_grow_back(relative):
 ARGSORT_ALLOWED = {"core/kernels/scatter.py", "core/kernels/hash_join.py"}
 
 
-def argsort_calls(path: Path) -> list[int]:
-    """Line numbers of every ``argsort`` call (function or method) in ``path``."""
+def calls_to(name: str, path: Path) -> list[int]:
+    """Line numbers of every ``name`` call (function or method) in ``path``."""
     return [
         node.lineno
         for node in nodes(path)
         if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "argsort"
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == name
     ]
 
 
 def test_no_merge_sort_can_come_back_into_a_scatter():
-    """Operators and kernels order rows through ``kernels.scatter`` only."""
-    paths = [*(SRC / "core/operators").glob("*.py"), *(SRC / "core/kernels").glob("*.py")]
-    calls = {str(path.relative_to(SRC)): argsort_calls(path) for path in paths}
+    """Operators and kernels order rows through ``kernels.scatter`` only, and
+    operators count buckets through it too (``bucket_counts``: ``bincount``
+    is at its slowest on the one bucket of a one-rank run)."""
+    operators = [*(SRC / "core/operators").glob("*.py")]
+    paths = [*operators, *(SRC / "core/kernels").glob("*.py")]
+    calls = {str(path.relative_to(SRC)): calls_to("argsort", path) for path in paths}
     found = {name: lines for name, lines in calls.items() if lines}
     assert set(found) <= ARGSORT_ALLOWED, found
     assert "core/kernels/scatter.py" in found  # the walk sees the calls it polices
+    counts = {str(path.relative_to(SRC)): calls_to("bincount", path) for path in operators}
+    assert not any(counts.values()), counts
+    assert calls_to("bincount", SRC / "core/kernels/scatter.py")
 
 
 # -- one composition per plan fragment ------------------------------------------------

@@ -49,6 +49,16 @@ class TestEvaluation:
         expr = col("a").isin([2, 4, 99])
         assert expr.evaluate(columns).tolist() == [False, True, False, True]
 
+    def test_isin_drops_a_literal_the_column_cannot_hold(self, columns):
+        # Cast to the column's dtype, 'MAILBOX' would match 'MAIL' and 1.5
+        # would match 1; as under ``==``, neither matches anything.
+        modes = {"x": np.array(["MAIL", "SHIP", "AIR"])}
+        assert col("x").isin(["MAILBOX"]).evaluate(modes).tolist() == [False] * 3
+        assert (col("x") == "MAILBOX").evaluate(modes).tolist() == [False] * 3
+        assert col("x").isin(["MAILBOX", "AIR"]).evaluate(modes).tolist() == [False, False, True]
+        assert col("a").isin([1.5]).evaluate(columns).tolist() == [False] * 4
+        assert col("a").isin([1.5, 2.0]).evaluate(columns).tolist() == [False, True, False, False]
+
     def test_between_is_inclusive(self, columns):
         expr = col("a").between(2, 3)
         assert expr.evaluate(columns).tolist() == [False, True, True, False]
