@@ -10,8 +10,9 @@ kernel is reusable from any operator (and testable in isolation).
 Two join kernels share one emission contract (``emit_probe_hits``) and
 run on one int64 column of key codes (``JoinKeyCodes``, whatever the key
 types and count): sorted-hash (``hash_join``, range-oblivious) and radix
-direct-address (``radix_join``, dense/duplicate-heavy key ranges),
-dispatched by ``BuildProbe`` with :func:`radix_eligible`.  ``scatter`` is the linear-time
+direct-address (``radix_join``, dense key ranges: a key -> row table when
+the keys are unique, per-key runs otherwise), dispatched by
+``BuildProbe`` with :func:`radix_eligible`.  ``scatter`` is the linear-time
 stable order under every partition, exchange, radix build and reduce-by-key.
 """
 

@@ -4,33 +4,40 @@ The cache-conscious alternative to the sorted-hash kernel
 (:mod:`repro.core.kernels.hash_join`), modeled on the radix hash join of
 Barthels et al. that the paper decomposes into sub-operators.  Instead of
 hashing, the build side is *rebased* onto its key range ``[kmin, kmax]``
-and scattered into per-key runs with counting passes:
+and either addressed directly or scattered into per-key runs with
+counting passes:
 
-1. a ``bincount`` over the rebased keys gives the exact run length of
-   every distinct key, and its ``cumsum`` the run start offsets — the
-   direct-address table replacing both the hash table and the binary
-   ``searchsorted`` probe;
-2. the scatter itself is one stable linear-time order
-   (:mod:`repro.core.kernels.scatter`).  When the key range exceeds a
-   cache-sized pass, a first radix pass partitions on the high bits
-   (fan-out chosen from the key range so each sub-range fits the pass
-   budget), then each partition is scattered locally — the classic
-   two-pass radix scheme that keeps every pass's working set cache-sized;
-3. each probe morsel rebases its keys and reads the candidate run
-   ``[starts[k], starts[k+1])`` with two direct loads — no hashing, no
-   collision chains, no search.
+1. one count of the rebased keys (``scatter.bucket_counts``) decides the
+   build's shape.  If no key occurs twice and the span fits one
+   cache-sized pass, the build is a direct-address table
+   ``rows[key - kmin] -> build row`` (-1 where the key is absent): one
+   ``np.full`` and one scatter of the row numbers, no sort;
+2. otherwise the same counts give every key's run length, their
+   ``cumsum`` the run start offsets, and the scatter is one stable
+   linear-time order (:mod:`repro.core.kernels.scatter`).  When the key
+   range exceeds a cache-sized pass, a first radix pass partitions on the
+   high bits (fan-out chosen from the key range so each sub-range fits
+   the pass budget), then each partition is counted and scattered
+   locally — the classic two-pass radix scheme that keeps every pass's
+   working set cache-sized;
+3. a probe morsel against the table is one gather of ``rows`` (keys out
+   of range clamped to a -1 slot) and one ``flatnonzero``; against runs,
+   it reads each candidate run ``[starts[k], starts[k+1])`` with two
+   direct loads and expands it.  Neither hashes, chains or searches.
 
 It runs on the same int64 key codes as the sorted-hash kernel
 (:class:`~repro.core.kernels.hash_join.JoinKeyCodes`).  The scatter is
 stable, so candidate runs hold build rows in insertion order and the
-emitted rows are bit-identical to the sorted-hash kernel's.  All four
-probe policies (inner / semi / anti / left_outer) share the candidate
-machinery through :func:`~repro.core.kernels.hash_join.emit_probe_hits`.
+emitted rows are bit-identical to the sorted-hash kernel's; a unique
+build's ``order`` is the identity.  All four probe policies (inner /
+semi / anti / left_outer) share the emission through
+:func:`~repro.core.kernels.hash_join.emit_probe_hits`.
 
 Direct addressing trades memory for the key range: the kernel is only
-eligible when the range is dense relative to the build cardinality
-(duplicate-heavy and skewed workloads), and never beyond a hard cap —
-:func:`radix_eligible` is the dispatch heuristic ``BuildProbe`` consults.
+eligible when the range is dense relative to the build cardinality, or
+fits one pass under a build large enough to pay for it, and never beyond
+a hard cap — :func:`radix_eligible` is the dispatch heuristic
+``BuildProbe`` consults.
 """
 
 from __future__ import annotations
@@ -46,7 +53,12 @@ from repro.core.kernels.hash_join import (
     emit_probe_hits,
     probe_morsel,
 )
-from repro.core.kernels.scatter import partition_layout, stable_order
+from repro.core.kernels.scatter import (
+    bucket_counts,
+    counted_layout,
+    partition_layout,
+    stable_order,
+)
 from repro.types.collections import RowVector
 
 __all__ = [
@@ -68,14 +80,17 @@ HARD_RANGE_CAP = 1 << 26
 #: cost model's cache budget (int64 counts for 2^18 keys = 2 MiB).
 PASS_RANGE = 1 << 18
 
-#: Builds smaller than this gain nothing from radix setup; the heuristic
-#: keeps them on the sorted-hash kernel.
-RADIX_MIN_ROWS = 1 << 12
-
 #: ``auto`` dispatch accepts a key range up to this multiple of the build
-#: cardinality — i.e. only dense/duplicate-heavy key spaces, where the
-#: direct-address table stays proportional to the data.
+#: cardinality at any build size.  In the sweep in
+#: ``docs/fused_execution.md`` radix beats sorted-hash on every unique
+#: build with ``span <= 8 * rows``; at ``16 * rows`` it loses from 2^12
+#: rows up.
 DENSITY_MULTIPLE = 8
+
+#: A sparser build takes radix only with at least this many rows and a
+#: span of one pass: at span 2^18 radix breaks even from 2^12 rows against
+#: four probe rows per build row, while 2^11 rows need sixteen.
+RADIX_MIN_ROWS = 1 << 12
 
 
 def key_span(kmin: int, kmax: int) -> int:
@@ -100,9 +115,9 @@ def radix_eligible(n_build: int, kmin: int, kmax: int, forced: bool = False) -> 
         return False
     if forced:
         return True
-    if n_build < RADIX_MIN_ROWS:
-        return False
-    return span <= max(PASS_RANGE, DENSITY_MULTIPLE * n_build)
+    if span <= DENSITY_MULTIPLE * n_build:
+        return True
+    return n_build >= RADIX_MIN_ROWS and span <= PASS_RANGE
 
 
 def select_join_kernel(join_kernel: str, left: RowVector, key: str | tuple[str, ...]):
@@ -155,9 +170,16 @@ class RadixJoinBuild:
     key_min: int
     key_max: int
     order: np.ndarray
-    #: Run offsets of the direct-address table: the build rows holding
-    #: rebased key ``k`` occupy scattered positions [starts[k], starts[k+1]).
-    starts: np.ndarray
+    #: Run offsets of the direct-address table when some key repeats: the
+    #: build rows holding rebased key ``k`` occupy scattered positions
+    #: [starts[k], starts[k+1]).  ``None`` for a unique build.
+    starts: np.ndarray | None
+    #: The direct-address table when every key is unique: ``rows[k]`` is
+    #: the build row holding rebased key ``k``, or -1; one more -1 slot at
+    #: ``rows[span]`` absorbs every out-of-range probe key.  ``order`` is
+    #: the identity, so a row is its own scattered position.  ``None``
+    #: when some key repeats.
+    rows: np.ndarray | None
     #: Build rows hit by some probe so far (left_outer bookkeeping).
     matched: np.ndarray
 
@@ -169,29 +191,26 @@ class RadixJoinBuild:
     def from_codes(cls, left: RowVector, codes: JoinKeyCodes) -> "RadixJoinBuild":
         build_keys = codes.build
         n = len(left)
-        if n == 0:
-            return cls(
-                left=left,
-                codes=codes,
-                key_min=0,
-                key_max=-1,
-                order=np.empty(0, dtype=np.int64),
-                starts=np.zeros(2, dtype=np.int64),
-                matched=np.zeros(0, dtype=bool),
-            )
-        kmin = int(build_keys.min())
-        kmax = int(build_keys.max())
+        kmin, kmax = (int(build_keys.min()), int(build_keys.max())) if n else (0, -1)
         span = key_span(kmin, kmax)
         if span > HARD_RANGE_CAP:
             raise ValueError(
                 f"key range {span} exceeds the radix table cap {HARD_RANGE_CAP}"
             )
         rebased = build_keys - np.int64(kmin)
-        if span <= PASS_RANGE:
-            # Single cache-sized pass: bincount the runs, stable-scatter.
-            order, _, starts = partition_layout(rebased, span)
-        else:
+        starts = rows = None
+        if span > PASS_RANGE:
             starts, order = cls._two_pass_scatter(rebased, span)
+        else:
+            counts = bucket_counts(rebased, span)
+            if counts.max(initial=0) <= 1:
+                # Every key is its own slot: no runs and no sort.
+                order = np.arange(n, dtype=np.intp)
+                rows = np.full(span + 1, -1, dtype=np.intp)
+                rows[rebased] = order
+            else:
+                # Single cache-sized pass: the same counts give the runs.
+                order, _, starts = counted_layout(rebased, counts)
         return cls(
             left=left,
             codes=codes,
@@ -199,6 +218,7 @@ class RadixJoinBuild:
             key_max=kmax,
             order=order,
             starts=starts,
+            rows=rows,
             matched=np.zeros(n, dtype=bool),
         )
 
@@ -232,8 +252,18 @@ def radix_probe_morsel(
 ) -> RowVector:
     """Probe one right-side morsel against the direct-address table."""
     right_keys = build.codes.probe(right)
-    n_right = len(right)
     kmin = np.int64(build.key_min)
+    if build.rows is not None:
+        # ``key - kmin`` wraps modulo 2^64, so as unsigned it is below the
+        # span exactly for keys in [kmin, kmax]; the clamp sends every
+        # other key to the -1 slot, and one gather resolves the morsel.
+        slots = (right_keys - kmin).view(np.uint64)
+        # In place: clamping into a fresh array measured several times slower.
+        np.minimum(slots, np.uint64(len(build.rows) - 1), out=slots)
+        hit_rows = build.rows[slots]
+        hit_right = np.flatnonzero(hit_rows >= 0)
+        return emit_probe_hits(build, right, spec, hit_rows[hit_right], hit_right)
+    n_right = len(right)
     in_range = (right_keys >= build.key_min) & (right_keys <= build.key_max)
     # Out-of-range keys are clamped to slot 0 before indexing; their
     # candidate count is masked to zero below, so the clamp never emits.

@@ -13,7 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["bucket_counts", "key_order", "partition_layout", "stable_order"]
+__all__ = [
+    "bucket_counts",
+    "counted_layout",
+    "key_order",
+    "partition_layout",
+    "stable_order",
+]
 
 
 def stable_order(values: np.ndarray, span: int) -> np.ndarray:
@@ -50,12 +56,17 @@ def bucket_counts(buckets: np.ndarray, n_buckets: int) -> np.ndarray:
 def partition_layout(buckets: np.ndarray, n_buckets: int) -> tuple[np.ndarray, ...]:
     """⟨order, counts, offsets⟩ of a stable scatter into ``n_buckets`` runs:
     after ``take(order)`` bucket ``b`` occupies ``[offsets[b], offsets[b+1])``."""
-    counts = bucket_counts(buckets, n_buckets)
+    return counted_layout(buckets, bucket_counts(buckets, n_buckets))
+
+
+def counted_layout(buckets: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """:func:`partition_layout` from ``counts = bucket_counts(buckets, n)``
+    already taken, for a caller that read the counts first."""
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     if len(counts) == 1:  # one bucket, every id in it: the identity, unsorted
         return np.arange(len(buckets), dtype=np.intp), counts, offsets
-    return stable_order(buckets, n_buckets), counts, offsets
+    return stable_order(buckets, len(counts)), counts, offsets
 
 
 def key_order(keys: np.ndarray) -> np.ndarray:

@@ -262,7 +262,8 @@ ATOMS = (INT64, FLOAT64, BOOL, STRING, DATE)
 #: Hostile row counts first: empty, one row, fewer rows than ranks.  Only
 #: the first input grows past a dozen rows, so joins on all-duplicate keys
 #: stay small, and only it reaches the build sizes either side of the radix
-#: kernel's minimum.
+#: kernel's floor.  Unique and duplicate keys are a draw of their own, so
+#: both build shapes fall on both sides of the dispatch rule.
 ROWS = (0, 1, 2, 3, 5) + (12,) * 5
 FIRST_ROWS = ROWS + (40,) * 10 + (RADIX_MIN_ROWS - 1, RADIX_MIN_ROWS)
 #: Key spans either side of the radix kernel's one-pass range and hard cap.
@@ -289,10 +290,21 @@ def key_pools(draw, base=st.sampled_from((0, 0, -(1 << 62), 1 << 40))):
     return draw(base) + np.unique(np.array([0, span - 1, *inner], dtype=np.int64))
 
 
-def keys_of(rng, pool: np.ndarray, n: int) -> np.ndarray:
-    if n >= RADIX_MIN_ROWS - 1:  # dense and unique: the build is radix-eligible
-        return pool[0] + rng.permutation(n).astype(np.int64)
-    return rng.choice(pool, n)
+def distinct_keys(pool: np.ndarray, n: int) -> np.ndarray:
+    """``n`` distinct keys: the pool's ends first (two or more keep its
+    span), then its inner keys, then a dense run up from its low end."""
+    ordered = np.concatenate((pool[-1:], pool, pool[0] + np.arange(n, dtype=np.int64)))
+    _, first = np.unique(ordered, return_index=True)
+    return ordered[np.sort(first)][:n]
+
+
+def keys_of(rng, pool: np.ndarray, n: int, unique: bool) -> np.ndarray:
+    """``n`` keys over the pool's span: all distinct (a unique build), or
+    drawn with repeats from the pool, widened to ``n // 64`` distinct keys
+    for the largest builds so that a join chain over them stays small."""
+    if unique:
+        return rng.permutation(distinct_keys(pool, n))
+    return rng.choice(distinct_keys(pool, max(len(pool), n // 64)), n)
 
 
 @st.composite
@@ -308,7 +320,7 @@ def bulk_cases(draw):
     relations = []
     for i, name in enumerate(names):
         n = draw(st.sampled_from(FIRST_ROWS if i == 0 else ROWS))
-        columns = [keys_of(rng, pool, n), rng.integers(0, 1000, n)]
+        columns = [keys_of(rng, pool, n, draw(st.booleans())), rng.integers(0, 1000, n)]
         relations.append(RowVector(TupleType.of(key=INT64, **{name: INT64}), columns))
     if builder == "join_sequence":
         variant = draw(st.sampled_from(("naive", "optimized")))
@@ -349,7 +361,7 @@ def logical_cases(draw):
         n = draw(st.sampled_from(FIRST_ROWS if i == 0 else ROWS))
         payload = draw(st.lists(st.sampled_from(ATOMS), min_size=1, max_size=2))
         atoms = {"k": key_atom, **{f"{table}{j}": a for j, a in enumerate(payload)}}
-        columns = [typed(key_atom, keys_of(rng, pool, n))]
+        columns = [typed(key_atom, keys_of(rng, pool, n, draw(st.booleans())))]
         columns += [typed(atom, rng.integers(-6, 7, n)) for atom in payload]
         catalog.register(Table(table, RowVector(TupleType.of(**atoms), columns)))
         side, first = scan(table), f"{table}0"
@@ -453,6 +465,23 @@ def catalog_of(**tables: dict) -> Callable[[], Catalog]:
 
 _JOIN = make_join_relations(1 << 10)
 _GROUPS = make_groupby_table(1 << 10)
+
+
+def _sparse_build(duplicate: bool):
+    """A one-rank join whose build reaches the one-pass allowance of the
+    dispatch rule: floor-many keys over a span of exactly ``PASS_RANGE``."""
+    rng = np.random.default_rng(5)
+    keys = rng.permutation(distinct_keys(np.array([0, PASS_RANGE - 1]), RADIX_MIN_ROWS))
+    if duplicate:
+        keys[1] = keys[0]
+    probe = np.concatenate((keys[::7], [-1, PASS_RANGE, PASS_RANGE - 1]))
+    left, right = (
+        RowVector(TupleType.of(key=INT64, **{name: INT64}), [k, np.arange(len(k))])
+        for k, name in ((keys, "lpay"), (probe, "rpay"))
+    )
+    return bulk_case("join", left, right, join_type="left_outer", compression=False)
+
+
 #: Shrunk examples of the defects generated examples found.
 _TIES = logical_case(
     scan("a").join(scan("b"), on="k")
@@ -526,6 +555,8 @@ _BULK = {
 @example(case=_LONG, cell=Cell(ranks=2))
 @example(case=_WRAP, cell=Cell(mode="interpreted"))
 @example(case=_SUM_BOOL, cell=Cell(mode="interpreted"))
+@example(case=_sparse_build(duplicate=False), cell=Cell(ranks=1, local_fanout=1))
+@example(case=_sparse_build(duplicate=True), cell=Cell(ranks=1, local_fanout=1))
 def test_every_cell_returns_the_reference_rows_or_the_same_refusal(case, cell):
     check(case, cell)
 

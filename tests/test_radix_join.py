@@ -3,7 +3,8 @@
 Three layers of coverage for PR 7:
 
 * kernel mechanics — eligibility heuristic, fan-out selection, the
-  two-pass scatter matching the single-pass table, and the hard range cap;
+  two-pass scatter matching the single-pass table, the hard range cap,
+  and the key -> row table of a unique build;
 * bit-identity — pinned cells of the differential oracle: radix and
   sorted-hash give the same rows in the same order (and the scalar probe
   the reference's rows) for all four probe policies under negative keys,
@@ -25,8 +26,15 @@ from repro.core.options import RunOptions
 from repro.core.context import ExecutionContext
 from repro.core.executor import execute
 from repro.core.functions import RadixPartition
-from repro.core.kernels.hash_join import HashJoinBuild, HashJoinSpec, probe_morsel
+from repro.core.kernels import radix_join, scatter
+from repro.core.kernels.hash_join import (
+    HashJoinBuild,
+    HashJoinSpec,
+    outer_tail,
+    probe_morsel,
+)
 from repro.core.kernels.radix_join import (
+    DENSITY_MULTIPLE,
     HARD_RANGE_CAP,
     PASS_RANGE,
     RADIX_MIN_ROWS,
@@ -42,6 +50,7 @@ from repro.core.operators import (
     LocalPartitioning,
     RowScan,
 )
+from repro.core.operator import join_output_type
 from repro.core.operators.build_probe import JOIN_TYPES
 from repro.errors import ExecutionError
 from repro.types import INT64, RowVector, TupleType
@@ -69,7 +78,15 @@ class TestKernelMechanics:
         assert radix_eligible(n, 0, n - 1)
 
     def test_eligibility_rejects_small_build(self):
-        assert not radix_eligible(RADIX_MIN_ROWS - 1, 0, 10)
+        # Below the floor only the density rule admits a build: a sparse
+        # one-pass span is sorted-hash's.
+        assert not radix_eligible(RADIX_MIN_ROWS - 1, 0, PASS_RANGE - 1)
+        assert radix_eligible(RADIX_MIN_ROWS, 0, PASS_RANGE - 1)
+
+    def test_eligibility_takes_dense_builds_of_any_size(self):
+        for n in (1, 2, 64, RADIX_MIN_ROWS - 1):
+            assert radix_eligible(n, 0, DENSITY_MULTIPLE * n - 1)
+            assert not radix_eligible(n, 0, DENSITY_MULTIPLE * n)
 
     def test_eligibility_rejects_sparse_range(self):
         n = RADIX_MIN_ROWS
@@ -114,7 +131,7 @@ class TestKernelMechanics:
         dense = vector_of([(i % 64, i) for i in range(RADIX_MIN_ROWS)], L)
         assert select_join_kernel("auto", dense, "key")[0] == "radix"
         assert select_join_kernel("sorted", dense, "key")[0] == "kernel"
-        small = vector_of([(1, 1)], L)
+        small = vector_of([(0, 0), (1000, 1)], L)
         assert select_join_kernel("auto", small, "key")[0] == "kernel"
         assert select_join_kernel("radix", small, "key")[0] == "radix"
         # Forced radix still bows to the hard memory cap.
@@ -141,6 +158,101 @@ class TestKernelMechanics:
         radix = radix_probe_morsel(RadixJoinBuild.from_rows(left, "key"), right, spec)
         sorted_hash = probe_morsel(HashJoinBuild.from_rows(left, "key"), right, spec)
         assert radix == sorted_hash
+
+
+def spec_for(join_type):
+    return HashJoinSpec(
+        join_type=join_type,
+        output_type=join_output_type(L, R, ("key",), join_type),
+        key="key",
+        left_rest_pos=(1,),
+        right_rest_pos=(1,),
+        right_type=R,
+        outer_fill=0,
+    )
+
+
+class TestUniqueKeyTable:
+    """A build whose keys are unique and span one pass is a key -> row table.
+
+    Every probe morsel, and the left_outer tail, must equal the sorted-hash
+    kernel's rows in the same order under all four policies."""
+
+    @staticmethod
+    def assert_matches_sorted_hash(build_keys, morsels):
+        left = RowVector(L, [np.asarray(build_keys, np.int64),
+                             np.arange(len(build_keys), dtype=np.int64)])
+        probes = [RowVector(R, [np.asarray(keys, np.int64),
+                                -np.arange(len(keys), dtype=np.int64)])
+                  for keys in morsels]
+        for join_type in JOIN_TYPES:
+            spec = spec_for(join_type)
+            radix = RadixJoinBuild.from_rows(left, "key")
+            hashed = HashJoinBuild.from_rows(left, "key")
+            for right in probes:
+                assert radix_probe_morsel(radix, right, spec) == probe_morsel(
+                    hashed, right, spec
+                ), join_type
+            if join_type == "left_outer":
+                assert outer_tail(radix, spec) == outer_tail(hashed, spec)
+        return radix
+
+    def test_out_of_range_and_negative_probe_keys(self):
+        build = [-5, 7, -1, 3, 12, 0]
+        probe = [-6, -5, 13, 12, 1, -(2**63), 2**63 - 1, 3, 3, -1, 100]
+        radix = self.assert_matches_sorted_hash(build, [probe, probe[::-1]])
+        assert radix.rows is not None and radix.starts is None
+
+    def test_extreme_build_keys_wrap_nothing_into_range(self):
+        # ``key - kmin`` wraps for probe keys far below an int64-top range.
+        top = 2**63 - 1
+        self.assert_matches_sorted_hash(
+            [top, top - 3, top - 9], [[top, -(2**63), -(2**63) + 2, 5, top - 3]]
+        )
+
+    def test_empty_probe_morsel_and_one_row_build(self):
+        self.assert_matches_sorted_hash([42], [[], [42, 41, 43, 42], []])
+
+    def test_span_of_exactly_one_pass_is_a_table(self):
+        build = [0, PASS_RANGE - 1, 17, 1000]
+        radix = self.assert_matches_sorted_hash(
+            build, [[PASS_RANGE - 1, PASS_RANGE, -1, 17, 18, 0]]
+        )
+        assert radix.rows is not None and len(radix.rows) == PASS_RANGE + 1
+
+    def test_span_past_one_pass_keeps_the_two_pass_scatter(self):
+        build = [0, PASS_RANGE, 17, 1000]
+        radix = self.assert_matches_sorted_hash(
+            build, [[PASS_RANGE, PASS_RANGE + 1, -1, 17, 18, 0]]
+        )
+        assert radix.rows is None and len(radix.starts) == PASS_RANGE + 2
+
+    def test_keys_with_a_duplicate_keep_the_runs(self):
+        radix = self.assert_matches_sorted_hash([4, 9, 4, -2], [[4, 9, -2, 5, 4]])
+        assert radix.rows is None and radix.starts is not None
+
+    @pytest.mark.parametrize("keys, sorts", [([3, 1, 2, 0, 9], 0), ([3, 1, 2, 1, 9], 1)],
+                             ids=["unique", "one-duplicate"])
+    def test_only_a_duplicate_sorts(self, monkeypatch, keys, sorts):
+        calls = []
+        real = scatter.stable_order
+        monkeypatch.setattr(scatter, "stable_order",
+                            lambda *args: calls.append(args) or real(*args))
+        RadixJoinBuild.from_rows(vector_of([(k, i) for i, k in enumerate(keys)], L), "key")
+        assert len(calls) == sorts
+
+    @pytest.mark.parametrize("keys, bincounts", [([3, 1, 2, 0, 9], 1), ([3, 1, 2, 1, 9], 1),
+                                                 ([5, 5, 5], 0)],
+                             ids=["unique", "one-duplicate", "one-key"])
+    def test_a_single_pass_build_counts_its_keys_once(self, monkeypatch, keys, bincounts):
+        counted, binned = [], []
+        real_counts, real_bincount = radix_join.bucket_counts, np.bincount
+        monkeypatch.setattr(radix_join, "bucket_counts",
+                            lambda *args: counted.append(args) or real_counts(*args))
+        monkeypatch.setattr(np, "bincount",
+                            lambda *args, **kw: binned.append(args) or real_bincount(*args, **kw))
+        RadixJoinBuild.from_rows(vector_of([(k, i) for i, k in enumerate(keys)], L), "key")
+        assert (len(counted), len(binned)) == (1, bincounts)
 
 
 class TestBitIdentity:
@@ -184,9 +296,9 @@ class TestBitIdentity:
 
 
 class TestDispatchMetric:
-    def _run_metered(self, n_rows, join_kernel):
+    def _run_metered(self, n_rows, join_kernel, stride=1):
         ctx = ExecutionContext(join_kernel=join_kernel)
-        left = vector_of([(i % 64, i) for i in range(n_rows)], L)
+        left = vector_of([(i % 64 * stride, i) for i in range(n_rows)], L)
         right = vector_of([(i % 64, -i) for i in range(128)], R)
         bp = BuildProbe(scan_of(left, ctx), scan_of(right, ctx), keys="key")
         report = execute(bp, ctx=ctx, options=RunOptions(metrics=True))
@@ -198,7 +310,9 @@ class TestDispatchMetric:
         assert snapshot.total("join_dispatch", path="kernel") == 0
 
     def test_auto_keeps_sorted_hash_on_small_build(self):
-        snapshot = self._run_metered(64, "auto")
+        # 64 rows over a span of 63,001 keys: too sparse for the density
+        # rule and below the floor of the one-pass allowance.
+        snapshot = self._run_metered(64, "auto", stride=1000)
         assert snapshot.total("join_dispatch", path="kernel") == 1
         assert snapshot.total("join_dispatch", path="radix") == 0
 
