@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import ExecutionError, TypeCheckError
 from repro.types.atoms import INT64
 from repro.types.collections import RowVector
@@ -103,7 +101,7 @@ class RadixCompression:
                         f"[0, {bound}); increase key_bits or disable compression"
                     )
         packed = ((keys >> self.fanout_bits) << self.key_bits) | payloads
-        return RowVector(COMPRESSED_TYPE, [packed.astype(np.int64)])
+        return RowVector(COMPRESSED_TYPE, [packed])
 
     def unpack_batch(
         self, batch: RowVector, partition_id: int, output_type: TupleType

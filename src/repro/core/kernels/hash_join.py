@@ -177,30 +177,35 @@ def emit_probe_hits(
     right: RowVector,
     spec: HashJoinSpec,
     hit_pos: np.ndarray,
-    hit_right: np.ndarray,
+    hit_right: np.ndarray | slice,
 ) -> RowVector:
     """Assemble one morsel's output rows from resolved candidate hits.
 
     Shared by the sorted-hash and radix kernels: ``hit_pos`` indexes the
     build side in *sorted position* (``build.order[hit_pos]`` recovers the
-    original row), ``hit_right`` indexes the probe morsel, and both are
-    ordered probe-row-major with matches in build-insertion order — the
-    emission contract both kernels are bit-identical under.  The key
-    columns are the probe side's own.
+    original row; an ``order`` of ``None`` is the identity), ``hit_right``
+    indexes the probe morsel, and both are ordered probe-row-major with
+    matches in build-insertion order — the emission contract both kernels
+    are bit-identical under.  ``hit_right`` is ``slice(None)`` when every
+    probe row hits exactly once: the probe's columns then pass through as
+    views.  The key columns are the probe side's own.
     """
     keys = [right.column(key) for key in spec.keys]
     if spec.join_type in ("inner", "left_outer"):
         if spec.join_type == "left_outer":
             build.matched[hit_pos] = True
-        left_idx = build.order[hit_pos]
+        left_idx = hit_pos if build.order is None else build.order[hit_pos]
         columns: list[np.ndarray] = [column[hit_right] for column in keys]
         columns += [build.left.columns[p][left_idx] for p in spec.left_rest_pos]
         columns += [right.columns[p][hit_right] for p in spec.right_rest_pos]
         return RowVector(spec.output_type, columns)
 
-    has_hit = np.zeros(len(right), dtype=bool)
-    has_hit[hit_right] = True
-    sel = np.flatnonzero(has_hit if spec.join_type == "semi" else ~has_hit)
+    if isinstance(hit_right, slice):
+        sel = hit_right if spec.join_type == "semi" else slice(0)
+    else:
+        has_hit = np.zeros(len(right), dtype=bool)
+        has_hit[hit_right] = True
+        sel = np.flatnonzero(has_hit if spec.join_type == "semi" else ~has_hit)
     columns = [column[sel] for column in keys]
     columns += [right.columns[p][sel] for p in spec.right_rest_pos]
     return RowVector(spec.output_type, columns)
@@ -209,7 +214,9 @@ def emit_probe_hits(
 def outer_tail(build: HashJoinBuild, spec: HashJoinSpec) -> RowVector:
     """Unmatched build rows, in insertion order, padded with ``outer_fill``
     on the right."""
-    left_idx = np.sort(build.order[np.flatnonzero(~build.matched)])
+    left_idx = np.flatnonzero(~build.matched)
+    if build.order is not None:
+        left_idx = np.sort(build.order[left_idx])
     n = len(left_idx)
     columns: list[np.ndarray] = [build.left.column(key)[left_idx] for key in spec.keys]
     columns += [build.left.columns[p][left_idx] for p in spec.left_rest_pos]

@@ -21,16 +21,19 @@ counting passes:
    locally — the classic two-pass radix scheme that keeps every pass's
    working set cache-sized;
 3. a probe morsel against the table is one gather of ``rows`` (keys out
-   of range clamped to a -1 slot) and one ``flatnonzero``; against runs,
-   it reads each candidate run ``[starts[k], starts[k+1])`` with two
+   of range clamped to a -1 slot) and one ``flatnonzero``.  When that
+   finds every probe row (the morsel fully hits), the probe's columns
+   pass through as they are and only the build side is gathered; the
+   table's identity ``order`` is never gathered through.  Against runs,
+   a probe reads each candidate run ``[starts[k], starts[k+1])`` with two
    direct loads and expands it.  Neither hashes, chains or searches.
 
 It runs on the same int64 key codes as the sorted-hash kernel
 (:class:`~repro.core.kernels.hash_join.JoinKeyCodes`).  The scatter is
 stable, so candidate runs hold build rows in insertion order and the
 emitted rows are bit-identical to the sorted-hash kernel's; a unique
-build's ``order`` is the identity.  All four probe policies (inner /
-semi / anti / left_outer) share the emission through
+build's ``order`` is the identity, held as ``None``.  All four probe
+policies (inner / semi / anti / left_outer) share the emission through
 :func:`~repro.core.kernels.hash_join.emit_probe_hits`.
 
 Direct addressing trades memory for the key range: the kernel is only
@@ -161,15 +164,17 @@ class RadixJoinBuild:
 
     Field names mirror :class:`~repro.core.kernels.hash_join.HashJoinBuild`
     where the semantics coincide (``order`` maps scattered position to
-    original row; ``matched`` is indexed by scattered position), so
-    ``outer_tail`` works on either build unchanged.
+    original row, ``None`` meaning the identity; ``matched`` is indexed by
+    scattered position), so ``outer_tail`` works on either build.
     """
 
     left: RowVector
     codes: JoinKeyCodes
     key_min: int
     key_max: int
-    order: np.ndarray
+    #: Scattered position -> build row; ``None`` when it is the identity
+    #: (a unique build, whose ``rows`` hold build rows directly).
+    order: np.ndarray | None
     #: Run offsets of the direct-address table when some key repeats: the
     #: build rows holding rebased key ``k`` occupy scattered positions
     #: [starts[k], starts[k+1]).  ``None`` for a unique build.
@@ -177,8 +182,8 @@ class RadixJoinBuild:
     #: The direct-address table when every key is unique: ``rows[k]`` is
     #: the build row holding rebased key ``k``, or -1; one more -1 slot at
     #: ``rows[span]`` absorbs every out-of-range probe key.  ``order`` is
-    #: the identity, so a row is its own scattered position.  ``None``
-    #: when some key repeats.
+    #: the identity (``None``), so a row is its own scattered position.
+    #: ``None`` when some key repeats.
     rows: np.ndarray | None
     #: Build rows hit by some probe so far (left_outer bookkeeping).
     matched: np.ndarray
@@ -204,10 +209,10 @@ class RadixJoinBuild:
         else:
             counts = bucket_counts(rebased, span)
             if counts.max(initial=0) <= 1:
-                # Every key is its own slot: no runs and no sort.
-                order = np.arange(n, dtype=np.intp)
+                # Every key is its own slot: no runs, no sort and no order.
+                order = None
                 rows = np.full(span + 1, -1, dtype=np.intp)
-                rows[rebased] = order
+                rows[rebased] = np.arange(n, dtype=np.intp)
             else:
                 # Single cache-sized pass: the same counts give the runs.
                 order, _, starts = counted_layout(rebased, counts)
@@ -262,6 +267,9 @@ def radix_probe_morsel(
         np.minimum(slots, np.uint64(len(build.rows) - 1), out=slots)
         hit_rows = build.rows[slots]
         hit_right = np.flatnonzero(hit_rows >= 0)
+        if len(hit_right) == len(right):
+            # Every key hit, once each and in order: the probe passes through.
+            return emit_probe_hits(build, right, spec, hit_rows, slice(None))
         return emit_probe_hits(build, right, spec, hit_rows[hit_right], hit_right)
     n_right = len(right)
     in_range = (right_keys >= build.key_min) & (right_keys <= build.key_max)

@@ -1,12 +1,13 @@
 """Linear-time stable scatter order: the one sort under every partition.
 
 Every scatter (``MpiExchange``, ``LocalPartitioning``, the radix join build,
-``ReduceByKey``) needs the *stable sort permutation* of small non-negative
-integers, and ``np.argsort(kind="stable")`` is a radix sort only for 8/16-bit
-integers — a merge sort for anything wider.  :func:`stable_order` dispatches
-on what it observes in its input (value width, sortedness; the table is in
-``docs/fused_execution.md``); the permutation is unique, so every branch is
-bit-identical to the merge sort it replaces.
+a sparse ``ReduceByKey``) needs the *stable sort permutation* of small
+non-negative integers, and ``np.argsort(kind="stable")`` is a radix sort only
+for 8/16-bit integers — a merge sort for anything wider.  :func:`stable_order`
+dispatches on what it observes in its input (value width, sortedness; the
+table is in ``docs/fused_execution.md``); the permutation is unique, so every
+branch is bit-identical to the merge sort it replaces.  A dense ``ReduceByKey`` does
+not sort at all: :func:`key_sums` counts its keys.
 """
 
 from __future__ import annotations
@@ -14,12 +15,20 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "DENSE_SUM_MULTIPLE",
     "bucket_counts",
     "counted_layout",
     "key_order",
+    "key_sums",
     "partition_layout",
     "stable_order",
 ]
+
+#: ``key_sums`` counts integer keys instead of sorting them when their span
+#: is at most this multiple of the rows.  In the sweep in
+#: ``docs/fused_execution.md`` counting wins at every size up to span = rows;
+#: at 2 × rows it wins or loses by size and run.
+DENSE_SUM_MULTIPLE = 1
 
 
 def stable_order(values: np.ndarray, span: int) -> np.ndarray:
@@ -84,3 +93,55 @@ def key_order(keys: np.ndarray) -> np.ndarray:
             wide = np.int64 if keys.dtype.kind == "i" else np.uint64
             return stable_order(keys.astype(wide, copy=False) - wide(kmin), span)
     return np.argsort(keys, kind="stable")
+
+
+def key_sums(keys: np.ndarray, columns: list[np.ndarray]) -> tuple[np.ndarray, list]:
+    """⟨distinct ``keys`` ascending, each column's per-key sums⟩.
+
+    Integer keys spanning at most ``DENSE_SUM_MULTIPLE`` × rows with integer
+    or bool values are counted (:func:`counted_key_sums`); anything else is
+    ordered with :func:`key_order` and summed per run (:func:`sorted_key_sums`).
+    """
+    integral = all(column.dtype.kind in "iub" for column in columns)
+    if keys.dtype.kind in "iu" and len(keys) and integral:
+        kmin = int(keys.min())
+        span = int(keys.max()) - kmin + 1
+        if span <= DENSE_SUM_MULTIPLE * len(keys):
+            return counted_key_sums(keys, columns, kmin, span)
+    return sorted_key_sums(keys, columns)
+
+
+def sorted_key_sums(
+    keys: np.ndarray, columns: list[np.ndarray]
+) -> tuple[np.ndarray, list]:
+    """:func:`key_sums` by sorting: ``key_order``, then one ``reduceat`` per
+    column over the runs of equal keys."""
+    order = key_order(keys)
+    sorted_keys = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=starts[1:])
+    boundaries = np.flatnonzero(starts)
+    sums = [np.add.reduceat(column[order], boundaries) for column in columns]
+    return sorted_keys[boundaries], sums
+
+
+def counted_key_sums(
+    keys: np.ndarray, columns: list[np.ndarray], kmin: int, span: int
+) -> tuple[np.ndarray, list]:
+    """:func:`key_sums` by counting integer keys in ``[kmin, kmin + span)``.
+
+    The keys are rebased as in :func:`key_order`; one ``bucket_counts``
+    finds the keys present and one ``np.add.at`` per column sums into a
+    span-wide accumulator of the dtype ``reduceat`` returns (integer sums
+    wrap alike in any order, so they are bit-identical to the sort's).
+    Float values must not come here: ``np.add.at`` starts from ``+0.0``.
+    """
+    wide = np.int64 if keys.dtype.kind == "i" else np.uint64
+    rebased = (keys.astype(wide, copy=False) - wide(kmin)).view(np.int64)
+    present = np.flatnonzero(bucket_counts(rebased, span))
+    sums = []
+    for column in columns:
+        acc = np.zeros(span, dtype=np.add.reduce(column[:0]).dtype)
+        np.add.at(acc, rebased, column)
+        sums.append(acc[present])
+    return (present.astype(wide) + wide(kmin)).astype(keys.dtype, copy=False), sums

@@ -77,8 +77,24 @@ class MpiBroadcast(Operator):
         my_offset = int(per_rank[: comm.rank].sum())
 
         windows = comm.win_create(self.output_type, global_total)
+        sent = self._send_all(ctx, windows, my_offset)
+        if sent != local_total:
+            raise ExecutionError(
+                f"data upstream produced {sent} tuples but the local histogram "
+                f"promised {local_total}"
+            )
+
+        ctx.set_phase(self.assigned_phase)
+        windows.fence()
+        yield windows.local.read(0, global_total)
+
+    def _send_all(self, ctx: ExecutionContext, windows, offset: int) -> int:
+        """Put every data morsel into every rank's window from ``offset``;
+        the rows sent.  A helper, so that no morsel outlives it: under the
+        baton, every rank parked at the fence would hold its last one at once.
+        """
+        comm, metrics = ctx.comm, ctx.metrics
         sent = 0
-        metrics = ctx.metrics
         for batch in self.upstreams[0].stream_batches(ctx):
             if len(batch) == 0:
                 continue
@@ -95,14 +111,6 @@ class MpiBroadcast(Operator):
             for start in range(0, len(batch), BUFFER_ROWS):
                 chunk = batch.slice(start, min(start + BUFFER_ROWS, len(batch)))
                 for target in range(comm.n_ranks):
-                    windows.put(target, my_offset + sent + start, chunk)
+                    windows.put(target, offset + sent + start, chunk)
             sent += len(batch)
-        if sent != local_total:
-            raise ExecutionError(
-                f"data upstream produced {sent} tuples but the local histogram "
-                f"promised {local_total}"
-            )
-
-        ctx.set_phase(self.assigned_phase)
-        windows.fence()
-        yield windows.local.read(0, global_total)
+        return sent

@@ -162,23 +162,7 @@ class MpiExchange(Operator):
         # exclusive offset after the lower ranks' shares, advanced per send.
         cursor = partition_base + matrix[: comm.rank].sum(axis=0)
 
-        total = 0
-        for batch in self.upstreams[0].stream_batches(ctx):
-            if len(batch) == 0:
-                continue
-            total += len(batch)
-            ctx.charge_cpu(self, "partition", len(batch))
-            buckets = self.partition_fn.map_batch(batch)
-            # One stable linear-time scatter order per batch (the identity,
-            # neither counted by bincount nor sorted, at one partition); each put
-            # gathers its partition's slice of it straight from the morsel
-            # into the target window, so every byte moves once.
-            order, counts, offsets = partition_layout(buckets, self.n_partitions)
-            wire = batch
-            if self.compression is not None:
-                wire = self.compression.pack_batch(batch)
-            for pid in np.flatnonzero(counts):
-                self._send_partition(ctx, windows, cursor, int(pid), wire, order, offsets)
+        total = self._send_all(ctx, windows, cursor)
         if total != int(local_counts.sum()):
             raise ExecutionError(
                 f"data upstream produced {total} tuples but the local histogram "
@@ -197,6 +181,32 @@ class MpiExchange(Operator):
             base = int(partition_base[pid])
             partitions[i] = windows.local.read(base, base + int(global_counts[pid]))
         yield RowVector(self.output_type, [owned, partitions])
+
+    def _send_all(self, ctx: ExecutionContext, windows, cursor) -> int:
+        """Scatter every data morsel into the windows; the rows sent.
+
+        A helper, so that no morsel, scatter order or packed wire outlives
+        it: under the baton, every rank parked at the fence would hold its
+        last one at once.
+        """
+        total = 0
+        for batch in self.upstreams[0].stream_batches(ctx):
+            if len(batch) == 0:
+                continue
+            total += len(batch)
+            ctx.charge_cpu(self, "partition", len(batch))
+            buckets = self.partition_fn.map_batch(batch)
+            # One stable linear-time scatter order per batch (the identity,
+            # neither counted by bincount nor sorted, at one partition); each
+            # put gathers its partition's slice of it straight from the
+            # morsel into the target window, so every byte moves once.
+            order, counts, offsets = partition_layout(buckets, self.n_partitions)
+            wire = batch
+            if self.compression is not None:
+                wire = self.compression.pack_batch(batch)
+            for pid in np.flatnonzero(counts):
+                self._send_partition(ctx, windows, cursor, int(pid), wire, order, offsets)
+        return total
 
     def _send_partition(
         self, ctx: ExecutionContext, windows, cursor, pid: int, wire, order, offsets

@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.core.context import ExecutionContext
 from repro.core.functions import ReduceFunction
-from repro.core.kernels.scatter import key_order
+from repro.core.kernels.scatter import key_sums
 from repro.core.operator import Operator, require_fields
 from repro.errors import TypeCheckError
 from repro.types.collections import RowVector, RowVectorBuilder
@@ -150,17 +150,15 @@ class ReduceByKey(Operator):
         return RowVector.from_rows(self.output_type, self._emit(groups))
 
     def _sum_by_single_key(self, parts: list[RowVector]) -> RowVector:
-        """Vectorized single-key sum aggregation via sort + reduceat."""
+        """Vectorized single-key sum aggregation (``scatter.key_sums``)."""
         key_pos = self._key_positions[0]
         keys = np.concatenate([batch.columns[key_pos] for batch in parts])
-        order = key_order(keys)
-        sorted_keys = keys[order]
-        boundaries = np.flatnonzero(
-            np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
-        )
+        values = [
+            np.concatenate([batch.columns[pos] for batch in parts])
+            for pos in self._value_positions
+        ]
         out_columns: list[np.ndarray | None] = [None] * len(self.output_type)
-        out_columns[key_pos] = sorted_keys[boundaries]
-        for pos in self._value_positions:
-            values = np.concatenate([batch.columns[pos] for batch in parts])[order]
-            out_columns[pos] = np.add.reduceat(values, boundaries)
+        out_columns[key_pos], sums = key_sums(keys, values)
+        for pos, column in zip(self._value_positions, sums):
+            out_columns[pos] = column
         return RowVector(self.output_type, out_columns)

@@ -6,8 +6,9 @@
 rests on it.  Row-order identity of the four call sites is pinned by
 ``test_fused_equivalence.py`` and ``test_radix_join.py``; checked here are
 the kernel itself, the two shortcuts that must not be dropped unseen
-(counted, not timed), and ``ReduceByKey`` on the key domains an
-integer-only path gets wrong.
+(counted, not timed), ``ReduceByKey`` on the key domains an
+integer-only path gets wrong, and the counting sum (``key_sums``) bit for
+bit against the sort it replaces on dense keys.
 """
 
 import collections
@@ -23,7 +24,10 @@ from repro.core.context import ExecutionContext
 from repro.core.executor import execute
 from repro.core.functions import PartitionFunction, RadixPartition, field_sum
 from repro.core.kernels import scatter
-from repro.core.kernels.scatter import bucket_counts, key_order, partition_layout, stable_order
+from repro.core.kernels.scatter import (
+    DENSE_SUM_MULTIPLE, bucket_counts, counted_key_sums, key_order, key_sums, partition_layout,
+    sorted_key_sums, stable_order,
+)
 from repro.core.operators import (
     LocalHistogram, LocalPartitioning, MaterializeRowVector, ParameterSlot, ReduceByKey, RowScan,
 )
@@ -284,3 +288,111 @@ class TestReduceByKeyDomains:
         for key, value in zip(keys.tolist(), range(1, len(keys) + 1)):
             expected[key] += value
         assert fused == collections.Counter(expected.items())
+
+
+def counted(keys: np.ndarray, columns: list) -> tuple:
+    kmin = int(keys.min())
+    return counted_key_sums(keys, columns, kmin, int(keys.max()) - kmin + 1)
+
+
+def assert_same_sums(got: tuple, expected: tuple) -> None:
+    """Bit for bit: keys and every sum column, values and dtypes."""
+    (got_keys, got_sums), (keys, sums) = got, expected
+    assert got_keys.dtype == keys.dtype and np.array_equal(got_keys, keys)
+    assert len(got_sums) == len(sums)
+    for got_col, col in zip(got_sums, sums):
+        assert got_col.dtype == col.dtype
+        assert got_col.tobytes() == col.tobytes()
+
+
+class TestKeySums:
+    """Dense integer keys are counted: the result must be the sort +
+    ``reduceat`` result bit for bit, dtype included."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.uint64, np.bool_],
+                             ids=lambda d: np.dtype(d).name)
+    def test_value_dtypes_keep_the_reduceat_dtype(self, dtype):
+        # 4,000 rows over 40 keys: every uint8 group sums past 255, which an
+        # accumulator of the input dtype would wrap.
+        rng = np.random.default_rng(1)
+        keys = rng.integers(0, 40, 4000)
+        values = rng.integers(0, 256, 4000).astype(dtype)
+        expected = sorted_key_sums(keys, [values])
+        assert_same_sums(counted(keys, [values]), expected)
+        assert expected[1][0].dtype == np.add.reduceat(values, [0]).dtype
+        if dtype is not np.bool_:
+            assert expected[1][0].max() > 255
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            np.array([3, 0, 7, 3, 3, 1, 0, 7], dtype=np.int32),  # string codes
+            np.array([-5, -9, -5, -7, -9, -5], dtype=np.int64),
+            np.array([-(2**63), -(2**63) + 2, -(2**63)], dtype=np.int64),
+            np.array([2**63 - 1, 2**63 - 3, 2**63 - 1], dtype=np.int64),
+            np.array([2**64 - 1, 2**64 - 2, 2**64 - 1], dtype=np.uint64),
+            np.array([2**63 + 2, 2**63, 2**63 + 2, 2**63 + 1], dtype=np.uint64),
+        ],
+        ids=["int32-codes", "negative", "int64-min", "int64-max", "uint64-top",
+             "uint64-above-2^63"],
+    )
+    def test_key_domains_keep_their_dtype(self, keys):
+        values = np.arange(len(keys), dtype=np.int64) * 3 + 1
+        assert key_sums(keys, [values])[0].dtype == keys.dtype
+        assert_same_sums(counted(keys, [values]), sorted_key_sums(keys, [values]))
+
+    def test_int64_sums_wrap_alike(self):
+        keys = np.array([1, 0, 1, 1, 0, 1])
+        values = np.array([2**62, 5, 2**62, 2**62, -(2**63), 2**62], dtype=np.int64)
+        expected = sorted_key_sums(keys, [values])
+        assert expected[1][0].tolist() == [-(2**63) + 5, 0]  # both groups wrapped
+        assert_same_sums(counted(keys, [values]), expected)
+
+    def test_several_columns_one_key_and_one_row(self):
+        for keys in (np.full(50, 9), np.array([4])):
+            columns = [np.arange(len(keys)), np.ones(len(keys), dtype=np.int32)]
+            assert_same_sums(counted(keys, columns), sorted_key_sums(keys, columns))
+            assert key_sums(keys, columns)[0].tolist() == [keys[0]]
+
+    def test_empty_input(self):
+        got_keys, (sums,) = key_sums(np.array([], dtype=np.int32), [np.array([], np.uint8)])
+        assert (got_keys.dtype, len(got_keys)) == (np.int32, 0)
+        assert (sums.dtype, len(sums)) == (np.uint64, 0)
+
+    @pytest.mark.parametrize("extra, path", [(0, "counted"), (1, "sorted")],
+                             ids=["span=c*rows", "span=c*rows+1"])
+    def test_the_density_rule(self, monkeypatch, extra, path):
+        rows = 64
+        span = DENSE_SUM_MULTIPLE * rows + extra
+        keys = np.concatenate(([0, span - 1], np.arange(rows - 2) % span)) - 17
+        values = np.arange(rows, dtype=np.int32)
+        taken = []
+
+        def spy(name):
+            real = getattr(scatter, name)
+
+            def recorded(*args):
+                taken.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(scatter, name, recorded)
+
+        spy("counted_key_sums")
+        spy("sorted_key_sums")
+        got = key_sums(keys, [values])
+        assert taken == [f"{path}_key_sums"]
+        assert_same_sums(got, sorted_key_sums(keys, [values]))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_float_values_take_the_sort(self, dtype):
+        # Dense keys, but np.add.at would start the -0.0 group from +0.0.
+        keys = np.array([0, 1, 0, 1, 2])
+        values = np.array([-0.0, 1.5, -0.0, 2.25, 0.1], dtype=dtype)
+        got_keys, (sums,) = key_sums(keys, [values])
+        assert_same_sums((got_keys, [sums]), sorted_key_sums(keys, [values]))
+        assert np.signbit(sums[0]) and sums.dtype == dtype
+
+    def test_string_and_float_keys_take_the_sort(self):
+        for keys in (np.array(["b", "a", "b"]), np.array([1.0, -0.0, 1.0])):
+            values = np.array([1, 2, 3])
+            assert_same_sums(key_sums(keys, [values]), sorted_key_sums(keys, [values]))

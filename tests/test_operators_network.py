@@ -1,10 +1,14 @@
 """Integration tests for the network operators on the simulated cluster."""
 
+import weakref
+
 import numpy as np
 import pytest
 
+from repro import RunOptions
 from repro.core.compression import RadixCompression
 from repro.core.context import ExecutionContext
+from repro.core.executor import execute
 from repro.core.functions import RadixPartition
 from repro.core.operators import (
     LocalHistogram,
@@ -18,8 +22,12 @@ from repro.core.operators import (
     Projection,
     RowScan,
 )
-from repro.core.plan import prepare
+from repro.core.operators import mpi_exchange
+from repro.core.plan import prepare, walk
+from repro.core.plans.fragments import collect, exchange, replicate, sharded_scan
 from repro.errors import ExecutionError, TypeCheckError
+from repro.mpi.cluster import SimCluster
+from repro.mpi.comm import WindowSet
 from repro.types import INT64, RowVector, TupleType, row_vector_type
 
 from tests.conftest import make_kv_table, table_source
@@ -279,3 +287,78 @@ class TestMpiExecutor:
         ranks = [s.rank for s in result.profile.spans if s.rank >= 0]
         runs = [r for i, r in enumerate(ranks) if i == 0 or ranks[i - 1] != r]
         assert runs == [0, 1, 0, 1]
+
+
+class TestNoRankParksHoldingAMorsel:
+    """Under the baton every rank parked at a collective is suspended at
+    once, so an array a rank still holds there is resident once per rank.
+    Every per-morsel array of an exchange or broadcast — the morsel, its
+    buckets, its scatter layout, its packed wire — must be dead by the time
+    any rank reaches the ``fence``."""
+
+    @staticmethod
+    def run_guarded(monkeypatch, worker):
+        live, fences = [], []
+
+        def keep(arrays):
+            live.extend(weakref.ref(array) for array in arrays)
+
+        def spy(owner, name, arrays_of):
+            real = getattr(owner, name)
+
+            def recorded(*args):
+                result = real(*args)
+                keep(arrays_of(result))
+                return result
+
+            monkeypatch.setattr(owner, name, recorded)
+
+        spy(RadixPartition, "map_batch", lambda buckets: [buckets])
+        spy(RadixCompression, "pack_batch", lambda wire: wire.columns)
+        spy(mpi_exchange, "partition_layout", lambda layout: layout)
+        fence = WindowSet.fence
+
+        def guarded(self):
+            held = sum(ref() is not None for ref in live)
+            assert not held, f"a rank reached the fence holding {held} morsel arrays"
+            fences.append(len(live))
+            fence(self)
+
+        monkeypatch.setattr(WindowSet, "fence", guarded)
+        slot = ParameterSlot(TupleType.of(t=row_vector_type(KV)))
+        _, flat = collect(slot, worker, SimCluster(4))
+        for op in walk(flat, into_nested=True):
+            if isinstance(op, (MpiExchange, MpiBroadcast)):
+                real = op.upstreams[0].stream_batches
+
+                def streamed(ctx, real=real):
+                    for batch in real(ctx):
+                        keep(batch.columns)
+                        yield batch
+
+                monkeypatch.setattr(op.upstreams[0], "stream_batches", streamed)
+        table = RowVector(KV, [np.arange(5000) % 256, np.arange(5000) % 200])
+        options = RunOptions(morsel_rows=300)
+        report = execute(flat, params={slot: (table,)}, options=options)
+        assert len(fences) == 4 and fences[0] > 0
+        return report
+
+    @pytest.mark.parametrize("compression", [False, True], ids=["plain", "compressed"])
+    def test_exchange(self, monkeypatch, compression):
+        def worker(stream):
+            shuffled = exchange(
+                sharded_scan(stream, "t"), RadixPartition("key", 4), "pid", "data",
+                RadixCompression(8, 2) if compression else None,
+            ).suppress("MOD023")
+            return MaterializeRowVector(RowScan(shuffled, field="data"), field="result")
+
+        report = self.run_guarded(monkeypatch, worker)
+        assert len(report.rows) == 5000
+
+    def test_broadcast(self, monkeypatch):
+        def worker(stream):
+            replicated = replicate(sharded_scan(stream, "t"), "key")
+            return MaterializeRowVector(replicated, field="result")
+
+        report = self.run_guarded(monkeypatch, worker)
+        assert len(report.rows) == 4 * 5000

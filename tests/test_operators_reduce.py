@@ -2,13 +2,15 @@
 
 import collections
 
+import numpy as np
 import pytest
 
 from repro.core.context import ExecutionContext
 from repro.core.functions import ReduceFunction, field_sum
+from repro.core.kernels import scatter
 from repro.core.operators import Projection, Reduce, ReduceByKey, RowScan
 from repro.errors import TypeCheckError
-from repro.types import INT64, RowVector, TupleType
+from repro.types import BOOL, FLOAT64, INT32, INT64, STRING, RowVector, TupleType
 
 from tests.conftest import make_kv_table, table_source
 
@@ -129,3 +131,43 @@ class TestReduceByKey:
         for k, v in table.iter_rows():
             expected[k] = max(expected.get(k, -1), v)
         assert rows == expected
+
+
+class TestSumByCounting:
+    """Dense integer keys are counted, not sorted: the operator's output must
+    be the sort path's bit for bit, dtypes included, for every value atom."""
+
+    @staticmethod
+    def aggregate(table, monkeypatch, multiple):
+        monkeypatch.setattr(scatter, "DENSE_SUM_MULTIPLE", multiple)
+        ctx = ExecutionContext()
+        fn = field_sum(*table.element_type.field_names[1:])
+        op = ReduceByKey(scan_of(table, ctx), "key", fn)
+        (out,) = list(op.batches(ctx))
+        return out
+
+    @pytest.mark.parametrize("key_atom, key_dtype, lo", [
+        (INT64, np.int64, -(2**63)), (INT32, np.int32, -50), (STRING, np.int32, 0),
+    ], ids=["int64-min", "int32", "string-codes"])
+    def test_counting_equals_sorting(self, monkeypatch, key_atom, key_dtype, lo):
+        rng = np.random.default_rng(5)
+        n = 3000
+        schema = TupleType.of(key=key_atom, a=INT64, b=INT32, c=BOOL)
+        table = RowVector(schema, [
+            (rng.integers(0, 300, n) + lo).astype(key_dtype),
+            rng.integers(-(2**62), 2**62, n),
+            rng.integers(-(2**31), 2**31, n).astype(np.int32),
+            rng.integers(0, 2, n).astype(bool),
+        ])
+        dense = self.aggregate(table, monkeypatch, 1)
+        sort = self.aggregate(table, monkeypatch, 0)
+        for got, expected in zip(dense.columns, sort.columns):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        dtypes = [col.dtype for col in dense.columns]
+        assert dtypes == [key_dtype, np.int64, np.int64, np.int64]
+
+    def test_float_values_keep_negative_zero(self, monkeypatch):
+        schema = TupleType.of(key=INT64, value=FLOAT64)
+        table = RowVector(schema, [np.array([0, 1, 0]), np.array([-0.0, 2.5, -0.0])])
+        out = self.aggregate(table, monkeypatch, 1)
+        assert np.signbit(out.column("value")[0])

@@ -362,7 +362,13 @@ def logical_cases(draw):
         payload = draw(st.lists(st.sampled_from(ATOMS), min_size=1, max_size=2))
         atoms = {"k": key_atom, **{f"{table}{j}": a for j, a in enumerate(payload)}}
         columns = [typed(key_atom, keys_of(rng, pool, n, draw(st.booleans())))]
-        columns += [typed(atom, rng.integers(-6, 7, n)) for atom in payload]
+        # Numeric payloads over 13 values, or spread 2^20 apart: grouped on,
+        # they are dense or sparse keys of the sum kernel's density rule.
+        spread = draw(st.sampled_from((1, 1, 1 << 20)))
+        columns += [
+            typed(atom, rng.integers(-6, 7, n) * (spread if atom in (INT64, FLOAT64) else 1))
+            for atom in payload
+        ]
         catalog.register(Table(table, RowVector(TupleType.of(**atoms), columns)))
         side, first = scan(table), f"{table}0"
         if draw(st.booleans()):
@@ -384,8 +390,11 @@ def logical_cases(draw):
     numeric = [c for c in numeric if c not in group_by]
     aggs = [("count", col("k"), "n")]
     if numeric:
+        # Counts and sums alone take ReduceByKey's sum kernel; a MIN or MAX
+        # folds the rows.
+        funcs = draw(st.sampled_from((("sum",), ("sum", "min", "max"))))
         for name in draw(st.lists(st.sampled_from(numeric), max_size=2, unique=True)):
-            func = draw(st.sampled_from(("sum", "min", "max")))
+            func = draw(st.sampled_from(funcs))
             aggs.append((func, col(name), f"{func}_{name}"))
     outputs = group_by + [alias for _, _, alias in aggs]
     order = []
@@ -516,6 +525,19 @@ _SUM_BOOL = logical_case(
     scan("a").aggregate(["a0"], [("sum", col("b"), "s")]),
     catalog_of(a={"a0": [0, 0, 1], "b": [True, True, False]}), "a SUM over BOOL",
 )
+_DENSE_SUMS = logical_case(
+    scan("a").aggregate(["a0"], [("count", col("k"), "n"), ("sum", col("k"), "sum_k")]),
+    catalog_of(a={"k": [5, -3, 7, 5, 2, -(1 << 62)], "a0": [2, 0, 1, 2, 0, 1]}),
+    "dense INT64 group keys: the sums are counted",
+)
+_SPARSE_SUMS = logical_case(
+    scan("a").aggregate(
+        ["a0"], [("sum", col("k"), "sum_k"), ("sum", col("a1"), "sum_a1")]
+    ),
+    catalog_of(a={"k": [5, -3, 7, 5, 2, 1], "a0": [1 << 40, 0, 7, 1 << 40, -9, 7],
+                  "a1": [0.25, -0.0, 1.5, -0.0, 2.0, 0.5]}),
+    "sparse INT64 group keys with FLOAT64 sums: sorted",
+)
 _OUTER = bulk_case(
     "broadcast_join", RowVector.from_rows(_JOIN.left.element_type, [(0, 850)]),
     RowVector.empty(_JOIN.right.element_type), join_type="left_outer",
@@ -555,6 +577,8 @@ _BULK = {
 @example(case=_LONG, cell=Cell(ranks=2))
 @example(case=_WRAP, cell=Cell(mode="interpreted"))
 @example(case=_SUM_BOOL, cell=Cell(mode="interpreted"))
+@example(case=_DENSE_SUMS, cell=Cell(ranks=2))
+@example(case=_SPARSE_SUMS, cell=Cell(ranks=2))
 @example(case=_sparse_build(duplicate=False), cell=Cell(ranks=1, local_fanout=1))
 @example(case=_sparse_build(duplicate=True), cell=Cell(ranks=1, local_fanout=1))
 def test_every_cell_returns_the_reference_rows_or_the_same_refusal(case, cell):

@@ -231,6 +231,48 @@ class TestUniqueKeyTable:
         radix = self.assert_matches_sorted_hash([4, 9, 4, -2], [[4, 9, -2, 5, 4]])
         assert radix.rows is None and radix.starts is not None
 
+    @pytest.fixture
+    def passed_through(self, monkeypatch):
+        """Per radix probe morsel: did it take the full-hit pass-through?"""
+        taken = []
+        real = radix_join.emit_probe_hits
+
+        def recorded(build, right, spec, hit_pos, hit_right):
+            taken.append(isinstance(hit_right, slice))
+            return real(build, right, spec, hit_pos, hit_right)
+
+        monkeypatch.setattr(radix_join, "emit_probe_hits", recorded)
+        return taken
+
+    def test_a_fully_hit_morsel_passes_through(self, passed_through):
+        build = [7, -3, 12, 0, 5, 9]
+        radix = self.assert_matches_sorted_hash(build, [[5, 7, 5, -3, 12, 12, 0, 9], [9]])
+        assert radix.order is None
+        assert passed_through == [True] * 8  # two morsels under four policies
+
+    def test_all_but_one_key_hits(self, passed_through):
+        build = [7, -3, 12, 0, 5, 9]
+        self.assert_matches_sorted_hash(build, [[5, 7, 5, -3, 13, 12, 0, 9], [8], [6, 0]])
+        assert passed_through == [False] * 12
+
+    def test_an_empty_morsel_passes_through(self, passed_through):
+        self.assert_matches_sorted_hash([4, 2], [[], [2, 4, 4]])
+        assert passed_through == [True] * 8
+
+    def test_a_duplicate_build_never_passes_through(self, passed_through):
+        radix = self.assert_matches_sorted_hash([4, 2, 4, 3], [[2, 4, 3, 4], [3]])
+        assert radix.rows is None and radix.order is not None
+        assert passed_through == [False] * 8
+
+    def test_a_fully_hit_inner_morsel_shares_the_probe_columns(self):
+        left = RowVector(L, [np.array([3, 1, 2, 0]), np.arange(4)])
+        right = RowVector(R, [np.array([2, 2, 0, 3, 1]), np.arange(5) * 10])
+        out = radix_probe_morsel(RadixJoinBuild.from_rows(left, "key"), right, spec_for("inner"))
+        assert out.column("key").tolist() == [2, 2, 0, 3, 1]
+        assert out.column("lpay").tolist() == [2, 2, 3, 0, 1]
+        assert np.shares_memory(out.column("key"), right.column("key"))
+        assert np.shares_memory(out.column("rpay"), right.column("rpay"))
+
     @pytest.mark.parametrize("keys, sorts", [([3, 1, 2, 0, 9], 0), ([3, 1, 2, 1, 9], 1)],
                              ids=["unique", "one-duplicate"])
     def test_only_a_duplicate_sorts(self, monkeypatch, keys, sorts):
