@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint bench bench-smoke bench-e2e oracle-soak chaos-soak sanitize-soak serve-soak serve-chaos slo-smoke profile examples
+.PHONY: test lint bench bench-smoke bench-e2e paper-claims oracle-soak chaos-soak sanitize-soak serve-soak serve-chaos slo-smoke profile examples
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -31,6 +31,12 @@ bench-smoke:
 # (BENCHMARK.json; see benchmarks/e2e/README.md for running a workload).
 bench-e2e:
 	$(PYTHON) -m pytest -q benchmarks/e2e
+
+# The paper's claims as assertions: Table 1's size ordering and the
+# bounds of Figs. 6-9 and the ablations, on the simulated clock (~10 s).
+# The e2e benchmark is its own gate (bench-e2e), so it is left out here.
+paper-claims:
+	$(PYTHON) -m pytest -q benchmarks --ignore=benchmarks/e2e --benchmark-disable
 
 # Differential-oracle soak: 1,500 random (not derandomized) examples of
 # tests/test_oracle.py, with every executed plan statically verified.  Run

@@ -4,8 +4,11 @@ The paper has no published monolithic counterpart for its distributed
 GROUP BY (that is part of its point: nobody extends the hand-tuned join
 codebases to aggregation).  This imperative implementation — the obvious
 adaptation of the monolithic join's phases with the build/probe replaced
-by a hash aggregation — serves as the ablation baseline for the Figure 7
-plan and as an independent correctness oracle in the test suite.
+by a hash aggregation — is the ablation baseline for the Figure 7 plan.
+It runs the plan's own partition, compression and sum kernels, so it is
+not an independent correctness oracle; the independent references are
+``workloads.*.expected_*`` and the reference interpreter
+(``repro.relational.interpreter``).
 """
 
 from __future__ import annotations
@@ -14,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import SimulationError
+from repro.core.compression import COMPRESSED_TYPE, RadixCompression
+from repro.core.kernels.scatter import (
+    bucket_counts,
+    key_sums,
+    partition_layout,
+    window_bases,
+)
+from repro.core.plans.fragments import radix_fanout
 from repro.mpi.cluster import ClusterResult, RankContext, SimCluster
 from repro.types.atoms import INT64
 from repro.types.collections import RowVector
@@ -23,7 +33,6 @@ from repro.types.tuples import TupleType
 __all__ = ["MonolithicGroupByResult", "run_monolithic_groupby"]
 
 _KV_TYPE = TupleType.of(key=INT64, value=INT64)
-_PACKED_TYPE = TupleType.of(packed=INT64)
 _PUT_CHUNK_ROWS = 1 << 15
 
 
@@ -50,22 +59,12 @@ def run_monolithic_groupby(
     compression: bool = True,
 ) -> MonolithicGroupByResult:
     """Sum ``value`` per ``key`` across the cluster; gather the result."""
-    n_net = network_fanout or _next_power_of_two(cluster.n_ranks)
+    n_net = radix_fanout(network_fanout, cluster.n_ranks)
     result = cluster.run(
         lambda ctx: _rank_groupby(ctx, table, key_bits, n_net, compression)
     )
-    parts = [p for p in result.per_rank if len(p)]
-    if parts:
-        merged = RowVector(
-            _KV_TYPE,
-            [
-                np.concatenate([p.columns[i] for p in parts])
-                for i in range(2)
-            ],
-        )
-    else:
-        merged = RowVector.empty(_KV_TYPE)
-    return MonolithicGroupByResult(groups=merged, cluster_result=result)
+    groups = RowVector.concat(_KV_TYPE, result.per_rank)
+    return MonolithicGroupByResult(groups=groups, cluster_result=result)
 
 
 def _rank_groupby(
@@ -75,101 +74,58 @@ def _rank_groupby(
     n_net: int,
     compression: bool,
 ) -> RowVector:
-    if n_net & (n_net - 1):
-        raise SimulationError("network fan-out must be a power of two")
     comm, clock, cost = ctx.comm, ctx.clock, ctx.cost
-    fanout_bits = n_net.bit_length() - 1
-    net_mask = n_net - 1
-    payload_mask = (1 << key_bits) - 1
+    comp = RadixCompression(key_bits, n_net.bit_length() - 1) if compression else None
 
     base, extra = divmod(len(table), ctx.n_ranks)
     start = ctx.rank * base + min(ctx.rank, extra)
     stop = start + base + (1 if ctx.rank < extra else 0)
-    keys = table.column("key")[start:stop]
-    values = table.column("value")[start:stop]
+    shard = table.slice(start, stop)
 
     clock.phase = "local_histogram"
-    clock.advance(cost.cpu_cost("scan", len(keys)), jitter=True)
-    hist = np.bincount(keys & net_mask, minlength=n_net).astype(np.int64)
-    clock.advance(cost.cpu_cost("histogram", len(keys)), jitter=True)
+    clock.advance(cost.cpu_cost("scan", len(shard)), jitter=True)
+    pids = shard.column("key") & (n_net - 1)
+    hist = bucket_counts(pids, n_net).astype(np.int64)
+    clock.advance(cost.cpu_cost("histogram", len(shard)), jitter=True)
 
     clock.phase = "global_histogram"
     global_hist = comm.allreduce(hist, op="sum")
     matrix = np.stack(comm.allgather(hist, payload_bytes=hist.nbytes))
+    bases = window_bases(global_hist, comm.n_ranks)
 
     clock.phase = "network_partition"
-    clock.advance(cost.cpu_cost("scan", len(keys)), jitter=True)
-    owned = int(global_hist[comm.rank::comm.n_ranks].sum())
-    wire_type = _PACKED_TYPE if compression else _KV_TYPE
-    windows = comm.win_create(wire_type, owned)
-    pids = keys & net_mask
-    order = np.argsort(pids, kind="stable")
-    counts = np.bincount(pids, minlength=n_net)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    clock.advance(cost.cpu_cost("partition", len(keys)), jitter=True)
-    my_prefix = matrix[: comm.rank].sum(axis=0)
-    totals = matrix.sum(axis=0)
+    clock.advance(cost.cpu_cost("scan", len(shard)), jitter=True)
+    owned = int(global_hist[comm.rank :: comm.n_ranks].sum())
+    windows = comm.win_create(COMPRESSED_TYPE if comp else _KV_TYPE, owned)
+    order, counts, offsets = partition_layout(pids, n_net)
+    clock.advance(cost.cpu_cost("partition", len(shard)), jitter=True)
+    wire = comp.pack_batch(shard) if comp else shard
+    # This rank's write offset into every partition: after the lower ranks'.
+    cursor = bases + matrix[: comm.rank].sum(axis=0)
     for pid in np.flatnonzero(counts):
         pid = int(pid)
-        idx = order[offsets[pid] : offsets[pid + 1]]
-        if compression:
-            packed = ((keys[idx] >> fanout_bits) << key_bits) | values[idx]
-            clock.advance(cost.cpu_cost("map", len(idx)), jitter=True)
-            rows = RowVector(_PACKED_TYPE, [packed.astype(np.int64)])
-        else:
-            rows = RowVector(_KV_TYPE, [keys[idx], values[idx]])
-        target = pid % comm.n_ranks
-        cursor = 0
-        bases: dict[int, int] = {}
-        for owned_pid in range(target, n_net, comm.n_ranks):
-            bases[owned_pid] = cursor
-            cursor += int(totals[owned_pid])
-        write_base = bases[pid] + int(my_prefix[pid])
-        for chunk_start in range(0, len(rows), _PUT_CHUNK_ROWS):
-            chunk = rows.slice(chunk_start, min(chunk_start + _PUT_CHUNK_ROWS, len(rows)))
-            windows.put(target, write_base + chunk_start, chunk)
+        lo, hi = int(offsets[pid]), int(offsets[pid + 1])
+        if comp:
+            clock.advance(cost.cpu_cost("map", hi - lo), jitter=True)
+        target, write_base = pid % comm.n_ranks, int(cursor[pid]) - lo
+        for row in range(lo, hi, _PUT_CHUNK_ROWS):
+            end = min(row + _PUT_CHUNK_ROWS, hi)
+            windows.put(target, write_base + row, wire, order[row:end])
     windows.fence()
 
     clock.phase = "aggregation"
-    data = windows.local.read(0, owned)
-    if compression:
-        packed = data.column("packed")
-        # Recover the partition id of each row from the window layout.
-        restored_keys = np.empty(owned, dtype=np.int64)
-        restored_values = packed & payload_mask
-        cursor = 0
-        for pid in range(comm.rank, n_net, comm.n_ranks):
-            size = int(totals[pid])
-            chunk = packed[cursor : cursor + size]
-            restored_keys[cursor : cursor + size] = (
-                (chunk >> key_bits) << fanout_bits
-            ) | pid
-            cursor += size
+    parts = []
+    for pid in range(comm.rank, n_net, comm.n_ranks):
+        data = windows.local.read(int(bases[pid]), int(bases[pid] + global_hist[pid]))
+        # Compressed rows recover their key's network bits from the partition id.
+        parts.append(comp.unpack_batch(data, pid, _KV_TYPE) if comp else data)
+    rows = RowVector.concat(_KV_TYPE, parts)
+    if comp:
         clock.advance(cost.cpu_cost("map", owned), jitter=True)
-    else:
-        restored_keys = data.column("key")
-        restored_values = data.column("value")
     clock.advance(cost.cpu_cost("reduce", owned), jitter=True)
-    if owned:
-        sort = np.argsort(restored_keys, kind="stable")
-        sorted_keys = restored_keys[sort]
-        bounds = np.flatnonzero(
-            np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
-        )
-        out_keys = sorted_keys[bounds]
-        out_values = np.add.reduceat(restored_values[sort], bounds)
-    else:
-        out_keys = np.empty(0, dtype=np.int64)
-        out_values = np.empty(0, dtype=np.int64)
+    keys, (sums,) = key_sums(rows.column("key"), [rows.column("value")])
 
     clock.phase = "materialize"
-    groups = RowVector(_KV_TYPE, [out_keys, out_values])
+    groups = RowVector(_KV_TYPE, [keys, sums])
     clock.advance(cost.materialize_cost(groups.size_bytes()), jitter=True)
     return groups
-
-
-def _next_power_of_two(n: int) -> int:
-    power = 1
-    while power < n:
-        power *= 2
-    return power

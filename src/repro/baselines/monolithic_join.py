@@ -24,6 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.compression import COMPRESSED_TYPE, RadixCompression
+from repro.core.kernels.hash_join import HashJoinSpec
+from repro.core.kernels.radix_join import select_join_kernel
+from repro.core.kernels.scatter import bucket_counts, partition_layout, window_bases
+from repro.core.plans.fragments import radix_fanout
 from repro.errors import SimulationError
 from repro.mpi.cluster import ClusterResult, RankContext, SimCluster
 from repro.types.atoms import INT64
@@ -33,9 +38,6 @@ from repro.types.tuples import TupleType
 __all__ = ["MonolithicJoinResult", "run_monolithic_join", "monolithic_radix_join"]
 
 _PUT_CHUNK_ROWS = 1 << 15
-
-#: Wire format of the compressed network transfer.
-_PACKED_TYPE = TupleType.of(packed=INT64)
 
 
 @dataclass
@@ -67,7 +69,7 @@ def run_monolithic_join(
     Both relations must be ⟨key, payload⟩ INT64 relations with distinct
     payload field names (the paper's 16-byte workload).
     """
-    n_net = network_fanout or _next_power_of_two(cluster.n_ranks)
+    n_net = radix_fanout(network_fanout, cluster.n_ranks)
     result = cluster.run(
         lambda ctx: monolithic_radix_join(
             ctx, left, right,
@@ -75,19 +77,9 @@ def run_monolithic_join(
             local_fanout=local_fanout, compression=compression,
         )
     )
-    parts = [p for p in result.per_rank if len(p)]
-    if parts:
-        element_type = parts[0].element_type
-        merged = RowVector(
-            element_type,
-            [
-                np.concatenate([p.columns[i] for p in parts])
-                for i in range(len(element_type))
-            ],
-        )
-    else:
-        merged = result.per_rank[0]
-    return MonolithicJoinResult(matches=merged, cluster_result=result)
+    per_rank = result.per_rank
+    matches = RowVector.concat(per_rank[0].element_type, per_rank)
+    return MonolithicJoinResult(matches=matches, cluster_result=result)
 
 
 def monolithic_radix_join(
@@ -100,88 +92,87 @@ def monolithic_radix_join(
     compression: bool,
 ) -> RowVector:
     """One rank's share of the monolithic join; returns its match tuples."""
-    if network_fanout & (network_fanout - 1) or local_fanout & (local_fanout - 1):
-        raise SimulationError("radix fan-outs must be powers of two")
+    radix_fanout(network_fanout, ctx.n_ranks)  # a direct caller's fan-out
+    if local_fanout & (local_fanout - 1):
+        raise SimulationError(
+            f"local fan-out must be a power of two, got {local_fanout}"
+        )
     comm, clock, cost = ctx.comm, ctx.clock, ctx.cost
     fanout_bits = network_fanout.bit_length() - 1
     net_mask = network_fanout - 1
-    payload_mask = (1 << key_bits) - 1
+    comp = RadixCompression(key_bits, fanout_bits) if compression else None
+    spec = HashJoinSpec(
+        join_type="inner",
+        output_type=TupleType.of(
+            key=INT64,
+            **{_payload_name(left.element_type): INT64,
+               _payload_name(right.element_type): INT64},
+        ),
+        key="key",
+        left_rest_pos=(1,),
+        right_rest_pos=(1,),
+        right_type=right.element_type,
+        outer_fill=None,
+    )
 
-    left_keys, left_payloads = _rank_shard(ctx, left)
-    right_keys, right_payloads = _rank_shard(ctx, right)
+    left_shard = _rank_shard(ctx, left)
+    right_shard = _rank_shard(ctx, right)
 
     # -- phase 1: histograms of both relations, one collective --------------
     clock.phase = "local_histogram"
-    left_hist = np.bincount(left_keys & net_mask, minlength=network_fanout)
-    right_hist = np.bincount(right_keys & net_mask, minlength=network_fanout)
+    left_pids = left_shard.column("key") & net_mask
+    right_pids = right_shard.column("key") & net_mask
+    both = np.concatenate(
+        [
+            bucket_counts(left_pids, network_fanout),
+            bucket_counts(right_pids, network_fanout),
+        ]
+    ).astype(np.int64)
     clock.advance(
-        cost.cpu_cost("histogram", len(left_keys) + len(right_keys)), jitter=True
+        cost.cpu_cost("histogram", len(left_pids) + len(right_pids)), jitter=True
     )
     clock.phase = "global_histogram"
-    both = np.concatenate([left_hist, right_hist]).astype(np.int64)
     global_both = comm.allreduce(both, op="sum")
     matrix_both = np.stack(comm.allgather(both, payload_bytes=both.nbytes))
     left_global = global_both[:network_fanout]
     right_global = global_both[network_fanout:]
-    left_matrix = matrix_both[:, :network_fanout]
-    right_matrix = matrix_both[:, network_fanout:]
+    left_bases = window_bases(left_global, comm.n_ranks)
+    right_bases = window_bases(right_global, comm.n_ranks)
+    # This rank's write offset into every partition: after the lower ranks'.
+    left_cursor = left_bases + matrix_both[: comm.rank, :network_fanout].sum(axis=0)
+    right_cursor = right_bases + matrix_both[: comm.rank, network_fanout:].sum(axis=0)
 
     # -- phase 2: network partitioning with compression ----------------------
     clock.phase = "network_partition"
-    wire_type = _PACKED_TYPE if compression else left.element_type
     left_window = comm.win_create(
-        wire_type if compression else left.element_type,
-        _owned_rows(left_global, comm.rank, comm.n_ranks),
+        COMPRESSED_TYPE if comp else left.element_type,
+        int(left_global[comm.rank :: comm.n_ranks].sum()),
     )
     right_window = comm.win_create(
-        wire_type if compression else right.element_type,
-        _owned_rows(right_global, comm.rank, comm.n_ranks),
+        COMPRESSED_TYPE if comp else right.element_type,
+        int(right_global[comm.rank :: comm.n_ranks].sum()),
     )
-    _scatter_to_windows(
-        ctx, left_window, left_keys, left_payloads, left.element_type,
-        left_matrix, net_mask, key_bits, fanout_bits, compression,
-    )
-    _scatter_to_windows(
-        ctx, right_window, right_keys, right_payloads, right.element_type,
-        right_matrix, net_mask, key_bits, fanout_bits, compression,
-    )
+    _scatter_to_windows(ctx, left_window, left_shard, left_pids, left_cursor, comp)
+    _scatter_to_windows(ctx, right_window, right_shard, right_pids, right_cursor, comp)
     clock.phase = "network_partition"
     left_window.fence()
     right_window.fence()
 
     # -- phases 3+4: local partitioning, build, and probe ---------------------
-    out_key_parts: list[np.ndarray] = []
-    out_left_parts: list[np.ndarray] = []
-    out_right_parts: list[np.ndarray] = []
+    parts: list[RowVector] = []
     for pid in range(comm.rank, network_fanout, comm.n_ranks):
-        lk, lp = _read_partition(
-            left_window, left_matrix, pid, comm, key_bits, payload_mask,
-            fanout_bits, compression,
+        left_rows = _read_partition(
+            left_window, left.element_type, left_bases, left_global, pid, comp
         )
-        rk, rp = _read_partition(
-            right_window, right_matrix, pid, comm, key_bits, payload_mask,
-            fanout_bits, compression,
+        right_rows = _read_partition(
+            right_window, right.element_type, right_bases, right_global, pid, comp
         )
-        _join_partition(
-            ctx, pid, lk, lp, rk, rp, local_fanout, fanout_bits,
-            out_key_parts, out_left_parts, out_right_parts, compression,
+        parts += _join_partition(
+            ctx, pid, left_rows, right_rows, spec, local_fanout, fanout_bits, comp
         )
 
     clock.phase = "materialize"
-    left_payload_name = _payload_name(left.element_type)
-    right_payload_name = _payload_name(right.element_type)
-    out_type = TupleType.of(
-        key=INT64, **{left_payload_name: INT64, right_payload_name: INT64}
-    )
-    if out_key_parts:
-        columns = [
-            np.concatenate(out_key_parts),
-            np.concatenate(out_left_parts),
-            np.concatenate(out_right_parts),
-        ]
-        matches = RowVector(out_type, columns)
-    else:
-        matches = RowVector.empty(out_type)
+    matches = RowVector.concat(spec.output_type, parts)
     clock.advance(cost.materialize_cost(matches.size_bytes()), jitter=True)
     return matches
 
@@ -198,174 +189,107 @@ def _payload_name(element_type: TupleType) -> str:
     return names[0]
 
 
-def _rank_shard(ctx: RankContext, table: RowVector) -> tuple[np.ndarray, np.ndarray]:
+def _rank_shard(ctx: RankContext, table: RowVector) -> RowVector:
     base, extra = divmod(len(table), ctx.n_ranks)
     start = ctx.rank * base + min(ctx.rank, extra)
     stop = start + base + (1 if ctx.rank < extra else 0)
-    keys = table.column("key")[start:stop]
-    payloads = table.column(_payload_name(table.element_type))[start:stop]
     ctx.clock.phase = "local_histogram"
     ctx.clock.advance(ctx.cost.cpu_cost("scan", stop - start), jitter=True)
-    return keys, payloads
-
-
-def _owned_rows(global_hist: np.ndarray, rank: int, n_ranks: int) -> int:
-    return int(global_hist[rank::n_ranks].sum())
-
-
-def _partition_bases(
-    matrix: np.ndarray, target: int, n_ranks: int
-) -> dict[int, int]:
-    bases: dict[int, int] = {}
-    cursor = 0
-    totals = matrix.sum(axis=0)
-    for pid in range(target, matrix.shape[1], n_ranks):
-        bases[pid] = cursor
-        cursor += int(totals[pid])
-    return bases
+    return table.slice(start, stop)
 
 
 def _scatter_to_windows(
     ctx: RankContext,
     windows,
-    keys: np.ndarray,
-    payloads: np.ndarray,
-    element_type: TupleType,
-    matrix: np.ndarray,
-    net_mask: int,
-    key_bits: int,
-    fanout_bits: int,
-    compression: bool,
+    shard: RowVector,
+    pids: np.ndarray,
+    cursor: np.ndarray,
+    comp: RadixCompression | None,
 ) -> None:
     """Radix-partition one relation and put it into the remote windows."""
     comm, clock, cost = ctx.comm, ctx.clock, ctx.cost
     clock.phase = "network_partition"
     # The partitioning pass reads the input again (paper §4.1.1).
-    clock.advance(cost.cpu_cost("scan", len(keys)), jitter=True)
-    pids = keys & net_mask
-    order = np.argsort(pids, kind="stable")
-    counts = np.bincount(pids, minlength=matrix.shape[1])
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    clock.advance(cost.cpu_cost("partition", len(keys)), jitter=True)
-    my_prefix = matrix[: comm.rank].sum(axis=0)
+    clock.advance(cost.cpu_cost("scan", len(shard)), jitter=True)
+    order, counts, offsets = partition_layout(pids, len(cursor))
+    clock.advance(cost.cpu_cost("partition", len(shard)), jitter=True)
+    wire = comp.pack_batch(shard) if comp else shard
     for pid in np.flatnonzero(counts):
         pid = int(pid)
-        idx = order[offsets[pid] : offsets[pid + 1]]
-        if compression:
-            packed = ((keys[idx] >> fanout_bits) << key_bits) | payloads[idx]
-            clock.advance(cost.cpu_cost("map", len(idx)), jitter=True)
-            rows = RowVector(_PACKED_TYPE, [packed.astype(np.int64)])
-        else:
-            rows = RowVector(element_type, [keys[idx], payloads[idx]])
-        target = pid % comm.n_ranks
-        base = _partition_bases(matrix, target, comm.n_ranks)[pid] + int(my_prefix[pid])
-        for start in range(0, len(rows), _PUT_CHUNK_ROWS):
-            chunk = rows.slice(start, min(start + _PUT_CHUNK_ROWS, len(rows)))
-            windows.put(target, base + start, chunk)
+        lo, hi = int(offsets[pid]), int(offsets[pid + 1])
+        if comp:
+            clock.advance(cost.cpu_cost("map", hi - lo), jitter=True)
+        target, base = pid % comm.n_ranks, int(cursor[pid]) - lo
+        for start in range(lo, hi, _PUT_CHUNK_ROWS):
+            stop = min(start + _PUT_CHUNK_ROWS, hi)
+            windows.put(target, base + start, wire, order[start:stop])
 
 
 def _read_partition(
     windows,
-    matrix: np.ndarray,
+    element_type: TupleType,
+    bases: np.ndarray,
+    sizes: np.ndarray,
     pid: int,
-    comm,
-    key_bits: int,
-    payload_mask: int,
-    fanout_bits: int,
-    compression: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+    comp: RadixCompression | None,
+) -> RowVector:
     """Read one owned network partition back out of the local window."""
-    bases = _partition_bases(matrix, comm.rank, comm.n_ranks)
-    size = int(matrix.sum(axis=0)[pid])
-    data = windows.local.read(bases[pid], bases[pid] + size)
-    if compression:
-        packed = data.column("packed")
-        return packed >> key_bits, packed & payload_mask  # still compressed keys
-    return data.columns[0], data.columns[1]
+    base = int(bases[pid])
+    data = windows.local.read(base, base + int(sizes[pid]))
+    if comp is None:
+        return data
+    # Keys stay compressed (network bits dropped) until after the probe.
+    return RowVector(element_type, list(comp.split(data.column("packed"))))
 
 
 def _join_partition(
     ctx: RankContext,
     pid: int,
-    left_keys: np.ndarray,
-    left_payloads: np.ndarray,
-    right_keys: np.ndarray,
-    right_payloads: np.ndarray,
+    left: RowVector,
+    right: RowVector,
+    spec: HashJoinSpec,
     local_fanout: int,
     fanout_bits: int,
-    out_keys: list[np.ndarray],
-    out_left: list[np.ndarray],
-    out_right: list[np.ndarray],
-    compression: bool,
-) -> None:
+    comp: RadixCompression | None,
+) -> list[RowVector]:
     """Second partitioning pass plus hash build/probe of one partition pair."""
     clock, cost = ctx.clock, ctx.cost
+    n_rows = len(left) + len(right)
     local_mask = local_fanout - 1
     # With compression the network bits are already dropped from the key;
     # without, they are the low bits and must be skipped.
-    shift = 0 if compression else fanout_bits
+    shift = 0 if comp else fanout_bits
 
     clock.phase = "local_partition"
     # Two passes over the received partition: histogram, then scatter.
-    clock.advance(
-        cost.cpu_cost("scan", 2 * (len(left_keys) + len(right_keys))), jitter=True
-    )
-    lsub = (left_keys >> shift) & local_mask
-    rsub = (right_keys >> shift) & local_mask
-    clock.advance(
-        cost.cpu_cost("histogram", len(left_keys) + len(right_keys)), jitter=True
-    )
-    lorder = np.argsort(lsub, kind="stable")
-    rorder = np.argsort(rsub, kind="stable")
-    lcounts = np.bincount(lsub, minlength=local_fanout)
-    rcounts = np.bincount(rsub, minlength=local_fanout)
-    loffsets = np.concatenate(([0], np.cumsum(lcounts)))
-    roffsets = np.concatenate(([0], np.cumsum(rcounts)))
-    clock.advance(
-        cost.cpu_cost("partition", len(left_keys) + len(right_keys)), jitter=True
-    )
-    clock.advance(
-        cost.copy_cost(16 * (len(left_keys) + len(right_keys))), jitter=True
-    )
+    clock.advance(cost.cpu_cost("scan", 2 * n_rows), jitter=True)
+    left_subs = (left.column("key") >> shift) & local_mask
+    right_subs = (right.column("key") >> shift) & local_mask
+    clock.advance(cost.cpu_cost("histogram", n_rows), jitter=True)
+    left_order, _, left_offsets = partition_layout(left_subs, local_fanout)
+    right_order, _, right_offsets = partition_layout(right_subs, local_fanout)
+    left, right = left.take(left_order), right.take(right_order)
+    clock.advance(cost.cpu_cost("partition", n_rows), jitter=True)
+    clock.advance(cost.copy_cost(16 * n_rows), jitter=True)
 
     clock.phase = "build_probe"
     # One pass over each side to feed the hash build and the probe.
-    clock.advance(
-        cost.cpu_cost("scan", len(left_keys) + len(right_keys)), jitter=True
-    )
+    clock.advance(cost.cpu_cost("scan", n_rows), jitter=True)
+    out: list[RowVector] = []
     for sub in range(local_fanout):
-        li = lorder[loffsets[sub] : loffsets[sub + 1]]
-        ri = rorder[roffsets[sub] : roffsets[sub + 1]]
-        if len(li) == 0 or len(ri) == 0:
-            clock.advance(cost.cpu_cost("build", len(li)), jitter=True)
-            clock.advance(cost.cpu_cost("probe", len(ri)), jitter=True)
+        build = left.slice(int(left_offsets[sub]), int(left_offsets[sub + 1]))
+        probe = right.slice(int(right_offsets[sub]), int(right_offsets[sub + 1]))
+        matches = RowVector.empty(spec.output_type)
+        if len(build) and len(probe):
+            _, table, probe_fn = select_join_kernel("auto", build, "key")
+            matches = probe_fn(table, probe, spec)
+        clock.advance(cost.cpu_cost("build", len(build)), jitter=True)
+        clock.advance(cost.cpu_cost("probe", len(probe) + len(matches)), jitter=True)
+        if not len(matches):
             continue
-        bk = left_keys[li]
-        border = np.argsort(bk, kind="stable")
-        bk_sorted = bk[border]
-        pk = right_keys[ri]
-        lo = np.searchsorted(bk_sorted, pk, side="left")
-        hi = np.searchsorted(bk_sorted, pk, side="right")
-        match_counts = hi - lo
-        emitted = int(match_counts.sum())
-        clock.advance(cost.cpu_cost("build", len(li)), jitter=True)
-        clock.advance(cost.cpu_cost("probe", len(ri) + emitted), jitter=True)
-        if emitted == 0:
-            continue
-        probe_idx = np.repeat(np.arange(len(ri)), match_counts)
-        run_offsets = np.repeat(hi - np.cumsum(match_counts), match_counts)
-        build_idx = border[np.arange(emitted) + run_offsets]
-        keys = pk[probe_idx]
-        if compression:
-            keys = (keys << fanout_bits) | pid  # recover the dropped bits
-            clock.advance(cost.cpu_cost("map", emitted), jitter=True)
-        out_keys.append(keys)
-        out_left.append(left_payloads[li][build_idx])
-        out_right.append(right_payloads[ri][probe_idx])
-
-
-def _next_power_of_two(n: int) -> int:
-    power = 1
-    while power < n:
-        power *= 2
-    return power
+        if comp:
+            keys = comp.restore(matches.column("key"), pid)  # the dropped bits
+            clock.advance(cost.cpu_cost("map", len(matches)), jitter=True)
+            matches = RowVector(spec.output_type, [keys, *matches.columns[1:]])
+        out.append(matches)
+    return out

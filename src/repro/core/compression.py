@@ -64,16 +64,25 @@ class RadixCompression:
     def payload_mask(self) -> int:
         return (1 << self.key_bits) - 1
 
-    # -- scalar ------------------------------------------------------------------
+    # -- scalar or columnar ------------------------------------------------------
 
     def pack(self, key: int, payload: int) -> int:
         """Compress one ⟨key, payload⟩ pair into a packed word."""
         return ((key >> self.fanout_bits) << self.key_bits) | payload
 
-    def unpack(self, packed: int, partition_id: int) -> tuple[int, int]:
-        """Recover ⟨key, payload⟩ from a packed word and its partition id."""
-        key = ((packed >> self.key_bits) << self.fanout_bits) | partition_id
-        return key, packed & self.payload_mask
+    def split(self, packed):
+        """⟨compressed key, payload⟩ of packed word(s): the key still lacks
+        its ``fanout_bits`` low bits, which :meth:`restore` puts back."""
+        return packed >> self.key_bits, packed & self.payload_mask
+
+    def restore(self, compressed_key, partition_id):
+        """The full key(s) from compressed key(s) and their partition id."""
+        return (compressed_key << self.fanout_bits) | partition_id
+
+    def unpack(self, packed, partition_id: int) -> tuple:
+        """Recover ⟨key, payload⟩ from packed word(s) and their partition id."""
+        key, payload = self.split(packed)
+        return self.restore(key, partition_id), payload
 
     # -- columnar -----------------------------------------------------------------
 
@@ -107,9 +116,7 @@ class RadixCompression:
         self, batch: RowVector, partition_id: int, output_type: TupleType
     ) -> RowVector:
         """Recover a compressed batch into ⟨key, payload⟩ columns."""
-        packed = batch.column("packed")
-        keys = ((packed >> self.key_bits) << self.fanout_bits) | partition_id
-        payloads = packed & self.payload_mask
+        keys, payloads = self.unpack(batch.column("packed"), partition_id)
         return RowVector(output_type, [keys, payloads])
 
     def compressed_bytes_per_tuple(self) -> int:

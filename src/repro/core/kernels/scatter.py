@@ -22,6 +22,7 @@ __all__ = [
     "key_sums",
     "partition_layout",
     "stable_order",
+    "window_bases",
 ]
 
 #: ``key_sums`` counts integer keys instead of sorting them when their span
@@ -76,6 +77,20 @@ def counted_layout(buckets: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray,
     if len(counts) == 1:  # one bucket, every id in it: the identity, unsorted
         return np.arange(len(buckets), dtype=np.intp), counts, offsets
     return stable_order(buckets, len(counts)), counts, offsets
+
+
+def window_bases(counts: np.ndarray, n_ranks: int) -> np.ndarray:
+    """Base offset of every partition inside its owner's RMA window.
+
+    Partition ``p`` lives in rank ``p mod n_ranks``'s window, after all the
+    lower partitions that rank owns; ``counts`` are the global partition
+    sizes, so every rank derives the same table locally.
+    """
+    # Row i, column r of the grid is partition i * n_ranks + r, so each
+    # column lists one owner's partitions in window order.
+    padding = np.zeros(-len(counts) % n_ranks, dtype=counts.dtype)
+    grid = np.concatenate((counts, padding)).reshape(-1, n_ranks)
+    return (grid.cumsum(axis=0) - grid).ravel()[: len(counts)]
 
 
 def key_order(keys: np.ndarray) -> np.ndarray:

@@ -175,13 +175,9 @@ def _decompress_fn(
     comp: RadixCompression, key: str, value: str
 ) -> ParamTupleFunction:
     """Restore ⟨key, value⟩ from a packed word and the network partition id."""
-    key_bits = comp.key_bits
-    fanout_bits = comp.fanout_bits
-    mask = comp.payload_mask
     output_type = TupleType.of(**{key: INT64, value: INT64})
 
     def vectorized(param: tuple, columns: tuple[np.ndarray, ...]) -> tuple:
-        packed = columns[0]
-        return (((packed >> key_bits) << fanout_bits) | param[0], packed & mask)
+        return comp.unpack(columns[0], param[0])
 
     return ParamTupleFunction(None, output_type, vectorized)

@@ -212,12 +212,9 @@ def build_distributed_join(
 
 def _unpack_fn(comp: RadixCompression, key_field: str, payload: str) -> TupleFunction:
     """Split a packed word into ⟨compressed key, payload⟩ columns."""
-    key_bits = comp.key_bits
-    mask = comp.payload_mask
 
     def vectorized(columns: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        packed = columns[0]
-        return (packed >> key_bits, packed & mask)
+        return comp.split(columns[0])
 
     return TupleFunction(
         None, TupleType.of(**{key_field: INT64, payload: INT64}), vectorized
@@ -228,11 +225,9 @@ def _recover_fn(
     comp: RadixCompression, key: str, probe_type: TupleType
 ) -> ParamTupleFunction:
     """Restore the network bits dropped by compression: key = ckey<<F | pid."""
-    fanout_bits = comp.fanout_bits
     output_type = probe_type.rename({"ckey": key})
 
     def vectorized(param: tuple, columns: tuple[np.ndarray, ...]) -> tuple:
-        restored = (columns[0] << fanout_bits) | param[0]
-        return (restored,) + tuple(columns[1:])
+        return (comp.restore(columns[0], param[0]),) + tuple(columns[1:])
 
     return ParamTupleFunction(None, output_type, vectorized)

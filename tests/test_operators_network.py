@@ -10,6 +10,7 @@ from repro.core.compression import RadixCompression
 from repro.core.context import ExecutionContext
 from repro.core.executor import execute
 from repro.core.functions import RadixPartition
+from repro.core.kernels.scatter import window_bases
 from repro.core.operators import (
     LocalHistogram,
     MaterializeRowVector,
@@ -162,6 +163,7 @@ class TestMpiExchange:
             owned = np.arange(rank, n_parts, n_ranks)
             expected[owned] = np.cumsum(counts[owned]) - counts[owned]
         assert exchange._layout_table(counts, n_ranks).tolist() == expected.tolist()
+        assert window_bases(counts, n_ranks).tolist() == expected.tolist()
 
 
 class TestMpiBroadcast:
