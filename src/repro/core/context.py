@@ -2,10 +2,11 @@
 
 An :class:`ExecutionContext` carries everything a sub-operator needs beyond
 its upstream iterators: the simulated clock and cost model to charge, the
-communicator when running inside an MPI rank, the execution mode (fused
-vs interpreted — the JIT-compilation analogue, a cost rate), and the
-parameter stack that connects ``NestedMap`` invocations to the
-``ParameterLookup`` operators of their nested plans.
+communicator when running inside an MPI rank, the run's
+:class:`~repro.core.options.RunOptions` (its one source of knobs, the
+execution mode among them), and the parameter stack that connects
+``NestedMap`` invocations to the ``ParameterLookup`` operators of their
+nested plans.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.core.options import JOIN_KERNELS, MODES, RunOptions
+from repro.core.options import RunOptions
 from repro.errors import ExecutionError
 from repro.mpi.clock import SimClock
 from repro.mpi.cluster import RankContext
@@ -25,23 +26,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.sanitizer import Sanitizer
     from repro.faults.checkpoint import CheckpointStore
     from repro.faults.injector import FaultInjector
-    from repro.faults.policy import FaultPolicy
     from repro.observability.metrics import MetricsRegistry
     from repro.observability.profile import Profiler
     from repro.observability.tracing import TraceContext
 
-__all__ = ["ExecutionContext", "ExecutionMode"]
-
-#: Execution modes.  Both run the same vectorized kernels; ``fused`` charges
-#: them at the JiT-compiled rates (low abstraction overhead), ``interpreted``
-#: at the cost model's rate for a tuple-at-a-time Volcano interpreter
-#: (:meth:`ExecutionContext.overhead_for`, the modes' one difference).
-ExecutionMode = str
-
-_MODES = MODES
-
-#: Valid settings of :attr:`ExecutionContext.join_kernel`.
-_JOIN_KERNELS = JOIN_KERNELS
+__all__ = ["ExecutionContext"]
 
 #: Morsel auto-tuning bounds: never below a vectorization-worthy batch,
 #: never above the PR-2 default that every existing plan was sized for.
@@ -53,27 +42,18 @@ _MORSEL_MAX_ROWS = 1 << 16
 class ExecutionContext:
     """Mutable per-execution state shared by all operators of one plan run."""
 
+    #: The cost model charged: ``options.cost_model`` on the driver, the
+    #: cluster's own on a rank.
     cost: CostModel = field(default_factory=lambda: DEFAULT_COST_MODEL)
     clock: SimClock = field(default_factory=SimClock)
-    mode: ExecutionMode = "fused"
     rank_ctx: RankContext | None = None
-    #: Run the static analyzer (``repro.analysis``) over every plan handed
-    #: to ``execute`` with this context, rejecting plans with
-    #: error-severity diagnostics before any data flows.
-    verify_plans: bool = False
-    #: Target rows per :class:`~repro.types.collections.RowVector` morsel on
-    #: the batch data path.  Bounds the memory footprint of the
-    #: ``row_native`` operators, whose rows the base ``batches()`` buffers;
-    #: scans and kernels use it as their output granularity.  ``None`` — the default — lets
-    #: :meth:`morsel_rows_for` auto-tune the granularity per operator from
-    #: its row width and the cost model's cache budget; an explicit value
-    #: pins every operator to that size.
-    morsel_rows: int | None = None
-    #: Which vectorized join kernel ``BuildProbe.batches`` runs: ``"auto"``
-    #: (size/skew heuristic, the default), ``"sorted"`` (always the
-    #: sorted-hash kernel), or ``"radix"`` (force the radix direct-address
-    #: kernel whenever its hard memory cap allows).
-    join_kernel: str = "auto"
+    #: The :class:`~repro.core.options.RunOptions` this execution runs
+    #: under: the one place the data path reads its knobs from (``mode``
+    #: in :meth:`overhead_for`, ``morsel_rows`` in :meth:`morsel_rows_for`,
+    #: ``join_kernel`` in ``BuildProbe``), and what stage-recovery ranks and
+    #: the sanitizer replay are handed whole, so a retry or a replay runs
+    #: with every knob the driver ran with.
+    options: RunOptions = field(default_factory=RunOptions)
     #: Per-operator profiler (:mod:`repro.observability`), the data
     #: path's one observer: timed under ``profile=True``, counts-only when
     #: only metrics are recorded.  ``None`` — the default — disables it;
@@ -83,17 +63,15 @@ class ExecutionContext:
     #: Work-accounting metrics registry (:mod:`repro.observability.metrics`).
     #: ``None`` — the default — disables all metric recording; the data
     #: path then pays one attribute read per operator activation.
-    metrics: "MetricsRegistry | None" = None
+    registry: "MetricsRegistry | None" = None
     #: Runtime sanitizer (:mod:`repro.analysis.sanitizer`) naming the
     #: operators of MOD05x findings; ``None`` — the default — keeps every
     #: sanitizer hook cold (one attribute read per operator activation).
     sanitizer: "Sanitizer | None" = None
-    #: Fault-injection policy for this execution (:mod:`repro.faults`).
-    #: ``None`` — the default — keeps the fault paths entirely cold.
-    faults: "FaultPolicy | None" = None
-    #: The per-execution injector realizing :attr:`faults`; created lazily
-    #: by ``execute`` so its crash ledger and job counter span every MPI
-    #: job (and recovery attempt) of one plan run.
+    #: The per-execution injector realizing ``options.faults``; created
+    #: fresh by ``execute`` so its crash ledger and job counter span every
+    #: MPI job (and recovery attempt) of one plan run.  ``None`` — no fault
+    #: policy — keeps the fault paths entirely cold.
     fault_injector: "FaultInjector | None" = None
     #: Worker-side checkpoint store of the enclosing MPI stage; deposits
     #: and lookups happen at materialization points
@@ -106,31 +84,12 @@ class ExecutionContext:
     #: Materialized results of shared (multi-consumer) operators, keyed by
     #: the wrapped operator's id; see ``repro.core.plan.SharedScan``.
     shared_cache: dict[int, tuple] = field(default_factory=dict)
-    #: The :class:`~repro.core.options.RunOptions` this execution was
-    #: launched with, when known.  Recovery layers (stage re-execution,
-    #: the sanitizer replay) derive their worker/replay contexts from
-    #: :meth:`run_options` rather than copying knob fields by hand, so a
-    #: knob added to ``RunOptions`` can never silently drop on a retry.
-    options: RunOptions | None = None
     #: The execution's one append-only record
     #: (:mod:`repro.observability.record`), holding the serving attempt's
     #: trace context when there is one.  Created with the driver context;
     #: ``None`` on rank contexts, whose evidence the driver appends when
     #: their wave completes.  The data path never reads it.
     record: ExecutionRecord | None = field(default_factory=ExecutionRecord)
-
-    def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ExecutionError(f"unknown execution mode {self.mode!r}")
-        if self.morsel_rows is not None and self.morsel_rows < 1:
-            raise ExecutionError(
-                f"morsel size must be at least one row, got {self.morsel_rows}"
-            )
-        if self.join_kernel not in _JOIN_KERNELS:
-            raise ExecutionError(
-                f"unknown join kernel {self.join_kernel!r}; "
-                f"supported: {_JOIN_KERNELS}"
-            )
 
     # -- distributed facets -------------------------------------------------
 
@@ -156,93 +115,56 @@ class ExecutionContext:
     def morsel_rows_for(self, element_type) -> int:
         """Rows per morsel for an operator producing ``element_type``.
 
-        An explicit :attr:`morsel_rows` pins the size.  Otherwise the size
+        An explicit ``options.morsel_rows`` pins the size.  Otherwise the size
         is tuned so one morsel of this row width fills half the machine's
         L3 cache (leaving the other half for the consumer's state), clamped
         to sane bounds — wide rows get smaller morsels, narrow rows larger
         ones, and the batch working set stays cache-resident either way.
         """
-        if self.morsel_rows is not None:
-            return self.morsel_rows
+        if self.options.morsel_rows is not None:
+            return self.options.morsel_rows
         row_bytes = max(1, element_type.row_size_bytes())
         budget = self.cost.cache_budget_bytes
         return max(_MORSEL_MIN_ROWS, min(_MORSEL_MAX_ROWS, budget // row_bytes))
 
-    # -- RunOptions integration ----------------------------------------------
+    # -- construction ---------------------------------------------------------
 
     @classmethod
     def from_options(
         cls, options: RunOptions, trace: "TraceContext | None" = None
     ) -> "ExecutionContext":
-        """A fresh driver context configured entirely from ``options``,
-        recording under ``trace`` (the serving attempt's span, if any)."""
+        """A fresh driver context running under ``options``, charging at
+        their cost model and recording under ``trace`` (the serving
+        attempt's span, if any)."""
         return cls(
-            record=ExecutionRecord(trace),
-            cost=options.cost_model,
-            mode=options.mode,
-            verify_plans=bool(options.verify_plans),
-            morsel_rows=options.morsel_rows,
-            join_kernel=options.join_kernel,
-            faults=options.faults,
-            options=options,
-        )
-
-    def run_options(self) -> RunOptions:
-        """The :class:`RunOptions` governing this execution.
-
-        Returns the options the execution was launched with when they are
-        known; otherwise reconstructs them from the context's own knob
-        fields (the path for hand-built contexts).  Either way this is the
-        *single* source recovery layers derive worker/replay knobs from.
-        """
-        if self.options is not None:
-            return self.options
-        return RunOptions(
-            mode=self.mode,
-            cost_model=self.cost,
-            verify_plans=self.verify_plans or None,
-            profile=self.profiler is not None and self.profiler.timed,
-            metrics=self.metrics is not None,
-            faults=self.faults,
-            sanitize=self.sanitizer is not None,
-            join_kernel=self.join_kernel,
-            morsel_rows=self.morsel_rows,
+            record=ExecutionRecord(trace), cost=options.cost_model, options=options
         )
 
     @classmethod
     def for_rank(
         cls,
         rank_ctx: RankContext,
-        mode: ExecutionMode = "fused",
-        morsel_rows: int | None = None,
+        options: RunOptions = RunOptions(),
         profiler: "Profiler | None" = None,
-        metrics: "MetricsRegistry | None" = None,
+        registry: "MetricsRegistry | None" = None,
         checkpoints: "CheckpointStore | None" = None,
         sanitizer: "Sanitizer | None" = None,
-        join_kernel: str = "auto",
-        options: RunOptions | None = None,
     ) -> "ExecutionContext":
         """The context a worker uses to execute a nested plan on its rank.
 
-        When ``options`` is given, its :meth:`RunOptions.worker_knobs`
-        override the individual knob arguments — the whole set at once, so
-        callers rebuilding worker contexts (stage recovery, replays) cannot
-        forward some knobs and forget others.
+        It runs under the driver's ``options`` object, whole, and charges
+        at its cluster's cost model on the rank's own clock.
         """
-        knobs = {"mode": mode, "morsel_rows": morsel_rows, "join_kernel": join_kernel}
-        if options is not None:
-            knobs.update(options.worker_knobs())
         return cls(
             cost=rank_ctx.cost,
             clock=rank_ctx.clock,
             rank_ctx=rank_ctx,
+            options=options,
             profiler=profiler,
-            metrics=metrics,
+            registry=registry,
             checkpoints=checkpoints,
             sanitizer=sanitizer,
-            options=options,
             record=None,
-            **knobs,
         )
 
     # -- cost charging --------------------------------------------------------
@@ -255,7 +177,7 @@ class ExecutionContext:
         loops, while operators buried in long pipelines keep some abstraction
         overhead that the compiler cannot remove.
         """
-        if self.mode == "interpreted":
+        if self.options.mode == "interpreted":
             return self.cost.interpreted_overhead
         if pipeline_size <= self.cost.small_pipeline_max_ops:
             return self.cost.small_pipeline_overhead
@@ -293,9 +215,9 @@ class ExecutionContext:
         the ``rowvector_peak_bytes`` high-water gauge, otherwise it is a
         single attribute read.
         """
-        metrics = self.metrics
-        if metrics is not None and payload_bytes > 0:
-            metrics.account_memory(payload_bytes)
+        registry = self.registry
+        if registry is not None and payload_bytes > 0:
+            registry.account_memory(payload_bytes)
 
     # -- nested-plan parameters -----------------------------------------------
 

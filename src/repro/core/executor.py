@@ -27,7 +27,7 @@ from repro.core.operator import Operator
 from repro.core.operators.parameter_lookup import ParameterSlot
 from repro.core.options import RunOptions
 from repro.core.plan import prepare
-from repro.errors import TypeCheckError
+from repro.errors import ExecutionError, TypeCheckError
 from repro.mpi.cluster import ClusterResult
 from repro.observability.record import record_metrics
 from repro.types.collections import RowVector
@@ -44,8 +44,8 @@ __all__ = ["ExecutionReport", "execute", "execution_steps", "VERIFY_PLANS"]
 
 #: Process-wide default for pre-execution static verification.  The test
 #: suite flips this to True (``tests/conftest.py``) so every executed plan
-#: doubles as an analyzer soak test; ``RunOptions(verify_plans=...)`` and
-#: per-context ``ExecutionContext(verify_plans=True)`` override it.
+#: doubles as an analyzer soak test; ``RunOptions(verify_plans=...)``
+#: overrides it.
 VERIFY_PLANS = False
 
 
@@ -165,22 +165,24 @@ def execution_steps(
         params: Bindings for driver-level :class:`ParameterSlot` inputs
             (the plan's base tables and constants).
         options: The :class:`RunOptions` for this run; ``None`` means all
-            defaults.
-        ctx: Pre-built driver context to run under.  When given, its knob
-            fields (mode, cost model, morsel size, join kernel) win over
-            ``options`` — matching the historical ``execute(ctx=...)``
-            contract — while the behavior flags of ``options`` (profile,
-            metrics, faults, sanitize) still apply on top of it.
+            defaults, or ``ctx.options`` when ``ctx`` is given.
+        ctx: Pre-built driver context to run under.  It carries the options
+            it runs under; an explicit ``options`` other than
+            ``ctx.options`` is refused with :class:`ExecutionError`.
     """
-    if options is None:
-        options = RunOptions()
     if ctx is None:
-        ctx = ExecutionContext.from_options(options)
-    if options.metrics and ctx.metrics is None:
+        ctx = ExecutionContext.from_options(options or RunOptions())
+    elif options is not None and options != ctx.options:
+        raise ExecutionError(
+            f"a context running under {ctx.options!r} was given other "
+            f"options {options!r}; a context carries its options"
+        )
+    options = ctx.options
+    if options.metrics and ctx.registry is None:
         from repro.observability.metrics import MetricsRegistry
 
-        ctx.metrics = MetricsRegistry()
-    if ctx.profiler is None and (options.profile or ctx.metrics is not None):
+        ctx.registry = MetricsRegistry()
+    if ctx.profiler is None and (options.profile or ctx.registry is not None):
         from repro.observability.profile import Profiler
 
         # One observer per observed run; counts-only unless profiling.
@@ -188,12 +190,11 @@ def execution_steps(
             ctx.clock, timed=options.profile, trace=ctx.record.trace
         )
     if options.faults is not None:
-        ctx.faults = options.faults
-        ctx.fault_injector = None
-    if ctx.faults is not None and ctx.fault_injector is None:
         from repro.faults.injector import FaultInjector
 
-        ctx.fault_injector = FaultInjector(ctx.faults)
+        # Fresh per execution: its crash ledger and job counter span
+        # exactly this run's MPI jobs and recovery attempts.
+        ctx.fault_injector = FaultInjector(options.faults)
     installed_sanitizer: "Sanitizer | None" = None
     if options.sanitize:
         from repro.analysis.sanitizer import Sanitizer
@@ -204,7 +205,7 @@ def execution_steps(
         ctx.sanitizer = installed_sanitizer
     verify_plans = options.verify_plans
     if verify_plans is None:
-        verify_plans = ctx.verify_plans or VERIFY_PLANS
+        verify_plans = VERIFY_PLANS
     if verify_plans and not getattr(root, "_lint_verified", False):
         from repro.analysis import verify
 
@@ -220,14 +221,14 @@ def execution_steps(
     for slot, value in params.items():
         ctx.push_parameter(slot.id, value)
         bound.append(slot.id)
-        if ctx.metrics is not None:
+        if ctx.registry is not None:
             # Plan-input volume: bytes of every driver-bound collection.
             # The shuffle-amplification advisory (MOD040) compares the
             # recorded shuffle bytes against this.
             for element in value:
                 size_bytes = getattr(element, "size_bytes", None)
                 if callable(size_bytes):
-                    ctx.metrics.counter("plan_input_bytes").add(size_bytes())
+                    ctx.registry.counter("plan_input_bytes").add(size_bytes())
     rows: list[tuple] = []
     try:
         # Pull whole morsels from the root so the top pipeline stays on its
@@ -249,16 +250,16 @@ def execution_steps(
             ctx.sanitizer = None
     record = ctx.record
     metrics_snapshot = None
-    if ctx.metrics is not None:
-        metrics_snapshot = ctx.metrics.snapshot().merged(
-            record_metrics(record, ctx.profiler).snapshot()
+    if ctx.registry is not None:
+        metrics_snapshot = ctx.registry.snapshot().merged(
+            record_metrics(record, ctx.profiler, options.mode).snapshot()
         )
     plan_profile = None
     if ctx.profiler is not None and ctx.profiler.timed:
         from repro.observability.profile import PlanProfile
 
         plan_profile = PlanProfile.from_plan(
-            root, ctx.profiler, total_seconds=ctx.clock.now, mode=ctx.mode,
+            root, ctx.profiler, total_seconds=ctx.clock.now, mode=options.mode,
             metrics=metrics_snapshot,
         )
         plan_profile.sanitizer = sanitizer_report
@@ -302,8 +303,8 @@ def execute(
             (the plan's base tables and constants).
         options: Per-run configuration; see
             :class:`~repro.core.options.RunOptions` for every knob.
-        ctx: Pre-built driver context to run under; when given, its knob
-            fields win over ``options`` (see :func:`execution_steps`).
+        ctx: Pre-built driver context to run under, with the options it
+            carries (see :func:`execution_steps`).
     """
     steps = execution_steps(root, params, options, ctx=ctx)
     while True:
@@ -322,12 +323,12 @@ def _sanitize_replay(
     """MOD053: re-execute the plan and diff the one-sided write sets.
 
     The replay is a second execution under a context that matches the
-    first in everything that can influence results — every ``RunOptions``
-    worker knob, the cost model, the fault policy (with a fresh,
-    identically seeded injector) — and carries its own fresh
-    :class:`Sanitizer`.  The knobs are derived from ``ctx.run_options()``
-    wholesale rather than copied field-by-field, so a knob added to
-    :class:`RunOptions` is replayed automatically.  Identical write logs
+    first in everything that can influence results — the run's
+    ``RunOptions`` whole (fault policy included, with a fresh, identically
+    seeded injector) and the cost model — and carries its own fresh
+    :class:`Sanitizer`.  Handing over the options object rather than
+    copying knobs means a knob added to :class:`RunOptions` is replayed
+    automatically.  Identical write logs
     prove the exchanged bytes were reproducible; a diff convicts a
     mislabeled ``deterministic=True`` operator.  The replay's report is
     discarded.
@@ -335,15 +336,13 @@ def _sanitize_replay(
     from repro.analysis.diagnostics import RULES, Diagnostic
     from repro.analysis.sanitizer import Sanitizer
 
-    replay_options = ctx.run_options().replace(
-        faults=ctx.faults, profile=False, metrics=False, sanitize=False
-    )
     replay_ctx = ExecutionContext(
-        cost=ctx.cost, options=replay_options, **replay_options.worker_knobs()
+        cost=ctx.cost,
+        options=ctx.options.replace(profile=False, metrics=False, sanitize=False),
+        sanitizer=Sanitizer(),
     )
-    replay_ctx.sanitizer = Sanitizer()
     try:
-        execute(root, params, replay_options, ctx=replay_ctx)
+        execute(root, params, ctx=replay_ctx)
     except Exception as exc:  # noqa: BLE001 - replay divergence is the finding
         rule = RULES["MOD053"]
         report = baseline.report()

@@ -5,8 +5,9 @@ type (paper Section 3.2).  In this reproduction every sub-operator has one
 data path, :meth:`Operator.batches`: a Python generator yielding
 :class:`~repro.types.collections.RowVector` morsels through a vectorized
 kernel, our analogue of the paper's JiT-compiled pipelines.  The execution
-mode does not pick another implementation: ``interpreted`` runs the same
-kernels and charges them at the cost model's ``interpreted_overhead`` rate
+mode (``RunOptions.mode``, which operators see as ``ctx.options.mode``) does
+not pick another implementation: ``interpreted`` runs the same kernels and
+charges them at the cost model's ``interpreted_overhead`` rate
 (:meth:`~repro.core.context.ExecutionContext.overhead_for`) — the
 tuple-at-a-time Volcano interpreter the paper compares against, modelled as
 a rate.  The few control operators that move a handful of tuples holding
@@ -261,7 +262,7 @@ class Operator:
         with metrics on it counts the morsels drained.
         """
         source = self.batches(ctx)
-        metrics = ctx.metrics
+        metrics = ctx.registry
         if metrics is None:
             yield from source
             return

@@ -103,8 +103,8 @@ class BuildProbe(Operator):
         ctx.charge_cpu(self, "build", len(left))
         # The kernels module owns the radix-vs-sorted-hash dispatch; the
         # returned label is the join_dispatch{path} metric value.
-        path, build, probe = select_join_kernel(ctx.join_kernel, left, self.keys)
-        metrics = ctx.metrics
+        path, build, probe = select_join_kernel(ctx.options.join_kernel, left, self.keys)
+        metrics = ctx.registry
         if metrics is not None:
             metrics.counter("join_dispatch", path=path).inc()
             metrics.counter("join_build_rows", op=type(self).__name__).add(len(left))

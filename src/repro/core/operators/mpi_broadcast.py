@@ -93,7 +93,7 @@ class MpiBroadcast(Operator):
         the rows sent.  A helper, so that no morsel outlives it: under the
         baton, every rank parked at the fence would hold its last one at once.
         """
-        comm, metrics = ctx.comm, ctx.metrics
+        comm, metrics = ctx.comm, ctx.registry
         sent = 0
         for batch in self.upstreams[0].stream_batches(ctx):
             if len(batch) == 0:

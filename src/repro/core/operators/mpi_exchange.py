@@ -219,7 +219,7 @@ class MpiExchange(Operator):
             # Packing ran once for the whole batch; the clock is charged per
             # partition sent, so its floating-point sum keeps one order.
             ctx.charge_cpu(self, "map", n_rows)
-        metrics = ctx.metrics
+        metrics = ctx.registry
         if metrics is not None:
             # Wire volume after compression — what actually travels.
             metrics.counter("shuffle_rows", op=type(self).__name__).add(n_rows)

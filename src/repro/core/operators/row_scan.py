@@ -71,7 +71,7 @@ class RowScan(Operator):
         return collection.slice(start, stop)
 
     def _collections(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        metrics = ctx.metrics
+        metrics = ctx.registry
         for row in self.upstreams[0].stream(ctx):
             collection = row[self._position]
             if collection.element_type != self.output_type:

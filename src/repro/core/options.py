@@ -10,10 +10,10 @@ knob meant touching half a dozen call chains and silently dropping it in
 the ones you missed.
 
 :class:`RunOptions` consolidates them: a frozen dataclass accepted by
-every public entry point and carried on the driver's ``ExecutionContext``,
-from which worker and replay contexts *derive* their knobs (see
-:meth:`RunOptions.worker_knobs`).  It is the only way to configure a run:
-the per-call keywords are gone.
+every public entry point and carried whole by every ``ExecutionContext``
+of a run — the driver's, each rank's, stage retries' and the sanitizer
+replay's — which read their knobs from it and keep no copy of their own.
+It is the only way to configure a run: the per-call keywords are gone.
 
 Immutability matters for the serving layer: a deployed
 :class:`~repro.serving.registry.PreparedPlan` captures a ``RunOptions`` as
@@ -23,8 +23,8 @@ to mutate each other's knobs mid-flight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Any
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro.errors import ExecutionError
 from repro.mpi.costmodel import DEFAULT_COST_MODEL, CostModel
@@ -43,12 +43,6 @@ MODES = ("fused", "interpreted")
 JOIN_KERNELS = ("auto", "sorted", "radix")
 
 
-#: Marks a RunOptions field that worker-side ExecutionContexts must mirror
-#: (stage-recovery ranks, the sanitizer replay).  Fields without it are
-#: driver-only concerns (profiling, verification, fault policy ownership).
-_WORKER_KNOB = {"worker_knob": True}
-
-
 @dataclass(frozen=True)
 class RunOptions:
     """Everything one plan execution can be asked to do, in one value.
@@ -58,9 +52,9 @@ class RunOptions:
         cost_model: Timing calibration for the driver's simulated clock;
             workers use the cost model of their cluster.
         verify_plans: Run the static analyzer before executing.  ``None``
-            (the default) defers to the context's flag and the process-wide
+            (the default) defers to the process-wide
             :data:`repro.core.executor.VERIFY_PLANS` default; ``False``
-            forces verification off even when those are set.
+            forces verification off even when that is set.
         profile: Record per-operator spans and attach the resulting
             :class:`~repro.observability.profile.PlanProfile` to the report.
         metrics: Record work-accounting metrics and attach the
@@ -76,15 +70,15 @@ class RunOptions:
             ``None`` lets the context auto-tune per operator.
     """
 
-    mode: str = field(default="fused", metadata=_WORKER_KNOB)
+    mode: str = "fused"
     cost_model: CostModel = field(default_factory=lambda: DEFAULT_COST_MODEL)
     verify_plans: bool | None = None
     profile: bool = False
     metrics: bool = False
     faults: "FaultPolicy | None" = None
     sanitize: bool = False
-    join_kernel: str = field(default="auto", metadata=_WORKER_KNOB)
-    morsel_rows: int | None = field(default=None, metadata=_WORKER_KNOB)
+    join_kernel: str = "auto"
+    morsel_rows: int | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -102,18 +96,3 @@ class RunOptions:
     def replace(self, **changes) -> "RunOptions":
         """A copy with ``changes`` applied (the options stay immutable)."""
         return replace(self, **changes)
-
-    def worker_knobs(self) -> dict[str, Any]:
-        """The fields every derived (worker/replay) context must mirror.
-
-        Derived from field metadata, not a hand-maintained list: a knob
-        added to :class:`RunOptions` with ``worker_knob`` metadata reaches
-        stage-recovery ranks and the sanitizer replay automatically, so
-        recovery re-executions can never silently drop it.
-        """
-        return {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.metadata.get("worker_knob")
-        }
-

@@ -27,6 +27,7 @@ seeds matrix, reporting and exit code are the shared runner of
 from __future__ import annotations
 
 from repro.core.options import RunOptions
+from repro.errors import TypeCheckError
 from repro.faults.policy import CrashFault, FaultPolicy, StragglerFault
 
 __all__ = ["check", "build_policy", "run_cli"]
@@ -130,27 +131,34 @@ def run_cli(args) -> int:
 
     from repro.workloads.matrix import SoakMatrix
 
+    seed_last = args.seed + args.seeds - 1
     try:
         matrix = SoakMatrix("chaos", args, trace=True)
         stragglers = tuple(parse_straggler(s) for s in args.straggler or ())
-    except ValueError as exc:
+        # A fault on a rank the cluster does not have would never fire: the
+        # soak would pass without testing what was asked.
+        rank = max([args.crash_rank or 0] + [s.rank for s in stragglers])
+        if rank >= args.machines:
+            raise ValueError(
+                f"fault rank {rank} is outside the cluster (--machines {args.machines})"
+            )
+        flags = {
+            "put_drop_rate": args.drop_rate,
+            "collective_drop_rate": args.collective_drop_rate,
+            "crash_rank": args.crash_rank,
+            "crash_after": args.crash_after,
+            "permanent": args.permanent,
+            "stragglers": stragglers,
+            "memory_pressure": args.memory_pressure,
+        }
+        cells = [
+            (args.mode, build_policy(seed, **flags))
+            for seed in range(args.seed, seed_last + 1)
+        ]
+    except (ValueError, TypeCheckError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    seed_last = args.seed + args.seeds - 1
-    flags = {
-        "put_drop_rate": args.drop_rate,
-        "collective_drop_rate": args.collective_drop_rate,
-        "crash_rank": args.crash_rank,
-        "crash_after": args.crash_after,
-        "permanent": args.permanent,
-        "stragglers": stragglers,
-        "memory_pressure": args.memory_pressure,
-    }
-    cells = [
-        (args.mode, build_policy(seed, **flags))
-        for seed in range(args.seed, seed_last + 1)
-    ]
     matrix.run(cells, check, _line)
     summary = matrix.summary(
         modes=[args.mode],

@@ -60,7 +60,7 @@ def run_wave(
     if recoverable:
         checkpoints = CheckpointStore(cluster.n_ranks, executor.slot.id)
 
-    record, profiler, metrics = ctx.record, ctx.profiler, ctx.metrics
+    record, profiler, metrics = ctx.record, ctx.profiler, ctx.registry
     attempt = 0
     while True:
         attempt += 1
@@ -132,13 +132,11 @@ def _make_worker(
     checkpoints: CheckpointStore | None,
     san_job=None,
 ) -> Callable[["RankContext"], list[tuple]]:
-    # The whole knob set at once: worker contexts are derived from the
-    # run's RunOptions (mode, morsel size, join kernel, and any knob added
-    # later), never copied field-by-field — a knob the driver ran with is
-    # a knob every stage retry re-executes with.
-    run_options = ctx.run_options()
+    # Worker contexts run under the driver's RunOptions object, whole: a
+    # knob the driver ran with is a knob every stage retry re-executes with.
+    options = ctx.options
     profiler = ctx.profiler
-    metrics = ctx.metrics
+    metrics = ctx.registry
     sanitizer = ctx.sanitizer
     slot_id = executor.slot.id
 
@@ -158,8 +156,8 @@ def _make_worker(
             # operator-provenance tracking.
             rank_ctx.comm.sanitizer = san_job
         worker_ctx = ExecutionContext.for_rank(
-            rank_ctx, options=run_options,
-            profiler=rank_profiler, metrics=rank_registry,
+            rank_ctx, options,
+            profiler=rank_profiler, registry=rank_registry,
             checkpoints=checkpoints, sanitizer=sanitizer,
         )
         worker_ctx.push_parameter(slot_id, wave[rank_ctx.rank])

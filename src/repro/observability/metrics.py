@@ -17,7 +17,7 @@ Three instrument kinds, Prometheus-flavoured:
 Instruments are identified by ``(name, labels)``; the registry
 get-or-creates them (:meth:`MetricsRegistry.counter` & co.), so emitting
 a sample is one dict lookup plus one float add.  Like the profiler,
-metrics are **off by default**: operators read ``ctx.metrics`` once per
+metrics are **off by default**: operators read ``ctx.registry`` once per
 activation and do nothing when it is ``None``.
 
 Operators write only the facts nothing else records (``scan_*``,

@@ -7,15 +7,13 @@ generator *creation* when the run is not observed; when a :class:`Profiler`
 is attached to the :class:`~repro.core.context.ExecutionContext`, each
 activation is written once into its node's :class:`OperatorStats`:
 
-* **counts** — rows and batches yielded per mode, activations (``calls``);
+* **counts** — rows and batches yielded, activations (``calls``);
   the ``operator_*`` metrics are folded from these, and a run that only
   records metrics attaches an untimed profiler that stops here;
 * **self time** — simulated and wall-clock seconds attributed to *this*
   operator's frames only, via a frame stack: while an operator pulls from
   its upstream, the elapsed time is charged to the upstream, exactly like
   a tracing CPU profiler separates self from inclusive time;
-* **mode attribution** — the same node's fused vs. interpreted totals are
-  kept apart, so a plan run in both modes shows where fusion pays;
 * **spans** — one :class:`~repro.observability.events.OperatorSpan` per
   activation (first pull to close) on the rank's simulated clock, feeding
   the Chrome-trace exporter.
@@ -59,9 +57,8 @@ class OperatorStats:
         "sim_seconds",
         "wall_seconds",
         "max_rank_sim_seconds",
-        "sim_by_mode",
-        "rows_by_mode",
-        "batches_by_mode",
+        "rows_out",
+        "batches_out",
         "depth",
     )
 
@@ -77,25 +74,16 @@ class OperatorStats:
         #: After merging ranks: the largest per-rank simulated self time —
         #: the node's contribution to the makespan.
         self.max_rank_sim_seconds = 0.0
-        self.sim_by_mode: dict[str, float] = {}
-        #: Rows and batches yielded, per execution mode: the one count
-        #: ``rows_out``/``batches_out`` and ``operator_*`` are read from.
-        self.rows_by_mode: dict[str, int] = {}
-        self.batches_by_mode: dict[str, int] = {}
+        #: Rows and batches yielded: the one count the ``operator_*``
+        #: metrics are read from.
+        self.rows_out = 0
+        self.batches_out = 0
         #: Live activation nesting (reentrancy guard); not part of results.
         self.depth = 0
 
     @property
     def executed(self) -> bool:
         return self.calls > 0
-
-    @property
-    def rows_out(self) -> int:
-        return sum(self.rows_by_mode.values())
-
-    @property
-    def batches_out(self) -> int:
-        return sum(self.batches_by_mode.values())
 
     def merge(self, other: "OperatorStats") -> None:
         """Fold another profiler's measurements of the same node in."""
@@ -106,12 +94,8 @@ class OperatorStats:
             self.max_rank_sim_seconds,
             other.max_rank_sim_seconds or other.sim_seconds,
         )
-        for mode, seconds in other.sim_by_mode.items():
-            self.sim_by_mode[mode] = self.sim_by_mode.get(mode, 0.0) + seconds
-        for mode, rows in other.rows_by_mode.items():
-            self.rows_by_mode[mode] = self.rows_by_mode.get(mode, 0) + rows
-        for mode, batches in other.batches_by_mode.items():
-            self.batches_by_mode[mode] = self.batches_by_mode.get(mode, 0) + batches
+        self.rows_out += other.rows_out
+        self.batches_out += other.batches_out
 
     def as_dict(self) -> dict:
         return {
@@ -121,8 +105,6 @@ class OperatorStats:
             "sim_seconds": self.sim_seconds,
             "wall_seconds": self.wall_seconds,
             "max_rank_sim_seconds": self.max_rank_sim_seconds,
-            "sim_by_mode": dict(self.sim_by_mode),
-            "rows_by_mode": dict(self.rows_by_mode),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -190,13 +172,11 @@ class Profiler:
             return
         rec.depth += 1
         rec.calls += 1
-        mode = ctx.mode
         timed = self.timed
         clock = self.clock
         rows = 0
         batches = 0
         start_sim = clock.now
-        sim_before = rec.sim_seconds
         try:
             while True:
                 # An untimed profiler keeps no frame stack: no wall-clock
@@ -218,13 +198,12 @@ class Profiler:
                 yield item
         finally:
             rec.depth -= 1
-            rec.rows_by_mode[mode] = rec.rows_by_mode.get(mode, 0) + rows
-            rec.batches_by_mode[mode] = rec.batches_by_mode.get(mode, 0) + batches
+            rec.rows_out += rows
+            rec.batches_out += batches
             if timed:
-                rec.sim_by_mode[mode] = (
-                    rec.sim_by_mode.get(mode, 0.0) + rec.sim_seconds - sim_before
+                self._record_span(
+                    op, start_sim, clock.now, rows, batches, ctx.options.mode
                 )
-                self._record_span(op, start_sim, clock.now, rows, batches, mode)
 
     def _push(self, rec: OperatorStats) -> None:
         sim_now = self.clock.now
@@ -470,14 +449,6 @@ class PlanProfile:
                 if stats.max_rank_sim_seconds:
                     parts.append(
                         f"max-rank={_format_seconds(stats.max_rank_sim_seconds)}"
-                    )
-                if len(stats.sim_by_mode) > 1:
-                    parts.append(
-                        "modes="
-                        + ",".join(
-                            f"{m}:{_format_seconds(s)}"
-                            for m, s in sorted(stats.sim_by_mode.items())
-                        )
                     )
                 annot = " ".join(parts)
             lines.append(

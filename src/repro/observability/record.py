@@ -80,24 +80,29 @@ def _fold_event(registry: MetricsRegistry, event: TraceEvent) -> None:
         registry.counter("checkpoint_hits").inc()
 
 
-def _fold_activations(registry: MetricsRegistry, profiler: "Profiler") -> None:
+def _fold_activations(
+    registry: MetricsRegistry, profiler: "Profiler", mode: str
+) -> None:
     for node_id, stats in profiler.stats.items():
         op = type(profiler.ops[node_id]).__name__
-        for mode, rows in stats.rows_by_mode.items():
-            registry.counter("operator_rows_out", op=op, mode=mode).add(rows)
-        for mode, batches in stats.batches_by_mode.items():
-            if batches:
-                registry.counter("operator_batches_out", op=op, mode=mode).add(batches)
+        registry.counter("operator_rows_out", op=op, mode=mode).add(stats.rows_out)
+        if stats.batches_out:
+            registry.counter("operator_batches_out", op=op, mode=mode).add(
+                stats.batches_out
+            )
         registry.counter("operator_calls", op=op).add(stats.calls)
 
 
-def record_metrics(record: ExecutionRecord, profiler: "Profiler") -> MetricsRegistry:
+def record_metrics(
+    record: ExecutionRecord, profiler: "Profiler", mode: str
+) -> MetricsRegistry:
     """Fold an execution's record into the instruments derived from it.
 
     Each rank of each completed wave is folded into its own child
     registry, in event order, and the children are absorbed in completion
     order: that keeps the per-rank breakdown and makes the float sum of
-    ``comm_put_seconds`` reproducible to the last bit.
+    ``comm_put_seconds`` reproducible to the last bit.  The ``operator_*``
+    counts carry the run's execution ``mode`` as a label.
     """
     fold = MetricsRegistry()
     for result in record.cluster_results:
@@ -110,9 +115,9 @@ def record_metrics(record: ExecutionRecord, profiler: "Profiler") -> MetricsRegi
     for event in record.recovery_events:
         if event.kind == "recovery":
             fold.counter("recovery_actions", action=event.label).inc()
-    _fold_activations(fold, profiler)
+    _fold_activations(fold, profiler, mode)
     for rank_profiler in profiler.ranks:
         child = fold.child(rank_profiler.rank)
-        _fold_activations(child, rank_profiler)
+        _fold_activations(child, rank_profiler, mode)
         fold.absorb(child)
     return fold

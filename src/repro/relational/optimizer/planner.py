@@ -515,12 +515,10 @@ class ModularisQuery:
                 for deadline enforcement and charge retry backoff to it);
                 ``None`` builds a fresh context from ``options``.
         """
-        if options is None:
-            options = RunOptions()
         from repro.core.context import ExecutionContext
 
         if ctx is None:
-            ctx = ExecutionContext.from_options(options)
+            ctx = ExecutionContext.from_options(options or RunOptions())
         if self.degraded_from is not None:
             # The broadcast-fallback decision happened at planning time:
             # it opens the run's record, at simulated time zero.

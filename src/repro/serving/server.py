@@ -748,7 +748,7 @@ class Server:
             query_id=query_id,
             tenant=tenant,
             label=prepared.handle,
-            steps=lowered.execution(self.catalog, opts, ctx=ctx),
+            steps=lowered.execution(self.catalog, ctx=ctx),
             steps_done=carry_steps,
             first_seq=previous.first_seq if previous else -1,
             on_done=on_done,

@@ -7,6 +7,7 @@ import pytest
 
 import repro.core.executor
 from repro.core.context import ExecutionContext
+from repro.core.options import RunOptions
 from repro.core.operators import ParameterLookup, ParameterSlot
 from repro.mpi.cluster import SimCluster
 from repro.types import INT64, RowVector, TupleType, row_vector_type
@@ -31,7 +32,7 @@ def ctx() -> ExecutionContext:
 
 @pytest.fixture
 def interpreted_ctx() -> ExecutionContext:
-    return ExecutionContext(mode="interpreted")
+    return ExecutionContext(options=RunOptions(mode="interpreted"))
 
 
 def make_kv_table(n: int, seed: int = 0, key_range: int | None = None) -> RowVector:

@@ -70,9 +70,22 @@ class TestChaosCommand:
         assert "nonsense" in capsys.readouterr().err
 
     def test_malformed_straggler_spec_is_a_usage_error(self, capsys):
-        rc = main(["chaos", "join", "--straggler", "fast"])
-        assert rc == 2
-        assert "straggler" in capsys.readouterr().err.lower()
+        # Each flag set is refused before any soak runs (exit 2, not the
+        # exit 1 of a diverged soak): a malformed spec, a fault on a rank
+        # outside the default 4-machine cluster (it would never fire), and
+        # policy values out of range.
+        for flags, needle in (
+            (["--straggler", "fast"], "straggler"),
+            (["--crash-rank", "9"], "rank 9 is outside"),
+            (["--straggler", "7:4"], "rank 7 is outside"),
+            (["--straggler", "2:0.5"], "slowdown must be >= 1"),
+            (["--drop-rate", "1.5"], "put_drop_rate must be in"),
+            (["--crash-rank", "-1"], "crash rank must be >= 0"),
+        ):
+            rc = main(["chaos", "join", "--seeds", "1", *flags])
+            err = capsys.readouterr().err
+            assert rc == 2, flags
+            assert err.startswith("error:") and needle in err.lower(), (flags, err)
 
     def test_straggler_policy_is_json_clean(self, capsys):
         rc = main(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.context import ExecutionContext
+from repro.core.options import RunOptions
 from repro.core.operator import Operator
 from repro.errors import ExecutionError
 from repro.mpi.costmodel import DEFAULT_COST_MODEL
@@ -20,11 +21,11 @@ class _FakeOp(Operator):
 
 class TestModes:
     def test_default_is_fused(self, ctx):
-        assert ctx.mode == "fused"
+        assert ctx.options.mode == "fused"
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ExecutionError, match="unknown execution mode"):
-            ExecutionContext(mode="quantum")
+            ExecutionContext(options=RunOptions(mode="quantum"))
 
     def test_overhead_small_pipeline(self, ctx):
         assert ctx.overhead_for(3) == DEFAULT_COST_MODEL.small_pipeline_overhead

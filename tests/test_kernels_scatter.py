@@ -261,7 +261,7 @@ KV = TupleType.of(key=INT64, value=INT64)
 
 
 def reduce_by_key(table: RowVector, mode: str) -> collections.Counter:
-    ctx = ExecutionContext(mode=mode)
+    ctx = ExecutionContext(options=RunOptions(mode=mode))
     scan = RowScan(table_source(table, ctx), field="t")
     return collections.Counter(ReduceByKey(scan, "key", field_sum("value")).stream(ctx))
 

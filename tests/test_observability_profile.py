@@ -158,15 +158,14 @@ class TestDistributedMerge:
         root, slot = simple_plan()
         table = make_kv_table(128)
         from repro.core.context import ExecutionContext
-        from repro.mpi.costmodel import DEFAULT_COST_MODEL
 
-        ctx = ExecutionContext(cost=DEFAULT_COST_MODEL, mode="fused")
-        ctx.profiler = Profiler(ctx.clock)
-        execute(root, params={slot: (table,)}, ctx=ctx)
-        ctx.mode = "interpreted"
-        report = execute(root, params={slot: (table,)}, ctx=ctx)
-        modes = set(report.profile.root.stats.rows_by_mode)
-        assert modes == {"fused", "interpreted"}
+        # One run has one mode: each context's run carries its own.
+        for mode in ("fused", "interpreted"):
+            ctx = ExecutionContext(options=RunOptions(mode=mode, profile=True))
+            report = execute(root, params={slot: (table,)}, ctx=ctx)
+            assert report.profile.mode == mode
+            assert report.profile.root.stats.rows_out == len(report.rows)
+            assert {span.mode for span in report.profile.spans} == {mode}
 
 
 QUERY_IDS = (4, 12, 14, 19)
@@ -196,7 +195,7 @@ class TestTpchRowCounts:
         # Its input stream carries exactly the materialized result rows.
         (feeder,) = profile.root.children
         assert feeder.stats.rows_out == len(materialized)
-        assert feeder.stats.rows_by_mode == {mode: len(materialized)}
+        assert {span.mode for span in profile.spans} == {mode}
         # The presented frame matches too (modulo the SQL convention of one
         # all-zero row for a scalar aggregate over zero qualifying rows).
         frame = lowered.result_frame(report)

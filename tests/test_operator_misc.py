@@ -2,6 +2,7 @@
 chunking, and the fused/interpreted boundary."""
 
 from repro.core.context import ExecutionContext
+from repro.core.options import RunOptions
 from repro.core.functions import RadixPartition, field_sum
 from repro.core.operators import (
     LocalHistogram,
@@ -22,7 +23,7 @@ KV = TupleType.of(key=INT64, value=INT64)
 
 class TestMorsels:
     def test_large_collections_stream_in_morsels(self, ctx):
-        ctx.morsel_rows = 16
+        ctx.options = RunOptions(morsel_rows=16)
         table = make_kv_table(100, seed=1)
         scan = RowScan(table_source(table, ctx), field="t")
         batches = list(scan.batches(ctx))
@@ -32,7 +33,7 @@ class TestMorsels:
         assert flat == list(table.iter_rows())
 
     def test_morsels_are_views(self, ctx):
-        ctx.morsel_rows = 8
+        ctx.options = RunOptions(morsel_rows=8)
         table = make_kv_table(32)
         scan = RowScan(table_source(table, ctx), field="t")
         for batch in scan.batches(ctx):
@@ -44,13 +45,13 @@ class TestDrain:
         table = make_kv_table(64, seed=3)
         drained = []
         for mode in ("fused", "interpreted"):
-            ctx = ExecutionContext(mode=mode)
+            ctx = ExecutionContext(options=RunOptions(mode=mode))
             scan = RowScan(table_source(table, ctx), field="t")
             drained.append(list(scan.drain(ctx).iter_rows()))
         assert drained[0] == drained[1] == list(table.iter_rows())
 
     def test_drain_of_multi_batch_stream(self, ctx):
-        ctx.morsel_rows = 8
+        ctx.options = RunOptions(morsel_rows=8)
         table = make_kv_table(50, seed=4)
         scan = RowScan(table_source(table, ctx), field="t")
         vector = scan.drain(ctx)
@@ -91,7 +92,7 @@ class TestExchangeChunking:
 
 class TestReduceAfterHeavyPipeline:
     def test_reduce_over_morsel_stream(self, ctx):
-        ctx.morsel_rows = 16
+        ctx.options = RunOptions(morsel_rows=16)
         table = make_kv_table(100, seed=6)
         scan = RowScan(table_source(table, ctx), field="t")
         (total,) = list(Reduce(scan, field_sum("key", "value")).stream(ctx))

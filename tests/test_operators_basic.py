@@ -7,6 +7,7 @@ CartesianProduct, in both execution modes.
 import pytest
 
 from repro.core.context import ExecutionContext
+from repro.core.options import RunOptions
 from repro.core.functions import ParamTupleFunction, Predicate, TupleFunction
 from repro.core.operators import (
     CartesianProduct,
@@ -63,7 +64,7 @@ class TestProjection:
 
     def test_modes_agree(self):
         for mode in ("fused", "interpreted"):
-            ctx = ExecutionContext(mode=mode)
+            ctx = ExecutionContext(options=RunOptions(mode=mode))
             table = make_kv_table(16, seed=3)
             rows = list(Projection(scan_of(table, ctx), ["key"]).stream(ctx))
             assert rows == [(k,) for k, _ in table.iter_rows()]
@@ -90,7 +91,7 @@ class TestMap:
         table = make_kv_table(32, seed=5)
         results = []
         for mode in ("fused", "interpreted"):
-            ctx = ExecutionContext(mode=mode)
+            ctx = ExecutionContext(options=RunOptions(mode=mode))
             results.append(list(Map(scan_of(table, ctx), self._double()).stream(ctx)))
         assert results[0] == results[1]
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.context import ExecutionContext
+from repro.core.options import RunOptions
 from repro.core.operators import BuildProbe, RowScan
 from repro.core.operators.build_probe import JOIN_TYPES
 from repro.errors import TypeCheckError
@@ -74,7 +75,7 @@ class TestInnerJoin:
         right = [(int(k), int(k) * 3) for k in rng.integers(0, 50, 200)]
         outs = []
         for mode in ("fused", "interpreted"):
-            ctx = ExecutionContext(mode=mode)
+            ctx = ExecutionContext(options=RunOptions(mode=mode))
             bp = BuildProbe(side(left, L, ctx), side(right, R, ctx), keys="key")
             outs.append(sorted(bp.stream(ctx)))
         assert outs[0] == outs[1]
@@ -94,7 +95,7 @@ class TestInnerJoin:
         the kernels' int64 codes: the rows are the nested-loop join's,
         probe-major with build-insertion order inside a key and the outer
         tail in insertion order (-0.0 equals 0.0; the probe's key is kept)."""
-        ctx = ExecutionContext(join_kernel=join_kernel, morsel_rows=2)
+        ctx = ExecutionContext(options=RunOptions(join_kernel=join_kernel, morsel_rows=2))
         float_side = TupleType.of(key=FLOAT64, v=INT64)
         pair_side = TupleType.of(flag=BOOL, key=INT64, v=INT64)
         cases = [

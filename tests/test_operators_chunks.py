@@ -8,6 +8,7 @@ single LocalHistogram implementation consuming the outputs of two
 import pytest
 
 from repro.core.context import ExecutionContext
+from repro.core.options import RunOptions
 from repro.core.functions import RadixPartition, field_sum
 from repro.core.operators import (
     ChunkScan,
@@ -139,7 +140,7 @@ class TestMaterializeChunks:
         table = make_kv_table(33, seed=8)
         outs = []
         for mode in ("fused", "interpreted"):
-            ctx = ExecutionContext(mode=mode)
+            ctx = ExecutionContext(options=RunOptions(mode=mode))
             scan = RowScan(table_source(table, ctx), field="t")
             (row,) = list(MaterializeChunks(scan, chunk_rows=10).stream(ctx))
             outs.append(list(row[0].iter_rows()))

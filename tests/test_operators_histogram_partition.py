@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.context import ExecutionContext
+from repro.core.options import RunOptions
 from repro.core.functions import CallablePartition, RadixPartition
 from repro.core.operators import LocalHistogram, LocalPartitioning, RowScan
 from repro.core.operators.local_histogram import HISTOGRAM_TYPE
@@ -48,7 +49,7 @@ class TestLocalHistogram:
         table = make_kv_table(128, seed=4)
         outs = []
         for mode in ("fused", "interpreted"):
-            ctx = ExecutionContext(mode=mode)
+            ctx = ExecutionContext(options=RunOptions(mode=mode))
             hist = LocalHistogram(scan_of(table, ctx), RadixPartition("key", 8))
             outs.append(list(hist.stream(ctx)))
         assert outs[0] == outs[1]
@@ -122,7 +123,7 @@ class TestLocalPartitioning:
         table = make_kv_table(64, seed=6)
         outs = []
         for mode in ("fused", "interpreted"):
-            ctx = ExecutionContext(mode=mode)
+            ctx = ExecutionContext(options=RunOptions(mode=mode))
             parts = list(self._partitioned(ctx, table).stream(ctx))
             outs.append([(pid, sorted(d.iter_rows())) for pid, d in parts])
         assert outs[0] == outs[1]

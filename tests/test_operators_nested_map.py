@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.context import ExecutionContext
+from repro.core.options import RunOptions
 from repro.core.functions import field_sum
 from repro.core.operator import Operator
 from repro.core.operators import (
@@ -120,7 +121,7 @@ class TestNestedMap:
         # One morsel per partition tuple, so a lazy reader would interleave
         # nested runs with the upstream; the upstream's generators must
         # finish (charging their clocks, releasing their frames) first.
-        ctx = ExecutionContext(morsel_rows=1)
+        ctx = ExecutionContext(options=RunOptions(morsel_rows=1))
         log = []
 
         def logged_inner(slot):

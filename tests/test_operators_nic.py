@@ -5,6 +5,7 @@ import collections
 import pytest
 
 from repro.core.context import ExecutionContext
+from repro.core.options import RunOptions
 from repro.core.functions import field_sum
 from repro.core.operators import NicPartialAggregate, ReduceByKey, RowScan
 from repro.core.plans.groupby import build_distributed_groupby
@@ -33,7 +34,7 @@ class TestSemantics:
         table = make_kv_table(128, seed=2, key_range=8)
         outs = []
         for mode in ("fused", "interpreted"):
-            ctx = ExecutionContext(mode=mode)
+            ctx = ExecutionContext(options=RunOptions(mode=mode))
             op = NicPartialAggregate(scan_of(table, ctx), "key", field_sum("value"))
             outs.append(sorted(op.stream(ctx)))
         assert outs[0] == outs[1]

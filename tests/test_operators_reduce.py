@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.context import ExecutionContext
+from repro.core.options import RunOptions
 from repro.core.functions import ReduceFunction, field_sum
 from repro.core.kernels import scatter
 from repro.core.operators import Projection, Reduce, ReduceByKey, RowScan
@@ -46,7 +47,7 @@ class TestReduce:
         table = make_kv_table(64, seed=3)
         outs = []
         for mode in ("fused", "interpreted"):
-            ctx = ExecutionContext(mode=mode)
+            ctx = ExecutionContext(options=RunOptions(mode=mode))
             outs.append(
                 list(Reduce(scan_of(table, ctx), field_sum("key", "value")).stream(ctx))
             )
@@ -115,7 +116,7 @@ class TestReduceByKey:
         table = make_kv_table(128, seed=9, key_range=16)
         outs = []
         for mode in ("fused", "interpreted"):
-            ctx = ExecutionContext(mode=mode)
+            ctx = ExecutionContext(options=RunOptions(mode=mode))
             outs.append(
                 sorted(
                     ReduceByKey(scan_of(table, ctx), "key", field_sum("value")).stream(ctx)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.context import ExecutionContext
+from repro.core.options import RunOptions
 from repro.core.operators import (
     MaterializeRowVector,
     ParameterLookup,
@@ -122,7 +123,7 @@ class TestMaterializeRowVector:
         table = make_kv_table(50, seed=11)
         outs = []
         for mode in ("fused", "interpreted"):
-            ctx = ExecutionContext(mode=mode)
+            ctx = ExecutionContext(options=RunOptions(mode=mode))
             scan = RowScan(table_source(table, ctx), field="t")
             (row,) = list(MaterializeRowVector(scan).stream(ctx))
             outs.append(list(row[0].iter_rows()))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.context import ExecutionContext
+from repro.core.options import RunOptions
 from repro.core.operators import LocalSort, MergeJoin, RowScan
 from repro.core.plans.join import build_distributed_join
 from repro.errors import ExecutionError, TypeCheckError
@@ -44,7 +45,7 @@ class TestLocalSort:
         table = make_kv_table(128, seed=5, key_range=16)
         outs = []
         for mode in ("fused", "interpreted"):
-            ctx = ExecutionContext(mode=mode)
+            ctx = ExecutionContext(options=RunOptions(mode=mode))
             outs.append(
                 [r[0] for r in LocalSort(scan_of(table, ctx), "key").stream(ctx)]
             )

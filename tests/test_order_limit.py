@@ -39,11 +39,12 @@ class TestLimitOperator:
 
     def test_modes_agree(self):
         from repro.core.context import ExecutionContext
+        from repro.core.options import RunOptions
 
         table = make_kv_table(64, seed=2)
         outs = []
         for mode in ("fused", "interpreted"):
-            ctx = ExecutionContext(mode=mode)
+            ctx = ExecutionContext(options=RunOptions(mode=mode))
             limited = Limit(RowScan(table_source(table, ctx), field="t"), 10)
             outs.append(list(limited.stream(ctx)))
         assert outs[0] == outs[1]

@@ -339,11 +339,11 @@ class TestBitIdentity:
 
 class TestDispatchMetric:
     def _run_metered(self, n_rows, join_kernel, stride=1):
-        ctx = ExecutionContext(join_kernel=join_kernel)
+        ctx = ExecutionContext(options=RunOptions(join_kernel=join_kernel, metrics=True))
         left = vector_of([(i % 64 * stride, i) for i in range(n_rows)], L)
         right = vector_of([(i % 64, -i) for i in range(128)], R)
         bp = BuildProbe(scan_of(left, ctx), scan_of(right, ctx), keys="key")
-        report = execute(bp, ctx=ctx, options=RunOptions(metrics=True))
+        report = execute(bp, ctx=ctx)
         return report.metrics
 
     def test_auto_dispatches_radix_on_dense_build(self):
@@ -450,10 +450,10 @@ class TestMemoryAccounting:
     def _materialize_scan(self, morsel_rows):
         from repro.core.operators import MaterializeRowVector
 
-        ctx = ExecutionContext(morsel_rows=morsel_rows)
+        ctx = ExecutionContext(options=RunOptions(morsel_rows=morsel_rows, metrics=True))
         table = vector_of([(i, i * 2) for i in range(1 << 13)])
         plan = MaterializeRowVector(scan_of(table, ctx))
-        report = execute(plan, ctx=ctx, options=RunOptions(metrics=True))
+        report = execute(plan, ctx=ctx)
         return table, report.metrics
 
     def test_view_remerge_accounts_zero_bytes(self):
@@ -475,7 +475,7 @@ class TestMemoryAccounting:
 
 class TestMorselAutoTuning:
     def test_explicit_setting_pins_size(self):
-        ctx = ExecutionContext(morsel_rows=123)
+        ctx = ExecutionContext(options=RunOptions(morsel_rows=123))
         assert ctx.morsel_rows_for(KV) == 123
 
     def test_auto_scales_inversely_with_row_width(self):
@@ -489,4 +489,4 @@ class TestMorselAutoTuning:
 
     def test_unknown_join_kernel_rejected(self):
         with pytest.raises(ExecutionError):
-            ExecutionContext(join_kernel="simd")
+            ExecutionContext(options=RunOptions(join_kernel="simd"))

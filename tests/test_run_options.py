@@ -1,12 +1,13 @@
 """The unified RunOptions API: validation and knob plumbing.
 
 The contract under test: every public entry point accepts one immutable
-:class:`~repro.core.options.RunOptions`, and the *whole* knob set
-survives every context re-derivation (stage recovery, sanitize replay,
-per-rank contexts) — a knob added to ``RunOptions`` cannot silently drop
-on a retry path.
+:class:`~repro.core.options.RunOptions`, every context of a run carries
+that object whole (stage recovery, sanitize replay, per-rank contexts) and
+keeps no copy of its knobs — a knob added to ``RunOptions`` cannot
+silently drop on a retry path.
 """
 
+import inspect
 import warnings
 from dataclasses import FrozenInstanceError, fields
 
@@ -23,13 +24,20 @@ from repro.mpi.cluster import SimCluster
 from repro.mpi.costmodel import DEFAULT_COST_MODEL
 from repro.workloads import make_join_relations
 
-#: Every field the per-rank/replay contexts must inherit verbatim.
-WORKER_KNOBS = tuple(
-    f.name for f in fields(RunOptions) if f.metadata.get("worker_knob")
-)
-
-#: A non-default value per worker knob, for drop-detection tests.
+#: A non-default value per knob the data path reads, for drop-detection
+#: tests.
 NON_DEFAULTS = {"mode": "interpreted", "join_kernel": "radix", "morsel_rows": 7}
+
+#: The knobs the per-rank/replay contexts must run with verbatim.
+WORKER_KNOBS = tuple(NON_DEFAULTS)
+
+
+class _Rank:
+    """A stand-in for the per-rank comm context: for_rank only reads its
+    cost model and clock."""
+
+    cost = DEFAULT_COST_MODEL
+    clock = ExecutionContext(cost=DEFAULT_COST_MODEL).clock
 
 
 class TestValidation:
@@ -52,9 +60,9 @@ class TestValidation:
             RunOptions().replace(mode="jit")
 
     def test_worker_knob_fields_marked(self):
-        assert set(WORKER_KNOBS) == {"mode", "join_kernel", "morsel_rows"}
+        assert set(WORKER_KNOBS) <= {f.name for f in fields(RunOptions)}
         options = RunOptions(**NON_DEFAULTS)
-        assert options.worker_knobs() == NON_DEFAULTS
+        assert {k: getattr(options, k) for k in WORKER_KNOBS} == NON_DEFAULTS
 
 
 class TestPublicEntryPoints:
@@ -91,6 +99,21 @@ class TestPublicEntryPoints:
             )
         assert report.profile is not None
 
+    def test_context_is_the_one_knob_source(self):
+        # No context field mirrors a RunOptions field: the context reads
+        # its knobs from the options it carries.
+        option_fields = {f.name for f in fields(RunOptions)}
+        context_fields = {f.name for f in fields(ExecutionContext)} - {"options"}
+        assert context_fields & option_fields == set()
+        # A context runs under its own options; other explicit options are
+        # refused, not silently overridden by the context.
+        root, slot, table = self._simple()
+        with pytest.raises(ExecutionError, match="carries its options"):
+            execute(
+                root, {slot: (table,)}, RunOptions(mode="interpreted"),
+                ctx=ExecutionContext.from_options(RunOptions()),
+            )
+
 
 class TestContextDerivation:
     """No knob may drop when a context is re-derived from RunOptions."""
@@ -99,52 +122,41 @@ class TestContextDerivation:
     def test_from_options_carries_every_worker_knob(self, knob):
         options = RunOptions(**{knob: NON_DEFAULTS[knob]})
         ctx = ExecutionContext.from_options(options)
-        assert getattr(ctx, knob) == NON_DEFAULTS[knob]
+        assert getattr(ctx.options, knob) == NON_DEFAULTS[knob]
 
     @pytest.mark.parametrize("knob", WORKER_KNOBS)
     def test_run_options_round_trips_every_worker_knob(self, knob):
-        # run_options() is what stage recovery and the sanitize replay use
-        # to rebuild worker contexts; a knob lost here resurfaces as a
+        # ctx.options is what stage recovery and the sanitize replay hand
+        # to the contexts they rebuild; a knob lost here resurfaces as a
         # retry that silently runs with different semantics.
         options = RunOptions(**{knob: NON_DEFAULTS[knob]})
         ctx = ExecutionContext.from_options(options)
-        assert getattr(ctx.run_options(), knob) == NON_DEFAULTS[knob]
+        worker = ExecutionContext.for_rank(_Rank(), ctx.options)
+        assert getattr(worker.options, knob) == NON_DEFAULTS[knob]
 
     @pytest.mark.parametrize("knob", WORKER_KNOBS)
     def test_run_options_reconstructs_from_bare_context(self, knob):
-        # A context built without an options object (the historical ctx=
-        # path) must still report its actual knob values.
+        # A hand-built context (the ctx= path, not from_options) reports
+        # the knob values it runs with.
         ctx = ExecutionContext(
-            cost=DEFAULT_COST_MODEL, **{knob: NON_DEFAULTS[knob]}
+            cost=DEFAULT_COST_MODEL, options=RunOptions(**{knob: NON_DEFAULTS[knob]})
         )
-        assert getattr(ctx.run_options(), knob) == NON_DEFAULTS[knob]
+        assert getattr(ctx.options, knob) == NON_DEFAULTS[knob]
 
     def test_for_rank_applies_options_knobs(self):
-        # A stand-in for the per-rank comm context: for_rank only reads
-        # its cost model and clock.
-        class _Rank:
-            cost = DEFAULT_COST_MODEL
-            clock = ExecutionContext(cost=DEFAULT_COST_MODEL).clock
-
         options = RunOptions(**NON_DEFAULTS)
-        worker = ExecutionContext.for_rank(_Rank(), options=options)
+        worker = ExecutionContext.for_rank(_Rank(), options)
         for knob in WORKER_KNOBS:
-            assert getattr(worker, knob) == NON_DEFAULTS[knob]
+            assert getattr(worker.options, knob) == NON_DEFAULTS[knob]
 
     def test_for_rank_overrides_stale_individual_knobs(self):
-        # The whole-set contract: when options is given, a caller that
-        # forwards stale individual knob arguments still gets the options'
-        # values — forwarding some knobs and forgetting others is safe.
-        class _Rank:
-            cost = DEFAULT_COST_MODEL
-            clock = ExecutionContext(cost=DEFAULT_COST_MODEL).clock
-
+        # The whole-set contract: for_rank takes the driver's options
+        # object and no individual knob argument, so a caller cannot
+        # forward some knobs and forget (or go stale on) others.
         options = RunOptions(**NON_DEFAULTS)
-        worker = ExecutionContext.for_rank(
-            _Rank(), mode="fused", join_kernel="auto", options=options
-        )
-        assert worker.mode == "interpreted"
-        assert worker.join_kernel == "radix"
+        assert ExecutionContext.for_rank(_Rank(), options).options is options
+        parameters = inspect.signature(ExecutionContext.for_rank).parameters
+        assert not set(parameters) & {f.name for f in fields(RunOptions)}
 
 
 class TestKnobsSurviveStageRetry:
@@ -173,12 +185,11 @@ class TestKnobsSurviveStageRetry:
         )
         summary = chaos.fault_summary()
         assert summary.get("recovery:stage_retry") == 1
-        # Every row the recovered run produced — including the re-executed
-        # stage's — was processed in interpreted mode.  A dropped mode knob
-        # would show up as fused-mode rows here.
-        for node in chaos.profile.nodes():
-            modes = set(node.stats.rows_by_mode)
-            assert modes <= {"interpreted"}, (node, modes)
+        # Every operator activation of the recovered run — including the
+        # re-executed stage's — ran in interpreted mode.  A dropped mode
+        # knob would show up as fused-mode spans here.
+        assert chaos.profile.spans
+        assert {span.mode for span in chaos.profile.spans} == {"interpreted"}
         base_out = baseline.rows[0][0]
         chaos_out = chaos.rows[0][0]
         for name in base_out.element_type.field_names:
@@ -188,7 +199,7 @@ class TestKnobsSurviveStageRetry:
             )
 
     def test_morsel_rows_survives_sanitize_replay(self):
-        # The sanitize replay rebuilds a context from run_options(); a
+        # The sanitize replay rebuilds a context from ctx.options; a
         # non-default morsel size must carry over (same epoch count in the
         # replay implies the same morsel boundaries, hence a clean verdict).
         plan, workload = self._plan()
