@@ -62,13 +62,15 @@ oracle-soak:
 
 # Seeded fault-injection soak: every builtin plan and TPC-H query must
 # stay bit-identical to its fault-free run under transient comm faults,
-# a transient mid-stage rank crash, a permanent crash (degraded n-1
-# rerun), and planner-level memory pressure.  Exit 1 on any divergence.
+# a transient mid-stage rank crash (on 4 ranks and on the last of 8), a
+# permanent crash (degraded n-1 rerun), and planner-level memory pressure.  Exit 1 on any divergence.
 # Fused only: interpreted runs the same data path at another cost rate,
 # and the differential oracle keeps that cell.
 chaos-soak:
 	$(PYTHON) -m repro chaos all --seeds 3
 	$(PYTHON) -m repro chaos all --seeds 1 --crash-rank 2 --crash-after 6
+	$(PYTHON) -m repro chaos all --seeds 1 --machines 8 --crash-rank 7 \
+		--crash-after 6
 	$(PYTHON) -m repro chaos all --seeds 1 --crash-rank 1 --crash-after 4 \
 		--permanent
 	$(PYTHON) -m repro chaos q14 --seeds 1 --strategy broadcast \

@@ -25,7 +25,7 @@ from repro.core.kernels.scatter import (
     window_bases,
 )
 from repro.core.plans.fragments import radix_fanout
-from repro.mpi.cluster import ClusterResult, RankContext, SimCluster
+from repro.mpi.cluster import ClusterResult, RankContext, SimCluster, block_share
 from repro.types.atoms import INT64
 from repro.types.collections import RowVector
 from repro.types.tuples import TupleType
@@ -77,10 +77,7 @@ def _rank_groupby(
     comm, clock, cost = ctx.comm, ctx.clock, ctx.cost
     comp = RadixCompression(key_bits, n_net.bit_length() - 1) if compression else None
 
-    base, extra = divmod(len(table), ctx.n_ranks)
-    start = ctx.rank * base + min(ctx.rank, extra)
-    stop = start + base + (1 if ctx.rank < extra else 0)
-    shard = table.slice(start, stop)
+    shard = table.slice(*block_share(len(table), ctx.n_ranks, ctx.rank))
 
     clock.phase = "local_histogram"
     clock.advance(cost.cpu_cost("scan", len(shard)), jitter=True)

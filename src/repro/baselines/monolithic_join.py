@@ -30,7 +30,7 @@ from repro.core.kernels.radix_join import select_join_kernel
 from repro.core.kernels.scatter import bucket_counts, partition_layout, window_bases
 from repro.core.plans.fragments import radix_fanout
 from repro.errors import SimulationError
-from repro.mpi.cluster import ClusterResult, RankContext, SimCluster
+from repro.mpi.cluster import ClusterResult, RankContext, SimCluster, block_share
 from repro.types.atoms import INT64
 from repro.types.collections import RowVector
 from repro.types.tuples import TupleType
@@ -190,9 +190,7 @@ def _payload_name(element_type: TupleType) -> str:
 
 
 def _rank_shard(ctx: RankContext, table: RowVector) -> RowVector:
-    base, extra = divmod(len(table), ctx.n_ranks)
-    start = ctx.rank * base + min(ctx.rank, extra)
-    stop = start + base + (1 if ctx.rank < extra else 0)
+    start, stop = block_share(len(table), ctx.n_ranks, ctx.rank)
     ctx.clock.phase = "local_histogram"
     ctx.clock.advance(ctx.cost.cpu_cost("scan", stop - start), jitter=True)
     return table.slice(start, stop)

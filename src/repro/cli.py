@@ -38,6 +38,23 @@ _EXPERIMENTS = (
 )
 
 
+def _positive(kind):
+    """An argparse type: ``kind`` of the argument, refused unless > 0."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"{text} must be positive")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
+_POSITIVE_INT = _positive(int)
+_POSITIVE_FLOAT = _positive(float)
+
+
 def _format_parent() -> argparse.ArgumentParser:
     """The ``--format`` option every subcommand shares (argparse parent)."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -68,8 +85,8 @@ def _workload_parent() -> argparse.ArgumentParser:
     parent.add_argument("workload", choices=("tpch", "join", "groupby"))
     parent.add_argument("--query", type=int, default=12, choices=_QUERIES,
                         help="TPC-H query (tpch workload only)")
-    parent.add_argument("--sf", type=float, default=0.005)
-    parent.add_argument("--machines", type=int, default=4)
+    parent.add_argument("--sf", type=_POSITIVE_FLOAT, default=0.005)
+    parent.add_argument("--machines", type=_POSITIVE_INT, default=4)
     parent.add_argument("--log2-tuples", type=int, default=14,
                         help="input size for join/groupby workloads")
     parent.add_argument(
@@ -86,9 +103,9 @@ def _serving_parent() -> argparse.ArgumentParser:
                         help="concurrent submissions (default: 16)")
     parent.add_argument("--workers", type=int, default=4,
                         help="scheduler worker threads (default: 4)")
-    parent.add_argument("--sf", type=float, default=0.01,
+    parent.add_argument("--sf", type=_POSITIVE_FLOAT, default=0.01,
                         help="TPC-H scale factor (default: 0.01)")
-    parent.add_argument("--machines", type=int, default=2)
+    parent.add_argument("--machines", type=_POSITIVE_INT, default=2)
     parent.add_argument("--seed", type=int, default=2021)
     return parent
 
@@ -112,14 +129,15 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("experiment", choices=(*_EXPERIMENTS, "all"))
     bench.add_argument("--n-tuples", type=int, default=None,
                        help="workload tuples for fig6/fig7/fig8/broadcast")
-    bench.add_argument("--sf", type=float, default=0.05, help="TPC-H scale factor")
+    bench.add_argument("--sf", type=_POSITIVE_FLOAT, default=0.05,
+                       help="TPC-H scale factor")
 
     tpch = commands.add_parser(
         "tpch", parents=[fmt, mode], help="run one TPC-H query distributed"
     )
     tpch.add_argument("--query", type=int, required=True, choices=_QUERIES)
-    tpch.add_argument("--sf", type=float, default=0.02)
-    tpch.add_argument("--machines", type=int, default=8)
+    tpch.add_argument("--sf", type=_POSITIVE_FLOAT, default=0.02)
+    tpch.add_argument("--machines", type=_POSITIVE_INT, default=8)
     tpch.add_argument(
         "--strategy", choices=("exchange", "broadcast", "auto"), default="exchange"
     )
@@ -129,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the Fig. 3 join vs the monolithic baseline",
     )
     join.add_argument("--log2-tuples", type=int, default=16)
-    join.add_argument("--machines", type=int, default=8)
+    join.add_argument("--machines", type=_POSITIVE_INT, default=8)
     join.add_argument("--no-compression", action="store_true")
     join.add_argument("--algorithm", choices=("hash", "sortmerge"), default="hash")
 
@@ -137,13 +155,13 @@ def build_parser() -> argparse.ArgumentParser:
         "explain", parents=[fmt, mode], help="show a query's plans"
     )
     explain.add_argument("--query", type=int, required=True, choices=_QUERIES)
-    explain.add_argument("--sf", type=float, default=0.005)
+    explain.add_argument("--sf", type=_POSITIVE_FLOAT, default=0.005)
     explain.add_argument(
         "--analyze", action="store_true",
         help="execute the query with the profiler on and append the "
         "EXPLAIN ANALYZE tree (measured rows/time per sub-operator)",
     )
-    explain.add_argument("--machines", type=int, default=2)
+    explain.add_argument("--machines", type=_POSITIVE_INT, default=2)
     explain.add_argument(
         "--strategy", choices=("exchange", "broadcast", "auto"), default="exchange"
     )
@@ -182,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         "directories of such files",
     )
     lint.add_argument(
-        "--machines", type=int, default=2,
+        "--machines", type=_POSITIVE_INT, default=2,
         help="cluster size used to build the builtin plans",
     )
     lint.add_argument(
@@ -204,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="first fault-policy seed (default: 2021)")
     chaos.add_argument("--seeds", type=int, default=3,
                        help="number of consecutive seeds to soak (default: 3)")
-    chaos.add_argument("--machines", type=int, default=4)
-    chaos.add_argument("--sf", type=float, default=0.01,
+    chaos.add_argument("--machines", type=_POSITIVE_INT, default=4)
+    chaos.add_argument("--sf", type=_POSITIVE_FLOAT, default=0.01,
                        help="TPC-H scale factor for q* targets")
     chaos.add_argument("--log2-tuples", type=int, default=12,
                        help="input size for builtin plan targets")
@@ -252,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sanitize.add_argument("--seed", type=int, default=2021,
                           help="fault-policy seed (default: 2021)")
-    sanitize.add_argument("--machines", type=int, default=4)
-    sanitize.add_argument("--sf", type=float, default=0.005,
+    sanitize.add_argument("--machines", type=_POSITIVE_INT, default=4)
+    sanitize.add_argument("--sf", type=_POSITIVE_FLOAT, default=0.005,
                           help="TPC-H scale factor for q* targets")
     sanitize.add_argument("--log2-tuples", type=int, default=10,
                           help="input size for builtin plan targets")

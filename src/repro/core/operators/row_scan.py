@@ -15,6 +15,7 @@ from typing import Iterator
 from repro.core.context import ExecutionContext
 from repro.core.operator import Operator, scanned_collection
 from repro.errors import ExecutionError
+from repro.mpi.cluster import block_share
 from repro.types.collections import RowVector
 from repro.types.tuples import TupleType
 
@@ -65,10 +66,7 @@ class RowScan(Operator):
     def _shard(self, ctx: ExecutionContext, collection: RowVector) -> RowVector:
         if not self.shard_by_rank or ctx.n_ranks == 1:
             return collection
-        base, extra = divmod(len(collection), ctx.n_ranks)
-        start = ctx.rank * base + min(ctx.rank, extra)
-        stop = start + base + (1 if ctx.rank < extra else 0)
-        return collection.slice(start, stop)
+        return collection.slice(*block_share(len(collection), ctx.n_ranks, ctx.rank))
 
     def _collections(self, ctx: ExecutionContext) -> Iterator[RowVector]:
         metrics = ctx.registry

@@ -8,7 +8,7 @@ See DESIGN.md Section 2 for the substitution argument.
 """
 
 from repro.mpi.clock import PhaseTimings, SimClock
-from repro.mpi.cluster import ClusterResult, RankContext, SimCluster
+from repro.mpi.cluster import ClusterResult, RankContext, SimCluster, block_share
 from repro.mpi.comm import CommWorld, SimComm, WindowSet
 from repro.mpi.costmodel import DEFAULT_COST_MODEL, CostModel, MachineSpec, PAPER_MACHINE
 from repro.mpi.trace import ClusterTrace, TraceEvent
@@ -20,6 +20,7 @@ __all__ = [
     "ClusterResult",
     "RankContext",
     "SimCluster",
+    "block_share",
     "CommWorld",
     "SimComm",
     "WindowSet",

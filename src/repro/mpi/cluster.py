@@ -30,7 +30,7 @@ from repro.observability.events import FaultDetail
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
 
-__all__ = ["RankContext", "ClusterResult", "SimCluster"]
+__all__ = ["RankContext", "ClusterResult", "SimCluster", "block_share"]
 
 T = TypeVar("T")
 
@@ -45,6 +45,15 @@ def share_one_malloc_arena() -> None:
 
 
 share_one_malloc_arena()
+
+
+def block_share(n_rows: int, n_ranks: int, rank: int) -> tuple[int, int]:
+    """Contiguous ``[start, stop)`` share of ``n_rows`` for ``rank``: the
+    block distribution the paper's workers use when each process "reads its
+    part of the input" (the first ``n_rows % n_ranks`` ranks get one more)."""
+    base, extra = divmod(n_rows, n_ranks)
+    start = rank * base + min(rank, extra)
+    return start, start + base + (1 if rank < extra else 0)
 
 
 @dataclass
@@ -256,12 +265,6 @@ class SimCluster:
         )
 
     def partition_rows(self, n_rows: int, rank: int) -> tuple[int, int]:
-        """Contiguous ``[start, stop)`` share of an input for one rank.
-
-        The same block distribution the paper's workers use when each
-        process "reads its part of the input".
-        """
-        base, extra = divmod(n_rows, self.n_ranks)
-        start = rank * base + min(rank, extra)
-        stop = start + base + (1 if rank < extra else 0)
-        return start, stop
+        """Contiguous ``[start, stop)`` share of an input for one rank
+        (:func:`block_share` over this cluster's ranks)."""
+        return block_share(n_rows, self.n_ranks, rank)

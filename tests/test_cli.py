@@ -28,6 +28,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["tpch", "--query", "7"])
 
+    def test_non_positive_machines_and_scale_factor_are_usage_errors(self, capsys):
+        for argv in (
+            ["tpch", "--query", "12", "--machines", "0"],
+            ["tpch", "--query", "12", "--sf", "0"],
+            ["join", "--machines", "0"],
+            ["serve", "--queries", "4", "--machines", "0"],
+            ["slo", "--machines", "0"],
+            ["sanitize", "all", "--machines", "0"],
+            ["profile", "tpch", "--machines", "-2"],
+            ["metrics", "tpch", "--machines", "0"],
+            ["explain", "--query", "12", "--machines", "0"],
+            ["chaos", "join", "--machines", "0"],
+        ):
+            with pytest.raises(SystemExit) as exc_info:
+                main(argv)
+            assert exc_info.value.code == 2, argv
+            assert "must be positive" in capsys.readouterr().err, argv
+
 
 class TestCommands:
     def test_tpch_query_runs(self, capsys):
