@@ -16,6 +16,7 @@ from __future__ import annotations
 import ctypes
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, TypeVar
 
 import numpy as np
@@ -65,11 +66,17 @@ class RankContext:
     comm: SimComm
     clock: SimClock
     cost: CostModel
-    rng: np.random.Generator
+    seed: int
 
     @property
     def is_root(self) -> bool:
         return self.rank == 0
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """The rank's generator, seeded by ``(cluster seed, rank)``: every
+        job starts it afresh, and a job that draws nothing never builds it."""
+        return np.random.default_rng((self.seed, self.rank))
 
 
 @dataclass
@@ -129,6 +136,11 @@ class SimCluster:
         self.cost_model = cost_model
         self.seed = seed
         self.trace = trace
+        #: Each rank's CPU-speed jitter, drawn once from the seed: every job
+        #: of this cluster runs its ranks at the same relative speeds.
+        self._jitters = 1.0 + np.random.default_rng(seed).uniform(
+            0.0, cost_model.jitter_fraction, size=n_ranks
+        )
 
     def with_ranks(self, n_ranks: int) -> "SimCluster":
         """A cluster of different width with identical configuration.
@@ -183,17 +195,13 @@ class SimCluster:
         if cluster_trace is None and self.trace:
             cluster_trace = ClusterTrace(self.n_ranks)
         world = CommWorld(self.n_ranks, self.cost_model, trace=cluster_trace)
-        jitter_rng = np.random.default_rng(self.seed)
-        jitters = 1.0 + jitter_rng.uniform(
-            0.0, self.cost_model.jitter_fraction, size=self.n_ranks
-        )
         job = faults.job(self.n_ranks) if faults is not None else None
 
         results: list = [None] * self.n_ranks
         errors: list[BaseException] = []  # genuine rank failures, oldest first
         contexts: list[RankContext] = []
         for rank in range(self.n_ranks):
-            jitter = float(jitters[rank])
+            jitter = float(self._jitters[rank])
             if job is not None:
                 slowdown = job.slowdown(rank)
                 if slowdown != 1.0:
@@ -207,9 +215,8 @@ class SimCluster:
             comm = SimComm(world, rank, clock)
             if job is not None:
                 comm.faults = job.rank_faults(rank)
-            rng = np.random.default_rng((self.seed, rank))
             contexts.append(
-                RankContext(rank, self.n_ranks, comm, clock, self.cost_model, rng)
+                RankContext(rank, self.n_ranks, comm, clock, self.cost_model, self.seed)
             )
 
         def worker(rank: int) -> None:
