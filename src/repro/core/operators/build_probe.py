@@ -86,8 +86,9 @@ class BuildProbe(Operator):
     def signature(self) -> tuple:
         return (self.keys, self.join_type)
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        spec = HashJoinSpec(
+    def spec(self) -> HashJoinSpec:
+        """The join's shape, as the kernels read it."""
+        return HashJoinSpec(
             join_type=self.join_type,
             output_type=self.output_type,
             key=self.keys,
@@ -96,10 +97,9 @@ class BuildProbe(Operator):
             right_type=self.upstreams[1].output_type,
             outer_fill=self.outer_fill,
         )
-        left = RowVector.concat(
-            self.upstreams[0].output_type,
-            list(self.upstreams[0].stream_batches(ctx)),
-        )
+
+    def build(self, ctx: ExecutionContext, left: RowVector):
+        """Charge and build the hash side ``left``; ⟨build, probe function⟩."""
         ctx.charge_cpu(self, "build", len(left))
         # The kernels module owns the radix-vs-sorted-hash dispatch; the
         # returned label is the join_dispatch{path} metric value.
@@ -108,7 +108,15 @@ class BuildProbe(Operator):
         if metrics is not None:
             metrics.counter("join_dispatch", path=path).inc()
             metrics.counter("join_build_rows", op=type(self).__name__).add(len(left))
+        return build, probe
 
+    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
+        spec = self.spec()
+        left = RowVector.concat(
+            self.upstreams[0].output_type,
+            list(self.upstreams[0].stream_batches(ctx)),
+        )
+        build, probe = self.build(ctx, left)
         yielded = False
         for batch in self.upstreams[1].stream_batches(ctx):
             out = probe(build, batch, spec)

@@ -39,25 +39,36 @@ class Reduce(Operator):
         return (id(self.fn),)
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        sum_fields = self.fn.vectorized_sum_fields
-        sums = sum_fields is not None and set(sum_fields) == set(
-            self.output_type.field_names
-        )
-        acc: list | tuple | None = None
+        acc = None
         for batch in self.upstreams[0].stream_batches(ctx):
-            ctx.charge_cpu(self, "reduce", len(batch))
-            if len(batch) == 0:
-                continue
-            if sums:
-                partial = [col.sum() for col in batch.columns]
-                acc = partial if acc is None else [a + b for a, b in zip(acc, partial)]
-            else:  # any other combiner folds the morsel's rows
-                for row in batch.iter_rows():
-                    acc = row if acc is None else self.fn(acc, row)
+            acc = self.fold(ctx, acc, batch)
+        yield self.result(acc)
+
+    def fold(self, ctx: ExecutionContext, acc, batch: RowVector):
+        """Charge one morsel and fold it into the accumulator ``acc``."""
+        ctx.charge_cpu(self, "reduce", len(batch))
+        if len(batch) == 0:
+            return acc
+        if self._sums():
+            partial = [col.sum() for col in batch.columns]
+            return partial if acc is None else [a + b for a, b in zip(acc, partial)]
+        for row in batch.iter_rows():  # any other combiner folds the rows
+            acc = row if acc is None else self.fn(acc, row)
+        return acc
+
+    def result(self, acc) -> RowVector:
+        """The output of a fold: one tuple, or none for an empty upstream."""
         builder = RowVectorBuilder(self.output_type)
         if acc is not None:
+            sums = self._sums()
             builder.append(tuple(np.asarray(v).item() for v in acc) if sums else acc)
-        yield builder.finish()
+        return builder.finish()
+
+    def _sums(self) -> bool:
+        sum_fields = self.fn.vectorized_sum_fields
+        return sum_fields is not None and set(sum_fields) == set(
+            self.output_type.field_names
+        )
 
 
 class ReduceByKey(Operator):

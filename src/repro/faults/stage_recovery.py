@@ -48,6 +48,13 @@ def run_wave(
     replicated: bool,
 ) -> "ClusterResult":
     """One dispatch wave: run, and recover from injected stage failures."""
+    # Lazy: repro.core.lockstep imports the operator set.
+    from repro.core.lockstep import run_job, runs_in_lockstep
+
+    if runs_in_lockstep(executor, ctx):
+        result = run_job(executor, ctx, wave)
+        ctx.record.cluster_results.append(result)
+        return result
     cluster = executor.cluster
     injector = ctx.fault_injector
     policy = injector.policy if injector is not None else None

@@ -96,6 +96,18 @@ class ClusterResult:
     #: caller passed one (observed executions do).
     trace: ClusterTrace | None = None
 
+    @classmethod
+    def of(
+        cls, contexts: list[RankContext], per_rank: list, trace: ClusterTrace | None
+    ) -> "ClusterResult":
+        """The outcome of a finished job over ``contexts``."""
+        return cls(
+            per_rank=per_rank,
+            clocks=[ctx.clock.now for ctx in contexts],
+            timings=[ctx.clock.timings for ctx in contexts],
+            trace=trace,
+        )
+
     @property
     def makespan(self) -> float:
         """Simulated completion time of the job (slowest rank)."""
@@ -194,30 +206,10 @@ class SimCluster:
         cluster_trace = trace
         if cluster_trace is None and self.trace:
             cluster_trace = ClusterTrace(self.n_ranks)
-        world = CommWorld(self.n_ranks, self.cost_model, trace=cluster_trace)
-        job = faults.job(self.n_ranks) if faults is not None else None
-
+        contexts = self.job_contexts(faults, cluster_trace)
+        world = contexts[0].comm.world
         results: list = [None] * self.n_ranks
         errors: list[BaseException] = []  # genuine rank failures, oldest first
-        contexts: list[RankContext] = []
-        for rank in range(self.n_ranks):
-            jitter = float(self._jitters[rank])
-            if job is not None:
-                slowdown = job.slowdown(rank)
-                if slowdown != 1.0:
-                    jitter *= slowdown
-                    if cluster_trace is not None:
-                        cluster_trace.emit(
-                            rank, "fault", "straggler", 0.0, 0.0,
-                            FaultDetail(fault="straggler", target=rank),
-                        )
-            clock = SimClock(jitter_factor=jitter)
-            comm = SimComm(world, rank, clock)
-            if job is not None:
-                comm.faults = job.rank_faults(rank)
-            contexts.append(
-                RankContext(rank, self.n_ranks, comm, clock, self.cost_model, self.seed)
-            )
 
         def worker(rank: int) -> None:
             world.wait_turn(rank)
@@ -264,12 +256,36 @@ class SimCluster:
                 )
             raise primary
 
-        return ClusterResult(
-            per_rank=results,
-            clocks=[ctx.clock.now for ctx in contexts],
-            timings=[ctx.clock.timings for ctx in contexts],
-            trace=cluster_trace,
-        )
+        return ClusterResult.of(contexts, results, cluster_trace)
+
+    def job_contexts(
+        self, faults: "FaultInjector | None" = None, trace: ClusterTrace | None = None
+    ) -> list[RankContext]:
+        """The rank contexts of one fresh job: a new ``CommWorld`` recording
+        into ``trace``, and per rank its jittered clock, communicator and
+        fault handle (a job drawn from ``faults``)."""
+        world = CommWorld(self.n_ranks, self.cost_model, trace=trace)
+        job = faults.job(self.n_ranks) if faults is not None else None
+        contexts: list[RankContext] = []
+        for rank in range(self.n_ranks):
+            jitter = float(self._jitters[rank])
+            if job is not None:
+                slowdown = job.slowdown(rank)
+                if slowdown != 1.0:
+                    jitter *= slowdown
+                    if trace is not None:
+                        trace.emit(
+                            rank, "fault", "straggler", 0.0, 0.0,
+                            FaultDetail(fault="straggler", target=rank),
+                        )
+            clock = SimClock(jitter_factor=jitter)
+            comm = SimComm(world, rank, clock)
+            if job is not None:
+                comm.faults = job.rank_faults(rank)
+            contexts.append(
+                RankContext(rank, self.n_ranks, comm, clock, self.cost_model, self.seed)
+            )
+        return contexts
 
     def partition_rows(self, n_rows: int, rank: int) -> tuple[int, int]:
         """Contiguous ``[start, stop)`` share of an input for one rank

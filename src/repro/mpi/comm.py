@@ -52,11 +52,31 @@ if TYPE_CHECKING:
     from repro.analysis.sanitizer import SanitizerJob
     from repro.faults.injector import RankFaults
 
-__all__ = ["CommWorld", "SimComm", "WindowSet"]
+__all__ = ["CommGroup", "CommWorld", "SimComm", "WindowSet"]
 
 
 class _JobAborted(SimulationError):
     """A rank met its job's abort at a collective; chained to the root cause."""
+
+
+def _in_rank_order(values: dict[int, object]) -> list:
+    return [values[r] for r in range(len(values))]
+
+
+def _reducer(op: str) -> Callable[[dict[int, object]], np.ndarray]:
+    """The combine of ``allreduce:op``: element-wise over the ranks' arrays."""
+
+    def combine(values: dict[int, object]) -> np.ndarray:
+        stack = np.stack(_in_rank_order(values))
+        if op == "sum":
+            return stack.sum(axis=0)
+        if op == "max":
+            return stack.max(axis=0)
+        if op == "min":
+            return stack.min(axis=0)
+        raise SimulationError(f"unsupported allreduce op {op!r}")
+
+    return combine
 
 
 class _Slot:
@@ -438,28 +458,14 @@ class SimComm:
         global one (paper Section 3.3.3).
         """
         array = np.asarray(array)
-
-        def combine(values: dict[int, object]) -> np.ndarray:
-            stack = np.stack([values[r] for r in range(self.n_ranks)])
-            if op == "sum":
-                return stack.sum(axis=0)
-            if op == "max":
-                return stack.max(axis=0)
-            if op == "min":
-                return stack.min(axis=0)
-            raise SimulationError(f"unsupported allreduce op {op!r}")
-
         cost = self.cost.collective_cost(self.n_ranks, array.nbytes)
-        return self._collect(f"allreduce:{op}", array, combine, cost)
+        return self._collect(f"allreduce:{op}", array, _reducer(op), cost)
 
     def allgather(self, value: object, payload_bytes: int = 64) -> list:
         """Gather one value from every rank, delivered to all ranks."""
 
-        def combine(values: dict[int, object]) -> list:
-            return [values[r] for r in range(self.n_ranks)]
-
         cost = self.cost.collective_cost(self.n_ranks, payload_bytes * self.n_ranks)
-        return self._collect("allgather", value, combine, cost)
+        return self._collect("allgather", value, _in_rank_order, cost)
 
     def win_create(self, element_type: TupleType, capacity: int) -> WindowSet:
         """Collectively register one RMA window per rank (``MPI_Win_create``).
@@ -469,6 +475,14 @@ class SimComm:
         large window stalls everyone — the window-allocation tail latency
         the paper observes in the network-partitioning phase.
         """
+        window = self._register(element_type, capacity)
+        windows = self._collect(
+            "win_create", window, _in_rank_order, self.cost.collective_cost(self.n_ranks)
+        )
+        return WindowSet(windows, self)
+
+    def _register(self, element_type: TupleType, capacity: int) -> Window:
+        """This rank's window, its registration charged and traced."""
         window = Window(self.rank, element_type, capacity)
         sanitizer = self.sanitizer
         if sanitizer is not None:
@@ -480,14 +494,7 @@ class SimComm:
                 self.rank, "win_create", repr(element_type), start, self.clock.now,
                 WindowDetail(bytes=window.size_bytes(), rows=capacity),
             )
-
-        def combine(values: dict[int, object]) -> tuple[Window, ...]:
-            return tuple(values[r] for r in range(self.n_ranks))
-
-        windows = self._collect(
-            "win_create", window, combine, self.cost.collective_cost(self.n_ranks)
-        )
-        return WindowSet(windows, self)
+        return window
 
     def fence(self, window_set: WindowSet) -> None:
         """Collective RMA epoch boundary (``MPI_Win_fence``)."""
@@ -497,3 +504,63 @@ class SimComm:
             return None
 
         self._collect("fence", None, combine, self.cost.collective_cost(self.n_ranks))
+
+
+class CommGroup:
+    """Every rank's communicator of one job, issuing each collective at once.
+
+    The lockstep counterpart of the rendezvous: one call takes every rank's
+    contribution, and each rank's clock, call index and trace move exactly
+    as if that rank had issued the collective itself (each arrives at its
+    own clock, all leave at the latest arrival plus the collective's cost).
+    A collective of a plan is rank-uniform by construction, so no rank can
+    issue another one (MOD051 stays the threaded substrate's check).
+    """
+
+    def __init__(self, comms: Sequence[SimComm]) -> None:
+        self.comms = tuple(comms)
+        self.cost = self.comms[0].cost
+
+    def _collect(self, tag: str, values: list, combine, op_cost: float) -> object:
+        arrivals = []
+        for comm in self.comms:
+            comm._call_index += 1
+            arrivals.append(comm.clock.now)
+        result = combine(dict(enumerate(values)))
+        result_time = max(0.0, *arrivals) + op_cost
+        for comm, arrival in zip(self.comms, arrivals):
+            comm.clock.advance_to(result_time)
+            trace = comm.world.trace
+            if trace is not None:
+                trace.emit(
+                    comm.rank, "collective", tag, arrival, result_time,
+                    CollectiveDetail(stall=max(0.0, result_time - op_cost - arrival)),
+                )
+        return result
+
+    def allreduce(self, arrays: list[np.ndarray], op: str = "sum") -> np.ndarray:
+        arrays = [np.asarray(array) for array in arrays]
+        cost = self.cost.collective_cost(len(arrays), arrays[-1].nbytes)
+        return self._collect(f"allreduce:{op}", arrays, _reducer(op), cost)
+
+    def allgather(self, values: list, payload_bytes: int = 64) -> list:
+        cost = self.cost.collective_cost(len(values), payload_bytes * len(values))
+        return self._collect("allgather", values, _in_rank_order, cost)
+
+    def win_create(self, element_type: TupleType, capacities: list[int]) -> list[WindowSet]:
+        windows = [
+            comm._register(element_type, capacity)
+            for comm, capacity in zip(self.comms, capacities)
+        ]
+        shared = self._collect(
+            "win_create", windows, _in_rank_order,
+            self.cost.collective_cost(len(windows)),
+        )
+        return [WindowSet(shared, comm) for comm in self.comms]
+
+    def fence(self, window_sets: list[WindowSet]) -> None:
+        self._collect(
+            "fence", [None] * len(window_sets),
+            lambda values: window_sets[0]._end_epochs(),
+            self.cost.collective_cost(len(window_sets)),
+        )

@@ -23,12 +23,13 @@ from repro.core.operators import (
     Projection,
     RowScan,
 )
+from repro.core import lockstep
 from repro.core.operators import mpi_exchange
 from repro.core.plan import prepare, walk
 from repro.core.plans.fragments import collect, exchange, replicate, sharded_scan
 from repro.errors import ExecutionError, TypeCheckError
 from repro.mpi.cluster import SimCluster
-from repro.mpi.comm import WindowSet
+from repro.mpi.comm import CommGroup, WindowSet
 from repro.types import INT64, RowVector, TupleType, row_vector_type
 
 from tests.conftest import make_kv_table, table_source
@@ -293,8 +294,9 @@ class TestMpiExecutor:
 
 class TestNoRankParksHoldingAMorsel:
     """Under the baton every rank parked at a collective is suspended at
-    once, so an array a rank still holds there is resident once per rank.
-    Every per-morsel array of an exchange or broadcast — the morsel, its
+    once, so an array a rank still holds there is resident once per rank;
+    a lockstep job holds every rank's morsels side by side.  Either way,
+    every per-morsel array of an exchange or broadcast — the morsel, its
     buckets, its scatter layout, its packed wire — must be dead by the time
     any rank reaches the ``fence``."""
 
@@ -318,19 +320,25 @@ class TestNoRankParksHoldingAMorsel:
         spy(RadixPartition, "map_batch", lambda buckets: [buckets])
         spy(RadixCompression, "pack_batch", lambda wire: wire.columns)
         spy(mpi_exchange, "partition_layout", lambda layout: layout)
-        fence = WindowSet.fence
+        spy(lockstep, "stable_order", lambda order: [order])
 
-        def guarded(self):
-            held = sum(ref() is not None for ref in live)
-            assert not held, f"a rank reached the fence holding {held} morsel arrays"
-            fences.append(len(live))
-            fence(self)
+        def guard(real, ranks):
+            def guarded(self, *args):
+                held = sum(ref() is not None for ref in live)
+                assert not held, f"a rank reached the fence holding {held} morsel arrays"
+                fences.extend([len(live)] * ranks(*args))
+                real(self, *args)
 
-        monkeypatch.setattr(WindowSet, "fence", guarded)
+            return guarded
+
+        monkeypatch.setattr(WindowSet, "fence", guard(WindowSet.fence, lambda: 1))
+        monkeypatch.setattr(CommGroup, "fence", guard(CommGroup.fence, len))
         slot = ParameterSlot(TupleType.of(t=row_vector_type(KV)))
         _, flat = collect(slot, worker, SimCluster(4))
+        senders = set()
         for op in walk(flat, into_nested=True):
             if isinstance(op, (MpiExchange, MpiBroadcast)):
+                senders.add(op.upstreams[0])
                 real = op.upstreams[0].stream_batches
 
                 def streamed(ctx, real=real):
@@ -339,6 +347,15 @@ class TestNoRankParksHoldingAMorsel:
                         yield batch
 
                 monkeypatch.setattr(op.upstreams[0], "stream_batches", streamed)
+        real_steps = lockstep.steps
+
+        def lockstep_steps(op, lx):
+            for step in real_steps(op, lx):
+                if op in senders:
+                    keep(step.whole.columns)
+                yield step
+
+        monkeypatch.setattr(lockstep, "steps", lockstep_steps)
         table = RowVector(KV, [np.arange(5000) % 256, np.arange(5000) % 200])
         options = RunOptions(morsel_rows=300)
         report = execute(flat, params={slot: (table,)}, options=options)
