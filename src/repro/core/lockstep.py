@@ -28,6 +28,7 @@ each rank walks its own copy.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Callable, Iterator
 
 import numpy as np
@@ -86,16 +87,14 @@ class Step:
     def parts(self) -> list[RowVector]:
         if self._parts is None:
             whole, offs = self._whole, self._offs
-            self._parts = [
-                whole.slice(int(offs[i]), int(offs[i + 1])) for i in range(len(self.lanes))
-            ]
+            self._parts = [whole.slice(lo, hi) for lo, hi in zip(offs, offs[1:])]
         return self._parts
 
     @property
-    def offs(self) -> np.ndarray:
+    def offs(self) -> list[int]:
+        """Where each lane's rows start in ``whole``, then the end."""
         if self._offs is None:
-            self._offs = np.zeros(len(self._parts) + 1, dtype=np.int64)
-            np.cumsum([len(part) for part in self._parts], out=self._offs[1:])
+            self._offs = list(accumulate(map(len, self._parts), initial=0))
         return self._offs
 
     @property
@@ -107,7 +106,8 @@ class Step:
     def sizes(self) -> list[int]:
         if self._parts is not None:
             return [len(part) for part in self._parts]
-        return np.diff(self._offs).tolist()
+        offs = self._offs
+        return [hi - lo for lo, hi in zip(offs, offs[1:])]
 
     def derive(self, whole: RowVector, offs=None) -> "Step":
         """The same lanes holding ``whole`` (split at ``offs``, default ours)."""
@@ -207,7 +207,7 @@ def _filter(op: Filter, lx: Lockstep) -> Iterator[Step]:
             yield step
         else:
             keep = np.flatnonzero(mask)
-            yield step.derive(whole.take(keep), np.searchsorted(keep, step.offs))
+            yield step.derive(whole.take(keep), np.searchsorted(keep, step.offs).tolist())
 
 
 def _row_scan(op: RowScan, lx: Lockstep) -> Iterator[Step]:
@@ -258,9 +258,19 @@ def _shared(op: SharedScan, lx: Lockstep) -> Iterator[Step]:
 # -- histograms and the network ------------------------------------------------
 
 
-def _lane_ids(step: Step) -> np.ndarray:
-    """Each row's position among the step's lanes."""
-    return np.repeat(np.arange(len(step.lanes)), step.sizes())
+def _lane_keyed(step: Step, keys: np.ndarray, width: int, lanes=None) -> np.ndarray:
+    """``keys`` in ``[0, width)``, each row's shifted by ``width`` times its
+    lane (its position in ``lanes``, default the step's): one id space over
+    every lane, ordered lane-major.  A one-lane step's keys are its ids."""
+    lanes = range(len(step.lanes)) if lanes is None else lanes
+    if len(lanes) == 1 and lanes[0] == 0:
+        return keys
+    ids = keys.astype(np.int64)
+    offs = step.offs
+    for i, lane in enumerate(lanes):
+        if lane:
+            ids[offs[i]:offs[i + 1]] += lane * width
+    return ids
 
 
 def _histogram_step(n_lanes: int, counts: np.ndarray) -> Step:
@@ -271,7 +281,7 @@ def _histogram_step(n_lanes: int, counts: np.ndarray) -> Step:
         [np.tile(np.arange(n_buckets, dtype=np.int64), n_lanes), counts.reshape(-1)],
     )
     return Step(HISTOGRAM_TYPE, range(n_lanes), whole=whole,
-                offs=np.arange(n_lanes + 1) * n_buckets)
+                offs=list(range(0, (n_lanes + 1) * n_buckets, n_buckets)))
 
 
 def _local_histogram(op: LocalHistogram, lx: Lockstep) -> Iterator[Step]:
@@ -282,16 +292,11 @@ def _local_histogram(op: LocalHistogram, lx: Lockstep) -> Iterator[Step]:
         whole = step.whole
         if len(whole) == 0:
             continue
-        lanes = np.asarray(step.lanes)
         for lane, n_rows in zip(step.lanes, step.sizes()):
             totals[lane] += n_rows
-        buckets = op.bucket_fn.map_batch(whole)
-        if 0 <= int(buckets.min()) and int(buckets.max()) < n_buckets:
-            ids = lanes[_lane_ids(step)] * n_buckets + buckets
-            counts += bucket_counts(ids, n_lanes * n_buckets).reshape(n_lanes, n_buckets)
-        else:  # an id out of range fails per lane, as on a rank
-            for lane, lo, hi in zip(step.lanes, step.offs[:-1], step.offs[1:]):
-                counts[lane] += bucket_counts(buckets[lo:hi], n_buckets)
+        ids = _lane_keyed(step, op.bucket_fn.map_batch(whole), n_buckets, step.lanes)
+        # An id out of range lengthens the count and fails the reshape.
+        counts += bucket_counts(ids, n_lanes * n_buckets).reshape(n_lanes, n_buckets)
     for ctx, total in zip(lx.ctxs, totals):
         ctx.charge_cpu(op, "histogram", total)
     yield _histogram_step(n_lanes, counts)
@@ -307,7 +312,7 @@ def _read_histograms(lx: Lockstep, upstream: Operator, n: int) -> np.ndarray:
         buckets = whole.column("bucket")
         if not (0 <= int(buckets.min()) and int(buckets.max()) < n):
             raise ExecutionError(f"histogram bucket outside [0, {n})")
-        ids = np.asarray(step.lanes)[_lane_ids(step)] * n + buckets
+        ids = _lane_keyed(step, buckets, n, step.lanes)
         np.add.at(counts.reshape(-1), ids, whole.column("count"))
     return counts
 
@@ -371,9 +376,9 @@ def _send_all(op: MpiExchange, lx: Lockstep, windows, cursors) -> list[int]:
             continue
         sizes, offs = step.sizes(), step.offs
         buckets = op.partition_fn.map_batch(whole)
-        ids = _lane_ids(step) * n_parts + buckets
+        ids = _lane_keyed(step, buckets, n_parts)
         span = len(step.lanes) * n_parts
-        counts = np.bincount(ids, minlength=span).reshape(len(step.lanes), n_parts)
+        counts = bucket_counts(ids, span).reshape(len(step.lanes), n_parts)
         order = stable_order(ids, span) if n_parts > 1 else None
         wire = op.compression.pack_batch(whole) if op.compression is not None else whole
         for i, lane in enumerate(step.lanes):
@@ -382,7 +387,7 @@ def _send_all(op: MpiExchange, lx: Lockstep, windows, cursors) -> list[int]:
             totals[lane] += sizes[i]
             ctx = lx.ctxs[lane]
             ctx.charge_cpu(op, "partition", sizes[i])
-            lo, hi = int(offs[i]), int(offs[i + 1])
+            lo, hi = offs[i], offs[i + 1]
             offsets = np.zeros(n_parts + 1, dtype=np.int64)
             np.cumsum(counts[i], out=offsets[1:])
             # The rank's own scatter order is its slice of the lanes' order,

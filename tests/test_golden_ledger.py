@@ -5,6 +5,10 @@ must leave every simulated figure where it was: per-rank clocks, the
 phase breakdown, the puts and shuffled bytes, the morsels drained and the
 substrate events each rank recorded.  A change that moves one of these is
 a plan or cost-model change, and says so.
+
+A metered run walks each rank's copy of the plan on the threaded
+substrate; an unobserved one walks it once for all ranks, in lockstep.
+Both must land on the same clocks and phases.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core import lockstep
 from repro.core.options import RunOptions
 from repro.core.plans import (
     build_broadcast_join,
@@ -28,11 +33,19 @@ from repro.tpch import ALL_QUERIES, load_catalog
 from repro.workloads import make_groupby_table, make_join_relations
 
 
-def ledger(report) -> tuple:
-    """The pinned evidence of one execution: per-wave rank clocks, a digest
-    of the phase breakdown, puts, shuffled bytes, morsels drained, and per
-    rank the count of each kind of substrate event."""
+def clocks_and_phases(report) -> tuple:
+    """Per-wave rank clocks and a digest of the phase breakdown."""
     phases = repr(sorted(report.phase_breakdown().items())).encode()
+    return (
+        [result.clocks for result in report.cluster_results],
+        hashlib.sha256(phases).hexdigest()[:16],
+    )
+
+
+def ledger(report) -> tuple:
+    """The pinned evidence of one execution: :func:`clocks_and_phases`,
+    puts, shuffled bytes, morsels drained, and per rank the count of each
+    kind of substrate event."""
     events = tuple(
         tuple(
             tuple(sorted(Counter(e.kind for e in result.trace.events(rank)).items()))
@@ -41,8 +54,7 @@ def ledger(report) -> tuple:
         for result in report.cluster_results
     )
     return (
-        [result.clocks for result in report.cluster_results],
-        hashlib.sha256(phases).hexdigest()[:16],
+        *clocks_and_phases(report),
         report.metrics.total("comm_puts"),
         report.metrics.total("shuffle_bytes"),
         report.metrics.total("morsels_drained"),
@@ -334,6 +346,17 @@ def test_tpch(query, ranks):
 )
 def test_bulk(builder, compression):
     assert ledger(bulk_report(builder, compression)) == PINNED[f"{builder}-{compression}"]
+
+
+@pytest.mark.parametrize("ranks", [1, 4, 8])
+@pytest.mark.parametrize("query", sorted(ALL_QUERIES))
+def test_tpch_in_lockstep(query, ranks, monkeypatch):
+    jobs = []
+    run_job = lockstep.run_job
+    monkeypatch.setattr(lockstep, "run_job", lambda *args: jobs.append(1) or run_job(*args))
+    report = tpch_report(query, ranks, RunOptions())
+    assert jobs == [1] * len(report.cluster_results) == [1]
+    assert clocks_and_phases(report) == PINNED[f"q{query}-r{ranks}"][:2]
 
 
 def test_transient_faults():
