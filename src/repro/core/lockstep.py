@@ -58,6 +58,7 @@ from repro.core.plan import SharedScan, walk
 from repro.errors import ExecutionError
 from repro.mpi.cluster import ClusterResult
 from repro.mpi.comm import CommGroup
+from repro.observability.profile import OperatorStats
 from repro.types.collections import RowVector, RowVectorBuilder
 from repro.types.tuples import TupleType
 
@@ -146,28 +147,68 @@ class Lockstep:
 
 
 def steps(op: Operator, lx: Lockstep) -> Iterator[Step]:
-    """The lockstep data path of ``op``."""
-    return _RUNNERS[type(op)](op, lx)
+    """The lockstep data path of ``op``: what ``op.stream`` (or ``drain``)
+    gives a rank, counted by the lanes' profilers as its data path is."""
+    run = _RUNNERS[type(op)](op, lx)
+    return run if lx.ctxs[0].profiler is None else _observed(op, run, lx)
 
 
-def _parts(op: Operator, lx: Lockstep) -> list[list[RowVector]]:
-    """Drain ``op``: each lane's morsels."""
+def pulled(op: Operator, lx: Lockstep) -> Iterator[Step]:
+    """``op``'s steps as ``op.stream_batches`` gives them to a rank: with
+    metrics on, each lane counts the morsels it drains."""
+    if lx.ctxs[0].registry is None:
+        return steps(op, lx)
+    counters = [
+        ctx.registry.counter("morsels_drained", op=type(op).__name__) for ctx in lx.ctxs
+    ]
+    return _drained(steps(op, lx), counters)
+
+
+def _drained(run: Iterator[Step], counters: list) -> Iterator[Step]:
+    for step in run:
+        for lane in step.lanes:
+            counters[lane].inc()
+        yield step
+
+
+def _observed(op: Operator, run: Iterator[Step], lx: Lockstep) -> Iterator[Step]:
+    """One activation of ``op`` on every lane, in each lane's (untimed)
+    profiler: a call, and the rows and batches the lane's rank yields."""
+    records = []
+    for ctx in lx.ctxs:
+        profiler = ctx.profiler
+        record = profiler.stats.get(id(op))
+        if record is None:
+            record = profiler.stats[id(op)] = OperatorStats()
+            profiler.ops[id(op)] = op
+        record.calls += 1
+        records.append(record)
+    batched = not op.row_native
+    for step in run:
+        for lane, n_rows in zip(step.lanes, step.sizes()):
+            records[lane].rows_out += n_rows
+            records[lane].batches_out += batched
+        yield step
+
+
+def _parts(run: Iterator[Step], lx: Lockstep) -> list[list[RowVector]]:
+    """Drain ``run``: each lane's morsels."""
     parts: list[list[RowVector]] = [[] for _ in lx.ctxs]
-    for step in steps(op, lx):
+    for step in run:
         for lane, part in zip(step.lanes, step.parts):
             parts[lane].append(part)
     return parts
 
 
-def _vectors(op: Operator, lx: Lockstep) -> list[RowVector]:
-    """Drain ``op``: each lane's rows as one vector."""
-    return [RowVector.concat(op.output_type, parts) for parts in _parts(op, lx)]
+def _vectors(op: Operator, run: Iterator[Step], lx: Lockstep) -> list[RowVector]:
+    """Drain ``run`` of ``op``: each lane's rows as one vector."""
+    return [RowVector.concat(op.output_type, parts) for parts in _parts(run, lx)]
 
 
-def _rows(op: Operator, lx: Lockstep) -> list[list[tuple]]:
-    """Drain ``op``: each lane's rows as tuples."""
+def _rows(run: Iterator[Step], lx: Lockstep) -> list[list[tuple]]:
+    """Drain ``run``: each lane's rows as tuples."""
     return [
-        [row for part in parts for row in part.iter_rows()] for parts in _parts(op, lx)
+        [row for part in parts for row in part.iter_rows()] for parts in _parts(run, lx)
     ]
 
 
@@ -186,20 +227,20 @@ def _parameter(op: ParameterLookup, lx: Lockstep) -> Iterator[Step]:
 
 
 def _projection(op: Projection, lx: Lockstep) -> Iterator[Step]:
-    for step in steps(op.upstreams[0], lx):
+    for step in pulled(op.upstreams[0], lx):
         lx.charge(op, "map", step)
         columns = step.whole.columns
         yield step.derive(RowVector(op.output_type, [columns[p] for p in op._positions]))
 
 
 def _map(op: Map, lx: Lockstep) -> Iterator[Step]:
-    for step in steps(op.upstreams[0], lx):
+    for step in pulled(op.upstreams[0], lx):
         lx.charge(op, "map", step)
         yield step.derive(op.fn.apply_batch(step.whole, op.output_type))
 
 
 def _filter(op: Filter, lx: Lockstep) -> Iterator[Step]:
-    for step in steps(op.upstreams[0], lx):
+    for step in pulled(op.upstreams[0], lx):
         lx.charge(op, "map", step)
         whole = step.whole
         mask = op.predicate.mask(whole)
@@ -224,7 +265,12 @@ def _row_scan(op: RowScan, lx: Lockstep) -> Iterator[Step]:
                         f"RowScan expected {op.output_type!r} elements, "
                         f"found {collection.element_type!r}"
                     )
-                scanned.append(op._shard(lx.ctxs[lane], collection))
+                sharded = op._shard(lx.ctxs[lane], collection)
+                metrics = lx.ctxs[lane].registry
+                if metrics is not None:
+                    metrics.counter("scan_rows", op="RowScan").add(len(sharded))
+                    metrics.counter("scan_bytes", op="RowScan").add(sharded.size_bytes())
+                scanned.append(sharded)
             collections[lane] = scanned
         for index in range(max(map(len, collections.values()), default=0)):
             lanes = [lane for lane, scanned in collections.items() if len(scanned) > index]
@@ -247,7 +293,8 @@ def _shared(op: SharedScan, lx: Lockstep) -> Iterator[Step]:
     vectors = lx.shared.get(id(wrapped))
     if vectors is None:
         vectors = [
-            RowVector.concat(wrapped.output_type, parts) for parts in _parts(wrapped, lx)
+            RowVector.concat(wrapped.output_type, parts)
+            for parts in _parts(steps(wrapped, lx), lx)
         ]
         for ctx, vector in zip(lx.ctxs, vectors):
             ctx.charge_materialize(op, vector.size_bytes())
@@ -288,7 +335,7 @@ def _local_histogram(op: LocalHistogram, lx: Lockstep) -> Iterator[Step]:
     n_buckets, n_lanes = op.n_buckets, len(lx.ctxs)
     counts = np.zeros((n_lanes, n_buckets), dtype=np.int64)
     totals = [0] * n_lanes
-    for step in steps(op.upstreams[0], lx):
+    for step in pulled(op.upstreams[0], lx):
         whole = step.whole
         if len(whole) == 0:
             continue
@@ -305,7 +352,7 @@ def _local_histogram(op: LocalHistogram, lx: Lockstep) -> Iterator[Step]:
 def _read_histograms(lx: Lockstep, upstream: Operator, n: int) -> np.ndarray:
     """``read_histogram`` for every lane: ``[lane, bucket] -> count``."""
     counts = np.zeros((len(lx.ctxs), n), dtype=np.int64)
-    for step in steps(upstream, lx):
+    for step in pulled(upstream, lx):
         whole = step.whole
         if len(whole) == 0:
             continue
@@ -370,7 +417,7 @@ def _send_all(op: MpiExchange, lx: Lockstep, windows, cursors) -> list[int]:
     puts from its slice of that order."""
     n_parts = op.n_partitions
     totals = [0] * len(lx.ctxs)
-    for step in steps(op.upstreams[0], lx):
+    for step in pulled(op.upstreams[0], lx):
         whole = step.whole
         if len(whole) == 0:
             continue
@@ -411,7 +458,7 @@ _ONE_MORSEL = (MpiExchange, SharedScan, MaterializeRowVector, LocalHistogram, Mp
 
 
 def _zip(op: Zip, lx: Lockstep) -> Iterator[Step]:
-    drained = [_vectors(up, lx) for up in op.upstreams]
+    drained = [_vectors(up, steps(up, lx), lx) for up in op.upstreams]
     outputs = []
     for lane, ctx in enumerate(lx.ctxs):
         vectors = [vectors[lane] for vectors in drained]
@@ -427,14 +474,14 @@ def _zip(op: Zip, lx: Lockstep) -> Iterator[Step]:
 
 
 def _nested_map(op: NestedMap, lx: Lockstep) -> Iterator[Step]:
-    inputs = _rows(op.upstreams[0], lx)
+    inputs = _rows(steps(op.upstreams[0], lx), lx)
     morsel_rows = lx.ctxs[0].morsel_rows_for(op.output_type)
     results: list[list[tuple]] = [[] for _ in inputs]
     emitted = [False] * len(inputs)
     for k in range(max(map(len, inputs), default=0)):
         lanes = [lane for lane, rows in enumerate(inputs) if len(rows) > k]
         invocation = lx.nested(lanes, op.slot.id, [inputs[lane][k] for lane in lanes])
-        for lane, outs in zip(lanes, _rows(op.inner, invocation)):
+        for lane, outs in zip(lanes, _rows(steps(op.inner, invocation), invocation)):
             if len(outs) != 1:
                 raise ExecutionError(
                     "nested plan produced more than one tuple; nested plans "
@@ -464,9 +511,11 @@ def _packed(op: NestedMap, lanes: list[int], results, emitted) -> Step:
 
 def _build_probe(op: BuildProbe, lx: Lockstep) -> Iterator[Step]:
     spec = op.spec()
-    builds = [op.build(ctx, left) for ctx, left in zip(lx.ctxs, _vectors(op.upstreams[0], lx))]
+    left = op.upstreams[0]
+    lefts = _vectors(left, pulled(left, lx), lx)
+    builds = [op.build(ctx, vector) for ctx, vector in zip(lx.ctxs, lefts)]
     yielded = [False] * len(lx.ctxs)
-    for step in steps(op.upstreams[1], lx):
+    for step in pulled(op.upstreams[1], lx):
         lanes, outs = [], []
         for lane, batch in zip(step.lanes, step.parts):
             build, probe = builds[lane]
@@ -494,7 +543,7 @@ def _build_probe(op: BuildProbe, lx: Lockstep) -> Iterator[Step]:
 
 def _reduce(op: Reduce, lx: Lockstep) -> Iterator[Step]:
     accs: list = [None] * len(lx.ctxs)
-    for step in steps(op.upstreams[0], lx):
+    for step in pulled(op.upstreams[0], lx):
         for lane, part in zip(step.lanes, step.parts):
             accs[lane] = op.fold(lx.ctxs[lane], accs[lane], part)
     yield _each_lane(op.output_type, [op.result(acc) for acc in accs])
@@ -502,7 +551,7 @@ def _reduce(op: Reduce, lx: Lockstep) -> Iterator[Step]:
 
 def _reduce_by_key(op: ReduceByKey, lx: Lockstep) -> Iterator[Step]:
     outputs = []
-    for ctx, parts in zip(lx.ctxs, _parts(op.upstreams[0], lx)):
+    for ctx, parts in zip(lx.ctxs, _parts(pulled(op.upstreams[0], lx), lx)):
         parts = [part for part in parts if len(part)]
         ctx.charge_cpu(op, "reduce", sum(len(part) for part in parts))
         outputs.append(op.aggregate(parts))
@@ -511,7 +560,7 @@ def _reduce_by_key(op: ReduceByKey, lx: Lockstep) -> Iterator[Step]:
 
 def _materialize(op: MaterializeRowVector, lx: Lockstep) -> Iterator[Step]:
     outputs = []
-    for ctx, parts in zip(lx.ctxs, _parts(op.upstreams[0], lx)):
+    for ctx, parts in zip(lx.ctxs, _parts(pulled(op.upstreams[0], lx), lx)):
         builder = RowVectorBuilder(op.upstreams[0].output_type)
         for part in parts:
             builder.extend_vector(part)
@@ -558,27 +607,43 @@ def _walkable(root: Operator, nested: bool) -> bool:
 
 
 def runs_in_lockstep(executor, ctx: ExecutionContext) -> bool:
-    """Whether ``executor``'s job runs in lockstep under ``ctx``: no
-    per-rank observer, no fault injection, and a runner for every operator
+    """Whether ``executor``'s job runs in lockstep under ``ctx``: no timed
+    profile, sanitizer or fault injection, and a runner for every operator
     of its nested plan (collectives only outside nested ``NestedMap``
     plans, whose invocations differ per rank)."""
     if (
-        ctx.profiler is not None
-        or ctx.registry is not None
+        (ctx.profiler is not None and ctx.profiler.timed)
         or ctx.sanitizer is not None
         or ctx.fault_injector is not None
-        or executor.cluster.trace
     ):
         return False
     return _walkable(executor.inner, nested=False)
 
 
-def run_job(executor, ctx: ExecutionContext, wave: list[tuple]) -> ClusterResult:
-    """One wave of ``executor`` in lockstep: ``wave[rank]`` bound on each lane."""
-    contexts = executor.cluster.job_contexts()
+def run_job(
+    executor, ctx: ExecutionContext, wave: list[tuple], trace=None
+) -> ClusterResult:
+    """One wave of ``executor`` in lockstep, ``wave[rank]`` bound on each
+    lane, recording into ``trace``; each rank's profiler and metrics join
+    the driver's once the wave completes, as a threaded wave's do."""
+    contexts = executor.cluster.job_contexts(trace=trace)
+    profiler, metrics = ctx.profiler, ctx.registry
+    lanes = [
+        ExecutionContext.for_rank(
+            rank_ctx, ctx.options,
+            profiler=profiler.child(rank_ctx.clock, rank_ctx.rank) if profiler else None,
+            registry=metrics.child(rank_ctx.rank) if metrics else None,
+        )
+        for rank_ctx in contexts
+    ]
     lx = Lockstep(
-        [ExecutionContext.for_rank(rank_ctx, ctx.options) for rank_ctx in contexts],
-        CommGroup([rank_ctx.comm for rank_ctx in contexts]),
+        lanes, CommGroup([rank_ctx.comm for rank_ctx in contexts]),
         {executor.slot.id: list(wave)},
     )
-    return ClusterResult.of(contexts, _rows(executor.inner, lx), None)
+    result = ClusterResult.of(contexts, _rows(steps(executor.inner, lx), lx), trace)
+    for lane in lanes:
+        if profiler is not None:
+            profiler.absorb(lane.profiler)
+        if metrics is not None:
+            metrics.absorb(lane.registry)
+    return result

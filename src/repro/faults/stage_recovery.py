@@ -51,11 +51,12 @@ def run_wave(
     # Lazy: repro.core.lockstep imports the operator set.
     from repro.core.lockstep import run_job, runs_in_lockstep
 
-    if runs_in_lockstep(executor, ctx):
-        result = run_job(executor, ctx, wave)
-        ctx.record.cluster_results.append(result)
-        return result
     cluster = executor.cluster
+    record, profiler, metrics = ctx.record, ctx.profiler, ctx.registry
+    if runs_in_lockstep(executor, ctx):
+        result = run_job(executor, ctx, wave, _job_trace(cluster, record, profiler))
+        record.cluster_results.append(result)
+        return result
     injector = ctx.fault_injector
     policy = injector.policy if injector is not None else None
     recoverable = policy is not None and (
@@ -67,7 +68,6 @@ def run_wave(
     if recoverable:
         checkpoints = CheckpointStore(cluster.n_ranks, executor.slot.id)
 
-    record, profiler, metrics = ctx.record, ctx.profiler, ctx.registry
     attempt = 0
     while True:
         attempt += 1
@@ -79,14 +79,7 @@ def run_wave(
         # true story of what the surviving execution actually ran.
         rank_profilers: list = [None] * cluster.n_ranks
         rank_metrics: list = [None] * cluster.n_ranks
-        # The job's one substrate recorder, born with the execution's trace
-        # context: armed by a tracing cluster or an observed run, whose
-        # comm/fault metrics are folded from its events.
-        trace = (
-            ClusterTrace(cluster.n_ranks, record.trace)
-            if cluster.trace or profiler is not None
-            else None
-        )
+        trace = _job_trace(cluster, record, profiler)
         # One sanitizer job per dispatch attempt: the MOD05x recorders are
         # scoped to a single MPI job, and jobs are created sequentially on
         # the driver so window keys stay deterministic across replays.
@@ -128,6 +121,15 @@ def run_wave(
             if metrics is not None:
                 metrics.absorb(rank_registry)
         return result
+
+
+def _job_trace(cluster, record, profiler) -> ClusterTrace | None:
+    """The job's one substrate recorder, born with the execution's trace
+    context: armed by a tracing cluster or an observed run, whose comm and
+    fault metrics are folded from its events."""
+    if cluster.trace or profiler is not None:
+        return ClusterTrace(cluster.n_ranks, record.trace)
+    return None
 
 
 def _make_worker(
