@@ -43,10 +43,12 @@ from repro.core.operators import (
     LocalHistogram,
     Map,
     MaterializeRowVector,
+    MpiBroadcast,
     MpiExchange,
     MpiHistogram,
     NestedMap,
     ParameterLookup,
+    ParametrizedMap,
     Projection,
     Reduce,
     ReduceByKey,
@@ -136,6 +138,18 @@ class Lockstep:
         params = {slot: [bound[i] for i in lanes] for slot, bound in self.params.items()}
         params[slot_id] = values
         return Lockstep([self.ctxs[i] for i in lanes], None, params)
+
+    def joint(self, step: Step) -> bool:
+        """Whether the lanes' rows of ``step`` fit one morsel together: a
+        row-wise kernel then runs once for every lane, and otherwise lane by
+        lane, so that no kernel outgrows the cache budget a morsel has."""
+        return sum(step.sizes()) <= self.ctxs[0].morsel_rows_for(step.element_type)
+
+    def rowwise(self, step: Step, element_type: TupleType, kernel) -> Step:
+        """``kernel``, one output row per input row, over the rows of ``step``."""
+        if self.joint(step):
+            return step.derive(kernel(step.whole))
+        return Step(element_type, step.lanes, parts=[kernel(part) for part in step.parts])
 
     def charge(self, op: Operator, kind: str, step: Step) -> None:
         for lane, n_rows in zip(step.lanes, step.sizes()):
@@ -229,19 +243,45 @@ def _parameter(op: ParameterLookup, lx: Lockstep) -> Iterator[Step]:
 def _projection(op: Projection, lx: Lockstep) -> Iterator[Step]:
     for step in pulled(op.upstreams[0], lx):
         lx.charge(op, "map", step)
-        columns = step.whole.columns
-        yield step.derive(RowVector(op.output_type, [columns[p] for p in op._positions]))
+        yield lx.rowwise(step, op.output_type, lambda batch: RowVector(
+            op.output_type, [batch.columns[p] for p in op._positions]
+        ))
 
 
 def _map(op: Map, lx: Lockstep) -> Iterator[Step]:
     for step in pulled(op.upstreams[0], lx):
         lx.charge(op, "map", step)
-        yield step.derive(op.fn.apply_batch(step.whole, op.output_type))
+        yield lx.rowwise(
+            step, op.output_type, lambda batch: op.fn.apply_batch(batch, op.output_type)
+        )
+
+
+def _parametrized_map(op: ParametrizedMap, lx: Lockstep) -> Iterator[Step]:
+    side = op.upstreams[1]
+    params = []
+    for vector in _vectors(side, steps(side, lx), lx):
+        if len(vector) != 1:
+            raise ExecutionError(
+                f"ParametrizedMap parameter upstream produced {len(vector)} tuples, "
+                "expected exactly 1"
+            )
+        params.append(vector.row(0))
+    for step in pulled(op.upstreams[0], lx):
+        lx.charge(op, "map", step)
+        yield Step(op.output_type, step.lanes, parts=[
+            op.fn.apply_batch(params[lane], part, op.output_type)
+            for lane, part in zip(step.lanes, step.parts)
+        ])
 
 
 def _filter(op: Filter, lx: Lockstep) -> Iterator[Step]:
     for step in pulled(op.upstreams[0], lx):
         lx.charge(op, "map", step)
+        if not lx.joint(step):
+            yield Step(op.output_type, step.lanes, parts=[
+                _selected(part, op.predicate.mask(part)) for part in step.parts
+            ])
+            continue
         whole = step.whole
         mask = op.predicate.mask(whole)
         if mask.all():
@@ -249,6 +289,10 @@ def _filter(op: Filter, lx: Lockstep) -> Iterator[Step]:
         else:
             keep = np.flatnonzero(mask)
             yield step.derive(whole.take(keep), np.searchsorted(keep, step.offs).tolist())
+
+
+def _selected(batch: RowVector, mask: np.ndarray) -> RowVector:
+    return batch if mask.all() else batch.take(np.flatnonzero(mask))
 
 
 def _row_scan(op: RowScan, lx: Lockstep) -> Iterator[Step]:
@@ -336,14 +380,18 @@ def _local_histogram(op: LocalHistogram, lx: Lockstep) -> Iterator[Step]:
     counts = np.zeros((n_lanes, n_buckets), dtype=np.int64)
     totals = [0] * n_lanes
     for step in pulled(op.upstreams[0], lx):
-        whole = step.whole
-        if len(whole) == 0:
-            continue
-        for lane, n_rows in zip(step.lanes, step.sizes()):
+        sizes = step.sizes()
+        for lane, n_rows in zip(step.lanes, sizes):
             totals[lane] += n_rows
-        ids = _lane_keyed(step, op.bucket_fn.map_batch(whole), n_buckets, step.lanes)
-        # An id out of range lengthens the count and fails the reshape.
-        counts += bucket_counts(ids, n_lanes * n_buckets).reshape(n_lanes, n_buckets)
+        if not lx.joint(step):
+            for lane, part in zip(step.lanes, step.parts):
+                if len(part):
+                    counts[lane] += bucket_counts(op.bucket_fn.map_batch(part), n_buckets)
+        elif sum(sizes):
+            buckets = op.bucket_fn.map_batch(step.whole)
+            ids = _lane_keyed(step, buckets, n_buckets, step.lanes)
+            # An id out of range lengthens the count and fails the reshape.
+            counts += bucket_counts(ids, n_lanes * n_buckets).reshape(n_lanes, n_buckets)
     for ctx, total in zip(lx.ctxs, totals):
         ctx.charge_cpu(op, "histogram", total)
     yield _histogram_step(n_lanes, counts)
@@ -418,6 +466,12 @@ def _send_all(op: MpiExchange, lx: Lockstep, windows, cursors) -> list[int]:
     n_parts = op.n_partitions
     totals = [0] * len(lx.ctxs)
     for step in pulled(op.upstreams[0], lx):
+        if not lx.joint(step):
+            for lane, part in zip(step.lanes, step.parts):
+                if len(part):
+                    op.send_batch(lx.ctxs[lane], windows[lane], cursors[lane], part)
+                    totals[lane] += len(part)
+            continue
         whole = step.whole
         if len(whole) == 0:
             continue
@@ -449,12 +503,58 @@ def _send_all(op: MpiExchange, lx: Lockstep, windows, cursors) -> list[int]:
     return totals
 
 
+def _broadcast(op: MpiBroadcast, lx: Lockstep) -> Iterator[Step]:
+    lx.set_phase(op.assigned_phase)
+    local, global_ = (_read_totals(lx, up) for up in op.upstreams[1:])
+    lx.set_phase(op.assigned_phase)
+    per_rank = np.asarray(lx.group.allgather(local, payload_bytes=8), dtype=np.int64)
+    if any(int(per_rank.sum()) != total for total in global_):
+        raise ExecutionError("global histogram disagrees with the sum of local histograms")
+    windows = lx.group.win_create(op.output_type, global_)
+    offsets = [int(per_rank[:rank].sum()) for rank in range(len(lx.ctxs))]
+    for sent, promised in zip(_replicate(op, lx, windows, offsets), local):
+        if sent != promised:
+            raise ExecutionError(
+                f"data upstream produced {sent} tuples but the local histogram "
+                f"promised {promised}"
+            )
+    lx.set_phase(op.assigned_phase)
+    lx.group.fence(windows)
+    yield _each_lane(op.output_type, [
+        window_set.local.read(0, total) for window_set, total in zip(windows, global_)
+    ])
+
+
+def _replicate(op: MpiBroadcast, lx: Lockstep, windows, offsets) -> list[int]:
+    """``MpiBroadcast._send_all`` for every lane; the rows each lane sent.
+    A helper, so that no morsel is alive at the fence."""
+    sent = [0] * len(lx.ctxs)
+    for step in pulled(op.upstreams[0], lx):
+        for lane, part in zip(step.lanes, step.parts):
+            if len(part):
+                op.send_batch(lx.ctxs[lane], windows[lane], offsets[lane] + sent[lane], part)
+                sent[lane] += len(part)
+    return sent
+
+
+def _read_totals(lx: Lockstep, upstream: Operator) -> list[int]:
+    """``MpiBroadcast._read_total`` for every lane."""
+    totals = [0] * len(lx.ctxs)
+    for step in pulled(upstream, lx):
+        for lane, part in zip(step.lanes, step.parts):
+            if len(part):
+                totals[lane] += int(part.column("count").sum())
+    return totals
+
+
 # -- control flow --------------------------------------------------------------
 
 
 #: Operators that yield one morsel per activation, which lets ``Zip`` drain
 #: its upstreams one after the other in the order a rank pulls them.
-_ONE_MORSEL = (MpiExchange, SharedScan, MaterializeRowVector, LocalHistogram, MpiHistogram)
+_ONE_MORSEL = (
+    MpiExchange, MpiBroadcast, SharedScan, MaterializeRowVector, LocalHistogram, MpiHistogram,
+)
 
 
 def _zip(op: Zip, lx: Lockstep) -> Iterator[Step]:
@@ -575,12 +675,14 @@ _RUNNERS: dict[type, Callable[[Operator, Lockstep], Iterator[Step]]] = {
     ParameterLookup: _parameter,
     Projection: _projection,
     Map: _map,
+    ParametrizedMap: _parametrized_map,
     Filter: _filter,
     RowScan: _row_scan,
     SharedScan: _shared,
     LocalHistogram: _local_histogram,
     MpiHistogram: _mpi_histogram,
     MpiExchange: _exchange,
+    MpiBroadcast: _broadcast,
     Zip: _zip,
     NestedMap: _nested_map,
     BuildProbe: _build_probe,
@@ -590,7 +692,7 @@ _RUNNERS: dict[type, Callable[[Operator, Lockstep], Iterator[Step]]] = {
 }
 
 #: Runners that issue collectives: they need every rank of the job.
-_COLLECTIVES = (MpiHistogram, MpiExchange)
+_COLLECTIVES = (MpiHistogram, MpiExchange, MpiBroadcast)
 
 
 def _walkable(root: Operator, nested: bool) -> bool:

@@ -93,24 +93,27 @@ class MpiBroadcast(Operator):
         the rows sent.  A helper, so that no morsel outlives it: under the
         baton, every rank parked at the fence would hold its last one at once.
         """
-        comm, metrics = ctx.comm, ctx.registry
         sent = 0
         for batch in self.upstreams[0].stream_batches(ctx):
-            if len(batch) == 0:
-                continue
-            ctx.charge_cpu(self, "partition", len(batch))
-            if metrics is not None:
-                # Replication volume: every batch goes to every rank.
-                metrics.counter("broadcast_rows", op=type(self).__name__).add(
-                    len(batch) * comm.n_ranks
-                )
-                metrics.counter("broadcast_bytes", op=type(self).__name__).add(
-                    batch.size_bytes() * comm.n_ranks
-                )
-            ctx.set_phase(self.assigned_phase)
-            for start in range(0, len(batch), BUFFER_ROWS):
-                chunk = batch.slice(start, min(start + BUFFER_ROWS, len(batch)))
-                for target in range(comm.n_ranks):
-                    windows.put(target, offset + sent + start, chunk)
-            sent += len(batch)
+            if len(batch):
+                self.send_batch(ctx, windows, offset + sent, batch)
+                sent += len(batch)
         return sent
+
+    def send_batch(self, ctx: ExecutionContext, windows, offset: int, batch) -> None:
+        """Put one non-empty morsel into every rank's window at ``offset``."""
+        comm, metrics = ctx.comm, ctx.registry
+        ctx.charge_cpu(self, "partition", len(batch))
+        if metrics is not None:
+            # Replication volume: every batch goes to every rank.
+            metrics.counter("broadcast_rows", op=type(self).__name__).add(
+                len(batch) * comm.n_ranks
+            )
+            metrics.counter("broadcast_bytes", op=type(self).__name__).add(
+                batch.size_bytes() * comm.n_ranks
+            )
+        ctx.set_phase(self.assigned_phase)
+        for start in range(0, len(batch), BUFFER_ROWS):
+            chunk = batch.slice(start, min(start + BUFFER_ROWS, len(batch)))
+            for target in range(comm.n_ranks):
+                windows.put(target, offset + start, chunk)

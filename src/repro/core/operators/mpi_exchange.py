@@ -191,22 +191,25 @@ class MpiExchange(Operator):
         """
         total = 0
         for batch in self.upstreams[0].stream_batches(ctx):
-            if len(batch) == 0:
-                continue
-            total += len(batch)
-            ctx.charge_cpu(self, "partition", len(batch))
-            buckets = self.partition_fn.map_batch(batch)
-            # One stable linear-time scatter order per batch (the identity,
-            # neither counted by bincount nor sorted, at one partition); each
-            # put gathers its partition's slice of it straight from the
-            # morsel into the target window, so every byte moves once.
-            order, counts, offsets = partition_layout(buckets, self.n_partitions)
-            wire = batch
-            if self.compression is not None:
-                wire = self.compression.pack_batch(batch)
-            for pid in np.flatnonzero(counts):
-                self._send_partition(ctx, windows, cursor, int(pid), wire, order, offsets)
+            if len(batch):
+                self.send_batch(ctx, windows, cursor, batch)
+                total += len(batch)
         return total
+
+    def send_batch(self, ctx: ExecutionContext, windows, cursor, batch) -> None:
+        """Charge and scatter one non-empty morsel into the windows."""
+        ctx.charge_cpu(self, "partition", len(batch))
+        buckets = self.partition_fn.map_batch(batch)
+        # One stable linear-time scatter order per batch (the identity,
+        # neither counted by bincount nor sorted, at one partition); each
+        # put gathers its partition's slice of it straight from the
+        # morsel into the target window, so every byte moves once.
+        order, counts, offsets = partition_layout(buckets, self.n_partitions)
+        wire = batch
+        if self.compression is not None:
+            wire = self.compression.pack_batch(batch)
+        for pid in np.flatnonzero(counts):
+            self._send_partition(ctx, windows, cursor, int(pid), wire, order, offsets)
 
     def _send_partition(
         self, ctx: ExecutionContext, windows, cursor, pid: int, wire, order, offsets

@@ -348,15 +348,30 @@ def test_bulk(builder, compression):
     assert ledger(bulk_report(builder, compression)) == PINNED[f"{builder}-{compression}"]
 
 
-@pytest.mark.parametrize("ranks", [1, 4, 8])
-@pytest.mark.parametrize("query", sorted(ALL_QUERIES))
-def test_tpch_in_lockstep(query, ranks, monkeypatch):
+@pytest.fixture
+def lockstep_jobs(monkeypatch):
+    """The jobs that run in lockstep."""
     jobs = []
     run_job = lockstep.run_job
     monkeypatch.setattr(lockstep, "run_job", lambda *args: jobs.append(1) or run_job(*args))
+    return jobs
+
+
+@pytest.mark.parametrize("ranks", [1, 4, 8])
+@pytest.mark.parametrize("query", sorted(ALL_QUERIES))
+def test_tpch_in_lockstep(query, ranks, lockstep_jobs):
     report = tpch_report(query, ranks, RunOptions())
-    assert jobs == [1] * len(report.cluster_results) == [1]
+    assert lockstep_jobs == [1] * len(report.cluster_results) == [1]
     assert clocks_and_phases(report) == PINNED[f"q{query}-r{ranks}"][:2]
+
+
+@pytest.mark.parametrize("ranks", [1, 4, 8])
+@pytest.mark.parametrize("query", sorted(ALL_QUERIES))
+def test_tpch_on_rank_threads(query, ranks, lockstep_jobs):
+    # A timed profile walks each rank's copy of the plan on its own thread.
+    report = tpch_report(query, ranks, RunOptions(metrics=True, profile=True))
+    assert not lockstep_jobs
+    assert ledger(report) == PINNED[f"q{query}-r{ranks}"]
 
 
 def test_transient_faults():
