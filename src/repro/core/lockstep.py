@@ -19,15 +19,18 @@ materialization) run per lane, each making its own choice.  A collective
 is one :class:`~repro.mpi.comm.CommGroup` call that sees every lane's
 contribution; puts still go through each rank's ``Window``.
 
-A job runs in lockstep when every operator of its nested plan has a
-runner here and nothing observes it per rank (no profiler, metrics,
-sanitizer, fault injection or substrate trace); any other job runs on the
-threaded substrate (:meth:`~repro.mpi.cluster.SimCluster.run`), where
-each rank walks its own copy.
+Metrics, untimed profiles, substrate traces, fault injection and stage
+recovery all run in lockstep: each lane keeps its rank's counters, faults
+strike at its rank's comm operations, and a crash aborts the wave at that
+rank's clock.  A job runs on the threaded substrate instead
+(:meth:`~repro.mpi.cluster.SimCluster.run`, each rank walking its own
+copy) when it is timed by the profiler or sanitized, or when an operator
+of its plan has no runner here.
 """
 
 from __future__ import annotations
 
+import weakref
 from itertools import accumulate
 from typing import Callable, Iterator
 
@@ -75,7 +78,7 @@ class Step:
     (slicing is zero-copy, and so is concatenating adjacent slices).
     """
 
-    __slots__ = ("element_type", "lanes", "_parts", "_whole", "_offs")
+    __slots__ = ("element_type", "lanes", "_parts", "_whole", "_offs", "_sizes")
 
     def __init__(
         self, element_type: TupleType, lanes, parts=None, whole=None, offs=None
@@ -85,6 +88,7 @@ class Step:
         self._parts = parts
         self._whole = whole
         self._offs = offs
+        self._sizes = None
 
     @property
     def parts(self) -> list[RowVector]:
@@ -107,10 +111,13 @@ class Step:
         return self._whole
 
     def sizes(self) -> list[int]:
-        if self._parts is not None:
-            return [len(part) for part in self._parts]
-        offs = self._offs
-        return [hi - lo for lo, hi in zip(offs, offs[1:])]
+        if self._sizes is None:
+            if self._parts is not None:
+                self._sizes = [len(part) for part in self._parts]
+            else:
+                offs = self._offs
+                self._sizes = [hi - lo for lo, hi in zip(offs, offs[1:])]
+        return self._sizes
 
     def derive(self, whole: RowVector, offs=None) -> "Step":
         """The same lanes holding ``whole`` (split at ``offs``, default ours)."""
@@ -299,37 +306,46 @@ def _row_scan(op: RowScan, lx: Lockstep) -> Iterator[Step]:
     morsel_rows = lx.ctxs[0].morsel_rows_for(op.output_type)
     for step in steps(op.upstreams[0], lx):
         # Each lane's collections of this step, sharded as its rank reads them.
-        collections = {}
-        for lane, part in zip(step.lanes, step.parts):
-            scanned = []
-            for row in part.iter_rows():
-                collection = row[op._position]
-                if collection.element_type != op.output_type:
-                    raise ExecutionError(
-                        f"RowScan expected {op.output_type!r} elements, "
-                        f"found {collection.element_type!r}"
-                    )
-                sharded = op._shard(lx.ctxs[lane], collection)
-                metrics = lx.ctxs[lane].registry
-                if metrics is not None:
-                    metrics.counter("scan_rows", op="RowScan").add(len(sharded))
-                    metrics.counter("scan_bytes", op="RowScan").add(sharded.size_bytes())
-                scanned.append(sharded)
-            collections[lane] = scanned
-        for index in range(max(map(len, collections.values()), default=0)):
-            lanes = [lane for lane, scanned in collections.items() if len(scanned) > index]
-            morsels = {}
-            for lane in lanes:
-                collection = collections[lane][index]
-                lx.ctxs[lane].charge_cpu(op, "scan", len(collection) * op._scan_weight)
-                morsels[lane] = [collection] if len(collection) <= morsel_rows else [
-                    collection.slice(start, min(start + morsel_rows, len(collection)))
-                    for start in range(0, len(collection), morsel_rows)
-                ]
-            for k in range(max(len(m) for m in morsels.values())):
-                present = [lane for lane in lanes if len(morsels[lane]) > k]
-                yield Step(op.output_type, present,
-                           parts=[morsels[lane][k] for lane in present])
+        scans = [
+            (lane, [_scanned(op, lx.ctxs[lane], c) for c in part.columns[op._position]])
+            for lane, part in zip(step.lanes, step.parts)
+        ]
+        for index in range(max((len(c) for _, c in scans), default=0)):
+            morsels = []
+            for lane, collections in scans:
+                if len(collections) > index:
+                    collection = collections[index]
+                    lx.ctxs[lane].charge_cpu(op, "scan", len(collection) * op._scan_weight)
+                    morsels.append((lane, _morsels(collection, morsel_rows)))
+            for k in range(max(len(m) for _, m in morsels)):
+                present = [(lane, m[k]) for lane, m in morsels if len(m) > k]
+                yield Step(op.output_type, [lane for lane, _ in present],
+                           parts=[morsel for _, morsel in present])
+
+
+def _scanned(op: RowScan, ctx: ExecutionContext, collection: RowVector) -> RowVector:
+    """``collection`` as ``RowScan`` reads it on ``ctx``'s rank: type-checked,
+    sharded and counted."""
+    if collection.element_type != op.output_type:
+        raise ExecutionError(
+            f"RowScan expected {op.output_type!r} elements, "
+            f"found {collection.element_type!r}"
+        )
+    sharded = op._shard(ctx, collection)
+    metrics = ctx.registry
+    if metrics is not None:
+        metrics.counter("scan_rows", op="RowScan").add(len(sharded))
+        metrics.counter("scan_bytes", op="RowScan").add(sharded.size_bytes())
+    return sharded
+
+
+def _morsels(collection: RowVector, morsel_rows: int) -> list[RowVector]:
+    if len(collection) <= morsel_rows:
+        return [collection]
+    return [
+        collection.slice(start, min(start + morsel_rows, len(collection)))
+        for start in range(0, len(collection), morsel_rows)
+    ]
 
 
 def _shared(op: SharedScan, lx: Lockstep) -> Iterator[Step]:
@@ -659,16 +675,30 @@ def _reduce_by_key(op: ReduceByKey, lx: Lockstep) -> Iterator[Step]:
 
 
 def _materialize(op: MaterializeRowVector, lx: Lockstep) -> Iterator[Step]:
-    outputs = []
-    for ctx, parts in zip(lx.ctxs, _parts(pulled(op.upstreams[0], lx), lx)):
-        builder = RowVectorBuilder(op.upstreams[0].output_type)
-        for part in parts:
-            builder.extend_vector(part)
-        vector = builder.finish()
-        ctx.charge_materialize(op, vector.size_bytes())
-        ctx.account_memory(vector.owned_bytes())
-        outputs.append(RowVector.of_row(op.output_type, (vector,)))
-    yield _each_lane(op.output_type, outputs)
+    # A stage's checkpoints apply at the job's top scope (only the
+    # executor's own slot bound), where every rank deposits or none has.
+    store = lx.ctxs[0].checkpoints
+    if store is not None and list(lx.params) != [store.slot_id]:
+        store = None
+    sealed = [store.lookup(id(op), ctx.rank) for ctx in lx.ctxs] if store else []
+    if sealed and all(vector is not None for vector in sealed):
+        for ctx, vector in zip(lx.ctxs, sealed):
+            op._serve_checkpoint(ctx, vector)
+    else:
+        sealed = []
+        for ctx, parts in zip(lx.ctxs, _parts(pulled(op.upstreams[0], lx), lx)):
+            builder = RowVectorBuilder(op.upstreams[0].output_type)
+            for part in parts:
+                builder.extend_vector(part)
+            vector = builder.finish()
+            ctx.charge_materialize(op, vector.size_bytes())
+            ctx.account_memory(vector.owned_bytes())
+            if store is not None:
+                store.deposit(id(op), ctx.rank, vector)
+            sealed.append(vector)
+    yield _each_lane(
+        op.output_type, [RowVector.of_row(op.output_type, (v,)) for v in sealed]
+    )
 
 
 _RUNNERS: dict[type, Callable[[Operator, Lockstep], Iterator[Step]]] = {
@@ -708,33 +738,42 @@ def _walkable(root: Operator, nested: bool) -> bool:
     return True
 
 
+#: Whether each (prepared) executor's nested plan has a runner everywhere.
+_WALKABLE: "weakref.WeakKeyDictionary[Operator, bool]" = weakref.WeakKeyDictionary()
+
+
 def runs_in_lockstep(executor, ctx: ExecutionContext) -> bool:
-    """Whether ``executor``'s job runs in lockstep under ``ctx``: no timed
-    profile, sanitizer or fault injection, and a runner for every operator
-    of its nested plan (collectives only outside nested ``NestedMap``
-    plans, whose invocations differ per rank)."""
-    if (
-        (ctx.profiler is not None and ctx.profiler.timed)
-        or ctx.sanitizer is not None
-        or ctx.fault_injector is not None
-    ):
+    """Whether ``executor``'s jobs run in lockstep under ``ctx``: neither
+    timed by the profiler (whose frame stacks time one rank at a time) nor
+    sanitized (its checks are of per-rank MPI use), and a runner for every
+    operator of the nested plan (collectives only outside nested
+    ``NestedMap`` plans, whose invocations differ per rank)."""
+    if ctx.sanitizer is not None or (ctx.profiler is not None and ctx.profiler.timed):
         return False
-    return _walkable(executor.inner, nested=False)
+    walkable = _WALKABLE.get(executor)
+    if walkable is None:
+        walkable = _WALKABLE[executor] = _walkable(executor.inner, nested=False)
+    return walkable
 
 
 def run_job(
-    executor, ctx: ExecutionContext, wave: list[tuple], trace=None
-) -> ClusterResult:
-    """One wave of ``executor`` in lockstep, ``wave[rank]`` bound on each
-    lane, recording into ``trace``; each rank's profiler and metrics join
-    the driver's once the wave completes, as a threaded wave's do."""
-    contexts = executor.cluster.job_contexts(trace=trace)
+    executor, ctx: ExecutionContext, wave: list[tuple], cluster, trace=None,
+    faults=None, checkpoints=None,
+) -> tuple[ClusterResult, list[ExecutionContext]]:
+    """One attempt at a wave of ``executor`` on ``cluster``, in lockstep:
+    ``wave[rank]`` bound on each lane, a job drawn from the injector
+    ``faults``, materializations checkpointed into ``checkpoints``, the
+    substrate recording into ``trace``.  Returns the result and the lanes'
+    contexts, whose profilers and metrics join the driver's only if the
+    wave completes."""
+    contexts = cluster.job_contexts(faults, trace)
     profiler, metrics = ctx.profiler, ctx.registry
     lanes = [
         ExecutionContext.for_rank(
             rank_ctx, ctx.options,
             profiler=profiler.child(rank_ctx.clock, rank_ctx.rank) if profiler else None,
             registry=metrics.child(rank_ctx.rank) if metrics else None,
+            checkpoints=checkpoints,
         )
         for rank_ctx in contexts
     ]
@@ -742,10 +781,5 @@ def run_job(
         lanes, CommGroup([rank_ctx.comm for rank_ctx in contexts]),
         {executor.slot.id: list(wave)},
     )
-    result = ClusterResult.of(contexts, _rows(steps(executor.inner, lx), lx), trace)
-    for lane in lanes:
-        if profiler is not None:
-            profiler.absorb(lane.profiler)
-        if metrics is not None:
-            metrics.absorb(lane.registry)
-    return result
+    rows = _rows(steps(executor.inner, lx), lx)
+    return ClusterResult.of(contexts, rows, trace), lanes

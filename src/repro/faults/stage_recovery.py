@@ -53,10 +53,7 @@ def run_wave(
 
     cluster = executor.cluster
     record, profiler, metrics = ctx.record, ctx.profiler, ctx.registry
-    if runs_in_lockstep(executor, ctx):
-        result = run_job(executor, ctx, wave, _job_trace(cluster, record, profiler))
-        record.cluster_results.append(result)
-        return result
+    lockstep = runs_in_lockstep(executor, ctx)
     injector = ctx.fault_injector
     policy = injector.policy if injector is not None else None
     recoverable = policy is not None and (
@@ -86,11 +83,19 @@ def run_wave(
         san_job = (
             ctx.sanitizer.job(cluster.n_ranks) if ctx.sanitizer is not None else None
         )
-        worker = _make_worker(
-            executor, ctx, wave, rank_profilers, rank_metrics, checkpoints, san_job
-        )
         try:
-            result = cluster.run(worker, faults=injector, trace=trace)
+            if lockstep:
+                result, lanes = run_job(
+                    executor, ctx, wave, cluster, trace, injector, checkpoints
+                )
+                rank_profilers = [lane.profiler for lane in lanes]
+                rank_metrics = [lane.registry for lane in lanes]
+            else:
+                worker = _make_worker(
+                    executor, ctx, wave, rank_profilers, rank_metrics, checkpoints,
+                    san_job,
+                )
+                result = cluster.run(worker, faults=injector, trace=trace)
         except (RankCrashError, RetryBudgetExceeded) as exc:
             if policy is None or attempt > policy.max_stage_retries:
                 raise

@@ -417,6 +417,15 @@ class SimComm:
         combine: Callable[[dict[int, object]], object],
         op_cost: float,
     ) -> object:
+        index, origin, arrival = self._arrive(tag)
+        result, result_time = self.world.rendezvous(
+            index, tag, self.rank, value, arrival, combine, op_cost, origin
+        )
+        self._leave(tag, arrival, result_time, op_cost)
+        return result
+
+    def _arrive(self, tag: str) -> tuple[int, object, float]:
+        """This rank reaching collective ``tag``: ⟨call index, origin, arrival⟩."""
         faults = self.faults
         if faults is not None:
             # Retry a lost *contribution* before the single rendezvous call,
@@ -431,17 +440,16 @@ class SimComm:
         self._call_index += 1
         sanitizer = self.sanitizer
         origin = None if sanitizer is None else sanitizer.on_collective()
-        arrival = self.clock.now
-        result, result_time = self.world.rendezvous(
-            index, tag, self.rank, value, arrival, combine, op_cost, origin
-        )
+        return index, origin, self.clock.now
+
+    def _leave(self, tag: str, arrival: float, result_time: float, op_cost: float) -> None:
+        """This rank leaving the completed collective ``tag``."""
         self.clock.advance_to(result_time)
         if self.world.trace is not None:
             self.world.trace.emit(
                 self.rank, "collective", tag, arrival, result_time,
                 CollectiveDetail(stall=max(0.0, result_time - op_cost - arrival)),
             )
-        return result
 
     # -- collectives -----------------------------------------------------------
 
@@ -510,9 +518,10 @@ class CommGroup:
     """Every rank's communicator of one job, issuing each collective at once.
 
     The lockstep counterpart of the rendezvous: one call takes every rank's
-    contribution, and each rank's clock, call index and trace move exactly
-    as if that rank had issued the collective itself (each arrives at its
-    own clock, all leave at the latest arrival plus the collective's cost).
+    contribution, and each rank's clock, call index, faults, sanitizer
+    record and trace move exactly as if that rank had issued the collective
+    itself (each arrives at its own clock, all leave at the latest arrival
+    plus the collective's cost).
     A collective of a plan is rank-uniform by construction, so no rank can
     issue another one (MOD051 stays the threaded substrate's check).
     """
@@ -522,20 +531,13 @@ class CommGroup:
         self.cost = self.comms[0].cost
 
     def _collect(self, tag: str, values: list, combine, op_cost: float) -> object:
-        arrivals = []
-        for comm in self.comms:
-            comm._call_index += 1
-            arrivals.append(comm.clock.now)
+        # Each rank arrives in rank order (a fault may delay it, or crash the
+        # job at that rank's clock); all leave at the latest arrival.
+        arrivals = [comm._arrive(tag)[2] for comm in self.comms]
         result = combine(dict(enumerate(values)))
         result_time = max(0.0, *arrivals) + op_cost
         for comm, arrival in zip(self.comms, arrivals):
-            comm.clock.advance_to(result_time)
-            trace = comm.world.trace
-            if trace is not None:
-                trace.emit(
-                    comm.rank, "collective", tag, arrival, result_time,
-                    CollectiveDetail(stall=max(0.0, result_time - op_cost - arrival)),
-                )
+            comm._leave(tag, arrival, result_time, op_cost)
         return result
 
     def allreduce(self, arrays: list[np.ndarray], op: str = "sum") -> np.ndarray:

@@ -91,9 +91,9 @@ def test_grant_order_changes_nothing(name):
             for sanitize, seed in zip(SEEDED_ORDERS, seeds):
                 with grant_order(seed) as picks, lockstep_jobs() as walked:
                     report = target.run(RunOptions(mode=mode, sanitize=sanitize))
-                assert picks or len(walked) == len(report.cluster_results), (
-                    "the substituted grant policy never ran"
-                )
+                # With two or more ranks a threaded job always asks the grant
+                # policy; a run that never did walked its jobs in lockstep.
+                assert picks or walked, "the substituted grant policy never ran"
                 assert not sanitize or report.sanitizer.clean, (ranks, mode, seed)
                 assert evidence(target, report) == expected, (ranks, mode, seed)
 
