@@ -150,7 +150,9 @@ class Lockstep:
         """Whether the lanes' rows of ``step`` fit one morsel together: a
         row-wise kernel then runs once for every lane, and otherwise lane by
         lane, so that no kernel outgrows the cache budget a morsel has."""
-        return sum(step.sizes()) <= self.ctxs[0].morsel_rows_for(step.element_type)
+        return len(step.lanes) == 1 or (
+            sum(step.sizes()) <= self.ctxs[0].morsel_rows_for(step.element_type)
+        )
 
     def rowwise(self, step: Step, element_type: TupleType, kernel) -> Step:
         """``kernel``, one output row per input row, over the rows of ``step``."""
