@@ -12,10 +12,11 @@ operator charges each lane's own clock from that lane's rows, at the point
 where the rank would have charged it, so every clock makes the same float
 additions in the same order.  A lane without a k-th morsel is absent from
 step k rather than charged a zero, and an upstream step is pulled only
-once every lane has consumed the previous one.  Row-wise kernels (scan,
-filter, map, projection, partition functions) run once over the lanes'
-rows side by side; kernels whose shape the data decides (joins, group-by,
-materialization) run per lane, each making its own choice.  A collective
+once every lane has consumed the previous one.  Row-wise kernels (filter,
+map, projection, partition functions, the scatter order) run once over the
+lanes' rows side by side while those fit one morsel's cache budget, and
+lane by lane beyond it; kernels whose shape the data decides (joins,
+group-by, materialization) run per lane, each making its own choice.  A collective
 is one :class:`~repro.mpi.comm.CommGroup` call that sees every lane's
 contribution; puts still go through each rank's ``Window``.
 

@@ -65,13 +65,6 @@ def pack_morsels(
         yield builder.finish()
 
 
-def _counted(source: Iterator[RowVector], drained) -> Iterator[RowVector]:
-    """``source``, counting each morsel into the ``drained`` counter."""
-    for batch in source:
-        drained.inc()
-        yield batch
-
-
 def _observe_data_path(fn, batched: bool):
     """Wrap a concrete ``rows``/``batches`` override with the observability hook.
 
@@ -255,8 +248,10 @@ class Operator:
         """The row iterator consumers should use: a ``row_native``
         operator's own rows, any other operator's morsels unpacked."""
         if self.row_native:
-            return self.rows(ctx)
-        return (row for batch in self.batches(ctx) for row in batch.iter_rows())
+            yield from self.rows(ctx)
+            return
+        for batch in self.batches(ctx):
+            yield from batch.iter_rows()
 
     def stream_batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
         """The *batch* iterator consumers should use.
@@ -264,14 +259,17 @@ class Operator:
         Batch-shaped consumers (joins, aggregations, partitioners, the
         network exchange) pull morsels through this method, so the
         upstream's ``batches()`` kernel runs end to end in both modes;
-        with metrics on it counts the morsels drained.  Unmetered, it is
-        the upstream's own generator: no extra frame per morsel.
+        with metrics on it counts the morsels drained.
         """
         source = self.batches(ctx)
         metrics = ctx.registry
         if metrics is None:
-            return source
-        return _counted(source, metrics.counter("morsels_drained", op=type(self).__name__))
+            yield from source
+            return
+        drained = metrics.counter("morsels_drained", op=type(self).__name__)
+        for batch in source:
+            drained.inc()
+            yield batch
 
     def drain(self, ctx: ExecutionContext) -> RowVector:
         """Execute fully and materialize the result (no cost charged).

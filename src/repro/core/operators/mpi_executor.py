@@ -6,9 +6,12 @@ loading the JiT-compiled nested plan).  Semantics match ``NestedMap`` —
 one nested-plan invocation per input tuple, one output tuple each — except
 that invocations are guaranteed to run concurrently on different ranks.
 
-The reproduction dispatches onto a :class:`~repro.mpi.cluster.SimCluster`:
-one thread per rank, each executing the same nested plan on its input
-tuple; results are collected in rank order.  The driver's clock advances by
+The reproduction dispatches onto a :class:`~repro.mpi.cluster.SimCluster`.
+A wave walks the nested plan once for every rank, in lockstep on the
+driver's thread (:mod:`repro.core.lockstep`); a timed or sanitized wave, or
+one whose plan holds an operator without a lockstep runner, gives each
+rank a thread to execute the nested plan on its input tuple.  Either way
+results are collected in rank order.  The driver's clock advances by
 the job's makespan (the slowest rank); each completed wave's
 :class:`~repro.mpi.cluster.ClusterResult` (per-rank phase breakdowns,
 substrate trace) is appended to the *execution's* record, never kept on

@@ -6,9 +6,9 @@ phase breakdown, the puts and shuffled bytes, the morsels drained and the
 substrate events each rank recorded.  A change that moves one of these is
 a plan or cost-model change, and says so.
 
-A metered run walks each rank's copy of the plan on the threaded
-substrate; an unobserved one walks it once for all ranks, in lockstep.
-Both must land on the same clocks and phases.
+A timed profile walks each rank's copy of the plan on its own thread; any
+other run walks it once for all ranks, in lockstep.  Both must land on the
+same figures.
 """
 
 from __future__ import annotations
