@@ -43,8 +43,10 @@ from repro.core.kernels.scatter import bucket_counts, stable_order
 from repro.core.operator import Operator
 from repro.core.operators import (
     BuildProbe,
+    CartesianProduct,
     Filter,
     LocalHistogram,
+    LocalPartitioning,
     Map,
     MaterializeRowVector,
     MpiBroadcast,
@@ -431,6 +433,16 @@ def _read_histograms(lx: Lockstep, upstream: Operator, n: int) -> np.ndarray:
     return counts
 
 
+def _local_partitioning(op: LocalPartitioning, lx: Lockstep) -> Iterator[Step]:
+    counts = _read_histograms(lx, op.upstreams[1], op.n_partitions)
+    data = op.upstreams[0]
+    vectors = _vectors(data, pulled(data, lx), lx)
+    yield _each_lane(op.output_type, [
+        op.partition(ctx, vector, lane_counts)
+        for ctx, vector, lane_counts in zip(lx.ctxs, vectors, counts)
+    ])
+
+
 def _mpi_histogram(op: MpiHistogram, lx: Lockstep) -> Iterator[Step]:
     local = _read_histograms(lx, op.upstreams[0], op.n_buckets)
     lx.set_phase(op.assigned_phase)
@@ -572,7 +584,8 @@ def _read_totals(lx: Lockstep, upstream: Operator) -> list[int]:
 #: Operators that yield one morsel per activation, which lets ``Zip`` drain
 #: its upstreams one after the other in the order a rank pulls them.
 _ONE_MORSEL = (
-    MpiExchange, MpiBroadcast, SharedScan, MaterializeRowVector, LocalHistogram, MpiHistogram,
+    MpiExchange, MpiBroadcast, SharedScan, MaterializeRowVector, LocalHistogram,
+    MpiHistogram, LocalPartitioning,
 )
 
 
@@ -589,6 +602,18 @@ def _zip(op: Zip, lx: Lockstep) -> Iterator[Step]:
                 f"(mismatch after {count} tuples)"
             )
         outputs.append(RowVector(op.output_type, [c for v in vectors for c in v.columns]))
+    yield _each_lane(op.output_type, outputs)
+
+
+def _cartesian_product(op: CartesianProduct, lx: Lockstep) -> Iterator[Step]:
+    # Only a NestedMap's input (see _walkable): it takes every row before
+    # running a nested plan, so a rank's charges come in this order too.
+    lefts, rights = (_rows(steps(up, lx), lx) for up in op.upstreams)
+    outputs = []
+    for ctx, left, right in zip(lx.ctxs, lefts, rights):
+        rows = [left_row + right_row for right_row in right for left_row in left]
+        ctx.charge_cpu(op, "map", len(rows))
+        outputs.append(RowVector.from_rows(op.output_type, rows))
     yield _each_lane(op.output_type, outputs)
 
 
@@ -713,10 +738,12 @@ _RUNNERS: dict[type, Callable[[Operator, Lockstep], Iterator[Step]]] = {
     RowScan: _row_scan,
     SharedScan: _shared,
     LocalHistogram: _local_histogram,
+    LocalPartitioning: _local_partitioning,
     MpiHistogram: _mpi_histogram,
     MpiExchange: _exchange,
     MpiBroadcast: _broadcast,
     Zip: _zip,
+    CartesianProduct: _cartesian_product,
     NestedMap: _nested_map,
     BuildProbe: _build_probe,
     Reduce: _reduce,
@@ -729,8 +756,11 @@ _COLLECTIVES = (MpiHistogram, MpiExchange, MpiBroadcast)
 
 
 def _walkable(root: Operator, nested: bool) -> bool:
+    drained = {id(op.upstreams[0]) for op in walk(root) if isinstance(op, NestedMap)}
     for op in walk(root):
         if type(op) not in _RUNNERS or (nested and isinstance(op, _COLLECTIVES)):
+            return False
+        if isinstance(op, CartesianProduct) and id(op) not in drained:
             return False
         if isinstance(op, Zip) and not all(
             type(up) in _ONE_MORSEL for up in op.upstreams

@@ -83,6 +83,10 @@ class LocalPartitioning(Operator):
         data = RowVector.concat(
             element_type, list(self.upstreams[0].stream_batches(ctx))
         )
+        yield self.partition(ctx, data, counts)
+
+    def partition(self, ctx: ExecutionContext, data: RowVector, counts) -> RowVector:
+        """Charge and scatter ``data`` into the partitions ``counts`` sized."""
         ctx.charge_cpu(self, "partition", len(data))
 
         buckets = (
@@ -106,7 +110,7 @@ class LocalPartitioning(Operator):
             vector = scattered.slice(int(offsets[pid]), int(offsets[pid + 1]))
             ctx.charge_materialize(self, vector.size_bytes())
             partitions[pid] = vector
-        yield RowVector(
+        return RowVector(
             self.output_type,
             [np.arange(self.n_partitions, dtype=np.int64), partitions],
         )

@@ -374,6 +374,26 @@ def test_tpch_on_rank_threads(query, ranks, lockstep_jobs):
     assert ledger(report) == PINNED[f"q{query}-r{ranks}"]
 
 
+@pytest.mark.parametrize("builder", ["join", "groupby"])
+def test_local_level_in_lockstep_matches_rank_threads(builder, lockstep_jobs):
+    # key_bits=27 plans the second, in-memory partitioning level.
+    cluster = SimCluster(4)
+    if builder == "join":
+        join = make_join_relations(1 << 12)
+        types = join.left.element_type, join.right.element_type
+        plan, inputs = build_distributed_join(cluster, *types, key_bits=27), (join.left, join.right)
+    else:
+        group = make_groupby_table(1 << 12, duplicates_per_key=4)
+        plan = build_distributed_groupby(cluster, group.table.element_type, key_bits=27)
+        inputs = (group.table,)
+    walked = plan.run(*inputs, RunOptions(metrics=True))
+    assert lockstep_jobs == [1]
+    threaded = plan.run(*inputs, RunOptions(metrics=True, profile=True))
+    assert lockstep_jobs == [1]
+    assert ledger(walked) == ledger(threaded)
+    assert walked.rows == threaded.rows
+
+
 def test_transient_faults():
     options = RunOptions(metrics=True, faults=FaultPolicy.transient(seed=3, rate=0.1))
     report = tpch_report(12, 4, options)
