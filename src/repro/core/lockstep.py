@@ -47,8 +47,10 @@ from repro.core.operators import (
     Filter,
     LocalHistogram,
     LocalPartitioning,
+    LocalSort,
     Map,
     MaterializeRowVector,
+    MergeJoin,
     MpiBroadcast,
     MpiExchange,
     MpiHistogram,
@@ -685,6 +687,19 @@ def _build_probe(op: BuildProbe, lx: Lockstep) -> Iterator[Step]:
                    parts=[RowVector.empty(op.output_type) for _ in empty])
 
 
+def _local_sort(op: LocalSort, lx: Lockstep) -> Iterator[Step]:
+    data = op.upstreams[0]
+    vectors = _vectors(data, steps(data, lx), lx)
+    yield _each_lane(op.output_type, [op.sort(ctx, v) for ctx, v in zip(lx.ctxs, vectors)])
+
+
+def _merge_join(op: MergeJoin, lx: Lockstep) -> Iterator[Step]:
+    lefts, rights = (_vectors(up, steps(up, lx), lx) for up in op.upstreams)
+    yield _each_lane(op.output_type, [
+        op.merge(ctx, left, right) for ctx, left, right in zip(lx.ctxs, lefts, rights)
+    ])
+
+
 def _reduce(op: Reduce, lx: Lockstep) -> Iterator[Step]:
     accs: list = [None] * len(lx.ctxs)
     for step in pulled(op.upstreams[0], lx):
@@ -746,6 +761,8 @@ _RUNNERS: dict[type, Callable[[Operator, Lockstep], Iterator[Step]]] = {
     CartesianProduct: _cartesian_product,
     NestedMap: _nested_map,
     BuildProbe: _build_probe,
+    LocalSort: _local_sort,
+    MergeJoin: _merge_join,
     Reduce: _reduce,
     ReduceByKey: _reduce_by_key,
     MaterializeRowVector: _materialize,

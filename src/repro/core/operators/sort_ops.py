@@ -78,17 +78,18 @@ class LocalSort(Operator):
             ctx.charge_cpu(self, "sort", n * max(1, math.ceil(math.log2(n))))
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        data = self.upstreams[0].drain(ctx)
+        yield self.sort(ctx, self.upstreams[0].drain(ctx))
+
+    def sort(self, ctx: ExecutionContext, data: RowVector) -> RowVector:
+        """Charge and sort the drained input ``data``."""
         self._charge(ctx, len(data))
         if len(data) == 0:
-            yield data
-            return
+            return data
         key_columns = []
         for position, desc in zip(reversed(self._positions), reversed(self.descending)):
             column = data.columns[position]
             key_columns.append(-column if desc else column)
-        order = np.lexsort(key_columns)
-        yield data.take(order)
+        return data.take(np.lexsort(key_columns))
 
 
 class MergeJoin(Operator):
@@ -144,7 +145,10 @@ class MergeJoin(Operator):
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
         left = self.upstreams[0].drain(ctx)
-        right = self.upstreams[1].drain(ctx)
+        yield self.merge(ctx, left, self.upstreams[1].drain(ctx))
+
+    def merge(self, ctx: ExecutionContext, left: RowVector, right: RowVector) -> RowVector:
+        """Charge and merge-join the drained, sorted inputs."""
         left_keys = np.asarray(left.columns[self._left_key])
         right_keys = np.asarray(right.columns[self._right_key])
         self._check_sorted(left_keys, "left")
@@ -160,8 +164,7 @@ class MergeJoin(Operator):
             idx = np.flatnonzero(keep)
             columns = [right_keys[idx]]
             columns += [right.columns[p][idx] for p in self._right_rest]
-            yield RowVector(self.output_type, columns)
-            return
+            return RowVector(self.output_type, columns)
 
         emitted = int(match_counts.sum())
         ctx.charge_cpu(self, "merge", len(left) + len(right) + emitted)
@@ -171,4 +174,4 @@ class MergeJoin(Operator):
         columns = [right_keys[right_idx]]
         columns += [left.columns[p][left_idx] for p in self._left_rest]
         columns += [right.columns[p][right_idx] for p in self._right_rest]
-        yield RowVector(self.output_type, columns)
+        return RowVector(self.output_type, columns)
