@@ -55,6 +55,7 @@ from repro.core.operators import (
     MpiExchange,
     MpiHistogram,
     NestedMap,
+    NicPartialAggregate,
     ParameterLookup,
     ParametrizedMap,
     Projection,
@@ -709,12 +710,21 @@ def _reduce(op: Reduce, lx: Lockstep) -> Iterator[Step]:
 
 
 def _reduce_by_key(op: ReduceByKey, lx: Lockstep) -> Iterator[Step]:
+    yield _aggregated(op, lx, op, lambda ctx, n_rows: ctx.charge_cpu(op, "reduce", n_rows))
+
+
+def _nic_aggregate(op: NicPartialAggregate, lx: Lockstep) -> Iterator[Step]:
+    yield _aggregated(op, lx, op._combiner, op._charge_nic)
+
+
+def _aggregated(op: Operator, lx: Lockstep, combiner: ReduceByKey, charge) -> Step:
+    """Each lane's non-empty morsels, charged by ``charge`` and aggregated."""
     outputs = []
     for ctx, parts in zip(lx.ctxs, _parts(pulled(op.upstreams[0], lx), lx)):
         parts = [part for part in parts if len(part)]
-        ctx.charge_cpu(op, "reduce", sum(len(part) for part in parts))
-        outputs.append(op.aggregate(parts))
-    yield _each_lane(op.output_type, outputs)
+        charge(ctx, sum(len(part) for part in parts))
+        outputs.append(combiner.aggregate(parts))
+    return _each_lane(op.output_type, outputs)
 
 
 def _materialize(op: MaterializeRowVector, lx: Lockstep) -> Iterator[Step]:
@@ -765,6 +775,7 @@ _RUNNERS: dict[type, Callable[[Operator, Lockstep], Iterator[Step]]] = {
     MergeJoin: _merge_join,
     Reduce: _reduce,
     ReduceByKey: _reduce_by_key,
+    NicPartialAggregate: _nic_aggregate,
     MaterializeRowVector: _materialize,
 }
 

@@ -374,18 +374,21 @@ def test_tpch_on_rank_threads(query, ranks, lockstep_jobs):
     assert ledger(report) == PINNED[f"q{query}-r{ranks}"]
 
 
-@pytest.mark.parametrize("builder", ["hash", "sortmerge", "groupby"])
+@pytest.mark.parametrize("builder", ["hash", "sortmerge", "groupby", "nic"])
 def test_local_level_in_lockstep_matches_rank_threads(builder, lockstep_jobs):
     # key_bits=27 plans the second, in-memory partitioning level.
     cluster = SimCluster(4)
-    if builder != "groupby":
+    if builder in ("hash", "sortmerge"):
         join = make_join_relations(1 << 12)
         types = join.left.element_type, join.right.element_type
         plan = build_distributed_join(cluster, *types, key_bits=27, algorithm=builder)
         inputs = (join.left, join.right)
     else:
         group = make_groupby_table(1 << 12, duplicates_per_key=4)
-        plan = build_distributed_groupby(cluster, group.table.element_type, key_bits=27)
+        plan = build_distributed_groupby(
+            cluster, group.table.element_type, key_bits=27,
+            offload="nic" if builder == "nic" else None,
+        )
         inputs = (group.table,)
     walked = plan.run(*inputs, RunOptions(metrics=True))
     assert lockstep_jobs == [1]
