@@ -39,7 +39,8 @@ def _has_costly_op(root: Operator) -> bool:
 
 
 def _declared_batches(cls: type):
-    """The ``batches`` implementation ``cls`` declares below ``Operator``.
+    """The morsel data path (``lanes`` or ``batches``) ``cls`` declares
+    below ``Operator``.
 
     Returns ``None`` when the class just inherits the default (it never
     chose a fused strategy); ``row_native = True`` counts as a declaration
@@ -51,8 +52,9 @@ def _declared_batches(cls: type):
     for klass in cls.__mro__:
         if klass is Operator:
             return None
-        if "batches" in klass.__dict__:
-            return klass.__dict__["batches"]
+        for name in ("lanes", "batches"):
+            if name in klass.__dict__:
+                return klass.__dict__[name]
     return None
 
 
@@ -187,8 +189,8 @@ def run(scope: ScopeInfo, reporter: Reporter) -> None:
                 continue
             reporter.emit(
                 "MOD024", op, paths[id(op)],
-                f"{type(target).__name__} has a vectorized batches() kernel "
+                f"{type(target).__name__} has a vectorized kernel "
                 f"but {type(op).__name__} consumes it row-by-row on this "
-                "fused edge; implement batches() on the consumer (or declare "
-                "`row_native = True` to record the scalar choice)",
+                "fused edge; implement lanes() or batches() on the consumer "
+                "(or declare `row_native = True` to record the scalar choice)",
             )

@@ -1,79 +1,59 @@
-"""Lockstep plan jobs: one walk of a nested plan for every rank of a wave.
+"""Lockstep walks: one walk of a plan for every rank (every *lane*) at once.
 
 The paper runs one compiled plan per machine, all in parallel (§3.3.3).
 Simulated on one CPU, giving each rank a thread to walk its own copy of
 the plan pays the interpretation of the same skeleton once per rank.  A
-lockstep job walks it once, on the driver's thread: each operator's
-generator runs once per *lockstep morsel*, a :class:`Step` carrying the
-rows of every rank (every *lane*) that has a morsel at that point.
+lockstep walk pays it once: each operator's :meth:`~repro.core.operator.
+Operator.lanes` generator runs once per *lockstep morsel*, a :class:`Step`
+carrying the rows of every lane that has a morsel at that point.  That
+generator is the operator's one data path: a walk on one context
+(:meth:`~repro.core.operator.Operator.batches`) is the one-lane case, and
+an ``MpiExecutor`` wave is the walk over all of its ranks, on the driver's
+thread (:func:`run_job`).
 
-Simulated time stays exactly what the ranks would have charged.  Each
+Simulated time stays exactly what each rank would charge on its own.  An
 operator charges each lane's own clock from that lane's rows, at the point
-where the rank would have charged it, so every clock makes the same float
+where a one-lane walk charges it, so every clock makes the same float
 additions in the same order.  A lane without a k-th morsel is absent from
 step k rather than charged a zero, and an upstream step is pulled only
 once every lane has consumed the previous one.  Row-wise kernels (filter,
 map, projection, partition functions, the scatter order) run once over the
 lanes' rows side by side while those fit one morsel's cache budget, and
 lane by lane beyond it; kernels whose shape the data decides (joins,
-group-by, materialization) run per lane, each making its own choice.  A collective
-is one :class:`~repro.mpi.comm.CommGroup` call that sees every lane's
-contribution; puts still go through each rank's ``Window``.
+group-by, materialization) run per lane, each making its own choice.  A
+collective is one group call that sees every lane's contribution
+(:class:`~repro.mpi.comm.CommGroup`; on one rank's own thread,
+:class:`~repro.mpi.comm.RankGroup`); puts still go through each rank's
+``Window``.
 
-Metrics, untimed profiles, substrate traces, fault injection and stage
-recovery all run in lockstep: each lane keeps its rank's counters, faults
-strike at its rank's comm operations, and a crash aborts the wave at that
-rank's clock.  A job runs on the threaded substrate instead
-(:meth:`~repro.mpi.cluster.SimCluster.run`, each rank walking its own
-copy) when it is timed by the profiler or sanitized, or when an operator
-of its plan has no runner here.
+Metrics, profiles (timed ones split a step's wall time evenly over the
+lanes it served), the sanitizer, substrate traces, fault injection and
+stage recovery all see each lane as its rank: each lane keeps its rank's
+counters, faults strike at its rank's comm operations, and a crash aborts
+the wave at that rank's clock.  Only a plan holding an operator without a
+``lanes`` runner — SPMD code written against the communicator — runs its
+waves with a thread per rank (:meth:`~repro.mpi.cluster.SimCluster.run`).
 """
 
 from __future__ import annotations
 
-import weakref
 from itertools import accumulate
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
 from repro.core.context import ExecutionContext
-from repro.core.kernels.hash_join import outer_tail
-from repro.core.kernels.scatter import bucket_counts, stable_order
-from repro.core.operator import Operator
-from repro.core.operators import (
-    BuildProbe,
-    CartesianProduct,
-    Filter,
-    LocalHistogram,
-    LocalPartitioning,
-    LocalSort,
-    Map,
-    MaterializeRowVector,
-    MergeJoin,
-    MpiBroadcast,
-    MpiExchange,
-    MpiHistogram,
-    NestedMap,
-    NicPartialAggregate,
-    ParameterLookup,
-    ParametrizedMap,
-    Projection,
-    Reduce,
-    ReduceByKey,
-    RowScan,
-    Zip,
-)
-from repro.core.operators.local_histogram import HISTOGRAM_TYPE
-from repro.core.plan import SharedScan, walk
 from repro.errors import ExecutionError
 from repro.mpi.cluster import ClusterResult
-from repro.mpi.comm import CommGroup
+from repro.mpi.comm import CommGroup, RankGroup
 from repro.observability.profile import OperatorStats
-from repro.types.collections import RowVector, RowVectorBuilder
+from repro.types.collections import RowVector
 from repro.types.tuples import TupleType
 
-__all__ = ["Step", "runs_in_lockstep", "run_job"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.operator import Operator
+
+__all__ = ["Step", "Lockstep", "steps", "pulled", "runs_in_lockstep", "run_job"]
 
 
 class Step:
@@ -131,26 +111,52 @@ class Step:
                     offs=self.offs if offs is None else offs)
 
 
+#: The lanes of a one-lane step.
+ONE_LANE = (0,)
+
+
 class Lockstep:
-    """The lanes of one lockstep walk: each lane's rank context, the
-    collectives of the whole job, the nested-plan parameters (one tuple per
-    lane, per slot) and the shared-scan results of this binding scope."""
+    """The lanes of one walk: each lane's execution context (its rank's,
+    with that rank's parameter bindings and shared-scan cache) and the
+    group issuing the lanes' collectives (``None`` outside an MPI job)."""
 
-    __slots__ = ("ctxs", "group", "params", "shared")
+    __slots__ = ("ctxs", "group")
 
-    def __init__(self, ctxs: list[ExecutionContext], group, params: dict) -> None:
+    def __init__(self, ctxs: list[ExecutionContext], group=None) -> None:
         self.ctxs = ctxs
         self.group = group
-        self.params = params
-        self.shared: dict[int, list[RowVector]] = {}
 
-    def nested(self, lanes: list[int], slot_id: int, values: list) -> "Lockstep":
-        """The walk of one nested-plan invocation over ``lanes``, binding
-        ``slot_id`` to ``values``; a fresh shared-scan scope, as a
-        ``NestedMap`` invocation's new binding gives on a rank."""
-        params = {slot: [bound[i] for i in lanes] for slot, bound in self.params.items()}
-        params[slot_id] = values
-        return Lockstep([self.ctxs[i] for i in lanes], None, params)
+    @classmethod
+    def solo(cls, ctx: ExecutionContext) -> "Lockstep":
+        """The one-lane walk on ``ctx``: the driver's, or one rank's on its
+        own thread, whose collectives meet its peers' at the rendezvous."""
+        return cls([ctx], RankGroup(ctx.comm) if ctx.rank_ctx is not None else None)
+
+    def nested(self, lanes: list[int]) -> "Lockstep":
+        """The walk of one nested-plan invocation over ``lanes``.  It issues
+        collectives only if every lane takes part, as they would all have
+        to on their own threads."""
+        if len(lanes) == len(self.ctxs):
+            return self
+        return Lockstep([self.ctxs[i] for i in lanes])
+
+    def lane(self, i: int) -> "Lockstep":
+        """Lane ``i`` walked on its own, which issues no collective."""
+        return Lockstep([self.ctxs[i]])
+
+    def collectives(self):
+        """The group issuing this walk's collectives."""
+        if self.group is None:
+            if self.ctxs[0].rank_ctx is None:
+                raise ExecutionError(
+                    "this operator needs an MPI cluster; wrap the plan in MpiExecutor"
+                )
+            raise ExecutionError(
+                "a collective needs every rank of the job, but this plan part runs "
+                "on some ranks only (a nested plan some ranks do not invoke, or "
+                "the upstream of a Limit)"
+            )
+        return self.group
 
     def joint(self, step: Step) -> bool:
         """Whether the lanes' rows of ``step`` fit one morsel together: a
@@ -166,7 +172,7 @@ class Lockstep:
             return step.derive(kernel(step.whole))
         return Step(element_type, step.lanes, parts=[kernel(part) for part in step.parts])
 
-    def charge(self, op: Operator, kind: str, step: Step) -> None:
+    def charge(self, op: "Operator", kind: str, step: Step) -> None:
         for lane, n_rows in zip(step.lanes, step.sizes()):
             self.ctxs[lane].charge_cpu(op, kind, n_rows)
 
@@ -175,15 +181,26 @@ class Lockstep:
             ctx.set_phase(phase)
 
 
-def steps(op: Operator, lx: Lockstep) -> Iterator[Step]:
-    """The lockstep data path of ``op``: what ``op.stream`` (or ``drain``)
-    gives a rank, counted by the lanes' profilers as its data path is."""
-    run = _RUNNERS[type(op)](op, lx)
-    return run if lx.ctxs[0].profiler is None else _observed(op, run, lx)
+# -- walking -------------------------------------------------------------------
 
 
-def pulled(op: Operator, lx: Lockstep) -> Iterator[Step]:
-    """``op``'s steps as ``op.stream_batches`` gives them to a rank: with
+def steps(op: "Operator", lx: Lockstep) -> Iterator[Step]:
+    """The walk of ``op`` over the lanes of ``lx``: what ``op.stream`` (or
+    ``drain``) gives each lane, observed by the lanes' profilers and
+    sanitizer as each lane's data path is."""
+    run = op.lanes(lx)
+    if not op.walks_lanes:
+        return run  # its own per-rank data path observes itself
+    ctx = lx.ctxs[0]
+    if ctx.profiler is not None:
+        run = _observed(op, run, lx)
+    if ctx.sanitizer is not None:
+        run = ctx.sanitizer.track(op, run)
+    return run
+
+
+def pulled(op: "Operator", lx: Lockstep) -> Iterator[Step]:
+    """``op``'s steps as ``op.stream_batches`` gives them to each lane: with
     metrics on, each lane counts the morsels it drains."""
     if lx.ctxs[0].registry is None:
         return steps(op, lx)
@@ -200,12 +217,14 @@ def _drained(run: Iterator[Step], counters: list) -> Iterator[Step]:
         yield step
 
 
-def _observed(op: Operator, run: Iterator[Step], lx: Lockstep) -> Iterator[Step]:
-    """One activation of ``op`` on every lane, in each lane's (untimed)
-    profiler: a call, and the rows and batches the lane's rank yields."""
+def _observed(op: "Operator", run: Iterator[Step], lx: Lockstep) -> Iterator[Step]:
+    """One activation of ``op`` on every lane, in each lane's profiler: a
+    call, and the rows and batches the lane yields; when timed, the self
+    time of each pull (each lane's simulated time on its own clock, the
+    wall time split evenly over the lanes) and one span per lane."""
+    profilers = [ctx.profiler for ctx in lx.ctxs]
     records = []
-    for ctx in lx.ctxs:
-        profiler = ctx.profiler
+    for profiler in profilers:
         record = profiler.stats.get(id(op))
         if record is None:
             record = profiler.stats[id(op)] = OperatorStats()
@@ -213,14 +232,115 @@ def _observed(op: Operator, run: Iterator[Step], lx: Lockstep) -> Iterator[Step]
         record.calls += 1
         records.append(record)
     batched = not op.row_native
-    for step in run:
-        for lane, n_rows in zip(step.lanes, step.sizes()):
-            records[lane].rows_out += n_rows
-            records[lane].batches_out += batched
-        yield step
+    timed = profilers[0].timed
+    if timed:
+        clocks = [ctx.clock for ctx in lx.ctxs]
+        starts = [clock.now for clock in clocks]
+        rows, batches = [0] * len(records), [0] * len(records)
+        frames = profilers[0]
+    try:
+        while True:
+            if timed:
+                frames._push(records, clocks)
+            try:
+                step = next(run)
+            except StopIteration:
+                return
+            finally:
+                if timed:
+                    frames._pop()
+            for lane, n_rows in zip(step.lanes, step.sizes()):
+                records[lane].rows_out += n_rows
+                records[lane].batches_out += batched
+                if timed:
+                    rows[lane] += n_rows
+                    batches[lane] += batched
+            yield step
+    finally:
+        if timed:
+            mode = lx.ctxs[0].options.mode
+            for i, profiler in enumerate(profilers):
+                profiler._record_span(
+                    op, starts[i], clocks[i].now, rows[i], batches[i], mode
+                )
 
 
-def _parts(run: Iterator[Step], lx: Lockstep) -> list[list[RowVector]]:
+def one_lane(op: "Operator", ctx: ExecutionContext) -> Iterator[RowVector]:
+    """``op``'s data path on ``ctx`` alone: the one-lane walk's morsels."""
+    for step in steps(op, Lockstep.solo(ctx)):
+        yield step.parts[0]
+
+
+def per_rank(op: "Operator", lx: Lockstep) -> Iterator[Step]:
+    """The one-lane walk of an operator whose data path is its own
+    ``batches`` (or ``rows``): code that runs on one rank's context, such
+    as SPMD code calling the communicator itself."""
+    if len(lx.ctxs) != 1:
+        raise ExecutionError(
+            f"{type(op).__name__} has no lanes runner, so it runs on one rank at a time"
+        )
+    ctx = lx.ctxs[0]
+    if op.row_native:
+        for row in op.rows(ctx):
+            yield Step(op.output_type, ONE_LANE, parts=[RowVector.of_row(op.output_type, row)])
+    else:
+        for batch in op.batches(ctx):
+            yield Step(op.output_type, ONE_LANE, parts=[batch])
+
+
+def lane_by_lane(
+    lx: Lockstep, run: Callable[[Lockstep], Iterator[RowVector]], element_type: TupleType
+) -> Iterator[Step]:
+    """``run`` on each lane walked on its own, its k-th morsels as step k:
+    for an operator whose lanes may each stop pulling at their own point.
+    A one-lane walk is its own lane."""
+    if len(lx.ctxs) == 1:
+        runs = [run(lx)]
+    else:
+        runs = [run(lx.lane(i)) for i in range(len(lx.ctxs))]
+    live = list(range(len(runs)))
+    while live:
+        lanes, parts = [], []
+        for lane in live:
+            part = next(runs[lane], None)
+            if part is not None:
+                lanes.append(lane)
+                parts.append(part)
+        if lanes:
+            yield Step(element_type, lanes, parts=parts)
+        live = lanes
+
+
+def scanned(
+    op: "Operator", lx: Lockstep, read: Callable[[ExecutionContext, object], tuple]
+) -> Iterator[Step]:
+    """The morsels of each collection arriving at the scan ``op`` (field
+    ``op._position`` of its upstream's tuples), collection by collection:
+    ``read(ctx, collection)`` gives a lane's rows to charge and its morsels,
+    and each lane is charged for a collection as it reaches it."""
+    for step in steps(op.upstreams[0], lx):
+        scans = [
+            (lane, [read(lx.ctxs[lane], c) for c in part.columns[op._position]])
+            for lane, part in zip(step.lanes, step.parts)
+        ]
+        for index in range(max((len(c) for _, c in scans), default=0)):
+            morsels = []
+            for lane, collections in scans:
+                if len(collections) > index:
+                    n_rows, pieces = collections[index]
+                    lx.ctxs[lane].charge_cpu(op, "scan", n_rows * op._scan_weight)
+                    morsels.append((lane, pieces))
+            for k in range(max(len(pieces) for _, pieces in morsels)):
+                present = [(lane, pieces[k]) for lane, pieces in morsels if len(pieces) > k]
+                if present:
+                    yield Step(op.output_type, [lane for lane, _ in present],
+                               parts=[piece for _, piece in present])
+
+
+# -- draining ------------------------------------------------------------------
+
+
+def drained_parts(run: Iterator[Step], lx: Lockstep) -> list[list[RowVector]]:
     """Drain ``run``: each lane's morsels."""
     parts: list[list[RowVector]] = [[] for _ in lx.ctxs]
     for step in run:
@@ -229,151 +349,28 @@ def _parts(run: Iterator[Step], lx: Lockstep) -> list[list[RowVector]]:
     return parts
 
 
-def _vectors(op: Operator, run: Iterator[Step], lx: Lockstep) -> list[RowVector]:
+def drained_vectors(op: "Operator", run: Iterator[Step], lx: Lockstep) -> list[RowVector]:
     """Drain ``run`` of ``op``: each lane's rows as one vector."""
-    return [RowVector.concat(op.output_type, parts) for parts in _parts(run, lx)]
+    return [RowVector.concat(op.output_type, parts) for parts in drained_parts(run, lx)]
 
 
-def _rows(run: Iterator[Step], lx: Lockstep) -> list[list[tuple]]:
+def drained_rows(run: Iterator[Step], lx: Lockstep) -> list[list[tuple]]:
     """Drain ``run``: each lane's rows as tuples."""
     return [
-        [row for part in parts for row in part.iter_rows()] for parts in _parts(run, lx)
+        [row for part in parts for row in part.iter_rows()]
+        for parts in drained_parts(run, lx)
     ]
 
 
-def _each_lane(element_type: TupleType, vectors: list[RowVector]) -> Step:
+def each_lane(element_type: TupleType, vectors: list[RowVector]) -> Step:
+    """One step holding ``vectors[lane]`` for every lane."""
     return Step(element_type, range(len(vectors)), parts=vectors)
 
 
-# -- row-wise operators: one kernel call for every lane ------------------------
+# -- keys over every lane ------------------------------------------------------
 
 
-def _parameter(op: ParameterLookup, lx: Lockstep) -> Iterator[Step]:
-    yield _each_lane(
-        op.output_type,
-        [RowVector.of_row(op.output_type, value) for value in lx.params[op.slot.id]],
-    )
-
-
-def _projection(op: Projection, lx: Lockstep) -> Iterator[Step]:
-    for step in pulled(op.upstreams[0], lx):
-        lx.charge(op, "map", step)
-        yield lx.rowwise(step, op.output_type, lambda batch: RowVector(
-            op.output_type, [batch.columns[p] for p in op._positions]
-        ))
-
-
-def _map(op: Map, lx: Lockstep) -> Iterator[Step]:
-    for step in pulled(op.upstreams[0], lx):
-        lx.charge(op, "map", step)
-        yield lx.rowwise(
-            step, op.output_type, lambda batch: op.fn.apply_batch(batch, op.output_type)
-        )
-
-
-def _parametrized_map(op: ParametrizedMap, lx: Lockstep) -> Iterator[Step]:
-    side = op.upstreams[1]
-    params = []
-    for vector in _vectors(side, steps(side, lx), lx):
-        if len(vector) != 1:
-            raise ExecutionError(
-                f"ParametrizedMap parameter upstream produced {len(vector)} tuples, "
-                "expected exactly 1"
-            )
-        params.append(vector.row(0))
-    for step in pulled(op.upstreams[0], lx):
-        lx.charge(op, "map", step)
-        yield Step(op.output_type, step.lanes, parts=[
-            op.fn.apply_batch(params[lane], part, op.output_type)
-            for lane, part in zip(step.lanes, step.parts)
-        ])
-
-
-def _filter(op: Filter, lx: Lockstep) -> Iterator[Step]:
-    for step in pulled(op.upstreams[0], lx):
-        lx.charge(op, "map", step)
-        if not lx.joint(step):
-            yield Step(op.output_type, step.lanes, parts=[
-                _selected(part, op.predicate.mask(part)) for part in step.parts
-            ])
-            continue
-        whole = step.whole
-        mask = op.predicate.mask(whole)
-        if mask.all():
-            yield step
-        else:
-            keep = np.flatnonzero(mask)
-            yield step.derive(whole.take(keep), np.searchsorted(keep, step.offs).tolist())
-
-
-def _selected(batch: RowVector, mask: np.ndarray) -> RowVector:
-    return batch if mask.all() else batch.take(np.flatnonzero(mask))
-
-
-def _row_scan(op: RowScan, lx: Lockstep) -> Iterator[Step]:
-    morsel_rows = lx.ctxs[0].morsel_rows_for(op.output_type)
-    for step in steps(op.upstreams[0], lx):
-        # Each lane's collections of this step, sharded as its rank reads them.
-        scans = [
-            (lane, [_scanned(op, lx.ctxs[lane], c) for c in part.columns[op._position]])
-            for lane, part in zip(step.lanes, step.parts)
-        ]
-        for index in range(max((len(c) for _, c in scans), default=0)):
-            morsels = []
-            for lane, collections in scans:
-                if len(collections) > index:
-                    collection = collections[index]
-                    lx.ctxs[lane].charge_cpu(op, "scan", len(collection) * op._scan_weight)
-                    morsels.append((lane, _morsels(collection, morsel_rows)))
-            for k in range(max(len(m) for _, m in morsels)):
-                present = [(lane, m[k]) for lane, m in morsels if len(m) > k]
-                yield Step(op.output_type, [lane for lane, _ in present],
-                           parts=[morsel for _, morsel in present])
-
-
-def _scanned(op: RowScan, ctx: ExecutionContext, collection: RowVector) -> RowVector:
-    """``collection`` as ``RowScan`` reads it on ``ctx``'s rank: type-checked,
-    sharded and counted."""
-    if collection.element_type != op.output_type:
-        raise ExecutionError(
-            f"RowScan expected {op.output_type!r} elements, "
-            f"found {collection.element_type!r}"
-        )
-    sharded = op._shard(ctx, collection)
-    metrics = ctx.registry
-    if metrics is not None:
-        metrics.counter("scan_rows", op="RowScan").add(len(sharded))
-        metrics.counter("scan_bytes", op="RowScan").add(sharded.size_bytes())
-    return sharded
-
-
-def _morsels(collection: RowVector, morsel_rows: int) -> list[RowVector]:
-    if len(collection) <= morsel_rows:
-        return [collection]
-    return [
-        collection.slice(start, min(start + morsel_rows, len(collection)))
-        for start in range(0, len(collection), morsel_rows)
-    ]
-
-
-def _shared(op: SharedScan, lx: Lockstep) -> Iterator[Step]:
-    wrapped = op.upstreams[0]
-    vectors = lx.shared.get(id(wrapped))
-    if vectors is None:
-        vectors = [
-            RowVector.concat(wrapped.output_type, parts)
-            for parts in _parts(steps(wrapped, lx), lx)
-        ]
-        for ctx, vector in zip(lx.ctxs, vectors):
-            ctx.charge_materialize(op, vector.size_bytes())
-        lx.shared[id(wrapped)] = vectors
-    yield _each_lane(op.output_type, vectors)
-
-
-# -- histograms and the network ------------------------------------------------
-
-
-def _lane_keyed(step: Step, keys: np.ndarray, width: int, lanes=None) -> np.ndarray:
+def lane_keyed(step: Step, keys: np.ndarray, width: int, lanes=None) -> np.ndarray:
     """``keys`` in ``[0, width)``, each row's shifted by ``width`` times its
     lane (its position in ``lanes``, default the step's): one id space over
     every lane, ordered lane-major.  A one-lane step's keys are its ids."""
@@ -388,445 +385,35 @@ def _lane_keyed(step: Step, keys: np.ndarray, width: int, lanes=None) -> np.ndar
     return ids
 
 
-def _histogram_step(n_lanes: int, counts: np.ndarray) -> Step:
-    """⟨bucket, count⟩ rows of each lane's histogram (``counts[lane]``)."""
-    n_buckets = counts.shape[1]
-    whole = RowVector(
-        HISTOGRAM_TYPE,
-        [np.tile(np.arange(n_buckets, dtype=np.int64), n_lanes), counts.reshape(-1)],
-    )
-    return Step(HISTOGRAM_TYPE, range(n_lanes), whole=whole,
-                offs=list(range(0, (n_lanes + 1) * n_buckets, n_buckets)))
+# -- MPI jobs ------------------------------------------------------------------
 
 
-def _local_histogram(op: LocalHistogram, lx: Lockstep) -> Iterator[Step]:
-    n_buckets, n_lanes = op.n_buckets, len(lx.ctxs)
-    counts = np.zeros((n_lanes, n_buckets), dtype=np.int64)
-    totals = [0] * n_lanes
-    for step in pulled(op.upstreams[0], lx):
-        sizes = step.sizes()
-        for lane, n_rows in zip(step.lanes, sizes):
-            totals[lane] += n_rows
-        if not lx.joint(step):
-            for lane, part in zip(step.lanes, step.parts):
-                if len(part):
-                    counts[lane] += bucket_counts(op.bucket_fn.map_batch(part), n_buckets)
-        elif sum(sizes):
-            buckets = op.bucket_fn.map_batch(step.whole)
-            ids = _lane_keyed(step, buckets, n_buckets, step.lanes)
-            # An id out of range lengthens the count and fails the reshape.
-            counts += bucket_counts(ids, n_lanes * n_buckets).reshape(n_lanes, n_buckets)
-    for ctx, total in zip(lx.ctxs, totals):
-        ctx.charge_cpu(op, "histogram", total)
-    yield _histogram_step(n_lanes, counts)
+def runs_in_lockstep(executor: "Operator") -> bool:
+    """Whether ``executor``'s waves walk its nested plan in lockstep: every
+    operator has a ``lanes`` runner, and no operator whose lanes stop
+    pulling at their own points (``Limit``) has a collective below it."""
+    from repro.core.plan import walk  # repro.core.plan imports this module
 
-
-def _read_histograms(lx: Lockstep, upstream: Operator, n: int) -> np.ndarray:
-    """``read_histogram`` for every lane: ``[lane, bucket] -> count``."""
-    counts = np.zeros((len(lx.ctxs), n), dtype=np.int64)
-    for step in pulled(upstream, lx):
-        whole = step.whole
-        if len(whole) == 0:
-            continue
-        buckets = whole.column("bucket")
-        if not (0 <= int(buckets.min()) and int(buckets.max()) < n):
-            raise ExecutionError(f"histogram bucket outside [0, {n})")
-        ids = _lane_keyed(step, buckets, n, step.lanes)
-        np.add.at(counts.reshape(-1), ids, whole.column("count"))
-    return counts
-
-
-def _local_partitioning(op: LocalPartitioning, lx: Lockstep) -> Iterator[Step]:
-    counts = _read_histograms(lx, op.upstreams[1], op.n_partitions)
-    data = op.upstreams[0]
-    vectors = _vectors(data, pulled(data, lx), lx)
-    yield _each_lane(op.output_type, [
-        op.partition(ctx, vector, lane_counts)
-        for ctx, vector, lane_counts in zip(lx.ctxs, vectors, counts)
-    ])
-
-
-def _mpi_histogram(op: MpiHistogram, lx: Lockstep) -> Iterator[Step]:
-    local = _read_histograms(lx, op.upstreams[0], op.n_buckets)
-    lx.set_phase(op.assigned_phase)
-    counts = lx.group.allreduce(list(local), op="sum")
-    yield _histogram_step(len(lx.ctxs), np.tile(counts, (len(lx.ctxs), 1)))
-
-
-def _exchange(op: MpiExchange, lx: Lockstep) -> Iterator[Step]:
-    n_parts, group = op.n_partitions, lx.group
-    n_ranks = len(lx.ctxs)
-    lx.set_phase(op.assigned_phase)
-    local = _read_histograms(lx, op.upstreams[1], n_parts)
-    global_ = _read_histograms(lx, op.upstreams[2], n_parts)
-    lx.set_phase(op.assigned_phase)
-    matrix = np.stack(group.allgather(list(local), payload_bytes=local[0].nbytes))
-    for counts in global_:
-        if not np.array_equal(matrix.sum(axis=0), counts):
-            raise ExecutionError(
-                "global histogram disagrees with the sum of local histograms; "
-                "the histogram upstreams were not computed over the same input"
-            )
-    counts = global_[0]
-    partition_base = op._layout_table(counts, n_ranks)
-    windows = group.win_create(op._wire_type, [
-        int(counts[np.arange(rank, n_parts, n_ranks)].sum()) for rank in range(n_ranks)
-    ])
-    cursors = [partition_base + matrix[:rank].sum(axis=0) for rank in range(n_ranks)]
-    totals = _send_all(op, lx, windows, cursors)
-    for total, promised in zip(totals, local.sum(axis=1)):
-        if total != int(promised):
-            raise ExecutionError(
-                f"data upstream produced {total} tuples but the local histogram "
-                f"promised {int(promised)}"
-            )
-    lx.set_phase(op.assigned_phase)
-    group.fence(windows)
-    outputs = []
-    for rank, window_set in enumerate(windows):
-        owned = np.arange(rank, n_parts, n_ranks, dtype=np.int64)
-        partitions = np.empty(len(owned), dtype=object)
-        for i, pid in enumerate(owned):
-            base = int(partition_base[pid])
-            partitions[i] = window_set.local.read(base, base + int(counts[pid]))
-        outputs.append(RowVector(op.output_type, [owned, partitions]))
-    yield _each_lane(op.output_type, outputs)
-
-
-def _send_all(op: MpiExchange, lx: Lockstep, windows, cursors) -> list[int]:
-    """``MpiExchange._send_all`` for every lane: one partition function call
-    and one stable order over ⟨lane, partition⟩ per step, then each lane's
-    puts from its slice of that order."""
-    n_parts = op.n_partitions
-    totals = [0] * len(lx.ctxs)
-    for step in pulled(op.upstreams[0], lx):
-        if not lx.joint(step):
-            for lane, part in zip(step.lanes, step.parts):
-                if len(part):
-                    op.send_batch(lx.ctxs[lane], windows[lane], cursors[lane], part)
-                    totals[lane] += len(part)
-            continue
-        whole = step.whole
-        if len(whole) == 0:
-            continue
-        sizes, offs = step.sizes(), step.offs
-        buckets = op.partition_fn.map_batch(whole)
-        ids = _lane_keyed(step, buckets, n_parts)
-        span = len(step.lanes) * n_parts
-        counts = bucket_counts(ids, span).reshape(len(step.lanes), n_parts)
-        order = stable_order(ids, span) if n_parts > 1 else None
-        wire = op.compression.pack_batch(whole) if op.compression is not None else whole
-        for i, lane in enumerate(step.lanes):
-            if sizes[i] == 0:
-                continue
-            totals[lane] += sizes[i]
-            ctx = lx.ctxs[lane]
-            ctx.charge_cpu(op, "partition", sizes[i])
-            lo, hi = offs[i], offs[i + 1]
-            offsets = np.zeros(n_parts + 1, dtype=np.int64)
-            np.cumsum(counts[i], out=offsets[1:])
-            # The rank's own scatter order is its slice of the lanes' order,
-            # holding positions in ``wire``; one partition needs no order.
-            lane_wire = wire if order is not None else wire.slice(lo, hi)
-            lane_order = order[lo:hi] if order is not None else None
-            for pid in np.flatnonzero(counts[i]):
-                op._send_partition(
-                    ctx, windows[lane], cursors[lane], int(pid), lane_wire,
-                    lane_order, offsets,
-                )
-    return totals
-
-
-def _broadcast(op: MpiBroadcast, lx: Lockstep) -> Iterator[Step]:
-    lx.set_phase(op.assigned_phase)
-    local, global_ = (_read_totals(lx, up) for up in op.upstreams[1:])
-    lx.set_phase(op.assigned_phase)
-    per_rank = np.asarray(lx.group.allgather(local, payload_bytes=8), dtype=np.int64)
-    if any(int(per_rank.sum()) != total for total in global_):
-        raise ExecutionError("global histogram disagrees with the sum of local histograms")
-    windows = lx.group.win_create(op.output_type, global_)
-    offsets = [int(per_rank[:rank].sum()) for rank in range(len(lx.ctxs))]
-    for sent, promised in zip(_replicate(op, lx, windows, offsets), local):
-        if sent != promised:
-            raise ExecutionError(
-                f"data upstream produced {sent} tuples but the local histogram "
-                f"promised {promised}"
-            )
-    lx.set_phase(op.assigned_phase)
-    lx.group.fence(windows)
-    yield _each_lane(op.output_type, [
-        window_set.local.read(0, total) for window_set, total in zip(windows, global_)
-    ])
-
-
-def _replicate(op: MpiBroadcast, lx: Lockstep, windows, offsets) -> list[int]:
-    """``MpiBroadcast._send_all`` for every lane; the rows each lane sent.
-    A helper, so that no morsel is alive at the fence."""
-    sent = [0] * len(lx.ctxs)
-    for step in pulled(op.upstreams[0], lx):
-        for lane, part in zip(step.lanes, step.parts):
-            if len(part):
-                op.send_batch(lx.ctxs[lane], windows[lane], offsets[lane] + sent[lane], part)
-                sent[lane] += len(part)
-    return sent
-
-
-def _read_totals(lx: Lockstep, upstream: Operator) -> list[int]:
-    """``MpiBroadcast._read_total`` for every lane."""
-    totals = [0] * len(lx.ctxs)
-    for step in pulled(upstream, lx):
-        for lane, part in zip(step.lanes, step.parts):
-            if len(part):
-                totals[lane] += int(part.column("count").sum())
-    return totals
-
-
-# -- control flow --------------------------------------------------------------
-
-
-#: Operators that yield one morsel per activation, which lets ``Zip`` drain
-#: its upstreams one after the other in the order a rank pulls them.
-_ONE_MORSEL = (
-    MpiExchange, MpiBroadcast, SharedScan, MaterializeRowVector, LocalHistogram,
-    MpiHistogram, LocalPartitioning,
-)
-
-
-def _zip(op: Zip, lx: Lockstep) -> Iterator[Step]:
-    drained = [_vectors(up, steps(up, lx), lx) for up in op.upstreams]
-    outputs = []
-    for lane, ctx in enumerate(lx.ctxs):
-        vectors = [vectors[lane] for vectors in drained]
-        count = min(len(v) for v in vectors)
-        ctx.charge_cpu(op, "map", count)
-        if any(len(v) != count for v in vectors):
-            raise ExecutionError(
-                f"Zip upstreams returned different numbers of tuples "
-                f"(mismatch after {count} tuples)"
-            )
-        outputs.append(RowVector(op.output_type, [c for v in vectors for c in v.columns]))
-    yield _each_lane(op.output_type, outputs)
-
-
-def _cartesian_product(op: CartesianProduct, lx: Lockstep) -> Iterator[Step]:
-    # Only a NestedMap's input (see _walkable): it takes every row before
-    # running a nested plan, so a rank's charges come in this order too.
-    lefts, rights = (_rows(steps(up, lx), lx) for up in op.upstreams)
-    outputs = []
-    for ctx, left, right in zip(lx.ctxs, lefts, rights):
-        rows = [left_row + right_row for right_row in right for left_row in left]
-        ctx.charge_cpu(op, "map", len(rows))
-        outputs.append(RowVector.from_rows(op.output_type, rows))
-    yield _each_lane(op.output_type, outputs)
-
-
-def _nested_map(op: NestedMap, lx: Lockstep) -> Iterator[Step]:
-    inputs = _rows(steps(op.upstreams[0], lx), lx)
-    morsel_rows = lx.ctxs[0].morsel_rows_for(op.output_type)
-    results: list[list[tuple]] = [[] for _ in inputs]
-    emitted = [False] * len(inputs)
-    for k in range(max(map(len, inputs), default=0)):
-        lanes = [lane for lane, rows in enumerate(inputs) if len(rows) > k]
-        invocation = lx.nested(lanes, op.slot.id, [inputs[lane][k] for lane in lanes])
-        for lane, outs in zip(lanes, _rows(steps(op.inner, invocation), invocation)):
-            if len(outs) != 1:
-                raise ExecutionError(
-                    "nested plan produced more than one tuple; nested plans "
-                    "must end with MaterializeRowVector" if outs else
-                    "nested plan produced no output tuple"
-                )
-            results[lane].append(outs[0])
-        full = [lane for lane in lanes if len(results[lane]) >= morsel_rows]
-        if full:
-            yield _packed(op, full, results, emitted)
-    rest = [lane for lane in range(len(inputs)) if results[lane] or not emitted[lane]]
-    if rest:
-        yield _packed(op, rest, results, emitted)
-
-
-def _packed(op: NestedMap, lanes: list[int], results, emitted) -> Step:
-    """The morsel ``pack_morsels`` yields for each of ``lanes``."""
-    parts = []
-    for lane in lanes:
-        parts.append(RowVector.from_rows(op.output_type, results[lane]))
-        results[lane], emitted[lane] = [], True
-    return Step(op.output_type, lanes, parts=parts)
-
-
-# -- per-lane kernels: each lane's data decides its own path -------------------
-
-
-def _build_probe(op: BuildProbe, lx: Lockstep) -> Iterator[Step]:
-    spec = op.spec()
-    left = op.upstreams[0]
-    lefts = _vectors(left, pulled(left, lx), lx)
-    builds = [op.build(ctx, vector) for ctx, vector in zip(lx.ctxs, lefts)]
-    yielded = [False] * len(lx.ctxs)
-    for step in pulled(op.upstreams[1], lx):
-        lanes, outs = [], []
-        for lane, batch in zip(step.lanes, step.parts):
-            build, probe = builds[lane]
-            out = probe(build, batch, spec)
-            lx.ctxs[lane].charge_cpu(op, "probe", len(batch) + len(out))
-            if len(out):
-                lanes.append(lane)
-                outs.append(out)
-                yielded[lane] = True
-        if lanes:
-            yield Step(op.output_type, lanes, parts=outs)
-    if op.join_type == "left_outer":
-        tails = [(lane, outer_tail(build, spec)) for lane, (build, _) in enumerate(builds)]
-        tails = [(lane, tail) for lane, tail in tails if len(tail)]
-        for lane, _ in tails:
-            yielded[lane] = True
-        if tails:
-            yield Step(op.output_type, [lane for lane, _ in tails],
-                       parts=[tail for _, tail in tails])
-    empty = [lane for lane, done in enumerate(yielded) if not done]
-    if empty:
-        yield Step(op.output_type, empty,
-                   parts=[RowVector.empty(op.output_type) for _ in empty])
-
-
-def _local_sort(op: LocalSort, lx: Lockstep) -> Iterator[Step]:
-    data = op.upstreams[0]
-    vectors = _vectors(data, steps(data, lx), lx)
-    yield _each_lane(op.output_type, [op.sort(ctx, v) for ctx, v in zip(lx.ctxs, vectors)])
-
-
-def _merge_join(op: MergeJoin, lx: Lockstep) -> Iterator[Step]:
-    lefts, rights = (_vectors(up, steps(up, lx), lx) for up in op.upstreams)
-    yield _each_lane(op.output_type, [
-        op.merge(ctx, left, right) for ctx, left, right in zip(lx.ctxs, lefts, rights)
-    ])
-
-
-def _reduce(op: Reduce, lx: Lockstep) -> Iterator[Step]:
-    accs: list = [None] * len(lx.ctxs)
-    for step in pulled(op.upstreams[0], lx):
-        for lane, part in zip(step.lanes, step.parts):
-            accs[lane] = op.fold(lx.ctxs[lane], accs[lane], part)
-    yield _each_lane(op.output_type, [op.result(acc) for acc in accs])
-
-
-def _reduce_by_key(op: ReduceByKey, lx: Lockstep) -> Iterator[Step]:
-    yield _aggregated(op, lx, op, lambda ctx, n_rows: ctx.charge_cpu(op, "reduce", n_rows))
-
-
-def _nic_aggregate(op: NicPartialAggregate, lx: Lockstep) -> Iterator[Step]:
-    yield _aggregated(op, lx, op._combiner, op._charge_nic)
-
-
-def _aggregated(op: Operator, lx: Lockstep, combiner: ReduceByKey, charge) -> Step:
-    """Each lane's non-empty morsels, charged by ``charge`` and aggregated."""
-    outputs = []
-    for ctx, parts in zip(lx.ctxs, _parts(pulled(op.upstreams[0], lx), lx)):
-        parts = [part for part in parts if len(part)]
-        charge(ctx, sum(len(part) for part in parts))
-        outputs.append(combiner.aggregate(parts))
-    return _each_lane(op.output_type, outputs)
-
-
-def _materialize(op: MaterializeRowVector, lx: Lockstep) -> Iterator[Step]:
-    # A stage's checkpoints apply at the job's top scope (only the
-    # executor's own slot bound), where every rank deposits or none has.
-    store = lx.ctxs[0].checkpoints
-    if store is not None and list(lx.params) != [store.slot_id]:
-        store = None
-    sealed = [store.lookup(id(op), ctx.rank) for ctx in lx.ctxs] if store else []
-    if sealed and all(vector is not None for vector in sealed):
-        for ctx, vector in zip(lx.ctxs, sealed):
-            op._serve_checkpoint(ctx, vector)
-    else:
-        sealed = []
-        for ctx, parts in zip(lx.ctxs, _parts(pulled(op.upstreams[0], lx), lx)):
-            builder = RowVectorBuilder(op.upstreams[0].output_type)
-            for part in parts:
-                builder.extend_vector(part)
-            vector = builder.finish()
-            ctx.charge_materialize(op, vector.size_bytes())
-            ctx.account_memory(vector.owned_bytes())
-            if store is not None:
-                store.deposit(id(op), ctx.rank, vector)
-            sealed.append(vector)
-    yield _each_lane(
-        op.output_type, [RowVector.of_row(op.output_type, (v,)) for v in sealed]
-    )
-
-
-_RUNNERS: dict[type, Callable[[Operator, Lockstep], Iterator[Step]]] = {
-    ParameterLookup: _parameter,
-    Projection: _projection,
-    Map: _map,
-    ParametrizedMap: _parametrized_map,
-    Filter: _filter,
-    RowScan: _row_scan,
-    SharedScan: _shared,
-    LocalHistogram: _local_histogram,
-    LocalPartitioning: _local_partitioning,
-    MpiHistogram: _mpi_histogram,
-    MpiExchange: _exchange,
-    MpiBroadcast: _broadcast,
-    Zip: _zip,
-    CartesianProduct: _cartesian_product,
-    NestedMap: _nested_map,
-    BuildProbe: _build_probe,
-    LocalSort: _local_sort,
-    MergeJoin: _merge_join,
-    Reduce: _reduce,
-    ReduceByKey: _reduce_by_key,
-    NicPartialAggregate: _nic_aggregate,
-    MaterializeRowVector: _materialize,
-}
-
-#: Runners that issue collectives: they need every rank of the job.
-_COLLECTIVES = (MpiHistogram, MpiExchange, MpiBroadcast)
-
-
-def _walkable(root: Operator, nested: bool) -> bool:
-    drained = {id(op.upstreams[0]) for op in walk(root) if isinstance(op, NestedMap)}
-    for op in walk(root):
-        if type(op) not in _RUNNERS or (nested and isinstance(op, _COLLECTIVES)):
+    for op in walk(executor.inner, into_nested=True):
+        if not op.walks_lanes:
             return False
-        if isinstance(op, CartesianProduct) and id(op) not in drained:
-            return False
-        if isinstance(op, Zip) and not all(
-            type(up) in _ONE_MORSEL for up in op.upstreams
+        if op.stops_early and any(
+            below.collective for below in walk(op, into_nested=True)
         ):
-            return False
-        if not all(_walkable(inner, True) for inner in op.nested_roots()):
             return False
     return True
 
 
-#: Whether each (prepared) executor's nested plan has a runner everywhere.
-_WALKABLE: "weakref.WeakKeyDictionary[Operator, bool]" = weakref.WeakKeyDictionary()
-
-
-def runs_in_lockstep(executor, ctx: ExecutionContext) -> bool:
-    """Whether ``executor``'s jobs run in lockstep under ``ctx``: neither
-    timed by the profiler (whose frame stacks time one rank at a time) nor
-    sanitized (its checks are of per-rank MPI use), and a runner for every
-    operator of the nested plan (collectives only outside nested
-    ``NestedMap`` plans, whose invocations differ per rank)."""
-    if ctx.sanitizer is not None or (ctx.profiler is not None and ctx.profiler.timed):
-        return False
-    walkable = _WALKABLE.get(executor)
-    if walkable is None:
-        walkable = _WALKABLE[executor] = _walkable(executor.inner, nested=False)
-    return walkable
-
-
 def run_job(
     executor, ctx: ExecutionContext, wave: list[tuple], cluster, trace=None,
-    faults=None, checkpoints=None,
+    faults=None, checkpoints=None, sanitizer_job=None,
 ) -> tuple[ClusterResult, list[ExecutionContext]]:
     """One attempt at a wave of ``executor`` on ``cluster``, in lockstep:
     ``wave[rank]`` bound on each lane, a job drawn from the injector
     ``faults``, materializations checkpointed into ``checkpoints``, the
-    substrate recording into ``trace``.  Returns the result and the lanes'
-    contexts, whose profilers and metrics join the driver's only if the
-    wave completes."""
+    substrate recording into ``trace`` and reporting to ``sanitizer_job``.
+    Returns the result and the lanes' contexts, whose profilers and
+    metrics join the driver's only if the wave completes."""
     contexts = cluster.job_contexts(faults, trace)
     profiler, metrics = ctx.profiler, ctx.registry
     lanes = [
@@ -834,13 +421,17 @@ def run_job(
             rank_ctx, ctx.options,
             profiler=profiler.child(rank_ctx.clock, rank_ctx.rank) if profiler else None,
             registry=metrics.child(rank_ctx.rank) if metrics else None,
-            checkpoints=checkpoints,
+            checkpoints=checkpoints, sanitizer=ctx.sanitizer,
         )
         for rank_ctx in contexts
     ]
-    lx = Lockstep(
-        lanes, CommGroup([rank_ctx.comm for rank_ctx in contexts]),
-        {executor.slot.id: list(wave)},
-    )
-    rows = _rows(steps(executor.inner, lx), lx)
+    if profiler is not None:
+        # One thread walks every lane: one frame stack times them all.
+        for lane in lanes[1:]:
+            lane.profiler._stack = lanes[0].profiler._stack
+    for rank_ctx, lane, row in zip(contexts, lanes, wave):
+        rank_ctx.comm.sanitizer = sanitizer_job
+        lane.push_parameter(executor.slot.id, row)
+    lx = Lockstep(lanes, CommGroup([rank_ctx.comm for rank_ctx in contexts]))
+    rows = drained_rows(steps(executor.inner, lx), lx)
     return ClusterResult.of(contexts, rows, trace), lanes

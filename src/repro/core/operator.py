@@ -2,25 +2,36 @@
 
 Sub-operators are Volcano-style iterators over tuples of a statically known
 type (paper Section 3.2).  In this reproduction every sub-operator has one
-data path, :meth:`Operator.batches`: a Python generator yielding
-:class:`~repro.types.collections.RowVector` morsels through a vectorized
-kernel, our analogue of the paper's JiT-compiled pipelines.  The execution
-mode (``RunOptions.mode``, which operators see as ``ctx.options.mode``) does
-not pick another implementation: ``interpreted`` runs the same kernels and
-charges them at the cost model's ``interpreted_overhead`` rate
+data path, :meth:`Operator.lanes`: a Python generator walking the operator
+for every lane of a :class:`~repro.core.lockstep.Lockstep` at once — each
+lane one rank's execution context — and yielding
+:class:`~repro.core.lockstep.Step` morsels through a vectorized kernel, our
+analogue of the paper's JiT-compiled pipelines.  :meth:`Operator.batches`,
+the morsels of one context, is its one-lane case; an ``MpiExecutor`` wave
+is the walk over all of its ranks (:mod:`repro.core.lockstep`).  The
+execution mode (``RunOptions.mode``, which operators see as
+``ctx.options.mode``) does not pick another implementation: ``interpreted``
+runs the same kernels and charges them at the cost model's
+``interpreted_overhead`` rate
 (:meth:`~repro.core.context.ExecutionContext.overhead_for`) — the
 tuple-at-a-time Volcano interpreter the paper compares against, modelled as
 a rate.  The few control operators that move a handful of tuples holding
 whole collections (``Zip``, ``CartesianProduct``, ``MpiExecutor``) declare
-``row_native`` and implement :meth:`Operator.rows` instead.
+``row_native``.
+
+An operator defined outside this package may instead implement
+:meth:`Operator.batches` (or :meth:`Operator.rows`) on one context: code
+that runs on one rank at a time, and may call the rank's communicator
+itself.  A plan holding one runs its MPI waves with a thread per rank.
 
 Design-principle mapping (paper Section 3.1):
 
 1. *One inner loop per operator* — each concrete operator implements one
-   ``batches`` loop (or, if ``row_native``, one ``rows`` loop).
+   ``lanes`` loop.
 2. *Dedicated scan/materialize operators per physical format* — only
-   ``RowScan`` and ``MaterializeRowVector`` (and the window-reading network
-   operators) know what a ``RowVector`` looks like inside.
+   ``RowScan``/``ChunkScan`` and ``MaterializeRowVector``/
+   ``MaterializeChunks`` (and the window-reading network operators) know
+   what a collection looks like inside.
 3. *Control flow as nested operators* — ``NestedMap``/``MpiExecutor`` run
    whole nested plans through this same interface.
 
@@ -40,6 +51,7 @@ import functools
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.context import ExecutionContext
+from repro.core.lockstep import Lockstep, Step, one_lane, per_rank
 from repro.errors import PlanError, TypeCheckError
 from repro.types.collections import CollectionType, RowVector, RowVectorBuilder
 from repro.types.tuples import TupleType, concat_tuple_types
@@ -102,9 +114,10 @@ class Operator:
 
     Subclasses assign their static parameters, call ``super().__init__``
     (which types the node by running :meth:`infer_type` over the upstreams'
-    declared types) and implement :meth:`batches`, their one data path in
-    both execution modes.  A ``row_native`` control operator implements
-    :meth:`rows` instead.
+    declared types) and implement :meth:`lanes`, their one data path in
+    both execution modes and on any number of ranks.  An operator written
+    against one rank's context implements :meth:`batches` or :meth:`rows`
+    instead.
 
     Instances are *plan nodes*: immutable descriptions plus the per-node
     pipeline-size annotation that the plan compiler fills in.  All mutable
@@ -139,12 +152,23 @@ class Operator:
     side_inputs: frozenset[int] = frozenset()
     heavy_loop: bool = False
 
-    #: The data path is :meth:`rows`: control operators (``Zip``,
-    #: ``CartesianProduct``, ``MpiExecutor``) move a handful of tuples that
-    #: hold whole collections, so packing them into morsels buys nothing.
-    #: :meth:`stream` then yields their rows directly, and the static
-    #: analyzer reads the flag as a deliberate scalar choice (MOD024).
+    #: Control operators (``Zip``, ``CartesianProduct``, ``MpiExecutor``)
+    #: move a handful of tuples that hold whole collections: the profiler
+    #: counts their rows, not batches, an operator implementing :meth:`rows`
+    #: streams them directly, and the static analyzer reads the flag as a
+    #: deliberate scalar choice (MOD024).
     row_native: bool = False
+
+    #: The operator issues collectives, which need every rank of the job.
+    collective: bool = False
+
+    #: Each lane may stop pulling its upstream at its own point (``Limit``),
+    #: so the upstream walks lane by lane and can issue no collective.
+    stops_early: bool = False
+
+    #: The class implements :meth:`lanes` (set for every subclass): its one
+    #: data path walks any number of lanes at once.
+    walks_lanes: bool = False
 
     #: Tuples emitted per run, as far as statically known: ``"one"``,
     #: ``"per_input"`` (one per tuple of upstream 0), ``"all_upstreams"``
@@ -160,14 +184,16 @@ class Operator:
     def __init_subclass__(cls, **kwargs) -> None:
         """Instrument every concrete data-path override for the profiler.
 
-        This is the one hook that gives all operators — including ones
-        defined outside this package — per-operator observability without
-        touching their code: any ``rows``/``batches`` defined by a subclass
-        is wrapped by :func:`_observe_data_path`.  The base-class default
-        ``batches`` stays unwrapped (it repackages the subclass's ``rows``,
-        which is wrapped, so the work is still counted exactly once).
+        A :meth:`lanes` runner is observed by the walk itself
+        (:func:`repro.core.lockstep.steps`); an operator written against one
+        rank's context gets the same observability without touching its
+        code: any ``rows``/``batches`` defined by a subclass is wrapped by
+        :func:`_observe_data_path`.  The base-class default ``batches``
+        stays unwrapped (it runs the subclass's ``lanes`` or repackages its
+        ``rows``, which are observed, so the work is counted exactly once).
         """
         super().__init_subclass__(**kwargs)
+        cls.walks_lanes = cls.lanes is not Operator.lanes
         for name, batched in (("rows", False), ("batches", True)):
             fn = cls.__dict__.get(name)
             if fn is None or not callable(fn):
@@ -226,28 +252,41 @@ class Operator:
 
     # -- data path ---------------------------------------------------------------
 
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        """Yield the output of every lane of ``lx`` as lockstep morsels:
+        the one data path.
+
+        Each lane's rows are charged to that lane's own clock, at the point
+        where a walk of that lane alone charges them.  The default, for an
+        operator implementing :meth:`batches` or :meth:`rows` on one
+        context, walks one lane.
+        """
+        return per_rank(self, lx)
+
     def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        """Yield output tuples one at a time: the data path of a
-        ``row_native`` operator, which overrides this and inherits
-        :meth:`batches`.  Every other operator overrides :meth:`batches`."""
+        """Yield output tuples one at a time: the data path of an operator
+        written against one context, which overrides this (or
+        :meth:`batches`) instead of :meth:`lanes`."""
         raise NotImplementedError(
-            f"{type(self).__name__} implements neither batches() nor rows()"
+            f"{type(self).__name__} implements neither lanes(), batches() nor rows()"
         )
 
     def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        """Yield output tuples as RowVector morsels: the one data path.
+        """Yield output tuples as RowVector morsels: the one-lane walk of
+        :meth:`lanes` on ``ctx``.
 
-        The default, for ``row_native`` operators, buffers :meth:`rows`
-        into morsels sized by ``ctx.morsel_rows_for`` (at least one batch,
-        possibly empty, is always yielded); every other operator overrides
-        this with its kernel.
+        The default, for an operator implementing :meth:`rows`, buffers
+        them into morsels sized by ``ctx.morsel_rows_for`` (at least one
+        batch, possibly empty, is always yielded).
         """
-        yield from pack_morsels(ctx, self.output_type, self.rows(ctx))
+        if self.walks_lanes:
+            return one_lane(self, ctx)
+        return pack_morsels(ctx, self.output_type, self.rows(ctx))
 
     def stream(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        """The row iterator consumers should use: a ``row_native``
-        operator's own rows, any other operator's morsels unpacked."""
-        if self.row_native:
+        """The row iterator consumers should use: the rows of an operator
+        implementing :meth:`rows`, any other operator's morsels unpacked."""
+        if self.row_native and not self.walks_lanes:
             yield from self.rows(ctx)
             return
         for batch in self.batches(ctx):

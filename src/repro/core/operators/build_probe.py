@@ -23,6 +23,7 @@ from typing import Iterator
 from repro.core.context import ExecutionContext
 from repro.core.kernels.hash_join import HashJoinSpec, outer_tail
 from repro.core.kernels.radix_join import select_join_kernel
+from repro.core.lockstep import Lockstep, Step, drained_vectors, pulled
 from repro.core.operator import Operator, join_output_type
 from repro.errors import TypeCheckError
 from repro.types.collections import RowVector
@@ -110,29 +111,41 @@ class BuildProbe(Operator):
             metrics.counter("join_build_rows", op=type(self).__name__).add(len(left))
         return build, probe
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        # Each lane builds and probes its own table: its data decides the
+        # kernel.
         spec = self.spec()
-        left = RowVector.concat(
-            self.upstreams[0].output_type,
-            list(self.upstreams[0].stream_batches(ctx)),
-        )
-        build, probe = self.build(ctx, left)
-        yielded = False
-        for batch in self.upstreams[1].stream_batches(ctx):
-            out = probe(build, batch, spec)
-            # Every policy charges one unit per probe tuple plus one per
-            # emitted tuple.
-            ctx.charge_cpu(self, "probe", len(batch) + len(out))
-            if len(out):
-                yielded = True
-                yield out
+        left = self.upstreams[0]
+        lefts = drained_vectors(left, pulled(left, lx), lx)
+        builds = [self.build(ctx, vector) for ctx, vector in zip(lx.ctxs, lefts)]
+        del lefts
+        yielded = [False] * len(lx.ctxs)
+        for step in pulled(self.upstreams[1], lx):
+            lanes, outs = [], []
+            for lane, batch in zip(step.lanes, step.parts):
+                build, probe = builds[lane]
+                out = probe(build, batch, spec)
+                # Every policy charges one unit per probe tuple plus one per
+                # emitted tuple.
+                lx.ctxs[lane].charge_cpu(self, "probe", len(batch) + len(out))
+                if len(out):
+                    lanes.append(lane)
+                    outs.append(out)
+                    yielded[lane] = True
+            if lanes:
+                yield Step(self.output_type, lanes, parts=outs)
 
         if self.join_type == "left_outer":
             # outer_tail reads only the (order, matched) contract both
             # builds share, so one tail routine serves either kernel.
-            tail = outer_tail(build, spec)
-            if len(tail):
-                yielded = True
-                yield tail
-        if not yielded:
-            yield RowVector.empty(self.output_type)
+            tails = [(lane, outer_tail(build, spec)) for lane, (build, _) in enumerate(builds)]
+            tails = [(lane, tail) for lane, tail in tails if len(tail)]
+            for lane, _ in tails:
+                yielded[lane] = True
+            if tails:
+                yield Step(self.output_type, [lane for lane, _ in tails],
+                           parts=[tail for _, tail in tails])
+        empty = [lane for lane, done in enumerate(yielded) if not done]
+        if empty:
+            yield Step(self.output_type, empty,
+                       parts=[RowVector.empty(self.output_type) for _ in empty])

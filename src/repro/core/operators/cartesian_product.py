@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.core.context import ExecutionContext
+from repro.core.lockstep import Lockstep, Step, drained_rows, each_lane, steps
 from repro.core.operator import Operator
+from repro.types.collections import RowVector
 from repro.types.tuples import concat_tuple_types
 
 __all__ = ["CartesianProduct"]
@@ -37,13 +38,11 @@ class CartesianProduct(Operator):
     def signature(self) -> tuple:
         return ()
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        left_rows = list(self.upstreams[0].stream(ctx))
-        count = 0
-        try:
-            for right_row in self.upstreams[1].stream(ctx):
-                for left_row in left_rows:
-                    count += 1
-                    yield left_row + right_row
-        finally:
-            ctx.charge_cpu(self, "map", count)
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        lefts, rights = (drained_rows(steps(up, lx), lx) for up in self.upstreams)
+        outputs = []
+        for ctx, left, right in zip(lx.ctxs, lefts, rights):
+            rows = [left_row + right_row for right_row in right for left_row in left]
+            ctx.charge_cpu(self, "map", len(rows))
+            outputs.append(RowVector.from_rows(self.output_type, rows))
+        yield each_lane(self.output_type, outputs)

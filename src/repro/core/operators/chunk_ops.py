@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.core.context import ExecutionContext
+from repro.core.lockstep import Lockstep, Step, drained_parts, each_lane, pulled, scanned
 from repro.core.operator import Operator, scanned_collection
 from repro.errors import ExecutionError, TypeCheckError
 from repro.types.collections import ChunkedRowVector, RowVector, chunked_type
@@ -55,20 +56,16 @@ class ChunkScan(Operator):
     def signature(self) -> tuple:
         return (self.field,)
 
-    def _collections(self, ctx: ExecutionContext) -> Iterator[ChunkedRowVector]:
-        for row in self.upstreams[0].stream(ctx):
-            collection = row[self._position]
-            if collection.element_type != self.output_type:
-                raise ExecutionError(
-                    f"ChunkScan expected {self.output_type!r} elements, found "
-                    f"{collection.element_type!r}"
-                )
-            yield collection
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        return scanned(self, lx, self._read)
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        for collection in self._collections(ctx):
-            ctx.charge_cpu(self, "scan", len(collection) * self._scan_weight)
-            yield from collection.chunks
+    def _read(self, ctx: ExecutionContext, collection: ChunkedRowVector):
+        if collection.element_type != self.output_type:
+            raise ExecutionError(
+                f"ChunkScan expected {self.output_type!r} elements, found "
+                f"{collection.element_type!r}"
+            )
+        return len(collection), collection.chunks
 
 
 class MaterializeChunks(Operator):
@@ -99,14 +96,13 @@ class MaterializeChunks(Operator):
     def signature(self) -> tuple:
         return (self.field, self.chunk_rows)
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
         element_type = self.upstreams[0].output_type
-        data = RowVector.concat(
-            element_type, list(self.upstreams[0].stream_batches(ctx))
-        )
-        collection = ChunkedRowVector.from_row_vector(data, self.chunk_rows)
-        ctx.set_phase(self.assigned_phase)
-        ctx.clock.advance(
-            ctx.cost.copy_cost(collection.size_bytes()), jitter=True
-        )
-        yield RowVector.of_row(self.output_type, (collection,))
+        outputs = []
+        for ctx, parts in zip(lx.ctxs, drained_parts(pulled(self.upstreams[0], lx), lx)):
+            data = RowVector.concat(element_type, parts)
+            collection = ChunkedRowVector.from_row_vector(data, self.chunk_rows)
+            ctx.set_phase(self.assigned_phase)
+            ctx.clock.advance(ctx.cost.copy_cost(collection.size_bytes()), jitter=True)
+            outputs.append(RowVector.of_row(self.output_type, (collection,)))
+        yield each_lane(self.output_type, outputs)

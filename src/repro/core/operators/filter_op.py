@@ -6,8 +6,8 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.context import ExecutionContext
 from repro.core.functions import Predicate
+from repro.core.lockstep import Lockstep, Step, pulled
 from repro.core.operator import Operator
 from repro.types.collections import RowVector
 
@@ -29,11 +29,22 @@ class Filter(Operator):
     def signature(self) -> tuple:
         return (id(self.predicate),)
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        for batch in self.upstreams[0].stream_batches(ctx):
-            ctx.charge_cpu(self, "map", len(batch))
-            mask = self.predicate.mask(batch)
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        for step in pulled(self.upstreams[0], lx):
+            lx.charge(self, "map", step)
+            if not lx.joint(step):
+                yield Step(self.output_type, step.lanes, parts=[
+                    self._selected(part) for part in step.parts
+                ])
+                continue
+            whole = step.whole
+            mask = self.predicate.mask(whole)
             if mask.all():
-                yield batch
+                yield step
             else:
-                yield batch.take(np.flatnonzero(mask))
+                keep = np.flatnonzero(mask)
+                yield step.derive(whole.take(keep), np.searchsorted(keep, step.offs).tolist())
+
+    def _selected(self, batch: RowVector) -> RowVector:
+        mask = self.predicate.mask(batch)
+        return batch if mask.all() else batch.take(np.flatnonzero(mask))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.core.context import ExecutionContext
+from repro.core.lockstep import Lockstep, Step, lane_by_lane, pulled
 from repro.core.operator import Operator
 from repro.errors import TypeCheckError
 from repro.types.collections import RowVector
@@ -22,6 +22,7 @@ class Limit(Operator):
     """Yield the first ``n`` upstream tuples."""
 
     abbreviation = "LT"
+    stops_early = True
 
     def __init__(self, upstream: Operator, n: int) -> None:
         if n < 0:
@@ -35,11 +36,18 @@ class Limit(Operator):
     def signature(self) -> tuple:
         return (self.n,)
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        # Each lane stops pulling at its own point, so that no lane pays
+        # for rows it would drop.
+        return lane_by_lane(lx, self._limited, self.output_type)
+
+    def _limited(self, lx: Lockstep) -> Iterator[RowVector]:
+        """The first ``n`` rows of the one lane of ``lx``, as morsels."""
         if self.n == 0:
             return
         remaining = self.n
-        for batch in self.upstreams[0].stream_batches(ctx):
+        for step in pulled(self.upstreams[0], lx):
+            batch = step.parts[0]
             if len(batch) >= remaining:
                 yield batch.slice(0, remaining)
                 return

@@ -11,16 +11,19 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.context import ExecutionContext
 from repro.core.functions import PartitionFunction
 from repro.core.kernels.scatter import bucket_counts
+from repro.core.lockstep import Lockstep, Step, lane_keyed, pulled
 from repro.core.operator import Operator
 from repro.errors import ExecutionError, TypeCheckError
 from repro.types.atoms import INT64
 from repro.types.collections import RowVector
 from repro.types.tuples import TupleType
 
-__all__ = ["HISTOGRAM_TYPE", "LocalHistogram", "read_histogram", "require_histogram"]
+__all__ = [
+    "HISTOGRAM_TYPE", "LocalHistogram", "histogram_step", "read_histograms",
+    "require_histogram",
+]
 
 #: ⟨bucketID, count⟩ — the type both histogram operators produce.
 HISTOGRAM_TYPE = TupleType.of(bucket=INT64, count=INT64)
@@ -36,25 +39,37 @@ def require_histogram(op_name: str, role: str, got: TupleType) -> None:
         )
 
 
-def read_histogram(
-    ctx: ExecutionContext, upstream: Operator, n_partitions: int
-) -> np.ndarray:
-    """Drain a ⟨bucket, count⟩ upstream into a dense per-partition array.
+def read_histograms(lx: Lockstep, upstream: Operator, n_partitions: int) -> np.ndarray:
+    """Drain a ⟨bucket, count⟩ upstream into a dense ``[lane, partition]``
+    array of counts.
 
     The one consumer-side histogram reader, shared by ``LocalPartitioning``,
-    ``MpiExchange`` and ``MpiHistogram``: empty batches are skipped *before* the bucket
-    range is validated, so a histogram delivered as (or padded with) empty
-    morsels never trips ``min()`` on an empty column.
+    ``MpiExchange`` and ``MpiHistogram``: empty morsels are skipped *before*
+    the bucket range is validated, so a histogram delivered as (or padded
+    with) empty morsels never trips ``min()`` on an empty column.
     """
-    counts = np.zeros(n_partitions, dtype=np.int64)
-    for batch in upstream.stream_batches(ctx):
-        if len(batch) == 0:
+    counts = np.zeros((len(lx.ctxs), n_partitions), dtype=np.int64)
+    for step in pulled(upstream, lx):
+        whole = step.whole
+        if len(whole) == 0:
             continue
-        buckets = batch.column("bucket")
+        buckets = whole.column("bucket")
         if not (0 <= int(buckets.min()) and int(buckets.max()) < n_partitions):
             raise ExecutionError(f"histogram bucket outside [0, {n_partitions})")
-        np.add.at(counts, buckets, batch.column("count"))
+        ids = lane_keyed(step, buckets, n_partitions, step.lanes)
+        np.add.at(counts.reshape(-1), ids, whole.column("count"))
     return counts
+
+
+def histogram_step(counts: np.ndarray) -> Step:
+    """⟨bucket, count⟩ rows of each lane's histogram (``counts[lane]``)."""
+    n_lanes, n_buckets = counts.shape
+    whole = RowVector(
+        HISTOGRAM_TYPE,
+        [np.tile(np.arange(n_buckets, dtype=np.int64), n_lanes), counts.reshape(-1)],
+    )
+    return Step(HISTOGRAM_TYPE, range(n_lanes), whole=whole,
+                offs=list(range(0, (n_lanes + 1) * n_buckets, n_buckets)))
 
 
 class LocalHistogram(Operator):
@@ -85,16 +100,27 @@ class LocalHistogram(Operator):
     def n_buckets(self) -> int:
         return self.bucket_fn.n_partitions
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        counts = np.zeros(self.n_buckets, dtype=np.int64)
-        total = 0
-        for batch in self.upstreams[0].stream_batches(ctx):
-            if len(batch) == 0:
-                continue
-            total += len(batch)
-            buckets = self.bucket_fn.map_batch(batch)
-            counts += bucket_counts(buckets, self.n_buckets)
-        ctx.charge_cpu(self, "histogram", total)
-        yield RowVector(
-            HISTOGRAM_TYPE, [np.arange(self.n_buckets, dtype=np.int64), counts]
-        )
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        n_buckets, n_lanes = self.n_buckets, len(lx.ctxs)
+        counts = np.zeros((n_lanes, n_buckets), dtype=np.int64)
+        totals = [0] * n_lanes
+        for step in pulled(self.upstreams[0], lx):
+            sizes = step.sizes()
+            for lane, n_rows in zip(step.lanes, sizes):
+                totals[lane] += n_rows
+            if not lx.joint(step):
+                for lane, part in zip(step.lanes, step.parts):
+                    if len(part):
+                        counts[lane] += bucket_counts(
+                            self.bucket_fn.map_batch(part), n_buckets
+                        )
+            elif sum(sizes):
+                buckets = self.bucket_fn.map_batch(step.whole)
+                ids = lane_keyed(step, buckets, n_buckets, step.lanes)
+                # An id out of range lengthens the count and fails the reshape.
+                counts += bucket_counts(ids, n_lanes * n_buckets).reshape(
+                    n_lanes, n_buckets
+                )
+        for ctx, total in zip(lx.ctxs, totals):
+            ctx.charge_cpu(self, "histogram", total)
+        yield histogram_step(counts)

@@ -19,8 +19,9 @@ import numpy as np
 from repro.core.context import ExecutionContext
 from repro.core.functions import PartitionFunction
 from repro.core.kernels.scatter import partition_layout
+from repro.core.lockstep import Lockstep, Step, drained_vectors, each_lane, pulled
 from repro.core.operator import Operator
-from repro.core.operators.local_histogram import read_histogram, require_histogram
+from repro.core.operators.local_histogram import read_histograms, require_histogram
 from repro.errors import ExecutionError
 from repro.types.atoms import INT64
 from repro.types.collections import RowVector, row_vector_type
@@ -77,13 +78,14 @@ class LocalPartitioning(Operator):
     def n_partitions(self) -> int:
         return self.partition_fn.n_partitions
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        counts = read_histogram(ctx, self.upstreams[1], self.n_partitions)
-        element_type = self.upstreams[0].output_type
-        data = RowVector.concat(
-            element_type, list(self.upstreams[0].stream_batches(ctx))
-        )
-        yield self.partition(ctx, data, counts)
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        counts = read_histograms(lx, self.upstreams[1], self.n_partitions)
+        data = self.upstreams[0]
+        vectors = drained_vectors(data, pulled(data, lx), lx)
+        yield each_lane(self.output_type, [
+            self.partition(ctx, vector, lane_counts)
+            for ctx, vector, lane_counts in zip(lx.ctxs, vectors, counts)
+        ])
 
     def partition(self, ctx: ExecutionContext, data: RowVector, counts) -> RowVector:
         """Charge and scatter ``data`` into the partitions ``counts`` sized."""

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.core.context import ExecutionContext
 from repro.core.functions import ParamTupleFunction, TupleFunction
+from repro.core.lockstep import Lockstep, Step, drained_vectors, pulled, steps
 from repro.core.operator import Operator
 from repro.errors import ExecutionError
-from repro.types.collections import RowVector
 
 __all__ = ["Map", "ParametrizedMap"]
 
@@ -34,10 +33,13 @@ class Map(Operator):
     def signature(self) -> tuple:
         return (id(self.fn),)
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        for batch in self.upstreams[0].stream_batches(ctx):
-            ctx.charge_cpu(self, "map", len(batch))
-            yield self.fn.apply_batch(batch, self.output_type)
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        for step in pulled(self.upstreams[0], lx):
+            lx.charge(self, "map", step)
+            yield lx.rowwise(
+                step, self.output_type,
+                lambda batch: self.fn.apply_batch(batch, self.output_type),
+            )
 
 
 class ParametrizedMap(Operator):
@@ -60,17 +62,19 @@ class ParametrizedMap(Operator):
     infer_type = Map.infer_type
     signature = Map.signature
 
-    def _read_param(self, ctx: ExecutionContext) -> tuple:
-        params = self.upstreams[1].drain(ctx)
-        if len(params) != 1:
-            raise ExecutionError(
-                f"ParametrizedMap parameter upstream produced {len(params)} tuples, "
-                "expected exactly 1"
-            )
-        return params.row(0)
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        param = self._read_param(ctx)
-        for batch in self.upstreams[0].stream_batches(ctx):
-            ctx.charge_cpu(self, "map", len(batch))
-            yield self.fn.apply_batch(param, batch, self.output_type)
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        side = self.upstreams[1]
+        params = []
+        for vector in drained_vectors(side, steps(side, lx), lx):
+            if len(vector) != 1:
+                raise ExecutionError(
+                    f"ParametrizedMap parameter upstream produced {len(vector)} "
+                    "tuples, expected exactly 1"
+                )
+            params.append(vector.row(0))
+        for step in pulled(self.upstreams[0], lx):
+            lx.charge(self, "map", step)
+            yield Step(self.output_type, step.lanes, parts=[
+                self.fn.apply_batch(params[lane], part, self.output_type)
+                for lane, part in zip(step.lanes, step.parts)
+            ])

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.core.context import ExecutionContext
+from repro.core.lockstep import Lockstep, Step, drained_parts, each_lane, pulled
 from repro.core.operator import Operator
 from repro.observability.events import RecoveryDetail
 from repro.types.collections import RowVector, RowVectorBuilder, row_vector_type
@@ -83,24 +84,33 @@ class MaterializeRowVector(Operator):
 
     # -- data path -------------------------------------------------------------
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        store = self._checkpoint_store(ctx)
-        vector = store.lookup(id(self), ctx.rank) if store is not None else None
-        if vector is not None:
-            self._serve_checkpoint(ctx, vector)
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        # A stage's checkpoints serve every lane of the job or none: each
+        # rank deposits at the same materialization point.
+        store = self._checkpoint_store(lx.ctxs[0])
+        sealed = [store.lookup(id(self), ctx.rank) for ctx in lx.ctxs] if store else []
+        if sealed and all(vector is not None for vector in sealed):
+            for ctx, vector in zip(lx.ctxs, sealed):
+                self._serve_checkpoint(ctx, vector)
         else:
-            # Bulk-append drain: whole morsels flow into the builder via
-            # extend_vector, so no row is ever pythonized on this path
-            # (and adjacent slice morsels re-merge zero-copy in finish()).
-            builder = RowVectorBuilder(self.upstreams[0].output_type)
-            for batch in self.upstreams[0].stream_batches(ctx):
-                builder.extend_vector(batch)
-            vector = builder.finish()
-            ctx.charge_materialize(self, vector.size_bytes())
-            # Accounting uses owned_bytes: when finish() re-merged the
-            # morsel stream into a zero-copy view of upstream storage,
-            # no new resident bytes exist to count.
-            ctx.account_memory(vector.owned_bytes())
-            if store is not None:
-                store.deposit(id(self), ctx.rank, vector)
-        yield RowVector.of_row(self.output_type, (vector,))
+            sealed = []
+            parts = drained_parts(pulled(self.upstreams[0], lx), lx)
+            for ctx, lane_parts in zip(lx.ctxs, parts):
+                # Bulk-append drain: whole morsels flow into the builder via
+                # extend_vector, so no row is ever pythonized on this path
+                # (and adjacent slice morsels re-merge zero-copy in finish()).
+                builder = RowVectorBuilder(self.upstreams[0].output_type)
+                for part in lane_parts:
+                    builder.extend_vector(part)
+                vector = builder.finish()
+                ctx.charge_materialize(self, vector.size_bytes())
+                # Accounting uses owned_bytes: when finish() re-merged the
+                # morsel stream into a zero-copy view of upstream storage,
+                # no new resident bytes exist to count.
+                ctx.account_memory(vector.owned_bytes())
+                if store is not None:
+                    store.deposit(id(self), ctx.rank, vector)
+                sealed.append(vector)
+        yield each_lane(self.output_type, [
+            RowVector.of_row(self.output_type, (vector,)) for vector in sealed
+        ])

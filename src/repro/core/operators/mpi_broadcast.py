@@ -18,11 +18,11 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.context import ExecutionContext
+from repro.core.lockstep import Lockstep, Step, each_lane, pulled
 from repro.core.operator import Operator
 from repro.core.operators.local_histogram import require_histogram
 from repro.core.operators.mpi_exchange import BUFFER_ROWS
 from repro.errors import ExecutionError
-from repro.types.collections import RowVector
 
 __all__ = ["MpiBroadcast"]
 
@@ -35,6 +35,7 @@ class MpiBroadcast(Operator):
     breaks_pipeline = True
     side_inputs = frozenset({1, 2})
     heavy_loop = True
+    collective = True
 
     def __init__(
         self,
@@ -53,51 +54,55 @@ class MpiBroadcast(Operator):
     def signature(self) -> tuple:
         return ()
 
-    def _read_total(self, ctx: ExecutionContext, upstream: Operator) -> int:
-        total = 0
-        for batch in upstream.stream_batches(ctx):
-            if len(batch):
-                total += int(batch.column("count").sum())
-        return total
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        group = lx.collectives()
+        lx.set_phase(self.assigned_phase)
+        local, global_ = (self._read_totals(lx, up) for up in self.upstreams[1:])
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        ctx.set_phase(self.assigned_phase)
-        comm = ctx.comm
-        local_total = self._read_total(ctx, self.upstreams[1])
-        global_total = self._read_total(ctx, self.upstreams[2])
-
-        ctx.set_phase(self.assigned_phase)
-        per_rank = np.asarray(
-            comm.allgather(local_total, payload_bytes=8), dtype=np.int64
-        )
-        if int(per_rank.sum()) != global_total:
+        lx.set_phase(self.assigned_phase)
+        per_rank = np.asarray(group.allgather(local, payload_bytes=8), dtype=np.int64)
+        if any(int(per_rank.sum()) != total for total in global_):
             raise ExecutionError(
                 "global histogram disagrees with the sum of local histograms"
             )
-        my_offset = int(per_rank[: comm.rank].sum())
+        offsets = [int(per_rank[: ctx.rank].sum()) for ctx in lx.ctxs]
 
-        windows = comm.win_create(self.output_type, global_total)
-        sent = self._send_all(ctx, windows, my_offset)
-        if sent != local_total:
-            raise ExecutionError(
-                f"data upstream produced {sent} tuples but the local histogram "
-                f"promised {local_total}"
-            )
+        windows = group.win_create(self.output_type, global_)
+        for sent, promised in zip(self._send_all(lx, windows, offsets), local):
+            if sent != promised:
+                raise ExecutionError(
+                    f"data upstream produced {sent} tuples but the local histogram "
+                    f"promised {promised}"
+                )
 
-        ctx.set_phase(self.assigned_phase)
-        windows.fence()
-        yield windows.local.read(0, global_total)
+        lx.set_phase(self.assigned_phase)
+        group.fence(windows)
+        yield each_lane(self.output_type, [
+            window_set.local.read(0, total) for window_set, total in zip(windows, global_)
+        ])
 
-    def _send_all(self, ctx: ExecutionContext, windows, offset: int) -> int:
-        """Put every data morsel into every rank's window from ``offset``;
-        the rows sent.  A helper, so that no morsel outlives it: under the
-        baton, every rank parked at the fence would hold its last one at once.
-        """
-        sent = 0
-        for batch in self.upstreams[0].stream_batches(ctx):
-            if len(batch):
-                self.send_batch(ctx, windows, offset + sent, batch)
-                sent += len(batch)
+    @staticmethod
+    def _read_totals(lx: Lockstep, upstream: Operator) -> list[int]:
+        """Each lane's total count of a ⟨bucket, count⟩ upstream."""
+        totals = [0] * len(lx.ctxs)
+        for step in pulled(upstream, lx):
+            for lane, part in zip(step.lanes, step.parts):
+                if len(part):
+                    totals[lane] += int(part.column("count").sum())
+        return totals
+
+    def _send_all(self, lx: Lockstep, windows, offsets: list[int]) -> list[int]:
+        """Put every data morsel into every rank's window from each lane's
+        offset; each lane's rows sent.  A helper, so that no morsel outlives
+        it into the fence."""
+        sent = [0] * len(lx.ctxs)
+        for step in pulled(self.upstreams[0], lx):
+            for lane, part in zip(step.lanes, step.parts):
+                if len(part):
+                    self.send_batch(
+                        lx.ctxs[lane], windows[lane], offsets[lane] + sent[lane], part
+                    )
+                    sent[lane] += len(part)
         return sent
 
     def send_batch(self, ctx: ExecutionContext, windows, offset: int, batch) -> None:

@@ -30,9 +30,10 @@ import numpy as np
 from repro.core.compression import COMPRESSED_TYPE, RadixCompression
 from repro.core.context import ExecutionContext
 from repro.core.functions import PartitionFunction
-from repro.core.kernels.scatter import partition_layout
+from repro.core.kernels.scatter import bucket_counts, partition_layout, stable_order
+from repro.core.lockstep import Lockstep, Step, each_lane, lane_keyed, pulled
 from repro.core.operator import Operator
-from repro.core.operators.local_histogram import read_histogram, require_histogram
+from repro.core.operators.local_histogram import read_histograms, require_histogram
 from repro.errors import ExecutionError, TypeCheckError
 from repro.types.atoms import INT64
 from repro.types.collections import RowVector, row_vector_type
@@ -70,6 +71,7 @@ class MpiExchange(Operator):
     breaks_pipeline = True
     side_inputs = frozenset({1, 2})
     heavy_loop = True
+    collective = True
 
     def __init__(
         self,
@@ -134,67 +136,108 @@ class MpiExchange(Operator):
         grid = np.concatenate((global_counts, padding)).reshape(-1, n_ranks)
         return (grid.cumsum(axis=0) - grid).ravel()[: self.n_partitions]
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        ctx.set_phase(self.assigned_phase)
-        comm = ctx.comm
-        n_ranks = comm.n_ranks
-        local_counts = read_histogram(ctx, self.upstreams[1], self.n_partitions)
-        global_counts = read_histogram(ctx, self.upstreams[2], self.n_partitions)
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        n_parts = self.n_partitions
+        group = lx.collectives()
+        n_ranks = lx.ctxs[0].n_ranks
+        lx.set_phase(self.assigned_phase)
+        local = read_histograms(lx, self.upstreams[1], n_parts)
+        global_ = read_histograms(lx, self.upstreams[2], n_parts)
 
-        ctx.set_phase(self.assigned_phase)
-        gathered = comm.allgather(local_counts, payload_bytes=local_counts.nbytes)
-        matrix = np.stack(gathered)  # [source rank, partition] -> count
-        if not np.array_equal(matrix.sum(axis=0), global_counts):
-            raise ExecutionError(
-                "global histogram disagrees with the sum of local histograms; "
-                "the histogram upstreams were not computed over the same input"
-            )
+        lx.set_phase(self.assigned_phase)
+        # [source rank, partition] -> count
+        matrix = np.stack(group.allgather(list(local), payload_bytes=local[0].nbytes))
+        for counts in global_:
+            if not np.array_equal(matrix.sum(axis=0), counts):
+                raise ExecutionError(
+                    "global histogram disagrees with the sum of local histograms; "
+                    "the histogram upstreams were not computed over the same input"
+                )
+        counts = global_[0]
 
         # One-shot layout: base offset of every partition in its owner's
         # window, shared by all sends instead of being rebuilt per put.
-        partition_base = self._layout_table(global_counts, n_ranks)
-        capacity = int(
-            global_counts[np.arange(comm.rank, self.n_partitions, n_ranks)].sum()
-        )
-        windows = comm.win_create(self._wire_type, capacity)
-
-        # This rank's next write row inside every partition region: its
+        partition_base = self._layout_table(counts, n_ranks)
+        ranks = [ctx.rank for ctx in lx.ctxs]
+        windows = group.win_create(self._wire_type, [
+            int(counts[np.arange(rank, n_parts, n_ranks)].sum()) for rank in ranks
+        ])
+        # Each rank's next write row inside every partition region: its
         # exclusive offset after the lower ranks' shares, advanced per send.
-        cursor = partition_base + matrix[: comm.rank].sum(axis=0)
+        cursors = [partition_base + matrix[:rank].sum(axis=0) for rank in ranks]
 
-        total = self._send_all(ctx, windows, cursor)
-        if total != int(local_counts.sum()):
-            raise ExecutionError(
-                f"data upstream produced {total} tuples but the local histogram "
-                f"promised {int(local_counts.sum())}"
-            )
+        totals = self._send_all(lx, windows, cursors)
+        for total, promised in zip(totals, local.sum(axis=1)):
+            if total != int(promised):
+                raise ExecutionError(
+                    f"data upstream produced {total} tuples but the local histogram "
+                    f"promised {int(promised)}"
+                )
 
-        ctx.set_phase(self.assigned_phase)
-        windows.fence()
+        lx.set_phase(self.assigned_phase)
+        group.fence(windows)
 
         # Columnar drain: ⟨pid, data⟩ assembled directly from the owned
         # partition ids and the window's zero-copy read views — no
         # per-partition builder appends, no row pythonization.
-        owned = np.arange(comm.rank, self.n_partitions, n_ranks, dtype=np.int64)
-        partitions = np.empty(len(owned), dtype=object)
-        for i, pid in enumerate(owned):
-            base = int(partition_base[pid])
-            partitions[i] = windows.local.read(base, base + int(global_counts[pid]))
-        yield RowVector(self.output_type, [owned, partitions])
+        outputs = []
+        for rank, window_set in zip(ranks, windows):
+            owned = np.arange(rank, n_parts, n_ranks, dtype=np.int64)
+            partitions = np.empty(len(owned), dtype=object)
+            for i, pid in enumerate(owned):
+                base = int(partition_base[pid])
+                partitions[i] = window_set.local.read(base, base + int(counts[pid]))
+            outputs.append(RowVector(self.output_type, [owned, partitions]))
+        yield each_lane(self.output_type, outputs)
 
-    def _send_all(self, ctx: ExecutionContext, windows, cursor) -> int:
-        """Scatter every data morsel into the windows; the rows sent.
+    def _send_all(self, lx: Lockstep, windows, cursors) -> list[int]:
+        """Scatter every data morsel into the windows; each lane's rows sent.
 
-        A helper, so that no morsel, scatter order or packed wire outlives
-        it: under the baton, every rank parked at the fence would hold its
-        last one at once.
+        Rows of a joint step take one partition function call and one
+        stable order over ⟨lane, partition⟩, then each lane's puts from its
+        slice of that order.  A helper, so that no morsel, scatter order or
+        packed wire outlives it into the fence.
         """
-        total = 0
-        for batch in self.upstreams[0].stream_batches(ctx):
-            if len(batch):
-                self.send_batch(ctx, windows, cursor, batch)
-                total += len(batch)
-        return total
+        n_parts = self.n_partitions
+        totals = [0] * len(lx.ctxs)
+        for step in pulled(self.upstreams[0], lx):
+            if not lx.joint(step):
+                for lane, part in zip(step.lanes, step.parts):
+                    if len(part):
+                        self.send_batch(lx.ctxs[lane], windows[lane], cursors[lane], part)
+                        totals[lane] += len(part)
+                continue
+            whole = step.whole
+            if len(whole) == 0:
+                continue
+            sizes, offs = step.sizes(), step.offs
+            buckets = self.partition_fn.map_batch(whole)
+            ids = lane_keyed(step, buckets, n_parts)
+            span = len(step.lanes) * n_parts
+            counts = bucket_counts(ids, span).reshape(len(step.lanes), n_parts)
+            # One stable linear-time scatter order (none at one partition,
+            # where it is the identity).
+            order = stable_order(ids, span) if n_parts > 1 else None
+            wire = whole if self.compression is None else self.compression.pack_batch(whole)
+            for i, lane in enumerate(step.lanes):
+                if sizes[i] == 0:
+                    continue
+                totals[lane] += sizes[i]
+                ctx = lx.ctxs[lane]
+                ctx.charge_cpu(self, "partition", sizes[i])
+                lo, hi = offs[i], offs[i + 1]
+                offsets = np.zeros(n_parts + 1, dtype=np.int64)
+                np.cumsum(counts[i], out=offsets[1:])
+                # The rank's own scatter order is its slice of the lanes'
+                # order, holding positions in ``wire``.
+                lane_wire = wire if order is not None else wire.slice(lo, hi)
+                lane_order = order[lo:hi] if order is not None else None
+                for pid in np.flatnonzero(counts[i]):
+                    self._send_partition(
+                        ctx, windows[lane], cursors[lane], int(pid), lane_wire,
+                        lane_order, offsets,
+                    )
+        return totals
 
     def send_batch(self, ctx: ExecutionContext, windows, cursor, batch) -> None:
         """Charge and scatter one non-empty morsel into the windows."""

@@ -13,15 +13,15 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.core.context import ExecutionContext
+from repro.core.lockstep import Lockstep, Step
 from repro.core.operator import Operator
 from repro.core.operators.local_histogram import (
     HISTOGRAM_TYPE,
-    read_histogram,
+    histogram_step,
+    read_histograms,
     require_histogram,
 )
 from repro.errors import TypeCheckError
-from repro.types.collections import RowVector
 
 __all__ = ["MpiHistogram"]
 
@@ -32,6 +32,7 @@ class MpiHistogram(Operator):
     abbreviation = "MH"
     phase_name = "global_histogram"
     breaks_pipeline = True
+    collective = True
 
     def __init__(self, upstream: Operator, n_buckets: int) -> None:
         if n_buckets < 1:
@@ -46,10 +47,9 @@ class MpiHistogram(Operator):
     def signature(self) -> tuple:
         return (self.n_buckets,)
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        local = read_histogram(ctx, self.upstreams[0], self.n_buckets)
-        ctx.set_phase(self.assigned_phase)
-        counts = ctx.comm.allreduce(local, op="sum")
-        yield RowVector(
-            HISTOGRAM_TYPE, [np.arange(self.n_buckets, dtype=np.int64), counts]
-        )
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        group = lx.collectives()
+        local = read_histograms(lx, self.upstreams[0], self.n_buckets)
+        lx.set_phase(self.assigned_phase)
+        counts = group.allreduce(list(local), op="sum")
+        yield histogram_step(np.tile(counts, (len(lx.ctxs), 1)))

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Callable, Iterator
 
-from repro.core.context import ExecutionContext
-from repro.core.operator import Operator, pack_morsels
+from repro.core.lockstep import Lockstep, Step, drained_rows, steps
+from repro.core.operator import Operator
 from repro.core.operators.parameter_lookup import ParameterSlot
 from repro.errors import ExecutionError, TypeCheckError
 from repro.types.collections import RowVector
@@ -91,29 +91,52 @@ class NestedMap(Operator):
     def nested_roots(self) -> tuple[Operator, ...]:
         return (self.inner,)
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
         # The per-invocation control flow is tuple-at-a-time and its input
         # is a few control tuples (one per partition), so they are read as
         # rows.  The upstream is drained before the first nested run: its
         # generators finish, charging their clocks and releasing their
         # frames, before any nested plan allocates.
-        inputs = list(self.upstreams[0].stream(ctx))
-        results = (self._run_inner(ctx, row) for row in inputs)
-        yield from pack_morsels(ctx, self.output_type, results)
+        inputs = drained_rows(steps(self.upstreams[0], lx), lx)
+        morsel_rows = lx.ctxs[0].morsel_rows_for(self.output_type)
+        results: list[list[tuple]] = [[] for _ in inputs]
+        emitted = [False] * len(inputs)
+        # Invocation k runs on every lane with a k-th input tuple at once.
+        for k in range(max(map(len, inputs), default=0)):
+            lanes = [lane for lane, rows in enumerate(inputs) if len(rows) > k]
+            for lane, out in zip(lanes, self._invoke(lx, lanes, inputs, k)):
+                results[lane].append(out)
+            full = [lane for lane in lanes if len(results[lane]) >= morsel_rows]
+            if full:
+                yield self._packed(full, results, emitted)
+        rest = [lane for lane in range(len(inputs)) if results[lane] or not emitted[lane]]
+        if rest:
+            yield self._packed(rest, results, emitted)
 
-    def _run_inner(self, ctx: ExecutionContext, row: tuple) -> tuple:
-        ctx.push_parameter(self.slot.id, row)
+    def _invoke(self, lx: Lockstep, lanes: list[int], inputs, k: int) -> list[tuple]:
+        """The nested plan bound to each of ``lanes``' k-th input: its one
+        output tuple per lane."""
+        invocation = lx.nested(lanes)
+        for ctx, lane in zip(invocation.ctxs, lanes):
+            ctx.push_parameter(self.slot.id, inputs[lane][k])
         try:
-            result: tuple | None = None
-            for out in self.inner.stream(ctx):
-                if result is not None:
-                    raise ExecutionError(
-                        "nested plan produced more than one tuple; nested plans "
-                        "must end with MaterializeRowVector"
-                    )
-                result = out
-            if result is None:
-                raise ExecutionError("nested plan produced no output tuple")
-            return result
+            outputs = drained_rows(steps(self.inner, invocation), invocation)
         finally:
-            ctx.pop_parameter(self.slot.id)
+            for ctx in invocation.ctxs:
+                ctx.pop_parameter(self.slot.id)
+        for outs in outputs:
+            if len(outs) != 1:
+                raise ExecutionError(
+                    "nested plan produced more than one tuple; nested plans "
+                    "must end with MaterializeRowVector" if outs else
+                    "nested plan produced no output tuple"
+                )
+        return [outs[0] for outs in outputs]
+
+    def _packed(self, lanes: list[int], results, emitted) -> Step:
+        """The morsel ``pack_morsels`` yields for each of ``lanes``."""
+        parts = []
+        for lane in lanes:
+            parts.append(RowVector.from_rows(self.output_type, results[lane]))
+            results[lane], emitted[lane] = [], True
+        return Step(self.output_type, lanes, parts=parts)

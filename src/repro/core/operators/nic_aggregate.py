@@ -25,9 +25,9 @@ from typing import Iterator, Sequence
 
 from repro.core.context import ExecutionContext
 from repro.core.functions import ReduceFunction
+from repro.core.lockstep import Lockstep, Step
 from repro.core.operator import Operator
 from repro.core.operators.reduce_ops import ReduceByKey
-from repro.types.collections import RowVector
 
 __all__ = ["NicPartialAggregate"]
 
@@ -69,13 +69,11 @@ class NicPartialAggregate(Operator):
         seconds = tuples * ctx.cost.nic_agg_tuple * (1.0 - ctx.cost.nic_overlap)
         ctx.clock.advance(seconds)  # NIC-paced: no host CPU jitter
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
         """The combiner's aggregation, billed to the NIC instead of the host.
 
         The upstream is drained normally (the host still reads its data and
         pays its scan costs); the aggregation itself is charged at NIC
         rates, so the host never pays hash-aggregation rates for it.
         """
-        parts = [b for b in self.upstreams[0].stream_batches(ctx) if len(b)]
-        self._charge_nic(ctx, sum(len(b) for b in parts))
-        yield self._combiner.aggregate(parts)
+        yield self._combiner.aggregated(self, lx, self._charge_nic)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from repro.core.context import ExecutionContext
+from repro.core.lockstep import Lockstep, Step, each_lane
 from repro.core.operator import Operator
 from repro.errors import TypeCheckError
 from repro.types.collections import RowVector
@@ -59,5 +59,8 @@ class ParameterLookup(Operator):
     def signature(self) -> tuple:
         return (self.slot.id,)
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        yield RowVector.of_row(self.output_type, ctx.lookup_parameter(self.slot.id))
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        yield each_lane(self.output_type, [
+            RowVector.of_row(self.output_type, ctx.lookup_parameter(self.slot.id))
+            for ctx in lx.ctxs
+        ])

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from repro.core.context import ExecutionContext
+from repro.core.lockstep import Lockstep, Step, pulled
 from repro.core.operator import Operator, require_fields
 from repro.types.collections import RowVector
 
@@ -33,9 +33,9 @@ class Projection(Operator):
     def signature(self) -> tuple:
         return (self.fields,)
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        for batch in self.upstreams[0].stream_batches(ctx):
-            ctx.charge_cpu(self, "map", len(batch))
-            yield RowVector(
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        for step in pulled(self.upstreams[0], lx):
+            lx.charge(self, "map", step)
+            yield lx.rowwise(step, self.output_type, lambda batch: RowVector(
                 self.output_type, [batch.columns[p] for p in self._positions]
-            )
+            ))

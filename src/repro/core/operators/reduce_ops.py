@@ -9,6 +9,7 @@ import numpy as np
 from repro.core.context import ExecutionContext
 from repro.core.functions import ReduceFunction
 from repro.core.kernels.scatter import key_sums
+from repro.core.lockstep import Lockstep, Step, drained_parts, each_lane, pulled
 from repro.core.operator import Operator, require_fields
 from repro.errors import TypeCheckError
 from repro.types.collections import RowVector, RowVectorBuilder
@@ -38,11 +39,12 @@ class Reduce(Operator):
     def signature(self) -> tuple:
         return (id(self.fn),)
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        acc = None
-        for batch in self.upstreams[0].stream_batches(ctx):
-            acc = self.fold(ctx, acc, batch)
-        yield self.result(acc)
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        accs: list = [None] * len(lx.ctxs)
+        for step in pulled(self.upstreams[0], lx):
+            for lane, part in zip(step.lanes, step.parts):
+                accs[lane] = self.fold(lx.ctxs[lane], accs[lane], part)
+        yield each_lane(self.output_type, [self.result(acc) for acc in accs])
 
     def fold(self, ctx: ExecutionContext, acc, batch: RowVector):
         """Charge one morsel and fold it into the accumulator ``acc``."""
@@ -123,10 +125,21 @@ class ReduceByKey(Operator):
                 row[pos] = val
             yield tuple(row)
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        parts = [b for b in self.upstreams[0].stream_batches(ctx) if len(b)]
-        ctx.charge_cpu(self, "reduce", sum(len(b) for b in parts))
-        yield self.aggregate(parts)
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        yield self.aggregated(
+            self, lx, lambda ctx, n_rows: ctx.charge_cpu(self, "reduce", n_rows)
+        )
+
+    def aggregated(self, op: Operator, lx: Lockstep, charge) -> Step:
+        """Each lane's non-empty morsels of ``op``'s upstream, charged by
+        ``charge`` and aggregated (``op`` is this operator or an operator
+        billing its aggregation elsewhere)."""
+        outputs = []
+        for ctx, parts in zip(lx.ctxs, drained_parts(pulled(op.upstreams[0], lx), lx)):
+            parts = [part for part in parts if len(part)]
+            charge(ctx, sum(len(part) for part in parts))
+            outputs.append(self.aggregate(parts))
+        return each_lane(op.output_type, outputs)
 
     def aggregate(self, parts: list[RowVector]) -> RowVector:
         """One tuple per key of the non-empty morsels ``parts``.

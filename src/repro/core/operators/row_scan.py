@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.core.context import ExecutionContext
+from repro.core.lockstep import Lockstep, Step, scanned
 from repro.core.operator import Operator, scanned_collection
 from repro.errors import ExecutionError
 from repro.mpi.cluster import block_share
@@ -68,36 +69,30 @@ class RowScan(Operator):
             return collection
         return collection.slice(*block_share(len(collection), ctx.n_ranks, ctx.rank))
 
-    def _collections(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        metrics = ctx.registry
-        for row in self.upstreams[0].stream(ctx):
-            collection = row[self._position]
-            if collection.element_type != self.output_type:
-                # Cannot happen for plans that passed type checking over
-                # checked inputs, but a corrupted collection must not
-                # silently mis-scan.
-                raise ExecutionError(
-                    f"RowScan expected {self.output_type!r} elements, "
-                    f"found {collection.element_type!r}"
-                )
-            sharded = self._shard(ctx, collection)
-            if metrics is not None:
-                metrics.counter("scan_rows", op=type(self).__name__).add(
-                    len(sharded)
-                )
-                metrics.counter("scan_bytes", op=type(self).__name__).add(
-                    sharded.size_bytes()
-                )
-            yield sharded
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        return scanned(self, lx, self._read)
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
+    def _read(self, ctx: ExecutionContext, collection: RowVector):
+        """``collection`` as ``ctx``'s rank reads it: type-checked, sharded,
+        counted, in morsels."""
+        if collection.element_type != self.output_type:
+            # Cannot happen for plans that passed type checking over checked
+            # inputs, but a corrupted collection must not silently mis-scan.
+            raise ExecutionError(
+                f"RowScan expected {self.output_type!r} elements, "
+                f"found {collection.element_type!r}"
+            )
+        sharded = self._shard(ctx, collection)
+        metrics = ctx.registry
+        if metrics is not None:
+            metrics.counter("scan_rows", op=type(self).__name__).add(len(sharded))
+            metrics.counter("scan_bytes", op=type(self).__name__).add(
+                sharded.size_bytes()
+            )
         morsel_rows = ctx.morsel_rows_for(self.output_type)
-        for collection in self._collections(ctx):
-            ctx.charge_cpu(self, "scan", len(collection) * self._scan_weight)
-            if len(collection) <= morsel_rows:
-                yield collection
-            else:
-                for start in range(0, len(collection), morsel_rows):
-                    yield collection.slice(
-                        start, min(start + morsel_rows, len(collection))
-                    )
+        if len(sharded) <= morsel_rows:
+            return len(sharded), [sharded]
+        return len(sharded), [
+            sharded.slice(start, min(start + morsel_rows, len(sharded)))
+            for start in range(0, len(sharded), morsel_rows)
+        ]

@@ -16,6 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.core.context import ExecutionContext
+from repro.core.lockstep import Lockstep, Step, drained_vectors, each_lane, steps
 from repro.core.operator import Operator, join_output_type, require_fields
 from repro.errors import ExecutionError, TypeCheckError
 from repro.types.collections import RowVector
@@ -77,8 +78,12 @@ class LocalSort(Operator):
         if n > 1:
             ctx.charge_cpu(self, "sort", n * max(1, math.ceil(math.log2(n))))
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        yield self.sort(ctx, self.upstreams[0].drain(ctx))
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        data = self.upstreams[0]
+        vectors = drained_vectors(data, steps(data, lx), lx)
+        yield each_lane(self.output_type, [
+            self.sort(ctx, vector) for ctx, vector in zip(lx.ctxs, vectors)
+        ])
 
     def sort(self, ctx: ExecutionContext, data: RowVector) -> RowVector:
         """Charge and sort the drained input ``data``."""
@@ -143,9 +148,11 @@ class MergeJoin(Operator):
                 "insert a LocalSort upstream"
             )
 
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        left = self.upstreams[0].drain(ctx)
-        yield self.merge(ctx, left, self.upstreams[1].drain(ctx))
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        lefts, rights = (drained_vectors(up, steps(up, lx), lx) for up in self.upstreams)
+        yield each_lane(self.output_type, [
+            self.merge(ctx, left, right) for ctx, left, right in zip(lx.ctxs, lefts, rights)
+        ])
 
     def merge(self, ctx: ExecutionContext, left: RowVector, right: RowVector) -> RowVector:
         """Charge and merge-join the drained, sorted inputs."""

@@ -10,14 +10,13 @@ from __future__ import annotations
 from functools import reduce
 from typing import Iterator
 
-from repro.core.context import ExecutionContext
+from repro.core.lockstep import Lockstep, Step, drained_vectors, each_lane, steps
 from repro.core.operator import Operator
 from repro.errors import ExecutionError, TypeCheckError
+from repro.types.collections import RowVector
 from repro.types.tuples import concat_tuple_types
 
 __all__ = ["Zip"]
-
-_DONE = object()
 
 
 class Zip(Operator):
@@ -41,21 +40,19 @@ class Zip(Operator):
     def signature(self) -> tuple:
         return ()
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        iterators = [u.stream(ctx) for u in self.upstreams]
-        count = 0
-        try:
-            while True:
-                parts = [next(it, _DONE) for it in iterators]
-                finished = sum(1 for p in parts if p is _DONE)
-                if finished == len(parts):
-                    break
-                if finished:
-                    raise ExecutionError(
-                        f"Zip upstreams returned different numbers of tuples "
-                        f"(mismatch after {count} tuples)"
-                    )
-                count += 1
-                yield tuple(v for part in parts for v in part)
-        finally:
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        # Each upstream is drained in turn: they are materialization points
+        # holding a few tuples of whole collections.
+        drained = [drained_vectors(up, steps(up, lx), lx) for up in self.upstreams]
+        outputs = []
+        for lane, ctx in enumerate(lx.ctxs):
+            vectors = [vectors[lane] for vectors in drained]
+            count = min(len(v) for v in vectors)
             ctx.charge_cpu(self, "map", count)
+            if any(len(v) != count for v in vectors):
+                raise ExecutionError(
+                    f"Zip upstreams returned different numbers of tuples "
+                    f"(mismatch after {count} tuples)"
+                )
+            outputs.append(RowVector(self.output_type, [c for v in vectors for c in v.columns]))
+        yield each_lane(self.output_type, outputs)

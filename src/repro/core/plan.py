@@ -27,13 +27,12 @@ from __future__ import annotations
 import threading
 from typing import Iterator
 
-from repro.core.context import ExecutionContext
+from repro.core.lockstep import Lockstep, Step, drained_vectors, each_lane, steps
 from repro.core.operator import Operator
 from repro.core.operators.parameter_lookup import ParameterLookup
 from repro.core.operators.projection import Projection
 from repro.core.operators.row_scan import RowScan
 from repro.errors import PlanError
-from repro.types.collections import RowVector
 
 __all__ = ["SharedScan", "prepare", "walk", "explain"]
 
@@ -64,20 +63,21 @@ class SharedScan(Operator):
     def infer_type(self, upstream_types):
         return upstream_types[0]
 
-    def _materialized(self, ctx: ExecutionContext) -> RowVector:
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        # The lanes of one walk share their bindings' shape: each lane's
+        # cache holds this binding's result, or none does.
         wrapped = self.upstreams[0]
         key = id(wrapped)
-        binding = ctx.parameter_binding_key()
-        cached = ctx.shared_cache.get(key)
-        if cached is not None and cached[0] == binding:
-            return cached[1]
-        vector = wrapped.drain(ctx)
-        ctx.charge_materialize(self, vector.size_bytes())
-        ctx.shared_cache[key] = (binding, vector)
-        return vector
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        yield self._materialized(ctx)
+        bindings = [ctx.parameter_binding_key() for ctx in lx.ctxs]
+        cached = [ctx.shared_cache.get(key) for ctx in lx.ctxs]
+        if all(c is not None and c[0] == b for c, b in zip(cached, bindings)):
+            vectors = [c[1] for c in cached]
+        else:
+            vectors = drained_vectors(wrapped, steps(wrapped, lx), lx)
+            for ctx, binding, vector in zip(lx.ctxs, bindings, vectors):
+                ctx.charge_materialize(self, vector.size_bytes())
+                ctx.shared_cache[key] = (binding, vector)
+        yield each_lane(self.output_type, vectors)
 
 
 def walk(root: Operator, into_nested: bool = False) -> Iterator[Operator]:

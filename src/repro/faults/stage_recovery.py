@@ -53,7 +53,7 @@ def run_wave(
 
     cluster = executor.cluster
     record, profiler, metrics = ctx.record, ctx.profiler, ctx.registry
-    lockstep = runs_in_lockstep(executor, ctx)
+    lockstep = runs_in_lockstep(executor)
     injector = ctx.fault_injector
     policy = injector.policy if injector is not None else None
     recoverable = policy is not None and (
@@ -86,7 +86,8 @@ def run_wave(
         try:
             if lockstep:
                 result, lanes = run_job(
-                    executor, ctx, wave, cluster, trace, injector, checkpoints
+                    executor, ctx, wave, cluster, trace, injector, checkpoints,
+                    san_job,
                 )
                 rank_profilers = [lane.profiler for lane in lanes]
                 rank_metrics = [lane.registry for lane in lanes]

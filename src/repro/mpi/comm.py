@@ -52,7 +52,7 @@ if TYPE_CHECKING:
     from repro.analysis.sanitizer import SanitizerJob
     from repro.faults.injector import RankFaults
 
-__all__ = ["CommGroup", "CommWorld", "SimComm", "WindowSet"]
+__all__ = ["CommGroup", "CommWorld", "RankGroup", "SimComm", "WindowSet"]
 
 
 class _JobAborted(SimulationError):
@@ -523,7 +523,8 @@ class CommGroup:
     itself (each arrives at its own clock, all leave at the latest arrival
     plus the collective's cost).
     A collective of a plan is rank-uniform by construction, so no rank can
-    issue another one (MOD051 stays the threaded substrate's check).
+    issue another one: the origins the rendezvous keeps to name the two
+    sides of a MOD051 mismatch have nothing to name here.
     """
 
     def __init__(self, comms: Sequence[SimComm]) -> None:
@@ -566,3 +567,24 @@ class CommGroup:
             lambda values: window_sets[0]._end_epochs(),
             self.cost.collective_cost(len(window_sets)),
         )
+
+
+class RankGroup:
+    """One rank's share of each :class:`CommGroup` collective, issued from
+    the rank's own thread: a one-lane walk's collectives, each a
+    rendezvous with the rank's peers."""
+
+    def __init__(self, comm: SimComm) -> None:
+        self.comm = comm
+
+    def allreduce(self, arrays: list[np.ndarray], op: str = "sum") -> np.ndarray:
+        return self.comm.allreduce(arrays[0], op)
+
+    def allgather(self, values: list, payload_bytes: int = 64) -> list:
+        return self.comm.allgather(values[0], payload_bytes)
+
+    def win_create(self, element_type: TupleType, capacities: list[int]) -> list[WindowSet]:
+        return [self.comm.win_create(element_type, capacities[0])]
+
+    def fence(self, window_sets: list[WindowSet]) -> None:
+        window_sets[0].fence()

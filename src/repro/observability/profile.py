@@ -148,7 +148,8 @@ class Profiler:
         #: The rank profilers of every completed wave, in completion order.
         self.ranks: list[Profiler] = []
         self._trace = trace
-        #: Active frames: ``[stats, sim_mark, wall_mark]`` lists.
+        #: Active frames: ``[records, clocks, sim_marks, wall_mark]`` lists;
+        #: the lanes of one lockstep job share one stack.
         self._stack: list[list] = []
 
     # -- recording ---------------------------------------------------------
@@ -182,7 +183,7 @@ class Profiler:
                 # An untimed profiler keeps no frame stack: no wall-clock
                 # reads per pull (a row-native operator pulls once per row).
                 if timed:
-                    self._push(rec)
+                    self._push((rec,), (clock,))
                 try:
                     item = next(inner)
                 except StopIteration:
@@ -205,27 +206,23 @@ class Profiler:
                     op, start_sim, clock.now, rows, batches, ctx.options.mode
                 )
 
-    def _push(self, rec: OperatorStats) -> None:
-        sim_now = self.clock.now
+    def _push(self, records, clocks) -> None:
+        """Open a frame for ``records`` (one per lane it serves, each timed
+        on its lane's clock), settling the frame it interrupts."""
         wall_now = perf_counter()
         stack = self._stack
         if stack:
-            top = stack[-1]
-            top[0].sim_seconds += sim_now - top[1]
-            top[0].wall_seconds += wall_now - top[2]
-        stack.append([rec, sim_now, wall_now])
+            _settle(stack[-1], wall_now)
+        stack.append([records, clocks, [clock.now for clock in clocks], wall_now])
 
     def _pop(self) -> None:
-        sim_now = self.clock.now
         wall_now = perf_counter()
         stack = self._stack
-        rec, sim_mark, wall_mark = stack.pop()
-        rec.sim_seconds += sim_now - sim_mark
-        rec.wall_seconds += wall_now - wall_mark
+        _settle(stack.pop(), wall_now)
         if stack:
             top = stack[-1]
-            top[1] = sim_now
-            top[2] = wall_now
+            top[2] = [clock.now for clock in top[1]]
+            top[3] = wall_now
 
     def _record_span(
         self, op: "Operator", start: float, end: float, rows: int, batches: int, mode: str
@@ -325,6 +322,20 @@ class ProfileNode:
             return entry
 
         return build(self)
+
+
+def _settle(frame: list, wall_now: float) -> None:
+    """Attribute the time since ``frame``'s marks to its records: to each,
+    its own clock's simulated time and an even share of the wall time (a
+    lockstep frame serves several lanes at once)."""
+    records, clocks, marks, wall_mark = frame
+    wall = (wall_now - wall_mark) / len(records)
+    for i, rec in enumerate(records):
+        now = clocks[i].now
+        rec.sim_seconds += now - marks[i]
+        rec.wall_seconds += wall
+        marks[i] = now
+    frame[3] = wall_now
 
 
 def _format_seconds(seconds: float) -> str:

@@ -6,9 +6,9 @@ phase breakdown, the puts and shuffled bytes, the morsels drained and the
 substrate events each rank recorded.  A change that moves one of these is
 a plan or cost-model change, and says so.
 
-A timed profile walks each rank's copy of the plan on its own thread; any
-other run walks it once for all ranks, in lockstep.  Both must land on the
-same figures.
+An MPI wave walks its plan once for all ranks, in lockstep; a plan holding
+SPMD code gives each rank a thread on which it walks its own lane.  Both
+must land on the same figures, observed or not.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from collections import Counter
 
 import pytest
 
+from repro.analysis.sanitizer import Sanitizer
 from repro.core import lockstep
 from repro.core.options import RunOptions
 from repro.core.plans import (
@@ -31,6 +32,7 @@ from repro.mpi import SimCluster
 from repro.relational.optimizer import lower_to_modularis
 from repro.tpch import ALL_QUERIES, load_catalog
 from repro.workloads import make_groupby_table, make_join_relations
+from repro.workloads.targets import ALL_TARGETS, resolve
 
 
 def clocks_and_phases(report) -> tuple:
@@ -365,17 +367,31 @@ def test_tpch_in_lockstep(query, ranks, lockstep_jobs):
     assert clocks_and_phases(report) == PINNED[f"q{query}-r{ranks}"][:2]
 
 
+@pytest.fixture
+def rank_threads(monkeypatch):
+    """Waves run as SPMD jobs: each rank walks its own lane on its thread."""
+    monkeypatch.setattr(lockstep, "runs_in_lockstep", lambda executor: False)
+
+
 @pytest.mark.parametrize("ranks", [1, 4, 8])
 @pytest.mark.parametrize("query", sorted(ALL_QUERIES))
-def test_tpch_on_rank_threads(query, ranks, lockstep_jobs):
-    # A timed profile walks each rank's copy of the plan on its own thread.
+def test_tpch_profiled_in_lockstep(query, ranks, lockstep_jobs):
+    # A timed profile observes the walk that unobserved runs take.
     report = tpch_report(query, ranks, RunOptions(metrics=True, profile=True))
+    assert lockstep_jobs == [1]
+    assert ledger(report) == PINNED[f"q{query}-r{ranks}"]
+
+
+@pytest.mark.parametrize("ranks", [1, 4, 8])
+@pytest.mark.parametrize("query", sorted(ALL_QUERIES))
+def test_tpch_on_rank_threads(query, ranks, lockstep_jobs, rank_threads):
+    report = tpch_report(query, ranks, RunOptions(metrics=True))
     assert not lockstep_jobs
     assert ledger(report) == PINNED[f"q{query}-r{ranks}"]
 
 
 @pytest.mark.parametrize("builder", ["hash", "sortmerge", "groupby", "nic"])
-def test_local_level_in_lockstep_matches_rank_threads(builder, lockstep_jobs):
+def test_local_level_in_lockstep_matches_rank_threads(builder, lockstep_jobs, monkeypatch):
     # key_bits=27 plans the second, in-memory partitioning level.
     cluster = SimCluster(4)
     if builder in ("hash", "sortmerge"):
@@ -392,7 +408,8 @@ def test_local_level_in_lockstep_matches_rank_threads(builder, lockstep_jobs):
         inputs = (group.table,)
     walked = plan.run(*inputs, RunOptions(metrics=True))
     assert lockstep_jobs == [1]
-    threaded = plan.run(*inputs, RunOptions(metrics=True, profile=True))
+    monkeypatch.setattr(lockstep, "runs_in_lockstep", lambda executor: False)
+    threaded = plan.run(*inputs, RunOptions(metrics=True))
     assert lockstep_jobs == [1]
     assert ledger(walked) == ledger(threaded)
     assert walked.rows == threaded.rows
@@ -402,3 +419,26 @@ def test_transient_faults():
     options = RunOptions(metrics=True, faults=FaultPolicy.transient(seed=3, rate=0.1))
     report = tpch_report(12, 4, options)
     assert ledger(report) == PINNED["q12-r4-transient"]
+
+
+@pytest.mark.parametrize("name", ALL_TARGETS)
+def test_sanitized_lockstep_matches_rank_threads(name, monkeypatch):
+    """The sanitizer watches the walk every run takes: a lockstep walk's
+    checked puts, collectives, windows, epochs and per-window write sets
+    are those of each rank walking its own lane on its own thread."""
+    seen = []
+    report = Sanitizer.report
+
+    def recorded(self, replay=None):
+        log = {key: sorted(puts) for key, puts in self.write_log.items()}
+        seen.append((self.puts_checked, self.collectives_checked,
+                     self.windows_tracked, self.epochs_closed, log))
+        return report(self, replay)
+
+    monkeypatch.setattr(Sanitizer, "report", recorded)
+    target = resolve(name, 4, log2_tuples=6, sf=0.0002)
+    assert target.run(RunOptions(sanitize=True)).sanitizer.clean
+    monkeypatch.setattr(lockstep, "runs_in_lockstep", lambda executor: False)
+    assert target.run(RunOptions(sanitize=True)).sanitizer.clean
+    walked, threaded = seen
+    assert walked[0] > 0 and walked == threaded

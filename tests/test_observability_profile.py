@@ -9,6 +9,7 @@ from repro.core.executor import ExecutionReport, execute
 from repro.core.functions import field_sum
 from repro.core.operators import (
     MaterializeRowVector,
+    MpiExecutor,
     ParameterLookup,
     ParameterSlot,
     Reduce,
@@ -60,7 +61,7 @@ class TestDisabledCostsNothing:
     def test_uninstrumented_strips_and_restores(self):
         from repro.core.operator import Operator
 
-        assert getattr(RowScan.__dict__["batches"], "_observes_data_path", False)
+        assert getattr(MpiExecutor.__dict__["rows"], "_observes_data_path", False)
         with uninstrumented():
             stack = [Operator]
             while stack:
@@ -69,7 +70,7 @@ class TestDisabledCostsNothing:
                 for name in ("rows", "batches"):
                     fn = cls.__dict__.get(name)
                     assert not getattr(fn, "_observes_data_path", False)
-        assert getattr(RowScan.__dict__["batches"], "_observes_data_path", False)
+        assert getattr(MpiExecutor.__dict__["rows"], "_observes_data_path", False)
 
 
 class TestProfileContents:

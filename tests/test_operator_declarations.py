@@ -454,7 +454,8 @@ def test_no_assert_statement_under_src():
 
 def data_path_defects(path: Path) -> list[str]:
     """Classes of ``path`` (other than ``Operator``) with a second data path:
-    ``rows`` beside ``batches``, or ``rows`` without ``row_native = True``."""
+    two of ``lanes``, ``batches`` and ``rows``, or ``rows`` without
+    ``row_native = True``."""
     defects = []
     for node in nodes(path):
         if not isinstance(node, ast.ClassDef) or node.name == "Operator":
@@ -466,15 +467,18 @@ def data_path_defects(path: Path) -> list[str]:
             and getattr(n.value, "value", None) is True
             for n in node.body
         )
-        if "rows" in methods and ("batches" in methods or not row_native):
+        paths = methods & {"lanes", "batches", "rows"}
+        if len(paths) > 1 or ("rows" in methods and not row_native):
             defects.append(f"{path.relative_to(SRC)}:{node.lineno} {node.name}")
     return defects
 
 
 def test_every_sub_operator_has_one_data_path():
-    """Interpreted mode is a cost rate, not a second implementation: under
-    ``repro.core`` only a ``row_native`` class defines ``rows``, and no
-    class defines both ``rows`` and ``batches``."""
+    """Interpreted mode is a cost rate, not a second implementation, and a
+    walk of one rank is the one-lane walk of all of them: under
+    ``repro.core`` no class defines two of ``lanes``, ``batches`` and
+    ``rows``, and only the driver-side ``MpiExecutor`` walks one context
+    (its ``rows``) instead of lanes."""
     defects = [d for path in sorted((SRC / "core").rglob("*.py")) for d in data_path_defects(path)]
     assert defects == [], defects
     defining_rows = {
@@ -482,7 +486,13 @@ def test_every_sub_operator_has_one_data_path():
         if isinstance(node, ast.ClassDef)
         and any(isinstance(n, ast.FunctionDef) and n.name == "rows" for n in node.body)
     }
-    assert defining_rows == {"Operator", "Zip", "CartesianProduct", "MpiExecutor"}
+    assert defining_rows == {"Operator", "MpiExecutor"}
+    defining_batches = {
+        node.name for path in (SRC / "core").rglob("*.py") for node in nodes(path)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(n, ast.FunctionDef) and n.name == "batches" for n in node.body)
+    }
+    assert defining_batches == {"Operator"}
 
 
 # -- plan nodes hold no run state -------------------------------------------------

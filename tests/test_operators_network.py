@@ -320,7 +320,7 @@ class TestNoRankParksHoldingAMorsel:
         spy(RadixPartition, "map_batch", lambda buckets: [buckets])
         spy(RadixCompression, "pack_batch", lambda wire: wire.columns)
         spy(mpi_exchange, "partition_layout", lambda layout: layout)
-        spy(lockstep, "stable_order", lambda order: [order])
+        spy(mpi_exchange, "stable_order", lambda order: [order])
 
         def guard(real, ranks):
             def guarded(self, *args):

@@ -89,13 +89,13 @@ class TestSharedScanInsertion:
         calls = []
         scan = RowScan(table_source(make_kv_table(8), ctx), field="t")
         agg = ReduceByKey(scan, "key", field_sum("value"))
-        original_batches = agg.batches
+        original_lanes = agg.lanes
 
-        def counting(inner_ctx):
+        def counting(lx):
             calls.append(1)
-            yield from original_batches(inner_ctx)
+            yield from original_lanes(lx)
 
-        agg.batches = counting
+        agg.lanes = counting
         left = Projection(agg, ["key"])
         right = Projection(agg, ["value"])
         root = MaterializeRowVector(Zip([left, right]))

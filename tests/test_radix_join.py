@@ -419,29 +419,36 @@ class TestZeroCopyPlane:
             assert part.columns[0].base is base
 
     def test_histogram_reader_skips_empty_batches_before_min(self):
-        from repro.core.operators.local_histogram import read_histogram
+        from repro.core.lockstep import Lockstep, Step
+        from repro.core.operators.local_histogram import read_histograms
 
         class EmptyThenCounts:
             output_type = TupleType.of(bucket=INT64, count=INT64)
+            walks_lanes = False
 
-            def stream_batches(self, ctx):
-                yield RowVector.empty(self.output_type)
-                yield vector_of([(0, 3), (1, 2)], self.output_type)
+            def lanes(self, lx):
+                for batch in (
+                    RowVector.empty(self.output_type),
+                    vector_of([(0, 3), (1, 2)], self.output_type),
+                ):
+                    yield Step(self.output_type, (0,), parts=[batch])
 
-        counts = read_histogram(ExecutionContext(), EmptyThenCounts(), 2)
-        assert counts.tolist() == [3, 2]
+        counts = read_histograms(Lockstep([ExecutionContext()]), EmptyThenCounts(), 2)
+        assert counts.tolist() == [[3, 2]]
 
     def test_histogram_reader_rejects_out_of_range_bucket(self):
-        from repro.core.operators.local_histogram import read_histogram
+        from repro.core.lockstep import Lockstep, Step
+        from repro.core.operators.local_histogram import read_histograms
 
         class BadBucket:
             output_type = TupleType.of(bucket=INT64, count=INT64)
+            walks_lanes = False
 
-            def stream_batches(self, ctx):
-                yield vector_of([(5, 1)], self.output_type)
+            def lanes(self, lx):
+                yield Step(self.output_type, (0,), parts=[vector_of([(5, 1)], self.output_type)])
 
         with pytest.raises(ExecutionError):
-            read_histogram(ExecutionContext(), BadBucket(), 2)
+            read_histograms(Lockstep([ExecutionContext()]), BadBucket(), 2)
 
 
 class TestMemoryAccounting:

@@ -12,8 +12,11 @@ replay continues the same random stream, so it diffs the write sets of two
 *different* schedules.  That sanitizing changes none of the compared
 evidence is checked by the same comparison.
 
-A plan job that runs in lockstep walks every rank at once: it has no
-grant order, so its seeded run must simply give the same evidence.
+A plan's MPI waves walk every rank at once, in lockstep, which has no
+grant order.  So each seeded run gives its waves rank threads instead (the
+scheduler of SPMD code), each rank walking its own lane of the plan: the
+seeded order applies to them, and their evidence must equal the default
+run's lockstep walk.
 """
 
 import itertools
@@ -53,13 +56,11 @@ def grant_order(seed):
 
 
 @contextmanager
-def lockstep_jobs():
-    """Count the jobs that run in lockstep; yields the count list."""
-    jobs = []
-    run_job = lockstep.run_job
+def rank_threads():
+    """Run every MPI wave with a thread per rank, each walking its lane."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(lockstep, "run_job", lambda *args: jobs.append(1) or run_job(*args))
-        yield jobs
+        patch.setattr(lockstep, "runs_in_lockstep", lambda executor: False)
+        yield
 
 
 def rows(target, report):
@@ -89,11 +90,9 @@ def test_grant_order_changes_nothing(name):
             expected = evidence(target, target.run(RunOptions(mode=mode)))
             assert all(len(clocks) == ranks for clocks in expected["clocks"])
             for sanitize, seed in zip(SEEDED_ORDERS, seeds):
-                with grant_order(seed) as picks, lockstep_jobs() as walked:
+                with grant_order(seed) as picks, rank_threads():
                     report = target.run(RunOptions(mode=mode, sanitize=sanitize))
-                # With two or more ranks a threaded job always asks the grant
-                # policy; a run that never did walked its jobs in lockstep.
-                assert picks or walked, "the substituted grant policy never ran"
+                assert picks, "the substituted grant policy never ran"
                 assert not sanitize or report.sanitizer.clean, (ranks, mode, seed)
                 assert evidence(target, report) == expected, (ranks, mode, seed)
 
@@ -109,11 +108,13 @@ def test_recovery_does_not_depend_on_grant_order(name, policy):
     options = RunOptions(faults=policy)
 
     def outcome():
-        report = target.run(options)
+        with rank_threads():
+            report = target.run(options)
         return rows(target, report), report.simulated_time, report.fault_summary()
 
     expected = outcome()
     assert expected[2], "the policy injected nothing"
     for seed in range(4):
-        with grant_order(seed):
+        with grant_order(seed) as picks:
             assert outcome() == expected, seed
+        assert picks, "the substituted grant policy never ran"
