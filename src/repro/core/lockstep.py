@@ -434,4 +434,5 @@ def run_job(
         lane.push_parameter(executor.slot.id, row)
     lx = Lockstep(lanes, CommGroup([rank_ctx.comm for rank_ctx in contexts]))
     rows = drained_rows(steps(executor.inner, lx), lx)
+    lx.group.check()
     return ClusterResult.of(contexts, rows, trace), lanes

@@ -274,6 +274,8 @@ class WindowSet:
         local memcpys and never fail.
         """
         comm = self._comm
+        if comm.halted is not None:
+            return
         n_rows = len(data) if rows is None else len(rows)
         payload = n_rows * data.element_type.row_size_bytes()
         cost = comm.cost.transfer_cost(payload)
@@ -288,6 +290,8 @@ class WindowSet:
                     f"put to rank {target_rank} from rank {comm.rank}",
                     target_rank,
                 )
+                if comm.halted is not None:
+                    return
         window = self._windows[target_rank]
         origin = None
         sanitizer = comm.sanitizer
@@ -349,6 +353,11 @@ class SimComm:
         #: Runtime-sanitizer job (MOD05x) shared by every rank of this MPI
         #: job, or None on unsanitized runs (same ``is None`` discipline).
         self.sanitizer: "SanitizerJob | None" = None
+        #: The lockstep job's group issuing this rank's collectives, or None
+        #: when the rank runs on its own thread.
+        self.group: "CommGroup | None" = None
+        #: In a lockstep job, the abort this rank met (see :meth:`_halt`).
+        self.halted: SimulationError | None = None
         self._call_index = 0
 
     @property
@@ -380,13 +389,14 @@ class SimComm:
         faults, clock, trace = self.faults, self.clock, self.world.trace
         try:
             faults.check_crash(clock.now)
-        except RankCrashError:
+        except RankCrashError as exc:
             if trace is not None:
                 trace.emit(
                     self.rank, "fault", "crash", clock.now, clock.now,
                     FaultDetail(fault="crash", target=self.rank),
                 )
-            raise
+            self._halt(exc)
+            return
         attempt = 1
         while drops():
             fault_start = clock.now
@@ -404,11 +414,24 @@ class SimComm:
                     RetryDetail(op=op, attempt=attempt, backoff=backoff),
                 )
             if attempt >= faults.max_attempts:
-                raise RetryBudgetExceeded(
+                self._halt(RetryBudgetExceeded(
                     f"{what} dropped {attempt} times; retry budget exhausted",
                     sim_time=clock.now,
-                )
+                ))
+                return
             attempt += 1
+
+    def _halt(self, exc: SimulationError) -> None:
+        """This rank meets ``exc``, which aborts its job.  On the rank's own
+        thread it raises.  In a lockstep job the rank issues nothing more,
+        and its group raises ``exc`` once every peer has reached the next
+        collective, as the peers of a rank thread run on until they meet
+        the abort there."""
+        if self.group is None:
+            raise exc
+        exc.add_note(f"raised on rank {self.rank}")
+        self.halted = exc
+        self.group.halts.append(exc)
 
     def _collect(
         self,
@@ -436,6 +459,8 @@ class SimComm:
                 self.cost.net_latency,
                 f"contribution of rank {self.rank} to collective {tag!r}",
             )
+            if self.halted is not None:
+                return self._call_index, None, self.clock.now
         index = self._call_index
         self._call_index += 1
         sanitizer = self.sanitizer
@@ -530,11 +555,28 @@ class CommGroup:
     def __init__(self, comms: Sequence[SimComm]) -> None:
         self.comms = tuple(comms)
         self.cost = self.comms[0].cost
+        #: The aborts ranks of the job met, oldest first (``SimComm._halt``).
+        self.halts: list[SimulationError] = []
+        for comm in self.comms:
+            comm.group = self
+
+    def check(self) -> None:
+        """Raise the first abort a rank met, now that every rank has run up
+        to the collective where a rank thread meets it."""
+        if self.halts:
+            primary, *others = self.halts
+            primary.secondary_errors = tuple(others)
+            for other in others:
+                primary.add_note(f"secondary rank failure: {type(other).__name__}: {other}")
+            raise primary
 
     def _collect(self, tag: str, values: list, combine, op_cost: float) -> object:
-        # Each rank arrives in rank order (a fault may delay it, or crash the
+        # Each rank arrives in rank order (a fault may delay it, or abort the
         # job at that rank's clock); all leave at the latest arrival.
-        arrivals = [comm._arrive(tag)[2] for comm in self.comms]
+        arrivals = [
+            comm._arrive(tag)[2] if comm.halted is None else 0.0 for comm in self.comms
+        ]
+        self.check()
         result = combine(dict(enumerate(values)))
         result_time = max(0.0, *arrivals) + op_cost
         for comm, arrival in zip(self.comms, arrivals):
@@ -552,7 +594,7 @@ class CommGroup:
 
     def win_create(self, element_type: TupleType, capacities: list[int]) -> list[WindowSet]:
         windows = [
-            comm._register(element_type, capacity)
+            comm._register(element_type, capacity) if comm.halted is None else None
             for comm, capacity in zip(self.comms, capacities)
         ]
         shared = self._collect(

@@ -442,3 +442,24 @@ def test_sanitized_lockstep_matches_rank_threads(name, monkeypatch):
     assert target.run(RunOptions(sanitize=True)).sanitizer.clean
     walked, threaded = seen
     assert walked[0] > 0 and walked == threaded
+
+
+@pytest.mark.parametrize("permanent", [False, True], ids=["retry", "degrade"])
+@pytest.mark.parametrize("drop_rate", [0.0, 0.2], ids=["crash", "crash+drops"])
+def test_aborted_lockstep_wave_matches_rank_threads(permanent, drop_rate, monkeypatch):
+    """A rank that crashes in a lockstep wave stops there, while its peers
+    run on to the next collective, as rank threads do: the aborted
+    attempt leaves the same faults, retries and recovery behind."""
+    policy = FaultPolicy.with_crash(
+        rank=2, after_comm_ops=6, permanent=permanent, put_drop_rate=drop_rate
+    )
+
+    def outcome():
+        report = tpch_report(12, 4, RunOptions(metrics=True, faults=policy))
+        evidence = [(e.rank, e.kind, e.label, e.start, e.end, e.detail) for e in report.recovery_events]
+        return ledger(report), report.simulated_time, report.fault_summary(), evidence
+
+    walked = outcome()
+    assert walked[2]
+    monkeypatch.setattr(lockstep, "runs_in_lockstep", lambda executor: False)
+    assert outcome() == walked
