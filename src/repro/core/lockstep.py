@@ -408,30 +408,46 @@ def run_job(
     executor, ctx: ExecutionContext, wave: list[tuple], cluster, trace=None,
     faults=None, checkpoints=None, sanitizer_job=None,
 ) -> tuple[ClusterResult, list[ExecutionContext]]:
-    """One attempt at a wave of ``executor`` on ``cluster``, in lockstep:
-    ``wave[rank]`` bound on each lane, a job drawn from the injector
-    ``faults``, materializations checkpointed into ``checkpoints``, the
-    substrate recording into ``trace`` and reporting to ``sanitizer_job``.
-    Returns the result and the lanes' contexts, whose profilers and
-    metrics join the driver's only if the wave completes."""
-    contexts = cluster.job_contexts(faults, trace)
+    """One attempt at a wave of ``executor`` on ``cluster``: ``wave[rank]``
+    bound on each rank's lane, a job drawn from the injector ``faults``,
+    materializations checkpointed into ``checkpoints``, the substrate
+    recording into ``trace`` and reporting to ``sanitizer_job``.  Returns
+    the result and the lanes' contexts, whose profilers and metrics join
+    the driver's only if the wave completes.
+
+    The wave walks its nested plan in lockstep on this thread, unless
+    :func:`runs_in_lockstep` says it cannot: each rank then walks its own
+    lane on its own thread (:meth:`~repro.mpi.cluster.SimCluster.run`).
+    """
     profiler, metrics = ctx.profiler, ctx.registry
-    lanes = [
-        ExecutionContext.for_rank(
+    lanes: list = [None] * cluster.n_ranks
+
+    def lane(rank_ctx) -> ExecutionContext:
+        # Worker contexts run under the driver's RunOptions object, whole: a
+        # knob the driver ran with is a knob every stage retry re-executes with.
+        rank_ctx.comm.sanitizer = sanitizer_job
+        lane_ctx = lanes[rank_ctx.rank] = ExecutionContext.for_rank(
             rank_ctx, ctx.options,
             profiler=profiler.child(rank_ctx.clock, rank_ctx.rank) if profiler else None,
             registry=metrics.child(rank_ctx.rank) if metrics else None,
             checkpoints=checkpoints, sanitizer=ctx.sanitizer,
         )
-        for rank_ctx in contexts
-    ]
+        lane_ctx.push_parameter(executor.slot.id, wave[rank_ctx.rank])
+        return lane_ctx
+
+    if not runs_in_lockstep(executor):
+        def walk_own_lane(rank_ctx) -> list[tuple]:
+            return list(executor.inner.stream(lane(rank_ctx)))
+
+        return cluster.run(walk_own_lane, faults=faults, trace=trace), lanes
+
+    contexts = cluster.job_contexts(faults, trace)
+    for rank_ctx in contexts:
+        lane(rank_ctx)
     if profiler is not None:
         # One thread walks every lane: one frame stack times them all.
-        for lane in lanes[1:]:
-            lane.profiler._stack = lanes[0].profiler._stack
-    for rank_ctx, lane, row in zip(contexts, lanes, wave):
-        rank_ctx.comm.sanitizer = sanitizer_job
-        lane.push_parameter(executor.slot.id, row)
+        for lane_ctx in lanes[1:]:
+            lane_ctx.profiler._stack = lanes[0].profiler._stack
     lx = Lockstep(lanes, CommGroup([rank_ctx.comm for rank_ctx in contexts]))
     rows = drained_rows(steps(executor.inner, lx), lx)
     lx.group.check()

@@ -27,7 +27,7 @@ taken, surfaced as ``ExecutionReport.recovery_events``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from repro.core.context import ExecutionContext
 from repro.errors import MpiSemanticsError, RankCrashError, RetryBudgetExceeded
@@ -36,7 +36,7 @@ from repro.mpi.trace import ClusterTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.operators.mpi_executor import MpiExecutor
-    from repro.mpi.cluster import ClusterResult, RankContext, SimCluster
+    from repro.mpi.cluster import ClusterResult, SimCluster
 
 __all__ = ["run_wave"]
 
@@ -48,12 +48,11 @@ def run_wave(
     replicated: bool,
 ) -> "ClusterResult":
     """One dispatch wave: run, and recover from injected stage failures."""
-    # Lazy: repro.core.lockstep imports the operator set.
-    from repro.core.lockstep import run_job, runs_in_lockstep
+    # Lazy: keeps repro.faults free of an import-time repro.core.lockstep edge.
+    from repro.core.lockstep import run_job
 
     cluster = executor.cluster
     record, profiler, metrics = ctx.record, ctx.profiler, ctx.registry
-    lockstep = runs_in_lockstep(executor)
     injector = ctx.fault_injector
     policy = injector.policy if injector is not None else None
     recoverable = policy is not None and (
@@ -70,12 +69,6 @@ def run_wave(
         attempt += 1
         if checkpoints is not None:
             checkpoints.seal()
-        # One child profiler and metrics registry per rank (each bound to
-        # the rank's own clock and thread); only the successful attempt's
-        # children reach the driver's, so spans and work counts tell the
-        # true story of what the surviving execution actually ran.
-        rank_profilers: list = [None] * cluster.n_ranks
-        rank_metrics: list = [None] * cluster.n_ranks
         trace = _job_trace(cluster, record, profiler)
         # One sanitizer job per dispatch attempt: the MOD05x recorders are
         # scoped to a single MPI job, and jobs are created sequentially on
@@ -84,19 +77,9 @@ def run_wave(
             ctx.sanitizer.job(cluster.n_ranks) if ctx.sanitizer is not None else None
         )
         try:
-            if lockstep:
-                result, lanes = run_job(
-                    executor, ctx, wave, cluster, trace, injector, checkpoints,
-                    san_job,
-                )
-                rank_profilers = [lane.profiler for lane in lanes]
-                rank_metrics = [lane.registry for lane in lanes]
-            else:
-                worker = _make_worker(
-                    executor, ctx, wave, rank_profilers, rank_metrics, checkpoints,
-                    san_job,
-                )
-                result = cluster.run(worker, faults=injector, trace=trace)
+            result, lanes = run_job(
+                executor, ctx, wave, cluster, trace, injector, checkpoints, san_job
+            )
         except (RankCrashError, RetryBudgetExceeded) as exc:
             if policy is None or attempt > policy.max_stage_retries:
                 raise
@@ -121,11 +104,14 @@ def run_wave(
         if san_job is not None:
             san_job.close()
         record.cluster_results.append(result)
-        for rank_profiler, rank_registry in zip(rank_profilers, rank_metrics):
+        # Each rank's child profiler and metrics registry: only the
+        # successful attempt's reach the driver's, so spans and work counts
+        # tell the true story of what the surviving execution actually ran.
+        for lane in lanes:
             if profiler is not None:
-                profiler.absorb(rank_profiler)
+                profiler.absorb(lane.profiler)
             if metrics is not None:
-                metrics.absorb(rank_registry)
+                metrics.absorb(lane.registry)
         return result
 
 
@@ -136,52 +122,6 @@ def _job_trace(cluster, record, profiler) -> ClusterTrace | None:
     if cluster.trace or profiler is not None:
         return ClusterTrace(cluster.n_ranks, record.trace)
     return None
-
-
-def _make_worker(
-    executor: "MpiExecutor",
-    ctx: ExecutionContext,
-    wave: list[tuple],
-    rank_profilers: list,
-    rank_metrics: list,
-    checkpoints: CheckpointStore | None,
-    san_job=None,
-) -> Callable[["RankContext"], list[tuple]]:
-    # Worker contexts run under the driver's RunOptions object, whole: a
-    # knob the driver ran with is a knob every stage retry re-executes with.
-    options = ctx.options
-    profiler = ctx.profiler
-    metrics = ctx.registry
-    sanitizer = ctx.sanitizer
-    slot_id = executor.slot.id
-
-    def worker(rank_ctx: "RankContext") -> list[tuple]:
-        rank_profiler = None
-        if profiler is not None:
-            rank_profiler = profiler.child(rank_ctx.clock, rank_ctx.rank)
-            rank_profilers[rank_ctx.rank] = rank_profiler
-        rank_registry = None
-        if metrics is not None:
-            rank_registry = metrics.child(rank_ctx.rank)
-            rank_metrics[rank_ctx.rank] = rank_registry
-        if san_job is not None:
-            # The substrate reads its own per-job sanitizer handle, so its
-            # hooks stay free of ExecutionContext plumbing; the rank's
-            # ExecutionContext carries the driver Sanitizer for
-            # operator-provenance tracking.
-            rank_ctx.comm.sanitizer = san_job
-        worker_ctx = ExecutionContext.for_rank(
-            rank_ctx, options,
-            profiler=rank_profiler, registry=rank_registry,
-            checkpoints=checkpoints, sanitizer=sanitizer,
-        )
-        worker_ctx.push_parameter(slot_id, wave[rank_ctx.rank])
-        try:
-            return list(executor.inner.stream(worker_ctx))
-        finally:
-            worker_ctx.pop_parameter(slot_id)
-
-    return worker
 
 
 def _recover(
