@@ -5,7 +5,7 @@ Simulated on one CPU, giving each rank a thread to walk its own copy of
 the plan pays the interpretation of the same skeleton once per rank.  A
 lockstep walk pays it once: each operator's :meth:`~repro.core.operator.
 Operator.lanes` generator runs once per *lockstep morsel*, a :class:`Step`
-carrying the rows of every lane that has a morsel at that point.  That
+carrying the morsel of every lane that has one at that point.  That
 generator is the operator's one data path: a walk on one context
 (:meth:`~repro.core.operator.Operator.batches`) is the one-lane case, and
 an ``MpiExecutor`` wave is the walk over all of its ranks, on the driver's
@@ -16,31 +16,27 @@ operator charges each lane's own clock from that lane's rows, at the point
 where a one-lane walk charges it, so every clock makes the same float
 additions in the same order.  A lane without a k-th morsel is absent from
 step k rather than charged a zero, and an upstream step is pulled only
-once every lane has consumed the previous one.  Row-wise kernels (filter,
-map, projection, partition functions, the scatter order) run once over the
-lanes' rows side by side while those fit one morsel's cache budget, and
-lane by lane beyond it; kernels whose shape the data decides (joins,
-group-by, materialization) run per lane, each making its own choice.  A
-collective is one group call that sees every lane's contribution
-(:class:`~repro.mpi.comm.CommGroup`; on one rank's own thread,
-:class:`~repro.mpi.comm.RankGroup`); puts still go through each rank's
-``Window``.
+once every lane has consumed the previous one.  Kernels run on each
+lane's morsel: the Python around them (generator frames, dispatch, the
+operator's setup) runs once per step, and each lane's data decides its
+own kernel path (join, group-by, scatter).  A collective is one group
+call that sees every lane's contribution (:class:`~repro.mpi.comm.
+CommGroup`; on one rank's own thread, :class:`~repro.mpi.comm.
+RankGroup`); puts still go through each rank's ``Window``.
 
 Metrics, profiles (timed ones split a step's wall time evenly over the
 lanes it served), the sanitizer, substrate traces, fault injection and
 stage recovery all see each lane as its rank: each lane keeps its rank's
-counters, faults strike at its rank's comm operations, and a crash aborts
-the wave at that rank's clock.  Only a plan holding an operator without a
+counters, faults strike at its rank's comm operations, and a crash halts
+the rank there while its peers run on to the next collective, where the
+wave aborts at the crashing rank's clock.  Only a plan holding an operator without a
 ``lanes`` runner — SPMD code written against the communicator — runs its
 waves with a thread per rank (:meth:`~repro.mpi.cluster.SimCluster.run`).
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Iterator
-
-import numpy as np
 
 from repro.core.context import ExecutionContext
 from repro.errors import ExecutionError
@@ -48,7 +44,6 @@ from repro.mpi.cluster import ClusterResult
 from repro.mpi.comm import CommGroup, RankGroup
 from repro.observability.profile import OperatorStats
 from repro.types.collections import RowVector
-from repro.types.tuples import TupleType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.operator import Operator
@@ -57,58 +52,21 @@ __all__ = ["Step", "Lockstep", "steps", "pulled", "runs_in_lockstep", "run_job"]
 
 
 class Step:
-    """One lockstep morsel: the rows of each lane present, in lane order.
+    """One lockstep morsel: the morsels (``parts``) of the ``lanes``
+    present, in lane order."""
 
-    Held as per-lane ``parts``, as one ``whole`` vector with lane offsets
-    ``offs``, or both; each form is derived from the other on first use
-    (slicing is zero-copy, and so is concatenating adjacent slices).
-    """
+    __slots__ = ("lanes", "parts")
 
-    __slots__ = ("element_type", "lanes", "_parts", "_whole", "_offs", "_sizes")
-
-    def __init__(
-        self, element_type: TupleType, lanes, parts=None, whole=None, offs=None
-    ) -> None:
-        self.element_type = element_type
+    def __init__(self, lanes, parts: list[RowVector]) -> None:
         self.lanes = lanes
-        self._parts = parts
-        self._whole = whole
-        self._offs = offs
-        self._sizes = None
-
-    @property
-    def parts(self) -> list[RowVector]:
-        if self._parts is None:
-            whole, offs = self._whole, self._offs
-            self._parts = [whole.slice(lo, hi) for lo, hi in zip(offs, offs[1:])]
-        return self._parts
-
-    @property
-    def offs(self) -> list[int]:
-        """Where each lane's rows start in ``whole``, then the end."""
-        if self._offs is None:
-            self._offs = list(accumulate(map(len, self._parts), initial=0))
-        return self._offs
-
-    @property
-    def whole(self) -> RowVector:
-        if self._whole is None:
-            self._whole = RowVector.concat(self.element_type, self._parts)
-        return self._whole
+        self.parts = parts
 
     def sizes(self) -> list[int]:
-        if self._sizes is None:
-            if self._parts is not None:
-                self._sizes = [len(part) for part in self._parts]
-            else:
-                offs = self._offs
-                self._sizes = [hi - lo for lo, hi in zip(offs, offs[1:])]
-        return self._sizes
+        return [len(part) for part in self.parts]
 
-    def derive(self, whole: RowVector, offs=None) -> "Step":
-        """The same lanes holding ``whole`` (split at ``offs``, default ours)."""
-        return Step(whole.element_type, self.lanes, whole=whole,
-                    offs=self.offs if offs is None else offs)
+    def map(self, kernel: Callable[[RowVector], RowVector]) -> "Step":
+        """``kernel`` over each lane's morsel."""
+        return Step(self.lanes, [kernel(part) for part in self.parts])
 
 
 #: The lanes of a one-lane step.
@@ -157,20 +115,6 @@ class Lockstep:
                 "the upstream of a Limit)"
             )
         return self.group
-
-    def joint(self, step: Step) -> bool:
-        """Whether the lanes' rows of ``step`` fit one morsel together: a
-        row-wise kernel then runs once for every lane, and otherwise lane by
-        lane, so that no kernel outgrows the cache budget a morsel has."""
-        return len(step.lanes) == 1 or (
-            sum(step.sizes()) <= self.ctxs[0].morsel_rows_for(step.element_type)
-        )
-
-    def rowwise(self, step: Step, element_type: TupleType, kernel) -> Step:
-        """``kernel``, one output row per input row, over the rows of ``step``."""
-        if self.joint(step):
-            return step.derive(kernel(step.whole))
-        return Step(element_type, step.lanes, parts=[kernel(part) for part in step.parts])
 
     def charge(self, op: "Operator", kind: str, step: Step) -> None:
         for lane, n_rows in zip(step.lanes, step.sizes()):
@@ -282,15 +226,13 @@ def per_rank(op: "Operator", lx: Lockstep) -> Iterator[Step]:
     ctx = lx.ctxs[0]
     if op.row_native:
         for row in op.rows(ctx):
-            yield Step(op.output_type, ONE_LANE, parts=[RowVector.of_row(op.output_type, row)])
+            yield Step(ONE_LANE, [RowVector.of_row(op.output_type, row)])
     else:
         for batch in op.batches(ctx):
-            yield Step(op.output_type, ONE_LANE, parts=[batch])
+            yield Step(ONE_LANE, [batch])
 
 
-def lane_by_lane(
-    lx: Lockstep, run: Callable[[Lockstep], Iterator[RowVector]], element_type: TupleType
-) -> Iterator[Step]:
+def lane_by_lane(lx: Lockstep, run: Callable[[Lockstep], Iterator[RowVector]]) -> Iterator[Step]:
     """``run`` on each lane walked on its own, its k-th morsels as step k:
     for an operator whose lanes may each stop pulling at their own point.
     A one-lane walk is its own lane."""
@@ -307,7 +249,7 @@ def lane_by_lane(
                 lanes.append(lane)
                 parts.append(part)
         if lanes:
-            yield Step(element_type, lanes, parts=parts)
+            yield Step(lanes, parts)
         live = lanes
 
 
@@ -333,8 +275,8 @@ def scanned(
             for k in range(max(len(pieces) for _, pieces in morsels)):
                 present = [(lane, pieces[k]) for lane, pieces in morsels if len(pieces) > k]
                 if present:
-                    yield Step(op.output_type, [lane for lane, _ in present],
-                               parts=[piece for _, piece in present])
+                    yield Step([lane for lane, _ in present],
+                               [piece for _, piece in present])
 
 
 # -- draining ------------------------------------------------------------------
@@ -362,27 +304,9 @@ def drained_rows(run: Iterator[Step], lx: Lockstep) -> list[list[tuple]]:
     ]
 
 
-def each_lane(element_type: TupleType, vectors: list[RowVector]) -> Step:
+def each_lane(vectors: list[RowVector]) -> Step:
     """One step holding ``vectors[lane]`` for every lane."""
-    return Step(element_type, range(len(vectors)), parts=vectors)
-
-
-# -- keys over every lane ------------------------------------------------------
-
-
-def lane_keyed(step: Step, keys: np.ndarray, width: int, lanes=None) -> np.ndarray:
-    """``keys`` in ``[0, width)``, each row's shifted by ``width`` times its
-    lane (its position in ``lanes``, default the step's): one id space over
-    every lane, ordered lane-major.  A one-lane step's keys are its ids."""
-    lanes = range(len(step.lanes)) if lanes is None else lanes
-    if len(lanes) == 1 and lanes[0] == 0:
-        return keys
-    ids = keys.astype(np.int64)
-    offs = step.offs
-    for i, lane in enumerate(lanes):
-        if lane:
-            ids[offs[i]:offs[i + 1]] += lane * width
-    return ids
+    return Step(range(len(vectors)), vectors)
 
 
 # -- MPI jobs ------------------------------------------------------------------

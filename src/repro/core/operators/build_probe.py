@@ -133,7 +133,7 @@ class BuildProbe(Operator):
                     outs.append(out)
                     yielded[lane] = True
             if lanes:
-                yield Step(self.output_type, lanes, parts=outs)
+                yield Step(lanes, outs)
 
         if self.join_type == "left_outer":
             # outer_tail reads only the (order, matched) contract both
@@ -143,9 +143,9 @@ class BuildProbe(Operator):
             for lane, _ in tails:
                 yielded[lane] = True
             if tails:
-                yield Step(self.output_type, [lane for lane, _ in tails],
-                           parts=[tail for _, tail in tails])
+                yield Step([lane for lane, _ in tails],
+                           [tail for _, tail in tails])
         empty = [lane for lane, done in enumerate(yielded) if not done]
         if empty:
-            yield Step(self.output_type, empty,
-                       parts=[RowVector.empty(self.output_type) for _ in empty])
+            yield Step(empty,
+                       [RowVector.empty(self.output_type) for _ in empty])

@@ -45,4 +45,4 @@ class CartesianProduct(Operator):
             rows = [left_row + right_row for right_row in right for left_row in left]
             ctx.charge_cpu(self, "map", len(rows))
             outputs.append(RowVector.from_rows(self.output_type, rows))
-        yield each_lane(self.output_type, outputs)
+        yield each_lane(outputs)

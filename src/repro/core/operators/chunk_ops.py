@@ -105,4 +105,4 @@ class MaterializeChunks(Operator):
             ctx.set_phase(self.assigned_phase)
             ctx.clock.advance(ctx.cost.copy_cost(collection.size_bytes()), jitter=True)
             outputs.append(RowVector.of_row(self.output_type, (collection,)))
-        yield each_lane(self.output_type, outputs)
+        yield each_lane(outputs)

@@ -32,18 +32,7 @@ class Filter(Operator):
     def lanes(self, lx: Lockstep) -> Iterator[Step]:
         for step in pulled(self.upstreams[0], lx):
             lx.charge(self, "map", step)
-            if not lx.joint(step):
-                yield Step(self.output_type, step.lanes, parts=[
-                    self._selected(part) for part in step.parts
-                ])
-                continue
-            whole = step.whole
-            mask = self.predicate.mask(whole)
-            if mask.all():
-                yield step
-            else:
-                keep = np.flatnonzero(mask)
-                yield step.derive(whole.take(keep), np.searchsorted(keep, step.offs).tolist())
+            yield step.map(self._selected)
 
     def _selected(self, batch: RowVector) -> RowVector:
         mask = self.predicate.mask(batch)

@@ -39,7 +39,7 @@ class Limit(Operator):
     def lanes(self, lx: Lockstep) -> Iterator[Step]:
         # Each lane stops pulling at its own point, so that no lane pays
         # for rows it would drop.
-        return lane_by_lane(lx, self._limited, self.output_type)
+        return lane_by_lane(lx, self._limited)
 
     def _limited(self, lx: Lockstep) -> Iterator[RowVector]:
         """The first ``n`` rows of the one lane of ``lx``, as morsels."""

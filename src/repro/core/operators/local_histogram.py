@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core.functions import PartitionFunction
 from repro.core.kernels.scatter import bucket_counts
-from repro.core.lockstep import Lockstep, Step, lane_keyed, pulled
+from repro.core.lockstep import Lockstep, Step, each_lane, pulled
 from repro.core.operator import Operator
 from repro.errors import ExecutionError, TypeCheckError
 from repro.types.atoms import INT64
@@ -50,26 +50,20 @@ def read_histograms(lx: Lockstep, upstream: Operator, n_partitions: int) -> np.n
     """
     counts = np.zeros((len(lx.ctxs), n_partitions), dtype=np.int64)
     for step in pulled(upstream, lx):
-        whole = step.whole
-        if len(whole) == 0:
-            continue
-        buckets = whole.column("bucket")
-        if not (0 <= int(buckets.min()) and int(buckets.max()) < n_partitions):
-            raise ExecutionError(f"histogram bucket outside [0, {n_partitions})")
-        ids = lane_keyed(step, buckets, n_partitions, step.lanes)
-        np.add.at(counts.reshape(-1), ids, whole.column("count"))
+        for lane, batch in zip(step.lanes, step.parts):
+            if len(batch) == 0:
+                continue
+            buckets = batch.column("bucket")
+            if not (0 <= int(buckets.min()) and int(buckets.max()) < n_partitions):
+                raise ExecutionError(f"histogram bucket outside [0, {n_partitions})")
+            np.add.at(counts[lane], buckets, batch.column("count"))
     return counts
 
 
 def histogram_step(counts: np.ndarray) -> Step:
     """⟨bucket, count⟩ rows of each lane's histogram (``counts[lane]``)."""
-    n_lanes, n_buckets = counts.shape
-    whole = RowVector(
-        HISTOGRAM_TYPE,
-        [np.tile(np.arange(n_buckets, dtype=np.int64), n_lanes), counts.reshape(-1)],
-    )
-    return Step(HISTOGRAM_TYPE, range(n_lanes), whole=whole,
-                offs=list(range(0, (n_lanes + 1) * n_buckets, n_buckets)))
+    buckets = np.arange(counts.shape[1], dtype=np.int64)
+    return each_lane([RowVector(HISTOGRAM_TYPE, [buckets, lane]) for lane in counts])
 
 
 class LocalHistogram(Operator):
@@ -101,26 +95,15 @@ class LocalHistogram(Operator):
         return self.bucket_fn.n_partitions
 
     def lanes(self, lx: Lockstep) -> Iterator[Step]:
-        n_buckets, n_lanes = self.n_buckets, len(lx.ctxs)
-        counts = np.zeros((n_lanes, n_buckets), dtype=np.int64)
-        totals = [0] * n_lanes
+        counts = np.zeros((len(lx.ctxs), self.n_buckets), dtype=np.int64)
+        totals = [0] * len(lx.ctxs)
         for step in pulled(self.upstreams[0], lx):
-            sizes = step.sizes()
-            for lane, n_rows in zip(step.lanes, sizes):
-                totals[lane] += n_rows
-            if not lx.joint(step):
-                for lane, part in zip(step.lanes, step.parts):
-                    if len(part):
-                        counts[lane] += bucket_counts(
-                            self.bucket_fn.map_batch(part), n_buckets
-                        )
-            elif sum(sizes):
-                buckets = self.bucket_fn.map_batch(step.whole)
-                ids = lane_keyed(step, buckets, n_buckets, step.lanes)
-                # An id out of range lengthens the count and fails the reshape.
-                counts += bucket_counts(ids, n_lanes * n_buckets).reshape(
-                    n_lanes, n_buckets
-                )
+            for lane, batch in zip(step.lanes, step.parts):
+                if len(batch) == 0:
+                    continue
+                totals[lane] += len(batch)
+                buckets = self.bucket_fn.map_batch(batch)
+                counts[lane] += bucket_counts(buckets, self.n_buckets)
         for ctx, total in zip(lx.ctxs, totals):
             ctx.charge_cpu(self, "histogram", total)
         yield histogram_step(counts)

@@ -82,7 +82,7 @@ class LocalPartitioning(Operator):
         counts = read_histograms(lx, self.upstreams[1], self.n_partitions)
         data = self.upstreams[0]
         vectors = drained_vectors(data, pulled(data, lx), lx)
-        yield each_lane(self.output_type, [
+        yield each_lane([
             self.partition(ctx, vector, lane_counts)
             for ctx, vector, lane_counts in zip(lx.ctxs, vectors, counts)
         ])

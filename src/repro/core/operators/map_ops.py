@@ -36,10 +36,7 @@ class Map(Operator):
     def lanes(self, lx: Lockstep) -> Iterator[Step]:
         for step in pulled(self.upstreams[0], lx):
             lx.charge(self, "map", step)
-            yield lx.rowwise(
-                step, self.output_type,
-                lambda batch: self.fn.apply_batch(batch, self.output_type),
-            )
+            yield step.map(lambda batch: self.fn.apply_batch(batch, self.output_type))
 
 
 class ParametrizedMap(Operator):
@@ -74,7 +71,7 @@ class ParametrizedMap(Operator):
             params.append(vector.row(0))
         for step in pulled(self.upstreams[0], lx):
             lx.charge(self, "map", step)
-            yield Step(self.output_type, step.lanes, parts=[
+            yield Step(step.lanes, [
                 self.fn.apply_batch(params[lane], part, self.output_type)
                 for lane, part in zip(step.lanes, step.parts)
             ])

@@ -111,6 +111,6 @@ class MaterializeRowVector(Operator):
                 if store is not None:
                     store.deposit(id(self), ctx.rank, vector)
                 sealed.append(vector)
-        yield each_lane(self.output_type, [
+        yield each_lane([
             RowVector.of_row(self.output_type, (vector,)) for vector in sealed
         ])

@@ -77,7 +77,7 @@ class MpiBroadcast(Operator):
 
         lx.set_phase(self.assigned_phase)
         group.fence(windows)
-        yield each_lane(self.output_type, [
+        yield each_lane([
             window_set.local.read(0, total) for window_set, total in zip(windows, global_)
         ])
 

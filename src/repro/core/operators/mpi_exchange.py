@@ -30,8 +30,8 @@ import numpy as np
 from repro.core.compression import COMPRESSED_TYPE, RadixCompression
 from repro.core.context import ExecutionContext
 from repro.core.functions import PartitionFunction
-from repro.core.kernels.scatter import bucket_counts, partition_layout, stable_order
-from repro.core.lockstep import Lockstep, Step, each_lane, lane_keyed, pulled
+from repro.core.kernels.scatter import partition_layout
+from repro.core.lockstep import Lockstep, Step, each_lane, pulled
 from repro.core.operator import Operator
 from repro.core.operators.local_histogram import read_histograms, require_histogram
 from repro.errors import ExecutionError, TypeCheckError
@@ -188,55 +188,20 @@ class MpiExchange(Operator):
                 base = int(partition_base[pid])
                 partitions[i] = window_set.local.read(base, base + int(counts[pid]))
             outputs.append(RowVector(self.output_type, [owned, partitions]))
-        yield each_lane(self.output_type, outputs)
+        yield each_lane(outputs)
 
     def _send_all(self, lx: Lockstep, windows, cursors) -> list[int]:
         """Scatter every data morsel into the windows; each lane's rows sent.
 
-        Rows of a joint step take one partition function call and one
-        stable order over ⟨lane, partition⟩, then each lane's puts from its
-        slice of that order.  A helper, so that no morsel, scatter order or
-        packed wire outlives it into the fence.
+        A helper, so that no morsel, scatter order or packed wire outlives
+        it: every lane's would be alive at the fence.
         """
-        n_parts = self.n_partitions
         totals = [0] * len(lx.ctxs)
         for step in pulled(self.upstreams[0], lx):
-            if not lx.joint(step):
-                for lane, part in zip(step.lanes, step.parts):
-                    if len(part):
-                        self.send_batch(lx.ctxs[lane], windows[lane], cursors[lane], part)
-                        totals[lane] += len(part)
-                continue
-            whole = step.whole
-            if len(whole) == 0:
-                continue
-            sizes, offs = step.sizes(), step.offs
-            buckets = self.partition_fn.map_batch(whole)
-            ids = lane_keyed(step, buckets, n_parts)
-            span = len(step.lanes) * n_parts
-            counts = bucket_counts(ids, span).reshape(len(step.lanes), n_parts)
-            # One stable linear-time scatter order (none at one partition,
-            # where it is the identity).
-            order = stable_order(ids, span) if n_parts > 1 else None
-            wire = whole if self.compression is None else self.compression.pack_batch(whole)
-            for i, lane in enumerate(step.lanes):
-                if sizes[i] == 0:
-                    continue
-                totals[lane] += sizes[i]
-                ctx = lx.ctxs[lane]
-                ctx.charge_cpu(self, "partition", sizes[i])
-                lo, hi = offs[i], offs[i + 1]
-                offsets = np.zeros(n_parts + 1, dtype=np.int64)
-                np.cumsum(counts[i], out=offsets[1:])
-                # The rank's own scatter order is its slice of the lanes'
-                # order, holding positions in ``wire``.
-                lane_wire = wire if order is not None else wire.slice(lo, hi)
-                lane_order = order[lo:hi] if order is not None else None
-                for pid in np.flatnonzero(counts[i]):
-                    self._send_partition(
-                        ctx, windows[lane], cursors[lane], int(pid), lane_wire,
-                        lane_order, offsets,
-                    )
+            for lane, batch in zip(step.lanes, step.parts):
+                if len(batch):
+                    self.send_batch(lx.ctxs[lane], windows[lane], cursors[lane], batch)
+                    totals[lane] += len(batch)
         return totals
 
     def send_batch(self, ctx: ExecutionContext, windows, cursor, batch) -> None:

@@ -139,4 +139,4 @@ class NestedMap(Operator):
         for lane in lanes:
             parts.append(RowVector.from_rows(self.output_type, results[lane]))
             results[lane], emitted[lane] = [], True
-        return Step(self.output_type, lanes, parts=parts)
+        return Step(lanes, parts)

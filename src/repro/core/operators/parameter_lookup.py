@@ -60,7 +60,7 @@ class ParameterLookup(Operator):
         return (self.slot.id,)
 
     def lanes(self, lx: Lockstep) -> Iterator[Step]:
-        yield each_lane(self.output_type, [
+        yield each_lane([
             RowVector.of_row(self.output_type, ctx.lookup_parameter(self.slot.id))
             for ctx in lx.ctxs
         ])

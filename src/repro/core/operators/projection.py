@@ -36,6 +36,6 @@ class Projection(Operator):
     def lanes(self, lx: Lockstep) -> Iterator[Step]:
         for step in pulled(self.upstreams[0], lx):
             lx.charge(self, "map", step)
-            yield lx.rowwise(step, self.output_type, lambda batch: RowVector(
+            yield step.map(lambda batch: RowVector(
                 self.output_type, [batch.columns[p] for p in self._positions]
             ))

@@ -44,7 +44,7 @@ class Reduce(Operator):
         for step in pulled(self.upstreams[0], lx):
             for lane, part in zip(step.lanes, step.parts):
                 accs[lane] = self.fold(lx.ctxs[lane], accs[lane], part)
-        yield each_lane(self.output_type, [self.result(acc) for acc in accs])
+        yield each_lane([self.result(acc) for acc in accs])
 
     def fold(self, ctx: ExecutionContext, acc, batch: RowVector):
         """Charge one morsel and fold it into the accumulator ``acc``."""
@@ -139,7 +139,7 @@ class ReduceByKey(Operator):
             parts = [part for part in parts if len(part)]
             charge(ctx, sum(len(part) for part in parts))
             outputs.append(self.aggregate(parts))
-        return each_lane(op.output_type, outputs)
+        return each_lane(outputs)
 
     def aggregate(self, parts: list[RowVector]) -> RowVector:
         """One tuple per key of the non-empty morsels ``parts``.

@@ -81,7 +81,7 @@ class LocalSort(Operator):
     def lanes(self, lx: Lockstep) -> Iterator[Step]:
         data = self.upstreams[0]
         vectors = drained_vectors(data, steps(data, lx), lx)
-        yield each_lane(self.output_type, [
+        yield each_lane([
             self.sort(ctx, vector) for ctx, vector in zip(lx.ctxs, vectors)
         ])
 
@@ -150,7 +150,7 @@ class MergeJoin(Operator):
 
     def lanes(self, lx: Lockstep) -> Iterator[Step]:
         lefts, rights = (drained_vectors(up, steps(up, lx), lx) for up in self.upstreams)
-        yield each_lane(self.output_type, [
+        yield each_lane([
             self.merge(ctx, left, right) for ctx, left, right in zip(lx.ctxs, lefts, rights)
         ])
 

@@ -55,4 +55,4 @@ class Zip(Operator):
                     f"(mismatch after {count} tuples)"
                 )
             outputs.append(RowVector(self.output_type, [c for v in vectors for c in v.columns]))
-        yield each_lane(self.output_type, outputs)
+        yield each_lane(outputs)

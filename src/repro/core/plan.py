@@ -77,7 +77,7 @@ class SharedScan(Operator):
             for ctx, binding, vector in zip(lx.ctxs, bindings, vectors):
                 ctx.charge_materialize(self, vector.size_bytes())
                 ctx.shared_cache[key] = (binding, vector)
-        yield each_lane(self.output_type, vectors)
+        yield each_lane(vectors)
 
 
 def walk(root: Operator, into_nested: bool = False) -> Iterator[Operator]:

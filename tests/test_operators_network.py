@@ -320,7 +320,6 @@ class TestNoRankParksHoldingAMorsel:
         spy(RadixPartition, "map_batch", lambda buckets: [buckets])
         spy(RadixCompression, "pack_batch", lambda wire: wire.columns)
         spy(mpi_exchange, "partition_layout", lambda layout: layout)
-        spy(mpi_exchange, "stable_order", lambda order: [order])
 
         def guard(real, ranks):
             def guarded(self, *args):
@@ -335,24 +334,17 @@ class TestNoRankParksHoldingAMorsel:
         monkeypatch.setattr(CommGroup, "fence", guard(CommGroup.fence, len))
         slot = ParameterSlot(TupleType.of(t=row_vector_type(KV)))
         _, flat = collect(slot, worker, SimCluster(4))
-        senders = set()
-        for op in walk(flat, into_nested=True):
-            if isinstance(op, (MpiExchange, MpiBroadcast)):
-                senders.add(op.upstreams[0])
-                real = op.upstreams[0].stream_batches
-
-                def streamed(ctx, real=real):
-                    for batch in real(ctx):
-                        keep(batch.columns)
-                        yield batch
-
-                monkeypatch.setattr(op.upstreams[0], "stream_batches", streamed)
+        senders = {
+            op.upstreams[0] for op in walk(flat, into_nested=True)
+            if isinstance(op, (MpiExchange, MpiBroadcast))
+        }
         real_steps = lockstep.steps
 
         def lockstep_steps(op, lx):
             for step in real_steps(op, lx):
                 if op in senders:
-                    keep(step.whole.columns)
+                    for part in step.parts:
+                        keep(part.columns)
                 yield step
 
         monkeypatch.setattr(lockstep, "steps", lockstep_steps)

@@ -431,7 +431,7 @@ class TestZeroCopyPlane:
                     RowVector.empty(self.output_type),
                     vector_of([(0, 3), (1, 2)], self.output_type),
                 ):
-                    yield Step(self.output_type, (0,), parts=[batch])
+                    yield Step((0,), [batch])
 
         counts = read_histograms(Lockstep([ExecutionContext()]), EmptyThenCounts(), 2)
         assert counts.tolist() == [[3, 2]]
@@ -445,7 +445,7 @@ class TestZeroCopyPlane:
             walks_lanes = False
 
             def lanes(self, lx):
-                yield Step(self.output_type, (0,), parts=[vector_of([(5, 1)], self.output_type)])
+                yield Step((0,), [vector_of([(5, 1)], self.output_type)])
 
         with pytest.raises(ExecutionError):
             read_histograms(Lockstep([ExecutionContext()]), BadBucket(), 2)
