@@ -60,7 +60,5 @@ class ParameterLookup(Operator):
         return (self.slot.id,)
 
     def lanes(self, lx: Lockstep) -> Iterator[Step]:
-        yield each_lane([
-            RowVector.of_row(self.output_type, ctx.lookup_parameter(self.slot.id))
-            for ctx in lx.ctxs
-        ])
+        bound = [ctx.lookup_parameter(self.slot.id) for ctx in lx.ctxs]
+        yield each_lane([RowVector.of_row(self.output_type, row) for row in bound])
