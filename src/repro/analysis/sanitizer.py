@@ -183,7 +183,8 @@ class _WindowState:
 class Sanitizer:
     """One sanitized execution's recorder, shared by driver and all jobs.
 
-    Unlocked: one rank of a job runs at a time (the substrate's baton) and
+    Unlocked: one rank of a job runs at a time (a lockstep walk on one
+    thread, or the substrate's baton on rank threads) and
     jobs are created sequentially on the driver (which is what makes window
     keys — and therefore the MOD053 replay diff — deterministic).  Only
     the provenance stack is thread-local: a rank's thread carries its
@@ -316,10 +317,10 @@ def diff_write_logs(baseline: Sanitizer, replay: Sanitizer) -> list[Diagnostic]:
 
 
 class SanitizerJob:
-    """Sanitizer state of one MPI job (one ``cluster.run``).
+    """Sanitizer state of one MPI job (one dispatch attempt).
 
     Installed as ``comm.sanitizer`` on every rank of the job; only the
-    rank holding the job's baton calls in.  The hooks return the origin
+    rank being walked calls in.  The hooks return the origin
     the substrate records with a put or collective contribution: the
     operator issuing it.
     """

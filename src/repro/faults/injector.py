@@ -128,7 +128,8 @@ class RankFaults:
     """Deterministic per-rank fault decisions for one job attempt.
 
     Owned by exactly one rank; the crash ledger it shares with its peers
-    needs no lock either, since one rank of a job runs at a time.
+    needs no lock either, since one rank of a job runs at a time (one
+    lockstep walk, or the baton on rank threads).
     """
 
     __slots__ = ("job", "rank", "_rng_put", "_rng_coll", "_comm_ops")
