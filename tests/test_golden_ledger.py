@@ -17,10 +17,15 @@ import functools
 import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.analysis.sanitizer import Sanitizer
 from repro.core import lockstep
+from repro.core.executor import execute
+from repro.core.operators import (
+    Limit, MaterializeRowVector, MpiExecutor, ParameterLookup, ParameterSlot, RowScan,
+)
 from repro.core.options import RunOptions
 from repro.core.plans import (
     build_broadcast_join,
@@ -31,6 +36,7 @@ from repro.faults.policy import FaultPolicy
 from repro.mpi import SimCluster
 from repro.relational.optimizer import lower_to_modularis
 from repro.tpch import ALL_QUERIES, load_catalog
+from repro.types import INT64, RowVector, TupleType, row_vector_type
 from repro.workloads import make_groupby_table, make_join_relations
 from repro.workloads.targets import ALL_TARGETS, resolve
 
@@ -463,3 +469,31 @@ def test_aborted_lockstep_wave_matches_rank_threads(permanent, drop_rate, monkey
     assert walked[2]
     monkeypatch.setattr(lockstep, "runs_in_lockstep", lambda executor: False)
     assert outcome() == walked
+
+
+def test_limit_in_lockstep_matches_rank_threads(lockstep_jobs, monkeypatch):
+    """Each lane of a lockstep ``Limit`` stops pulling at its own point, as
+    a rank does: its upstream charges no rank for rows it drops."""
+    kv = TupleType.of(key=INT64, value=INT64)
+    table = RowVector(kv, [np.arange(1000), np.arange(1000) % 7])
+    slot = ParameterSlot(TupleType.of(t=row_vector_type(kv)))
+
+    def run():
+        executor = MpiExecutor(
+            ParameterLookup(slot),
+            lambda s: MaterializeRowVector(
+                Limit(RowScan(ParameterLookup(s), field="t", shard_by_rank=True), 70)
+            ),
+            SimCluster(4),
+        )
+        report = execute(
+            MaterializeRowVector(RowScan(executor)), params={slot: (table,)},
+            options=RunOptions(metrics=True, morsel_rows=32),
+        )
+        return report.rows, ledger(report)
+
+    walked = run()
+    assert lockstep_jobs == [1]
+    monkeypatch.setattr(lockstep, "runs_in_lockstep", lambda executor: False)
+    assert run() == walked
+    assert lockstep_jobs == [1]
