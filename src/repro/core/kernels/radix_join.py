@@ -7,26 +7,29 @@ hashing, the build side is *rebased* onto its key range ``[kmin, kmax]``
 and either addressed directly or scattered into per-key runs with
 counting passes:
 
-1. one count of the rebased keys (``scatter.bucket_counts``) decides the
-   build's shape.  If no key occurs twice and the span fits one
-   cache-sized pass, the build is a direct-address table
+1. a span that fits one cache-sized pass takes a direct-address table
    ``rows[key - kmin] -> build row`` (-1 where the key is absent): one
-   ``np.full`` and one scatter of the row numbers, no sort;
-2. otherwise the same counts give every key's run length, their
-   ``cumsum`` the run start offsets, and the scatter is one stable
-   linear-time order (:mod:`repro.core.kernels.scatter`).  When the key
-   range exceeds a cache-sized pass, a first radix pass partitions on the
-   high bits (fan-out chosen from the key range so each sub-range fits
-   the pass budget), then each partition is counted and scattered
-   locally — the classic two-pass radix scheme that keeps every pass's
-   working set cache-sized;
-3. a probe morsel against the table is one gather of ``rows`` (keys out
-   of range clamped to a -1 slot) and one ``flatnonzero``.  When that
-   finds every probe row (the morsel fully hits), the probe's columns
-   pass through as they are and only the build side is gathered; the
-   table's identity ``order`` is never gathered through.  Against runs,
-   a probe reads each candidate run ``[starts[k], starts[k+1])`` with two
-   direct loads and expands it.  Neither hashes, chains or searches.
+   ``np.full`` and one scatter of the row numbers, which also proves the
+   keys unique (:meth:`RadixJoinBuild._unique_table`).  A unique build
+   keeps the table — no count, no sort, no run offsets;
+2. a repeated key, or more rows than the span (some key must repeat),
+   counts the rebased keys (``scatter.bucket_counts``): the counts give
+   every key's run length, their ``cumsum`` the run start offsets, and
+   the scatter is one stable linear-time order
+   (:mod:`repro.core.kernels.scatter`).  When the key range exceeds a
+   cache-sized pass, a first radix pass partitions on the high bits
+   (fan-out chosen from the key range so each sub-range fits the pass
+   budget), then each partition is counted and scattered locally — the
+   classic two-pass radix scheme that keeps every pass's working set
+   cache-sized;
+3. a probe morsel against the table is one ``take`` of ``rows`` (keys out
+   of range clamped to a -1 slot, the slots read as ``intp``) and one
+   ``flatnonzero``.  When that finds every probe row (the morsel fully
+   hits), the probe's columns pass through as they are and only the
+   build side is gathered; the table's identity ``order`` is never
+   gathered through.  Against runs, a probe reads each candidate run
+   ``[starts[k], starts[k+1])`` with two direct loads and expands it.
+   Neither hashes, chains or searches.
 
 It runs on the same int64 key codes as the sorted-hash kernel
 (:class:`~repro.core.kernels.hash_join.JoinKeyCodes`).  The scatter is
@@ -45,7 +48,7 @@ a hard cap — :func:`radix_eligible` is the dispatch heuristic
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,12 +59,7 @@ from repro.core.kernels.hash_join import (
     emit_probe_hits,
     probe_morsel,
 )
-from repro.core.kernels.scatter import (
-    bucket_counts,
-    counted_layout,
-    partition_layout,
-    stable_order,
-)
+from repro.core.kernels.scatter import partition_layout, stable_order
 from repro.types.collections import RowVector
 
 __all__ = [
@@ -72,6 +70,7 @@ __all__ = [
     "radix_fanout",
     "radix_probe_morsel",
     "select_join_kernel",
+    "twin_build",
 ]
 
 #: Largest key range the kernel will ever allocate a direct-address table
@@ -123,17 +122,25 @@ def radix_eligible(n_build: int, kmin: int, kmax: int, forced: bool = False) -> 
     return n_build >= RADIX_MIN_ROWS and span <= PASS_RANGE
 
 
-def select_join_kernel(join_kernel: str, left: RowVector, key: str | tuple[str, ...]):
+def select_join_kernel(
+    join_kernel: str, left: RowVector, key: str | tuple[str, ...], built=()
+):
     """⟨dispatch label, constructed build, probe function⟩ for one join.
 
-    The dispatch point ``BuildProbe.batches`` calls with the context's
+    The dispatch point ``BuildProbe.build`` calls with the context's
     ``join_kernel`` setting, the materialized build side and the join
     attribute(s): ``"sorted"`` pins the sorted-hash kernel, ``"radix"``
     forces radix up to the hard memory cap, and ``"auto"`` applies
     :func:`radix_eligible` to the build's key codes.  The label is the
     ``join_dispatch{path}`` metric value (``"kernel"`` keeps the
-    sorted-hash path's historical label).
+    sorted-hash path's historical label).  ``built`` holds the triples
+    this join already returned for earlier lanes of its lockstep step; a
+    build side with the same join keys as one of them shares its build.
     """
+    for path, build, probe in built:
+        twin = twin_build(build, left)
+        if twin is not None:
+            return path, twin, probe
     eligible = False
     codes = JoinKeyCodes(left, key)
     keys = codes.build
@@ -143,8 +150,28 @@ def select_join_kernel(join_kernel: str, left: RowVector, key: str | tuple[str, 
             len(keys), kmin, kmax, forced=join_kernel == "radix"
         )
     if eligible:
-        return "radix", RadixJoinBuild.from_codes(left, codes), radix_probe_morsel
+        build = RadixJoinBuild.from_codes(left, codes, (kmin, kmax))
+        return "radix", build, radix_probe_morsel
     return "kernel", HashJoinBuild.from_codes(left, codes), probe_morsel
+
+
+def twin_build(build, left: RowVector):
+    """``build`` rebound to the build side ``left`` if ``left``'s join-key
+    columns equal those ``build`` was made from, else ``None``.
+
+    Everything a build derives comes from its key columns, so only the
+    rows it emits (``left``) and its left_outer bookkeeping (``matched``)
+    are ``left``'s own.  Lengths, then each key column's first row, are
+    compared before the full columns, so a build side that differs costs
+    almost nothing to tell apart.
+    """
+    made = build.left
+    if len(made) != len(left) or not all(
+        np.array_equal(a[:1], b[:1]) and np.array_equal(a, b)
+        for a, b in ((made.column(k), left.column(k)) for k in build.codes.keys)
+    ):
+        return None
+    return replace(build, left=left, matched=np.zeros(len(left), dtype=bool))
 
 
 def radix_fanout(span: int) -> tuple[int, int]:
@@ -193,29 +220,28 @@ class RadixJoinBuild:
         return cls.from_codes(left, JoinKeyCodes(left, key))
 
     @classmethod
-    def from_codes(cls, left: RowVector, codes: JoinKeyCodes) -> "RadixJoinBuild":
+    def from_codes(cls, left: RowVector, codes: JoinKeyCodes, key_range=None) -> "RadixJoinBuild":
+        """The build over ``left``'s key ``codes``, whose ⟨min, max⟩ is
+        ``key_range`` when the caller has taken it."""
         build_keys = codes.build
         n = len(left)
-        kmin, kmax = (int(build_keys.min()), int(build_keys.max())) if n else (0, -1)
+        if key_range is None:
+            key_range = (int(build_keys.min()), int(build_keys.max())) if n else (0, -1)
+        kmin, kmax = key_range
         span = key_span(kmin, kmax)
         if span > HARD_RANGE_CAP:
             raise ValueError(
                 f"key range {span} exceeds the radix table cap {HARD_RANGE_CAP}"
             )
         rebased = build_keys - np.int64(kmin)
-        starts = rows = None
+        order = starts = rows = None
         if span > PASS_RANGE:
             starts, order = cls._two_pass_scatter(rebased, span)
         else:
-            counts = bucket_counts(rebased, span)
-            if counts.max(initial=0) <= 1:
-                # Every key is its own slot: no runs, no sort and no order.
-                order = None
-                rows = np.full(span + 1, -1, dtype=np.intp)
-                rows[rebased] = np.arange(n, dtype=np.intp)
-            else:
-                # Single cache-sized pass: the same counts give the runs.
-                order, _, starts = counted_layout(rebased, counts)
+            # More rows than keys means some key repeats.
+            rows = cls._unique_table(rebased, span) if n <= span else None
+            if rows is None:
+                order, _, starts = partition_layout(rebased, span)
         return cls(
             left=left,
             codes=codes,
@@ -226,6 +252,24 @@ class RadixJoinBuild:
             rows=rows,
             matched=np.zeros(n, dtype=bool),
         )
+
+    @staticmethod
+    def _unique_table(rebased: np.ndarray, span: int) -> np.ndarray | None:
+        """The key -> row table of ``rebased``, or ``None`` if a key repeats.
+
+        O(n), with no count: keys that strictly increase are unique, and
+        sorted keys with a tie repeat (found before any table is made);
+        otherwise a repeated key's slot holds only its last row's number.
+        """
+        lowest = np.diff(rebased).min(initial=1)
+        if lowest == 0:
+            return None
+        ids = np.arange(len(rebased), dtype=np.intp)
+        rows = np.full(span + 1, -1, dtype=np.intp)
+        rows[rebased] = ids
+        if lowest > 0 or bool((rows.take(rebased) == ids).all()):
+            return rows
+        return None
 
     @staticmethod
     def _two_pass_scatter(rebased: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +309,9 @@ def radix_probe_morsel(
         slots = (right_keys - kmin).view(np.uint64)
         # In place: clamping into a fresh array measured several times slower.
         np.minimum(slots, np.uint64(len(build.rows) - 1), out=slots)
-        hit_rows = build.rows[slots]
+        # Clamped, every slot is below 2^63: read as intp it feeds ``take``,
+        # which measured twice as fast as indexing with uint64.
+        hit_rows = build.rows.take(slots.view(np.intp))
         hit_right = np.flatnonzero(hit_rows >= 0)
         if len(hit_right) == len(right):
             # Every key hit, once each and in order: the probe passes through.

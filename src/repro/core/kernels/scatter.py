@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "DENSE_SUM_MULTIPLE",
     "bucket_counts",
-    "counted_layout",
     "key_order",
     "key_sums",
     "partition_layout",
@@ -66,12 +65,7 @@ def bucket_counts(buckets: np.ndarray, n_buckets: int) -> np.ndarray:
 def partition_layout(buckets: np.ndarray, n_buckets: int) -> tuple[np.ndarray, ...]:
     """⟨order, counts, offsets⟩ of a stable scatter into ``n_buckets`` runs:
     after ``take(order)`` bucket ``b`` occupies ``[offsets[b], offsets[b+1])``."""
-    return counted_layout(buckets, bucket_counts(buckets, n_buckets))
-
-
-def counted_layout(buckets: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, ...]:
-    """:func:`partition_layout` from ``counts = bucket_counts(buckets, n)``
-    already taken, for a caller that read the counts first."""
+    counts = bucket_counts(buckets, n_buckets)
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     if len(counts) == 1:  # one bucket, every id in it: the identity, unsorted

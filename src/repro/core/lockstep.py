@@ -19,7 +19,8 @@ step k rather than charged a zero, and an upstream step is pulled only
 once every lane has consumed the previous one.  Kernels run on each
 lane's morsel: the Python around them (generator frames, dispatch, the
 operator's setup) runs once per step, and each lane's data decides its
-own kernel path (join, group-by, scatter).  A collective is one group
+own kernel path (join, group-by, scatter); lanes whose join build sides
+hold equal keys share one build.  A collective is one group
 call that sees every lane's contribution (:class:`~repro.mpi.comm.
 CommGroup`; on one rank's own thread, :class:`~repro.mpi.comm.
 RankGroup`); puts still go through each rank's ``Window``.

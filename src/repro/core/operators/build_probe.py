@@ -99,31 +99,36 @@ class BuildProbe(Operator):
             outer_fill=self.outer_fill,
         )
 
-    def build(self, ctx: ExecutionContext, left: RowVector):
-        """Charge and build the hash side ``left``; ⟨build, probe function⟩."""
+    def build(self, ctx: ExecutionContext, left: RowVector, built=()):
+        """Charge and build the hash side ``left``, sharing a twin among the
+        earlier lanes' ``built``; ⟨label, build, probe function⟩."""
         ctx.charge_cpu(self, "build", len(left))
         # The kernels module owns the radix-vs-sorted-hash dispatch; the
         # returned label is the join_dispatch{path} metric value.
-        path, build, probe = select_join_kernel(ctx.options.join_kernel, left, self.keys)
+        path, build, probe = select_join_kernel(ctx.options.join_kernel, left, self.keys, built)
         metrics = ctx.registry
         if metrics is not None:
             metrics.counter("join_dispatch", path=path).inc()
             metrics.counter("join_build_rows", op=type(self).__name__).add(len(left))
-        return build, probe
+        return path, build, probe
 
     def lanes(self, lx: Lockstep) -> Iterator[Step]:
-        # Each lane builds and probes its own table: its data decides the
-        # kernel.
+        # Each lane probes its own build, which its data decides; a lane
+        # whose join keys equal an earlier lane's (every lane of a
+        # broadcast) shares that lane's build, and still charges and
+        # counts its own.
         spec = self.spec()
         left = self.upstreams[0]
         lefts = drained_vectors(left, pulled(left, lx), lx)
-        builds = [self.build(ctx, vector) for ctx, vector in zip(lx.ctxs, lefts)]
+        builds = []
+        for ctx, vector in zip(lx.ctxs, lefts):
+            builds.append(self.build(ctx, vector, builds))
         del lefts
         yielded = [False] * len(lx.ctxs)
         for step in pulled(self.upstreams[1], lx):
             lanes, outs = [], []
             for lane, batch in zip(step.lanes, step.parts):
-                build, probe = builds[lane]
+                _, build, probe = builds[lane]
                 out = probe(build, batch, spec)
                 # Every policy charges one unit per probe tuple plus one per
                 # emitted tuple.
@@ -138,7 +143,7 @@ class BuildProbe(Operator):
         if self.join_type == "left_outer":
             # outer_tail reads only the (order, matched) contract both
             # builds share, so one tail routine serves either kernel.
-            tails = [(lane, outer_tail(build, spec)) for lane, (build, _) in enumerate(builds)]
+            tails = [(lane, outer_tail(build, spec)) for lane, (_, build, _) in enumerate(builds)]
             tails = [(lane, tail) for lane, tail in tails if len(tail)]
             for lane, _ in tails:
                 yielded[lane] = True

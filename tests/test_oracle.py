@@ -547,6 +547,14 @@ _BULK = {
     "broadcast_join": bulk_case("broadcast_join", _JOIN.left, _JOIN.right),
     "groupby": bulk_case("groupby", _GROUPS.table, key_bits=_GROUPS.key_bits),
 }
+#: A broadcast whose replicated build holds every even key twice: each rank
+#: shares one build over repeated keys.
+_REPEATED_SEMI = bulk_case(
+    "broadcast_join",
+    RowVector(_JOIN.left.element_type,
+              [_JOIN.left.column("key") // 2 * 2, _JOIN.left.column("lpay")]),
+    _JOIN.right, join_type="semi",
+)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -569,6 +577,8 @@ _BULK = {
 @example(case=tpch_case(19), cell=Cell(ranks=4, served=True))
 @example(case=_BULK["join"], cell=Cell(ranks=4))
 @example(case=_BULK["broadcast_join"], cell=Cell(ranks=4))
+@example(case=_BULK["broadcast_join"], cell=Cell(ranks=3, join_kernel="sorted"))
+@example(case=_REPEATED_SEMI, cell=Cell(ranks=4))
 @example(case=_BULK["groupby"], cell=Cell(ranks=4))
 @example(case=_TIES, cell=Cell())
 @example(case=_DESC_BOOL, cell=Cell())

@@ -26,6 +26,7 @@ from repro.core.options import RunOptions
 from repro.core.context import ExecutionContext
 from repro.core.executor import execute
 from repro.core.functions import RadixPartition
+from repro.core.lockstep import Lockstep, steps
 from repro.core.kernels import radix_join, scatter
 from repro.core.kernels.hash_join import (
     HashJoinBuild,
@@ -48,12 +49,15 @@ from repro.core.operators import (
     BuildProbe,
     LocalHistogram,
     LocalPartitioning,
+    ParameterLookup,
+    ParameterSlot,
     RowScan,
 )
 from repro.core.operator import join_output_type
 from repro.core.operators.build_probe import JOIN_TYPES
 from repro.errors import ExecutionError
-from repro.types import INT64, RowVector, TupleType
+from repro.observability.metrics import MetricsRegistry
+from repro.types import INT64, RowVector, TupleType, row_vector_type
 from repro.types.collections import RowVectorBuilder
 
 from tests.conftest import table_source
@@ -283,18 +287,28 @@ class TestUniqueKeyTable:
         RadixJoinBuild.from_rows(vector_of([(k, i) for i, k in enumerate(keys)], L), "key")
         assert len(calls) == sorts
 
-    @pytest.mark.parametrize("keys, bincounts", [([3, 1, 2, 0, 9], 1), ([3, 1, 2, 1, 9], 1),
-                                                 ([5, 5, 5], 0)],
-                             ids=["unique", "one-duplicate", "one-key"])
-    def test_a_single_pass_build_counts_its_keys_once(self, monkeypatch, keys, bincounts):
-        counted, binned = [], []
-        real_counts, real_bincount = radix_join.bucket_counts, np.bincount
-        monkeypatch.setattr(radix_join, "bucket_counts",
+    @pytest.mark.parametrize("keys, tables, counts, bincounts", [
+        ([3, 1, 2, 0, 9], 1, 0, 0), ([3, 1, 2, 1, 9], 1, 1, 1), ([5, 5, 5], 0, 1, 0),
+        ([0, 2, 3, 7, 9], 1, 0, 0), ([4, 5, 4, 6, 5], 0, 1, 1), ([1, 2, 2, 5, 9], 0, 1, 1),
+    ], ids=["unique", "one-duplicate", "one-key", "ascending-unique", "more-rows-than-span",
+            "ascending-with-a-tie"])
+    def test_a_single_pass_build_counts_its_keys_once(
+        self, monkeypatch, keys, tables, counts, bincounts
+    ):
+        # A unique build proves itself unique from its one table, uncounted;
+        # a repeat found there or between sorted neighbours, or more rows
+        # than the span, counts once.
+        made, counted, binned = [], [], []
+        real_full, real_counts, real_bincount = np.full, scatter.bucket_counts, np.bincount
+        monkeypatch.setattr(np, "full",
+                            lambda *args, **kw: made.append(args) or real_full(*args, **kw))
+        monkeypatch.setattr(scatter, "bucket_counts",
                             lambda *args: counted.append(args) or real_counts(*args))
         monkeypatch.setattr(np, "bincount",
                             lambda *args, **kw: binned.append(args) or real_bincount(*args, **kw))
-        RadixJoinBuild.from_rows(vector_of([(k, i) for i, k in enumerate(keys)], L), "key")
-        assert (len(counted), len(binned)) == (1, bincounts)
+        build = RadixJoinBuild.from_rows(vector_of([(k, i) for i, k in enumerate(keys)], L), "key")
+        assert (len(made), len(counted), len(binned)) == (tables, counts, bincounts)
+        assert (build.rows is None) == bool(counts)
 
 
 class TestBitIdentity:
@@ -361,6 +375,76 @@ class TestDispatchMetric:
     def test_sorted_pin_wins_over_heuristic(self):
         snapshot = self._run_metered(RADIX_MIN_ROWS, "sorted")
         assert snapshot.total("join_dispatch", path="kernel") == 1
+
+
+class TestSharedBuild:
+    """Lanes of one lockstep step whose join keys are equal share one build.
+
+    Lanes 0 and 2 hold equal keys under different payloads, lane 1 other
+    keys; every lane must emit its own rows, charge its own clock and count
+    its own dispatch exactly as when every lane builds its own table."""
+
+    RIGHTS = ([1, 9, 2, 3, 3, 6], [7, 8, 0, 2], [4, 5, 1, 10])
+
+    @staticmethod
+    def lane_scan(tables, ctxs):
+        """One scan over the lanes of ``ctxs``, each reading its own table."""
+        slot = ParameterSlot(TupleType.of(t=row_vector_type(tables[0].element_type)))
+        for ctx, table in zip(ctxs, tables):
+            ctx.push_parameter(slot.id, (table,))
+        return RowScan(ParameterLookup(slot), field="t")
+
+    def walk(self, join_kernel, join_type, twin_keys):
+        lefts = [vector_of([(k, base + i) for i, k in enumerate(keys)], L)
+                 for base, keys in ((0, twin_keys), (50, [2, 7, 11]), (100, twin_keys))]
+        rights = [vector_of([(k, -1 - i) for i, k in enumerate(keys)], R)
+                  for keys in self.RIGHTS]
+        ctxs = [ExecutionContext(options=RunOptions(join_kernel=join_kernel),
+                                 registry=MetricsRegistry()) for _ in lefts]
+        bp = BuildProbe(self.lane_scan(lefts, ctxs), self.lane_scan(rights, ctxs),
+                        keys="key", join_type=join_type)
+        outs = [[] for _ in ctxs]
+        for step in steps(bp, Lockstep(ctxs)):
+            for lane, part in zip(step.lanes, step.parts):
+                outs[lane].append(part)
+        counts = [(ctx.registry.snapshot().by_label("join_dispatch", "path"),
+                   ctx.registry.snapshot().total("join_build_rows")) for ctx in ctxs]
+        return outs, [ctx.clock.now for ctx in ctxs], counts
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """Builds constructed, of either kernel."""
+        made = []
+        for kernel in (RadixJoinBuild, HashJoinBuild):
+            real = kernel.from_codes.__func__
+            monkeypatch.setattr(kernel, "from_codes", classmethod(
+                lambda cls, *args, real=real: made.append(cls) or real(cls, *args)))
+        return made
+
+    @pytest.mark.parametrize("twin_keys", [[3, 1, 4, 0, 5, 9], [3, 1, 4, 1, 5, 9]],
+                             ids=["unique", "repeated"])
+    @pytest.mark.parametrize("join_type", JOIN_TYPES)
+    @pytest.mark.parametrize("join_kernel", ["radix", "sorted"])
+    def test_twin_lanes_share_and_match_their_own_builds(
+        self, monkeypatch, made, join_kernel, join_type, twin_keys
+    ):
+        shared = self.walk(join_kernel, join_type, twin_keys)
+        assert len(made) == 2
+        monkeypatch.setattr(radix_join, "twin_build", lambda build, left: None)
+        assert shared == self.walk(join_kernel, join_type, twin_keys)
+        assert len(made) == 2 + 3
+        if join_type in ("inner", "left_outer"):
+            lane2 = RowVector.concat(spec_for(join_type).output_type, shared[0][2])
+            assert len(lane2) and lane2.column("lpay").min() >= 100
+
+    def test_twin_left_outer_lanes_keep_their_own_tails(self):
+        outs, _, _ = self.walk("radix", "left_outer", [3, 1, 4, 0, 5, 9])
+        tails = []
+        for lane in (0, 2):
+            out = RowVector.concat(spec_for("left_outer").output_type, outs[lane])
+            tails.append(sorted(out.column("lpay")[out.column("rpay") == 0].tolist()))
+        # Lane 0 probes keys 1, 9, 3 and lane 2 keys 4, 5, 1.
+        assert tails == [[2, 3, 4], [100, 103, 105]]
 
 
 class TestZeroCopyPlane:
