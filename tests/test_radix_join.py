@@ -407,8 +407,9 @@ class TestSharedBuild:
         for step in steps(bp, Lockstep(ctxs)):
             for lane, part in zip(step.lanes, step.parts):
                 outs[lane].append(part)
-        counts = [(ctx.registry.snapshot().by_label("join_dispatch", "path"),
-                   ctx.registry.snapshot().total("join_build_rows")) for ctx in ctxs]
+        snapshots = [ctx.registry.snapshot() for ctx in ctxs]
+        counts = [(snap.by_label("join_dispatch", "path"), snap.total("join_build_rows"))
+                  for snap in snapshots]
         return outs, [ctx.clock.now for ctx in ctxs], counts
 
     @pytest.fixture
