@@ -8,7 +8,6 @@ from repro.baselines.monolithic_groupby import (
 )
 from repro.baselines.monolithic_join import (
     MonolithicJoinResult,
-    monolithic_radix_join,
     run_monolithic_join,
 )
 from repro.baselines.presto_sim import PRESTO_PROFILE, PrestoModel
@@ -22,7 +21,6 @@ __all__ = [
     "MonolithicGroupByResult",
     "run_monolithic_groupby",
     "MonolithicJoinResult",
-    "monolithic_radix_join",
     "run_monolithic_join",
     "PRESTO_PROFILE",
     "PrestoModel",

@@ -30,9 +30,12 @@ lanes it served), the sanitizer, substrate traces, fault injection and
 stage recovery all see each lane as its rank: each lane keeps its rank's
 counters, faults strike at its rank's comm operations, and a crash halts
 the rank there while its peers run on to the next collective, where the
-wave aborts at the crashing rank's clock.  Only a plan holding an operator without a
-``lanes`` runner — SPMD code written against the communicator — runs its
-waves with a thread per rank (:meth:`~repro.mpi.cluster.SimCluster.run`).
+wave aborts at the crashing rank's clock.  The monolithic baselines walk
+their ranks in lockstep too.  A wave runs with a thread per rank
+(:meth:`~repro.mpi.cluster.SimCluster.run`) only when its plan holds an
+operator without a ``lanes`` runner (SPMD code written against the
+communicator) or a ``Limit`` above a collective, whose lanes each stop
+pulling at their own point (:func:`runs_in_lockstep`).
 """
 
 from __future__ import annotations
@@ -370,9 +373,10 @@ def run_job(
     for rank_ctx in contexts:
         lane(rank_ctx)
     if profiler is not None:
-        # One thread walks every lane: one frame stack times them all.
-        for lane_ctx in lanes[1:]:
-            lane_ctx.profiler._stack = lanes[0].profiler._stack
+        # One thread walks every lane, inside the driver's frame: the
+        # driver's frame stack times them all.
+        for lane_ctx in lanes:
+            lane_ctx.profiler._stack = profiler._stack
     lx = Lockstep(lanes, CommGroup([rank_ctx.comm for rank_ctx in contexts]))
     rows = drained_rows(steps(executor.inner, lx), lx)
     lx.group.check()

@@ -1,10 +1,14 @@
 """The simulated MPI cluster: rank processes, dispatch, result harvesting.
 
 :class:`SimCluster` plays the role of ``mpirun`` plus the physical machines:
-it hands every rank a :class:`RankContext` (rank id, communicator, simulated
-clock, seeded RNG) and a thread to carry its stack, runs the same SPMD
-function on all of them — one rank at a time, switching only at collectives
-— and harvests per-rank results, clocks, and per-phase timing breakdowns.
+it hands every rank of a job a :class:`RankContext` (rank id, communicator,
+simulated clock, seeded RNG) and harvests per-rank results, clocks, and
+per-phase timing breakdowns.  Plan waves and the monolithic baselines walk
+a job's contexts (:meth:`SimCluster.job_contexts`) in lockstep on the
+caller's thread, one collective call for all ranks.  SPMD code written
+against one rank's communicator goes through :meth:`SimCluster.run`, which
+gives each rank a thread to carry its stack and runs them one at a time,
+switching only at collectives.
 
 All computation happens for real; the simulated clocks never influence
 results, only the reported timings, so runs are bit-deterministic for a
@@ -37,9 +41,11 @@ T = TypeVar("T")
 
 
 def share_one_malloc_arena() -> None:
-    """Cap glibc at one malloc arena (M_ARENA_MAX is -8): the baton serializes
-    the rank threads, so more arenas only keep each rank's peak resident.  Runs
-    at import, before any rank thread; glibc reuses exited threads' arenas."""
+    """Cap glibc at one malloc arena (M_ARENA_MAX is -8).  Rank jobs walk on
+    the caller's thread, but the serving scheduler's workers and its clients
+    are threads too, and each extra arena keeps its peak temporaries resident:
+    without the cap ``tpch_served_r4`` peaks at about 374 MB instead of 354.
+    Runs at import, before those threads; glibc reuses exited threads' arenas."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt(-8, 1)
@@ -166,7 +172,6 @@ class SimCluster:
         self,
         spmd_fn: Callable[[RankContext], T],
         faults: "FaultInjector | None" = None,
-        options=None,
         trace: ClusterTrace | None = None,
     ) -> ClusterResult:
         """Execute ``spmd_fn`` on every rank and harvest results.
@@ -188,21 +193,13 @@ class SimCluster:
         ``faults`` arms deterministic fault injection for this job: each
         call draws a fresh per-job fault state from the injector, so
         re-running a failed stage retries under fresh (but reproducible)
-        transient faults.  Alternatively pass
-        ``options=RunOptions(faults=policy)`` — a fresh injector is then
-        built from the policy for this job (``faults`` wins when both are
-        given, since an injector carries cross-job state the caller wants
-        preserved).
+        transient faults.
 
         Each call builds a fresh ``CommWorld`` and per-rank contexts, so
         concurrent ``run`` calls from different driver threads are fully
         isolated — the property the serving layer's shared-cluster
         scheduling relies on.
         """
-        if faults is None and options is not None and options.faults is not None:
-            from repro.faults.injector import FaultInjector
-
-            faults = FaultInjector(options.faults)
         cluster_trace = trace
         if cluster_trace is None and self.trace:
             cluster_trace = ClusterTrace(self.n_ranks)
@@ -286,8 +283,3 @@ class SimCluster:
                 RankContext(rank, self.n_ranks, comm, clock, self.cost_model, self.seed)
             )
         return contexts
-
-    def partition_rows(self, n_rows: int, rank: int) -> tuple[int, int]:
-        """Contiguous ``[start, stop)`` share of an input for one rank
-        (:func:`block_share` over this cluster's ranks)."""
-        return block_share(n_rows, self.n_ranks, rank)

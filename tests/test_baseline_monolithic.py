@@ -1,6 +1,7 @@
 """Tests for the monolithic baselines (join and GROUP BY)."""
 
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -227,3 +228,21 @@ class TestMonolithicGroupBy:
         )
         keys = result.groups.column("key")
         assert len(np.unique(keys)) == len(keys)
+
+
+def test_monoliths_start_no_thread(monkeypatch):
+    # Both walk their ranks in lockstep on the caller's thread, as plan waves do.
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name!r} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    join = make_join_relations(1 << 10, seed=1)
+    groupby = make_groupby_table(1 << 10, duplicates_per_key=4)
+    matches = run_monolithic_join(
+        SimCluster(4), join.left, join.right, key_bits=join.key_bits
+    ).matches
+    groups = run_monolithic_groupby(
+        SimCluster(4), groupby.table, key_bits=groupby.key_bits
+    ).groups
+    assert len(matches) == join.expected_matches
+    assert len(groups) == len(groupby.expected_sums())

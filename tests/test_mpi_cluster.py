@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.mpi.cluster import ClusterResult, SimCluster
+from repro.mpi.cluster import ClusterResult, SimCluster, block_share
 
 
 class TestRun:
@@ -220,10 +220,8 @@ class TestTimings:
 
 class TestPartitionRows:
     def test_covers_all_rows(self):
-        cluster = SimCluster(3)
-        spans = [cluster.partition_rows(10, r) for r in range(3)]
+        spans = [block_share(10, 3, r) for r in range(3)]
         assert spans == [(0, 4), (4, 7), (7, 10)]
 
     def test_empty_input(self):
-        cluster = SimCluster(4)
-        assert cluster.partition_rows(0, 0) == (0, 0)
+        assert block_share(0, 4, 0) == (0, 0)

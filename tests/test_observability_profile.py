@@ -1,5 +1,6 @@
 """Tests for the operator-level profiler and EXPLAIN ANALYZE output."""
 
+import itertools
 import warnings
 
 import pytest
@@ -18,6 +19,7 @@ from repro.core.operators import (
 from repro.core.plans import build_distributed_join
 from repro.mpi.cluster import SimCluster
 from repro.observability import Profiler, uninstrumented
+from repro.observability import profile as profile_module
 from repro.types import INT64, TupleType, row_vector_type
 from repro.workloads import make_join_relations
 
@@ -154,6 +156,24 @@ class TestDistributedMerge:
         # Spans carry real rank ids from the worker threads.
         ranks = {s.rank for s in profile.spans}
         assert {0, 1} <= ranks
+
+    def test_self_walls_sum_to_no_more_than_the_run(self, monkeypatch):
+        # Each wall-clock read is one tick.  The lanes' frames nest under
+        # the executor's on the driver's stack, so no tick is booked twice.
+        ticks = itertools.count()
+        monkeypatch.setattr(profile_module, "perf_counter", lambda: float(next(ticks)))
+        workload = make_join_relations(1 << 10)
+        plan = build_distributed_join(
+            SimCluster(4),
+            workload.left.element_type,
+            workload.right.element_type,
+            key_bits=workload.key_bits,
+        )
+        start = next(ticks)
+        report = plan.run(workload.left, workload.right, RunOptions(profile=True))
+        consumed = next(ticks) - start
+        booked = sum(node.stats.wall_seconds for node in report.profile.nodes())
+        assert 0 < booked <= consumed + 1e-6
 
     def test_modes_attributed_separately(self):
         root, slot = simple_plan()
