@@ -20,10 +20,10 @@ bench:
 	$(PYTHON) -m repro bench all
 
 # Wall-clock (not simulated) smoke probes; writes out/bench_smoke.json and
-# fails on any of five gates: an installed-but-idle subsystem (profiler,
-# fault injector, sanitizer, query lifecycle) costing more than 5%, or
-# radix not 2x faster than sorted-hash on the skewed join workload.  The
-# two execution modes run the same kernels, so there is no mode race.
+# fails on any of three gates: an armed-but-idle subsystem (fault injector,
+# query lifecycle) costing more than 5%, or radix not 2x faster than
+# sorted-hash on the skewed join workload.  The two execution modes run the
+# same kernels, so there is no mode race.
 bench-smoke:
 	$(PYTHON) -m repro.bench.smoke --out out/bench_smoke.json
 

@@ -28,10 +28,11 @@ execution context and hooks the simulated MPI substrate:
   non-deterministic operator are exempt (that case is the MOD03x
   warnings' territory).
 
-Operator provenance comes from the data-path instrumentation
-(:func:`repro.core.operator._observe_data_path`): each thread keeps a
-stack of the operators whose generators are currently executing, so a
-substrate hook can name the innermost active operator.
+Operator provenance comes from the one observer of every walk
+(:func:`repro.core.lockstep.steps`, which wraps each activation in
+:meth:`Sanitizer.track`): each thread keeps a stack of the operators whose
+generators are currently executing, so a substrate hook can name the
+innermost active operator.
 
 Findings land in a :class:`SanitizerReport` on the
 :class:`~repro.core.executor.ExecutionReport` (and in EXPLAIN ANALYZE);

@@ -3,8 +3,9 @@
 Everything else in ``repro.bench`` measures *simulated* seconds — the
 calibrated cost model the paper's figures are drawn from.  This module
 measures *real* wall-clock time, answering what the simulation cannot: do
-the subsystems that promise to cost nothing when off keep that promise,
-and does the radix join kernel pay for itself where it is meant to?  (The
+the armed-but-idle subsystems (a fault injector that injects nothing, a
+query lifecycle where nothing fires) stay cheap, and does the radix join
+kernel pay for itself where it is meant to?  (The
 two execution modes run the same kernels, so there is no mode race to
 time; regressions of the engine itself are gated by ``BENCHMARK.json``;
 see ``benchmarks/e2e/README.md``.)
@@ -41,8 +42,10 @@ from repro.workloads.targets import TPCH_TARGETS, resolve
 
 __all__ = ["GATES", "gate_failures", "run_smoke", "main"]
 
-#: Budget of every installed-but-idle subsystem (profiler, fault injector,
-#: sanitizer, query lifecycle) relative to running without it.
+#: Budget of every armed-but-idle subsystem (fault injector, query
+#: lifecycle) relative to running without it.  The profiler and the
+#: sanitizer are not armed when off; that their hooks are never reached
+#: then is a deterministic test (``tests/test_observability_profile.py``).
 MAX_OVERHEAD = 0.05
 
 #: Radix must beat the sorted-hash kernel by this factor on the skewed
@@ -52,12 +55,8 @@ MIN_RADIX_SPEEDUP = 2.0
 #: ``(report path, relation, bound, what a breach means)`` — the numbers
 #: ``make bench-smoke`` fails on.
 GATES = (
-    ("profiler.disabled_overhead", "<=", MAX_OVERHEAD,
-     "instrumentation is no longer free when off"),
     ("faults.armed_overhead", "<=", MAX_OVERHEAD,
      "the injector is no longer cheap when it injects nothing"),
-    ("sanitizer.disabled_overhead", "<=", MAX_OVERHEAD,
-     "the sanitizer's off path must stay one attribute read"),
     ("serving.armed_overhead", "<=", MAX_OVERHEAD,
      "deadlines, retries, and the breaker must stay free when nothing fires"),
     ("join_kernels.skewed.speedup", ">=", MIN_RADIX_SPEEDUP,
@@ -154,15 +153,10 @@ def _speedup(section: dict, fast: str, slow: str) -> dict:
 
 
 def _profiler_probe(n_integers: int, repeats: int) -> dict:
-    """The §5.1.2 scan-and-sum micro: the profiler tax.
-
-    The tax races the plan with the observability wrappers stripped
-    (:func:`~repro.observability.profile.uninstrumented`), installed but
-    off (the shipping default), recording spans, and recording metrics.
-    """
+    """The §5.1.2 scan-and-sum micro: what recording spans and recording
+    metrics cost over the shipping default (both off)."""
     from repro.bench.experiments.micro import _scan_sum_plan
     from repro.core.executor import execute
-    from repro.observability import uninstrumented
 
     plan, slot, table, expected = _scan_sum_plan(n_integers, seed=2021)
 
@@ -172,17 +166,12 @@ def _profiler_probe(n_integers: int, repeats: int) -> dict:
         )
         return seconds, report.rows
 
-    def stripped():
-        with uninstrumented():
-            return run()
-
     def agree(outputs):
         return all(rows == [(expected,)] for rows in outputs.values())
 
     profiler, _ = _best_of(
         max(repeats, 3),
         {
-            "baseline": stripped,
             "disabled": run,
             "profiled": partial(run, profile=True),
             "metered": partial(run, metrics=True),
@@ -195,13 +184,12 @@ def _profiler_probe(n_integers: int, repeats: int) -> dict:
 def _groupby_probes(
     log2_tuples: int, machines: int, repeats: int
 ) -> tuple[dict, dict]:
-    """The Figure 7 distributed GROUP BY: fault tax, sanitizer tax.
+    """The Figure 7 distributed GROUP BY: fault tax, sanitizer cost.
 
     The fault tax arms a zero-rate :class:`~repro.faults.FaultPolicy`: the
     injector is constructed and consulted, but every draw passes.  The
-    sanitizer tax spells ``sanitize=False`` out (the off path must stay
-    one attribute read) and also reports ``sanitize=True``, whose cost is
-    not budgeted — the determinism replay re-executes the plan.
+    sanitizer's cost (``sanitize=True``) is reported, not budgeted: the
+    determinism replay re-executes the plan.
     """
     from repro.faults import FaultPolicy
 
@@ -223,12 +211,8 @@ def _groupby_probes(
     )
     sanitizer, _ = _best_of(
         max(repeats, 3),
-        {
-            "baseline": run,
-            "disabled": partial(run, sanitize=False),
-            "sanitized": partial(run, sanitize=True),
-        },
-        same("baseline", "sanitized"),
+        {"disabled": run, "sanitized": partial(run, sanitize=True)},
+        same("disabled", "sanitized"),
     )
     return {**_overheads(faults), **sizes}, {**_overheads(sanitizer), **sizes}
 

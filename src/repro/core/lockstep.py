@@ -36,6 +36,11 @@ their ranks in lockstep too.  A wave runs with a thread per rank
 operator without a ``lanes`` runner (SPMD code written against the
 communicator) or a ``Limit`` above a collective, whose lanes each stop
 pulling at their own point (:func:`runs_in_lockstep`).
+
+:func:`steps` is the one place a run is observed.  Every walk goes
+through it, the one-lane walks of ``Operator.stream``, ``stream_batches``
+and ``drain`` included, and so does an operator written against one
+context, whose ``batches`` (or ``rows``) :func:`per_rank` adapts.
 """
 
 from __future__ import annotations
@@ -134,11 +139,11 @@ class Lockstep:
 
 def steps(op: "Operator", lx: Lockstep) -> Iterator[Step]:
     """The walk of ``op`` over the lanes of ``lx``: what ``op.stream`` (or
-    ``drain``) gives each lane, observed by the lanes' profilers and
-    sanitizer as each lane's data path is."""
+    ``drain``) gives each lane.  The one place a run is observed: the
+    lanes' profilers count (and, when timed, time) each activation, and
+    the sanitizer names ``op`` while it runs, whichever data path ``op``
+    implements."""
     run = op.lanes(lx)
-    if not op.walks_lanes:
-        return run  # its own per-rank data path observes itself
     ctx = lx.ctxs[0]
     if ctx.profiler is not None:
         run = _observed(op, run, lx)

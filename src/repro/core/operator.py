@@ -23,6 +23,10 @@ An operator defined outside this package may instead implement
 :meth:`Operator.batches` (or :meth:`Operator.rows`) on one context: code
 that runs on one rank at a time, and may call the rank's communicator
 itself.  A plan holding one runs its MPI waves with a thread per rank.
+Either way the walk is observed in one place,
+:func:`~repro.core.lockstep.steps`: the profiler, the metrics and the
+sanitizer see every operator's morsels there, and ``stream``,
+``stream_batches`` and ``drain`` are views of the one-lane walk.
 
 Design-principle mapping (paper Section 3.1):
 
@@ -47,11 +51,10 @@ cut into pipelines and compared exactly like the built-in ones.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.context import ExecutionContext
-from repro.core.lockstep import Lockstep, Step, one_lane, per_rank
+from repro.core.lockstep import Lockstep, Step, one_lane, per_rank, pulled
 from repro.errors import PlanError, TypeCheckError
 from repro.types.collections import CollectionType, RowVector, RowVectorBuilder
 from repro.types.tuples import TupleType, concat_tuple_types
@@ -75,38 +78,6 @@ def pack_morsels(
             emitted = True
     if len(builder) or not emitted:
         yield builder.finish()
-
-
-def _observe_data_path(fn, batched: bool):
-    """Wrap a concrete ``rows``/``batches`` override with the observability hook.
-
-    On an unobserved run (the default) this is two attribute checks per
-    generator *creation* and the original method runs untouched — no
-    per-row work, no allocations.  On an observed run the activation is
-    routed through the context's one observer,
-    :meth:`repro.observability.profile.Profiler.observe`, which counts
-    rows/batches into the node's activation record and, when profiling,
-    attributes simulated + wall self time to it; the ``operator_*``
-    metrics are folded from that same record.
-    """
-
-    @functools.wraps(fn)
-    def wrapper(self, ctx: ExecutionContext):
-        observer = ctx.profiler
-        if observer is None:
-            inner = fn(self, ctx)
-        else:
-            inner = observer.observe(self, fn, ctx, batched)
-        sanitizer = ctx.sanitizer
-        if sanitizer is None:
-            return inner
-        # Sanitized run: the sanitizer's provenance tracker wraps whatever
-        # the observer produced, so substrate hooks can name the innermost
-        # operator currently executing on this thread (MOD05x).
-        return sanitizer.track(self, inner)
-
-    wrapper._observes_data_path = True
-    return wrapper
 
 
 class Operator:
@@ -154,9 +125,9 @@ class Operator:
 
     #: Control operators (``Zip``, ``CartesianProduct``, ``MpiExecutor``)
     #: move a handful of tuples that hold whole collections: the profiler
-    #: counts their rows, not batches, an operator implementing :meth:`rows`
-    #: streams them directly, and the static analyzer reads the flag as a
-    #: deliberate scalar choice (MOD024).
+    #: counts their rows, not batches, a one-lane walk of an operator
+    #: implementing :meth:`rows` yields each row as its own morsel, and the
+    #: static analyzer reads the flag as a deliberate scalar choice (MOD024).
     row_native: bool = False
 
     #: The operator issues collectives, which need every rank of the job.
@@ -182,25 +153,9 @@ class Operator:
     lint_suppressions: frozenset[str] = frozenset()
 
     def __init_subclass__(cls, **kwargs) -> None:
-        """Instrument every concrete data-path override for the profiler.
-
-        A :meth:`lanes` runner is observed by the walk itself
-        (:func:`repro.core.lockstep.steps`); an operator written against one
-        rank's context gets the same observability without touching its
-        code: any ``rows``/``batches`` defined by a subclass is wrapped by
-        :func:`_observe_data_path`.  The base-class default ``batches``
-        stays unwrapped (it runs the subclass's ``lanes`` or repackages its
-        ``rows``, which are observed, so the work is counted exactly once).
-        """
+        """Record whether the class has a :meth:`lanes` runner."""
         super().__init_subclass__(**kwargs)
         cls.walks_lanes = cls.lanes is not Operator.lanes
-        for name, batched in (("rows", False), ("batches", True)):
-            fn = cls.__dict__.get(name)
-            if fn is None or not callable(fn):
-                continue
-            if getattr(fn, "_observes_data_path", False):
-                continue
-            setattr(cls, name, _observe_data_path(fn, batched))
 
     def __init__(self, upstreams: Sequence["Operator"]) -> None:
         for up in upstreams:
@@ -284,31 +239,22 @@ class Operator:
         return pack_morsels(ctx, self.output_type, self.rows(ctx))
 
     def stream(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        """The row iterator consumers should use: the rows of an operator
-        implementing :meth:`rows`, any other operator's morsels unpacked."""
-        if self.row_native and not self.walks_lanes:
-            yield from self.rows(ctx)
-            return
-        for batch in self.batches(ctx):
+        """The row iterator consumers should use: the one-lane walk's
+        morsels unpacked."""
+        for batch in one_lane(self, ctx):
             yield from batch.iter_rows()
 
     def stream_batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        """The *batch* iterator consumers should use.
+        """The *batch* iterator consumers should use: the one-lane walk's
+        morsels, as the walk pulls them (with metrics on, counted as
+        drained).
 
         Batch-shaped consumers (joins, aggregations, partitioners, the
         network exchange) pull morsels through this method, so the
-        upstream's ``batches()`` kernel runs end to end in both modes;
-        with metrics on it counts the morsels drained.
+        upstream's kernel runs end to end in both modes.
         """
-        source = self.batches(ctx)
-        metrics = ctx.registry
-        if metrics is None:
-            yield from source
-            return
-        drained = metrics.counter("morsels_drained", op=type(self).__name__)
-        for batch in source:
-            drained.inc()
-            yield batch
+        for step in pulled(self, Lockstep.solo(ctx)):
+            yield step.parts[0]
 
     def drain(self, ctx: ExecutionContext) -> RowVector:
         """Execute fully and materialize the result (no cost charged).
@@ -316,7 +262,7 @@ class Operator:
         Convenience for operators (and tests) that need a whole upstream at
         once; cost-bearing materialization is ``MaterializeRowVector``'s job.
         """
-        return RowVector.concat(self.output_type, list(self.batches(ctx)))
+        return RowVector.concat(self.output_type, list(one_lane(self, ctx)))
 
     # -- plan structure ------------------------------------------------------------
 

@@ -8,11 +8,11 @@ that invocations are guaranteed to run concurrently on different ranks.
 
 The reproduction dispatches onto a :class:`~repro.mpi.cluster.SimCluster`.
 A wave walks the nested plan once for every rank, in lockstep on the
-driver's thread (:mod:`repro.core.lockstep`); a timed or sanitized wave, or
-one whose plan holds an operator without a lockstep runner, gives each
-rank a thread to execute the nested plan on its input tuple.  Either way
-results are collected in rank order.  The driver's clock advances by
-the job's makespan (the slowest rank); each completed wave's
+driver's thread (:mod:`repro.core.lockstep`); a wave whose plan holds an
+operator without a lockstep runner, or a ``Limit`` above a collective,
+gives each rank a thread to execute the nested plan on its input tuple.
+Either way results are collected in rank order.  The driver's clock
+advances by the job's makespan (the slowest rank); each completed wave's
 :class:`~repro.mpi.cluster.ClusterResult` (per-rank phase breakdowns,
 substrate trace) is appended to the *execution's* record, never kept on
 this plan node, so one plan object can serve interleaved executions.
@@ -29,11 +29,13 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 from repro.core.context import ExecutionContext
+from repro.core.lockstep import ONE_LANE, Lockstep, Step, drained_rows, steps
 from repro.core.operator import Operator
 from repro.core.operators.nested_map import build_nested_plan, nested_plan_type
 from repro.core.operators.parameter_lookup import ParameterSlot
 from repro.errors import ExecutionError
 from repro.mpi.cluster import ClusterResult, SimCluster
+from repro.types.collections import RowVector
 
 __all__ = ["MpiExecutor"]
 
@@ -75,8 +77,12 @@ class MpiExecutor(Operator):
     def nested_roots(self) -> tuple[Operator, ...]:
         return (self.inner,)
 
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        inputs = list(self.upstreams[0].stream(ctx))
+    def lanes(self, lx: Lockstep) -> Iterator[Step]:
+        # The driver walks one lane; a walk of several is inside a job,
+        # refused below.  The rows are a few control tuples holding whole
+        # collections, each yielded as its own morsel.
+        inputs = drained_rows(steps(self.upstreams[0], lx), lx)[0]
+        ctx = lx.ctxs[0]
         n_ranks = self.cluster.n_ranks
         replicated = len(inputs) == 1
         if replicated:
@@ -99,7 +105,8 @@ class MpiExecutor(Operator):
             ctx.set_phase(self.assigned_phase)
             ctx.clock.advance(result.makespan)
             for rank_output in result.per_rank:
-                yield from rank_output
+                for row in rank_output:
+                    yield Step(ONE_LANE, [RowVector.of_row(self.output_type, row)])
 
     def _run_wave(
         self, ctx: ExecutionContext, wave: list[tuple], replicated: bool

@@ -256,9 +256,6 @@ class WindowSet:
         """The window registered by the calling rank."""
         return self._windows[self._comm.rank]
 
-    def window_of(self, rank: int) -> Window:
-        return self._windows[rank]
-
     def put(self, target_rank: int, offset: int, data: RowVector, rows=None) -> None:
         """One-sided write of ``data`` — or only its rows at positions
         ``rows``, a gathering put — at ``offset`` on ``target_rank``.

@@ -47,8 +47,11 @@ class RankCommStats:
 
 
 class ClusterTrace:
-    """Event store for one SPMD run (written only by the rank that holds the
-    job's baton), under its execution's trace ``context`` (``None`` if direct)."""
+    """Event store for one job, under its execution's trace ``context``
+    (``None`` if direct).  One thread writes it at a time: the driver's,
+    which walks every rank of a lockstep job, or, in a
+    :meth:`~repro.mpi.cluster.SimCluster.run` job, the rank thread that
+    holds the baton."""
 
     def __init__(self, n_ranks: int, context=None) -> None:
         self.n_ranks = n_ranks

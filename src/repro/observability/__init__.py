@@ -32,8 +32,9 @@ giving every :class:`~repro.core.operator.Operator` a measured identity:
 
 Profiling is enabled per execution (``RunOptions(profile=True)``,
 ``Query.explain(analyze=True)``, ``repro profile``/``repro explain
---analyze`` on the command line); when disabled the data path pays one
-attribute check per operator activation and allocates nothing.
+--analyze`` on the command line).  Every operator's walk is observed in
+one place, :func:`repro.core.lockstep.steps`; when profiling is off that
+costs one attribute check per operator activation and allocates nothing.
 """
 
 from repro.observability.chrome_trace import (
@@ -78,7 +79,6 @@ from repro.observability.profile import (
     PlanProfile,
     ProfileNode,
     Profiler,
-    uninstrumented,
 )
 
 __all__ = [
@@ -99,7 +99,6 @@ __all__ = [
     "OperatorStats",
     "PlanProfile",
     "ProfileNode",
-    "uninstrumented",
     "chrome_trace_events",
     "serving_trace_events",
     "write_chrome_trace",

@@ -1,11 +1,11 @@
 """The operator-level profiler and the :class:`PlanProfile` it produces.
 
-Every concrete :class:`~repro.core.operator.Operator` subclass has its
-``rows``/``batches`` data paths wrapped by a base-class hook (see
-``Operator.__init_subclass__``).  The wrapper costs one attribute check per
-generator *creation* when the run is not observed; when a :class:`Profiler`
-is attached to the :class:`~repro.core.context.ExecutionContext`, each
-activation is written once into its node's :class:`OperatorStats`:
+Every walk of an operator, whichever data path it implements, goes
+through one function, :func:`repro.core.lockstep.steps`, the one observer.
+It costs one attribute check per activation when the run is not observed;
+when a :class:`Profiler` is attached to the
+:class:`~repro.core.context.ExecutionContext` of each lane, each activation
+is written once into its node's :class:`OperatorStats`:
 
 * **counts** — rows and batches yielded, activations (``calls``);
   the ``operator_*`` metrics are folded from these, and a run that only
@@ -30,7 +30,6 @@ of ``Query.explain(analyze=True)`` / ``repro explain --analyze``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Iterator
@@ -45,7 +44,6 @@ __all__ = [
     "Profiler",
     "PlanProfile",
     "ProfileNode",
-    "uninstrumented",
 ]
 
 
@@ -59,7 +57,6 @@ class OperatorStats:
         "max_rank_sim_seconds",
         "rows_out",
         "batches_out",
-        "depth",
     )
 
     def __init__(self) -> None:
@@ -78,8 +75,6 @@ class OperatorStats:
         #: metrics are read from.
         self.rows_out = 0
         self.batches_out = 0
-        #: Live activation nesting (reentrancy guard); not part of results.
-        self.depth = 0
 
     @property
     def executed(self) -> bool:
@@ -115,10 +110,13 @@ class OperatorStats:
 
 
 class Profiler:
-    """Runtime recorder for one execution context (one clock, one thread).
+    """Runtime recorder for one execution context (one clock).
 
-    The driver's profiler observes driver-side operators; ``MpiExecutor``
-    creates one :meth:`child` per rank (bound to the rank's clock) and
+    The walk (:func:`repro.core.lockstep.steps`) writes each activation of
+    an operator on this context into it: the driver's profiler holds the
+    driver-side operators; ``MpiExecutor`` creates one :meth:`child` per
+    rank (bound to the rank's clock; the lanes of a lockstep wave share
+    the driver's frame stack, as they share its thread) and
     :meth:`absorb`\\ s those of each completed wave, so a single profiler
     ends up holding the whole plan's measurements.  With ``timed=False``
     it only counts: no frame stack, no spans.  Spans are born under the
@@ -153,58 +151,6 @@ class Profiler:
         self._stack: list[list] = []
 
     # -- recording ---------------------------------------------------------
-
-    def observe(self, op: "Operator", fn, ctx, batched: bool) -> Iterator:
-        """Wrap one ``rows``/``batches`` activation of ``op``.
-
-        Called lazily (this is a generator function), so the reentrancy
-        check runs at first pull: when the same node is already being
-        observed on this context — e.g. a subclass's ``batches`` calling
-        the ``batches`` it overrides — the inner activation passes through
-        uncounted, keeping row counts and self time single-counted.
-        """
-        rec = self.stats.get(id(op))
-        if rec is None:
-            rec = self.stats[id(op)] = OperatorStats()
-            self.ops[id(op)] = op
-        inner = fn(op, ctx)
-        if rec.depth:
-            yield from inner
-            return
-        rec.depth += 1
-        rec.calls += 1
-        timed = self.timed
-        clock = self.clock
-        rows = 0
-        batches = 0
-        start_sim = clock.now
-        try:
-            while True:
-                # An untimed profiler keeps no frame stack: no wall-clock
-                # reads per pull (a row-native operator pulls once per row).
-                if timed:
-                    self._push((rec,), (clock,))
-                try:
-                    item = next(inner)
-                except StopIteration:
-                    break
-                finally:
-                    if timed:
-                        self._pop()
-                if batched:
-                    batches += 1
-                    rows += len(item)
-                else:
-                    rows += 1
-                yield item
-        finally:
-            rec.depth -= 1
-            rec.rows_out += rows
-            rec.batches_out += batches
-            if timed:
-                self._record_span(
-                    op, start_sim, clock.now, rows, batches, ctx.options.mode
-                )
 
     def _push(self, records, clocks) -> None:
         """Open a frame for ``records`` (one per lane it serves, each timed
@@ -494,30 +440,3 @@ class PlanProfile:
         if self.sanitizer is not None:
             payload["sanitizer"] = self.sanitizer.to_dict()
         return payload
-
-
-@contextmanager
-def uninstrumented():
-    """Temporarily strip the observability wrappers off every operator.
-
-    Benchmarks use this to measure the true cost of the disabled-profiler
-    hook (``make bench-smoke`` gates it at 5%); it is not meant for
-    production code.  Not thread-safe with concurrent plan execution.
-    """
-    from repro.core.operator import Operator
-
-    patched: list[tuple[type, str, object]] = []
-    stack = [Operator]
-    while stack:
-        cls = stack.pop()
-        stack.extend(cls.__subclasses__())
-        for name in ("rows", "batches"):
-            fn = cls.__dict__.get(name)
-            if fn is not None and getattr(fn, "_observes_data_path", False):
-                patched.append((cls, name, fn))
-                setattr(cls, name, fn.__wrapped__)
-    try:
-        yield
-    finally:
-        for cls, name, fn in patched:
-            setattr(cls, name, fn)

@@ -3,10 +3,14 @@
 import itertools
 import warnings
 
+import numpy as np
 import pytest
 
+from repro.core import lockstep
+from repro.core.context import ExecutionContext
 from repro.core.options import RunOptions
 from repro.core.executor import ExecutionReport, execute
+from repro.core.operator import Operator
 from repro.core.functions import field_sum
 from repro.core.operators import (
     MaterializeRowVector,
@@ -18,9 +22,9 @@ from repro.core.operators import (
 )
 from repro.core.plans import build_distributed_join
 from repro.mpi.cluster import SimCluster
-from repro.observability import Profiler, uninstrumented
+from repro.observability import Profiler
 from repro.observability import profile as profile_module
-from repro.types import INT64, TupleType, row_vector_type
+from repro.types import INT64, RowVector, TupleType, row_vector_type
 from repro.workloads import make_join_relations
 
 from tests.conftest import make_kv_table
@@ -35,6 +39,20 @@ def simple_plan():
     return MaterializeRowVector(total, field="result"), slot
 
 
+class _RankMorsels(Operator):
+    """Written against one context: rank ``r`` yields ``r + 1`` morsels of
+    ``r + 1`` rows."""
+
+    def __init__(self):
+        super().__init__(upstreams=())
+        self._output_type = KV
+
+    def batches(self, ctx):
+        n = ctx.rank + 1
+        for _ in range(n):
+            yield RowVector(KV, [np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64)])
+
+
 class TestDisabledCostsNothing:
     def test_no_profile_by_default(self):
         root, slot = simple_plan()
@@ -42,13 +60,31 @@ class TestDisabledCostsNothing:
         assert result.profile is None
 
     def test_observe_never_called_when_disabled(self, monkeypatch):
-        def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("Profiler.observe called without profile=True")
+        """A default run never reaches the one observer of every walk; a
+        profiled run does (the positive control)."""
+        def boom(*args, **kwargs):
+            raise AssertionError("lockstep._observed reached")
 
-        monkeypatch.setattr(Profiler, "observe", boom)
+        monkeypatch.setattr(lockstep, "_observed", boom)
         root, slot = simple_plan()
-        result = execute(root, params={slot: (make_kv_table(64),)})
-        assert len(result.rows) == 1
+        params = {slot: (make_kv_table(64),)}
+        assert len(execute(root, params=params).rows) == 1
+        with pytest.raises(AssertionError, match="_observed reached"):
+            execute(root, params=params, options=RunOptions(profile=True))
+
+    def test_track_never_called_unless_sanitized(self, monkeypatch):
+        """Likewise the sanitizer's provenance hook, ``Sanitizer.track``."""
+        from repro.analysis.sanitizer import Sanitizer
+
+        def boom(*args, **kwargs):
+            raise AssertionError("Sanitizer.track reached")
+
+        monkeypatch.setattr(Sanitizer, "track", boom)
+        root, slot = simple_plan()
+        params = {slot: (make_kv_table(64),)}
+        assert len(execute(root, params=params).rows) == 1
+        with pytest.raises(AssertionError, match="track reached"):
+            execute(root, params=params, options=RunOptions(sanitize=True))
 
     def test_profiled_run_bit_identical(self):
         """Profiling must not perturb results or the simulated clock."""
@@ -59,20 +95,6 @@ class TestDisabledCostsNothing:
         profiled = execute(root_b, params={slot_b: (table,)}, options=RunOptions(profile=True))
         assert plain.rows[0][0].row(0) == profiled.rows[0][0].row(0)
         assert plain.simulated_time == profiled.simulated_time
-
-    def test_uninstrumented_strips_and_restores(self):
-        from repro.core.operator import Operator
-
-        assert getattr(MpiExecutor.__dict__["rows"], "_observes_data_path", False)
-        with uninstrumented():
-            stack = [Operator]
-            while stack:
-                cls = stack.pop()
-                stack.extend(cls.__subclasses__())
-                for name in ("rows", "batches"):
-                    fn = cls.__dict__.get(name)
-                    assert not getattr(fn, "_observes_data_path", False)
-        assert getattr(MpiExecutor.__dict__["rows"], "_observes_data_path", False)
 
 
 class TestProfileContents:
@@ -156,6 +178,31 @@ class TestDistributedMerge:
         # Spans carry real rank ids from the worker threads.
         ranks = {s.rank for s in profile.spans}
         assert {0, 1} <= ranks
+
+    def test_a_per_context_operator_is_observed_once_per_rank(self):
+        """Its walk is observed where every walk is, once: each rank's
+        profiler holds one activation with the rows and morsels it yielded
+        on that rank, and the folded metric agrees with the profile."""
+        morsels = _RankMorsels()
+        slot = ParameterSlot(TupleType.of(t=row_vector_type(KV)))
+        plan = MpiExecutor(
+            ParameterLookup(slot),
+            lambda _: MaterializeRowVector(morsels, field="result"),
+            SimCluster(4),
+        )
+        assert not lockstep.runs_in_lockstep(plan)  # rank threads walk it
+        ctx = ExecutionContext(options=RunOptions(profile=True, metrics=True))
+        report = execute(plan, params={slot: (make_kv_table(8),)}, ctx=ctx)
+        assert [p.rank for p in ctx.profiler.ranks] == [0, 1, 2, 3]
+        for rank_profiler in ctx.profiler.ranks:
+            stats = rank_profiler.stats[id(morsels)]
+            n = rank_profiler.rank + 1
+            assert (stats.calls, stats.rows_out, stats.batches_out) == (1, n * n, n)
+        (node,) = report.profile.find("_RankMorsels")
+        assert (node.stats.calls, node.stats.rows_out) == (4, 1 + 4 + 9 + 16)
+        assert report.metrics.value(
+            "operator_rows_out", op="_RankMorsels", mode="fused"
+        ) == node.stats.rows_out
 
     def test_self_walls_sum_to_no_more_than_the_run(self, monkeypatch):
         # Each wall-clock read is one tick.  The lanes' frames nest under

@@ -477,8 +477,9 @@ def test_every_sub_operator_has_one_data_path():
     """Interpreted mode is a cost rate, not a second implementation, and a
     walk of one rank is the one-lane walk of all of them: under
     ``repro.core`` no class defines two of ``lanes``, ``batches`` and
-    ``rows``, and only the driver-side ``MpiExecutor`` walks one context
-    (its ``rows``) instead of lanes."""
+    ``rows``, and only ``Operator`` defines ``rows`` or ``batches`` (the
+    abstract row path of an operator written against one context, and the
+    one-lane walk)."""
     defects = [d for path in sorted((SRC / "core").rglob("*.py")) for d in data_path_defects(path)]
     assert defects == [], defects
     defining_rows = {
@@ -486,7 +487,7 @@ def test_every_sub_operator_has_one_data_path():
         if isinstance(node, ast.ClassDef)
         and any(isinstance(n, ast.FunctionDef) and n.name == "rows" for n in node.body)
     }
-    assert defining_rows == {"Operator", "MpiExecutor"}
+    assert defining_rows == {"Operator"}
     defining_batches = {
         node.name for path in (SRC / "core").rglob("*.py") for node in nodes(path)
         if isinstance(node, ast.ClassDef)

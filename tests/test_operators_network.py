@@ -229,6 +229,28 @@ class TestMpiExecutor:
         with pytest.raises(ExecutionError, match="multiple of the rank count"):
             execute(root, params={slot: (three,)})
 
+    def test_job_inside_a_job_rejected(self, cluster2):
+        from repro.core.executor import execute
+
+        slot = ParameterSlot(TupleType.of(t=row_vector_type(KV)))
+
+        def scan_rows(worker_slot):
+            scan = RowScan(Projection(ParameterLookup(worker_slot), ["t"]), field="t")
+            return MaterializeRowVector(scan, field="rows")
+
+        def nested_job(worker_slot):
+            inner = MpiExecutor(ParameterLookup(worker_slot), scan_rows, cluster2)
+            return MaterializeRowVector(RowScan(inner, field="rows"), field="rows")
+
+        executor = MpiExecutor(ParameterLookup(slot), nested_job, cluster2)
+        root = MaterializeRowVector(RowScan(executor, field="rows"), field="all")
+        # The analyzer refuses the plan (MOD011); the executor refuses too.
+        with pytest.raises(ExecutionError, match="cannot run inside another MPI job"):
+            execute(
+                root, params={slot: (make_kv_table(8),)},
+                options=RunOptions(verify_plans=False),
+            )
+
     def test_records_cluster_result(self, cluster2):
         from repro.core.executor import execute
 
