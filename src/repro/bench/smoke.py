@@ -281,7 +281,7 @@ def _serving_probe(scale_factor: float, machines: int, repeats: int) -> dict:
 
 
 def _join_kernels(build_rows: int, probe_rows: int, repeats: int) -> dict:
-    """Race the sorted-hash and radix join kernels on two key distributions.
+    """Race the sorted-hash and radix join kernels on three key distributions.
 
     Both kernels run build-plus-probe over the same morsel stream:
 
@@ -291,7 +291,10 @@ def _join_kernels(build_rows: int, probe_rows: int, repeats: int) -> dict:
       without duplication in its favor,
     * ``skewed`` — a duplicate-heavy build (eight rows per key) probed
       with a Zipf-skewed key stream: hot keys hammer the same candidate
-      runs, the case the radix kernel exists for.
+      runs, the case the radix kernel exists for,
+    * ``sorted_runs`` — the same eight rows per key, stored sorted by key
+      (as TPC-H's ``lineitem`` is on its order key) and probed by one
+      row in 64: radix searches the build instead of counting it.
 
     The emitted morsels must be bit-identical between kernels.
     """
@@ -322,6 +325,10 @@ def _join_kernels(build_rows: int, probe_rows: int, repeats: int) -> dict:
                 np.int64
             ),
         ),
+        "sorted_runs": (
+            np.sort(rng.integers(0, dense_range, build_rows, dtype=np.int64)),
+            rng.integers(0, dense_range, max(build_rows >> 6, 1), dtype=np.int64),
+        ),
     }
 
     report: dict = {}
@@ -335,10 +342,10 @@ def _join_kernels(build_rows: int, probe_rows: int, repeats: int) -> dict:
                 right_type,
                 [
                     probe_keys[i : i + morsel],
-                    np.arange(i, min(i + morsel, probe_rows), dtype=np.int64),
+                    np.arange(i, min(i + morsel, len(probe_keys)), dtype=np.int64),
                 ],
             )
-            for i in range(0, probe_rows, morsel)
+            for i in range(0, len(probe_keys), morsel)
         ]
 
         def join(kernel: str):
@@ -416,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     kernels = report["join_kernels"]
     sections = {
         **{name: report[name] for name in ("profiler", "faults", "sanitizer")},
-        **{f"join_kernels/{w}": kernels[w] for w in ("uniform", "skewed")},
+        **{f"join_kernels/{w}": kernels[w] for w in ("uniform", "skewed", "sorted_runs")},
         "serving": report["serving"],
     }
     for name, section in sections.items():

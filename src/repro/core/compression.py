@@ -77,7 +77,9 @@ class RadixCompression:
 
     def restore(self, compressed_key, partition_id):
         """The full key(s) from compressed key(s) and their partition id."""
-        return (compressed_key << self.fanout_bits) | partition_id
+        key = compressed_key << self.fanout_bits
+        key |= partition_id  # in place on an array, rebinding on a scalar
+        return key
 
     def unpack(self, packed, partition_id: int) -> tuple:
         """Recover ⟨key, payload⟩ from packed word(s) and their partition id."""
@@ -109,7 +111,9 @@ class RadixCompression:
                         f"values in [{low}, {high}] but the dense domain is "
                         f"[0, {bound}); increase key_bits or disable compression"
                     )
-        packed = ((keys >> self.fanout_bits) << self.key_bits) | payloads
+        packed = keys >> self.fanout_bits
+        packed <<= self.key_bits
+        packed |= payloads
         return RowVector(COMPRESSED_TYPE, [packed])
 
     def unpack_batch(

@@ -227,8 +227,9 @@ class RadixPartition(_KeyedPartition):
         return (row[self._key_pos] >> self.shift) & self.mask
 
     def map_batch(self, batch: RowVector) -> np.ndarray:
-        keys = batch.column(self.key_field)
-        return (keys >> self.shift) & self.mask
+        buckets = batch.column(self.key_field) >> self.shift
+        buckets &= self.mask
+        return buckets
 
 
 def next_power_of_two(n: int) -> int:
@@ -264,12 +265,17 @@ class HashPartition(_KeyedPartition):
         n = self.n_partitions
         if n == 1:
             return np.zeros(len(keys), dtype=np.int64)
-        mixed = (keys.astype(np.uint64) * np.uint64(self._multiplier)) >> np.uint64(33)
+        # One array, computed in place: int64 keys wrap as uint64 by a view.
+        wide = keys.view(np.uint64) if keys.dtype == np.int64 else keys.astype(np.uint64)
+        mixed = wide * np.uint64(self._multiplier)
+        mixed >>= np.uint64(33)
         if n & (n - 1) == 0:
             # Power of two: a mask gives the same residue as the modulo
             # without a 64-bit division per key.
-            return (mixed & np.uint64(n - 1)).astype(np.int64)
-        return (mixed % np.uint64(n)).astype(np.int64)
+            mixed &= np.uint64(n - 1)
+        else:
+            mixed %= np.uint64(n)
+        return mixed.view(np.int64)
 
     def __call__(self, row: tuple) -> int:
         if self._key_pos is None:

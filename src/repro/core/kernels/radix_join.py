@@ -4,38 +4,46 @@ The cache-conscious alternative to the sorted-hash kernel
 (:mod:`repro.core.kernels.hash_join`), modeled on the radix hash join of
 Barthels et al. that the paper decomposes into sub-operators.  Instead of
 hashing, the build side is *rebased* onto its key range ``[kmin, kmax]``
-and either addressed directly or scattered into per-key runs with
-counting passes:
+and either addressed directly, searched in place, or scattered into
+per-key runs with counting passes.  One comparison pass over the build
+keys (:func:`key_shape`) tells the shapes apart; sorted keys read their
+range off their ends:
 
 1. a span that fits one cache-sized pass takes a direct-address table
    ``rows[key - kmin] -> build row`` (-1 where the key is absent): one
-   ``np.full`` and one scatter of the row numbers, which also proves the
-   keys unique (:meth:`RadixJoinBuild._unique_table`).  A unique build
-   keeps the table — no count, no sort, no run offsets;
-2. a repeated key, or more rows than the span (some key must repeat),
-   counts the rebased keys (``scatter.bucket_counts``): the counts give
-   every key's run length, their ``cumsum`` the run start offsets, and
-   the scatter is one stable linear-time order
+   ``np.full`` and one scatter of the row numbers.  Strictly increasing
+   keys are unique; otherwise the table proves the keys unique when it
+   holds one filled slot per row (:meth:`RadixJoinBuild._unique_table`).
+   A unique build keeps the table — no count, no sort, no run offsets;
+2. keys that never decrease but repeat (a build stored sorted on its
+   join key) are their own runs: the build keeps no table and no order,
+   and a probe finds each key's run in the keys themselves with two
+   ``np.searchsorted`` calls (:data:`SORTED_RUNS`);
+3. any other repeated key, or more rows than the span (some key must
+   repeat), counts the rebased keys (``scatter.bucket_counts``): the
+   counts give every key's run length, their ``cumsum`` the run start
+   offsets, and the scatter is one stable linear-time order
    (:mod:`repro.core.kernels.scatter`).  When the key range exceeds a
    cache-sized pass, a first radix pass partitions on the high bits
    (fan-out chosen from the key range so each sub-range fits the pass
    budget), then each partition is counted and scattered locally — the
    classic two-pass radix scheme that keeps every pass's working set
-   cache-sized;
-3. a probe morsel against the table is one ``take`` of ``rows`` (keys out
-   of range clamped to a -1 slot, the slots read as ``intp``) and one
-   ``flatnonzero``.  When that finds every probe row (the morsel fully
-   hits), the probe's columns pass through as they are and only the
-   build side is gathered; the table's identity ``order`` is never
-   gathered through.  Against runs, a probe reads each candidate run
-   ``[starts[k], starts[k+1])`` with two direct loads and expands it.
-   Neither hashes, chains or searches.
+   cache-sized.
+
+A probe morsel against the table is one ``take`` of ``rows`` (keys out of
+range clamped to a -1 slot, the slots read as ``intp``); a
+``count_nonzero`` of the hit mask tells whether every probe row hit (the
+morsel fully hits), and then the probe's columns pass through as they
+are and only the build side is gathered; otherwise one ``flatnonzero``
+finds the hits.  Against runs, a probe reads each candidate run
+``[starts[k], starts[k+1])`` with two direct loads, or bisects the sorted
+keys, and expands it.  None of them hashes or chains.
 
 It runs on the same int64 key codes as the sorted-hash kernel
 (:class:`~repro.core.kernels.hash_join.JoinKeyCodes`).  The scatter is
 stable, so candidate runs hold build rows in insertion order and the
 emitted rows are bit-identical to the sorted-hash kernel's; a unique
-build's ``order`` is the identity, held as ``None``.  All four probe
+or sorted build's ``order`` is the identity, held as ``None``.  All four probe
 policies (inner / semi / anti / left_outer) share the emission through
 :func:`~repro.core.kernels.hash_join.emit_probe_hits`.
 
@@ -94,6 +102,11 @@ DENSITY_MULTIPLE = 8
 #: four probe rows per build row, while 2^11 rows need sixteen.
 RADIX_MIN_ROWS = 1 << 12
 
+#: A build whose keys never decrease but repeat keeps no run table: its
+#: rows are their own scattered positions and a probe key's run is found
+#: with two ``np.searchsorted`` calls.  False counts such builds into runs.
+SORTED_RUNS = True
+
 
 def key_span(kmin: int, kmax: int) -> int:
     """Width of the inclusive key range, in exact Python-int arithmetic.
@@ -103,6 +116,17 @@ def key_span(kmin: int, kmax: int) -> int:
     the caps) instead of wrapping in int64.
     """
     return int(kmax) - int(kmin) + 1
+
+
+def key_shape(keys: np.ndarray) -> tuple[int, int, bool | None]:
+    """⟨min, max, ties⟩ of non-empty ``keys``: ``ties`` is False when they
+    strictly increase, True when they never decrease but repeat, ``None``
+    when unsorted (sorted keys read min and max off their ends)."""
+    before, after = keys[:-1], keys[1:]
+    if np.count_nonzero(after >= before) == len(after):
+        ties = np.count_nonzero(after > before) < len(after)
+        return int(keys[0]), int(keys[-1]), ties
+    return int(keys.min()), int(keys.max()), None
 
 
 def radix_eligible(n_build: int, kmin: int, kmax: int, forced: bool = False) -> bool:
@@ -145,12 +169,12 @@ def select_join_kernel(
     codes = JoinKeyCodes(left, key)
     keys = codes.build
     if join_kernel != "sorted" and len(keys):
-        kmin, kmax = int(keys.min()), int(keys.max())
+        shape = key_shape(keys)
         eligible = radix_eligible(
-            len(keys), kmin, kmax, forced=join_kernel == "radix"
+            len(keys), shape[0], shape[1], forced=join_kernel == "radix"
         )
     if eligible:
-        build = RadixJoinBuild.from_codes(left, codes, (kmin, kmax))
+        build = RadixJoinBuild.from_codes(left, codes, shape)
         return "radix", build, radix_probe_morsel
     return "kernel", HashJoinBuild.from_codes(left, codes), probe_morsel
 
@@ -200,11 +224,13 @@ class RadixJoinBuild:
     key_min: int
     key_max: int
     #: Scattered position -> build row; ``None`` when it is the identity
-    #: (a unique build, whose ``rows`` hold build rows directly).
+    #: (a unique build, whose ``rows`` hold build rows directly, or a
+    #: sorted one, whose rows are already in key order).
     order: np.ndarray | None
     #: Run offsets of the direct-address table when some key repeats: the
     #: build rows holding rebased key ``k`` occupy scattered positions
-    #: [starts[k], starts[k+1]).  ``None`` for a unique build.
+    #: [starts[k], starts[k+1]).  ``None`` for a unique build, and for a
+    #: sorted one with ties, whose runs are searched in ``codes.build``.
     starts: np.ndarray | None
     #: The direct-address table when every key is unique: ``rows[k]`` is
     #: the build row holding rebased key ``k``, or -1; one more -1 slot at
@@ -220,28 +246,30 @@ class RadixJoinBuild:
         return cls.from_codes(left, JoinKeyCodes(left, key))
 
     @classmethod
-    def from_codes(cls, left: RowVector, codes: JoinKeyCodes, key_range=None) -> "RadixJoinBuild":
-        """The build over ``left``'s key ``codes``, whose ⟨min, max⟩ is
-        ``key_range`` when the caller has taken it."""
+    def from_codes(cls, left: RowVector, codes: JoinKeyCodes, shape=None) -> "RadixJoinBuild":
+        """The build over ``left``'s key ``codes``, whose :func:`key_shape`
+        is ``shape`` when the caller has taken it."""
         build_keys = codes.build
         n = len(left)
-        if key_range is None:
-            key_range = (int(build_keys.min()), int(build_keys.max())) if n else (0, -1)
-        kmin, kmax = key_range
+        if shape is None:
+            shape = key_shape(build_keys) if n else (0, -1, False)
+        kmin, kmax, ties = shape
         span = key_span(kmin, kmax)
         if span > HARD_RANGE_CAP:
             raise ValueError(
                 f"key range {span} exceeds the radix table cap {HARD_RANGE_CAP}"
             )
-        rebased = build_keys - np.int64(kmin)
         order = starts = rows = None
-        if span > PASS_RANGE:
-            starts, order = cls._two_pass_scatter(rebased, span)
-        else:
-            # More rows than keys means some key repeats.
-            rows = cls._unique_table(rebased, span) if n <= span else None
-            if rows is None:
-                order, _, starts = partition_layout(rebased, span)
+        if not (ties and SORTED_RUNS):
+            rebased = build_keys - np.int64(kmin)
+            if span > PASS_RANGE:
+                starts, order = cls._two_pass_scatter(rebased, span)
+            else:
+                # A tie, or more rows than keys, means some key repeats.
+                if not ties and n <= span:
+                    rows = cls._unique_table(rebased, span, checked=ties is False)
+                if rows is None:
+                    order, _, starts = partition_layout(rebased, span)
         return cls(
             left=left,
             codes=codes,
@@ -254,22 +282,26 @@ class RadixJoinBuild:
         )
 
     @staticmethod
-    def _unique_table(rebased: np.ndarray, span: int) -> np.ndarray | None:
+    def _unique_table(rebased: np.ndarray, span: int, checked: bool) -> np.ndarray | None:
         """The key -> row table of ``rebased``, or ``None`` if a key repeats.
 
-        O(n), with no count: keys that strictly increase are unique, and
-        sorted keys with a tie repeat (found before any table is made);
-        otherwise a repeated key's slot holds only its last row's number.
+        With no count: ``checked`` keys (strictly increasing) are unique;
+        otherwise a repeated key's rows share one slot, so fewer than ``n``
+        slots are filled.  Up to four slots per row they are counted in
+        one sequential read of the table; sparser, each row reading its
+        own number back from its slot is the cheaper test.
         """
-        lowest = np.diff(rebased).min(initial=1)
-        if lowest == 0:
-            return None
-        ids = np.arange(len(rebased), dtype=np.intp)
+        n = len(rebased)
+        ids = np.arange(n, dtype=np.intp)
         rows = np.full(span + 1, -1, dtype=np.intp)
         rows[rebased] = ids
-        if lowest > 0 or bool((rows.take(rebased) == ids).all()):
+        if checked:
             return rows
-        return None
+        if span <= 4 * n:
+            unique = np.count_nonzero(rows >= 0) == n
+        else:
+            unique = bool((rows.take(rebased) == ids).all())
+        return rows if unique else None
 
     @staticmethod
     def _two_pass_scatter(rebased: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
@@ -312,18 +344,25 @@ def radix_probe_morsel(
         # Clamped, every slot is below 2^63: read as intp it feeds ``take``,
         # which measured twice as fast as indexing with uint64.
         hit_rows = build.rows.take(slots.view(np.intp))
-        hit_right = np.flatnonzero(hit_rows >= 0)
-        if len(hit_right) == len(right):
+        hit = hit_rows >= 0
+        if np.count_nonzero(hit) == len(right):
             # Every key hit, once each and in order: the probe passes through.
             return emit_probe_hits(build, right, spec, hit_rows, slice(None))
+        hit_right = np.flatnonzero(hit)
         return emit_probe_hits(build, right, spec, hit_rows[hit_right], hit_right)
     n_right = len(right)
-    in_range = (right_keys >= build.key_min) & (right_keys <= build.key_max)
-    # Out-of-range keys are clamped to slot 0 before indexing; their
-    # candidate count is masked to zero below, so the clamp never emits.
-    rebased = np.where(in_range, right_keys - kmin, 0)
-    lo = build.starts[rebased]
-    hi = np.where(in_range, build.starts[rebased + 1], lo)
+    if build.starts is None:
+        # Sorted runs: the build keys never decrease, so a key's run is
+        # found by bisection; a key outside [kmin, kmax] finds an empty one.
+        lo = np.searchsorted(build.codes.build, right_keys, side="left")
+        hi = np.searchsorted(build.codes.build, right_keys, side="right")
+    else:
+        in_range = (right_keys >= build.key_min) & (right_keys <= build.key_max)
+        # Out-of-range keys are clamped to slot 0 before indexing; their
+        # candidate count is masked to zero below, so the clamp never emits.
+        rebased = np.where(in_range, right_keys - kmin, 0)
+        lo = build.starts[rebased]
+        hi = np.where(in_range, build.starts[rebased + 1], lo)
     counts = hi - lo
     total = int(counts.sum())
     # Candidate expansion: for probe row i, the run of scattered build

@@ -220,4 +220,5 @@ class TestSmokeGates:
         noise = tuple(path for path, *_ in GATES)
         assert [f for f in gate_failures(report) if not f.startswith(noise)] == []
         assert set(report["sanitizer"]["tpch"]) == {"q4", "q12", "q14", "q19"}
+        assert {"uniform", "skewed", "sorted_runs"} <= set(report["join_kernels"])
         assert report["faults"]["n_tuples"] == 256

@@ -104,3 +104,35 @@ class TestDomainGuard:
         edge = RowVector.from_rows(KV, [(15, 15), (0, 0)])
         packed = comp.pack_batch(edge)
         assert comp.unpack(int(packed.column("packed")[0]), 15 % 4) == (15, 15)
+
+
+class TestInPlaceKernels:
+    """``pack_batch`` and ``restore`` compute into one output array; each
+    must equal the expression it replaced and leave its input as it was."""
+
+    @pytest.mark.parametrize("key_bits,fanout_bits", [(12, 0), (12, 3), (32, 0), (33, 2)])
+    def test_pack_batch(self, key_bits, fanout_bits):
+        comp = RadixCompression(key_bits, fanout_bits)
+        top = (1 << key_bits) - 1
+        keys = np.array([0, 1, top, top - 1, 5, 1 << (key_bits - 1)], np.int64)
+        payloads = keys[::-1].copy()
+        before = keys.copy()
+        packed = comp.pack_batch(RowVector(KV, [keys, payloads])).column("packed")
+        old = ((keys >> fanout_bits) << key_bits) | payloads
+        assert packed.dtype == old.dtype and packed.tolist() == old.tolist()
+        assert keys.tolist() == before.tolist()
+
+    @pytest.mark.parametrize("fanout_bits", [0, 3, 16])
+    def test_restore(self, fanout_bits):
+        comp = RadixCompression(32, fanout_bits)
+        compressed = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                               -1, -9, 0, 1, 2**40], np.int64)
+        before = compressed.copy()
+        for pid in (0, 1, (1 << fanout_bits) - 1):
+            restored = comp.restore(compressed, pid)
+            old = (compressed << fanout_bits) | pid
+            assert restored.dtype == old.dtype and restored.tolist() == old.tolist()
+            assert compressed.tolist() == before.tolist()
+            # Scalars still restore, as Python ints and as numpy scalars.
+            assert comp.restore(-9, pid) == (-9 << fanout_bits) | pid
+            assert comp.restore(np.int64(-9), pid) == old[3]

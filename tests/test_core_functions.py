@@ -116,6 +116,48 @@ class TestHashPartition:
         assert counts.min() > len(data) / 16
 
 
+#: Hostile key columns for the in-place kernels: int64 extremes, negative
+#: keys, and the narrower integer and bool dtypes a key column may hold.
+INT64_EXTREMES = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0, 1,
+                           -7, -(2**62), 2**62 - 1, 12345], dtype=np.int64)
+KEY_COLUMNS = {
+    "int64": INT64_EXTREMES,
+    "negative": -np.arange(1, 40, 3, dtype=np.int64),
+    "int32": np.array([np.iinfo(np.int32).min, np.iinfo(np.int32).max, -1, 0, 5], np.int32),
+    "uint8": np.array([0, 1, 7, 128, 255], np.uint8),
+    "bool": np.array([True, False, True]),
+}
+
+
+@pytest.mark.parametrize("keys", KEY_COLUMNS.values(), ids=KEY_COLUMNS)
+class TestInPlaceKernels:
+    """The partition kernels compute into one output array; each must equal
+    the expression it replaced, bit for bit and dtype for dtype, and leave
+    its input as it was."""
+
+    @staticmethod
+    def same(kernel, keys, old):
+        before = keys.copy()
+        new = kernel(keys)
+        assert new.dtype == old.dtype and new.tolist() == old.tolist()
+        assert keys.tolist() == before.tolist()
+
+    @pytest.mark.parametrize("n", [2, 6, 7, 8, 256])
+    @pytest.mark.parametrize("salt", [0, 1, 2])
+    def test_hash_partition(self, keys, n, salt):
+        fn = HashPartition("key", n, salt=salt)
+        mixed = (keys.astype(np.uint64) * np.uint64(fn._multiplier)) >> np.uint64(33)
+        old = mixed & np.uint64(n - 1) if n & (n - 1) == 0 else mixed % np.uint64(n)
+        self.same(fn._hash, keys, old.astype(np.int64))
+
+    @pytest.mark.parametrize("n, shift", [(1, 0), (2, 0), (8, 3), (256, 1)])
+    def test_radix_partition(self, keys, n, shift):
+        fn = RadixPartition("key", n, shift=shift)
+        def kernel(keys):
+            return fn.map_batch(RowVector(KV, [keys, np.zeros(len(keys), np.int64)]))
+        self.same(kernel, keys, (keys >> shift) & (n - 1))
+
+
 class TestCallablePartition:
     def test_wraps_python_function(self):
         fn = CallablePartition(lambda row: row[0] % 3, 3)

@@ -361,7 +361,10 @@ def logical_cases(draw):
         n = draw(st.sampled_from(FIRST_ROWS if i == 0 else ROWS))
         payload = draw(st.lists(st.sampled_from(ATOMS), min_size=1, max_size=2))
         atoms = {"k": key_atom, **{f"{table}{j}": a for j, a in enumerate(payload)}}
-        columns = [typed(key_atom, keys_of(rng, pool, n, draw(st.booleans())))]
+        keys = keys_of(rng, pool, n, draw(st.booleans()))
+        if draw(st.booleans()):  # stored sorted by its join key, as TPC-H's tables are
+            keys = np.sort(keys)
+        columns = [typed(key_atom, keys)]
         # Numeric payloads over 13 values, or spread 2^20 apart: grouped on,
         # they are dense or sparse keys of the sum kernel's density rule.
         spread = draw(st.sampled_from((1, 1, 1 << 20)))
@@ -547,6 +550,14 @@ _BULK = {
     "broadcast_join": bulk_case("broadcast_join", _JOIN.left, _JOIN.right),
     "groupby": bulk_case("groupby", _GROUPS.table, key_bits=_GROUPS.key_bits),
 }
+#: An exchange join whose build arrives sorted with every key three times:
+#: each rank's build keeps no run table and is searched.
+_SORTED_BUILD = bulk_case(
+    "join",
+    RowVector(_JOIN.left.element_type,
+              [np.sort(_JOIN.left.column("key") // 3), _JOIN.left.column("lpay")]),
+    _JOIN.right,
+)
 #: A broadcast whose replicated build holds every even key twice: each rank
 #: shares one build over repeated keys.
 _REPEATED_SEMI = bulk_case(
@@ -579,6 +590,7 @@ _REPEATED_SEMI = bulk_case(
 @example(case=_BULK["broadcast_join"], cell=Cell(ranks=4))
 @example(case=_BULK["broadcast_join"], cell=Cell(ranks=3, join_kernel="sorted"))
 @example(case=_REPEATED_SEMI, cell=Cell(ranks=4))
+@example(case=_SORTED_BUILD, cell=Cell(ranks=4))
 @example(case=_BULK["groupby"], cell=Cell(ranks=4))
 @example(case=_TIES, cell=Cell())
 @example(case=_DESC_BOOL, cell=Cell())

@@ -288,16 +288,17 @@ class TestUniqueKeyTable:
         assert len(calls) == sorts
 
     @pytest.mark.parametrize("keys, tables, counts, bincounts", [
-        ([3, 1, 2, 0, 9], 1, 0, 0), ([3, 1, 2, 1, 9], 1, 1, 1), ([5, 5, 5], 0, 1, 0),
-        ([0, 2, 3, 7, 9], 1, 0, 0), ([4, 5, 4, 6, 5], 0, 1, 1), ([1, 2, 2, 5, 9], 0, 1, 1),
+        ([3, 1, 2, 0, 9], 1, 0, 0), ([3, 1, 2, 1, 9], 1, 1, 1), ([5, 5, 5], 0, 0, 0),
+        ([0, 2, 3, 7, 9], 1, 0, 0), ([4, 5, 4, 6, 5], 0, 1, 1), ([1, 2, 2, 5, 9], 0, 0, 0),
+        ([40, 1, 3, 0], 1, 0, 0), ([40, 1, 40, 0], 1, 1, 1),
     ], ids=["unique", "one-duplicate", "one-key", "ascending-unique", "more-rows-than-span",
-            "ascending-with-a-tie"])
+            "ascending-with-a-tie", "sparse-unique", "sparse-duplicate"])
     def test_a_single_pass_build_counts_its_keys_once(
         self, monkeypatch, keys, tables, counts, bincounts
     ):
         # A unique build proves itself unique from its one table, uncounted;
-        # a repeat found there or between sorted neighbours, or more rows
-        # than the span, counts once.
+        # a repeat found there, or more rows than the span, counts once; a
+        # repeat between sorted neighbours keeps neither table nor runs.
         made, counted, binned = [], [], []
         real_full, real_counts, real_bincount = np.full, scatter.bucket_counts, np.bincount
         monkeypatch.setattr(np, "full",
@@ -308,7 +309,8 @@ class TestUniqueKeyTable:
                             lambda *args, **kw: binned.append(args) or real_bincount(*args, **kw))
         build = RadixJoinBuild.from_rows(vector_of([(k, i) for i, k in enumerate(keys)], L), "key")
         assert (len(made), len(counted), len(binned)) == (tables, counts, bincounts)
-        assert (build.rows is None) == bool(counts)
+        assert (build.rows is None) == bool(counts or not tables)
+        assert (build.starts is None) == (not counts)
 
 
 class TestBitIdentity:
@@ -377,6 +379,35 @@ class TestDispatchMetric:
         assert snapshot.total("join_dispatch", path="kernel") == 1
 
 
+def lane_scan(tables, ctxs):
+    """One scan over the lanes of ``ctxs``, each reading its own table."""
+    slot = ParameterSlot(TupleType.of(t=row_vector_type(tables[0].element_type)))
+    for ctx, table in zip(ctxs, tables):
+        ctx.push_parameter(slot.id, (table,))
+    return RowScan(ParameterLookup(slot), field="t")
+
+
+def walk_lanes(join_kernel, join_type, left_keys, right_keys):
+    """One ``BuildProbe`` walked in lockstep, lane ``i`` building on
+    ``left_keys[i]`` (payloads from ``50 * i``) and probing ``right_keys[i]``:
+    ⟨each lane's output morsels, clocks, ⟨join_dispatch, join_build_rows⟩⟩."""
+    lefts = [vector_of([(k, 50 * lane + i) for i, k in enumerate(keys)], L)
+             for lane, keys in enumerate(left_keys)]
+    rights = [vector_of([(k, -1 - i) for i, k in enumerate(keys)], R) for keys in right_keys]
+    ctxs = [ExecutionContext(options=RunOptions(join_kernel=join_kernel),
+                             registry=MetricsRegistry()) for _ in lefts]
+    bp = BuildProbe(lane_scan(lefts, ctxs), lane_scan(rights, ctxs),
+                    keys="key", join_type=join_type)
+    outs = [[] for _ in ctxs]
+    for step in steps(bp, Lockstep(ctxs)):
+        for lane, part in zip(step.lanes, step.parts):
+            outs[lane].append(part)
+    snapshots = [ctx.registry.snapshot() for ctx in ctxs]
+    counts = [(snap.by_label("join_dispatch", "path"), snap.total("join_build_rows"))
+              for snap in snapshots]
+    return outs, [ctx.clock.now for ctx in ctxs], counts
+
+
 class TestSharedBuild:
     """Lanes of one lockstep step whose join keys are equal share one build.
 
@@ -386,31 +417,8 @@ class TestSharedBuild:
 
     RIGHTS = ([1, 9, 2, 3, 3, 6], [7, 8, 0, 2], [4, 5, 1, 10])
 
-    @staticmethod
-    def lane_scan(tables, ctxs):
-        """One scan over the lanes of ``ctxs``, each reading its own table."""
-        slot = ParameterSlot(TupleType.of(t=row_vector_type(tables[0].element_type)))
-        for ctx, table in zip(ctxs, tables):
-            ctx.push_parameter(slot.id, (table,))
-        return RowScan(ParameterLookup(slot), field="t")
-
     def walk(self, join_kernel, join_type, twin_keys):
-        lefts = [vector_of([(k, base + i) for i, k in enumerate(keys)], L)
-                 for base, keys in ((0, twin_keys), (50, [2, 7, 11]), (100, twin_keys))]
-        rights = [vector_of([(k, -1 - i) for i, k in enumerate(keys)], R)
-                  for keys in self.RIGHTS]
-        ctxs = [ExecutionContext(options=RunOptions(join_kernel=join_kernel),
-                                 registry=MetricsRegistry()) for _ in lefts]
-        bp = BuildProbe(self.lane_scan(lefts, ctxs), self.lane_scan(rights, ctxs),
-                        keys="key", join_type=join_type)
-        outs = [[] for _ in ctxs]
-        for step in steps(bp, Lockstep(ctxs)):
-            for lane, part in zip(step.lanes, step.parts):
-                outs[lane].append(part)
-        snapshots = [ctx.registry.snapshot() for ctx in ctxs]
-        counts = [(snap.by_label("join_dispatch", "path"), snap.total("join_build_rows"))
-                  for snap in snapshots]
-        return outs, [ctx.clock.now for ctx in ctxs], counts
+        return walk_lanes(join_kernel, join_type, (twin_keys, [2, 7, 11], twin_keys), self.RIGHTS)
 
     @pytest.fixture
     def made(self, monkeypatch):
@@ -447,6 +455,53 @@ class TestSharedBuild:
         # Lane 0 probes keys 1, 9, 3 and lane 2 keys 4, 5, 1.
         assert tails == [[2, 3, 4], [100, 103, 105]]
 
+
+class TestSortedRuns:
+    """A build whose keys never decrease but repeat keeps no run table: its
+    keys are searched.  Each lane's rows, clock and join counters must equal
+    the counted walk's (``SORTED_RUNS = False``) under every policy."""
+
+    CASES = {
+        # Negative build keys; probe keys below, inside and above the range.
+        "negative-keys": ([-9, -4, -4, -1, 0, 0, 0, 3],
+                          [-10, -4, 0, 4, 3, -(2**63), 2**63 - 1, -9, -2, 0]),
+        "one-row": ([6], [6, 5, 7, 6]),
+        "all-duplicate": ([2, 2, 2, 2, 2], [2, 1, 3, 2]),
+        "more-rows-than-span": ([0, 0, 1, 1, 1, 2, 2, 3, 3], [3, 0, 2, -1, 4, 1]),
+    }
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        """Per radix build made: does it keep neither a table nor runs?"""
+        searched = []
+        real = RadixJoinBuild.from_codes.__func__
+
+        def recorded(cls, *args):
+            build = real(cls, *args)
+            searched.append(build.rows is None and build.starts is None)
+            return build
+
+        monkeypatch.setattr(RadixJoinBuild, "from_codes", classmethod(recorded))
+        return searched
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("join_type", JOIN_TYPES)
+    def test_lanes_match_the_counted_walk(self, monkeypatch, searched, join_type, case):
+        build, probe = self.CASES[case]
+        # Lanes 0 and 2 are twins sharing one build; lane 1 builds its own.
+        lefts, rights = (build, [1, 1, 4, 8], build), (probe, [8, 1, 0, 4], probe[::-1])
+        walked = walk_lanes("radix", join_type, lefts, rights)
+        assert searched == [len(build) > 1, True]
+        monkeypatch.setattr(radix_join, "SORTED_RUNS", False)
+        assert walked == walk_lanes("radix", join_type, lefts, rights)
+        assert searched[2:] == [False, False]
+        assert [dispatch for dispatch, _ in walked[2]] == [{"radix": 1}] * 3
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_kernel_matches_sorted_hash(self, case):
+        build, probe = self.CASES[case]
+        radix = TestUniqueKeyTable.assert_matches_sorted_hash(build, [probe, probe[::-1], []])
+        assert radix.order is None and radix.starts is None
 
 class TestZeroCopyPlane:
     def test_concat_remerges_adjacent_slices_without_copy(self):
