@@ -83,7 +83,7 @@ chaos-soak:
 sanitize-soak:
 	$(PYTHON) -m repro sanitize all
 	$(PYTHON) -m repro sanitize join q14 --mode interpreted \
-		--policies clean transient
+		--policies none transient
 
 # Concurrent-serving soak: 16 interleaved TPC-H queries on one shared
 # cluster must be bit-identical to serial runs (clean and under transient

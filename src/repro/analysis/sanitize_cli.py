@@ -13,38 +13,18 @@ under one policy of the chaos matrix twice — once plain, once with
 
 Targets come from the catalogue in :mod:`repro.workloads.targets`; the
 matrix loop, reporting and exit code are the shared runner of
-:mod:`repro.workloads.matrix`.  The policies are named points of the
-``repro chaos`` flag space: fault-free, transient comm faults, a
-permanent mid-stage crash (degraded n-1 rerun), and planner-level
-memory pressure.
+:mod:`repro.workloads.matrix`.  The policies are chaos profiles
+(:func:`repro.faults.policy.fault_profile`); by default fault-free,
+transient comm faults, a permanent mid-stage crash (degraded n-1
+rerun), and planner-level memory pressure.
 """
 
 from __future__ import annotations
 
 from repro.core.options import RunOptions
-from repro.faults.chaos import build_policy
+from repro.faults.policy import fault_profile
 
-__all__ = ["check", "matrix_policies", "run_cli", "ALL_POLICIES"]
-
-#: Policy name → the ``build_policy`` flags it stands for (``None``: no faults).
-_POLICY_FLAGS = {
-    "clean": None,
-    "transient": {},
-    "degrade": {"crash_rank": 1, "crash_after": 4, "permanent": True},
-    "pressure": {"memory_pressure": True},
-}
-ALL_POLICIES = tuple(_POLICY_FLAGS)
-
-
-def matrix_policies(names, seed: int):
-    """Resolve chaos-matrix policy names to ``(name, FaultPolicy | None)``."""
-    policies = []
-    for name in names:
-        flags = _POLICY_FLAGS[name]
-        policies.append(
-            (name, None if flags is None else build_policy(seed, **flags))
-        )
-    return policies
+__all__ = ["check", "run_cli"]
 
 
 def check(target, cell) -> dict:
@@ -110,15 +90,16 @@ def run_cli(args) -> int:
 
     try:
         matrix = SoakMatrix("sanitize", args)
+        cells = [
+            (args.mode, name, fault_profile(name, args.seed, args.machines))
+            for name in args.policies
+        ]
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    policies = matrix_policies(args.policies or ALL_POLICIES, args.seed)
-    matrix.run(
-        [(args.mode, name, policy) for name, policy in policies], check, _line
-    )
-    summary = matrix.summary(policies=[name for name, _ in policies])
+    matrix.run(cells, check, _line)
+    summary = matrix.summary(policies=list(args.policies))
     return matrix.finish(
         {"summary": summary, "soaks": matrix.verdicts},
         claim="clean and bit-identical under the chaos matrix",

@@ -223,7 +223,7 @@ def _sanitized_tpch(machines: int, sf: float) -> dict:
 
     verdicts = {}
     for name in TPCH_TARGETS:
-        verdict = check(resolve(name, machines, sf=sf), ("fused", "clean", None))
+        verdict = check(resolve(name, machines, sf=sf), ("fused", "none", None))
         report = verdict["sanitizer"]
         verdicts[name] = {
             "identical": verdict["identical"],

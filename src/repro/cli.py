@@ -38,21 +38,22 @@ _EXPERIMENTS = (
 )
 
 
-def _positive(kind):
-    """An argparse type: ``kind`` of the argument, refused unless > 0."""
+def _checked(kind, holds, what: str):
+    """An argparse type: ``kind`` of the argument, refused unless ``holds``."""
 
     def parse(text: str):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"{text} must be positive")
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{text} must be {what}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the type in its errors
     return parse
 
 
-_POSITIVE_INT = _positive(int)
-_POSITIVE_FLOAT = _positive(float)
+_POSITIVE_INT = _checked(int, lambda value: value > 0, "positive")
+_POSITIVE_FLOAT = _checked(float, lambda value: value > 0, "positive")
+_SEED = _checked(int, lambda value: value >= 0, "non-negative")
 
 
 def _format_parent() -> argparse.ArgumentParser:
@@ -99,14 +100,14 @@ def _workload_parent() -> argparse.ArgumentParser:
 def _serving_parent() -> argparse.ArgumentParser:
     """The soak population ``serve`` and ``slo`` share."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--queries", type=int, default=16,
+    parent.add_argument("--queries", type=_POSITIVE_INT, default=16,
                         help="concurrent submissions (default: 16)")
-    parent.add_argument("--workers", type=int, default=4,
+    parent.add_argument("--workers", type=_POSITIVE_INT, default=4,
                         help="scheduler worker threads (default: 4)")
     parent.add_argument("--sf", type=_POSITIVE_FLOAT, default=0.01,
                         help="TPC-H scale factor (default: 0.01)")
     parent.add_argument("--machines", type=_POSITIVE_INT, default=2)
-    parent.add_argument("--seed", type=int, default=2021)
+    parent.add_argument("--seed", type=_SEED, default=2021)
     return parent
 
 
@@ -218,9 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="builtin plans (join, groupby, broadcast_join, join_sequence), "
         "TPC-H queries (q4, q12, q14, q19), or 'all'",
     )
-    chaos.add_argument("--seed", type=int, default=2021,
+    chaos.add_argument("--seed", type=_SEED, default=2021,
                        help="first fault-policy seed (default: 2021)")
-    chaos.add_argument("--seeds", type=int, default=3,
+    chaos.add_argument("--seeds", type=_POSITIVE_INT, default=3,
                        help="number of consecutive seeds to soak (default: 3)")
     chaos.add_argument("--machines", type=_POSITIVE_INT, default=4)
     chaos.add_argument("--sf", type=_POSITIVE_FLOAT, default=0.01,
@@ -264,11 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
         "TPC-H queries (q4, q12, q14, q19), or 'all'",
     )
     sanitize.add_argument(
-        "--policies", nargs="+", default=None,
-        choices=("clean", "transient", "degrade", "pressure"),
-        help="chaos-matrix policies to soak under (default: all four)",
+        "--policies", nargs="+", choices=CHAOS_PROFILES,
+        default=("none", "transient", "degrade", "pressure"),
+        help="chaos profiles to soak under (default: none transient "
+        "degrade pressure)",
     )
-    sanitize.add_argument("--seed", type=int, default=2021,
+    sanitize.add_argument("--seed", type=_SEED, default=2021,
                           help="fault-policy seed (default: 2021)")
     sanitize.add_argument("--machines", type=_POSITIVE_INT, default=4)
     sanitize.add_argument("--sf", type=_POSITIVE_FLOAT, default=0.005,
@@ -679,6 +681,27 @@ def _soak_passed(report) -> bool:
     )
 
 
+def _soak_config(args: argparse.Namespace, **fields):
+    """The soak ``serve``/``slo`` asked for, or ``None`` after an error
+    line when its chaos profile cannot run on ``--machines``."""
+    from repro.serving.soak import SoakConfig
+
+    try:
+        return SoakConfig(
+            scale_factor=args.sf,
+            machines=args.machines,
+            n_queries=args.queries,
+            n_workers=args.workers,
+            chaos=args.chaos,
+            seed=args.seed,
+            retries=args.retries,
+            **fields,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _print_artifacts(artifacts: dict, args: argparse.Namespace) -> None:
     print(
         f"artifacts: {artifacts['chrome_events']} chrome events"
@@ -690,7 +713,6 @@ def _print_artifacts(artifacts: dict, args: argparse.Namespace) -> None:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serving.soak import (
-        SoakConfig,
         breaker_scenario,
         chaos_matrix,
         export_soak_artifacts,
@@ -769,22 +791,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         return 0 if ok else 1
 
-    report = run_soak(
-        SoakConfig(
-            scale_factor=args.sf,
-            machines=args.machines,
-            n_queries=args.queries,
-            n_workers=args.workers,
-            chaos=args.chaos,
-            seed=args.seed,
-            deadline=args.deadline,
-            cancel_every=args.cancel_every,
-            retries=args.retries,
-            shed_threshold=args.shed_threshold,
-            trace=trace,
-            slo_target=args.slo_target,
-        )
+    config = _soak_config(
+        args,
+        deadline=args.deadline,
+        cancel_every=args.cancel_every,
+        shed_threshold=args.shed_threshold,
+        trace=trace,
+        slo_target=args.slo_target,
     )
+    if config is None:
+        return 2
+    report = run_soak(config)
     artifacts = None
     if args.chrome_out or args.journal_out:
         artifacts = export_soak_artifacts(
@@ -846,21 +863,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_slo(args: argparse.Namespace) -> int:
     from repro.errors import ServingError
-    from repro.serving.soak import SoakConfig, run_soak
+    from repro.serving.soak import run_soak
 
-    report = run_soak(
-        SoakConfig(
-            scale_factor=args.sf,
-            machines=args.machines,
-            n_queries=args.queries,
-            n_workers=args.workers,
-            chaos=args.chaos,
-            seed=args.seed,
-            retries=args.retries,
-            slo_target=args.target,
-            slo_objective=args.objective,
-        )
+    config = _soak_config(
+        args, slo_target=args.target, slo_objective=args.objective
     )
+    if config is None:
+        return 2
+    report = run_soak(config)
     slo = report.slo
     if slo is None:
         raise ServingError("the soak ran without its SLO target")

@@ -26,37 +26,13 @@ seeds matrix, reporting and exit code are the shared runner of
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.core.options import RunOptions
 from repro.errors import TypeCheckError
 from repro.faults.policy import CrashFault, FaultPolicy, StragglerFault
 
-__all__ = ["check", "build_policy", "run_cli"]
-
-
-def build_policy(
-    seed: int,
-    put_drop_rate: float = 0.1,
-    collective_drop_rate: float = 0.05,
-    crash_rank: int | None = None,
-    crash_after: int = 8,
-    permanent: bool = False,
-    stragglers: tuple[StragglerFault, ...] = (),
-    memory_pressure: bool = False,
-) -> FaultPolicy:
-    """The soak's fault policy for one seed."""
-    crash = None
-    if crash_rank is not None:
-        crash = CrashFault(
-            rank=crash_rank, after_comm_ops=crash_after, permanent=permanent
-        )
-    return FaultPolicy(
-        seed=seed,
-        put_drop_rate=put_drop_rate,
-        collective_drop_rate=collective_drop_rate,
-        stragglers=stragglers,
-        crash=crash,
-        memory_pressure=memory_pressure,
-    )
+__all__ = ["check", "run_cli"]
 
 
 def parse_straggler(spec: str) -> StragglerFault:
@@ -142,17 +118,21 @@ def run_cli(args) -> int:
             raise ValueError(
                 f"fault rank {rank} is outside the cluster (--machines {args.machines})"
             )
-        flags = {
-            "put_drop_rate": args.drop_rate,
-            "collective_drop_rate": args.collective_drop_rate,
-            "crash_rank": args.crash_rank,
-            "crash_after": args.crash_after,
-            "permanent": args.permanent,
-            "stragglers": stragglers,
-            "memory_pressure": args.memory_pressure,
-        }
+        crash = None
+        if args.crash_rank is not None:
+            crash = CrashFault(
+                args.crash_rank, args.crash_after, permanent=args.permanent
+            )
+        policy = FaultPolicy(
+            seed=args.seed,
+            put_drop_rate=args.drop_rate,
+            collective_drop_rate=args.collective_drop_rate,
+            stragglers=stragglers,
+            crash=crash,
+            memory_pressure=args.memory_pressure,
+        )
         cells = [
-            (args.mode, build_policy(seed, **flags))
+            (args.mode, replace(policy, seed=seed))
             for seed in range(args.seed, seed_last + 1)
         ]
     except (ValueError, TypeCheckError) as exc:
@@ -166,7 +146,13 @@ def run_cli(args) -> int:
         seed_last=seed_last,
         machines=args.machines,
         policy={
-            **flags, "stragglers": [[s.rank, s.slowdown] for s in stragglers]
+            "put_drop_rate": args.drop_rate,
+            "collective_drop_rate": args.collective_drop_rate,
+            "crash_rank": args.crash_rank,
+            "crash_after": args.crash_after,
+            "permanent": args.permanent,
+            "stragglers": [[s.rank, s.slowdown] for s in stragglers],
+            "memory_pressure": args.memory_pressure,
         },
     )
     return matrix.finish(

@@ -24,6 +24,8 @@ module only decides.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.errors import RankCrashError
@@ -58,16 +60,7 @@ class FaultInjector:
         size simply stop matching.
         """
         child = FaultInjector.__new__(FaultInjector)
-        child.policy = FaultPolicy(
-            seed=self.policy.seed,
-            put_drop_rate=self.policy.put_drop_rate,
-            collective_drop_rate=self.policy.collective_drop_rate,
-            retry=self.policy.retry,
-            stragglers=self.policy.stragglers,
-            crash=None,
-            memory_pressure=self.policy.memory_pressure,
-            max_stage_retries=self.policy.max_stage_retries,
-        )
+        child.policy = replace(self.policy, crash=None)
         child._jobs = 0  # unused; job() below delegates to the parent counter
         child._crash_fired = True
         child._parent = self

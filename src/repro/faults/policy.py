@@ -16,6 +16,10 @@ execution.  Two executions with the same policy (same seed) inject the
 same fault sequence, and because faults only ever cost *time* (retries,
 re-executions), never mutate data, results stay bit-identical to a
 fault-free run.
+
+The soaks and the differential oracle name their fault mixes
+(``transient``, ``crash``, ...); :func:`fault_profile` is the one place
+those names resolve to policies.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ __all__ = [
     "StragglerFault",
     "CrashFault",
     "FaultPolicy",
-    "chaos_policy",
+    "fault_profile",
     "is_retryable",
 ]
 
@@ -155,6 +159,8 @@ class FaultPolicy:
     max_stage_retries: int = 2
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise TypeCheckError(f"fault seed must be >= 0, got {self.seed}")
         for name in ("put_drop_rate", "collective_drop_rate"):
             rate = getattr(self, name)
             if not 0.0 <= rate < 1.0:
@@ -169,100 +175,59 @@ class FaultPolicy:
         if len(seen) != len(set(seen)):
             raise TypeCheckError(f"duplicate straggler ranks: {sorted(seen)}")
 
-    @property
-    def injects_anything(self) -> bool:
-        """False for a policy that can never fire (armed but idle)."""
-        return bool(
-            self.put_drop_rate
-            or self.collective_drop_rate
-            or self.stragglers
-            or self.crash is not None
-            or self.memory_pressure
+
+#: The named fault mixes every soak and the oracle run under, each a
+#: ``(seed, last rank) -> FaultPolicy | None`` resolved by
+#: :func:`fault_profile`.  A fault aimed at one rank hits the cluster's
+#: last rank, so it exists at every cluster size.
+_DROPS = {"put_drop_rate": 0.05, "collective_drop_rate": 0.05}
+_PROFILES = {
+    # No injection.
+    "none": lambda seed, last: None,
+    # Dropped puts/collectives, healed by substrate retry.
+    "transient": lambda seed, last: FaultPolicy(seed=seed, **_DROPS),
+    # One hard crash per execution, healed by stage re-execution.
+    "crash": lambda seed, last: FaultPolicy(
+        seed=seed, crash=CrashFault(rank=last, after_comm_ops=4)
+    ),
+    # A crash on every attempt: recovery degrades to the n-1 survivors.
+    "degrade": lambda seed, last: FaultPolicy(
+        seed=seed, crash=CrashFault(rank=last, after_comm_ops=4, permanent=True)
+    ),
+    # One delayed rank (tail-latency pressure; no failures).
+    "straggler": lambda seed, last: FaultPolicy(
+        seed=seed, stragglers=(StragglerFault(rank=last, slowdown=4.0),)
+    ),
+    # Broadcast joins are planned as exchange joins.
+    "pressure": lambda seed, last: FaultPolicy(seed=seed, memory_pressure=True),
+    # Transient drops with the substrate budgets zeroed: the first dropped
+    # operation escapes to the serving layer's retry loop (fresh fault seed
+    # per attempt), or fails the query where there is none.
+    "flaky": lambda seed, last: FaultPolicy(
+        seed=seed, **_DROPS, retry=RetryPolicy(max_attempts=1), max_stage_retries=0
+    ),
+}
+CHAOS_PROFILES = tuple(_PROFILES)
+
+
+def fault_profile(name: str, seed: int, ranks: int) -> FaultPolicy | None:
+    """The policy chaos profile ``name`` injects on a ``ranks``-rank cluster.
+
+    Raises :class:`ValueError` on an unknown name, and on a profile that
+    cannot heal on ``ranks``: a permanent crash needs a survivor.
+    """
+    if name not in _PROFILES:
+        raise ValueError(
+            f"unknown chaos profile {name!r}; pick one of {CHAOS_PROFILES}"
         )
-
-    # -- named profiles ------------------------------------------------------
-    #
-    # The chaos soaks (``repro chaos``, ``repro serve``) name their fault
-    # mixes; these constructors are the single place those names resolve,
-    # so a "crash" soak in the serving layer and in the single-query chaos
-    # CLI mean the same injection.
-
-    @classmethod
-    def transient(cls, seed: int = 2021, rate: float = 0.05, **kwargs) -> "FaultPolicy":
-        """Transient-only chaos: dropped puts/collectives, retried in-substrate."""
-        return cls(
-            seed=seed, put_drop_rate=rate, collective_drop_rate=rate, **kwargs
+    policy = _PROFILES[name](seed, ranks - 1)
+    crash = getattr(policy, "crash", None)
+    if crash is not None and crash.permanent and ranks < 2:
+        raise ValueError(
+            f"chaos profile {name!r} crashes a rank for good and needs a "
+            f"survivor; the cluster has {ranks} rank"
         )
-
-    @classmethod
-    def with_crash(
-        cls,
-        seed: int = 2021,
-        rank: int = 1,
-        after_comm_ops: int = 4,
-        permanent: bool = False,
-        **kwargs,
-    ) -> "FaultPolicy":
-        """One hard rank crash; stage recovery (or n-1 degrade) must heal it."""
-        return cls(
-            seed=seed,
-            crash=CrashFault(
-                rank=rank, after_comm_ops=after_comm_ops, permanent=permanent
-            ),
-            **kwargs,
-        )
-
-    @classmethod
-    def with_stragglers(
-        cls,
-        seed: int = 2021,
-        rank: int = 1,
-        slowdown: float = 4.0,
-        **kwargs,
-    ) -> "FaultPolicy":
-        """One delayed rank: compute-bound work runs ``slowdown``x slower."""
-        return cls(
-            seed=seed, stragglers=(StragglerFault(rank=rank, slowdown=slowdown),),
-            **kwargs,
-        )
-
-
-#: The fault mixes a serving soak (``repro serve``/``repro slo``) can run
-#: under, resolved by :func:`chaos_policy`:
-#:
-#: * ``none`` — no injection.
-#: * ``transient`` — dropped puts/collectives, healed by substrate retry.
-#: * ``crash`` — one rank hard-crash per execution, healed by driver
-#:   stage re-execution.
-#: * ``straggler`` — one delayed rank (tail-latency pressure; no failures).
-#: * ``flaky`` — transient drops with the substrate budgets zeroed out, so
-#:   failures escape to the *server's* retry loop (configure server
-#:   retries or queries fail terminally).
-CHAOS_PROFILES = ("none", "transient", "crash", "straggler", "flaky")
-
-
-def chaos_policy(profile: str, seed: int) -> FaultPolicy | None:
-    """Resolve a chaos profile name to its fault policy."""
-    if profile == "none":
-        return None
-    if profile == "transient":
-        return FaultPolicy.transient(seed=seed, rate=0.05)
-    if profile == "crash":
-        return FaultPolicy.with_crash(seed=seed)
-    if profile == "straggler":
-        return FaultPolicy.with_stragglers(seed=seed)
-    if profile == "flaky":
-        # Substrate retry budgets zeroed: the first dropped operation
-        # escapes to the server, whose retry loop (fresh fault seed per
-        # attempt) is the only thing standing between it and a terminal
-        # failure.
-        return FaultPolicy.transient(
-            seed=seed,
-            rate=0.05,
-            retry=RetryPolicy(max_attempts=1),
-            max_stage_retries=0,
-        )
-    raise ValueError(f"unknown chaos profile {profile!r}")
+    return policy
 
 
 def is_retryable(error: BaseException) -> bool:

@@ -26,8 +26,8 @@ probe, runnable as ``repro serve`` and asserted by the tier-1 tests:
   same :attr:`SoakReport.lifecycle` id sets (the hypothesis sweep in
   ``tests/test_serving_replay.py``).
 
-A soak runs under one of the chaos profiles
-:data:`repro.faults.policy.CHAOS_PROFILES` names.
+A soak runs under one chaos profile
+(:func:`repro.faults.policy.fault_profile`).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.errors import (
     OverloadShedError,
     QueryCancelled,
 )
-from repro.faults.policy import CHAOS_PROFILES, FaultPolicy, RetryPolicy, chaos_policy
+from repro.faults.policy import FaultPolicy, RetryPolicy, fault_profile
 from repro.mpi.cluster import SimCluster
 from repro.observability.slo import SLOConfig, SLOReport
 from repro.observability.tracing import QueryJournal
@@ -88,7 +88,7 @@ class SoakConfig:
     #: Total concurrent submissions (cycled over the query mix).
     n_queries: int = 16
     n_workers: int = 4
-    #: Chaos profile name (:data:`CHAOS_PROFILES`).
+    #: Chaos profile name (:data:`repro.faults.policy.CHAOS_PROFILES`).
     chaos: str = "none"
     seed: int = 2021
     tenants: tuple[tuple[str, float], ...] = DEFAULT_TENANTS
@@ -125,15 +125,8 @@ class SoakConfig:
     slo_objective: float = 0.99
 
     def __post_init__(self) -> None:
-        if self.chaos not in CHAOS_PROFILES:
-            raise ValueError(
-                f"unknown chaos profile {self.chaos!r}; pick one of "
-                f"{CHAOS_PROFILES}"
-            )
-
-    @property
-    def chaos_armed(self) -> bool:
-        return self.chaos != "none"
+        # Refuses an unknown profile, or one this cluster cannot heal.
+        fault_profile(self.chaos, self.seed, self.machines)
 
 
 @dataclass(frozen=True)
@@ -333,7 +326,7 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
     profile = str(config.chaos)
     catalog = load_catalog(config.scale_factor, seed=config.seed)
     cluster = SimCluster(config.machines, seed=config.seed, trace=config.trace)
-    faults = chaos_policy(profile, config.seed)
+    faults = fault_profile(profile, config.seed, config.machines)
     options = RunOptions(metrics=True, faults=faults, profile=config.trace)
     # The serial reference must complete on its own: the flaky profile
     # has no substrate budget left, so its reference runs fault-free

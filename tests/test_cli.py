@@ -46,6 +46,59 @@ class TestParser:
             assert exc_info.value.code == 2, argv
             assert "must be positive" in capsys.readouterr().err, argv
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["chaos", "join", "--seeds", "0"],
+            ["serve", "--queries", "0"],
+            ["slo", "--queries", "0"],
+            ["serve", "--workers", "0"],
+            ["slo", "--workers", "0"],
+        ),
+        ids=("chaos-seeds", "serve-queries", "slo-queries", "serve-workers",
+             "slo-workers"),
+    )
+    def test_counts_must_be_positive(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", (["chaos", "join"], ["sanitize", "join"],
+                                         ["serve"], ["slo"]))
+    def test_negative_seed_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main([*command, "--seed", "-1"])
+        assert exc_info.value.code == 2
+        assert "must be non-negative" in capsys.readouterr().err
+
+    def test_chaos_profile_choices_are_the_one_table(self):
+        from repro.faults.policy import CHAOS_PROFILES
+
+        (commands,) = [
+            a.choices for a in build_parser()._actions if a.dest == "command"
+        ]
+        for command, flag in (
+            ("serve", "--chaos"), ("slo", "--chaos"), ("sanitize", "--policies")
+        ):
+            (action,) = [
+                a for a in commands[command]._actions if flag in a.option_strings
+            ]
+            assert tuple(action.choices) == CHAOS_PROFILES, command
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["sanitize", "q14", "--policies", "degrade", "--machines", "1"],
+            ["serve", "--chaos", "degrade", "--machines", "1"],
+            ["slo", "--chaos", "degrade", "--machines", "1"],
+        ),
+        ids=("sanitize", "serve", "slo"),
+    )
+    def test_a_profile_the_cluster_cannot_heal_is_refused(self, argv, capsys):
+        assert main(argv) == 2
+        assert "needs a survivor" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_tpch_query_runs(self, capsys):

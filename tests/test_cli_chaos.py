@@ -119,15 +119,15 @@ class TestSanitizeCommand:
 
     def test_text_soak_reports_every_cell(self, capsys):
         rc = main(
-            ["sanitize", "join", "q14", "--policies", "clean", "transient",
+            ["sanitize", "join", "q14", "--policies", "none", "transient",
              *self.TINY]
         )
         out = capsys.readouterr().out
         assert rc == 0, out
         rows = [line for line in out.splitlines() if line.startswith("OK ")]
         assert [row.split()[1:3] for row in rows] == [
-            ["join", "policy=clean"], ["join", "policy=transient"],
-            ["q14", "policy=clean"], ["q14", "policy=transient"],
+            ["join", "policy=none"], ["join", "policy=transient"],
+            ["q14", "policy=none"], ["q14", "policy=transient"],
         ]
         assert all("puts" in row and "windows" in row for row in rows)
         assert "sanitize soak: 4/4 clean and bit-identical" in out
@@ -171,7 +171,7 @@ class TestSanitizeCommand:
 
         monkeypatch.setattr(Target, "run", run)
         rc = main(
-            ["sanitize", "join", "--policies", "clean", "--format", fmt,
+            ["sanitize", "join", "--policies", "none", "--format", fmt,
              *self.TINY]
         )
         captured = capsys.readouterr()

@@ -38,6 +38,17 @@ class TestReadme:
             assert hasattr(ops, name), name
 
 
+class TestRobustness:
+    def test_profile_table_lists_the_code_names(self):
+        from repro.faults.policy import CHAOS_PROFILES
+
+        text = read("docs/robustness.md")
+        section = text[text.index("## Chaos profiles") :]
+        section = section[: section.index("\n## ", 1)]
+        listed = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+        assert tuple(listed) == CHAOS_PROFILES
+
+
 class TestDesign:
     def test_bench_targets_exist(self):
         text = read("DESIGN.md")

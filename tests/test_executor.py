@@ -121,10 +121,12 @@ class TestEvidenceBelongsToTheExecution:
 
     def test_interleaved_executions_of_one_plan_keep_their_own_evidence(self):
         from repro.core.executor import execution_steps
-        from repro.faults import FaultPolicy
+        from repro.faults import CrashFault, FaultPolicy
 
         plan, params = self._join()
-        crashing = RunOptions(faults=FaultPolicy.with_crash(seed=3))
+        crashing = RunOptions(
+            faults=FaultPolicy(seed=3, crash=CrashFault(1, after_comm_ops=4))
+        )
         solo = self._finish(execution_steps(plan.root, params, crashing))
         assert solo.fault_summary()["recovery:stage_retry"] == 1
 
@@ -147,7 +149,7 @@ class TestEvidenceBelongsToTheExecution:
     )
     def test_plan_nodes_are_immutable_across_executions(self, name):
         from repro.core.plan import walk
-        from repro.faults import FaultPolicy
+        from repro.faults import CrashFault, FaultPolicy
         from repro.workloads.targets import resolve
 
         def snapshot(root):
@@ -165,7 +167,11 @@ class TestEvidenceBelongsToTheExecution:
         before = snapshot(plan.root)
         report = plan.run(
             *target.inputs,
-            RunOptions(profile=True, metrics=True, faults=FaultPolicy.with_crash()),
+            RunOptions(
+                profile=True,
+                metrics=True,
+                faults=FaultPolicy(crash=CrashFault(1, after_comm_ops=4)),
+            ),
         )
         assert report.fault_summary().get("recovery:stage_retry") == 1
         assert report.cluster_results and report.profile.spans

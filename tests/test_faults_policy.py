@@ -8,7 +8,8 @@ failure preservation.
 import numpy as np
 import pytest
 
-from repro.errors import RankCrashError, TypeCheckError
+from repro.core.options import RunOptions
+from repro.errors import FaultInjectionError, RankCrashError, TypeCheckError
 from repro.faults import (
     CheckpointStore,
     CrashFault,
@@ -17,6 +18,7 @@ from repro.faults import (
     RetryPolicy,
     StragglerFault,
 )
+from repro.faults.policy import CHAOS_PROFILES, fault_profile
 from repro.mpi.cluster import SimCluster
 from repro.types import INT64, RowVector, TupleType
 
@@ -44,15 +46,43 @@ class TestPolicyValidation:
         with pytest.raises(TypeCheckError, match="duplicate"):
             FaultPolicy(stragglers=(StragglerFault(1), StragglerFault(1)))
 
+    def test_negative_seed_rejected(self):
+        # numpy's seed sequence refuses it mid-run otherwise.
+        with pytest.raises(TypeCheckError, match="seed"):
+            FaultPolicy(seed=-5)
+
     def test_backoff_is_exponential(self):
         retry = RetryPolicy(backoff_base=1e-4, backoff_multiplier=2.0)
         assert retry.backoff(1) == pytest.approx(1e-4)
         assert retry.backoff(3) == pytest.approx(4e-4)
 
-    def test_injects_anything(self):
-        assert not FaultPolicy().injects_anything
-        assert FaultPolicy(put_drop_rate=0.1).injects_anything
-        assert FaultPolicy(memory_pressure=True).injects_anything
+
+class TestChaosProfiles:
+    """The one table of named fault mixes every soak and the oracle read."""
+
+    @pytest.mark.parametrize("ranks", (1, 2, 4))
+    @pytest.mark.parametrize("name", CHAOS_PROFILES[1:])
+    def test_every_profile_fires_at_every_cluster_size(self, name, ranks):
+        from repro.workloads.targets import resolve
+
+        if name == "degrade" and ranks == 1:
+            with pytest.raises(ValueError, match="survivor"):
+                fault_profile(name, 2021, ranks)
+            return
+        # Broadcast, so memory pressure has a join to degrade.
+        target = resolve("q14", ranks, sf=0.002, strategy="broadcast", trace=True)
+        # A 5 % drop rate over a one-rank query's few collectives fires
+        # under some seeds only; a profile that can fire does within 16.
+        for seed in range(2021, 2037):
+            options = RunOptions(faults=fault_profile(name, seed, ranks))
+            try:
+                report = target.run(options)
+            except FaultInjectionError:
+                assert name == "flaky"  # a drop escaped its zeroed budget
+                return
+            if report.fault_summary():
+                return
+        pytest.fail(f"{name} never fired on {ranks} rank(s)")
 
 
 class TestInjectorDeterminism:

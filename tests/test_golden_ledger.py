@@ -32,7 +32,7 @@ from repro.core.plans import (
     build_distributed_groupby,
     build_distributed_join,
 )
-from repro.faults.policy import FaultPolicy
+from repro.faults.policy import CrashFault, FaultPolicy
 from repro.mpi import SimCluster
 from repro.relational.optimizer import lower_to_modularis
 from repro.tpch import ALL_QUERIES, load_catalog
@@ -422,7 +422,8 @@ def test_local_level_in_lockstep_matches_rank_threads(builder, lockstep_jobs, mo
 
 
 def test_transient_faults():
-    options = RunOptions(metrics=True, faults=FaultPolicy.transient(seed=3, rate=0.1))
+    policy = FaultPolicy(seed=3, put_drop_rate=0.1, collective_drop_rate=0.1)
+    options = RunOptions(metrics=True, faults=policy)
     report = tpch_report(12, 4, options)
     assert ledger(report) == PINNED["q12-r4-transient"]
 
@@ -456,8 +457,9 @@ def test_aborted_lockstep_wave_matches_rank_threads(permanent, drop_rate, monkey
     """A rank that crashes in a lockstep wave stops there, while its peers
     run on to the next collective, as rank threads do: the aborted
     attempt leaves the same faults, retries and recovery behind."""
-    policy = FaultPolicy.with_crash(
-        rank=2, after_comm_ops=6, permanent=permanent, put_drop_rate=drop_rate
+    policy = FaultPolicy(
+        crash=CrashFault(2, after_comm_ops=6, permanent=permanent),
+        put_drop_rate=drop_rate,
     )
 
     def outcome():

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core.options import RunOptions
 from repro.analysis.runtime import analyze_runtime
-from repro.faults import FaultPolicy
+from repro.faults import CrashFault, FaultPolicy
 from repro.mpi.cluster import SimCluster
 from repro.observability.metrics import (
     Counter,
@@ -340,7 +340,11 @@ class TestReconciliation:
 
     @pytest.mark.parametrize(
         "faults",
-        [None, FaultPolicy.transient(seed=7), FaultPolicy.with_crash()],
+        [
+            None,
+            FaultPolicy(seed=7, put_drop_rate=0.05, collective_drop_rate=0.05),
+            FaultPolicy(crash=CrashFault(1, after_comm_ops=4)),
+        ],
         ids=["clean", "transient", "crash"],
     )
     def test_folded_metrics_equal_the_record(self, catalog, faults):

@@ -47,7 +47,7 @@ from repro.core import plans
 from repro.core.kernels.radix_join import HARD_RANGE_CAP, PASS_RANGE, RADIX_MIN_ROWS
 from repro.core.operators.build_probe import JOIN_TYPES
 from repro.errors import ModularisError
-from repro.faults import FaultPolicy
+from repro.faults.policy import fault_profile
 from repro.mpi.cluster import SimCluster
 from repro.mpi.costmodel import DEFAULT_COST_MODEL
 from repro.relational import lower_to_modularis, run_logical_plan
@@ -66,13 +66,8 @@ from repro.workloads import make_groupby_table, make_join_relations
 
 # -- the lattice ----------------------------------------------------------------
 
-FAULTS = {
-    "none": lambda ranks: None,
-    "transient": lambda ranks: FaultPolicy.transient(),
-    "crash": lambda ranks: FaultPolicy.with_crash(rank=ranks - 1),
-    "straggler": lambda ranks: FaultPolicy.with_stragglers(rank=ranks - 1),
-    "memory_pressure": lambda ranks: FaultPolicy(memory_pressure=True),
-}
+#: The chaos profiles the fault axis draws (:func:`fault_profile` names).
+FAULTS = ("none", "transient", "crash", "straggler", "pressure")
 #: Each kernel's partner in the kernel-independence relation.
 OTHER_KERNEL = {"auto": "radix", "radix": "sorted", "sorted": "auto"}
 
@@ -94,7 +89,8 @@ class Cell:
     def options(self) -> RunOptions:
         return RunOptions(
             mode=self.mode, join_kernel=self.join_kernel,
-            morsel_rows=self.morsel_rows, faults=FAULTS[self.faults](self.ranks),
+            morsel_rows=self.morsel_rows,
+            faults=fault_profile(self.faults, 2021, self.ranks),
         )
 
 
@@ -106,7 +102,7 @@ cells = st.builds(
     ranks=st.sampled_from((1, 2, 3, 4, 8)),
     morsel_rows=st.sampled_from((None, 1, 7, 97)),
     local_fanout=st.sampled_from((None, 1, 4)),
-    faults=st.sampled_from(tuple(FAULTS)),
+    faults=st.sampled_from(FAULTS),
     served=st.booleans(),
 )
 

@@ -248,7 +248,8 @@ class TestPartitionedShapeStaysChecked:
         sanitized, sanitized_frame = run(RunOptions(sanitize=True))
         assert sanitized.sanitizer is not None and sanitized.sanitizer.clean
         assert frames_match(clean_frame, sanitized_frame, tolerance=0.0)
-        faulty, faulty_frame = run(RunOptions(faults=FaultPolicy.transient()))
+        transient = FaultPolicy(put_drop_rate=0.05, collective_drop_rate=0.05)
+        faulty, faulty_frame = run(RunOptions(faults=transient))
         assert frames_match(clean_frame, faulty_frame, tolerance=0.0)
         assert faulty.simulated_time > clean.simulated_time
 

@@ -27,7 +27,7 @@ import pytest
 
 from repro import RunOptions
 from repro.core import lockstep
-from repro.faults import FaultPolicy
+from repro.faults import CrashFault, FaultPolicy
 from repro.mpi.comm import CommWorld
 from repro.workloads.targets import ALL_TARGETS, resolve
 
@@ -100,7 +100,10 @@ def test_grant_order_changes_nothing(name):
 @pytest.mark.parametrize("name", ("join", "q12"))
 @pytest.mark.parametrize(
     "policy",
-    (FaultPolicy.transient(rate=0.2), FaultPolicy.with_crash()),
+    (
+        FaultPolicy(put_drop_rate=0.2, collective_drop_rate=0.2),
+        FaultPolicy(crash=CrashFault(1, after_comm_ops=4)),
+    ),
     ids=("transient", "crash"),
 )
 def test_recovery_does_not_depend_on_grant_order(name, policy):

@@ -103,7 +103,8 @@ class TestChaosProfiles:
 
     def test_profile_names_are_closed(self):
         assert set(CHAOS_PROFILES) == {
-            "none", "transient", "crash", "straggler", "flaky"
+            "none", "transient", "crash", "degrade", "straggler", "pressure",
+            "flaky",
         }
 
     def test_flaky_profile_heals_through_server_retries(self, flaky_report):
