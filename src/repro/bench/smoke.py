@@ -251,7 +251,7 @@ def _serving_probe(scale_factor: float, machines: int, repeats: int) -> dict:
 
     def serve(n_queries: int, deadline: float | None = None, **server_kwargs):
         with Server(
-            cluster, catalog, n_workers=4, max_pending=n_queries * 2,
+            cluster, catalog, max_pending=n_queries * 2,
             **server_kwargs,
         ) as server:
             handles = [

@@ -53,7 +53,8 @@ def _checked(kind, holds, what: str):
 
 _POSITIVE_INT = _checked(int, lambda value: value > 0, "positive")
 _POSITIVE_FLOAT = _checked(float, lambda value: value > 0, "positive")
-_SEED = _checked(int, lambda value: value >= 0, "non-negative")
+_NON_NEGATIVE_INT = _checked(int, lambda value: value >= 0, "non-negative")
+_FRACTION = _checked(float, lambda value: 0 < value <= 1, "in (0, 1]")
 
 
 def _format_parent() -> argparse.ArgumentParser:
@@ -102,12 +103,13 @@ def _serving_parent() -> argparse.ArgumentParser:
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--queries", type=_POSITIVE_INT, default=16,
                         help="concurrent submissions (default: 16)")
-    parent.add_argument("--workers", type=_POSITIVE_INT, default=4,
-                        help="scheduler worker threads (default: 4)")
     parent.add_argument("--sf", type=_POSITIVE_FLOAT, default=0.01,
                         help="TPC-H scale factor (default: 0.01)")
     parent.add_argument("--machines", type=_POSITIVE_INT, default=2)
-    parent.add_argument("--seed", type=_SEED, default=2021)
+    parent.add_argument("--seed", type=_NON_NEGATIVE_INT, default=2021)
+    parent.add_argument("--retries", type=_NON_NEGATIVE_INT, default=0,
+                        help="server-level retry attempts beyond the first "
+                        "(the flaky profile needs >= 1)")
     return parent
 
 
@@ -219,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="builtin plans (join, groupby, broadcast_join, join_sequence), "
         "TPC-H queries (q4, q12, q14, q19), or 'all'",
     )
-    chaos.add_argument("--seed", type=_SEED, default=2021,
+    chaos.add_argument("--seed", type=_NON_NEGATIVE_INT, default=2021,
                        help="first fault-policy seed (default: 2021)")
     chaos.add_argument("--seeds", type=_POSITIVE_INT, default=3,
                        help="number of consecutive seeds to soak (default: 3)")
@@ -270,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="chaos profiles to soak under (default: none transient "
         "degrade pressure)",
     )
-    sanitize.add_argument("--seed", type=_SEED, default=2021,
+    sanitize.add_argument("--seed", type=_NON_NEGATIVE_INT, default=2021,
                           help="fault-policy seed (default: 2021)")
     sanitize.add_argument("--machines", type=_POSITIVE_INT, default=4)
     sanitize.add_argument("--sf", type=_POSITIVE_FLOAT, default=0.005,
@@ -298,14 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the full robustness gauntlet instead of one soak: every "
         "chaos profile plus the poison-plan circuit-breaker scenario",
     )
-    serve.add_argument("--deadline", type=float, default=None,
+    serve.add_argument("--deadline", type=_POSITIVE_FLOAT, default=None,
                        help="simulated-seconds deadline per query")
-    serve.add_argument("--retries", type=int, default=0,
-                       help="server-level retry attempts beyond the first "
-                       "(the flaky profile needs >= 1)")
-    serve.add_argument("--cancel-every", type=int, default=0,
+    serve.add_argument("--cancel-every", type=_NON_NEGATIVE_INT, default=0,
                        help="cancel every k-th submission (0 = never)")
-    serve.add_argument("--shed-threshold", type=float, default=1.0,
+    serve.add_argument("--shed-threshold", type=_FRACTION, default=1.0,
                        help="load-shedding floor as a fraction of the "
                        "admission cap (1.0 disables shedding)")
     serve.add_argument(
@@ -315,14 +314,14 @@ def build_parser() -> argparse.ArgumentParser:
         "trace after the summary",
     )
     serve.add_argument(
-        "--slo-target", type=float, default=None, metavar="SECONDS",
+        "--slo-target", type=_POSITIVE_FLOAT, default=None, metavar="SECONDS",
         help="arm SLO accounting with this per-query simulated-seconds "
         "latency target and report burn rates after the soak",
     )
     serve.add_argument(
         "--chrome-out", metavar="PATH", default=None,
-        help="write the soak's merged chrome://tracing JSON (per-tenant "
-        "and per-worker lanes plus one process per query; implies "
+        help="write the soak's merged chrome://tracing JSON (a scheduler "
+        "lane, per-tenant lanes and one process per query; implies "
         "--trace; in --matrix mode all profiles merge into one file)",
     )
     serve.add_argument(
@@ -337,11 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
         "report per-tenant/per-handle quantiles and burn rates",
     )
     slo.add_argument(
-        "--target", type=float, default=0.01, metavar="SECONDS",
+        "--target", type=_POSITIVE_FLOAT, default=0.01, metavar="SECONDS",
         help="per-query simulated-seconds latency target (default: 0.01)",
     )
     slo.add_argument(
-        "--objective", type=float, default=0.99,
+        "--objective", type=_FRACTION, default=0.99,
         help="fraction of queries that must meet the target (default: 0.99)",
     )
     slo.add_argument(
@@ -349,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=CHAOS_PROFILES,
         help="arm a chaos profile during the SLO soak",
     )
-    slo.add_argument("--retries", type=int, default=0,
-                     help="server-level retry attempts beyond the first")
 
     return parser
 
@@ -691,7 +688,6 @@ def _soak_config(args: argparse.Namespace, **fields):
             scale_factor=args.sf,
             machines=args.machines,
             n_queries=args.queries,
-            n_workers=args.workers,
             chaos=args.chaos,
             seed=args.seed,
             retries=args.retries,
@@ -844,10 +840,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     else:
         print(report.render())
         if args.trace:
-            print("\nscheduler trace (seq worker tenant query):")
+            print("\nscheduler trace (seq tenant query):")
             for event in report.scheduler_events:
                 print(
-                    f"  [{event.seq:>5}] w{event.worker} {event.tenant:<12} "
+                    f"  [{event.seq:>5}] {event.tenant:<12} "
                     f"q{event.query_id} {event.label} "
                     f"({event.trace_id or 'untraced'})"
                 )

@@ -41,11 +41,12 @@ T = TypeVar("T")
 
 
 def share_one_malloc_arena() -> None:
-    """Cap glibc at one malloc arena (M_ARENA_MAX is -8).  Rank jobs walk on
-    the caller's thread, but the serving scheduler's workers and its clients
-    are threads too, and each extra arena keeps its peak temporaries resident:
-    without the cap ``tpch_served_r4`` peaks at about 374 MB instead of 354.
-    Runs at import, before those threads; glibc reuses exited threads' arenas."""
+    """Cap glibc at one malloc arena (M_ARENA_MAX is -8).  Rank jobs and the
+    serving scheduler's steps run on the caller's thread, but a server's
+    clients may be threads, and each extra arena keeps its peak temporaries
+    resident: without the cap ``tpch_served_r4`` peaks at about 374 MB
+    instead of 354.  Runs at import, before those threads; glibc reuses
+    exited threads' arenas."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt(-8, 1)

@@ -202,9 +202,9 @@ def serving_trace_events(
     Lanes (Chrome *processes*), offset by ``pid_base`` so several runs
     (e.g. the profiles of a chaos matrix) can merge into one file:
 
-    * ``pid_base + 1`` — scheduler workers: one thread per worker, one
-      box per pick on the *global step-sequence* axis.  Overlapping
-      boxes of different queries are the interleaving proof, visually.
+    * ``pid_base + 1`` — the scheduler: one lane, one box per pick on
+      the *global step-sequence* axis.  Boxes of different queries
+      alternating are the interleaving proof, visually.
     * ``pid_base + 2`` — tenants: one thread per tenant, one box per
       admitted query spanning ``[first_seq, last_seq]`` (instants for
       shed/rejected submissions that never ran).
@@ -233,7 +233,7 @@ def serving_trace_events(
     spans: list[dict] = []
     #: (pid, tid) tracks of the per-query processes already named.
     named: set[tuple[int, int]] = set()
-    worker_pid = pid_base + 1
+    scheduler_pid = pid_base + 1
     tenant_pid = pid_base + 2
     server_pid = pid_base + 3
 
@@ -243,17 +243,10 @@ def serving_trace_events(
         metadata.append({"ph": "M", "name": "process_sort_index", "pid": pid,
                          "args": {"sort_index": pid}})
 
-    # Scheduler-worker lanes: the step-sequence axis.
-    seen_workers: set[int] = set()
+    # The scheduler lane: the step-sequence axis.
     if scheduler_events:
-        describe(worker_pid, "scheduler workers (step-sequence axis)")
+        describe(scheduler_pid, "scheduler (step-sequence axis)")
     for event in scheduler_events:
-        if event.worker not in seen_workers:
-            seen_workers.add(event.worker)
-            metadata.append(
-                {"ph": "M", "name": "thread_name", "pid": worker_pid,
-                 "tid": event.worker, "args": {"name": f"worker {event.worker}"}}
-            )
         spans.append(
             {
                 "name": f"q{event.query_id} {event.label}",
@@ -261,8 +254,8 @@ def serving_trace_events(
                 "ph": "X",
                 "ts": float(event.seq),
                 "dur": 1.0,
-                "pid": worker_pid,
-                "tid": event.worker,
+                "pid": scheduler_pid,
+                "tid": 0,
                 "args": {
                     "query_id": event.query_id,
                     "tenant": event.tenant,

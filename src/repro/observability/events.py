@@ -152,7 +152,9 @@ class FaultDetail(EventDetail):
     """An injected fault fired: what kind, on which attempt, against whom.
 
     ``fault`` is one of ``put_drop`` | ``collective_drop`` | ``crash`` |
-    ``straggler`` | ``memory_pressure``.
+    ``straggler``.  Memory pressure fires no fault event: the planner
+    answers it before anything runs, and it shows only as the
+    ``broadcast_fallback`` action of a :class:`RecoveryDetail`.
     """
 
     fault: str

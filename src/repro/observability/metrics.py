@@ -94,7 +94,7 @@ METRIC_HELP: dict[str, str] = {
     "serving_handle_settled": "Settled queries considered for SLO burn per handle",
     "serving_in_flight": "Queries admitted and not yet settled",
     "serving_latency_seconds": "End-to-end simulated latency of completed queries per tenant",
-    "serving_quanta": "Scheduler picks (one driver step each) per worker",
+    "serving_quanta": "Scheduler picks (one driver step each)",
     "serving_rejected": "Submissions refused by hard admission control",
     "serving_retries": "Server-level retry attempts after retryable faults",
     "serving_shed": "Submissions refused by load-aware shedding",

@@ -3,17 +3,15 @@
 The driver/executor split of the Modularis reproduction: a
 :class:`Server` admits many concurrent queries — deployed once via the
 ``session → deploy → run`` lifecycle, then advanced one driver step at a
-time by a worker pool sharing one run queue, with stride fair-share
-across tenants and a hard admission bound.  See ``docs/serving.md``.
+time on one run queue by the threads that wait for them, with stride
+fair-share across tenants and a hard admission bound.  See ``docs/serving.md``.
 """
 
 from repro.serving.lifecycle import BreakerConfig, CircuitBreaker
 from repro.serving.registry import (
-    HandleStats,
     PlanRegistry,
     PreparedPlan,
     SchemaContract,
-    handle_stats,
 )
 from repro.serving.scheduler import (
     FairShare,
@@ -39,7 +37,6 @@ __all__ = [
     "BreakerConfig",
     "CircuitBreaker",
     "FairShare",
-    "HandleStats",
     "PlanRegistry",
     "PreparedPlan",
     "QueryFuture",
@@ -54,6 +51,5 @@ __all__ = [
     "SoakReport",
     "TenantAccount",
     "export_soak_artifacts",
-    "handle_stats",
     "run_soak",
 ]

@@ -30,7 +30,7 @@ import itertools
 import operator
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.core.options import RunOptions
 from repro.errors import AdmissionError, SchemaContractError
@@ -41,12 +41,9 @@ from repro.types.tuples import TupleType
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.mpi.cluster import SimCluster
-    from repro.observability.tracing import QueryJournal
     from repro.serving.lifecycle import CircuitBreaker
 
 __all__ = [
-    "HandleStats",
-    "handle_stats",
     "SchemaContract",
     "PreparedPlan",
     "PlanRegistry",
@@ -169,85 +166,6 @@ class PreparedPlan:
 
     def _remember(self, key: tuple, lowered: ModularisQuery) -> None:
         object.__setattr__(self, "_lowered", (key, lowered))
-
-
-class HandleStats:
-    """Observed behaviour of one prepared-plan handle.
-
-    Built by :func:`handle_stats` from settled query journals
-    (:class:`~repro.observability.tracing.QueryJournal`); this is the
-    per-handle view a feedback-driven re-optimizer reads — how often the
-    plan runs, how long it takes end to end, how many attempts and
-    morsel steps it burns, and how it fails.
-    """
-
-    __slots__ = (
-        "handle", "terminals", "attempts", "steps",
-        "simulated_seconds", "latency",
-    )
-
-    def __init__(self, handle: str) -> None:
-        from repro.observability.metrics import Histogram
-        from repro.observability.slo import SERVING_LATENCY_BOUNDS
-
-        self.handle = handle
-        #: terminal state -> count (completed/cancelled/…/shed/rejected).
-        self.terminals: dict[str, int] = {}
-        self.attempts = 0
-        self.steps = 0
-        #: Simulated seconds of *completed* runs (end to end, retries in).
-        self.simulated_seconds = 0.0
-        #: Latency distribution of completed runs.
-        self.latency = Histogram(SERVING_LATENCY_BOUNDS)
-
-    @property
-    def runs(self) -> int:
-        return self.terminals.get("completed", 0)
-
-    def observe(self, journal: "QueryJournal") -> None:
-        self.terminals[journal.terminal] = (
-            self.terminals.get(journal.terminal, 0) + 1
-        )
-        self.attempts += journal.attempts
-        self.steps += journal.steps
-        if journal.terminal == "completed":
-            self.simulated_seconds += journal.total_seconds
-            self.latency.observe(journal.total_seconds)
-
-    def as_dict(self) -> dict:
-        return {
-            "handle": self.handle,
-            "terminals": dict(sorted(self.terminals.items())),
-            "runs": self.runs,
-            "attempts": self.attempts,
-            "steps": self.steps,
-            "simulated_seconds": self.simulated_seconds,
-            "latency_p50": self.latency.quantile(0.50),
-            "latency_p95": self.latency.quantile(0.95),
-            "latency_p99": self.latency.quantile(0.99),
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"HandleStats({self.handle!r}, runs={self.runs}, "
-            f"attempts={self.attempts})"
-        )
-
-
-def handle_stats(journals: Iterable["QueryJournal"]) -> dict[str, HandleStats]:
-    """Per-handle statistics folded from the settled journals given.
-
-    Every terminal state counts (shed/rejected submissions that never
-    ran included), so the view reflects demand as well as execution;
-    journals still in flight are skipped.
-    """
-    stats: dict[str, HandleStats] = {}
-    for journal in journals:
-        if journal.terminal:
-            if journal.handle not in stats:
-                stats[journal.handle] = HandleStats(journal.handle)
-            stats[journal.handle].observe(journal)
-    return stats
 
 
 class PlanRegistry:

@@ -1,30 +1,34 @@
-"""One run queue, stepped by a worker pool, with stride fair-share.
+"""One run queue, stepped by the threads that wait on it; stride fair-share.
 
 The driver/executor split gives every admitted query a *stepwise*
 execution generator (:func:`repro.core.executor.execution_steps` via
 :meth:`ModularisQuery.execution`): each ``next()`` advances the query by
 one driver step.  That makes the driver step the preemption unit — "The
 Case for Deep Query Optimisation" argues morsel granularity is the right
-level for exactly this kind of scheduling — and lets a small pool of
-driver workers interleave arbitrarily many queries without
-threads-per-query or cooperative timeouts.
+level for exactly this kind of scheduling — and lets the driver
+interleave arbitrarily many queries without threads-per-query or
+cooperative timeouts.
 
-Structure:
+The scheduler starts no thread.  As in the paper, the driver runs on
+the caller's own machine: a thread waiting for a query
+(:meth:`Scheduler.run_until`, behind ``QueryFuture.result``,
+``Server.run``, ``drain`` and ``close``) steps the run queue until what
+it waits for has settled.  A query therefore advances only while some
+thread waits on the server.  Each step:
 
-* one run queue of runnable tasks, shared by ``n_workers`` threads;
-* a free worker pops the task whose tenant has the lowest stride pass
-  (fair share), the first in queue order among equals;
-* it advances that task by exactly one driver step, then puts it back
-  at the tail or finishes it (resolving its future);
-* a worker sleeps only when nothing is runnable.
+* pops the task whose tenant has the lowest stride pass (fair share),
+  the first in queue order among equals;
+* advances that task by exactly one driver step, after its cancel and
+  deadline checks;
+* puts it back at the tail or finishes it (resolving its future).
 
 Every pick takes the next number of one step-sequence counter: it is
 the :attr:`SchedulerEvent.seq` of that pick and widens the task's
 ``[first_seq, last_seq]`` span, so events and query spans share one axis.
 
-A task lives in the queue or in one worker's hands at any moment, so its
-generator is only ever advanced by one thread at a time — generators
-need no locking under that discipline.  Each query's execution owns a
+One step runs at a time, whichever thread runs it, so a generator is
+never advanced by two threads at once — generators need no locking
+under that discipline.  Each query's execution owns a
 private context/clock and every ``SimCluster.run`` call builds a fresh
 ``CommWorld``, so interleavings cannot affect results (asserted
 bit-identical by the soak tests).
@@ -154,7 +158,6 @@ class SchedulerEvent:
     """
 
     seq: int
-    worker: int
     query_id: int
     tenant: str
     label: str
@@ -168,114 +171,99 @@ class SchedulerEvent:
 
 
 class Scheduler:
-    """Interleave stepwise query executions across a worker-thread pool."""
+    """Interleave stepwise query executions on the threads that wait."""
 
     def __init__(
         self,
-        n_workers: int = 4,
         metrics: "MetricsRegistry | None" = None,
         fairshare: FairShare | None = None,
     ) -> None:
-        if n_workers < 1:
-            raise ValueError(f"need at least one worker, got {n_workers}")
-        self.n_workers = n_workers
         self.metrics = metrics
         self.fairshare = fairshare if fairshare is not None else FairShare()
         #: Runnable tasks in admission order; a stepped task rejoins at
         #: the tail.
         self._queue: list[QueryTask] = []
-        #: Guards the queue and counters; notified when a task is queued,
-        #: when the last in-flight task settles and at shutdown.
-        self._changed = threading.Condition()
+        #: Guards the queue, the in-flight count and the trace.  Never
+        #: held across a driver step, so ``submit`` and ``pending`` never
+        #: wait behind one.
+        self._lock = threading.Lock()
+        #: Held across one pick, its driver step and its record: one
+        #: driver step runs at a time, whichever thread runs it.
+        self._stepping = threading.Lock()
         self._in_flight = 0
-        self._shutdown = False
-        self._threads: list[threading.Thread] = []
         self._seq = itertools.count()
-        #: One event per pick, in completion order.
+        #: One event per pick, in pick order.
         self.trace: list[SchedulerEvent] = []
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def start(self) -> None:
-        """Spawn the worker pool (idempotent)."""
-        if self._threads:
-            return
-        for worker_id in range(self.n_workers):
-            thread = threading.Thread(
-                target=self._worker_loop,
-                args=(worker_id,),
-                name=f"serve-worker-{worker_id}",
-                daemon=True,
-            )
-            self._threads.append(thread)
-            thread.start()
-
-    def close(self) -> None:
-        """Stop the pool after in-flight work drains.
-
-        A pool that was never started cannot make progress on pending
-        tasks, so closing one skips the drain (their futures stay
-        unresolved) instead of deadlocking on work no thread will run.
-        """
-        if self._threads:
-            self.drain()
-        with self._changed:
-            self._shutdown = True
-            self._changed.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=60)
-        self._threads.clear()
-
-    def drain(self) -> None:
-        """Block until every submitted task has completed."""
-        with self._changed:
-            self._changed.wait_for(lambda: self._in_flight == 0)
 
     # -- submission ---------------------------------------------------------
 
     def submit(self, task: QueryTask) -> None:
         """Admit a task to the tail of the run queue."""
         self.fairshare.register(task.tenant, self.fairshare.weight_of(task.tenant))
-        with self._changed:
-            if self._shutdown:
-                raise RuntimeError("scheduler is shut down")
+        with self._lock:
             self._queue.append(task)
             self._in_flight += 1
-            self._changed.notify_all()
             if self.metrics is not None:
                 self.metrics.counter("serving_submitted", tenant=task.tenant).inc()
 
     def pending(self) -> int:
         """Tasks admitted but not yet completed (queued or mid-step)."""
-        with self._changed:
+        with self._lock:
             return self._in_flight
 
-    # -- the worker loop ----------------------------------------------------
+    # -- stepping -----------------------------------------------------------
 
-    def _worker_loop(self, worker_id: int) -> None:
-        while True:
-            with self._changed:
-                self._changed.wait_for(lambda: self._queue or self._shutdown)
-                if not self._queue:
-                    return
-                # A linear pass is fine: the queue is bounded by admission
-                # control, and ``min`` keeps the first of equal passes.
-                index = min(
-                    range(len(self._queue)),
-                    key=lambda i: self.fairshare.pass_of(self._queue[i].tenant),
-                )
-                task = self._queue.pop(index)
-                seq = next(self._seq)
-                if task.first_seq < 0:
-                    task.first_seq = seq
-                task.last_seq = seq
-            if task.started_wall == 0.0:
-                task.started_wall = time.perf_counter()
-            steps = 0
+    def run_until(
+        self, done: Callable[[], bool], timeout: float | None = None
+    ) -> bool:
+        """Step the run queue on the calling thread until ``done()`` holds.
+
+        ``timeout`` bounds the wait in wall-clock seconds; it is checked
+        between steps, so ``0`` takes no step.  Returns ``False`` if it
+        expired first.
+        """
+        end = None if timeout is None else time.perf_counter() + timeout
+        while not done():
+            wait = -1.0 if end is None else end - time.perf_counter()
+            if end is not None and wait <= 0:
+                return False
+            if not self._stepping.acquire(timeout=wait):
+                return False
             try:
-                steps = self._step(task)
+                if not done() and not self._step_next():
+                    raise RuntimeError("nothing runnable, yet the wait is not over")
             finally:
-                self._record(worker_id, seq, task, steps)
+                self._stepping.release()
+        return True
+
+    def drain(self) -> None:
+        """Step until every submitted task has completed."""
+        self.run_until(lambda: self.pending() == 0)
+
+    def _step_next(self) -> bool:
+        """Pick, step and record one task; ``False`` if none is queued."""
+        with self._lock:
+            if not self._queue:
+                return False
+            # A linear pass is fine: the queue is bounded by admission
+            # control, and ``min`` keeps the first of equal passes.
+            index = min(
+                range(len(self._queue)),
+                key=lambda i: self.fairshare.pass_of(self._queue[i].tenant),
+            )
+            task = self._queue.pop(index)
+            seq = next(self._seq)
+        if task.first_seq < 0:
+            task.first_seq = seq
+        task.last_seq = seq
+        if task.started_wall == 0.0:
+            task.started_wall = time.perf_counter()
+        steps = 0
+        try:
+            steps = self._step(task)
+        finally:
+            self._record(seq, task, steps)
+        return True
 
     def _check_lifecycle(self, task: QueryTask) -> None:
         """Raise the cooperative lifecycle verdicts (cancel, deadline).
@@ -327,14 +315,13 @@ class Scheduler:
         task.steps_done += 1
         return 1
 
-    def _record(self, worker_id: int, seq: int, task: QueryTask, steps: int) -> None:
+    def _record(self, seq: int, task: QueryTask, steps: int) -> None:
         """Charge and trace one pick, then requeue or retire its task."""
         self.fairshare.charge(task.tenant, steps)
-        with self._changed:
+        with self._lock:
             self.trace.append(
                 SchedulerEvent(
                     seq=seq,
-                    worker=worker_id,
                     query_id=task.query_id,
                     tenant=task.tenant,
                     label=task.label,
@@ -348,7 +335,7 @@ class Scheduler:
                 # the independent witness the soak checks the query
                 # journals against.
                 self.metrics.counter("serving_steps", tenant=task.tenant).add(steps)
-                self.metrics.counter("serving_quanta", worker=str(worker_id)).inc()
+                self.metrics.counter("serving_quanta").inc()
                 if task.done and task.error is None:
                     # Success only; cancelled/deadline-missed/failed outcomes
                     # are classified and counted by the server's on_done.
@@ -357,7 +344,5 @@ class Scheduler:
                     ).inc()
             if task.done:
                 self._in_flight -= 1
-                if self._in_flight == 0:
-                    self._changed.notify_all()
             else:
                 self._queue.append(task)

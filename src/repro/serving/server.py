@@ -3,7 +3,8 @@
 The :class:`Server` is the driver half of the driver/executor split.  It
 owns one shared :class:`~repro.mpi.cluster.SimCluster` (the executor
 substrate), one :class:`~repro.serving.registry.PlanRegistry` of deployed
-plans, one :class:`~repro.serving.scheduler.Scheduler`, and
+plans, one :class:`~repro.serving.scheduler.Scheduler` (a run queue
+stepped by the threads that wait on it; the server starts none), and
 one :class:`~repro.observability.tracing.QueryJournal` per submission.
 
 The journal is the only record of a submission's fate: it is written
@@ -40,7 +41,7 @@ The client surface is :class:`QuerySession` — ``session → deploy → run``:
 
     server = Server(cluster, catalog, max_pending=32)
     session = server.session("analytics", weight=2.0)
-    handle = session.deploy("q12", q12())          # verify + freeze once
+    handle = session.deploy("q12", q12()).handle   # verify + freeze once
     outcome = session.run(handle)                  # hot path, many times
     frame = outcome.frame
 """
@@ -65,7 +66,6 @@ from repro.errors import (
     QueryCancelled,
     ResultTimeout,
     RetriesExhausted,
-    ServingError,
 )
 from repro.faults.policy import RetryPolicy, is_retryable
 from repro.mpi.trace import TraceEvent
@@ -114,21 +114,23 @@ class QueryOutcome:
 
 
 class QueryFuture:
-    """Handle to an in-flight query; ``result()`` blocks for the outcome."""
+    """Handle to an in-flight query; ``result()`` steps it to its outcome."""
 
-    def __init__(self, query_id: int, tenant: str, handle: str) -> None:
+    def __init__(
+        self, query_id: int, tenant: str, handle: str, scheduler: Scheduler
+    ) -> None:
         self.query_id = query_id
         self.tenant = tenant
         self.handle = handle
+        self._scheduler = scheduler
         #: Shared with every scheduler attempt of this query, so a cancel
         #: lands no matter which retry attempt is currently running.
         self._cancel = threading.Event()
-        self._event = threading.Event()
         self._outcome: QueryOutcome | None = None
         self._error: BaseException | None = None
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._outcome is not None or self._error is not None
 
     def cancel(self) -> bool:
         """Request cooperative cancellation of this query.
@@ -151,19 +153,22 @@ class QueryFuture:
         return self._cancel.is_set()
 
     def result(self, timeout: float | None = None) -> QueryOutcome:
-        """Block for the outcome.
+        """Step the server's run queue on this thread until this query
+        settles, then return its outcome.
 
-        ``timeout`` is a *wall-clock* bound on this wait (the caller's
-        patience), unrelated to the query's simulated-clock ``deadline``;
-        expiring raises :class:`~repro.errors.ResultTimeout` and leaves
-        the query running.  A settled failure re-raises its typed error
-        (:class:`~repro.errors.QueryCancelled`,
+        The steps go to whichever query the stride pick favours, not
+        only this one.  ``timeout`` is a *wall-clock* bound on this wait
+        (the caller's patience), checked between driver steps and
+        unrelated to the query's simulated-clock ``deadline``; expiring
+        raises :class:`~repro.errors.ResultTimeout` and leaves the query
+        pending (``timeout=0`` takes no step).  A settled failure
+        re-raises its typed error (:class:`~repro.errors.QueryCancelled`,
         :class:`~repro.errors.DeadlineExceeded`,
         :class:`~repro.errors.RetriesExhausted`, …).
         """
-        if not self._event.wait(timeout):
+        if not self._scheduler.run_until(self.done, timeout):
             raise ResultTimeout(
-                f"query {self.query_id} ({self.handle}) still running after "
+                f"query {self.query_id} ({self.handle}) still pending after "
                 f"a {timeout}s wall-clock wait; the query itself is "
                 f"unaffected (cancel() to stop it)",
                 query_id=self.query_id,
@@ -172,8 +177,6 @@ class QueryFuture:
             )
         if self._error is not None:
             raise self._error
-        if self._outcome is None:
-            raise ServingError(f"query {self.query_id} settled without an outcome")
         return self._outcome
 
     def _resolve(
@@ -181,7 +184,6 @@ class QueryFuture:
     ) -> None:
         self._outcome = outcome
         self._error = error
-        self._event.set()
 
 
 @dataclass(frozen=True)
@@ -302,17 +304,20 @@ class Server:
         self,
         cluster: "SimCluster",
         catalog: "Catalog",
-        n_workers: int = 4,
+        n_workers: int | None = None,
         max_pending: int = 64,
         retry: RetryPolicy | None = None,
         breaker: BreakerConfig | None = None,
         shed_threshold: float = 1.0,
-        start: bool = True,
         slo: SLOConfig | None = None,
     ) -> None:
         """Args beyond the obvious:
 
         Args:
+            n_workers: Accepted and ignored.  The server starts no
+                thread: a query advances on the threads that wait for
+                it (:meth:`QueryFuture.result`, :meth:`run`,
+                :meth:`drain`, :meth:`close`).
             retry: Server-level retry budget for queries failing with
                 *retryable* faults (:func:`repro.faults.policy.is_retryable`);
                 attempt ``k`` re-runs the immutable prepared plan with the
@@ -328,10 +333,6 @@ class Server:
                 weight-proportional slot entitlement is shed.  The default
                 of ``1.0`` disables shedding (the hard cap fires first);
                 overload-hardened deployments pass e.g. ``0.75``.
-            start: Start the scheduler pool immediately.  Pass ``False``
-                and call :meth:`start` later to make submission-time
-                decisions (shedding) independent of execution timing —
-                the soak harness does this for exact replayability.
             slo: Latency objectives to account against.  When set,
                 completed queries slower than their tenant's target — and
                 every failed or deadline-missed query — burn the error
@@ -357,7 +358,7 @@ class Server:
         #: itself never writes to it.
         self.metrics = MetricsRegistry()
         #: Owns the tenant weights (``scheduler.fairshare``).
-        self.scheduler = Scheduler(n_workers=n_workers, metrics=self.metrics)
+        self.scheduler = Scheduler(metrics=self.metrics)
         self._query_ids = itertools.count(1)
         self.slo = slo
         #: Trace-id allocation counter; separate from ``_query_ids`` so
@@ -366,33 +367,28 @@ class Server:
         self._submissions = itertools.count(1)
         #: Every journal ever minted, in submission order.
         self.journals: list[QueryJournal] = []
-        self._journal_lock = threading.Lock()
         self._closed = False
         #: Unsettled futures by query id (for :meth:`cancel` and the
         #: per-tenant in-flight count admission reads).
         self._inflight: dict[int, QueryFuture] = {}
-        self._inflight_lock = threading.Lock()
+        #: Guards ``journals`` and ``_inflight`` against client threads
+        #: submitting while a waiter's step settles a query.
+        self._lock = threading.Lock()
         #: Circuit-breaker edges ``(handle, old, new)`` in arrival order —
         #: per handle, not per submission, so no journal holds them.
         self.breaker_transitions: list[tuple[str, str, str]] = []
         self.register_tenant("default", 1.0)
-        if start:
-            self.start()
 
     # -- lifecycle ----------------------------------------------------------
 
-    def start(self) -> None:
-        """Start the scheduler pool (idempotent)."""
-        self.scheduler.start()
-
     def close(self) -> None:
-        """Drain in-flight queries and stop the scheduler pool."""
-        if self._closed:
-            return
+        """Refuse new submissions and step every pending query to its
+        settlement."""
         self._closed = True
-        self.scheduler.close()
+        self.drain()
 
     def drain(self) -> None:
+        """Step the run queue on this thread until nothing is pending."""
         self.scheduler.drain()
 
     def __enter__(self) -> "Server":
@@ -474,7 +470,7 @@ class Server:
         options: RunOptions | None = None,
         deadline: float | None = None,
     ) -> QueryFuture:
-        """Admit one run of a deployed plan; returns immediately.
+        """Admit one run of a deployed plan; returns without taking a step.
 
         Args:
             deadline: Simulated-seconds budget for the query (the axis of
@@ -512,7 +508,7 @@ class Server:
             journal.note("submitted", deadline=deadline)
         else:
             journal.note("submitted")
-        with self._journal_lock:
+        with self._lock:
             self.journals.append(journal)
         breaker = self.registry.breaker_for(
             prepared.handle,
@@ -540,7 +536,7 @@ class Server:
                     1,
                     int(self.max_pending * weights[tenant] / sum(weights.values())),
                 )
-                with self._inflight_lock:
+                with self._lock:
                     in_flight = sum(
                         1 for f in self._inflight.values() if f.tenant == tenant
                     )
@@ -559,7 +555,7 @@ class Server:
                     )
             run_options = options if options is not None else prepared.defaults
             query_id = next(self._query_ids)
-            future = QueryFuture(query_id, tenant, prepared.handle)
+            future = QueryFuture(query_id, tenant, prepared.handle, self.scheduler)
             journal.query_id = query_id
             journal.note("admitted", query_id=query_id)
             # Build the first attempt before handing anything to the
@@ -575,7 +571,7 @@ class Server:
             except BaseException as exc:
                 self._settle(journal, "rejected", type(exc).__name__)
                 raise
-            with self._inflight_lock:
+            with self._lock:
                 self._inflight[query_id] = future
             self.scheduler.submit(task)
             admitted = True
@@ -594,7 +590,7 @@ class Server:
         timeout: float | None = None,
         deadline: float | None = None,
     ) -> QueryOutcome:
-        """Submit and block for the outcome."""
+        """Submit, then step the run queue until the query settles."""
         future = self.submit(
             handle, tenant=tenant, options=options, deadline=deadline
         )
@@ -605,7 +601,7 @@ class Server:
 
         Returns ``False`` for unknown or already-settled queries.
         """
-        with self._inflight_lock:
+        with self._lock:
             future = self._inflight.get(query_id)
         if future is None:
             return False
@@ -820,13 +816,13 @@ class Server:
         )
         journal.wall_seconds = time.perf_counter() - journal._wall_start
         if task is not None:
-            with self._inflight_lock:
+            with self._lock:
                 self._inflight.pop(task.query_id, None)
 
     # -- observability: folds over the journals -----------------------------
 
     def _journals(self) -> list[QueryJournal]:
-        with self._journal_lock:
+        with self._lock:
             return list(self.journals)
 
     @property

@@ -87,7 +87,6 @@ class SoakConfig:
     machines: int = 2
     #: Total concurrent submissions (cycled over the query mix).
     n_queries: int = 16
-    n_workers: int = 4
     #: Chaos profile name (:data:`repro.faults.policy.CHAOS_PROFILES`).
     chaos: str = "none"
     seed: int = 2021
@@ -100,7 +99,7 @@ class SoakConfig:
     #: disables; misses settle as ``deadline_missed``).
     deadline: float | None = None
     #: Cancel every k-th submission (0 disables).  Cancels are issued
-    #: before the scheduler starts, so the cancelled id set is exact.
+    #: before any query takes a step, so the cancelled id set is exact.
     cancel_every: int = 0
     #: Server-level retry attempts beyond the first (0 disables server
     #: retries; the ``flaky`` profile needs >= 1 to heal).
@@ -263,8 +262,7 @@ class SoakReport:
     def render(self) -> str:
         lines = [
             f"serving soak: {self.config.n_queries} queries "
-            f"(chaos={self.config.chaos}), "
-            f"{self.config.n_workers} workers",
+            f"(chaos={self.config.chaos})",
             f"  bit-identical to serial: {self.bit_identical} "
             f"({len(self.results)} completed)",
             f"  wall: serial {self.serial_wall:.3f}s, "
@@ -317,8 +315,9 @@ def _assignments(config: SoakConfig) -> list[tuple[str, str]]:
 def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
     """Deploy the mix, run it serially, then concurrently, and compare.
 
-    Submissions (and any ``cancel_every`` cancellations) happen *before*
-    the scheduler pool starts, so every admission-time decision — shed,
+    Submissions (and any ``cancel_every`` cancellations) all happen
+    before this thread waits on the first future, and only a waiting
+    thread steps the run queue, so every admission-time decision — shed,
     reject, breaker — depends only on the submission sequence, never on
     execution timing; that is what makes :attr:`SoakReport.lifecycle`
     exactly replayable.
@@ -350,7 +349,6 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
     with Server(
         cluster,
         catalog,
-        n_workers=config.n_workers,
         max_pending=(
             config.max_pending
             if config.max_pending is not None
@@ -358,7 +356,6 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
         ),
         retry=retry,
         shed_threshold=config.shed_threshold,
-        start=False,
         slo=slo,
     ) as server:
         for tenant, weight in config.tenants:
@@ -409,7 +406,6 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
             if config.cancel_every and (index + 1) % config.cancel_every == 0:
                 future.cancel()
             submissions.append((index, name, tenant, future))
-        server.start()
 
         outcomes: list[tuple[str, QueryOutcome]] = []
         for index, name, tenant, future in submissions:
@@ -484,9 +480,6 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
             )
             for tenant, _ in config.tenants
         }
-        # The worker that resolved the last future may still be posting
-        # its pick to the scheduler's counters.
-        server.drain()
         scheduler_steps = server.snapshot().by_label("serving_steps", "tenant")
         journals = tuple(server.journals)
         scheduler_events = tuple(server.scheduler.trace)
@@ -561,8 +554,8 @@ def export_soak_artifacts(
 ) -> dict[str, int]:
     """Write a soak's (or a whole matrix's) observability artifacts.
 
-    ``chrome_out`` gets one merged Chrome trace — per-tenant and
-    per-worker lanes plus one process per query (see
+    ``chrome_out`` gets one merged Chrome trace — a scheduler lane,
+    per-tenant lanes and one process per query (see
     :func:`~repro.observability.chrome_trace.serving_trace_events`) —
     with each matrix profile offset to its own pid range and labelled.
     ``journal_out`` gets the journal JSON (non-canonical form, i.e.
@@ -670,7 +663,6 @@ def breaker_scenario(
     with Server(
         cluster,
         catalog,
-        n_workers=2,
         retry=RetryPolicy(max_attempts=2),
         breaker=BreakerConfig(failure_threshold=2, cooldown=2),
     ) as server:

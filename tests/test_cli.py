@@ -52,17 +52,36 @@ class TestParser:
             ["chaos", "join", "--seeds", "0"],
             ["serve", "--queries", "0"],
             ["slo", "--queries", "0"],
-            ["serve", "--workers", "0"],
-            ["slo", "--workers", "0"],
         ),
-        ids=("chaos-seeds", "serve-queries", "slo-queries", "serve-workers",
-             "slo-workers"),
+        ids=("chaos-seeds", "serve-queries", "slo-queries"),
     )
     def test_counts_must_be_positive(self, argv, capsys):
         with pytest.raises(SystemExit) as exc_info:
             main(argv)
         assert exc_info.value.code == 2
         assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("argv", "what"),
+        (
+            (["serve", "--retries", "-1"], "non-negative"),
+            (["slo", "--retries", "-1"], "non-negative"),
+            (["serve", "--cancel-every", "-2"], "non-negative"),
+            (["serve", "--deadline", "-1"], "positive"),
+            (["serve", "--slo-target", "-1"], "positive"),
+            (["slo", "--target", "-1"], "positive"),
+            (["serve", "--shed-threshold", "0"], "in (0, 1]"),
+            (["slo", "--objective", "1.5"], "in (0, 1]"),
+        ),
+        ids=("serve-retries", "slo-retries", "serve-cancel-every",
+             "serve-deadline", "serve-slo-target", "slo-target",
+             "serve-shed-threshold", "slo-objective"),
+    )
+    def test_serving_knobs_are_checked_at_parse_time(self, argv, what, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        assert f"must be {what}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", (["chaos", "join"], ["sanitize", "join"],
                                          ["serve"], ["slo"]))

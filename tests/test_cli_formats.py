@@ -198,7 +198,7 @@ class TestChaosJson:
 class TestSloCommand:
     def test_slo_text_reports_quantiles(self, capsys):
         code = main(
-            ["slo", "--queries", "6", "--sf", "0.002", "--workers", "2",
+            ["slo", "--queries", "6", "--sf", "0.002",
              "--target", "10"]
         )
         assert code == 0
@@ -209,7 +209,7 @@ class TestSloCommand:
 
     def test_slo_json_burns_on_tight_target(self, capsys):
         code = main(
-            ["slo", "--queries", "6", "--sf", "0.002", "--workers", "2",
+            ["slo", "--queries", "6", "--sf", "0.002",
              "--target", "1e-9", "--format", "json"]
         )
         assert code == 1
@@ -225,7 +225,7 @@ class TestServeArtifacts:
         chrome = tmp_path / "trace.json"
         journals = tmp_path / "journals.json"
         code = main(
-            ["serve", "--queries", "4", "--sf", "0.002", "--workers", "2",
+            ["serve", "--queries", "4", "--sf", "0.002",
              "--chrome-out", str(chrome), "--journal-out", str(journals),
              "--format", "json"]
         )

@@ -153,7 +153,7 @@ class TestServingExport:
 
         return run_soak(
             SoakConfig(
-                scale_factor=0.002, n_queries=4, n_workers=2,
+                scale_factor=0.002, n_queries=4,
                 trace=True, verify_frames=False,
             )
         )
@@ -177,7 +177,7 @@ class TestServingExport:
         events = payload["traceEvents"]
         assert len(events) == count
         pids = {e["pid"] for e in events}
-        # Scheduler-worker and tenant lanes plus one process per query.
+        # The scheduler and tenant lanes plus one process per query.
         assert 1 in pids and 2 in pids
         assert {10 + i for i in range(len(queries))} <= pids
         by_trace = {j.trace_id for j in report.journals}

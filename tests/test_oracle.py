@@ -139,7 +139,7 @@ def logical_case(
     def prepare(cell: Cell) -> Runner:
         options = cell.options()
         if cell.served:
-            server = Server(SimCluster(cell.ranks), catalog(), n_workers=1)
+            server = Server(SimCluster(cell.ranks), catalog())
             try:
                 handle = server.deploy(
                     "oracle", plan, join_strategy=cell.strategy, defaults=options

@@ -167,13 +167,9 @@ class TestPlanRegistry:
             prepared.handle = "other"
 
 
-def _counting_task(query_id, tenant, n_steps, log=None, delay=0.0):
+def _counting_task(query_id, tenant, n_steps, log=None):
     def steps():
         for i in range(n_steps):
-            if delay:
-                import time
-
-                time.sleep(delay)
             yield i
         return f"done-{query_id}"
 
@@ -211,20 +207,33 @@ class TestFairShare:
 
 class TestScheduler:
     def test_runs_tasks_to_completion(self):
-        # More workers than cores and a tiny switch interval: a lost
-        # update to the shared queue or counters breaks the totals below.
+        # Eight caller threads race to submit and to step the one run
+        # queue under a tiny switch interval: a lost update to the queue
+        # or the counters, or two steps at once, breaks the totals below.
         metrics = MetricsRegistry()
-        scheduler = Scheduler(n_workers=8, metrics=metrics)
+        scheduler = Scheduler(metrics=metrics)
         log = []
+
+        def caller(c):
+            mine = [
+                _counting_task(3 * c + i, f"t{i}", n_steps=5, log=log)
+                for i in range(3)
+            ]
+            for task in mine:
+                scheduler.submit(task)
+            scheduler.run_until(lambda: all(task.done for task in mine))
+
+        callers = [threading.Thread(target=caller, args=(c,)) for c in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            scheduler.start()
-            for i in range(24):
-                scheduler.submit(_counting_task(i, f"t{i % 3}", n_steps=5, log=log))
-            scheduler.close()
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
         assert sorted(r for _, r, _ in log) == sorted(f"done-{i}" for i in range(24))
         assert all(e is None for _, _, e in log)
         assert scheduler.pending() == 0
@@ -233,25 +242,25 @@ class TestScheduler:
         # Each task: 5 yields + the completing next() count as steps.
         assert snap.total("serving_steps") == 24 * 6
         assert snap.total("serving_quanta") == 24 * 6
-        assert sorted(e.seq for e in scheduler.trace) == list(range(24 * 6))
+        # One step at a time: the trace is in pick order.
+        assert [e.seq for e in scheduler.trace] == list(range(24 * 6))
 
     def test_errors_delivered_not_raised_in_worker(self):
         def exploding():
             yield 0
             raise RuntimeError("boom")
 
-        scheduler = Scheduler(n_workers=1)
+        scheduler = Scheduler()
         log = []
         task = QueryTask(query_id=1, tenant="default", label="x", steps=exploding())
         task.on_done = lambda t, r, e: log.append(e)
-        scheduler.start()
         scheduler.submit(task)
-        scheduler.close()
+        scheduler.drain()
         assert len(log) == 1 and isinstance(log[0], RuntimeError)
 
     def test_quantum_interleaves_two_tasks(self):
-        # One worker, one driver step per pick: two tasks must alternate,
-        # which is the step-level preemption the serving layer is built on.
+        # One driver step per pick: two tasks must alternate, which is
+        # the step-level preemption the serving layer is built on.
         order = []
 
         def tracked(tag, n):
@@ -260,41 +269,27 @@ class TestScheduler:
                 yield i
             return tag
 
-        scheduler = Scheduler(n_workers=1)
+        scheduler = Scheduler()
         scheduler.submit(QueryTask(1, "default", "a", tracked("a", 4)))
         scheduler.submit(QueryTask(2, "default", "b", tracked("b", 4)))
-        scheduler.start()
-        scheduler.close()
+        scheduler.drain()
         # Strict round-robin is not guaranteed, but both tags must appear
         # before either finishes (no run-to-completion).
         first_b = order.index("b")
         last_a = len(order) - 1 - order[::-1].index("a")
         assert first_b < last_a, order
 
-    def test_steals_counted(self):
-        # Every task is queued before the pool starts; the per-step sleep
-        # releases the GIL, so the other workers pick from the one run
-        # queue while the first is mid-step.
-        scheduler = Scheduler(n_workers=4)
-        for i in range(8):
-            scheduler.submit(_counting_task(i, "default", n_steps=10, delay=0.002))
-        scheduler.start()
-        scheduler.close()
-        assert len({event.worker for event in scheduler.trace}) > 1
-
     def test_lowest_pass_tenant_is_picked_first(self):
         def picks(head_start):
-            # One worker: tenant a queues a 200-step task, then tenant b
-            # a 1-step task.
+            # Tenant a queues a 200-step task, then tenant b a 1-step task.
             log = []
-            scheduler = Scheduler(n_workers=1)
+            scheduler = Scheduler()
             scheduler.fairshare.register("a")
             scheduler.fairshare.register("b")
             scheduler.fairshare.charge("a", head_start)
             scheduler.submit(_counting_task(1, "a", n_steps=200, log=log))
             scheduler.submit(_counting_task(2, "b", n_steps=1, log=log))
-            scheduler.start()
-            scheduler.close()
+            scheduler.drain()
             assert [query_id for query_id, _, _ in log] == [2, 1]
             return [event.query_id for event in scheduler.trace[:4]]
 
@@ -304,21 +299,36 @@ class TestScheduler:
         assert picks(head_start=10) == [2, 2, 1, 1]
 
     def test_trace_records_every_quantum(self):
-        scheduler = Scheduler(n_workers=2)
-        scheduler.start()
+        scheduler = Scheduler()
         for i in range(3):
             scheduler.submit(_counting_task(i, "default", n_steps=4))
-        scheduler.close()
+        scheduler.drain()
         # One event per driver step: 4 yields + the completing next().
         assert len(scheduler.trace) == 3 * 5
         assert all(e.steps == 1 for e in scheduler.trace)
-        seqs = [e.seq for e in scheduler.trace]
-        assert sorted(seqs) == list(range(len(seqs)))
+        assert [e.seq for e in scheduler.trace] == list(range(len(scheduler.trace)))
+
+    def test_a_wait_steps_only_until_it_is_over(self):
+        scheduler = Scheduler()
+        first = _counting_task(1, "default", n_steps=3)
+        second = _counting_task(2, "default", n_steps=3)
+        scheduler.submit(first)
+        scheduler.submit(second)
+        # A zero timeout takes no step; a wait stops once it is over.
+        assert scheduler.run_until(lambda: first.done, timeout=0) is False
+        assert scheduler.trace == []
+        assert scheduler.run_until(lambda: first.done) is True
+        assert first.done and not second.done
+        assert scheduler.pending() == 1
+        # A wait nothing queued can end is an error, not a hang.
+        scheduler.drain()
+        with pytest.raises(RuntimeError, match="nothing runnable"):
+            scheduler.run_until(lambda: False)
 
 
 class TestServerSurface:
     def test_session_deploy_run(self, catalog, cluster):
-        with Server(cluster, catalog, n_workers=2, max_pending=8) as server:
+        with Server(cluster, catalog, max_pending=8) as server:
             session = server.session("team-a", weight=1.0)
             prepared = session.deploy("q12", q12())
             outcome = session.run(prepared.handle, timeout=120)
@@ -330,35 +340,32 @@ class TestServerSurface:
             assert account.simulated_seconds == outcome.report.simulated_time
 
     def test_unknown_tenant_rejected(self, catalog, cluster):
-        with Server(cluster, catalog, n_workers=1) as server:
+        with Server(cluster, catalog) as server:
             server.deploy("q12", q12())
             with pytest.raises(AdmissionError, match="unknown tenant"):
                 server.submit("q12", tenant="ghost")
 
     def test_admission_bound_backpressure(self, catalog, cluster):
-        with Server(cluster, catalog, n_workers=1, max_pending=1) as server:
+        with Server(cluster, catalog, max_pending=1) as server:
             handle = server.deploy("q12", q12()).handle
             first = server.submit(handle)
-            # The first query may or may not have finished; force the
-            # bound by stacking submissions until one is refused or the
-            # queue drains.  With max_pending=1 a refusal can only happen
-            # while the first is still pending, so retry-submit quickly.
-            rejected = False
-            try:
+            # No step runs until a thread waits, so the first query is
+            # still pending and the bound refuses the second.
+            with pytest.raises(AdmissionError):
                 server.submit(handle)
-            except AdmissionError:
-                rejected = True
             first.result(timeout=120)
-            server.drain()
-            # After draining, admission opens up again.
+            # After it settles, admission opens up again.
             server.run(handle, timeout=120)
-            if rejected:
-                assert server.tenant("default").rejected == 1
-                snap = server.snapshot()
-                assert snap.total("serving_rejected") == 1
+            assert server.tenant("default").rejected == 1
+            assert server.snapshot().total("serving_rejected") == 1
+
+    def test_n_workers_is_accepted_and_ignored(self, catalog, cluster):
+        with Server(cluster, catalog, n_workers=2) as server:
+            handle = server.deploy("q12", q12()).handle
+            assert server.run(handle, timeout=120).frame.n_rows >= 1
 
     def test_run_options_flow_through(self, catalog, cluster):
-        with Server(cluster, catalog, n_workers=2) as server:
+        with Server(cluster, catalog) as server:
             handle = server.deploy("q4", q4()).handle
             outcome = server.run(
                 handle, options=RunOptions(profile=True, metrics=True),
@@ -373,7 +380,7 @@ class TestServerSurface:
         # Two queries with metrics on, submitted together: each report's
         # snapshot must describe its own run only (no cross-talk through
         # the shared cluster).
-        with Server(cluster, catalog, n_workers=2) as server:
+        with Server(cluster, catalog) as server:
             handle = server.deploy("q12", q12()).handle
             options = RunOptions(metrics=True)
             futures = [server.submit(handle, options=options) for _ in range(2)]
@@ -383,7 +390,7 @@ class TestServerSurface:
 
     def test_contract_violation_surfaces_at_submit(self, cluster):
         deploy_catalog = load_catalog(scale_factor=0.002)
-        with Server(cluster, deploy_catalog, n_workers=1) as server:
+        with Server(cluster, deploy_catalog) as server:
             handle = server.deploy("q12", q12()).handle
             # Swap the server's catalog for one missing a required column.
             server.catalog = Catalog()

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.options import RunOptions
 from repro.errors import (
+    AdmissionError,
     CircuitOpenError,
     DeadlineExceeded,
     OverloadShedError,
@@ -168,7 +169,7 @@ class TestDeadlines:
     def test_deadline_miss_raises_with_budget_and_elapsed(
         self, catalog, cluster
     ):
-        with Server(cluster, catalog, n_workers=2) as server:
+        with Server(cluster, catalog) as server:
             handle = server.deploy("q12", q12()).handle
             future = server.submit(handle, deadline=1e-9)
             with pytest.raises(DeadlineExceeded) as exc:
@@ -180,7 +181,7 @@ class TestDeadlines:
             assert account.in_flight == 0
 
     def test_generous_deadline_never_fires(self, catalog, cluster):
-        with Server(cluster, catalog, n_workers=2) as server:
+        with Server(cluster, catalog) as server:
             handle = server.deploy("q12", q12()).handle
             outcome = server.submit(handle, deadline=1e6).result(timeout=60)
             assert outcome.frame.n_rows > 0
@@ -190,7 +191,7 @@ class TestDeadlines:
         self, catalog, cluster
     ):
         slo = SLOConfig(target_seconds=1.0)
-        with Server(cluster, catalog, n_workers=2, slo=slo) as server:
+        with Server(cluster, catalog, slo=slo) as server:
             handle = server.deploy("q12", q12()).handle
             for _ in range(4):
                 with pytest.raises(DeadlineExceeded):
@@ -205,7 +206,7 @@ class TestDeadlines:
             assert "no settled queries" not in report.render()
 
     def test_non_positive_deadline_rejected_up_front(self, catalog, cluster):
-        with Server(cluster, catalog, n_workers=2) as server:
+        with Server(cluster, catalog) as server:
             handle = server.deploy("q12", q12()).handle
             with pytest.raises(ValueError, match="deadline"):
                 server.submit(handle, deadline=0.0)
@@ -213,12 +214,11 @@ class TestDeadlines:
 
 class TestCancellation:
     def test_cancel_before_start_settles_as_cancelled(self, catalog, cluster):
-        with Server(cluster, catalog, n_workers=2, start=False) as server:
+        with Server(cluster, catalog) as server:
             handle = server.deploy("q12", q12()).handle
             future = server.submit(handle)
             assert future.cancel() is True
             assert future.cancelled()
-            server.start()
             with pytest.raises(QueryCancelled):
                 future.result(timeout=60)
             account = server.tenant("default")
@@ -226,29 +226,33 @@ class TestCancellation:
             assert account.in_flight == 0
 
     def test_cancel_after_completion_is_a_noop(self, catalog, cluster):
-        with Server(cluster, catalog, n_workers=2) as server:
+        with Server(cluster, catalog) as server:
             handle = server.deploy("q12", q12()).handle
             future = server.submit(handle)
             future.result(timeout=60)
             assert future.cancel() is False
             assert server.tenant("default").cancelled == 0
 
-    def test_closing_a_never_started_server_does_not_deadlock(
-        self, catalog, cluster
-    ):
-        server = Server(cluster, catalog, n_workers=2, start=False)
+    def test_close_settles_every_pending_query(self, catalog, cluster):
+        server = Server(cluster, catalog)
         handle = server.deploy("q12", q12()).handle
-        future = server.submit(handle)
-        server.close()  # must not block on work no thread will run
-        assert not future.done()
+        futures = [server.submit(handle) for _ in range(3)]
+        futures[1].cancel()
+        assert not any(future.done() for future in futures)
+        server.close()  # steps the run queue on this thread
+        assert all(future.done() for future in futures)
+        assert server.scheduler.pending() == 0
+        account = server.tenant("default")
+        assert (account.queries, account.cancelled, account.in_flight) == (2, 1, 0)
+        with pytest.raises(AdmissionError, match="closed"):
+            server.submit(handle)
 
     def test_server_cancel_by_query_id(self, catalog, cluster):
-        with Server(cluster, catalog, n_workers=2, start=False) as server:
+        with Server(cluster, catalog) as server:
             handle = server.deploy("q12", q12()).handle
             future = server.submit(handle)
             assert server.cancel(future.query_id) is True
             assert server.cancel(9999) is False  # unknown id
-            server.start()
             with pytest.raises(QueryCancelled):
                 future.result(timeout=60)
 
@@ -257,16 +261,19 @@ class TestResultTimeout:
     def test_wall_clock_timeout_leaves_the_query_running(
         self, catalog, cluster
     ):
-        with Server(cluster, catalog, n_workers=2, start=False) as server:
+        with Server(cluster, catalog) as server:
             handle = server.deploy("q12", q12()).handle
             future = server.submit(handle, tenant="default")
+            # A zero wall-clock timeout takes no step: the query stays
+            # pending, untouched, until a later wait steps it.
             with pytest.raises(ResultTimeout) as exc:
-                future.result(timeout=0.01)
+                future.result(timeout=0)
             assert exc.value.query_id == future.query_id
             assert exc.value.tenant == "default"
             assert exc.value.handle == handle
             assert not future.done()
-            server.start()
+            assert server.scheduler.trace == []
+            assert server.scheduler.pending() == 1
             assert future.result(timeout=60).frame.n_rows > 0
 
 
@@ -275,7 +282,6 @@ class TestRetries:
         with Server(
             cluster,
             catalog,
-            n_workers=2,
             retry=RetryPolicy(max_attempts=2),
         ) as server:
             handle = server.deploy(
@@ -302,10 +308,8 @@ class TestOverloadShedding:
         with Server(
             cluster,
             catalog,
-            n_workers=2,
             max_pending=8,
             shed_threshold=0.5,
-            start=False,
         ) as server:
             server.register_tenant("a", weight=1.0)
             server.register_tenant("b", weight=1.0)
@@ -319,7 +323,6 @@ class TestOverloadShedding:
             assert exc.value.in_flight >= exc.value.entitlement
             # ...while tenant "b", below its entitlement, is still admitted.
             futures.append(server.submit(handle, tenant="b"))
-            server.start()
             for future in futures:
                 assert future.result(timeout=60).frame.n_rows > 0
             shed_account = server.tenant("a")
@@ -329,7 +332,7 @@ class TestOverloadShedding:
 
     def test_invalid_shed_threshold_rejected(self, catalog, cluster):
         with pytest.raises(ValueError, match="shed_threshold"):
-            Server(cluster, catalog, shed_threshold=0.0, start=False)
+            Server(cluster, catalog, shed_threshold=0.0)
 
 
 class TestBreakerIntegration:
@@ -339,7 +342,6 @@ class TestBreakerIntegration:
         with Server(
             cluster,
             catalog,
-            n_workers=2,
             breaker=BreakerConfig(failure_threshold=2, cooldown=2),
         ) as server:
             poisoned = server.deploy(
@@ -378,14 +380,11 @@ class TestBreakerIntegration:
         with Server(
             cluster,
             catalog,
-            n_workers=2,
             breaker=BreakerConfig(failure_threshold=1, cooldown=1),
-            start=False,
         ) as server:
             handle = server.deploy("q12", q12()).handle
             future = server.submit(handle)
             future.cancel()
-            server.start()
             with pytest.raises(QueryCancelled):
                 future.result(timeout=60)
             assert server.registry.breaker_for(handle).state == "closed"
@@ -400,10 +399,8 @@ class TestLedgerConservation:
         with Server(
             cluster,
             catalog,
-            n_workers=2,
             max_pending=8,
             shed_threshold=0.5,
-            start=False,
         ) as server:
             # A second tenant halves "default"'s entitlement so the fifth
             # submission below actually lands in the shed bucket.
@@ -413,7 +410,6 @@ class TestLedgerConservation:
             futures[0].cancel()
             with pytest.raises(OverloadShedError):
                 server.submit(handle)
-            server.start()
             for future in futures:
                 try:
                     future.result(timeout=60)
@@ -458,7 +454,7 @@ class TestLedgerConservation:
                 assert event.detail.query_id == journal.query_id
 
     def test_refused_instantiation_is_counted_everywhere(self, cluster):
-        with Server(cluster, load_catalog(scale_factor=SF), n_workers=1) as server:
+        with Server(cluster, load_catalog(scale_factor=SF)) as server:
             handle = server.deploy("q12", q12()).handle
             server.catalog = Catalog()  # drift: every required table is gone
             with pytest.raises(SchemaContractError):
@@ -475,7 +471,7 @@ class TestLedgerConservation:
             assert server.lifecycle_events == []  # hard rejections emit none
 
     def test_the_ledger_is_a_frozen_view(self, catalog, cluster):
-        with Server(cluster, catalog, n_workers=1) as server:
+        with Server(cluster, catalog) as server:
             account = server.tenant("default")
             with pytest.raises(dataclasses.FrozenInstanceError):
                 account.queries = 7

@@ -4,8 +4,8 @@ Every lifecycle decision — deadline misses, cancels, retries, breaker
 trips, shed/reject admissions — is driven by the simulated clock and
 the submission sequence, never wall time.  So for any soak
 configuration the *set of lifecycle outcomes per submission index* must
-be identical across runs, no matter how the scheduler's worker threads
-interleave.  This sweep drives that invariant across the configuration
+be identical across runs, whatever order the waiting threads step the
+run queue in.  This sweep drives that invariant across the configuration
 space with hypothesis.
 
 Frame verification is off (`verify_frames=False`): bit-identity is the
@@ -38,7 +38,6 @@ def _lifecycle_of(kwargs: dict):
         SoakConfig(
             scale_factor=SF,
             n_queries=6,
-            n_workers=3,
             verify_frames=False,
             **kwargs,
         )

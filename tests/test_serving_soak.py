@@ -8,33 +8,33 @@ serial totals, measured fair-share, and scheduler-level evidence that
 more than one query's work actually overlapped.
 """
 
+import threading
+
 import pytest
 
 from repro.faults.policy import CHAOS_PROFILES
-from repro.serving import SoakConfig, run_soak
+from repro.mpi.cluster import SimCluster
+from repro.serving import Server, SoakConfig, run_soak
 from repro.serving.soak import breaker_scenario
+from repro.tpch import load_catalog, q12
 
 SF = 0.005
 
 
 @pytest.fixture(scope="module")
 def clean_report():
-    return run_soak(SoakConfig(scale_factor=SF, n_queries=16, n_workers=4))
+    return run_soak(SoakConfig(scale_factor=SF, n_queries=16))
 
 
 @pytest.fixture(scope="module")
 def chaos_report():
-    return run_soak(
-        SoakConfig(scale_factor=SF, n_queries=8, n_workers=4, chaos="transient")
-    )
+    return run_soak(SoakConfig(scale_factor=SF, n_queries=8, chaos="transient"))
 
 
 @pytest.fixture(scope="module")
 def flaky_report():
     return run_soak(
-        SoakConfig(
-            scale_factor=SF, n_queries=8, n_workers=4, chaos="flaky", retries=2
-        )
+        SoakConfig(scale_factor=SF, n_queries=8, chaos="flaky", retries=2)
     )
 
 
@@ -131,9 +131,7 @@ class TestLifecycleAndReconciliation:
 
     def test_cancelled_submissions_settle_as_cancelled(self):
         report = run_soak(
-            SoakConfig(
-                scale_factor=SF, n_queries=8, n_workers=4, cancel_every=4
-            )
+            SoakConfig(scale_factor=SF, n_queries=8, cancel_every=4)
         )
         assert report.lifecycle.get("cancelled") == (3, 7)
         assert len(report.lifecycle.get("completed", ())) == 6
@@ -142,9 +140,7 @@ class TestLifecycleAndReconciliation:
 
     def test_tiny_deadline_misses_every_query(self):
         report = run_soak(
-            SoakConfig(
-                scale_factor=SF, n_queries=8, n_workers=4, deadline=1e-6
-            )
+            SoakConfig(scale_factor=SF, n_queries=8, deadline=1e-6)
         )
         assert report.lifecycle.get("deadline_missed") == tuple(range(8))
         assert report.reconciliation_errors() == []
@@ -154,7 +150,6 @@ class TestLifecycleAndReconciliation:
             SoakConfig(
                 scale_factor=SF,
                 n_queries=12,
-                n_workers=4,
                 max_pending=8,
                 shed_threshold=0.5,
             )
@@ -188,3 +183,34 @@ class TestBreakerScenario:
         text = scenario.render()
         assert "fast-failed" in text
         assert "bit-identical" in text
+
+
+class TestNoThreadStarted:
+    """The serving layer starts no thread: a query advances only on the
+    thread that waits for it, so every path completes with thread start
+    refused."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_threads(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"serving started thread {thread.name!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+
+    def test_chaos_soak_completes(self):
+        report = run_soak(SoakConfig(scale_factor=SF, n_queries=8, chaos="transient"))
+        assert report.bit_identical
+        assert report.lifecycle.get("completed") == tuple(range(8))
+        assert report.reconciliation_errors() == []
+
+    def test_breaker_scenario_completes(self):
+        scenario = breaker_scenario(scale_factor=SF, poison_submissions=4)
+        assert scenario.tripped and scenario.bystander_matched
+
+    def test_server_used_from_the_test_thread(self):
+        catalog = load_catalog(scale_factor=SF)
+        with Server(SimCluster(2), catalog) as server:
+            handle = server.deploy("q12", q12()).handle
+            futures = [server.submit(handle) for _ in range(3)]
+            assert server.run(handle, timeout=120).frame.n_rows > 0
+            assert all(f.result(timeout=120).frame.n_rows > 0 for f in futures)

@@ -114,7 +114,6 @@ def _traced_soak(**kwargs) -> object:
     defaults = dict(
         scale_factor=SF,
         n_queries=6,
-        n_workers=3,
         trace=True,
         verify_frames=False,
     )
@@ -126,7 +125,7 @@ def _traced_soak(**kwargs) -> object:
 
 class TestSoakTracing:
     def test_every_event_resolves_to_exactly_one_journal(self):
-        report = _traced_soak(n_queries=8, n_workers=2)
+        report = _traced_soak(n_queries=8)
         by_trace = {j.trace_id: j for j in report.journals}
         assert len(by_trace) == len(report.journals)
         # Scheduler picks carry the attempt span of the query they ran,
@@ -198,7 +197,7 @@ class TestSoakTracing:
             assert all(j.settled for j in report.journals), profile
 
     def test_slo_quantiles_are_non_degenerate(self):
-        report = _traced_soak(slo_target=10.0, n_queries=8, n_workers=4)
+        report = _traced_soak(slo_target=10.0, n_queries=8)
         slo = report.slo
         assert slo is not None
         assert slo.ok
@@ -221,33 +220,12 @@ class TestSoakTracing:
     def test_untraced_soak_still_keeps_journals(self):
         report = run_soak(
             SoakConfig(
-                scale_factor=SF, n_queries=4, n_workers=2,
-                verify_frames=False,
+                scale_factor=SF, n_queries=4, verify_frames=False,
             )
         )
         assert report.journal_errors() == []
         assert len(report.journals) >= 4
         assert report.reports_by_trace == {}
-
-
-class TestHandleStats:
-    def test_registry_aggregates_settled_journals(self):
-        from repro.serving import handle_stats
-
-        report = _traced_soak(n_queries=8)
-        stats = handle_stats(report.journals)
-        assert stats
-        observed = sum(
-            sum(s.terminals.values()) for s in stats.values()
-        )
-        assert observed == len(report.journals)
-        completed = sum(s.runs for s in stats.values())
-        assert completed == len(report.results)
-        for handle, s in stats.items():
-            d = s.as_dict()
-            assert d["handle"] == handle
-            if d["runs"]:
-                assert d["latency_p50"] > 0
 
 
 journal_configs = st.fixed_dictionaries(
@@ -274,7 +252,6 @@ def test_journals_replay_bit_identical(config):
             SoakConfig(
                 scale_factor=SF,
                 n_queries=5,
-                n_workers=3,
                 verify_frames=False,
                 **kwargs,
             )
