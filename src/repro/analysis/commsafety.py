@@ -6,7 +6,9 @@ substrate otherwise enforces at runtime:
 * workers only read parameter slots bound inside their ``MpiExecutor``
   scope (MOD006);
 * collectives only run where a communicator exists (MOD010) and where the
-  invocation count is rank-uniform (MOD011, MOD013);
+  invocation count is rank-uniform (MOD011; MOD013: not in a per-tuple
+  NestedMap, nor below a ``Limit``, whose ranks each stop pulling at their
+  own point);
 * every ``MpiExchange``/``MpiBroadcast`` derives its window layout from a
   histogram ladder computed *over the data it actually ships, with the
   partition function it actually uses* (MOD012).  When that holds, each
@@ -28,6 +30,7 @@ from repro.analysis.structure import (
 )
 from repro.analysis.symbolic import compare_partition_fns
 from repro.core.operator import Operator
+from repro.core.operators.limit_op import Limit
 from repro.core.operators.local_histogram import LocalHistogram
 from repro.core.operators.mpi_broadcast import MpiBroadcast
 from repro.core.operators.mpi_exchange import MpiExchange
@@ -37,9 +40,6 @@ from repro.core.operators.parameter_lookup import ParameterLookup
 from repro.core.plan import SharedScan, walk
 
 __all__ = ["run"]
-
-#: Operators that call into the communicator (collectives / RMA epochs).
-COLLECTIVES = (MpiExchange, MpiBroadcast, MpiHistogram)
 
 
 def _check_ladder(
@@ -132,6 +132,10 @@ def _check_ladder(
 def run(scope: ScopeInfo, reporter: Reporter) -> None:
     """Check communication safety of one scope."""
     paths = scope_paths(scope)
+    below_limit = {
+        id(below) for limit in walk(scope.root) if isinstance(limit, Limit)
+        for below in walk(limit)
+    }
     for op in walk(scope.root):
         if isinstance(op, SharedScan):
             continue
@@ -154,7 +158,7 @@ def run(scope: ScopeInfo, reporter: Reporter) -> None:
                 "nested plan; ranks do not launch sub-clusters",
             )
             continue
-        if not isinstance(op, COLLECTIVES):
+        if not op.collective:
             continue
         name = type(op).__name__
         if not scope.in_cluster:
@@ -164,12 +168,16 @@ def run(scope: ScopeInfo, reporter: Reporter) -> None:
                 "communicator; wrap this part of the plan in an MpiExecutor",
             )
             continue
-        if scope.in_nested_map:
+        if scope.in_nested_map or id(op) in below_limit:
+            where = (
+                "inside a per-tuple NestedMap scope" if scope.in_nested_map
+                else "below a Limit"
+            )
             reporter.emit(
                 "MOD013", op, path,
-                f"{name} sits inside a per-tuple NestedMap scope; its "
-                "invocation count depends on this rank's data and may "
-                "differ across ranks, deadlocking the collective",
+                f"{name} sits {where}; its invocation count depends on "
+                "this rank's data and may differ across ranks, deadlocking "
+                "the collective",
             )
         if isinstance(op, MpiExchange):
             _check_ladder(op, reporter, path, None)

@@ -129,9 +129,9 @@ MOD012 = _rule(
 )
 MOD013 = _rule(
     "MOD013", "collective-in-nested-loop", Severity.ERROR,
-    "a collective operator appears inside a per-tuple NestedMap scope; the "
-    "invocation count is data-dependent and may differ across ranks, "
-    "deadlocking the collective",
+    "a collective operator appears inside a per-tuple NestedMap scope or "
+    "below a Limit; the invocation count is data-dependent and may differ "
+    "across ranks, deadlocking the collective",
 )
 
 # -- pipeline / materialization lint (MOD020–MOD029) --------------------------
@@ -157,12 +157,6 @@ MOD023 = _rule(
     "MOD023", "uncompressed-exchange", Severity.INFO,
     "an MpiExchange ships ⟨key, payload⟩ INT64 tuples without radix "
     "compression; packing would halve the network volume (paper §4.1.1)",
-)
-MOD024 = _rule(
-    "MOD024", "degraded-fused-edge", Severity.INFO,
-    "a batch-capable operator is consumed row-by-row across a fused "
-    "pipeline edge; the consumer's default batches() degrades the "
-    "upstream's vectorized kernel to scalar iteration",
 )
 
 # -- recovery soundness (MOD030–MOD039) ----------------------------------------
@@ -202,8 +196,10 @@ MOD040 = _rule(
 # The second verification layer: these rules fire from the simulated
 # substrate itself.  MOD050/051 are refused by the substrate on every run
 # (MpiSemanticsError); under ``RunOptions(sanitize=True)``
-# (repro.analysis.sanitizer) all four carry operator provenance recovered
-# from the data-path instrumentation, as a Diagnostic.
+# (repro.analysis.sanitizer) MOD050, 052 and 053 carry operator provenance
+# recovered from the data-path instrumentation, as a Diagnostic.  A plan's
+# waves issue each collective once for all ranks, so MOD051 is refused only
+# in SPMD functions on rank threads.
 
 MOD050 = _rule(
     "MOD050", "rma-write-set-race", Severity.ERROR,

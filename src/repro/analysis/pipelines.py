@@ -1,13 +1,11 @@
-"""Pipeline/materialization lint pass (rules MOD020–MOD024).
+"""Pipeline/materialization lint pass (rules MOD020–MOD023).
 
 Reports how the plan compiler will cut the DAG into pipelines (§3.4) and
 where the plan wastes work: multi-consumer nodes that force a
 materialization point (MOD020), structurally identical subtrees computed
 twice where one ``SharedScan`` would do (MOD021), operators that are
-statically dead (MOD022), exchanges that forgo the paper's radix
-compression although their wire format qualifies (MOD023), and fused
-pipeline edges where a consumer without a ``batches()`` implementation
-degrades a vectorized upstream to row-at-a-time iteration (MOD024).
+statically dead (MOD022), and exchanges that forgo the paper's radix
+compression although their wire format qualifies (MOD023).
 
 Everything here is advisory — nothing in this pass is an error.
 """
@@ -24,7 +22,7 @@ from repro.core.operators.mpi_exchange import MpiExchange
 from repro.core.operators.parameter_lookup import ParameterLookup
 from repro.core.operators.projection import Projection
 from repro.core.operators.row_scan import RowScan
-from repro.core.plan import SharedScan, _edge_is_fused, _is_base_scan_chain, walk
+from repro.core.plan import SharedScan, _is_base_scan_chain, walk
 from repro.types.atoms import INT64
 
 __all__ = ["run"]
@@ -36,26 +34,6 @@ _CHEAP = (RowScan, ChunkScan, Projection, ParameterLookup, SharedScan)
 
 def _has_costly_op(root: Operator) -> bool:
     return any(not isinstance(op, _CHEAP) for op in walk(root))
-
-
-def _declared_batches(cls: type):
-    """The morsel data path (``lanes`` or ``batches``) ``cls`` declares
-    below ``Operator``.
-
-    Returns ``None`` when the class just inherits the default (it never
-    chose a fused strategy); ``row_native = True`` counts as a declaration
-    of the default — the class has *opted out* of vectorization on
-    purpose, which silences MOD024.
-    """
-    if cls.row_native:
-        return Operator.batches
-    for klass in cls.__mro__:
-        if klass is Operator:
-            return None
-        for name in ("lanes", "batches"):
-            if name in klass.__dict__:
-                return klass.__dict__[name]
-    return None
 
 
 def _consumer_edges(scope: ScopeInfo):
@@ -176,21 +154,3 @@ def run(scope: ScopeInfo, reporter: Reporter) -> None:
                     "and halve the network volume (paper §4.1.1)",
                 )
 
-    # MOD024 — fused edges degraded to row-at-a-time iteration.
-    for op in walk(scope.root):
-        if isinstance(op, SharedScan) or _declared_batches(type(op)) is not None:
-            continue
-        for position, up in enumerate(op.upstreams):
-            target = unwrap(up)
-            if not _edge_is_fused(op, position, target):
-                continue
-            impl = _declared_batches(type(target))
-            if impl is None or impl is Operator.batches:
-                continue
-            reporter.emit(
-                "MOD024", op, paths[id(op)],
-                f"{type(target).__name__} has a vectorized kernel "
-                f"but {type(op).__name__} consumes it row-by-row on this "
-                "fused edge; implement lanes() or batches() on the consumer "
-                "(or declare `row_native = True` to record the scalar choice)",
-            )

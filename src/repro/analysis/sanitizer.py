@@ -5,15 +5,17 @@ the second verification layer, watching the *execution* itself.  Under
 ``RunOptions(sanitize=True)`` a :class:`Sanitizer` rides on the
 execution context and hooks the simulated MPI substrate:
 
-* **MOD050 / MOD051 — substrate finding + provenance.**  The substrate is
-  the one enforcer of MPI semantics: ``Window.write`` refuses puts of the
-  wrong element type, outside the window or racing another rank's put in
-  the same epoch, and ``CommWorld`` refuses collective tag mismatches and
-  a rank finishing while a peer waits, each as a typed
-  :class:`~repro.errors.MpiSemanticsError`.  It records every put and
-  collective contribution with an ``origin``, which this sanitizer sets
-  to the operator issuing it; :meth:`SanitizerJob.translate` turns the
-  error into a :class:`SanitizerError` naming both operators.
+* **MOD050 — substrate finding + provenance.**  The substrate is the one
+  enforcer of MPI semantics: ``Window.write`` refuses puts of the wrong
+  element type, outside the window or racing another rank's put in the
+  same epoch, as a typed :class:`~repro.errors.MpiSemanticsError`.  It
+  records every put with an ``origin``, which this sanitizer sets to the
+  operator issuing it; :meth:`SanitizerJob.translate` turns the error into
+  a :class:`SanitizerError` naming the operators.  A plan's collectives
+  cannot diverge (MOD051): a wave issues each one as a single
+  :class:`~repro.mpi.comm.CommGroup` call for all of its ranks.  The
+  rendezvous refuses divergent schedules of SPMD functions on rank
+  threads, which run no sanitizer.
 
 * **MOD052 — window-lifetime checker.**  Puts never completed by a
   closing fence (the window's epoch record is non-empty at job end),
@@ -184,12 +186,10 @@ class _WindowState:
 class Sanitizer:
     """One sanitized execution's recorder, shared by driver and all jobs.
 
-    Unlocked: one rank of a job runs at a time (a lockstep walk on one
-    thread, or the substrate's baton on rank threads) and
+    Unlocked: every wave walks its ranks in lockstep on one thread, and
     jobs are created sequentially on the driver (which is what makes window
     keys — and therefore the MOD053 replay diff — deterministic).  Only
-    the provenance stack is thread-local: a rank's thread carries its
-    stack of active operator generators across hand-offs.
+    the provenance stack is thread-local.
     """
 
     def __init__(self) -> None:
@@ -221,8 +221,8 @@ class Sanitizer:
         """Wrap one data-path activation so substrate hooks can name ``op``.
 
         The stack manipulation runs on whichever thread pulls the
-        generator, so the innermost *currently executing* operator of each
-        rank thread is always on top of that thread's stack.
+        generator, so the innermost *currently executing* operator is
+        always on top of that thread's stack.
         """
         stack = self._stack()
         while True:
@@ -329,7 +329,6 @@ class SanitizerJob:
     def __init__(self, parent: Sanitizer, seq: int, n_ranks: int) -> None:
         self.parent = parent
         self.seq = seq
-        self.n_ranks = n_ranks
         #: The windows this job registered, in creation order.
         self._windows: list["Window"] = []
         #: Per owner rank, how many windows it registered (deterministic
@@ -404,7 +403,7 @@ class SanitizerJob:
         for window in self._windows:
             window.sanitizer.closed = True
 
-    # -- provenance of substrate findings (MOD050/051) -----------------------
+    # -- provenance of substrate findings (MOD050) ----------------------------
 
     def translate(self, exc: MpiSemanticsError) -> None:
         """Raise the substrate's ``exc`` as a :class:`SanitizerError`
@@ -424,24 +423,7 @@ class SanitizerJob:
                 f"{exc.owner_rank}; the exclusive write regions the exchange "
                 f"derived from its histograms overlap"
             )
-        elif exc.kind == "mismatch":
-            message = (
-                f"collective schedules diverge at call {exc.call_index}: "
-                f"{who[0]} issued {exc.tags[0]!r} but {who[1]} issued "
-                f"{exc.tags[1]!r}; on real MPI this deadlocks"
-            )
-        elif exc.kind == "deadlock":
-            done = " and ".join(
-                f"rank {r}" for r in range(self.n_ranks) if r not in exc.ranks
-            )
-            message = (
-                f"{done} finished after {exc.call_index} collective calls "
-                f"but {' and '.join(who)} already issued call "
-                f"{exc.call_index} ({exc.tags[0]!r}); the collective "
-                f"schedules diverge and the job would deadlock waiting for "
-                f"{done}"
-            )
-        else:  # type, bounds, twice: one party, the substrate's own words
+        else:  # type, bounds: one party, the substrate's own words
             message = f"{who[0]}: {exc.detail}"
             if exc.rule_id == "MOD050":
                 message += f" on rank {exc.owner_rank}"

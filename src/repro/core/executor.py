@@ -277,7 +277,7 @@ def execution_steps(
 
 def _check_bindings(params: dict[ParameterSlot, tuple]) -> None:
     """Refuse an input relation of another schema than its slot's, on the
-    driver: inside the plan it would fail only at a scan on a rank thread."""
+    driver: inside the plan it would fail only at a scan in a wave."""
     for slot, value in params.items():
         for field, element in zip(slot.param_type, value):
             expected = getattr(field.item_type, "element_type", None)

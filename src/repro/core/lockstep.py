@@ -1,15 +1,14 @@
 """Lockstep walks: one walk of a plan for every rank (every *lane*) at once.
 
 The paper runs one compiled plan per machine, all in parallel (§3.3.3).
-Simulated on one CPU, giving each rank a thread to walk its own copy of
-the plan pays the interpretation of the same skeleton once per rank.  A
-lockstep walk pays it once: each operator's :meth:`~repro.core.operator.
-Operator.lanes` generator runs once per *lockstep morsel*, a :class:`Step`
-carrying the morsel of every lane that has one at that point.  That
-generator is the operator's one data path: a walk on one context
-(:meth:`~repro.core.operator.Operator.batches`) is the one-lane case, and
-an ``MpiExecutor`` wave is the walk over all of its ranks, on the driver's
-thread (:func:`run_job`).
+Simulated on one CPU, walking one copy of the plan per rank would pay the
+interpretation of the same skeleton once per rank.  A lockstep walk pays
+it once: each operator's :meth:`~repro.core.operator.Operator.lanes`
+generator runs once per *lockstep morsel*, a :class:`Step` carrying the
+morsel of every lane that has one at that point.  That generator is the
+operator's one data path: a walk on the driver's context is the one-lane
+case, and an ``MpiExecutor`` wave is the walk over all of its ranks, on
+the driver's thread (:func:`run_job`).
 
 Simulated time stays exactly what each rank would charge on its own.  An
 operator charges each lane's own clock from that lane's rows, at the point
@@ -22,8 +21,7 @@ operator's setup) runs once per step, and each lane's data decides its
 own kernel path (join, group-by, scatter); lanes whose join build sides
 hold equal keys share one build.  A collective is one group
 call that sees every lane's contribution (:class:`~repro.mpi.comm.
-CommGroup`; on one rank's own thread, :class:`~repro.mpi.comm.
-RankGroup`); puts still go through each rank's ``Window``.
+CommGroup`); puts still go through each rank's ``Window``.
 
 Metrics, profiles (timed ones split a step's wall time evenly over the
 lanes it served), the sanitizer, substrate traces, fault injection and
@@ -31,16 +29,15 @@ stage recovery all see each lane as its rank: each lane keeps its rank's
 counters, faults strike at its rank's comm operations, and a crash halts
 the rank there while its peers run on to the next collective, where the
 wave aborts at the crashing rank's clock.  The monolithic baselines walk
-their ranks in lockstep too.  A wave runs with a thread per rank
-(:meth:`~repro.mpi.cluster.SimCluster.run`) only when its plan holds an
-operator without a ``lanes`` runner (SPMD code written against the
-communicator) or a ``Limit`` above a collective, whose lanes each stop
-pulling at their own point (:func:`runs_in_lockstep`).
+their ranks in lockstep too.  No plan runs on a rank thread: those carry
+SPMD functions written against one rank's communicator
+(:meth:`~repro.mpi.cluster.SimCluster.run`).  A ``Limit``, whose lanes
+each stop pulling at their own point, walks its upstream lane by lane,
+so no collective may sit below it (MOD013).
 
 :func:`steps` is the one place a run is observed.  Every walk goes
 through it, the one-lane walks of ``Operator.stream``, ``stream_batches``
-and ``drain`` included, and so does an operator written against one
-context, whose ``batches`` (or ``rows``) :func:`per_rank` adapts.
+and ``drain`` included.
 """
 
 from __future__ import annotations
@@ -50,14 +47,14 @@ from typing import TYPE_CHECKING, Callable, Iterator
 from repro.core.context import ExecutionContext
 from repro.errors import ExecutionError
 from repro.mpi.cluster import ClusterResult
-from repro.mpi.comm import CommGroup, RankGroup
+from repro.mpi.comm import CommGroup
 from repro.observability.profile import OperatorStats
 from repro.types.collections import RowVector
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.operator import Operator
 
-__all__ = ["Step", "Lockstep", "steps", "pulled", "runs_in_lockstep", "run_job"]
+__all__ = ["Step", "Lockstep", "steps", "pulled", "run_job"]
 
 
 class Step:
@@ -95,14 +92,13 @@ class Lockstep:
 
     @classmethod
     def solo(cls, ctx: ExecutionContext) -> "Lockstep":
-        """The one-lane walk on ``ctx``: the driver's, or one rank's on its
-        own thread, whose collectives meet its peers' at the rendezvous."""
-        return cls([ctx], RankGroup(ctx.comm) if ctx.rank_ctx is not None else None)
+        """The one-lane walk on ``ctx`` alone, which issues no collective."""
+        return cls([ctx])
 
     def nested(self, lanes: list[int]) -> "Lockstep":
         """The walk of one nested-plan invocation over ``lanes``.  It issues
-        collectives only if every lane takes part, as they would all have
-        to on their own threads."""
+        collectives only if every lane takes part, as a collective needs
+        every rank of the job."""
         if len(lanes) == len(self.ctxs):
             return self
         return Lockstep([self.ctxs[i] for i in lanes])
@@ -141,8 +137,7 @@ def steps(op: "Operator", lx: Lockstep) -> Iterator[Step]:
     """The walk of ``op`` over the lanes of ``lx``: what ``op.stream`` (or
     ``drain``) gives each lane.  The one place a run is observed: the
     lanes' profilers count (and, when timed, time) each activation, and
-    the sanitizer names ``op`` while it runs, whichever data path ``op``
-    implements."""
+    the sanitizer names ``op`` while it runs."""
     run = op.lanes(lx)
     ctx = lx.ctxs[0]
     if ctx.profiler is not None:
@@ -222,23 +217,6 @@ def one_lane(op: "Operator", ctx: ExecutionContext) -> Iterator[RowVector]:
     """``op``'s data path on ``ctx`` alone: the one-lane walk's morsels."""
     for step in steps(op, Lockstep.solo(ctx)):
         yield step.parts[0]
-
-
-def per_rank(op: "Operator", lx: Lockstep) -> Iterator[Step]:
-    """The one-lane walk of an operator whose data path is its own
-    ``batches`` (or ``rows``): code that runs on one rank's context, such
-    as SPMD code calling the communicator itself."""
-    if len(lx.ctxs) != 1:
-        raise ExecutionError(
-            f"{type(op).__name__} has no lanes runner, so it runs on one rank at a time"
-        )
-    ctx = lx.ctxs[0]
-    if op.row_native:
-        for row in op.rows(ctx):
-            yield Step(ONE_LANE, [RowVector.of_row(op.output_type, row)])
-    else:
-        for batch in op.batches(ctx):
-            yield Step(ONE_LANE, [batch])
 
 
 def lane_by_lane(lx: Lockstep, run: Callable[[Lockstep], Iterator[RowVector]]) -> Iterator[Step]:
@@ -321,22 +299,6 @@ def each_lane(vectors: list[RowVector]) -> Step:
 # -- MPI jobs ------------------------------------------------------------------
 
 
-def runs_in_lockstep(executor: "Operator") -> bool:
-    """Whether ``executor``'s waves walk its nested plan in lockstep: every
-    operator has a ``lanes`` runner, and no operator whose lanes stop
-    pulling at their own points (``Limit``) has a collective below it."""
-    from repro.core.plan import walk  # repro.core.plan imports this module
-
-    for op in walk(executor.inner, into_nested=True):
-        if not op.walks_lanes:
-            return False
-        if op.stops_early and any(
-            below.collective for below in walk(op, into_nested=True)
-        ):
-            return False
-    return True
-
-
 def run_job(
     executor, ctx: ExecutionContext, wave: list[tuple], cluster, trace=None,
     faults=None, checkpoints=None, sanitizer_job=None,
@@ -348,40 +310,27 @@ def run_job(
     the result and the lanes' contexts, whose profilers and metrics join
     the driver's only if the wave completes.
 
-    The wave walks its nested plan in lockstep on this thread, unless
-    :func:`runs_in_lockstep` says it cannot: each rank then walks its own
-    lane on its own thread (:meth:`~repro.mpi.cluster.SimCluster.run`).
+    The wave walks its nested plan in lockstep on this thread.
     """
     profiler, metrics = ctx.profiler, ctx.registry
-    lanes: list = [None] * cluster.n_ranks
-
-    def lane(rank_ctx) -> ExecutionContext:
+    contexts = cluster.job_contexts(faults, trace)
+    lanes = []
+    for rank_ctx in contexts:
         # Worker contexts run under the driver's RunOptions object, whole: a
         # knob the driver ran with is a knob every stage retry re-executes with.
         rank_ctx.comm.sanitizer = sanitizer_job
-        lane_ctx = lanes[rank_ctx.rank] = ExecutionContext.for_rank(
+        lane_ctx = ExecutionContext.for_rank(
             rank_ctx, ctx.options,
             profiler=profiler.child(rank_ctx.clock, rank_ctx.rank) if profiler else None,
             registry=metrics.child(rank_ctx.rank) if metrics else None,
             checkpoints=checkpoints, sanitizer=ctx.sanitizer,
         )
         lane_ctx.push_parameter(executor.slot.id, wave[rank_ctx.rank])
-        return lane_ctx
-
-    if not runs_in_lockstep(executor):
-        def walk_own_lane(rank_ctx) -> list[tuple]:
-            return list(executor.inner.stream(lane(rank_ctx)))
-
-        return cluster.run(walk_own_lane, faults=faults, trace=trace), lanes
-
-    contexts = cluster.job_contexts(faults, trace)
-    for rank_ctx in contexts:
-        lane(rank_ctx)
-    if profiler is not None:
-        # One thread walks every lane, inside the driver's frame: the
-        # driver's frame stack times them all.
-        for lane_ctx in lanes:
+        if profiler is not None:
+            # One thread walks every lane, inside the driver's frame: the
+            # driver's frame stack times them all.
             lane_ctx.profiler._stack = profiler._stack
+        lanes.append(lane_ctx)
     lx = Lockstep(lanes, CommGroup([rank_ctx.comm for rank_ctx in contexts]))
     rows = drained_rows(steps(executor.inner, lx), lx)
     lx.group.check()

@@ -6,9 +6,9 @@ data path, :meth:`Operator.lanes`: a Python generator walking the operator
 for every lane of a :class:`~repro.core.lockstep.Lockstep` at once — each
 lane one rank's execution context — and yielding
 :class:`~repro.core.lockstep.Step` morsels through a vectorized kernel, our
-analogue of the paper's JiT-compiled pipelines.  :meth:`Operator.batches`,
-the morsels of one context, is its one-lane case; an ``MpiExecutor`` wave
-is the walk over all of its ranks (:mod:`repro.core.lockstep`).  The
+analogue of the paper's JiT-compiled pipelines.  A walk of one context
+(the driver's) is its one-lane case; an ``MpiExecutor`` wave is the walk
+over all of its ranks (:mod:`repro.core.lockstep`).  The
 execution mode (``RunOptions.mode``, which operators see as
 ``ctx.options.mode``) does not pick another implementation: ``interpreted``
 runs the same kernels and charges them at the cost model's
@@ -19,14 +19,11 @@ a rate.  The few control operators that move a handful of tuples holding
 whole collections (``Zip``, ``CartesianProduct``, ``MpiExecutor``) declare
 ``row_native``.
 
-An operator defined outside this package may instead implement
-:meth:`Operator.batches` (or :meth:`Operator.rows`) on one context: code
-that runs on one rank at a time, and may call the rank's communicator
-itself.  A plan holding one runs its MPI waves with a thread per rank.
-Either way the walk is observed in one place,
-:func:`~repro.core.lockstep.steps`: the profiler, the metrics and the
-sanitizer see every operator's morsels there, and ``stream``,
-``stream_batches`` and ``drain`` are views of the one-lane walk.
+An operator defined outside this package implements ``lanes`` too.  The
+walk is observed in one place, :func:`~repro.core.lockstep.steps`: the
+profiler, the metrics and the sanitizer see every operator's morsels
+there, and ``stream``, ``stream_batches`` and ``drain`` are views of the
+one-lane walk.
 
 Design-principle mapping (paper Section 3.1):
 
@@ -51,33 +48,15 @@ cut into pipelines and compared exactly like the built-in ones.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.core.context import ExecutionContext
-from repro.core.lockstep import Lockstep, Step, one_lane, per_rank, pulled
+from repro.core.lockstep import Lockstep, Step, one_lane, pulled
 from repro.errors import PlanError, TypeCheckError
-from repro.types.collections import CollectionType, RowVector, RowVectorBuilder
+from repro.types.collections import CollectionType, RowVector
 from repro.types.tuples import TupleType, concat_tuple_types
 
 __all__ = ["Operator", "require_fields", "scanned_collection", "join_output_type"]
-
-
-def pack_morsels(
-    ctx: ExecutionContext, element_type: TupleType, rows: Iterable[tuple]
-) -> Iterator[RowVector]:
-    """Pack ``rows`` into morsels of ``ctx.morsel_rows_for(element_type)``
-    tuples; at least one morsel, possibly empty, is always yielded."""
-    morsel_rows = ctx.morsel_rows_for(element_type)
-    builder = RowVectorBuilder(element_type)
-    emitted = False
-    for row in rows:
-        builder.append(row)
-        if len(builder) >= morsel_rows:
-            yield builder.finish()
-            builder = RowVectorBuilder(element_type)
-            emitted = True
-    if len(builder) or not emitted:
-        yield builder.finish()
 
 
 class Operator:
@@ -86,9 +65,7 @@ class Operator:
     Subclasses assign their static parameters, call ``super().__init__``
     (which types the node by running :meth:`infer_type` over the upstreams'
     declared types) and implement :meth:`lanes`, their one data path in
-    both execution modes and on any number of ranks.  An operator written
-    against one rank's context implements :meth:`batches` or :meth:`rows`
-    instead.
+    both execution modes and on any number of ranks.
 
     Instances are *plan nodes*: immutable descriptions plus the per-node
     pipeline-size annotation that the plan compiler fills in.  All mutable
@@ -125,21 +102,12 @@ class Operator:
 
     #: Control operators (``Zip``, ``CartesianProduct``, ``MpiExecutor``)
     #: move a handful of tuples that hold whole collections: the profiler
-    #: counts their rows, not batches, a one-lane walk of an operator
-    #: implementing :meth:`rows` yields each row as its own morsel, and the
-    #: static analyzer reads the flag as a deliberate scalar choice (MOD024).
+    #: counts their rows, not batches.
     row_native: bool = False
 
-    #: The operator issues collectives, which need every rank of the job.
+    #: The operator issues collectives, which need every rank of the job
+    #: (MOD010, MOD013).
     collective: bool = False
-
-    #: Each lane may stop pulling its upstream at its own point (``Limit``),
-    #: so the upstream walks lane by lane and can issue no collective.
-    stops_early: bool = False
-
-    #: The class implements :meth:`lanes` (set for every subclass): its one
-    #: data path walks any number of lanes at once.
-    walks_lanes: bool = False
 
     #: Tuples emitted per run, as far as statically known: ``"one"``,
     #: ``"per_input"`` (one per tuple of upstream 0), ``"all_upstreams"``
@@ -151,11 +119,6 @@ class Operator:
     #: :mod:`repro.analysis`); class-level default so that reading it never
     #: allocates on nodes without suppressions.
     lint_suppressions: frozenset[str] = frozenset()
-
-    def __init_subclass__(cls, **kwargs) -> None:
-        """Record whether the class has a :meth:`lanes` runner."""
-        super().__init_subclass__(**kwargs)
-        cls.walks_lanes = cls.lanes is not Operator.lanes
 
     def __init__(self, upstreams: Sequence["Operator"]) -> None:
         for up in upstreams:
@@ -209,34 +172,12 @@ class Operator:
 
     def lanes(self, lx: Lockstep) -> Iterator[Step]:
         """Yield the output of every lane of ``lx`` as lockstep morsels:
-        the one data path.
+        the one data path, which every subclass implements.
 
         Each lane's rows are charged to that lane's own clock, at the point
-        where a walk of that lane alone charges them.  The default, for an
-        operator implementing :meth:`batches` or :meth:`rows` on one
-        context, walks one lane.
+        where a walk of that lane alone charges them.
         """
-        return per_rank(self, lx)
-
-    def rows(self, ctx: ExecutionContext) -> Iterator[tuple]:
-        """Yield output tuples one at a time: the data path of an operator
-        written against one context, which overrides this (or
-        :meth:`batches`) instead of :meth:`lanes`."""
-        raise NotImplementedError(
-            f"{type(self).__name__} implements neither lanes(), batches() nor rows()"
-        )
-
-    def batches(self, ctx: ExecutionContext) -> Iterator[RowVector]:
-        """Yield output tuples as RowVector morsels: the one-lane walk of
-        :meth:`lanes` on ``ctx``.
-
-        The default, for an operator implementing :meth:`rows`, buffers
-        them into morsels sized by ``ctx.morsel_rows_for`` (at least one
-        batch, possibly empty, is always yielded).
-        """
-        if self.walks_lanes:
-            return one_lane(self, ctx)
-        return pack_morsels(ctx, self.output_type, self.rows(ctx))
+        raise NotImplementedError(f"{type(self).__name__} implements no lanes()")
 
     def stream(self, ctx: ExecutionContext) -> Iterator[tuple]:
         """The row iterator consumers should use: the one-lane walk's

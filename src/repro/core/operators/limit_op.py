@@ -22,7 +22,6 @@ class Limit(Operator):
     """Yield the first ``n`` upstream tuples."""
 
     abbreviation = "LT"
-    stops_early = True
 
     def __init__(self, upstream: Operator, n: int) -> None:
         if n < 0:
@@ -38,7 +37,7 @@ class Limit(Operator):
 
     def lanes(self, lx: Lockstep) -> Iterator[Step]:
         # Each lane stops pulling at its own point, so that no lane pays
-        # for rows it would drop.
+        # for rows it would drop; no collective can sit below (MOD013).
         return lane_by_lane(lx, self._limited)
 
     def _limited(self, lx: Lockstep) -> Iterator[RowVector]:

@@ -134,7 +134,7 @@ class NestedMap(Operator):
         return [outs[0] for outs in outputs]
 
     def _packed(self, lanes: list[int], results, emitted) -> Step:
-        """The morsel ``pack_morsels`` yields for each of ``lanes``."""
+        """Each of ``lanes``' pending output tuples as one morsel."""
         parts = []
         for lane in lanes:
             parts.append(RowVector.from_rows(self.output_type, results[lane]))

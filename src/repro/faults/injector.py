@@ -121,8 +121,8 @@ class RankFaults:
     """Deterministic per-rank fault decisions for one job attempt.
 
     Owned by exactly one rank; the crash ledger it shares with its peers
-    needs no lock either, since one rank of a job runs at a time (one
-    lockstep walk, or the baton on rank threads).
+    needs no lock either, since one rank of a job runs at a time (a wave's
+    lockstep walk, or the baton of an SPMD function's rank threads).
     """
 
     __slots__ = ("job", "rank", "_rng_put", "_rng_coll", "_comm_ops")

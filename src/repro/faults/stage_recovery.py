@@ -96,7 +96,7 @@ def run_wave(
             )
             continue
         except MpiSemanticsError as exc:
-            # The substrate enforced MOD050/MOD051; the sanitizer only
+            # The substrate enforced MOD050; the sanitizer only
             # names the operators it recorded (unless one suppresses it).
             if san_job is not None:
                 san_job.translate(exc)

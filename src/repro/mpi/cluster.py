@@ -5,10 +5,10 @@ it hands every rank of a job a :class:`RankContext` (rank id, communicator,
 simulated clock, seeded RNG) and harvests per-rank results, clocks, and
 per-phase timing breakdowns.  Plan waves and the monolithic baselines walk
 a job's contexts (:meth:`SimCluster.job_contexts`) in lockstep on the
-caller's thread, one collective call for all ranks.  SPMD code written
-against one rank's communicator goes through :meth:`SimCluster.run`, which
-gives each rank a thread to carry its stack and runs them one at a time,
-switching only at collectives.
+caller's thread, one collective call for all ranks; no plan runs on a rank
+thread.  Only SPMD functions written against one rank's communicator go
+through :meth:`SimCluster.run`, which gives each rank a thread to carry its
+stack and runs them one at a time, switching only at collectives.
 
 All computation happens for real; the simulated clocks never influence
 results, only the reported timings, so runs are bit-deterministic for a
@@ -197,9 +197,8 @@ class SimCluster:
         transient faults.
 
         Each call builds a fresh ``CommWorld`` and per-rank contexts, so
-        concurrent ``run`` calls from different driver threads are fully
-        isolated — the property the serving layer's shared-cluster
-        scheduling relies on.
+        concurrent ``run`` calls from different threads are fully
+        isolated.
         """
         cluster_trace = trace
         if cluster_trace is None and self.trace:

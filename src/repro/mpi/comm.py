@@ -9,6 +9,9 @@ experiences is exactly the paper's tail-latency effect — a rank that was
 slow in a preceding phase delays everybody at the next ``MPI_Allreduce`` or
 ``MPI_Win_create``.
 
+A plan's waves walk every rank in lockstep and issue each collective once
+for all ranks through :class:`CommGroup`.  The rendezvous serves SPMD
+functions on rank threads (:meth:`~repro.mpi.cluster.SimCluster.run`).
 Ranks meet only at collectives, so a rank's thread is just its stack: one
 rank of a job holds the *baton* and runs until it parks in
 :meth:`CommWorld.rendezvous` or finishes, then hands it on.  Only the
@@ -52,7 +55,7 @@ if TYPE_CHECKING:
     from repro.analysis.sanitizer import SanitizerJob
     from repro.faults.injector import RankFaults
 
-__all__ = ["CommGroup", "CommWorld", "RankGroup", "SimComm", "WindowSet"]
+__all__ = ["CommGroup", "CommWorld", "SimComm", "WindowSet"]
 
 
 class _JobAborted(SimulationError):
@@ -351,7 +354,7 @@ class SimComm:
         #: job, or None on unsanitized runs (same ``is None`` discipline).
         self.sanitizer: "SanitizerJob | None" = None
         #: The lockstep job's group issuing this rank's collectives, or None
-        #: when the rank runs on its own thread.
+        #: when the rank runs an SPMD function on its own thread.
         self.group: "CommGroup | None" = None
         #: In a lockstep job, the abort this rank met (see :meth:`_halt`).
         self.halted: SimulationError | None = None
@@ -607,23 +610,3 @@ class CommGroup:
             self.cost.collective_cost(len(window_sets)),
         )
 
-
-class RankGroup:
-    """One rank's share of each :class:`CommGroup` collective, issued from
-    the rank's own thread: a one-lane walk's collectives, each a
-    rendezvous with the rank's peers."""
-
-    def __init__(self, comm: SimComm) -> None:
-        self.comm = comm
-
-    def allreduce(self, arrays: list[np.ndarray], op: str = "sum") -> np.ndarray:
-        return self.comm.allreduce(arrays[0], op)
-
-    def allgather(self, values: list, payload_bytes: int = 64) -> list:
-        return self.comm.allgather(values[0], payload_bytes)
-
-    def win_create(self, element_type: TupleType, capacities: list[int]) -> list[WindowSet]:
-        return [self.comm.win_create(element_type, capacities[0])]
-
-    def fence(self, window_sets: list[WindowSet]) -> None:
-        window_sets[0].fence()

@@ -306,7 +306,7 @@ class MetricsRegistry:
     # -- distribution ------------------------------------------------------
 
     def child(self, rank: int) -> "MetricsRegistry":
-        """A fresh registry for one rank of an MPI job (own thread)."""
+        """A fresh registry for one rank (lane) of an MPI job."""
         return MetricsRegistry(rank=rank)
 
     def absorb(self, other: "MetricsRegistry") -> None:

@@ -191,7 +191,8 @@ class Profiler:
     # -- distribution ------------------------------------------------------
 
     def child(self, clock, rank: int) -> "Profiler":
-        """A fresh profiler for one rank of an MPI job (own clock/thread)."""
+        """A fresh profiler for one rank (lane) of an MPI job, on that
+        rank's clock."""
         trace = self._trace.for_rank(rank) if self._trace is not None else None
         return Profiler(clock, rank=rank, timed=self.timed, trace=trace)
 

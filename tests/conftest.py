@@ -7,9 +7,13 @@ import pytest
 
 import repro.core.executor
 from repro.core.context import ExecutionContext
+from repro.core.lockstep import Lockstep, drained_rows, steps
 from repro.core.options import RunOptions
 from repro.core.operators import ParameterLookup, ParameterSlot
-from repro.mpi.cluster import SimCluster
+from repro.core.plan import prepare
+from repro.mpi.cluster import ClusterResult, SimCluster
+from repro.mpi.comm import CommGroup
+from repro.mpi.trace import ClusterTrace
 from repro.types import INT64, RowVector, TupleType, row_vector_type
 
 # Statically verify every plan the suite executes (analyzer soak test):
@@ -51,6 +55,28 @@ def table_source(table: RowVector, ctx: ExecutionContext):
     slot = ParameterSlot(TupleType.of(t=row_vector_type(table.element_type)))
     ctx.push_parameter(slot.id, (table,))
     return ParameterLookup(slot)
+
+
+def run_lanes(cluster: SimCluster, build) -> ClusterResult:
+    """Walk the plan ``build(source)`` over the ranks of one job on
+    ``cluster`` in lockstep, as an ``MpiExecutor`` wave does, and harvest
+    each rank's rows.  ``source(table)`` is a ParameterLookup every lane
+    binds to ``table``."""
+    trace = ClusterTrace(cluster.n_ranks) if cluster.trace else None
+    contexts = cluster.job_contexts(trace=trace)
+    lanes = [ExecutionContext.for_rank(rank_ctx) for rank_ctx in contexts]
+
+    def source(table: RowVector) -> ParameterLookup:
+        slot = ParameterSlot(TupleType.of(t=row_vector_type(table.element_type)))
+        for ctx in lanes:
+            ctx.push_parameter(slot.id, (table,))
+        return ParameterLookup(slot)
+
+    root = prepare(build(source))
+    lx = Lockstep(lanes, CommGroup([rank_ctx.comm for rank_ctx in contexts]))
+    rows = drained_rows(steps(root, lx), lx)
+    lx.group.check()
+    return ClusterResult.of(contexts, rows, trace)
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ single tuple.
 from repro.analysis import analyze
 from repro.core.functions import RadixPartition
 from repro.core.operators import (
+    Limit,
     LocalHistogram,
     MaterializeRowVector,
     MpiBroadcast,
@@ -190,6 +191,17 @@ class TestScopes:
         findings = errors_of(cluster_plan(inner))
         assert rules_of(findings) == {"MOD013"}
         assert "deadlock" in findings[0].message
+
+    def test_mod013_collective_below_a_limit(self):
+        # Each rank's Limit stops pulling at its own point, so whether a rank
+        # reaches the exchange's collectives depends on its data.
+        def inner(slot):
+            (exchanged,) = good_exchange(slot).upstreams
+            return MaterializeRowVector(Limit(exchanged, 5))
+
+        findings = errors_of(cluster_plan(inner))
+        assert rules_of(findings) == {"MOD013"}
+        assert all("below a Limit" in d.message for d in findings)
 
 
 class TestCanonicalPlans:

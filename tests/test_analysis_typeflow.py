@@ -13,9 +13,7 @@ from repro.core.options import RunOptions
 from repro.analysis import RULES, Severity, analyze, verify
 from repro.core.executor import execute
 from repro.core.functions import field_sum
-from repro.core.operator import Operator
 from repro.core.operators import (
-    BuildProbe,
     Filter,
     LocalHistogram,
     MaterializeChunks,
@@ -194,68 +192,13 @@ class TestVerify:
         assert set(RULES) >= {
             "MOD001", "MOD002", "MOD003", "MOD004", "MOD005", "MOD006",
             "MOD010", "MOD011", "MOD012", "MOD013",
-            "MOD020", "MOD021", "MOD022", "MOD023", "MOD024",
+            "MOD020", "MOD021", "MOD022", "MOD023",
         }
         assert all(r.id == key for key, r in RULES.items())
         assert RULES["MOD001"].severity is Severity.ERROR
         assert RULES["MOD020"].severity is Severity.INFO
-        assert RULES["MOD024"].severity is Severity.INFO
 
 
 class _TruePredicate:
     def __call__(self, row):  # pragma: no cover - never executed
         return True
-
-
-class _RowOnly(Operator):
-    """A consumer that never chose a fused strategy (inherits batches)."""
-
-    abbreviation = "R?"
-
-    def __init__(self, upstream):
-        super().__init__(upstreams=(upstream,))
-        self._output_type = upstream.output_type
-
-    def rows(self, ctx):
-        yield from self.upstreams[0].stream(ctx)
-
-
-class _RowOnlyDeclared(_RowOnly):
-    """Same consumer, but the scalar choice is recorded on purpose."""
-
-    row_native = True
-
-
-class TestDegradedFusedEdge:
-    def _vectorized_upstream(self):
-        # Projection implements a real batches(); RowScan below it is the
-        # morsel source.  Neither is a pipeline breaker.
-        return Projection(RowScan(table(KV), field="t"), ["key"])
-
-    def test_mod024_fires_on_default_batches_consumer(self):
-        findings = [
-            d for d in analyze(_RowOnly(self._vectorized_upstream()))
-            if d.rule.id == "MOD024"
-        ]
-        assert len(findings) == 1
-        assert "Projection" in findings[0].message
-        assert findings[0].severity is Severity.INFO
-
-    def test_mod024_silenced_by_explicit_alias(self):
-        plan = _RowOnlyDeclared(self._vectorized_upstream())
-        assert "MOD024" not in rules_of(analyze(plan))
-
-    def test_mod024_skips_materialized_edges(self):
-        # A breaker between the two sides means the edge is never fused —
-        # nothing degrades, nothing fires.
-        plan = _RowOnly(MaterializeRowVector(self._vectorized_upstream()))
-        assert "MOD024" not in rules_of(analyze(plan))
-
-    def test_mod024_skips_build_side_inputs(self):
-        # BuildProbe's build side (position 0) is a side input: the plan
-        # compiler drains it outside the probe pipeline, so consuming it
-        # through rows() is not a fused-edge degradation.
-        left = RowScan(table(KV), field="t")
-        right = RowScan(table(TupleType.of(key=INT64, pay=INT64)), field="t")
-        join = BuildProbe(left, right, "key")
-        assert "MOD024" not in rules_of(analyze(join))

@@ -9,7 +9,6 @@ results or deadlocking.
 import numpy as np
 import pytest
 
-from repro.core.context import ExecutionContext
 from repro.core.functions import RadixPartition
 from repro.core.operators import (
     ChunkScan,
@@ -23,34 +22,24 @@ from repro.core.operators import (
     Projection,
     RowScan,
 )
-from repro.core.plan import prepare
 from repro.errors import ExecutionError, SimulationError
 from repro.types import INT64, RowVector, TupleType, row_vector_type
 from repro.types.collections import ChunkedRowVector, chunked_type
 
-from tests.conftest import make_kv_table, table_source
+from tests.conftest import make_kv_table, run_lanes, table_source
 
 KV = TupleType.of(key=INT64, value=INT64)
 
 
 class TestExchangeInvariants:
-    def _run(self, cluster, build):
-        def prog(rank_ctx):
-            ctx = ExecutionContext.for_rank(rank_ctx)
-            root = build(ctx)
-            prepare(root)
-            return list(root.stream(ctx))
-
-        return cluster.run(prog)
-
     def test_histogram_data_divergence_detected(self, cluster2):
         table_a = make_kv_table(64, seed=1)
         table_b = make_kv_table(64, seed=2, key_range=17)
 
-        def build(ctx):
+        def build(source):
             fn = RadixPartition("key", 4)
-            scan_hist = RowScan(table_source(table_a, ctx), field="t", shard_by_rank=True)
-            scan_data = RowScan(table_source(table_b, ctx), field="t", shard_by_rank=True)
+            scan_hist = RowScan(source(table_a), field="t", shard_by_rank=True)
+            scan_data = RowScan(source(table_b), field="t", shard_by_rank=True)
             local = LocalHistogram(scan_hist, RadixPartition("key", 4))
             global_h = MpiHistogram(local, 4)
             return MpiExchange(scan_data, local, global_h, fn)
@@ -63,24 +52,24 @@ class TestExchangeInvariants:
             (ExecutionError, SimulationError),
             match="histogram promised|diverge|RDMA race|outside window",
         ):
-            self._run(cluster2, build)
+            run_lanes(cluster2, build)
 
     def test_global_histogram_mismatch_detected(self, cluster2):
         # The "global" histogram comes from different data than the locals.
         table = make_kv_table(64, seed=3)
         other = make_kv_table(64, seed=4, key_range=9)
 
-        def build(ctx):
+        def build(source):
             fn = RadixPartition("key", 4)
-            scan = RowScan(table_source(table, ctx), field="t", shard_by_rank=True)
+            scan = RowScan(source(table), field="t", shard_by_rank=True)
             local = LocalHistogram(scan, RadixPartition("key", 4))
-            scan_other = RowScan(table_source(other, ctx), field="t", shard_by_rank=True)
+            scan_other = RowScan(source(other), field="t", shard_by_rank=True)
             local_other = LocalHistogram(scan_other, RadixPartition("key", 4))
             global_wrong = MpiHistogram(local_other, 4)
             return MpiExchange(scan, local, global_wrong, fn)
 
         with pytest.raises(ExecutionError, match="disagrees with the sum"):
-            self._run(cluster2, build)
+            run_lanes(cluster2, build)
 
 
 class TestWindowRaces:

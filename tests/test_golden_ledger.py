@@ -6,15 +6,18 @@ phase breakdown, the puts and shuffled bytes, the morsels drained and the
 substrate events each rank recorded.  A change that moves one of these is
 a plan or cost-model change, and says so.
 
-An MPI wave walks its plan once for all ranks, in lockstep; a plan holding
-SPMD code gives each rank a thread on which it walks its own lane.  Both
-must land on the same figures, observed or not.
+An MPI wave walks its plan once for all ranks, in lockstep, observed or
+not.  The local-level, sanitizer, crash-recovery and ``Limit`` pins were
+recorded while a second walk, each rank walking its own lane on its own
+thread, still existed and agreed with this one: they carry that check
+forward.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import threading
 from collections import Counter
 
 import numpy as np
@@ -32,7 +35,7 @@ from repro.core.plans import (
     build_distributed_groupby,
     build_distributed_join,
 )
-from repro.faults.policy import CrashFault, FaultPolicy
+from repro.faults.policy import CrashFault, FaultPolicy, fault_profile
 from repro.mpi import SimCluster
 from repro.relational.optimizer import lower_to_modularis
 from repro.tpch import ALL_QUERIES, load_catalog
@@ -48,6 +51,15 @@ def clocks_and_phases(report) -> tuple:
         [result.clocks for result in report.cluster_results],
         hashlib.sha256(phases).hexdigest()[:16],
     )
+
+
+def digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def columns(report) -> list:
+    """The result's one collection per row, as lists of column values."""
+    return [[column.tolist() for column in vector.columns] for (vector,) in report.rows]
 
 
 def ledger(report) -> tuple:
@@ -337,7 +349,178 @@ PINNED = {'q4-r1': ([[0.0008612927600797519]],
                          ('fault', 1),
                          ('put', 8),
                          ('retry', 1),
-                         ('win_create', 2))),))}
+                         ('win_create', 2))),)),
+ 'local-hash': (([[0.0006509641002916892,
+                   0.000651283868650403,
+                   0.0006506789195697766,
+                   0.0006502045199322667]],
+                 '7cdbdfab6b8ccd5f',
+                 32,
+                 65536,
+                 749,
+                 (((('collective', 8), ('put', 8), ('win_create', 2)),
+                   (('collective', 8), ('put', 8), ('win_create', 2)),
+                   (('collective', 8), ('put', 8), ('win_create', 2)),
+                   (('collective', 8), ('put', 8), ('win_create', 2))),)),
+                'dc88734875dbde45'),
+ 'local-sortmerge': (([[0.0006525579846678737,
+                        0.0006528946247573379,
+                        0.0006522577571402829,
+                        0.0006517583270620373]],
+                      'de79a0566db645f9',
+                      32,
+                      65536,
+                      621,
+                      (((('collective', 8), ('put', 8), ('win_create', 2)),
+                        (('collective', 8), ('put', 8), ('win_create', 2)),
+                        (('collective', 8), ('put', 8), ('win_create', 2)),
+                        (('collective', 8),
+                         ('put', 8),
+                         ('win_create', 2))),)),
+                     '5e26ea6b13758d15'),
+ 'local-groupby': (([[0.0003213144790985742,
+                      0.00032143026329613803,
+                      0.00032121121865973687,
+                      0.0003210394443742058]],
+                    '30bbd1c25d620cef',
+                    16,
+                    32768,
+                    454,
+                    (((('collective', 4), ('put', 4), ('win_create', 1)),
+                      (('collective', 4), ('put', 4), ('win_create', 1)),
+                      (('collective', 4), ('put', 4), ('win_create', 1)),
+                      (('collective', 4), ('put', 4), ('win_create', 1))),)),
+                   '7d4190a4286a1c0b'),
+ 'local-nic': (([[0.00031698290011031484,
+                  0.00031720005749391464,
+                  0.00031685500454595096,
+                  0.0003168473971868554]],
+                '94e163c2e517dc26',
+                16,
+                22376,
+                454,
+                (((('collective', 4), ('put', 4), ('win_create', 1)),
+                  (('collective', 4), ('put', 4), ('win_create', 1)),
+                  (('collective', 4), ('put', 4), ('win_create', 1)),
+                  (('collective', 4), ('put', 4), ('win_create', 1))),)),
+               '7d4190a4286a1c0b'),
+ 'sanitized-broadcast_join': (16, 16, 4, 4, '61448f3232b132a4'),
+ 'sanitized-groupby': (16, 16, 4, 4, '23ad5361f29d9208'),
+ 'sanitized-join': (31, 32, 8, 8, 'cea996de16f91e45'),
+ 'sanitized-join_sequence': (47, 48, 12, 12, '4b32e17ed20551b8'),
+ 'sanitized-q12': (21, 32, 8, 8, '7a87afb46fdc79e3'),
+ 'sanitized-q14': (28, 32, 8, 8, 'a548b0d5781952fb'),
+ 'sanitized-q19': (16, 32, 8, 8, '870732792b46dd13'),
+ 'sanitized-q4': (24, 32, 8, 8, 'fdb9b12ce9b172fa'),
+ 'aborted-crash+drops-degrade': (([[0.0007967937665669476,
+                                    0.0007874534786771318,
+                                    0.0007872619612154959]],
+                                  'ddabb290797e808e',
+                                  24,
+                                  307720,
+                                  85,
+                                  (((('collective', 8),
+                                     ('put', 8),
+                                     ('win_create', 2)),
+                                    (('collective', 8),
+                                     ('fault', 1),
+                                     ('put', 8),
+                                     ('retry', 1),
+                                     ('win_create', 2)),
+                                    (('collective', 8),
+                                     ('put', 8),
+                                     ('win_create', 2))),)),
+                                 0.001117828093007737,
+                                 {'fault:crash': 1,
+                                  'fault:put_drop': 3,
+                                  'recovery:degrade_cluster': 1,
+                                  'retry:put->0': 1,
+                                  'retry:put->1': 1,
+                                  'retry:put->3': 1},
+                                 '92c93a86c27804d1'),
+ 'aborted-crash+drops-retry': (([[0.0008025897218156238,
+                                  0.000802632579422131,
+                                  0.0008024410619604951,
+                                  0.000802119059208813]],
+                                '53523b6d667008d2',
+                                32,
+                                307720,
+                                102,
+                                (((('collective', 8),
+                                   ('put', 8),
+                                   ('win_create', 2)),
+                                  (('collective', 8),
+                                   ('fault', 1),
+                                   ('put', 8),
+                                   ('retry', 1),
+                                   ('win_create', 2)),
+                                  (('collective', 8),
+                                   ('put', 8),
+                                   ('win_create', 2)),
+                                  (('collective', 8),
+                                   ('fault', 1),
+                                   ('put', 8),
+                                   ('retry', 1),
+                                   ('win_create', 2))),)),
+                               0.0011236761058629205,
+                               {'fault:crash': 1,
+                                'fault:put_drop': 4,
+                                'recovery:stage_retry': 1,
+                                'retry:put->1': 2,
+                                'retry:put->3': 2},
+                               'c50d9799434eaf99'),
+ 'aborted-crash-degrade': (([[0.0007404156415669475,
+                              0.0007310753536771317,
+                              0.0007308838362154958]],
+                            '69bdf99daf559d4e',
+                            24,
+                            307720,
+                            85,
+                            (((('collective', 8),
+                               ('put', 8),
+                               ('win_create', 2)),
+                              (('collective', 8),
+                               ('put', 8),
+                               ('win_create', 2)),
+                              (('collective', 8),
+                               ('put', 8),
+                               ('win_create', 2))),)),
+                           0.0010614499680077368,
+                           {'fault:crash': 1, 'recovery:degrade_cluster': 1},
+                           'd8ecbb86f2d6e582'),
+ 'aborted-crash-retry': (([[0.0006960490968156238,
+                            0.000696091954422131,
+                            0.0006959004369604951,
+                            0.000695578434208813]],
+                          'f4801964b4b1ab5d',
+                          32,
+                          307720,
+                          102,
+                          (((('collective', 8),
+                             ('put', 8),
+                             ('win_create', 2)),
+                            (('collective', 8),
+                             ('put', 8),
+                             ('win_create', 2)),
+                            (('collective', 8),
+                             ('put', 8),
+                             ('win_create', 2)),
+                            (('collective', 8),
+                             ('put', 8),
+                             ('win_create', 2))),)),
+                         0.0010171354808629204,
+                         {'fault:crash': 1, 'recovery:stage_retry': 1},
+                         '0039a5b27dec3ed2'),
+ 'limit': (([[2.89745538721802e-07,
+              2.9281257971195165e-07,
+              2.8701024318720763e-07,
+              2.8246006461487506e-07]],
+            'b3ed652da0bf3fda',
+            0,
+            0,
+            37,
+            (((), (), (), ()),)),
+           '9336172cbce81fba')}
 
 
 @pytest.mark.parametrize("ranks", [1, 4, 8])
@@ -373,10 +556,18 @@ def test_tpch_in_lockstep(query, ranks, lockstep_jobs):
     assert clocks_and_phases(report) == PINNED[f"q{query}-r{ranks}"][:2]
 
 
-@pytest.fixture
-def rank_threads(monkeypatch):
-    """Waves run as SPMD jobs: each rank walks its own lane on its thread."""
-    monkeypatch.setattr(lockstep, "runs_in_lockstep", lambda executor: False)
+@pytest.mark.parametrize("name", ALL_TARGETS)
+def test_no_wave_starts_a_thread(name, monkeypatch):
+    """Every wave walks in lockstep on the caller's thread: observed,
+    sanitized, or losing a rank to a crash."""
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name!r} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    target = resolve(name, 4, log2_tuples=6, sf=0.0002)
+    observed = target.run(RunOptions(profile=True, metrics=True, sanitize=True))
+    crashed = target.run(RunOptions(faults=fault_profile("crash", 1, 4)))
+    assert observed.sanitizer.clean and crashed.recovery_events
 
 
 @pytest.mark.parametrize("ranks", [1, 4, 8])
@@ -388,16 +579,8 @@ def test_tpch_profiled_in_lockstep(query, ranks, lockstep_jobs):
     assert ledger(report) == PINNED[f"q{query}-r{ranks}"]
 
 
-@pytest.mark.parametrize("ranks", [1, 4, 8])
-@pytest.mark.parametrize("query", sorted(ALL_QUERIES))
-def test_tpch_on_rank_threads(query, ranks, lockstep_jobs, rank_threads):
-    report = tpch_report(query, ranks, RunOptions(metrics=True))
-    assert not lockstep_jobs
-    assert ledger(report) == PINNED[f"q{query}-r{ranks}"]
-
-
 @pytest.mark.parametrize("builder", ["hash", "sortmerge", "groupby", "nic"])
-def test_local_level_in_lockstep_matches_rank_threads(builder, lockstep_jobs, monkeypatch):
+def test_local_level_pinned(builder, lockstep_jobs):
     # key_bits=27 plans the second, in-memory partitioning level.
     cluster = SimCluster(4)
     if builder in ("hash", "sortmerge"):
@@ -412,13 +595,9 @@ def test_local_level_in_lockstep_matches_rank_threads(builder, lockstep_jobs, mo
             offload="nic" if builder == "nic" else None,
         )
         inputs = (group.table,)
-    walked = plan.run(*inputs, RunOptions(metrics=True))
+    report = plan.run(*inputs, RunOptions(metrics=True))
     assert lockstep_jobs == [1]
-    monkeypatch.setattr(lockstep, "runs_in_lockstep", lambda executor: False)
-    threaded = plan.run(*inputs, RunOptions(metrics=True))
-    assert lockstep_jobs == [1]
-    assert ledger(walked) == ledger(threaded)
-    assert walked.rows == threaded.rows
+    assert (ledger(report), digest(columns(report))) == PINNED[f"local-{builder}"]
 
 
 def test_transient_faults():
@@ -429,73 +608,60 @@ def test_transient_faults():
 
 
 @pytest.mark.parametrize("name", ALL_TARGETS)
-def test_sanitized_lockstep_matches_rank_threads(name, monkeypatch):
-    """The sanitizer watches the walk every run takes: a lockstep walk's
-    checked puts, collectives, windows, epochs and per-window write sets
-    are those of each rank walking its own lane on its own thread."""
+def test_sanitized_pinned(name, monkeypatch):
+    """The sanitizer watches the walk every run takes: its checked puts,
+    collectives, windows and epochs, and a digest of each window's write
+    set (its puts' regions and sources; the payload fingerprints hold only
+    within one process)."""
     seen = []
     report = Sanitizer.report
 
     def recorded(self, replay=None):
-        log = {key: sorted(puts) for key, puts in self.write_log.items()}
+        log = sorted((key, sorted(put[:4] for put in puts)) for key, puts in self.write_log.items())
         seen.append((self.puts_checked, self.collectives_checked,
-                     self.windows_tracked, self.epochs_closed, log))
+                     self.windows_tracked, self.epochs_closed, digest(log)))
         return report(self, replay)
 
     monkeypatch.setattr(Sanitizer, "report", recorded)
     target = resolve(name, 4, log2_tuples=6, sf=0.0002)
     assert target.run(RunOptions(sanitize=True)).sanitizer.clean
-    monkeypatch.setattr(lockstep, "runs_in_lockstep", lambda executor: False)
-    assert target.run(RunOptions(sanitize=True)).sanitizer.clean
-    walked, threaded = seen
-    assert walked[0] > 0 and walked == threaded
+    assert seen == [PINNED[f"sanitized-{name}"]]
 
 
 @pytest.mark.parametrize("permanent", [False, True], ids=["retry", "degrade"])
 @pytest.mark.parametrize("drop_rate", [0.0, 0.2], ids=["crash", "crash+drops"])
-def test_aborted_lockstep_wave_matches_rank_threads(permanent, drop_rate, monkeypatch):
+def test_aborted_wave_pinned(permanent, drop_rate, request):
     """A rank that crashes in a lockstep wave stops there, while its peers
-    run on to the next collective, as rank threads do: the aborted
-    attempt leaves the same faults, retries and recovery behind."""
+    run on to the next collective: the aborted attempt leaves its faults,
+    retries and recovery behind."""
     policy = FaultPolicy(
         crash=CrashFault(2, after_comm_ops=6, permanent=permanent),
         put_drop_rate=drop_rate,
     )
 
-    def outcome():
-        report = tpch_report(12, 4, RunOptions(metrics=True, faults=policy))
-        evidence = [(e.rank, e.kind, e.label, e.start, e.end, e.detail) for e in report.recovery_events]
-        return ledger(report), report.simulated_time, report.fault_summary(), evidence
-
-    walked = outcome()
-    assert walked[2]
-    monkeypatch.setattr(lockstep, "runs_in_lockstep", lambda executor: False)
-    assert outcome() == walked
+    report = tpch_report(12, 4, RunOptions(metrics=True, faults=policy))
+    evidence = [(e.rank, e.kind, e.label, e.start, e.end, e.detail) for e in report.recovery_events]
+    outcome = ledger(report), report.simulated_time, report.fault_summary(), digest(evidence)
+    assert outcome == PINNED[f"aborted-{request.node.callspec.id}"]
 
 
-def test_limit_in_lockstep_matches_rank_threads(lockstep_jobs, monkeypatch):
-    """Each lane of a lockstep ``Limit`` stops pulling at its own point, as
-    a rank does: its upstream charges no rank for rows it drops."""
+def test_limit_pinned(lockstep_jobs):
+    """Each lane of a lockstep ``Limit`` stops pulling at its own point: its
+    upstream charges no rank for rows it drops."""
     kv = TupleType.of(key=INT64, value=INT64)
     table = RowVector(kv, [np.arange(1000), np.arange(1000) % 7])
     slot = ParameterSlot(TupleType.of(t=row_vector_type(kv)))
 
-    def run():
-        executor = MpiExecutor(
-            ParameterLookup(slot),
-            lambda s: MaterializeRowVector(
-                Limit(RowScan(ParameterLookup(s), field="t", shard_by_rank=True), 70)
-            ),
-            SimCluster(4),
-        )
-        report = execute(
-            MaterializeRowVector(RowScan(executor)), params={slot: (table,)},
-            options=RunOptions(metrics=True, morsel_rows=32),
-        )
-        return report.rows, ledger(report)
-
-    walked = run()
+    executor = MpiExecutor(
+        ParameterLookup(slot),
+        lambda s: MaterializeRowVector(
+            Limit(RowScan(ParameterLookup(s), field="t", shard_by_rank=True), 70)
+        ),
+        SimCluster(4),
+    )
+    report = execute(
+        MaterializeRowVector(RowScan(executor)), params={slot: (table,)},
+        options=RunOptions(metrics=True, morsel_rows=32),
+    )
     assert lockstep_jobs == [1]
-    monkeypatch.setattr(lockstep, "runs_in_lockstep", lambda executor: False)
-    assert run() == walked
-    assert lockstep_jobs == [1]
+    assert (ledger(report), digest(columns(report))) == PINNED["limit"]

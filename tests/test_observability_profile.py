@@ -3,18 +3,15 @@
 import itertools
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.core import lockstep
 from repro.core.context import ExecutionContext
 from repro.core.options import RunOptions
 from repro.core.executor import ExecutionReport, execute
-from repro.core.operator import Operator
 from repro.core.functions import field_sum
 from repro.core.operators import (
     MaterializeRowVector,
-    MpiExecutor,
     ParameterLookup,
     ParameterSlot,
     Reduce,
@@ -24,7 +21,7 @@ from repro.core.plans import build_distributed_join
 from repro.mpi.cluster import SimCluster
 from repro.observability import Profiler
 from repro.observability import profile as profile_module
-from repro.types import INT64, RowVector, TupleType, row_vector_type
+from repro.types import INT64, TupleType, row_vector_type
 from repro.workloads import make_join_relations
 
 from tests.conftest import make_kv_table
@@ -37,20 +34,6 @@ def simple_plan():
     scan = RowScan(ParameterLookup(slot), field="t")
     total = Reduce(scan, field_sum("key", "value"))
     return MaterializeRowVector(total, field="result"), slot
-
-
-class _RankMorsels(Operator):
-    """Written against one context: rank ``r`` yields ``r + 1`` morsels of
-    ``r + 1`` rows."""
-
-    def __init__(self):
-        super().__init__(upstreams=())
-        self._output_type = KV
-
-    def batches(self, ctx):
-        n = ctx.rank + 1
-        for _ in range(n):
-            yield RowVector(KV, [np.arange(n, dtype=np.int64), np.zeros(n, dtype=np.int64)])
 
 
 class TestDisabledCostsNothing:
@@ -178,31 +161,6 @@ class TestDistributedMerge:
         # Spans carry real rank ids from the worker threads.
         ranks = {s.rank for s in profile.spans}
         assert {0, 1} <= ranks
-
-    def test_a_per_context_operator_is_observed_once_per_rank(self):
-        """Its walk is observed where every walk is, once: each rank's
-        profiler holds one activation with the rows and morsels it yielded
-        on that rank, and the folded metric agrees with the profile."""
-        morsels = _RankMorsels()
-        slot = ParameterSlot(TupleType.of(t=row_vector_type(KV)))
-        plan = MpiExecutor(
-            ParameterLookup(slot),
-            lambda _: MaterializeRowVector(morsels, field="result"),
-            SimCluster(4),
-        )
-        assert not lockstep.runs_in_lockstep(plan)  # rank threads walk it
-        ctx = ExecutionContext(options=RunOptions(profile=True, metrics=True))
-        report = execute(plan, params={slot: (make_kv_table(8),)}, ctx=ctx)
-        assert [p.rank for p in ctx.profiler.ranks] == [0, 1, 2, 3]
-        for rank_profiler in ctx.profiler.ranks:
-            stats = rank_profiler.stats[id(morsels)]
-            n = rank_profiler.rank + 1
-            assert (stats.calls, stats.rows_out, stats.batches_out) == (1, n * n, n)
-        (node,) = report.profile.find("_RankMorsels")
-        assert (node.stats.calls, node.stats.rows_out) == (4, 1 + 4 + 9 + 16)
-        assert report.metrics.value(
-            "operator_rows_out", op="_RankMorsels", mode="fused"
-        ) == node.stats.rows_out
 
     def test_self_walls_sum_to_no_more_than_the_run(self, monkeypatch):
         # Each wall-clock read is one tick.  The lanes' frames nest under

@@ -20,9 +20,9 @@ classes.  Checked here:
 * *one composition per fragment* — outside ``repro.core.operators`` only
   ``core/plans/fragments.py`` constructs the exchange/broadcast/local-level
   operators or re-attributes a phase, so a second ladder cannot appear unseen;
-* *one data path* — under ``repro.core`` no class defines both ``rows`` and
-  ``batches``, and only a ``row_native`` class defines ``rows``, so a scalar
-  twin of a kernel cannot come back unseen;
+* *one data path* — no class under ``repro`` defines ``rows`` or
+  ``batches``, and every exported operator class implements ``lanes``, so a
+  second data path cannot come back unseen;
 * *no run state on plan nodes* — no method of an operator or partition
   function but ``__init__`` (and two build-time methods) assigns to
   ``self``, so one lowered plan can serve concurrent runs.
@@ -49,12 +49,13 @@ from repro.core.functions import (
     TupleFunction,
     field_sum,
 )
+from repro.core.lockstep import Step, drained_rows, steps
 from repro.core.operator import Operator, require_fields
 from repro.core.operators import *  # noqa: F403 - the table below names every class
 from repro.core.plan import SharedScan, prepare, walk
 from repro.errors import TypeCheckError
 from repro.mpi.cluster import SimCluster
-from repro.types import INT64, STRING, TupleType, row_vector_type
+from repro.types import INT64, STRING, RowVector, TupleType, row_vector_type
 from repro.types.collections import chunked_type
 from repro.workloads.targets import ALL_TARGETS, resolve
 
@@ -247,10 +248,14 @@ class _Enrich(Operator):
     def signature(self):
         return (self.field,)
 
-    def rows(self, ctx):
-        (extra,) = self.upstreams[1].stream(ctx)
-        for row in self.upstreams[0].stream(ctx):
-            yield row + (extra[self.upstreams[1].output_type.position(self.field)],)
+    def lanes(self, lx):
+        position = self.upstreams[1].output_type.position(self.field)
+        extras = [rows[0][position] for rows in drained_rows(steps(self.upstreams[1], lx), lx)]
+        for step in steps(self.upstreams[0], lx):
+            yield Step(step.lanes, [
+                RowVector.from_rows(self.output_type, [r + (extras[i],) for r in part.iter_rows()])
+                for i, part in zip(step.lanes, step.parts)
+            ])
 
 
 class _Undeclared(Operator):
@@ -260,8 +265,8 @@ class _Undeclared(Operator):
         super().__init__(upstreams=(upstream,))
         self._output_type = upstream.output_type
 
-    def rows(self, ctx):
-        yield from self.upstreams[0].stream(ctx)
+    def lanes(self, lx):
+        return steps(self.upstreams[0], lx)
 
 
 def enriched(field="a"):
@@ -452,48 +457,20 @@ def test_no_assert_statement_under_src():
 # -- one data path --------------------------------------------------------------
 
 
-def data_path_defects(path: Path) -> list[str]:
-    """Classes of ``path`` (other than ``Operator``) with a second data path:
-    two of ``lanes``, ``batches`` and ``rows``, or ``rows`` without
-    ``row_native = True``."""
-    defects = []
-    for node in nodes(path):
-        if not isinstance(node, ast.ClassDef) or node.name == "Operator":
-            continue
-        methods = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
-        row_native = any(
-            isinstance(n, ast.Assign)
-            and any(getattr(t, "id", None) == "row_native" for t in n.targets)
-            and getattr(n.value, "value", None) is True
-            for n in node.body
-        )
-        paths = methods & {"lanes", "batches", "rows"}
-        if len(paths) > 1 or ("rows" in methods and not row_native):
-            defects.append(f"{path.relative_to(SRC)}:{node.lineno} {node.name}")
-    return defects
-
-
 def test_every_sub_operator_has_one_data_path():
     """Interpreted mode is a cost rate, not a second implementation, and a
-    walk of one rank is the one-lane walk of all of them: under
-    ``repro.core`` no class defines two of ``lanes``, ``batches`` and
-    ``rows``, and only ``Operator`` defines ``rows`` or ``batches`` (the
-    abstract row path of an operator written against one context, and the
-    one-lane walk)."""
-    defects = [d for path in sorted((SRC / "core").rglob("*.py")) for d in data_path_defects(path)]
-    assert defects == [], defects
-    defining_rows = {
-        node.name for path in (SRC / "core").rglob("*.py") for node in nodes(path)
-        if isinstance(node, ast.ClassDef)
-        and any(isinstance(n, ast.FunctionDef) and n.name == "rows" for n in node.body)
-    }
-    assert defining_rows == {"Operator"}
-    defining_batches = {
-        node.name for path in (SRC / "core").rglob("*.py") for node in nodes(path)
-        if isinstance(node, ast.ClassDef)
-        and any(isinstance(n, ast.FunctionDef) and n.name == "batches" for n in node.body)
-    }
-    assert defining_batches == {"Operator"}
+    walk of one rank is the one-lane walk of all of them: no class under
+    ``repro`` (``Operator`` included) defines ``rows`` or ``batches``, and
+    every exported operator class implements ``lanes``."""
+    second_paths = [
+        f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
+        for path in sorted(SRC.rglob("*.py")) for node in nodes(path)
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(n, ast.FunctionDef) and n.name in ("rows", "batches") for n in node.body
+        )
+    ]
+    assert second_paths == []
+    assert [cls.__name__ for cls in OPERATOR_CLASSES if cls.lanes is Operator.lanes] == []
 
 
 # -- plan nodes hold no run state -------------------------------------------------

@@ -12,11 +12,10 @@ from repro.core.operators import (
     RowScan,
 )
 from repro.core.operators import mpi_exchange as mpi_exchange_module
-from repro.core.plan import prepare
 from repro.mpi.cluster import SimCluster
 from repro.types import INT64, RowVector, TupleType
 
-from tests.conftest import make_kv_table, table_source
+from tests.conftest import make_kv_table, run_lanes, table_source
 
 KV = TupleType.of(key=INT64, value=INT64)
 
@@ -26,7 +25,7 @@ class TestMorsels:
         ctx.options = RunOptions(morsel_rows=16)
         table = make_kv_table(100, seed=1)
         scan = RowScan(table_source(table, ctx), field="t")
-        batches = list(scan.batches(ctx))
+        batches = list(scan.stream_batches(ctx))
         assert len(batches) == 7  # ceil(100 / 16)
         assert sum(len(b) for b in batches) == 100
         flat = [r for b in batches for r in b.iter_rows()]
@@ -36,7 +35,7 @@ class TestMorsels:
         ctx.options = RunOptions(morsel_rows=8)
         table = make_kv_table(32)
         scan = RowScan(table_source(table, ctx), field="t")
-        for batch in scan.batches(ctx):
+        for batch in scan.stream_batches(ctx):
             assert batch.columns[0].base is not None
 
 
@@ -66,19 +65,15 @@ class TestExchangeChunking:
         # across chunks.
         monkeypatch.setattr(mpi_exchange_module, "BUFFER_ROWS", 8)
         table = make_kv_table(256, seed=5)
-        cluster = SimCluster(2, trace=True)
 
-        def prog(rank_ctx):
-            ctx = ExecutionContext.for_rank(rank_ctx)
-            scan = RowScan(table_source(table, ctx), field="t", shard_by_rank=True)
+        def build(source):
+            scan = RowScan(source(table), field="t", shard_by_rank=True)
             fn = RadixPartition("key", 4)
             local = LocalHistogram(scan, RadixPartition("key", 4))
             global_h = MpiHistogram(local, 4)
-            exchange = MpiExchange(scan, local, global_h, fn)
-            prepare(exchange)
-            return list(exchange.stream(ctx))
+            return MpiExchange(scan, local, global_h, fn)
 
-        result = cluster.run(prog)
+        result = run_lanes(SimCluster(2, trace=True), build)
         collected = [
             row
             for rows in result.per_rank

@@ -71,7 +71,7 @@ class TestChunkScan:
     def test_batches_are_the_chunks(self, ctx):
         table = make_kv_table(40, seed=3)
         chunk_scan = ChunkScan(chunked_source(table, ctx, chunk_rows=8), field="t")
-        batches = list(chunk_scan.batches(ctx))
+        batches = list(chunk_scan.stream_batches(ctx))
         assert [len(b) for b in batches] == [8, 8, 8, 8, 8]
 
     def test_field_inference(self, ctx):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.context import ExecutionContext
+from repro.core.lockstep import pulled
 from repro.core.options import RunOptions
 from repro.core.functions import field_sum
 from repro.core.operator import Operator
@@ -145,9 +146,9 @@ class _Logged(Operator):
     def infer_type(self, upstream_types):
         return upstream_types[0]
 
-    def batches(self, ctx):
+    def lanes(self, lx):
         self.log.append(f"{self.name} start")
         try:
-            yield from self.upstreams[0].stream_batches(ctx)
+            yield from pulled(self.upstreams[0], lx)
         finally:
             self.log.append(f"{self.name} end")

@@ -7,7 +7,6 @@ import pytest
 
 from repro import RunOptions
 from repro.core.compression import RadixCompression
-from repro.core.context import ExecutionContext
 from repro.core.executor import execute
 from repro.core.functions import RadixPartition
 from repro.core.kernels.scatter import window_bases
@@ -25,29 +24,23 @@ from repro.core.operators import (
 )
 from repro.core import lockstep
 from repro.core.operators import mpi_exchange
-from repro.core.plan import prepare, walk
+from repro.core.plan import walk
 from repro.core.plans.fragments import collect, exchange, replicate, sharded_scan
 from repro.errors import ExecutionError, TypeCheckError
 from repro.mpi.cluster import SimCluster
 from repro.mpi.comm import CommGroup, WindowSet
 from repro.types import INT64, RowVector, TupleType, row_vector_type
 
-from tests.conftest import make_kv_table, table_source
+from tests.conftest import make_kv_table, run_lanes, table_source
 
 KV = TupleType.of(key=INT64, value=INT64)
 
 
 def run_on_cluster(cluster, table, build_plan):
-    """Execute a per-rank plan built by ``build_plan(scan)`` and collect."""
-
-    def prog(rank_ctx):
-        ctx = ExecutionContext.for_rank(rank_ctx)
-        scan = RowScan(table_source(table, ctx), field="t", shard_by_rank=True)
-        root = build_plan(scan)
-        prepare(root)
-        return list(root.stream(ctx))
-
-    return cluster.run(prog)
+    """Walk the plan ``build_plan(scan)`` over ``table``'s rank shares."""
+    return run_lanes(
+        cluster, lambda source: build_plan(RowScan(source(table), field="t", shard_by_rank=True))
+    )
 
 
 class TestMpiHistogram:

@@ -144,7 +144,7 @@ class TestSumByCounting:
         ctx = ExecutionContext()
         fn = field_sum(*table.element_type.field_names[1:])
         op = ReduceByKey(scan_of(table, ctx), "key", fn)
-        (out,) = list(op.batches(ctx))
+        (out,) = list(op.stream_batches(ctx))
         return out
 
     @pytest.mark.parametrize("key_atom, key_dtype, lo", [

@@ -14,7 +14,7 @@ from repro.errors import TypeCheckError
 from repro.mpi.cluster import SimCluster
 from repro.types import INT64, RowVector, TupleType, row_vector_type
 
-from tests.conftest import make_kv_table, table_source
+from tests.conftest import make_kv_table, run_lanes, table_source
 
 KV = TupleType.of(key=INT64, value=INT64)
 
@@ -63,25 +63,17 @@ class TestRowScan:
     def test_shard_by_rank_covers_input_exactly_once(self):
         table = make_kv_table(37, seed=3)
 
-        def prog(rank_ctx):
-            ctx = ExecutionContext.for_rank(rank_ctx)
-            scan = RowScan(table_source(table, ctx), field="t", shard_by_rank=True)
-            return list(scan.stream(ctx))
-
-        result = SimCluster(4).run(prog)
+        result = run_lanes(
+            SimCluster(4), lambda source: RowScan(source(table), field="t", shard_by_rank=True)
+        )
         combined = [row for rank_rows in result.per_rank for row in rank_rows]
         assert combined == list(table.iter_rows())
 
     def test_shard_disabled_reads_everything(self):
         table = make_kv_table(8)
 
-        def prog(rank_ctx):
-            ctx = ExecutionContext.for_rank(rank_ctx)
-            scan = RowScan(table_source(table, ctx), field="t")
-            return len(list(scan.stream(ctx)))
-
-        result = SimCluster(2).run(prog)
-        assert result.per_rank == [8, 8]
+        result = run_lanes(SimCluster(2), lambda source: RowScan(source(table), field="t"))
+        assert [len(rows) for rows in result.per_rank] == [8, 8]
 
 
 class TestMaterializeRowVector:

@@ -546,7 +546,7 @@ class TestZeroCopyPlane:
         data = scan_of(table, ctx)
         hist = LocalHistogram(scan_of(table, ctx), fn)
         lp = LocalPartitioning(data, hist, fn)
-        (batch,) = list(lp.batches(ctx))
+        (batch,) = list(lp.stream_batches(ctx))
         pids = batch.columns[0].tolist()
         assert pids == [0, 1, 2, 3]
         partitions = list(batch.columns[1])
@@ -564,7 +564,6 @@ class TestZeroCopyPlane:
 
         class EmptyThenCounts:
             output_type = TupleType.of(bucket=INT64, count=INT64)
-            walks_lanes = False
 
             def lanes(self, lx):
                 for batch in (
@@ -582,7 +581,6 @@ class TestZeroCopyPlane:
 
         class BadBucket:
             output_type = TupleType.of(bucket=INT64, count=INT64)
-            walks_lanes = False
 
             def lanes(self, lx):
                 yield Step((0,), [vector_of([(5, 1)], self.output_type)])

@@ -9,12 +9,11 @@ bit-identical results.
 
 import itertools
 
-import numpy as np
 import pytest
 
 from repro.core.options import RunOptions
 from repro.analysis import SanitizerError
-from repro.core.context import ExecutionContext
+from repro.core.lockstep import Lockstep
 from repro.core.executor import execute
 from repro.core.functions import RadixPartition, TupleFunction
 from repro.core.operator import Operator
@@ -59,74 +58,57 @@ def scan_of(slot):
 
 
 class _SubstratePoker(Operator):
-    """Base for test operators that drive the comm substrate directly."""
+    """Base for test operators that drive the comm substrate directly,
+    through the group issuing their walk's collectives."""
 
     def __init__(self, upstream: Operator) -> None:
         super().__init__(upstreams=(upstream,))
         self._output_type = KV
 
-    def rows(self, ctx: ExecutionContext):
-        self.poke(ctx)
+    def lanes(self, lx: Lockstep):
+        group = lx.collectives()
+        self.poke(group, len(group.comms))
         yield from ()
 
 
 class RacyPut(_SubstratePoker):
     """Every rank writes row 0 of rank 0's window: a write-set race."""
 
-    def poke(self, ctx):
-        ws = ctx.comm.win_create(KV, capacity=4)
-        ws.put(0, 0, ONE_ROW)
-        ws.fence()
+    def poke(self, group, n_ranks):
+        windows = group.win_create(KV, [4] * n_ranks)
+        for ws in windows:
+            ws.put(0, 0, ONE_ROW)
+        group.fence(windows)
 
 
 class OverflowPut(_SubstratePoker):
     """Writes past the capacity the (imaginary) histogram promised."""
 
-    def poke(self, ctx):
-        ws = ctx.comm.win_create(KV, capacity=1)
-        if ctx.rank == 1:
-            ws.put(0, 3, ONE_ROW)
-        ws.fence()
-
-
-class DivergentCollective(_SubstratePoker):
-    """Rank 0 issues a barrier where rank 1 issues an allreduce."""
-
-    def poke(self, ctx):
-        if ctx.rank == 0:
-            ctx.comm.barrier()
-        else:
-            ctx.comm.allreduce(np.zeros(1))
-
-
-class LopsidedCollective(_SubstratePoker):
-    """Only rank 0 issues a collective; rank 1 finishes without one."""
-
-    def poke(self, ctx):
-        if ctx.rank == 0:
-            ctx.comm.barrier()
+    def poke(self, group, n_ranks):
+        windows = group.win_create(KV, [1] * n_ranks)
+        windows[1].put(0, 3, ONE_ROW)
+        group.fence(windows)
 
 
 class UnfencedPut(_SubstratePoker):
     """A put after the last fence that no closing fence ever completes."""
 
-    def poke(self, ctx):
-        ws = ctx.comm.win_create(KV, capacity=4)
-        ws.fence()
-        ws.put(ctx.rank, 0, ONE_ROW)  # own window: no race, still unfenced
+    def poke(self, group, n_ranks):
+        windows = group.win_create(KV, [4] * n_ranks)
+        group.fence(windows)
+        for rank, ws in enumerate(windows):
+            ws.put(rank, 0, ONE_ROW)  # own window: no race, still unfenced
 
 
 class ReadBeforeFence(_SubstratePoker):
     """Rank 0 reads its window while rank 1's put is still un-fenced."""
 
-    def poke(self, ctx):
-        ws = ctx.comm.win_create(KV, capacity=4)
-        if ctx.rank == 1:
-            ws.put(0, 0, ONE_ROW)
-        ctx.comm.barrier()  # the put has happened, the fence has not
-        if ctx.rank == 0:
-            ws.local.read(0, 1)
-        ws.fence()
+    def poke(self, group, n_ranks):
+        windows = group.win_create(KV, [4] * n_ranks)
+        windows[1].put(0, 0, ONE_ROW)
+        group.allgather([None] * n_ranks)  # the put has happened, the fence has not
+        windows[0].local.read(0, 1)
+        group.fence(windows)
 
 
 class WindowLeak(_SubstratePoker):
@@ -134,11 +116,10 @@ class WindowLeak(_SubstratePoker):
 
     leaked = None
 
-    def poke(self, ctx):
-        ws = ctx.comm.win_create(KV, capacity=4)
-        if ctx.rank == 0:
-            type(self).leaked = ws
-        ws.fence()
+    def poke(self, group, n_ranks):
+        windows = group.win_create(KV, [4] * n_ranks)
+        type(self).leaked = windows[0]
+        group.fence(windows)
 
 
 def tainted_exchange(map_cls):
@@ -197,29 +178,6 @@ class TestMod050WriteSetRace:
         assert "MOD050" in msg
         assert "OverflowPut" in msg
         assert "promised a region it does not have" in msg
-
-
-class TestMod051CollectiveDivergence:
-    def test_tag_mismatch_names_both_operators(self):
-        with pytest.raises(SanitizerError) as exc:
-            run_plan(
-                lambda slot: MaterializeRowVector(DivergentCollective(scan_of(slot))),
-                make_kv_table(8),
-            )
-        msg = str(exc.value)
-        assert "MOD051" in msg
-        assert "DivergentCollective" in msg
-        assert "deadlock" in msg
-
-    def test_rank_finishing_early_is_divergence(self):
-        with pytest.raises(SanitizerError) as exc:
-            run_plan(
-                lambda slot: MaterializeRowVector(LopsidedCollective(scan_of(slot))),
-                make_kv_table(8),
-            )
-        msg = str(exc.value)
-        assert "MOD051" in msg
-        assert "finished after" in msg
 
 
 class TestMod052WindowLifetime:
