@@ -33,6 +33,7 @@ from repro.core.context import ExecutionContext
 from repro.errors import MpiSemanticsError, RankCrashError, RetryBudgetExceeded
 from repro.faults.checkpoint import CheckpointStore
 from repro.mpi.trace import ClusterTrace
+from repro.observability.events import FaultDetail
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.operators.mpi_executor import MpiExecutor
@@ -83,6 +84,11 @@ def run_wave(
         except (RankCrashError, RetryBudgetExceeded) as exc:
             if policy is None or attempt > policy.max_stage_retries:
                 raise
+            if trace is None and isinstance(exc, RankCrashError):
+                # Untraced, the crash is still the fault its recovery answers.
+                trace = ClusterTrace(cluster.n_ranks, record.trace)
+                trace.emit(exc.rank, "fault", "crash", exc.sim_time, exc.sim_time,
+                           FaultDetail(fault="crash", target=exc.rank))
             if trace is not None:
                 # Keep the aborted attempt's injected-fault evidence: its
                 # trace dies with the attempt, but the faults explain the

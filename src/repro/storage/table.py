@@ -45,21 +45,6 @@ class TableStats:
     """Statistics the simplistic optimizer uses (paper §4.4)."""
 
     row_count: int
-    #: Distinct-value estimates per column (exact, since tables are local).
-    distinct: dict[str, int]
-
-    @classmethod
-    def of(cls, data: RowVector, dictionaries: dict[str, Dictionary]) -> "TableStats":
-        distinct = {}
-        for field in data.element_type:
-            column = data.column(field.name)
-            if field.name in dictionaries:
-                distinct[field.name] = len(dictionaries[field.name][0])
-            elif column.dtype == object:
-                distinct[field.name] = len(set(map(id, column)))
-            else:
-                distinct[field.name] = int(len(np.unique(column)))
-        return cls(row_count=len(data), distinct=distinct)
 
 
 class Table:
@@ -95,7 +80,7 @@ class Table:
             if column.dtype.kind == "U" and field.name not in self.dictionaries:
                 values, codes = np.unique(column, return_inverse=True)
                 self.dictionaries[field.name] = (values, codes.astype(np.int32))
-        self.stats = stats or TableStats.of(data, self.dictionaries)
+        self.stats = stats or TableStats(len(data))
 
     @property
     def schema(self) -> TupleType:

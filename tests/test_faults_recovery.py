@@ -162,6 +162,19 @@ class TestStageRecovery:
         assert summary.get("fault:crash") == 1
         assert summary.get("recovery:degrade_cluster") == 1
 
+    @pytest.mark.parametrize("profile", ["crash", "degrade"])
+    def test_an_untraced_run_names_the_crash_its_recovery_answers(self, profile):
+        from repro.faults.policy import fault_profile
+        from repro.workloads.targets import resolve
+
+        target = resolve("q12", 4, log2_tuples=6, sf=0.0002)
+        faults = fault_profile(profile, 1, 4)
+        plain = target.run(RunOptions(faults=faults))
+        observed = target.run(RunOptions(faults=faults, metrics=True))
+        assert plain.fault_summary()["fault:crash"] == 1
+        assert plain.fault_summary() == observed.fault_summary()
+        assert plain.fault_events() == observed.fault_events()
+
     def test_permanent_crash_on_single_rank_cluster_is_fatal(self):
         plan, workload = _join_plan(machines=1, n=256)
         policy = FaultPolicy(

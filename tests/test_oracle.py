@@ -516,6 +516,14 @@ _LONG = logical_case(
     catalog_of(t={"k": np.arange(4), "s": ["x" * 40, "x" * 40 + "y", "a", "b"]}),
     "strings longer than 32 characters",
 )
+_EMPTY_COMPARED = logical_case(
+    scan("a").join(
+        scan("b").filter(col("b0") <= 0).project({"k": col("k"), "b0": col("b0")}), on="k"
+    ).aggregate([], [("count", col("k"), "n")]),
+    catalog_of(a={"k": np.zeros(0, int), "a0": np.zeros(0, int)},
+               b={"k": np.zeros(0, int), "b0": np.zeros(0, int)}),
+    "a compared column of an empty table (pruning drops b0 from the projection)",
+)
 _WRAP = logical_case(
     scan("a").aggregate(["a0"], [("sum", col("k"), "sum_k")]),
     catalog_of(a={"k": [-(1 << 62)] * 3, "a0": [0] * 3}), "an INT64 sum that wraps",
@@ -593,6 +601,7 @@ _REPEATED_SEMI = bulk_case(
 @example(case=_LIMIT_0, cell=Cell())
 @example(case=_OUTER, cell=Cell(ranks=2))
 @example(case=_LONG, cell=Cell(ranks=2))
+@example(case=_EMPTY_COMPARED, cell=Cell())
 @example(case=_WRAP, cell=Cell(mode="interpreted"))
 @example(case=_SUM_BOOL, cell=Cell(mode="interpreted"))
 @example(case=_DENSE_SUMS, cell=Cell(ranks=2))

@@ -42,7 +42,7 @@ def chain_catalog(**claimed_rows: int) -> Catalog:
         keys = rng.permutation(600).astype(np.int64)
         table = Table.from_arrays(name, k=keys, **{pay: keys % 7})
         if name in claimed_rows:
-            stats = TableStats(claimed_rows[name], table.stats.distinct)
+            stats = TableStats(claimed_rows[name])
             table = Table(name, table.data, stats, table.dictionaries)
         catalog.register(table)
     return catalog
