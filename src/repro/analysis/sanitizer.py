@@ -32,9 +32,9 @@ execution context and hooks the simulated MPI substrate:
 
 Operator provenance comes from the one observer of every walk
 (:func:`repro.core.lockstep.steps`, which wraps each activation in
-:meth:`Sanitizer.track`): each thread keeps a stack of the operators whose
-generators are currently executing, so a substrate hook can name the
-innermost active operator.
+:meth:`Sanitizer.track`): the sanitizer keeps one stack of the operators
+whose generators are currently executing, so a substrate hook can name
+the innermost active operator.
 
 Findings land in a :class:`SanitizerReport` on the
 :class:`~repro.core.executor.ExecutionReport` (and in EXPLAIN ANALYZE);
@@ -43,7 +43,6 @@ violations of the raising checks surface as :class:`SanitizerError`.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -188,12 +187,14 @@ class Sanitizer:
 
     Unlocked: every wave walks its ranks in lockstep on one thread, and
     jobs are created sequentially on the driver (which is what makes window
-    keys — and therefore the MOD053 replay diff — deterministic).  Only
-    the provenance stack is thread-local.
+    keys — and therefore the MOD053 replay diff — deterministic).  One
+    thread at a time walks an execution (a served one is stepped under
+    the scheduler's step lock), so one provenance stack serves them all.
     """
 
     def __init__(self) -> None:
-        self._tls = threading.local()
+        #: The operators whose generators are executing, innermost last.
+        self._stack: list["Operator"] = []
         self._job_seq = 0
         self.puts_checked = 0
         self.collectives_checked = 0
@@ -207,24 +208,16 @@ class Sanitizer:
 
     # -- operator provenance ------------------------------------------------
 
-    def _stack(self) -> list:
-        stack = getattr(self._tls, "stack", None)
-        if stack is None:
-            stack = self._tls.stack = []
-        return stack
-
     def current_op(self) -> "Operator | None":
-        stack = getattr(self._tls, "stack", None)
-        return stack[-1] if stack else None
+        return self._stack[-1] if self._stack else None
 
     def track(self, op: "Operator", iterator):
         """Wrap one data-path activation so substrate hooks can name ``op``.
 
-        The stack manipulation runs on whichever thread pulls the
-        generator, so the innermost *currently executing* operator is
-        always on top of that thread's stack.
+        ``op`` is on top of the stack exactly while its generator runs, so
+        the innermost *currently executing* operator is always on top.
         """
-        stack = self._stack()
+        stack = self._stack
         while True:
             stack.append(op)
             try:

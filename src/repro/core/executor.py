@@ -119,7 +119,8 @@ class ExecutionReport:
         """Every injected fault, retry, and recovery event of this run.
 
         Combines the fault/retry/checkpoint events of the surviving MPI
-        jobs' traces (present when the cluster traces) with
+        jobs' traces (present when the cluster traces, the run is
+        observed, or it runs under a fault policy) with
         :attr:`recovery_events` — the evidence harvested from aborted
         attempts and the driver's recovery actions.
         """

@@ -235,7 +235,7 @@ def is_retryable(error: BaseException) -> bool:
 
     Injected faults (:class:`~repro.errors.FaultInjectionError`) model
     environmental failures — a clean re-execution can succeed, so the
-    serving layer's retry loop re-submits them with fresh fault seeds.
+    serving layer's retry loop re-runs them with fresh fault seeds.
     Everything else (plan bugs, contract violations, lifecycle outcomes
     like cancellation or a missed deadline) is terminal: retrying cannot
     change the verdict, and terminal failures are what trip a prepared

@@ -33,7 +33,6 @@ from repro.core.context import ExecutionContext
 from repro.errors import MpiSemanticsError, RankCrashError, RetryBudgetExceeded
 from repro.faults.checkpoint import CheckpointStore
 from repro.mpi.trace import ClusterTrace
-from repro.observability.events import FaultDetail
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.operators.mpi_executor import MpiExecutor
@@ -70,7 +69,7 @@ def run_wave(
         attempt += 1
         if checkpoints is not None:
             checkpoints.seal()
-        trace = _job_trace(cluster, record, profiler)
+        trace = _job_trace(cluster, record, profiler, injector)
         # One sanitizer job per dispatch attempt: the MOD05x recorders are
         # scoped to a single MPI job, and jobs are created sequentially on
         # the driver so window keys stay deterministic across replays.
@@ -84,18 +83,11 @@ def run_wave(
         except (RankCrashError, RetryBudgetExceeded) as exc:
             if policy is None or attempt > policy.max_stage_retries:
                 raise
-            if trace is None and isinstance(exc, RankCrashError):
-                # Untraced, the crash is still the fault its recovery answers.
-                trace = ClusterTrace(cluster.n_ranks, record.trace)
-                trace.emit(exc.rank, "fault", "crash", exc.sim_time, exc.sim_time,
-                           FaultDetail(fault="crash", target=exc.rank))
-            if trace is not None:
-                # Keep the aborted attempt's injected-fault evidence: its
-                # trace dies with the attempt, but the faults explain the
-                # recovery.
-                record.recovery_events.extend(
-                    trace.events(kind="fault") + trace.events(kind="retry")
-                )
+            # Keep the aborted attempt's injected-fault evidence: its trace
+            # dies with the attempt, but the faults explain the recovery.
+            record.recovery_events.extend(
+                trace.events(kind="fault") + trace.events(kind="retry")
+            )
             injector, cluster, wave = _recover(
                 executor, ctx, exc, attempt, injector, cluster, wave,
                 replicated, checkpoints,
@@ -121,11 +113,12 @@ def run_wave(
         return result
 
 
-def _job_trace(cluster, record, profiler) -> ClusterTrace | None:
+def _job_trace(cluster, record, profiler, injector) -> ClusterTrace | None:
     """The job's one substrate recorder, born with the execution's trace
-    context: armed by a tracing cluster or an observed run, whose comm and
-    fault metrics are folded from its events."""
-    if cluster.trace or profiler is not None:
+    context: armed by a tracing cluster, an observed run (whose comm and
+    fault metrics are folded from its events) or a fault injector (whose
+    faults are the evidence its recoveries answer, traced or not)."""
+    if cluster.trace or profiler is not None or injector is not None:
         return ClusterTrace(cluster.n_ranks, record.trace)
     return None
 

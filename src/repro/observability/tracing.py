@@ -265,7 +265,7 @@ class QueryJournal:
 
     @property
     def retries(self) -> int:
-        """Server-level re-submissions this query needed so far."""
+        """Server-level retry attempts this query needed so far."""
         with self._lock:
             return sum(1 for e in self.events if e.kind == "retry_scheduled")
 

@@ -166,7 +166,7 @@ class CircuitBreaker:
         """A query on this handle failed.
 
         Only *terminal* failures count: a retryable fault the server is
-        about to re-submit is not evidence of a poisoned plan.  A
+        about to retry is not evidence of a poisoned plan.  A
         half-open probe failing terminally re-opens the breaker and
         restarts the cooldown.
         """

@@ -18,9 +18,13 @@ thread waits on the server.  Each step:
 
 * pops the task whose tenant has the lowest stride pass (fair share),
   the first in queue order among equals;
-* advances that task by exactly one driver step, after its cancel and
-  deadline checks;
+* advances that task by exactly one driver step;
 * puts it back at the tail or finishes it (resolving its future).
+
+A task is a whole query, retries included: the server's generator
+runs them one after another and makes the query's own lifecycle checks
+before each driver step, so the scheduler only picks, steps, charges
+and records.
 
 Every pick takes the next number of one step-sequence counter: it is
 the :attr:`SchedulerEvent.seq` of that pick and widens the task's
@@ -45,10 +49,8 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterator
-
-from repro.errors import DeadlineExceeded, QueryCancelled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observability.metrics import MetricsRegistry
@@ -96,15 +98,18 @@ class FairShare:
 
 @dataclass
 class QueryTask:
-    """One admitted query riding the scheduler."""
+    """One admitted query riding the scheduler, from its first pick to
+    its settlement (every retry included)."""
 
     query_id: int
     tenant: str
     label: str
-    #: The stepwise execution; ``StopIteration.value`` is its result.
-    steps: Iterator[int]
-    #: Driver steps executed so far.  Carried across server-level retry
-    #: attempts so tenant ledgers account every step the query consumed.
+    #: The stepwise execution; ``StopIteration.value`` is its result.  A
+    #: yielded ``None`` is a pick that did no driver work (the server's
+    #: generator yields one when it starts a retry).
+    steps: Iterator[int | None]
+    #: Driver steps executed so far, over every retry, so tenant
+    #: ledgers account every step the query consumed.
     steps_done: int = 0
     #: Step-sequence numbers of the first/last pick (for interleaving
     #: evidence); -1 until the first pick.
@@ -112,39 +117,23 @@ class QueryTask:
     last_seq: int = -1
     #: Completion callback(task, result, error) installed by the server.
     on_done: Any = None
-    #: Simulated-seconds budget for this query (``None`` = no deadline),
-    #: checked against :attr:`sim_now` before every driver step.
-    deadline: float | None = None
-    #: Reads the query's simulated clock (the driver context's
-    #: ``clock.now``); the only time source lifecycle decisions may use.
-    sim_now: Callable[[], float] | None = None
-    #: Server-level attempt number (1 = first submission).
-    attempt: int = 1
-    #: Cooperative-cancellation flag, shared across retry attempts of the
-    #: same query so a cancel lands no matter which attempt is running.
-    cancel: threading.Event = field(default_factory=threading.Event)
-    #: The attempt's :class:`~repro.observability.tracing.TraceContext`
-    #: (``None`` for tasks submitted without a server); every scheduler
-    #: event of this task carries its trace id.
+    #: The :class:`~repro.observability.tracing.TraceContext` of the run
+    #: in progress (``None`` for tasks submitted without a server); the
+    #: server moves it to a retry's child span, and each pick's
+    #: scheduler event carries the ids the task held when the pick began.
     trace: Any = None
-    #: Wall-clock instant the first step of this attempt was scheduled
-    #: (0.0 until then); the server derives journal queue-wait from it.
+    #: Wall-clock instant of the task's first pick (0.0 until then); the
+    #: server derives journal queue-wait from it.
     #: Informational only — never an input to lifecycle decisions.
     started_wall: float = 0.0
-    result: Any = None
     error: BaseException | None = None
     done: bool = False
 
     def finish(self, result=None, error: BaseException | None = None) -> None:
-        self.result = result
         self.error = error
         self.done = True
         if self.on_done is not None:
             self.on_done(self, result, error)
-
-    def elapsed(self) -> float:
-        """Simulated seconds this query has consumed (0 without a clock)."""
-        return self.sim_now() if self.sim_now is not None else 0.0
 
 
 @dataclass(frozen=True)
@@ -161,11 +150,12 @@ class SchedulerEvent:
     query_id: int
     tenant: str
     label: str
-    #: Driver steps the pick counted: 1, or 0 when the task failed (or
-    #: was cancelled or deadline-missed) instead of stepping.
+    #: Driver steps the pick counted: 1, or 0 when the task failed (a
+    #: lifecycle verdict included) or started a retry instead of
+    #: stepping.
     steps: int
-    #: Causal link to the query (and attempt) this pick advanced;
-    #: empty for tasks submitted without a server.
+    #: Causal link to the query this pick advanced, under the child span
+    #: of the run it stepped; empty for tasks submitted without a server.
     trace_id: str = ""
     span_id: str = ""
 
@@ -254,52 +244,19 @@ class Scheduler:
             task = self._queue.pop(index)
             seq = next(self._seq)
         if task.first_seq < 0:
-            task.first_seq = seq
+            task.first_seq, task.started_wall = seq, time.perf_counter()
         task.last_seq = seq
-        if task.started_wall == 0.0:
-            task.started_wall = time.perf_counter()
-        steps = 0
+        trace, steps = task.trace, 0
         try:
             steps = self._step(task)
         finally:
-            self._record(seq, task, steps)
+            self._record(seq, task, steps, trace)
         return True
-
-    def _check_lifecycle(self, task: QueryTask) -> None:
-        """Raise the cooperative lifecycle verdicts (cancel, deadline).
-
-        Called before every driver step — the only preemption points — so
-        a cancel or deadline miss never interrupts a step mid-flight.
-        Both verdicts read deterministic inputs (the cancel flag set by
-        the server, the query's own simulated clock), never wall time.
-        """
-        if task.cancel.is_set():
-            raise QueryCancelled(
-                f"query {task.query_id} ({task.label!r}) cancelled after "
-                f"{task.steps_done} driver step(s)",
-                query_id=task.query_id,
-                tenant=task.tenant,
-                handle=task.label,
-            )
-        if task.deadline is not None:
-            elapsed = task.elapsed()
-            if elapsed > task.deadline:
-                raise DeadlineExceeded(
-                    f"query {task.query_id} ({task.label!r}) exceeded its "
-                    f"deadline of {task.deadline:.6f} simulated seconds "
-                    f"(elapsed {elapsed:.6f})",
-                    query_id=task.query_id,
-                    tenant=task.tenant,
-                    handle=task.label,
-                    deadline=task.deadline,
-                    elapsed=elapsed,
-                )
 
     def _step(self, task: QueryTask) -> int:
         """Advance ``task`` by one driver step; returns the steps counted."""
         try:
-            self._check_lifecycle(task)
-            next(task.steps)
+            step = next(task.steps)
         except StopIteration as done:
             # The final next() still performed driver work (result harvest,
             # snapshotting); count it as a step for fair-share purposes.
@@ -312,11 +269,14 @@ class Scheduler:
             task.steps.close()
             task.finish(error=exc)
             return 0
+        if step is None:
+            return 0
         task.steps_done += 1
         return 1
 
-    def _record(self, seq: int, task: QueryTask, steps: int) -> None:
-        """Charge and trace one pick, then requeue or retire its task."""
+    def _record(self, seq: int, task: QueryTask, steps: int, trace) -> None:
+        """Charge and trace one pick under the ``trace`` it began with,
+        then requeue or retire its task."""
         self.fairshare.charge(task.tenant, steps)
         with self._lock:
             self.trace.append(
@@ -326,8 +286,8 @@ class Scheduler:
                     tenant=task.tenant,
                     label=task.label,
                     steps=steps,
-                    trace_id=task.trace.trace_id if task.trace is not None else "",
-                    span_id=task.trace.span_id if task.trace is not None else "",
+                    trace_id=trace.trace_id if trace is not None else "",
+                    span_id=trace.span_id if trace is not None else "",
                 )
             )
             if self.metrics is not None:
@@ -337,8 +297,8 @@ class Scheduler:
                 self.metrics.counter("serving_steps", tenant=task.tenant).add(steps)
                 self.metrics.counter("serving_quanta").inc()
                 if task.done and task.error is None:
-                    # Success only; cancelled/deadline-missed/failed outcomes
-                    # are classified and counted by the server's on_done.
+                    # Success only; every other outcome is classified and
+                    # counted by the server when it settles the query.
                     self.metrics.counter(
                         "serving_completed", tenant=task.tenant
                     ).inc()

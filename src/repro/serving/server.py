@@ -49,6 +49,7 @@ The client surface is :class:`QuerySession` — ``session → deploy → run``:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import threading
@@ -85,6 +86,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import ExecutionReport
     from repro.mpi.cluster import SimCluster
     from repro.relational.frame import Frame
+    from repro.relational.optimizer.planner import ModularisQuery
     from repro.storage.catalog import Catalog
 
 __all__ = ["QueryOutcome", "QueryFuture", "TenantAccount", "QuerySession", "Server"]
@@ -123,8 +125,8 @@ class QueryFuture:
         self.tenant = tenant
         self.handle = handle
         self._scheduler = scheduler
-        #: Shared with every scheduler attempt of this query, so a cancel
-        #: lands no matter which retry attempt is currently running.
+        #: Read by the query's generator before every driver step, so a
+        #: cancel lands whichever retry attempt is running.
         self._cancel = threading.Event()
         self._outcome: QueryOutcome | None = None
         self._error: BaseException | None = None
@@ -135,8 +137,8 @@ class QueryFuture:
     def cancel(self) -> bool:
         """Request cooperative cancellation of this query.
 
-        The flag is observed by the scheduler between driver steps — never
-        mid-step — and the query settles into its tenant's ledger as a
+        The flag is checked by the query's own generator before each driver
+        step — never mid-step — and the query settles into its tenant's ledger as a
         ``cancelled`` outcome; ``result()`` then raises
         :class:`~repro.errors.QueryCancelled`.  Returns ``False`` if the
         query already settled (its outcome stands), ``True`` if the
@@ -220,7 +222,7 @@ class TenantAccount:
     failed: int = 0
     #: Load-shed submissions (never reached the scheduler).
     shed: int = 0
-    #: Server-level re-submissions after retryable faults.
+    #: Server-level retry attempts after retryable faults.
     retries: int = 0
     #: Queries admitted to the scheduler and not yet settled.
     in_flight: int = 0
@@ -228,7 +230,7 @@ class TenantAccount:
 
 @dataclass(frozen=True)
 class _Admitted:
-    """What every scheduler attempt of one admitted query shares."""
+    """What every attempt of one admitted query shares."""
 
     prepared: PreparedPlan
     breaker: CircuitBreaker
@@ -558,15 +560,20 @@ class Server:
             future = QueryFuture(query_id, tenant, prepared.handle, self.scheduler)
             journal.query_id = query_id
             journal.note("admitted", query_id=query_id)
+            query = _Admitted(
+                prepared, breaker, future, run_options, deadline, trace, journal
+            )
+            # One task per query; its generator runs every attempt.
+            task = QueryTask(
+                query_id, tenant, prepared.handle, steps=None,
+                on_done=functools.partial(self._complete, query),
+            )
             # Build the first attempt before handing anything to the
             # scheduler: contract check + lowering happen now, so submit()
             # fails fast and the scheduler only ever sees runnable work.
             try:
-                task = self._make_attempt(
-                    _Admitted(
-                        prepared, breaker, future, run_options, deadline,
-                        trace, journal,
-                    )
+                task.steps = self._attempts(
+                    query, task, *self._start_attempt(query, task, 1)
                 )
             except BaseException as exc:
                 self._settle(journal, "rejected", type(exc).__name__)
@@ -609,30 +616,19 @@ class Server:
 
     # -- lifecycle internals ------------------------------------------------
 
-    def _attempt_options(self, base: RunOptions, attempt: int) -> RunOptions:
-        """Per-attempt options: bump the fault seed so a retry does not
-        deterministically replay the exact fault sequence that killed the
-        previous attempt.  Faults only ever cost simulated time, so the
-        result stays bit-identical whatever seed an attempt runs under."""
-        if attempt == 1 or base.faults is None:
-            return base
-        faults = dataclasses.replace(base.faults, seed=base.faults.seed + attempt - 1)
-        return base.replace(faults=faults)
+    def _start_attempt(
+        self, query: _Admitted, task: QueryTask, number: int, elapsed: float = 0.0
+    ) -> tuple["ModularisQuery", ExecutionContext]:
+        """Lower attempt ``number`` of ``task``'s query and move the task
+        to the attempt's span; returns the lowering and the driver context.
 
-    def _make_attempt(
-        self,
-        query: _Admitted,
-        previous: QueryTask | None = None,
-        backoff: float = 0.0,
-    ) -> QueryTask:
-        """One scheduler attempt of one query (retries re-enter here with
-        the failed attempt as ``previous``).
-
-        The attempt runs under a private driver context whose simulated
-        clock is pre-advanced by the previous attempts' elapsed time plus
-        the retry ``backoff``, so deadlines and the journal's
-        ``total_seconds`` span the whole retry chain; morsel steps and the
-        step-sequence span carry over the same way.
+        A retry bumps the fault seed so it does not deterministically
+        replay the exact fault sequence that killed the previous attempt;
+        faults only ever cost simulated time, so the result stays
+        bit-identical whatever seed an attempt runs under.  The context's
+        simulated clock is pre-advanced by ``elapsed`` (the earlier
+        attempts' time plus the retry backoff), so deadlines and the
+        journal's ``total_seconds`` span the whole retry chain.
 
         Each attempt executes under its own child span of the query's
         trace (``<trace>/aN``); the attempt's execution record is created
@@ -640,123 +636,156 @@ class Server:
         spans, substrate events under rank spans (``<trace>/aN/rM``),
         recovery actions — is born linked to the query.
         """
-        prepared, journal, breaker, future = (
-            query.prepared, query.journal, query.breaker, query.future
-        )
-        tenant, query_id = future.tenant, future.query_id
-        attempt = previous.attempt + 1 if previous else 1
-        carry_steps = previous.steps_done if previous else 0
-        carry_elapsed = previous.elapsed() + backoff if previous else 0.0
-        opts = self._attempt_options(query.options, attempt)
-        lowered = prepared.instantiate(self.catalog, self.cluster, opts)
-        attempt_trace = query.trace.for_attempt(attempt)
-        ctx = ExecutionContext.from_options(opts, trace=attempt_trace)
-        if carry_elapsed:
-            ctx.clock.advance(carry_elapsed)
-        journal.note(
+        options, faults = query.options, query.options.faults
+        if number > 1 and faults is not None:
+            faults = dataclasses.replace(faults, seed=faults.seed + number - 1)
+            options = options.replace(faults=faults)
+        lowered = query.prepared.instantiate(self.catalog, self.cluster, options)
+        task.trace = query.trace.for_attempt(number)
+        ctx = ExecutionContext.from_options(options, trace=task.trace)
+        if elapsed:
+            ctx.clock.advance(elapsed)
+        query.journal.note(
             "attempt_started",
-            span_id=attempt_trace.span_id,
-            attempt=attempt,
-            sim_time=carry_elapsed,
-            carry_steps=carry_steps,
+            span_id=task.trace.span_id,
+            attempt=number,
+            sim_time=elapsed,
+            carry_steps=task.steps_done,
         )
+        return lowered, ctx
 
-        def on_done(task: QueryTask, result, error: BaseException | None) -> None:
-            if journal.queue_wall_seconds == 0.0 and task.started_wall:
-                # Wall-clock admission-to-first-morsel wait, captured at
-                # the first settlement that saw the task scheduled.
-                journal.queue_wall_seconds = max(
-                    0.0, task.started_wall - journal._wall_start
-                )
-            if error is None:
-                try:
-                    outcome = QueryOutcome(
-                        query_id=query_id,
-                        tenant=tenant,
-                        handle=prepared.handle,
-                        report=result,
-                        frame=lowered.result_frame(result),
-                        steps=task.steps_done,
-                        first_seq=task.first_seq,
-                        last_seq=task.last_seq,
-                        journal=journal,
-                        attempts=task.attempt,
-                    )
-                except BaseException as exc:  # noqa: BLE001 - via future
-                    self._finalize_failure(task, exc, query)
-                    return
-                breaker.record_success()
-                journal.note(
-                    "attempt_finished",
-                    span_id=attempt_trace.span_id,
-                    attempt=task.attempt,
-                    sim_time=result.simulated_time,
-                    steps=task.steps_done,
-                    rows=len(result.rows),
-                )
-                self._settle(
-                    journal,
-                    "completed",
-                    task=task,
-                    sim_time=result.simulated_time,
-                    result_rows=len(result.rows),
-                )
-                future._resolve(outcome, None)
-                return
-            retry = self.retry
-            retryable = is_retryable(error)
-            if (
-                retry is not None
-                and retryable
-                and task.attempt < retry.max_attempts
-                and not task.cancel.is_set()
-            ):
-                backoff = retry.backoff(task.attempt)
-                journal.record_backoff(backoff)
-                journal.note(
-                    "retry_scheduled",
-                    span_id=attempt_trace.span_id,
-                    attempt=task.attempt,
-                    sim_time=task.elapsed(),
-                    backoff=backoff,
-                    reason=type(error).__name__,
-                )
-                try:
-                    self.scheduler.submit(
-                        self._make_attempt(query, previous=task, backoff=backoff)
-                    )
-                except BaseException as exc:  # noqa: BLE001 - via future
-                    self._finalize_failure(task, exc, query)
-                return
-            if retry is not None and retryable:
-                error = RetriesExhausted(
-                    f"query {query_id} ({prepared.handle}) failed retryably "
-                    f"on all {task.attempt} attempt(s)",
-                    query_id=query_id,
-                    tenant=tenant,
-                    handle=prepared.handle,
-                    attempts=task.attempt,
-                    last_error=error,
-                )
-            self._finalize_failure(task, error, query)
+    def _attempts(
+        self, query: _Admitted, task: QueryTask, lowered, ctx
+    ) -> Iterator[int | None]:
+        """The query's one stepwise execution: its attempts, in turn.
 
-        return QueryTask(
-            query_id=query_id,
-            tenant=tenant,
-            label=prepared.handle,
-            steps=lowered.execution(self.catalog, ctx=ctx),
-            steps_done=carry_steps,
-            first_seq=previous.first_seq if previous else -1,
-            on_done=on_done,
-            deadline=query.deadline,
-            sim_now=lambda: ctx.clock.now,
+        Before every driver step — the only preemption points — it makes
+        the lifecycle checks, so a cancel or deadline miss never
+        interrupts a step mid-flight.  A retryable failure with budget
+        left closes the attempt, starts the next one and yields ``None``:
+        a pick that did no driver work.  A terminal failure is settled
+        where it is raised and propagates to the scheduler.  Returns the
+        successful attempt's lowering and report.
+        """
+        steps = lowered.execution(self.catalog, ctx=ctx)
+        while True:
+            try:
+                self._check_lifecycle(query, task, ctx.clock.now)
+                step = next(steps)
+            except StopIteration as done:
+                return lowered, done.value
+            except BaseException as error:  # noqa: BLE001 - settled in _retry
+                # Runs the suspended execution's finally blocks (a no-op
+                # when the error escaped from inside it).
+                steps.close()
+                lowered, ctx = self._retry(query, task, error, ctx.clock.now)
+                steps, step = lowered.execution(self.catalog, ctx=ctx), None
+            yield step
+
+    def _check_lifecycle(self, query: _Admitted, task: QueryTask, elapsed: float) -> None:
+        """Raise the cooperative lifecycle verdicts (cancel, deadline).
+
+        Both read deterministic inputs — the future's cancel flag and the
+        query's own simulated clock (``elapsed``) — never wall time.
+        """
+        future, deadline = query.future, query.deadline
+        who = dict(query_id=future.query_id, tenant=future.tenant, handle=future.handle)
+        if future.cancelled():
+            raise QueryCancelled(
+                f"query {future.query_id} ({future.handle!r}) cancelled after "
+                f"{task.steps_done} driver step(s)",
+                **who,
+            )
+        if deadline is not None and elapsed > deadline:
+            raise DeadlineExceeded(
+                f"query {future.query_id} ({future.handle!r}) exceeded its "
+                f"deadline of {deadline:.6f} simulated seconds "
+                f"(elapsed {elapsed:.6f})",
+                deadline=deadline,
+                elapsed=elapsed,
+                **who,
+            )
+
+    def _retry(
+        self, query: _Admitted, task: QueryTask, error: BaseException, elapsed: float
+    ) -> tuple["ModularisQuery", ExecutionContext]:
+        """Start the next attempt after ``error`` at simulated time
+        ``elapsed``; without one, settle the query as failed and raise."""
+        retry, number, future = self.retry, task.trace.attempt, query.future
+        retryable = retry is not None and is_retryable(error)
+        if retryable and number < retry.max_attempts and not future.cancelled():
+            backoff = retry.backoff(number)
+            query.journal.record_backoff(backoff)
+            query.journal.note(
+                "retry_scheduled",
+                span_id=task.trace.span_id,
+                attempt=number,
+                sim_time=elapsed,
+                backoff=backoff,
+                reason=type(error).__name__,
+            )
+            try:
+                return self._start_attempt(query, task, number + 1, elapsed + backoff)
+            except BaseException as exc:  # noqa: BLE001 - settled below
+                error = exc
+        elif retryable:
+            error = RetriesExhausted(
+                f"query {future.query_id} ({future.handle}) failed retryably "
+                f"on all {number} attempt(s)",
+                query_id=future.query_id,
+                tenant=future.tenant,
+                handle=future.handle,
+                attempts=number,
+                last_error=error,
+            )
+        self._fail(query, task, error, elapsed)
+        raise error
+
+    def _complete(
+        self, query: _Admitted, task: QueryTask, result, error: BaseException | None
+    ) -> None:
+        """The task's completion callback: settle a query whose generator
+        returned (a failure was settled where it was raised)."""
+        if error is not None:
+            return
+        lowered, report = result
+        future, journal, attempt = query.future, query.journal, task.trace.attempt
+        try:
+            outcome = QueryOutcome(
+                query_id=future.query_id,
+                tenant=future.tenant,
+                handle=future.handle,
+                report=report,
+                frame=lowered.result_frame(report),
+                steps=task.steps_done,
+                first_seq=task.first_seq,
+                last_seq=task.last_seq,
+                journal=journal,
+                attempts=attempt,
+            )
+        except BaseException as exc:  # noqa: BLE001 - via the future
+            self._fail(query, task, exc, report.simulated_time)
+            return
+        query.breaker.record_success()
+        journal.note(
+            "attempt_finished",
+            span_id=task.trace.span_id,
             attempt=attempt,
-            cancel=future._cancel,
-            trace=attempt_trace,
+            sim_time=report.simulated_time,
+            steps=task.steps_done,
+            rows=len(report.rows),
         )
+        self._settle(
+            journal,
+            "completed",
+            task=task,
+            sim_time=report.simulated_time,
+            result_rows=len(report.rows),
+        )
+        future._resolve(outcome, None)
 
-    def _finalize_failure(
-        self, task: QueryTask, error: BaseException, query: _Admitted
+    def _fail(
+        self, query: _Admitted, task: QueryTask, error: BaseException, sim_time: float
     ) -> None:
         """Settle a query's terminal non-success outcome: classify it,
         feed the breaker, journal it, fail the future."""
@@ -775,11 +804,7 @@ class Server:
             kind = "failed"
             breaker.record_failure(terminal=True)
         self._settle(
-            query.journal,
-            kind,
-            type(error).__name__,
-            task=task,
-            sim_time=task.elapsed(),
+            query.journal, kind, type(error).__name__, task=task, sim_time=sim_time
         )
         query.future._resolve(None, error)
 
@@ -797,14 +822,20 @@ class Server:
     ) -> None:
         """Record one submission's fate — the only place it is written.
 
-        ``task`` is the last scheduler attempt of a submission that was
-        admitted; refusals (shed, rejected) settle without one.
+        ``task`` is the scheduler task of a submission that was admitted,
+        under the span of its last attempt; refusals (shed, rejected)
+        settle without one.
         """
         span_id, attempt, steps = "", 0, 0
         if task is not None:
-            span_id, attempt, steps = task.trace.span_id, task.attempt, task.steps_done
+            span_id, attempt, steps = task.trace.span_id, task.trace.attempt, task.steps_done
             journal.first_seq = task.first_seq
             journal.last_seq = task.last_seq
+            if task.started_wall:
+                # Wall-clock admission-to-first-morsel wait.
+                journal.queue_wall_seconds = max(
+                    0.0, task.started_wall - journal._wall_start
+                )
         journal.settle(
             terminal,
             span_id=span_id,

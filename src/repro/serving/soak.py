@@ -61,7 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "SoakConfig",
-    "SoakQueryResult",
     "SoakReport",
     "BreakerScenarioReport",
     "run_soak",
@@ -73,8 +72,12 @@ __all__ = [
 #: The mixed workload: the four TPC-H queries the reproduction serves.
 SOAK_QUERY_IDS = (4, 12, 14, 19)
 
-#: Tenant name → fair-share weight for the default soak population.
-DEFAULT_TENANTS = (("analytics", 2.0), ("reporting", 1.0), ("adhoc", 1.0))
+#: Tenant name → fair-share weight for the soak population.
+TENANTS = (("analytics", 2.0), ("reporting", 1.0), ("adhoc", 1.0))
+
+#: A tenant is "starved" if its steps-per-weight share drops below this
+#: fraction of the even split (soft bound; scheduling is lumpy at small N).
+FAIRNESS_FLOOR = 0.25
 
 #: Outcome buckets tracked per submission (submission-index sets): the
 #: journal's terminal states plus ``retried``, which overlaps them.
@@ -90,11 +93,6 @@ class SoakConfig:
     #: Chaos profile name (:data:`repro.faults.policy.CHAOS_PROFILES`).
     chaos: str = "none"
     seed: int = 2021
-    tenants: tuple[tuple[str, float], ...] = DEFAULT_TENANTS
-    #: A tenant is "starved" if its steps-per-weight share drops below
-    #: this fraction of the even split (soft bound; scheduling is lumpy
-    #: at small N).
-    fairness_floor: float = 0.25
     #: Simulated-seconds deadline applied to every submission (``None``
     #: disables; misses settle as ``deadline_missed``).
     deadline: float | None = None
@@ -128,26 +126,16 @@ class SoakConfig:
         fault_profile(self.chaos, self.seed, self.machines)
 
 
-@dataclass(frozen=True)
-class SoakQueryResult:
-    query_id: int
-    handle: str
-    tenant: str
-    matched: bool
-    steps: int
-    first_seq: int
-    last_seq: int
-    simulated_seconds: float
-    attempts: int = 1
-
-    def overlaps(self, other: "SoakQueryResult") -> bool:
-        return self.first_seq <= other.last_seq and other.first_seq <= self.last_seq
+def _overlap(one: QueryJournal, other: QueryJournal) -> bool:
+    """Whether two queries' scheduler spans ``[first_seq, last_seq]`` overlap."""
+    return one.first_seq <= other.last_seq and other.first_seq <= one.last_seq
 
 
 @dataclass(frozen=True)
 class SoakReport:
     config: SoakConfig
-    results: tuple[SoakQueryResult, ...]
+    #: The completed queries' journals, in submission order.
+    results: tuple[QueryJournal, ...]
     #: Wall-clock seconds for the serial baseline / the concurrent batch.
     serial_wall: float
     concurrent_wall: float
@@ -176,10 +164,12 @@ class SoakReport:
     reports_by_trace: dict[str, "ExecutionReport"] = field(default_factory=dict)
     #: SLO accounting (only when ``slo_target`` was set).
     slo: SLOReport | None = None
+    #: Ids of the completed queries whose frame differs from serial.
+    mismatched: tuple[int, ...] = ()
 
     @property
     def bit_identical(self) -> bool:
-        return all(r.matched for r in self.results)
+        return not self.mismatched
 
     @property
     def queries_per_second(self) -> float:
@@ -193,12 +183,11 @@ class SoakReport:
         # work to completion count: a tenant whose submissions were all
         # cancelled, deadline-missed, or shed got few steps by lifecycle
         # policy, not because the scheduler withheld its share.
-        floor = self.config.fairness_floor
-        completed = {result.tenant for result in self.results}
+        completed = {journal.tenant for journal in self.results}
         return [
             tenant
             for tenant, (observed, entitled) in self.shares.items()
-            if tenant in completed and observed < floor * entitled
+            if tenant in completed and observed < FAIRNESS_FLOOR * entitled
         ]
 
     def reconciliation_errors(self) -> list[str]:
@@ -305,7 +294,7 @@ class SoakReport:
 def _assignments(config: SoakConfig) -> list[tuple[str, str]]:
     """The submission list: (query name, tenant), cycled over both mixes."""
     names = [f"q{qid}" for qid in SOAK_QUERY_IDS]
-    tenants = [name for name, _ in config.tenants]
+    tenants = [name for name, _ in TENANTS]
     return [
         (names[i % len(names)], tenants[i % len(tenants)])
         for i in range(config.n_queries)
@@ -358,7 +347,7 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
         shed_threshold=config.shed_threshold,
         slo=slo,
     ) as server:
-        for tenant, weight in config.tenants:
+        for tenant, weight in TENANTS:
             server.register_tenant(tenant, weight)
         handles = {
             f"q{qid}": server.deploy(f"q{qid}", ALL_QUERIES[qid]()).handle
@@ -428,41 +417,28 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
             outcomes.append((name, outcome))
         concurrent_wall = time.perf_counter() - concurrent_start
 
-        results = tuple(
-            SoakQueryResult(
-                query_id=outcome.query_id,
-                handle=outcome.handle,
-                tenant=outcome.tenant,
-                matched=(
-                    frames_match(
-                        serial_frames[name], outcome.frame, tolerance=0.0
-                    )
-                    if config.verify_frames
-                    else True
-                ),
-                steps=outcome.steps,
-                first_seq=outcome.first_seq,
-                last_seq=outcome.last_seq,
-                simulated_seconds=outcome.report.simulated_time,
-                attempts=outcome.attempts,
-            )
+        results = tuple(outcome.journal for _, outcome in outcomes)
+        mismatched = tuple(
+            outcome.query_id
             for name, outcome in outcomes
+            if config.verify_frames
+            and not frames_match(serial_frames[name], outcome.frame, tolerance=0.0)
         )
 
         overlapped = sum(
             1
             for r in results
-            if any(other is not r and r.overlaps(other) for other in results)
+            if any(other is not r and _overlap(r, other) for other in results)
         )
 
         total_steps = sum(r.steps for r in results) or 1
-        total_weight = sum(weight for _, weight in config.tenants) or 1.0
+        total_weight = sum(weight for _, weight in TENANTS) or 1.0
         shares = {
             tenant: (
                 sum(r.steps for r in results if r.tenant == tenant) / total_steps,
                 weight / total_weight,
             )
-            for tenant, weight in config.tenants
+            for tenant, weight in TENANTS
         }
         settled = {a.name: a.simulated_seconds for a in server.tenants()}
         ledgers = {
@@ -478,7 +454,7 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
                     else settled[tenant]
                 ),
             )
-            for tenant, _ in config.tenants
+            for tenant, _ in TENANTS
         }
         scheduler_steps = server.snapshot().by_label("serving_steps", "tenant")
         journals = tuple(server.journals)
@@ -506,6 +482,7 @@ def run_soak(config: SoakConfig = SoakConfig()) -> SoakReport:
         lifecycle_events=lifecycle_events,
         reports_by_trace=reports_by_trace,
         slo=slo_report,
+        mismatched=mismatched,
     )
 
 

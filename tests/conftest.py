@@ -25,11 +25,6 @@ KV = TupleType.of(key=INT64, value=INT64)
 
 
 @pytest.fixture
-def kv_type() -> TupleType:
-    return KV
-
-
-@pytest.fixture
 def ctx() -> ExecutionContext:
     return ExecutionContext()
 

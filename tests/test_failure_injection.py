@@ -18,7 +18,6 @@ from repro.core.operators import (
     MpiHistogram,
     NestedMap,
     ParameterLookup,
-    ParameterSlot,
     Projection,
     RowScan,
 )

@@ -20,7 +20,7 @@ from repro.observability.metrics import (
     MetricsRegistry,
     exponential_bounds,
 )
-from repro.relational import lower_to_modularis, run_logical_plan
+from repro.relational import lower_to_modularis
 from repro.tpch import ALL_QUERIES, load_catalog
 
 

@@ -7,7 +7,7 @@ import pytest
 from repro.core.options import RunOptions
 from repro.core.plans import build_distributed_join
 from repro.mpi.cluster import SimCluster
-from repro.mpi.trace import ClusterTrace, RankCommStats, TraceEvent
+from repro.mpi.trace import RankCommStats, TraceEvent
 from repro.observability import (
     CollectiveDetail,
     PutDetail,

@@ -95,7 +95,6 @@ class TestNestedMap:
     def test_nested_nesting(self, ctx):
         # A NestedMap inside a NestedMap: the inner lookup reads the inner
         # slot; each level binds and unbinds correctly.
-        outer_type = TupleType.of(pid=INT64, data=row_vector_type(KV))
 
         def outer_inner(slot):
             # Re-wrap each partition as a single-partition nested problem.

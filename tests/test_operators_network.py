@@ -165,7 +165,6 @@ class TestMpiBroadcast:
         table = make_kv_table(40, seed=2)
 
         def plan(scan):
-            fn_hist = RadixPartition("key", 1)
             local = LocalHistogram(scan, RadixPartition("key", 1))
             global_h = MpiHistogram(local, 1)
             return MpiBroadcast(scan, local, global_h)

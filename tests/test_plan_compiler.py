@@ -8,8 +8,6 @@ from repro.core.operators import (
     LocalHistogram,
     LocalPartitioning,
     MaterializeRowVector,
-    ParameterLookup,
-    ParameterSlot,
     Projection,
     ReduceByKey,
     RowScan,

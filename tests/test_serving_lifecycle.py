@@ -26,7 +26,7 @@ from repro.errors import (
     RetriesExhausted,
     SchemaContractError,
 )
-from repro.faults.policy import FaultPolicy, RetryPolicy
+from repro.faults.policy import FaultPolicy, RetryPolicy, fault_profile
 from repro.mpi.cluster import SimCluster
 from repro.observability.slo import SLOConfig
 from repro.serving import BreakerConfig, CircuitBreaker, Server
@@ -299,6 +299,16 @@ class TestRetries:
             snap = server.snapshot()
             assert snap.value("serving_retries", tenant="default") == 1
             assert snap.value("serving_failed", tenant="default") == 1
+
+    def test_serving_submitted_counts_queries_not_attempts(self, catalog, cluster):
+        # flaky, retries=2, 8 queries: every query retries once, on its own
+        # task, so the scheduler admits 8 tasks, not 16.
+        flaky = RunOptions(faults=fault_profile("flaky", 2021, 2))
+        with Server(cluster, catalog, retry=RetryPolicy(max_attempts=3)) as server:
+            handle = server.deploy("q12", q12()).handle
+            futures = [server.submit(handle, options=flaky) for _ in range(8)]
+            assert [f.result(timeout=60).attempts for f in futures] == [2] * 8
+            assert server.metrics.snapshot().total("serving_submitted") == 8
 
 
 class TestOverloadShedding:

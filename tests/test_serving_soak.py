@@ -42,7 +42,7 @@ class TestBitIdentity:
     def test_sixteen_concurrent_queries_match_serial(self, clean_report):
         assert len(clean_report.results) == 16
         assert clean_report.bit_identical
-        assert all(r.matched for r in clean_report.results)
+        assert clean_report.mismatched == ()
 
     def test_chaos_soak_still_bit_identical(self, chaos_report):
         assert chaos_report.config.chaos
@@ -109,7 +109,7 @@ class TestChaosProfiles:
 
     def test_flaky_profile_heals_through_server_retries(self, flaky_report):
         # Every query completes, and every one of them needed at least
-        # one server-level re-submission to get there.
+        # one server-level retry to get there.
         assert flaky_report.bit_identical
         n = flaky_report.config.n_queries
         assert flaky_report.lifecycle.get("completed") == tuple(range(n))

@@ -10,9 +10,7 @@ Exercises both directions in which it beats the structural check:
   sampling, with a concrete witness key, and MOD012 fires.
 """
 
-import numpy as np
-
-from repro.analysis import analyze, compare_partition_fns, symbolize
+from repro.analysis import compare_partition_fns, symbolize
 from repro.analysis.structure import same_partition_fn
 from repro.core.functions import CallablePartition, HashPartition, RadixPartition
 from repro.core.operators import (
