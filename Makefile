@@ -80,10 +80,13 @@ chaos-soak:
 # MOD050-MOD053 sanitizer armed under the full chaos matrix (fault-free,
 # transient faults, permanent-crash degrade, memory pressure); the report
 # must be clean and the results bit-identical to the unsanitized run.
+# The one-machine run covers the one-way exchange, whose puts send each
+# morsel whole, under the sanitizer's put digest.
 sanitize-soak:
 	$(PYTHON) -m repro sanitize all
 	$(PYTHON) -m repro sanitize join q14 --mode interpreted \
 		--policies none transient
+	$(PYTHON) -m repro sanitize all --machines 1 --policies none transient
 
 # Concurrent-serving soak: 16 interleaved TPC-H queries on one shared
 # cluster must be bit-identical to serial runs (clean and under transient

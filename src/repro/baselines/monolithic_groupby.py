@@ -22,7 +22,7 @@ from repro.core.kernels.scatter import (
     bucket_counts,
     key_sums,
     partition_layout,
-    window_bases,
+    window_layout,
 )
 from repro.core.plans.fragments import radix_fanout
 from repro.mpi.cluster import ClusterResult, SimCluster, block_share
@@ -82,8 +82,8 @@ def run_monolithic_groupby(
 
     global_hist = group.allreduce(hists, op="sum")
     matrix = np.stack(group.allgather(hists, payload_bytes=hists[0].nbytes))
-    bases = window_bases(global_hist, n_ranks)
-    owned = [int(global_hist[rank::n_ranks].sum()) for rank in range(n_ranks)]
+    bases, owned_rows = window_layout(global_hist, n_ranks)
+    owned = owned_rows.tolist()
 
     for ctx, (shard, _) in zip(ctxs, shards):
         ctx.clock.phase = "network_partition"

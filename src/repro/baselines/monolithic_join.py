@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.compression import COMPRESSED_TYPE, RadixCompression
 from repro.core.kernels.hash_join import HashJoinSpec
 from repro.core.kernels.radix_join import select_join_kernel
-from repro.core.kernels.scatter import bucket_counts, partition_layout, window_bases
+from repro.core.kernels.scatter import bucket_counts, partition_layout, window_layout
 from repro.core.plans.fragments import radix_fanout
 from repro.errors import SimulationError
 from repro.mpi.cluster import ClusterResult, RankContext, SimCluster, block_share
@@ -115,19 +115,19 @@ def run_monolithic_join(
     matrix_both = np.stack(group.allgather(hists, payload_bytes=hists[0].nbytes))
     left_global = global_both[:n_net]
     right_global = global_both[n_net:]
-    left_bases = window_bases(left_global, n_ranks)
-    right_bases = window_bases(right_global, n_ranks)
+    left_bases, left_owned = window_layout(left_global, n_ranks)
+    right_bases, right_owned = window_layout(right_global, n_ranks)
 
     # -- phase 2: network partitioning with compression ----------------------
     for ctx in ctxs:
         ctx.clock.phase = "network_partition"
     left_windows = group.win_create(
         COMPRESSED_TYPE if comp else left.element_type,
-        [int(left_global[rank::n_ranks].sum()) for rank in range(n_ranks)],
+        left_owned.tolist(),
     )
     right_windows = group.win_create(
         COMPRESSED_TYPE if comp else right.element_type,
-        [int(right_global[rank::n_ranks].sum()) for rank in range(n_ranks)],
+        right_owned.tolist(),
     )
     for ctx, (shard, pids) in zip(ctxs, shards):
         # This rank's write offset into every partition: after the lower ranks'.

@@ -151,6 +151,13 @@ class PartitionFunction:
         """
         return ("opaque", id(self), self.n_partitions)
 
+    @property
+    def one_way(self) -> bool:
+        """True when every tuple is bucket 0 without computing it, so a
+        consumer may count or send a batch whole.  False by default: an
+        opaque function is called, and its ids checked, on every tuple."""
+        return False
+
     def __call__(self, row: tuple) -> int:
         raise NotImplementedError
 
@@ -189,6 +196,11 @@ class _KeyedPartition(PartitionFunction):
     def bind(self, input_type: TupleType) -> "_KeyedPartition":
         self._key_pos = input_type.position(self.key_field)
         return self
+
+    @property
+    def one_way(self) -> bool:
+        # A fan-out of one masks (radix) or reduces (hash) every key to 0.
+        return self.n_partitions == 1
 
 
 class RadixPartition(_KeyedPartition):
@@ -263,8 +275,6 @@ class HashPartition(_KeyedPartition):
 
     def _hash(self, keys: np.ndarray) -> np.ndarray:
         n = self.n_partitions
-        if n == 1:
-            return np.zeros(len(keys), dtype=np.int64)
         # One array, computed in place: int64 keys wrap as uint64 by a view.
         wide = keys.view(np.uint64) if keys.dtype == np.int64 else keys.astype(np.uint64)
         mixed = wide * np.uint64(self._multiplier)

@@ -3,12 +3,14 @@
 Every join runs on one int64 column of key codes (:class:`JoinKeyCodes`),
 equal exactly when the join keys are equal.  The build side's codes are
 hashed with a multiplicative (Fibonacci) mix and sorted by hash value once
-— a single stable ``np.argsort`` replaces the hash table.  Each probe
-morsel hashes its codes, locates the candidate hash run with two
-``np.searchsorted`` calls, and resolves collision chains by comparing the
-actual codes of the candidates.  All four probe policies (inner / semi /
-anti / left_outer) share the same candidate machinery, and every policy
-emits the original key columns, not their codes.
+— a single stable ``np.argsort`` replaces the hash table — and the end of
+every equal-hash run is recorded.  Each probe morsel hashes its codes,
+locates the start of its candidate hash run with one ``np.searchsorted``
+call, reads the run's end where the hash is present, and resolves
+collision chains by comparing the actual codes of the candidates.  All
+four probe policies (inner / semi / anti / left_outer) share the same
+candidate machinery, and every policy emits the original key columns, not
+their codes.
 
 The stable sort keeps equal-hash candidates (and therefore equal-key
 matches) in build-insertion order, so the emitted rows are probe-major
@@ -28,6 +30,7 @@ __all__ = [
     "HashJoinBuild",
     "HashJoinSpec",
     "JoinKeyCodes",
+    "emit_existence",
     "emit_probe_hits",
     "mix_hash",
     "outer_tail",
@@ -38,6 +41,9 @@ __all__ = [
 #: as :class:`~repro.core.functions.HashPartition`).
 _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 _HASH_SHIFT = np.uint64(33)
+#: Above every hash (``mix_hash`` keeps 31 bits): the last entry of a
+#: build's ``sorted_hash``, so a probe hash's run start is always readable.
+_HASH_SENTINEL = np.uint64(1 << 63)
 
 
 def mix_hash(keys: np.ndarray) -> np.ndarray:
@@ -128,8 +134,12 @@ class HashJoinBuild:
     left: RowVector
     codes: JoinKeyCodes
     order: np.ndarray
+    #: The build's hashes in sorted order, then ``_HASH_SENTINEL``.
     sorted_hash: np.ndarray
     sorted_keys: np.ndarray
+    #: ``run_end[i]``: the end of the equal-hash run holding sorted
+    #: position ``i``; ``run_end[n] == n`` (the sentinel's).
+    run_end: np.ndarray
     #: Build rows hit by some probe so far (left_outer bookkeeping).
     matched: np.ndarray
 
@@ -141,12 +151,18 @@ class HashJoinBuild:
     def from_codes(cls, left: RowVector, codes: JoinKeyCodes) -> "HashJoinBuild":
         build_hash = mix_hash(codes.build)
         order = np.argsort(build_hash, kind="stable")
+        sorted_hash = build_hash[order]
+        # One pass over the sorted hashes: every run's end, repeated over it.
+        n = len(sorted_hash)
+        ends = np.append(np.flatnonzero(sorted_hash[1:] != sorted_hash[:-1]) + 1, n)
+        run_end = np.append(np.repeat(ends, np.diff(ends, prepend=0)), n)
         return cls(
             left=left,
             codes=codes,
             order=order,
-            sorted_hash=build_hash[order],
+            sorted_hash=np.append(sorted_hash, _HASH_SENTINEL),
             sorted_keys=codes.build[order],
+            run_end=run_end,
             matched=np.zeros(len(left), dtype=bool),
         )
 
@@ -158,8 +174,11 @@ def probe_morsel(
     right_keys = build.codes.probe(right)
     n_right = len(right)
     probe_hash = mix_hash(right_keys)
-    lo = np.searchsorted(build.sorted_hash, probe_hash, side="left")
-    hi = np.searchsorted(build.sorted_hash, probe_hash, side="right")
+    # The first position whose hash is not below the probe's: its run's
+    # start when the hash is present (the sentinel stops a search that
+    # passes every hash), else an empty run.
+    lo = np.searchsorted(build.sorted_hash, probe_hash)
+    hi = np.where(build.sorted_hash[lo] == probe_hash, build.run_end[lo], lo)
     counts = hi - lo
     total = int(counts.sum())
     # Candidate expansion: for probe row i, the run of sorted build
@@ -190,23 +209,34 @@ def emit_probe_hits(
     probe row hits exactly once: the probe's columns then pass through as
     views.  The key columns are the probe side's own.
     """
-    keys = [right.column(key) for key in spec.keys]
     if spec.join_type in ("inner", "left_outer"):
         if spec.join_type == "left_outer":
             build.matched[hit_pos] = True
         left_idx = hit_pos if build.order is None else build.order[hit_pos]
-        columns: list[np.ndarray] = [column[hit_right] for column in keys]
+        columns = [right.column(key)[hit_right] for key in spec.keys]
         columns += [build.left.columns[p][left_idx] for p in spec.left_rest_pos]
         columns += [right.columns[p][hit_right] for p in spec.right_rest_pos]
         return RowVector(spec.output_type, columns)
 
-    if isinstance(hit_right, slice):
-        sel = hit_right if spec.join_type == "semi" else slice(0)
-    else:
+    if not isinstance(hit_right, slice):
         has_hit = np.zeros(len(right), dtype=bool)
         has_hit[hit_right] = True
+        hit_right = has_hit
+    return emit_existence(right, spec, hit_right)
+
+
+def emit_existence(
+    right: RowVector, spec: HashJoinSpec, has_hit: np.ndarray | slice
+) -> RowVector:
+    """A semi / anti probe's output rows: the probe rows that have (semi)
+    or lack (anti) a match, in probe order.  ``has_hit`` is a per-row mask,
+    or ``slice(None)`` when every probe row hits (the semi columns then
+    pass through as views)."""
+    if isinstance(has_hit, slice):
+        sel = has_hit if spec.join_type == "semi" else slice(0)
+    else:
         sel = np.flatnonzero(has_hit if spec.join_type == "semi" else ~has_hit)
-    columns = [column[sel] for column in keys]
+    columns = [right.column(key)[sel] for key in spec.keys]
     columns += [right.columns[p][sel] for p in spec.right_rest_pos]
     return RowVector(spec.output_type, columns)
 

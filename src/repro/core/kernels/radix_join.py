@@ -37,7 +37,9 @@ morsel fully hits), and then the probe's columns pass through as they
 are and only the build side is gathered; otherwise one ``flatnonzero``
 finds the hits.  Against runs, a probe reads each candidate run
 ``[starts[k], starts[k+1])`` with two direct loads, or bisects the sorted
-keys, and expands it.  None of them hashes or chains.
+keys, and expands it; a semi or anti probe expands nothing, it only tests
+whether the run is empty (one bisection and one equality gather on sorted
+keys).  None of them hashes or chains.
 
 It runs on the same int64 key codes as the sorted-hash kernel
 (:class:`~repro.core.kernels.hash_join.JoinKeyCodes`).  The scatter is
@@ -64,6 +66,7 @@ from repro.core.kernels.hash_join import (
     HashJoinBuild,
     HashJoinSpec,
     JoinKeyCodes,
+    emit_existence,
     emit_probe_hits,
     probe_morsel,
 )
@@ -351,11 +354,20 @@ def radix_probe_morsel(
         hit_right = np.flatnonzero(hit)
         return emit_probe_hits(build, right, spec, hit_rows[hit_right], hit_right)
     n_right = len(right)
+    # A semi / anti probe asks only whether a key's run is empty.
+    exists = spec.join_type in ("semi", "anti")
     if build.starts is None:
         # Sorted runs: the build keys never decrease, so a key's run is
         # found by bisection; a key outside [kmin, kmax] finds an empty one.
-        lo = np.searchsorted(build.codes.build, right_keys, side="left")
-        hi = np.searchsorted(build.codes.build, right_keys, side="right")
+        keys = build.codes.build
+        lo = np.searchsorted(keys, right_keys, side="left")
+        if exists:
+            # The run is non-empty iff its first row holds the key.  A
+            # sorted build with a repeat has rows, so the clamp of a key
+            # past the last one reads a row that differs from it.
+            hit = keys[np.minimum(lo, len(keys) - 1)] == right_keys
+            return emit_existence(right, spec, hit)
+        hi = np.searchsorted(keys, right_keys, side="right")
     else:
         in_range = (right_keys >= build.key_min) & (right_keys <= build.key_max)
         # Out-of-range keys are clamped to slot 0 before indexing; their
@@ -363,6 +375,8 @@ def radix_probe_morsel(
         rebased = np.where(in_range, right_keys - kmin, 0)
         lo = build.starts[rebased]
         hi = np.where(in_range, build.starts[rebased + 1], lo)
+        if exists:
+            return emit_existence(right, spec, hi > lo)
     counts = hi - lo
     total = int(counts.sum())
     # Candidate expansion: for probe row i, the run of scattered build

@@ -21,7 +21,7 @@ __all__ = [
     "key_sums",
     "partition_layout",
     "stable_order",
-    "window_bases",
+    "window_layout",
 ]
 
 #: ``key_sums`` counts integer keys instead of sorting them when their span
@@ -52,10 +52,12 @@ def stable_order(values: np.ndarray, span: int) -> np.ndarray:
 def bucket_counts(buckets: np.ndarray, n_buckets: int) -> np.ndarray:
     """``np.bincount(buckets, minlength=n_buckets)``: rows per bucket.
 
-    One bucket (every one-rank exchange) is counted by ``any()``, because
-    ``bincount`` is at its slowest when every id is equal; any other input,
-    an out-of-range id included, is ``bincount``'s, so that id stays visible
-    in the counts and fails the histogram cross-check.
+    One bucket (an opaque partition function's, a one-rank monolith's; a
+    one-way function's histogram counts rows, not ids) is counted by
+    ``any()``, because ``bincount`` is at its slowest when every id is
+    equal; any other input, an out-of-range id included, is ``bincount``'s,
+    so that id stays visible in the counts and fails the histogram
+    cross-check.
     """
     if n_buckets == 1 and not buckets.any():
         return np.array([len(buckets)], dtype=np.intp)
@@ -73,8 +75,9 @@ def partition_layout(buckets: np.ndarray, n_buckets: int) -> tuple[np.ndarray, .
     return stable_order(buckets, len(counts)), counts, offsets
 
 
-def window_bases(counts: np.ndarray, n_ranks: int) -> np.ndarray:
-    """Base offset of every partition inside its owner's RMA window.
+def window_layout(counts: np.ndarray, n_ranks: int) -> tuple[np.ndarray, np.ndarray]:
+    """⟨base offset of every partition inside its owner's RMA window, rows
+    each rank's window holds⟩.
 
     Partition ``p`` lives in rank ``p mod n_ranks``'s window, after all the
     lower partitions that rank owns; ``counts`` are the global partition
@@ -84,7 +87,7 @@ def window_bases(counts: np.ndarray, n_ranks: int) -> np.ndarray:
     # column lists one owner's partitions in window order.
     padding = np.zeros(-len(counts) % n_ranks, dtype=counts.dtype)
     grid = np.concatenate((counts, padding)).reshape(-1, n_ranks)
-    return (grid.cumsum(axis=0) - grid).ravel()[: len(counts)]
+    return (grid.cumsum(axis=0) - grid).ravel()[: len(counts)], grid.sum(axis=0)
 
 
 def key_order(keys: np.ndarray) -> np.ndarray:

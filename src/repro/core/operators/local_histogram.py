@@ -97,13 +97,18 @@ class LocalHistogram(Operator):
     def lanes(self, lx: Lockstep) -> Iterator[Step]:
         counts = np.zeros((len(lx.ctxs), self.n_buckets), dtype=np.int64)
         totals = [0] * len(lx.ctxs)
+        # A one-way function puts every row in bucket 0: count rows, not ids.
+        one_way = self.bucket_fn.one_way
         for step in pulled(self.upstreams[0], lx):
             for lane, batch in zip(step.lanes, step.parts):
                 if len(batch) == 0:
                     continue
                 totals[lane] += len(batch)
-                buckets = self.bucket_fn.map_batch(batch)
-                counts[lane] += bucket_counts(buckets, self.n_buckets)
+                if not one_way:
+                    buckets = self.bucket_fn.map_batch(batch)
+                    counts[lane] += bucket_counts(buckets, self.n_buckets)
+        if one_way:
+            counts[:, 0] = totals
         for ctx, total in zip(lx.ctxs, totals):
             ctx.charge_cpu(self, "histogram", total)
         yield histogram_step(counts)

@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.compression import COMPRESSED_TYPE, RadixCompression
 from repro.core.context import ExecutionContext
 from repro.core.functions import PartitionFunction
-from repro.core.kernels.scatter import partition_layout
+from repro.core.kernels.scatter import partition_layout, window_layout
 from repro.core.lockstep import Lockstep, Step, each_lane, pulled
 from repro.core.operator import Operator
 from repro.core.operators.local_histogram import read_histograms, require_histogram
@@ -122,20 +122,6 @@ class MpiExchange(Operator):
     def n_partitions(self) -> int:
         return self.partition_fn.n_partitions
 
-    def _layout_table(self, global_counts: np.ndarray, n_ranks: int) -> np.ndarray:
-        """Base offset of every partition inside its owner's window.
-
-        Computed once per exchange, right after the allgather: partition
-        ``p`` lives in rank ``p mod n_ranks``'s window, after all the lower
-        partitions that rank owns.  Every rank derives the same table
-        locally — no synchronization.
-        """
-        # Row i, column r of the grid is partition i * n_ranks + r, so each
-        # column lists one owner's partitions in window order.
-        padding = np.zeros(-self.n_partitions % n_ranks, dtype=global_counts.dtype)
-        grid = np.concatenate((global_counts, padding)).reshape(-1, n_ranks)
-        return (grid.cumsum(axis=0) - grid).ravel()[: self.n_partitions]
-
     def lanes(self, lx: Lockstep) -> Iterator[Step]:
         n_parts = self.n_partitions
         group = lx.collectives()
@@ -147,8 +133,9 @@ class MpiExchange(Operator):
         lx.set_phase(self.assigned_phase)
         # [source rank, partition] -> count
         matrix = np.stack(group.allgather(list(local), payload_bytes=local[0].nbytes))
+        summed = matrix.sum(axis=0)
         for counts in global_:
-            if not np.array_equal(matrix.sum(axis=0), counts):
+            if not np.array_equal(summed, counts):
                 raise ExecutionError(
                     "global histogram disagrees with the sum of local histograms; "
                     "the histogram upstreams were not computed over the same input"
@@ -157,14 +144,15 @@ class MpiExchange(Operator):
 
         # One-shot layout: base offset of every partition in its owner's
         # window, shared by all sends instead of being rebuilt per put.
-        partition_base = self._layout_table(counts, n_ranks)
+        partition_base, owned_rows = window_layout(counts, n_ranks)
         ranks = [ctx.rank for ctx in lx.ctxs]
-        windows = group.win_create(self._wire_type, [
-            int(counts[np.arange(rank, n_parts, n_ranks)].sum()) for rank in ranks
-        ])
+        windows = group.win_create(
+            self._wire_type, [int(owned_rows[rank]) for rank in ranks]
+        )
         # Each rank's next write row inside every partition region: its
         # exclusive offset after the lower ranks' shares, advanced per send.
-        cursors = [partition_base + matrix[:rank].sum(axis=0) for rank in ranks]
+        lower_ranks = np.cumsum(matrix, axis=0) - matrix
+        cursors = [partition_base + lower_ranks[rank] for rank in ranks]
 
         totals = self._send_all(lx, windows, cursors)
         for total, promised in zip(totals, local.sum(axis=1)):
@@ -207,23 +195,29 @@ class MpiExchange(Operator):
     def send_batch(self, ctx: ExecutionContext, windows, cursor, batch) -> None:
         """Charge and scatter one non-empty morsel into the windows."""
         ctx.charge_cpu(self, "partition", len(batch))
-        buckets = self.partition_fn.map_batch(batch)
-        # One stable linear-time scatter order per batch (the identity,
-        # neither counted by bincount nor sorted, at one partition); each
-        # put gathers its partition's slice of it straight from the
-        # morsel into the target window, so every byte moves once.
-        order, counts, offsets = partition_layout(buckets, self.n_partitions)
+        if self.partition_fn.one_way:
+            # Every row is partition 0's, in morsel order: no bucket ids and
+            # no scatter order; the morsel (or its packed wire) goes whole.
+            order, pids, offsets = None, (0,), (0, len(batch))
+        else:
+            # One stable linear-time scatter order per batch; each put
+            # gathers its partition's slice of it straight from the morsel
+            # into the target window, so every byte moves once.
+            buckets = self.partition_fn.map_batch(batch)
+            order, counts, offsets = partition_layout(buckets, self.n_partitions)
+            pids = np.flatnonzero(counts)
         wire = batch
         if self.compression is not None:
             wire = self.compression.pack_batch(batch)
-        for pid in np.flatnonzero(counts):
+        for pid in pids:
             self._send_partition(ctx, windows, cursor, int(pid), wire, order, offsets)
 
     def _send_partition(
         self, ctx: ExecutionContext, windows, cursor, pid: int, wire, order, offsets
     ) -> None:
         """Put partition ``pid``'s share of a batch: the rows of ``wire`` at
-        its slice of the scatter ``order``, gathered into the target window."""
+        its slice of the scatter ``order`` (``None``: ``wire`` in its own
+        order), gathered into the target window."""
         lo, hi = int(offsets[pid]), int(offsets[pid + 1])
         n_rows = hi - lo
         if self.compression is not None:
@@ -245,7 +239,7 @@ class MpiExchange(Operator):
         ctx.set_phase(self.assigned_phase)
         for start in range(lo, hi, BUFFER_ROWS):
             stop = min(start + BUFFER_ROWS, hi)
-            if self.n_partitions == 1:  # the identity order: the morsel itself
+            if order is None:
                 windows.put(target, base + start, wire.slice(start, stop))
             else:
                 windows.put(target, base + start, wire, order[start:stop])

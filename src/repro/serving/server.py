@@ -689,13 +689,8 @@ class Server:
         query's own simulated clock (``elapsed``) — never wall time.
         """
         future, deadline = query.future, query.deadline
-        who = dict(query_id=future.query_id, tenant=future.tenant, handle=future.handle)
         if future.cancelled():
-            raise QueryCancelled(
-                f"query {future.query_id} ({future.handle!r}) cancelled after "
-                f"{task.steps_done} driver step(s)",
-                **who,
-            )
+            raise self._cancelled(future, task)
         if deadline is not None and elapsed > deadline:
             raise DeadlineExceeded(
                 f"query {future.query_id} ({future.handle!r}) exceeded its "
@@ -703,17 +698,37 @@ class Server:
                 f"(elapsed {elapsed:.6f})",
                 deadline=deadline,
                 elapsed=elapsed,
-                **who,
+                query_id=future.query_id,
+                tenant=future.tenant,
+                handle=future.handle,
             )
+
+    @staticmethod
+    def _cancelled(future: QueryFuture, task: QueryTask) -> QueryCancelled:
+        return QueryCancelled(
+            f"query {future.query_id} ({future.handle!r}) cancelled after "
+            f"{task.steps_done} driver step(s)",
+            query_id=future.query_id,
+            tenant=future.tenant,
+            handle=future.handle,
+        )
 
     def _retry(
         self, query: _Admitted, task: QueryTask, error: BaseException, elapsed: float
     ) -> tuple["ModularisQuery", ExecutionContext]:
         """Start the next attempt after ``error`` at simulated time
-        ``elapsed``; without one, settle the query as failed and raise."""
+        ``elapsed``; without one, settle the query and raise.
+
+        A client cancel that landed during the failed step wins over a
+        retryable error: the query settles ``cancelled``, not ``failed``.
+        """
         retry, number, future = self.retry, task.trace.attempt, query.future
         retryable = retry is not None and is_retryable(error)
-        if retryable and number < retry.max_attempts and not future.cancelled():
+        if retryable and future.cancelled():
+            cancelled = self._cancelled(future, task)
+            cancelled.__cause__ = error
+            error = cancelled
+        elif retryable and number < retry.max_attempts:
             backoff = retry.backoff(number)
             query.journal.record_backoff(backoff)
             query.journal.note(

@@ -1,5 +1,6 @@
 """Integration tests for the network operators on the simulated cluster."""
 
+import collections
 import weakref
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from repro import RunOptions
 from repro.core.compression import RadixCompression
 from repro.core.executor import execute
-from repro.core.functions import RadixPartition
-from repro.core.kernels.scatter import window_bases
+from repro.core.functions import CallablePartition, HashPartition, RadixPartition
+from repro.core.kernels.scatter import window_layout
 from repro.core.operators import (
     LocalHistogram,
     MaterializeRowVector,
@@ -23,12 +24,14 @@ from repro.core.operators import (
     RowScan,
 )
 from repro.core import lockstep
-from repro.core.operators import mpi_exchange
+from repro.core.operators import local_histogram, mpi_exchange
 from repro.core.plan import walk
 from repro.core.plans.fragments import collect, exchange, replicate, sharded_scan
 from repro.errors import ExecutionError, TypeCheckError
 from repro.mpi.cluster import SimCluster
 from repro.mpi.comm import CommGroup, WindowSet
+from repro.relational import lower_to_modularis
+from repro.tpch import ALL_QUERIES, load_catalog
 from repro.types import INT64, RowVector, TupleType, row_vector_type
 
 from tests.conftest import make_kv_table, run_lanes, table_source
@@ -148,16 +151,81 @@ class TestMpiExchange:
         assert [len(rows) for rows in result.per_rank] == [1, 1, 0, 0]
 
     @pytest.mark.parametrize("n_parts, n_ranks", [(1, 1), (8, 4), (16, 3), (2, 4), (4, 8)])
-    def test_layout_table_matches_the_per_owner_loop(self, ctx, n_parts, n_ranks):
-        scan = RowScan(table_source(make_kv_table(4), ctx), field="t")
-        exchange = _ExchangeHarness.plan(scan, n_parts)
+    def test_layout_table_matches_the_per_owner_loop(self, n_parts, n_ranks):
         counts = np.random.default_rng(n_parts).integers(0, 50, n_parts)
         expected = np.zeros(n_parts, dtype=np.int64)
+        rows = []
         for rank in range(n_ranks):
             owned = np.arange(rank, n_parts, n_ranks)
             expected[owned] = np.cumsum(counts[owned]) - counts[owned]
-        assert exchange._layout_table(counts, n_ranks).tolist() == expected.tolist()
-        assert window_bases(counts, n_ranks).tolist() == expected.tolist()
+            rows.append(int(counts[owned].sum()))
+        bases, owned_rows = window_layout(counts, n_ranks)
+        assert bases.tolist() == expected.tolist()
+        assert owned_rows.tolist() == rows
+
+
+class TestOneWayPartition:
+    """A keyed function of fan-out one puts every row in bucket 0: the
+    histogram counts rows and the exchange puts each morsel (or its packed
+    wire) whole, computing no bucket id, layout or count."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = collections.Counter()
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        spy(RadixPartition, "map_batch")
+        spy(HashPartition, "map_batch")
+        spy(mpi_exchange, "partition_layout")
+        spy(local_histogram, "bucket_counts")
+        return calls
+
+    @staticmethod
+    def ladder(fn, compression=None):
+        def plan(scan):
+            local = LocalHistogram(scan, fn)
+            return MpiExchange(scan, local, MpiHistogram(local, fn.n_partitions), fn,
+                               compression=compression)
+        return plan
+
+    @pytest.mark.parametrize("compressed", [False, True])
+    @pytest.mark.parametrize("fn", [RadixPartition("key", 1, shift=3),
+                                    HashPartition("key", 1, salt=1)], ids=repr)
+    def test_a_one_rank_ladder_computes_no_bucket_id(
+        self, calls, monkeypatch, fn, compressed
+    ):
+        monkeypatch.setattr(mpi_exchange, "BUFFER_ROWS", 7)  # several puts per morsel
+        table = make_kv_table(100)
+        compression = RadixCompression(10, 0) if compressed else None
+        result = run_on_cluster(SimCluster(1), table, self.ladder(fn, compression))
+        ((pid, data),) = result.per_rank[0]
+        if compressed:
+            data = RowVector(KV, list(compression.split(data.column("packed"))))
+        assert pid == 0 and list(data.iter_rows()) == list(table.iter_rows())
+        assert not calls
+        # The spies are live: a fan-out of two computes every id.
+        run_on_cluster(SimCluster(1), table, self.ladder(RadixPartition("key", 2)))
+        assert set(calls) == {"map_batch", "partition_layout", "bucket_counts"}
+
+    def test_a_one_rank_tpch_run_computes_no_bucket_id(self, calls):
+        catalog = load_catalog(0.002, seed=4)
+        for build in ALL_QUERIES.values():
+            lower_to_modularis(build().plan, catalog, SimCluster(1)).run(catalog)
+        assert not calls
+
+    def test_a_callable_one_bucket_function_is_still_checked(self):
+        # An opaque function is called on every row, so a stray id raises.
+        stray = CallablePartition(lambda row: 1, 1)
+        with pytest.raises(TypeCheckError, match="outside"):
+            run_on_cluster(SimCluster(1), make_kv_table(8), self.ladder(stray))
 
 
 class TestMpiBroadcast:

@@ -27,7 +27,7 @@ from repro.core.context import ExecutionContext
 from repro.core.executor import execute
 from repro.core.functions import RadixPartition
 from repro.core.lockstep import Lockstep, steps
-from repro.core.kernels import radix_join, scatter
+from repro.core.kernels import hash_join, radix_join, scatter
 from repro.core.kernels.hash_join import (
     HashJoinBuild,
     HashJoinSpec,
@@ -237,15 +237,21 @@ class TestUniqueKeyTable:
 
     @pytest.fixture
     def passed_through(self, monkeypatch):
-        """Per radix probe morsel: did it take the full-hit pass-through?"""
+        """Per radix probe morsel: did it take the full-hit pass-through?
+        (A semi / anti probe of runs emits through ``emit_existence``.)"""
         taken = []
-        real = radix_join.emit_probe_hits
+        real, real_existence = radix_join.emit_probe_hits, radix_join.emit_existence
 
         def recorded(build, right, spec, hit_pos, hit_right):
             taken.append(isinstance(hit_right, slice))
             return real(build, right, spec, hit_pos, hit_right)
 
+        def recorded_existence(right, spec, has_hit):
+            taken.append(isinstance(has_hit, slice))
+            return real_existence(right, spec, has_hit)
+
         monkeypatch.setattr(radix_join, "emit_probe_hits", recorded)
+        monkeypatch.setattr(radix_join, "emit_existence", recorded_existence)
         return taken
 
     def test_a_fully_hit_morsel_passes_through(self, passed_through):
@@ -502,6 +508,100 @@ class TestSortedRuns:
         build, probe = self.CASES[case]
         radix = TestUniqueKeyTable.assert_matches_sorted_hash(build, [probe, probe[::-1], []])
         assert radix.order is None and radix.starts is None
+
+class TestExistenceProbes:
+    """A semi / anti probe of runs asks only whether a key's run is empty:
+    on sorted runs one bisection and one equality gather, on counted runs
+    ``counts > 0``.  Its rows must equal the sorted-hash kernel's and the
+    reference's on hostile probe morsels."""
+
+    BUILDS = {
+        # Sorted with repeats at both ends: searched, or counted into runs.
+        "sorted-runs": ([-9, -4, -4, -1, 0, 0, 0, 3, 3], True),
+        "counted-sorted": ([-9, -4, -4, -1, 0, 0, 0, 3, 3], False),
+        "counted-unsorted": ([0, 3, -4, -9, 0, -1, 3, -4, 0], True),
+    }
+    PROBES = {
+        "empty": [],
+        "all-hit-duplicates": [-9, -4, -4, 0, 3, 3, 0, -9, -1],
+        "all-miss": [-10, -3, 1, 2, 4, 100, -8],
+        "out-of-range": [-(2**63), 2**63 - 1, -10, 4, -9, 3, -(2**63) + 1],
+    }
+
+    @staticmethod
+    def reference(build_keys, probe_keys, join_type):
+        present = set(build_keys)
+        return [(k, -i) for i, k in enumerate(probe_keys)
+                if (k in present) == (join_type == "semi")]
+
+    @pytest.mark.parametrize("probe", PROBES)
+    @pytest.mark.parametrize("build", BUILDS)
+    @pytest.mark.parametrize("join_type", ["semi", "anti"])
+    def test_rows_equal_the_sorted_hash_kernel_and_the_reference(
+        self, monkeypatch, join_type, build, probe
+    ):
+        build_keys, searched = self.BUILDS[build]
+        monkeypatch.setattr(radix_join, "SORTED_RUNS", searched)
+        left = RowVector(L, [np.array(build_keys, np.int64),
+                             np.arange(len(build_keys), dtype=np.int64)])
+        radix = RadixJoinBuild.from_rows(left, "key")
+        assert radix.rows is None and (radix.starts is None) == (build == "sorted-runs")
+        keys = self.PROBES[probe]
+        right = RowVector(R, [np.array(keys, np.int64), -np.arange(len(keys), dtype=np.int64)])
+        spec = spec_for(join_type)
+        out = radix_probe_morsel(radix, right, spec)
+        assert out == probe_morsel(HashJoinBuild.from_rows(left, "key"), right, spec)
+        assert list(out.iter_rows()) == self.reference(build_keys, keys, join_type)
+
+
+class TestHashCollisions:
+    """Distinct keys with one ``mix_hash`` share a run of the sorted-hash
+    build; a probe reads the run's end from the build and must still split
+    the run by key under every policy."""
+
+    @staticmethod
+    def colliding(n):
+        """``n`` distinct int64 keys with one hash: ``k + d·M⁻¹ (mod 2^64)``
+        multiplies to ``k·M + d``, the same hash while the low 33 bits of
+        ``k·M`` do not carry."""
+        m = int(hash_join._HASH_MULTIPLIER)
+        base = next(k for k in range(1, 1000) if (k * m) % (1 << 64) % (1 << 33) < (1 << 33) - n)
+        keys = [(base + d * pow(m, -1, 1 << 64)) % (1 << 64) for d in range(n)]
+        return [k - (1 << 64) if k >= 1 << 63 else k for k in keys]
+
+    def test_every_policy_splits_a_shared_hash_run(self):
+        a, b, c, d = self.colliding(4)
+        assert len({a, b, c, d}) == 4
+        assert len(set(hash_join.mix_hash(np.array([a, b, c, d])).tolist())) == 1
+        build_keys = [a, 5, b, a, c, 5, 7]
+        # d shares the run but is absent; 6 has a hash of its own, absent.
+        probe_keys = [b, d, a, 6, 5, c, d, a]
+        left = RowVector(L, [np.array(build_keys, np.int64),
+                             np.arange(len(build_keys), dtype=np.int64)])
+        right = RowVector(R, [np.array(probe_keys, np.int64),
+                              -np.arange(len(probe_keys), dtype=np.int64)])
+        for join_type in JOIN_TYPES:
+            spec = spec_for(join_type)
+            build = HashJoinBuild.from_rows(left, "key")
+            rows = list(probe_morsel(build, right, spec).iter_rows())
+            if join_type in ("semi", "anti"):
+                expected = TestExistenceProbes.reference(build_keys, probe_keys, join_type)
+            else:
+                expected = [(k, j, -i) for i, k in enumerate(probe_keys)
+                            for j, key in enumerate(build_keys) if key == k]
+            assert rows == expected, join_type
+            if join_type == "left_outer":
+                assert list(outer_tail(build, spec).iter_rows()) == [
+                    (key, j, 0) for j, key in enumerate(build_keys) if key not in probe_keys
+                ]
+
+    def test_an_empty_build_matches_nothing(self):
+        left = RowVector(L, [np.zeros(0, np.int64), np.zeros(0, np.int64)])
+        right = RowVector(R, [np.array([0, 3, -1], np.int64), np.arange(3, dtype=np.int64)])
+        build = HashJoinBuild.from_rows(left, "key")
+        assert len(probe_morsel(build, right, spec_for("inner"))) == 0
+        assert len(probe_morsel(build, right, spec_for("anti"))) == 3
+
 
 class TestZeroCopyPlane:
     def test_concat_remerges_adjacent_slices_without_copy(self):

@@ -311,6 +311,33 @@ class TestRetries:
             assert server.metrics.snapshot().total("serving_submitted") == 8
 
 
+    def test_a_cancel_during_a_failing_step_settles_cancelled(
+        self, catalog, cluster, monkeypatch
+    ):
+        # The client cancels while a driver step runs, and that step then
+        # fails retryably: the cancel wins, so the retry budget is neither
+        # spent nor reported exhausted, and the breaker hears nothing.
+        flaky = RunOptions(faults=fault_profile("flaky", 2021, 2))
+        check = Server._check_lifecycle
+
+        def cancel_after_check(self, query, task, elapsed):
+            check(self, query, task, elapsed)
+            query.future.cancel()
+
+        monkeypatch.setattr(Server, "_check_lifecycle", cancel_after_check)
+        with Server(cluster, catalog, retry=RetryPolicy(max_attempts=3)) as server:
+            handle = server.deploy("q12", q12()).handle
+            future = server.submit(handle, options=flaky)
+            with pytest.raises(QueryCancelled) as exc:
+                future.result(timeout=60)
+            assert exc.value.__cause__ is not None
+            (journal,) = server.journals
+            assert (journal.terminal, journal.reason) == ("cancelled", "QueryCancelled")
+            assert server.registry.breaker_for(handle)._consecutive_failures == 0
+            account = server.tenant("default")
+            assert (account.cancelled, account.failed, account.retries) == (1, 0, 0)
+
+
 class TestOverloadShedding:
     def test_tenant_over_entitlement_is_shed_in_the_shed_region(
         self, catalog, cluster
